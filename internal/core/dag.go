@@ -182,6 +182,7 @@ func (s *Scheduler) AdmitDAG(job DAGJob) (*Placement, error) {
 	if err := job.Validate(); err != nil {
 		return nil, fmt.Errorf("core: admit dag: %w", err)
 	}
+	s.win.ok = false
 	var best *Placement
 	var bestKey chainKey
 	for ai, alt := range job.Alts {
@@ -193,7 +194,7 @@ func (s *Scheduler) AdmitDAG(job DAGJob) (*Placement, error) {
 		pl.JobID = job.ID
 		pl.Chain = ai
 		key := s.dagSortKey(pl, alt, job.Release)
-		if best == nil || s.better(key, bestKey) {
+		if best == nil || s.better(&key, &bestKey) {
 			best, bestKey = pl, key
 		}
 		if s.opts.TieBreak == TieBreakFirstFit {
@@ -230,12 +231,6 @@ func (s *Scheduler) dagSortKey(pl *Placement, dag DAG, release float64) chainKey
 			finish = tp.Finish
 		}
 	}
-	window := finish - release
-	var util float64
-	if window > Eps {
-		util = (s.prof.BusyOn(maxTime(release, s.prof.Origin()), finish) + pl.Area()) /
-			(float64(s.prof.Capacity()) * window)
-	}
 	byStart := append([]TaskPlacement(nil), pl.Tasks...)
 	sort.Slice(byStart, func(a, b int) bool {
 		if !timeEq(byStart[a].Start, byStart[b].Start) {
@@ -249,5 +244,5 @@ func (s *Scheduler) dagSortKey(pl *Placement, dag DAG, release float64) chainKey
 		cum += float64(tp.Procs) * tp.Duration()
 		prefix[i] = cum
 	}
-	return chainKey{finish: finish, util: util, area: pl.Area(), quality: dag.Quality, prefix: prefix}
+	return chainKey{release: release, finish: finish, area: pl.Area(), quality: dag.Quality, prefix: prefix}
 }

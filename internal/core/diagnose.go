@@ -60,8 +60,8 @@ type ChainDiagnosis struct {
 	Schedulable bool `json:"schedulable,omitempty"`
 	// FailedTask is the index of the first task the greedy replay could
 	// not place (-1 when Schedulable).
-	FailedTask int    `json:"failed_task"`
-	TaskName   string `json:"task_name,omitempty"`
+	FailedTask int        `json:"failed_task"`
+	TaskName   string     `json:"task_name,omitempty"`
 	Constraint Constraint `json:"constraint,omitempty"`
 	// WantProcs/WantDuration are the failed task's demand rectangle (for
 	// malleable tasks: the narrowest duration at full concurrency).
@@ -92,8 +92,8 @@ type PlanDiagnosis struct {
 	// Shard is filled by the federated router (-1 for a monolith plane).
 	Shard int `json:"shard,omitempty"`
 	// Capacity and PeakUsed snapshot the machine at decision time.
-	Capacity int `json:"capacity"`
-	PeakUsed int `json:"peak_used"`
+	Capacity int              `json:"capacity"`
+	PeakUsed int              `json:"peak_used"`
 	Chains   []ChainDiagnosis `json:"chains"`
 	// Suggestion is the cheapest verified WhatIfDelta that admits the job
 	// (preferring deadline slack over width reduction over machine

@@ -20,7 +20,7 @@ func FuzzProfileOps(f *testing.F) {
 	// jittered reserve, at two capacities.
 	f.Add([]byte{2, 0})
 	f.Add([]byte{
-		7,                            // capacity 8
+		7,                           // capacity 8
 		1, 3, 0x10, 0x20, 40, 0, 10, // ReserveFit
 		4, 1, 0x10, 0x28, 20, 0xff, 0xff, // EarliestFit, infinite deadline
 		3, 2, 0x00, 0x00, 10, 0, 0, // MinAvail

@@ -48,6 +48,13 @@ type Scheduler struct {
 	prof *Profile
 	opts Options
 	stat Stats
+
+	// win memoizes the last tie-break window integrated during the current
+	// planning call (see keyUtil); every planning call starts by clearing it.
+	win struct {
+		ok                    bool
+		release, finish, busy float64
+	}
 }
 
 // NewScheduler returns a scheduler managing `procs` homogeneous processors
@@ -161,15 +168,29 @@ type PlanKey struct {
 // arbitrator to interpose policy (e.g. quality maximization across jobs)
 // between feasibility analysis and reservation.
 func (s *Scheduler) Plan(job Job) (*Placement, bool) {
-	pl, _, ok := s.PlanKeyed(job)
+	pl, _, ok := s.plan(job)
 	return pl, ok
 }
 
 // PlanKeyed is Plan, additionally exposing the winning chain's tie-break
-// key (already computed during planning, so callers that need it — the
-// federated router's cross-shard comparison — pay nothing extra).
+// key for a caller that compares plans across schedulers (the federated
+// router's cross-shard comparison).  The key's utilization is an O(window)
+// integration that planning itself often never needs, so callers that do
+// not compare keys should call Plan.
 func (s *Scheduler) PlanKeyed(job Job) (*Placement, PlanKey, bool) {
+	pl, key, ok := s.plan(job)
+	if !ok {
+		return nil, PlanKey{}, false
+	}
+	return pl, PlanKey{Finish: key.finish, Util: s.keyUtil(&key), Prefix: key.prefix}, true
+}
+
+// plan is the planning loop behind Plan and PlanKeyed: it returns the chosen
+// placement with its tie-break key, whose utilization is filled in only if
+// some comparison needed it.
+func (s *Scheduler) plan(job Job) (*Placement, chainKey, bool) {
 	h := s.opts.Hooks
+	s.win.ok = false
 	var best *Placement
 	var bestKey chainKey
 	bestChain := -1
@@ -191,7 +212,7 @@ func (s *Scheduler) PlanKeyed(job Job) (*Placement, PlanKey, bool) {
 			h.ChainTried(&job, ci, true, pl.Finish())
 		}
 		key := s.chainSortKey(pl, chain, job.Release)
-		if best == nil || s.better(key, bestKey) {
+		if best == nil || s.better(&key, &bestKey) {
 			if best != nil && h != nil && h.TieBreak != nil {
 				h.TieBreak(&job, ci, bestChain)
 			}
@@ -209,9 +230,9 @@ func (s *Scheduler) PlanKeyed(job Job) (*Placement, PlanKey, bool) {
 		if s.opts.Diagnosis != nil {
 			s.opts.Diagnosis(s.Diagnose(job))
 		}
-		return nil, PlanKey{}, false
+		return nil, chainKey{}, false
 	}
-	return best, PlanKey{Finish: bestKey.finish, Util: bestKey.util, Prefix: bestKey.prefix}, true
+	return best, bestKey, true
 }
 
 // Commit reserves the processor-time described by a placement previously
@@ -270,36 +291,57 @@ func (s *Scheduler) ReservePlacement(pl *Placement) error {
 // chainKey carries the paper's tie-breaking criteria for one schedulable
 // chain: earliest finish, then utilization over [release, finish], then the
 // cumulative resource prefix, then chain order (implicit in scan order).
+//
+// The utilization integrates the profile over the whole window — O(segments
+// in the window), most of a deep profile — and most comparisons are settled
+// by the finish time alone, so it is computed on demand: read it through
+// keyUtil, never from the field.
 type chainKey struct {
-	finish  float64
-	util    float64
+	release float64   // window start
+	finish  float64   // window end
 	area    float64   // total reserved area (for TieBreakMinArea)
 	quality float64   // chain output quality (for TieBreakMaxQuality)
 	prefix  []float64 // cumulative processor-time after each task
+
+	util     float64 // valid once utilDone
+	utilDone bool
 }
 
 func (s *Scheduler) chainSortKey(pl *Placement, chain Chain, release float64) chainKey {
-	finish := pl.Finish()
-	window := finish - release
-	var util float64
-	if window > Eps {
-		// Existing reservations in the window plus this chain's own area.
-		util = (s.prof.BusyOn(maxTime(release, s.prof.Origin()), finish) + pl.Area()) /
-			(float64(s.prof.Capacity()) * window)
-	}
 	prefix := make([]float64, len(pl.Tasks))
 	var cum float64
 	for i, tp := range pl.Tasks {
 		cum += float64(tp.Procs) * tp.Duration()
 		prefix[i] = cum
 	}
-	return chainKey{finish: finish, util: util, area: pl.Area(), quality: chain.Quality, prefix: prefix}
+	return chainKey{release: release, finish: pl.Finish(), area: pl.Area(), quality: chain.Quality, prefix: prefix}
+}
+
+// keyUtil returns the key's utilization: the existing reservations in
+// [release, finish) plus the chain's own area, over the machine's capacity
+// on that window.  It is computed at most once per key, and two keys of one
+// planning call with the identical window (chains that finish at the same
+// instant) share one integration of the profile.
+func (s *Scheduler) keyUtil(k *chainKey) float64 {
+	if k.utilDone {
+		return k.util
+	}
+	k.utilDone = true
+	if window := k.finish - k.release; window > Eps {
+		w := &s.win
+		if !w.ok || w.release != k.release || w.finish != k.finish {
+			w.ok, w.release, w.finish = true, k.release, k.finish
+			w.busy = s.prof.BusyOn(maxTime(k.release, s.prof.Origin()), k.finish)
+		}
+		k.util = (w.busy + k.area) / (float64(s.prof.Capacity()) * window)
+	}
+	return k.util
 }
 
 // better reports whether candidate key a beats the incumbent key b under the
 // configured tie-break policy.  Strict inequality is required everywhere so
 // that, on full ties, the earlier-declared chain wins (deterministic).
-func (s *Scheduler) better(a, b chainKey) bool {
+func (s *Scheduler) better(a, b *chainKey) bool {
 	switch s.opts.TieBreak {
 	case TieBreakMinArea:
 		if !timeEq(a.area, b.area) {
@@ -307,8 +349,8 @@ func (s *Scheduler) better(a, b chainKey) bool {
 		}
 		return timeLess(a.finish, b.finish)
 	case TieBreakUtilFirst:
-		if !timeEq(a.util, b.util) {
-			return a.util > b.util
+		if ua, ub := s.keyUtil(a), s.keyUtil(b); !timeEq(ua, ub) {
+			return ua > ub
 		}
 		if c := comparePrefix(a.prefix, b.prefix); c != 0 {
 			return c < 0
@@ -318,22 +360,16 @@ func (s *Scheduler) better(a, b chainKey) bool {
 		if !timeEq(a.quality, b.quality) {
 			return a.quality > b.quality
 		}
-		if !timeEq(a.finish, b.finish) {
-			return a.finish < b.finish
-		}
-		if !timeEq(a.util, b.util) {
-			return a.util > b.util
-		}
-		return comparePrefix(a.prefix, b.prefix) < 0
-	default: // TieBreakPaper (and TieBreakFirstFit, which never reaches here)
-		if !timeEq(a.finish, b.finish) {
-			return a.finish < b.finish
-		}
-		if !timeEq(a.util, b.util) {
-			return a.util > b.util
-		}
-		return comparePrefix(a.prefix, b.prefix) < 0
 	}
+	// TieBreakPaper, and TieBreakMaxQuality among equal qualities
+	// (TieBreakFirstFit never reaches here).
+	if !timeEq(a.finish, b.finish) {
+		return a.finish < b.finish
+	}
+	if ua, ub := s.keyUtil(a), s.keyUtil(b); !timeEq(ua, ub) {
+		return ua > ub
+	}
+	return comparePrefix(a.prefix, b.prefix) < 0
 }
 
 // comparePrefix orders chains by "fewer total resources for some prefix of

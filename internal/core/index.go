@@ -5,11 +5,11 @@ import (
 	"sort"
 )
 
-// This file implements the indexed processor-time profile: a lazily rebuilt
-// segment tree over the piecewise-constant availability function of a
-// Profile.  The tree stores, per node, the minimum and maximum availability
-// over its span of profile segments, which turns the scheduler's three probe
-// primitives into tree walks:
+// This file implements the indexed processor-time profile: an incrementally
+// maintained segment tree over the piecewise-constant availability function
+// of a Profile.  The tree stores, per node, the minimum and maximum
+// availability over its span of profile segments, which turns the scheduler's
+// three probe primitives into tree walks:
 //
 //	MinAvailOn    — one range-min query, O(log n)
 //	EarliestFit   — "first segment >= i with avail >= k" (max-descent) and
@@ -20,28 +20,44 @@ import (
 //	                backward/forward descents, O(n log n) total instead of
 //	                O(n^2)
 //
-// Invalidation is incremental where possible: a Reserve that introduces no
-// new breakpoints updates only the affected leaves; any structural change
-// (breakpoint insertion via ensureBreak, or a TrimBefore fold) marks the
-// index dirty and the next query rebuilds it in O(n).  This matches the
-// scheduler's access pattern — Plan issues many probes per arrival, Commit
-// issues a handful of reservations — so the rebuild cost amortizes across
-// the probe burst.
+// The leaves are laid over the profile's physical slots (Profile.tbuf), not
+// over its segment numbers: segment i lives in leaf head+i, and every leaf
+// outside [head, head+n) holds full capacity, which no search can prefer to
+// a live leaf (the final live segment is always idle).  That makes every
+// profile mutation a local edit of the tree:
+//
+//	Reserve on existing breaks  — rewrite the covered leaves and re-pull
+//	                              their ancestors, O(k + log n)
+//	breakpoint insertion        — shift the leaves from the insertion point
+//	                              to the tail by one slot and re-pull the
+//	                              ancestors of the shifted range,
+//	                              O(log n + distance to tail); online
+//	                              arrivals insert near the tail
+//	TrimBefore                  — advance head, reset the retired leaves to
+//	                              full capacity, O(k + log n); nothing when
+//	                              no segment is dropped
+//
+// A full O(slots) rebuild is left for the cases that move or revalue every
+// leaf: the profile ran out of tail slots and moved its segments back to slot
+// 0 (Profile.reslot — at least n insertions apart, so amortised O(1)),
+// SetCapacity, and a freshly cloned or restored profile.  It is lazy: those
+// paths mark the tree dirty and the next query rebuilds it.
 //
 // Every indexed query is written to be *exactly* equivalent to the linear
 // reference implementation, including the Eps-tolerant boundary predicates
 // (the same timeLeq/seg expressions are used on both paths), so that the
-// differential oracle harness can assert bitwise-equal answers.
+// differential oracle harness can assert bitwise-equal answers.  No answer
+// depends on head, so none depends on the trim history.
 
 // IndexStats reports the work done by a profile's segment-tree index.
 // Counters are cumulative since EnableIndex (clones start fresh).
 type IndexStats struct {
 	// Enabled reports whether the profile carries an index at all.
 	Enabled bool
-	// Rebuilds counts full O(n) tree rebuilds (after structural changes).
+	// Rebuilds counts full tree rebuilds (first query, reslot, SetCapacity).
 	Rebuilds int64
-	// LeafUpdates counts incremental leaf refreshes (reservations that
-	// introduced no new breakpoints).
+	// LeafUpdates counts incrementally rewritten leaves: reserved segments,
+	// leaves shifted by a breakpoint insertion and leaves retired by a trim.
 	LeafUpdates int64
 	// Descents counts tree walks (first-below / first-at-least /
 	// last-below searches).
@@ -54,12 +70,15 @@ type IndexStats struct {
 }
 
 // profIndex is the segment tree.  Nodes are stored 1-based in flat arrays of
-// length 2*size, with leaves at [size, size+n); padding leaves beyond n hold
-// full availability (the final profile segment is always idle, so a padded
-// leaf can never win a search that a real leaf would not).
+// length 2*size, with leaves at [size, 2*size): leaf j mirrors profile slot
+// j, the live segments occupy leaves [head, head+n), and every other leaf
+// holds full availability.  The query methods take segment numbers (leaf
+// minus head), so callers never see the offset.
 type profIndex struct {
-	size  int // leaf capacity, a power of two >= n
-	n     int // live leaves (= number of profile segments at build time)
+	size  int // leaf count, a power of two >= the profile's slot count
+	head  int // leaf of segment 0 (= Profile.head while clean)
+	n     int // live leaves (= number of profile segments while clean)
+	full  int // availability of an idle leaf (= Profile.capacity while clean)
 	minA  []int
 	maxA  []int
 	dirty bool
@@ -89,9 +108,9 @@ func (p *Profile) IndexStats() IndexStats {
 	return p.idx.stats
 }
 
-// markStructDirty records a structural change (breakpoint insertion or trim
-// fold); the next indexed query rebuilds the tree.
-func (p *Profile) markStructDirty() {
+// markIndexDirty records a change that moves or revalues every leaf (reslot,
+// SetCapacity); the next indexed query rebuilds the tree.
+func (p *Profile) markIndexDirty() {
 	if p.idx != nil {
 		p.idx.dirty = true
 	}
@@ -100,80 +119,93 @@ func (p *Profile) markStructDirty() {
 // idxEnsure rebuilds the index if it is stale and returns it.
 func (p *Profile) idxEnsure() *profIndex {
 	x := p.idx
-	if x.dirty || x.n != len(p.used) {
+	if x.dirty {
 		x.rebuild(p)
 	}
 	return x
 }
 
-// rebuild reconstructs the tree from the profile in O(n).  The node arrays
-// are reused across rebuilds once grown.
+// rebuild reconstructs the tree from the profile in O(slots).  The node
+// arrays are reused across rebuilds once grown.
 func (x *profIndex) rebuild(p *Profile) {
-	n := len(p.used)
 	size := 1
-	for size < n {
+	for size < len(p.tbuf) {
 		size <<= 1
 	}
 	if len(x.minA) < 2*size {
 		x.minA = make([]int, 2*size)
 		x.maxA = make([]int, 2*size)
 	}
-	x.size = size
-	x.n = n
-	for i := 0; i < n; i++ {
-		v := p.capacity - p.used[i]
-		x.minA[size+i] = v
-		x.maxA[size+i] = v
+	x.size, x.head, x.n, x.full = size, p.head, len(p.used), p.capacity
+	for j := size; j < 2*size; j++ {
+		x.minA[j] = x.full
+		x.maxA[j] = x.full
 	}
-	for i := n; i < size; i++ {
-		x.minA[size+i] = p.capacity
-		x.maxA[size+i] = p.capacity
+	for i, u := range p.used {
+		x.minA[size+x.head+i] = x.full - u
+		x.maxA[size+x.head+i] = x.full - u
 	}
-	for i := size - 1; i >= 1; i-- {
-		l, r := 2*i, 2*i+1
-		if x.minA[l] < x.minA[r] {
-			x.minA[i] = x.minA[l]
-		} else {
-			x.minA[i] = x.minA[r]
-		}
-		if x.maxA[l] > x.maxA[r] {
-			x.maxA[i] = x.maxA[l]
-		} else {
-			x.maxA[i] = x.maxA[r]
-		}
-	}
+	x.pull(size, 2*size-1)
 	x.dirty = false
 	x.stats.Rebuilds++
 }
 
-// leafSet refreshes leaf i to availability v and pulls the change up.
-func (x *profIndex) leafSet(i, v int) {
-	pos := x.size + i
-	x.minA[pos] = v
-	x.maxA[pos] = v
-	for pos >>= 1; pos >= 1; pos >>= 1 {
-		l, r := 2*pos, 2*pos+1
-		mn, mx := x.minA[l], x.maxA[l]
-		if x.minA[r] < mn {
-			mn = x.minA[r]
+// pull recomputes every ancestor of the leaves at node positions [l, r].
+func (x *profIndex) pull(l, r int) {
+	for l, r = l>>1, r>>1; l >= 1; l, r = l>>1, r>>1 {
+		for i := l; i <= r; i++ {
+			a, b := 2*i, 2*i+1
+			x.minA[i] = min(x.minA[a], x.minA[b])
+			x.maxA[i] = max(x.maxA[a], x.maxA[b])
 		}
-		if x.maxA[r] > mx {
-			mx = x.maxA[r]
-		}
-		if x.minA[pos] == mn && x.maxA[pos] == mx {
-			break
-		}
-		x.minA[pos] = mn
-		x.maxA[pos] = mx
 	}
-	x.stats.LeafUpdates++
 }
 
-// rangeMin returns the minimum availability over leaves [l, r] (inclusive).
+// refreshLeaves rewrites the leaves of segments [lo, hi) from the profile
+// after a reservation changed their usage.
+func (x *profIndex) refreshLeaves(p *Profile, lo, hi int) {
+	base := x.size + x.head
+	for i := lo; i < hi; i++ {
+		x.minA[base+i] = x.full - p.used[i]
+		x.maxA[base+i] = x.full - p.used[i]
+	}
+	x.pull(base+lo, base+hi-1)
+	x.stats.LeafUpdates += int64(hi - lo)
+}
+
+// insertLeaf mirrors a breakpoint insertion at segment i >= 1: the leaves of
+// segments [i, n) move one slot toward the tail and the new leaf i repeats
+// leaf i-1 (the segment it splits).  The profile guarantees the free slot.
+func (x *profIndex) insertLeaf(i int) {
+	at, end := x.size+x.head+i, x.size+x.head+x.n
+	copy(x.minA[at+1:end+1], x.minA[at:end])
+	copy(x.maxA[at+1:end+1], x.maxA[at:end])
+	x.minA[at] = x.minA[at-1]
+	x.maxA[at] = x.maxA[at-1]
+	x.n++
+	x.pull(at, end)
+	x.stats.LeafUpdates += int64(end - at + 1)
+}
+
+// retireLeaves mirrors a trim that dropped the first k segments: their
+// leaves go back to full availability and head moves past them.
+func (x *profIndex) retireLeaves(k int) {
+	at := x.size + x.head
+	for j := at; j < at+k; j++ {
+		x.minA[j] = x.full
+		x.maxA[j] = x.full
+	}
+	x.head += k
+	x.n -= k
+	x.pull(at, at+k-1)
+	x.stats.LeafUpdates += int64(k)
+}
+
+// rangeMin returns the minimum availability over segments [l, r] (inclusive).
 func (x *profIndex) rangeMin(l, r int) int {
 	x.stats.RangeQueries++
 	res := int(^uint(0) >> 1) // max int
-	a, b := x.size+l, x.size+r+1
+	a, b := x.size+x.head+l, x.size+x.head+r+1
 	for a < b {
 		if a&1 == 1 {
 			if x.minA[a] < res {
@@ -193,21 +225,21 @@ func (x *profIndex) rangeMin(l, r int) int {
 	return res
 }
 
-// firstBelow returns the smallest leaf index >= from whose availability is
-// strictly below k, or n if none exists among the live leaves.  Padding
-// leaves hold full capacity and therefore never match for k <= capacity.
+// firstBelow returns the smallest segment >= from whose availability is
+// strictly below k, or n if none exists among the live leaves.  Leaves past
+// the tail hold full capacity and therefore never match for k <= capacity.
 func (x *profIndex) firstBelow(from, k int) int {
 	return x.firstMatch(from, func(node int) bool { return x.minA[node] < k }, true)
 }
 
-// firstAtLeast returns the smallest leaf index >= from whose availability is
+// firstAtLeast returns the smallest segment >= from whose availability is
 // at least k, or n if none exists.  For k <= capacity the final live leaf
 // (the profile's idle tail segment) always matches.
 func (x *profIndex) firstAtLeast(from, k int) int {
 	return x.firstMatch(from, func(node int) bool { return x.maxA[node] >= k }, false)
 }
 
-// firstMatch walks rightward from leaf `from`, merging into parents on
+// firstMatch walks rightward from segment `from`, merging into parents on
 // alignment, until a subtree satisfying pred is found, then descends to its
 // leftmost satisfying leaf.  useMin selects which array the leaf descent
 // reads (pred must be the corresponding subtree test).
@@ -219,7 +251,7 @@ func (x *profIndex) firstMatch(from int, pred func(node int) bool, useMin bool) 
 	if from >= x.n {
 		return x.n
 	}
-	pos := x.size + from
+	pos := x.size + x.head + from
 	for {
 		x.stats.DescentSteps++
 		if pred(pos) {
@@ -231,7 +263,7 @@ func (x *profIndex) firstMatch(from int, pred func(node int) bool, useMin bool) 
 					pos = 2*pos + 1
 				}
 			}
-			idx := pos - x.size
+			idx := pos - x.size - x.head
 			if idx >= x.n {
 				return x.n
 			}
@@ -247,8 +279,9 @@ func (x *profIndex) firstMatch(from int, pred func(node int) bool, useMin bool) 
 	}
 }
 
-// lastBelow returns the largest leaf index <= upTo whose availability is
-// strictly below k, or -1 if none exists.
+// lastBelow returns the largest segment <= upTo whose availability is
+// strictly below k, or -1 if none exists.  Retired leaves hold full capacity
+// and therefore never match for k <= capacity.
 func (x *profIndex) lastBelow(upTo, k int) int {
 	x.stats.Descents++
 	if upTo >= x.n {
@@ -257,7 +290,7 @@ func (x *profIndex) lastBelow(upTo, k int) int {
 	if upTo < 0 {
 		return -1
 	}
-	pos := x.size + upTo
+	pos := x.size + x.head + upTo
 	for {
 		x.stats.DescentSteps++
 		if x.minA[pos] < k {
@@ -269,7 +302,7 @@ func (x *profIndex) lastBelow(upTo, k int) int {
 					pos = 2 * pos
 				}
 			}
-			return pos - x.size
+			return pos - x.size - x.head
 		}
 		if pos&(pos-1) == 0 {
 			return -1 // subtree started at leaf 0: nothing to the left
@@ -281,29 +314,33 @@ func (x *profIndex) lastBelow(upTo, k int) int {
 	}
 }
 
-// checkIndex verifies that a clean index agrees with the profile's segment
-// data (used by CheckInvariants and the differential harness).
+// checkIndex verifies that a clean index agrees with the profile: the same
+// slot layout and capacity, every live leaf equal to its segment's
+// availability, every other leaf at full capacity, and every inner node the
+// min/max of its children (used by CheckInvariants and the differential
+// harness).
 func (p *Profile) checkIndex() error {
 	x := p.idx
-	if x == nil || x.dirty || x.n != len(p.used) {
+	if x == nil || x.dirty {
 		return nil // stale index carries no claims
 	}
-	for i, u := range p.used {
-		v := p.capacity - u
-		if x.minA[x.size+i] != v || x.maxA[x.size+i] != v {
-			return fmt.Errorf("core: index leaf %d = (%d,%d), profile avail %d",
-				i, x.minA[x.size+i], x.maxA[x.size+i], v)
+	if x.head != p.head || x.n != len(p.used) || x.full != p.capacity || x.size < len(p.tbuf) {
+		return fmt.Errorf("core: index layout (head %d, n %d, full %d, size %d), profile (head %d, n %d, capacity %d, slots %d)",
+			x.head, x.n, x.full, x.size, p.head, len(p.used), p.capacity, len(p.tbuf))
+	}
+	for j := 0; j < x.size; j++ {
+		v := x.full
+		if i := j - x.head; i >= 0 && i < x.n {
+			v -= p.used[i]
+		}
+		if x.minA[x.size+j] != v || x.maxA[x.size+j] != v {
+			return fmt.Errorf("core: index leaf %d (head %d, n %d) = (%d,%d), want %d",
+				j, x.head, x.n, x.minA[x.size+j], x.maxA[x.size+j], v)
 		}
 	}
 	for i := x.size - 1; i >= 1; i-- {
 		l, r := 2*i, 2*i+1
-		mn, mx := x.minA[l], x.maxA[l]
-		if x.minA[r] < mn {
-			mn = x.minA[r]
-		}
-		if x.maxA[r] > mx {
-			mx = x.maxA[r]
-		}
+		mn, mx := min(x.minA[l], x.minA[r]), max(x.maxA[l], x.maxA[r])
 		if x.minA[i] != mn || x.maxA[i] != mx {
 			return fmt.Errorf("core: index node %d = (%d,%d), want (%d,%d)",
 				i, x.minA[i], x.maxA[i], mn, mx)

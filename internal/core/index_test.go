@@ -57,6 +57,16 @@ func TestIndexDescentsMatchBruteForce(t *testing.T) {
 		p := randomProfile(rng, capacity, rng.Intn(64))
 		p.EnableIndex()
 		x := p.idxEnsure()
+		if seed%2 == 1 {
+			// Walk the tree with a head offset and shifted leaves too.
+			p.TrimBefore(rng.Float64() * 60)
+			for i := 0; i < 4; i++ {
+				if s, ok := p.EarliestFit(1, 0.5+rng.Float64(), p.Origin()+rng.Float64()*80, Inf); ok {
+					mustReserve(t, p, 1, s, s+0.25)
+				}
+			}
+			x = p.idxEnsure()
+		}
 		n := len(p.used)
 		for trial := 0; trial < 200; trial++ {
 			from := rng.Intn(n + 2)
@@ -79,44 +89,104 @@ func TestIndexDescentsMatchBruteForce(t *testing.T) {
 	}
 }
 
-// TestIndexIncrementalLeafUpdates: a reservation whose boundaries land on
-// existing breakpoints must refresh leaves in place (no rebuild), and the
-// refreshed tree must remain internally consistent.
+// TestIndexIncrementalLeafUpdates: once built, the tree follows every
+// profile mutation in place — an aligned Reserve, a Reserve that inserts
+// breakpoints and a TrimBefore all leave it clean, consistent and not
+// rebuilt.  Only running out of tail slots (and SetCapacity) rebuilds.
 func TestIndexIncrementalLeafUpdates(t *testing.T) {
 	p := NewProfile(8, 0)
 	p.EnableIndex()
 	mustReserve(t, p, 2, 10, 20)
 	mustReserve(t, p, 2, 20, 30)
-	_ = p.MinAvailOn(0, 40) // force a build
+	mustReserve(t, p, 1, 40, 50) // 6 segments: the next reslot is at 14
+	_ = p.MinAvailOn(0, 40)      // force a build
 	st := p.IndexStats()
 	if st.Rebuilds == 0 {
 		t.Fatal("no rebuild after first query")
 	}
-	// Boundaries 10 and 30 both exist: purely incremental.
+	clean := func(what string) {
+		t.Helper()
+		if p.idx.dirty {
+			t.Fatalf("%s dirtied the index", what)
+		}
+		if got := p.IndexStats().Rebuilds; got != st.Rebuilds {
+			t.Fatalf("%s triggered a rebuild (%d -> %d)", what, st.Rebuilds, got)
+		}
+		if err := p.CheckInvariants(); err != nil {
+			t.Fatalf("after %s: %v", what, err)
+		}
+	}
+	// Boundaries 10 and 30 both exist: leaves rewritten in place.
 	mustReserve(t, p, 3, 10, 30)
-	st2 := p.IndexStats()
-	if st2.Rebuilds != st.Rebuilds {
-		t.Fatalf("aligned reserve triggered a rebuild (%d -> %d)", st.Rebuilds, st2.Rebuilds)
-	}
-	if st2.LeafUpdates == st.LeafUpdates {
+	clean("aligned reserve")
+	if got := p.IndexStats().LeafUpdates; got == st.LeafUpdates {
 		t.Fatal("aligned reserve did not refresh any leaves")
-	}
-	if err := p.CheckInvariants(); err != nil {
-		t.Fatal(err)
 	}
 	if got := p.MinAvailOn(10, 30); got != 3 {
 		t.Fatalf("MinAvailOn(10,30) = %d, want 3", got)
 	}
-	// A misaligned reserve must dirty the index; the next query rebuilds.
+	// A misaligned reserve inserts two breakpoints by shifting the tail.
 	mustReserve(t, p, 1, 12, 18)
-	if !p.idx.dirty {
-		t.Fatal("breakpoint insertion did not dirty the index")
-	}
+	clean("breakpoint insertion")
 	if got := p.MinAvailOn(12, 18); got != 2 {
 		t.Fatalf("MinAvailOn(12,18) = %d, want 2", got)
 	}
-	if p.IndexStats().Rebuilds != st.Rebuilds+1 {
-		t.Fatal("misaligned reserve did not rebuild on next query")
+	// A trim that drops segments advances the head and retires their leaves.
+	head := p.head
+	p.TrimBefore(15)
+	clean("trim")
+	if p.head == head {
+		t.Fatal("trim past a breakpoint did not advance the head")
+	}
+	if got := p.MinAvailOn(15, 18); got != 2 {
+		t.Fatalf("MinAvailOn(15,18) after trim = %d, want 2", got)
+	}
+	// A trim inside the first segment moves only the origin.
+	updates := p.IndexStats().LeafUpdates
+	p.TrimBefore(16)
+	clean("origin-only trim")
+	if got := p.IndexStats().LeafUpdates; got != updates {
+		t.Fatalf("origin-only trim touched %d leaves", got-updates)
+	}
+	// Insertions past the last free slot reslot the profile and rebuild.
+	for i := 0; p.IndexStats().Rebuilds == st.Rebuilds; i++ {
+		if i > 2*len(p.tbuf) {
+			t.Fatal("index never rebuilt although the slots ran out")
+		}
+		mustReserve(t, p, 1, 60+float64(i), 60.5+float64(i))
+		_ = p.MinAvailOn(0, 100)
+	}
+	// The reslot left at least as many free slots as segments; the reserve
+	// that caused it has since used at most two of them.
+	if p.head != 0 || len(p.tbuf) < 2*(len(p.used)-2) {
+		t.Fatalf("reslot left head %d, %d slots for %d segments", p.head, len(p.tbuf), len(p.used))
+	}
+	if err := p.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCheckIndexCatchesStaleRetiredLeaf: a slot outside the live range that
+// does not hold full capacity is an invariant violation, even though no
+// query over the live range reads it today.
+func TestCheckIndexCatchesStaleRetiredLeaf(t *testing.T) {
+	p := NewProfile(4, 0)
+	p.EnableIndex()
+	for i := 0; i < 6; i++ {
+		mustReserve(t, p, 1, float64(10*i+5), float64(10*i+10))
+	}
+	_ = p.MinAvailOn(0, 100)
+	p.TrimBefore(32)
+	if p.head == 0 || p.idx.dirty {
+		t.Fatalf("setup: head %d, dirty %v", p.head, p.idx.dirty)
+	}
+	if err := p.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	x := p.idx
+	x.minA[x.size] = 0 // retired leaf 0
+	if err := p.CheckInvariants(); err == nil {
+		t.Fatal("a retired leaf below full capacity passed CheckInvariants")
 	}
 }
 

@@ -22,11 +22,21 @@ type Profile struct {
 	times    []float64
 	used     []int
 
+	// tbuf and ubuf are the backing arrays (equal lengths); times and used
+	// are views of their slots [head, head+n).  TrimBefore retires segments
+	// by advancing head, ensureBreak takes the next free slot at the tail,
+	// and reslot moves the live segments back to slot 0 when the tail slots
+	// run out — so neither an Observe nor a Reserve copies the whole profile.
+	tbuf []float64
+	ubuf []int
+	head int
+
 	trimmedBusy float64 // processor-time integral folded away by TrimBefore
 
 	// idx, when non-nil, is the segment-tree index over availability (see
-	// index.go).  Queries dispatch through it; mutations invalidate it
-	// incrementally (leaf refresh) or structurally (lazy rebuild).
+	// index.go), laid over the same slots.  Queries dispatch through it;
+	// mutations maintain it incrementally, and only reslot, SetCapacity,
+	// Clone and restore leave it to be rebuilt.
 	idx *profIndex
 }
 
@@ -36,10 +46,19 @@ func NewProfile(capacity int, origin float64) *Profile {
 	if capacity < 1 {
 		panic(fmt.Sprintf("core: profile capacity %d must be >= 1", capacity))
 	}
+	return newProfile(capacity, []float64{origin}, []int{0}, 0)
+}
+
+// newProfile builds an unindexed profile that owns the given segment arrays,
+// with every slot live.
+func newProfile(capacity int, times []float64, used []int, trimmedBusy float64) *Profile {
 	return &Profile{
-		capacity: capacity,
-		times:    []float64{origin},
-		used:     []int{0},
+		capacity:    capacity,
+		times:       times,
+		used:        used,
+		tbuf:        times,
+		ubuf:        used,
+		trimmedBusy: trimmedBusy,
 	}
 }
 
@@ -55,12 +74,7 @@ func (p *Profile) Segments() int { return len(p.times) }
 // Clone returns a deep copy of the profile.  A clone of an indexed profile
 // is itself indexed (with a fresh, lazily built tree and zeroed counters).
 func (p *Profile) Clone() *Profile {
-	q := &Profile{
-		capacity:    p.capacity,
-		times:       append([]float64(nil), p.times...),
-		used:        append([]int(nil), p.used...),
-		trimmedBusy: p.trimmedBusy,
-	}
+	q := newProfile(p.capacity, append([]float64(nil), p.times...), append([]int(nil), p.used...), p.trimmedBusy)
 	if p.idx != nil {
 		q.EnableIndex()
 	}
@@ -140,14 +154,43 @@ func (p *Profile) ensureBreak(t float64) int {
 	if dedupBreak(p.times[i-1], t) {
 		return i - 1
 	}
-	p.markStructDirty()
-	p.times = append(p.times, 0)
-	p.used = append(p.used, 0)
-	copy(p.times[i+1:], p.times[i:])
-	copy(p.used[i+1:], p.used[i:])
+	n := len(p.times)
+	if p.head+n == len(p.tbuf) {
+		p.reslot()
+	}
+	// Segments [i, n) move one slot toward the tail; the new segment i
+	// inherits the usage of the segment it splits.
+	p.times = p.tbuf[p.head : p.head+n+1]
+	p.used = p.ubuf[p.head : p.head+n+1]
+	copy(p.times[i+1:], p.times[i:n])
+	copy(p.used[i+1:], p.used[i:n])
 	p.times[i] = t
 	p.used[i] = p.used[i-1]
+	if x := p.idx; x != nil && !x.dirty {
+		x.insertLeaf(i)
+	}
 	return i
+}
+
+// reslot frees tail slots when the live segments have reached the end of the
+// backing arrays: the segments move back to slot 0, in place when that leaves
+// at least as many free slots as live segments and into arrays of at least
+// twice the size otherwise.  Either way at least n insertions pass before the
+// next reslot, so its O(n) cost — and that of the index rebuild it forces — is
+// amortised O(1) per insertion.
+func (p *Profile) reslot() {
+	n := len(p.times)
+	if c := len(p.tbuf); 2*(n+1) > c {
+		c = max(2*(n+1), 2*c)
+		p.tbuf = make([]float64, c)
+		p.ubuf = make([]int, c)
+	}
+	copy(p.tbuf, p.times)
+	copy(p.ubuf, p.used)
+	p.head = 0
+	p.times = p.tbuf[:n]
+	p.used = p.ubuf[:n]
+	p.markIndexDirty()
 }
 
 // Reserve commits procs processors over [start, finish).  It returns an
@@ -175,14 +218,8 @@ func (p *Profile) Reserve(procs int, start, finish float64) error {
 	for i := lo; i < hi; i++ {
 		p.used[i] += procs
 	}
-	// Incremental index maintenance: if both boundaries hit existing
-	// breakpoints the tree structure is unchanged and only the touched
-	// leaves need refreshing; otherwise ensureBreak already marked the
-	// index dirty and the next query rebuilds it.
-	if p.idx != nil && !p.idx.dirty && p.idx.n == len(p.used) {
-		for i := lo; i < hi; i++ {
-			p.idx.leafSet(i, p.capacity-p.used[i])
-		}
+	if x := p.idx; x != nil && !x.dirty {
+		x.refreshLeaves(p, lo, hi)
 	}
 	return nil
 }
@@ -257,10 +294,16 @@ func (p *Profile) TrimBefore(t float64) {
 	}
 	// Fold the covered prefix of segment i.
 	p.trimmedBusy += float64(p.used[i]) * (t - p.times[i])
-	p.times = append(p.times[:0], p.times[i:]...)
-	p.used = append(p.used[:0], p.used[i:]...)
+	if i > 0 {
+		// Retire slots [head, head+i); reslot reclaims them later.
+		p.head += i
+		p.times = p.times[i:]
+		p.used = p.used[i:]
+		if x := p.idx; x != nil && !x.dirty {
+			x.retireLeaves(i)
+		}
+	}
 	p.times[0] = t
-	p.markStructDirty()
 }
 
 // BusyUpTo returns the usage integral (processor-time units reserved) from
@@ -288,8 +331,18 @@ func (p *Profile) BusyOn(a, b float64) float64 {
 	if !timeLess(a, b) {
 		return 0
 	}
+	// Start one segment before the one containing a: every earlier segment
+	// ends at or before a (breakpoints are more than Eps apart), so it would
+	// add no term.  The guard segment is for seg's own rounding: it compares
+	// against fl(a+Eps), which can round up far enough that timeLess still
+	// sees a sliver of the segment before seg(a) inside the window
+	// (TestBusyOnGuardSegment).
+	i := p.seg(a)
+	if i > 0 {
+		i--
+	}
 	var busy float64
-	for i := 0; i < len(p.times); i++ {
+	for ; i < len(p.times); i++ {
 		segStart := p.times[i]
 		segEnd := Inf
 		if i < len(p.times)-1 {
@@ -340,7 +393,7 @@ func (p *Profile) SetCapacity(c int) error {
 	p.capacity = c
 	// Every index leaf stores availability (capacity - used), so a capacity
 	// change invalidates the whole tree; rebuild lazily on the next query.
-	p.markStructDirty()
+	p.markIndexDirty()
 	return nil
 }
 

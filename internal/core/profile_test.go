@@ -250,6 +250,63 @@ func TestProfileString(t *testing.T) {
 }
 
 // randomProfile builds a profile from n random valid reservations.
+// busyOnFromOrigin is BusyOn as it was before the binary-search start: the
+// same terms, walking from segment 0.
+func busyOnFromOrigin(p *Profile, a, b float64) float64 {
+	if !timeLess(a, b) {
+		return 0
+	}
+	var busy float64
+	for i := 0; i < len(p.times); i++ {
+		segEnd := Inf
+		if i < len(p.times)-1 {
+			segEnd = p.times[i+1]
+		}
+		lo := maxTime(a, p.times[i])
+		hi := minTime(b, segEnd)
+		if timeLess(lo, hi) {
+			busy += float64(p.used[i]) * (hi - lo)
+		}
+		if timeLeq(b, segEnd) {
+			break
+		}
+	}
+	return busy
+}
+
+// TestBusyOnSkipsToWindowExactly: starting the integration at the window's
+// first segment must not change a bit of the sum, including for windows that
+// start within Eps of a breakpoint on either side, before the origin or past
+// the last break.
+func TestBusyOnSkipsToWindowExactly(t *testing.T) {
+	for seed := int64(0); seed < 20; seed++ {
+		rng := rand.New(rand.NewSource(400 + seed))
+		p := randomProfile(rng, 1+rng.Intn(12), 8+rng.Intn(56))
+		p.TrimBefore(rng.Float64() * 30)
+		check := func(a, b float64) {
+			t.Helper()
+			if got, want := p.BusyOn(a, b), busyOnFromOrigin(p, a, b); got != want {
+				t.Fatalf("seed %d: BusyOn(%.17g, %.17g) = %.17g, from origin %.17g (%s)", seed, a, b, got, want, p)
+			}
+		}
+		for trial := 0; trial < 300; trial++ {
+			a := -5 + rng.Float64()*170
+			check(a, a+rng.Float64()*60)
+		}
+		for _, at := range p.times {
+			for _, da := range []float64{0, 4e-10, -4e-10, Eps, -Eps, 2 * Eps, -2 * Eps} {
+				// ... and the few floats around each, where a+Eps rounds
+				// onto, just below or just past the breakpoint.
+				for a, ulps := math.Nextafter(at+da, -Inf), 0; ulps < 3; a, ulps = math.Nextafter(a, Inf), ulps+1 {
+					for _, w := range []float64{Eps / 2, 2 * Eps, 0.5, 7, 500} {
+						check(a, a+w)
+					}
+				}
+			}
+		}
+	}
+}
+
 func randomProfile(rng *rand.Rand, capacity, n int) *Profile {
 	p := NewProfile(capacity, 0)
 	for i := 0; i < n; i++ {
@@ -263,6 +320,35 @@ func randomProfile(rng *rand.Rand, capacity, n int) *Profile {
 		}
 	}
 	return p
+}
+
+// TestBusyOnGuardSegment builds the case the guard segment in BusyOn exists
+// for: a window starting a few floats below a power of two, with a
+// breakpoint exactly at fl(a+Eps).  The sum a+Eps rounds in the coarser
+// binade above, so seg(a) already is the segment after the breakpoint while
+// timeLess still sees a sliver of the one before it — which therefore adds a
+// term, as it always has.
+func TestBusyOnGuardSegment(t *testing.T) {
+	slivers := 0
+	for _, pow := range []float64{1, 2, 4, 8, 16, 32, 64, 128} {
+		a := pow
+		for ulps := 0; ulps < 8; ulps++ {
+			a = math.Nextafter(a, -Inf)
+			p := NewProfile(4, 0)
+			mustReserve(t, p, 3, pow/2, a+Eps)
+			mustReserve(t, p, 1, a+Eps, pow+10)
+			got, want := p.BusyOn(a, pow+5), busyOnFromOrigin(p, a, pow+5)
+			if got != want {
+				t.Fatalf("BusyOn(%.17g, %v) = %.17g, from origin %.17g (%s)", a, pow+5, got, want, p)
+			}
+			if p.seg(a) == 2 && timeLess(a, p.times[2]) {
+				slivers++ // segment 1 adds a term although a is in segment 2
+			}
+		}
+	}
+	if slivers == 0 {
+		t.Fatal("no window exercised the guard segment")
+	}
 }
 
 // TestQuickReserveNeverExceedsCapacity: after arbitrary reservation

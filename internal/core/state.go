@@ -39,12 +39,7 @@ func ProfileFromState(st ProfileState) (*Profile, error) {
 	if st.Capacity < 1 {
 		return nil, fmt.Errorf("core: profile state capacity %d (must be >= 1)", st.Capacity)
 	}
-	p := &Profile{
-		capacity:    st.Capacity,
-		times:       append([]float64(nil), st.Times...),
-		used:        append([]int(nil), st.Used...),
-		trimmedBusy: st.TrimmedBusy,
-	}
+	p := newProfile(st.Capacity, append([]float64(nil), st.Times...), append([]int(nil), st.Used...), st.TrimmedBusy)
 	if err := p.CheckInvariants(); err != nil {
 		return nil, fmt.Errorf("core: profile state invalid: %w", err)
 	}

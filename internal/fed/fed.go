@@ -356,13 +356,13 @@ func (a *Arbitrator) NegotiateTimed(job core.Job, rec *phase.Rec) (*qos.Grant, e
 			ps = t.Start(obs.TraceID(job.Trace), route.ID(), "fed.probe", obs.StagePlan, job.ID)
 			ps.SetAttr("shard", float64(sh.ID()))
 		}
-		pl, key, ver, ok := sh.probe(job)
+		pl, key, ver, ok := sh.probe(job, len(cands) > 1)
 		if ok {
 			probes = append(probes, probeResult{shard: sh, pl: pl, key: key, ver: ver})
 		}
 		if t != nil {
 			if ok {
-				ps.SetAttr("finish", key.finish)
+				ps.SetAttr("finish", pl.Finish())
 			} else {
 				ps.SetErr("infeasible")
 			}

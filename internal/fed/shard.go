@@ -217,17 +217,21 @@ func (sh *Shard) publishLoadLocked() {
 }
 
 // probe plans the job on this shard without committing, returning the
-// placement, its cross-shard tie-break key (the one the planner already
-// computed for its own chain choice) and the shard version the plan was
-// computed against.
-func (sh *Shard) probe(job core.Job) (pl *core.Placement, key planKey, ver uint64, ok bool) {
+// placement and the shard version the plan was computed against.  With
+// wantKey it also returns the plan's cross-shard tie-break key; the router
+// asks for it only when it has more than one probe to compare, because the
+// key's utilization costs a scan of the profile over the plan's window.
+func (sh *Shard) probe(job core.Job, wantKey bool) (pl *core.Placement, key planKey, ver uint64, ok bool) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	pl, pk, ok := sh.sched.PlanKeyed(job)
-	if !ok {
-		return nil, planKey{}, sh.version, false
+	if wantKey {
+		var pk core.PlanKey
+		pl, pk, ok = sh.sched.PlanKeyed(job)
+		key = planKey{finish: pk.Finish, util: pk.Util, prefix: pk.Prefix}
+	} else {
+		pl, ok = sh.sched.Plan(job)
 	}
-	return pl, planKey{finish: pk.Finish, util: pk.Util, prefix: pk.Prefix}, sh.version, true
+	return pl, key, sh.version, ok
 }
 
 // commitPlanned commits a placement planned at version ver.  When the shard

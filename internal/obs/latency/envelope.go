@@ -36,8 +36,8 @@ func Uniform(d time.Duration) Envelope {
 // trajectoryRow mirrors cmd/benchdiff's row schema: p99 is optional and
 // decodes as -1 when absent (no phantom budget).
 type trajectoryRow struct {
-	Name      string   `json:"name"`
-	NsPerOp   float64  `json:"ns_per_op"`
+	Name       string   `json:"name"`
+	NsPerOp    float64  `json:"ns_per_op"`
 	P99NsPerOp *float64 `json:"p99_ns_per_op"`
 }
 

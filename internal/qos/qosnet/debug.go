@@ -39,11 +39,12 @@ func (s *Server) EnableDebug(o *obs.Observer, addr string) (net.Addr, error) {
 		return nil, fmt.Errorf("qosnet: debug listen %s: %w", addr, err)
 	}
 	s.debugLn = ln
-	s.debug = &http.Server{Handler: o.Handler()}
+	srv := &http.Server{Handler: o.Handler()}
+	s.debug = srv
 	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()
-		s.debug.Serve(ln) // returns on Close
+		srv.Serve(ln) // returns on Close; Close clears s.debug, so not read here
 	}()
 	return ln.Addr(), nil
 }
