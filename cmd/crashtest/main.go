@@ -319,9 +319,17 @@ func runVFS(seed int64, iters, opsPerIter, shards int, artifact string, stdout, 
 					"recovery: %v", err)
 			}
 			m := int(rec.State.LSN)
-			if m > reached {
+			// An op that surfaced an error may still have committed: the
+			// plane poisons itself when the snapshot that follows a synced
+			// record fails, and Observe/SetTotalCapacity report that only
+			// through Err().  Only ops past it can never have reached the log.
+			driven := reached
+			if derr != nil {
+				driven++
+			}
+			if m > driven {
 				return fail(divergence{Phase: p.name, Iteration: iter, CrashOp: reached, Recovered: rec.State.LSN, Torn: rec.Torn},
-					"recovered lsn %d beyond driven op %d", m, reached)
+					"recovered lsn %d beyond driven op %d", m, driven)
 			}
 
 			// Differential oracle: recovered state == never-crashed

@@ -1,7 +1,9 @@
 package durable
 
 import (
+	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"milan/internal/durable/vfs"
@@ -112,4 +114,48 @@ func TestPlaneBrokerCapacityRecovered(t *testing.T) {
 	if err := DiffStates(&gotSt, &want); err != nil {
 		t.Fatalf("recovered state diverged from pre-crash plane: %v", err)
 	}
+}
+
+// TestPlaneCapacityJournalFailureReported: a capacity move whose journal
+// write failed must not be reported as a success.  The rebalancer's resize
+// hook cannot return the append error, so SetTotalCapacity and Rebalance
+// surface the store's poison after the rebalancer returns.
+func TestPlaneCapacityJournalFailureReported(t *testing.T) {
+	boom := errors.New("dead disk")
+	check := func(t *testing.T, p *Plane, err error) {
+		t.Helper()
+		if !errors.Is(err, boom) || !strings.Contains(err.Error(), "plane poisoned, reopen required") {
+			t.Fatalf("capacity move with a failed journal write returned %v", err)
+		}
+		if p.Err() == nil {
+			t.Fatal("plane not poisoned after the failed capacity record")
+		}
+	}
+	t.Run("SetTotalCapacity", func(t *testing.T) {
+		ft := vfs.NewFault(vfs.NewMem())
+		p, _ := openPlane(t, ft, 2, StoreOptions{})
+		ft.SetWriteError(boom, 0)
+		got, err := p.SetTotalCapacity(17)
+		check(t, p, err)
+		if got != 17 {
+			t.Fatalf("achieved total = %d, want the in-memory 17 alongside the error", got)
+		}
+	})
+	t.Run("Rebalance", func(t *testing.T) {
+		ft := vfs.NewFault(vfs.NewMem())
+		p, _ := openPlane(t, ft, 2, StoreOptions{})
+		// One grant loads one shard and leaves the other idle with all its
+		// headroom: a migration is due.
+		job := planeStream(1, 31)[0]
+		p.Observe(job.Release)
+		if _, err := p.Negotiate(job); err != nil {
+			t.Fatal(err)
+		}
+		ft.SetWriteError(boom, 0)
+		moved, err := p.Rebalance(1)
+		if moved != 1 {
+			t.Fatalf("moved %d processors, want 1 (the setup must force a migration)", moved)
+		}
+		check(t, p, err)
+	})
 }

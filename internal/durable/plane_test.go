@@ -2,6 +2,11 @@ package durable
 
 import (
 	"errors"
+	"fmt"
+	"math"
+	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 
 	"milan/internal/core"
@@ -301,5 +306,221 @@ func TestPlaneRebalanceJournalsCapacity(t *testing.T) {
 	got := p2.ExportState()
 	if err := DiffStates(&got, &want); err != nil {
 		t.Fatalf("capacity move lost in recovery: %v (procs before %v)", err, before)
+	}
+}
+
+// eagerGrants is the differential reference for the plane's lazy live set:
+// the grant bookkeeping as it was kept before — a map from which every
+// clock advance walks out the elapsed grants, eagerly.
+type eagerGrants struct {
+	now    float64
+	grants map[int]GrantRecord
+}
+
+// observe advances the clock and returns the IDs that elapsed with it.
+func (e *eagerGrants) observe(now float64) (elapsed []int) {
+	if now <= e.now {
+		return nil
+	}
+	e.now = now
+	for id, g := range e.grants {
+		if g.Finish() <= now {
+			delete(e.grants, id)
+			elapsed = append(elapsed, id)
+		}
+	}
+	return elapsed
+}
+
+func (e *eagerGrants) sorted() []GrantRecord {
+	out := make([]GrantRecord, 0, len(e.grants))
+	for _, g := range e.grants {
+		out = append(out, g)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].JobID < out[j].JobID })
+	return out
+}
+
+// sameGrants is bit-for-bit equality of two sorted grant lists: every
+// field (DeepEqual) and raw float bits (diffGrants).
+func sameGrants(got, want []GrantRecord) error {
+	if err := diffGrants(got, want); err != nil {
+		return err
+	}
+	if len(got) > 0 && !reflect.DeepEqual(got, want) { // a decoded empty set is nil, an exported one is not
+		return fmt.Errorf("grants differ outside the placement: got %+v want %+v", got, want)
+	}
+	return nil
+}
+
+// TestPlaneLazyLiveSetMatchesEagerReference drives a seeded mix of admits,
+// clock reports, completions (of live grants, of grants that have already
+// elapsed, of IDs never granted) and forced snapshots, and holds the plane
+// to the eager reference: the same live set through Grants() and
+// ExportState(), the same journal length (a completion of an elapsed grant
+// writes nothing), the same state after crash + reopen.  With checkEvery 1
+// the public readers run — and sweep the map — after every operation; with
+// checkEvery 9 they run rarely, so elapsed entries stay in the map between
+// sweeps and the readers that must not see them are exercised.
+func TestPlaneLazyLiveSetMatchesEagerReference(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		for _, checkEvery := range []int{1, 9} {
+			t.Run(fmt.Sprintf("shards=%d/checkEvery=%d", shards, checkEvery), func(t *testing.T) {
+				lazyLiveSetDifferential(t, shards, checkEvery)
+			})
+		}
+	}
+}
+
+func lazyLiveSetDifferential(t *testing.T, shards, checkEvery int) {
+	const ops = 600
+	rng := rand.New(rand.NewSource(int64(41*shards + checkEvery)))
+	tmpl := workload.FigureJob{X: 4, T: 25, Alpha: 0.25, Laxity: 0.5}
+	mem := vfs.NewMem()
+	opts := StoreOptions{SnapshotEvery: 32}
+	p, _ := openPlane(t, mem, shards, opts)
+
+	ref := &eagerGrants{grants: map[int]GrantRecord{}}
+	var (
+		wantLSN    uint64
+		everLive   []int            // every ID ever granted: the pool completions draw from
+		unswept    = map[int]bool{} // elapsed since the plane last walked its map
+		lazyHits   int              // completions that found an elapsed entry still in the map
+		nextJob    int
+		lastRecCnt int
+	)
+	// observe reports the clock to the reference and the plane alike.
+	observe := func(now float64) {
+		if now > ref.now {
+			wantLSN++
+		}
+		for _, id := range ref.observe(now) {
+			unswept[id] = true
+		}
+		p.Observe(now)
+	}
+
+	for op := 0; op < ops; op++ {
+		switch k := rng.Intn(10); {
+		case k < 4: // admit, released a little after the clock (and reported first)
+			job := tmpl.Job(nextJob, ref.now+rng.ExpFloat64()*4, workload.Tunable)
+			nextJob++
+			job.Tenant = []string{"", "acme", "globex"}[rng.Intn(3)]
+			job.Class = rng.Intn(3)
+			observe(job.Release)
+			g, err := p.Negotiate(job)
+			wantLSN++ // admit or reject, one record either way
+			if err != nil {
+				if !errors.Is(err, qos.ErrRejected) {
+					t.Fatalf("op %d: job %d: %v", op, job.ID, err)
+				}
+				break
+			}
+			ref.grants[g.JobID] = GrantRecord{
+				JobID: g.JobID, Shard: g.Shard, Chain: g.Chain,
+				Quality: g.Quality, Tunable: job.Tunable(),
+				Tenant: job.Tenant, Class: job.Class,
+				Tasks: append([]core.TaskPlacement(nil), g.Placement.Tasks...),
+			}
+			everLive = append(everLive, g.JobID)
+		case k < 6: // clock report on its own, sometimes stale
+			now := ref.now + rng.Float64()*3 - 1
+			if rng.Intn(3) == 0 { // exactly the next finish: the boundary of the live predicate
+				next := math.Inf(1)
+				for _, g := range ref.grants {
+					next = min(next, g.Finish())
+				}
+				if !math.IsInf(next, 1) {
+					now = next
+				}
+			}
+			observe(now)
+		case k < 9: // completion: live, elapsed or unknown
+			id := 1 << 20 // never granted
+			switch pick := rng.Intn(8); {
+			case pick < 2 && len(unswept) > 0: // elapsed, and the map may still hold it
+				for u := range unswept {
+					id = min(id, u)
+				}
+			case pick < 7 && len(everLive) > 0: // one of the latest grants: live or just elapsed
+				id = everLive[len(everLive)-1-rng.Intn(min(16, len(everLive)))]
+			}
+			_, live := ref.grants[id]
+			if _, mapped := p.grants[id]; mapped && !live {
+				lazyHits++
+			}
+			if live {
+				delete(ref.grants, id)
+				wantLSN++
+			}
+			if err := p.JobCompleted(id, ref.now); err != nil {
+				t.Fatalf("op %d: complete %d: %v", op, id, err)
+			}
+		default:
+			if err := p.Snapshot(); err != nil {
+				t.Fatalf("op %d: snapshot: %v", op, err)
+			}
+			clear(unswept)
+		}
+		if p.store.recordsSinceSnap < lastRecCnt {
+			clear(unswept) // the cadence took a snapshot inside this operation
+		}
+		lastRecCnt = p.store.recordsSinceSnap
+
+		if got := p.store.NextLSN() - 1; got != wantLSN {
+			t.Fatalf("op %d: journal holds %d records, the eager plane's rule gives %d", op, got, wantLSN)
+		}
+		if len(p.grants) > len(ref.grants)+len(unswept) {
+			t.Fatalf("op %d: map holds %d grants, more than %d live + %d elapsed since the last sweep",
+				op, len(p.grants), len(ref.grants), len(unswept))
+		}
+		for id := range ref.grants {
+			if _, ok := p.liveGrant(id); !ok {
+				t.Fatalf("op %d: live grant %d not visible", op, id)
+			}
+		}
+
+		if op%checkEvery == 0 {
+			want := ref.sorted()
+			if err := sameGrants(p.Grants(), want); err != nil {
+				t.Fatalf("op %d: Grants(): %v", op, err)
+			}
+			st := p.ExportState()
+			clear(unswept)
+			if st.LSN != wantLSN || fb(st.Now) != fb(ref.now) {
+				t.Fatalf("op %d: export at lsn=%d now=%v, want lsn=%d now=%v", op, st.LSN, st.Now, wantLSN, ref.now)
+			}
+			if err := sameGrants(st.Grants, want); err != nil {
+				t.Fatalf("op %d: ExportState(): %v", op, err)
+			}
+		}
+
+		if op%50 == 49 {
+			want := p.ExportState()
+			if err := sameGrants(want.Grants, ref.sorted()); err != nil {
+				t.Fatalf("op %d: pre-crash export: %v", op, err)
+			}
+			mem.Crash()
+			var rec Recovered
+			p, rec = openPlane(t, mem, shards, opts)
+			if err := DiffStates(&rec.State, &want); err != nil {
+				t.Fatalf("op %d: recovered state != live export: %v", op, err)
+			}
+			if err := sameGrants(rec.State.Grants, want.Grants); err != nil {
+				t.Fatalf("op %d: recovered grants: %v", op, err)
+			}
+			if rec.State.LSN != wantLSN {
+				t.Fatalf("op %d: recovered lsn %d, want %d", op, rec.State.LSN, wantLSN)
+			}
+			clear(unswept)
+			lastRecCnt = p.store.recordsSinceSnap
+		}
+	}
+	t.Logf("%d ops: %d grants, %d records, %d completions met an unswept elapsed entry", ops, len(everLive), wantLSN, lazyHits)
+	if len(everLive) < ops/8 {
+		t.Fatalf("only %d grants in %d ops: the stream does not exercise the live set", len(everLive), ops)
+	}
+	if checkEvery > 1 && lazyHits == 0 {
+		t.Fatal("no completion ever met an elapsed entry still in the map: the lazy path went untested")
 	}
 }

@@ -149,7 +149,11 @@ func appendTasks(b []byte, tasks []core.TaskPlacement) []byte {
 
 // EncodeRecord serializes the record payload (no framing).
 func EncodeRecord(r *Record) []byte {
-	b := make([]byte, 0, 64+32*len(r.Tasks))
+	return appendRecord(make([]byte, 0, 64+32*len(r.Tasks)), r)
+}
+
+// appendRecord appends the record payload to b.
+func appendRecord(b []byte, r *Record) []byte {
 	b = append(b, byte(r.Kind))
 	b = appendUint64(b, r.LSN)
 	switch r.Kind {
@@ -330,17 +334,28 @@ func DecodeRecord(payload []byte) (Record, error) {
 	return r, nil
 }
 
-// writeFrame writes one length-prefixed, checksummed frame:
-// [len u32][crc32c u32][payload].
-func writeFrame(w io.Writer, payload []byte) (int, error) {
-	var hdr [8]byte
+// frameHeaderLen is the size of a frame's [len u32][crc32c u32] header.
+const frameHeaderLen = 8
+
+// putFrameHeader fills hdr (frameHeaderLen bytes) with payload's length and
+// checksum.
+func putFrameHeader(hdr, payload []byte) {
 	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, crcTable))
+}
+
+// writeFrame writes one length-prefixed, checksummed frame:
+// [len u32][crc32c u32][payload], header and payload as two writes — the
+// snapshot's framing, whose payload is too large to be worth copying
+// behind its header.  Log records go out as one write (Store.Append).
+func writeFrame(w io.Writer, payload []byte) (int, error) {
+	var hdr [frameHeaderLen]byte
+	putFrameHeader(hdr[:], payload)
 	if n, err := w.Write(hdr[:]); err != nil {
 		return n, err
 	}
 	n, err := w.Write(payload)
-	return 8 + n, err
+	return frameHeaderLen + n, err
 }
 
 // readFrame reads one frame from r.  io.EOF means a clean end; any other

@@ -134,6 +134,9 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		Tenant: "t", Class: 1, Tasks: []core.TaskPlacement{{Task: 0, Procs: 2, Start: 5, Finish: 8}}}}
 
 	payload := EncodeSnapshot(&st)
+	if len(payload) != snapshotSize(&st) || cap(payload) != len(payload) {
+		t.Fatalf("snapshot is %d bytes in a buffer of %d, sized up front as %d", len(payload), cap(payload), snapshotSize(&st))
+	}
 	got, err := DecodeSnapshot(payload)
 	if err != nil {
 		t.Fatal(err)
@@ -172,6 +175,35 @@ func TestGrantFinishAndPrune(t *testing.T) {
 	}
 	if f := st.Grants[1].Finish(); f != 12 {
 		t.Fatalf("finish = %v, want 12", f)
+	}
+}
+
+// TestPruneLeavesCleanStateAlone: the plane hands compactTo grants it has
+// already filtered and sorted; Prune must recognise that in one pass and
+// neither reorder nor reallocate.
+func TestPruneLeavesCleanStateAlone(t *testing.T) {
+	st := State{Now: 10, Grants: []GrantRecord{
+		{JobID: 1, Tasks: []core.TaskPlacement{{Finish: 11}}},
+		{JobID: 2, Tasks: []core.TaskPlacement{{Finish: 10.5}}},
+		{JobID: 5, Tasks: []core.TaskPlacement{{Finish: 30}}},
+	}}
+	want := append([]GrantRecord(nil), st.Grants...)
+	first := &st.Grants[0]
+	st.Prune()
+	if !reflect.DeepEqual(st.Grants, want) || &st.Grants[0] != first {
+		t.Fatalf("prune touched a clean state: %+v", st.Grants)
+	}
+	// Out of order, nothing elapsed: sorted, all kept.
+	st.Grants[0], st.Grants[2] = st.Grants[2], st.Grants[0]
+	st.Prune()
+	if !reflect.DeepEqual(st.Grants, want) {
+		t.Fatalf("prune of an unsorted state = %+v, want %+v", st.Grants, want)
+	}
+	// In order, the middle one elapsed: dropped.
+	st.Now = 10.5
+	st.Prune()
+	if len(st.Grants) != 2 || st.Grants[0].JobID != 1 || st.Grants[1].JobID != 5 {
+		t.Fatalf("prune at now=10.5 kept %+v, want jobs 1 and 5", st.Grants)
 	}
 }
 

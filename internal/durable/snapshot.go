@@ -1,8 +1,9 @@
 package durable
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"milan/internal/core"
 )
@@ -82,7 +83,19 @@ func Genesis(procs, shards int, origin float64) (State, error) {
 // Prune drops grants whose reservations have fully elapsed (finish at or
 // before Now) and sorts the survivors by job ID.  Called before every
 // snapshot so the grant set stays bounded by concurrency, not by history.
+// A state that is already pruned and sorted — the plane's own export —
+// costs one read-only pass.
 func (s *State) Prune() {
+	clean := true
+	for i := range s.Grants {
+		if s.Grants[i].Finish() <= s.Now || (i > 0 && s.Grants[i-1].JobID > s.Grants[i].JobID) {
+			clean = false
+			break
+		}
+	}
+	if clean {
+		return
+	}
 	live := s.Grants[:0]
 	for _, g := range s.Grants {
 		if g.Finish() > s.Now {
@@ -90,7 +103,7 @@ func (s *State) Prune() {
 		}
 	}
 	s.Grants = live
-	sort.Slice(s.Grants, func(i, j int) bool { return s.Grants[i].JobID < s.Grants[j].JobID })
+	slices.SortFunc(s.Grants, func(a, b GrantRecord) int { return cmp.Compare(a.JobID, b.JobID) })
 }
 
 // Procs returns the plane's total processor count.
@@ -111,7 +124,7 @@ const (
 // EncodeSnapshot serializes a state as a snapshot payload (no framing, no
 // file header — the store frames it).
 func EncodeSnapshot(st *State) []byte {
-	b := make([]byte, 0, 256)
+	b := make([]byte, 0, snapshotSize(st))
 	b = appendUint64(b, st.LSN)
 	b = appendFloat(b, st.Now)
 	b = appendUint32(b, uint32(len(st.Shards)))
@@ -150,6 +163,24 @@ func EncodeSnapshot(st *State) []byte {
 		b = appendTasks(b, g.Tasks)
 	}
 	return b
+}
+
+// snapshotSize returns len(EncodeSnapshot(st)) exactly, so the encoder
+// allocates its buffer once (hundreds of KB on a deep backlog) instead of
+// doubling up to it.
+func snapshotSize(st *State) int {
+	n := 8 + 8 + 4 // LSN, Now, shard count
+	for i := range st.Shards {
+		sh := &st.Shards[i]
+		n += 4 + 8 + 4 + 8*len(sh.Profile.Times) + 4*len(sh.Profile.Used)
+		n += 7*8 + 4 + 8*len(sh.Stats.TunableChosen)
+	}
+	n += 4 // grant count
+	for i := range st.Grants {
+		g := &st.Grants[i]
+		n += 4 + 8 + 4 + 8 + 1 + 4 + min(len(g.Tenant), maxStringLen) + 4 + 4 + 24*len(g.Tasks)
+	}
+	return n
 }
 
 // DecodeSnapshot parses a snapshot payload.  Any corruption — truncation,

@@ -124,6 +124,11 @@ type Store struct {
 	appendsSinceSync int
 	recordsSinceSnap int
 	poisoned         error
+
+	// frame is Append's scratch: one record's header and payload, built in
+	// place and written at once.  Safe to reuse because the store is
+	// single-writer and vfs.File.Write does not retain its argument.
+	frame []byte
 }
 
 // OpenConfig configures Open.
@@ -461,18 +466,22 @@ func (s *Store) poison(err error) error {
 // store refuses all further writes; reopen to recover.
 func (s *Store) Poisoned() error { return s.poisoned }
 
-// Append assigns the record the next LSN, writes it and syncs per the
-// configured policy.  On success the record is the durability point for
-// its event: the caller may acknowledge.  On failure the store is
-// poisoned and the caller must not acknowledge.
+// Append assigns the record the next LSN, writes its frame — header and
+// payload in a single Write, so a record is one syscall on vfs.OS — and
+// syncs per the configured policy.  On success the record is the
+// durability point for its event: the caller may acknowledge.  On failure
+// the store is poisoned and the caller must not acknowledge.
 func (s *Store) Append(r *Record) (uint64, error) {
 	if s.poisoned != nil {
 		return 0, fmt.Errorf("durable: store poisoned by earlier error: %w", s.poisoned)
 	}
 	start := time.Now()
 	r.LSN = s.nextLSN
-	payload := EncodeRecord(r)
-	if _, err := writeFrame(s.seg, payload); err != nil {
+	frame := append(s.frame[:0], make([]byte, frameHeaderLen)...) // header, filled in once the payload is behind it
+	frame = appendRecord(frame, r)
+	putFrameHeader(frame[:frameHeaderLen], frame[frameHeaderLen:])
+	s.frame = frame
+	if _, err := s.seg.Write(frame); err != nil {
 		return 0, s.poison(fmt.Errorf("durable: append %s record: %w", r.Kind, err))
 	}
 	s.nextLSN++

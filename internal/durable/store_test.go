@@ -1,10 +1,13 @@
 package durable
 
 import (
+	"bytes"
 	"errors"
+	"io"
 	"strings"
 	"testing"
 
+	"milan/internal/core"
 	"milan/internal/durable/vfs"
 )
 
@@ -231,5 +234,50 @@ func TestStoreTornTailAfterLyingSync(t *testing.T) {
 	_, rec := openMem(t, ft, StoreOptions{})
 	if rec.State.LSN != 1 {
 		t.Fatalf("recovered lsn = %d, want 1 (records 2-3 were lied about)", rec.State.LSN)
+	}
+}
+
+// TestAppendIssuesOneWritePerRecord: a record's frame — header and payload
+// — leaves in a single Write (one syscall on the real filesystem), and the
+// bytes on disk are still exactly the two-part frame recovery reads.
+func TestAppendIssuesOneWritePerRecord(t *testing.T) {
+	ft := vfs.NewFault(vfs.NewMem())
+	s, _ := openMem(t, ft, StoreOptions{})
+	recs := []Record{
+		{Kind: KindObserve, Now: 1.5},
+		{Kind: KindAdmit, Shard: 1, JobID: 7, Chain: 1, Quality: 0.75, Tunable: true, Tenant: "acme", Class: 2,
+			Tasks: []core.TaskPlacement{{Task: 0, Procs: 2, Start: 2, Finish: 4}, {Task: 1, Procs: 1, Start: 4, Finish: 9}}},
+		{Kind: KindReject, JobID: 8, Tenant: "acme"},
+		{Kind: KindComplete, Shard: 1, JobID: 7, Finish: 8},
+		{Kind: KindObserve, Now: 9}, // shorter than the frame before it: the reused buffer must not leak a tail
+	}
+	var want bytes.Buffer
+	before := ft.Counts().Writes
+	for i := range recs {
+		if _, err := s.Append(&recs[i]); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := writeFrame(&want, EncodeRecord(&recs[i])); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := ft.Counts().Writes - before; got != int64(len(recs)) {
+		t.Fatalf("%d records took %d writes, want one each", len(recs), got)
+	}
+	f, err := ft.Open(s.segName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := io.ReadAll(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := data[20:]; !bytes.Equal(got, want.Bytes()) { // 20-byte segment header
+		t.Fatalf("segment bytes differ from the framed records:\n got %x\nwant %x", got, want.Bytes())
+	}
+	s.Close()
+	_, rec := openMem(t, ft, StoreOptions{})
+	if rec.Records != len(recs) || rec.Torn {
+		t.Fatalf("recovery = %+v, want all %d records", rec, len(recs))
 	}
 }
