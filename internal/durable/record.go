@@ -16,13 +16,10 @@
 package durable
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
-	"io"
-	"math"
 
 	"milan/internal/core"
+	"milan/internal/frame"
 )
 
 // Kind enumerates the WAL record types.
@@ -101,48 +98,15 @@ type Record struct {
 const (
 	maxFramePayload = 16 << 20
 	maxTasks        = 1 << 16
-	maxStringLen    = 4096
 )
 
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
-
-// appendUint64 and friends build payloads in little-endian order.
-func appendUint64(b []byte, v uint64) []byte {
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], v)
-	return append(b, buf[:]...)
-}
-
-func appendUint32(b []byte, v uint32) []byte {
-	var buf [4]byte
-	binary.LittleEndian.PutUint32(buf[:], v)
-	return append(b, buf[:]...)
-}
-
-func appendFloat(b []byte, v float64) []byte { return appendUint64(b, math.Float64bits(v)) }
-
-func appendString(b []byte, s string) []byte {
-	if len(s) > maxStringLen {
-		s = s[:maxStringLen]
-	}
-	b = appendUint32(b, uint32(len(s)))
-	return append(b, s...)
-}
-
-func appendBool(b []byte, v bool) []byte {
-	if v {
-		return append(b, 1)
-	}
-	return append(b, 0)
-}
-
 func appendTasks(b []byte, tasks []core.TaskPlacement) []byte {
-	b = appendUint32(b, uint32(len(tasks)))
+	b = frame.AppendU32(b, uint32(len(tasks)))
 	for _, tp := range tasks {
-		b = appendUint32(b, uint32(tp.Task))
-		b = appendUint32(b, uint32(tp.Procs))
-		b = appendFloat(b, tp.Start)
-		b = appendFloat(b, tp.Finish)
+		b = frame.AppendU32(b, uint32(tp.Task))
+		b = frame.AppendU32(b, uint32(tp.Procs))
+		b = frame.AppendF64(b, tp.Start)
+		b = frame.AppendF64(b, tp.Finish)
 	}
 	return b
 }
@@ -155,131 +119,50 @@ func EncodeRecord(r *Record) []byte {
 // appendRecord appends the record payload to b.
 func appendRecord(b []byte, r *Record) []byte {
 	b = append(b, byte(r.Kind))
-	b = appendUint64(b, r.LSN)
+	b = frame.AppendU64(b, r.LSN)
 	switch r.Kind {
 	case KindObserve:
-		b = appendFloat(b, r.Now)
+		b = frame.AppendF64(b, r.Now)
 	case KindCapacity:
-		b = appendUint32(b, uint32(r.Shard))
-		b = appendUint32(b, uint32(r.Procs))
+		b = frame.AppendU32(b, uint32(r.Shard))
+		b = frame.AppendU32(b, uint32(r.Procs))
 	case KindAdmit, KindRenegotiate:
-		b = appendUint32(b, uint32(r.Shard))
-		b = appendUint64(b, uint64(int64(r.JobID)))
-		b = appendUint32(b, uint32(r.Chain))
-		b = appendFloat(b, r.Quality)
-		b = appendBool(b, r.Tunable)
-		b = appendString(b, r.Tenant)
-		b = appendUint32(b, uint32(int32(r.Class)))
+		b = frame.AppendU32(b, uint32(r.Shard))
+		b = frame.AppendU64(b, uint64(int64(r.JobID)))
+		b = frame.AppendU32(b, uint32(r.Chain))
+		b = frame.AppendF64(b, r.Quality)
+		b = frame.AppendBool(b, r.Tunable)
+		b = frame.AppendStr(b, r.Tenant)
+		b = frame.AppendU32(b, uint32(int32(r.Class)))
 		b = appendTasks(b, r.Tasks)
 	case KindReject:
-		b = appendUint32(b, uint32(r.Shard))
-		b = appendUint64(b, uint64(int64(r.JobID)))
-		b = appendString(b, r.Tenant)
-		b = appendUint32(b, uint32(int32(r.Class)))
+		b = frame.AppendU32(b, uint32(r.Shard))
+		b = frame.AppendU64(b, uint64(int64(r.JobID)))
+		b = frame.AppendStr(b, r.Tenant)
+		b = frame.AppendU32(b, uint32(int32(r.Class)))
 	case KindShed:
-		b = appendUint64(b, uint64(int64(r.JobID)))
-		b = appendString(b, r.Tenant)
-		b = appendUint32(b, uint32(int32(r.Class)))
-		b = appendString(b, r.Reason)
+		b = frame.AppendU64(b, uint64(int64(r.JobID)))
+		b = frame.AppendStr(b, r.Tenant)
+		b = frame.AppendU32(b, uint32(int32(r.Class)))
+		b = frame.AppendStr(b, r.Reason)
 	case KindComplete:
-		b = appendUint32(b, uint32(r.Shard))
-		b = appendUint64(b, uint64(int64(r.JobID)))
-		b = appendFloat(b, r.Finish)
+		b = frame.AppendU32(b, uint32(r.Shard))
+		b = frame.AppendU64(b, uint64(int64(r.JobID)))
+		b = frame.AppendF64(b, r.Finish)
 	}
 	return b
 }
 
-// cursor is a bounds-checked little-endian payload reader.
-type cursor struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (c *cursor) fail(format string, args ...any) {
-	if c.err == nil {
-		c.err = fmt.Errorf(format, args...)
-	}
-}
-
-func (c *cursor) take(n int) []byte {
-	if c.err != nil {
-		return nil
-	}
-	if n < 0 || c.off+n > len(c.b) {
-		c.fail("durable: truncated payload (want %d bytes at %d of %d)", n, c.off, len(c.b))
-		return nil
-	}
-	out := c.b[c.off : c.off+n]
-	c.off += n
-	return out
-}
-
-func (c *cursor) u8() uint8 {
-	b := c.take(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-
-func (c *cursor) u32() uint32 {
-	b := c.take(4)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(b)
-}
-
-func (c *cursor) u64() uint64 {
-	b := c.take(8)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(b)
-}
-
-func (c *cursor) f64() float64 { return math.Float64frombits(c.u64()) }
-
-// boolean accepts only the canonical encodings 0 and 1, so every cleanly
-// decoded payload re-encodes to the exact same bytes.
-func (c *cursor) boolean() bool {
-	b := c.u8()
-	if b > 1 {
-		c.fail("durable: non-canonical bool byte %#x", b)
-	}
-	return b == 1
-}
-
-func (c *cursor) str() string {
-	n := c.u32()
-	if n > maxStringLen {
-		c.fail("durable: string length %d exceeds limit %d", n, maxStringLen)
-		return ""
-	}
-	b := c.take(int(n))
-	return string(b)
-}
-
-func (c *cursor) tasks() []core.TaskPlacement {
-	n := c.u32()
-	if n > maxTasks {
-		c.fail("durable: task count %d exceeds limit %d", n, maxTasks)
-		return nil
-	}
-	// Each task costs 24 bytes; reject counts the remaining bytes cannot
-	// hold before allocating.
-	if c.err == nil && int(n)*24 > len(c.b)-c.off {
-		c.fail("durable: task count %d exceeds remaining payload", n)
-		return nil
-	}
+// decodeTasks reads a placement list; each task costs 24 bytes.
+func decodeTasks(c *frame.Cursor) []core.TaskPlacement {
+	n := c.Count(maxTasks, 24, "task")
 	out := make([]core.TaskPlacement, 0, n)
-	for i := uint32(0); i < n && c.err == nil; i++ {
+	for i := 0; i < n && c.Err() == nil; i++ {
 		out = append(out, core.TaskPlacement{
-			Task:   int(int32(c.u32())),
-			Procs:  int(c.u32()),
-			Start:  c.f64(),
-			Finish: c.f64(),
+			Task:   int(int32(c.U32())),
+			Procs:  int(c.U32()),
+			Start:  c.F64(),
+			Finish: c.F64(),
 		})
 	}
 	return out
@@ -289,97 +172,44 @@ func (c *cursor) tasks() []core.TaskPlacement {
 // trailing-garbage payloads return an error; no input may panic (the fuzz
 // target pins this).
 func DecodeRecord(payload []byte) (Record, error) {
-	c := &cursor{b: payload}
+	c := frame.NewCursor("durable", payload)
 	var r Record
-	r.Kind = Kind(c.u8())
-	r.LSN = c.u64()
+	r.Kind = Kind(c.U8())
+	r.LSN = c.U64()
 	switch r.Kind {
 	case KindObserve:
-		r.Now = c.f64()
+		r.Now = c.F64()
 	case KindCapacity:
-		r.Shard = int(int32(c.u32()))
-		r.Procs = int(int32(c.u32()))
+		r.Shard = int(int32(c.U32()))
+		r.Procs = int(int32(c.U32()))
 	case KindAdmit, KindRenegotiate:
-		r.Shard = int(int32(c.u32()))
-		r.JobID = int(int64(c.u64()))
-		r.Chain = int(int32(c.u32()))
-		r.Quality = c.f64()
-		r.Tunable = c.boolean()
-		r.Tenant = c.str()
-		r.Class = int(int32(c.u32()))
-		r.Tasks = c.tasks()
+		r.Shard = int(int32(c.U32()))
+		r.JobID = int(int64(c.U64()))
+		r.Chain = int(int32(c.U32()))
+		r.Quality = c.F64()
+		r.Tunable = c.Bool()
+		r.Tenant = c.Str()
+		r.Class = int(int32(c.U32()))
+		r.Tasks = decodeTasks(&c)
 	case KindReject:
-		r.Shard = int(int32(c.u32()))
-		r.JobID = int(int64(c.u64()))
-		r.Tenant = c.str()
-		r.Class = int(int32(c.u32()))
+		r.Shard = int(int32(c.U32()))
+		r.JobID = int(int64(c.U64()))
+		r.Tenant = c.Str()
+		r.Class = int(int32(c.U32()))
 	case KindShed:
-		r.JobID = int(int64(c.u64()))
-		r.Tenant = c.str()
-		r.Class = int(int32(c.u32()))
-		r.Reason = c.str()
+		r.JobID = int(int64(c.U64()))
+		r.Tenant = c.Str()
+		r.Class = int(int32(c.U32()))
+		r.Reason = c.Str()
 	case KindComplete:
-		r.Shard = int(int32(c.u32()))
-		r.JobID = int(int64(c.u64()))
-		r.Finish = c.f64()
+		r.Shard = int(int32(c.U32()))
+		r.JobID = int(int64(c.U64()))
+		r.Finish = c.F64()
 	default:
 		return Record{}, fmt.Errorf("durable: unknown record kind %d", uint8(r.Kind))
 	}
-	if c.err != nil {
-		return Record{}, c.err
-	}
-	if c.off != len(payload) {
-		return Record{}, fmt.Errorf("durable: %d trailing bytes after %s record", len(payload)-c.off, r.Kind)
+	if err := c.Done(); err != nil {
+		return Record{}, err
 	}
 	return r, nil
-}
-
-// frameHeaderLen is the size of a frame's [len u32][crc32c u32] header.
-const frameHeaderLen = 8
-
-// putFrameHeader fills hdr (frameHeaderLen bytes) with payload's length and
-// checksum.
-func putFrameHeader(hdr, payload []byte) {
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, crcTable))
-}
-
-// writeFrame writes one length-prefixed, checksummed frame:
-// [len u32][crc32c u32][payload], header and payload as two writes — the
-// snapshot's framing, whose payload is too large to be worth copying
-// behind its header.  Log records go out as one write (Store.Append).
-func writeFrame(w io.Writer, payload []byte) (int, error) {
-	var hdr [frameHeaderLen]byte
-	putFrameHeader(hdr[:], payload)
-	if n, err := w.Write(hdr[:]); err != nil {
-		return n, err
-	}
-	n, err := w.Write(payload)
-	return frameHeaderLen + n, err
-}
-
-// readFrame reads one frame from r.  io.EOF means a clean end; any other
-// error (truncation mid-frame, length over limit, checksum mismatch) means
-// the tail is torn or corrupt.
-func readFrame(r io.Reader) ([]byte, error) {
-	var hdr [8]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		if err == io.EOF {
-			return nil, io.EOF
-		}
-		return nil, fmt.Errorf("durable: torn frame header: %w", err)
-	}
-	length := binary.LittleEndian.Uint32(hdr[0:4])
-	want := binary.LittleEndian.Uint32(hdr[4:8])
-	if length > maxFramePayload {
-		return nil, fmt.Errorf("durable: frame length %d exceeds limit %d", length, maxFramePayload)
-	}
-	payload := make([]byte, length)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, fmt.Errorf("durable: torn frame payload: %w", err)
-	}
-	if got := crc32.Checksum(payload, crcTable); got != want {
-		return nil, fmt.Errorf("durable: frame checksum mismatch (got %08x want %08x)", got, want)
-	}
-	return payload, nil
 }

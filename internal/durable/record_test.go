@@ -1,8 +1,6 @@
 package durable
 
 import (
-	"bytes"
-	"io"
 	"math"
 	"reflect"
 	"strings"
@@ -71,47 +69,6 @@ func TestRecordDecodeRejectsCorruption(t *testing.T) {
 	}
 	if _, err := DecodeRecord(bad); err == nil || !strings.Contains(err.Error(), "task count") {
 		t.Fatalf("insane task count: got %v", err)
-	}
-}
-
-func TestFrameRoundTripAndTorn(t *testing.T) {
-	var buf bytes.Buffer
-	payloads := [][]byte{[]byte("alpha"), []byte("beta"), {}}
-	for _, p := range payloads {
-		if _, err := writeFrame(&buf, p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	data := buf.Bytes()
-	r := bytes.NewReader(data)
-	for i, want := range payloads {
-		got, err := readFrame(r)
-		if err != nil {
-			t.Fatalf("frame %d: %v", i, err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("frame %d: got %q want %q", i, got, want)
-		}
-	}
-	if _, err := readFrame(r); err != io.EOF {
-		t.Fatalf("clean end: got %v, want io.EOF", err)
-	}
-
-	// A frame cut mid-payload is torn, not EOF.
-	r = bytes.NewReader(data[:len(data)-9-2]) // into frame 2's header
-	if _, err := readFrame(r); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := readFrame(r); err == nil || err == io.EOF {
-		t.Fatalf("torn frame: got %v", err)
-	}
-
-	// A flipped payload bit fails the checksum.
-	flipped := append([]byte(nil), data...)
-	flipped[9] ^= 0x01 // first byte of frame 1's payload
-	r = bytes.NewReader(flipped)
-	if _, err := readFrame(r); err == nil || !strings.Contains(err.Error(), "checksum") {
-		t.Fatalf("bit flip: got %v", err)
 	}
 }
 

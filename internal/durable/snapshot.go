@@ -6,6 +6,7 @@ import (
 	"slices"
 
 	"milan/internal/core"
+	"milan/internal/frame"
 )
 
 // GrantRecord is one live committed grant in the durable state: everything
@@ -116,50 +117,51 @@ func (s *State) Procs() int {
 }
 
 const (
-	maxShards   = 1 << 12
-	maxSegments = 1 << 22
-	maxGrants   = 1 << 22
+	maxShards        = 1 << 12
+	maxSegments      = 1 << 22
+	maxGrants        = 1 << 22
+	maxTunableChosen = 1 << 12
 )
 
 // EncodeSnapshot serializes a state as a snapshot payload (no framing, no
 // file header — the store frames it).
 func EncodeSnapshot(st *State) []byte {
 	b := make([]byte, 0, snapshotSize(st))
-	b = appendUint64(b, st.LSN)
-	b = appendFloat(b, st.Now)
-	b = appendUint32(b, uint32(len(st.Shards)))
+	b = frame.AppendU64(b, st.LSN)
+	b = frame.AppendF64(b, st.Now)
+	b = frame.AppendU32(b, uint32(len(st.Shards)))
 	for _, sh := range st.Shards {
-		b = appendUint32(b, uint32(sh.Profile.Capacity))
-		b = appendFloat(b, sh.Profile.TrimmedBusy)
-		b = appendUint32(b, uint32(len(sh.Profile.Times)))
+		b = frame.AppendU32(b, uint32(sh.Profile.Capacity))
+		b = frame.AppendF64(b, sh.Profile.TrimmedBusy)
+		b = frame.AppendU32(b, uint32(len(sh.Profile.Times)))
 		for _, t := range sh.Profile.Times {
-			b = appendFloat(b, t)
+			b = frame.AppendF64(b, t)
 		}
 		for _, u := range sh.Profile.Used {
-			b = appendUint32(b, uint32(u))
+			b = frame.AppendU32(b, uint32(u))
 		}
-		b = appendUint64(b, uint64(int64(sh.Stats.Admitted)))
-		b = appendUint64(b, uint64(int64(sh.Stats.Rejected)))
-		b = appendFloat(b, sh.Stats.ReservedArea)
-		b = appendFloat(b, sh.Stats.QualitySum)
-		b = appendUint64(b, uint64(int64(sh.Stats.ChainsTried)))
-		b = appendUint64(b, uint64(int64(sh.Stats.HolesProbed)))
-		b = appendUint64(b, uint64(int64(sh.Stats.PlanFailures)))
-		b = appendUint32(b, uint32(len(sh.Stats.TunableChosen)))
+		b = frame.AppendU64(b, uint64(int64(sh.Stats.Admitted)))
+		b = frame.AppendU64(b, uint64(int64(sh.Stats.Rejected)))
+		b = frame.AppendF64(b, sh.Stats.ReservedArea)
+		b = frame.AppendF64(b, sh.Stats.QualitySum)
+		b = frame.AppendU64(b, uint64(int64(sh.Stats.ChainsTried)))
+		b = frame.AppendU64(b, uint64(int64(sh.Stats.HolesProbed)))
+		b = frame.AppendU64(b, uint64(int64(sh.Stats.PlanFailures)))
+		b = frame.AppendU32(b, uint32(len(sh.Stats.TunableChosen)))
 		for _, n := range sh.Stats.TunableChosen {
-			b = appendUint64(b, uint64(int64(n)))
+			b = frame.AppendU64(b, uint64(int64(n)))
 		}
 	}
-	b = appendUint32(b, uint32(len(st.Grants)))
+	b = frame.AppendU32(b, uint32(len(st.Grants)))
 	for i := range st.Grants {
 		g := &st.Grants[i]
-		b = appendUint32(b, uint32(g.Shard))
-		b = appendUint64(b, uint64(int64(g.JobID)))
-		b = appendUint32(b, uint32(g.Chain))
-		b = appendFloat(b, g.Quality)
-		b = appendBool(b, g.Tunable)
-		b = appendString(b, g.Tenant)
-		b = appendUint32(b, uint32(int32(g.Class)))
+		b = frame.AppendU32(b, uint32(g.Shard))
+		b = frame.AppendU64(b, uint64(int64(g.JobID)))
+		b = frame.AppendU32(b, uint32(g.Chain))
+		b = frame.AppendF64(b, g.Quality)
+		b = frame.AppendBool(b, g.Tunable)
+		b = frame.AppendStr(b, g.Tenant)
+		b = frame.AppendU32(b, uint32(int32(g.Class)))
 		b = appendTasks(b, g.Tasks)
 	}
 	return b
@@ -178,7 +180,7 @@ func snapshotSize(st *State) int {
 	n += 4 // grant count
 	for i := range st.Grants {
 		g := &st.Grants[i]
-		n += 4 + 8 + 4 + 8 + 1 + 4 + min(len(g.Tenant), maxStringLen) + 4 + 4 + 24*len(g.Tasks)
+		n += 4 + 8 + 4 + 8 + 1 + 4 + min(len(g.Tenant), frame.MaxString) + 4 + 4 + 24*len(g.Tasks)
 	}
 	return n
 }
@@ -188,67 +190,52 @@ func snapshotSize(st *State) int {
 // (the fuzz target pins this).  Structural validity of the profiles is
 // checked later, by core.ProfileFromState, when the state is restored.
 func DecodeSnapshot(payload []byte) (State, error) {
-	c := &cursor{b: payload}
+	c := frame.NewCursor("durable", payload)
 	var st State
-	st.LSN = c.u64()
-	st.Now = c.f64()
-	nsh := c.u32()
-	if nsh > maxShards {
-		return State{}, fmt.Errorf("durable: snapshot shard count %d exceeds limit", nsh)
-	}
-	for i := uint32(0); i < nsh && c.err == nil; i++ {
+	st.LSN = c.U64()
+	st.Now = c.F64()
+	nsh := c.Count(maxShards, 0, "snapshot shard")
+	for i := 0; i < nsh && c.Err() == nil; i++ {
 		var sh core.SchedulerState
-		sh.Profile.Capacity = int(int32(c.u32()))
-		sh.Profile.TrimmedBusy = c.f64()
-		nseg := c.u32()
-		if nseg > maxSegments || (c.err == nil && int(nseg)*12 > len(c.b)-c.off) {
-			return State{}, fmt.Errorf("durable: snapshot segment count %d exceeds payload", nseg)
-		}
+		sh.Profile.Capacity = int(int32(c.U32()))
+		sh.Profile.TrimmedBusy = c.F64()
+		nseg := c.Count(maxSegments, 12, "snapshot segment")
 		sh.Profile.Times = make([]float64, 0, nseg)
-		for j := uint32(0); j < nseg && c.err == nil; j++ {
-			sh.Profile.Times = append(sh.Profile.Times, c.f64())
+		for j := 0; j < nseg && c.Err() == nil; j++ {
+			sh.Profile.Times = append(sh.Profile.Times, c.F64())
 		}
 		sh.Profile.Used = make([]int, 0, nseg)
-		for j := uint32(0); j < nseg && c.err == nil; j++ {
-			sh.Profile.Used = append(sh.Profile.Used, int(int32(c.u32())))
+		for j := 0; j < nseg && c.Err() == nil; j++ {
+			sh.Profile.Used = append(sh.Profile.Used, int(int32(c.U32())))
 		}
-		sh.Stats.Admitted = int(int64(c.u64()))
-		sh.Stats.Rejected = int(int64(c.u64()))
-		sh.Stats.ReservedArea = c.f64()
-		sh.Stats.QualitySum = c.f64()
-		sh.Stats.ChainsTried = int(int64(c.u64()))
-		sh.Stats.HolesProbed = int(int64(c.u64()))
-		sh.Stats.PlanFailures = int(int64(c.u64()))
-		ntc := c.u32()
-		if ntc > maxStringLen || (c.err == nil && int(ntc)*8 > len(c.b)-c.off) {
-			return State{}, fmt.Errorf("durable: snapshot tunable-chosen count %d exceeds payload", ntc)
-		}
-		for j := uint32(0); j < ntc && c.err == nil; j++ {
-			sh.Stats.TunableChosen = append(sh.Stats.TunableChosen, int(int64(c.u64())))
+		sh.Stats.Admitted = int(c.I64())
+		sh.Stats.Rejected = int(c.I64())
+		sh.Stats.ReservedArea = c.F64()
+		sh.Stats.QualitySum = c.F64()
+		sh.Stats.ChainsTried = int(c.I64())
+		sh.Stats.HolesProbed = int(c.I64())
+		sh.Stats.PlanFailures = int(c.I64())
+		ntc := c.Count(maxTunableChosen, 8, "snapshot tunable-chosen")
+		for j := 0; j < ntc && c.Err() == nil; j++ {
+			sh.Stats.TunableChosen = append(sh.Stats.TunableChosen, int(c.I64()))
 		}
 		st.Shards = append(st.Shards, sh)
 	}
-	ng := c.u32()
-	if ng > maxGrants || (c.err == nil && int(ng)*25 > len(c.b)-c.off) {
-		return State{}, fmt.Errorf("durable: snapshot grant count %d exceeds payload", ng)
-	}
-	for i := uint32(0); i < ng && c.err == nil; i++ {
+	ng := c.Count(maxGrants, 25, "snapshot grant")
+	for i := 0; i < ng && c.Err() == nil; i++ {
 		var g GrantRecord
-		g.Shard = int(int32(c.u32()))
-		g.JobID = int(int64(c.u64()))
-		g.Chain = int(int32(c.u32()))
-		g.Quality = c.f64()
-		g.Tunable = c.boolean()
-		g.Tenant = c.str()
-		g.Class = int(int32(c.u32()))
-		g.Tasks = c.tasks()
+		g.Shard = int(int32(c.U32()))
+		g.JobID = int(c.I64())
+		g.Chain = int(int32(c.U32()))
+		g.Quality = c.F64()
+		g.Tunable = c.Bool()
+		g.Tenant = c.Str()
+		g.Class = int(int32(c.U32()))
+		g.Tasks = decodeTasks(&c)
 		st.Grants = append(st.Grants, g)
 	}
-	if c.err != nil {
-		return State{}, c.err
-	}
-	if c.off != len(payload) {
-		return State{}, fmt.Errorf("durable: %d trailing bytes after snapshot", len(payload)-c.off)
+	if err := c.Done(); err != nil {
+		return State{}, err
 	}
 	return st, nil
 }

@@ -7,10 +7,12 @@ import (
 	"io"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"time"
 
 	"milan/internal/core"
 	"milan/internal/durable/vfs"
+	"milan/internal/frame"
 )
 
 // File format constants.  Segment files are named wal-%016x.log by their
@@ -148,18 +150,31 @@ type OpenConfig struct {
 	Metrics *Metrics
 }
 
-func segName(first uint64) string { return fmt.Sprintf("wal-%016x.log", first) }
-func snapName(lsn uint64) string  { return fmt.Sprintf("snap-%016x.snap", lsn) }
+func segName(first uint64) string { return fileName("wal-", first, ".log") }
+func snapName(lsn uint64) string  { return fileName("snap-", lsn, ".snap") }
+
+// fileName is prefix + v as exactly 16 lower-case hex digits + suffix.
+// strconv rather than fmt: a snapshot names and parses a handful of files,
+// and fmt's pooled scratch made that cost an allocation count that moved
+// from run to run.
+func fileName(prefix string, v uint64, suffix string) string {
+	var hex [16]byte
+	digits := strconv.AppendUint(hex[:0], v, 16)
+	b := make([]byte, 0, len(prefix)+len(hex)+len(suffix))
+	b = append(b, prefix...)
+	b = append(b, "0000000000000000"[len(digits):]...)
+	b = append(b, digits...)
+	b = append(b, suffix...)
+	return string(b)
+}
+
 func parseName(name, prefix, suffix string) (uint64, bool) {
 	if len(name) != len(prefix)+16+len(suffix) ||
 		name[:len(prefix)] != prefix || name[len(name)-len(suffix):] != suffix {
 		return 0, false
 	}
-	var v uint64
-	if _, err := fmt.Sscanf(name[len(prefix):len(prefix)+16], "%016x", &v); err != nil {
-		return 0, false
-	}
-	return v, true
+	v, err := strconv.ParseUint(name[len(prefix):len(prefix)+16], 16, 64)
+	return v, err == nil
 }
 
 // Open recovers the durable state from dir and returns a store positioned
@@ -265,8 +280,9 @@ func (s *Store) load(genesis State) (base State, snapLSN uint64, recs []Record, 
 			break
 		}
 		bad := false
+		fr := frame.NewReader(r, "durable", maxFramePayload)
 		for {
-			payload, ferr := readFrame(r)
+			payload, ferr := fr.Next()
 			if ferr == io.EOF {
 				break
 			}
@@ -324,14 +340,19 @@ func (s *Store) readSnapshot(path string) (State, error) {
 	if v := binary.LittleEndian.Uint32(hdr[8:12]); v != formatVersion {
 		return State{}, fmt.Errorf("durable: snapshot format version %d (want %d)", v, formatVersion)
 	}
-	payload, err := readFrame(r)
+	fr := frame.NewReader(r, "durable", maxFramePayload)
+	payload, err := fr.Next()
 	if err != nil {
 		return State{}, err
 	}
-	if r.Len() != 0 {
-		return State{}, fmt.Errorf("durable: %d trailing bytes after snapshot frame", r.Len())
+	st, err := DecodeSnapshot(payload)
+	if err != nil {
+		return State{}, err
 	}
-	return DecodeSnapshot(payload)
+	if _, err := fr.Next(); err != io.EOF {
+		return State{}, fmt.Errorf("durable: trailing bytes after snapshot frame")
+	}
+	return st, nil
 }
 
 func readSegHeader(r io.Reader) (uint64, error) {
@@ -378,7 +399,7 @@ func (s *Store) compactTo(st *State) error {
 		f.Close()
 		return s.poison(fmt.Errorf("durable: write snapshot: %w", err))
 	}
-	n, err := writeFrame(f, payload)
+	n, err := frame.Write(f, payload)
 	if err != nil {
 		f.Close()
 		return s.poison(fmt.Errorf("durable: write snapshot: %w", err))
@@ -477,11 +498,11 @@ func (s *Store) Append(r *Record) (uint64, error) {
 	}
 	start := time.Now()
 	r.LSN = s.nextLSN
-	frame := append(s.frame[:0], make([]byte, frameHeaderLen)...) // header, filled in once the payload is behind it
-	frame = appendRecord(frame, r)
-	putFrameHeader(frame[:frameHeaderLen], frame[frameHeaderLen:])
-	s.frame = frame
-	if _, err := s.seg.Write(frame); err != nil {
+	buf := append(s.frame[:0], make([]byte, frame.HeaderLen)...) // header, filled in once the payload is behind it
+	buf = appendRecord(buf, r)
+	frame.PutHeader(buf[:frame.HeaderLen], buf[frame.HeaderLen:])
+	s.frame = buf
+	if _, err := s.seg.Write(buf); err != nil {
 		return 0, s.poison(fmt.Errorf("durable: append %s record: %w", r.Kind, err))
 	}
 	s.nextLSN++

@@ -3,12 +3,14 @@ package durable
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"strings"
 	"testing"
 
 	"milan/internal/core"
 	"milan/internal/durable/vfs"
+	"milan/internal/frame"
 )
 
 func openMem(t *testing.T, fs vfs.FS, opts StoreOptions) (*Store, Recovered) {
@@ -257,7 +259,7 @@ func TestAppendIssuesOneWritePerRecord(t *testing.T) {
 		if _, err := s.Append(&recs[i]); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := writeFrame(&want, EncodeRecord(&recs[i])); err != nil {
+		if _, err := frame.Write(&want, EncodeRecord(&recs[i])); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -279,5 +281,35 @@ func TestAppendIssuesOneWritePerRecord(t *testing.T) {
 	_, rec := openMem(t, ft, StoreOptions{})
 	if rec.Records != len(recs) || rec.Torn {
 		t.Fatalf("recovery = %+v, want all %d records", rec, len(recs))
+	}
+}
+
+// File names are the log's on-disk index: they must stay byte for byte what
+// the fmt-based naming wrote, and parsing must keep refusing everything else.
+func TestFileNamesMatchFmt(t *testing.T) {
+	for _, v := range []uint64{0, 1, 0xabc, 1 << 32, 0x0123456789abcdef, ^uint64(0)} {
+		if got, want := segName(v), fmt.Sprintf("wal-%016x.log", v); got != want {
+			t.Fatalf("segName(%#x) = %q, want %q", v, got, want)
+		}
+		if got, want := snapName(v), fmt.Sprintf("snap-%016x.snap", v); got != want {
+			t.Fatalf("snapName(%#x) = %q, want %q", v, got, want)
+		}
+		if got, ok := parseName(segName(v), "wal-", ".log"); !ok || got != v {
+			t.Fatalf("parseName(%q) = %#x, %v", segName(v), got, ok)
+		}
+	}
+	for _, bad := range []string{
+		"wal-00000000000000.log",       // 14 digits
+		"wal-000000000000000001.log",   // 18 digits
+		"snap-0000000000000001.log",    // wrong prefix
+		"wal-0000000000000001.log.tmp", // wrong suffix
+		"wal-000000000000000g.log",     // not hex
+		"wal-+000000000000001.log",     // a sign is not a digit
+		"wal-0000_00000000001.log",     // nor is an underscore
+		"wal-0x00000000000001.log",
+	} {
+		if v, ok := parseName(bad, "wal-", ".log"); ok {
+			t.Fatalf("parseName(%q) accepted as %#x", bad, v)
+		}
 	}
 }

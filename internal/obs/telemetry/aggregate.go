@@ -260,8 +260,9 @@ func (ns *nodeState) setError(err error) {
 // or protocol error tears the session down; the reconnect's fresh
 // snapshot makes the state whole again (snapshot-then-delta resync).
 func (a *Aggregator) consume(ns *nodeState, conn net.Conn) error {
+	fr := NewReader(conn)
 	for {
-		msg, err := ReadMsg(conn)
+		msg, err := ReadMsg(fr)
 		if err != nil {
 			return err
 		}

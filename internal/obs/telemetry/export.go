@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"milan/internal/core"
+	"milan/internal/frame"
 	"milan/internal/obs"
 	"milan/internal/obs/latency"
 	"milan/internal/obs/ledger"
@@ -296,14 +297,14 @@ type subscriber struct {
 // enqueue offers one encoded frame to the subscriber's bounded queue,
 // reporting success.  It never blocks.
 func (e *Exporter) enqueue(sub *subscriber, payload []byte) bool {
-	frame := EncodeFrame(payload)
+	framed := frame.Append(nil, payload)
 	select {
 	case <-sub.dead:
 		return false
 	default:
 	}
 	select {
-	case sub.queue <- frame:
+	case sub.queue <- framed:
 		return true
 	default:
 		sub.droppedFrames++

@@ -24,15 +24,13 @@ package telemetry
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"io"
-	"math"
 	"sort"
 
 	"milan/internal/core"
+	"milan/internal/frame"
 	"milan/internal/obs"
 	"milan/internal/obs/latency"
 	"milan/internal/obs/ledger"
@@ -161,7 +159,6 @@ type Msg struct {
 // must error, never panic or stampede allocations.
 const (
 	maxFramePayload = 16 << 20
-	maxStringLen    = 4096
 	maxNames        = 1 << 16
 	maxBuckets      = 1 << 16
 	maxSpans        = 1 << 16
@@ -171,97 +168,64 @@ const (
 	maxExemplars    = 1 << 10
 )
 
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
-
-func appendUint32(b []byte, v uint32) []byte {
-	var buf [4]byte
-	binary.LittleEndian.PutUint32(buf[:], v)
-	return append(b, buf[:]...)
-}
-
-func appendUint64(b []byte, v uint64) []byte {
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], v)
-	return append(b, buf[:]...)
-}
-
-func appendInt64(b []byte, v int64) []byte { return appendUint64(b, uint64(v)) }
-
-func appendFloat(b []byte, v float64) []byte { return appendUint64(b, math.Float64bits(v)) }
-
-func appendString(b []byte, s string) []byte {
-	if len(s) > maxStringLen {
-		s = s[:maxStringLen]
-	}
-	b = appendUint32(b, uint32(len(s)))
-	return append(b, s...)
-}
-
-func appendBool(b []byte, v bool) []byte {
-	if v {
-		return append(b, 1)
-	}
-	return append(b, 0)
-}
-
 func appendHistSnapshot(b []byte, h obs.HistSnapshot) []byte {
-	b = appendFloat(b, h.Lo)
-	b = appendFloat(b, h.Hi)
-	b = appendUint32(b, uint32(len(h.Buckets)))
+	b = frame.AppendF64(b, h.Lo)
+	b = frame.AppendF64(b, h.Hi)
+	b = frame.AppendU32(b, uint32(len(h.Buckets)))
 	for _, c := range h.Buckets {
-		b = appendInt64(b, c)
+		b = frame.AppendI64(b, c)
 	}
-	b = appendInt64(b, h.Under)
-	b = appendInt64(b, h.Over)
-	b = appendInt64(b, h.Count)
-	b = appendFloat(b, h.Sum)
-	b = appendUint32(b, uint32(len(h.Bounds)))
+	b = frame.AppendI64(b, h.Under)
+	b = frame.AppendI64(b, h.Over)
+	b = frame.AppendI64(b, h.Count)
+	b = frame.AppendF64(b, h.Sum)
+	b = frame.AppendU32(b, uint32(len(h.Bounds)))
 	for _, e := range h.Bounds {
-		b = appendFloat(b, e)
+		b = frame.AppendF64(b, e)
 	}
 	return b
 }
 
 func appendStatSnapshot(b []byte, s obs.StatSnapshot) []byte {
-	b = appendInt64(b, int64(s.N))
-	b = appendFloat(b, s.Mean)
-	b = appendFloat(b, s.Std)
-	b = appendFloat(b, s.CI95)
+	b = frame.AppendI64(b, int64(s.N))
+	b = frame.AppendF64(b, s.Mean)
+	b = frame.AppendF64(b, s.Std)
+	b = frame.AppendF64(b, s.CI95)
 	return b
 }
 
 func appendSpan(b []byte, s obs.SpanRec) []byte {
-	b = appendUint64(b, uint64(s.Trace))
-	b = appendUint64(b, uint64(s.ID))
-	b = appendUint64(b, uint64(s.Parent))
-	b = appendString(b, s.Name)
-	b = appendString(b, s.Stage)
-	b = appendInt64(b, int64(s.Job))
-	b = appendFloat(b, s.Start)
-	b = appendFloat(b, s.End)
-	b = appendString(b, s.Err)
+	b = frame.AppendU64(b, uint64(s.Trace))
+	b = frame.AppendU64(b, uint64(s.ID))
+	b = frame.AppendU64(b, uint64(s.Parent))
+	b = frame.AppendStr(b, s.Name)
+	b = frame.AppendStr(b, s.Stage)
+	b = frame.AppendI64(b, int64(s.Job))
+	b = frame.AppendF64(b, s.Start)
+	b = frame.AppendF64(b, s.End)
+	b = frame.AppendStr(b, s.Err)
 	keys := make([]string, 0, len(s.Attrs))
 	for k := range s.Attrs {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	b = appendUint32(b, uint32(len(keys)))
+	b = frame.AppendU32(b, uint32(len(keys)))
 	for _, k := range keys {
-		b = appendString(b, k)
-		b = appendFloat(b, s.Attrs[k])
+		b = frame.AppendStr(b, k)
+		b = frame.AppendF64(b, s.Attrs[k])
 	}
 	return b
 }
 
 func appendHeadroom(b []byte, h core.Headroom) []byte {
-	b = appendFloat(b, h.From)
-	b = appendFloat(b, h.Horizon)
-	b = appendUint32(b, uint32(h.MaxProcs))
-	b = appendFloat(b, h.MaxDuration)
-	b = appendFloat(b, h.MaxArea)
-	b = appendFloat(b, h.BestHole.Start)
-	b = appendFloat(b, h.BestHole.End)
-	b = appendUint32(b, uint32(h.BestHole.Procs))
+	b = frame.AppendF64(b, h.From)
+	b = frame.AppendF64(b, h.Horizon)
+	b = frame.AppendU32(b, uint32(h.MaxProcs))
+	b = frame.AppendF64(b, h.MaxDuration)
+	b = frame.AppendF64(b, h.MaxArea)
+	b = frame.AppendF64(b, h.BestHole.Start)
+	b = frame.AppendF64(b, h.BestHole.End)
+	b = frame.AppendU32(b, uint32(h.BestHole.Procs))
 	return b
 }
 
@@ -276,60 +240,60 @@ func sortedNames[V any](m map[string]V) []string {
 }
 
 func appendSnapshot(b []byte, s obs.Snapshot) []byte {
-	b = appendUint32(b, uint32(len(s.Counters)))
+	b = frame.AppendU32(b, uint32(len(s.Counters)))
 	for _, name := range sortedNames(s.Counters) {
-		b = appendString(b, name)
-		b = appendInt64(b, s.Counters[name])
+		b = frame.AppendStr(b, name)
+		b = frame.AppendI64(b, s.Counters[name])
 	}
-	b = appendUint32(b, uint32(len(s.Gauges)))
+	b = frame.AppendU32(b, uint32(len(s.Gauges)))
 	for _, name := range sortedNames(s.Gauges) {
-		b = appendString(b, name)
-		b = appendFloat(b, s.Gauges[name])
+		b = frame.AppendStr(b, name)
+		b = frame.AppendF64(b, s.Gauges[name])
 	}
-	b = appendUint32(b, uint32(len(s.Histograms)))
+	b = frame.AppendU32(b, uint32(len(s.Histograms)))
 	for _, name := range sortedNames(s.Histograms) {
-		b = appendString(b, name)
+		b = frame.AppendStr(b, name)
 		b = appendHistSnapshot(b, s.Histograms[name])
 	}
-	b = appendUint32(b, uint32(len(s.Stats)))
+	b = frame.AppendU32(b, uint32(len(s.Stats)))
 	for _, name := range sortedNames(s.Stats) {
-		b = appendString(b, name)
+		b = frame.AppendStr(b, name)
 		b = appendStatSnapshot(b, s.Stats[name])
 	}
 	return b
 }
 
 func appendSLOState(b []byte, s slo.EngineState) []byte {
-	b = appendInt64(b, s.Admitted)
-	b = appendInt64(b, s.Rejected)
-	b = appendInt64(b, s.Completed)
-	b = appendInt64(b, s.InFlight)
-	b = appendInt64(b, s.DeadlineMisses)
-	b = appendInt64(b, s.OverAdmissions)
-	b = appendFloat(b, s.BurnThreshold)
-	b = appendUint32(b, uint32(len(s.Objectives)))
+	b = frame.AppendI64(b, s.Admitted)
+	b = frame.AppendI64(b, s.Rejected)
+	b = frame.AppendI64(b, s.Completed)
+	b = frame.AppendI64(b, s.InFlight)
+	b = frame.AppendI64(b, s.DeadlineMisses)
+	b = frame.AppendI64(b, s.OverAdmissions)
+	b = frame.AppendF64(b, s.BurnThreshold)
+	b = frame.AppendU32(b, uint32(len(s.Objectives)))
 	for _, o := range s.Objectives {
-		b = appendString(b, o.Name)
-		b = appendFloat(b, o.Budget)
-		b = appendBool(b, o.Active)
-		b = appendInt64(b, o.ShortBad)
-		b = appendInt64(b, o.ShortTotal)
-		b = appendInt64(b, o.LongBad)
-		b = appendInt64(b, o.LongTotal)
+		b = frame.AppendStr(b, o.Name)
+		b = frame.AppendF64(b, o.Budget)
+		b = frame.AppendBool(b, o.Active)
+		b = frame.AppendI64(b, o.ShortBad)
+		b = frame.AppendI64(b, o.ShortTotal)
+		b = frame.AppendI64(b, o.LongBad)
+		b = frame.AppendI64(b, o.LongTotal)
 	}
 	return b
 }
 
 func appendExemplar(b []byte, e latency.Exemplar) []byte {
-	b = appendUint64(b, e.Trace)
-	b = appendInt64(b, e.Job)
-	b = appendUint32(b, uint32(e.Shard))
-	b = appendInt64(b, e.Total)
-	b = appendUint32(b, uint32(len(e.Durs)))
+	b = frame.AppendU64(b, e.Trace)
+	b = frame.AppendI64(b, e.Job)
+	b = frame.AppendU32(b, uint32(e.Shard))
+	b = frame.AppendI64(b, e.Total)
+	b = frame.AppendU32(b, uint32(len(e.Durs)))
 	for _, d := range e.Durs {
-		b = appendInt64(b, d)
+		b = frame.AppendI64(b, d)
 	}
-	return appendFloat(b, e.At)
+	return frame.AppendF64(b, e.At)
 }
 
 // EncodeMsg serializes one message payload (no framing).
@@ -338,42 +302,42 @@ func EncodeMsg(m *Msg) ([]byte, error) {
 	b = append(b, byte(m.Kind))
 	switch m.Kind {
 	case KindHello:
-		b = appendUint32(b, m.Hello.Version)
-		b = appendString(b, m.Hello.Node)
-		b = appendUint64(b, m.Hello.Session)
-		b = appendFloat(b, m.Hello.Now)
-		b = appendFloat(b, m.Hello.Interval)
+		b = frame.AppendU32(b, m.Hello.Version)
+		b = frame.AppendStr(b, m.Hello.Node)
+		b = frame.AppendU64(b, m.Hello.Session)
+		b = frame.AppendF64(b, m.Hello.Now)
+		b = frame.AppendF64(b, m.Hello.Interval)
 	case KindSnapshot:
 		b = appendSnapshot(b, m.Snapshot)
-		b = appendUint32(b, uint32(len(m.Help)))
+		b = frame.AppendU32(b, uint32(len(m.Help)))
 		for _, name := range sortedNames(m.Help) {
-			b = appendString(b, name)
-			b = appendString(b, m.Help[name])
+			b = frame.AppendStr(b, name)
+			b = frame.AppendStr(b, m.Help[name])
 		}
 	case KindDelta:
-		b = appendUint64(b, m.Delta.Seq)
-		b = appendUint32(b, uint32(len(m.Delta.Counters)))
+		b = frame.AppendU64(b, m.Delta.Seq)
+		b = frame.AppendU32(b, uint32(len(m.Delta.Counters)))
 		for _, name := range sortedNames(m.Delta.Counters) {
-			b = appendString(b, name)
-			b = appendInt64(b, m.Delta.Counters[name])
+			b = frame.AppendStr(b, name)
+			b = frame.AppendI64(b, m.Delta.Counters[name])
 		}
-		b = appendUint32(b, uint32(len(m.Delta.Gauges)))
+		b = frame.AppendU32(b, uint32(len(m.Delta.Gauges)))
 		for _, name := range sortedNames(m.Delta.Gauges) {
-			b = appendString(b, name)
-			b = appendFloat(b, m.Delta.Gauges[name])
+			b = frame.AppendStr(b, name)
+			b = frame.AppendF64(b, m.Delta.Gauges[name])
 		}
-		b = appendUint32(b, uint32(len(m.Delta.Hists)))
+		b = frame.AppendU32(b, uint32(len(m.Delta.Hists)))
 		for _, name := range sortedNames(m.Delta.Hists) {
-			b = appendString(b, name)
+			b = frame.AppendStr(b, name)
 			b = appendHistSnapshot(b, m.Delta.Hists[name])
 		}
-		b = appendUint32(b, uint32(len(m.Delta.Stats)))
+		b = frame.AppendU32(b, uint32(len(m.Delta.Stats)))
 		for _, name := range sortedNames(m.Delta.Stats) {
-			b = appendString(b, name)
+			b = frame.AppendStr(b, name)
 			b = appendStatSnapshot(b, m.Delta.Stats[name])
 		}
 	case KindSpans:
-		b = appendUint32(b, uint32(len(m.Spans)))
+		b = frame.AppendU32(b, uint32(len(m.Spans)))
 		for _, s := range m.Spans {
 			b = appendSpan(b, s)
 		}
@@ -392,149 +356,60 @@ func EncodeMsg(m *Msg) ([]byte, error) {
 		if len(js) > maxLedgerJSON {
 			return nil, fmt.Errorf("telemetry: ledger JSON %d bytes exceeds limit %d", len(js), maxLedgerJSON)
 		}
-		b = appendUint32(b, uint32(len(js)))
+		b = frame.AppendU32(b, uint32(len(js)))
 		b = append(b, js...)
 	case KindExemplars:
-		b = appendUint32(b, uint32(len(m.Exemplars)))
+		b = frame.AppendU32(b, uint32(len(m.Exemplars)))
 		for _, e := range m.Exemplars {
 			b = appendExemplar(b, e)
 		}
 	case KindHeartbeat:
-		b = appendFloat(b, m.Heartbeat.Now)
-		b = appendUint64(b, m.Heartbeat.Seq)
-		b = appendInt64(b, m.Heartbeat.DroppedFrames)
-		b = appendInt64(b, m.Heartbeat.DroppedSpans)
-		b = appendInt64(b, m.Heartbeat.SpanTotal)
+		b = frame.AppendF64(b, m.Heartbeat.Now)
+		b = frame.AppendU64(b, m.Heartbeat.Seq)
+		b = frame.AppendI64(b, m.Heartbeat.DroppedFrames)
+		b = frame.AppendI64(b, m.Heartbeat.DroppedSpans)
+		b = frame.AppendI64(b, m.Heartbeat.SpanTotal)
 	default:
 		return nil, fmt.Errorf("telemetry: unknown message kind %d", uint8(m.Kind))
 	}
 	return b, nil
 }
 
-// cursor is a bounds-checked little-endian payload reader (the durable
-// layer's canonical-decode discipline).
-type cursor struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (c *cursor) fail(format string, args ...any) {
-	if c.err == nil {
-		c.err = fmt.Errorf(format, args...)
-	}
-}
-
-func (c *cursor) take(n int) []byte {
-	if c.err != nil {
-		return nil
-	}
-	if n < 0 || c.off+n > len(c.b) {
-		c.fail("telemetry: truncated payload (want %d bytes at %d of %d)", n, c.off, len(c.b))
-		return nil
-	}
-	out := c.b[c.off : c.off+n]
-	c.off += n
-	return out
-}
-
-func (c *cursor) u8() uint8 {
-	b := c.take(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-
-func (c *cursor) u32() uint32 {
-	b := c.take(4)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(b)
-}
-
-func (c *cursor) u64() uint64 {
-	b := c.take(8)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(b)
-}
-
-func (c *cursor) i64() int64 { return int64(c.u64()) }
-
-func (c *cursor) f64() float64 { return math.Float64frombits(c.u64()) }
-
-// boolean accepts only the canonical encodings 0 and 1.
-func (c *cursor) boolean() bool {
-	b := c.u8()
-	if b > 1 {
-		c.fail("telemetry: non-canonical bool byte %#x", b)
-	}
-	return b == 1
-}
-
-func (c *cursor) str() string {
-	n := c.u32()
-	if n > maxStringLen {
-		c.fail("telemetry: string length %d exceeds limit %d", n, maxStringLen)
-		return ""
-	}
-	b := c.take(int(n))
-	return string(b)
-}
-
-// count reads a collection count with a limit and a minimum per-element
-// size, so a corrupt count cannot force a huge allocation.
-func (c *cursor) count(limit uint32, minElem int, what string) int {
-	n := c.u32()
-	if n > limit {
-		c.fail("telemetry: %s count %d exceeds limit %d", what, n, limit)
-		return 0
-	}
-	if c.err == nil && int(n)*minElem > len(c.b)-c.off {
-		c.fail("telemetry: %s count %d exceeds remaining payload", what, n)
-		return 0
-	}
-	return int(n)
-}
-
-func (c *cursor) histSnapshot() obs.HistSnapshot {
+func decodeHistSnapshot(c *frame.Cursor) obs.HistSnapshot {
 	var h obs.HistSnapshot
-	h.Lo = c.f64()
-	h.Hi = c.f64()
-	n := c.count(maxBuckets, 8, "bucket")
+	h.Lo = c.F64()
+	h.Hi = c.F64()
+	n := c.Count(maxBuckets, 8, "bucket")
 	if n > 0 {
 		h.Buckets = make([]int64, 0, n)
-		for i := 0; i < n && c.err == nil; i++ {
-			h.Buckets = append(h.Buckets, c.i64())
+		for i := 0; i < n && c.Err() == nil; i++ {
+			h.Buckets = append(h.Buckets, c.I64())
 		}
 	}
-	h.Under = c.i64()
-	h.Over = c.i64()
-	h.Count = c.i64()
-	h.Sum = c.f64()
-	nb := c.count(maxBuckets, 8, "bound")
+	h.Under = c.I64()
+	h.Over = c.I64()
+	h.Count = c.I64()
+	h.Sum = c.F64()
+	nb := c.Count(maxBuckets, 8, "bound")
 	if nb > 0 {
 		if nb != n {
-			c.fail("telemetry: histogram carries %d bounds for %d buckets", nb, n)
+			c.Fail("histogram carries %d bounds for %d buckets", nb, n)
 			return h
 		}
 		h.Bounds = make([]float64, 0, nb)
-		for i := 0; i < nb && c.err == nil; i++ {
-			h.Bounds = append(h.Bounds, c.f64())
+		for i := 0; i < nb && c.Err() == nil; i++ {
+			h.Bounds = append(h.Bounds, c.F64())
 		}
 	}
 	return h
 }
 
-func (c *cursor) statSnapshot() obs.StatSnapshot {
+func decodeStatSnapshot(c *frame.Cursor) obs.StatSnapshot {
 	var s obs.StatSnapshot
-	s.N = int(c.i64())
-	s.Mean = c.f64()
-	s.Std = c.f64()
-	s.CI95 = c.f64()
+	s.N = int(c.I64())
+	s.Mean = c.F64()
+	s.Std = c.F64()
+	s.CI95 = c.F64()
 	return s
 }
 
@@ -545,112 +420,112 @@ type nameSeq struct {
 	seen bool
 }
 
-func (ns *nameSeq) check(c *cursor, name string) {
+func (ns *nameSeq) check(c *frame.Cursor, name string) {
 	if ns.seen && name <= ns.prev {
-		c.fail("telemetry: non-canonical key order (%q after %q)", name, ns.prev)
+		c.Fail("non-canonical key order (%q after %q)", name, ns.prev)
 	}
 	ns.prev, ns.seen = name, true
 }
 
-func (c *cursor) span() obs.SpanRec {
+func decodeSpan(c *frame.Cursor) obs.SpanRec {
 	var s obs.SpanRec
-	s.Trace = obs.TraceID(c.u64())
-	s.ID = obs.SpanID(c.u64())
-	s.Parent = obs.SpanID(c.u64())
-	s.Name = c.str()
-	s.Stage = c.str()
-	s.Job = int(c.i64())
-	s.Start = c.f64()
-	s.End = c.f64()
-	s.Err = c.str()
-	n := c.count(maxAttrs, 12, "attr")
+	s.Trace = obs.TraceID(c.U64())
+	s.ID = obs.SpanID(c.U64())
+	s.Parent = obs.SpanID(c.U64())
+	s.Name = c.Str()
+	s.Stage = c.Str()
+	s.Job = int(c.I64())
+	s.Start = c.F64()
+	s.End = c.F64()
+	s.Err = c.Str()
+	n := c.Count(maxAttrs, 12, "attr")
 	if n > 0 {
 		s.Attrs = make(map[string]float64, n)
 		var ns nameSeq
-		for i := 0; i < n && c.err == nil; i++ {
-			k := c.str()
+		for i := 0; i < n && c.Err() == nil; i++ {
+			k := c.Str()
 			ns.check(c, k)
-			s.Attrs[k] = c.f64()
+			s.Attrs[k] = c.F64()
 		}
 	}
 	return s
 }
 
-func (c *cursor) headroom() core.Headroom {
+func decodeHeadroom(c *frame.Cursor) core.Headroom {
 	var h core.Headroom
-	h.From = c.f64()
-	h.Horizon = c.f64()
-	h.MaxProcs = int(int32(c.u32()))
-	h.MaxDuration = c.f64()
-	h.MaxArea = c.f64()
-	h.BestHole.Start = c.f64()
-	h.BestHole.End = c.f64()
-	h.BestHole.Procs = int(int32(c.u32()))
+	h.From = c.F64()
+	h.Horizon = c.F64()
+	h.MaxProcs = int(int32(c.U32()))
+	h.MaxDuration = c.F64()
+	h.MaxArea = c.F64()
+	h.BestHole.Start = c.F64()
+	h.BestHole.End = c.F64()
+	h.BestHole.Procs = int(int32(c.U32()))
 	return h
 }
 
-func (c *cursor) snapshot() obs.Snapshot {
+func decodeSnapshot(c *frame.Cursor) obs.Snapshot {
 	var s obs.Snapshot
-	if n := c.count(maxNames, 12, "counter"); n > 0 || c.err == nil {
+	if n := c.Count(maxNames, 12, "counter"); n > 0 || c.Err() == nil {
 		s.Counters = make(map[string]int64, n)
 		var ns nameSeq
-		for i := 0; i < n && c.err == nil; i++ {
-			k := c.str()
+		for i := 0; i < n && c.Err() == nil; i++ {
+			k := c.Str()
 			ns.check(c, k)
-			s.Counters[k] = c.i64()
+			s.Counters[k] = c.I64()
 		}
 	}
-	if n := c.count(maxNames, 12, "gauge"); n > 0 || c.err == nil {
+	if n := c.Count(maxNames, 12, "gauge"); n > 0 || c.Err() == nil {
 		s.Gauges = make(map[string]float64, n)
 		var ns nameSeq
-		for i := 0; i < n && c.err == nil; i++ {
-			k := c.str()
+		for i := 0; i < n && c.Err() == nil; i++ {
+			k := c.Str()
 			ns.check(c, k)
-			s.Gauges[k] = c.f64()
+			s.Gauges[k] = c.F64()
 		}
 	}
-	if n := c.count(maxNames, 24, "histogram"); n > 0 || c.err == nil {
+	if n := c.Count(maxNames, 24, "histogram"); n > 0 || c.Err() == nil {
 		s.Histograms = make(map[string]obs.HistSnapshot, n)
 		var ns nameSeq
-		for i := 0; i < n && c.err == nil; i++ {
-			k := c.str()
+		for i := 0; i < n && c.Err() == nil; i++ {
+			k := c.Str()
 			ns.check(c, k)
-			s.Histograms[k] = c.histSnapshot()
+			s.Histograms[k] = decodeHistSnapshot(c)
 		}
 	}
-	if n := c.count(maxNames, 36, "stat"); n > 0 || c.err == nil {
+	if n := c.Count(maxNames, 36, "stat"); n > 0 || c.Err() == nil {
 		s.Stats = make(map[string]obs.StatSnapshot, n)
 		var ns nameSeq
-		for i := 0; i < n && c.err == nil; i++ {
-			k := c.str()
+		for i := 0; i < n && c.Err() == nil; i++ {
+			k := c.Str()
 			ns.check(c, k)
-			s.Stats[k] = c.statSnapshot()
+			s.Stats[k] = decodeStatSnapshot(c)
 		}
 	}
 	return s
 }
 
-func (c *cursor) sloState() slo.EngineState {
+func decodeSloState(c *frame.Cursor) slo.EngineState {
 	var s slo.EngineState
-	s.Admitted = c.i64()
-	s.Rejected = c.i64()
-	s.Completed = c.i64()
-	s.InFlight = c.i64()
-	s.DeadlineMisses = c.i64()
-	s.OverAdmissions = c.i64()
-	s.BurnThreshold = c.f64()
-	n := c.count(maxObjectives, 45, "objective")
+	s.Admitted = c.I64()
+	s.Rejected = c.I64()
+	s.Completed = c.I64()
+	s.InFlight = c.I64()
+	s.DeadlineMisses = c.I64()
+	s.OverAdmissions = c.I64()
+	s.BurnThreshold = c.F64()
+	n := c.Count(maxObjectives, 45, "objective")
 	if n > 0 {
 		s.Objectives = make([]slo.ObjectiveState, 0, n)
-		for i := 0; i < n && c.err == nil; i++ {
+		for i := 0; i < n && c.Err() == nil; i++ {
 			var o slo.ObjectiveState
-			o.Name = c.str()
-			o.Budget = c.f64()
-			o.Active = c.boolean()
-			o.ShortBad = c.i64()
-			o.ShortTotal = c.i64()
-			o.LongBad = c.i64()
-			o.LongTotal = c.i64()
+			o.Name = c.Str()
+			o.Budget = c.F64()
+			o.Active = c.Bool()
+			o.ShortBad = c.I64()
+			o.ShortTotal = c.I64()
+			o.LongBad = c.I64()
+			o.LongTotal = c.I64()
 			s.Objectives = append(s.Objectives, o)
 		}
 	}
@@ -660,21 +535,21 @@ func (c *cursor) sloState() slo.EngineState {
 // exemplar decodes one tail exemplar.  The phase-waterfall length is
 // carried on the wire and must match this build's phase count exactly —
 // a node speaking a different phase model cannot be merged meaningfully.
-func (c *cursor) exemplar() latency.Exemplar {
+func decodeExemplar(c *frame.Cursor) latency.Exemplar {
 	var e latency.Exemplar
-	e.Trace = c.u64()
-	e.Job = c.i64()
-	e.Shard = int32(c.u32())
-	e.Total = c.i64()
-	nd := c.count(64, 8, "phase duration")
-	if c.err == nil && nd != latency.NumPhases {
-		c.fail("telemetry: exemplar carries %d phase durations, want %d", nd, latency.NumPhases)
+	e.Trace = c.U64()
+	e.Job = c.I64()
+	e.Shard = int32(c.U32())
+	e.Total = c.I64()
+	nd := c.Count(64, 8, "phase duration")
+	if c.Err() == nil && nd != latency.NumPhases {
+		c.Fail("exemplar carries %d phase durations, want %d", nd, latency.NumPhases)
 		return e
 	}
-	for i := 0; i < nd && c.err == nil; i++ {
-		e.Durs[i] = c.i64()
+	for i := 0; i < nd && c.Err() == nil; i++ {
+		e.Durs[i] = c.I64()
 	}
-	e.At = c.f64()
+	e.At = c.F64()
 	return e
 }
 
@@ -683,81 +558,82 @@ func (c *cursor) exemplar() latency.Exemplar {
 // may panic (the fuzz target pins this), and decode∘encode is the
 // identity on success.
 func DecodeMsg(payload []byte) (*Msg, error) {
-	c := &cursor{b: payload}
-	m := &Msg{Kind: MsgKind(c.u8())}
+	cur := frame.NewCursor("telemetry", payload)
+	c := &cur
+	m := &Msg{Kind: MsgKind(c.U8())}
 	switch m.Kind {
 	case KindHello:
-		m.Hello.Version = c.u32()
-		m.Hello.Node = c.str()
-		m.Hello.Session = c.u64()
-		m.Hello.Now = c.f64()
-		m.Hello.Interval = c.f64()
+		m.Hello.Version = c.U32()
+		m.Hello.Node = c.Str()
+		m.Hello.Session = c.U64()
+		m.Hello.Now = c.F64()
+		m.Hello.Interval = c.F64()
 	case KindSnapshot:
-		m.Snapshot = c.snapshot()
-		if n := c.count(maxNames, 8, "help"); n > 0 || c.err == nil {
+		m.Snapshot = decodeSnapshot(c)
+		if n := c.Count(maxNames, 8, "help"); n > 0 || c.Err() == nil {
 			m.Help = make(map[string]string, n)
 			var ns nameSeq
-			for i := 0; i < n && c.err == nil; i++ {
-				k := c.str()
+			for i := 0; i < n && c.Err() == nil; i++ {
+				k := c.Str()
 				ns.check(c, k)
-				m.Help[k] = c.str()
+				m.Help[k] = c.Str()
 			}
 		}
 	case KindDelta:
-		m.Delta.Seq = c.u64()
-		if n := c.count(maxNames, 12, "counter"); n > 0 {
+		m.Delta.Seq = c.U64()
+		if n := c.Count(maxNames, 12, "counter"); n > 0 {
 			m.Delta.Counters = make(map[string]int64, n)
 			var ns nameSeq
-			for i := 0; i < n && c.err == nil; i++ {
-				k := c.str()
+			for i := 0; i < n && c.Err() == nil; i++ {
+				k := c.Str()
 				ns.check(c, k)
-				m.Delta.Counters[k] = c.i64()
+				m.Delta.Counters[k] = c.I64()
 			}
 		}
-		if n := c.count(maxNames, 12, "gauge"); n > 0 {
+		if n := c.Count(maxNames, 12, "gauge"); n > 0 {
 			m.Delta.Gauges = make(map[string]float64, n)
 			var ns nameSeq
-			for i := 0; i < n && c.err == nil; i++ {
-				k := c.str()
+			for i := 0; i < n && c.Err() == nil; i++ {
+				k := c.Str()
 				ns.check(c, k)
-				m.Delta.Gauges[k] = c.f64()
+				m.Delta.Gauges[k] = c.F64()
 			}
 		}
-		if n := c.count(maxNames, 24, "histogram"); n > 0 {
+		if n := c.Count(maxNames, 24, "histogram"); n > 0 {
 			m.Delta.Hists = make(map[string]obs.HistSnapshot, n)
 			var ns nameSeq
-			for i := 0; i < n && c.err == nil; i++ {
-				k := c.str()
+			for i := 0; i < n && c.Err() == nil; i++ {
+				k := c.Str()
 				ns.check(c, k)
-				m.Delta.Hists[k] = c.histSnapshot()
+				m.Delta.Hists[k] = decodeHistSnapshot(c)
 			}
 		}
-		if n := c.count(maxNames, 36, "stat"); n > 0 {
+		if n := c.Count(maxNames, 36, "stat"); n > 0 {
 			m.Delta.Stats = make(map[string]obs.StatSnapshot, n)
 			var ns nameSeq
-			for i := 0; i < n && c.err == nil; i++ {
-				k := c.str()
+			for i := 0; i < n && c.Err() == nil; i++ {
+				k := c.Str()
 				ns.check(c, k)
-				m.Delta.Stats[k] = c.statSnapshot()
+				m.Delta.Stats[k] = decodeStatSnapshot(c)
 			}
 		}
 	case KindSpans:
-		n := c.count(maxSpans, 60, "span")
+		n := c.Count(maxSpans, 60, "span")
 		m.Spans = make([]obs.SpanRec, 0, n)
-		for i := 0; i < n && c.err == nil; i++ {
-			m.Spans = append(m.Spans, c.span())
+		for i := 0; i < n && c.Err() == nil; i++ {
+			m.Spans = append(m.Spans, decodeSpan(c))
 		}
 	case KindSLO:
-		m.SLO = c.sloState()
+		m.SLO = decodeSloState(c)
 	case KindHeadroom:
-		m.Headroom = c.headroom()
+		m.Headroom = decodeHeadroom(c)
 	case KindLedger:
-		n := c.u32()
+		n := c.U32()
 		if n > maxLedgerJSON {
 			return nil, fmt.Errorf("telemetry: ledger JSON %d bytes exceeds limit %d", n, maxLedgerJSON)
 		}
-		js := c.take(int(n))
-		if c.err == nil {
+		js := c.Take(int(n))
+		if c.Err() == nil {
 			var ls ledger.Snapshot
 			if err := json.Unmarshal(js, &ls); err != nil {
 				return nil, fmt.Errorf("telemetry: decode ledger: %w", err)
@@ -774,37 +650,24 @@ func DecodeMsg(payload []byte) (*Msg, error) {
 			m.Ledger = &ls
 		}
 	case KindExemplars:
-		n := c.count(maxExemplars, 44, "exemplar")
+		n := c.Count(maxExemplars, 44, "exemplar")
 		m.Exemplars = make([]latency.Exemplar, 0, n)
-		for i := 0; i < n && c.err == nil; i++ {
-			m.Exemplars = append(m.Exemplars, c.exemplar())
+		for i := 0; i < n && c.Err() == nil; i++ {
+			m.Exemplars = append(m.Exemplars, decodeExemplar(c))
 		}
 	case KindHeartbeat:
-		m.Heartbeat.Now = c.f64()
-		m.Heartbeat.Seq = c.u64()
-		m.Heartbeat.DroppedFrames = c.i64()
-		m.Heartbeat.DroppedSpans = c.i64()
-		m.Heartbeat.SpanTotal = c.i64()
+		m.Heartbeat.Now = c.F64()
+		m.Heartbeat.Seq = c.U64()
+		m.Heartbeat.DroppedFrames = c.I64()
+		m.Heartbeat.DroppedSpans = c.I64()
+		m.Heartbeat.SpanTotal = c.I64()
 	default:
 		return nil, fmt.Errorf("telemetry: unknown message kind %d", uint8(m.Kind))
 	}
-	if c.err != nil {
-		return nil, c.err
-	}
-	if c.off != len(payload) {
-		return nil, fmt.Errorf("telemetry: %d trailing bytes after %s frame", len(payload)-c.off, m.Kind)
+	if err := c.Done(); err != nil {
+		return nil, err
 	}
 	return m, nil
-}
-
-// EncodeFrame wraps a payload in the wire framing:
-// [len u32][crc32c u32][payload].
-func EncodeFrame(payload []byte) []byte {
-	out := make([]byte, 8+len(payload))
-	binary.LittleEndian.PutUint32(out[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(out[4:8], crc32.Checksum(payload, crcTable))
-	copy(out[8:], payload)
-	return out
 }
 
 // WriteMsg encodes and writes one framed message.
@@ -813,33 +676,24 @@ func WriteMsg(w io.Writer, m *Msg) error {
 	if err != nil {
 		return err
 	}
-	_, err = w.Write(EncodeFrame(payload))
+	_, err = w.Write(frame.Append(nil, payload))
 	return err
+}
+
+// NewReader returns the frame reader ReadMsg reads a telemetry stream
+// through.
+func NewReader(r io.Reader) *frame.Reader {
+	return frame.NewReader(r, "telemetry", maxFramePayload)
 }
 
 // ReadMsg reads one framed message.  io.EOF means a clean end of stream;
 // any other error (torn frame, checksum mismatch, limit breach,
 // non-canonical payload) means the stream is unusable and the subscriber
 // must resync.
-func ReadMsg(r io.Reader) (*Msg, error) {
-	var hdr [8]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		if err == io.EOF {
-			return nil, io.EOF
-		}
-		return nil, fmt.Errorf("telemetry: torn frame header: %w", err)
-	}
-	length := binary.LittleEndian.Uint32(hdr[0:4])
-	want := binary.LittleEndian.Uint32(hdr[4:8])
-	if length > maxFramePayload {
-		return nil, fmt.Errorf("telemetry: frame length %d exceeds limit %d", length, maxFramePayload)
-	}
-	payload := make([]byte, length)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, fmt.Errorf("telemetry: torn frame payload: %w", err)
-	}
-	if got := crc32.Checksum(payload, crcTable); got != want {
-		return nil, fmt.Errorf("telemetry: frame checksum mismatch (got %08x want %08x)", got, want)
+func ReadMsg(r *frame.Reader) (*Msg, error) {
+	payload, err := r.Next()
+	if err != nil {
+		return nil, err
 	}
 	return DecodeMsg(payload)
 }

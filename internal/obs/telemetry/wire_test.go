@@ -106,7 +106,7 @@ func TestFrameStreamAndCorruption(t *testing.T) {
 		}
 	}
 	stream := buf.Bytes()
-	r := bytes.NewReader(stream)
+	r := NewReader(bytes.NewReader(stream))
 	for i, want := range msgs {
 		got, err := ReadMsg(r)
 		if err != nil {
@@ -120,7 +120,7 @@ func TestFrameStreamAndCorruption(t *testing.T) {
 	for _, bit := range []int{0, 17, 35, len(stream)/2 | 1, len(stream) - 1} {
 		mut := append([]byte(nil), stream...)
 		mut[bit] ^= 0x40
-		r := bytes.NewReader(mut)
+		r := NewReader(bytes.NewReader(mut))
 		for {
 			m, err := ReadMsg(r)
 			if err != nil {

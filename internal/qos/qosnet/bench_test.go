@@ -1,0 +1,130 @@
+package qosnet
+
+import (
+	"errors"
+	"testing"
+
+	"milan/internal/core"
+	"milan/internal/frame"
+	"milan/internal/qos"
+	"milan/internal/workload"
+)
+
+// fig4 is the served benchmark's steady_wire job: 8 processors for 20, then
+// 4 for 40 or the other way round, half the window slack.
+var fig4 = workload.FigureJob{X: 8, T: 20, Alpha: 0.5, Laxity: 0.5}
+
+// fig4Stream hands out that job released every `gap` time units, reusing
+// one value so the generator allocates nothing the benchmarks would count.
+type fig4Stream struct {
+	job core.Job
+	gap float64
+}
+
+func newFig4Stream(gap float64) *fig4Stream {
+	return &fig4Stream{job: fig4.Job(0, 0, workload.Tunable), gap: gap}
+}
+
+func (s *fig4Stream) next() core.Job {
+	s.job.ID++
+	s.job.Release += s.gap
+	d1, d2 := fig4.Deadlines(s.job.Release)
+	for c := range s.job.Chains {
+		s.job.Chains[c].Tasks[0].Deadline, s.job.Chains[c].Tasks[1].Deadline = d1, d2
+	}
+	return s.job
+}
+
+var sinkGrant *qos.Grant
+
+// BenchmarkRoundTrip is the protocol's own cost on loopback, over an
+// in-process arbitrator: a ping is framing, two socket writes and two
+// wake-ups; negotiate_fig4 adds the codec for a tunable two-chain job and
+// its grant, the arbitrator's decision (~1.5 us) and a clock report every
+// eighth job, at 83% of 64 processors.
+func BenchmarkRoundTrip(b *testing.B) {
+	serve := func(b *testing.B) *Client {
+		arb, err := qos.NewArbitrator(qos.ArbitratorConfig{Procs: 64})
+		if err != nil {
+			b.Fatal(err)
+		}
+		srv, err := ListenAndServe(arb, "127.0.0.1:0")
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Cleanup(func() { srv.Close() })
+		cli, err := Dial(srv.Addr().String())
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Cleanup(func() { cli.Close() })
+		return cli
+	}
+	b.Run("ping", func(b *testing.B) {
+		cli := serve(b)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := cli.Ping(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("negotiate_fig4", func(b *testing.B) {
+		cli := serve(b)
+		jobs := newFig4Stream(6)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			job := jobs.next()
+			if i%8 == 0 {
+				if err := cli.Observe(job.Release - 8*jobs.gap); err != nil {
+					b.Fatal(err)
+				}
+			}
+			g, err := cli.Negotiate(job)
+			if err != nil && !errors.Is(err, qos.ErrRejected) {
+				b.Fatal(err)
+			}
+			sinkGrant = g
+		}
+	})
+}
+
+// BenchmarkCodec is one message through the codec with no socket: framed
+// into a reused buffer, then decoded the way the receiving end does.
+func BenchmarkCodec(b *testing.B) {
+	b.Run("request", func(b *testing.B) {
+		req := request{op: opNegotiate, job: newFig4Stream(6).next()}
+		var buf []byte
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			var err error
+			if buf, err = appendRequest(buf[:0], &req); err != nil {
+				b.Fatal(err)
+			}
+			var got request
+			if err := decodeRequest(buf[frame.HeaderLen:], &got); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("response", func(b *testing.B) {
+		resp := response{op: opNegotiate, grant: &qos.Grant{JobID: 23456, Chain: 1, Quality: 1,
+			Placement: core.Placement{JobID: 23456, Chain: 1, Tasks: []core.TaskPlacement{
+				{Task: 0, Start: 140737.125, Finish: 140777.125, Procs: 4},
+				{Task: 1, Start: 140777.125, Finish: 140797.125, Procs: 8}}}}}
+		var buf []byte
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			buf = appendResponse(buf[:0], &resp)
+			var got response
+			if err := decodeResponse(buf[frame.HeaderLen:], &got); err != nil {
+				b.Fatal(err)
+			}
+			sinkGrant = got.grant
+		}
+	})
+}

@@ -10,7 +10,7 @@ import (
 
 // EnableDebug starts an HTTP debug server on addr (e.g. "127.0.0.1:0")
 // exposing the observer's /metrics, /trace and /gantt endpoints alongside
-// the gob negotiation protocol.  The debug server is shut down by Close.
+// the negotiation protocol.  The debug server is shut down by Close.
 // It returns the bound address.
 //
 // The observer is expected to already be wired into the arbitrator this

@@ -1,0 +1,84 @@
+package qosnet
+
+import (
+	"bytes"
+	"math/rand"
+	"runtime"
+	"testing"
+
+	"milan/internal/frame"
+)
+
+// FuzzQosnetDecode hardens both ends' decoders: no input may panic them or
+// make them allocate more than a small multiple of its length, and any
+// payload one of them accepts must re-encode to the same bytes — so a
+// hostile frame cannot carry state the encoders would not have produced.
+// Each input is tried as a bare payload and as a framed stream; the
+// committed corpus (testdata/fuzz/FuzzQosnetDecode) holds the cases of
+// hostile() and a stream whose header claims 2^32-1 bytes.
+func FuzzQosnetDecode(f *testing.F) {
+	g := gen{rand.New(rand.NewSource(7))}
+	for _, o := range allOps {
+		req := g.request(o)
+		if framed, err := appendRequest(nil, &req); err == nil {
+			f.Add(framed)
+			f.Add(framed[frame.HeaderLen:])
+		}
+		resp := g.response(o, statusOK)
+		f.Add(appendResponse(nil, &resp)[frame.HeaderLen:])
+	}
+	for _, tc := range hostile() {
+		f.Add(tc.bytes)
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		decodeBoth(t, data)
+		fr := frame.NewReader(bytes.NewReader(data), "qosnet", maxFrame)
+		for {
+			payload, err := fr.Next()
+			if err != nil {
+				return
+			}
+			decodeBoth(t, payload)
+		}
+	})
+}
+
+// decodeBoth runs the request and the response decoder over payload.
+func decodeBoth(t *testing.T, payload []byte) {
+	// What a decoder may allocate for n bytes of payload: the widest
+	// element is a 96-byte DAG task for 7 bytes on the wire, lists nest
+	// three deep, and an error costs its message.
+	budget := uint64(64*len(payload) + 4096)
+	var before, after runtime.MemStats
+
+	var req request
+	runtime.ReadMemStats(&before)
+	err := decodeRequest(payload, &req)
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > budget {
+		t.Fatalf("decodeRequest allocated %d bytes for a %d-byte payload (budget %d)", got, len(payload), budget)
+	}
+	if err == nil {
+		re, err := appendRequest(nil, &req)
+		if err != nil {
+			t.Fatalf("decoded request does not re-encode: %v", err)
+		}
+		if !bytes.Equal(re[frame.HeaderLen:], payload) {
+			t.Fatalf("request decode/encode not canonical:\n in  %x\n out %x", payload, re[frame.HeaderLen:])
+		}
+	}
+
+	var resp response
+	runtime.ReadMemStats(&before)
+	err = decodeResponse(payload, &resp)
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > budget {
+		t.Fatalf("decodeResponse allocated %d bytes for a %d-byte payload (budget %d)", got, len(payload), budget)
+	}
+	if err == nil {
+		if re := appendResponse(nil, &resp)[frame.HeaderLen:]; !bytes.Equal(re, payload) {
+			t.Fatalf("response decode/encode not canonical:\n in  %x\n out %x", payload, re)
+		}
+	}
+}

@@ -1,14 +1,42 @@
 // Package qosnet puts the QoS negotiation protocol on the wire: a TCP
 // server wrapping a qos.Arbitrator and a client that implements
 // qos.Negotiator, so QoS agents in other processes (or on other machines of
-// the cluster) can negotiate resource reservations.  Messages are
-// gob-encoded request/response pairs over a persistent connection.
+// the cluster) can negotiate resource reservations.
+//
+// A connection is persistent and carries strictly one request at a time:
+// the client writes one request frame and reads one response frame before
+// it writes the next, so there is never more than one message in flight per
+// connection and neither side queues.  Concurrency comes from connections,
+// one server goroutine each.
+//
+// Every message is one internal/frame frame — [len u32][crc32c u32]
+// [payload], at most 1 MiB of payload — written with a single Write.  A
+// request payload is [version u8 = 1][op u8] and then only the fields that
+// op carries; a response is [version][op echo][status u8: 0 ok, 1 rejected,
+// 2 error] and then the op's result, or the error's text.  Integers and
+// list lengths are shortest-form varints (zig-zag when signed), strings a
+// varint length (at most 4096) and their bytes, booleans one byte 0 or 1,
+// floats a length byte and their IEEE-754 bits with trailing zero bytes
+// dropped — bit-exact, NaN payloads included.  Lists hold at most 65 536
+// elements.  Each value has exactly one encoding and the decoders accept no
+// other, so decode∘encode and encode∘decode are both the identity
+// (FuzzQosnetDecode pins this); DESIGN.md has the per-op field tables.
+//
+// The server answers a frame it cannot accept — over the size limit, torn,
+// failing its checksum, of another version, of an unknown op, not in
+// canonical form or with bytes left over — with one error response (op echo
+// 0) that carries the decoder's reason, and closes the connection.  An
+// error the arbitrator returns (an invalid job, say) travels the same way
+// but echoes the op and leaves the connection open.  The client treats
+// anything other than a well-formed answer to the op it sent as a broken
+// connection: it closes it and fails every later call with that first
+// error, so a caller never reads the tail of somebody else's answer.
 package qosnet
 
 import (
-	"encoding/gob"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"sync"
@@ -16,47 +44,11 @@ import (
 	"time"
 
 	"milan/internal/core"
+	"milan/internal/frame"
 	"milan/internal/obs"
 	"milan/internal/obs/latency"
 	"milan/internal/qos"
 )
-
-type op int
-
-const (
-	opNegotiate op = iota + 1
-	opObserve
-	opStats
-	opUtilization
-	opPing
-	opNegotiateDAG
-	opSetCapacity
-	opDynStats
-	opWaiting
-)
-
-// request is the wire envelope sent by clients.
-type request struct {
-	Op      op
-	Job     core.Job
-	DAGJob  core.DAGJob
-	Now     float64
-	Origin  float64
-	Horizon float64
-	Procs   int
-}
-
-// response is the wire envelope returned by the server.
-type response struct {
-	Grant    *qos.Grant
-	Rejected bool
-	Err      string
-	Stats    core.Stats
-	DynStats qos.DynamicStats
-	Aborted  []int
-	Value    float64
-	Count    int
-}
 
 // Arbitrator is the admission surface a server can export: everything the
 // static negotiation protocol needs.  Both the monolithic qos.Arbitrator
@@ -263,101 +255,111 @@ func (s *Server) handle(conn net.Conn) {
 		s.mu.Unlock()
 		conn.Close()
 	}()
-	dec := gob.NewDecoder(conn)
-	enc := gob.NewEncoder(conn)
+	fr := frame.NewReader(conn, "qosnet", maxFrame)
+	var out []byte // every response of this connection is built here
 	for {
-		var req request
-		if err := dec.Decode(&req); err != nil {
-			return // connection closed or corrupt stream
+		payload, err := fr.Next()
+		if err == io.EOF {
+			return // the client hung up between requests
 		}
-		resp := s.dispatch(req)
-		if err := enc.Encode(resp); err != nil {
+		var req request
+		if err == nil {
+			err = decodeRequest(payload, &req)
+		}
+		var resp response
+		if err != nil {
+			// Not a request this server can act on: say why, once, and
+			// hang up — what follows on the stream cannot be trusted.
+			resp = response{status: statusError, err: err.Error()}
+		} else {
+			resp = s.dispatch(&req)
+			resp.op = req.op
+		}
+		out = appendResponse(out[:0], &resp)
+		if _, werr := conn.Write(out); werr != nil || err != nil {
 			return
 		}
 	}
 }
 
-func (s *Server) dispatch(req request) response {
+// verdict is a negotiation's outcome as a response.
+func verdict(g *qos.Grant, err error) response {
+	switch {
+	case errors.Is(err, qos.ErrRejected):
+		return response{status: statusRejected}
+	case err != nil:
+		return failure(err)
+	case g == nil:
+		return failure(errors.New("qosnet: arbitrator returned neither a grant nor an error"))
+	}
+	return response{grant: g}
+}
+
+func failure(err error) response { return response{status: statusError, err: err.Error()} }
+
+func (s *Server) dispatch(req *request) response {
 	if s.dyn != nil {
 		return s.dispatchDynamic(req)
 	}
-	switch req.Op {
+	switch req.op {
 	case opNegotiate:
-		g, err := s.negotiate(s.arb, req.Job)
-		switch {
-		case errors.Is(err, qos.ErrRejected):
-			return response{Rejected: true}
-		case err != nil:
-			return response{Err: err.Error()}
-		default:
-			return response{Grant: g}
-		}
+		return verdict(s.negotiate(s.arb, req.job))
 	case opNegotiateDAG:
-		g, err := s.arb.NegotiateDAG(req.DAGJob)
-		switch {
-		case errors.Is(err, qos.ErrRejected):
-			return response{Rejected: true}
-		case err != nil:
-			return response{Err: err.Error()}
-		default:
-			return response{Grant: g}
-		}
+		return verdict(s.arb.NegotiateDAG(req.dag))
 	case opObserve:
-		s.arb.Observe(req.Now)
+		s.arb.Observe(req.now)
 		return response{}
 	case opStats:
-		return response{Stats: s.arb.Stats()}
+		return response{stats: s.arb.Stats()}
 	case opUtilization:
-		return response{Value: s.arb.Utilization(req.Origin, req.Horizon)}
+		return response{value: s.arb.Utilization(req.origin, req.horizon)}
 	case opPing:
 		return response{}
 	default:
-		return response{Err: fmt.Sprintf("qosnet: unknown op %d", req.Op)}
+		return failure(fmt.Errorf("qosnet: op %d not supported by a static arbitrator", req.op))
 	}
 }
 
 // dispatchDynamic serves requests against the renegotiating arbitrator.
-func (s *Server) dispatchDynamic(req request) response {
-	switch req.Op {
+func (s *Server) dispatchDynamic(req *request) response {
+	switch req.op {
 	case opNegotiate:
-		g, err := s.negotiate(s.dyn, req.Job)
-		switch {
-		case errors.Is(err, qos.ErrRejected):
-			return response{Rejected: true}
-		case err != nil:
-			return response{Err: err.Error()}
-		default:
-			return response{Grant: g}
-		}
+		return verdict(s.negotiate(s.dyn, req.job))
 	case opObserve:
-		s.dyn.Observe(req.Now)
+		s.dyn.Observe(req.now)
 		return response{}
 	case opSetCapacity:
-		aborted, err := s.dyn.SetCapacity(req.Procs)
+		aborted, err := s.dyn.SetCapacity(req.procs)
 		if err != nil {
-			return response{Err: err.Error()}
+			return failure(err)
 		}
-		return response{Aborted: aborted}
+		return response{aborted: aborted}
 	case opDynStats:
-		return response{DynStats: s.dyn.Stats()}
+		return response{dyn: s.dyn.Stats()}
 	case opWaiting:
-		return response{Count: s.dyn.Waiting()}
+		return response{count: s.dyn.Waiting()}
 	case opUtilization:
-		return response{Value: s.dyn.Utilization(req.Origin, req.Horizon)}
+		return response{value: s.dyn.Utilization(req.origin, req.horizon)}
 	case opPing:
 		return response{}
 	default:
-		return response{Err: fmt.Sprintf("qosnet: op %d not supported by dynamic arbitrator", req.Op)}
+		return failure(fmt.Errorf("qosnet: op %d not supported by dynamic arbitrator", req.op))
 	}
 }
 
 // Client speaks the protocol over one persistent TCP connection.  It is
 // safe for concurrent use; requests are serialized on the connection.
+//
+// A transport, framing or decoding error breaks the client for good: the
+// connection is closed and every later call fails with that first error.
+// An error the server reports for one request (an invalid job, say) does
+// not.
 type Client struct {
-	mu   sync.Mutex
-	conn net.Conn
-	enc  *gob.Encoder
-	dec  *gob.Decoder
+	mu     sync.Mutex
+	conn   net.Conn
+	fr     *frame.Reader
+	out    []byte // every request of this client is built here
+	broken error  // the error that broke the connection
 }
 
 var _ qos.Negotiator = (*Client)(nil)
@@ -368,97 +370,120 @@ func Dial(addr string) (*Client, error) {
 	if err != nil {
 		return nil, fmt.Errorf("qosnet: dial %s: %w", addr, err)
 	}
-	return &Client{conn: conn, enc: gob.NewEncoder(conn), dec: gob.NewDecoder(conn)}, nil
+	return &Client{conn: conn, fr: frame.NewReader(conn, "qosnet", maxFrame)}, nil
 }
 
 // Close closes the connection.
-func (c *Client) Close() error { return c.conn.Close() }
+func (c *Client) Close() error {
+	if err := c.conn.Close(); err != nil && !errors.Is(err, net.ErrClosed) {
+		return err
+	}
+	return nil
+}
 
-func (c *Client) roundTrip(req request) (response, error) {
+// breakWith records err as what broke the connection, closes it and returns
+// err.  Called with c.mu held.
+func (c *Client) breakWith(err error) error {
+	c.broken = err
+	c.conn.Close()
+	return err
+}
+
+func (c *Client) roundTrip(req *request) (response, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if err := c.enc.Encode(req); err != nil {
-		return response{}, fmt.Errorf("qosnet: send: %w", err)
+	if c.broken != nil {
+		return response{}, fmt.Errorf("qosnet: connection broken: %w", c.broken)
+	}
+	out, err := appendRequest(c.out[:0], req)
+	if err != nil {
+		// Over a wire limit: nothing was sent, and whatever the attempt
+		// grew the buffer to is not kept.
+		return response{}, err
+	}
+	c.out = out
+	if _, err := c.conn.Write(out); err != nil {
+		return response{}, c.breakWith(fmt.Errorf("qosnet: send: %w", err))
+	}
+	payload, err := c.fr.Next()
+	if err != nil {
+		return response{}, c.breakWith(fmt.Errorf("qosnet: receive: %w", err))
 	}
 	var resp response
-	if err := c.dec.Decode(&resp); err != nil {
-		return response{}, fmt.Errorf("qosnet: receive: %w", err)
+	if err := decodeResponse(payload, &resp); err != nil {
+		return response{}, c.breakWith(fmt.Errorf("qosnet: receive: %w", err))
 	}
-	if resp.Err != "" {
-		return response{}, errors.New(resp.Err)
+	switch {
+	case resp.op == req.op && resp.status == statusError:
+		return response{}, errors.New(resp.err)
+	case resp.op == req.op:
+		return resp, nil
+	case resp.status == statusError:
+		return response{}, c.breakWith(fmt.Errorf("qosnet: server refused the request: %s", resp.err))
 	}
-	return resp, nil
+	return response{}, c.breakWith(fmt.Errorf("qosnet: sent op %d, received the answer to op %d", req.op, resp.op))
+}
+
+// grantOf is the result of a negotiation round trip.
+func grantOf(resp response, err error) (*qos.Grant, error) {
+	if err != nil {
+		return nil, err
+	}
+	if resp.status == statusRejected {
+		return nil, qos.ErrRejected
+	}
+	return resp.grant, nil
 }
 
 // Negotiate submits a job's task system to the remote arbitrator.
 func (c *Client) Negotiate(job core.Job) (*qos.Grant, error) {
-	resp, err := c.roundTrip(request{Op: opNegotiate, Job: job})
-	if err != nil {
-		return nil, err
-	}
-	if resp.Rejected {
-		return nil, qos.ErrRejected
-	}
-	if resp.Grant == nil {
-		return nil, errors.New("qosnet: malformed response: no grant")
-	}
-	return resp.Grant, nil
+	return grantOf(c.roundTrip(&request{op: opNegotiate, job: job}))
 }
 
 // NegotiateDAG submits a DAG job to the remote arbitrator.
 func (c *Client) NegotiateDAG(job core.DAGJob) (*qos.Grant, error) {
-	resp, err := c.roundTrip(request{Op: opNegotiateDAG, DAGJob: job})
-	if err != nil {
-		return nil, err
-	}
-	if resp.Rejected {
-		return nil, qos.ErrRejected
-	}
-	if resp.Grant == nil {
-		return nil, errors.New("qosnet: malformed response: no grant")
-	}
-	return resp.Grant, nil
+	return grantOf(c.roundTrip(&request{op: opNegotiateDAG, dag: job}))
 }
 
 // Observe reports clock progress to the remote arbitrator.
 func (c *Client) Observe(now float64) error {
-	_, err := c.roundTrip(request{Op: opObserve, Now: now})
+	_, err := c.roundTrip(&request{op: opObserve, now: now})
 	return err
 }
 
 // Stats fetches the remote arbitrator's counters.
 func (c *Client) Stats() (core.Stats, error) {
-	resp, err := c.roundTrip(request{Op: opStats})
-	return resp.Stats, err
+	resp, err := c.roundTrip(&request{op: opStats})
+	return resp.stats, err
 }
 
 // Utilization fetches reserved-capacity fraction over [origin, horizon].
 func (c *Client) Utilization(origin, horizon float64) (float64, error) {
-	resp, err := c.roundTrip(request{Op: opUtilization, Origin: origin, Horizon: horizon})
-	return resp.Value, err
+	resp, err := c.roundTrip(&request{op: opUtilization, origin: origin, horizon: horizon})
+	return resp.value, err
 }
 
 // Ping verifies connectivity.
 func (c *Client) Ping() error {
-	_, err := c.roundTrip(request{Op: opPing})
+	_, err := c.roundTrip(&request{op: opPing})
 	return err
 }
 
 // SetCapacity renegotiates a dynamic server's machine size, returning the
 // IDs of aborted jobs.
 func (c *Client) SetCapacity(procs int) ([]int, error) {
-	resp, err := c.roundTrip(request{Op: opSetCapacity, Procs: procs})
-	return resp.Aborted, err
+	resp, err := c.roundTrip(&request{op: opSetCapacity, procs: procs})
+	return resp.aborted, err
 }
 
 // DynStats fetches a dynamic server's renegotiation counters.
 func (c *Client) DynStats() (qos.DynamicStats, error) {
-	resp, err := c.roundTrip(request{Op: opDynStats})
-	return resp.DynStats, err
+	resp, err := c.roundTrip(&request{op: opDynStats})
+	return resp.dyn, err
 }
 
 // Waiting fetches a dynamic server's queued-rejection count.
 func (c *Client) Waiting() (int, error) {
-	resp, err := c.roundTrip(request{Op: opWaiting})
-	return resp.Count, err
+	resp, err := c.roundTrip(&request{op: opWaiting})
+	return resp.count, err
 }
