@@ -2,8 +2,8 @@
 // contract end to end.
 //
 // In -mode vfs (the default) it drives a seed-deterministic admission
-// storm — interleaved with single-processor capacity grows on sharded
-// planes, so KindCapacity records sit between decisions — against a
+// storm — interleaved with single-processor capacity grows, so
+// KindCapacity records sit between decisions — against a
 // durable.Plane on the fault-injecting in-memory filesystem and
 // crashes it mid-storm, cycling through fault phases:
 //
@@ -70,11 +70,9 @@ type op struct {
 	job     core.Job
 }
 
-// genOps builds the deterministic op stream for a seed.  Capacity ops
-// ride the federated rebalancer, so they are only emitted on sharded
-// (shards > 1) planes; the stream is a pure function of (n, seed,
-// shards).
-func genOps(n int, seed int64, shards int) []op {
+// genOps builds the deterministic op stream for a seed: a pure function
+// of (n, seed), the same at every shard count.
+func genOps(n int, seed int64) []op {
 	tmpl := workload.FigureJob{X: 4, T: 25, Alpha: 0.25, Laxity: 0.5}
 	arr := workload.NewPoisson(6, seed)
 	rng := rand.New(rand.NewSource(seed ^ 0x5eed))
@@ -84,7 +82,7 @@ func genOps(n int, seed int64, shards int) []op {
 	for len(ops) < n {
 		now += arr.Next()
 		ops = append(ops, op{observe: true, now: now})
-		if shards > 1 && len(ops) < n && rng.Intn(12) == 0 {
+		if len(ops) < n && rng.Intn(12) == 0 {
 			ops = append(ops, op{grow: true, now: now})
 		}
 		for k := rng.Intn(2); k >= 0 && len(ops) < n; k-- {
@@ -135,7 +133,7 @@ func driveOps(p *durable.Plane, ops []op, from, until int, onAck func(id int, fi
 			continue
 		}
 		if o.grow {
-			if _, err := p.SetTotalCapacity(p.Fed().Procs() + 1); err != nil {
+			if _, err := p.SetTotalCapacity(p.Procs() + 1); err != nil {
 				return i, err
 			}
 			if err := p.Err(); err != nil {
@@ -256,7 +254,7 @@ func phases() []phase {
 func runVFS(seed int64, iters, opsPerIter, shards int, artifact string, stdout, stderr io.Writer) int {
 	ph := phases()
 	total := iters*opsPerIter + opsPerIter
-	ops := genOps(total, seed, shards)
+	ops := genOps(total, seed)
 	cfgFor := func(p phase) planeCfg {
 		return planeCfg{procs: 16, shards: shards, store: p.store}
 	}
@@ -347,12 +345,10 @@ func runVFS(seed int64, iters, opsPerIter, shards int, artifact string, stdout, 
 			// Capacity oracle: the recovered pool must be the seed
 			// capacity plus exactly the committed grow ops — a capacity
 			// record lost or double-applied in replay shifts the total.
-			if cfg.shards > 1 {
-				wantProcs := cfg.procs + growsIn(ops, m)
-				if gotProcs := plane.Fed().Procs(); gotProcs != wantProcs {
-					return fail(divergence{Phase: p.name, Iteration: iter, CrashOp: reached, Recovered: rec.State.LSN, Torn: rec.Torn},
-						"recovered capacity %d procs, committed prefix implies %d", gotProcs, wantProcs)
-				}
+			wantProcs := cfg.procs + growsIn(ops, m)
+			if gotProcs := plane.Procs(); gotProcs != wantProcs {
+				return fail(divergence{Phase: p.name, Iteration: iter, CrashOp: reached, Recovered: rec.State.LSN, Torn: rec.Torn},
+					"recovered capacity %d procs, committed prefix implies %d", gotProcs, wantProcs)
 			}
 
 			// Grant-loss accounting: acked, still pending, absent.
@@ -413,7 +409,7 @@ func runChild(dir string, seed int64, shards int, stdout io.Writer) int {
 		fmt.Fprintf(os.Stderr, "crashtest child: open: %v\n", err)
 		return 2
 	}
-	ops := genOps(4096, seed, shards)
+	ops := genOps(4096, seed)
 	next := int(rec.State.LSN)
 	w := bufio.NewWriter(stdout)
 	_, err = driveOps(plane, ops, next, len(ops), func(id int, fin float64) {
@@ -450,7 +446,7 @@ func runSigkill(seed int64, kills, shards int, dir, artifact string, stdout, std
 	}
 	rng := rand.New(rand.NewSource(seed ^ 0x51ead))
 	acked := make(map[int]bool)
-	ops := genOps(4096, seed, shards)
+	ops := genOps(4096, seed)
 
 	fail := func(iter int, format string, args ...any) int {
 		d := divergence{Mode: "sigkill", Seed: seed, Iteration: iter, Detail: fmt.Sprintf(format, args...)}
@@ -533,11 +529,9 @@ func runSigkill(seed int64, kills, shards int, dir, artifact string, stdout, std
 		if err := durable.DiffStates(&got, &want); err != nil {
 			return fail(k, "recovered state diverged from reference at lsn %d: %v", m, err)
 		}
-		if shards > 1 {
-			wantProcs := 16 + growsIn(ops, m)
-			if gotProcs := plane.Fed().Procs(); gotProcs != wantProcs {
-				return fail(k, "recovered capacity %d procs, committed prefix implies %d (lsn %d)", gotProcs, wantProcs, m)
-			}
+		wantProcs := 16 + growsIn(ops, m)
+		if gotProcs := plane.Procs(); gotProcs != wantProcs {
+			return fail(k, "recovered capacity %d procs, committed prefix implies %d (lsn %d)", gotProcs, wantProcs, m)
 		}
 		if err := plane.Close(); err != nil {
 			return fail(k, "close: %v", err)

@@ -71,7 +71,7 @@ func main() {
 	nodeName := flag.String("node", "", "node identity on telemetry sessions and span IDs (default junction-<pid>)")
 	traceSample := flag.Float64("trace-sample", 0, "head-based trace sampling target in traces/sec (0 = trace everything)")
 	latEnvelope := flag.String("latency-envelope", "", "arm the latency-regression sentinel from this BENCH_trajectory.jsonl baseline (requires -wal-dir)")
-	latMatch := flag.String("latency-envelope-match", "ShardedAdmit/shards=8", "trajectory benchmark name substring the envelope derives from")
+	latMatch := flag.String("latency-envelope-match", "ShardedAdmit/shards=1", "trajectory benchmark name substring the envelope derives from")
 	latSlack := flag.Float64("latency-envelope-slack", 3, "envelope slack multiplier over the baseline ns/op")
 	runtimeWatch := flag.Bool("runtime-watch", false, "poll Go runtime health (GC pauses, sched latency, heap, mutex/block profiles) into the registry")
 	injectSlowdown := flag.String("inject-slowdown", "", "TEST HOOK: inflate every admission's given phase, e.g. probe:50ms (drives the regression-sentinel CI smoke)")
@@ -448,15 +448,6 @@ type telemetryConfig struct {
 // utilization ledger.
 func serveTelemetry(observer *obs.Observer, ld *ledger.Ledger, plane *durable.Plane, eng *slo.Engine, lp *latency.Plane, cfg telemetryConfig) (*telemetry.Exporter, error) {
 	const horizon = 1e6 // effectively unbounded frontier window
-	headroom := func() core.Headroom {
-		if f := plane.Fed(); f != nil {
-			return f.Headroom(horizon)
-		}
-		if m := plane.Mono(); m != nil {
-			return m.Headroom(horizon)
-		}
-		return core.Headroom{}
-	}
 	var ledgerFn func() *ledger.Snapshot
 	if ld != nil {
 		ledgerFn = ld.Snapshot
@@ -469,7 +460,7 @@ func serveTelemetry(observer *obs.Observer, ld *ledger.Ledger, plane *durable.Pl
 		Tracer:   observer.Tracer(),
 		SLO:      eng,
 		Ledger:   ledgerFn,
-		Headroom: headroom,
+		Headroom: func() core.Headroom { return plane.Headroom(horizon) },
 		Latency:  lp,
 	})
 	if err := exp.ListenAndServe(cfg.addr); err != nil {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"milan/internal/core"
 	"milan/internal/durable/vfs"
@@ -25,10 +24,10 @@ type Config struct {
 	// Procs is the machine size used when the directory holds no prior
 	// state (required); a recovered plane keeps its recovered shape.
 	Procs int
-	// Shards is the number of admission shards (default 1 = monolithic
-	// qos.Arbitrator; more = federated plane).
+	// Shards is the number of admission shards (default 1, where the
+	// plane is the monolithic arbitrator and costs what it costs).
 	Shards int
-	// ProbeK is the federated router's probe fan-out (fed.Config.ProbeK).
+	// ProbeK is the router's probe fan-out (fed.Config.ProbeK).
 	ProbeK int
 	// Origin is the schedule start time for a genesis plane.
 	Origin float64
@@ -42,20 +41,16 @@ type Config struct {
 	Shed *qos.ShedConfig
 	// Metrics, if set, receives durability instrumentation.
 	Metrics *Metrics
-	// Tracer, if set, is handed to the federated router for admission
-	// spans (route/plan/reserve); the durability layer itself reports
-	// through Metrics.
+	// Tracer, if set, is handed to the arbitrator for admission spans
+	// (route/plan/reserve); the durability layer itself reports through
+	// Metrics.
 	Tracer *obs.Tracer
-	// KeepHistory and Observer pass through to the wrapped arbitrator.
-	KeepHistory bool
-	Observer    func(qos.Decision)
 }
 
-// Plane is a durable admission plane: a qos.Arbitrator (one shard) or
-// fed.Arbitrator (many) whose every committed decision is journaled to a
-// write-ahead log before it is acknowledged.  It implements the same
-// agent-facing surface (qosnet.Arbitrator), so servers and workloads run
-// against it unchanged.
+// Plane is a durable admission plane: one fed.Arbitrator, at any shard
+// count, whose every committed decision is journaled to a write-ahead log
+// before it is acknowledged.  It implements the same agent-facing surface
+// (qosnet.Arbitrator), so servers and workloads run against it unchanged.
 //
 // The plane serializes decisions under one lock: the log order IS the
 // decision order, which is what makes replay-on-open recovery bit-exact.
@@ -70,8 +65,7 @@ type Config struct {
 type Plane struct {
 	mu    sync.Mutex
 	store *Store
-	mono  *qos.Arbitrator
-	fed   *fed.Arbitrator
+	arb   *fed.Arbitrator
 	shed  *qos.Shedder
 	now   float64
 
@@ -117,38 +111,21 @@ func OpenPlane(cfg Config) (*Plane, Recovered, error) {
 	for _, g := range st.Grants {
 		p.grants[g.JobID] = g
 	}
-	if len(st.Shards) == 1 {
-		arb, err := qos.NewArbitrator(qos.ArbitratorConfig{
-			Procs: st.Shards[0].Profile.Capacity, Origin: cfg.Origin,
-			Options: cfg.Options, KeepHistory: cfg.KeepHistory, Observer: cfg.Observer,
-		})
-		if err != nil {
-			store.Close()
-			return nil, Recovered{}, err
-		}
-		if err := arb.RestoreState(qos.ArbitratorState{Now: st.Now, Sched: st.Shards[0]}); err != nil {
-			store.Close()
-			return nil, Recovered{}, fmt.Errorf("durable: restore arbitrator: %w", err)
-		}
-		p.mono = arb
-	} else {
-		fa, err := fed.New(fed.Config{
-			Procs: st.Procs(), Shards: len(st.Shards), ProbeK: cfg.ProbeK,
-			Origin: cfg.Origin, Options: cfg.Options,
-			KeepHistory: cfg.KeepHistory, Observer: cfg.Observer,
-			Tracer:        cfg.Tracer,
-			OnShardResize: p.onShardResize,
-		})
-		if err != nil {
-			store.Close()
-			return nil, Recovered{}, err
-		}
-		if err := fa.RestoreState(fed.PlaneState{Now: st.Now, Shards: st.Shards}); err != nil {
-			store.Close()
-			return nil, Recovered{}, fmt.Errorf("durable: restore plane: %w", err)
-		}
-		p.fed = fa
+	arb, err := fed.New(fed.Config{
+		Procs: st.Procs(), Shards: len(st.Shards), ProbeK: cfg.ProbeK,
+		Origin: cfg.Origin, Options: cfg.Options,
+		Tracer:        cfg.Tracer,
+		OnShardResize: p.onShardResize,
+	})
+	if err != nil {
+		store.Close()
+		return nil, Recovered{}, err
 	}
+	if err := arb.RestoreState(fed.PlaneState{Now: st.Now, Shards: st.Shards}); err != nil {
+		store.Close()
+		return nil, Recovered{}, fmt.Errorf("durable: restore plane: %w", err)
+	}
+	p.arb = arb
 	if cfg.Shed != nil {
 		// The shedder's own accounting (in-flight areas, fairness clocks)
 		// is rebuilt empty at open: it is a rate controller, not durable
@@ -190,28 +167,20 @@ func (p *Plane) poisonedLocked() error {
 	return nil
 }
 
-// errMono is returned by the capacity API on a 1-shard plane: capacity
-// management rides the federated rebalancer, which a monolithic plane
-// does not have.
-var errMono = errors.New("durable: capacity management requires a sharded plane (Shards > 1)")
-
-// SetTotalCapacity resizes the sharded plane toward total processors
-// under the plane lock, journaling one KindCapacity record per
-// single-processor shard resize (the fed rebalancer's unit of work), so
-// recovery reconstructs the exact post-resize shard shapes.  Growth
+// SetTotalCapacity resizes the plane toward total processors under the
+// plane lock, journaling one KindCapacity record per single-processor
+// shard resize (the fed rebalancer's unit of work), so recovery
+// reconstructs the exact post-resize shard shapes.  Growth
 // always succeeds; shrink stops early when no shard can give up a
 // processor without preempting a committed reservation, returning the
 // achieved total alongside the shortfall error.
 func (p *Plane) SetTotalCapacity(total int) (int, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.fed == nil {
-		return 0, errMono
-	}
 	if err := p.poisonedLocked(); err != nil {
-		return p.fed.Procs(), err
+		return p.arb.Procs(), err
 	}
-	got, err := p.fed.Rebalancer().SetTotalCapacity(total)
+	got, err := p.arb.Rebalancer().SetTotalCapacity(total)
 	// A resize whose record failed to journal outranks the rebalancer's own
 	// result: the moves it made are not in the log.
 	if perr := p.poisonedLocked(); perr != nil {
@@ -227,13 +196,10 @@ func (p *Plane) SetTotalCapacity(total int) (int, error) {
 func (p *Plane) Rebalance(maxMoves int) (int, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.fed == nil {
-		return 0, errMono
-	}
 	if err := p.poisonedLocked(); err != nil {
 		return 0, err
 	}
-	moved := p.fed.Rebalancer().Rebalance(maxMoves)
+	moved := p.arb.Rebalancer().Rebalance(maxMoves)
 	if err := p.poisonedLocked(); err != nil {
 		return moved, err
 	}
@@ -242,39 +208,18 @@ func (p *Plane) Rebalance(maxMoves int) (int, error) {
 }
 
 // AttachBroker makes the durable plane's total capacity follow a
-// resource broker's pool: every machine registration or deregistration
-// resizes the plane to the broker's total (suppressed below threshold
-// processors; 0 follows every change) and runs a rebalancing pass —
-// with every resize journaled, so a crash between broker events
-// recovers the exact capacity the live pool had.  The returned stop
-// function detaches the subscription's effect.
-func (p *Plane) AttachBroker(b *resbroker.Broker, threshold int) (stop func(), err error) {
-	if p.fed == nil {
-		return nil, errMono
-	}
-	var stopped atomic.Bool
-	last := p.fed.Procs()
-	b.Subscribe(func(ev resbroker.Event) {
-		if stopped.Load() {
-			return
-		}
-		if ev.Kind != resbroker.EventRegistered && ev.Kind != resbroker.EventDeregistered {
-			return
-		}
-		procs := b.TotalProcs()
-		if procs < 1 {
-			return
-		}
-		if diff := procs - last; diff < threshold && diff > -threshold {
-			return
-		}
-		last = procs
+// resource broker's pool (resbroker.Broker.Follow): every significant
+// machine registration or deregistration resizes the plane to the
+// broker's total and runs a rebalancing pass — with every resize
+// journaled, so a crash between broker events recovers the exact capacity
+// the live pool had.  The returned stop function detaches the follower.
+func (p *Plane) AttachBroker(b *resbroker.Broker, threshold int) (stop func()) {
+	return b.Follow(p.Procs(), threshold, func(procs int) {
 		if _, err := p.SetTotalCapacity(procs); err != nil {
 			return // partial shrink or poisoned plane; next event retries
 		}
 		_, _ = p.Rebalance(0)
 	})
-	return func() { stopped.Store(true) }, nil
 }
 
 // Err returns the store's poison error, if any: non-nil means an append
@@ -328,13 +273,7 @@ func (p *Plane) NegotiateTimed(job core.Job, lrec *phase.Rec) (*qos.Grant, error
 }
 
 func (p *Plane) negotiateLocked(job core.Job, lrec *phase.Rec) (*qos.Grant, error) {
-	var g *qos.Grant
-	var err error
-	if p.mono != nil {
-		g, err = p.mono.NegotiateTimed(job, lrec)
-	} else {
-		g, err = p.fed.NegotiateTimed(job, lrec)
-	}
+	g, err := p.arb.NegotiateTimed(job, lrec)
 	if err != nil {
 		if errors.Is(err, qos.ErrRejected) {
 			// Rejections count on shard 0 in the journal; per-shard
@@ -379,13 +318,7 @@ func (p *Plane) NegotiateDAG(job core.DAGJob) (*qos.Grant, error) {
 	if err := p.poisonedLocked(); err != nil {
 		return nil, err
 	}
-	var g *qos.Grant
-	var err error
-	if p.mono != nil {
-		g, err = p.mono.NegotiateDAG(job)
-	} else {
-		g, err = p.fed.NegotiateDAG(job)
-	}
+	g, err := p.arb.NegotiateDAG(job)
 	if err != nil {
 		return nil, err
 	}
@@ -420,11 +353,7 @@ func (p *Plane) Observe(now float64) {
 	// clock alone, exactly as recovery's Prune drops them.
 	p.now = now
 	p.shed.Observe(now)
-	if p.mono != nil {
-		p.mono.Observe(now)
-	} else {
-		p.fed.Observe(now)
-	}
+	p.arb.Observe(now)
 	if _, err := p.store.Append(&Record{Kind: KindObserve, Now: now}); err != nil {
 		return
 	}
@@ -476,16 +405,11 @@ func (p *Plane) Snapshot() error {
 }
 
 func (p *Plane) exportStateLocked() State {
-	st := State{LSN: p.store.NextLSN() - 1, Now: p.now}
-	if p.mono != nil {
-		as := p.mono.ExportState()
-		st.Shards = []core.SchedulerState{as.Sched}
-	} else {
-		fs := p.fed.ExportState()
-		st.Shards = fs.Shards
+	return State{
+		LSN: p.store.NextLSN() - 1, Now: p.now,
+		Shards: p.arb.ExportState().Shards,
+		Grants: p.sortedLiveGrantsLocked(),
 	}
-	st.Grants = p.sortedLiveGrantsLocked()
-	return st
 }
 
 // liveGrant is the point lookup into the live set: an entry whose
@@ -539,20 +463,14 @@ func (p *Plane) Grants() []GrantRecord {
 func (p *Plane) Stats() core.Stats {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.mono != nil {
-		return p.mono.Stats()
-	}
-	return p.fed.Stats()
+	return p.arb.Stats()
 }
 
 // Utilization returns reserved capacity as a fraction over [origin, horizon].
 func (p *Plane) Utilization(origin, horizon float64) float64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.mono != nil {
-		return p.mono.Utilization(origin, horizon)
-	}
-	return p.fed.Utilization(origin, horizon)
+	return p.arb.Utilization(origin, horizon)
 }
 
 // Now returns the last observed time.
@@ -566,10 +484,16 @@ func (p *Plane) Now() float64 {
 func (p *Plane) Procs() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.mono != nil {
-		return p.mono.Procs()
-	}
-	return p.fed.Procs()
+	return p.arb.Procs()
+}
+
+// Headroom returns the plane's admissibility frontier over
+// [now, now+horizon): the largest job it could still admit without
+// queueing behind existing reservations.
+func (p *Plane) Headroom(horizon float64) core.Headroom {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.arb.Headroom(horizon)
 }
 
 // DurableLSN returns the highest LSN known synced to stable storage.
@@ -581,12 +505,6 @@ func (p *Plane) DurableLSN() uint64 {
 
 // Shedder returns the wrapped shedder, or nil.
 func (p *Plane) Shedder() *qos.Shedder { return p.shed }
-
-// Mono returns the wrapped monolithic arbitrator (nil on a sharded plane).
-func (p *Plane) Mono() *qos.Arbitrator { return p.mono }
-
-// Fed returns the wrapped federated arbitrator (nil on a 1-shard plane).
-func (p *Plane) Fed() *fed.Arbitrator { return p.fed }
 
 // Close closes the log.  Unsynced records follow the sync policy's fate;
 // close does not imply fsync.

@@ -12,6 +12,8 @@ import (
 	"milan/internal/core"
 	"milan/internal/durable/vfs"
 	"milan/internal/obs"
+	"milan/internal/obs/latency"
+	"milan/internal/obs/latency/phase"
 	"milan/internal/qos"
 	"milan/internal/qos/qosnet"
 	"milan/internal/workload"
@@ -54,29 +56,6 @@ func drive(t *testing.T, observe func(float64), negotiate func(core.Job) (*qos.G
 		granted = append(granted, g.JobID)
 	}
 	return granted
-}
-
-// TestPlaneMatchesUndurableArbitrator: journaling must not change a single
-// decision.  The durable monolith and a plain qos.Arbitrator see the same
-// stream and must end bitwise-identical.
-func TestPlaneMatchesUndurableArbitrator(t *testing.T) {
-	jobs := planeStream(200, 7)
-	p, _ := openPlane(t, vfs.NewMem(), 1, StoreOptions{})
-	ref, err := qos.NewArbitrator(qos.ArbitratorConfig{Procs: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gp := drive(t, p.Observe, p.Negotiate, jobs)
-	gr := drive(t, ref.Observe, ref.Negotiate, jobs)
-	if len(gp) != len(gr) {
-		t.Fatalf("durable granted %d, reference granted %d", len(gp), len(gr))
-	}
-	st := p.ExportState()
-	refSt := ref.ExportState()
-	want := State{Now: refSt.Now, Shards: []core.SchedulerState{refSt.Sched}, Grants: st.Grants}
-	if err := DiffStates(&st, &want); err != nil {
-		t.Fatalf("durable plane diverged from plain arbitrator: %v", err)
-	}
 }
 
 // TestPlaneReopenIsExact: close and reopen at any point; the recovered
@@ -284,20 +263,68 @@ func TestPlaneMetricsPopulated(t *testing.T) {
 	}
 }
 
-// TestPlaneRebalanceJournalsCapacity: a rebalancer migration on the
-// wrapped federated plane lands in the journal and survives recovery.
+// TestOneShardPlaneIsTracedAndTimed: the plane junctiond serves by default
+// honours Config.Tracer — an untraced request gets route and plan spans
+// under the server's qosnet.negotiate root — and its latency waterfall is
+// the monolith's: route, plan, reserve, journal and ack sum to the
+// end-to-end time, with no probe phase.
+func TestOneShardPlaneIsTracedAndTimed(t *testing.T) {
+	tr := obs.NewTracer(64)
+	p, _, err := OpenPlane(Config{FS: vfs.NewMem(), Dir: "log", Procs: 16, Shards: 1, ProbeK: 1, Tracer: tr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	srv, err := qosnet.ListenAndServe(p, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	lp := latency.New(latency.Config{Registry: obs.NewRegistry()})
+	srv.SetTracer(tr)
+	srv.SetLatency(lp)
+	cli, err := qosnet.Dial(srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	if _, err := cli.Negotiate(planeStream(1, 5)[0]); err != nil {
+		t.Fatal(err)
+	}
+
+	byName := map[string]obs.SpanRec{}
+	for _, sp := range tr.Spans() {
+		byName[sp.Name] = sp
+	}
+	root, route, plan := byName["qosnet.negotiate"], byName["fed.route"], byName["fed.admit"]
+	if root.ID == 0 || route.Parent != root.ID || plan.Parent != route.ID || plan.Stage != obs.StagePlan {
+		t.Fatalf("span tree of a 1-shard admission: %+v", tr.Spans())
+	}
+	ex := lp.TopK()
+	if len(ex) != 1 {
+		t.Fatalf("%d latency exemplars, want 1", len(ex))
+	}
+	var sum int64
+	for _, d := range ex[0].Durs {
+		sum += d
+	}
+	if d := ex[0].Durs; sum != ex[0].Total || d[phase.Probe] != 0 || d[phase.Plan] <= 0 || d[phase.Journal] <= 0 {
+		t.Fatalf("waterfall %v does not read route/plan/reserve/journal/ack summing to %d", d, ex[0].Total)
+	}
+}
+
+// TestPlaneRebalanceJournalsCapacity: a rebalancer migration lands in the
+// journal and survives recovery.
 func TestPlaneRebalanceJournalsCapacity(t *testing.T) {
 	mem := vfs.NewMem()
 	p, _ := openPlane(t, mem, 4, StoreOptions{})
 	// Load shard-asymmetric work through the router, then move capacity.
 	drive(t, p.Observe, p.Negotiate, planeStream(80, 31))
-	fa := p.Fed()
-	if fa == nil {
-		t.Fatal("sharded plane did not wrap a federated arbitrator")
+	moved, err := p.Rebalance(1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	before := fa.ShardProcs()
-	moved := fa.Rebalancer().RebalanceOnce()
-	if !moved {
+	if moved == 0 {
 		t.Skip("no migration possible on this workload")
 	}
 	want := p.ExportState()
@@ -305,7 +332,7 @@ func TestPlaneRebalanceJournalsCapacity(t *testing.T) {
 	p2, _ := openPlane(t, mem, 4, StoreOptions{})
 	got := p2.ExportState()
 	if err := DiffStates(&got, &want); err != nil {
-		t.Fatalf("capacity move lost in recovery: %v (procs before %v)", err, before)
+		t.Fatalf("capacity move lost in recovery: %v", err)
 	}
 }
 

@@ -148,3 +148,38 @@ func TestAttachBrokerStopDetaches(t *testing.T) {
 		t.Fatalf("detached plane resized to %d procs", got)
 	}
 }
+
+// TestAttachBrokerStopRacesPoolChurn calls stop() while another goroutine
+// registers and deregisters machines: the follower's detach flag is written
+// by the caller and read by whichever goroutine drains the broker's events,
+// so it has to be atomic (-race is the judge).
+func TestAttachBrokerStopRacesPoolChurn(t *testing.T) {
+	plane, err := New(Config{Procs: 8, Shards: 2, ProbeK: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	broker := resbroker.New(nil)
+	if err := broker.Register(resbroker.Resource{ID: "seed", Procs: 8, Speed: 1}); err != nil {
+		t.Fatal(err)
+	}
+	stop := plane.Rebalancer().AttachBroker(broker, 0)
+	churned := make(chan struct{})
+	go func() {
+		defer close(churned)
+		for i := 0; i < 200; i++ {
+			if err := broker.Register(resbroker.Resource{ID: "m", Procs: 2, Speed: 1}); err != nil {
+				t.Error(err)
+				return
+			}
+			if err := broker.Deregister("m"); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	stop()
+	<-churned
+	if got := plane.Procs(); got != 8 && got != 10 {
+		t.Fatalf("plane at %d procs after churn between 8 and 10", got)
+	}
+}

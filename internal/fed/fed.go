@@ -12,10 +12,12 @@
 // The federated Arbitrator implements the same agent-facing surface as
 // qos.Arbitrator (Negotiate/NegotiateDAG/Observe/Stats/Utilization/...),
 // returning qos.Grant and qos.ErrRejected, so qosnet servers and sim
-// workloads run against it unchanged.  With a single shard and k = 1 the
-// plane performs exactly the monolithic arbitrator's scheduler calls in
-// exactly its order, so decisions and statistics are bitwise identical —
-// the differential test in fed_test.go pins that equivalence.
+// workloads run against it unchanged.  A one-shard plane is the monolithic
+// arbitrator: it makes no routing decision and keeps no routing signal
+// (negotiateSolo, Shard.routed), performs exactly qos.Arbitrator's
+// scheduler calls in exactly its order under one lock, and costs what it
+// costs — decisions and statistics are bitwise identical, allocations
+// equal; fed_test.go pins both.
 //
 // Capacity moves between shards only through the Rebalancer (rebalance.go),
 // which migrates whole processors from cold shards with uncommitted
@@ -237,7 +239,7 @@ func New(cfg Config) (*Arbitrator, error) {
 			}
 			opts = &o
 		}
-		sh := newShard(i, procs, cfg.Origin, opts, cfg.Horizon, cfg.HeadroomHorizon)
+		sh := newShard(i, procs, cfg.Origin, opts, shards > 1, cfg.Horizon, cfg.HeadroomHorizon)
 		sh.resizeHook = cfg.OnShardResize
 		if cfg.Ledger != nil {
 			sh.led = cfg.Ledger.Shard(i)
@@ -326,7 +328,8 @@ func (a *Arbitrator) Negotiate(job core.Job) (*qos.Grant, error) {
 // winning commit is reserve.  A commit attempt that loses its version
 // race is attributed to probe — the capacity the probe saw was stale, so
 // race retries surface as probe-phase inflation, which is exactly the
-// contention signal the regression sentinel watches for.
+// contention signal the regression sentinel watches for.  A one-shard
+// plane has no probe phase: it marks route, plan, reserve (negotiateSolo).
 func (a *Arbitrator) NegotiateTimed(job core.Job, rec *phase.Rec) (*qos.Grant, error) {
 	if err := job.Validate(); err != nil {
 		return nil, fmt.Errorf("fed: negotiate: %w", err)
@@ -345,6 +348,9 @@ func (a *Arbitrator) NegotiateTimed(job core.Job, rec *phase.Rec) (*qos.Grant, e
 			job.Trace, job.Span = uint64(tr), uint64(root.ID())
 		}
 		route = t.Start(obs.TraceID(job.Trace), obs.SpanID(job.Span), "fed.route", obs.StageRoute, job.ID)
+	}
+	if len(a.shards) == 1 {
+		return a.negotiateSolo(job, rec, root, route)
 	}
 	cands := a.candidates()
 	rec.Mark(phase.Route)
@@ -378,14 +384,7 @@ func (a *Arbitrator) NegotiateTimed(job core.Job, rec *phase.Rec) (*qos.Grant, e
 		// rejection bookkeeping on the least-loaded candidate (each
 		// probed shard already counted its own planning work).
 		a.shards[cands[0]].noteRejected(job)
-		a.finishReject(job)
-		if t != nil {
-			route.SetErr("rejected")
-			route.End()
-			root.SetErr("rejected")
-			root.End()
-		}
-		return nil, qos.ErrRejected
+		return nil, a.finishReject(job, root, route, nil)
 	}
 	// Order probes best-first: stable insertion on strict betterKey, so
 	// the incumbent wins ties and the load-order position breaks full
@@ -424,37 +423,44 @@ func (a *Arbitrator) NegotiateTimed(job core.Job, rec *phase.Rec) (*qos.Grant, e
 			lastErr = err
 			continue
 		}
-		g := &qos.Grant{
-			JobID:     job.ID,
-			Chain:     pl.Chain,
-			Quality:   job.Chains[pl.Chain].Quality,
-			Placement: *pl,
-			Trace:     job.Trace,
-			Shard:     pr.shard.ID(),
-		}
-		rec.Mark(phase.Reserve)
-		rec.SetShard(pr.shard.ID())
 		if t != nil {
 			rs.SetAttr("start", pl.Start())
 			rs.SetAttr("finish", pl.Finish())
 			rs.End()
-			route.End()
-			root.End()
 		}
-		a.finishAdmit(job, g, pr.shard, i)
-		return g, nil
+		return a.finishAdmit(job, rec, pr.shard, pl, i, root, route), nil
 	}
-	a.finishReject(job)
-	if t != nil {
-		route.SetErr("rejected")
-		route.End()
-		root.SetErr("rejected")
-		root.End()
+	return nil, a.finishReject(job, root, route, lastErr)
+}
+
+// negotiateSolo is negotiation on a one-shard plane — the paper's single
+// system-wide arbitrator.  With nothing to choose between there is no
+// candidate scan, no probe list and no version race: the only shard plans
+// and commits in one critical section (Shard.admit), as qos.Arbitrator
+// does, and a traced request gets one plan-stage span under its route span.
+func (a *Arbitrator) negotiateSolo(job core.Job, rec *phase.Rec, root, route *obs.ActiveSpan) (*qos.Grant, error) {
+	sh := a.shards[0]
+	var ps *obs.ActiveSpan
+	if route != nil {
+		ps = a.tracer.Start(obs.TraceID(job.Trace), route.ID(), "fed.admit", obs.StagePlan, job.ID)
 	}
-	if lastErr != nil && !errors.Is(lastErr, core.ErrRejected) {
-		return nil, lastErr
+	pl, err := sh.admit(job, rec)
+	if a.metrics != nil {
+		a.metrics.Probes.Add(1)
 	}
-	return nil, qos.ErrRejected
+	if err != nil {
+		ps.SetErr("infeasible")
+		ps.End()
+		err = a.finishReject(job, root, route, err)
+		rec.Mark(phase.Reserve)
+		return nil, err
+	}
+	if ps != nil {
+		ps.SetAttr("start", pl.Start())
+		ps.SetAttr("finish", pl.Finish())
+		ps.End()
+	}
+	return a.finishAdmit(job, rec, sh, pl, 0, root, route), nil
 }
 
 // NegotiateDAG runs DAG admission control, trying candidates in load
@@ -491,7 +497,25 @@ func (a *Arbitrator) NegotiateDAG(job core.DAGJob) (*qos.Grant, error) {
 	return nil, qos.ErrRejected
 }
 
-func (a *Arbitrator) finishAdmit(job core.Job, g *qos.Grant, sh *Shard, probeRank int) {
+// finishAdmit turns a committed placement into the grant and does the
+// router-level bookkeeping of an admission: reserve mark, span ends,
+// counters, headroom refresh, decision record.  probeRank is the winning
+// probe's position in best-first order.
+func (a *Arbitrator) finishAdmit(job core.Job, rec *phase.Rec, sh *Shard, pl *core.Placement, probeRank int, root, route *obs.ActiveSpan) *qos.Grant {
+	g := &qos.Grant{
+		JobID:     job.ID,
+		Chain:     pl.Chain,
+		Quality:   job.Chains[pl.Chain].Quality,
+		Placement: *pl,
+		Trace:     job.Trace,
+		Shard:     sh.ID(),
+	}
+	rec.Mark(phase.Reserve)
+	rec.SetShard(sh.ID())
+	if route != nil {
+		route.End()
+		root.End()
+	}
 	if a.metrics != nil {
 		a.metrics.Admitted.Add(1)
 		if probeRank > 0 {
@@ -501,15 +525,29 @@ func (a *Arbitrator) finishAdmit(job core.Job, g *qos.Grant, sh *Shard, probeRan
 	}
 	a.publishHeadroom()
 	a.record(qos.Decision{Job: job, Grant: g, Now: a.Now()})
+	return g
 }
 
-func (a *Arbitrator) finishReject(job core.Job) {
+// finishReject does the router-level bookkeeping of a rejection and
+// returns the error the caller reports: qos.ErrRejected, unless the last
+// commit attempt failed for a reason other than admission control.
+func (a *Arbitrator) finishReject(job core.Job, root, route *obs.ActiveSpan, lastErr error) error {
 	if a.metrics != nil {
 		a.metrics.Rejected.Add(1)
 		a.publishMetrics()
 	}
 	a.publishHeadroom()
 	a.record(qos.Decision{Job: job, Rejected: true, Now: a.Now()})
+	if route != nil {
+		route.SetErr("rejected")
+		route.End()
+		root.SetErr("rejected")
+		root.End()
+	}
+	if lastErr != nil && !errors.Is(lastErr, core.ErrRejected) {
+		return lastErr
+	}
+	return qos.ErrRejected
 }
 
 // publishHeadroom merges the shards' cached admissibility frontiers into
@@ -583,14 +621,13 @@ func (a *Arbitrator) Diagnose(job core.Job) *core.PlanDiagnosis {
 }
 
 func (a *Arbitrator) record(d qos.Decision) {
-	a.histMu.Lock()
 	if a.keepHist {
+		a.histMu.Lock()
 		a.history = append(a.history, d)
+		a.histMu.Unlock()
 	}
-	obs := a.observer
-	a.histMu.Unlock()
-	if obs != nil {
-		obs(d)
+	if a.observer != nil {
+		a.observer(d)
 	}
 }
 

@@ -95,6 +95,35 @@ func TestSingleShardMatchesMonolith(t *testing.T) {
 	}
 }
 
+// TestOneShardAllocatesWhatTheMonolithDoes holds a one-shard plane to the
+// monolith's price: the same Figure-4 stream costs it no more allocations
+// per negotiation than it costs qos.Arbitrator (no candidate, load or
+// probe slices — there is nothing to route).
+func TestOneShardAllocatesWhatTheMonolithDoes(t *testing.T) {
+	const procs, runs = 32, 300
+	jobs := fig4Stream(runs+1, 6, 43) // AllocsPerRun warms up with one extra call
+	perNegotiation := func(observe func(float64), negotiate func(core.Job) (*qos.Grant, error)) float64 {
+		i := 0
+		return testing.AllocsPerRun(runs, func() {
+			observe(jobs[i].Release)
+			_, _ = negotiate(jobs[i])
+			i++
+		})
+	}
+	mono, err := qos.NewArbitrator(qos.ArbitratorConfig{Procs: procs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plane, err := New(Config{Procs: procs, Shards: 1, ProbeK: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := perNegotiation(mono.Observe, mono.Negotiate)
+	if got := perNegotiation(plane.Observe, plane.Negotiate); got > want {
+		t.Fatalf("one-shard plane: %v allocations per negotiation, monolith: %v", got, want)
+	}
+}
+
 func TestConfigValidation(t *testing.T) {
 	if _, err := New(Config{Procs: 0}); err == nil {
 		t.Fatal("accepted 0 procs")

@@ -193,34 +193,15 @@ func (r *Rebalancer) SetTotalCapacity(total int) (int, error) {
 }
 
 // AttachBroker makes the plane's total capacity follow a resource
-// broker's pool, mirroring qos.AttachBroker's convention: every machine
+// broker's pool (resbroker.Broker.Follow): every significant machine
 // registration or deregistration resizes the plane to the broker's total
-// and runs a rebalancing pass; bindings of computations do not change the
-// plane.  threshold suppresses resizes smaller than the given processor
-// count; 0 follows every change.  The returned stop function detaches the
-// subscription's effect.
+// and runs a rebalancing pass.  The returned stop function detaches the
+// follower.
 func (r *Rebalancer) AttachBroker(b *resbroker.Broker, threshold int) (stop func()) {
-	stopped := false
-	last := r.arb.Procs()
-	b.Subscribe(func(ev resbroker.Event) {
-		if stopped {
-			return
-		}
-		if ev.Kind != resbroker.EventRegistered && ev.Kind != resbroker.EventDeregistered {
-			return
-		}
-		procs := b.TotalProcs()
-		if procs < 1 {
-			return
-		}
-		if diff := procs - last; diff < threshold && diff > -threshold {
-			return
-		}
-		last = procs
+	return b.Follow(r.arb.Procs(), threshold, func(procs int) {
 		_, _ = r.SetTotalCapacity(procs)
 		r.Rebalance(0)
 	})
-	return func() { stopped = true }
 }
 
 func (r *Rebalancer) noteMoved(n int64) {

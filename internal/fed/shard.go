@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"milan/internal/core"
+	"milan/internal/obs/latency/phase"
 	"milan/internal/obs/ledger"
 )
 
@@ -26,6 +27,10 @@ type Shard struct {
 	// bitwise-identical to the monolithic arbitrator.
 	version uint64
 
+	// routed is false on the only shard of a one-shard plane: nothing
+	// chooses between shards there, so the load signal below is never read
+	// and never computed (Load stays 0).
+	routed bool
 	// horizon is the sliding load-signal window (0 = all future work).
 	horizon float64
 	// loadArea approximates the shard's future reserved area: it is
@@ -61,11 +66,12 @@ type Shard struct {
 	led *ledger.Ledger
 }
 
-func newShard(id, procs int, origin float64, opts *core.Options, horizon, headroomHorizon float64) *Shard {
+func newShard(id, procs int, origin float64, opts *core.Options, routed bool, horizon, headroomHorizon float64) *Shard {
 	return &Shard{
 		id:              id,
 		sched:           core.NewScheduler(procs, origin, opts),
 		now:             origin,
+		routed:          routed,
 		horizon:         horizon,
 		headroomHorizon: headroomHorizon,
 	}
@@ -133,29 +139,40 @@ func (sh *Shard) CheckInvariants() error {
 }
 
 // refreshLoadLocked recomputes the cached load signal exactly from the
-// profile.  Callers hold sh.mu.
+// profile — a walk of every segment the window covers, which is why an
+// unrouted shard skips it.  Callers hold sh.mu.
 func (sh *Shard) refreshLoadLocked() {
-	p := sh.sched.Profile()
-	from := sh.now
-	if o := p.Origin(); o > from {
-		from = o
+	if sh.routed {
+		p := sh.sched.Profile()
+		from := sh.now
+		if o := p.Origin(); o > from {
+			from = o
+		}
+		if sh.horizon > 0 {
+			sh.loadArea = p.BusyOn(from, from+sh.horizon)
+		} else {
+			sh.loadArea = p.BusyOn(from, p.LastBreak())
+		}
+		sh.publishLoadLocked()
 	}
-	if sh.horizon > 0 {
-		sh.loadArea = p.BusyOn(from, from+sh.horizon)
-	} else {
-		sh.loadArea = p.BusyOn(from, p.LastBreak())
-	}
-	sh.publishLoadLocked()
 	sh.refreshHeadroomLocked()
 }
 
-// bumpLoadLocked adds a freshly committed placement's area to the cached
-// signal without rescanning the profile; the next observe or resize
-// snaps the approximation back to exact.  Callers hold sh.mu.
-func (sh *Shard) bumpLoadLocked(area float64) {
-	sh.loadArea += area
-	sh.publishLoadLocked()
+// committedLocked is the bookkeeping every committed reservation shares:
+// the version bump, the placement's own area added to the cached load
+// signal without rescanning the profile (the next observe or resize snaps
+// the approximation back to exact), and the ledger entry.  Callers hold
+// sh.mu.
+func (sh *Shard) committedLocked(key ledger.Key, pl *core.Placement) {
+	sh.version++
+	if sh.routed {
+		sh.loadArea += pl.Area()
+		sh.publishLoadLocked()
+	}
 	sh.refreshHeadroomLocked()
+	if sh.led != nil {
+		sh.led.RecordCommitKeyed(key, pl)
+	}
 }
 
 // refreshHeadroomLocked recomputes the shard's cached admissibility
@@ -243,27 +260,38 @@ func (sh *Shard) probe(job core.Job, wantKey bool) (pl *core.Placement, key plan
 func (sh *Shard) commitPlanned(job core.Job, pl *core.Placement, ver uint64) (out *core.Placement, raced bool, err error) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if sh.version == ver {
-		if err := sh.sched.Commit(job, pl); err != nil {
-			return nil, false, err
-		}
-		sh.version++
-		sh.bumpLoadLocked(pl.Area())
-		if sh.led != nil {
-			sh.led.RecordCommit(&job, pl)
-		}
-		return pl, false, nil
+	raced = sh.version != ver
+	if raced {
+		pl, err = sh.sched.Admit(job)
+	} else {
+		err = sh.sched.Commit(job, pl)
 	}
-	pl2, err := sh.sched.Admit(job)
 	if err != nil {
-		return nil, true, err
+		return nil, raced, err
 	}
-	sh.version++
-	sh.bumpLoadLocked(pl2.Area())
-	if sh.led != nil {
-		sh.led.RecordCommit(&job, pl2)
+	sh.committedLocked(ledger.KeyOf(&job), pl)
+	return pl, raced, nil
+}
+
+// admit is a one-shard plane's whole admission, in one critical section:
+// lock (route), plan, then commit or count the rejection (reserve) —
+// qos.Arbitrator's sequence and its phase marks, and the scheduler calls
+// probe + commitPlanned + noteRejected make at one shard, in their order.
+func (sh *Shard) admit(job core.Job, rec *phase.Rec) (*core.Placement, error) {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	rec.Mark(phase.Route)
+	pl, ok := sh.sched.Plan(job)
+	rec.Mark(phase.Plan)
+	if !ok {
+		sh.noteRejectedLocked(&job)
+		return nil, core.ErrRejected
 	}
-	return pl2, true, nil
+	if err := sh.sched.Commit(job, pl); err != nil {
+		return nil, err
+	}
+	sh.committedLocked(ledger.KeyOf(&job), pl)
+	return pl, nil
 }
 
 // noteRejected records a router-level rejection on this shard, mirroring
@@ -272,9 +300,13 @@ func (sh *Shard) commitPlanned(job core.Job, pl *core.Placement, ver uint64) (ou
 func (sh *Shard) noteRejected(job core.Job) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	sh.sched.NoteRejected(&job, "no-feasible-chain")
+	sh.noteRejectedLocked(&job)
+}
+
+func (sh *Shard) noteRejectedLocked(job *core.Job) {
+	sh.sched.NoteRejected(job, "no-feasible-chain")
 	if sh.led != nil {
-		sh.led.RecordRejection(&job)
+		sh.led.RecordRejection(job)
 	}
 }
 
@@ -284,13 +316,9 @@ func (sh *Shard) admitDAG(job core.DAGJob) (*core.Placement, error) {
 	defer sh.mu.Unlock()
 	pl, err := sh.sched.AdmitDAG(job)
 	if err == nil {
-		sh.version++
-		sh.bumpLoadLocked(pl.Area())
-		if sh.led != nil {
-			// DAG jobs carry no tenant identity yet; account them on
-			// the unattributed stream so plane totals stay complete.
-			sh.led.RecordCommitKeyed(ledger.Key{}, pl)
-		}
+		// DAG jobs carry no tenant identity yet; account them on the
+		// unattributed stream so plane totals stay complete.
+		sh.committedLocked(ledger.Key{}, pl)
 	}
 	return pl, err
 }

@@ -5,35 +5,10 @@ import (
 )
 
 // AttachBroker makes the dynamic arbitrator's machine size follow a
-// resource broker's pool: every registration or deregistration triggers a
-// renegotiation at the arbitrator's current time (the MILAN arbitrator
-// "monitors system resources and triggers renegotiation on detecting a
-// significant change in resource levels").
-//
-// threshold suppresses renegotiation for changes smaller than the given
-// number of processors ("a significant change"); 0 renegotiates on every
-// change.  The returned stop function detaches the subscription's effect
-// (the broker offers no unsubscribe, so detach is by flag).
+// resource broker's pool (resbroker.Broker.Follow): every significant
+// registration or deregistration triggers a renegotiation at the
+// arbitrator's current time.  Aborted jobs are surfaced through
+// d.OnAborted.  The returned stop function detaches the follower.
 func AttachBroker(d *DynamicArbitrator, b *resbroker.Broker, threshold int) (stop func()) {
-	stopped := false
-	last := d.Procs()
-	b.Subscribe(func(ev resbroker.Event) {
-		if stopped {
-			return
-		}
-		if ev.Kind != resbroker.EventRegistered && ev.Kind != resbroker.EventDeregistered {
-			return // bindings of other computations do not change our pool
-		}
-		procs := b.TotalProcs()
-		if procs < 1 {
-			return // an empty pool cannot be renegotiated onto
-		}
-		if diff := procs - last; diff < threshold && diff > -threshold {
-			return
-		}
-		last = procs
-		// Aborted jobs are surfaced through d.OnAborted.
-		_, _ = d.SetCapacity(procs)
-	})
-	return func() { stopped = true }
+	return b.Follow(d.Procs(), threshold, func(procs int) { _, _ = d.SetCapacity(procs) })
 }

@@ -62,12 +62,20 @@ type Arbitrator interface {
 	Utilization(origin, horizon float64) float64
 }
 
+// served is what every value a server exports implements.  The ops beyond
+// these three are answered when the value also has the method the op
+// calls (see dispatch) and refused as not supported when it does not.
+type served interface {
+	Negotiate(job core.Job) (*qos.Grant, error)
+	Observe(now float64)
+	Utilization(origin, horizon float64) float64
+}
+
 // Server exposes an arbitrator over a listener.  Each accepted connection
 // is served by its own goroutine; the arbitrator itself serializes
 // decisions.
 type Server struct {
-	arb Arbitrator
-	dyn *qos.DynamicArbitrator
+	arb served
 	ln  net.Listener
 
 	mu      sync.Mutex
@@ -93,7 +101,9 @@ type Server struct {
 }
 
 // Serve starts serving the arbitrator on ln and returns immediately.
-func Serve(arb Arbitrator, ln net.Listener) *Server {
+func Serve(arb Arbitrator, ln net.Listener) *Server { return serve(arb, ln) }
+
+func serve(arb served, ln net.Listener) *Server {
 	s := &Server{arb: arb, ln: ln, conns: make(map[net.Conn]struct{})}
 	s.wg.Add(1)
 	go s.acceptLoop()
@@ -113,12 +123,7 @@ func ListenAndServe(arb Arbitrator, addr string) (*Server, error) {
 // ServeDynamic serves a renegotiating arbitrator: in addition to the
 // negotiation ops, clients may change the machine size (the path a remote
 // resource broker or operator uses) and read renegotiation statistics.
-func ServeDynamic(dyn *qos.DynamicArbitrator, ln net.Listener) *Server {
-	s := &Server{dyn: dyn, ln: ln, conns: make(map[net.Conn]struct{})}
-	s.wg.Add(1)
-	go s.acceptLoop()
-	return s
-}
+func ServeDynamic(dyn *qos.DynamicArbitrator, ln net.Listener) *Server { return serve(dyn, ln) }
 
 // ListenAndServeDynamic listens on addr and serves the dynamic arbitrator.
 func ListenAndServeDynamic(dyn *qos.DynamicArbitrator, addr string) (*Server, error) {
@@ -297,54 +302,47 @@ func verdict(g *qos.Grant, err error) response {
 
 func failure(err error) response { return response{status: statusError, err: err.Error()} }
 
+// dispatch answers one request from the served value: the ops every served
+// value has directly, the rest through the method the op calls — a static
+// arbitrator has NegotiateDAG and scheduler Stats, a renegotiating one
+// SetCapacity, Waiting and renegotiation Stats.
 func (s *Server) dispatch(req *request) response {
-	if s.dyn != nil {
-		return s.dispatchDynamic(req)
-	}
 	switch req.op {
 	case opNegotiate:
 		return verdict(s.negotiate(s.arb, req.job))
-	case opNegotiateDAG:
-		return verdict(s.arb.NegotiateDAG(req.dag))
 	case opObserve:
 		s.arb.Observe(req.now)
 		return response{}
-	case opStats:
-		return response{stats: s.arb.Stats()}
 	case opUtilization:
 		return response{value: s.arb.Utilization(req.origin, req.horizon)}
 	case opPing:
 		return response{}
-	default:
-		return failure(fmt.Errorf("qosnet: op %d not supported by a static arbitrator", req.op))
-	}
-}
-
-// dispatchDynamic serves requests against the renegotiating arbitrator.
-func (s *Server) dispatchDynamic(req *request) response {
-	switch req.op {
-	case opNegotiate:
-		return verdict(s.negotiate(s.dyn, req.job))
-	case opObserve:
-		s.dyn.Observe(req.now)
-		return response{}
-	case opSetCapacity:
-		aborted, err := s.dyn.SetCapacity(req.procs)
-		if err != nil {
-			return failure(err)
+	case opNegotiateDAG:
+		if a, ok := s.arb.(qos.DAGNegotiator); ok {
+			return verdict(a.NegotiateDAG(req.dag))
 		}
-		return response{aborted: aborted}
+	case opStats:
+		if a, ok := s.arb.(interface{ Stats() core.Stats }); ok {
+			return response{stats: a.Stats()}
+		}
+	case opSetCapacity:
+		if a, ok := s.arb.(interface{ SetCapacity(int) ([]int, error) }); ok {
+			aborted, err := a.SetCapacity(req.procs)
+			if err != nil {
+				return failure(err)
+			}
+			return response{aborted: aborted}
+		}
 	case opDynStats:
-		return response{dyn: s.dyn.Stats()}
+		if a, ok := s.arb.(interface{ Stats() qos.DynamicStats }); ok {
+			return response{dyn: a.Stats()}
+		}
 	case opWaiting:
-		return response{count: s.dyn.Waiting()}
-	case opUtilization:
-		return response{value: s.dyn.Utilization(req.origin, req.horizon)}
-	case opPing:
-		return response{}
-	default:
-		return failure(fmt.Errorf("qosnet: op %d not supported by dynamic arbitrator", req.op))
+		if a, ok := s.arb.(interface{ Waiting() int }); ok {
+			return response{count: a.Waiting()}
+		}
 	}
+	return failure(fmt.Errorf("qosnet: op %d not supported by the served arbitrator", req.op))
 }
 
 // Client speaks the protocol over one persistent TCP connection.  It is

@@ -2,10 +2,10 @@ package qos
 
 import "milan/internal/core"
 
-// ArbitratorState is the monolithic arbitrator's durable state: the
-// observed clock plus the scheduler's committed state.  Decision history
-// and observers are not state — a restored arbitrator starts with the
-// history and callbacks it was constructed with.
+// ArbitratorState is the monolithic arbitrator's committed state: the
+// observed clock plus the scheduler's state.  Decision history and
+// observers are not state.  It is what the differential oracles compare a
+// one-shard admission plane against.
 type ArbitratorState struct {
 	Now   float64
 	Sched core.SchedulerState
@@ -16,17 +16,4 @@ func (a *Arbitrator) ExportState() ArbitratorState {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return ArbitratorState{Now: a.now, Sched: a.sched.ExportState()}
-}
-
-// RestoreState replaces the arbitrator's clock and scheduler state with an
-// exported state, bit-exactly (see core.Scheduler.RestoreState).  The
-// durable admission plane calls this once at open, before serving.
-func (a *Arbitrator) RestoreState(st ArbitratorState) error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if err := a.sched.RestoreState(st.Sched); err != nil {
-		return err
-	}
-	a.now = st.Now
-	return nil
 }

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 )
 
 // Resource is one machine contributed to the pool.
@@ -210,6 +211,37 @@ func (b *Broker) Subscribe(fn func(Event)) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.subs = append(b.subs, fn)
+}
+
+// Follow makes something's machine size follow the pool: after every
+// machine registration or deregistration it calls apply with the pool's
+// total processor count (the MILAN arbitrator "monitors system resources
+// and triggers renegotiation on detecting a significant change in resource
+// levels").  procs is the follower's size at attach; a change that leaves
+// the total within threshold processors of the last one applied is not
+// significant and is suppressed (0 follows every change).  Bindings of
+// computations do not change the pool, and an empty pool cannot be resized
+// onto; both are ignored.  The broker offers no unsubscribe, so the
+// returned stop detaches by flag; it may be called from any goroutine,
+// concurrently with the mutations that deliver events.
+func (b *Broker) Follow(procs, threshold int, apply func(procs int)) (stop func()) {
+	var stopped atomic.Bool
+	last := procs // events are delivered by one goroutine at a time
+	b.Subscribe(func(ev Event) {
+		if stopped.Load() || (ev.Kind != EventRegistered && ev.Kind != EventDeregistered) {
+			return
+		}
+		total := b.TotalProcs()
+		if total < 1 {
+			return
+		}
+		if diff := total - last; diff < threshold && diff > -threshold {
+			return
+		}
+		last = total
+		apply(total)
+	})
+	return func() { stopped.Store(true) }
 }
 
 // Register adds a resource to the pool.
