@@ -12,6 +12,7 @@ type flags struct {
 	iters    *int
 	ops      *int
 	shards   *int
+	callers  *int
 	kills    *int
 	dir      *string
 	artifact *string
@@ -27,6 +28,7 @@ func newFlags(stderr io.Writer) flags {
 		iters:    fs.Int("iters", 15, "vfs mode: crash-loop epochs (phases cycle per epoch)"),
 		ops:      fs.Int("ops", 120, "vfs mode: ops per epoch (each op is one WAL record)"),
 		shards:   fs.Int("shards", 2, "admission-plane shards"),
+		callers:  fs.Int("callers", 1, "vfs mode: goroutines driving the storm; above 1 most crashes are taken mid-flight, at a journal write or flush"),
 		kills:    fs.Int("kills", 5, "sigkill mode: child kill/recover cycles"),
 		dir:      fs.String("dir", "", "sigkill/child mode: WAL directory (default: a temp dir)"),
 		artifact: fs.String("artifact", "", "append divergence reports (JSONL) to this file for CI upload"),

@@ -13,14 +13,26 @@
 //	sync-lie       fsync reports success but persists nothing
 //	syncdir-lie    directory fsync lies across a snapshot compaction
 //
-// After every crash the differential oracle re-drives the first m ops
-// (m = recovered LSN; ops map 1:1 onto WAL records) through a fresh,
-// never-crashed plane and requires the recovered state to be
-// bitwise-identical — profiles, stats, grants, clock.  The sync-always
-// phase additionally requires zero acked-grant loss, and the two lie
-// phases must each provably LOSE at least one acknowledged grant across
-// the run: a lying disk that the oracle cannot convict means the oracle
-// is blind, and the run fails.
+// The harness reads the order decisions were made in off the journal
+// itself: a tap between the plane and the fault filesystem decodes every
+// record as it is written, so record LSN k is the k-th decision whoever
+// made it.  After every crash the differential oracle re-drives the first
+// m of them (m = recovered LSN) through a fresh, never-crashed plane and
+// requires the recovered state to be bitwise-identical — profiles, stats,
+// grants, clock.  The sync-always phase additionally requires that every
+// grant acknowledged to any caller has LSN <= m (refusals and clock
+// reports are acknowledged once written and may go with the unflushed
+// tail), and the two lie phases must each provably LOSE at least one
+// acknowledged grant across the run: a lying disk that the oracle cannot
+// convict means the oracle is blind, and the run fails.
+//
+// With -callers N > 1 the storm is driven by N goroutines drawing ops from
+// one queue, and most crashes are taken mid-flight: the tap kills the
+// process at a seed-chosen journal write or flush — before it reaches the
+// disk or just after — with the other callers wherever they stand: holding
+// the plane lock, waiting for a flush, or acknowledged on a record that is
+// not flushed.  Such a run covers the interleavings, not one schedule: its
+// seed fixes the ops and the kill points, the Go scheduler the rest.
 //
 // In -mode sigkill the same storm runs in a child process (re-exec of
 // this binary) against the real filesystem; the parent SIGKILLs the
@@ -40,13 +52,17 @@ import (
 	"math/rand"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"milan/internal/core"
 	"milan/internal/durable"
 	"milan/internal/durable/vfs"
+	"milan/internal/frame"
 	"milan/internal/qos"
 	"milan/internal/workload"
 )
@@ -55,14 +71,18 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// op is one unit of driven work.  Every op appends exactly one WAL
-// record (observe -> KindObserve, negotiate -> KindAdmit or KindReject,
-// grow -> KindCapacity), so op index i commits as LSN i+1 and a
-// recovered LSN m means ops[0:m] are the committed prefix.  Capacity
-// ops are grow-only: a single-processor grow is exactly one shard
-// resize (one record) and can never fail, which keeps the mapping 1:1;
-// shrinks may stop early on committed reservations and are exercised
-// in the durable package's own tests instead.
+// op is one unit of driven work.  Driven by one caller in stream order,
+// every op appends exactly one WAL record (observe -> KindObserve,
+// negotiate -> KindAdmit or KindReject, grow -> KindCapacity), so op index
+// i commits as LSN i+1 and a recovered LSN m means ops[0:m] are the
+// committed prefix; the sigkill mode rests on that.  Capacity ops are
+// grow-only: a single-processor grow is exactly one shard resize (one
+// record) and can never fail, which keeps the mapping 1:1; shrinks may
+// stop early on committed reservations and are exercised in the durable
+// package's own tests instead.  Driven by several callers an op may also
+// write nothing — a clock report overtaken by a later one, a grow that
+// raced another to the same total — and the journal tap, not the stream,
+// says what was decided in which order.
 type op struct {
 	observe bool
 	grow    bool
@@ -119,40 +139,311 @@ func openPlane(fs vfs.FS, dir string, cfg planeCfg) (*durable.Plane, durable.Rec
 	})
 }
 
-// driveOps pushes ops[from:until] through the plane.  Rejections are
-// normal; any other negotiate error (poisoned store, injected fault)
-// stops the drive and is returned with the index reached.
+// applyOp makes one op's call.  Rejections are normal; any other error
+// (poisoned store, injected fault, killed process) is returned.
+func applyOp(p *durable.Plane, o op, onAck func(id int, finish float64)) error {
+	switch {
+	case o.observe:
+		p.Observe(o.now)
+		return p.Err()
+	case o.grow:
+		if _, err := p.SetTotalCapacity(p.Procs() + 1); err != nil {
+			return err
+		}
+		return p.Err()
+	}
+	g, err := p.Negotiate(o.job)
+	switch {
+	case err == nil:
+		if onAck != nil {
+			onAck(o.job.ID, g.Finish())
+		}
+	case errors.Is(err, qos.ErrRejected):
+	default:
+		return err
+	}
+	return nil
+}
+
+// driveOps pushes ops[from:until] through the plane in stream order and
+// stops at the first error, returning the index reached.
 func driveOps(p *durable.Plane, ops []op, from, until int, onAck func(id int, finish float64)) (int, error) {
 	for i := from; i < until; i++ {
-		o := ops[i]
-		if o.observe {
-			p.Observe(o.now)
-			if err := p.Err(); err != nil {
-				return i, err
-			}
-			continue
-		}
-		if o.grow {
-			if _, err := p.SetTotalCapacity(p.Procs() + 1); err != nil {
-				return i, err
-			}
-			if err := p.Err(); err != nil {
-				return i, err
-			}
-			continue
-		}
-		g, err := p.Negotiate(o.job)
-		switch {
-		case err == nil:
-			if onAck != nil {
-				onAck(o.job.ID, g.Finish())
-			}
-		case errors.Is(err, qos.ErrRejected):
-		default:
+		if err := applyOp(p, ops[i], onAck); err != nil {
 			return i, err
 		}
 	}
 	return until, nil
+}
+
+// driveBatch pushes the ops at the given indices through the plane: in
+// order from one caller, or drawn from one queue by several, each of which
+// stops at its first error.  It returns the first error any caller met.
+func driveBatch(p *durable.Plane, ops []op, batch []int, callers int, onAck func(id int, finish float64)) error {
+	if callers <= 1 {
+		for _, i := range batch {
+			if err := applyOp(p, ops[i], onAck); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	var (
+		next  atomic.Int64
+		wg    sync.WaitGroup
+		mu    sync.Mutex // onAck and first
+		first error
+	)
+	ack := func(id int, finish float64) {
+		mu.Lock()
+		onAck(id, finish)
+		mu.Unlock()
+	}
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := next.Add(1) - 1; int(k) < len(batch); k = next.Add(1) - 1 {
+				if err := applyOp(p, ops[batch[k]], ack); err != nil {
+					mu.Lock()
+					if first == nil {
+						first = err
+					}
+					mu.Unlock()
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	return first
+}
+
+// errKilled is what the filesystem answers a process that is dead.
+var errKilled = errors.New("crashtest: process killed")
+
+// journalTap sits between the plane and the fault filesystem.  It decodes
+// every record the plane writes to a journal segment, which is how the
+// harness knows the order decisions were made in without asking the plane;
+// and it can kill the process at a chosen journal write or flush: from
+// then on every filesystem call fails and nothing reaches the disk, so
+// that the crash that follows is taken exactly there.
+type journalTap struct {
+	vfs.FS
+
+	mu   sync.Mutex
+	recs []durable.Record // recs[k-1] is the record written with LSN k
+	// fuse counts down the journal writes and flushes left until the kill
+	// (0: none armed); effect says whether the fatal one reaches the disk.
+	fuse   int
+	effect bool
+	dead   bool
+}
+
+// arm sets the kill fuse events journal calls ahead.
+func (t *journalTap) arm(events int, effect bool) {
+	t.mu.Lock()
+	t.fuse, t.effect = events, effect
+	t.mu.Unlock()
+}
+
+func (t *journalTap) killed() bool {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.dead
+}
+
+// journal returns the records written so far, in LSN order.
+func (t *journalTap) journal() []durable.Record {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.recs
+}
+
+// reboot is the restart after a crash: the disk answers again.
+func (t *journalTap) reboot() {
+	t.mu.Lock()
+	t.fuse, t.dead = 0, false
+	t.mu.Unlock()
+}
+
+// cut forgets the records past the m a recovery found: they are gone, and
+// their LSNs will be written again.
+func (t *journalTap) cut(m int) {
+	t.mu.Lock()
+	t.recs = t.recs[:m]
+	t.mu.Unlock()
+}
+
+// step is one write or flush about to go down: it reports whether the call
+// reaches the disk and whether the process lives to see it return.  Only a
+// journal's calls burn the fuse.
+func (t *journalTap) step(journal bool) (reach, survive bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.dead {
+		return false, false
+	}
+	if journal && t.fuse > 0 {
+		if t.fuse--; t.fuse == 0 {
+			t.dead = true
+			return t.effect, false
+		}
+	}
+	return true, true
+}
+
+// note decodes the record in a journal write.  A segment's header is not a
+// frame and is skipped.
+func (t *journalTap) note(p []byte) {
+	if len(p) < frame.HeaderLen {
+		return
+	}
+	rec, err := durable.DecodeRecord(p[frame.HeaderLen:])
+	if err != nil || rec.LSN == 0 {
+		return
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if rec.LSN > uint64(len(t.recs))+1 {
+		return // cannot happen: LSNs are dense; the oracle will say so
+	}
+	t.recs = append(t.recs[:rec.LSN-1], rec)
+}
+
+func (t *journalTap) alive() error {
+	if t.killed() {
+		return errKilled
+	}
+	return nil
+}
+
+func (t *journalTap) open(name string, open func(string) (vfs.File, error)) (vfs.File, error) {
+	if err := t.alive(); err != nil {
+		return nil, err
+	}
+	f, err := open(name)
+	if err != nil {
+		return nil, err
+	}
+	return tapFile{File: f, t: t, journal: strings.HasSuffix(name, ".log") && strings.HasPrefix(filepath.Base(name), "wal-")}, nil
+}
+
+func (t *journalTap) Create(name string) (vfs.File, error)     { return t.open(name, t.FS.Create) }
+func (t *journalTap) OpenAppend(name string) (vfs.File, error) { return t.open(name, t.FS.OpenAppend) }
+
+func (t *journalTap) Rename(oldname, newname string) error {
+	if err := t.alive(); err != nil {
+		return err
+	}
+	return t.FS.Rename(oldname, newname)
+}
+
+func (t *journalTap) Remove(name string) error {
+	if err := t.alive(); err != nil {
+		return err
+	}
+	return t.FS.Remove(name)
+}
+
+func (t *journalTap) SyncDir(dir string) error {
+	if err := t.alive(); err != nil {
+		return err
+	}
+	return t.FS.SyncDir(dir)
+}
+
+type tapFile struct {
+	vfs.File
+	t       *journalTap
+	journal bool
+}
+
+func (f tapFile) Write(p []byte) (int, error) {
+	reach, survive := f.t.step(f.journal)
+	if !reach {
+		return 0, errKilled
+	}
+	n, err := f.File.Write(p)
+	if err == nil && f.journal {
+		f.t.note(p)
+	}
+	if !survive {
+		return 0, errKilled
+	}
+	return n, err
+}
+
+func (f tapFile) Sync() error {
+	reach, survive := f.t.step(f.journal)
+	if !reach {
+		return errKilled
+	}
+	err := f.File.Sync()
+	if !survive {
+		return errKilled
+	}
+	return err
+}
+
+// decided turns journal records back into the ops that wrote them, in LSN
+// order: what the reference plane is re-driven with.
+func decided(recs []durable.Record, jobs map[int]core.Job) ([]op, error) {
+	out := make([]op, len(recs))
+	for i, r := range recs {
+		switch r.Kind {
+		case durable.KindObserve:
+			out[i] = op{observe: true, now: r.Now}
+		case durable.KindCapacity:
+			out[i] = op{grow: true}
+		case durable.KindAdmit, durable.KindReject:
+			job, ok := jobs[r.JobID]
+			if !ok {
+				return nil, fmt.Errorf("record lsn=%d decides job %d, which was never offered", r.LSN, r.JobID)
+			}
+			out[i] = op{now: job.Release, job: job}
+		default:
+			return nil, fmt.Errorf("record lsn=%d of kind %s, which the storm cannot write", r.LSN, r.Kind)
+		}
+		if r.LSN != uint64(i+1) {
+			return nil, fmt.Errorf("journal position %d holds lsn %d", i+1, r.LSN)
+		}
+	}
+	return out, nil
+}
+
+// remaining lists, in stream order, the ops still to drive after a
+// recovery: those that have no record in the committed prefix.  A clock
+// report at or before the recovered clock would write nothing and is
+// dropped.  From one caller's ordered drive this is ops[m:].
+func remaining(ops []op, committed []op, now float64) []int {
+	jobs, grows := make(map[int]bool, len(committed)), 0
+	for _, o := range committed {
+		switch {
+		case o.grow:
+			grows++
+		case !o.observe:
+			jobs[o.job.ID] = true
+		}
+	}
+	var out []int
+	for i, o := range ops {
+		switch {
+		case o.observe:
+			if o.now <= now {
+				continue
+			}
+		case o.grow:
+			if grows > 0 {
+				grows--
+				continue
+			}
+		case jobs[o.job.ID]:
+			continue
+		}
+		out = append(out, i)
+	}
+	return out
 }
 
 // referenceState re-drives ops[0:m] through a fresh in-memory plane that
@@ -251,16 +542,22 @@ func phases() []phase {
 
 // runVFS is the in-memory crash loop: iters epochs cycling through the
 // fault phases, each ending in a crash and a differential check.
-func runVFS(seed int64, iters, opsPerIter, shards int, artifact string, stdout, stderr io.Writer) int {
+func runVFS(seed int64, iters, opsPerIter, shards, callers int, artifact string, stdout, stderr io.Writer) int {
 	ph := phases()
 	total := iters*opsPerIter + opsPerIter
 	ops := genOps(total, seed)
+	jobs := make(map[int]core.Job)
+	for _, o := range ops {
+		if !o.observe && !o.grow {
+			jobs[o.job.ID] = o.job
+		}
+	}
 	cfgFor := func(p phase) planeCfg {
 		return planeCfg{procs: 16, shards: shards, store: p.store}
 	}
 
 	lost := make(map[string]int) // phase -> acked grants provably lost
-	crashes := 0
+	crashes, kills := 0, 0
 	fail := func(d divergence, format string, args ...any) int {
 		d.Mode, d.Seed = "vfs", seed
 		d.Detail = fmt.Sprintf(format, args...)
@@ -272,33 +569,44 @@ func runVFS(seed int64, iters, opsPerIter, shards int, artifact string, stdout, 
 	for iter := 0; iter < iters; iter++ {
 		p := ph[iter%len(ph)]
 		rng := rand.New(rand.NewSource(seed + int64(iter)*7919))
+		// The kill points draw from a stream of their own, so that one
+		// caller's run is the run it always was.
+		krng := rand.New(rand.NewSource(seed ^ int64(iter)*104729))
 		cfg := cfgFor(p)
 
 		// Each epoch starts from an empty disk and crash-cycles within it,
 		// so every phase exercises genesis, mid-log and post-snapshot
 		// recovery points.
 		ft := vfs.NewFault(vfs.NewMem())
-		plane, _, err := openPlane(ft, "wal", cfg)
+		tap := &journalTap{FS: ft}
+		plane, _, err := openPlane(tap, "wal", cfg)
 		if err != nil {
 			return fail(divergence{Phase: p.name, Iteration: iter}, "open: %v", err)
 		}
-		next := 0
+		pending := remaining(ops, nil, 0)
 		acked := make(map[int]float64) // jobID -> reserved finish
-		for cycle := 0; cycle < 3 && next < len(ops); cycle++ {
-			crashAt := next + opsPerIter/3 + rng.Intn(opsPerIter/3+1)
-			if crashAt > len(ops) {
-				crashAt = len(ops)
-			}
+		for cycle := 0; cycle < 3 && len(pending) > 0; cycle++ {
+			span := opsPerIter/3 + rng.Intn(opsPerIter/3+1)
+			batch := pending[:min(span, len(pending))]
 			if p.arm != nil && cycle == 1 {
 				// Arm the fault partway through the epoch so a clean
 				// prefix exists under it.
 				p.arm(ft, rng)
 			}
-			reached, derr := driveOps(plane, ops, next, crashAt, func(id int, fin float64) {
+			if callers > 1 {
+				// An op is a write and, for a grant, a flush: most fuses
+				// burn out inside the batch, some outlast it and leave
+				// the crash to find every caller returned.
+				tap.arm(span/2+krng.Intn(span+1), krng.Intn(2) == 0)
+			}
+			derr := driveBatch(plane, ops, batch, callers, func(id int, fin float64) {
 				acked[id] = fin
 			})
-			if derr != nil && p.arm == nil {
-				return fail(divergence{Phase: p.name, Iteration: iter, CrashOp: reached},
+			written := len(tap.journal())
+			if tap.killed() {
+				kills++
+			} else if derr != nil && p.arm == nil {
+				return fail(divergence{Phase: p.name, Iteration: iter, CrashOp: written},
 					"unexpected drive error: %v", derr)
 			}
 
@@ -309,71 +617,75 @@ func runVFS(seed int64, iters, opsPerIter, shards int, artifact string, stdout, 
 			ft.SetSyncError(nil, 0)
 			ft.SetSyncLie(false)
 			ft.SetSyncDirLie(false)
+			journal := tap.journal()
+			tap.reboot()
 
 			var rec durable.Recovered
-			plane, rec, err = reopen(ft, cfg)
+			plane, rec, err = reopen(tap, cfg)
 			if err != nil {
-				return fail(divergence{Phase: p.name, Iteration: iter, CrashOp: reached},
+				return fail(divergence{Phase: p.name, Iteration: iter, CrashOp: written},
 					"recovery: %v", err)
 			}
 			m := int(rec.State.LSN)
-			// An op that surfaced an error may still have committed: the
-			// plane poisons itself when the snapshot that follows a synced
-			// record fails, and Observe/SetTotalCapacity report that only
-			// through Err().  Only ops past it can never have reached the log.
-			driven := reached
-			if derr != nil {
-				driven++
-			}
-			if m > driven {
-				return fail(divergence{Phase: p.name, Iteration: iter, CrashOp: reached, Recovered: rec.State.LSN, Torn: rec.Torn},
-					"recovered lsn %d beyond driven op %d", m, driven)
+			at := divergence{Phase: p.name, Iteration: iter, CrashOp: written, Recovered: rec.State.LSN, Torn: rec.Torn}
+			if m > written {
+				return fail(at, "recovered lsn %d, only %d records were ever written", m, written)
 			}
 
 			// Differential oracle: recovered state == never-crashed
-			// reference over the committed prefix, bit for bit.
-			want, err := referenceState(ops, m, cfg)
+			// reference over the committed prefix — the first m decisions
+			// in the order the journal took them — bit for bit.
+			prefix, err := decided(journal[:m], jobs)
 			if err != nil {
-				return fail(divergence{Phase: p.name, Iteration: iter, CrashOp: reached}, "%v", err)
+				return fail(at, "%v", err)
+			}
+			want, err := referenceState(prefix, m, cfg)
+			if err != nil {
+				return fail(at, "%v", err)
 			}
 			got := plane.ExportState()
 			if err := durable.DiffStates(&got, &want); err != nil {
-				return fail(divergence{Phase: p.name, Iteration: iter, CrashOp: reached, Recovered: rec.State.LSN, Torn: rec.Torn},
-					"recovered state diverged from reference: %v", err)
+				return fail(at, "recovered state diverged from reference: %v", err)
 			}
 
 			// Capacity oracle: the recovered pool must be the seed
 			// capacity plus exactly the committed grow ops — a capacity
 			// record lost or double-applied in replay shifts the total.
-			wantProcs := cfg.procs + growsIn(ops, m)
+			wantProcs := cfg.procs + growsIn(prefix, m)
 			if gotProcs := plane.Procs(); gotProcs != wantProcs {
-				return fail(divergence{Phase: p.name, Iteration: iter, CrashOp: reached, Recovered: rec.State.LSN, Torn: rec.Torn},
-					"recovered capacity %d procs, committed prefix implies %d", gotProcs, wantProcs)
+				return fail(at, "recovered capacity %d procs, committed prefix implies %d", gotProcs, wantProcs)
 			}
 
-			// Grant-loss accounting: acked, still pending, absent.
+			// Grant-loss accounting.  An acknowledged grant whose record
+			// lies beyond the recovered prefix is lost; one within it is
+			// live or has run out.
 			have := make(map[int]bool)
 			for _, g := range plane.Grants() {
 				have[g.JobID] = true
 			}
-			for id, fin := range acked {
-				if fin <= plane.Now() {
-					delete(acked, id)
-					continue
+			admitLSN := make(map[int]uint64, len(acked))
+			for _, r := range journal {
+				if r.Kind == durable.KindAdmit {
+					admitLSN[r.JobID] = r.LSN
 				}
-				if !have[id] {
+			}
+			for id, fin := range acked {
+				switch lsn := admitLSN[id]; {
+				case lsn == 0 || lsn > uint64(m):
 					lost[p.name]++
 					delete(acked, id)
 					if !p.lossAllowed {
-						return fail(divergence{Phase: p.name, Iteration: iter, CrashOp: reached, Recovered: rec.State.LSN, Torn: rec.Torn},
-							"acked grant %d lost under %s", id, p.name)
+						return fail(at, "acked grant %d (lsn %d) lost under %s", id, lsn, p.name)
 					}
+				case fin <= plane.Now():
+					delete(acked, id)
+				case !have[id]:
+					return fail(at, "acked grant %d is record %d of the recovered prefix and not live", id, lsn)
 				}
 			}
-			next = m
-			_ = reached
+			tap.cut(m)
+			pending = remaining(ops, prefix, plane.Now())
 		}
-		_ = plane
 	}
 
 	// Conviction: the lying-disk phases must have provably lost acked
@@ -383,6 +695,10 @@ func runVFS(seed int64, iters, opsPerIter, shards int, artifact string, stdout, 
 			return fail(divergence{Phase: p.name},
 				"lie phase lost no acked grants across %d crashes — oracle is blind to a lying disk", crashes)
 		}
+	}
+	if callers > 1 {
+		fmt.Fprintf(stdout, "crashtest vfs ok: seed=%d callers=%d crashes=%d mid-flight=%d losses=%v\n", seed, callers, crashes, kills, lost)
+		return 0
 	}
 	fmt.Fprintf(stdout, "crashtest vfs ok: seed=%d crashes=%d losses=%v\n", seed, crashes, lost)
 	return 0
@@ -553,7 +869,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	switch *fs.mode {
 	case "vfs":
 		fmt.Fprintf(stdout, "crashtest mode=vfs seed=%d\n", seed)
-		return runVFS(seed, *fs.iters, *fs.ops, *fs.shards, *fs.artifact, stdout, stderr)
+		return runVFS(seed, *fs.iters, *fs.ops, *fs.shards, *fs.callers, *fs.artifact, stdout, stderr)
 	case "sigkill":
 		fmt.Fprintf(stdout, "crashtest mode=sigkill seed=%d\n", seed)
 		return runSigkill(seed, *fs.kills, *fs.shards, *fs.dir, *fs.artifact, stdout, stderr)

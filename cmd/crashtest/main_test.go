@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"milan/internal/core"
 	"milan/internal/durable"
 	"milan/internal/durable/vfs"
 )
@@ -32,6 +33,71 @@ func TestVFSModeOneShard(t *testing.T) {
 	for _, lie := range []string{"sync-lie:", "syncdir-lie:"} {
 		if !strings.Contains(out.String(), lie) {
 			t.Fatalf("no %s losses in %q", lie, out.String())
+		}
+	}
+}
+
+// Several callers on one plane, most crashes taken mid-flight at a journal
+// write or flush: the order the journal took the decisions in is the order
+// the oracle re-drives them in, sync-always still loses no acknowledged
+// grant, and both lies are still convicted.  Part of the -race set.
+func TestVFSModeConcurrentCallers(t *testing.T) {
+	for _, shards := range []string{"1", "2"} {
+		var out, errb bytes.Buffer
+		if code := run([]string{"-mode", "vfs", "-seed", "42", "-iters", "15", "-ops", "120", "-shards", shards, "-callers", "4"}, &out, &errb); code != 0 {
+			t.Fatalf("shards=%s: exit %d\nstdout: %s\nstderr: %s", shards, code, out.String(), errb.String())
+		}
+		for _, want := range []string{"callers=4", "sync-lie:", "syncdir-lie:"} {
+			if !strings.Contains(out.String(), want) {
+				t.Fatalf("shards=%s: no %s in %q", shards, want, out.String())
+			}
+		}
+		if strings.Contains(out.String(), "mid-flight=0 ") {
+			t.Fatalf("shards=%s: no crash was taken with callers in flight: %q", shards, out.String())
+		}
+	}
+}
+
+// From one caller's ordered drive the journal is the stream: the records
+// read back as the ops that wrote them, and what remains after recovering m
+// of them is ops[m:] — the run -callers 1 has always been.
+func TestOneCallerJournalIsTheStream(t *testing.T) {
+	ops := genOps(200, 5)
+	jobs := map[int]core.Job{}
+	for _, o := range ops {
+		if !o.observe && !o.grow {
+			jobs[o.job.ID] = o.job
+		}
+	}
+	tap := &journalTap{FS: vfs.NewMem()}
+	p, _, err := openPlane(tap, "wal", planeCfg{procs: 16, shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := driveBatch(p, ops, remaining(ops, nil, 0), 1, func(int, float64) {}); err != nil {
+		t.Fatal(err)
+	}
+	got, err := decided(tap.journal(), jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(ops) {
+		t.Fatalf("%d ops wrote %d records", len(ops), len(got))
+	}
+	for i := range ops {
+		if got[i].observe != ops[i].observe || got[i].grow != ops[i].grow || got[i].job.ID != ops[i].job.ID ||
+			(ops[i].observe && got[i].now != ops[i].now) {
+			t.Fatalf("record %d reads back as %+v, op %d is %+v", i+1, got[i], i, ops[i])
+		}
+	}
+	for _, m := range []int{0, 1, 57, 199, 200} {
+		now := 0.0
+		for _, o := range ops[:m] {
+			now = max(now, o.now)
+		}
+		rest := remaining(ops, got[:m], now)
+		if len(rest) != len(ops)-m || (len(rest) > 0 && rest[0] != m) {
+			t.Fatalf("after recovering %d records %d ops remain, from %v; want ops[%d:]", m, len(rest), rest[:min(3, len(rest))], m)
 		}
 	}
 }
@@ -69,7 +135,7 @@ func TestOpsAreDeterministicAndOneToOneWithRecords(t *testing.T) {
 		if _, err := driveOps(p, a, 0, len(a), nil); err != nil {
 			t.Fatal(err)
 		}
-		if got := p.DurableLSN(); got != uint64(len(a)) {
+		if got := p.ExportState().LSN; got != uint64(len(a)) {
 			t.Fatalf("shards=%d: %d ops committed %d records; the 1:1 mapping broke", shards, len(a), got)
 		}
 		if got := p.Procs(); got != 16+grows {

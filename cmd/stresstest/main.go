@@ -5,7 +5,10 @@
 // soak holds one log lineage open for the whole budget and checks the
 // O(1) invariant at every cycle: under SyncAlways the state exported the
 // instant before a crash must be bitwise-identical to the state recovered
-// after it, and no acknowledged grant may vanish.
+// after it, and no acknowledged grant may vanish.  Refusals and clock
+// reports are acknowledged once written and ride the next grant's flush, so
+// a cycle runs on until its last decision is a grant: the crash then finds
+// nothing riding.
 //
 //	stresstest -budget 30s -seed 7 -crash-every 500
 //
@@ -72,13 +75,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	for time.Since(start) < *budget {
 		// One cycle: drive crashEvery ops, then crash and recover.
 		acked := make(map[int]float64)
-		for i := 0; i < *crashEvery; i++ {
+		for i, flushed := 0, false; i < *crashEvery || !flushed; i++ {
 			now += arr.Next()
 			plane.Observe(now)
 			job := tmpl.Job(id, now, workload.Tunable)
 			id++
 			ops += 2 // observe + decision records
 			g, nerr := plane.Negotiate(job)
+			flushed = nerr == nil
 			switch {
 			case nerr == nil:
 				admitted++

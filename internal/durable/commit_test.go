@@ -1,0 +1,887 @@
+package durable
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"path/filepath"
+	"slices"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"milan/internal/core"
+	"milan/internal/durable/vfs"
+	"milan/internal/frame"
+	"milan/internal/obs"
+	"milan/internal/qos"
+	"milan/internal/workload"
+)
+
+// This file holds the commit path to its contract now that an append is two
+// halves under two locks: what waits for the disk and what does not, what one
+// flush releases, what a clean stop leaves behind, what a crash at each point
+// between a record's write and its acknowledgment recovers, and what four
+// callers and a failing disk do to each other under the race detector.
+
+// errDead is what a filesystem call returns once the process that made it is
+// gone.
+var errDead = errors.New("gate: the process was killed")
+
+// gateEvent is one write or sync of a journal or snapshot file, seen either
+// before it reaches the filesystem below or after it has.
+type gateEvent struct {
+	op    string // "write" or "sync"
+	after bool
+	name  string
+	data  []byte // the bytes of a write
+}
+
+// record decodes the journal record a segment write carries.
+func (ev gateEvent) record() (Record, bool) {
+	if ev.op != "write" || !isSegment(ev.name) || bytes.HasPrefix(ev.data, []byte(walMagic)) {
+		return Record{}, false
+	}
+	rec, err := DecodeRecord(ev.data[frame.HeaderLen:])
+	return rec, err == nil
+}
+
+func isSegment(name string) bool {
+	_, ok := parseName(filepath.Base(name), "wal-", ".log")
+	return ok
+}
+
+// segmentSync matches a flush of the journal; snapshotSync the flush of a
+// snapshot's temp file; admitWrite the write of a grant's record.
+func segmentSync(after bool) func(gateEvent) bool {
+	return func(ev gateEvent) bool { return ev.op == "sync" && ev.after == after && isSegment(ev.name) }
+}
+
+func snapshotSync(after bool) func(gateEvent) bool {
+	return func(ev gateEvent) bool {
+		return ev.op == "sync" && ev.after == after && strings.HasSuffix(ev.name, ".tmp")
+	}
+}
+
+func admitWrite(after bool) func(gateEvent) bool {
+	return func(ev gateEvent) bool {
+		rec, ok := ev.record()
+		return ok && ev.after == after && rec.Kind == KindAdmit
+	}
+}
+
+// gateFS is the filesystem under a plane with a gate on every write and sync:
+// a test parks the caller that reaches a chosen one, looks at the plane while
+// it stands there, and lets it go or kills the process.  Killed, the
+// filesystem answers errDead to whatever the dead process's goroutines still
+// ask of it and passes nothing down, so the crash is taken exactly at the
+// gate.  Nothing in the plane or the store knows it is there.
+type gateFS struct {
+	vfs.FS
+	dead atomic.Bool
+	// segSyncs counts the journal flushes that reached the filesystem below.
+	segSyncs atomic.Int64
+	// watch, if set, sees every event first.
+	watch func(gateEvent)
+
+	mu    sync.Mutex
+	parks []*park
+}
+
+type park struct {
+	match   func(gateEvent) bool
+	reached chan struct{}
+	resume  chan struct{}
+}
+
+// parkAt parks the next caller whose event matches, once.
+func (g *gateFS) parkAt(match func(gateEvent) bool) *park {
+	pk := &park{match: match, reached: make(chan struct{}), resume: make(chan struct{})}
+	g.mu.Lock()
+	g.parks = append(g.parks, pk)
+	g.mu.Unlock()
+	return pk
+}
+
+func (pk *park) release() { close(pk.resume) }
+
+// pass runs one event through the gate and reports whether the process is
+// still alive on the other side.
+func (g *gateFS) pass(ev gateEvent) bool {
+	if g.dead.Load() {
+		return false
+	}
+	if g.watch != nil {
+		g.watch(ev)
+	}
+	g.mu.Lock()
+	var hit *park
+	for i, pk := range g.parks {
+		if pk.match(ev) {
+			hit, g.parks = pk, slices.Delete(g.parks, i, i+1)
+			break
+		}
+	}
+	g.mu.Unlock()
+	if hit != nil {
+		close(hit.reached)
+		<-hit.resume
+	}
+	return !g.dead.Load()
+}
+
+func (g *gateFS) wrap(name string, f vfs.File, err error) (vfs.File, error) {
+	if err != nil {
+		return nil, err
+	}
+	return gateFile{File: f, g: g, name: name}, nil
+}
+
+func (g *gateFS) Create(name string) (vfs.File, error) {
+	if g.dead.Load() {
+		return nil, errDead
+	}
+	f, err := g.FS.Create(name)
+	return g.wrap(name, f, err)
+}
+
+func (g *gateFS) OpenAppend(name string) (vfs.File, error) {
+	if g.dead.Load() {
+		return nil, errDead
+	}
+	f, err := g.FS.OpenAppend(name)
+	return g.wrap(name, f, err)
+}
+
+func (g *gateFS) Rename(oldname, newname string) error {
+	if g.dead.Load() {
+		return errDead
+	}
+	return g.FS.Rename(oldname, newname)
+}
+
+func (g *gateFS) Remove(name string) error {
+	if g.dead.Load() {
+		return errDead
+	}
+	return g.FS.Remove(name)
+}
+
+func (g *gateFS) SyncDir(dir string) error {
+	if g.dead.Load() {
+		return errDead
+	}
+	return g.FS.SyncDir(dir)
+}
+
+type gateFile struct {
+	vfs.File
+	g    *gateFS
+	name string
+}
+
+func (f gateFile) Write(p []byte) (int, error) {
+	if !f.g.pass(gateEvent{op: "write", name: f.name, data: p}) {
+		return 0, errDead
+	}
+	n, err := f.File.Write(p)
+	if !f.g.pass(gateEvent{op: "write", after: true, name: f.name, data: p}) {
+		return 0, errDead
+	}
+	return n, err
+}
+
+func (f gateFile) Sync() error {
+	if !f.g.pass(gateEvent{op: "sync", name: f.name}) {
+		return errDead
+	}
+	err := f.File.Sync()
+	if err == nil && isSegment(f.name) {
+		f.g.segSyncs.Add(1)
+	}
+	if !f.g.pass(gateEvent{op: "sync", after: true, name: f.name}) {
+		return errDead
+	}
+	return err
+}
+
+// rig is one plane on a gated disk, full enough that the test can ask it for
+// a grant or for a refusal at will, with the script that rebuilds it at any
+// LSN.
+type rig struct {
+	t     *testing.T
+	fault *vfs.Fault
+	gate  *gateFS
+	met   *Metrics
+	p     *Plane
+	sc    script
+	jobs  int
+}
+
+type verdict struct {
+	g   *qos.Grant
+	err error
+}
+
+var rigJob = workload.FigureJob{X: 4, T: 25, Alpha: 0.25, Laxity: 0.5}
+
+func newRig(t *testing.T, opts StoreOptions) *rig {
+	t.Helper()
+	if opts.SnapshotEvery == 0 {
+		opts.SnapshotEvery = 1 << 20 // a snapshot only when the test takes one
+	}
+	r := &rig{t: t, fault: vfs.NewFault(vfs.NewMem()), met: NewMetrics(obs.NewRegistry())}
+	r.gate = &gateFS{FS: r.fault}
+	cfg := Config{FS: r.gate, Dir: "log", Procs: 16, Shards: 1, ProbeK: 1, Store: opts, Metrics: r.met}
+	p, _, err := OpenPlane(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.p, r.sc.cfg = p, cfg
+	r.sc.cfg.Metrics = nil
+	// Jobs released at the plane's clock are granted until the horizon they
+	// share is full, and refused from then on.
+	for {
+		job := r.refusable()
+		_, err := p.Negotiate(job)
+		r.wrote(func(q *Plane) { q.Negotiate(job) })
+		if errors.Is(err, qos.ErrRejected) {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	// One grant on top, so that everything so far is flushed.
+	if v := r.negotiate(r.grantable()); v.err != nil {
+		t.Fatal(v.err)
+	}
+	if opts.Sync == SyncAlways && r.p.DurableLSN() != r.written() {
+		t.Fatalf("rig starts with lsn %d written and %d durable", r.written(), r.p.DurableLSN())
+	}
+	return r
+}
+
+// grantable is a job with a stretch of the far future to itself.
+func (r *rig) grantable() core.Job {
+	r.jobs++
+	return rigJob.Job(r.jobs, 1e4+1e3*float64(r.jobs), workload.Tunable)
+}
+
+// refusable is a job for the stretch that newRig filled.
+func (r *rig) refusable() core.Job {
+	r.jobs++
+	return rigJob.Job(r.jobs, 0, workload.Tunable)
+}
+
+func (r *rig) written() uint64 { return r.p.store.written.Load() }
+
+// wrote notes the call whose record is the last one written.
+func (r *rig) wrote(replay func(*Plane)) {
+	r.sc.calls = append(r.sc.calls, scriptCall{replay, r.written()})
+}
+
+// negotiate is a call the test waits for.
+func (r *rig) negotiate(job core.Job) verdict {
+	g, err := r.p.Negotiate(job)
+	r.wrote(func(q *Plane) { q.Negotiate(job) })
+	return verdict{g, err}
+}
+
+// start is a call the test expects to park.
+func (r *rig) start(job core.Job) <-chan verdict {
+	ch := make(chan verdict, 1)
+	go func() {
+		g, err := r.p.Negotiate(job)
+		ch <- verdict{g, err}
+	}()
+	return ch
+}
+
+// startWritten is start, returning once the call's record is in the log.
+func (r *rig) startWritten(job core.Job) <-chan verdict {
+	r.t.Helper()
+	lsn := r.written() + 1
+	ch := r.start(job)
+	for deadline := time.Now().Add(10 * time.Second); r.written() < lsn; time.Sleep(50 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			r.t.Fatalf("record %d was never written", lsn)
+		}
+	}
+	r.wrote(func(q *Plane) { q.Negotiate(job) })
+	return ch
+}
+
+func (r *rig) reached(pk *park, what string) {
+	r.t.Helper()
+	select {
+	case <-pk.reached:
+	case <-time.After(10 * time.Second):
+		r.t.Fatalf("nobody reached %s", what)
+	}
+}
+
+func (r *rig) result(ch <-chan verdict, who string) verdict {
+	r.t.Helper()
+	select {
+	case v := <-ch:
+		return v
+	case <-time.After(10 * time.Second):
+		r.t.Fatalf("%s never returned", who)
+		return verdict{}
+	}
+}
+
+func (r *rig) pending(ch <-chan verdict, who string) {
+	r.t.Helper()
+	select {
+	case v := <-ch:
+		r.t.Fatalf("%s returned (%v, %v) while its record was not flushed", who, v.g, v.err)
+	default:
+	}
+}
+
+// planeLockHeld reports whether some call holds the plane lock right now.
+func (r *rig) planeLockHeld() bool {
+	if r.p.mu.TryLock() {
+		r.p.mu.Unlock()
+		return false
+	}
+	return true
+}
+
+// kill takes the crash here: the process dies with its callers wherever they
+// stand, the disk forgets what was not flushed.
+func (r *rig) kill() {
+	r.gate.dead.Store(true)
+	r.fault.Crash()
+}
+
+// recover reopens the directory a kill left and holds the recovered plane to
+// the plane as it stood at the LSN it recovered.
+func (r *rig) recover() State {
+	r.t.Helper()
+	cfg := r.sc.cfg
+	cfg.FS = r.fault
+	p, rec, err := OpenPlane(cfg)
+	if err != nil {
+		r.t.Fatalf("recovery: %v", err)
+	}
+	defer p.Close()
+	if rec.State.LSN > r.written() {
+		r.t.Fatalf("recovered lsn %d, only %d records were written", rec.State.LSN, r.written())
+	}
+	want := r.sc.at(r.t, rec.State.LSN)
+	if err := DiffStates(&rec.State, &want); err != nil {
+		r.t.Fatalf("recovered state is not the plane at lsn %d: %v", rec.State.LSN, err)
+	}
+	return rec.State
+}
+
+func hasGrant(st State, jobID int) bool {
+	return slices.ContainsFunc(st.Grants, func(g GrantRecord) bool { return g.JobID == jobID })
+}
+
+// A refusal, a clock report and a completion are acknowledged once written:
+// none of them moves DurableLSN or reaches File.Sync.
+func TestOnlyPromisesWaitForTheDisk(t *testing.T) {
+	r := newRig(t, StoreOptions{})
+	durable, syncs, fsyncs := r.p.DurableLSN(), r.fault.Counts().Syncs, r.met.Fsyncs.Value()
+	live := r.p.Grants()
+
+	if v := r.negotiate(r.refusable()); !errors.Is(v.err, qos.ErrRejected) {
+		t.Fatalf("the filled stretch took another job: %v", v.err)
+	}
+	r.p.Observe(1)
+	if err := r.p.JobCompleted(live[len(live)-1].JobID, 1); err != nil {
+		t.Fatal(err)
+	}
+	if got := r.written(); got != durable+3 {
+		t.Fatalf("a refusal, a clock report and a completion wrote %d records", got-durable)
+	}
+	if got := r.p.DurableLSN(); got != durable {
+		t.Fatalf("DurableLSN moved from %d to %d with no promise made", durable, got)
+	}
+	if got := r.fault.Counts().Syncs - syncs; got != 0 || r.met.Fsyncs.Value() != fsyncs {
+		t.Fatalf("%d File.Sync calls, durable_fsyncs %d -> %d, with no promise made", got, fsyncs, r.met.Fsyncs.Value())
+	}
+
+	// The next promise's flush carries them.
+	v := r.negotiate(r.grantable())
+	if v.err != nil {
+		t.Fatal(v.err)
+	}
+	if got := r.p.DurableLSN(); got != r.written() || got != durable+4 {
+		t.Fatalf("grant acknowledged at lsn %d with the log durable to %d", r.written(), got)
+	}
+	if got := r.fault.Counts().Syncs - syncs; got != 1 || r.met.Fsyncs.Value() != fsyncs+1 {
+		t.Fatalf("one grant took %d File.Sync calls (durable_fsyncs +%d)", got, r.met.Fsyncs.Value()-fsyncs)
+	}
+}
+
+// Every grant of an ordered stream comes back with its own record durable,
+// one flush each; the refusals between them add none.
+func TestGrantReturnsOnlyOnceDurable(t *testing.T) {
+	ft := vfs.NewFault(vfs.NewMem())
+	p, _ := openPlane(t, ft, 1, StoreOptions{SnapshotEvery: 1 << 20})
+	syncs := ft.Counts().Syncs
+	grants, refusals := int64(0), 0
+	for _, job := range planeStream(200, 37) {
+		p.Observe(job.Release)
+		_, err := p.Negotiate(job)
+		lsn := p.store.NextLSN() - 1
+		switch {
+		case err == nil:
+			grants++
+			if got := p.DurableLSN(); got != lsn {
+				t.Fatalf("job %d granted at lsn %d, log durable to %d", job.ID, lsn, got)
+			}
+		case errors.Is(err, qos.ErrRejected):
+			refusals++
+		default:
+			t.Fatal(err)
+		}
+	}
+	if grants == 0 || refusals == 0 {
+		t.Fatalf("%d grants, %d refusals: the stream must have both", grants, refusals)
+	}
+	if got := ft.Counts().Syncs - syncs; got != grants {
+		t.Fatalf("%d grants and %d refusals took %d flushes, want one per grant", grants, refusals, got)
+	}
+}
+
+// Two grants written while an earlier flush is under way are both released
+// by the one flush that follows it.
+func TestOneFlushReleasesEveryGrantWrittenBeforeIt(t *testing.T) {
+	r := newRig(t, StoreOptions{})
+	fsyncs, base := r.met.Fsyncs.Value(), r.written()
+
+	leading := r.gate.parkAt(segmentSync(false))
+	first := r.startWritten(r.grantable())
+	r.reached(leading, "the first grant's flush")
+	second := r.startWritten(r.grantable())
+	third := r.startWritten(r.grantable())
+	for _, ch := range []<-chan verdict{first, second, third} {
+		r.pending(ch, "a grant")
+	}
+	leading.release()
+	for i, ch := range []<-chan verdict{first, second, third} {
+		if v := r.result(ch, "a grant"); v.err != nil {
+			t.Fatalf("grant %d: %v", i, v.err)
+		}
+	}
+	if got := r.p.DurableLSN(); got != base+3 {
+		t.Fatalf("durable to %d, want %d", got, base+3)
+	}
+	// The parked flush had started before the other two were written and
+	// covers the first alone; one more covers both of them.
+	if got := r.met.Fsyncs.Value() - fsyncs; got != 2 {
+		t.Fatalf("three grants, two written behind a flush in progress, took %d flushes, want 2", got)
+	}
+}
+
+// A clean stop leaves nothing riding: Close flushes the written tail under
+// always and every-n, and leaves never to the operating system.
+func TestCloseFlushesTheWrittenTail(t *testing.T) {
+	for _, tc := range []struct {
+		opts    StoreOptions
+		flushed bool
+	}{
+		{StoreOptions{Sync: SyncAlways}, true},
+		{StoreOptions{Sync: SyncEveryN, SyncEvery: 1000}, true},
+		{StoreOptions{Sync: SyncNever}, false},
+	} {
+		r := newRig(t, tc.opts)
+		durable := r.p.DurableLSN()
+		for i := 0; i < 3; i++ {
+			if v := r.negotiate(r.refusable()); !errors.Is(v.err, qos.ErrRejected) {
+				t.Fatalf("%s: %v", tc.opts.Sync, v.err)
+			}
+		}
+		r.p.Observe(2)
+		written := r.written()
+		if tc.opts.Sync == SyncAlways && (written != durable+4 || r.p.DurableLSN() != durable) {
+			t.Fatalf("always: %d written, %d durable before Close, want %d and %d", written, r.p.DurableLSN(), durable+4, durable)
+		}
+		syncs := r.fault.Counts().Syncs
+		if err := r.p.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if got := r.fault.Counts().Syncs - syncs; (got == 1) != tc.flushed || got > 1 {
+			t.Fatalf("%s: Close issued %d flushes", tc.opts.Sync, got)
+		}
+		if err := r.p.Close(); err != nil {
+			t.Fatalf("%s: second Close: %v", tc.opts.Sync, err)
+		}
+		r.fault.Crash()
+		_, rec := openPlane(t, r.fault, 1, StoreOptions{})
+		if tc.flushed && rec.State.LSN != written {
+			t.Fatalf("%s: power loss after a clean Close recovered lsn %d of %d written", tc.opts.Sync, rec.State.LSN, written)
+		}
+		if !tc.flushed && rec.State.LSN == written {
+			t.Fatalf("never: Close flushed the log")
+		}
+	}
+}
+
+// crashPositionNames are the points between a decision and its
+// acknowledgment, and between two callers, at which a crash has its own
+// story.  TestCrashPositionSweep fails if any of them has no scenario that
+// reaches it.
+var crashPositionNames = []string{
+	"written-unlocked",        // record written, plane lock still held
+	"unlocked-flush",          // plane lock released, flush not started
+	"mid-flush-second-grant",  // a flush done, a grant written behind it waiting for its own
+	"flush-ack",               // record flushed, caller not yet told
+	"refusal-ahead-of-flush",  // a refusal acknowledged with an unflushed grant ahead of it
+	"snapshot-during-sync-to", // a snapshot under way while a caller waits in SyncTo
+}
+
+// crashPositions drives the plane to each position, takes the crash there and
+// checks what is recovered.  Each scenario calls hit once it has verified,
+// from the outside, that the plane stands where the name says.
+var crashPositions = map[string]func(t *testing.T, hit func()){
+	"written-unlocked": func(t *testing.T, hit func()) {
+		r := newRig(t, StoreOptions{})
+		base := r.written()
+		pk := r.gate.parkAt(admitWrite(true))
+		job := r.grantable()
+		a := r.start(job)
+		r.reached(pk, "the grant's write")
+		if !r.planeLockHeld() {
+			t.Fatal("the plane lock is free while the record is being written: log order is not decision order")
+		}
+		hit()
+		r.kill()
+		pk.release()
+		if v := r.result(a, "the grant"); v.err == nil {
+			t.Fatal("grant acknowledged by a process killed before it flushed")
+		}
+		if st := r.recover(); st.LSN != base || hasGrant(st, job.ID) {
+			t.Fatalf("recovered lsn %d (grant there: %t), want %d without it", st.LSN, hasGrant(st, job.ID), base)
+		}
+	},
+	"unlocked-flush": func(t *testing.T, hit func()) {
+		r := newRig(t, StoreOptions{})
+		base := r.written()
+		pk := r.gate.parkAt(segmentSync(false))
+		job := r.grantable()
+		a := r.startWritten(job)
+		r.reached(pk, "the grant's flush")
+		if r.planeLockHeld() {
+			t.Fatal("the plane lock is held across the flush")
+		}
+		if r.written() != base+1 || r.p.DurableLSN() != base {
+			t.Fatalf("written %d durable %d, want %d and %d", r.written(), r.p.DurableLSN(), base+1, base)
+		}
+		r.pending(a, "the grant")
+		hit()
+		r.kill()
+		pk.release()
+		if v := r.result(a, "the grant"); v.err == nil {
+			t.Fatal("grant acknowledged by a process killed before it flushed")
+		}
+		if st := r.recover(); st.LSN != base || hasGrant(st, job.ID) {
+			t.Fatalf("recovered lsn %d (grant there: %t), want %d without it", st.LSN, hasGrant(st, job.ID), base)
+		}
+	},
+	"mid-flush-second-grant": func(t *testing.T, hit func()) {
+		r := newRig(t, StoreOptions{})
+		base := r.written()
+		flushA := r.gate.parkAt(segmentSync(false))
+		jobA, jobB := r.grantable(), r.grantable()
+		a := r.startWritten(jobA)
+		r.reached(flushA, "the first grant's flush")
+		flushB := r.gate.parkAt(segmentSync(false))
+		b := r.startWritten(jobB) // written behind a flush that has started
+		flushA.release()
+		if v := r.result(a, "the first grant"); v.err != nil {
+			t.Fatal(v.err)
+		}
+		r.reached(flushB, "the second grant's own flush")
+		// A flush answers for what was written before it started, no more:
+		// the second grant is not released by the first one's.
+		if got := r.p.DurableLSN(); got != base+1 {
+			t.Fatalf("durable to %d after the first grant's flush, want %d", got, base+1)
+		}
+		r.pending(b, "the second grant")
+		hit()
+		r.kill()
+		flushB.release()
+		if v := r.result(b, "the second grant"); v.err == nil {
+			t.Fatal("second grant acknowledged by a process killed before its flush")
+		}
+		st := r.recover()
+		if st.LSN < base+1 || !hasGrant(st, jobA.ID) {
+			t.Fatalf("recovered lsn %d without acknowledged grant %d (lsn %d)", st.LSN, jobA.ID, base+1)
+		}
+	},
+	"flush-ack": func(t *testing.T, hit func()) {
+		r := newRig(t, StoreOptions{})
+		base := r.written()
+		pk := r.gate.parkAt(segmentSync(true))
+		job := r.grantable()
+		a := r.startWritten(job)
+		r.reached(pk, "the end of the grant's flush")
+		r.pending(a, "the grant")
+		hit()
+		r.kill()
+		pk.release()
+		if v := r.result(a, "the grant"); v.err == nil {
+			t.Fatal("grant acknowledged by a dead process")
+		}
+		// Durable and never acknowledged: the one direction the contract
+		// leaves open.
+		if st := r.recover(); st.LSN != base+1 || !hasGrant(st, job.ID) {
+			t.Fatalf("recovered lsn %d (grant there: %t), want the flushed record %d", st.LSN, hasGrant(st, job.ID), base+1)
+		}
+	},
+	"refusal-ahead-of-flush": func(t *testing.T, hit func()) {
+		r := newRig(t, StoreOptions{})
+		base, flushes := r.written(), r.gate.segSyncs.Load()
+		pk := r.gate.parkAt(segmentSync(false))
+		job := r.grantable()
+		a := r.startWritten(job)
+		r.reached(pk, "the grant's flush")
+		// The first caller stands in its flush.  A second caller's refusal,
+		// clock report and completion go through meanwhile.
+		refusal := r.refusable()
+		if v := r.result(r.start(refusal), "the refusal behind a parked flush"); !errors.Is(v.err, qos.ErrRejected) {
+			t.Fatalf("refusal: %v", v.err)
+		}
+		r.wrote(func(q *Plane) { q.Negotiate(refusal) })
+		r.p.Observe(3)
+		r.wrote(func(q *Plane) { q.Observe(3) })
+		if r.written() != base+3 || r.p.DurableLSN() != base || r.gate.segSyncs.Load() != flushes {
+			t.Fatalf("written %d durable %d after %d more flushes, want %d, %d and none",
+				r.written(), r.p.DurableLSN(), r.gate.segSyncs.Load()-flushes, base+3, base)
+		}
+		r.pending(a, "the grant")
+		hit()
+		r.kill()
+		pk.release()
+		if v := r.result(a, "the grant"); v.err == nil {
+			t.Fatal("grant acknowledged by a process killed before it flushed")
+		}
+		// The refusal was acknowledged and is gone, with the grant ahead of
+		// it that nobody was told of: the plane that comes back promised
+		// nothing it cannot keep.
+		if st := r.recover(); st.LSN != base || hasGrant(st, job.ID) {
+			t.Fatalf("recovered lsn %d (grant there: %t), want %d without it", st.LSN, hasGrant(st, job.ID), base)
+		}
+	},
+	"snapshot-during-sync-to": func(t *testing.T, hit func()) {
+		for _, crash := range []bool{true, false} {
+			r := newRig(t, StoreOptions{})
+			base := r.written()
+			if v := r.negotiate(r.refusable()); !errors.Is(v.err, qos.ErrRejected) {
+				t.Fatal(v.err)
+			}
+			pk := r.gate.parkAt(snapshotSync(false))
+			snap := make(chan error, 1)
+			go func() { snap <- r.p.Snapshot() }()
+			r.reached(pk, "the snapshot's flush")
+			// A caller asks for the riding refusal to be made durable while
+			// the snapshot holds the flush lock.
+			waiter := make(chan error, 1)
+			go func() { waiter <- r.p.store.SyncTo(base + 1) }()
+			time.Sleep(2 * time.Millisecond)
+			select {
+			case err := <-waiter:
+				t.Fatalf("SyncTo returned %v across a snapshot in progress with its record not durable", err)
+			default:
+			}
+			flushes := r.gate.segSyncs.Load()
+			if crash {
+				hit()
+				r.kill()
+			}
+			pk.release()
+			serr, werr := <-snap, <-waiter
+			if crash {
+				if serr == nil || werr == nil {
+					t.Fatalf("snapshot %v, waiter %v in a killed process", serr, werr)
+				}
+				if st := r.recover(); st.LSN != base {
+					t.Fatalf("recovered lsn %d from a half-written snapshot, want %d", st.LSN, base)
+				}
+				continue
+			}
+			// Left alone, the snapshot covers the waiter's record and
+			// releases it: the only journal flush is the fresh segment's.
+			if serr != nil || werr != nil {
+				t.Fatalf("snapshot %v, waiter %v", serr, werr)
+			}
+			if got := r.p.DurableLSN(); got != base+1 {
+				t.Fatalf("durable to %d after the snapshot, want %d", got, base+1)
+			}
+			if got := r.gate.segSyncs.Load() - flushes; got != 1 {
+				t.Fatalf("%d journal flushes across the snapshot, want the fresh segment's alone", got)
+			}
+			r.kill()
+			if st := r.recover(); st.LSN != base+1 {
+				t.Fatalf("recovered lsn %d from the snapshot, want %d", st.LSN, base+1)
+			}
+		}
+	},
+}
+
+func TestCrashPositions(t *testing.T) {
+	for _, name := range crashPositionNames {
+		if run, ok := crashPositions[name]; ok {
+			t.Run(name, func(t *testing.T) { run(t, func() {}) })
+		}
+	}
+}
+
+func TestCrashPositionSweep(t *testing.T) {
+	hits := map[string]int{}
+	for name, run := range crashPositions {
+		run(t, func() { hits[name]++ })
+	}
+	for _, name := range crashPositionNames {
+		if hits[name] == 0 {
+			t.Errorf("no scenario took a crash at %q", name)
+		}
+	}
+	if len(crashPositions) != len(crashPositionNames) {
+		t.Errorf("%d scenarios for %d named positions", len(crashPositions), len(crashPositionNames))
+	}
+}
+
+// Four callers, every kind of call, and a disk whose flushes start failing:
+// no grant comes back without its flush, the failure reaches every waiter and
+// every later caller, and Err does not change its mind.  Run under -race,
+// which is also what holds the store's poison, written and durable marks to
+// being atomics: they are read here with neither lock held.
+func TestConcurrentCallersAndAFailingDisk(t *testing.T) {
+	boom := errors.New("flush failed")
+	ft := vfs.NewFault(vfs.NewMem())
+	var admitLSN sync.Map // job ID -> LSN of its admit record
+	gate := &gateFS{FS: ft, watch: func(ev gateEvent) {
+		if rec, ok := ev.record(); ok && ev.after && rec.Kind == KindAdmit {
+			admitLSN.Store(rec.JobID, rec.LSN)
+		}
+	}}
+	p, _, err := OpenPlane(Config{FS: gate, Dir: "log", Procs: 16, Shards: 2, ProbeK: 1,
+		Store: StoreOptions{SnapshotEvery: 64}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ft.SetSyncError(boom, 120)
+
+	const callers, perCaller = 4, 400
+	jobs := planeStream(callers*perCaller, 43)
+	var (
+		wg       sync.WaitGroup
+		granted  atomic.Int64
+		poisoned atomic.Int64 // calls made after Err was seen non-nil
+		firstErr atomic.Pointer[error]
+	)
+	fail := make(chan string, callers+1)
+	// A reader that takes no lock at all, ever: whatever it reads must be
+	// safe to read that way.
+	stop, watched := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(watched)
+		var down error
+		var durable uint64
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := p.Err(); down != nil && err != down {
+				fail <- fmt.Sprintf("Err changed from %v to %v", down, err)
+				return
+			} else if err != nil {
+				down = err
+			}
+			if d := p.DurableLSN(); d < durable {
+				fail <- fmt.Sprintf("DurableLSN went back from %d to %d", durable, d)
+				return
+			} else {
+				durable = d
+			}
+		}
+	}()
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			report := func(format string, args ...any) {
+				select {
+				case fail <- fmt.Sprintf(format, args...):
+				default:
+				}
+			}
+			var mine []int
+			for i := 0; i < perCaller; i++ {
+				job := jobs[c*perCaller+i]
+				down := p.Err()
+				if down != nil {
+					poisoned.Add(1)
+					if first := firstErr.Load(); first == nil {
+						firstErr.CompareAndSwap(nil, &down)
+					} else if *first != down {
+						report("Err changed from %v to %v", *first, down)
+					}
+				}
+				p.Observe(job.Release)
+				g, err := p.Negotiate(job)
+				switch {
+				case err == nil:
+					granted.Add(1)
+					mine = append(mine, g.JobID)
+					lsn, ok := admitLSN.Load(g.JobID)
+					if !ok || p.DurableLSN() < lsn.(uint64) {
+						report("job %d granted with its record (lsn %v) beyond the durable %d", g.JobID, lsn, p.DurableLSN())
+					}
+					if down != nil {
+						report("job %d granted by a plane already poisoned", g.JobID)
+					}
+				case errors.Is(err, qos.ErrRejected):
+					if down != nil {
+						report("job %d refused, not failed, by a plane already poisoned", job.ID)
+					}
+				case !errors.Is(err, boom):
+					report("job %d: %v", job.ID, err)
+				}
+				switch i % 8 {
+				case 3:
+					if len(mine) > 0 {
+						if err := p.JobCompleted(mine[0], job.Release); err != nil && !errors.Is(err, boom) {
+							report("complete %d: %v", mine[0], err)
+						} else if err == nil && down != nil {
+							report("completion of %d accepted by a plane already poisoned", mine[0])
+						}
+						mine = mine[1:]
+					}
+				case 7:
+					if err := p.Snapshot(); err != nil && !errors.Is(err, boom) {
+						report("snapshot: %v", err)
+					} else if err == nil && down != nil {
+						report("snapshot taken by a poisoned plane")
+					}
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	close(stop)
+	<-watched
+	select {
+	case msg := <-fail:
+		t.Fatal(msg)
+	default:
+	}
+	if granted.Load() == 0 || poisoned.Load() == 0 {
+		t.Fatalf("%d grants, %d calls after the failure: the run must see both sides of it", granted.Load(), poisoned.Load())
+	}
+	if err := p.Err(); !errors.Is(err, boom) || err != *firstErr.Load() {
+		t.Fatalf("Err() = %v at the end, first seen as %v", err, *firstErr.Load())
+	}
+}

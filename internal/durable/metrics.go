@@ -6,9 +6,9 @@ import "milan/internal/obs"
 // against an obs.Registry under the durable_ namespace so the append path
 // only touches atomics.
 type Metrics struct {
-	Appends       *obs.Counter // records appended to the log
-	Fsyncs        *obs.Counter // file syncs issued by the append path
-	AppendLatency *obs.Stat    // seconds per append (write + policy sync)
+	Appends       *obs.Counter // records written to the log
+	Fsyncs        *obs.Counter // log flushes issued: at most one per promise, fewer when callers share one
+	AppendLatency *obs.Stat    // seconds per record write; the wait for a flush is not in it
 
 	Snapshots        *obs.Counter // snapshots written (including on open)
 	SnapshotBytes    *obs.Gauge   // size of the newest snapshot file
@@ -34,9 +34,9 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 		TornTails:        reg.Counter("durable_torn_tails"),
 		Poisoned:         reg.Gauge("durable_poisoned"),
 	}
-	reg.Describe("durable_appends", "WAL records appended")
-	reg.Describe("durable_fsyncs", "file syncs issued by the WAL append path")
-	reg.Describe("durable_append_seconds", "seconds per WAL append (write plus policy sync)")
+	reg.Describe("durable_appends", "WAL records written")
+	reg.Describe("durable_fsyncs", "WAL flushes issued (at most one per acknowledged promise; callers that queue behind a flush share the next)")
+	reg.Describe("durable_append_seconds", "seconds per WAL record write, under the plane lock (the flush a promise waits for is not included)")
 	reg.Describe("durable_snapshots", "durable snapshots written (including at open)")
 	reg.Describe("durable_snapshot_bytes", "size in bytes of the newest snapshot file")
 	reg.Describe("durable_snapshot_seconds", "seconds per snapshot compaction")

@@ -52,10 +52,12 @@ type Config struct {
 // before it is acknowledged.  It implements the same agent-facing surface
 // (qosnet.Arbitrator), so servers and workloads run against it unchanged.
 //
-// The plane serializes decisions under one lock: the log order IS the
-// decision order, which is what makes replay-on-open recovery bit-exact.
-// The price is monolithic concurrency even over a sharded plane — the
-// fsync on the commit path dominates anyway.
+// The plane serializes decisions under one lock, and writes each one's
+// record under it: the log order IS the decision order, which is what makes
+// replay-on-open recovery bit-exact.  The lock is not held while a record
+// is flushed.  An acknowledgment waits for the flush, after the lock is
+// released, iff its record is a promise (see promises); everything else is
+// acknowledged once written and rides the next promise's flush.
 //
 // No request walks the grant set: a grant is live while Finish() > now —
 // the predicate State.Prune applies on recovery — and an elapsed one just
@@ -78,6 +80,65 @@ type Plane struct {
 	// suffices); it lets the shedder-wrapped path reach the timer without
 	// widening the qos.Negotiator interface the shedder speaks.
 	rec *phase.Rec
+	// wait is the LSN the call currently holding the plane lock must see
+	// flushed before it acknowledges (0: nothing); writeLocked sets it,
+	// unlock takes it.
+	wait uint64
+}
+
+// promises reports whether a record of kind k binds the plane to something
+// a recovered plane must still honour — a reservation granted or moved, a
+// machine resized — and so has to be on stable storage before its caller
+// hears of it.  A refusal, a shed, a clock report or a completion binds it
+// to nothing: lost, as a suffix of the log, it leaves a recovered plane that
+// promised nothing it cannot keep (at worst a finished grant is listed live
+// again until its reserved time runs out), so these are acknowledged once
+// written.
+func promises(k Kind) bool {
+	switch k {
+	case KindAdmit, KindRenegotiate, KindCapacity:
+		return true
+	}
+	return false
+}
+
+// writeLocked journals rec, in decision order, under the plane lock.  Any
+// flush its acknowledgment has to wait for is left to unlock.
+func (p *Plane) writeLocked(rec *Record) error {
+	wait, err := p.store.Write(rec, promises(rec.Kind))
+	p.wait = max(p.wait, wait)
+	return err
+}
+
+// unlock releases the plane lock and then, with the next decision already
+// under way, waits for the flush of what this one wrote, if its
+// acknowledgment needs one.
+func (p *Plane) unlock() error {
+	wait := p.wait
+	p.wait = 0
+	p.mu.Unlock()
+	if wait == 0 {
+		return nil
+	}
+	return p.store.SyncTo(wait)
+}
+
+// unlockVerdict is unlock for a negotiation: the verdict goes back to the
+// caller unless the flush it had to wait for failed.
+func (p *Plane) unlockVerdict(g *qos.Grant, err error) (*qos.Grant, error) {
+	if ferr := p.unlock(); ferr != nil {
+		if g != nil {
+			return nil, errNotJournaled(g.JobID, ferr)
+		}
+		return nil, ferr
+	}
+	return g, err
+}
+
+// errNotJournaled is what the caller of a granted job hears when the grant's
+// record did not reach the log.
+func errNotJournaled(jobID int, err error) error {
+	return fmt.Errorf("durable: grant %d committed in memory but not journaled (plane poisoned, reopen required): %w", jobID, err)
 }
 
 // planeInner is the negotiator the shedder wraps: admission plus
@@ -151,9 +212,9 @@ func OpenPlane(cfg Config) (*Plane, Recovered, error) {
 
 // onShardResize journals a rebalancer capacity move.  It fires under the
 // shard lock inside a plane-locked operation, so the record lands in the
-// plane's decision order.  The hook cannot return an error; a failed
-// append poisons the store, and SetTotalCapacity/Rebalance report that
-// once the rebalancer returns.
+// plane's decision order, and it is flushed there too: resizes are rare.
+// The hook cannot return an error; a failed append poisons the store, and
+// SetTotalCapacity/Rebalance report that once the rebalancer returns.
 func (p *Plane) onShardResize(shard, procs int) {
 	_, _ = p.store.Append(&Record{Kind: KindCapacity, Shard: shard, Procs: procs})
 }
@@ -222,31 +283,35 @@ func (p *Plane) AttachBroker(b *resbroker.Broker, threshold int) (stop func()) {
 	})
 }
 
-// Err returns the store's poison error, if any: non-nil means an append
-// or snapshot failed, the in-memory plane may be ahead of the log, and
-// the plane refuses further decisions until reopened.
-func (p *Plane) Err() error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.store.Poisoned()
-}
+// Err returns the store's poison error, if any: non-nil means a write,
+// flush or snapshot failed, the in-memory plane may be ahead of the log,
+// and the plane refuses further decisions until reopened.
+func (p *Plane) Err() error { return p.store.Poisoned() }
 
 // Negotiate runs admission control and journals the outcome.  A grant is
 // returned only after its admit record reached the log (and stable
-// storage, under SyncAlways); a failed append returns the append error
-// and poisons the plane instead of acknowledging.
+// storage, under SyncAlways); a refusal once its record is written.  A
+// failed write or flush returns that error and poisons the plane instead
+// of acknowledging.
 func (p *Plane) Negotiate(job core.Job) (*qos.Grant, error) {
 	return p.NegotiateTimed(job, nil)
 }
 
 // NegotiateTimed is Negotiate with latency-phase attribution (rec may be
 // nil): plane-lock acquisition counts as route, the wrapped arbitrator
-// attributes its own phases, and the WAL append before acknowledgment is
-// the journal phase.
+// attributes its own phases, and the journal phase is the record's write
+// under the lock plus, past the lock, the wait for its flush.
 func (p *Plane) NegotiateTimed(job core.Job, lrec *phase.Rec) (*qos.Grant, error) {
 	p.mu.Lock()
 	lrec.Mark(phase.Route)
-	defer p.mu.Unlock()
+	g, err := p.unlockVerdict(p.decideLocked(job, lrec))
+	lrec.Mark(phase.Journal)
+	return g, err
+}
+
+// decideLocked is one admission, shedder first if there is one, with its
+// record written.
+func (p *Plane) decideLocked(job core.Job, lrec *phase.Rec) (*qos.Grant, error) {
 	if err := p.poisonedLocked(); err != nil {
 		return nil, err
 	}
@@ -263,10 +328,9 @@ func (p *Plane) NegotiateTimed(job core.Job, lrec *phase.Rec) (*qos.Grant, error
 			Tenant: job.Tenant, Class: job.Class,
 			Reason: string(p.lastShed.Reason),
 		}
-		if _, aerr := p.store.Append(rec); aerr != nil {
+		if aerr := p.writeLocked(rec); aerr != nil {
 			return nil, aerr
 		}
-		lrec.Mark(phase.Journal)
 		p.maybeSnapshotLocked()
 	}
 	return g, err
@@ -280,10 +344,9 @@ func (p *Plane) negotiateLocked(job core.Job, lrec *phase.Rec) (*qos.Grant, erro
 			// rejection attribution is diagnostics, not durable state
 			// (the oracle compares plane-merged counters).
 			rec := &Record{Kind: KindReject, JobID: job.ID, Tenant: job.Tenant, Class: job.Class}
-			if _, aerr := p.store.Append(rec); aerr != nil {
+			if aerr := p.writeLocked(rec); aerr != nil {
 				return nil, aerr
 			}
-			lrec.Mark(phase.Journal)
 			p.maybeSnapshotLocked()
 		}
 		return nil, err
@@ -295,10 +358,9 @@ func (p *Plane) negotiateLocked(job core.Job, lrec *phase.Rec) (*qos.Grant, erro
 		Tenant: job.Tenant, Class: job.Class,
 		Tasks: g.Placement.Tasks,
 	}
-	if _, aerr := p.store.Append(rec); aerr != nil {
-		return nil, fmt.Errorf("durable: grant %d committed in memory but not journaled (plane poisoned, reopen required): %w", g.JobID, aerr)
+	if aerr := p.writeLocked(rec); aerr != nil {
+		return nil, errNotJournaled(g.JobID, aerr)
 	}
-	lrec.Mark(phase.Journal)
 	p.grants[g.JobID] = GrantRecord{
 		JobID: g.JobID, Shard: g.Shard, Chain: g.Chain,
 		Quality: g.Quality, Tunable: job.Tunable(),
@@ -314,7 +376,10 @@ func (p *Plane) negotiateLocked(job core.Job, lrec *phase.Rec) (*qos.Grant, erro
 // diagnostics; replay does not reconstruct them).
 func (p *Plane) NegotiateDAG(job core.DAGJob) (*qos.Grant, error) {
 	p.mu.Lock()
-	defer p.mu.Unlock()
+	return p.unlockVerdict(p.negotiateDAGLocked(job))
+}
+
+func (p *Plane) negotiateDAGLocked(job core.DAGJob) (*qos.Grant, error) {
 	if err := p.poisonedLocked(); err != nil {
 		return nil, err
 	}
@@ -329,8 +394,8 @@ func (p *Plane) NegotiateDAG(job core.DAGJob) (*qos.Grant, error) {
 		Quality: g.Quality, Tunable: tunable,
 		Tasks: g.Placement.Tasks,
 	}
-	if _, aerr := p.store.Append(rec); aerr != nil {
-		return nil, fmt.Errorf("durable: grant %d committed in memory but not journaled (plane poisoned, reopen required): %w", g.JobID, aerr)
+	if aerr := p.writeLocked(rec); aerr != nil {
+		return nil, errNotJournaled(g.JobID, aerr)
 	}
 	p.grants[g.JobID] = GrantRecord{
 		JobID: g.JobID, Shard: g.Shard, Chain: g.Chain,
@@ -345,7 +410,11 @@ func (p *Plane) NegotiateDAG(job core.DAGJob) (*qos.Grant, error) {
 // folds elapsed history at exactly the same points the live plane did.
 func (p *Plane) Observe(now float64) {
 	p.mu.Lock()
-	defer p.mu.Unlock()
+	p.observeLocked(now)
+	_ = p.unlock() // a failed flush has poisoned the store; Err reports it
+}
+
+func (p *Plane) observeLocked(now float64) {
 	if p.store.Poisoned() != nil || now <= p.now {
 		return
 	}
@@ -354,7 +423,7 @@ func (p *Plane) Observe(now float64) {
 	p.now = now
 	p.shed.Observe(now)
 	p.arb.Observe(now)
-	if _, err := p.store.Append(&Record{Kind: KindObserve, Now: now}); err != nil {
+	if err := p.writeLocked(&Record{Kind: KindObserve, Now: now}); err != nil {
 		return
 	}
 	p.maybeSnapshotLocked()
@@ -365,7 +434,14 @@ func (p *Plane) Observe(now float64) {
 // reservation has already elapsed are a no-op: nothing is journaled.
 func (p *Plane) JobCompleted(jobID int, now float64) error {
 	p.mu.Lock()
-	defer p.mu.Unlock()
+	err := p.jobCompletedLocked(jobID, now)
+	if ferr := p.unlock(); err == nil {
+		err = ferr
+	}
+	return err
+}
+
+func (p *Plane) jobCompletedLocked(jobID int, now float64) error {
 	if err := p.store.Poisoned(); err != nil {
 		return err
 	}
@@ -375,7 +451,7 @@ func (p *Plane) JobCompleted(jobID int, now float64) error {
 	}
 	p.shed.JobCompleted(jobID, now)
 	delete(p.grants, jobID)
-	if _, err := p.store.Append(&Record{Kind: KindComplete, Shard: g.Shard, JobID: jobID, Finish: now}); err != nil {
+	if err := p.writeLocked(&Record{Kind: KindComplete, Shard: g.Shard, JobID: jobID, Finish: now}); err != nil {
 		return err
 	}
 	p.maybeSnapshotLocked()
@@ -384,7 +460,8 @@ func (p *Plane) JobCompleted(jobID int, now float64) error {
 
 // maybeSnapshotLocked compacts when enough records accumulated.  A
 // snapshot failure poisons the store but never revokes an already
-// journaled decision.
+// acknowledged decision; the call that carried it fails if its own record
+// still had a flush to wait for.
 func (p *Plane) maybeSnapshotLocked() {
 	if p.store.ShouldSnapshot() {
 		st := p.exportStateLocked()
@@ -497,17 +574,12 @@ func (p *Plane) Headroom(horizon float64) core.Headroom {
 }
 
 // DurableLSN returns the highest LSN known synced to stable storage.
-func (p *Plane) DurableLSN() uint64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.store.DurableLSN()
-}
+func (p *Plane) DurableLSN() uint64 { return p.store.DurableLSN() }
 
 // Shedder returns the wrapped shedder, or nil.
 func (p *Plane) Shedder() *qos.Shedder { return p.shed }
 
-// Close closes the log.  Unsynced records follow the sync policy's fate;
-// close does not imply fsync.
+// Close flushes the written tail (see Store.Close) and closes the log.
 func (p *Plane) Close() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()

@@ -58,6 +58,62 @@ func drive(t *testing.T, observe func(float64), negotiate func(core.Job) (*qos.G
 	return granted
 }
 
+// script is the calls a test made on a plane, each with the journal's length
+// once it returned, so that the plane's state at any LSN can be rebuilt: a
+// fresh plane on a fresh disk, given the calls that had returned by then.
+// It is what a crash is held to now that only promises are flushed before
+// they are acknowledged: the recovered state is the state at the recovered
+// LSN, which may be short of the live one by a tail of refusals, clock
+// reports and completions.
+type script struct {
+	cfg   Config
+	calls []scriptCall
+}
+
+type scriptCall struct {
+	replay func(*Plane)
+	lsn    uint64
+}
+
+// did notes a call p has just returned from; replay makes it again on a
+// reference plane and must touch nothing else.
+func (s *script) did(p *Plane, replay func(*Plane)) {
+	s.calls = append(s.calls, scriptCall{replay, p.store.NextLSN() - 1})
+}
+
+// at rebuilds the state at lsn.  Calls that wrote nothing changed nothing,
+// so it does not matter which side of lsn they fall on.
+func (s *script) at(t *testing.T, lsn uint64) State {
+	t.Helper()
+	cfg := s.cfg
+	cfg.FS, cfg.Dir = vfs.NewMem(), "ref"
+	ref, _, err := OpenPlane(cfg)
+	if err != nil {
+		t.Fatalf("open reference plane: %v", err)
+	}
+	defer ref.Close()
+	for _, c := range s.calls {
+		if c.lsn <= lsn {
+			c.replay(ref)
+		}
+	}
+	st := ref.ExportState()
+	if st.LSN != lsn {
+		t.Fatalf("the calls noted up to lsn %d rebuild a journal of %d records", lsn, st.LSN)
+	}
+	return st
+}
+
+// cut forgets the calls whose records a crash took.
+func (s *script) cut(lsn uint64) {
+	for i, c := range s.calls {
+		if c.lsn > lsn {
+			s.calls = s.calls[:i]
+			return
+		}
+	}
+}
+
 // TestPlaneReopenIsExact: close and reopen at any point; the recovered
 // plane must be bitwise-identical to the one that kept running, and must
 // keep making identical decisions afterwards.
@@ -101,42 +157,103 @@ func TestPlaneReopenIsExact(t *testing.T) {
 	}
 }
 
-// TestPlaneCrashLosesNothingUnderSyncAlways: a hard crash (no Close) after
-// every ack must preserve every acknowledged grant.
+// TestPlaneCrashLosesNothingUnderSyncAlways: a hard crash (no Close) at any
+// point keeps every acknowledged grant, and recovers the plane exactly as it
+// stood at the LSN it recovered — no further back than the last grant.
 func TestPlaneCrashLosesNothingUnderSyncAlways(t *testing.T) {
 	jobs := planeStream(150, 13)
-	mem := vfs.NewMem()
-	p, _ := openPlane(t, mem, 2, StoreOptions{Sync: SyncAlways, SnapshotEvery: 8})
-	drive(t, p.Observe, p.Negotiate, jobs)
-	want := p.ExportState()
-	mem.Crash()
+	for _, cut := range []int{150, 149, 97, 40} {
+		mem := vfs.NewMem()
+		opts := StoreOptions{Sync: SyncAlways, SnapshotEvery: 8}
+		p, _ := openPlane(t, mem, 2, opts)
+		sc := script{cfg: Config{Procs: 16, Shards: 2, ProbeK: 1, Store: opts}}
+		acked := map[int]float64{}
+		var grantLSN uint64
+		for _, job := range jobs[:cut] {
+			p.Observe(job.Release)
+			sc.did(p, func(q *Plane) { q.Observe(job.Release) })
+			g, err := p.Negotiate(job)
+			sc.did(p, func(q *Plane) { q.Negotiate(job) })
+			if err == nil {
+				acked[g.JobID], grantLSN = g.Finish(), p.store.NextLSN()-1
+			} else if !errors.Is(err, qos.ErrRejected) {
+				t.Fatalf("job %d: %v", job.ID, err)
+			}
+		}
+		mem.Crash()
 
-	p2, _ := openPlane(t, mem, 2, StoreOptions{})
-	got := p2.ExportState()
-	if err := DiffStates(&got, &want); err != nil {
-		t.Fatalf("crash lost state under SyncAlways: %v", err)
+		p2, _ := openPlane(t, mem, 2, StoreOptions{})
+		got := p2.ExportState()
+		if got.LSN < grantLSN {
+			t.Fatalf("cut=%d: recovered lsn %d, the last acknowledged grant is record %d", cut, got.LSN, grantLSN)
+		}
+		want := sc.at(t, got.LSN)
+		if err := DiffStates(&got, &want); err != nil {
+			t.Fatalf("cut=%d: crash lost state under SyncAlways: %v", cut, err)
+		}
+		live := map[int]bool{}
+		for _, g := range got.Grants {
+			live[g.JobID] = true
+		}
+		for id, finish := range acked {
+			if finish > got.Now && !live[id] {
+				t.Fatalf("cut=%d: acknowledged grant %d, live until %v, is gone at %v", cut, id, finish, got.Now)
+			}
+		}
 	}
 }
 
-// TestPlaneCompletionSurvivesRecovery: completed grants leave the live set
-// durably.
+// TestPlaneCompletionSurvivesRecovery: a completion is acknowledged once
+// written and rides the next promise's flush.  Flushed, the grant has left
+// the live set durably; lost with the tail of the log, the grant is back,
+// reserved until its time runs out, and the plane is the plane at that LSN.
 func TestPlaneCompletionSurvivesRecovery(t *testing.T) {
 	jobs := planeStream(40, 17)
-	mem := vfs.NewMem()
-	p, _ := openPlane(t, mem, 1, StoreOptions{})
-	granted := drive(t, p.Observe, p.Negotiate, jobs)
-	if len(granted) < 2 {
-		t.Fatalf("want at least 2 grants, got %d", len(granted))
-	}
-	done := granted[0]
-	if err := p.JobCompleted(done, p.Now()); err != nil {
-		t.Fatal(err)
-	}
-	mem.Crash()
-	p2, _ := openPlane(t, mem, 1, StoreOptions{})
-	for _, g := range p2.Grants() {
-		if g.JobID == done {
-			t.Fatalf("completed job %d reappeared as a live grant after recovery", done)
+	later := planeStream(41, 17)[40]
+	for _, flushed := range []bool{true, false} {
+		mem := vfs.NewMem()
+		p, _ := openPlane(t, mem, 1, StoreOptions{})
+		sc := script{cfg: Config{Procs: 16, Shards: 1, ProbeK: 1}}
+		for _, job := range jobs {
+			p.Observe(job.Release)
+			sc.did(p, func(q *Plane) { q.Observe(job.Release) })
+			p.Negotiate(job)
+			sc.did(p, func(q *Plane) { q.Negotiate(job) })
+		}
+		live := p.Grants()
+		if len(live) == 0 {
+			t.Fatal("no live grant to complete")
+		}
+		done, now := live[len(live)-1].JobID, p.Now()
+		beforeLSN := p.ExportState().LSN
+		if err := p.JobCompleted(done, now); err != nil {
+			t.Fatal(err)
+		}
+		sc.did(p, func(q *Plane) { q.JobCompleted(done, now) })
+		if flushed {
+			later.Release = now // room for it now that done has left
+			if _, err := p.Negotiate(later); err != nil {
+				t.Fatalf("the grant whose flush the completion rides: %v", err)
+			}
+			sc.did(p, func(q *Plane) { q.Negotiate(later) })
+		}
+		mem.Crash()
+
+		p2, _ := openPlane(t, mem, 1, StoreOptions{})
+		got := p2.ExportState()
+		want := sc.at(t, got.LSN)
+		if err := DiffStates(&got, &want); err != nil {
+			t.Fatalf("flushed=%t: %v", flushed, err)
+		}
+		back := false
+		for _, g := range got.Grants {
+			back = back || g.JobID == done
+		}
+		switch {
+		case flushed && back:
+			t.Fatalf("completed job %d reappeared as a live grant after its record was flushed", done)
+		case !flushed && (got.LSN > beforeLSN || !back):
+			t.Fatalf("unflushed completion: recovered lsn %d (want at most %d), grant %d live again: %t", got.LSN, beforeLSN, done, back)
 		}
 	}
 }
@@ -152,24 +269,28 @@ func TestShedderNeverResurrectsSheds(t *testing.T) {
 		Horizon:      50,
 		DefaultQuota: 0.2, // tight quota: plenty of sheds
 	}
-	p, _, err := OpenPlane(Config{
+	cfg := Config{
 		FS: mem, Dir: "log", Procs: 16, Shards: 2, ProbeK: 1,
 		Store: StoreOptions{SnapshotEvery: 16},
 		Shed:  shed,
-	})
+	}
+	p, _, err := OpenPlane(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	sc := script{cfg: cfg}
 	shedIDs := map[int]bool{}
-	var acked []int
+	var lastGrantLSN uint64
 	for _, job := range jobs {
 		p.Observe(job.Release)
-		g, err := p.Negotiate(job)
+		sc.did(p, func(q *Plane) { q.Observe(job.Release) })
+		_, err := p.Negotiate(job)
+		sc.did(p, func(q *Plane) { q.Negotiate(job) })
 		switch {
 		case err == nil:
-			acked = append(acked, g.JobID)
-			if int(p.DurableLSN()) == 0 {
-				t.Fatal("ack before anything durable")
+			lastGrantLSN = p.store.NextLSN() - 1
+			if p.DurableLSN() < lastGrantLSN {
+				t.Fatalf("grant %d acknowledged at lsn %d with the log durable to %d", job.ID, lastGrantLSN, p.DurableLSN())
 			}
 		case errors.Is(err, qos.ErrShed):
 			shedIDs[job.ID] = true
@@ -181,7 +302,7 @@ func TestShedderNeverResurrectsSheds(t *testing.T) {
 	if len(shedIDs) == 0 {
 		t.Fatal("workload produced no sheds; tighten the quota")
 	}
-	want := p.ExportState()
+	written := p.ExportState().LSN
 	mem.Crash()
 
 	p2, rec, err := OpenPlane(Config{
@@ -190,9 +311,15 @@ func TestShedderNeverResurrectsSheds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The crash may take the refusals and clock reports written since the
+	// last grant, and nothing else.
 	got := p2.ExportState()
+	if got.LSN < lastGrantLSN || got.LSN > written {
+		t.Fatalf("recovered lsn %d outside [last acknowledged grant %d, written %d]", got.LSN, lastGrantLSN, written)
+	}
+	want := sc.at(t, got.LSN)
 	if err := DiffStates(&got, &want); err != nil {
-		t.Fatalf("recovery diverged: %v", err)
+		t.Fatalf("recovery diverged from the plane at lsn %d: %v", got.LSN, err)
 	}
 	for _, g := range p2.Grants() {
 		if shedIDs[g.JobID] {
@@ -407,9 +534,12 @@ func lazyLiveSetDifferential(t *testing.T, shards, checkEvery int) {
 	opts := StoreOptions{SnapshotEvery: 32}
 	p, _ := openPlane(t, mem, shards, opts)
 
+	sc := script{cfg: Config{Procs: 16, Shards: shards, ProbeK: 1, Store: opts}}
 	ref := &eagerGrants{grants: map[int]GrantRecord{}}
 	var (
 		wantLSN    uint64
+		grantLSN   uint64           // of the last acknowledged grant
+		lostTail   int              // records crashes took: written, acknowledged, not yet flushed
 		everLive   []int            // every ID ever granted: the pool completions draw from
 		unswept    = map[int]bool{} // elapsed since the plane last walked its map
 		lazyHits   int              // completions that found an elapsed entry still in the map
@@ -425,6 +555,7 @@ func lazyLiveSetDifferential(t *testing.T, shards, checkEvery int) {
 			unswept[id] = true
 		}
 		p.Observe(now)
+		sc.did(p, func(q *Plane) { q.Observe(now) })
 	}
 
 	for op := 0; op < ops; op++ {
@@ -436,6 +567,7 @@ func lazyLiveSetDifferential(t *testing.T, shards, checkEvery int) {
 			job.Class = rng.Intn(3)
 			observe(job.Release)
 			g, err := p.Negotiate(job)
+			sc.did(p, func(q *Plane) { q.Negotiate(job) })
 			wantLSN++ // admit or reject, one record either way
 			if err != nil {
 				if !errors.Is(err, qos.ErrRejected) {
@@ -450,6 +582,7 @@ func lazyLiveSetDifferential(t *testing.T, shards, checkEvery int) {
 				Tasks: append([]core.TaskPlacement(nil), g.Placement.Tasks...),
 			}
 			everLive = append(everLive, g.JobID)
+			grantLSN = wantLSN
 		case k < 6: // clock report on its own, sometimes stale
 			now := ref.now + rng.Float64()*3 - 1
 			if rng.Intn(3) == 0 { // exactly the next finish: the boundary of the live predicate
@@ -480,9 +613,11 @@ func lazyLiveSetDifferential(t *testing.T, shards, checkEvery int) {
 				delete(ref.grants, id)
 				wantLSN++
 			}
-			if err := p.JobCompleted(id, ref.now); err != nil {
+			now := ref.now
+			if err := p.JobCompleted(id, now); err != nil {
 				t.Fatalf("op %d: complete %d: %v", op, id, err)
 			}
+			sc.did(p, func(q *Plane) { q.JobCompleted(id, now) })
 		default:
 			if err := p.Snapshot(); err != nil {
 				t.Fatalf("op %d: snapshot: %v", op, err)
@@ -530,20 +665,37 @@ func lazyLiveSetDifferential(t *testing.T, shards, checkEvery int) {
 			mem.Crash()
 			var rec Recovered
 			p, rec = openPlane(t, mem, shards, opts)
+			// What was written since the last grant was acknowledged without
+			// a flush and may be gone; the recovered plane is the plane as
+			// it stood at the LSN it recovered, bit for bit.
+			m := rec.State.LSN
+			if m < grantLSN || m > wantLSN {
+				t.Fatalf("op %d: recovered lsn %d outside [last acknowledged grant %d, written %d]", op, m, grantLSN, wantLSN)
+			}
+			want = sc.at(t, m)
 			if err := DiffStates(&rec.State, &want); err != nil {
-				t.Fatalf("op %d: recovered state != live export: %v", op, err)
+				t.Fatalf("op %d: recovered state != the plane at lsn %d: %v", op, m, err)
 			}
 			if err := sameGrants(rec.State.Grants, want.Grants); err != nil {
 				t.Fatalf("op %d: recovered grants: %v", op, err)
 			}
-			if rec.State.LSN != wantLSN {
-				t.Fatalf("op %d: recovered lsn %d, want %d", op, rec.State.LSN, wantLSN)
+			// The test goes on from what survived.
+			lostTail += int(wantLSN - m)
+			sc.cut(m)
+			wantLSN, ref.now = m, rec.State.Now
+			clear(ref.grants)
+			for _, g := range rec.State.Grants {
+				ref.grants[g.JobID] = g
 			}
 			clear(unswept)
 			lastRecCnt = p.store.recordsSinceSnap
 		}
 	}
-	t.Logf("%d ops: %d grants, %d records, %d completions met an unswept elapsed entry", ops, len(everLive), wantLSN, lazyHits)
+	t.Logf("%d ops: %d grants, %d records, %d completions met an unswept elapsed entry, crashes took %d unflushed records",
+		ops, len(everLive), wantLSN, lazyHits, lostTail)
+	if lostTail == 0 {
+		t.Fatal("no crash ever followed an unflushed refusal, clock report or completion: recovery to a shorter log went untested")
+	}
 	if len(everLive) < ops/8 {
 		t.Fatalf("only %d grants in %d ops: the stream does not exercise the live set", len(everLive), ops)
 	}

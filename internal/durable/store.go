@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"sort"
 	"strconv"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"milan/internal/core"
@@ -23,16 +25,19 @@ const (
 	formatVersion = 1
 )
 
-// SyncPolicy selects when appended records are fsynced.
+// SyncPolicy selects which written records wait for an fsync before they
+// are acknowledged.
 type SyncPolicy int
 
 const (
-	// SyncAlways fsyncs after every append: no acknowledged grant can be
-	// lost by an honest disk.  The default, and the only policy under
-	// which the crash-loop differential guarantees zero loss.
+	// SyncAlways flushes every promise (see Write) before it is
+	// acknowledged: no acknowledged grant can be lost by an honest disk.
+	// The default, and the only policy under which the crash-loop
+	// differential guarantees zero loss.
 	SyncAlways SyncPolicy = iota
-	// SyncEveryN fsyncs after every Nth append (StoreOptions.SyncEvery);
-	// a crash may lose up to N-1 acknowledged records.
+	// SyncEveryN flushes once the log is N records (StoreOptions.SyncEvery)
+	// ahead of stable storage, whatever their kind; a crash may lose up to
+	// N-1 acknowledged records.
 	SyncEveryN
 	// SyncNever leaves syncing to the operating system; a crash may lose
 	// any unsynced tail.
@@ -106,12 +111,18 @@ type Recovered struct {
 
 // Store is the durable admission plane's log: an append-only sequence of
 // checksummed records in rotated segment files, compacted by snapshots.
-// A store is single-writer; the owning plane serializes appends.
 //
-// Append errors poison the store: once any write or sync fails, the
-// in-memory state may be ahead of the durable state, so every later
-// operation fails fast with the original error and the operator must
-// reopen (re-running recovery) to continue.
+// An append has two halves under two locks.  Write is single-writer: the
+// owning plane calls it under its own lock, so log order is decision order.
+// SyncTo is what an acknowledgment waits in, after the plane lock is gone:
+// flushMu admits one flusher at a time, its flush covers every record
+// written before it started, and whoever waited behind it finds its record
+// already durable.  Snapshots and Close run under both locks.
+//
+// Write and sync errors poison the store: once either fails, the in-memory
+// state may be ahead of the durable state, so every later operation fails
+// fast with the original error and the operator must reopen (re-running
+// recovery) to continue.
 type Store struct {
 	fs   vfs.FS
 	dir  string
@@ -119,18 +130,22 @@ type Store struct {
 	core *core.Options
 	met  *Metrics
 
-	seg              vfs.File
+	// The writer's side, under the plane lock.  frame is Write's scratch:
+	// one record's header and payload, built in place and written at once;
+	// safe to reuse because vfs.File.Write does not retain its argument.
 	segName          string
-	nextLSN          uint64
-	durableLSN       uint64
-	appendsSinceSync int
 	recordsSinceSnap int
-	poisoned         error
+	frame            []byte
 
-	// frame is Append's scratch: one record's header and payload, built in
-	// place and written at once.  Safe to reuse because the store is
-	// single-writer and vfs.File.Write does not retain its argument.
-	frame []byte
+	// flushMu serializes flushes with each other and with the segment swap
+	// of a snapshot; seg is written only under it and the plane lock both,
+	// so either lock is enough to read it.
+	flushMu sync.Mutex
+	seg     vfs.File
+
+	written    atomic.Uint64 // LSN of the last record in the segment
+	durableLSN atomic.Uint64 // LSN of the last record known flushed
+	poisoned   atomic.Pointer[error]
 }
 
 // OpenConfig configures Open.
@@ -221,8 +236,7 @@ func Open(cfg OpenConfig) (*Store, Recovered, error) {
 	// drop everything else, start a fresh segment.  Until the snapshot's
 	// SyncDir lands, the old snapshot+log remain the durable prefix and a
 	// crash replays to the identical state.
-	s.nextLSN = st.LSN + 1
-	s.durableLSN = st.LSN
+	s.written.Store(st.LSN)
 	snapSt := st
 	snapSt.Shards = append([]core.SchedulerState(nil), st.Shards...)
 	snapSt.Grants = append([]GrantRecord(nil), st.Grants...)
@@ -379,10 +393,14 @@ func writeSegHeader(f vfs.File, first uint64) error {
 }
 
 // compactTo writes st as the newest snapshot, rotates to a fresh segment
-// starting at nextLSN and deletes every older file.  Crash-safe: the new
+// starting after it and deletes every older file.  Crash-safe: the new
 // snapshot is written to a temp name, synced, renamed into place and made
-// durable by SyncDir before anything old is removed.
+// durable by SyncDir before anything old is removed.  It holds the flush
+// lock throughout, so no flush ever syncs a segment being swapped out, and
+// whoever waited in SyncTo meanwhile finds the snapshot has covered it.
 func (s *Store) compactTo(st *State) error {
+	s.flushMu.Lock()
+	defer s.flushMu.Unlock()
 	start := time.Now()
 	st.Prune()
 	payload := EncodeSnapshot(st)
@@ -418,7 +436,9 @@ func (s *Store) compactTo(st *State) error {
 		return s.poison(fmt.Errorf("durable: sync log dir: %w", err))
 	}
 
-	// The snapshot is durable; everything older is now garbage.
+	// The snapshot is durable, and with it every record it covers;
+	// everything older is now garbage.
+	s.durableLSN.Store(st.LSN)
 	if s.seg != nil {
 		s.seg.Close()
 		s.seg = nil
@@ -445,12 +465,12 @@ func (s *Store) compactTo(st *State) error {
 	}
 
 	// Fresh segment for the records after the snapshot.
-	s.segName = filepath.Join(s.dir, segName(s.nextLSN))
+	s.segName = filepath.Join(s.dir, segName(st.LSN+1))
 	seg, err := s.fs.Create(s.segName)
 	if err != nil {
 		return s.poison(fmt.Errorf("durable: create segment: %w", err))
 	}
-	if err := writeSegHeader(seg, s.nextLSN); err != nil {
+	if err := writeSegHeader(seg, st.LSN+1); err != nil {
 		seg.Close()
 		return s.poison(fmt.Errorf("durable: write segment header: %w", err))
 	}
@@ -463,7 +483,6 @@ func (s *Store) compactTo(st *State) error {
 		return s.poison(fmt.Errorf("durable: sync log dir: %w", err))
 	}
 	s.seg = seg
-	s.appendsSinceSync = 0
 	s.recordsSinceSnap = 0
 	if s.met != nil {
 		s.met.SnapshotBytes.Set(float64(12 + n))
@@ -474,30 +493,45 @@ func (s *Store) compactTo(st *State) error {
 }
 
 func (s *Store) poison(err error) error {
-	if s.poisoned == nil {
-		s.poisoned = err
-		if s.met != nil {
-			s.met.Poisoned.Set(1)
-		}
+	if s.poisoned.CompareAndSwap(nil, &err) && s.met != nil {
+		s.met.Poisoned.Set(1)
 	}
 	return err
 }
 
-// Poisoned returns the first append/snapshot error, or nil.  A poisoned
-// store refuses all further writes; reopen to recover.
-func (s *Store) Poisoned() error { return s.poisoned }
+// Poisoned returns the first write, sync or snapshot error, or nil.  A
+// poisoned store refuses all further writes; reopen to recover.
+func (s *Store) Poisoned() error {
+	if err := s.poisoned.Load(); err != nil {
+		return *err
+	}
+	return nil
+}
 
-// Append assigns the record the next LSN, writes its frame — header and
-// payload in a single Write, so a record is one syscall on vfs.OS — and
-// syncs per the configured policy.  On success the record is the
-// durability point for its event: the caller may acknowledge.  On failure
-// the store is poisoned and the caller must not acknowledge.
-func (s *Store) Append(r *Record) (uint64, error) {
-	if s.poisoned != nil {
-		return 0, fmt.Errorf("durable: store poisoned by earlier error: %w", s.poisoned)
+// refused is Poisoned as a write or a flush reports it.
+func (s *Store) refused() error {
+	if err := s.Poisoned(); err != nil {
+		return fmt.Errorf("durable: store poisoned by earlier error: %w", err)
+	}
+	return nil
+}
+
+// Write is the first half of an append, for the one writer the plane lock
+// admits: it assigns the record the next LSN and writes its frame — header
+// and payload in a single Write, so a record is one syscall on vfs.OS.  It
+// does not flush.  wait is the LSN the caller must SyncTo, once it has let
+// the next writer in, before it acknowledges the record; 0 when the sync
+// policy lets the record ride on a later flush: under SyncAlways everything
+// but a promise — a record that binds the plane to something a recovered
+// plane must still honour — and under SyncEveryN everything until the log
+// is SyncEvery records ahead of the disk.  On failure the store is poisoned
+// and the caller must not acknowledge.
+func (s *Store) Write(r *Record, promise bool) (wait uint64, err error) {
+	if err := s.refused(); err != nil {
+		return 0, err
 	}
 	start := time.Now()
-	r.LSN = s.nextLSN
+	r.LSN = s.written.Load() + 1
 	buf := append(s.frame[:0], make([]byte, frame.HeaderLen)...) // header, filled in once the payload is behind it
 	buf = appendRecord(buf, r)
 	frame.PutHeader(buf[:frame.HeaderLen], buf[frame.HeaderLen:])
@@ -505,67 +539,114 @@ func (s *Store) Append(r *Record) (uint64, error) {
 	if _, err := s.seg.Write(buf); err != nil {
 		return 0, s.poison(fmt.Errorf("durable: append %s record: %w", r.Kind, err))
 	}
-	s.nextLSN++
+	s.written.Store(r.LSN)
 	s.recordsSinceSnap++
-	s.appendsSinceSync++
-	sync := false
-	switch s.opts.Sync {
-	case SyncAlways:
-		sync = true
-	case SyncEveryN:
-		sync = s.appendsSinceSync >= s.opts.SyncEvery
-	}
-	if sync {
-		if err := s.seg.Sync(); err != nil {
-			return 0, s.poison(fmt.Errorf("durable: sync %s record: %w", r.Kind, err))
-		}
-		s.durableLSN = r.LSN
-		s.appendsSinceSync = 0
-		if s.met != nil {
-			s.met.Fsyncs.Inc()
-		}
-	}
 	if s.met != nil {
 		s.met.Appends.Inc()
 		s.met.AppendLatency.Observe(time.Since(start).Seconds())
 	}
+	switch s.opts.Sync {
+	case SyncAlways:
+		if promise {
+			wait = r.LSN
+		}
+	case SyncEveryN:
+		if r.LSN-s.durableLSN.Load() >= uint64(s.opts.SyncEvery) {
+			wait = r.LSN
+		}
+	}
+	return wait, nil
+}
+
+// SyncTo is the second half: it returns once the record Write numbered lsn
+// is on stable storage.  One caller at a time flushes; its flush covers
+// every record written before it started, so a caller that waited behind
+// it, or behind a snapshot, usually finds its own record durable and
+// returns without touching the disk.  On failure the store is poisoned and
+// the caller must not acknowledge.
+func (s *Store) SyncTo(lsn uint64) error {
+	if s.durableLSN.Load() >= lsn {
+		return nil
+	}
+	s.flushMu.Lock()
+	defer s.flushMu.Unlock()
+	if s.durableLSN.Load() >= lsn {
+		return nil
+	}
+	return s.flushLocked()
+}
+
+// flushLocked syncs the segment and publishes what that made durable.
+func (s *Store) flushLocked() error {
+	if err := s.refused(); err != nil {
+		return err
+	}
+	through := s.written.Load() // read first: the sync covers at least this
+	if err := s.seg.Sync(); err != nil {
+		return s.poison(fmt.Errorf("durable: sync log through lsn %d: %w", through, err))
+	}
+	s.durableLSN.Store(through)
+	if s.met != nil {
+		s.met.Fsyncs.Inc()
+	}
+	return nil
+}
+
+// Append is both halves back to back: the record is written, and flushed
+// if it must be, before Append returns.  For a writer that cannot let go
+// of the plane lock in between; every record counts as a promise.
+func (s *Store) Append(r *Record) (uint64, error) {
+	wait, err := s.Write(r, true)
+	if err == nil && wait != 0 {
+		err = s.SyncTo(wait)
+	}
+	if err != nil {
+		return 0, err
+	}
 	return r.LSN, nil
 }
 
-// WriteSnapshot compacts the log to st, which must cover every appended
+// WriteSnapshot compacts the log to st, which must cover every written
 // record (st.LSN == last assigned LSN) — the plane guarantees this by
 // snapshotting under its own write lock.
 func (s *Store) WriteSnapshot(st *State) error {
-	if s.poisoned != nil {
-		return fmt.Errorf("durable: store poisoned by earlier error: %w", s.poisoned)
-	}
-	if st.LSN != s.nextLSN-1 {
-		return fmt.Errorf("durable: snapshot at LSN %d does not cover the log head %d", st.LSN, s.nextLSN-1)
-	}
-	if err := s.compactTo(st); err != nil {
+	if err := s.refused(); err != nil {
 		return err
 	}
-	s.durableLSN = st.LSN
-	return nil
+	if head := s.written.Load(); st.LSN != head {
+		return fmt.Errorf("durable: snapshot at LSN %d does not cover the log head %d", st.LSN, head)
+	}
+	return s.compactTo(st)
 }
 
 // ShouldSnapshot reports whether enough records accumulated since the last
 // snapshot to warrant another (per StoreOptions.SnapshotEvery).
 func (s *Store) ShouldSnapshot() bool { return s.recordsSinceSnap >= s.opts.SnapshotEvery }
 
-// NextLSN returns the LSN the next append will receive.
-func (s *Store) NextLSN() uint64 { return s.nextLSN }
+// NextLSN returns the LSN the next write will receive.
+func (s *Store) NextLSN() uint64 { return s.written.Load() + 1 }
 
 // DurableLSN returns the highest LSN known synced to stable storage.
-func (s *Store) DurableLSN() uint64 { return s.durableLSN }
+func (s *Store) DurableLSN() uint64 { return s.durableLSN.Load() }
 
-// Close closes the open segment.  It does not sync: the sync policy
-// already decided what is durable.
+// Close flushes what was written and not yet flushed — under SyncAlways the
+// refusals, clock reports and completions since the last promise, under
+// SyncEveryN the tail short of N — and closes the open segment, so a clean
+// stop leaves nothing riding.  SyncNever stays the operating system's
+// business.
 func (s *Store) Close() error {
+	s.flushMu.Lock()
+	defer s.flushMu.Unlock()
 	if s.seg == nil {
 		return nil
 	}
-	err := s.seg.Close()
+	var err error
+	if s.opts.Sync != SyncNever && s.Poisoned() == nil && s.durableLSN.Load() < s.written.Load() {
+		err = s.flushLocked()
+	}
+	if cerr := s.seg.Close(); err == nil {
+		err = cerr
+	}
 	s.seg = nil
 	return err
 }

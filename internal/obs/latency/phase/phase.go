@@ -28,7 +28,8 @@ const (
 	// Reserve is committing the chosen plan into the profile
 	// (version-checked commit, reservation bookkeeping).
 	Reserve
-	// Journal is the durable WAL append before acknowledgment.
+	// Journal is the durable WAL write before acknowledgment and, for a
+	// record that must be flushed first, the wait for that flush.
 	Journal
 	// Ack is everything after the decision until the response is handed
 	// back; Rec.End attributes the residual here so the phases always
