@@ -23,14 +23,17 @@
 package main
 
 import (
-	"bufio"
+	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"strconv"
 	"strings"
+
+	"milan/internal/obs"
 )
 
 type row struct {
@@ -71,19 +74,17 @@ func (rw row) MarshalJSON() ([]byte, error) {
 // stable across machines.
 func parseBenchOutput(r io.Reader) ([]row, error) {
 	var rows []row
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	for sc.Scan() {
-		fields := strings.Fields(sc.Text())
+	err := obs.Lines(r, "benchdiff: bench output", func(raw []byte) error {
+		fields := strings.Fields(string(raw))
 		if len(fields) < 4 || !strings.HasPrefix(fields[0], "Benchmark") {
-			continue
+			return nil
 		}
 		rw := row{Name: trimProcSuffix(fields[0]), AllocsPerOp: -1, P99NsPerOp: -1}
 		ok := false
 		for i := 2; i+1 < len(fields); i += 2 {
 			v, err := strconv.ParseFloat(fields[i], 64)
 			if err != nil {
-				return nil, fmt.Errorf("benchdiff: bad value %q in %q", fields[i], sc.Text())
+				return fmt.Errorf("bad value %q in %q", fields[i], raw)
 			}
 			switch fields[i+1] {
 			case "ns/op":
@@ -97,8 +98,9 @@ func parseBenchOutput(r io.Reader) ([]row, error) {
 		if ok {
 			rows = append(rows, rw)
 		}
-	}
-	return rows, sc.Err()
+		return nil
+	})
+	return rows, err
 }
 
 // trimProcSuffix drops the "-N" GOMAXPROCS suffix go test appends to
@@ -121,14 +123,9 @@ func trimProcSuffix(name string) string {
 // candidate's allocations against a phantom zero.
 func latestBaseline(r io.Reader) (map[string]row, error) {
 	base := make(map[string]row)
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" {
-			continue
+	err := obs.Lines(r, "benchdiff: baseline", func(raw []byte) error {
+		if raw = bytes.TrimSpace(raw); len(raw) == 0 {
+			return nil
 		}
 		var aux struct {
 			Name        string   `json:"name"`
@@ -137,11 +134,11 @@ func latestBaseline(r io.Reader) (map[string]row, error) {
 			P99NsPerOp  *float64 `json:"p99_ns_per_op"`
 			Note        string   `json:"note"`
 		}
-		if err := json.Unmarshal([]byte(text), &aux); err != nil {
-			return nil, fmt.Errorf("benchdiff: baseline line %d: %w", line, err)
+		if err := json.Unmarshal(raw, &aux); err != nil {
+			return err
 		}
 		if aux.Name == "" {
-			return nil, fmt.Errorf("benchdiff: baseline line %d: missing name", line)
+			return errors.New("missing name")
 		}
 		rw := row{Name: aux.Name, NsPerOp: aux.NsPerOp, AllocsPerOp: -1, P99NsPerOp: -1, Note: aux.Note}
 		if aux.AllocsPerOp != nil {
@@ -151,8 +148,9 @@ func latestBaseline(r io.Reader) (map[string]row, error) {
 			rw.P99NsPerOp = *aux.P99NsPerOp
 		}
 		base[rw.Name] = rw
-	}
-	return base, sc.Err()
+		return nil
+	})
+	return base, err
 }
 
 type verdict struct {

@@ -138,10 +138,9 @@ func federated() error {
 
 	reg := obs.NewRegistry()
 	plane, err := milan.NewFederatedArbitrator(milan.FedConfig{
-		Procs:   broker.TotalProcs(),
-		Shards:  len(machines), // one shard per machine
-		ProbeK:  2,             // best-of-2 routing
-		Metrics: milan.NewFedMetrics(reg),
+		Procs:  broker.TotalProcs(),
+		Shards: len(machines), // one shard per machine
+		ProbeK: 2,             // best-of-2 routing
 	})
 	if err != nil {
 		return err
@@ -237,6 +236,9 @@ func federated() error {
 	st := plane.Stats()
 	fmt.Printf("\nplane: %d admitted, %d rejected, chain choices %v\n",
 		st.Admitted, st.Rejected, st.TunableChosen)
+	// The plane keeps no registry: its fed_* instruments are brought up to
+	// date from its accessors when somebody wants to read them.
+	milan.NewFedMetrics(reg).Publish(plane)
 	fmt.Println("\nfed metrics:")
 	if err := reg.WriteTable(os.Stdout); err != nil {
 		return err

@@ -230,11 +230,10 @@ type runCtx struct {
 	rec    *slo.Recorder
 	eng    *slo.Engine
 
-	fed     *fed.Arbitrator
-	rb      *fed.Rebalancer
-	metrics *fed.Metrics
-	broker  *resbroker.Broker
-	shed    *qos.Shedder
+	fed    *fed.Arbitrator
+	rb     *fed.Rebalancer
+	broker *resbroker.Broker
+	shed   *qos.Shedder
 
 	digest hash.Hash64
 	now    float64
@@ -350,13 +349,11 @@ func runOne(cfg Config, sc Scenario, plane Plane) (RunReport, error) {
 		}
 		neg, observe = arb, arb.Observe
 	case PlaneSharded:
-		metrics := fed.NewMetrics(obs.NewRegistry())
 		fa, err := fed.New(fed.Config{
-			Procs:   cfg.Procs,
-			Shards:  cfg.Shards,
-			ProbeK:  cfg.ProbeK,
-			Metrics: metrics,
-			Tracer:  tracer,
+			Procs:  cfg.Procs,
+			Shards: cfg.Shards,
+			ProbeK: cfg.ProbeK,
+			Tracer: tracer,
 		})
 		if err != nil {
 			return rr, err
@@ -371,12 +368,13 @@ func runOne(cfg Config, sc Scenario, plane Plane) (RunReport, error) {
 		} else if moves < 0 {
 			moves = 0 // Rebalance(0) = up to one move per shard
 		}
-		rc.fed, rc.rb, rc.metrics = fa, rb, metrics
+		rc.fed, rc.rb = fa, rb
 		neg = fa
 		observe = func(now float64) {
 			fa.Observe(now)
 			rb.Rebalance(moves)
-			eng.ObserveRouter(now, metrics.CommitRaces.Value(), metrics.Migrations.Value())
+			rs := fa.RouterStats()
+			eng.ObserveRouter(now, rs.CommitRaces, rs.Migrations)
 		}
 	default:
 		return rr, fmt.Errorf("unknown plane %q", plane)

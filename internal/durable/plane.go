@@ -150,7 +150,12 @@ func (pi planeInner) Negotiate(job core.Job) (*qos.Grant, error) {
 }
 
 // OpenPlane recovers (or creates) a durable plane from cfg.Dir.
-func OpenPlane(cfg Config) (*Plane, Recovered, error) {
+func OpenPlane(cfg Config) (*Plane, Recovered, error) { return openTapped(cfg, nil) }
+
+// openTapped is OpenPlane with tap, if set, chained in front of the plane's
+// own subscription to its arbitrator's decisions (the observer ≡ journal
+// test listens there).
+func openTapped(cfg Config, tap func(qos.Decision)) (*Plane, Recovered, error) {
 	shards := cfg.Shards
 	if shards < 1 {
 		shards = 1
@@ -172,11 +177,14 @@ func OpenPlane(cfg Config) (*Plane, Recovered, error) {
 	for _, g := range st.Grants {
 		p.grants[g.JobID] = g
 	}
+	observer := p.observe
+	if tap != nil {
+		observer = func(d qos.Decision) { tap(d); p.observe(d) }
+	}
 	arb, err := fed.New(fed.Config{
 		Procs: st.Procs(), Shards: len(st.Shards), ProbeK: cfg.ProbeK,
 		Origin: cfg.Origin, Options: cfg.Options,
-		Tracer:        cfg.Tracer,
-		OnShardResize: p.onShardResize,
+		Observer: observer, Tracer: cfg.Tracer,
 	})
 	if err != nil {
 		store.Close()
@@ -210,13 +218,19 @@ func OpenPlane(cfg Config) (*Plane, Recovered, error) {
 	return p, rec, nil
 }
 
-// onShardResize journals a rebalancer capacity move.  It fires under the
-// shard lock inside a plane-locked operation, so the record lands in the
-// plane's decision order, and it is flushed there too: resizes are rare.
-// The hook cannot return an error; a failed append poisons the store, and
+// observe is the plane's subscription to its arbitrator's decision stream.
+// An admission, a rejection and a clock advance are journaled by the
+// operation that asked for them, which knows what its caller is owed; a
+// capacity move has no such operation (the rebalancer resizes shards one
+// processor at a time), so it is journaled here.  It fires under the shard
+// lock inside a plane-locked operation, so the record lands in the plane's
+// decision order, and it is flushed there too: resizes are rare.  An
+// observer cannot return an error; a failed append poisons the store, and
 // SetTotalCapacity/Rebalance report that once the rebalancer returns.
-func (p *Plane) onShardResize(shard, procs int) {
-	_, _ = p.store.Append(&Record{Kind: KindCapacity, Shard: shard, Procs: procs})
+func (p *Plane) observe(d qos.Decision) {
+	if d.Kind == qos.KindResize {
+		_, _ = p.store.Append(&Record{Kind: KindCapacity, Shard: d.Shard, Procs: d.Procs})
+	}
 }
 
 // poisonedLocked returns the store's poison error as the plane reports it

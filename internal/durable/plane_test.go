@@ -394,49 +394,77 @@ func TestPlaneMetricsPopulated(t *testing.T) {
 // honours Config.Tracer — an untraced request gets route and plan spans
 // under the server's qosnet.negotiate root — and its latency waterfall is
 // the monolith's: route, plan, reserve, journal and ack sum to the
-// end-to-end time, with no probe phase.
+// end-to-end time, with no probe phase.  At four shards the same sum holds
+// with a probe phase, and a rejection's bookkeeping is reserve time there as
+// it is at one shard (it used to fall into journal).
 func TestOneShardPlaneIsTracedAndTimed(t *testing.T) {
-	tr := obs.NewTracer(64)
-	p, _, err := OpenPlane(Config{FS: vfs.NewMem(), Dir: "log", Procs: 16, Shards: 1, ProbeK: 1, Tracer: tr})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	srv, err := qosnet.ListenAndServe(p, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	lp := latency.New(latency.Config{Registry: obs.NewRegistry()})
-	srv.SetTracer(tr)
-	srv.SetLatency(lp)
-	cli, err := qosnet.Dial(srv.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cli.Close()
-	if _, err := cli.Negotiate(planeStream(1, 5)[0]); err != nil {
-		t.Fatal(err)
-	}
+	grantable := planeStream(1, 5)[0]
+	// Wider than a shard of the four-shard plane, narrower than the
+	// machine: a valid job that every probe refuses.
+	tooWide := workload.FigureJob{X: 8, T: 25, Alpha: 0.25, Laxity: 0.5}.Job(1, 0, workload.Tunable)
+	for _, tc := range []struct {
+		name     string
+		shards   int
+		job      core.Job
+		rejected bool
+	}{
+		{"shards=1/granted", 1, grantable, false},
+		{"shards=4/granted", 4, grantable, false},
+		{"shards=4/rejected", 4, tooWide, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tr := obs.NewTracer(64)
+			p, _, err := OpenPlane(Config{FS: vfs.NewMem(), Dir: "log", Procs: 16, Shards: tc.shards, ProbeK: 1, Tracer: tr})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer p.Close()
+			srv, err := qosnet.ListenAndServe(p, "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
+			lp := latency.New(latency.Config{Registry: obs.NewRegistry()})
+			srv.SetTracer(tr)
+			srv.SetLatency(lp)
+			cli, err := qosnet.Dial(srv.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cli.Close()
+			if _, err := cli.Negotiate(tc.job); errors.Is(err, qos.ErrRejected) != tc.rejected || (err != nil && !tc.rejected) {
+				t.Fatalf("negotiate: %v (want rejected = %v)", err, tc.rejected)
+			}
 
-	byName := map[string]obs.SpanRec{}
-	for _, sp := range tr.Spans() {
-		byName[sp.Name] = sp
-	}
-	root, route, plan := byName["qosnet.negotiate"], byName["fed.route"], byName["fed.admit"]
-	if root.ID == 0 || route.Parent != root.ID || plan.Parent != route.ID || plan.Stage != obs.StagePlan {
-		t.Fatalf("span tree of a 1-shard admission: %+v", tr.Spans())
-	}
-	ex := lp.TopK()
-	if len(ex) != 1 {
-		t.Fatalf("%d latency exemplars, want 1", len(ex))
-	}
-	var sum int64
-	for _, d := range ex[0].Durs {
-		sum += d
-	}
-	if d := ex[0].Durs; sum != ex[0].Total || d[phase.Probe] != 0 || d[phase.Plan] <= 0 || d[phase.Journal] <= 0 {
-		t.Fatalf("waterfall %v does not read route/plan/reserve/journal/ack summing to %d", d, ex[0].Total)
+			if tc.shards == 1 {
+				byName := map[string]obs.SpanRec{}
+				for _, sp := range tr.Spans() {
+					byName[sp.Name] = sp
+				}
+				root, route, plan := byName["qosnet.negotiate"], byName["fed.route"], byName["fed.admit"]
+				if root.ID == 0 || route.Parent != root.ID || plan.Parent != route.ID || plan.Stage != obs.StagePlan {
+					t.Fatalf("span tree of a 1-shard admission: %+v", tr.Spans())
+				}
+			}
+			ex := lp.TopK()
+			if len(ex) != 1 {
+				t.Fatalf("%d latency exemplars, want 1", len(ex))
+			}
+			var sum int64
+			for _, d := range ex[0].Durs {
+				sum += d
+			}
+			d := ex[0].Durs
+			// One shard plans under its lock (plan, no probe); a router
+			// plans in its probes (probe, no plan).
+			planned, unused := phase.Plan, phase.Probe
+			if tc.shards > 1 {
+				planned, unused = phase.Probe, phase.Plan
+			}
+			if sum != ex[0].Total || d[unused] != 0 || d[planned] <= 0 || d[phase.Reserve] <= 0 || d[phase.Journal] <= 0 {
+				t.Fatalf("waterfall %v does not read route/%v/reserve/journal/ack summing to %d", d, planned, ex[0].Total)
+			}
+		})
 	}
 }
 

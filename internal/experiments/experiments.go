@@ -224,9 +224,8 @@ func Run(cfg Config, sys workload.System) (RunResult, error) {
 		// The monolith accounts on shard 0; the arbitrator invokes its
 		// observer under its own lock right after each scheduler commit,
 		// so ledger recording happens in commit order.
-		lg := cfg.Ledger.Shard(0)
-		lg.SetCapacity(cfg.Procs, 0)
-		arbCfg.Observer = lg.DecisionObserver(arbCfg.Observer)
+		cfg.Ledger.Shard(0).SetCapacity(cfg.Procs, 0)
+		arbCfg.Observer = cfg.Ledger.DecisionObserver(arbCfg.Observer)
 	}
 	arb, err := qos.NewArbitrator(arbCfg)
 	if err != nil {

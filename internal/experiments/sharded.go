@@ -3,9 +3,9 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"slices"
 
 	"milan/internal/fed"
-	"milan/internal/obs"
 	"milan/internal/obs/slo"
 	"milan/internal/workload"
 )
@@ -23,9 +23,9 @@ type ShardedStats struct {
 	Shards     int
 	ProbeK     int
 	Spread     float64 // max-min per-shard utilization over [0, horizon]
-	LoadSpread float64 // final max-min cached load signal (obs gauge)
-	Migrations int64   // processors moved by the rebalancer (obs counter)
-	Races      int64   // optimistic-commit fallbacks (obs counter)
+	LoadSpread float64 // final max-min cached load signal
+	Migrations int64   // processors moved by the rebalancer
+	Races      int64   // optimistic-commit fallbacks
 }
 
 // rebalancingPlane adapts a federated plane to the simulation loop's
@@ -36,16 +36,16 @@ type ShardedStats struct {
 // rebalance storms trip the flight recorder.
 type rebalancingPlane struct {
 	*fed.Arbitrator
-	rb      *fed.Rebalancer
-	slo     *slo.Engine
-	metrics *fed.Metrics
+	rb  *fed.Rebalancer
+	slo *slo.Engine
 }
 
 func (p rebalancingPlane) Observe(now float64) {
 	p.Arbitrator.Observe(now)
 	p.rb.Rebalance(1)
-	if p.slo != nil && p.metrics != nil {
-		p.slo.ObserveRouter(now, p.metrics.CommitRaces.Value(), p.metrics.Migrations.Value())
+	if p.slo != nil {
+		rs := p.RouterStats()
+		p.slo.ObserveRouter(now, rs.CommitRaces, rs.Migrations)
 	}
 }
 
@@ -61,29 +61,18 @@ func RunSharded(cfg Config, sys workload.System, shards, probeK int) (RunResult,
 		return RunResult{}, ShardedStats{}, fmt.Errorf(
 			"experiments: ledger has %d shards, plane needs %d", cfg.Ledger.Shards(), shards)
 	}
-	reg := obs.NewRegistry()
-	metrics := fed.NewMetrics(reg)
 	fedCfg := fed.Config{
-		Procs:   cfg.Procs,
-		Shards:  shards,
-		ProbeK:  probeK,
-		Options: cfg.Opts,
-		Metrics: metrics,
-		// Per-shard utilization ledgers: the plane records every commit,
-		// rejection, clock advance and resize on the deciding shard's
-		// ledger under that shard's lock (see fed/shard.go); the run loop
-		// routes completions back via the grant's Shard stamp.
-		Ledger: cfg.Ledger,
+		Procs:  cfg.Procs,
+		Shards: shards,
+		ProbeK: probeK,
 		// The plane stamps each diagnosis with the deciding shard before
 		// handing it to the run's composed sink (recorder + forecaster).
-		Diagnosis: cfg.diagnosisSink(),
-	}
-	if cfg.Forecast != nil {
-		// Event-driven frontier refresh: every committed mutation of a
-		// shard re-advertises the merged plane-wide headroom, so the
-		// forecaster's gauges track the plane between arrivals too.
-		fedCfg.HeadroomHorizon = cfg.headroomHorizon()
-		fedCfg.HeadroomSink = cfg.Forecast.Advertise
+		Options: cfg.schedulerOptions(),
+		// Per-shard utilization ledgers: every commit, rejection, clock
+		// advance and resize lands on the deciding shard's ledger under
+		// that shard's lock; the run loop routes completions back via the
+		// grant's Shard stamp.
+		Observer: cfg.Ledger.DecisionObserver(nil),
 	}
 	if cfg.Obs != nil {
 		fedCfg.Tracer = cfg.Obs.Tracer()
@@ -91,6 +80,9 @@ func RunSharded(cfg Config, sys workload.System, shards, probeK int) (RunResult,
 	plane, err := fed.New(fedCfg)
 	if err != nil {
 		return RunResult{}, ShardedStats{}, err
+	}
+	for i, procs := range plane.ShardProcs() {
+		cfg.Ledger.Shard(i).SetCapacity(procs, 0) // nil-safe
 	}
 	rb := plane.Rebalancer()
 	// A shard shrunk below the workload's widest task can never host it
@@ -100,16 +92,18 @@ func RunSharded(cfg Config, sys workload.System, shards, probeK int) (RunResult,
 	if cfg.Job.X > rb.MinShardProcs {
 		rb.MinShardProcs = cfg.Job.X
 	}
-	res, err := runLoop(cfg, sys, rebalancingPlane{plane, rb, cfg.SLO, metrics})
+	res, err := runLoop(cfg, sys, rebalancingPlane{plane, rb, cfg.SLO})
 	if err != nil {
 		return RunResult{}, ShardedStats{}, err
 	}
+	loads := plane.ShardLoads()
+	rs := plane.RouterStats()
 	st := ShardedStats{
 		Shards:     plane.Shards(),
 		ProbeK:     plane.ProbeK(),
-		LoadSpread: metrics.LoadSpread.Value(),
-		Migrations: metrics.Migrations.Value(),
-		Races:      metrics.CommitRaces.Value(),
+		LoadSpread: slices.Max(loads) - slices.Min(loads),
+		Migrations: rs.Migrations,
+		Races:      rs.CommitRaces,
 	}
 	if res.Horizon > 0 {
 		st.Spread = plane.UtilizationSpread(0, res.Horizon)

@@ -16,32 +16,32 @@ import (
 // the plain Negotiate path it wraps.  Both land in
 // BENCH_trajectory.jsonl under the benchdiff gate.
 
-// BenchmarkShardedAdmitLatencyOff is the nil-record contract: the
-// boundary calls NegotiateTimed with no latency plane configured, so
-// every Mark must be a nil-receiver no-op.
-func BenchmarkShardedAdmitLatencyOff(b *testing.B) {
-	b.Run("shards=8", func(b *testing.B) {
-		plane := benchPlane(b, 8, nil)
-		admitLoop(b,
-			func(j core.Job) error { _, err := plane.NegotiateTimed(j, nil); return err },
-			plane.Observe)
-	})
+// latencyOffBench is the nil-record contract: the boundary calls
+// NegotiateTimed with no latency plane configured, so every Mark must be a
+// nil-receiver no-op.
+func latencyOffBench(tb testing.TB) (func(core.Job) error, func(float64)) {
+	plane := benchPlane(tb, 8, nil)
+	return func(j core.Job) error { _, err := plane.NegotiateTimed(j, nil); return err }, plane.Observe
 }
 
-// BenchmarkShardedAdmitLatencyOn runs the full record lifecycle the
-// qosnet boundary runs: Start, phase marks inside the arbitrator, End
-// into the histograms and the exemplar ring.
+// latencyOnBench runs the full record lifecycle the qosnet boundary runs:
+// Start, phase marks inside the arbitrator, End into the histograms and the
+// exemplar ring.
+func latencyOnBench(tb testing.TB) (func(core.Job) error, func(float64)) {
+	plane := benchPlane(tb, 8, nil)
+	lp := latency.New(latency.Config{Registry: obs.NewRegistry()})
+	return func(j core.Job) error {
+		rec := lp.Start(0, int64(j.ID))
+		_, err := plane.NegotiateTimed(j, &rec)
+		rec.End()
+		return err
+	}, plane.Observe
+}
+
+func BenchmarkShardedAdmitLatencyOff(b *testing.B) {
+	b.Run("shards=8", func(b *testing.B) { admitLoop(b, latencyOffBench) })
+}
+
 func BenchmarkShardedAdmitLatencyOn(b *testing.B) {
-	b.Run("shards=8", func(b *testing.B) {
-		plane := benchPlane(b, 8, nil)
-		lp := latency.New(latency.Config{Registry: obs.NewRegistry()})
-		admitLoop(b,
-			func(j core.Job) error {
-				rec := lp.Start(0, int64(j.ID))
-				_, err := plane.NegotiateTimed(j, &rec)
-				rec.End()
-				return err
-			},
-			plane.Observe)
-	})
+	b.Run("shards=8", func(b *testing.B) { admitLoop(b, latencyOnBench) })
 }

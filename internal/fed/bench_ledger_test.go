@@ -8,26 +8,22 @@ import (
 )
 
 // Ledger-cost benchmarks.  The contract mirrors the tracer's: a plane
-// with no ledger bound pays exactly one nil pointer comparison per
-// commit/rejection hook, so ledger=off must sit within noise of
+// with no observer pays exactly one nil comparison per committed
+// mutation, so ledger=off must sit within noise of
 // BenchmarkShardedAdmit.  ledger=on quantifies the opt-in cost of exact
-// per-tenant accounting plus the time-bucketed spread on every commit.
+// per-tenant accounting plus the time-bucketed spread on every commit,
+// reached through the plane's one feed (ledger.DecisionObserver).
 // CI's benchdiff gate tracks both series in BENCH_trajectory.jsonl.
 
-func benchLedgerLoop(b *testing.B, led *ledger.Sharded) {
-	plane, err := New(Config{Procs: benchProcs, Shards: 8, ProbeK: 2, Ledger: led})
-	if err != nil {
-		b.Fatal(err)
+func ledgerOnBench(tb testing.TB) (func(core.Job) error, func(float64)) {
+	led := ledger.NewSharded(ledger.Config{Capacity: benchProcs}, 8)
+	plane := benchPlane(tb, 8, func(cfg *Config) { cfg.Observer = led.DecisionObserver(nil) })
+	for i, procs := range plane.ShardProcs() {
+		led.Shard(i).SetCapacity(procs, 0)
 	}
-	admitLoop(b,
-		func(j core.Job) error { _, err := plane.Negotiate(j); return err },
-		plane.Observe)
+	return func(j core.Job) error { _, err := plane.Negotiate(j); return err }, plane.Observe
 }
 
-func BenchmarkShardedAdmitLedgerOff(b *testing.B) {
-	benchLedgerLoop(b, nil)
-}
+func BenchmarkShardedAdmitLedgerOff(b *testing.B) { admitLoop(b, planeBench(8, nil)) }
 
-func BenchmarkShardedAdmitLedgerOn(b *testing.B) {
-	benchLedgerLoop(b, ledger.NewSharded(ledger.Config{Capacity: benchProcs}, 8))
-}
+func BenchmarkShardedAdmitLedgerOn(b *testing.B) { admitLoop(b, ledgerOnBench) }

@@ -2,11 +2,14 @@ package fed
 
 import (
 	"encoding/json"
+	"flag"
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"milan/internal/core"
 	"milan/internal/qos"
@@ -39,9 +42,13 @@ func benchJob(i int64) core.Job {
 	}}}
 }
 
-// admitLoop drives negotiations from all benchmark goroutines through the
-// given arbitrator functions.
-func admitLoop(b *testing.B, negotiate func(core.Job) error, observe func(float64)) {
+// admitBench builds what one admission benchmark negotiates against, fresh
+// for every run (planes, tracers and ledgers are stateful).
+type admitBench func(tb testing.TB) (negotiate func(core.Job) error, observe func(float64))
+
+// admitLoop drives negotiations from all benchmark goroutines.
+func admitLoop(b *testing.B, bench admitBench) {
+	negotiate, observe := bench(b)
 	var idx atomic.Int64
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -57,89 +64,132 @@ func admitLoop(b *testing.B, negotiate func(core.Job) error, observe func(float6
 	})
 }
 
-func BenchmarkMonolithAdmit(b *testing.B) {
+func monolithBench(tb testing.TB) (func(core.Job) error, func(float64)) {
 	arb, err := qos.NewArbitrator(qos.ArbitratorConfig{Procs: benchProcs})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	admitLoop(b,
-		func(j core.Job) error { _, err := arb.Negotiate(j); return err },
-		arb.Observe)
+	return func(j core.Job) error { _, err := arb.Negotiate(j); return err }, arb.Observe
 }
+
+// planeBench negotiates on the benchmark plane at the given shard count,
+// with whatever configure hangs on it (nil: nothing).
+func planeBench(shards int, configure func(*Config)) admitBench {
+	return func(tb testing.TB) (func(core.Job) error, func(float64)) {
+		plane := benchPlane(tb, shards, configure)
+		return func(j core.Job) error { _, err := plane.Negotiate(j); return err }, plane.Observe
+	}
+}
+
+func benchPlane(tb testing.TB, shards int, configure func(*Config)) *Arbitrator {
+	tb.Helper()
+	cfg := Config{Procs: benchProcs, Shards: shards, ProbeK: 2}
+	if configure != nil {
+		configure(&cfg)
+	}
+	plane, err := New(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return plane
+}
+
+func BenchmarkMonolithAdmit(b *testing.B) { admitLoop(b, monolithBench) }
 
 func BenchmarkShardedAdmit(b *testing.B) {
 	for _, shards := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			plane, err := New(Config{Procs: benchProcs, Shards: shards, ProbeK: 2})
-			if err != nil {
-				b.Fatal(err)
-			}
-			admitLoop(b,
-				func(j core.Job) error { _, err := plane.Negotiate(j); return err },
-				plane.Observe)
+			admitLoop(b, planeBench(shards, nil))
 		})
 	}
 }
 
-// TestWriteBenchFed regenerates BENCH_fed.json at the repository root when
-// WRITE_BENCH_FED=1 (CI's bench job, or a developer refreshing the
-// checked-in numbers).  It records ns/op for the monolith and for each
-// shard count, plus the ratio of the monolith's cost to the 8-shard
-// plane's (below 1 since admission cost stopped growing with profile
-// size: see EXPERIMENTS.md, EXT-S throughput).
-func TestWriteBenchFed(t *testing.T) {
-	if os.Getenv("WRITE_BENCH_FED") == "" {
-		t.Skip("set WRITE_BENCH_FED=1 to regenerate BENCH_fed.json")
-	}
-	type entry struct {
-		Name        string  `json:"name"`
-		NsPerOp     float64 `json:"ns_per_op"`
-		AllocsPerOp int64   `json:"allocs_per_op"`
-	}
-	var out struct {
-		GoMaxProcs int     `json:"gomaxprocs"`
-		Procs      int     `json:"pool_procs"`
-		ProbeK     int     `json:"probe_k"`
-		Monolith   entry   `json:"monolith"`
-		Sharded    []entry `json:"sharded"`
-		Speedup8   float64 `json:"speedup_8_shards"`
-	}
-	out.GoMaxProcs = runtime.GOMAXPROCS(0)
-	out.Procs = benchProcs
-	out.ProbeK = 2
+// benchRow names one leaf benchmark the way `go test -bench` prints it,
+// less the -GOMAXPROCS suffix: the name benchdiff gates it under.
+type benchRow struct {
+	name  string
+	bench admitBench
+}
 
-	mono := testing.Benchmark(BenchmarkMonolithAdmit)
-	out.Monolith = entry{Name: "BenchmarkMonolithAdmit", NsPerOp: float64(mono.NsPerOp()), AllocsPerOp: mono.AllocsPerOp()}
-
-	var ns8 float64
-	for _, shards := range []int{1, 2, 4, 8} {
-		shards := shards
-		r := testing.Benchmark(func(b *testing.B) {
-			plane, err := New(Config{Procs: benchProcs, Shards: shards, ProbeK: 2})
-			if err != nil {
-				b.Fatal(err)
-			}
-			admitLoop(b,
-				func(j core.Job) error { _, err := plane.Negotiate(j); return err },
-				plane.Observe)
-		})
-		e := entry{Name: fmt.Sprintf("BenchmarkShardedAdmit/shards=%d", shards), NsPerOp: float64(r.NsPerOp()), AllocsPerOp: r.AllocsPerOp()}
-		out.Sharded = append(out.Sharded, e)
-		if shards == 8 {
-			ns8 = e.NsPerOp
-		}
-	}
-	if ns8 > 0 {
-		out.Speedup8 = out.Monolith.NsPerOp / ns8
-	}
-
-	data, err := json.MarshalIndent(out, "", "  ")
+// appendTrajectory measures each row and appends it to
+// BENCH_trajectory.jsonl — the one bench ledger, in cmd/benchdiff's row
+// schema — under a note made of label (the commit and machine, as the
+// caller knows them) and the measuring conditions.  ns/op and allocs/op
+// are what benchdiff gates: the median by ns/op of five admitLoop runs.
+// p99_ns_per_op, which `go test -bench` cannot give, comes from a second,
+// single-goroutine pass over a fresh plane that times every negotiation;
+// it is what junctiond -latency-envelope arms the regression sentinel from.
+func appendTrajectory(t *testing.T, label string, rows []benchRow) {
+	const runs, timed = 5, 100_000
+	f, err := os.OpenFile("../../BENCH_trajectory.jsonl", os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		t.Fatal(err)
 	}
-	data = append(data, '\n')
-	if err := os.WriteFile("../../BENCH_fed.json", data, 0o644); err != nil {
-		t.Fatal(err)
+	defer f.Close()
+	note := fmt.Sprintf("%s; median of %d x %v, p99 over %d timed admissions on one goroutine, %s %s/%s GOMAXPROCS=%d, %s",
+		label, runs, benchTime(), timed, runtime.Version(), runtime.GOOS, runtime.GOARCH, runtime.GOMAXPROCS(0),
+		time.Now().UTC().Format("2006-01-02"))
+	for _, row := range rows {
+		results := make([]testing.BenchmarkResult, runs)
+		for i := range results {
+			results[i] = testing.Benchmark(func(b *testing.B) { admitLoop(b, row.bench) })
+		}
+		slices.SortFunc(results, func(x, y testing.BenchmarkResult) int { return int(x.NsPerOp() - y.NsPerOp()) })
+		med := results[runs/2]
+
+		negotiate, observe := row.bench(t)
+		durs := make([]time.Duration, timed)
+		for i := range durs {
+			job := benchJob(int64(i + 1))
+			start := time.Now()
+			_ = negotiate(job)
+			durs[i] = time.Since(start)
+			if (i+1)%benchTrimEvr == 0 {
+				observe(job.Release - 2*benchLaxity)
+			}
+		}
+		slices.Sort(durs)
+		p99 := durs[timed*99/100]
+
+		line, err := json.Marshal(struct {
+			Name        string  `json:"name"`
+			NsPerOp     float64 `json:"ns_per_op"`
+			AllocsPerOp int64   `json:"allocs_per_op"`
+			P99NsPerOp  float64 `json:"p99_ns_per_op"`
+			Note        string  `json:"note"`
+		}{row.name, float64(med.NsPerOp()), med.AllocsPerOp(), float64(p99), note})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Write(append(line, '\n')); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("%-44s %6d ns/op [%d, %d] %3d allocs/op  p99 %v",
+			row.name, med.NsPerOp(), results[0].NsPerOp(), results[runs-1].NsPerOp(), med.AllocsPerOp(), p99)
 	}
-	t.Logf("monolith %.0f ns/op, 8 shards %.0f ns/op, speedup %.2fx", out.Monolith.NsPerOp, ns8, out.Speedup8)
+}
+
+// benchTime is how long each of appendTrajectory's runs lasts: the
+// -test.benchtime in force (1s unless the command line says otherwise).
+func benchTime() string {
+	if f := flag.Lookup("test.benchtime"); f != nil {
+		return f.Value.String()
+	}
+	return "1s"
+}
+
+// TestWriteBenchFed re-takes the plain admission rows — the monolith and the
+// plane at 1, 2, 4 and 8 shards — when WRITE_BENCH_FED is set, its value
+// being the label the rows are recorded under (commit, machine); see
+// EXPERIMENTS.md, EXT-S throughput, for how they read against each other.
+func TestWriteBenchFed(t *testing.T) {
+	label := os.Getenv("WRITE_BENCH_FED")
+	if label == "" {
+		t.Skip(`set WRITE_BENCH_FED="<commit> <machine>" to append the admission rows to BENCH_trajectory.jsonl`)
+	}
+	rows := []benchRow{{"BenchmarkMonolithAdmit", monolithBench}}
+	for _, shards := range []int{1, 2, 4, 8} {
+		rows = append(rows, benchRow{fmt.Sprintf("BenchmarkShardedAdmit/shards=%d", shards), planeBench(shards, nil)})
+	}
+	appendTrajectory(t, label, rows)
 }

@@ -1,13 +1,10 @@
 package fed
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
-	"runtime"
 	"testing"
 
-	"milan/internal/core"
 	"milan/internal/obs"
 )
 
@@ -17,88 +14,47 @@ import (
 // and cheap when on (one root + route span and a plan/reserve span per
 // probe/commit, all landing in a fixed-size ring).
 //
-// BenchmarkShardedAdmit (bench_test.go) is the untraced baseline; the
-// acceptance bar is that its ns/op stays within 3% of the numbers
-// recorded in BENCH_fed.json before the auditor existed.
-// BenchmarkShardedAdmitTraced quantifies the opt-in cost.
+// BenchmarkShardedAdmit (bench_test.go) is the untraced baseline;
+// BenchmarkShardedAdmitTraced quantifies the opt-in cost.  Both are rows of
+// BENCH_trajectory.jsonl, where the overhead is the ratio of the two.
 
-func benchPlane(b *testing.B, shards int, tr *obs.Tracer) *Arbitrator {
-	b.Helper()
-	plane, err := New(Config{Procs: benchProcs, Shards: shards, ProbeK: 2, Tracer: tr})
-	if err != nil {
-		b.Fatal(err)
+// traced hangs a tracer on the benchmark plane: every admission traced, or,
+// with a positive target, head-sampled down to that many traces a second.
+func traced(sampleTarget float64) func(*Config) {
+	return func(cfg *Config) {
+		cfg.Tracer = obs.NewTracer(1 << 14)
+		if sampleTarget > 0 {
+			cfg.Tracer.SetSampling(sampleTarget, nil)
+		}
 	}
-	return plane
 }
 
 func BenchmarkShardedAdmitTraced(b *testing.B) {
 	for _, shards := range []int{1, 8} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			plane := benchPlane(b, shards, obs.NewTracer(1<<14))
-			admitLoop(b,
-				func(j core.Job) error { _, err := plane.Negotiate(j); return err },
-				plane.Observe)
+			admitLoop(b, planeBench(shards, traced(0)))
 		})
 	}
 }
 
-// TestWriteBenchSLO regenerates BENCH_slo.json at the repository root
-// when WRITE_BENCH_SLO=1: the untraced 8-shard admission cost (to
-// compare against BENCH_fed.json's pre-auditor numbers — the <3%
-// regression bar) next to the traced cost and the resulting overhead.
+// TestWriteBenchSLO re-takes the rows that price the instrumentation an
+// admission can carry — traced, head-sampled, phase-timed, ledgered, each
+// next to its off twin — when WRITE_BENCH_SLO is set (to the label the rows
+// are recorded under, as for TestWriteBenchFed).  The untraced baseline they
+// read against is TestWriteBenchFed's BenchmarkShardedAdmit/shards=8.
 func TestWriteBenchSLO(t *testing.T) {
-	if os.Getenv("WRITE_BENCH_SLO") == "" {
-		t.Skip("set WRITE_BENCH_SLO=1 to regenerate BENCH_slo.json")
+	label := os.Getenv("WRITE_BENCH_SLO")
+	if label == "" {
+		t.Skip(`set WRITE_BENCH_SLO="<commit> <machine>" to append the instrumentation rows to BENCH_trajectory.jsonl`)
 	}
-	run := func(tr *obs.Tracer) (float64, int64) {
-		r := testing.Benchmark(func(b *testing.B) {
-			plane := benchPlane(b, 8, tr)
-			admitLoop(b,
-				func(j core.Job) error { _, err := plane.Negotiate(j); return err },
-				plane.Observe)
-		})
-		return float64(r.NsPerOp()), r.AllocsPerOp()
-	}
-	var out struct {
-		GoMaxProcs         int     `json:"gomaxprocs"`
-		Procs              int     `json:"pool_procs"`
-		Shards             int     `json:"shards"`
-		UntracedNsPerOp    float64 `json:"untraced_ns_per_op"`
-		UntracedAllocsOp   int64   `json:"untraced_allocs_per_op"`
-		TracedNsPerOp      float64 `json:"traced_ns_per_op"`
-		TracedAllocsPerOp  int64   `json:"traced_allocs_per_op"`
-		TracingOverhead    float64 `json:"tracing_overhead"`
-		SampledNsPerOp     float64 `json:"sampled_ns_per_op"`
-		SampledAllocsPerOp int64   `json:"sampled_allocs_per_op"`
-		SampledOverhead    float64 `json:"sampled_overhead"`
-		SampleTargetPerSec float64 `json:"sample_target_per_sec"`
-	}
-	out.GoMaxProcs = runtime.GOMAXPROCS(0)
-	out.Procs = benchProcs
-	out.Shards = 8
-	out.UntracedNsPerOp, out.UntracedAllocsOp = run(nil)
-	out.TracedNsPerOp, out.TracedAllocsPerOp = run(obs.NewTracer(1 << 14))
-	if out.UntracedNsPerOp > 0 {
-		out.TracingOverhead = out.TracedNsPerOp/out.UntracedNsPerOp - 1
-	}
-	// Head-based sampling at 100 traces/sec: the sampled-out fast path
-	// should land near the untraced baseline.
-	out.SampleTargetPerSec = 100
-	sampled := obs.NewTracer(1 << 14)
-	sampled.SetSampling(out.SampleTargetPerSec, nil)
-	out.SampledNsPerOp, out.SampledAllocsPerOp = run(sampled)
-	if out.UntracedNsPerOp > 0 {
-		out.SampledOverhead = out.SampledNsPerOp/out.UntracedNsPerOp - 1
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile("../../BENCH_slo.json", data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("untraced %.0f ns/op, traced %.0f ns/op (%.1f%%), sampled@%g/s %.0f ns/op (%.1f%%)",
-		out.UntracedNsPerOp, out.TracedNsPerOp, 100*out.TracingOverhead,
-		out.SampleTargetPerSec, out.SampledNsPerOp, 100*out.SampledOverhead)
+	appendTrajectory(t, label, []benchRow{
+		{"BenchmarkShardedAdmitTraced/shards=1", planeBench(1, traced(0))},
+		{"BenchmarkShardedAdmitTraced/shards=8", planeBench(8, traced(0))},
+		{"BenchmarkShardedAdmitSampled/target=100", planeBench(8, traced(100))},
+		{"BenchmarkShardedAdmitExporterIdle/shards=8", exporterIdleBench},
+		{"BenchmarkShardedAdmitLatencyOff/shards=8", latencyOffBench},
+		{"BenchmarkShardedAdmitLatencyOn/shards=8", latencyOnBench},
+		{"BenchmarkShardedAdmitLedgerOff", planeBench(8, nil)},
+		{"BenchmarkShardedAdmitLedgerOn", ledgerOnBench},
+	})
 }

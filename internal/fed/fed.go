@@ -34,7 +34,6 @@ import (
 	"milan/internal/core"
 	"milan/internal/obs"
 	"milan/internal/obs/latency/phase"
-	"milan/internal/obs/ledger"
 	"milan/internal/qos"
 )
 
@@ -52,58 +51,35 @@ type Config struct {
 	// Origin is the schedule start time.
 	Origin float64
 	// Options is the per-shard scheduler policy; nil means the paper's
-	// defaults.
+	// defaults.  A Diagnosis sink set here receives a rejection explanation
+	// for every failed planning pass on every shard, stamped with the shard
+	// id (it may be called concurrently from different shards, and may fire
+	// for losing probes of jobs that ultimately commit elsewhere — the
+	// per-shard truth, not the router verdict).
 	Options *core.Options
 	// Horizon is the sliding window of the cached load signal: a shard's
 	// load is its reserved area over [now, now+Horizon] per processor.
 	// Zero means all future reserved work.
 	Horizon float64
-	// KeepHistory retains every qos.Decision for inspection.
-	KeepHistory bool
-	// Observer, if set, is called synchronously with every decision, in
-	// commit order.
+	// Observer, if set, is the plane's one feed: every shard calls it,
+	// under its own lock, at the point it commits a mutation — a
+	// reservation (qos.KindAdmitted), a counted rejection
+	// (qos.KindRejected), a clock advance (qos.KindClock), a processor
+	// count change (qos.KindResize) — so the stream is, per shard, in
+	// commit order, and kind for kind what the durable plane journals.
+	// Everything that accounts for decisions (the journal, the
+	// utilization ledger) chains onto it; everything else is pulled from
+	// the plane's accessors.  The callback must not call back into the
+	// plane.  A rejection is a shard's verdict, not the router's: with
+	// concurrent callers on two or more shards a job whose commit lost its
+	// race may be rejected by one shard and admitted by the next.  nil
+	// builds nothing: the admission path allocates what it does unobserved.
 	Observer func(qos.Decision)
-	// Metrics, if set, receives router and per-shard gauges/counters
-	// (see metrics.go).
-	Metrics *Metrics
 	// Tracer, if set, records route/plan/reserve spans for every traced
 	// negotiation (jobs carrying a core.Job.Trace, or all jobs — the
 	// router mints a root trace for untraced ones).  nil keeps the hot
 	// path span-free: the only cost is one pointer comparison.
 	Tracer *obs.Tracer
-	// Diagnosis, if set, receives a rejection explanation for every failed
-	// planning pass on every shard, stamped with the shard id (it may be
-	// called concurrently from different shards, and may fire for losing
-	// probes of jobs that ultimately commit elsewhere — the per-shard
-	// truth, not the router verdict).  nil keeps planning diagnosis-free.
-	Diagnosis func(*core.PlanDiagnosis)
-	// HeadroomHorizon, when positive, turns on live headroom forecasting:
-	// every shard maintains its admissibility frontier (core.Headroom over
-	// [now, now+HeadroomHorizon)) across committed mutations, and the
-	// router publishes the plane-wide merge to HeadroomSink after every
-	// decision and observation.  Zero (the default) keeps the commit path
-	// identical to a plane without forecasting.
-	HeadroomHorizon float64
-	// HeadroomSink, if set (and HeadroomHorizon > 0), receives the merged
-	// plane-wide frontier on every refresh — typically
-	// (*forensics.Forecaster).Advertise, which publishes the headroom_*
-	// gauges and audits rejections against the advertised frontier.
-	HeadroomSink func(core.Headroom)
-	// OnShardResize, if set, is called under the shard lock after every
-	// successful shard resize (rebalancer migrations, operator actions)
-	// with the shard id and its new processor count, in the shard's
-	// commit order.  The durable admission plane journals capacity moves
-	// through it; the callback must not call back into the plane.
-	OnShardResize func(shard, procs int)
-	// Ledger, if set, attaches per-tenant utilization accounting: every
-	// committed reservation is recorded on the committing shard's ledger
-	// under the shard lock, in commit order (so per-shard ledger totals
-	// are bit-identical to per-shard scheduler accounting — the
-	// differential test pins it), clock advances and capacity resizes
-	// flow through, and rejections are counted on the deciding shard.
-	// The Sharded ledger needs at least Shards shard ledgers.  nil keeps
-	// the admission path ledger-free: one pointer comparison per commit.
-	Ledger *ledger.Sharded
 }
 
 // planKey is the cross-shard tie-break key for a planned placement: the
@@ -159,22 +135,34 @@ func comparePrefix(a, b []float64) int {
 type Arbitrator struct {
 	shards  []*Shard
 	probeK  int
-	origin  float64
 	nowBits atomic.Uint64
-
-	histMu   sync.Mutex
-	history  []qos.Decision
-	keepHist bool
-	observer func(qos.Decision)
-
-	metrics *Metrics
 	tracer  *obs.Tracer
 
-	headroomHorizon float64
-	headroomSink    func(core.Headroom)
+	// The router's own counters (RouterStats): what happens between
+	// shards, which no shard's scheduler can count.
+	probes, commitRaces, nonBestCommits, migrations atomic.Int64
 
 	rebal *Rebalancer // lazily created by Rebalance/AttachBroker
 	rbMu  sync.Mutex
+}
+
+// RouterStats are the plane's routing counters.  A one-shard plane has no
+// router and reports zero probes, races and non-best commits.
+type RouterStats struct {
+	Probes         int64 // planning probes issued by the router
+	CommitRaces    int64 // commits that found a stale shard version
+	NonBestCommits int64 // grants that fell back past the best probe
+	Migrations     int64 // processors moved by the rebalancer
+}
+
+// RouterStats returns the routing counters.
+func (a *Arbitrator) RouterStats() RouterStats {
+	return RouterStats{
+		Probes:         a.probes.Load(),
+		CommitRaces:    a.commitRaces.Load(),
+		NonBestCommits: a.nonBestCommits.Load(),
+		Migrations:     a.migrations.Load(),
+	}
 }
 
 // New builds a federated arbitrator partitioning cfg.Procs processors
@@ -191,9 +179,6 @@ func New(cfg Config) (*Arbitrator, error) {
 	if shards < 1 || shards > cfg.Procs {
 		return nil, fmt.Errorf("fed: %d shards for %d processors (need 1 <= shards <= procs)", shards, cfg.Procs)
 	}
-	if cfg.Ledger != nil && cfg.Ledger.Shards() < shards {
-		return nil, fmt.Errorf("fed: ledger has %d shard ledgers for %d shards", cfg.Ledger.Shards(), shards)
-	}
 	k := cfg.ProbeK
 	if k == 0 {
 		k = 2
@@ -204,16 +189,7 @@ func New(cfg Config) (*Arbitrator, error) {
 	if k > shards {
 		k = shards
 	}
-	a := &Arbitrator{
-		probeK:          k,
-		origin:          cfg.Origin,
-		keepHist:        cfg.KeepHistory,
-		observer:        cfg.Observer,
-		metrics:         cfg.Metrics,
-		tracer:          cfg.Tracer,
-		headroomHorizon: cfg.HeadroomHorizon,
-		headroomSink:    cfg.HeadroomSink,
-	}
+	a := &Arbitrator{probeK: k, tracer: cfg.Tracer}
 	a.nowBits.Store(floatBits(cfg.Origin))
 	base, rem := cfg.Procs/shards, cfg.Procs%shards
 	for i := 0; i < shards; i++ {
@@ -222,39 +198,23 @@ func New(cfg Config) (*Arbitrator, error) {
 			procs++
 		}
 		opts := cfg.Options
-		if cfg.Diagnosis != nil {
+		if opts != nil && opts.Diagnosis != nil {
 			// Wrap the plane-wide diagnosis sink per shard so every
 			// emitted diagnosis carries the shard it was computed on.
-			var o core.Options
-			if opts != nil {
-				o = *opts
-			}
-			shardID, inner, sink := i, o.Diagnosis, cfg.Diagnosis
+			o := *opts
+			shardID, sink := i, opts.Diagnosis
 			o.Diagnosis = func(d *core.PlanDiagnosis) {
 				d.Shard = shardID
-				if inner != nil {
-					inner(d)
-				}
 				sink(d)
 			}
 			opts = &o
 		}
-		sh := newShard(i, procs, cfg.Origin, opts, shards > 1, cfg.Horizon, cfg.HeadroomHorizon)
-		sh.resizeHook = cfg.OnShardResize
-		if cfg.Ledger != nil {
-			sh.led = cfg.Ledger.Shard(i)
-			sh.led.SetCapacity(procs, cfg.Origin)
-		}
+		sh := newShard(i, procs, cfg.Origin, opts, shards > 1, cfg.Horizon, cfg.Observer)
 		sh.mu.Lock()
 		sh.refreshLoadLocked()
 		sh.mu.Unlock()
 		a.shards = append(a.shards, sh)
 	}
-	if a.metrics != nil {
-		a.metrics.bindShards(len(a.shards))
-		a.publishMetrics()
-	}
-	a.publishHeadroom()
 	return a, nil
 }
 
@@ -375,16 +335,14 @@ func (a *Arbitrator) NegotiateTimed(job core.Job, rec *phase.Rec) (*qos.Grant, e
 			ps.End()
 		}
 	}
-	if a.metrics != nil {
-		a.metrics.Probes.Add(int64(len(cands)))
-	}
+	a.probes.Add(int64(len(cands)))
 	rec.Mark(phase.Probe)
 	if len(probes) == 0 {
 		// No shard can schedule any chain.  Mirror the monolith's
 		// rejection bookkeeping on the least-loaded candidate (each
 		// probed shard already counted its own planning work).
 		a.shards[cands[0]].noteRejected(job)
-		return nil, a.finishReject(job, root, route, nil)
+		return nil, finishReject(rec, root, route, nil)
 	}
 	// Order probes best-first: stable insertion on strict betterKey, so
 	// the incumbent wins ties and the load-order position breaks full
@@ -402,11 +360,9 @@ func (a *Arbitrator) NegotiateTimed(job core.Job, rec *phase.Rec) (*qos.Grant, e
 			rs.SetAttr("shard", float64(pr.shard.ID()))
 			rs.SetAttr("rank", float64(i))
 		}
-		pl, raced, err := pr.shard.commitPlanned(job, pr.pl, pr.ver)
+		g, raced, err := pr.shard.commitPlanned(job, pr.pl, pr.ver)
 		if raced {
-			if a.metrics != nil {
-				a.metrics.CommitRaces.Add(1)
-			}
+			a.commitRaces.Add(1)
 			rs.SetAttr("raced", 1)
 		}
 		if err != nil {
@@ -424,13 +380,17 @@ func (a *Arbitrator) NegotiateTimed(job core.Job, rec *phase.Rec) (*qos.Grant, e
 			continue
 		}
 		if t != nil {
-			rs.SetAttr("start", pl.Start())
-			rs.SetAttr("finish", pl.Finish())
+			rs.SetAttr("start", g.Placement.Start())
+			rs.SetAttr("finish", g.Finish())
 			rs.End()
 		}
-		return a.finishAdmit(job, rec, pr.shard, pl, i, root, route), nil
+		if i > 0 {
+			a.nonBestCommits.Add(1)
+		}
+		finishAdmit(rec, g.Shard, root, route)
+		return g, nil
 	}
-	return nil, a.finishReject(job, root, route, lastErr)
+	return nil, finishReject(rec, root, route, lastErr)
 }
 
 // negotiateSolo is negotiation on a one-shard plane — the paper's single
@@ -439,57 +399,38 @@ func (a *Arbitrator) NegotiateTimed(job core.Job, rec *phase.Rec) (*qos.Grant, e
 // and commits in one critical section (Shard.admit), as qos.Arbitrator
 // does, and a traced request gets one plan-stage span under its route span.
 func (a *Arbitrator) negotiateSolo(job core.Job, rec *phase.Rec, root, route *obs.ActiveSpan) (*qos.Grant, error) {
-	sh := a.shards[0]
 	var ps *obs.ActiveSpan
 	if route != nil {
 		ps = a.tracer.Start(obs.TraceID(job.Trace), route.ID(), "fed.admit", obs.StagePlan, job.ID)
 	}
-	pl, err := sh.admit(job, rec)
-	if a.metrics != nil {
-		a.metrics.Probes.Add(1)
-	}
+	g, err := a.shards[0].admit(job, rec)
 	if err != nil {
 		ps.SetErr("infeasible")
 		ps.End()
-		err = a.finishReject(job, root, route, err)
-		rec.Mark(phase.Reserve)
-		return nil, err
+		return nil, finishReject(rec, root, route, err)
 	}
 	if ps != nil {
-		ps.SetAttr("start", pl.Start())
-		ps.SetAttr("finish", pl.Finish())
+		ps.SetAttr("start", g.Placement.Start())
+		ps.SetAttr("finish", g.Finish())
 		ps.End()
 	}
-	return a.finishAdmit(job, rec, sh, pl, 0, root, route), nil
+	finishAdmit(rec, g.Shard, root, route)
+	return g, nil
 }
 
 // NegotiateDAG runs DAG admission control, trying candidates in load
-// order until one admits the job.  DAG negotiations update shard
-// statistics but, like the monolith, are not recorded in the decision
-// history.
+// order until one admits the job.  A DAG job carries no tenant identity
+// yet: its grant reaches the observer under a job that holds only its ID
+// (so accounting keeps it on the unattributed stream), and, like the
+// monolith, a DAG rejection is no decision.
 func (a *Arbitrator) NegotiateDAG(job core.DAGJob) (*qos.Grant, error) {
 	var lastErr error
 	for _, ci := range a.candidates() {
-		sh := a.shards[ci]
-		pl, err := sh.admitDAG(job)
+		g, err := a.shards[ci].admitDAG(job)
 		if err == nil {
-			if a.metrics != nil {
-				a.metrics.Admitted.Add(1)
-				a.publishMetrics()
-			}
-			a.publishHeadroom()
-			return &qos.Grant{
-				JobID:     job.ID,
-				Chain:     pl.Chain,
-				Quality:   job.Alts[pl.Chain].Quality,
-				Placement: *pl,
-				Shard:     sh.ID(),
-			}, nil
+			return g, nil
 		}
 		lastErr = err
-	}
-	if a.metrics != nil {
-		a.metrics.Rejected.Add(1)
 	}
 	if lastErr != nil && !errors.Is(lastErr, core.ErrRejected) {
 		return nil, lastErr
@@ -497,89 +438,35 @@ func (a *Arbitrator) NegotiateDAG(job core.DAGJob) (*qos.Grant, error) {
 	return nil, qos.ErrRejected
 }
 
-// finishAdmit turns a committed placement into the grant and does the
-// router-level bookkeeping of an admission: reserve mark, span ends,
-// counters, headroom refresh, decision record.  probeRank is the winning
-// probe's position in best-first order.
-func (a *Arbitrator) finishAdmit(job core.Job, rec *phase.Rec, sh *Shard, pl *core.Placement, probeRank int, root, route *obs.ActiveSpan) *qos.Grant {
-	g := &qos.Grant{
-		JobID:     job.ID,
-		Chain:     pl.Chain,
-		Quality:   job.Chains[pl.Chain].Quality,
-		Placement: *pl,
-		Trace:     job.Trace,
-		Shard:     sh.ID(),
-	}
+// finishAdmit does the router-level bookkeeping of an admission the
+// deciding shard has already committed and announced: reserve mark, span
+// ends.
+func finishAdmit(rec *phase.Rec, shard int, root, route *obs.ActiveSpan) {
 	rec.Mark(phase.Reserve)
-	rec.SetShard(sh.ID())
+	rec.SetShard(shard)
 	if route != nil {
 		route.End()
 		root.End()
 	}
-	if a.metrics != nil {
-		a.metrics.Admitted.Add(1)
-		if probeRank > 0 {
-			a.metrics.NonBestCommits.Add(1)
-		}
-		a.publishMetrics()
-	}
-	a.publishHeadroom()
-	a.record(qos.Decision{Job: job, Grant: g, Now: a.Now()})
-	return g
 }
 
-// finishReject does the router-level bookkeeping of a rejection and
-// returns the error the caller reports: qos.ErrRejected, unless the last
-// commit attempt failed for a reason other than admission control.
-func (a *Arbitrator) finishReject(job core.Job, root, route *obs.ActiveSpan, lastErr error) error {
-	if a.metrics != nil {
-		a.metrics.Rejected.Add(1)
-		a.publishMetrics()
-	}
-	a.publishHeadroom()
-	a.record(qos.Decision{Job: job, Rejected: true, Now: a.Now()})
+// finishReject does the router-level bookkeeping of a rejection (the
+// deciding shard has already counted and announced it) and returns the
+// error the caller reports: qos.ErrRejected, unless the last commit
+// attempt failed for a reason other than admission control.  Rejection
+// bookkeeping is reserve time at every shard count.
+func finishReject(rec *phase.Rec, root, route *obs.ActiveSpan, lastErr error) error {
 	if route != nil {
 		route.SetErr("rejected")
 		route.End()
 		root.SetErr("rejected")
 		root.End()
 	}
+	rec.Mark(phase.Reserve)
 	if lastErr != nil && !errors.Is(lastErr, core.ErrRejected) {
 		return lastErr
 	}
 	return qos.ErrRejected
-}
-
-// publishHeadroom merges the shards' cached admissibility frontiers into
-// the plane-wide frontier and hands it to the configured sink.  It reads
-// only the shards' lock-free headroom caches; with forecasting disabled
-// (HeadroomHorizon == 0) it is a single comparison.
-func (a *Arbitrator) publishHeadroom() {
-	if a.headroomHorizon <= 0 || a.headroomSink == nil {
-		return
-	}
-	hr, any := a.cachedHeadroom()
-	if any {
-		a.headroomSink(hr)
-	}
-}
-
-// cachedHeadroom merges the shards' cached frontiers (lock-free reads).
-func (a *Arbitrator) cachedHeadroom() (core.Headroom, bool) {
-	var out core.Headroom
-	any := false
-	for _, sh := range a.shards {
-		hr, ok := sh.HeadroomSignal()
-		if !ok {
-			continue
-		}
-		if !any {
-			out, any = hr, true
-		} else {
-			out = out.Merge(hr)
-		}
-	}
-	return out, any
 }
 
 // Headroom returns the plane-wide admissibility frontier over
@@ -620,17 +507,6 @@ func (a *Arbitrator) Diagnose(job core.Job) *core.PlanDiagnosis {
 	return a.shards[a.candidates()[0]].diagnose(job)
 }
 
-func (a *Arbitrator) record(d qos.Decision) {
-	if a.keepHist {
-		a.histMu.Lock()
-		a.history = append(a.history, d)
-		a.histMu.Unlock()
-	}
-	if a.observer != nil {
-		a.observer(d)
-	}
-}
-
 // Observe advances the plane's clock, folding elapsed history on every
 // shard.
 func (a *Arbitrator) Observe(now float64) {
@@ -646,10 +522,6 @@ func (a *Arbitrator) Observe(now float64) {
 	for _, sh := range a.shards {
 		sh.observe(now)
 	}
-	if a.metrics != nil {
-		a.publishMetrics()
-	}
-	a.publishHeadroom()
 }
 
 // Now returns the last observed time.
@@ -718,14 +590,6 @@ func (a *Arbitrator) IndexStats() core.IndexStats {
 		out.RangeQueries += s.RangeQueries
 	}
 	return out
-}
-
-// History returns the recorded decisions (empty unless KeepHistory), in
-// commit order.
-func (a *Arbitrator) History() []qos.Decision {
-	a.histMu.Lock()
-	defer a.histMu.Unlock()
-	return append([]qos.Decision(nil), a.history...)
 }
 
 // ShardLoads returns each shard's cached load signal (tests, CLIs).

@@ -14,6 +14,12 @@ import (
 	"milan/internal/workload"
 )
 
+// collect returns an observer appending every decision to *out, for planes
+// driven from one goroutine.
+func collect(out *[]qos.Decision) func(qos.Decision) {
+	return func(d qos.Decision) { *out = append(*out, d) }
+}
+
 // fig4Stream materializes n tunable Figure-4 jobs with Poisson gaps — the
 // paper's workload, shared with the experiments package.
 func fig4Stream(n int, meanGap float64, seed int64) []core.Job {
@@ -31,17 +37,26 @@ func smallStream(n int, meanGap float64, seed int64) []core.Job {
 // TestSingleShardMatchesMonolith is the plane's differential anchor: with
 // one shard and probe fan-out one, the federated arbitrator performs
 // exactly the monolithic qos.Arbitrator's scheduler calls in exactly its
-// order, so on a Figure-4 replay the decision histories, statistics and
-// utilization figures must be bitwise identical.
+// order, so on a Figure-4 replay the decision streams, statistics and
+// utilization figures must be bitwise identical (the plane also announces
+// its clock, which the monolith does not: one KindClock per advance).
 func TestSingleShardMatchesMonolith(t *testing.T) {
 	const procs = 32
 	jobs := fig4Stream(400, 6, 41)
 
-	mono, err := qos.NewArbitrator(qos.ArbitratorConfig{Procs: procs, KeepHistory: true})
+	var hm, hf []qos.Decision
+	clocks := 0
+	mono, err := qos.NewArbitrator(qos.ArbitratorConfig{Procs: procs, Observer: collect(&hm)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	plane, err := New(Config{Procs: procs, Shards: 1, ProbeK: 1, KeepHistory: true})
+	plane, err := New(Config{Procs: procs, Shards: 1, ProbeK: 1, Observer: func(d qos.Decision) {
+		if d.Kind == qos.KindClock {
+			clocks++
+			return
+		}
+		hf = append(hf, d)
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,9 +80,11 @@ func TestSingleShardMatchesMonolith(t *testing.T) {
 		}
 	}
 
-	hm, hf := mono.History(), plane.History()
 	if len(hm) != len(hf) {
 		t.Fatalf("history lengths differ: monolith %d, fed %d", len(hm), len(hf))
+	}
+	if clocks != len(jobs) { // Poisson gaps are positive: every release advances the clock
+		t.Fatalf("%d clock decisions for %d advancing observations", clocks, len(jobs))
 	}
 	for i := range hm {
 		if !reflect.DeepEqual(hm[i], hf[i]) {
@@ -388,7 +405,7 @@ func TestNegotiateDAGFederated(t *testing.T) {
 func TestMetricsPublished(t *testing.T) {
 	reg := obs.NewRegistry()
 	m := NewMetrics(reg)
-	plane, err := New(Config{Procs: 16, Shards: 2, ProbeK: 2, Metrics: m})
+	plane, err := New(Config{Procs: 16, Shards: 2, ProbeK: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -397,6 +414,7 @@ func TestMetricsPublished(t *testing.T) {
 		plane.Observe(job.Release)
 		_, _ = plane.Negotiate(job)
 	}
+	m.Publish(plane)
 	if m.Probes.Value() == 0 {
 		t.Fatal("no probes counted")
 	}
@@ -405,8 +423,11 @@ func TestMetricsPublished(t *testing.T) {
 		t.Fatalf("metrics admitted %d, stats %d", m.Admitted.Value(), st.Admitted)
 	}
 	loadShardDirect(t, plane.Shard(0), plane.Shard(0).Procs(), 200, 10000)
-	if n := plane.Rebalancer().Rebalance(0); n > 0 && m.Migrations.Value() != int64(n) {
-		t.Fatalf("metrics migrations %d, moved %d", m.Migrations.Value(), n)
+	n := plane.Rebalancer().Rebalance(0)
+	m.Publish(plane) // a second publication moves the counters by the difference
+	if now := plane.Stats().Admitted; m.Migrations.Value() != int64(n) || m.Admitted.Value() != int64(now) {
+		t.Fatalf("metrics migrations %d admitted %d, plane moved %d admitted %d",
+			m.Migrations.Value(), m.Admitted.Value(), n, now)
 	}
 	for i := 0; i < plane.Shards(); i++ {
 		g := reg.Gauge(fmt.Sprintf("fed_shard_%d_procs", i))

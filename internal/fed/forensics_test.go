@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"milan/internal/core"
+	"milan/internal/qos"
 )
 
 // TestFedDiagnosisStampsShardAndClosesLoop drives an overloaded plane
@@ -20,11 +21,11 @@ func TestFedDiagnosisStampsShardAndClosesLoop(t *testing.T) {
 	plane, err := New(Config{
 		Procs:  procs,
 		Shards: shards,
-		Diagnosis: func(d *core.PlanDiagnosis) {
+		Options: &core.Options{Diagnosis: func(d *core.PlanDiagnosis) {
 			mu.Lock()
 			diags = append(diags, d)
 			mu.Unlock()
-		},
+		}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -80,36 +81,17 @@ func TestFedDiagnosisStampsShardAndClosesLoop(t *testing.T) {
 	}
 }
 
-// TestFedHeadroomForecast checks the plane's live headroom signal: the
-// sink is fed on construction and on committed mutations, each shard's
-// lock-free cached frontier matches a live recompute when the plane is
-// quiescent, and the plane-wide frontier is the per-axis merge of the
-// shard frontiers.
+// TestFedHeadroomForecast checks the plane's headroom frontier: an empty
+// plane offers each shard's full width, and on a loaded one the plane-wide
+// frontier is the per-axis merge of the shard frontiers, in shard order.
 func TestFedHeadroomForecast(t *testing.T) {
 	const procs, shards, horizon = 8, 2, 200.0
-	var mu sync.Mutex
-	var published []core.Headroom
-	plane, err := New(Config{
-		Procs:           procs,
-		Shards:          shards,
-		HeadroomHorizon: horizon,
-		HeadroomSink: func(h core.Headroom) {
-			mu.Lock()
-			published = append(published, h)
-			mu.Unlock()
-		},
-	})
+	plane, err := New(Config{Procs: procs, Shards: shards})
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// Construction advertises the empty plane: each shard offers its full
-	// width over the whole window.
-	if len(published) == 0 {
-		t.Fatal("no frontier advertised at construction")
-	}
-	if first := published[0]; first.MaxProcs != procs/shards {
-		t.Fatalf("empty-plane frontier MaxProcs = %d, want %d", first.MaxProcs, procs/shards)
+	if empty := plane.Headroom(horizon); empty.MaxProcs != procs/shards {
+		t.Fatalf("empty-plane frontier MaxProcs = %d, want %d", empty.MaxProcs, procs/shards)
 	}
 
 	admitted := 0
@@ -122,28 +104,10 @@ func TestFedHeadroomForecast(t *testing.T) {
 	if admitted == 0 {
 		t.Fatal("degenerate stream: nothing admitted")
 	}
-	mu.Lock()
-	n := len(published)
-	mu.Unlock()
-	// Every admission and observation republished the frontier at least
-	// once (plus the rejects); just require the signal to be live.
-	if n < admitted {
-		t.Fatalf("only %d advertisements for %d admissions", n, admitted)
-	}
 
-	// Quiescent now: cached per-shard signals must equal live recomputes,
-	// and the plane merge must fold them in shard order.
 	var want core.Headroom
 	for i := 0; i < plane.Shards(); i++ {
-		sh := plane.Shard(i)
-		cached, ok := sh.HeadroomSignal()
-		if !ok {
-			t.Fatalf("shard %d has no cached frontier", i)
-		}
-		live := sh.HeadroomLive(horizon)
-		if !reflect.DeepEqual(cached, live) {
-			t.Fatalf("shard %d cached frontier %+v != live %+v", i, cached, live)
-		}
+		live := plane.Shard(i).HeadroomLive(horizon)
 		if i == 0 {
 			want = live
 		} else {
@@ -153,21 +117,19 @@ func TestFedHeadroomForecast(t *testing.T) {
 	if got := plane.Headroom(horizon); !reflect.DeepEqual(got, want) {
 		t.Fatalf("plane frontier %+v != merged shard frontiers %+v", got, want)
 	}
-	if got, ok := plane.cachedHeadroom(); !ok || !reflect.DeepEqual(got, want) {
-		t.Fatalf("cached plane frontier %+v (ok=%v) != merged live %+v", got, ok, want)
-	}
 }
 
 // TestConcurrentWhatIfProbesDoNotPerturbAdmissions is the isolation
 // property under -race: a plane hammered by concurrent WhatIf probes,
 // Diagnose calls and headroom reads while it sequentially admits the
-// Figure-4 stream must produce bitwise the same decision history and
+// Figure-4 stream must produce bitwise the same decision stream and
 // statistics as an unprobed plane replaying the same stream.
 func TestConcurrentWhatIfProbesDoNotPerturbAdmissions(t *testing.T) {
 	const procs, shards = 16, 4
 	jobs := smallStream(300, 5, 11)
 
-	clean, err := New(Config{Procs: procs, Shards: shards, KeepHistory: true})
+	var ch, ph []qos.Decision
+	clean, err := New(Config{Procs: procs, Shards: shards, Observer: collect(&ch)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +138,7 @@ func TestConcurrentWhatIfProbesDoNotPerturbAdmissions(t *testing.T) {
 		clean.Negotiate(job)
 	}
 
-	probed, err := New(Config{Procs: procs, Shards: shards, KeepHistory: true, HeadroomHorizon: 100})
+	probed, err := New(Config{Procs: procs, Shards: shards, Observer: collect(&ph)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,11 +160,6 @@ func TestConcurrentWhatIfProbesDoNotPerturbAdmissions(t *testing.T) {
 				probed.WhatIf(job, core.WhatIfDelta{ExtraDeadline: 50, OnlyChain: 1})
 				probed.Diagnose(job)
 				probed.Headroom(100)
-				if i%8 == 0 {
-					for s := 0; s < probed.Shards(); s++ {
-						probed.Shard(s).HeadroomSignal()
-					}
-				}
 			}
 		}(int64(100 + w))
 	}
@@ -216,7 +173,6 @@ func TestConcurrentWhatIfProbesDoNotPerturbAdmissions(t *testing.T) {
 	if cs, ps := clean.Stats(), probed.Stats(); !reflect.DeepEqual(cs, ps) {
 		t.Fatalf("stats diverged under probes\nclean:  %+v\nprobed: %+v", cs, ps)
 	}
-	ch, ph := clean.History(), probed.History()
 	if len(ch) != len(ph) {
 		t.Fatalf("history lengths differ: clean %d, probed %d", len(ch), len(ph))
 	}

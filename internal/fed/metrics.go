@@ -2,19 +2,21 @@ package fed
 
 import (
 	"fmt"
+	"slices"
 
 	"milan/internal/obs"
 )
 
-// Metrics bundles the admission plane's observability surface: router
-// counters (probes, admissions, rejections, optimistic-concurrency races,
-// migrations) plus per-shard gauges (processor count, cached load signal)
-// and the plane-wide load spread, all resolved once against an
-// obs.Registry so the hot admission path only touches atomics.
+// Metrics is the admission plane's view in an obs.Registry, under the fed_
+// namespace: the router counters (probes, optimistic-concurrency races,
+// non-best commits, migrations), the plane-wide admitted and rejected
+// counts, per-shard gauges (processor count, cached load signal) and their
+// spreads.  The plane does not know it exists: Publish reads the plane's
+// accessors when a reader wants the instruments current.
 type Metrics struct {
 	Probes         *obs.Counter // planning probes issued by the router
-	Admitted       *obs.Counter // jobs granted across the plane
-	Rejected       *obs.Counter // jobs rejected across the plane
+	Admitted       *obs.Counter // reservations committed across the plane
+	Rejected       *obs.Counter // rejections counted across the plane
 	CommitRaces    *obs.Counter // commits that found a stale shard version
 	NonBestCommits *obs.Counter // grants that fell back past the best probe
 	Migrations     *obs.Counter // processors moved by the rebalancer
@@ -22,14 +24,10 @@ type Metrics struct {
 	LoadSpread *obs.Gauge // max-min cached shard load
 	ProcSpread *obs.Gauge // max-min shard processor count
 
-	reg        *obs.Registry
-	shardProcs []*obs.Gauge
-	shardLoad  []*obs.Gauge
+	reg *obs.Registry
 }
 
-// NewMetrics resolves the plane's instruments in reg under the fed_
-// namespace.  Per-shard gauges are bound when the Arbitrator is built
-// (the shard count is not known here).
+// NewMetrics resolves the plane's instruments in reg.
 func NewMetrics(reg *obs.Registry) *Metrics {
 	return &Metrics{
 		Probes:         reg.Counter("fed_probes"),
@@ -44,43 +42,24 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 	}
 }
 
-// bindShards resolves one procs gauge and one load gauge per shard.
-func (m *Metrics) bindShards(n int) {
-	m.shardProcs = make([]*obs.Gauge, n)
-	m.shardLoad = make([]*obs.Gauge, n)
-	for i := 0; i < n; i++ {
-		m.shardProcs[i] = m.reg.Gauge(fmt.Sprintf("fed_shard_%d_procs", i))
-		m.shardLoad[i] = m.reg.Gauge(fmt.Sprintf("fed_shard_%d_load", i))
-	}
-}
+// Publish brings the instruments up to the plane as it stands.  Call it
+// before reading or exporting the registry; the plane's counters only
+// grow, so successive calls keep every counter monotone.
+func (m *Metrics) Publish(a *Arbitrator) {
+	set := func(c *obs.Counter, v int64) { c.Add(v - c.Value()) }
+	rs, st := a.RouterStats(), a.Stats()
+	set(m.Probes, rs.Probes)
+	set(m.CommitRaces, rs.CommitRaces)
+	set(m.NonBestCommits, rs.NonBestCommits)
+	set(m.Migrations, rs.Migrations)
+	set(m.Admitted, int64(st.Admitted))
+	set(m.Rejected, int64(st.Rejected))
 
-// publishMetrics refreshes the per-shard gauges and the spread gauges from
-// the shards' lock-free load caches and their current sizes.
-func (a *Arbitrator) publishMetrics() {
-	m := a.metrics
-	if m == nil || len(m.shardProcs) != len(a.shards) {
-		return
+	loads, procs := a.ShardLoads(), a.ShardProcs()
+	for i := range loads {
+		m.reg.Gauge(fmt.Sprintf("fed_shard_%d_procs", i)).Set(float64(procs[i]))
+		m.reg.Gauge(fmt.Sprintf("fed_shard_%d_load", i)).Set(loads[i])
 	}
-	var loLoad, hiLoad float64
-	loProc, hiProc := 0, 0
-	for i, sh := range a.shards {
-		procs := sh.Procs()
-		load := sh.Load()
-		m.shardProcs[i].Set(float64(procs))
-		m.shardLoad[i].Set(load)
-		if i == 0 || load < loLoad {
-			loLoad = load
-		}
-		if i == 0 || load > hiLoad {
-			hiLoad = load
-		}
-		if i == 0 || procs < loProc {
-			loProc = procs
-		}
-		if i == 0 || procs > hiProc {
-			hiProc = procs
-		}
-	}
-	m.LoadSpread.Set(hiLoad - loLoad)
-	m.ProcSpread.Set(float64(hiProc - loProc))
+	m.LoadSpread.Set(slices.Max(loads) - slices.Min(loads))
+	m.ProcSpread.Set(float64(slices.Max(procs) - slices.Min(procs)))
 }

@@ -122,7 +122,7 @@ func (r *Rebalancer) RebalanceOnce() bool {
 		_ = states[donor].sh.resize(states[donor].procs)
 		return false
 	}
-	r.noteMoved(1)
+	r.arb.migrations.Add(1)
 	return true
 }
 
@@ -165,7 +165,7 @@ func (r *Rebalancer) SetTotalCapacity(total int) (int, error) {
 		if err := states[recv].sh.resize(states[recv].procs + 1); err != nil {
 			return cur, err
 		}
-		r.noteMoved(1)
+		r.arb.migrations.Add(1)
 		cur++
 	}
 	for cur > total {
@@ -186,7 +186,7 @@ func (r *Rebalancer) SetTotalCapacity(total int) (int, error) {
 			// Headroom raced away between snapshot and resize; re-snapshot.
 			continue
 		}
-		r.noteMoved(1)
+		r.arb.migrations.Add(1)
 		cur--
 	}
 	return cur, nil
@@ -202,12 +202,4 @@ func (r *Rebalancer) AttachBroker(b *resbroker.Broker, threshold int) (stop func
 		_, _ = r.SetTotalCapacity(procs)
 		r.Rebalance(0)
 	})
-}
-
-func (r *Rebalancer) noteMoved(n int64) {
-	if m := r.arb.metrics; m != nil {
-		m.Migrations.Add(n)
-		r.arb.publishMetrics()
-	}
-	r.arb.publishHeadroom()
 }

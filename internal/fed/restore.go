@@ -7,9 +7,9 @@ import (
 )
 
 // PlaneState is the federated plane's durable state: the observed clock
-// plus every shard's committed scheduler state, in shard order.  Routing
-// caches (load signals, headroom frontiers) are derived and rebuilt on
-// restore; decision history, ledgers and observers are not state.
+// plus every shard's committed scheduler state, in shard order.  The load
+// signals are derived and rebuilt on restore; a restore is not a decision,
+// and the observer hears nothing of it.
 type PlaneState struct {
 	Now    float64
 	Shards []core.SchedulerState
@@ -48,9 +48,5 @@ func (a *Arbitrator) RestoreState(st PlaneState) error {
 		sh.mu.Unlock()
 	}
 	a.nowBits.Store(floatBits(st.Now))
-	if a.metrics != nil {
-		a.publishMetrics()
-	}
-	a.publishHeadroom()
 	return nil
 }

@@ -7,7 +7,7 @@ import (
 
 	"milan/internal/core"
 	"milan/internal/obs/latency/phase"
-	"milan/internal/obs/ledger"
+	"milan/internal/qos"
 )
 
 // Shard is one partition of the machine's processor pool: its own
@@ -45,35 +45,20 @@ type Shard struct {
 	// any lock.
 	loadBits atomic.Uint64
 
-	// headroomHorizon, when positive, turns on incremental maintenance of
-	// the shard's admissibility frontier (core.Headroom over
-	// [now, now+headroomHorizon)): the cached frontier is recomputed from
-	// MaximalHoles after every committed mutation and published through
-	// headroomPtr for lock-free plane-wide merging.  Zero keeps the commit
-	// path identical to the pre-forensics plane.
-	headroomHorizon float64
-	headroomPtr     atomic.Pointer[core.Headroom]
-
-	// resizeHook, if non-nil, fires under sh.mu after every successful
-	// resize with the shard id and new processor count (Config.OnShardResize).
-	resizeHook func(shard, procs int)
-
-	// led, if non-nil, is this shard's utilization ledger: commits are
-	// recorded under sh.mu immediately after the scheduler commit, so
-	// the ledger's running total performs the same float additions in
-	// the same order as the scheduler's ReservedArea counter.  nil (the
-	// default) costs one pointer comparison per commit.
-	led *ledger.Ledger
+	// observer, if non-nil, is Config.Observer: the shard calls it under
+	// sh.mu at each of its four committed mutations (committedLocked,
+	// noteRejectedLocked, observe, resize).
+	observer func(qos.Decision)
 }
 
-func newShard(id, procs int, origin float64, opts *core.Options, routed bool, horizon, headroomHorizon float64) *Shard {
+func newShard(id, procs int, origin float64, opts *core.Options, routed bool, horizon float64, observer func(qos.Decision)) *Shard {
 	return &Shard{
-		id:              id,
-		sched:           core.NewScheduler(procs, origin, opts),
-		now:             origin,
-		routed:          routed,
-		horizon:         horizon,
-		headroomHorizon: headroomHorizon,
+		id:       id,
+		sched:    core.NewScheduler(procs, origin, opts),
+		now:      origin,
+		routed:   routed,
+		horizon:  horizon,
+		observer: observer,
 	}
 }
 
@@ -155,52 +140,35 @@ func (sh *Shard) refreshLoadLocked() {
 		}
 		sh.publishLoadLocked()
 	}
-	sh.refreshHeadroomLocked()
 }
 
 // committedLocked is the bookkeeping every committed reservation shares:
 // the version bump, the placement's own area added to the cached load
 // signal without rescanning the profile (the next observe or resize snaps
-// the approximation back to exact), and the ledger entry.  Callers hold
-// sh.mu.
-func (sh *Shard) committedLocked(key ledger.Key, pl *core.Placement) {
+// the approximation back to exact), the grant, and the decision.  Callers
+// hold sh.mu.
+func (sh *Shard) committedLocked(job *core.Job, quality float64, pl *core.Placement) *qos.Grant {
 	sh.version++
 	if sh.routed {
 		sh.loadArea += pl.Area()
 		sh.publishLoadLocked()
 	}
-	sh.refreshHeadroomLocked()
-	if sh.led != nil {
-		sh.led.RecordCommitKeyed(key, pl)
+	g := &qos.Grant{
+		JobID:     job.ID,
+		Chain:     pl.Chain,
+		Quality:   quality,
+		Placement: *pl,
+		Trace:     job.Trace,
+		Shard:     sh.id,
 	}
-}
-
-// refreshHeadroomLocked recomputes the shard's cached admissibility
-// frontier (no-op unless the plane enables headroom forecasting).
-// Callers hold sh.mu.  One refresh costs O(n log n) in committed
-// reservations via MaximalHoles; it runs only on committed mutations,
-// never on probes.
-func (sh *Shard) refreshHeadroomLocked() {
-	if sh.headroomHorizon <= 0 {
-		return
+	if sh.observer != nil {
+		sh.observer(qos.Decision{Kind: qos.KindAdmitted, Job: *job, Grant: g, Now: sh.now, Shard: sh.id})
 	}
-	hr := sh.sched.Headroom(sh.now, sh.headroomHorizon)
-	sh.headroomPtr.Store(&hr)
-}
-
-// HeadroomSignal returns the shard's cached admissibility frontier (read
-// lock-free) and whether headroom forecasting is enabled on this plane.
-func (sh *Shard) HeadroomSignal() (core.Headroom, bool) {
-	p := sh.headroomPtr.Load()
-	if p == nil {
-		return core.Headroom{}, false
-	}
-	return *p, true
+	return g
 }
 
 // HeadroomLive recomputes the shard's frontier over [now, now+horizon)
-// from the live profile under the shard lock (the on-demand path for
-// reports; the cached signal serves the hot path).
+// from the live profile under the shard lock.
 func (sh *Shard) HeadroomLive(horizon float64) core.Headroom {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -256,42 +224,53 @@ func (sh *Shard) probe(job core.Job, wantKey bool) (pl *core.Placement, key plan
 // Plan+Commit sequence, split across two critical sections).  When another
 // admission or a trim won the race, the job is re-admitted from scratch on
 // this shard; raced reports that fallback.  A core.ErrRejected from the
-// re-admission means the capacity the probe saw is gone.
-func (sh *Shard) commitPlanned(job core.Job, pl *core.Placement, ver uint64) (out *core.Placement, raced bool, err error) {
+// re-admission means the capacity the probe saw is gone, and this shard has
+// counted (and announced) a rejection.
+func (sh *Shard) commitPlanned(job core.Job, pl *core.Placement, ver uint64) (g *qos.Grant, raced bool, err error) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	raced = sh.version != ver
 	if raced {
-		pl, err = sh.sched.Admit(job)
+		// The rejection hooks may keep the job they are handed: give
+		// them a copy, allocated on this path only.
+		again := job
+		g, err = sh.admitLocked(&again, nil)
 	} else {
-		err = sh.sched.Commit(job, pl)
+		g, err = sh.commitLocked(&job, pl)
 	}
-	if err != nil {
-		return nil, raced, err
-	}
-	sh.committedLocked(ledger.KeyOf(&job), pl)
-	return pl, raced, nil
+	return g, raced, err
 }
 
 // admit is a one-shard plane's whole admission, in one critical section:
 // lock (route), plan, then commit or count the rejection (reserve) —
 // qos.Arbitrator's sequence and its phase marks, and the scheduler calls
 // probe + commitPlanned + noteRejected make at one shard, in their order.
-func (sh *Shard) admit(job core.Job, rec *phase.Rec) (*core.Placement, error) {
+func (sh *Shard) admit(job core.Job, rec *phase.Rec) (*qos.Grant, error) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	rec.Mark(phase.Route)
-	pl, ok := sh.sched.Plan(job)
+	return sh.admitLocked(&job, rec)
+}
+
+// admitLocked plans the job and commits the plan or counts the rejection.
+// Callers hold sh.mu.
+func (sh *Shard) admitLocked(job *core.Job, rec *phase.Rec) (*qos.Grant, error) {
+	pl, ok := sh.sched.Plan(*job)
 	rec.Mark(phase.Plan)
 	if !ok {
-		sh.noteRejectedLocked(&job)
+		sh.noteRejectedLocked(job)
 		return nil, core.ErrRejected
 	}
-	if err := sh.sched.Commit(job, pl); err != nil {
+	return sh.commitLocked(job, pl)
+}
+
+// commitLocked commits a plan computed against the shard as it stands.
+// Callers hold sh.mu.
+func (sh *Shard) commitLocked(job *core.Job, pl *core.Placement) (*qos.Grant, error) {
+	if err := sh.sched.Commit(*job, pl); err != nil {
 		return nil, err
 	}
-	sh.committedLocked(ledger.KeyOf(&job), pl)
-	return pl, nil
+	return sh.committedLocked(job, job.Chains[pl.Chain].Quality, pl), nil
 }
 
 // noteRejected records a router-level rejection on this shard, mirroring
@@ -305,22 +284,20 @@ func (sh *Shard) noteRejected(job core.Job) {
 
 func (sh *Shard) noteRejectedLocked(job *core.Job) {
 	sh.sched.NoteRejected(job, "no-feasible-chain")
-	if sh.led != nil {
-		sh.led.RecordRejection(job)
+	if sh.observer != nil {
+		sh.observer(qos.Decision{Kind: qos.KindRejected, Job: *job, Now: sh.now, Shard: sh.id})
 	}
 }
 
 // admitDAG runs DAG admission control on this shard.
-func (sh *Shard) admitDAG(job core.DAGJob) (*core.Placement, error) {
+func (sh *Shard) admitDAG(job core.DAGJob) (*qos.Grant, error) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	pl, err := sh.sched.AdmitDAG(job)
-	if err == nil {
-		// DAG jobs carry no tenant identity yet; account them on the
-		// unattributed stream so plane totals stay complete.
-		sh.committedLocked(ledger.Key{}, pl)
+	if err != nil {
+		return nil, err
 	}
-	return pl, err
+	return sh.committedLocked(&core.Job{ID: job.ID}, job.Alts[pl.Chain].Quality, pl), nil
 }
 
 // observe advances the shard's clock, folding elapsed history.
@@ -332,8 +309,8 @@ func (sh *Shard) observe(now float64) {
 		sh.sched.Observe(now)
 		sh.version++
 		sh.refreshLoadLocked()
-		if sh.led != nil {
-			sh.led.Advance(now)
+		if sh.observer != nil {
+			sh.observer(qos.Decision{Kind: qos.KindClock, Now: now, Shard: sh.id})
 		}
 	}
 }
@@ -349,11 +326,8 @@ func (sh *Shard) resize(procs int) error {
 	}
 	sh.version++
 	sh.refreshLoadLocked()
-	if sh.led != nil {
-		sh.led.SetCapacity(procs, sh.now)
-	}
-	if sh.resizeHook != nil {
-		sh.resizeHook(sh.id, procs)
+	if sh.observer != nil {
+		sh.observer(qos.Decision{Kind: qos.KindResize, Now: sh.now, Shard: sh.id, Procs: procs})
 	}
 	return nil
 }

@@ -16,6 +16,7 @@ package forensics
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -302,27 +303,20 @@ func (r *Recorder) WriteJSONL(w io.Writer) error {
 // are skipped; a malformed line or a record without a diagnosis is an
 // error (the decoder is the fuzz target FuzzDiagnosisDecode).
 func DecodeJSONL(rd io.Reader) ([]Record, error) {
-	sc := bufio.NewScanner(rd)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
 	var out []Record
-	line := 0
-	for sc.Scan() {
-		line++
-		b := sc.Bytes()
-		if len(b) == 0 {
-			continue
-		}
+	err := obs.Lines(rd, "forensics:", func(b []byte) error {
 		var rec Record
 		if err := json.Unmarshal(b, &rec); err != nil {
-			return nil, fmt.Errorf("forensics: line %d: %w", line, err)
+			return err
 		}
 		if rec.Diag == nil {
-			return nil, fmt.Errorf("forensics: line %d: record without a diagnosis", line)
+			return errors.New("record without a diagnosis")
 		}
 		out = append(out, rec)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("forensics: line %d: %w", line, err)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }

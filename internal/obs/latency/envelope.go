@@ -1,12 +1,14 @@
 package latency
 
 import (
-	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
 	"strings"
 	"time"
+
+	"milan/internal/obs"
 )
 
 // Envelope is the committed baseline the regression sentinel compares
@@ -56,23 +58,20 @@ func EnvelopeFromTrajectory(path, match string, slack float64) (Envelope, error)
 		slack = 1
 	}
 	var last *trajectoryRow
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 1<<16), 1<<20)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
+	err = obs.Lines(f, "latency: trajectory "+path, func(raw []byte) error {
+		if raw = bytes.TrimSpace(raw); len(raw) == 0 {
+			return nil
 		}
 		var row trajectoryRow
-		if err := json.Unmarshal([]byte(line), &row); err != nil {
-			return Envelope{}, fmt.Errorf("latency: bad trajectory row: %w", err)
+		if err := json.Unmarshal(raw, &row); err != nil {
+			return err
 		}
 		if strings.Contains(row.Name, match) {
-			r := row
-			last = &r
+			last = &row
 		}
-	}
-	if err := sc.Err(); err != nil {
+		return nil
+	})
+	if err != nil {
 		return Envelope{}, err
 	}
 	if last == nil {

@@ -4,23 +4,31 @@ import (
 	"milan/internal/qos"
 )
 
-// DecisionObserver adapts the ledger to qos.ArbitratorConfig.Observer:
-// every granted decision records a commit, every rejected one a
-// rejection, then the chain continues to next (nil is fine).  The
-// arbitrator invokes its observer under its own mutex immediately after
-// the scheduler commit, so ledger recording happens in commit order —
-// the ordering the bit-identity differential test relies on.  (The qos
-// package cannot import this one — obs sits above qos — which is why
-// the adapter lives here and hooks the observer callback instead.)
-func (l *Ledger) DecisionObserver(next func(qos.Decision)) func(qos.Decision) {
-	if l == nil {
+// DecisionObserver adapts the ledger to an arbitrator's decision stream
+// (qos.ArbitratorConfig.Observer, fed.Config.Observer): each decision
+// lands on the ledger of the shard that made it — a commit, a rejection,
+// a clock advance or a capacity change — then the chain continues to next
+// (nil is fine).  The arbitrator invokes its observer under the deciding
+// lock at the point the mutation is committed, so ledger recording happens
+// in commit order — the ordering the bit-identity differential test relies
+// on.  A monolith decides everything on shard 0.  (The qos package cannot
+// import this one — obs sits above qos — which is why the adapter lives
+// here and hooks the observer callback instead.)
+func (s *Sharded) DecisionObserver(next func(qos.Decision)) func(qos.Decision) {
+	if s == nil {
 		return next
 	}
 	return func(d qos.Decision) {
-		if d.Grant != nil {
+		l := s.Shard(d.Shard)
+		switch d.Kind {
+		case qos.KindAdmitted:
 			l.RecordCommit(&d.Job, &d.Grant.Placement)
-		} else if d.Rejected {
+		case qos.KindRejected:
 			l.RecordRejection(&d.Job)
+		case qos.KindClock:
+			l.Advance(d.Now)
+		case qos.KindResize:
+			l.SetCapacity(d.Procs, d.Now)
 		}
 		if next != nil {
 			next(d)

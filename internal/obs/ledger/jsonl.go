@@ -1,11 +1,13 @@
 package ledger
 
 import (
-	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
+
+	"milan/internal/obs"
 )
 
 // JSONL row kinds.  A stream is one meta row followed by any number of
@@ -101,36 +103,28 @@ func (s *Snapshot) WriteJSONL(w io.Writer) error {
 // because it is fuzzed (FuzzLedgerDecode) and fed from artifacts that
 // may be truncated or hand-edited.
 func DecodeJSONL(r io.Reader) (*Snapshot, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
 	var out *Snapshot
-	line := 0
-	for sc.Scan() {
-		line++
-		raw := sc.Bytes()
-		if len(raw) == 0 {
-			continue
-		}
+	err := obs.Lines(r, "ledger:", func(raw []byte) error {
 		var probe struct {
 			Kind string `json:"kind"`
 		}
 		if err := json.Unmarshal(raw, &probe); err != nil {
-			return nil, fmt.Errorf("ledger: line %d: %w", line, err)
+			return err
 		}
 		if probe.Kind != kindMeta && out == nil {
-			return nil, fmt.Errorf("ledger: line %d: %q row before meta", line, probe.Kind)
+			return fmt.Errorf("%q row before meta", probe.Kind)
 		}
 		switch probe.Kind {
 		case kindMeta:
 			if out != nil {
-				return nil, fmt.Errorf("ledger: line %d: duplicate meta row", line)
+				return errors.New("duplicate meta row")
 			}
 			var m metaRow
 			if err := json.Unmarshal(raw, &m); err != nil {
-				return nil, fmt.Errorf("ledger: line %d: %w", line, err)
+				return err
 			}
 			if !finite(m.Now, m.Origin, m.AgedBefore, m.TotalReservedArea, m.TotalRealizedArea) {
-				return nil, fmt.Errorf("ledger: line %d: non-finite meta fields", line)
+				return errors.New("non-finite meta fields")
 			}
 			out = &Snapshot{
 				Version:           m.Version,
@@ -150,39 +144,40 @@ func DecodeJSONL(r io.Reader) (*Snapshot, error) {
 		case kindTotals:
 			var t totalsRow
 			if err := json.Unmarshal(raw, &t); err != nil {
-				return nil, fmt.Errorf("ledger: line %d: %w", line, err)
+				return err
 			}
 			if !finite(t.ReservedArea, t.RealizedArea) {
-				return nil, fmt.Errorf("ledger: line %d: non-finite totals", line)
+				return errors.New("non-finite totals")
 			}
 			out.Totals = append(out.Totals, t.Totals)
 		case kindBucket:
 			var b bucketRow
 			if err := json.Unmarshal(raw, &b); err != nil {
-				return nil, fmt.Errorf("ledger: line %d: %w", line, err)
+				return err
 			}
 			if !finite(b.Start, b.Width, b.CapacityArea) || b.Width <= 0 {
-				return nil, fmt.Errorf("ledger: line %d: malformed bucket span [%v, +%v)", line, b.Start, b.Width)
+				return fmt.Errorf("malformed bucket span [%v, +%v)", b.Start, b.Width)
 			}
 			if err := checkCells(b.Cells); err != nil {
-				return nil, fmt.Errorf("ledger: line %d: %w", line, err)
+				return err
 			}
 			out.Buckets = append(out.Buckets, b.Bucket)
 		case kindAged:
 			var a agedRow
 			if err := json.Unmarshal(raw, &a); err != nil {
-				return nil, fmt.Errorf("ledger: line %d: %w", line, err)
+				return err
 			}
 			if err := checkCells(a.Cells); err != nil {
-				return nil, fmt.Errorf("ledger: line %d: %w", line, err)
+				return err
 			}
 			out.Aged = append(out.Aged, a.Cells...)
 		default:
-			return nil, fmt.Errorf("ledger: line %d: unknown row kind %q", line, probe.Kind)
+			return fmt.Errorf("unknown row kind %q", probe.Kind)
 		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("ledger: %w", err)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	if out == nil {
 		return nil, fmt.Errorf("ledger: empty stream (no meta row)")

@@ -178,10 +178,10 @@ func TestNilLedgerSafe(t *testing.T) {
 	if l.Snapshot() != nil {
 		t.Fatal("nil ledger returned a snapshot")
 	}
-	if h := l.DecisionObserver(nil); h != nil {
+	var sh *Sharded
+	if h := sh.DecisionObserver(nil); h != nil {
 		t.Fatal("nil ledger decision observer should pass next through (nil)")
 	}
-	var sh *Sharded
 	sh.Advance(1)
 	sh.Mount(nil)
 	sh.BindMetrics(nil)

@@ -5,9 +5,10 @@ import (
 	"sync/atomic"
 )
 
-// Head-based adaptive trace sampling.  Tracing every admission costs
-// ~24% on the sharded hot path (BENCH_slo.json); sampling keeps the
-// span stream representative while bounding that cost.  The decision is
+// Head-based adaptive trace sampling.  Tracing every admission roughly
+// doubles the sharded hot path (BENCH_trajectory.jsonl:
+// BenchmarkShardedAdmitTraced over BenchmarkShardedAdmit); sampling keeps
+// the span stream representative while bounding that cost.  The decision is
 // made at the head (NewTrace): a sampled-out request returns trace ID 0
 // and flows through the untraced fast path everywhere downstream —
 // every Start on a zero trace is the nil-span no-op — so the sampled-out

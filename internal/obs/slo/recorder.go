@@ -3,6 +3,7 @@ package slo
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -105,33 +106,25 @@ func (s *Snapshot) WriteJSONL(w io.Writer) error {
 // WriteJSONL).  Blank lines are skipped; unknown versions and malformed
 // lines are errors.
 func DecodeSnapshot(r io.Reader) (*Snapshot, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
 	var snap *Snapshot
-	line := 0
-	for sc.Scan() {
-		line++
-		b := sc.Bytes()
-		if len(b) == 0 {
-			continue
-		}
+	err := obs.Lines(r, "slo: snapshot", func(b []byte) error {
 		if snap == nil {
 			var s Snapshot
 			if err := json.Unmarshal(b, &s); err != nil {
-				return nil, fmt.Errorf("slo: snapshot line %d: %w", line, err)
+				return err
 			}
 			if s.Version != snapshotVersion {
-				return nil, fmt.Errorf("slo: snapshot version %d (want %d)", s.Version, snapshotVersion)
+				return fmt.Errorf("version %d (want %d)", s.Version, snapshotVersion)
 			}
 			if s.Kind == "" {
-				return nil, fmt.Errorf("slo: snapshot line %d: missing trigger kind", line)
+				return errors.New("missing trigger kind")
 			}
 			snap = &s
-			continue
+			return nil
 		}
 		var l snapLine
 		if err := json.Unmarshal(b, &l); err != nil {
-			return nil, fmt.Errorf("slo: snapshot line %d: %w", line, err)
+			return err
 		}
 		switch {
 		case l.Span != nil:
@@ -139,11 +132,12 @@ func DecodeSnapshot(r io.Reader) (*Snapshot, error) {
 		case l.Event != nil:
 			snap.Events = append(snap.Events, *l.Event)
 		default:
-			return nil, fmt.Errorf("slo: snapshot line %d: neither span nor event", line)
+			return errors.New("neither span nor event")
 		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("slo: snapshot: %w", err)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	if snap == nil {
 		return nil, fmt.Errorf("slo: empty snapshot")

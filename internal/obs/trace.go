@@ -3,7 +3,6 @@ package obs
 import (
 	"bufio"
 	"encoding/json"
-	"fmt"
 	"io"
 	"sync"
 )
@@ -173,22 +172,16 @@ func (s *JSONLSink) Close() error {
 // of JSONLSink output).
 func ReadJSONL(r io.Reader) ([]Event, error) {
 	var out []Event
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	line := 0
-	for sc.Scan() {
-		line++
-		if len(sc.Bytes()) == 0 {
-			continue
-		}
+	err := Lines(r, "obs: jsonl", func(raw []byte) error {
 		var ev Event
-		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
-			return nil, fmt.Errorf("obs: jsonl line %d: %w", line, err)
+		if err := json.Unmarshal(raw, &ev); err != nil {
+			return err
 		}
 		out = append(out, ev)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("obs: jsonl: %w", err)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }

@@ -112,7 +112,7 @@ func (d *DynamicArbitrator) negotiateLocked(job core.Job) (*Grant, error) {
 		if errors.Is(err, core.ErrRejected) {
 			d.stats.Rejected++
 			if d.Observer != nil {
-				d.Observer(Decision{Job: job, Rejected: true, Now: d.now})
+				d.Observer(Decision{Kind: KindRejected, Job: job, Now: d.now})
 			}
 			return nil, ErrRejected
 		}
@@ -123,7 +123,7 @@ func (d *DynamicArbitrator) negotiateLocked(job core.Job) (*Grant, error) {
 	d.order = append(d.order, job.ID)
 	d.stats.Admitted++
 	if d.Observer != nil {
-		d.Observer(Decision{Job: job, Grant: g, Now: d.now})
+		d.Observer(Decision{Kind: KindAdmitted, Job: job, Grant: g, Now: d.now})
 	}
 	return g, nil
 }

@@ -30,10 +30,10 @@ func TestDynamicObserverSeesEveryDecision(t *testing.T) {
 	if len(decisions) != 2 {
 		t.Fatalf("decisions = %d, want 2", len(decisions))
 	}
-	if decisions[0].Rejected || decisions[0].Job.ID != 1 || decisions[0].Grant == nil {
+	if decisions[0].Kind != KindAdmitted || decisions[0].Job.ID != 1 || decisions[0].Grant == nil {
 		t.Fatalf("decision[0] = %+v", decisions[0])
 	}
-	if !decisions[1].Rejected || decisions[1].Job.ID != 2 {
+	if decisions[1].Kind != KindRejected || decisions[1].Job.ID != 2 {
 		t.Fatalf("decision[1] = %+v", decisions[1])
 	}
 }
@@ -65,7 +65,7 @@ func TestDynamicObserverSeesRetriedWaiters(t *testing.T) {
 	if len(decisions) != 2 {
 		t.Fatalf("decisions = %d, want 2: %+v", len(decisions), decisions)
 	}
-	if !decisions[0].Rejected || decisions[1].Rejected || decisions[1].Grant == nil {
+	if decisions[0].Kind != KindRejected || decisions[1].Kind != KindAdmitted || decisions[1].Grant == nil {
 		t.Fatalf("decision stream = %+v", decisions)
 	}
 }

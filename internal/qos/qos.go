@@ -66,12 +66,30 @@ type TimedNegotiator interface {
 	NegotiateTimed(job core.Job, rec *phase.Rec) (*Grant, error)
 }
 
-// Decision records one admission decision for observers.
+// DecisionKind names what a Decision committed.
+type DecisionKind uint8
+
+// The four mutations of an admission plane, kind for kind what the durable
+// journal records: a reservation committed, a rejection counted, the clock
+// folded forward, a shard's processor count changed.  The monolithic
+// arbitrators emit the first two; a sharded plane (internal/fed) emits all
+// four, each under the deciding shard's lock.
+const (
+	KindAdmitted DecisionKind = iota
+	KindRejected
+	KindClock
+	KindResize
+)
+
+// Decision is the one typed event of the admission plane, handed to an
+// Observer at the point the mutation it describes is committed.
 type Decision struct {
-	Job      core.Job
-	Grant    *Grant // nil when rejected
-	Rejected bool
-	Now      float64
+	Kind  DecisionKind
+	Job   core.Job // the negotiating job (KindAdmitted, KindRejected)
+	Grant *Grant   // the committed reservation (KindAdmitted)
+	Now   float64  // the deciding plane's clock; for KindClock, its new value
+	Shard int      // the deciding shard (always 0 on a monolith)
+	Procs int      // the shard's new processor count (KindResize)
 }
 
 // Arbitrator is the system-wide QoS arbitrator: it owns the machine's
@@ -134,7 +152,7 @@ func (a *Arbitrator) NegotiateTimed(job core.Job, rec *phase.Rec) (*Grant, error
 	rec.Mark(phase.Plan)
 	if err != nil {
 		if errors.Is(err, core.ErrRejected) {
-			a.record(Decision{Job: job, Rejected: true, Now: a.now})
+			a.record(Decision{Kind: KindRejected, Job: job, Now: a.now})
 			rec.Mark(phase.Reserve)
 			return nil, ErrRejected
 		}
@@ -147,7 +165,7 @@ func (a *Arbitrator) NegotiateTimed(job core.Job, rec *phase.Rec) (*Grant, error
 		Placement: *pl,
 		Trace:     job.Trace,
 	}
-	a.record(Decision{Job: job, Grant: g, Now: a.now})
+	a.record(Decision{Kind: KindAdmitted, Job: job, Grant: g, Now: a.now})
 	rec.Mark(phase.Reserve)
 	return g, nil
 }

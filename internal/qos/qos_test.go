@@ -54,7 +54,7 @@ func TestNegotiateGrantAndReject(t *testing.T) {
 		t.Fatalf("stats = %+v", st)
 	}
 	hist := arb.History()
-	if len(hist) != 2 || hist[0].Rejected || !hist[1].Rejected {
+	if len(hist) != 2 || hist[0].Kind != KindAdmitted || hist[1].Kind != KindRejected {
 		t.Fatalf("history = %+v", hist)
 	}
 }
@@ -90,10 +90,10 @@ func TestObserverCallback(t *testing.T) {
 	if len(got) != 2 {
 		t.Fatalf("observer saw %d decisions, want 2", len(got))
 	}
-	if got[0].Rejected || got[0].Grant == nil {
+	if got[0].Kind != KindAdmitted || got[0].Grant == nil {
 		t.Errorf("first decision = %+v", got[0])
 	}
-	if !got[1].Rejected || got[1].Grant != nil {
+	if got[1].Kind != KindRejected || got[1].Grant != nil {
 		t.Errorf("second decision = %+v", got[1])
 	}
 }

@@ -81,8 +81,22 @@ type (
 	Grant = qos.Grant
 	// Negotiator is anything an agent can negotiate with.
 	Negotiator = qos.Negotiator
-	// Decision records one admission decision.
+	// Decision is the one typed event of an admission plane, handed to an
+	// Observer (ArbitratorConfig.Observer, FedConfig.Observer) at the point
+	// the mutation it describes is committed.
 	Decision = qos.Decision
+	// DecisionKind names what a Decision committed.
+	DecisionKind = qos.DecisionKind
+)
+
+// The four mutations of an admission plane.  The monolithic arbitrators
+// announce the first two; a federated plane announces all four, each under
+// the deciding shard's lock.
+const (
+	DecisionAdmitted = qos.KindAdmitted
+	DecisionRejected = qos.KindRejected
+	DecisionClock    = qos.KindClock
+	DecisionResize   = qos.KindResize
 )
 
 // Task graphs and the tunability language (Section 4).
@@ -307,8 +321,9 @@ func NewFederatedArbitrator(cfg FedConfig) (*FedArbitrator, error) {
 	return fed.New(cfg)
 }
 
-// NewFedMetrics resolves the plane's instruments in a registry, for
-// FedConfig.Metrics.
+// NewFedMetrics resolves the plane's fed_* instruments in a registry.  The
+// plane does not feed them: call Publish(plane) before reading or exporting
+// the registry.
 func NewFedMetrics(reg *Registry) *FedMetrics { return fed.NewMetrics(reg) }
 
 // Admission forensics (rejection explainer, counterfactual what-if
@@ -349,12 +364,13 @@ const (
 
 // NewForensicsRecorder returns a rejection recorder retaining up to n
 // diagnoses (n <= 0 selects the default capacity).  Install its Sink as
-// Options.Diagnosis (or FedConfig.Diagnosis) to capture every rejection.
+// Options.Diagnosis to capture every rejection (a federated plane stamps each
+// diagnosis with the shard that computed it).
 func NewForensicsRecorder(n int) *ForensicsRecorder { return forensics.NewRecorder(n) }
 
 // NewHeadroomForecaster returns an empty headroom forecaster; feed it
-// with Advertise (e.g. from FedConfig.HeadroomSink) and audit rejections
-// with NoteRejection.
+// with Advertise (pull the frontier from the arbitrator's Headroom) and
+// audit rejections with NoteRejection.
 func NewHeadroomForecaster() *HeadroomForecaster { return forensics.NewForecaster() }
 
 // DecodeForensicsJSONL parses a ForensicsRecorder.WriteJSONL stream back
@@ -383,7 +399,8 @@ type (
 	// LedgerKey identifies one accounting stream (tenant, class).
 	LedgerKey = ledger.Key
 	// ShardedLedger is one ledger per admission shard with lock-free
-	// merged snapshots, for FedConfig.Ledger.
+	// merged snapshots; its DecisionObserver is the adapter onto an
+	// arbitrator's Observer.
 	ShardedLedger = ledger.Sharded
 	// LedgerSnapshot is an immutable point-in-time view: per-key totals,
 	// time buckets and the derived utilization/waste/fragmentation/
@@ -398,11 +415,14 @@ type (
 	FairShare = ledger.FairShare
 )
 
-// NewLedger returns a single utilization ledger (a monolithic
-// arbitrator's accounting; hook it with Ledger.DecisionObserver).
+// NewLedger returns a single utilization ledger, for callers that record
+// into it themselves.
 func NewLedger(cfg LedgerConfig) *Ledger { return ledger.New(cfg) }
 
-// NewShardedLedger returns n per-shard ledgers for a federated plane.
+// NewShardedLedger returns n per-shard ledgers: hook
+// ShardedLedger.DecisionObserver into FedConfig.Observer (n = the plane's
+// shard count) or ArbitratorConfig.Observer (n = 1) and stamp each shard's
+// capacity with Shard(i).SetCapacity.
 func NewShardedLedger(cfg LedgerConfig, n int) *ShardedLedger {
 	return ledger.NewSharded(cfg, n)
 }
