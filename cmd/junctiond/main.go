@@ -369,8 +369,8 @@ func pickProcs(admitProcs, workers int) int {
 // real filesystem and serves it over the qosnet wire protocol.  When an
 // observer is attached, the durability instruments land in its registry
 // (/metrics exposes append latency, fsync counts, snapshot sizes and
-// recovery replay time), admission requests are traced end to end, and
-// an SLO engine audits every decision via the server's decision hook.
+// recovery replay time), admission requests are traced and timed end to
+// end, and an SLO engine audits every decision (qosnet.Instruments).
 func serveAdmission(observer *obs.Observer, lp *latency.Plane, cfg admitConfig) (*qosnet.Server, *durable.Plane, *slo.Engine, error) {
 	pol, err := durable.ParseSyncPolicy(cfg.sync)
 	if err != nil {
@@ -381,17 +381,14 @@ func serveAdmission(observer *obs.Observer, lp *latency.Plane, cfg admitConfig) 
 		return nil, nil, nil, fmt.Errorf("junctiond: wal dir: %w", err)
 	}
 	var met *durable.Metrics
-	var tracer *obs.Tracer
 	if observer != nil {
 		met = durable.NewMetrics(observer.Reg)
-		tracer = observer.Tracer()
 	}
 	plane, rec, err := durable.OpenPlane(durable.Config{
 		FS: fs, Dir: cfg.dir,
 		Procs: cfg.procs, Shards: cfg.shards, ProbeK: 1,
 		Store:   durable.StoreOptions{Sync: pol, SnapshotEvery: cfg.snapshotEvery},
 		Metrics: met,
-		Tracer:  tracer,
 	})
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("junctiond: open admission plane: %w", err)
@@ -403,8 +400,6 @@ func serveAdmission(observer *obs.Observer, lp *latency.Plane, cfg admitConfig) 
 	}
 	var eng *slo.Engine
 	if observer != nil {
-		srv.SetTracer(observer.Tracer())
-		srv.SetLatency(lp)
 		opts := slo.Options{Registry: observer.Reg}
 		if lp != nil {
 			// Arm the online regression sentinel: the engine diffs the
@@ -417,7 +412,7 @@ func serveAdmission(observer *obs.Observer, lp *latency.Plane, cfg admitConfig) 
 		eng = slo.New(opts)
 		eng.Mount(observer)
 		start := time.Now()
-		srv.SetDecisionHook(func(j core.Job, g *qos.Grant, err error, latency time.Duration) {
+		srv.Instrument(qosnet.Instruments{Tracer: observer.Tracer(), Latency: lp, OnDecision: func(j core.Job, g *qos.Grant, err error, latency time.Duration) {
 			now := time.Since(start).Seconds()
 			if err != nil || g == nil {
 				eng.JobRejected(j.ID, j.Trace, now, latency.Seconds())
@@ -430,7 +425,7 @@ func serveAdmission(observer *obs.Observer, lp *latency.Plane, cfg admitConfig) 
 				}
 			}
 			eng.JobAdmitted(j.ID, j.Trace, now, latency.Seconds(), deadline, g.Placement.Finish())
-		})
+		}})
 	}
 	fmt.Printf("admission plane: %s (wal %s, sync=%s, recovered lsn=%d records=%d grants=%d replay=%s)\n\n",
 		srv.Addr(), cfg.dir, pol, rec.State.LSN, rec.Records, len(plane.Grants()), rec.ReplayDuration)

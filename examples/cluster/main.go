@@ -183,6 +183,7 @@ func federated() error {
 		}
 		return nil
 	})
+	srv.Instrument(qosnet.Instruments{Tracer: o.Tracer()}) // every request's span tree on /spans
 	dbgAddr, err := srv.EnableDebug(o, "127.0.0.1:0")
 	if err != nil {
 		return err

@@ -353,7 +353,6 @@ func runOne(cfg Config, sc Scenario, plane Plane) (RunReport, error) {
 			Procs:  cfg.Procs,
 			Shards: cfg.Shards,
 			ProbeK: cfg.ProbeK,
-			Tracer: tracer,
 		})
 		if err != nil {
 			return rr, err

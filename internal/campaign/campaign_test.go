@@ -152,7 +152,8 @@ func TestInjectOverAdmissionLocalizesToPlanner(t *testing.T) {
 
 // Completions landing past their reservation must breach the same
 // invariant but replay to the runtime — the plan was sound, execution
-// broke it.
+// broke it.  The evidence has one shape on both planes: the spans the
+// campaign's own loop mints, job.admit and job.run.
 func TestInjectCompletionDelayLocalizesToRuntime(t *testing.T) {
 	rep, err := Run(Config{
 		Seed:      7,
@@ -163,16 +164,21 @@ func TestInjectCompletionDelayLocalizesToRuntime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	found := false
+	planes := map[Plane]bool{}
 	for _, b := range breachesWithFault(t, rep, string(slo.FaultRuntime)) {
 		if b.Artifact == nil {
 			continue
 		}
-		found = true
+		planes[b.Plane] = true
 		roundTrip(t, b, string(slo.FaultRuntime))
+		for _, sp := range b.Artifact.Snapshot.Spans {
+			if sp.Name != "job.admit" && sp.Name != "job.run" {
+				t.Fatalf("%s artifact holds a %s span", b.Plane, sp.Name)
+			}
+		}
 	}
-	if !found {
-		t.Fatal("no runtime breach with a replayable artifact")
+	if !planes[PlaneMonolith] || !planes[PlaneSharded] {
+		t.Fatalf("runtime breaches with a replayable artifact on %v, want both planes", planes)
 	}
 }
 

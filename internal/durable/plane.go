@@ -9,7 +9,6 @@ import (
 	"milan/internal/core"
 	"milan/internal/durable/vfs"
 	"milan/internal/fed"
-	"milan/internal/obs"
 	"milan/internal/obs/latency/phase"
 	"milan/internal/qos"
 	"milan/internal/resbroker"
@@ -41,10 +40,6 @@ type Config struct {
 	Shed *qos.ShedConfig
 	// Metrics, if set, receives durability instrumentation.
 	Metrics *Metrics
-	// Tracer, if set, is handed to the arbitrator for admission spans
-	// (route/plan/reserve); the durability layer itself reports through
-	// Metrics.
-	Tracer *obs.Tracer
 }
 
 // Plane is a durable admission plane: one fed.Arbitrator, at any shard
@@ -184,7 +179,7 @@ func openTapped(cfg Config, tap func(qos.Decision)) (*Plane, Recovered, error) {
 	arb, err := fed.New(fed.Config{
 		Procs: st.Procs(), Shards: len(st.Shards), ProbeK: cfg.ProbeK,
 		Origin: cfg.Origin, Options: cfg.Options,
-		Observer: observer, Tracer: cfg.Tracer,
+		Observer: observer,
 	})
 	if err != nil {
 		store.Close()

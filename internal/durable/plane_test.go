@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"milan/internal/core"
@@ -390,62 +391,59 @@ func TestPlaneMetricsPopulated(t *testing.T) {
 	}
 }
 
-// TestOneShardPlaneIsTracedAndTimed: the plane junctiond serves by default
-// honours Config.Tracer — an untraced request gets route and plan spans
-// under the server's qosnet.negotiate root — and its latency waterfall is
-// the monolith's: route, plan, reserve, journal and ack sum to the
-// end-to-end time, with no probe phase.  At four shards the same sum holds
-// with a probe phase, and a rejection's bookkeeping is reserve time there as
-// it is at one shard (it used to fall into journal).
+// TestOneShardPlaneIsTracedAndTimed: a served admission has one timer, its
+// phase record, and reads the same at every shard count.  Over a real
+// socket, at one shard and at four, granted and rejected: the latency
+// waterfall is route, plan (one shard plans under its lock) or probe (a
+// router plans in its probes), reserve, journal and ack summing to the
+// end-to-end time; the span tree is the server's qosnet.negotiate arrival
+// span over one child per phase that took time — stages route, plan,
+// reserve, then journal and ack — laid end to end; and the two are the same
+// numbers: each child lasts its phase's Durs entry, the children sum to the
+// arrival span and to the exemplar's Total, to the nanosecond.  A request
+// head sampling dropped is still timed, records no span and allocates what
+// an untraced one does.
 func TestOneShardPlaneIsTracedAndTimed(t *testing.T) {
 	grantable := planeStream(1, 5)[0]
 	// Wider than a shard of the four-shard plane, narrower than the
 	// machine: a valid job that every probe refuses.
 	tooWide := workload.FigureJob{X: 8, T: 25, Alpha: 0.25, Laxity: 0.5}.Job(1, 0, workload.Tunable)
 	for _, tc := range []struct {
-		name     string
-		shards   int
-		job      core.Job
-		rejected bool
+		name       string
+		shards     int
+		job        core.Job
+		rejected   bool
+		sampledOut bool
 	}{
-		{"shards=1/granted", 1, grantable, false},
-		{"shards=4/granted", 4, grantable, false},
-		{"shards=4/rejected", 4, tooWide, true},
+		{"shards=1/granted", 1, grantable, false, false},
+		{"shards=4/granted", 4, grantable, false, false},
+		{"shards=4/rejected", 4, tooWide, true, false},
+		{"shards=4/sampled-out", 4, tooWide, true, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			tr := obs.NewTracer(64)
-			p, _, err := OpenPlane(Config{FS: vfs.NewMem(), Dir: "log", Procs: 16, Shards: tc.shards, ProbeK: 1, Tracer: tr})
-			if err != nil {
-				t.Fatal(err)
-			}
+			p, _ := openPlane(t, vfs.NewMem(), tc.shards, StoreOptions{})
 			defer p.Close()
 			srv, err := qosnet.ListenAndServe(p, "127.0.0.1:0")
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer srv.Close()
+			tr := obs.NewTracer(64)
+			if tc.sampledOut {
+				tr.SetSampling(1e-9, nil) // a budget no request fits
+			}
 			lp := latency.New(latency.Config{Registry: obs.NewRegistry()})
-			srv.SetTracer(tr)
-			srv.SetLatency(lp)
+			srv.Instrument(qosnet.Instruments{Tracer: tr, Latency: lp})
 			cli, err := qosnet.Dial(srv.Addr().String())
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer cli.Close()
-			if _, err := cli.Negotiate(tc.job); errors.Is(err, qos.ErrRejected) != tc.rejected || (err != nil && !tc.rejected) {
+			g, err := cli.Negotiate(tc.job)
+			if errors.Is(err, qos.ErrRejected) != tc.rejected || (err != nil && !tc.rejected) {
 				t.Fatalf("negotiate: %v (want rejected = %v)", err, tc.rejected)
 			}
 
-			if tc.shards == 1 {
-				byName := map[string]obs.SpanRec{}
-				for _, sp := range tr.Spans() {
-					byName[sp.Name] = sp
-				}
-				root, route, plan := byName["qosnet.negotiate"], byName["fed.route"], byName["fed.admit"]
-				if root.ID == 0 || route.Parent != root.ID || plan.Parent != route.ID || plan.Stage != obs.StagePlan {
-					t.Fatalf("span tree of a 1-shard admission: %+v", tr.Spans())
-				}
-			}
 			ex := lp.TopK()
 			if len(ex) != 1 {
 				t.Fatalf("%d latency exemplars, want 1", len(ex))
@@ -455,14 +453,61 @@ func TestOneShardPlaneIsTracedAndTimed(t *testing.T) {
 				sum += d
 			}
 			d := ex[0].Durs
-			// One shard plans under its lock (plan, no probe); a router
-			// plans in its probes (probe, no plan).
 			planned, unused := phase.Plan, phase.Probe
 			if tc.shards > 1 {
 				planned, unused = phase.Probe, phase.Plan
 			}
 			if sum != ex[0].Total || d[unused] != 0 || d[planned] <= 0 || d[phase.Reserve] <= 0 || d[phase.Journal] <= 0 {
 				t.Fatalf("waterfall %v does not read route/%v/reserve/journal/ack summing to %d", d, planned, ex[0].Total)
+			}
+
+			if tc.sampledOut {
+				if ex[0].Trace != 0 || tr.Total() != 0 {
+					t.Fatalf("sampled-out request: exemplar trace %d, %d spans", ex[0].Trace, tr.Total())
+				}
+				perTrip := func() float64 {
+					return testing.AllocsPerRun(100, func() { _, _ = cli.Negotiate(tc.job) })
+				}
+				srv.Instrument(qosnet.Instruments{Latency: lp})
+				untraced := perTrip()
+				srv.Instrument(qosnet.Instruments{Tracer: tr, Latency: lp})
+				if got := perTrip(); got != untraced {
+					t.Fatalf("a sampled-out round trip allocates %.0f, an untraced one %.0f", got, untraced)
+				}
+				return
+			}
+
+			trees := obs.BuildSpanTrees(tr.Spans())
+			root := trees[obs.TraceID(ex[0].Trace)]
+			if len(trees) != 1 || root == nil || root.Name != "qosnet.negotiate" || root.Stage != obs.StageArrival {
+				t.Fatalf("span trees of one admission: %+v", tr.Spans())
+			}
+			for _, stage := range []string{obs.StageRoute, obs.StagePlan, obs.StageReserve, "journal"} {
+				if root.FindStage(stage) == nil {
+					t.Fatalf("no %s span under the arrival span: %+v", stage, tr.Spans())
+				}
+			}
+			ns := func(n *obs.SpanNode) int64 { return int64(math.Round((n.End - n.Start) * 1e9)) }
+			at, children := root.Start, int64(0)
+			want := d
+			for _, c := range root.Children {
+				ph := phase.Parse(strings.TrimPrefix(c.Name, "admit."))
+				if ph < 0 || c.Start != at || ns(c) != want[ph] || want[ph] == 0 {
+					t.Fatalf("child %s [%v, %v] is not phase durs %v laid end to end from %v", c.Name, c.Start, c.End, d, at)
+				}
+				want[ph] = 0 // every phase that took time exactly once
+				at, children = c.End, children+ns(c)
+			}
+			if at != root.End || children != ns(root) || children != ex[0].Total || want != ([phase.Num]int64{}) {
+				t.Fatalf("children sum to %d ending at %v; arrival span %d ending at %v; exemplar %d; unrendered %v",
+					children, at, ns(root), root.End, ex[0].Total, want)
+			}
+			if tc.rejected {
+				if root.Err == "" || root.Attrs != nil {
+					t.Fatalf("rejected arrival span: %+v", root.SpanRec)
+				}
+			} else if root.Attrs["shard"] != float64(g.Shard) || root.Attrs["finish"] != g.Finish() || root.Err != "" || g.Trace != ex[0].Trace {
+				t.Fatalf("granted arrival span %+v, grant shard %d finish %v trace %d", root.SpanRec, g.Shard, g.Finish(), g.Trace)
 			}
 		})
 	}

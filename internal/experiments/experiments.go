@@ -9,11 +9,11 @@ package experiments
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"milan/internal/core"
 	"milan/internal/obs"
 	"milan/internal/obs/forensics"
+	"milan/internal/obs/latency/phase"
 	"milan/internal/obs/ledger"
 	"milan/internal/obs/slo"
 	"milan/internal/qos"
@@ -201,7 +201,7 @@ func (r RunResult) Throughput() int { return r.Admitted }
 // the headroom frontier) rides along so the loop can close the rejection
 // loop and refresh the forecaster against either plane.
 type admitter interface {
-	qos.Negotiator
+	qos.TimedNegotiator
 	Observe(now float64)
 	Utilization(origin, horizon float64) float64
 	IndexStats() core.IndexStats
@@ -234,6 +234,15 @@ func Run(cfg Config, sys workload.System) (RunResult, error) {
 	return runLoop(cfg, sys, arb)
 }
 
+// timedBy negotiates with an arbitrator under one request's phase record:
+// what the run loop hands the job's QoS agent.
+type timedBy struct {
+	arb qos.TimedNegotiator
+	rec *phase.Rec
+}
+
+func (t timedBy) Negotiate(job core.Job) (*qos.Grant, error) { return t.arb.NegotiateTimed(job, t.rec) }
+
 // runLoop drives the discrete-event simulation of one task system against
 // an already-built arbitrator.
 func runLoop(cfg Config, sys workload.System, arb admitter) (RunResult, error) {
@@ -259,8 +268,9 @@ func runLoop(cfg Config, sys workload.System, arb admitter) (RunResult, error) {
 		cfg.Forensics.SetClock(engine.Now)
 	}
 	// Auditing (tracing or SLO accounting) adds completion events to the
-	// simulation and wall-clock latency timing around each negotiation;
-	// the default path schedules and measures nothing extra.
+	// simulation and times each negotiation with a phase record, which the
+	// admission latency and the admission spans are read off; the default
+	// path schedules and measures nothing extra.
 	auditing := cfg.SLO != nil || tracer != nil
 	forecastHorizon := 0.0
 	if cfg.Forecast != nil {
@@ -303,16 +313,15 @@ func runLoop(cfg Config, sys workload.System, arb admitter) (RunResult, error) {
 				job.Trace = uint64(tr)
 				job.Span = uint64(root.ID())
 			}
-			var wallStart time.Time
+			var rec phase.Rec // inert unless auditing
 			if auditing {
-				wallStart = time.Now()
+				rec = phase.Start(nil, job.Trace, int64(id))
 			}
 			ag := qos.NewAgent(job)
-			g, err := ag.NegotiateWith(arb)
-			var latency float64
-			if auditing {
-				latency = time.Since(wallStart).Seconds()
-			}
+			g, err := ag.NegotiateWith(timedBy{arb, &rec})
+			rec.End()
+			root.EndAdmission(&rec, g, err)
+			latency := float64(rec.Total()) / 1e9
 			if err == nil {
 				res.Admitted++
 				if f := g.Finish(); f > lastFinish {
@@ -325,10 +334,6 @@ func runLoop(cfg Config, sys workload.System, arb admitter) (RunResult, error) {
 					res.ChainShare = append(res.ChainShare, 0)
 				}
 				res.ChainShare[g.Chain]++
-				if auditing {
-					root.SetAttr("chain", float64(g.Chain))
-					root.EndAt(now)
-				}
 				if auditing || cfg.Ledger != nil {
 					finish := g.Finish() + cfg.CompletionDelay
 					if finish < now {
@@ -371,8 +376,6 @@ func runLoop(cfg Config, sys workload.System, arb admitter) (RunResult, error) {
 					}
 				}
 				if auditing {
-					root.SetErr("rejected")
-					root.EndAt(now)
 					cfg.SLO.JobRejected(id, job.Trace, now, latency)
 					cfg.SLO.Tick(now)
 				}

@@ -61,7 +61,7 @@ func RunSharded(cfg Config, sys workload.System, shards, probeK int) (RunResult,
 		return RunResult{}, ShardedStats{}, fmt.Errorf(
 			"experiments: ledger has %d shards, plane needs %d", cfg.Ledger.Shards(), shards)
 	}
-	fedCfg := fed.Config{
+	plane, err := fed.New(fed.Config{
 		Procs:  cfg.Procs,
 		Shards: shards,
 		ProbeK: probeK,
@@ -73,11 +73,7 @@ func RunSharded(cfg Config, sys workload.System, shards, probeK int) (RunResult,
 		// that shard's lock; the run loop routes completions back via the
 		// grant's Shard stamp.
 		Observer: cfg.Ledger.DecisionObserver(nil),
-	}
-	if cfg.Obs != nil {
-		fedCfg.Tracer = cfg.Obs.Tracer()
-	}
-	plane, err := fed.New(fedCfg)
+	})
 	if err != nil {
 		return RunResult{}, ShardedStats{}, err
 	}

@@ -49,12 +49,15 @@ func TestAuditedRunConformant(t *testing.T) {
 	if o.Tracer().Total() == 0 {
 		t.Fatal("no spans recorded on a traced run")
 	}
-	// Every admitted job's trace carries arrival, plan and run stages.
+	// Every job's trace carries the arrival span and, under it, the
+	// admission phases its record timed; an admitted job's a run stage too.
 	trees := obs.BuildSpanTrees(o.Tracer().Spans())
 	checked := 0
 	for _, tree := range trees {
-		if tree.FindStage(obs.StageArrival) == nil {
-			t.Fatalf("trace %d missing arrival span", tree.Trace)
+		for _, stage := range []string{obs.StageArrival, obs.StageRoute, obs.StagePlan, obs.StageReserve} {
+			if tree.FindStage(stage) == nil {
+				t.Fatalf("trace %d missing %s span", tree.Trace, stage)
+			}
 		}
 		if run := tree.FindStage(obs.StageRun); run != nil {
 			if _, ok := run.Attrs["deadline"]; !ok {

@@ -19,12 +19,12 @@ import (
 
 // BenchmarkShardedAdmitSampled is the traced 8-shard plane with the
 // sampler holding admissions to 100 traces/sec: nearly every negotiate
-// runs the sampled-out path (NewTrace -> 0, every Start a no-op), so
-// ns/op and allocs/op should sit near the untraced baseline, not the
-// traced one.
+// runs the sampled-out path (NewTrace -> 0, no arrival span, the record
+// timed and rendered as nothing), so ns/op and allocs/op should sit near
+// the untraced baseline, not the traced one.
 func BenchmarkShardedAdmitSampled(b *testing.B) {
 	b.Run("target=100", func(b *testing.B) {
-		admitLoop(b, planeBench(8, traced(100)))
+		admitLoop(b, traced(8, 100))
 	})
 }
 
@@ -40,5 +40,5 @@ func exporterIdleBench(tb testing.TB) (func(core.Job) error, func(float64)) {
 	tr := obs.NewTracer(1 << 14)
 	exp := telemetry.NewExporter(telemetry.ExporterConfig{Node: "bench"}, telemetry.Sources{Tracer: tr})
 	tb.Cleanup(func() { exp.Close() })
-	return planeBench(8, func(cfg *Config) { cfg.Tracer = tr })(tb)
+	return tracedOn(tb, 8, tr)
 }

@@ -5,34 +5,54 @@ import (
 	"os"
 	"testing"
 
+	"milan/internal/core"
 	"milan/internal/obs"
+	"milan/internal/obs/latency/phase"
 )
 
-// Tracing-cost benchmarks for the predictability auditor.  The contract
-// is that the span plumbing is free when off — a sharded plane with no
-// tracer bound pays exactly one nil pointer comparison per negotiation —
-// and cheap when on (one root + route span and a plan/reserve span per
-// probe/commit, all landing in a fixed-size ring).
+// Tracing-cost benchmarks for the predictability auditor.  The plane is
+// handed one instrument, the request's phase record; tracing is what the
+// request's owner does around the call — mint the trace, open the arrival
+// span, render the finished record as its children — so it is free when off
+// (a nil record: no marks, no spans) and cheap when on (one arrival span and
+// a child per phase that took time, all landing in a fixed-size ring).
 //
 // BenchmarkShardedAdmit (bench_test.go) is the untraced baseline;
 // BenchmarkShardedAdmitTraced quantifies the opt-in cost.  Both are rows of
 // BENCH_trajectory.jsonl, where the overhead is the ratio of the two.
 
-// traced hangs a tracer on the benchmark plane: every admission traced, or,
+// tracedOn negotiates on the benchmark plane the way the owner of a traced
+// request — the qosnet server — does.
+func tracedOn(tb testing.TB, shards int, tr *obs.Tracer) (func(core.Job) error, func(float64)) {
+	plane := benchPlane(tb, shards, nil)
+	return func(j core.Job) error {
+		trace := tr.NewTrace()
+		root := tr.Start(trace, 0, "bench.negotiate", obs.StageArrival, j.ID)
+		j.Trace, j.Span = uint64(trace), uint64(root.ID())
+		rec := phase.Start(nil, j.Trace, int64(j.ID))
+		g, err := plane.NegotiateTimed(j, &rec)
+		rec.End()
+		root.EndAdmission(&rec, g, err)
+		return err
+	}, plane.Observe
+}
+
+// traced is tracedOn with a tracer of its own: every admission traced, or,
 // with a positive target, head-sampled down to that many traces a second.
-func traced(sampleTarget float64) func(*Config) {
-	return func(cfg *Config) {
-		cfg.Tracer = obs.NewTracer(1 << 14)
+func traced(shards int, sampleTarget float64) admitBench {
+	return func(tb testing.TB) (func(core.Job) error, func(float64)) {
+		tr := obs.NewTracer(1 << 14)
 		if sampleTarget > 0 {
-			cfg.Tracer.SetSampling(sampleTarget, nil)
+			tr.SetSampling(sampleTarget, nil)
 		}
+		return tracedOn(tb, shards, tr)
 	}
 }
 
 func BenchmarkShardedAdmitTraced(b *testing.B) {
 	for _, shards := range []int{1, 8} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			admitLoop(b, planeBench(shards, traced(0)))
+			admitLoop(b, traced(shards, 0))
 		})
 	}
 }
@@ -48,9 +68,9 @@ func TestWriteBenchSLO(t *testing.T) {
 		t.Skip(`set WRITE_BENCH_SLO="<commit> <machine>" to append the instrumentation rows to BENCH_trajectory.jsonl`)
 	}
 	appendTrajectory(t, label, []benchRow{
-		{"BenchmarkShardedAdmitTraced/shards=1", planeBench(1, traced(0))},
-		{"BenchmarkShardedAdmitTraced/shards=8", planeBench(8, traced(0))},
-		{"BenchmarkShardedAdmitSampled/target=100", planeBench(8, traced(100))},
+		{"BenchmarkShardedAdmitTraced/shards=1", traced(1, 0)},
+		{"BenchmarkShardedAdmitTraced/shards=8", traced(8, 0)},
+		{"BenchmarkShardedAdmitSampled/target=100", traced(8, 100)},
 		{"BenchmarkShardedAdmitExporterIdle/shards=8", exporterIdleBench},
 		{"BenchmarkShardedAdmitLatencyOff/shards=8", latencyOffBench},
 		{"BenchmarkShardedAdmitLatencyOn/shards=8", latencyOnBench},

@@ -14,7 +14,7 @@
 // returning qos.Grant and qos.ErrRejected, so qosnet servers and sim
 // workloads run against it unchanged.  A one-shard plane is the monolithic
 // arbitrator: it makes no routing decision and keeps no routing signal
-// (negotiateSolo, Shard.routed), performs exactly qos.Arbitrator's
+// (NegotiateTimed, Shard.routed), performs exactly qos.Arbitrator's
 // scheduler calls in exactly its order under one lock, and costs what it
 // costs — decisions and statistics are bitwise identical, allocations
 // equal; fed_test.go pins both.
@@ -32,7 +32,6 @@ import (
 	"sync/atomic"
 
 	"milan/internal/core"
-	"milan/internal/obs"
 	"milan/internal/obs/latency/phase"
 	"milan/internal/qos"
 )
@@ -75,11 +74,6 @@ type Config struct {
 	// race may be rejected by one shard and admitted by the next.  nil
 	// builds nothing: the admission path allocates what it does unobserved.
 	Observer func(qos.Decision)
-	// Tracer, if set, records route/plan/reserve spans for every traced
-	// negotiation (jobs carrying a core.Job.Trace, or all jobs — the
-	// router mints a root trace for untraced ones).  nil keeps the hot
-	// path span-free: the only cost is one pointer comparison.
-	Tracer *obs.Tracer
 }
 
 // planKey is the cross-shard tie-break key for a planned placement: the
@@ -136,7 +130,6 @@ type Arbitrator struct {
 	shards  []*Shard
 	probeK  int
 	nowBits atomic.Uint64
-	tracer  *obs.Tracer
 
 	// The router's own counters (RouterStats): what happens between
 	// shards, which no shard's scheduler can count.
@@ -189,7 +182,7 @@ func New(cfg Config) (*Arbitrator, error) {
 	if k > shards {
 		k = shards
 	}
-	a := &Arbitrator{probeK: k, tracer: cfg.Tracer}
+	a := &Arbitrator{probeK: k}
 	a.nowBits.Store(floatBits(cfg.Origin))
 	base, rem := cfg.Procs/shards, cfg.Procs%shards
 	for i := 0; i < shards; i++ {
@@ -284,55 +277,36 @@ func (a *Arbitrator) Negotiate(job core.Job) (*qos.Grant, error) {
 }
 
 // NegotiateTimed is Negotiate with latency-phase attribution (rec may be
-// nil): candidate selection is route, planning probes are probe, and the
-// winning commit is reserve.  A commit attempt that loses its version
-// race is attributed to probe — the capacity the probe saw was stale, so
-// race retries surface as probe-phase inflation, which is exactly the
-// contention signal the regression sentinel watches for.  A one-shard
-// plane has no probe phase: it marks route, plan, reserve (negotiateSolo).
+// nil) — the record is the only instrument the admission path is handed;
+// whoever owns the request reads its latency and its spans off it.
+// Candidate selection is route, planning probes are probe, and the winning
+// commit is reserve.  A commit attempt that loses its version race is
+// attributed to probe — the capacity the probe saw was stale, so race
+// retries surface as probe-phase inflation, which is exactly the contention
+// signal the regression sentinel watches for.  A one-shard plane — the
+// paper's single system-wide arbitrator — has nothing to choose between: no
+// candidate scan, no probe list, no version race and no probe phase; its
+// only shard plans and commits in one critical section (Shard.admit), as
+// qos.Arbitrator does, marking route, plan, reserve.
 func (a *Arbitrator) NegotiateTimed(job core.Job, rec *phase.Rec) (*qos.Grant, error) {
 	if err := job.Validate(); err != nil {
 		return nil, fmt.Errorf("fed: negotiate: %w", err)
 	}
-	// Span plumbing: with a tracer bound, the router opens a route span
-	// under the request's root span (minting a root of its own when the
-	// request arrived untraced) plus one plan span per probe and one
-	// reserve span per commit attempt.  With no tracer the only cost on
-	// this hot path is the t != nil comparisons.
-	t := a.tracer
-	var root, route *obs.ActiveSpan
-	if t != nil {
-		if job.Trace == 0 {
-			tr := t.NewTrace()
-			root = t.Start(tr, 0, "fed.negotiate", obs.StageArrival, job.ID)
-			job.Trace, job.Span = uint64(tr), uint64(root.ID())
-		}
-		route = t.Start(obs.TraceID(job.Trace), obs.SpanID(job.Span), "fed.route", obs.StageRoute, job.ID)
-	}
 	if len(a.shards) == 1 {
-		return a.negotiateSolo(job, rec, root, route)
+		g, err := a.shards[0].admit(job, rec)
+		if err != nil {
+			return nil, finishReject(rec, err)
+		}
+		finishAdmit(rec, g.Shard)
+		return g, nil
 	}
 	cands := a.candidates()
 	rec.Mark(phase.Route)
 	probes := make([]probeResult, 0, len(cands))
 	for _, ci := range cands {
 		sh := a.shards[ci]
-		var ps *obs.ActiveSpan
-		if t != nil {
-			ps = t.Start(obs.TraceID(job.Trace), route.ID(), "fed.probe", obs.StagePlan, job.ID)
-			ps.SetAttr("shard", float64(sh.ID()))
-		}
-		pl, key, ver, ok := sh.probe(job, len(cands) > 1)
-		if ok {
+		if pl, key, ver, ok := sh.probe(job, len(cands) > 1); ok {
 			probes = append(probes, probeResult{shard: sh, pl: pl, key: key, ver: ver})
-		}
-		if t != nil {
-			if ok {
-				ps.SetAttr("finish", pl.Finish())
-			} else {
-				ps.SetErr("infeasible")
-			}
-			ps.End()
 		}
 	}
 	a.probes.Add(int64(len(cands)))
@@ -342,7 +316,7 @@ func (a *Arbitrator) NegotiateTimed(job core.Job, rec *phase.Rec) (*qos.Grant, e
 		// rejection bookkeeping on the least-loaded candidate (each
 		// probed shard already counted its own planning work).
 		a.shards[cands[0]].noteRejected(job)
-		return nil, finishReject(rec, root, route, nil)
+		return nil, finishReject(rec, nil)
 	}
 	// Order probes best-first: stable insertion on strict betterKey, so
 	// the incumbent wins ties and the load-order position breaks full
@@ -354,16 +328,9 @@ func (a *Arbitrator) NegotiateTimed(job core.Job, rec *phase.Rec) (*qos.Grant, e
 	}
 	var lastErr error
 	for i, pr := range probes {
-		var rs *obs.ActiveSpan
-		if t != nil {
-			rs = t.Start(obs.TraceID(job.Trace), route.ID(), "fed.commit", obs.StageReserve, job.ID)
-			rs.SetAttr("shard", float64(pr.shard.ID()))
-			rs.SetAttr("rank", float64(i))
-		}
 		g, raced, err := pr.shard.commitPlanned(job, pr.pl, pr.ver)
 		if raced {
 			a.commitRaces.Add(1)
-			rs.SetAttr("raced", 1)
 		}
 		if err != nil {
 			// The capacity the probe saw is gone; the raced re-admission
@@ -372,50 +339,16 @@ func (a *Arbitrator) NegotiateTimed(job core.Job, rec *phase.Rec) (*qos.Grant, e
 			// are the cause, and the sentinel should see races inflate the
 			// probe phase, not the reserve phase.
 			rec.Mark(phase.Probe)
-			if t != nil {
-				rs.SetErr("commit-race")
-				rs.End()
-			}
 			lastErr = err
 			continue
-		}
-		if t != nil {
-			rs.SetAttr("start", g.Placement.Start())
-			rs.SetAttr("finish", g.Finish())
-			rs.End()
 		}
 		if i > 0 {
 			a.nonBestCommits.Add(1)
 		}
-		finishAdmit(rec, g.Shard, root, route)
+		finishAdmit(rec, g.Shard)
 		return g, nil
 	}
-	return nil, finishReject(rec, root, route, lastErr)
-}
-
-// negotiateSolo is negotiation on a one-shard plane — the paper's single
-// system-wide arbitrator.  With nothing to choose between there is no
-// candidate scan, no probe list and no version race: the only shard plans
-// and commits in one critical section (Shard.admit), as qos.Arbitrator
-// does, and a traced request gets one plan-stage span under its route span.
-func (a *Arbitrator) negotiateSolo(job core.Job, rec *phase.Rec, root, route *obs.ActiveSpan) (*qos.Grant, error) {
-	var ps *obs.ActiveSpan
-	if route != nil {
-		ps = a.tracer.Start(obs.TraceID(job.Trace), route.ID(), "fed.admit", obs.StagePlan, job.ID)
-	}
-	g, err := a.shards[0].admit(job, rec)
-	if err != nil {
-		ps.SetErr("infeasible")
-		ps.End()
-		return nil, finishReject(rec, root, route, err)
-	}
-	if ps != nil {
-		ps.SetAttr("start", g.Placement.Start())
-		ps.SetAttr("finish", g.Finish())
-		ps.End()
-	}
-	finishAdmit(rec, g.Shard, root, route)
-	return g, nil
+	return nil, finishReject(rec, lastErr)
 }
 
 // NegotiateDAG runs DAG admission control, trying candidates in load
@@ -439,15 +372,10 @@ func (a *Arbitrator) NegotiateDAG(job core.DAGJob) (*qos.Grant, error) {
 }
 
 // finishAdmit does the router-level bookkeeping of an admission the
-// deciding shard has already committed and announced: reserve mark, span
-// ends.
-func finishAdmit(rec *phase.Rec, shard int, root, route *obs.ActiveSpan) {
+// deciding shard has already committed and announced.
+func finishAdmit(rec *phase.Rec, shard int) {
 	rec.Mark(phase.Reserve)
 	rec.SetShard(shard)
-	if route != nil {
-		route.End()
-		root.End()
-	}
 }
 
 // finishReject does the router-level bookkeeping of a rejection (the
@@ -455,13 +383,7 @@ func finishAdmit(rec *phase.Rec, shard int, root, route *obs.ActiveSpan) {
 // error the caller reports: qos.ErrRejected, unless the last commit
 // attempt failed for a reason other than admission control.  Rejection
 // bookkeeping is reserve time at every shard count.
-func finishReject(rec *phase.Rec, root, route *obs.ActiveSpan, lastErr error) error {
-	if route != nil {
-		route.SetErr("rejected")
-		route.End()
-		root.SetErr("rejected")
-		root.End()
-	}
+func finishReject(rec *phase.Rec, lastErr error) error {
 	rec.Mark(phase.Reserve)
 	if lastErr != nil && !errors.Is(lastErr, core.ErrRejected) {
 		return lastErr

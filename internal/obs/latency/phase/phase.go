@@ -83,11 +83,13 @@ func NowNanos() int64 { return int64(time.Since(baseMono)) }
 // WallAt converts a monotonic reading to wall-clock seconds for display.
 func WallAt(mono int64) float64 { return baseWall + float64(mono)/1e9 }
 
-// Rec is one admission's in-flight phase timer.  It is a plain value
-// (embed it in a stack frame; pass *Rec down the admission path) and
-// never allocates.  All methods are nil-safe: a Rec with no sink, or a
-// nil *Rec, is inert — that is the zero-cost contract for uninstrumented
-// paths.
+// Rec is one admission's phase timer — the only clock an admission is
+// timed by: histograms, exemplars, the decision callback's latency and a
+// traced request's spans (obs.ActiveSpan.EndAdmission) are all read off the
+// finished record.  It is a plain value (embed it in a stack frame; pass
+// *Rec down the admission path) and never allocates.  All methods are
+// nil-safe: the zero Rec, or a nil *Rec, is inert — that is the zero-cost
+// contract for uninstrumented paths.
 type Rec struct {
 	sink  Sink
 	start int64
@@ -96,24 +98,22 @@ type Rec struct {
 	trace uint64
 	job   int64
 	shard int32
-	done  bool
+	live  bool // between Start and End
 }
 
-// Start opens a timing record feeding sink.  trace may be 0 when span
-// tracing sampled the request out — phase timing works regardless.
+// Start opens a timing record.  sink, which may be nil, consumes it at End.
+// trace may be 0 when span tracing sampled the request out — phase timing
+// works regardless.
 func Start(sink Sink, trace uint64, job int64) Rec {
 	n := NowNanos()
-	return Rec{sink: sink, start: n, last: n, trace: trace, job: job, shard: -1}
+	return Rec{sink: sink, start: n, last: n, trace: trace, job: job, shard: -1, live: true}
 }
-
-// Active reports whether the record is attached to a sink.
-func (r *Rec) Active() bool { return r != nil && r.sink != nil }
 
 // Mark attributes the time elapsed since the previous mark (or Start) to
 // the given phase.  Phases may be marked repeatedly (probe retries
 // accumulate) and in any order.
 func (r *Rec) Mark(ph Phase) {
-	if r == nil || r.sink == nil {
+	if r == nil || !r.live {
 		return
 	}
 	n := NowNanos()
@@ -121,33 +121,16 @@ func (r *Rec) Mark(ph Phase) {
 	r.last = n
 }
 
-// Skip discards the time elapsed since the previous mark (time that
-// belongs to no admission phase).
-func (r *Rec) Skip() {
-	if r == nil || r.sink == nil {
-		return
-	}
-	r.last = NowNanos()
-}
-
 // SetShard records which shard ultimately admitted the job.
 func (r *Rec) SetShard(shard int) {
-	if r == nil || r.sink == nil {
+	if r == nil || !r.live {
 		return
 	}
 	r.shard = int32(shard)
 }
 
-// SetTrace attaches a trace ID minted after Start (servers mint root
-// traces for clients that did not propagate one).
-func (r *Rec) SetTrace(trace uint64) {
-	if r == nil || r.sink == nil {
-		return
-	}
-	r.trace = trace
-}
-
-// Durs returns the per-phase waterfall accumulated so far (tests).
+// Durs returns the per-phase waterfall accumulated so far; once the
+// record has ended it sums to Total exactly.
 func (r *Rec) Durs() [Num]int64 {
 	if r == nil {
 		return [Num]int64{}
@@ -155,15 +138,36 @@ func (r *Rec) Durs() [Num]int64 {
 	return r.durs
 }
 
+// Began returns the monotonic reading (NowNanos clock) the record started
+// at.
+func (r *Rec) Began() int64 {
+	if r == nil {
+		return 0
+	}
+	return r.start
+}
+
+// Total returns the nanoseconds from Start to the latest mark — once the
+// record has ended, the request's end-to-end time.
+func (r *Rec) Total() int64 {
+	if r == nil {
+		return 0
+	}
+	return r.last - r.start
+}
+
 // End closes the record: the residual since the last mark goes to the
-// ack phase and the sink consumes the waterfall.  End is idempotent.
+// ack phase and the sink, if there is one, consumes the waterfall.  End is
+// idempotent.
 func (r *Rec) End() {
-	if r == nil || r.sink == nil || r.done {
+	if r == nil || !r.live {
 		return
 	}
-	r.done = true
+	r.live = false
 	n := NowNanos()
 	r.durs[Ack] += n - r.last
 	r.last = n
-	r.sink.Done(r.trace, r.job, r.shard, n-r.start, r.durs, n)
+	if r.sink != nil {
+		r.sink.Done(r.trace, r.job, r.shard, n-r.start, r.durs, n)
+	}
 }

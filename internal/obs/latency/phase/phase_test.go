@@ -22,16 +22,12 @@ func (c *captureSink) Done(trace uint64, job int64, shard int32, total int64, du
 
 func TestRecLifecycle(t *testing.T) {
 	var sink captureSink
-	rec := Start(&sink, 77, 42)
-	if !rec.Active() {
-		t.Fatal("record with sink not active")
-	}
+	rec := Start(&sink, 99, 42)
 	time.Sleep(time.Millisecond)
 	rec.Mark(Route)
 	time.Sleep(time.Millisecond)
 	rec.Mark(Probe)
 	rec.SetShard(3)
-	rec.SetTrace(99)
 	time.Sleep(time.Millisecond)
 	rec.End()
 	if sink.calls != 1 {
@@ -62,6 +58,24 @@ func TestRecLifecycle(t *testing.T) {
 	}
 }
 
+// A record needs no sink to time: whoever started it reads the finished
+// waterfall off it.
+func TestRecWithoutSinkStillTimes(t *testing.T) {
+	before := NowNanos()
+	rec := Start(nil, 0, 1)
+	time.Sleep(time.Millisecond)
+	rec.Mark(Plan)
+	rec.End()
+	rec.Mark(Plan) // after End: no-op, the waterfall is final
+	var sum int64
+	for _, d := range rec.Durs() {
+		sum += d
+	}
+	if rec.Durs()[Plan] <= 0 || sum != rec.Total() || rec.Began() < before {
+		t.Fatalf("durs %v total %d began %d (started after %d)", rec.Durs(), rec.Total(), rec.Began(), before)
+	}
+}
+
 func TestRecMarkAccumulates(t *testing.T) {
 	var sink captureSink
 	rec := Start(&sink, 0, 1)
@@ -76,30 +90,13 @@ func TestRecMarkAccumulates(t *testing.T) {
 	}
 }
 
-func TestRecSkipDiscards(t *testing.T) {
-	var sink captureSink
-	rec := Start(&sink, 0, 1)
-	time.Sleep(time.Millisecond)
-	rec.Skip()
-	rec.Mark(Route)
-	if d := rec.Durs()[Route]; d > int64(500*time.Microsecond) {
-		t.Fatalf("skipped time leaked into route: %dns", d)
-	}
-	rec.End()
-}
-
 // The zero-cost contract: a nil *Rec and a sinkless Rec are inert and
 // allocation-free through the whole lifecycle.
 func TestRecNilSafe(t *testing.T) {
 	var nilRec *Rec
 	nilRec.Mark(Route)
-	nilRec.Skip()
 	nilRec.SetShard(1)
-	nilRec.SetTrace(1)
 	nilRec.End()
-	if nilRec.Active() {
-		t.Fatal("nil rec active")
-	}
 	if nilRec.Durs() != ([Num]int64{}) {
 		t.Fatal("nil rec carries durations")
 	}

@@ -32,10 +32,9 @@ type Config struct {
 	// registry across several observers).
 	Registry *Registry
 	// Tracing enables span-propagated request tracing: the observer owns
-	// a Tracer (see span.go) whose clock follows the observer's, and the
-	// scheduler hooks open/close plan-stage spans for traced jobs.  Off
-	// by default; when off, Tracer() returns nil and every span call
-	// no-ops on the nil receiver.
+	// a Tracer (see span.go) whose clock follows the observer's.  Off by
+	// default; when off, Tracer() returns nil and every span call no-ops
+	// on the nil receiver.
 	Tracing bool
 	// SpanRingSize is the tracer's completed-span ring capacity (0 means
 	// 8192).  Ignored unless Tracing.
@@ -65,12 +64,8 @@ type Observer struct {
 	spans      []Span
 	admitAt    time.Time
 
-	// tracer is non-nil iff Config.Tracing; planSpans tracks the open
-	// plan-stage span per trace for the monolithic admission path (the
-	// scheduler hooks open it at AdmitStart and close it at
-	// Committed/Rejected).
-	tracer    *Tracer
-	planSpans map[TraceID]*ActiveSpan
+	// tracer is non-nil iff Config.Tracing.
+	tracer *Tracer
 
 	// Debug-endpoint extensions (http.go / health.go): extra mounted
 	// handlers (e.g. the SLO engine's /slo) and the named liveness /
@@ -101,7 +96,6 @@ func New(cfg Config) *Observer {
 	if cfg.Tracing {
 		o.tracer = NewTracer(cfg.SpanRingSize)
 		o.tracer.SetClock(cfg.Clock)
-		o.planSpans = make(map[TraceID]*ActiveSpan)
 	}
 	if cfg.EnablePprof {
 		o.EnablePprof()
@@ -223,7 +217,6 @@ func (o *Observer) SchedulerHooks() *core.Hooks {
 			o.mu.Lock()
 			o.admitAt = time.Now()
 			o.mu.Unlock()
-			o.openPlanSpan(job)
 			o.Emit(Event{Type: EvAdmitStart, Job: job.ID, Trace: job.Trace, Span: job.Span,
 				Attrs: map[string]float64{
 					"chains": float64(len(job.Chains)), "release": job.Release,
@@ -263,11 +256,6 @@ func (o *Observer) SchedulerHooks() *core.Hooks {
 			if !began.IsZero() {
 				latency.Observe(time.Since(began).Seconds())
 			}
-			o.closePlanSpan(job, func(s *ActiveSpan) {
-				s.SetAttr("chain", float64(pl.Chain))
-				s.SetAttr("start", pl.Start())
-				s.SetAttr("finish", pl.Finish())
-			})
 			o.Emit(Event{Type: EvCommitted, Job: job.ID, Chain: pl.Chain, Trace: job.Trace, Span: job.Span,
 				Attrs: map[string]float64{
 					"start": pl.Start(), "finish": pl.Finish(), "area": pl.Area(),
@@ -282,53 +270,12 @@ func (o *Observer) SchedulerHooks() *core.Hooks {
 			if !began.IsZero() {
 				latency.Observe(time.Since(began).Seconds())
 			}
-			o.closePlanSpan(job, func(s *ActiveSpan) { s.SetErr(reason) })
 			o.Emit(Event{Type: EvRejected, Job: job.ID, Reason: reason, Trace: job.Trace, Span: job.Span})
 		},
 		PlanFailure: func(job *core.Job) {
 			failures.Inc()
 		},
 	}
-}
-
-// openPlanSpan starts the plan-stage span for a traced job entering the
-// monolithic admission path (core.Scheduler.Admit fires AdmitStart only on
-// that path; the federated router creates its own plan spans per probe).
-// No-op without tracing or for untraced jobs.
-func (o *Observer) openPlanSpan(job *core.Job) {
-	t := o.tracer
-	if t == nil || job.Trace == 0 {
-		return
-	}
-	s := t.Start(TraceID(job.Trace), SpanID(job.Span), "sched.plan", StagePlan, job.ID)
-	o.mu.Lock()
-	if prev, ok := o.planSpans[TraceID(job.Trace)]; ok {
-		prev.End() // stray open span for this trace: close it defensively
-	}
-	o.planSpans[TraceID(job.Trace)] = s
-	o.mu.Unlock()
-}
-
-// closePlanSpan ends a traced job's open plan span, letting fn annotate it
-// first.  No-op without tracing, for untraced jobs, or when no span is
-// open for the trace.
-func (o *Observer) closePlanSpan(job *core.Job, fn func(*ActiveSpan)) {
-	if o.tracer == nil || job.Trace == 0 {
-		return
-	}
-	o.mu.Lock()
-	s, ok := o.planSpans[TraceID(job.Trace)]
-	if ok {
-		delete(o.planSpans, TraceID(job.Trace))
-	}
-	o.mu.Unlock()
-	if !ok {
-		return
-	}
-	if fn != nil {
-		fn(s)
-	}
-	s.End()
 }
 
 // InstrumentOptions returns a copy of opts (or fresh zero Options when opts

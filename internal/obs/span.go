@@ -4,19 +4,23 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
+
+	"milan/internal/obs/latency/phase"
+	"milan/internal/qos"
 )
 
 // Span-propagated request tracing.
 //
-// A TraceID is minted once per admission request — by the qosnet server, the
-// federated router, or the experiment loop, whichever sees the request first
-// — and threaded through every stage the request touches (route → plan →
-// reserve → run → finish) as plain uint64 fields on core.Job / qos.Grant, so
-// no package below obs grows an obs dependency.  Each stage records a
-// SpanRec into the Tracer; the full lifecycle of one job is then
-// reconstructable as a span tree (BuildSpanTrees) and exportable to the
-// chrome://tracing view.
+// A TraceID is minted once per admission request — by whoever owns the
+// request's lifecycle and sees it first: a client, the qosnet server, the
+// experiment loop — and threaded through every stage the request touches
+// (route → plan → reserve → run → finish) as plain uint64 fields on
+// core.Job / qos.Grant.  The owner opens the request's arrival span and
+// hands the admission path nothing but a phase.Rec; when the decision is
+// back, ActiveSpan.EndAdmission renders the finished record as the arrival
+// span's children, so the admission packages never see a Tracer.  The full
+// lifecycle of one job is then reconstructable as a span tree
+// (BuildSpanTrees) and exportable to the chrome://tracing view.
 //
 // The whole layer honors the observability contract of this package: a nil
 // *Tracer is a valid receiver for every method, all of which no-op, so an
@@ -65,7 +69,7 @@ type Tracer struct {
 
 	mu    sync.Mutex
 	clock func() float64
-	start time.Time
+	epoch int64 // phase.NowNanos at creation: the zero of the wall clock domain
 	ring  *Ring[SpanRec]
 	onEnd func(SpanRec)
 }
@@ -76,7 +80,7 @@ func NewTracer(capacity int) *Tracer {
 	if capacity < 1 {
 		capacity = 8192
 	}
-	return &Tracer{ring: NewRing[SpanRec](capacity), start: time.Now()}
+	return &Tracer{ring: NewRing[SpanRec](capacity), epoch: phase.NowNanos()}
 }
 
 // SetClock rebinds the tracer's timestamp source (e.g. a sim engine's Now).
@@ -113,8 +117,12 @@ func (t *Tracer) now() float64 {
 	if clock != nil {
 		return clock()
 	}
-	return time.Since(t.start).Seconds()
+	return t.wallAt(phase.NowNanos())
 }
+
+// wallAt places a reading of the phase records' monotonic clock in the
+// tracer's wall clock domain (seconds since the tracer was created).
+func (t *Tracer) wallAt(mono int64) float64 { return float64(mono-t.epoch) / 1e9 }
 
 // NewTrace mints a fresh trace ID, or 0 — the untraced fast path — when
 // head-based sampling (SetSampling) rejects the request.
@@ -235,15 +243,90 @@ func (s *ActiveSpan) EndAt(end float64) {
 	t.record(rec)
 }
 
-// record appends a completed span to the ring (evicting the oldest when
-// full, counted in Dropped) and forwards it to the OnEnd observer.
-func (t *Tracer) record(rec SpanRec) {
+// admissionSpans names the child span each admission phase is rendered as.
+// The stage is the phase's own name, except that a router's probes are
+// planning: arrival → route → plan → reserve reads the same at every shard
+// count, and journal and ack follow under their own names.
+var admissionSpans = func() (out [phase.Num]struct{ name, stage string }) {
+	for ph, name := range phase.Names() {
+		out[ph].name, out[ph].stage = "admit."+name, name
+	}
+	out[phase.Probe].stage = StagePlan
+	return out
+}()
+
+// EndAdmission ends s — the arrival span of a request whose negotiation
+// returned (g, err) — as the rendering of the request's finished phase
+// record, the one place admission spans come from.  The arrival span takes
+// the record's extent, the grant's deciding shard, chosen chain and reserved
+// finish, or the error; under it goes one child per phase that took time,
+// in waterfall order and laid end to end, so the children's durations are
+// the record's Durs (the numbers of the request's /latency exemplar) and sum
+// to the arrival span exactly.  Under a bound clock (SetClock: simulation
+// time, in which an admission takes none) the arrival span keeps the start
+// it was opened with and it and its children end at the clock's reading.
+// Like End, a no-op on the untraced path and on a span already ended.
+func (s *ActiveSpan) EndAdmission(rec *phase.Rec, g *qos.Grant, err error) {
+	if s == nil {
+		return
+	}
+	s.mu.Lock()
+	t, root := s.t, s.rec
+	s.t = nil
+	s.mu.Unlock()
+	if t == nil { // already ended
+		return
+	}
+	if g != nil {
+		if root.Attrs == nil {
+			root.Attrs = make(map[string]float64, 4)
+		}
+		root.Attrs["shard"], root.Attrs["chain"], root.Attrs["finish"] = float64(g.Shard), float64(g.Chain), g.Finish()
+	}
+	if err != nil {
+		root.Err = err.Error()
+	}
 	t.mu.Lock()
-	t.ring.Push(rec)
+	clock := t.clock
+	t.mu.Unlock()
+	at := t.wallAt
+	if clock != nil {
+		now := clock()
+		at = func(int64) float64 { return now }
+	} else {
+		root.Start = at(rec.Began())
+	}
+	root.End = at(rec.Began() + rec.Total())
+
+	spans := make([]SpanRec, 0, phase.Num+1)
+	cursor := rec.Began()
+	for ph, d := range rec.Durs() {
+		if d <= 0 {
+			continue
+		}
+		spans = append(spans, SpanRec{
+			Trace: root.Trace, ID: SpanID(t.ids.Add(1)), Parent: root.ID,
+			Name: admissionSpans[ph].name, Stage: admissionSpans[ph].stage, Job: root.Job,
+			Start: at(cursor), End: at(cursor + d),
+		})
+		cursor += d
+	}
+	t.record(append(spans, root)...)
+}
+
+// record appends completed spans to the ring (evicting the oldest when
+// full, counted in Dropped) and forwards them to the OnEnd observer.
+func (t *Tracer) record(recs ...SpanRec) {
+	t.mu.Lock()
+	for i := range recs {
+		t.ring.Push(recs[i])
+	}
 	onEnd := t.onEnd
 	t.mu.Unlock()
 	if onEnd != nil {
-		onEnd(rec)
+		for i := range recs {
+			onEnd(recs[i])
+		}
 	}
 }
 

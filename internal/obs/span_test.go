@@ -1,8 +1,14 @@
 package obs
 
 import (
+	"errors"
 	"sync"
 	"testing"
+	"time"
+
+	"milan/internal/core"
+	"milan/internal/obs/latency/phase"
+	"milan/internal/qos"
 )
 
 func TestNilTracerAndSpanSafe(t *testing.T) {
@@ -19,6 +25,7 @@ func TestNilTracerAndSpanSafe(t *testing.T) {
 	sp.SetErr("e")
 	sp.End()
 	sp.EndAt(5)
+	sp.EndAdmission(nil, nil, nil)
 	if sp.ID() != 0 || sp.Trace() != 0 {
 		t.Fatal("nil span has identity")
 	}
@@ -58,6 +65,53 @@ func TestSpanLifecycleAndDoubleEnd(t *testing.T) {
 		rec.Job != 7 || rec.Start != 10 || rec.End != 11 || rec.Err != "oops" ||
 		rec.Attrs["k"] != 3 {
 		t.Fatalf("rec = %+v", rec)
+	}
+}
+
+// TestEndAdmissionUnderABoundClock: in simulation time an admission takes
+// none, so the arrival span keeps the start it was opened with and it and
+// its children — still one per phase the record timed — end at the clock's
+// reading; the grant's and the error's details land on the arrival span, and
+// ending it again records nothing.
+func TestEndAdmissionUnderABoundClock(t *testing.T) {
+	tr := NewTracer(16)
+	tr.SetClock(func() float64 { return 42 })
+	var seen int
+	tr.OnEnd(func(SpanRec) { seen++ })
+	rec := phase.Start(nil, 0, 7)
+	time.Sleep(time.Microsecond)
+	rec.Mark(phase.Route)
+	time.Sleep(time.Microsecond)
+	rec.Mark(phase.Probe)
+	rec.End()
+	timed := 0
+	for _, d := range rec.Durs() {
+		if d > 0 {
+			timed++
+		}
+	}
+	g := &qos.Grant{Chain: 1, Shard: 3, Placement: core.Placement{Tasks: []core.TaskPlacement{{Start: 50, Finish: 60}}}}
+	sp := tr.StartAt(tr.NewTrace(), 0, "job.admit", StageArrival, 7, 40)
+	sp.EndAdmission(&rec, g, nil)
+	sp.EndAdmission(&rec, nil, errors.New("late"))
+	sp.End()
+
+	spans := tr.Spans()
+	root := spans[len(spans)-1]
+	if len(spans) != timed+1 || seen != len(spans) {
+		t.Fatalf("%d spans (%d seen by OnEnd) for %d timed phases", len(spans), seen, timed)
+	}
+	if root.Name != "job.admit" || root.Start != 40 || root.End != 42 || root.Err != "" ||
+		root.Attrs["shard"] != 3 || root.Attrs["chain"] != 1 || root.Attrs["finish"] != 60 {
+		t.Fatalf("arrival span = %+v", root)
+	}
+	if spans[0].Name != "admit.route" || spans[0].Stage != StageRoute || spans[1].Name != "admit.probe" || spans[1].Stage != StagePlan {
+		t.Fatalf("children = %+v", spans[:timed])
+	}
+	for _, c := range spans[:timed] {
+		if c.Parent != root.ID || c.Trace != root.Trace || c.Job != 7 || c.Start != 42 || c.End != 42 {
+			t.Fatalf("child %+v under %+v", c, root)
+		}
 	}
 }
 

@@ -188,7 +188,7 @@ func startTestNode(t *testing.T, name string) *testNode {
 	t.Helper()
 	n := &testNode{name: name, reg: obs.NewRegistry(), tr: obs.NewTracer(1 << 12)}
 	n.tr.SeedIDs(NodeIDBase(name))
-	plane, err := fed.New(fed.Config{Procs: 16, Shards: 2, ProbeK: 2, Tracer: n.tr})
+	plane, err := fed.New(fed.Config{Procs: 16, Shards: 2, ProbeK: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func startTestNode(t *testing.T, name string) *testNode {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { n.srv.Close() })
-	n.srv.SetTracer(n.tr)
+	n.srv.Instrument(qosnet.Instruments{Tracer: n.tr})
 	n.exp = newTestExporter(t, name, "127.0.0.1:0", Sources{Registry: n.reg, Tracer: n.tr})
 	t.Cleanup(func() { n.exp.Close() })
 	return n

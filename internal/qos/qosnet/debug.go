@@ -16,15 +16,11 @@ import (
 // The observer is expected to already be wired into the arbitrator this
 // server fronts (obs.Observer.InstrumentArbitratorConfig or
 // InstrumentOptions + InstrumentDynamic); EnableDebug only publishes it.
-// When the observer traces spans (obs.Config.Tracing), the server becomes
-// the trace ingress: untraced negotiation requests get a root span minted
-// here (see SetTracer).
+// To have the observer's tracer record the requests this server answers,
+// install it with Instrument.
 func (s *Server) EnableDebug(o *obs.Observer, addr string) (net.Addr, error) {
 	if o == nil {
 		return nil, fmt.Errorf("qosnet: debug server needs an observer")
-	}
-	if t := o.Tracer(); t != nil {
-		s.SetTracer(t)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -47,6 +47,7 @@ import (
 	"milan/internal/frame"
 	"milan/internal/obs"
 	"milan/internal/obs/latency"
+	"milan/internal/obs/latency/phase"
 	"milan/internal/qos"
 )
 
@@ -85,19 +86,35 @@ type Server struct {
 	debug   *http.Server // optional observability endpoint (EnableDebug)
 	debugLn net.Listener
 
-	// tracer, when set, makes the server the trace ingress: every
-	// negotiation request arriving without a trace identity gets a root
-	// span minted here, so downstream spans (route/plan/reserve) hang off
-	// one tree per request.  Read lock-free on the hot path.
-	tracer atomic.Pointer[obs.Tracer]
-	// onDecision, when set, observes every negotiation outcome with its
-	// server-side wall latency (the SLO engine's admission-latency feed).
-	onDecision atomic.Pointer[func(job core.Job, g *qos.Grant, err error, latency time.Duration)]
-	// latency, when set, times every negotiation through its admission
-	// phases (route/probe/plan/reserve/journal/ack): the server is the
-	// Rec lifecycle owner, arbitrators that implement qos.TimedNegotiator
-	// attribute their phases into it.  Read lock-free on the hot path.
-	latency atomic.Pointer[latency.Plane]
+	// instruments is what Instrument installed, nil when nothing is.
+	instruments atomic.Pointer[Instruments]
+}
+
+// Instruments is what a server traces, times and audits every negotiation
+// with.  The server owns a request's lifecycle, so it is the one place they
+// meet: it opens the request's arrival span, hands the arbitrator nothing
+// but the request's phase record, and reads the latency it reports and the
+// spans it records off that record once it has ended.  The three are
+// installed together and read with one atomic load per request, so no
+// request runs with the tracer of one installation and the callback of
+// another.
+type Instruments struct {
+	// Tracer makes the server a trace ingress: a negotiation request
+	// arriving without a trace identity gets one minted here (unless head
+	// sampling drops it), and every traced request gets a qosnet.negotiate
+	// arrival span — under the caller's span, if the request carries one —
+	// whose children are the request's admission phases
+	// (obs.ActiveSpan.EndAdmission).
+	Tracer *obs.Tracer
+	// Latency receives every negotiation's finished phase record
+	// (route/probe/plan/reserve/journal/ack): arbitrators that implement
+	// qos.TimedNegotiator attribute their phases into it, for the others
+	// the whole call is ack.
+	Latency *latency.Plane
+	// OnDecision observes every negotiation outcome, after the request's
+	// record has ended, with the server-side latency that record measured
+	// (the SLO engine's admission-latency feed).
+	OnDecision func(job core.Job, g *qos.Grant, err error, latency time.Duration)
 }
 
 // Serve starts serving the arbitrator on ln and returns immediately.
@@ -137,62 +154,40 @@ func ListenAndServeDynamic(dyn *qos.DynamicArbitrator, addr string) (*Server, er
 // Addr returns the server's listen address.
 func (s *Server) Addr() net.Addr { return s.ln.Addr() }
 
-// SetTracer installs (or, with nil, removes) the span tracer that makes
-// this server a trace ingress.  Safe to call while serving.
-func (s *Server) SetTracer(t *obs.Tracer) {
-	if t == nil {
-		s.tracer.Store(nil)
+// Instrument installs in for every negotiation from now on, replacing what
+// was installed before; the zero Instruments removes it.  Safe to call
+// while serving.
+func (s *Server) Instrument(in Instruments) {
+	if in.Tracer == nil && in.Latency == nil && in.OnDecision == nil {
+		s.instruments.Store(nil)
 		return
 	}
-	s.tracer.Store(t)
+	s.instruments.Store(&in)
 }
 
-// SetDecisionHook installs (or, with nil, removes) a callback observing
-// every negotiation outcome and its server-side wall latency.  Safe to
-// call while serving.
-func (s *Server) SetDecisionHook(fn func(job core.Job, g *qos.Grant, err error, latency time.Duration)) {
-	if fn == nil {
-		s.onDecision.Store(nil)
-		return
-	}
-	s.onDecision.Store(&fn)
-}
-
-// SetLatency installs (or, with nil, removes) the admission latency
-// plane.  Safe to call while serving.
-func (s *Server) SetLatency(p *latency.Plane) {
-	if p == nil {
-		s.latency.Store(nil)
-		return
-	}
-	s.latency.Store(p)
-}
-
-// negotiate runs one negotiation through the installed tracer, latency
-// plane and decision hook.  With none installed it is a direct call plus
-// three atomic loads.
+// negotiate runs one negotiation through the installed instruments.  With
+// none installed it is a direct call plus one atomic load.
 func (s *Server) negotiate(n qos.Negotiator, job core.Job) (*qos.Grant, error) {
-	t := s.tracer.Load()
-	hook := s.onDecision.Load()
-	lp := s.latency.Load()
-	if t == nil && hook == nil && lp == nil {
+	in := s.instruments.Load()
+	if in == nil {
 		return n.Negotiate(job)
 	}
-	var began time.Time
-	if hook != nil {
-		began = time.Now()
+	trace := obs.TraceID(job.Trace)
+	if trace == 0 {
+		trace = in.Tracer.NewTrace()
 	}
-	rec := lp.Start(job.Trace, int64(job.ID))
-	var root *obs.ActiveSpan
-	if t != nil && job.Trace == 0 {
-		tr := t.NewTrace()
-		root = t.Start(tr, 0, "qosnet.negotiate", obs.StageArrival, job.ID)
-		job.Trace, job.Span = uint64(tr), uint64(root.ID())
-		rec.SetTrace(job.Trace)
+	root := in.Tracer.Start(trace, obs.SpanID(job.Span), "qosnet.negotiate", obs.StageArrival, job.ID)
+	if job.Trace == 0 {
+		job.Trace, job.Span = uint64(trace), uint64(root.ID())
 	}
+	var sink phase.Sink
+	if in.Latency != nil {
+		sink = in.Latency
+	}
+	rec := phase.Start(sink, job.Trace, int64(job.ID))
 	var g *qos.Grant
 	var err error
-	if tn, ok := n.(qos.TimedNegotiator); ok && rec.Active() {
+	if tn, ok := n.(qos.TimedNegotiator); ok {
 		g, err = tn.NegotiateTimed(job, &rec)
 	} else {
 		g, err = n.Negotiate(job)
@@ -200,16 +195,11 @@ func (s *Server) negotiate(n qos.Negotiator, job core.Job) (*qos.Grant, error) {
 	if g != nil {
 		rec.SetShard(g.Shard)
 	}
-	if root != nil {
-		if err != nil {
-			root.SetErr(err.Error())
-		}
-		root.End()
-	}
-	if hook != nil {
-		(*hook)(job, g, err, time.Since(began))
-	}
 	rec.End()
+	root.EndAdmission(&rec, g, err)
+	if in.OnDecision != nil {
+		in.OnDecision(job, g, err, time.Duration(rec.Total()))
+	}
 	return g, err
 }
 

@@ -1,22 +1,39 @@
 package qosnet
 
 import (
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"milan/internal/core"
 	"milan/internal/obs"
+	"milan/internal/obs/latency"
+	"milan/internal/obs/latency/phase"
 	"milan/internal/qos"
 )
 
+// arrivalSpans returns the server's arrival spans among recs, in completion
+// order.
+func arrivalSpans(recs []obs.SpanRec) []obs.SpanRec {
+	var out []obs.SpanRec
+	for _, r := range recs {
+		if r.Name == "qosnet.negotiate" && r.Stage == obs.StageArrival {
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
 // TestServerMintsRootSpanForUntracedRequests: the server is the trace
-// ingress — a request arriving without a trace identity gets a root span,
-// and the grant echoes the minted trace back across the wire.
+// ingress — a request arriving without a trace identity gets a root arrival
+// span with its admission phases under it, and the grant echoes the minted
+// trace back across the wire.
 func TestServerMintsRootSpanForUntracedRequests(t *testing.T) {
 	srv, cli := startServer(t, 8)
 	tr := obs.NewTracer(64)
-	srv.SetTracer(tr)
+	srv.Instrument(Instruments{Tracer: tr})
 
 	g, err := cli.Negotiate(job(1, 4, 10, 20))
 	if err != nil {
@@ -25,32 +42,34 @@ func TestServerMintsRootSpanForUntracedRequests(t *testing.T) {
 	if g.Trace == 0 {
 		t.Fatal("grant carries no trace identity")
 	}
-	spans := tr.Spans()
-	if len(spans) != 1 || spans[0].Name != "qosnet.negotiate" || spans[0].Stage != obs.StageArrival {
-		t.Fatalf("spans = %+v", spans)
+	root := obs.BuildSpanTrees(tr.Spans())[obs.TraceID(g.Trace)]
+	if root == nil || root.Name != "qosnet.negotiate" || root.Stage != obs.StageArrival || root.Parent != 0 {
+		t.Fatalf("spans = %+v", tr.Spans())
 	}
-	if uint64(spans[0].Trace) != g.Trace {
-		t.Fatalf("span trace %d != grant trace %d", spans[0].Trace, g.Trace)
+	for _, stage := range []string{obs.StageRoute, obs.StagePlan, obs.StageReserve} {
+		if n := root.FindStage(stage); n == nil || n.Parent != root.ID {
+			t.Fatalf("no %s child under the server's root: %+v", stage, tr.Spans())
+		}
 	}
 
 	// A rejection still closes the root span, marked failed.
 	if _, err := cli.Negotiate(job(2, 64, 10, 20)); err == nil {
 		t.Fatal("oversized job admitted")
 	}
-	spans = tr.Spans()
-	if len(spans) != 2 || spans[1].Err == "" {
-		t.Fatalf("rejection span = %+v", spans)
+	roots := arrivalSpans(tr.Spans())
+	if len(roots) != 2 || roots[1].Err == "" || roots[1].Trace == roots[0].Trace {
+		t.Fatalf("arrival spans after a rejection = %+v", roots)
 	}
 }
 
 // TestPreTracedRequestKeepsItsIdentity: a job already carrying a trace
-// (minted upstream, e.g. by a federated router in another tier) must not
-// get a second root span; its identity round-trips through the gob
-// envelope untouched.
+// (minted upstream, by a client or another tier) is not reminted: its
+// identity round-trips untouched and the server's arrival span, with the
+// admission phases under it, hangs off the span the request named.
 func TestPreTracedRequestKeepsItsIdentity(t *testing.T) {
 	srv, cli := startServer(t, 8)
 	tr := obs.NewTracer(64)
-	srv.SetTracer(tr)
+	srv.Instrument(Instruments{Tracer: tr})
 
 	j := job(3, 4, 10, 20)
 	j.Trace, j.Span = 777, 13
@@ -61,15 +80,22 @@ func TestPreTracedRequestKeepsItsIdentity(t *testing.T) {
 	if g.Trace != 777 {
 		t.Fatalf("grant trace = %d, want 777 (propagated, not reminted)", g.Trace)
 	}
-	if n := len(tr.Spans()); n != 0 {
-		t.Fatalf("server minted %d root spans for a pre-traced request", n)
+	roots := arrivalSpans(tr.Spans())
+	if len(roots) != 1 || roots[0].Trace != 777 || roots[0].Parent != 13 {
+		t.Fatalf("server arrival spans of a pre-traced request = %+v", roots)
+	}
+	for _, sp := range tr.Spans() {
+		if sp.Trace != 777 || (sp.ID != roots[0].ID && sp.Parent != roots[0].ID) {
+			t.Fatalf("span outside the caller's trace or the server's arrival span: %+v", sp)
+		}
 	}
 }
 
-// TestSpanPropagationConcurrentRoundTrips hammers one traced server from
-// many clients — run under -race in CI.  Every grant must carry a unique
-// nonzero trace, and the tracer must hold exactly one root span per
-// request.
+// TestSpanPropagationConcurrentRoundTrips hammers one instrumented server
+// from many connections — run under -race in CI.  Every grant must carry a
+// unique nonzero trace, the tracer must hold exactly one arrival span per
+// request, and the callback must see every request, traced, with the
+// latency its record measured.
 func TestSpanPropagationConcurrentRoundTrips(t *testing.T) {
 	const clients, perClient = 8, 25
 	arb, err := qos.NewArbitrator(qos.ArbitratorConfig{Procs: 4})
@@ -81,21 +107,17 @@ func TestSpanPropagationConcurrentRoundTrips(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	tr := obs.NewTracer(clients * perClient * 2)
-	srv.SetTracer(tr)
-	var decisions int64
-	var decMu sync.Mutex
-	srv.SetDecisionHook(func(j core.Job, g *qos.Grant, err error, latency time.Duration) {
-		decMu.Lock()
-		decisions++
-		decMu.Unlock()
+	tr := obs.NewTracer(clients * perClient * (1 + phase.Num))
+	var decisions atomic.Int64
+	srv.Instrument(Instruments{Tracer: tr, OnDecision: func(j core.Job, g *qos.Grant, err error, latency time.Duration) {
+		decisions.Add(1)
 		if j.Trace == 0 {
-			t.Error("decision hook saw an untraced job")
+			t.Error("decision callback saw an untraced job")
 		}
-		if latency < 0 {
-			t.Error("negative latency")
+		if latency <= 0 {
+			t.Errorf("latency %v", latency)
 		}
-	})
+	}})
 
 	var wg sync.WaitGroup
 	traces := make(chan uint64, clients*perClient)
@@ -132,27 +154,115 @@ func TestSpanPropagationConcurrentRoundTrips(t *testing.T) {
 		}
 		seen[tc] = true
 	}
-	if got := tr.Total(); got != clients*perClient {
-		t.Fatalf("root spans = %d, want %d", got, clients*perClient)
+	if got := len(arrivalSpans(tr.Spans())); got != clients*perClient {
+		t.Fatalf("arrival spans = %d, want %d", got, clients*perClient)
 	}
-	decMu.Lock()
-	defer decMu.Unlock()
-	if decisions != clients*perClient {
-		t.Fatalf("decision hook saw %d, want %d", decisions, clients*perClient)
+	if got := decisions.Load(); got != clients*perClient {
+		t.Fatalf("decision callback saw %d, want %d", got, clients*perClient)
 	}
 }
 
-// TestSetTracerRemovable: installing nil restores the zero-overhead path.
-func TestSetTracerRemovable(t *testing.T) {
+// TestInstrumentRemovable: installing the zero Instruments restores the
+// direct-call path — no trace minted, no span, no callback.
+func TestInstrumentRemovable(t *testing.T) {
 	srv, cli := startServer(t, 8)
 	tr := obs.NewTracer(8)
-	srv.SetTracer(tr)
-	srv.SetTracer(nil)
-	srv.SetDecisionHook(nil)
+	var calls atomic.Int64
+	srv.Instrument(Instruments{Tracer: tr, OnDecision: func(core.Job, *qos.Grant, error, time.Duration) { calls.Add(1) }})
+	srv.Instrument(Instruments{})
+	if srv.instruments.Load() != nil {
+		t.Fatal("the zero Instruments left an installation behind")
+	}
+	g, err := cli.Negotiate(job(1, 4, 10, 20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.Trace != 0 || tr.Total() != 0 || calls.Load() != 0 {
+		t.Fatalf("removed instruments still at work: trace %d, %d spans, %d callbacks", g.Trace, tr.Total(), calls.Load())
+	}
+}
+
+// TestInstallationsNeverMix: the instruments are installed together and a
+// request loads them once, so while two installations are being swapped
+// under load every callback sees only traces its own installation's tracer
+// minted (the two tracers mint from disjoint ID ranges).
+func TestInstallationsNeverMix(t *testing.T) {
+	srv, _ := startServer(t, 8)
+	installation := func(idRange uint64) Instruments {
+		tr := obs.NewTracer(64)
+		tr.SeedIDs(idRange << 32)
+		return Instruments{Tracer: tr, OnDecision: func(j core.Job, _ *qos.Grant, _ error, _ time.Duration) {
+			if j.Trace>>32 != idRange {
+				t.Errorf("installation %d's callback saw trace %#x", idRange, j.Trace)
+			}
+		}}
+	}
+	a, b := installation(1), installation(2)
+	srv.Instrument(a)
+	stop := make(chan struct{})
+	var swapper sync.WaitGroup
+	swapper.Add(1)
+	go func() {
+		defer swapper.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if i%2 == 0 {
+				srv.Instrument(b)
+			} else {
+				srv.Instrument(a)
+			}
+			runtime.Gosched()
+		}
+	}()
+	var wg sync.WaitGroup
+	for c := 0; c < 4; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			cli, err := Dial(srv.Addr().String())
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer cli.Close()
+			for i := 0; i < 200; i++ {
+				_, _ = cli.Negotiate(job(c*1000+i, 64, 1, 1e9)) // refused: the plane stays empty
+			}
+		}(c)
+	}
+	wg.Wait()
+	close(stop)
+	swapper.Wait()
+}
+
+// TestDecisionCallbackRunsOffTheRecord: the callback runs after the
+// request's record has ended and is handed that record's total, so however
+// long the auditor's bookkeeping takes, none of it is billed to the
+// request's ack phase or its end-to-end latency.
+func TestDecisionCallbackRunsOffTheRecord(t *testing.T) {
+	const bookkeeping = 50 * time.Millisecond
+	srv, cli := startServer(t, 8)
+	lp := latency.New(latency.Config{Registry: obs.NewRegistry()})
+	var reported atomic.Int64 // set before the response is written
+	srv.Instrument(Instruments{Latency: lp, OnDecision: func(_ core.Job, _ *qos.Grant, _ error, latency time.Duration) {
+		reported.Store(int64(latency))
+		time.Sleep(bookkeeping)
+	}})
 	if _, err := cli.Negotiate(job(1, 4, 10, 20)); err != nil {
 		t.Fatal(err)
 	}
-	if tr.Total() != 0 {
-		t.Fatal("removed tracer still recording")
+	ex := lp.TopK()
+	if len(ex) != 1 {
+		t.Fatalf("%d latency exemplars, want 1", len(ex))
+	}
+	if ack := time.Duration(ex[0].Durs[phase.Ack]); ack >= bookkeeping || time.Duration(ex[0].Total) >= bookkeeping {
+		t.Fatalf("a %v callback was billed to the request: ack %v of %v", bookkeeping, ack, time.Duration(ex[0].Total))
+	}
+	if reported.Load() != ex[0].Total {
+		t.Fatalf("callback was handed %dns, the record measured %dns", reported.Load(), ex[0].Total)
 	}
 }

@@ -252,8 +252,14 @@ type (
 	SchedulerHooks = core.Hooks
 	// Tracer mints per-request trace identities and retains completed
 	// lifecycle spans (arrival → route → plan → reserve → run → finish).
+	// No arbitrator or plane takes one: whoever owns a request (a qosnet
+	// server, an experiment loop) opens its arrival span and renders the
+	// admission's finished phase record as that span's children.
 	Tracer = obs.Tracer
-	// SpanRec is one completed span of a request's lifecycle.
+	// SpanRec is one completed span of a request's lifecycle.  The spans
+	// under an arrival span are its admission phases laid end to end
+	// (route, probe as stage plan, plan, reserve, journal, ack): the same
+	// nanoseconds as the request's /latency exemplar.
 	SpanRec = obs.SpanRec
 	// SpanNode is one node of a reconstructed per-request span tree.
 	SpanNode = obs.SpanNode
