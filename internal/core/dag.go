@@ -238,11 +238,5 @@ func (s *Scheduler) dagSortKey(pl *Placement, dag DAG, release float64) chainKey
 		}
 		return byStart[a].Task < byStart[b].Task
 	})
-	prefix := make([]float64, len(byStart))
-	var cum float64
-	for i, tp := range byStart {
-		cum += float64(tp.Procs) * tp.Duration()
-		prefix[i] = cum
-	}
-	return chainKey{release: release, finish: finish, area: pl.Area(), quality: dag.Quality, prefix: prefix}
+	return chainKey{release: release, finish: finish, area: pl.Area(), quality: dag.Quality, tasks: byStart}
 }

@@ -55,6 +55,12 @@ type Scheduler struct {
 		ok                    bool
 		release, finish, busy float64
 	}
+
+	// scratch is the planning loop's two task buffers: the chain being
+	// placed and the best one so far, swapped when a candidate wins.  plan
+	// borrows them for the length of one call and nothing it returns
+	// points into them; Fork builds a scheduler with its own.
+	scratch [2][]TaskPlacement
 }
 
 // NewScheduler returns a scheduler managing `procs` homogeneous processors
@@ -116,14 +122,14 @@ func (s *Scheduler) Admit(job Job) (*Placement, error) {
 		return nil, fmt.Errorf("core: admit: %w", err)
 	}
 	if h := s.opts.Hooks; h != nil && h.AdmitStart != nil {
-		h.AdmitStart(&job)
+		// A hook may keep the job it is handed, so it gets its own copy,
+		// allocated only when there is a hook to hand it to.
+		j := job
+		h.AdmitStart(&j)
 	}
 	pl, ok := s.Plan(job)
 	if !ok {
-		s.stat.Rejected++
-		if h := s.opts.Hooks; h != nil && h.Rejected != nil {
-			h.Rejected(&job, "no-feasible-chain")
-		}
+		s.NoteRejected(&job, "no-feasible-chain")
 		return nil, ErrRejected
 	}
 	if err := s.Commit(job, pl); err != nil {
@@ -143,11 +149,13 @@ func (s *Scheduler) SetCapacity(procs int) error { return s.prof.SetCapacity(pro
 // by a federated router whose planning probes all failed — updating the
 // rejection counter and firing the Rejected hook exactly as Admit's own
 // rejection path does.  (Plan itself already counted the per-chain work and
-// the plan failure.)
+// the plan failure.)  The hook is handed a copy of *job, which the caller
+// keeps to itself.
 func (s *Scheduler) NoteRejected(job *Job, reason string) {
 	s.stat.Rejected++
 	if h := s.opts.Hooks; h != nil && h.Rejected != nil {
-		h.Rejected(job, reason)
+		j := *job
+		h.Rejected(&j, reason)
 	}
 }
 
@@ -175,64 +183,83 @@ func (s *Scheduler) Plan(job Job) (*Placement, bool) {
 // PlanKeyed is Plan, additionally exposing the winning chain's tie-break
 // key for a caller that compares plans across schedulers (the federated
 // router's cross-shard comparison).  The key's utilization is an O(window)
-// integration that planning itself often never needs, so callers that do
-// not compare keys should call Plan.
+// integration that planning itself often never needs, and its prefix a
+// slice only a caller that keeps keys across plans needs built, so callers
+// that do not compare keys should call Plan.
 func (s *Scheduler) PlanKeyed(job Job) (*Placement, PlanKey, bool) {
 	pl, key, ok := s.plan(job)
 	if !ok {
 		return nil, PlanKey{}, false
 	}
-	return pl, PlanKey{Finish: key.finish, Util: s.keyUtil(&key), Prefix: key.prefix}, true
+	prefix := make([]float64, len(pl.Tasks))
+	var cum float64
+	for i, tp := range pl.Tasks {
+		cum += float64(tp.Procs) * tp.Duration()
+		prefix[i] = cum
+	}
+	return pl, PlanKey{Finish: key.finish, Util: s.keyUtil(&key), Prefix: prefix}, true
 }
 
 // plan is the planning loop behind Plan and PlanKeyed: it returns the chosen
 // placement with its tie-break key, whose utilization is filled in only if
 // some comparison needed it.
+//
+// Every chain is placed into the scheduler's scratch and only the winner is
+// copied out, once, after the loop: a chain that loses and a job that is
+// rejected allocate nothing.  The returned placement is the caller's; the
+// returned key's tasks are not (they are scratch, good until the next plan).
 func (s *Scheduler) plan(job Job) (*Placement, chainKey, bool) {
 	h := s.opts.Hooks
+	var hj *Job // what the hooks are handed: a copy they may keep
+	if h != nil {
+		j := job
+		hj = &j
+	}
 	s.win.ok = false
-	var best *Placement
+	cand, inc := s.scratch[0], s.scratch[1]
 	var bestKey chainKey
 	bestChain := -1
 	for ci, chain := range job.Chains {
 		s.stat.ChainsTried++
 		probesBefore := s.stat.HolesProbed
-		tasks, ok := s.placeChain(chain, job.Release)
+		var ok bool
+		cand, ok = s.placeChain(cand, chain, job.Release)
 		if h != nil && h.HolesProbed != nil {
-			h.HolesProbed(&job, ci, s.stat.HolesProbed-probesBefore)
+			h.HolesProbed(hj, ci, s.stat.HolesProbed-probesBefore)
 		}
 		if !ok {
 			if h != nil && h.ChainTried != nil {
-				h.ChainTried(&job, ci, false, 0)
+				h.ChainTried(hj, ci, false, 0)
 			}
 			continue
 		}
-		pl := &Placement{JobID: job.ID, Chain: ci, Tasks: tasks}
+		key := chainSortKey(cand, chain, job.Release)
 		if h != nil && h.ChainTried != nil {
-			h.ChainTried(&job, ci, true, pl.Finish())
+			h.ChainTried(hj, ci, true, key.finish)
 		}
-		key := s.chainSortKey(pl, chain, job.Release)
-		if best == nil || s.better(&key, &bestKey) {
-			if best != nil && h != nil && h.TieBreak != nil {
-				h.TieBreak(&job, ci, bestChain)
+		if bestChain < 0 || s.better(&key, &bestKey) {
+			if bestChain >= 0 && h != nil && h.TieBreak != nil {
+				h.TieBreak(hj, ci, bestChain)
 			}
-			best, bestKey, bestChain = pl, key, ci
+			bestKey, bestChain = key, ci
+			cand, inc = inc, cand
 		}
 		if s.opts.TieBreak == TieBreakFirstFit {
 			break
 		}
 	}
-	if best == nil {
+	s.scratch = [2][]TaskPlacement{cand, inc}
+	if bestChain < 0 {
 		s.stat.PlanFailures++
 		if h != nil && h.PlanFailure != nil {
-			h.PlanFailure(&job)
+			h.PlanFailure(hj)
 		}
 		if s.opts.Diagnosis != nil {
 			s.opts.Diagnosis(s.Diagnose(job))
 		}
 		return nil, chainKey{}, false
 	}
-	return best, bestKey, true
+	return &Placement{JobID: job.ID, Chain: bestChain, Tasks: append([]TaskPlacement(nil), inc...)}, bestKey, true
 }
 
 // Commit reserves the processor-time described by a placement previously
@@ -257,7 +284,8 @@ func (s *Scheduler) Commit(job Job, pl *Placement) error {
 		s.stat.TunableChosen[pl.Chain]++
 	}
 	if h := s.opts.Hooks; h != nil && h.Committed != nil {
-		h.Committed(&job, pl)
+		j := job
+		h.Committed(&j, pl)
 	}
 	return nil
 }
@@ -265,9 +293,13 @@ func (s *Scheduler) Commit(job Job, pl *Placement) error {
 // PlaceChain places one chain's tasks with the first task released at
 // `release`, without committing anything.  It is the building block the
 // arbitrator uses to re-plan the remaining suffix of an in-flight job
-// during renegotiation.
+// during renegotiation.  The result is the caller's to keep.
 func (s *Scheduler) PlaceChain(chain Chain, release float64) ([]TaskPlacement, bool) {
-	return s.placeChain(chain, release)
+	tasks, ok := s.placeChain(make([]TaskPlacement, 0, len(chain.Tasks)), chain, release)
+	if !ok {
+		return nil, false
+	}
+	return tasks, true
 }
 
 // ReserveSlot commits a raw processor-time rectangle (used when
@@ -297,24 +329,23 @@ func (s *Scheduler) ReservePlacement(pl *Placement) error {
 // by the finish time alone, so it is computed on demand: read it through
 // keyUtil, never from the field.
 type chainKey struct {
-	release float64   // window start
-	finish  float64   // window end
-	area    float64   // total reserved area (for TieBreakMinArea)
-	quality float64   // chain output quality (for TieBreakMaxQuality)
-	prefix  []float64 // cumulative processor-time after each task
+	release float64 // window start
+	finish  float64 // window end
+	area    float64 // total reserved area (for TieBreakMinArea)
+	quality float64 // chain output quality (for TieBreakMaxQuality)
+	// tasks is the placement in the order the prefix criterion reads it
+	// (chain order; start order for a DAG).  The cumulative processor-time
+	// after each task is summed from it when two keys tie on everything
+	// before it, which is rare, instead of being built for every chain.
+	tasks []TaskPlacement
 
 	util     float64 // valid once utilDone
 	utilDone bool
 }
 
-func (s *Scheduler) chainSortKey(pl *Placement, chain Chain, release float64) chainKey {
-	prefix := make([]float64, len(pl.Tasks))
-	var cum float64
-	for i, tp := range pl.Tasks {
-		cum += float64(tp.Procs) * tp.Duration()
-		prefix[i] = cum
-	}
-	return chainKey{release: release, finish: pl.Finish(), area: pl.Area(), quality: chain.Quality, prefix: prefix}
+func chainSortKey(tasks []TaskPlacement, chain Chain, release float64) chainKey {
+	pl := Placement{Tasks: tasks}
+	return chainKey{release: release, finish: pl.Finish(), area: pl.Area(), quality: chain.Quality, tasks: tasks}
 }
 
 // keyUtil returns the key's utilization: the existing reservations in
@@ -352,7 +383,7 @@ func (s *Scheduler) better(a, b *chainKey) bool {
 		if ua, ub := s.keyUtil(a), s.keyUtil(b); !timeEq(ua, ub) {
 			return ua > ub
 		}
-		if c := comparePrefix(a.prefix, b.prefix); c != 0 {
+		if c := comparePrefix(a.tasks, b.tasks); c != 0 {
 			return c < 0
 		}
 		return timeLess(a.finish, b.finish)
@@ -369,21 +400,23 @@ func (s *Scheduler) better(a, b *chainKey) bool {
 	if ua, ub := s.keyUtil(a), s.keyUtil(b); !timeEq(ua, ub) {
 		return ua > ub
 	}
-	return comparePrefix(a.prefix, b.prefix) < 0
+	return comparePrefix(a.tasks, b.tasks) < 0
 }
 
 // comparePrefix orders chains by "fewer total resources for some prefix of
 // their tasks": cumulative processor-time is compared task by task and the
 // chain that has consumed less at the first point of difference wins (it
-// frees resources for near-term arrivals).  Returns -1, 0 or +1.
-func comparePrefix(a, b []float64) int {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
+// frees resources for near-term arrivals).  Returns -1, 0 or +1.  The two
+// running sums are the ones a materialised prefix would hold, added in the
+// same order, so the verdict is bit-for-bit the same.
+func comparePrefix(a, b []TaskPlacement) int {
+	n := min(len(a), len(b))
+	var cumA, cumB float64
 	for i := 0; i < n; i++ {
-		if !timeEq(a[i], b[i]) {
-			if a[i] < b[i] {
+		cumA += float64(a[i].Procs) * a[i].Duration()
+		cumB += float64(b[i].Procs) * b[i].Duration()
+		if !timeEq(cumA, cumB) {
+			if cumA < cumB {
 				return -1
 			}
 			return 1
@@ -411,17 +444,19 @@ func (s *Scheduler) earliestFitOn(p *Profile, procs int, duration, est, deadline
 // placeChain attempts to place every task of the chain, with the first task
 // released at `release`.  Within one chain, successive tasks occupy disjoint
 // time intervals (task i+1 starts no earlier than task i finishes), so
-// placements can be evaluated against the uncommitted profile.
-func (s *Scheduler) placeChain(chain Chain, release float64) ([]TaskPlacement, bool) {
+// placements can be evaluated against the uncommitted profile.  The
+// placements are appended to buf[:0], and the buffer comes back either way
+// so a caller that reuses it keeps what it grew to.
+func (s *Scheduler) placeChain(buf []TaskPlacement, chain Chain, release float64) ([]TaskPlacement, bool) {
 	if s.opts.ChainPlacer == PlaceBacktrack {
-		return s.placeChainBacktrack(chain, release)
+		return s.placeChainBacktrack(buf, chain, release)
 	}
-	out := make([]TaskPlacement, 0, len(chain.Tasks))
+	out := buf[:0]
 	est := release
 	for i, t := range chain.Tasks {
 		tp, ok := s.placeTask(t, i, est)
 		if !ok {
-			return nil, false
+			return out, false
 		}
 		out = append(out, tp)
 		est = tp.Finish

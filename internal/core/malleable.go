@@ -1,5 +1,7 @@
 package core
 
+import "slices"
+
 // placeMalleableOn chooses a processor count and slot for a malleable task
 // against an explicit profile.  With linear speedup, p processors run the
 // task for Work/p time.  Processor counts are capped by the task's degree
@@ -47,10 +49,10 @@ func (s *Scheduler) placeMalleableOn(prof *Profile, t Task, index int, est float
 // bounded by Options.BacktrackBudget.  This is an extension beyond the
 // paper's greedy rule, used to quantify how much the greedy heuristic loses
 // to deeper search (ablation).
-func (s *Scheduler) placeChainBacktrack(chain Chain, release float64) ([]TaskPlacement, bool) {
+func (s *Scheduler) placeChainBacktrack(buf []TaskPlacement, chain Chain, release float64) ([]TaskPlacement, bool) {
 	budget := s.opts.backtrackBudget()
 	n := len(chain.Tasks)
-	out := make([]TaskPlacement, n)
+	out := slices.Grow(buf[:0], n)[:n]
 	// minStart[i] is the earliest start we may consider for task i on the
 	// current search branch; bumping it past a previous placement forces
 	// the next-later slot.
@@ -60,7 +62,7 @@ func (s *Scheduler) placeChainBacktrack(chain Chain, release float64) ([]TaskPla
 	i := 0
 	for i < n {
 		if budget <= 0 {
-			return nil, false
+			return out, false
 		}
 		budget--
 		t := chain.Tasks[i]
@@ -82,7 +84,7 @@ func (s *Scheduler) placeChainBacktrack(chain Chain, release float64) ([]TaskPla
 		// the same placement).
 		for {
 			if i == 0 {
-				return nil, false
+				return out, false
 			}
 			i--
 			next, ok := s.prof.NextBreakAfter(out[i].Start)

@@ -113,9 +113,11 @@ func TestSingleShardMatchesMonolith(t *testing.T) {
 }
 
 // TestOneShardAllocatesWhatTheMonolithDoes holds a one-shard plane to the
-// monolith's price: the same Figure-4 stream costs it no more allocations
-// per negotiation than it costs qos.Arbitrator (no candidate, load or
-// probe slices — there is nothing to route).
+// monolith's price, and the monolith to the plane's: the same Figure-4
+// stream costs each exactly the allocations per negotiation it costs the
+// other (no candidate, load or probe slices — there is nothing to route —
+// and no copy of the job on either side), because the monolith is the
+// one-shard case.
 func TestOneShardAllocatesWhatTheMonolithDoes(t *testing.T) {
 	const procs, runs = 32, 300
 	jobs := fig4Stream(runs+1, 6, 43) // AllocsPerRun warms up with one extra call
@@ -136,8 +138,12 @@ func TestOneShardAllocatesWhatTheMonolithDoes(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := perNegotiation(mono.Observe, mono.Negotiate)
-	if got := perNegotiation(plane.Observe, plane.Negotiate); got > want {
+	if got := perNegotiation(plane.Observe, plane.Negotiate); got != want {
 		t.Fatalf("one-shard plane: %v allocations per negotiation, monolith: %v", got, want)
+	}
+	// The winner's placement, its tasks and the grant; a refusal costs nothing.
+	if want > 3 {
+		t.Fatalf("%v allocations per negotiation, budget 3", want)
 	}
 }
 

@@ -231,10 +231,7 @@ func (sh *Shard) commitPlanned(job core.Job, pl *core.Placement, ver uint64) (g 
 	defer sh.mu.Unlock()
 	raced = sh.version != ver
 	if raced {
-		// The rejection hooks may keep the job they are handed: give
-		// them a copy, allocated on this path only.
-		again := job
-		g, err = sh.admitLocked(&again, nil)
+		g, err = sh.admitLocked(&job, nil)
 	} else {
 		g, err = sh.commitLocked(&job, pl)
 	}

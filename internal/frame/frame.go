@@ -219,12 +219,18 @@ func (c *Cursor) Str() string { return c.str(uint64(c.U32())) }
 // VarStr reads a string behind a varint length of at most MaxString.
 func (c *Cursor) VarStr() string { return c.str(c.Uvarint()) }
 
-func (c *Cursor) str(n uint64) string {
+// VarStrBytes is VarStr without the copy: the string's bytes, aliasing the
+// payload, for a caller that has its own place to keep them.
+func (c *Cursor) VarStrBytes() []byte { return c.strBytes(c.Uvarint()) }
+
+func (c *Cursor) str(n uint64) string { return string(c.strBytes(n)) }
+
+func (c *Cursor) strBytes(n uint64) []byte {
 	if n > MaxString {
 		c.Fail("string length %d exceeds limit %d", n, MaxString)
-		return ""
+		return nil
 	}
-	return string(c.Take(int(n)))
+	return c.Take(int(n))
 }
 
 // Count reads a u32 element count and fails unless it is at most limit and

@@ -97,6 +97,7 @@ func BenchmarkCodec(b *testing.B) {
 	b.Run("request", func(b *testing.B) {
 		req := request{op: opNegotiate, job: newFig4Stream(6).next()}
 		var buf []byte
+		var mem carver // one connection's
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -105,7 +106,7 @@ func BenchmarkCodec(b *testing.B) {
 				b.Fatal(err)
 			}
 			var got request
-			if err := decodeRequest(buf[frame.HeaderLen:], &got); err != nil {
+			if err := decodeRequest(buf[frame.HeaderLen:], &got, &mem); err != nil {
 				b.Fatal(err)
 			}
 		}

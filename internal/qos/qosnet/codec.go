@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"strings"
 
 	"milan/internal/core"
 	"milan/internal/frame"
@@ -138,8 +139,71 @@ func (e *encoder) count(n int, what string) {
 	e.uint(uint64(n))
 }
 
-// decoder is the shared cursor plus this protocol's two field types.
-type decoder struct{ frame.Cursor }
+// decoder is the shared cursor plus this protocol's two field types, and
+// where a decoded job's lists and names come from (requests only).
+type decoder struct {
+	frame.Cursor
+	mem *carver
+}
+
+// Elements per chunk of a carver.  A Figure-4 job takes two chains, four
+// tasks and some twenty bytes of names, so one round of chunks serves a few
+// dozen requests.
+const (
+	chainChunk = 32   // × 48 bytes
+	taskChunk  = 64   // × 72 bytes
+	nameChunk  = 1024 // bytes
+)
+
+// carver is one connection's supply of the memory a decoded core.Job points
+// into — its chains, their tasks, every name — cut from chunks a few dozen
+// requests share, so a request costs a fraction of an allocation instead of
+// six.  What it hands out is carved and never recycled: no region is handed
+// out twice and none is written after the decoder that asked for it
+// returns, so whoever keeps a decoded job (an observer, an SLO hook, a
+// forensic ring) keeps it intact for as long as it likes.  What keeping one
+// costs is the chunks it was cut from: at most one of each, about 7 KB,
+// however small the job.  A list longer than half a chunk, or a name longer
+// than half of one, is its own allocation.  The zero carver is ready to use.
+type carver struct {
+	chains []core.Chain // what is left of the current chunk
+	tasks  []core.Task
+	names  strings.Builder // the current chunk: only ever appended to
+}
+
+// carve cuts n zeroed elements off *free, starting a fresh chunk when what
+// is left is too short.  The result's capacity is its length: appending to
+// it cannot reach the next request's elements.
+func carve[T any](free *[]T, chunk, n int) []T {
+	if n > chunk/2 {
+		return make([]T, n)
+	}
+	if len(*free) < n {
+		*free = make([]T, chunk)
+	}
+	out := (*free)[:n:n]
+	*free = (*free)[n:]
+	return out
+}
+
+// name returns b as a string.  A strings.Builder never rewrites what it has
+// already returned, so the strings cut from one chunk stay what they were
+// while later ones are appended behind them.
+func (m *carver) name(b []byte) string {
+	if len(b) < 2 || len(b) > nameChunk/2 {
+		return string(b) // under two bytes this does not allocate
+	}
+	if m.names.Cap()-m.names.Len() < len(b) {
+		m.names.Reset()
+		m.names.Grow(nameChunk)
+	}
+	start := m.names.Len()
+	m.names.Write(b)
+	return m.names.String()[start:]
+}
+
+// name reads a string as VarStr does, into the carver's memory.
+func (d *decoder) name() string { return d.mem.name(d.VarStrBytes()) }
 
 func (d *decoder) int() int { return int(d.Varint()) }
 
@@ -184,7 +248,7 @@ func (e *encoder) task(t *core.Task) {
 }
 
 func (d *decoder) task(t *core.Task) {
-	t.Name = d.VarStr()
+	t.Name = d.name()
 	t.Procs = d.int()
 	t.Duration = d.f64()
 	t.Deadline = d.f64()
@@ -218,24 +282,24 @@ func (e *encoder) job(j *core.Job) {
 
 func (d *decoder) job(j *core.Job) {
 	j.ID = d.int()
-	j.Name = d.VarStr()
+	j.Name = d.name()
 	j.Release = d.f64()
 	j.Trace = d.Uvarint()
 	j.Span = d.Uvarint()
-	j.Tenant = d.VarStr()
+	j.Tenant = d.name()
 	j.Class = d.int()
 	if n := d.VarCount(maxCount, minChain, "chain"); n > 0 {
-		j.Chains = make([]core.Chain, n)
+		j.Chains = carve(&d.mem.chains, chainChunk, n)
 	}
 	for i := range j.Chains {
 		if d.Err() != nil {
 			return
 		}
 		c := &j.Chains[i]
-		c.Name = d.VarStr()
+		c.Name = d.name()
 		c.Quality = d.f64()
 		if n := d.VarCount(maxCount, minTask, "task"); n > 0 {
-			c.Tasks = make([]core.Task, n)
+			c.Tasks = carve(&d.mem.tasks, taskChunk, n)
 		}
 		for k := range c.Tasks {
 			d.task(&c.Tasks[k])
@@ -325,8 +389,14 @@ func (e *encoder) grant(g *qos.Grant) {
 	}
 }
 
+// grant reads a grant.  It and up to four placed tasks — every chain of the
+// paper's workloads — are one object.
 func (d *decoder) grant() *qos.Grant {
-	g := &qos.Grant{}
+	box := &struct {
+		g     qos.Grant
+		tasks [4]core.TaskPlacement
+	}{}
+	g := &box.g
 	g.JobID = d.int()
 	g.Chain = d.int()
 	g.Quality = d.f64()
@@ -334,8 +404,10 @@ func (d *decoder) grant() *qos.Grant {
 	g.Shard = d.int()
 	g.Placement.JobID = d.int()
 	g.Placement.Chain = d.int()
-	if n := d.VarCount(maxCount, minPlacement, "placed task"); n > 0 {
+	if n := d.VarCount(maxCount, minPlacement, "placed task"); n > len(box.tasks) {
 		g.Placement.Tasks = make([]core.TaskPlacement, n)
+	} else if n > 0 {
+		g.Placement.Tasks = box.tasks[:n:n]
 	}
 	for i := range g.Placement.Tasks {
 		tp := &g.Placement.Tasks[i]
@@ -409,10 +481,11 @@ func appendRequest(b []byte, r *request) ([]byte, error) {
 	return e.endFrame()
 }
 
-// decodeRequest parses a request payload into r.  Everything but the one
-// canonical encoding of a request this version defines is an error.
-func decodeRequest(payload []byte, r *request) error {
-	d := decoder{frame.NewCursor("qosnet", payload)}
+// decodeRequest parses a request payload into r, a job's lists and names
+// carved from mem.  Everything but the one canonical encoding of a request
+// this version defines is an error.
+func decodeRequest(payload []byte, r *request, mem *carver) error {
+	d := decoder{Cursor: frame.NewCursor("qosnet", payload), mem: mem}
 	if v := d.U8(); d.Err() == nil && v != wireVersion {
 		return fmt.Errorf("qosnet: frame has version %d, this end speaks version %d", v, wireVersion)
 	}
@@ -471,7 +544,7 @@ func appendResponse(b []byte, r *response) []byte {
 
 // decodeResponse parses a response payload into r.
 func decodeResponse(payload []byte, r *response) error {
-	d := decoder{frame.NewCursor("qosnet", payload)}
+	d := decoder{Cursor: frame.NewCursor("qosnet", payload)}
 	if v := d.U8(); d.Err() == nil && v != wireVersion {
 		return fmt.Errorf("qosnet: frame has version %d, this end speaks version %d", v, wireVersion)
 	}

@@ -217,7 +217,7 @@ func TestCodecRoundTripProperty(t *testing.T) {
 				t.Fatalf("seed %d op %d: encode: %v", seed, o, err)
 			}
 			var got request
-			if err := decodeRequest(payloadOf(t, framed), &got); err != nil {
+			if err := decodeRequest(payloadOf(t, framed), &got, new(carver)); err != nil {
 				t.Fatalf("seed %d op %d: decode: %v", seed, o, err)
 			}
 			if !sameBits(reflect.ValueOf(got), reflect.ValueOf(req)) {
@@ -330,7 +330,7 @@ func hostile() map[string]malformed {
 func TestDecodeRequestNamesTheCause(t *testing.T) {
 	for name, tc := range hostile() {
 		var r request
-		err := decodeRequest(tc.bytes, &r)
+		err := decodeRequest(tc.bytes, &r, new(carver))
 		if err == nil || !strings.Contains(err.Error(), tc.want) || !strings.HasPrefix(err.Error(), "qosnet: ") {
 			t.Errorf("%s: err = %v, want one naming %q", name, err, tc.want)
 		}

@@ -3,9 +3,12 @@ package qosnet
 import (
 	"bytes"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"testing"
+	"unsafe"
 
+	"milan/internal/core"
 	"milan/internal/frame"
 )
 
@@ -48,8 +51,10 @@ func FuzzQosnetDecode(f *testing.F) {
 func decodeBoth(t *testing.T, payload []byte) {
 	// What a decoder may allocate for n bytes of payload: the widest
 	// element is a 96-byte DAG task for 7 bytes on the wire, lists nest
-	// three deep, and an error costs its message.
-	budget := uint64(64*len(payload) + 4096)
+	// three deep, an error costs its message, and a connection's first
+	// job starts one chunk of each kind.
+	chunks := chainChunk*unsafe.Sizeof(core.Chain{}) + taskChunk*unsafe.Sizeof(core.Task{}) + nameChunk
+	budget := uint64(64*len(payload)+4096) + uint64(chunks)
 	// TotalAlloc is process-wide, and a goroutine an earlier test left
 	// winding down (a closing connection, an HTTP keep-alive) can allocate
 	// inside one reading; a decoder over budget is over it every time.
@@ -67,7 +72,7 @@ func decodeBoth(t *testing.T, payload []byte) {
 	}
 
 	var req request
-	got, err := allocated(func() error { req = request{}; return decodeRequest(payload, &req) })
+	got, err := allocated(func() error { req = request{}; return decodeRequest(payload, &req, new(carver)) })
 	if got > budget {
 		t.Fatalf("decodeRequest allocated %d bytes for a %d-byte payload (budget %d)", got, len(payload), budget)
 	}
@@ -79,6 +84,19 @@ func decodeBoth(t *testing.T, payload []byte) {
 		if !bytes.Equal(re[frame.HeaderLen:], payload) {
 			t.Fatalf("request decode/encode not canonical:\n in  %x\n out %x", payload, re[frame.HeaderLen:])
 		}
+	}
+	// Twice through one connection's carver: what the first decode handed
+	// out is not touched by the second, accepted or not, and both are what
+	// a connection that had decoded nothing else makes of the payload.
+	var mem carver
+	var first, second request
+	err1 := decodeRequest(payload, &first, &mem)
+	err2 := decodeRequest(payload, &second, &mem)
+	if (err1 == nil) != (err == nil) || (err2 == nil) != (err == nil) {
+		t.Fatalf("one payload, three verdicts: fresh %v, first %v, second %v", err, err1, err2)
+	}
+	if err == nil && !(reflect.DeepEqual(first, req) && reflect.DeepEqual(second, req)) {
+		t.Fatalf("decoding twice through one carver:\n fresh  %+v\n first  %+v\n second %+v", req, first, second)
 	}
 
 	var resp response

@@ -252,6 +252,7 @@ func (s *Server) handle(conn net.Conn) {
 	}()
 	fr := frame.NewReader(conn, "qosnet", maxFrame)
 	var out []byte // every response of this connection is built here
+	var mem carver // every job of this connection is decoded into it
 	for {
 		payload, err := fr.Next()
 		if err == io.EOF {
@@ -259,7 +260,7 @@ func (s *Server) handle(conn net.Conn) {
 		}
 		var req request
 		if err == nil {
-			err = decodeRequest(payload, &req)
+			err = decodeRequest(payload, &req, &mem)
 		}
 		var resp response
 		if err != nil {
