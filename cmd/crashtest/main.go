@@ -26,6 +26,12 @@
 // acknowledged grant across the run: a lying disk that the oracle cannot
 // convict means the oracle is blind, and the run fails.
 //
+// The plane checkpoints on a goroutine of its own.  From one caller the tap
+// holds that goroutine's filesystem calls at a gate and lets them through
+// between the caller's ops, as many at a time as the seed says — none, a
+// few, the rest — so where a crash finds the checkpoint is the seed's choice
+// too, and the run stays a pure function of it.
+//
 // With -callers N > 1 the storm is driven by N goroutines drawing ops from
 // one queue, and most crashes are taken mid-flight: the tap kills the
 // process at a seed-chosen journal write or flush — before it reaches the
@@ -45,10 +51,13 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"io"
+	"math"
 	"math/rand"
 	"os"
 	"os/exec"
@@ -147,7 +156,13 @@ func applyOp(p *durable.Plane, o op, onAck func(id int, finish float64)) error {
 		p.Observe(o.now)
 		return p.Err()
 	case o.grow:
-		if _, err := p.SetTotalCapacity(p.Procs() + 1); err != nil {
+		want := p.Procs() + 1
+		got, err := p.SetTotalCapacity(want)
+		// got > want is other callers' grows overtaking the total this one
+		// read: it became a shrink nobody asked for, and refused it wrote
+		// nothing, like one that raced to the same total.  From one caller
+		// it cannot happen and every error is the run's.
+		if err != nil && got <= want {
 			return err
 		}
 		return p.Err()
@@ -177,13 +192,17 @@ func driveOps(p *durable.Plane, ops []op, from, until int, onAck func(id int, fi
 }
 
 // driveBatch pushes the ops at the given indices through the plane: in
-// order from one caller, or drawn from one queue by several, each of which
-// stops at its first error.  It returns the first error any caller met.
-func driveBatch(p *durable.Plane, ops []op, batch []int, callers int, onAck func(id int, finish float64)) error {
+// order from one caller, which calls between (if set) after each, or drawn
+// from one queue by several, each of which stops at its first error.  It
+// returns the first error any caller met.
+func driveBatch(p *durable.Plane, ops []op, batch []int, callers int, onAck func(id int, finish float64), between func()) error {
 	if callers <= 1 {
 		for _, i := range batch {
 			if err := applyOp(p, ops[i], onAck); err != nil {
 				return err
+			}
+			if between != nil {
+				between()
 			}
 		}
 		return nil
@@ -225,9 +244,10 @@ var errKilled = errors.New("crashtest: process killed")
 // journalTap sits between the plane and the fault filesystem.  It decodes
 // every record the plane writes to a journal segment, which is how the
 // harness knows the order decisions were made in without asking the plane;
-// and it can kill the process at a chosen journal write or flush: from
-// then on every filesystem call fails and nothing reaches the disk, so
-// that the crash that follows is taken exactly there.
+// it can kill the process at a chosen journal write or flush: from then on
+// every filesystem call fails and nothing reaches the disk, so that the
+// crash that follows is taken exactly there; and in lockstep it holds the
+// checkpoint goroutine's calls until the driver lets them through.
 type journalTap struct {
 	vfs.FS
 
@@ -238,6 +258,20 @@ type journalTap struct {
 	fuse   int
 	effect bool
 	dead   bool
+
+	// Lockstep, one caller's drive.  While the caller is inside an op every
+	// call is its own, but for the creation of a snapshot's temp file: the
+	// checkpoint goroutine's first, where it is held.  Between ops (pacing)
+	// every call is that goroutine's, held in turn.  sealed says a seal went
+	// by whose checkpoint is not known to be over; over is closed when it is.
+	lockstep, pacing, sealed bool
+	over                     chan struct{}
+	parked                   chan struct{} // closed to let the held call through
+	arrived                  chan struct{} // a call has just been held
+}
+
+func newJournalTap(fs vfs.FS) *journalTap {
+	return &journalTap{FS: fs, arrived: make(chan struct{}, 1)}
 }
 
 // arm sets the kill fuse events journal calls ahead.
@@ -260,11 +294,110 @@ func (t *journalTap) journal() []durable.Record {
 	return t.recs
 }
 
+// reap is the death of the process wherever it stands: nothing reaches the
+// disk from here on, a held call is let go to find that out, and the
+// plane's checkpoint goroutine, which dies of its next filesystem call, is
+// waited out.
+func (t *journalTap) reap(p *durable.Plane) {
+	t.mu.Lock()
+	t.dead = true
+	if t.parked != nil {
+		close(t.parked)
+		t.parked = nil
+	}
+	t.mu.Unlock()
+	_ = p.WaitCheckpoint() // killed or finished, it is over
+}
+
 // reboot is the restart after a crash: the disk answers again.
 func (t *journalTap) reboot() {
 	t.mu.Lock()
-	t.fuse, t.dead = 0, false
+	t.fuse, t.dead, t.lockstep, t.pacing, t.sealed, t.over = 0, false, false, false, false, nil
 	t.mu.Unlock()
+}
+
+// checkpointing reports whether a paced checkpoint is under way.
+func (t *journalTap) checkpointing() bool {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.sealed
+}
+
+// enterLockstep starts the holding of the checkpoint's calls, until reboot.
+func (t *journalTap) enterLockstep() {
+	t.mu.Lock()
+	t.lockstep = true
+	t.mu.Unlock()
+}
+
+// hold is where a call waits when it is the checkpoint goroutine's: any call
+// made while the driver paces, and the temp file's creation whenever made.
+func (t *journalTap) hold(tempCreate bool) {
+	t.mu.Lock()
+	if !t.lockstep || t.dead || !(t.pacing || tempCreate) {
+		t.mu.Unlock()
+		return
+	}
+	gate := make(chan struct{})
+	t.parked = gate
+	t.mu.Unlock()
+	select {
+	case t.arrived <- struct{}{}:
+	default:
+	}
+	<-gate
+}
+
+// pace runs between two of the caller's ops: if a checkpoint is under way it
+// is let make as many of its filesystem calls as rng says — none, one, a few
+// or all that are left — and the caller goes on once the checkpoint stands
+// at its next call or is over.
+func (t *journalTap) pace(p *durable.Plane, rng *rand.Rand) {
+	t.mu.Lock()
+	if !t.sealed {
+		t.mu.Unlock()
+		return
+	}
+	if t.over == nil {
+		over := make(chan struct{})
+		t.over = over
+		go func() {
+			_ = p.WaitCheckpoint()
+			close(over)
+		}()
+	}
+	over := t.over
+	t.pacing = true
+	t.mu.Unlock()
+
+	steps := [...]int{0, 1, 2, 4, math.MaxInt}[rng.Intn(5)]
+	for done := 0; ; {
+		t.mu.Lock()
+		gate := t.parked
+		if gate != nil && done < steps {
+			t.parked = nil
+		}
+		t.mu.Unlock()
+		switch {
+		case gate == nil: // on its way to its next call, or over
+			select {
+			case <-t.arrived:
+			case <-over:
+				t.mu.Lock()
+				t.pacing, t.sealed, t.over = false, false, nil
+				t.mu.Unlock()
+				return
+			}
+		case done < steps:
+			close(gate)
+			done++
+		default: // it stands at its next call, and stays there for now
+			t.mu.Lock()
+			t.pacing = false
+			t.mu.Unlock()
+			return
+		}
+	}
 }
 
 // cut forgets the records past the m a recovery found: they are gone, and
@@ -294,8 +427,15 @@ func (t *journalTap) step(journal bool) (reach, survive bool) {
 }
 
 // note decodes the record in a journal write.  A segment's header is not a
-// frame and is skipped.
+// frame and is skipped; written during a drive it is a seal's, and the
+// checkpoint behind it has its calls paced from here on.
 func (t *journalTap) note(p []byte) {
+	if bytes.HasPrefix(p, []byte("MLNWAL")) {
+		t.mu.Lock()
+		t.sealed = t.lockstep
+		t.mu.Unlock()
+		return
+	}
 	if len(p) < frame.HeaderLen {
 		return
 	}
@@ -319,6 +459,7 @@ func (t *journalTap) alive() error {
 }
 
 func (t *journalTap) open(name string, open func(string) (vfs.File, error)) (vfs.File, error) {
+	t.hold(strings.HasSuffix(name, ".tmp"))
 	if err := t.alive(); err != nil {
 		return nil, err
 	}
@@ -333,6 +474,7 @@ func (t *journalTap) Create(name string) (vfs.File, error)     { return t.open(n
 func (t *journalTap) OpenAppend(name string) (vfs.File, error) { return t.open(name, t.FS.OpenAppend) }
 
 func (t *journalTap) Rename(oldname, newname string) error {
+	t.hold(false)
 	if err := t.alive(); err != nil {
 		return err
 	}
@@ -340,6 +482,7 @@ func (t *journalTap) Rename(oldname, newname string) error {
 }
 
 func (t *journalTap) Remove(name string) error {
+	t.hold(false)
 	if err := t.alive(); err != nil {
 		return err
 	}
@@ -347,10 +490,19 @@ func (t *journalTap) Remove(name string) error {
 }
 
 func (t *journalTap) SyncDir(dir string) error {
+	t.hold(false)
 	if err := t.alive(); err != nil {
 		return err
 	}
 	return t.FS.SyncDir(dir)
+}
+
+func (t *journalTap) ReadDir(dir string) ([]string, error) {
+	t.hold(false)
+	if err := t.alive(); err != nil {
+		return nil, err
+	}
+	return t.FS.ReadDir(dir)
 }
 
 type tapFile struct {
@@ -360,6 +512,7 @@ type tapFile struct {
 }
 
 func (f tapFile) Write(p []byte) (int, error) {
+	f.t.hold(false)
 	reach, survive := f.t.step(f.journal)
 	if !reach {
 		return 0, errKilled
@@ -374,7 +527,16 @@ func (f tapFile) Write(p []byte) (int, error) {
 	return n, err
 }
 
+func (f tapFile) Close() error {
+	f.t.hold(false)
+	if err := f.t.alive(); err != nil {
+		return err
+	}
+	return f.File.Close()
+}
+
 func (f tapFile) Sync() error {
+	f.t.hold(false)
 	reach, survive := f.t.step(f.journal)
 	if !reach {
 		return errKilled
@@ -558,6 +720,8 @@ func runVFS(seed int64, iters, opsPerIter, shards, callers int, artifact string,
 
 	lost := make(map[string]int) // phase -> acked grants provably lost
 	crashes, kills := 0, 0
+	midCheckpoint := 0        // crashes that found a paced checkpoint under way
+	recovered := fnv.New64a() // every LSN a recovery came back to, in order
 	fail := func(d divergence, format string, args ...any) int {
 		d.Mode, d.Seed = "vfs", seed
 		d.Detail = fmt.Sprintf(format, args...)
@@ -578,7 +742,7 @@ func runVFS(seed int64, iters, opsPerIter, shards, callers int, artifact string,
 		// so every phase exercises genesis, mid-log and post-snapshot
 		// recovery points.
 		ft := vfs.NewFault(vfs.NewMem())
-		tap := &journalTap{FS: ft}
+		tap := newJournalTap(ft)
 		plane, _, err := openPlane(tap, "wal", cfg)
 		if err != nil {
 			return fail(divergence{Phase: p.name, Iteration: iter}, "open: %v", err)
@@ -599,9 +763,15 @@ func runVFS(seed int64, iters, opsPerIter, shards, callers int, artifact string,
 				// the crash to find every caller returned.
 				tap.arm(span/2+krng.Intn(span+1), krng.Intn(2) == 0)
 			}
+			var between func()
+			if callers <= 1 {
+				// One caller's checkpoints keep to the seed too.
+				tap.enterLockstep()
+				between = func() { tap.pace(plane, krng) }
+			}
 			derr := driveBatch(plane, ops, batch, callers, func(id int, fin float64) {
 				acked[id] = fin
-			})
+			}, between)
 			written := len(tap.journal())
 			if tap.killed() {
 				kills++
@@ -610,6 +780,11 @@ func runVFS(seed int64, iters, opsPerIter, shards, callers int, artifact string,
 					"unexpected drive error: %v", derr)
 			}
 
+			// The crash takes the checkpoint goroutine where it stands.
+			if tap.checkpointing() {
+				midCheckpoint++
+			}
+			tap.reap(plane)
 			ft.Crash()
 			crashes++
 			// Faults do not survive the "reboot".
@@ -627,6 +802,7 @@ func runVFS(seed int64, iters, opsPerIter, shards, callers int, artifact string,
 					"recovery: %v", err)
 			}
 			m := int(rec.State.LSN)
+			fmt.Fprintf(recovered, "%d,", m)
 			at := divergence{Phase: p.name, Iteration: iter, CrashOp: written, Recovered: rec.State.LSN, Torn: rec.Torn}
 			if m > written {
 				return fail(at, "recovered lsn %d, only %d records were ever written", m, written)
@@ -700,7 +876,8 @@ func runVFS(seed int64, iters, opsPerIter, shards, callers int, artifact string,
 		fmt.Fprintf(stdout, "crashtest vfs ok: seed=%d callers=%d crashes=%d mid-flight=%d losses=%v\n", seed, callers, crashes, kills, lost)
 		return 0
 	}
-	fmt.Fprintf(stdout, "crashtest vfs ok: seed=%d crashes=%d losses=%v\n", seed, crashes, lost)
+	fmt.Fprintf(stdout, "crashtest vfs ok: seed=%d crashes=%d mid-checkpoint=%d recovered=%016x losses=%v\n",
+		seed, crashes, midCheckpoint, recovered.Sum64(), lost)
 	return 0
 }
 

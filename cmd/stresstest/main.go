@@ -95,6 +95,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 
 		want := plane.ExportState()
+		// A checkpoint's goroutine does not die with the "process".
+		if err := plane.WaitCheckpoint(); err != nil {
+			fmt.Fprintf(stderr, "stresstest: checkpoint before crash %d: %v\n", crashes+1, err)
+			return 1
+		}
 		mem.Crash()
 		crashes++
 		p2, rec, err := durable.OpenPlane(cfg)

@@ -93,6 +93,15 @@ func nodeKillRun(cfg Config, sc Scenario, seed int64) (RunReport, error) {
 			return rr, fmt.Errorf("node-kill: job %d: %w", id, nerr)
 		}
 
+		// A run is replayed by its seed, so nothing in it may be a matter of
+		// scheduling: a checkpoint the job's records started is let finish
+		// before the next job, the lying disk or the kill.  Which record
+		// carries the next seal, what a lie falls on and where a kill finds
+		// the checkpoint are then what they were when checkpoints ran inside
+		// the sealing call.
+		if werr := p.WaitCheckpoint(); werr != nil {
+			return rr, fmt.Errorf("node-kill: checkpoint after job %d: %w", id, werr)
+		}
 		if (id+1)%kill != 0 {
 			continue
 		}

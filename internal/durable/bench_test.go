@@ -2,7 +2,9 @@ package durable
 
 import (
 	"fmt"
+	"slices"
 	"testing"
+	"time"
 
 	"milan/internal/core"
 	"milan/internal/durable/vfs"
@@ -97,10 +99,9 @@ func benchPlane(b *testing.B, grants int) *Plane {
 	b.Helper()
 	p, _, err := OpenPlane(Config{
 		FS: vfs.NewMem(), Dir: "log", Procs: 4 * grants,
-		// A cadence snapshot bills its walk of the grant set to whichever
-		// Observe tripped it: one per 262 144 records is ~5 ns an op at
-		// 4 096 grants, and keeps the segment the in-memory filesystem
-		// has to grow under 7 MB.
+		// No cadence checkpoint inside a run: one per 262 144 records keeps
+		// the fold off the benchmark's second core and the segment the
+		// in-memory filesystem has to grow under 7 MB.
 		Store: StoreOptions{Sync: SyncNever, SnapshotEvery: 1 << 18},
 	})
 	if err != nil {
@@ -137,9 +138,10 @@ func BenchmarkPlaneObserve(b *testing.B) {
 	}
 }
 
-// BenchmarkPlaneSnapshot measures a forced compaction — export (the one
-// walk and sort of the grant set), prune, encode, four in-memory flushes —
-// at the same two live-set sizes.
+// BenchmarkPlaneSnapshot measures a forced checkpoint, seal and wait — the
+// cut, the fold of the grant list, prune, encode, the temp file, two
+// directory syncs and the removals, all in memory — at the same two live-set
+// sizes: what a checkpoint costs, now that no admission pays it.
 func BenchmarkPlaneSnapshot(b *testing.B) {
 	for _, grants := range []int{64, 4096} {
 		b.Run(fmt.Sprintf("grants=%d", grants), func(b *testing.B) {
@@ -150,6 +152,78 @@ func BenchmarkPlaneSnapshot(b *testing.B) {
 				if err := p.Snapshot(); err != nil {
 					b.Fatal(err)
 				}
+			}
+		})
+	}
+}
+
+// BenchmarkPlaneCheckpointStall measures the call that carries a seal — a
+// clock report, the SnapshotEvery-th record since the last one — on a plane
+// holding about `grants` live grants with a quarter of them turning over
+// between seals (deep_backlog's share): the new ones ride in the delta, the
+// elapsed ones are what the call collects from the map.  One op is one such
+// call; p50-ns/op and max-ns/op are over the run's seals (use -benchtime
+// 200x or more).  Its neighbours cost what BenchmarkPlaneObserve reads, and
+// what the checkpoint costs off the path is BenchmarkPlaneSnapshot's: seal
+// plus wait.
+func BenchmarkPlaneCheckpointStall(b *testing.B) {
+	for _, grants := range []int{64, 4096} {
+		b.Run(fmt.Sprintf("grants=%d", grants), func(b *testing.B) {
+			churn := grants / 4
+			p, _, err := OpenPlane(Config{
+				FS: vfs.NewMem(), Dir: "log", Procs: 4 * grants,
+				Store: StoreOptions{Sync: SyncNever, SnapshotEvery: 2 * churn},
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			// Job i is released at time 8i and reserved for a hundred units or
+			// so from there: moved up by 8 for each job admitted, the clock
+			// leaves as many to run out.
+			tmpl := workload.FigureJob{X: 4, T: 25, Alpha: 0.25, Laxity: 0.5}
+			next, now := 0, 0.0
+			admit := func(n int) {
+				for ; n > 0; n-- {
+					if _, err := p.Negotiate(tmpl.Job(next, 8*float64(next), workload.Tunable)); err != nil {
+						b.Fatalf("job %d: %v", next, err)
+					}
+					next++
+				}
+			}
+			admit(grants)
+			if err := p.Snapshot(); err != nil {
+				b.Fatal(err)
+			}
+			stalls := make([]time.Duration, 0, b.N)
+			// No allocation count: the checkpoint's goroutine allocates in
+			// or out of the timed call as the scheduler has it.
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				admit(churn)
+				for k := 1; k < churn; k++ {
+					now += 8
+					p.Observe(now)
+				}
+				if err := p.WaitCheckpoint(); err != nil {
+					b.Fatal(err)
+				}
+				last := p.store.ckpt
+				now += 8
+				b.StartTimer()
+				start := time.Now()
+				p.Observe(now)
+				stalls = append(stalls, time.Since(start))
+				if p.store.ckpt == last {
+					b.Fatal("the timed call carried no seal")
+				}
+			}
+			b.StopTimer()
+			slices.Sort(stalls)
+			b.ReportMetric(float64(stalls[len(stalls)/2]), "p50-ns/op")
+			b.ReportMetric(float64(stalls[len(stalls)-1]), "max-ns/op")
+			if live := len(p.Grants()); live < grants*3/4 || live > grants*5/4+30 {
+				b.Fatalf("%d grants live at the end: the live set was meant to hold at about %d", live, grants)
 			}
 		})
 	}

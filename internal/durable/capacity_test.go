@@ -88,7 +88,7 @@ func TestPlaneBrokerCapacityRecovered(t *testing.T) {
 		// Hard crash (no Close): recovery must reconstruct the pool-following
 		// capacity from the journal alone.
 		want := p.ExportState()
-		mem.Crash()
+		crash(t, p, mem)
 		p2, _ := openPlane(t, mem, shards, StoreOptions{})
 		if got := p2.Procs(); got != wantProcs {
 			t.Fatalf("shards=%d: recovered capacity = %d, live broker pool = %d", shards, got, wantProcs)

@@ -30,10 +30,11 @@ import (
 // gone.
 var errDead = errors.New("gate: the process was killed")
 
-// gateEvent is one write or sync of a journal or snapshot file, seen either
-// before it reaches the filesystem below or after it has.
+// gateEvent is one call on the log directory or on a file in it — create,
+// write, sync, close, rename, remove, readdir, syncdir — seen either before it
+// reaches the filesystem below or after it has.
 type gateEvent struct {
-	op    string // "write" or "sync"
+	op    string
 	after bool
 	name  string
 	data  []byte // the bytes of a write
@@ -53,17 +54,21 @@ func isSegment(name string) bool {
 	return ok
 }
 
-// segmentSync matches a flush of the journal; snapshotSync the flush of a
-// snapshot's temp file; admitWrite the write of a grant's record.
-func segmentSync(after bool) func(gateEvent) bool {
-	return func(ev gateEvent) bool { return ev.op == "sync" && ev.after == after && isSegment(ev.name) }
+func isTemp(name string) bool { return strings.HasSuffix(name, ".tmp") }
+
+func anyName(string) bool { return true }
+
+// on matches one kind of call, before or after, on the names pred picks.
+func on(op string, after bool, pred func(name string) bool) func(gateEvent) bool {
+	return func(ev gateEvent) bool { return ev.op == op && ev.after == after && pred(ev.name) }
 }
 
-func snapshotSync(after bool) func(gateEvent) bool {
-	return func(ev gateEvent) bool {
-		return ev.op == "sync" && ev.after == after && strings.HasSuffix(ev.name, ".tmp")
-	}
-}
+// segmentSync matches a flush of the journal; snapshotSync the flush of a
+// snapshot's temp file; admitWrite the write of a grant's record; headerWrite
+// that of a fresh segment's header.
+func segmentSync(after bool) func(gateEvent) bool { return on("sync", after, isSegment) }
+
+func snapshotSync(after bool) func(gateEvent) bool { return on("sync", after, isTemp) }
 
 func admitWrite(after bool) func(gateEvent) bool {
 	return func(ev gateEvent) bool {
@@ -72,12 +77,19 @@ func admitWrite(after bool) func(gateEvent) bool {
 	}
 }
 
-// gateFS is the filesystem under a plane with a gate on every write and sync:
-// a test parks the caller that reaches a chosen one, looks at the plane while
-// it stands there, and lets it go or kills the process.  Killed, the
-// filesystem answers errDead to whatever the dead process's goroutines still
-// ask of it and passes nothing down, so the crash is taken exactly at the
-// gate.  Nothing in the plane or the store knows it is there.
+func headerWrite(after bool) func(gateEvent) bool {
+	return func(ev gateEvent) bool {
+		return ev.op == "write" && ev.after == after && isSegment(ev.name) && bytes.HasPrefix(ev.data, []byte(walMagic))
+	}
+}
+
+// gateFS is the filesystem under a plane with a gate on every call: a test
+// parks the caller that reaches a chosen one — a request's goroutine or a
+// checkpoint's — looks at the plane while it stands there, and lets it go or
+// kills the process.  Killed, the filesystem answers errDead to whatever the
+// dead process's goroutines still ask of it and passes nothing down, so the
+// crash is taken exactly at the gate.  Nothing in the plane or the store
+// knows it is there.
 type gateFS struct {
 	vfs.FS
 	dead atomic.Bool
@@ -132,48 +144,51 @@ func (g *gateFS) pass(ev gateEvent) bool {
 	return !g.dead.Load()
 }
 
-func (g *gateFS) wrap(name string, f vfs.File, err error) (vfs.File, error) {
+// through takes one call to the gate, down to the filesystem below and to the
+// gate again.
+func (g *gateFS) through(ev gateEvent, call func() error) error {
+	if !g.pass(ev) {
+		return errDead
+	}
+	err := call()
+	ev.after = true
+	if !g.pass(ev) {
+		return errDead
+	}
+	return err
+}
+
+func (g *gateFS) Create(name string) (f vfs.File, err error) {
+	err = g.through(gateEvent{op: "create", name: name}, func() (e error) { f, e = g.FS.Create(name); return e })
 	if err != nil {
 		return nil, err
 	}
 	return gateFile{File: f, g: g, name: name}, nil
 }
 
-func (g *gateFS) Create(name string) (vfs.File, error) {
-	if g.dead.Load() {
-		return nil, errDead
+func (g *gateFS) OpenAppend(name string) (f vfs.File, err error) {
+	err = g.through(gateEvent{op: "create", name: name}, func() (e error) { f, e = g.FS.OpenAppend(name); return e })
+	if err != nil {
+		return nil, err
 	}
-	f, err := g.FS.Create(name)
-	return g.wrap(name, f, err)
-}
-
-func (g *gateFS) OpenAppend(name string) (vfs.File, error) {
-	if g.dead.Load() {
-		return nil, errDead
-	}
-	f, err := g.FS.OpenAppend(name)
-	return g.wrap(name, f, err)
+	return gateFile{File: f, g: g, name: name}, nil
 }
 
 func (g *gateFS) Rename(oldname, newname string) error {
-	if g.dead.Load() {
-		return errDead
-	}
-	return g.FS.Rename(oldname, newname)
+	return g.through(gateEvent{op: "rename", name: newname}, func() error { return g.FS.Rename(oldname, newname) })
 }
 
 func (g *gateFS) Remove(name string) error {
-	if g.dead.Load() {
-		return errDead
-	}
-	return g.FS.Remove(name)
+	return g.through(gateEvent{op: "remove", name: name}, func() error { return g.FS.Remove(name) })
+}
+
+func (g *gateFS) ReadDir(dir string) (names []string, err error) {
+	err = g.through(gateEvent{op: "readdir", name: dir}, func() (e error) { names, e = g.FS.ReadDir(dir); return e })
+	return names, err
 }
 
 func (g *gateFS) SyncDir(dir string) error {
-	if g.dead.Load() {
-		return errDead
-	}
-	return g.FS.SyncDir(dir)
+	return g.through(gateEvent{op: "syncdir", name: dir}, func() error { return g.FS.SyncDir(dir) })
 }
 
 type gateFile struct {
@@ -182,29 +197,26 @@ type gateFile struct {
 	name string
 }
 
-func (f gateFile) Write(p []byte) (int, error) {
-	if !f.g.pass(gateEvent{op: "write", name: f.name, data: p}) {
-		return 0, errDead
-	}
-	n, err := f.File.Write(p)
-	if !f.g.pass(gateEvent{op: "write", after: true, name: f.name, data: p}) {
-		return 0, errDead
+func (f gateFile) Write(p []byte) (n int, err error) {
+	err = f.g.through(gateEvent{op: "write", name: f.name, data: p}, func() (e error) { n, e = f.File.Write(p); return e })
+	if err == errDead {
+		n = 0
 	}
 	return n, err
 }
 
 func (f gateFile) Sync() error {
-	if !f.g.pass(gateEvent{op: "sync", name: f.name}) {
-		return errDead
-	}
-	err := f.File.Sync()
-	if err == nil && isSegment(f.name) {
-		f.g.segSyncs.Add(1)
-	}
-	if !f.g.pass(gateEvent{op: "sync", after: true, name: f.name}) {
-		return errDead
-	}
-	return err
+	return f.g.through(gateEvent{op: "sync", name: f.name}, func() error {
+		err := f.File.Sync()
+		if err == nil && isSegment(f.name) {
+			f.g.segSyncs.Add(1)
+		}
+		return err
+	})
+}
+
+func (f gateFile) Close() error {
+	return f.g.through(gateEvent{op: "close", name: f.name}, f.File.Close)
 }
 
 // rig is one plane on a gated disk, full enough that the test can ask it for
@@ -531,12 +543,69 @@ func TestCloseFlushesTheWrittenTail(t *testing.T) {
 // story.  TestCrashPositionSweep fails if any of them has no scenario that
 // reaches it.
 var crashPositionNames = []string{
-	"written-unlocked",        // record written, plane lock still held
-	"unlocked-flush",          // plane lock released, flush not started
-	"mid-flush-second-grant",  // a flush done, a grant written behind it waiting for its own
-	"flush-ack",               // record flushed, caller not yet told
-	"refusal-ahead-of-flush",  // a refusal acknowledged with an unflushed grant ahead of it
-	"snapshot-during-sync-to", // a snapshot under way while a caller waits in SyncTo
+	"written-unlocked",       // record written, plane lock still held
+	"unlocked-flush",         // plane lock released, flush not started
+	"mid-flush-second-grant", // a flush done, a grant written behind it waiting for its own
+	"flush-ack",              // record flushed, caller not yet told
+	"refusal-ahead-of-flush", // a refusal acknowledged with an unflushed grant ahead of it
+	// A checkpoint's file states, seal -> fold -> publish -> remove:
+	"sealed-header-unwritten",    // the fresh segment created, its header not written; plane lock held
+	"sealed-no-checkpoint-yet",   // sealed, the carrying grant acknowledged, the snapshot's temp file not created
+	"tmp-write",                  // the temp file part written
+	"tmp-sync",                   // the temp file written, its sync not done
+	"rename-syncdir",             // the snapshot renamed into place, the directory not synced
+	"published-before-removals",  // the snapshot durable, everything it covers still there
+	"removals-half-done",         // the old snapshot gone for good, the sealed segment still there
+	"promise-behind-sealed-tail", // a grant in the open segment, its flush parked in the sealed segment's sync
+	"snapshot-during-sync-to",    // a waiter in SyncTo released by its own flush while a checkpoint's temp sync is parked
+}
+
+// sealWithNextRecord makes the next record written carry a seal, as the
+// SnapshotEvery-th since the last one does.
+func (r *rig) sealWithNextRecord() {
+	r.p.store.recordsSinceSnap = r.p.store.opts.SnapshotEvery - 1
+}
+
+// killCheckpointAt takes the crash with a checkpoint standing at match (nil:
+// before its first step, the creation of its temp file): a grant carries the
+// seal and is acknowledged on its own flush — it waits for nothing the
+// checkpoint does — the checkpoint's goroutine is parked at match, settle (if
+// set) does what the test wants done to the disk while it stands there, and
+// the process is killed.  Whatever files the crash finds, recovery is the
+// plane at the grant's LSN, with the grant.
+func killCheckpointAt(t *testing.T, hit func(), what string, match func(gateEvent) bool, settle func(r *rig)) {
+	r := newRig(t, StoreOptions{})
+	base := r.written()
+	// The checkpoint is held at its first step until the grant is back, so
+	// that every later call match sees is the checkpoint's own.
+	pk := r.gate.parkAt(on("create", false, isTemp))
+	r.sealWithNextRecord()
+	job := r.grantable()
+	if v := r.negotiate(job); v.err != nil {
+		t.Fatalf("the grant that carries the seal: %v", v.err)
+	}
+	if got := r.p.DurableLSN(); got != base+1 {
+		t.Fatalf("grant acknowledged at lsn %d with the log durable to %d", base+1, got)
+	}
+	r.reached(pk, "the creation of the checkpoint's temp file")
+	if match != nil {
+		first := pk
+		pk = r.gate.parkAt(match)
+		first.release()
+		r.reached(pk, what)
+	}
+	if r.planeLockHeld() {
+		t.Fatalf("the plane lock is held while the checkpoint stands at %s", what)
+	}
+	if settle != nil {
+		settle(r)
+	}
+	hit()
+	r.kill()
+	pk.release()
+	if st := r.recover(); st.LSN != base+1 || !hasGrant(st, job.ID) {
+		t.Fatalf("killed at %s: recovered lsn %d (grant there: %t), want the acknowledged grant's %d", what, st.LSN, hasGrant(st, job.ID), base+1)
+	}
 }
 
 // crashPositions drives the plane to each position, takes the crash there and
@@ -672,6 +741,104 @@ var crashPositions = map[string]func(t *testing.T, hit func()){
 			t.Fatalf("recovered lsn %d (grant there: %t), want %d without it", st.LSN, hasGrant(st, job.ID), base)
 		}
 	},
+	"sealed-header-unwritten": func(t *testing.T, hit func()) {
+		r := newRig(t, StoreOptions{})
+		base := r.written()
+		pk := r.gate.parkAt(headerWrite(false))
+		r.sealWithNextRecord()
+		job := r.grantable()
+		a := r.start(job)
+		r.reached(pk, "the fresh segment's header")
+		if !r.planeLockHeld() {
+			t.Fatal("the segment is being swapped with the plane lock free: a record could be written to either")
+		}
+		if r.written() != base+1 {
+			t.Fatalf("%d records written at the seal, want the carrying grant's alone", r.written()-base)
+		}
+		hit()
+		r.kill()
+		pk.release()
+		if v := r.result(a, "the grant"); v.err == nil {
+			t.Fatal("grant acknowledged by a process killed before it flushed")
+		}
+		if st := r.recover(); st.LSN != base || hasGrant(st, job.ID) {
+			t.Fatalf("recovered lsn %d (grant there: %t), want %d without it", st.LSN, hasGrant(st, job.ID), base)
+		}
+	},
+	"sealed-no-checkpoint-yet": func(t *testing.T, hit func()) {
+		killCheckpointAt(t, hit, "the creation of its temp file", nil, nil)
+	},
+	"tmp-write": func(t *testing.T, hit func()) {
+		killCheckpointAt(t, hit, "the end of its temp file's first write", on("write", true, isTemp), nil)
+	},
+	"tmp-sync": func(t *testing.T, hit func()) {
+		killCheckpointAt(t, hit, "its temp file's sync", snapshotSync(false), nil)
+	},
+	"rename-syncdir": func(t *testing.T, hit func()) {
+		renamed := false
+		killCheckpointAt(t, hit, "the directory sync after the rename", func(ev gateEvent) bool {
+			renamed = renamed || (ev.op == "rename" && ev.after)
+			return renamed && ev.op == "syncdir" && !ev.after
+		}, nil)
+	},
+	"published-before-removals": func(t *testing.T, hit func()) {
+		killCheckpointAt(t, hit, "its first removal", on("remove", false, anyName), func(r *rig) {
+			if got := r.p.DurableLSN(); got != r.written() {
+				t.Fatalf("snapshot published at lsn %d, log durable to %d", r.written(), got)
+			}
+		})
+	},
+	"removals-half-done": func(t *testing.T, hit func()) {
+		removed := 0
+		killCheckpointAt(t, hit, "its second removal", func(ev gateEvent) bool {
+			if ev.op == "remove" && !ev.after {
+				removed++
+			}
+			return removed == 2 && ev.op == "remove" && !ev.after
+		}, func(r *rig) {
+			// The directory may reach the disk whenever the system likes: the
+			// first removal is made to last, the second never happens.
+			if err := r.fault.SyncDir("log"); err != nil {
+				t.Fatal(err)
+			}
+		})
+	},
+	"promise-behind-sealed-tail": func(t *testing.T, hit func()) {
+		r := newRig(t, StoreOptions{})
+		base, sealed := r.written(), r.p.store.segName
+		// The checkpoint is held at its first step, so that nothing it would
+		// publish covers for the flush under test.
+		tmp := r.gate.parkAt(on("create", false, isTemp))
+		r.sealWithNextRecord()
+		if v := r.negotiate(r.refusable()); !errors.Is(v.err, qos.ErrRejected) {
+			t.Fatalf("the refusal that carries the seal: %v", v.err)
+		}
+		r.reached(tmp, "the creation of the checkpoint's temp file")
+		if r.p.store.segName == sealed || r.p.DurableLSN() != base {
+			t.Fatalf("open segment %s, durable to %d: want a fresh segment over an unflushed tail at %d", r.p.store.segName, r.p.DurableLSN(), base)
+		}
+		// A grant goes into the open segment; its flush has the sealed
+		// segment's tail to see to first, and stands there.
+		tail := r.gate.parkAt(func(ev gateEvent) bool { return ev.op == "sync" && !ev.after && ev.name == sealed })
+		job := r.grantable()
+		a := r.startWritten(job)
+		r.reached(tail, "the sealed tail's sync")
+		r.pending(a, "the grant")
+		if got := r.p.DurableLSN(); got != base {
+			t.Fatalf("durable to %d with the sealed tail unflushed, want %d", got, base)
+		}
+		hit()
+		r.kill()
+		tail.release()
+		tmp.release()
+		if v := r.result(a, "the grant"); v.err == nil {
+			t.Fatal("grant acknowledged with the records before it not on the disk")
+		}
+		// Neither the grant nor a gap: the log ends where the last flush did.
+		if st := r.recover(); st.LSN != base || hasGrant(st, job.ID) {
+			t.Fatalf("recovered lsn %d (grant there: %t), want %d without it", st.LSN, hasGrant(st, job.ID), base)
+		}
+	},
 	"snapshot-during-sync-to": func(t *testing.T, hit func()) {
 		for _, crash := range []bool{true, false} {
 			r := newRig(t, StoreOptions{})
@@ -682,43 +849,47 @@ var crashPositions = map[string]func(t *testing.T, hit func()){
 			pk := r.gate.parkAt(snapshotSync(false))
 			snap := make(chan error, 1)
 			go func() { snap <- r.p.Snapshot() }()
-			r.reached(pk, "the snapshot's flush")
+			r.reached(pk, "the checkpoint's temp sync")
 			// A caller asks for the riding refusal to be made durable while
-			// the snapshot holds the flush lock.
+			// the checkpoint stands in its sync: its own flush — the sealed
+			// tail, the open segment, the directory — releases it.
+			flushes := r.gate.segSyncs.Load()
 			waiter := make(chan error, 1)
 			go func() { waiter <- r.p.store.SyncTo(base + 1) }()
-			time.Sleep(2 * time.Millisecond)
 			select {
 			case err := <-waiter:
-				t.Fatalf("SyncTo returned %v across a snapshot in progress with its record not durable", err)
-			default:
+				if err != nil {
+					t.Fatalf("SyncTo: %v", err)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("SyncTo waits for a checkpoint in progress")
 			}
-			flushes := r.gate.segSyncs.Load()
+			if got := r.p.DurableLSN(); got != base+1 {
+				t.Fatalf("durable to %d after the waiter's flush, want %d", got, base+1)
+			}
+			if got := r.gate.segSyncs.Load() - flushes; got != 2 {
+				t.Fatalf("%d journal syncs in the waiter's flush, want the sealed segment's and the open one's", got)
+			}
 			if crash {
 				hit()
 				r.kill()
 			}
 			pk.release()
-			serr, werr := <-snap, <-waiter
+			serr := <-snap
 			if crash {
-				if serr == nil || werr == nil {
-					t.Fatalf("snapshot %v, waiter %v in a killed process", serr, werr)
+				if serr == nil {
+					t.Fatal("snapshot taken by a killed process")
 				}
-				if st := r.recover(); st.LSN != base {
-					t.Fatalf("recovered lsn %d from a half-written snapshot, want %d", st.LSN, base)
+				if st := r.recover(); st.LSN != base+1 {
+					t.Fatalf("recovered lsn %d with the snapshot half written, want the flushed %d", st.LSN, base+1)
 				}
 				continue
 			}
-			// Left alone, the snapshot covers the waiter's record and
-			// releases it: the only journal flush is the fresh segment's.
-			if serr != nil || werr != nil {
-				t.Fatalf("snapshot %v, waiter %v", serr, werr)
+			if serr != nil {
+				t.Fatalf("snapshot: %v", serr)
 			}
-			if got := r.p.DurableLSN(); got != base+1 {
-				t.Fatalf("durable to %d after the snapshot, want %d", got, base+1)
-			}
-			if got := r.gate.segSyncs.Load() - flushes; got != 1 {
-				t.Fatalf("%d journal flushes across the snapshot, want the fresh segment's alone", got)
+			if names, _ := r.fault.ReadDir("log"); !slices.Equal(names, []string{snapName(base + 1), segName(base + 2)}) {
+				t.Fatalf("after the checkpoint the directory holds %v", names)
 			}
 			r.kill()
 			if st := r.recover(); st.LSN != base+1 {

@@ -3,6 +3,7 @@ package durable
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 
@@ -56,9 +57,9 @@ type Config struct {
 //
 // No request walks the grant set: a grant is live while Finish() > now —
 // the predicate State.Prune applies on recovery — and an elapsed one just
-// stops being seen (liveGrant) until the next export, at most
-// SnapshotEvery records away, sweeps it out of the map.  Observe therefore
-// costs the same whatever the backlog.
+// stops being seen (liveGrant) until a checkpoint's fold has found it and
+// the seal after that drops it from the map.  Observe therefore costs the
+// same whatever the backlog, and so does the call that carries a seal.
 type Plane struct {
 	mu    sync.Mutex
 	store *Store
@@ -66,9 +67,12 @@ type Plane struct {
 	shed  *qos.Shedder
 	now   float64
 
-	// grants ⊇ the live set: every live grant, plus those that elapsed
-	// since sortedLiveGrantsLocked last swept the map.
+	// grants ⊇ the live set: every live grant, plus those that elapsed and
+	// no checkpoint has yet reported, no export yet swept.  delta is every
+	// change made to it since the last seal, in order: what the next
+	// checkpoint folds into the grant list of the one before.
 	grants   map[int]GrantRecord
+	delta    []grantDelta
 	lastShed qos.ShedDecision
 	// rec is the in-flight latency record of the decision currently
 	// holding the plane lock (decisions are serialized, so one slot
@@ -370,12 +374,12 @@ func (p *Plane) negotiateLocked(job core.Job, lrec *phase.Rec) (*qos.Grant, erro
 	if aerr := p.writeLocked(rec); aerr != nil {
 		return nil, errNotJournaled(g.JobID, aerr)
 	}
-	p.grants[g.JobID] = GrantRecord{
+	p.liveSetChangedLocked(grantDelta{g: GrantRecord{
 		JobID: g.JobID, Shard: g.Shard, Chain: g.Chain,
 		Quality: g.Quality, Tunable: job.Tunable(),
 		Tenant: job.Tenant, Class: job.Class,
 		Tasks: append([]core.TaskPlacement(nil), g.Placement.Tasks...),
-	}
+	}})
 	p.maybeSnapshotLocked()
 	return g, nil
 }
@@ -406,11 +410,11 @@ func (p *Plane) negotiateDAGLocked(job core.DAGJob) (*qos.Grant, error) {
 	if aerr := p.writeLocked(rec); aerr != nil {
 		return nil, errNotJournaled(g.JobID, aerr)
 	}
-	p.grants[g.JobID] = GrantRecord{
+	p.liveSetChangedLocked(grantDelta{g: GrantRecord{
 		JobID: g.JobID, Shard: g.Shard, Chain: g.Chain,
 		Quality: g.Quality, Tunable: tunable,
 		Tasks: append([]core.TaskPlacement(nil), g.Placement.Tasks...),
-	}
+	}})
 	p.maybeSnapshotLocked()
 	return g, nil
 }
@@ -459,7 +463,7 @@ func (p *Plane) jobCompletedLocked(jobID int, now float64) error {
 		return nil
 	}
 	p.shed.JobCompleted(jobID, now)
-	delete(p.grants, jobID)
+	p.liveSetChangedLocked(grantDelta{g: GrantRecord{JobID: jobID}, done: true})
 	if err := p.writeLocked(&Record{Kind: KindComplete, Shard: g.Shard, JobID: jobID, Finish: now}); err != nil {
 		return err
 	}
@@ -467,27 +471,111 @@ func (p *Plane) jobCompletedLocked(jobID int, now float64) error {
 	return nil
 }
 
-// maybeSnapshotLocked compacts when enough records accumulated.  A
-// snapshot failure poisons the store but never revokes an already
-// acknowledged decision; the call that carried it fails if its own record
-// still had a flush to wait for.
+// liveSetChangedLocked makes one change to the live set — a grant committed
+// or completed — in the map every request reads and in the delta the next
+// checkpoint folds.  The delta's two buffers change hands at each seal, so
+// a record costs no allocation here.
+func (p *Plane) liveSetChangedLocked(d grantDelta) {
+	if d.done {
+		delete(p.grants, d.g.JobID)
+	} else {
+		p.grants[d.g.JobID] = d.g
+	}
+	p.delta = append(p.delta, d)
+}
+
+// maybeSnapshotLocked seals the log for a checkpoint when enough records
+// accumulated and none is in flight; if one is, the next record asks again
+// and the log grows meanwhile.  A checkpoint failure poisons the store but
+// never revokes an already acknowledged decision; the call that carried the
+// seal fails only if its own record still had a flush to wait for.
 func (p *Plane) maybeSnapshotLocked() {
 	if p.store.ShouldSnapshot() {
-		st := p.exportStateLocked()
-		_ = p.store.WriteSnapshot(&st)
+		p.checkpointLocked()
 	}
 }
 
-// Snapshot forces a compaction: current state written as the newest
-// snapshot, log truncated behind it.
-func (p *Plane) Snapshot() error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if err := p.store.Poisoned(); err != nil {
-		return err
+// checkpointLocked starts a checkpoint at the log head unless one is still
+// running, and returns the one now in flight.  What the call itself pays is
+// the cut: the clock, the shards' profiles and a fresh segment.  The grant
+// set is not walked — the checkpoint's goroutine folds it from delta — and
+// the one before is collected on the way.
+func (p *Plane) checkpointLocked() (ck *checkpoint, started bool) {
+	last := p.store.ckpt
+	if last.running() {
+		return last, false
 	}
-	st := p.exportStateLocked()
-	return p.store.WriteSnapshot(&st)
+	p.collectLocked(last)
+	ck = p.store.seal(State{
+		LSN: p.store.NextLSN() - 1, Now: p.now,
+		Shards: p.arb.ExportState().Shards,
+	}, p.delta)
+	p.delta = last.delta[:0]
+	return ck, true
+}
+
+// collectLocked drops from the map the grants a finished checkpoint's fold
+// found elapsed, but for an ID granted anew since that checkpoint's cut.
+// Every grant since is in delta, so an ID below the lowest of them cannot be
+// one — the common case, IDs rising, and a plain delete; the others are
+// dropped only if what the map holds has run out too.
+func (p *Plane) collectLocked(ck *checkpoint) {
+	if len(ck.elapsed) == 0 {
+		return
+	}
+	fresh := math.MaxInt
+	for i := range p.delta {
+		if d := &p.delta[i]; !d.done {
+			fresh = min(fresh, d.g.JobID)
+		}
+	}
+	for _, id := range ck.elapsed {
+		if id >= fresh {
+			if g, ok := p.grants[id]; !ok || g.Finish() > p.now {
+				continue
+			}
+		}
+		delete(p.grants, id)
+	}
+	ck.elapsed = nil
+}
+
+// Snapshot forces a checkpoint and waits for it: the state at the log head
+// written as the newest snapshot, the log truncated behind it.
+func (p *Plane) Snapshot() error {
+	for {
+		p.mu.Lock()
+		if err := p.store.Poisoned(); err != nil {
+			p.mu.Unlock()
+			return err
+		}
+		ck, started := p.checkpointLocked()
+		p.mu.Unlock()
+		<-ck.done
+		if ck.err != nil {
+			return ck.err
+		}
+		if started {
+			p.mu.Lock()
+			p.collectLocked(ck)
+			p.mu.Unlock()
+			return nil
+		}
+		// That one was cut before this call: take another.
+	}
+}
+
+// WaitCheckpoint returns once the checkpoint in flight, if any, is over, and
+// reports its failure.  It starts none and flushes nothing.  A harness about
+// to take the disk from under the plane — crash it, copy it — waits here
+// first: a checkpoint's goroutine would otherwise go on renaming and
+// removing files in a directory it no longer owns.
+func (p *Plane) WaitCheckpoint() error {
+	p.mu.Lock()
+	ck := p.store.ckpt
+	p.mu.Unlock()
+	<-ck.done
+	return ck.err
 }
 
 func (p *Plane) exportStateLocked() State {
@@ -511,7 +599,8 @@ func (p *Plane) liveGrant(jobID int) (GrantRecord, bool) {
 
 // sortedLiveGrantsLocked returns the live grants by ascending job ID and
 // drops the elapsed ones from the map on the way: the one walk of the
-// grant set, paid per export and not per request.
+// grant set, paid by Grants and ExportState and by no request — and the
+// oracle a checkpoint's fold is held to.
 func (p *Plane) sortedLiveGrantsLocked() []GrantRecord {
 	ids := make([]int, 0, len(p.grants))
 	for id, g := range p.grants {
@@ -588,7 +677,8 @@ func (p *Plane) DurableLSN() uint64 { return p.store.DurableLSN() }
 // Shedder returns the wrapped shedder, or nil.
 func (p *Plane) Shedder() *qos.Shedder { return p.shed }
 
-// Close flushes the written tail (see Store.Close) and closes the log.
+// Close waits for a checkpoint in flight, flushes the written tail (see
+// Store.Close) and closes the log.
 func (p *Plane) Close() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()

@@ -59,6 +59,19 @@ func drive(t *testing.T, observe func(float64), negotiate func(core.Job) (*qos.G
 	return granted
 }
 
+// crash is a power failure under a plane that takes checkpoints on its own:
+// the one in flight is let finish first, since its goroutine would not die
+// with the "process" and would go on moving files under whoever reopens the
+// directory.  A crash that finds a checkpoint half done is what the named
+// crash positions of commit_test.go take, on a disk they can stop.
+func crash(t *testing.T, p *Plane, disk interface{ Crash() }) {
+	t.Helper()
+	if err := p.WaitCheckpoint(); err != nil {
+		t.Fatalf("checkpoint: %v", err)
+	}
+	disk.Crash()
+}
+
 // script is the calls a test made on a plane, each with the journal's length
 // once it returned, so that the plane's state at any LSN can be rebuilt: a
 // fresh plane on a fresh disk, given the calls that had returned by then.
@@ -181,7 +194,7 @@ func TestPlaneCrashLosesNothingUnderSyncAlways(t *testing.T) {
 				t.Fatalf("job %d: %v", job.ID, err)
 			}
 		}
-		mem.Crash()
+		crash(t, p, mem)
 
 		p2, _ := openPlane(t, mem, 2, StoreOptions{})
 		got := p2.ExportState()
@@ -238,7 +251,7 @@ func TestPlaneCompletionSurvivesRecovery(t *testing.T) {
 			}
 			sc.did(p, func(q *Plane) { q.Negotiate(later) })
 		}
-		mem.Crash()
+		crash(t, p, mem)
 
 		p2, _ := openPlane(t, mem, 1, StoreOptions{})
 		got := p2.ExportState()
@@ -304,7 +317,7 @@ func TestShedderNeverResurrectsSheds(t *testing.T) {
 		t.Fatal("workload produced no sheds; tighten the quota")
 	}
 	written := p.ExportState().LSN
-	mem.Crash()
+	crash(t, p, mem)
 
 	p2, rec, err := OpenPlane(Config{
 		FS: mem, Dir: "log", Procs: 16, Shards: 2, ProbeK: 1, Shed: shed,
@@ -373,6 +386,9 @@ func TestPlaneMetricsPopulated(t *testing.T) {
 		t.Fatal(err)
 	}
 	drive(t, p.Observe, p.Negotiate, planeStream(60, 29))
+	if err := p.WaitCheckpoint(); err != nil {
+		t.Fatal(err)
+	}
 	if met.Appends.Value() == 0 || met.Fsyncs.Value() == 0 {
 		t.Fatalf("append instruments flat: appends=%d fsyncs=%d", met.Appends.Value(), met.Fsyncs.Value())
 	}
@@ -528,7 +544,7 @@ func TestPlaneRebalanceJournalsCapacity(t *testing.T) {
 		t.Skip("no migration possible on this workload")
 	}
 	want := p.ExportState()
-	mem.Crash()
+	crash(t, p, mem)
 	p2, _ := openPlane(t, mem, 4, StoreOptions{})
 	got := p2.ExportState()
 	if err := DiffStates(&got, &want); err != nil {
@@ -735,7 +751,7 @@ func lazyLiveSetDifferential(t *testing.T, shards, checkEvery int) {
 			if err := sameGrants(want.Grants, ref.sorted()); err != nil {
 				t.Fatalf("op %d: pre-crash export: %v", op, err)
 			}
-			mem.Crash()
+			crash(t, p, mem)
 			var rec Recovered
 			p, rec = openPlane(t, mem, shards, opts)
 			// What was written since the last grant was acknowledged without

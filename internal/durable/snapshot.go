@@ -82,8 +82,9 @@ func Genesis(procs, shards int, origin float64) (State, error) {
 }
 
 // Prune drops grants whose reservations have fully elapsed (finish at or
-// before Now) and sorts the survivors by job ID.  Called before every
-// snapshot so the grant set stays bounded by concurrency, not by history.
+// before Now) and sorts the survivors by job ID.  Recovery ends with it and
+// a checkpoint's fold applies the same predicate, so the grant set a
+// snapshot holds stays bounded by concurrency, not by history.
 // A state that is already pruned and sorted — the plane's own export —
 // costs one read-only pass.
 func (s *State) Prune() {

@@ -2,10 +2,13 @@ package durable
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -110,19 +113,36 @@ type Recovered struct {
 }
 
 // Store is the durable admission plane's log: an append-only sequence of
-// checksummed records in rotated segment files, compacted by snapshots.
+// checksummed records in rotated segment files, compacted by checkpoints.
 //
 // An append has two halves under two locks.  Write is single-writer: the
 // owning plane calls it under its own lock, so log order is decision order.
 // SyncTo is what an acknowledgment waits in, after the plane lock is gone:
 // flushMu admits one flusher at a time, its flush covers every record
 // written before it started, and whoever waited behind it finds its record
-// already durable.  Snapshots and Close run under both locks.
+// already durable.
 //
-// Write and sync errors poison the store: once either fails, the in-memory
-// state may be ahead of the durable state, so every later operation fails
-// fast with the original error and the operator must reopen (re-running
-// recovery) to continue.
+// A checkpoint has two halves too.  seal, under the plane lock, takes the
+// cut and swaps a fresh segment in as the open one (the swap alone holds
+// flushMu); one goroutine per checkpoint then folds the grant set as of the
+// cut, writes and publishes the snapshot and removes what it covers, behind
+// the writer and the flushers.  One checkpoint is in flight at a time and
+// Close waits for it.  Three rules stand where both locks used to be held
+// throughout:
+//
+//   - durableLSN never passes a record whose segment's bytes and directory
+//     entry are not both on stable storage: the first flush after a seal
+//     syncs the sealed segment's tail, then the open segment, then the
+//     directory, before it publishes what it covered;
+//   - a snapshot is published — renamed into place and the directory synced
+//     — before anything it covers is removed, and only then does durableLSN
+//     rise to its LSN;
+//   - durableLSN only rises, whoever raises it (a flush or a publication).
+//
+// Write, sync and checkpoint errors poison the store: once one fails, the
+// in-memory state may be ahead of the durable state, so every later
+// operation fails fast with the original error and the operator must reopen
+// (re-running recovery) to continue.
 type Store struct {
 	fs   vfs.FS
 	dir  string
@@ -137,11 +157,23 @@ type Store struct {
 	recordsSinceSnap int
 	frame            []byte
 
+	// ckpt is the last checkpoint started, under the plane lock.  base is
+	// the grant list its fold left — live at its cut, sorted by job ID — and
+	// spare the list before that, the next fold's output buffer; both belong
+	// to the checkpoint goroutine while it runs.
+	ckpt        *checkpoint
+	base, spare []GrantRecord
+
 	// flushMu serializes flushes with each other and with the segment swap
-	// of a snapshot; seg is written only under it and the plane lock both,
-	// so either lock is enough to read it.
-	flushMu sync.Mutex
-	seg     vfs.File
+	// of a seal; seg is written only under it and the plane lock both, so
+	// either lock is enough to read it.  sealed is the segment the last seal
+	// swapped out, held until a flush has synced its tail or its checkpoint
+	// is published; dirDirty says the open segment's directory entry is not
+	// yet known to be on stable storage.
+	flushMu  sync.Mutex
+	seg      vfs.File
+	sealed   vfs.File
+	dirDirty bool
 
 	written    atomic.Uint64 // LSN of the last record in the segment
 	durableLSN atomic.Uint64 // LSN of the last record known flushed
@@ -232,15 +264,12 @@ func Open(cfg OpenConfig) (*Store, Recovered, error) {
 		}
 	}
 
-	// Make recovery the new ground truth: snapshot the recovered state,
+	// Make recovery the new ground truth: checkpoint the recovered state,
 	// drop everything else, start a fresh segment.  Until the snapshot's
 	// SyncDir lands, the old snapshot+log remain the durable prefix and a
 	// crash replays to the identical state.
 	s.written.Store(st.LSN)
-	snapSt := st
-	snapSt.Shards = append([]core.SchedulerState(nil), st.Shards...)
-	snapSt.Grants = append([]GrantRecord(nil), st.Grants...)
-	if err := s.compactTo(&snapSt); err != nil {
+	if err := s.writeSnapshot(&st); err != nil {
 		return nil, Recovered{}, err
 	}
 	return s, rec, nil
@@ -282,6 +311,9 @@ func (s *Store) load(genesis State) (base State, snapLSN uint64, recs []Record, 
 		if serr != nil {
 			torn = true
 			break
+		}
+		if len(data) == 0 {
+			continue // opened by a seal and never flushed: it holds nothing, so nothing is torn
 		}
 		r := bytes.NewReader(data)
 		hdrFirst, serr := readSegHeader(r)
@@ -392,104 +424,241 @@ func writeSegHeader(f vfs.File, first uint64) error {
 	return err
 }
 
-// compactTo writes st as the newest snapshot, rotates to a fresh segment
-// starting after it and deletes every older file.  Crash-safe: the new
-// snapshot is written to a temp name, synced, renamed into place and made
-// durable by SyncDir before anything old is removed.  It holds the flush
-// lock throughout, so no flush ever syncs a segment being swapped out, and
-// whoever waited in SyncTo meanwhile finds the snapshot has covered it.
-func (s *Store) compactTo(st *State) error {
-	s.flushMu.Lock()
-	defer s.flushMu.Unlock()
-	start := time.Now()
-	st.Prune()
-	payload := EncodeSnapshot(st)
-	name := snapName(st.LSN)
-	tmp := name + ".tmp"
-	f, err := s.fs.Create(filepath.Join(s.dir, tmp))
+// grantDelta is one change to the live grant set since the last seal: a
+// grant committed or, with done, the grant of g.JobID completed.
+type grantDelta struct {
+	g    GrantRecord
+	done bool
+}
+
+// checkpoint is one compaction of the log: started by seal under the plane
+// lock, carried out by one goroutine, over when done is closed.  What the
+// goroutine leaves in it is read after that.
+type checkpoint struct {
+	done chan struct{}
+	err  error
+	// delta is the changes the fold applies, handed back for reuse once it
+	// has; elapsed lists the grants the fold dropped because their reserved
+	// time had run out at the cut, which the plane's map may still hold.
+	delta   []grantDelta
+	elapsed []int
+}
+
+// running reports whether the checkpoint's goroutine has yet to finish.
+func (ck *checkpoint) running() bool {
+	select {
+	case <-ck.done:
+		return false
+	default:
+		return true
+	}
+}
+
+// seal is the half of a checkpoint that runs under the plane lock, with no
+// other checkpoint in flight.  cut is the log head, the clock and the shards
+// as they stand; the grant set there is the last checkpoint's with delta —
+// every change since, in order — folded in, and that fold, like everything
+// that follows it, is the goroutine's.  All seal does to the disk is open
+// the segment for the records after the cut: it walks no grants and encodes,
+// flushes and removes nothing.
+func (s *Store) seal(cut State, delta []grantDelta) *checkpoint {
+	ck := &checkpoint{done: make(chan struct{}), delta: delta}
+	s.ckpt = ck
+	if err := s.rotate(cut.LSN + 1); err != nil {
+		ck.err = err
+		close(ck.done)
+		return ck
+	}
+	s.recordsSinceSnap = 0
+	go s.checkpoint(ck, cut)
+	return ck
+}
+
+// rotate makes wal-<first> the open segment and keeps the one it replaces as
+// sealed.  Nothing is flushed: the new segment's bytes and directory entry
+// reach the disk with the next flush, or with the checkpoint's publication.
+func (s *Store) rotate(first uint64) error {
+	if err := s.refused(); err != nil {
+		return err
+	}
+	if s.seg != nil && s.recordsSinceSnap == 0 {
+		return nil // nothing written since the last seal: the open segment starts at first already
+	}
+	name := filepath.Join(s.dir, segName(first))
+	seg, err := s.fs.Create(name)
 	if err != nil {
-		return s.poison(fmt.Errorf("durable: create snapshot: %w", err))
+		return s.poison(fmt.Errorf("durable: create segment: %w", err))
+	}
+	if err := writeSegHeader(seg, first); err != nil {
+		seg.Close()
+		return s.poison(fmt.Errorf("durable: write segment header: %w", err))
+	}
+	s.flushMu.Lock()
+	s.sealed, s.seg, s.dirDirty = s.seg, seg, true
+	s.flushMu.Unlock()
+	s.segName = name
+	return nil
+}
+
+// checkpoint is the half that runs behind the writer and the flushers: fold
+// the grant set at the cut, write and publish the snapshot, remove what it
+// covers.  A failure poisons the store.
+func (s *Store) checkpoint(ck *checkpoint, cut State) {
+	defer close(ck.done)
+	start := time.Now()
+	cut.Grants, ck.elapsed = foldGrants(s.spare[:0], s.base, ck.delta, cut.Now)
+	s.base, s.spare = cut.Grants, s.base
+	size, err := s.publish(&cut)
+	if err == nil {
+		err = s.removeCovered(cut.LSN)
+	}
+	if err != nil {
+		ck.err = s.poison(err)
+		return
+	}
+	if s.met != nil {
+		s.met.SnapshotBytes.Set(float64(size))
+		s.met.SnapshotDuration.Observe(time.Since(start).Seconds())
+		s.met.Snapshots.Inc()
+	}
+}
+
+// foldGrants applies delta, in order, to base — the grants live at the last
+// cut, by ascending job ID — and prunes at now.  What it appends to out is
+// what the plane's own export returns at this cut (sortedLiveGrantsLocked is
+// the oracle it is held to), built without the plane: the fold applyRecord
+// and Prune make on recovery.  elapsed lists the grants it dropped because
+// their time had run out.
+func foldGrants(out, base []GrantRecord, delta []grantDelta, now float64) (live []GrantRecord, elapsed []int) {
+	// order lists delta by job ID, an ID's later change behind its earlier
+	// ones: the last says what became of it.
+	order := make([]int, len(delta))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortFunc(order, func(a, b int) int {
+		if c := cmp.Compare(delta[a].g.JobID, delta[b].g.JobID); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+	// In a steady state about as many grants run out between two seals as
+	// were made.
+	f := fold{live: out, elapsed: make([]int, 0, len(delta)), now: now}
+	i := 0
+	for j := 0; j < len(order); j++ {
+		id := delta[order[j]].g.JobID
+		for j+1 < len(order) && delta[order[j+1]].g.JobID == id {
+			j++
+		}
+		for ; i < len(base) && base[i].JobID < id; i++ {
+			f.keep(&base[i])
+		}
+		for i < len(base) && base[i].JobID == id {
+			i++ // completed or granted anew since: the change stands in its place
+		}
+		if last := &delta[order[j]]; !last.done {
+			f.keep(&last.g)
+		}
+	}
+	for ; i < len(base); i++ {
+		f.keep(&base[i])
+	}
+	return f.live, f.elapsed
+}
+
+// fold is foldGrants' output while it is being built.
+type fold struct {
+	live    []GrantRecord
+	elapsed []int
+	now     float64
+}
+
+// keep files g as live or as elapsed, by the predicate Prune applies.
+func (f *fold) keep(g *GrantRecord) {
+	if g.Finish() > f.now {
+		f.live = append(f.live, *g)
+	} else {
+		f.elapsed = append(f.elapsed, g.JobID)
+	}
+}
+
+// publish writes st as the snapshot of its LSN: to a temp name, synced,
+// renamed into place and made durable by SyncDir.  From there on the
+// snapshot is the state through that LSN whatever becomes of the segments
+// under it, so durableLSN rises to it.
+func (s *Store) publish(st *State) (size int, err error) {
+	payload := EncodeSnapshot(st)
+	name := filepath.Join(s.dir, snapName(st.LSN))
+	f, err := s.fs.Create(name + ".tmp")
+	if err != nil {
+		return 0, fmt.Errorf("durable: create snapshot: %w", err)
 	}
 	var hdr [12]byte
 	copy(hdr[:8], snapMagic)
 	binary.LittleEndian.PutUint32(hdr[8:12], formatVersion)
 	if _, err := f.Write(hdr[:]); err != nil {
 		f.Close()
-		return s.poison(fmt.Errorf("durable: write snapshot: %w", err))
+		return 0, fmt.Errorf("durable: write snapshot: %w", err)
 	}
 	n, err := frame.Write(f, payload)
 	if err != nil {
 		f.Close()
-		return s.poison(fmt.Errorf("durable: write snapshot: %w", err))
+		return 0, fmt.Errorf("durable: write snapshot: %w", err)
 	}
 	if err := f.Sync(); err != nil {
 		f.Close()
-		return s.poison(fmt.Errorf("durable: sync snapshot: %w", err))
+		return 0, fmt.Errorf("durable: sync snapshot: %w", err)
 	}
 	if err := f.Close(); err != nil {
-		return s.poison(fmt.Errorf("durable: close snapshot: %w", err))
+		return 0, fmt.Errorf("durable: close snapshot: %w", err)
 	}
-	if err := s.fs.Rename(filepath.Join(s.dir, tmp), filepath.Join(s.dir, name)); err != nil {
-		return s.poison(fmt.Errorf("durable: publish snapshot: %w", err))
+	if err := s.fs.Rename(name+".tmp", name); err != nil {
+		return 0, fmt.Errorf("durable: publish snapshot: %w", err)
 	}
 	if err := s.fs.SyncDir(s.dir); err != nil {
-		return s.poison(fmt.Errorf("durable: sync log dir: %w", err))
+		return 0, fmt.Errorf("durable: sync log dir: %w", err)
 	}
+	s.raiseDurable(st.LSN)
+	return len(hdr) + n, nil
+}
 
-	// The snapshot is durable, and with it every record it covers;
-	// everything older is now garbage.
-	s.durableLSN.Store(st.LSN)
-	if s.seg != nil {
-		s.seg.Close()
-		s.seg = nil
+// removeCovered drops what the published snapshot at lsn made garbage: the
+// sealed segment, every older snapshot and segment, stale temp files.  It
+// keeps going past a failure — whatever stays behind, recovery reads the
+// newest snapshot and skips the records it covers — and reports them all.
+func (s *Store) removeCovered(lsn uint64) error {
+	// The publishing SyncDir carried the open segment's entry with it, and
+	// the sealed segment's tail is covered whether or not a flush got to it.
+	s.flushMu.Lock()
+	sealed := s.sealed
+	s.sealed, s.dirDirty = nil, false
+	s.flushMu.Unlock()
+	var err error
+	if sealed != nil {
+		err = during("close sealed segment", sealed.Close())
 	}
-	names, err := s.fs.ReadDir(s.dir)
-	if err != nil {
-		return s.poison(fmt.Errorf("durable: read log dir: %w", err))
-	}
+	names, rerr := s.fs.ReadDir(s.dir)
+	err = errors.Join(err, during("read log dir", rerr))
+	snap, open := snapName(lsn), segName(lsn+1)
 	for _, old := range names {
-		if old == name {
-			continue
-		}
-		if _, ok := parseName(old, "snap-", ".snap"); ok {
-			s.fs.Remove(filepath.Join(s.dir, old))
-			continue
-		}
-		if _, ok := parseName(old, "wal-", ".log"); ok {
-			s.fs.Remove(filepath.Join(s.dir, old))
-			continue
-		}
-		if filepath.Ext(old) == ".tmp" {
-			s.fs.Remove(filepath.Join(s.dir, old))
+		_, isSnap := parseName(old, "snap-", ".snap")
+		_, isSeg := parseName(old, "wal-", ".log")
+		if old != snap && old != open && (isSnap || isSeg || filepath.Ext(old) == ".tmp") {
+			if rerr := s.fs.Remove(filepath.Join(s.dir, old)); rerr != nil {
+				err = errors.Join(err, during("remove "+old, rerr))
+			}
 		}
 	}
+	return errors.Join(err, during("sync log dir", s.fs.SyncDir(s.dir)))
+}
 
-	// Fresh segment for the records after the snapshot.
-	s.segName = filepath.Join(s.dir, segName(st.LSN+1))
-	seg, err := s.fs.Create(s.segName)
-	if err != nil {
-		return s.poison(fmt.Errorf("durable: create segment: %w", err))
+// during names the step a checkpoint's error came from.
+func during(step string, err error) error {
+	if err == nil {
+		return nil
 	}
-	if err := writeSegHeader(seg, st.LSN+1); err != nil {
-		seg.Close()
-		return s.poison(fmt.Errorf("durable: write segment header: %w", err))
-	}
-	if err := seg.Sync(); err != nil {
-		seg.Close()
-		return s.poison(fmt.Errorf("durable: sync segment: %w", err))
-	}
-	if err := s.fs.SyncDir(s.dir); err != nil {
-		seg.Close()
-		return s.poison(fmt.Errorf("durable: sync log dir: %w", err))
-	}
-	s.seg = seg
-	s.recordsSinceSnap = 0
-	if s.met != nil {
-		s.met.SnapshotBytes.Set(float64(12 + n))
-		s.met.SnapshotDuration.Observe(time.Since(start).Seconds())
-		s.met.Snapshots.Inc()
-	}
-	return nil
+	return fmt.Errorf("durable: %s: %w", step, err)
 }
 
 func (s *Store) poison(err error) error {
@@ -499,7 +668,7 @@ func (s *Store) poison(err error) error {
 	return err
 }
 
-// Poisoned returns the first write, sync or snapshot error, or nil.  A
+// Poisoned returns the first write, sync or checkpoint error, or nil.  A
 // poisoned store refuses all further writes; reopen to recover.
 func (s *Store) Poisoned() error {
 	if err := s.poisoned.Load(); err != nil {
@@ -561,9 +730,9 @@ func (s *Store) Write(r *Record, promise bool) (wait uint64, err error) {
 // SyncTo is the second half: it returns once the record Write numbered lsn
 // is on stable storage.  One caller at a time flushes; its flush covers
 // every record written before it started, so a caller that waited behind
-// it, or behind a snapshot, usually finds its own record durable and
-// returns without touching the disk.  On failure the store is poisoned and
-// the caller must not acknowledge.
+// it usually finds its own record durable — as does one whose record a
+// checkpoint published meanwhile — and returns without touching the disk.
+// On failure the store is poisoned and the caller must not acknowledge.
 func (s *Store) SyncTo(lsn uint64) error {
 	if s.durableLSN.Load() >= lsn {
 		return nil
@@ -576,20 +745,49 @@ func (s *Store) SyncTo(lsn uint64) error {
 	return s.flushLocked()
 }
 
-// flushLocked syncs the segment and publishes what that made durable.
+// flushLocked syncs the log and publishes what that made durable.  After a
+// seal the log is more than the open segment: the sealed one may end in
+// records no flush has covered, and the open one's directory entry may not
+// be on the disk; both are seen to before durableLSN moves.
 func (s *Store) flushLocked() error {
 	if err := s.refused(); err != nil {
 		return err
 	}
 	through := s.written.Load() // read first: the sync covers at least this
+	if sealed := s.sealed; sealed != nil {
+		s.sealed = nil
+		err := sealed.Sync()
+		if cerr := sealed.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			return s.poison(fmt.Errorf("durable: sync sealed segment: %w", err))
+		}
+	}
 	if err := s.seg.Sync(); err != nil {
 		return s.poison(fmt.Errorf("durable: sync log through lsn %d: %w", through, err))
 	}
-	s.durableLSN.Store(through)
+	if s.dirDirty {
+		if err := s.fs.SyncDir(s.dir); err != nil {
+			return s.poison(fmt.Errorf("durable: sync log dir: %w", err))
+		}
+		s.dirDirty = false
+	}
+	s.raiseDurable(through)
 	if s.met != nil {
 		s.met.Fsyncs.Inc()
 	}
 	return nil
+}
+
+// raiseDurable moves durableLSN up to lsn, never down: a flush and a
+// checkpoint's publication may both be raising it.
+func (s *Store) raiseDurable(lsn uint64) {
+	for cur := s.durableLSN.Load(); cur < lsn; cur = s.durableLSN.Load() {
+		if s.durableLSN.CompareAndSwap(cur, lsn) {
+			return
+		}
+	}
 }
 
 // Append is both halves back to back: the record is written, and flushed
@@ -606,21 +804,25 @@ func (s *Store) Append(r *Record) (uint64, error) {
 	return r.LSN, nil
 }
 
-// WriteSnapshot compacts the log to st, which must cover every written
-// record (st.LSN == last assigned LSN) — the plane guarantees this by
-// snapshotting under its own write lock.
-func (s *Store) WriteSnapshot(st *State) error {
+// writeSnapshot is Open's checkpoint, waited for: st is the recovered state,
+// which covers every written record (st.LSN == last assigned LSN) and
+// carries the whole grant set, pruned and sorted, and the fold starts over
+// from it.
+func (s *Store) writeSnapshot(st *State) error {
 	if err := s.refused(); err != nil {
 		return err
 	}
 	if head := s.written.Load(); st.LSN != head {
 		return fmt.Errorf("durable: snapshot at LSN %d does not cover the log head %d", st.LSN, head)
 	}
-	return s.compactTo(st)
+	s.base = append(s.base[:0], st.Grants...)
+	ck := s.seal(State{LSN: st.LSN, Now: st.Now, Shards: st.Shards}, nil)
+	<-ck.done
+	return ck.err
 }
 
 // ShouldSnapshot reports whether enough records accumulated since the last
-// snapshot to warrant another (per StoreOptions.SnapshotEvery).
+// seal to warrant another checkpoint (per StoreOptions.SnapshotEvery).
 func (s *Store) ShouldSnapshot() bool { return s.recordsSinceSnap >= s.opts.SnapshotEvery }
 
 // NextLSN returns the LSN the next write will receive.
@@ -629,12 +831,13 @@ func (s *Store) NextLSN() uint64 { return s.written.Load() + 1 }
 // DurableLSN returns the highest LSN known synced to stable storage.
 func (s *Store) DurableLSN() uint64 { return s.durableLSN.Load() }
 
-// Close flushes what was written and not yet flushed — under SyncAlways the
-// refusals, clock reports and completions since the last promise, under
-// SyncEveryN the tail short of N — and closes the open segment, so a clean
-// stop leaves nothing riding.  SyncNever stays the operating system's
-// business.
+// Close waits for the checkpoint in flight, flushes what was written and not
+// yet flushed — under SyncAlways the refusals, clock reports and completions
+// since the last promise, under SyncEveryN the tail short of N — and closes
+// the log, so a clean stop leaves nothing riding and no goroutine behind.
+// SyncNever stays the operating system's business.
 func (s *Store) Close() error {
+	<-s.ckpt.done
 	s.flushMu.Lock()
 	defer s.flushMu.Unlock()
 	if s.seg == nil {
@@ -643,6 +846,12 @@ func (s *Store) Close() error {
 	var err error
 	if s.opts.Sync != SyncNever && s.Poisoned() == nil && s.durableLSN.Load() < s.written.Load() {
 		err = s.flushLocked()
+	}
+	if s.sealed != nil { // a failed checkpoint left it
+		if cerr := s.sealed.Close(); err == nil {
+			err = cerr
+		}
+		s.sealed = nil
 	}
 	if cerr := s.seg.Close(); err == nil {
 		err = cerr

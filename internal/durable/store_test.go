@@ -111,7 +111,7 @@ func TestStoreSnapshotCompaction(t *testing.T) {
 		t.Fatal("ShouldSnapshot = false after SnapshotEvery records")
 	}
 	st.LSN, st.Now = 3, 3
-	if err := s.WriteSnapshot(&st); err != nil {
+	if err := s.writeSnapshot(&st); err != nil {
 		t.Fatal(err)
 	}
 	names, _ := mem.ReadDir("log")

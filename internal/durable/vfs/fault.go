@@ -3,9 +3,9 @@ package vfs
 import "sync"
 
 // Fault wraps an FS with deterministic fault injection for crash testing:
-// write and sync calls can be made to fail after a configured countdown,
-// and — nastier — Sync/SyncDir can be made to lie, reporting success while
-// doing nothing.  A lying fsync is the failure mode that separates
+// write, sync and close calls can be made to fail after a configured
+// countdown, renames and removes outright, and — nastier — Sync/SyncDir can
+// be made to lie, reporting success while doing nothing.  A lying fsync is the failure mode that separates
 // durability layers that actually work from ones that merely call fsync:
 // the crash-loop differential must detect the resulting loss.
 type Fault struct {
@@ -20,8 +20,14 @@ type Fault struct {
 	// successful syncs have passed.
 	syncErr  error
 	syncLeft int
-	// renameErr, when non-nil, fails the next Rename.
+	// closeErr, when non-nil, is returned by every File.Close of a file
+	// opened for writing once closeLeft of them have passed (the file is
+	// closed all the same: what failed is the write-back Close reports).
+	closeErr  error
+	closeLeft int
+	// renameErr, when non-nil, fails every Rename; removeErr every Remove.
 	renameErr error
+	removeErr error
 	// syncLie makes File.Sync report success without syncing; syncDirLie
 	// does the same for FS.SyncDir (so renames and creates silently stay
 	// volatile).
@@ -61,11 +67,27 @@ func (f *Fault) SetSyncError(err error, after int) {
 	f.syncErr, f.syncLeft = err, after
 }
 
+// SetCloseError arms err on closes of files opened for writing: the next
+// `after` of them succeed, every one after that reports err.  err == nil
+// disarms.
+func (f *Fault) SetCloseError(err error, after int) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.closeErr, f.closeLeft = err, after
+}
+
 // SetRenameError arms err on renames.  err == nil disarms.
 func (f *Fault) SetRenameError(err error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.renameErr = err
+}
+
+// SetRemoveError arms err on removes.  err == nil disarms.
+func (f *Fault) SetRemoveError(err error) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.removeErr = err
 }
 
 // SetSyncLie makes File.Sync claim success without syncing.
@@ -98,13 +120,29 @@ func (f *Fault) Crash() {
 }
 
 type faultFile struct {
-	f     *Fault
-	inner File
+	f        *Fault
+	inner    File
+	readOnly bool
 }
 
 func (ff faultFile) Read(p []byte) (int, error)              { return ff.inner.Read(p) }
 func (ff faultFile) ReadAt(p []byte, off int64) (int, error) { return ff.inner.ReadAt(p, off) }
-func (ff faultFile) Close() error                            { return ff.inner.Close() }
+
+func (ff faultFile) Close() error {
+	err := ff.inner.Close()
+	if ff.readOnly {
+		return err
+	}
+	ff.f.mu.Lock()
+	defer ff.f.mu.Unlock()
+	if ff.f.closeErr != nil {
+		if ff.f.closeLeft <= 0 {
+			return ff.f.closeErr
+		}
+		ff.f.closeLeft--
+	}
+	return err
+}
 
 func (ff faultFile) Write(p []byte) (int, error) {
 	ff.f.mu.Lock()
@@ -158,7 +196,7 @@ func (f *Fault) Open(name string) (File, error) {
 	if err != nil {
 		return nil, err
 	}
-	return faultFile{f: f, inner: file}, nil
+	return faultFile{f: f, inner: file, readOnly: true}, nil
 }
 
 // OpenAppend forwards to the wrapped filesystem, wrapping the file.
@@ -170,8 +208,16 @@ func (f *Fault) OpenAppend(name string) (File, error) {
 	return faultFile{f: f, inner: file}, nil
 }
 
-// Remove forwards to the wrapped filesystem.
-func (f *Fault) Remove(name string) error { return f.inner.Remove(name) }
+// Remove fails when a remove error is armed, else forwards.
+func (f *Fault) Remove(name string) error {
+	f.mu.Lock()
+	err := f.removeErr
+	f.mu.Unlock()
+	if err != nil {
+		return err
+	}
+	return f.inner.Remove(name)
+}
 
 // Rename fails when a rename error is armed, else forwards.
 func (f *Fault) Rename(oldname, newname string) error {

@@ -167,6 +167,36 @@ func TestFaultInjection(t *testing.T) {
 	}
 	ft.SetRenameError(nil)
 
+	// A failed remove leaves the file; a failed close of a written file
+	// reports the error once its countdown has passed, and one opened for
+	// reading never does.
+	ft.SetRemoveError(boom)
+	if err := ft.Remove("d/a"); !errors.Is(err, boom) {
+		t.Fatalf("remove: got %v, want boom", err)
+	}
+	ft.SetRemoveError(nil)
+	if _, err := ft.Stat("d/a"); err != nil {
+		t.Fatalf("the file a failed remove was meant to leave: %v", err)
+	}
+	ft.SetCloseError(boom, 1)
+	rd, err := ft.Open("d/a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rd.Close(); err != nil {
+		t.Fatalf("close of a file opened for reading: %v", err)
+	}
+	for i, want := range []error{nil, boom} {
+		ap, err := ft.OpenAppend("d/a")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ap.Close(); !errors.Is(err, want) {
+			t.Fatalf("close %d of a file opened for writing: got %v, want %v", i, err, want)
+		}
+	}
+	ft.SetCloseError(nil, 0)
+
 	// A lying fsync claims success but the bytes stay volatile.
 	ft.SetSyncLie(true)
 	if err := f.Sync(); err != nil {
