@@ -118,6 +118,20 @@ func (s *Scheduler) Utilization(origin, horizon float64) float64 {
 // commits the reservation and returns the placement; otherwise it returns
 // ErrRejected and the schedule is unchanged.
 func (s *Scheduler) Admit(job Job) (*Placement, error) {
+	return s.admit(job, nil, nil)
+}
+
+// AdmitInto is Admit with the placement written where the caller keeps it:
+// *pl, its tasks appended to tasks[:0] (see PlanInto).  A rejected job
+// leaves both untouched and allocates nothing.
+func (s *Scheduler) AdmitInto(job Job, pl *Placement, tasks []TaskPlacement) error {
+	_, err := s.admit(job, pl, tasks)
+	return err
+}
+
+// admit is Admit and AdmitInto: a nil pl asks for a placement of the
+// caller's own, which is allocated once the job is known to be schedulable.
+func (s *Scheduler) admit(job Job, pl *Placement, tasks []TaskPlacement) (*Placement, error) {
 	if err := job.Validate(); err != nil {
 		return nil, fmt.Errorf("core: admit: %w", err)
 	}
@@ -127,11 +141,15 @@ func (s *Scheduler) Admit(job Job) (*Placement, error) {
 		j := job
 		h.AdmitStart(&j)
 	}
-	pl, ok := s.Plan(job)
-	if !ok {
+	var planned Placement
+	if _, ok := s.plan(job, &planned, tasks); !ok {
 		s.NoteRejected(&job, "no-feasible-chain")
 		return nil, ErrRejected
 	}
+	if pl == nil {
+		pl = new(Placement)
+	}
+	*pl = planned
 	if err := s.Commit(job, pl); err != nil {
 		return nil, err // internal inconsistency: plan no longer fits
 	}
@@ -174,10 +192,26 @@ type PlanKey struct {
 // Plan evaluates the job without committing anything, returning the chosen
 // placement and whether the job is schedulable.  Plan+Commit allows the
 // arbitrator to interpose policy (e.g. quality maximization across jobs)
-// between feasibility analysis and reservation.
+// between feasibility analysis and reservation.  The placement and its tasks
+// are the caller's own: Plan is PlanInto handed nothing to fill.
 func (s *Scheduler) Plan(job Job) (*Placement, bool) {
-	pl, _, ok := s.plan(job)
-	return pl, ok
+	var planned Placement
+	if !s.PlanInto(job, &planned, nil) {
+		return nil, false
+	}
+	pl := planned
+	return &pl, true
+}
+
+// PlanInto is the planner: it evaluates the job without committing anything
+// and, if some chain is schedulable, writes the chosen placement to *pl with
+// its tasks appended to tasks[:0] — in the caller's array when that has the
+// room, so a caller that keeps a placement somewhere (a grant, a record) has
+// it built there and nowhere else.  A job that is not schedulable leaves *pl
+// and tasks untouched and allocates nothing.
+func (s *Scheduler) PlanInto(job Job, pl *Placement, tasks []TaskPlacement) bool {
+	_, ok := s.plan(job, pl, tasks)
+	return ok
 }
 
 // PlanKeyed is Plan, additionally exposing the winning chain's tie-break
@@ -187,28 +221,31 @@ func (s *Scheduler) Plan(job Job) (*Placement, bool) {
 // slice only a caller that keeps keys across plans needs built, so callers
 // that do not compare keys should call Plan.
 func (s *Scheduler) PlanKeyed(job Job) (*Placement, PlanKey, bool) {
-	pl, key, ok := s.plan(job)
+	var planned Placement
+	key, ok := s.plan(job, &planned, nil)
 	if !ok {
 		return nil, PlanKey{}, false
 	}
+	pl := planned
 	prefix := make([]float64, len(pl.Tasks))
 	var cum float64
 	for i, tp := range pl.Tasks {
 		cum += float64(tp.Procs) * tp.Duration()
 		prefix[i] = cum
 	}
-	return pl, PlanKey{Finish: key.finish, Util: s.keyUtil(&key), Prefix: prefix}, true
+	return &pl, PlanKey{Finish: key.finish, Util: s.keyUtil(&key), Prefix: prefix}, true
 }
 
-// plan is the planning loop behind Plan and PlanKeyed: it returns the chosen
-// placement with its tie-break key, whose utilization is filled in only if
-// some comparison needed it.
+// plan is the planning loop behind PlanInto and PlanKeyed: it fills *pl (see
+// PlanInto) and returns the winner's tie-break key, whose utilization is
+// filled in only if some comparison needed it.
 //
 // Every chain is placed into the scheduler's scratch and only the winner is
 // copied out, once, after the loop: a chain that loses and a job that is
-// rejected allocate nothing.  The returned placement is the caller's; the
-// returned key's tasks are not (they are scratch, good until the next plan).
-func (s *Scheduler) plan(job Job) (*Placement, chainKey, bool) {
+// rejected allocate nothing, and a winner that fits the array it is handed
+// allocates nothing either.  The returned key's tasks are scratch, good
+// until the next plan.
+func (s *Scheduler) plan(job Job, pl *Placement, tasks []TaskPlacement) (chainKey, bool) {
 	h := s.opts.Hooks
 	var hj *Job // what the hooks are handed: a copy they may keep
 	if h != nil {
@@ -257,9 +294,10 @@ func (s *Scheduler) plan(job Job) (*Placement, chainKey, bool) {
 		if s.opts.Diagnosis != nil {
 			s.opts.Diagnosis(s.Diagnose(job))
 		}
-		return nil, chainKey{}, false
+		return chainKey{}, false
 	}
-	return &Placement{JobID: job.ID, Chain: bestChain, Tasks: append([]TaskPlacement(nil), inc...)}, bestKey, true
+	*pl = Placement{JobID: job.ID, Chain: bestChain, Tasks: append(tasks[:0], inc...)}
+	return bestKey, true
 }
 
 // Commit reserves the processor-time described by a placement previously

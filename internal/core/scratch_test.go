@@ -304,9 +304,10 @@ func TestPlanMatchesMaterialisedReference(t *testing.T) {
 }
 
 // TestPlanAllocationBudget is the planner's counted contract with no hooks
-// installed: a granted Figure-4 job costs its Placement and that
-// placement's tasks, whichever chain wins and however many lose; a rejected
-// one costs nothing.
+// installed, as equalities: a granted Figure-4 job costs Plan's caller its
+// Placement and that placement's tasks, whichever chain wins and however
+// many lose, and costs PlanInto's caller, who brought both, nothing; a
+// rejected one costs neither anything.
 func TestPlanAllocationBudget(t *testing.T) {
 	const runs = 300
 	jobs := make([]Job, runs+1) // AllocsPerRun warms up with one extra call
@@ -319,30 +320,48 @@ func TestPlanAllocationBudget(t *testing.T) {
 			jobs[i].Chains[c].Tasks[0].Deadline, jobs[i].Chains[c].Tasks[1].Deadline = now+2000, now+2000
 		}
 	}
-	s := NewScheduler(32, 0, nil)
-	i := 0
-	granted := testing.AllocsPerRun(runs, func() {
-		s.Observe(jobs[i].Release)
-		pl, ok := s.Plan(jobs[i])
-		if !ok || s.Commit(jobs[i], pl) != nil {
-			t.Fatalf("job %d not granted", i)
-		}
-		i++
-	})
-	if st := s.Stats(); len(st.TunableChosen) < 2 || st.TunableChosen[0] < 10 || st.TunableChosen[1] < 10 {
-		t.Fatalf("degenerate stream: chains chosen %v", st.TunableChosen)
-	}
-	if granted > 2 {
-		t.Fatalf("a granted job costs %v allocations in Plan+Commit, budget 2", granted)
-	}
 	wide := fig4(0, 0)
 	wide.Chains[0].Tasks[1].Procs, wide.Chains[1].Tasks[0].Procs = 64, 64
-	rejected := testing.AllocsPerRun(runs, func() {
-		if _, ok := s.Plan(wide); ok {
-			t.Fatal("a 64-wide task was planned on 32 processors")
+	var kept struct {
+		pl    Placement
+		tasks [4]TaskPlacement
+	}
+	for _, tc := range []struct {
+		name string
+		plan func(*Scheduler, Job) (*Placement, bool)
+		want float64
+	}{
+		{"Plan", (*Scheduler).Plan, 2},
+		{"PlanInto", func(s *Scheduler, job Job) (*Placement, bool) {
+			return &kept.pl, s.PlanInto(job, &kept.pl, kept.tasks[:0])
+		}, 0},
+	} {
+		s := NewScheduler(32, 0, nil)
+		i := 0
+		granted := testing.AllocsPerRun(runs, func() {
+			s.Observe(jobs[i].Release)
+			pl, ok := tc.plan(s, jobs[i])
+			if !ok || s.Commit(jobs[i], pl) != nil {
+				t.Fatalf("job %d not granted", i)
+			}
+			i++
+		})
+		if st := s.Stats(); len(st.TunableChosen) < 2 || st.TunableChosen[0] < 10 || st.TunableChosen[1] < 10 {
+			t.Fatalf("degenerate stream: chains chosen %v", st.TunableChosen)
 		}
-	})
-	if rejected != 0 {
-		t.Fatalf("a rejected job costs %v allocations in Plan, budget 0", rejected)
+		if granted != tc.want {
+			t.Errorf("a granted job costs %v allocations in %s+Commit, want %v", granted, tc.name, tc.want)
+		}
+		rejected := testing.AllocsPerRun(runs, func() {
+			if _, ok := tc.plan(s, wide); ok {
+				t.Fatal("a 64-wide task was planned on 32 processors")
+			}
+		})
+		if rejected != 0 {
+			t.Errorf("a rejected job costs %v allocations in %s, want 0", rejected, tc.name)
+		}
+	}
+	if &kept.pl.Tasks[0] != &kept.tasks[0] {
+		t.Error("PlanInto left the tasks somewhere other than the array it was handed")
 	}
 }

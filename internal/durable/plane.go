@@ -378,7 +378,7 @@ func (p *Plane) negotiateLocked(job core.Job, lrec *phase.Rec) (*qos.Grant, erro
 		JobID: g.JobID, Shard: g.Shard, Chain: g.Chain,
 		Quality: g.Quality, Tunable: job.Tunable(),
 		Tenant: job.Tenant, Class: job.Class,
-		Tasks: append([]core.TaskPlacement(nil), g.Placement.Tasks...),
+		Tasks: g.Placement.Tasks,
 	}})
 	p.maybeSnapshotLocked()
 	return g, nil
@@ -413,7 +413,7 @@ func (p *Plane) negotiateDAGLocked(job core.DAGJob) (*qos.Grant, error) {
 	p.liveSetChangedLocked(grantDelta{g: GrantRecord{
 		JobID: g.JobID, Shard: g.Shard, Chain: g.Chain,
 		Quality: g.Quality, Tunable: tunable,
-		Tasks: append([]core.TaskPlacement(nil), g.Placement.Tasks...),
+		Tasks: g.Placement.Tasks,
 	}})
 	p.maybeSnapshotLocked()
 	return g, nil

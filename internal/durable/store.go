@@ -505,7 +505,10 @@ func (s *Store) rotate(first uint64) error {
 // covers.  A failure poisons the store.
 func (s *Store) checkpoint(ck *checkpoint, cut State) {
 	defer close(ck.done)
-	start := time.Now()
+	var start time.Time // read only when there is a histogram to feed
+	if s.met != nil {
+		start = time.Now()
+	}
 	cut.Grants, ck.elapsed = foldGrants(s.spare[:0], s.base, ck.delta, cut.Now)
 	s.base, s.spare = cut.Grants, s.base
 	size, err := s.publish(&cut)
@@ -699,7 +702,10 @@ func (s *Store) Write(r *Record, promise bool) (wait uint64, err error) {
 	if err := s.refused(); err != nil {
 		return 0, err
 	}
-	start := time.Now()
+	var start time.Time // read only when there is a histogram to feed
+	if s.met != nil {
+		start = time.Now()
+	}
 	r.LSN = s.written.Load() + 1
 	buf := append(s.frame[:0], make([]byte, frame.HeaderLen)...) // header, filled in once the payload is behind it
 	buf = appendRecord(buf, r)

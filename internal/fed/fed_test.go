@@ -113,20 +113,33 @@ func TestSingleShardMatchesMonolith(t *testing.T) {
 }
 
 // TestOneShardAllocatesWhatTheMonolithDoes holds a one-shard plane to the
-// monolith's price, and the monolith to the plane's: the same Figure-4
-// stream costs each exactly the allocations per negotiation it costs the
-// other (no candidate, load or probe slices — there is nothing to route —
-// and no copy of the job on either side), because the monolith is the
-// one-shard case.
+// monolith's price, and the monolith to the plane's, as equalities: a
+// granted Figure-4 job costs each exactly one allocation — the qos.GrantBox
+// the plan is made in (no placement beside it, no copy of its tasks, no
+// candidate, load or probe slices — there is nothing to route — and no copy
+// of the job) — and a refused one costs each nothing, because the monolith
+// is the one-shard case.
 func TestOneShardAllocatesWhatTheMonolithDoes(t *testing.T) {
 	const procs, runs = 32, 300
-	jobs := fig4Stream(runs+1, 6, 43) // AllocsPerRun warms up with one extra call
-	perNegotiation := func(observe func(float64), negotiate func(core.Job) (*qos.Grant, error)) float64 {
+	fig := workload.FigureJob{X: 4, T: 25, Alpha: 0.25, Laxity: 0.5}
+	granted := make([]core.Job, runs+1) // AllocsPerRun warms up with one extra call
+	for i := range granted {
+		// At most three of these overlap, 12 of 32 processors: all granted.
+		granted[i] = fig.Job(i, float64(i)*50, workload.Tunable)
+	}
+	refused := workload.FigureJob{X: 2 * procs, T: 25, Alpha: 0.25, Laxity: 0.5}.Job(-1, 0, workload.Tunable)
+	perNegotiation := func(observe func(float64), negotiate func(core.Job) (*qos.Grant, error), wantGrant bool) float64 {
 		i := 0
 		return testing.AllocsPerRun(runs, func() {
-			observe(jobs[i].Release)
-			_, _ = negotiate(jobs[i])
-			i++
+			job := refused
+			if wantGrant {
+				job = granted[i]
+				i++
+				observe(job.Release)
+			}
+			if _, err := negotiate(job); wantGrant != (err == nil) {
+				t.Fatalf("job %d: %v (want a grant: %v)", job.ID, err, wantGrant)
+			}
 		})
 	}
 	mono, err := qos.NewArbitrator(qos.ArbitratorConfig{Procs: procs})
@@ -137,13 +150,19 @@ func TestOneShardAllocatesWhatTheMonolithDoes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := perNegotiation(mono.Observe, mono.Negotiate)
-	if got := perNegotiation(plane.Observe, plane.Negotiate); got != want {
-		t.Fatalf("one-shard plane: %v allocations per negotiation, monolith: %v", got, want)
-	}
-	// The winner's placement, its tasks and the grant; a refusal costs nothing.
-	if want > 3 {
-		t.Fatalf("%v allocations per negotiation, budget 3", want)
+	for _, tc := range []struct {
+		name      string
+		wantGrant bool
+		want      float64
+	}{
+		{"granted", true, 1},
+		{"refused", false, 0},
+	} {
+		m := perNegotiation(mono.Observe, mono.Negotiate, tc.wantGrant)
+		f := perNegotiation(plane.Observe, plane.Negotiate, tc.wantGrant)
+		if m != tc.want || f != tc.want {
+			t.Errorf("%s: monolith %v, one-shard plane %v allocations per negotiation, want %v of both", tc.name, m, f, tc.want)
+		}
 	}
 }
 

@@ -49,6 +49,11 @@ type Shard struct {
 	// sh.mu at each of its four committed mutations (committedLocked,
 	// noteRejectedLocked, observe, resize).
 	observer func(qos.Decision)
+
+	// spare is the box the next admission plans into.  A refusal leaves it
+	// unfilled and in place — it was never handed out — so only a grant
+	// costs an allocation.
+	spare *qos.GrantBox
 }
 
 func newShard(id, procs int, origin float64, opts *core.Options, routed bool, horizon float64, observer func(qos.Decision)) *Shard {
@@ -145,22 +150,15 @@ func (sh *Shard) refreshLoadLocked() {
 // committedLocked is the bookkeeping every committed reservation shares:
 // the version bump, the placement's own area added to the cached load
 // signal without rescanning the profile (the next observe or resize snaps
-// the approximation back to exact), the grant, and the decision.  Callers
-// hold sh.mu.
-func (sh *Shard) committedLocked(job *core.Job, quality float64, pl *core.Placement) *qos.Grant {
+// the approximation back to exact), the rest of the grant that holds the
+// placement, and the decision.  Callers hold sh.mu.
+func (sh *Shard) committedLocked(job *core.Job, quality float64, g *qos.Grant) *qos.Grant {
 	sh.version++
 	if sh.routed {
-		sh.loadArea += pl.Area()
+		sh.loadArea += g.Placement.Area()
 		sh.publishLoadLocked()
 	}
-	g := &qos.Grant{
-		JobID:     job.ID,
-		Chain:     pl.Chain,
-		Quality:   quality,
-		Placement: *pl,
-		Trace:     job.Trace,
-		Shard:     sh.id,
-	}
+	g.JobID, g.Chain, g.Quality, g.Trace, g.Shard = job.ID, g.Placement.Chain, quality, job.Trace, sh.id
 	if sh.observer != nil {
 		sh.observer(qos.Decision{Kind: qos.KindAdmitted, Job: *job, Grant: g, Now: sh.now, Shard: sh.id})
 	}
@@ -233,7 +231,9 @@ func (sh *Shard) commitPlanned(job core.Job, pl *core.Placement, ver uint64) (g 
 	if raced {
 		g, err = sh.admitLocked(&job, nil)
 	} else {
-		g, err = sh.commitLocked(&job, pl)
+		// The probe's placement outlived the shard lock, so it is the
+		// caller's own copy, and the grant is a second object around it.
+		g, err = sh.commitLocked(&job, &qos.Grant{Placement: *pl})
 	}
 	return g, raced, err
 }
@@ -250,24 +250,30 @@ func (sh *Shard) admit(job core.Job, rec *phase.Rec) (*qos.Grant, error) {
 }
 
 // admitLocked plans the job and commits the plan or counts the rejection.
-// Callers hold sh.mu.
+// The plan is made where the grant keeps it — a promise is one object
+// (qos.GrantBox).  Callers hold sh.mu.
 func (sh *Shard) admitLocked(job *core.Job, rec *phase.Rec) (*qos.Grant, error) {
-	pl, ok := sh.sched.Plan(*job)
+	if sh.spare == nil {
+		sh.spare = new(qos.GrantBox)
+	}
+	box := sh.spare
+	ok := sh.sched.PlanInto(*job, &box.Grant.Placement, box.Tasks[:0])
 	rec.Mark(phase.Plan)
 	if !ok {
 		sh.noteRejectedLocked(job)
 		return nil, core.ErrRejected
 	}
-	return sh.commitLocked(job, pl)
+	sh.spare = nil
+	return sh.commitLocked(job, &box.Grant)
 }
 
-// commitLocked commits a plan computed against the shard as it stands.
-// Callers hold sh.mu.
-func (sh *Shard) commitLocked(job *core.Job, pl *core.Placement) (*qos.Grant, error) {
-	if err := sh.sched.Commit(*job, pl); err != nil {
+// commitLocked commits g.Placement, a plan computed against the shard as it
+// stands, and fills in the rest of g.  Callers hold sh.mu.
+func (sh *Shard) commitLocked(job *core.Job, g *qos.Grant) (*qos.Grant, error) {
+	if err := sh.sched.Commit(*job, &g.Placement); err != nil {
 		return nil, err
 	}
-	return sh.committedLocked(job, job.Chains[pl.Chain].Quality, pl), nil
+	return sh.committedLocked(job, job.Chains[g.Placement.Chain].Quality, g), nil
 }
 
 // noteRejected records a router-level rejection on this shard, mirroring
@@ -294,7 +300,7 @@ func (sh *Shard) admitDAG(job core.DAGJob) (*qos.Grant, error) {
 	if err != nil {
 		return nil, err
 	}
-	return sh.committedLocked(&core.Job{ID: job.ID}, job.Alts[pl.Chain].Quality, pl), nil
+	return sh.committedLocked(&core.Job{ID: job.ID}, job.Alts[pl.Chain].Quality, &qos.Grant{Placement: *pl}), nil
 }
 
 // observe advances the shard's clock, folding elapsed history.

@@ -51,6 +51,23 @@ type Grant struct {
 // Finish returns the completion time of the granted reservation.
 func (g *Grant) Finish() float64 { return g.Placement.Finish() }
 
+// GrantBox is a grant and the storage of its placement's tasks: a promise is
+// one object, and read-only once returned.  Whoever makes a grant — an
+// arbitrator, a shard, a client decoding one off the wire — builds it in a
+// GrantBox, the placement's tasks in the box's own array, and hands out
+// &box.Grant; whoever is handed a grant (the caller, an Observer,
+// the durable plane's live set, a checkpoint's fold, a connection encoding
+// the reply) may keep it and its Placement.Tasks for as long as it likes and
+// read them from any goroutine, and may write neither: a holder that wants
+// a different grant copies the tasks first.
+type GrantBox struct {
+	Grant Grant
+	// Tasks is where Grant.Placement.Tasks lives when the chosen path has
+	// no more tasks than this — every chain of the paper's workloads; a
+	// longer one overflows to a slice of its own.
+	Tasks [4]core.TaskPlacement
+}
+
 // Negotiator is anything an agent can negotiate with: the in-process
 // arbitrator or a qosnet client speaking to a remote one.
 type Negotiator interface {
@@ -103,6 +120,10 @@ type Arbitrator struct {
 	observer func(Decision)
 	history  []Decision
 	keepHist bool
+	// spare is the box the next negotiation plans into.  A refusal leaves
+	// it unfilled and in place — it was never handed out — so only a grant
+	// costs an allocation.
+	spare *GrantBox
 }
 
 // ArbitratorConfig configures a new arbitrator.
@@ -148,7 +169,11 @@ func (a *Arbitrator) NegotiateTimed(job core.Job, rec *phase.Rec) (*Grant, error
 	rec.Mark(phase.Route)
 	defer a.mu.Unlock()
 
-	pl, err := a.sched.Admit(job)
+	if a.spare == nil {
+		a.spare = new(GrantBox)
+	}
+	g := &a.spare.Grant
+	err := a.sched.AdmitInto(job, &g.Placement, a.spare.Tasks[:0])
 	rec.Mark(phase.Plan)
 	if err != nil {
 		if errors.Is(err, core.ErrRejected) {
@@ -158,13 +183,8 @@ func (a *Arbitrator) NegotiateTimed(job core.Job, rec *phase.Rec) (*Grant, error
 		}
 		return nil, err
 	}
-	g := &Grant{
-		JobID:     job.ID,
-		Chain:     pl.Chain,
-		Quality:   job.Chains[pl.Chain].Quality,
-		Placement: *pl,
-		Trace:     job.Trace,
-	}
+	a.spare = nil
+	g.JobID, g.Chain, g.Quality, g.Trace = job.ID, g.Placement.Chain, job.Chains[g.Placement.Chain].Quality, job.Trace
 	a.record(Decision{Kind: KindAdmitted, Job: job, Grant: g, Now: a.now})
 	rec.Mark(phase.Reserve)
 	return g, nil

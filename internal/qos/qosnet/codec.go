@@ -389,14 +389,10 @@ func (e *encoder) grant(g *qos.Grant) {
 	}
 }
 
-// grant reads a grant.  It and up to four placed tasks — every chain of the
-// paper's workloads — are one object.
+// grant reads a grant into the one object the arbitrator made it in.
 func (d *decoder) grant() *qos.Grant {
-	box := &struct {
-		g     qos.Grant
-		tasks [4]core.TaskPlacement
-	}{}
-	g := &box.g
+	box := new(qos.GrantBox)
+	g := &box.Grant
 	g.JobID = d.int()
 	g.Chain = d.int()
 	g.Quality = d.f64()
@@ -404,10 +400,10 @@ func (d *decoder) grant() *qos.Grant {
 	g.Shard = d.int()
 	g.Placement.JobID = d.int()
 	g.Placement.Chain = d.int()
-	if n := d.VarCount(maxCount, minPlacement, "placed task"); n > len(box.tasks) {
+	if n := d.VarCount(maxCount, minPlacement, "placed task"); n > len(box.Tasks) {
 		g.Placement.Tasks = make([]core.TaskPlacement, n)
 	} else if n > 0 {
-		g.Placement.Tasks = box.tasks[:n:n]
+		g.Placement.Tasks = box.Tasks[:n:n]
 	}
 	for i := range g.Placement.Tasks {
 		tp := &g.Placement.Tasks[i]
