@@ -15,6 +15,7 @@ import (
 	"milan/internal/experiments"
 	"milan/internal/junction"
 	"milan/internal/obs"
+	"milan/internal/qos"
 	"milan/internal/workload"
 )
 
@@ -240,35 +241,35 @@ func BenchmarkSchedulerAdmitTunable(b *testing.B) {
 	}
 }
 
-// BenchmarkAdmitNilSink is the unobserved fast path: Options carry no
-// hooks, so every hook site is one nil pointer comparison.  Compare with
-// BenchmarkAdmitInstrumented to measure the observability layer's cost.
+// BenchmarkAdmitNilSink is the unobserved fast path: the arbitrator has no
+// decision observer, so recording a decision is one nil comparison.
+// Compare with BenchmarkAdmitInstrumented to measure the observability
+// layer's cost.
 func BenchmarkAdmitNilSink(b *testing.B) {
-	b.ReportAllocs()
-	spec := workload.FigureJob{X: 16, T: 25, Alpha: 0.25, Laxity: 0.5}
-	s := core.NewScheduler(16, 0, &core.Options{})
-	release := 0.0
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		release += 30
-		s.Observe(release)
-		_, _ = s.Admit(spec.Job(i, release, workload.Tunable))
-	}
+	benchmarkArbitratorAdmit(b, qos.ArbitratorConfig{Procs: 16})
 }
 
 // BenchmarkAdmitInstrumented runs the same admission stream with a full
-// observer attached (registry metrics + ring-buffer tracing).
+// observer attached to the decision feed (registry metrics + ring-buffer
+// tracing).
 func BenchmarkAdmitInstrumented(b *testing.B) {
+	o := obs.New(obs.Config{})
+	benchmarkArbitratorAdmit(b, o.InstrumentArbitratorConfig(qos.ArbitratorConfig{Procs: 16}))
+}
+
+func benchmarkArbitratorAdmit(b *testing.B, cfg qos.ArbitratorConfig) {
 	b.ReportAllocs()
 	spec := workload.FigureJob{X: 16, T: 25, Alpha: 0.25, Laxity: 0.5}
-	o := obs.New(obs.Config{})
-	s := core.NewScheduler(16, 0, o.InstrumentOptions(nil))
+	arb, err := qos.NewArbitrator(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
 	release := 0.0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		release += 30
-		s.Observe(release)
-		_, _ = s.Admit(spec.Job(i, release, workload.Tunable))
+		arb.Observe(release)
+		_, _ = arb.Negotiate(spec.Job(i, release, workload.Tunable))
 	}
 }
 

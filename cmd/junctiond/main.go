@@ -58,7 +58,7 @@ func main() {
 	faults := flag.Bool("faults", false, "inject worker faults to exercise eager scheduling")
 	radius := flag.Float64("radius", 4, "match radius for quality scoring")
 	video := flag.Int("video", 0, "process a synthetic video of N frames instead of a single image")
-	debugAddr := flag.String("debug-addr", "", "serve the observability debug endpoint (/metrics, /trace, /gantt) on this address")
+	debugAddr := flag.String("debug-addr", "", "serve the observability debug endpoint (/metrics, /trace, /spans) on this address")
 	pprofFlag := flag.Bool("pprof", false, "mount net/http/pprof on the debug endpoint (requires -debug-addr)")
 	walDir := flag.String("wal-dir", "", "serve a durable admission plane journaled to this directory")
 	admitAddr := flag.String("admit-addr", "127.0.0.1:0", "listen address for the durable admission service (requires -wal-dir)")
@@ -121,7 +121,7 @@ func main() {
 				log.Fatal(err)
 			}
 			defer srv.Close()
-			fmt.Printf("debug endpoint: http://%s (/metrics /trace /gantt /healthz)\n\n", addr)
+			fmt.Printf("debug endpoint: http://%s (/metrics /trace /spans /healthz)\n\n", addr)
 		}
 	}
 

@@ -28,6 +28,7 @@ import (
 	"milan/internal/obs/forensics"
 	"milan/internal/obs/ledger"
 	"milan/internal/obs/slo"
+	"milan/internal/qos"
 	"milan/internal/workload"
 )
 
@@ -48,7 +49,6 @@ func main() {
 	replicas := flag.Int("replicas", 10, "seeds for the replicate subcommand")
 	flag.IntVar(&shardCount, "shards", 2, "shard count for the sharded subcommand (federated admission plane)")
 	flag.IntVar(&probeFanout, "probe", 0, "probe fan-out k for best-of-k routing (0 = all shards)")
-	tracePath := flag.String("trace", "", "write a chrome://tracing JSON of the run to this file")
 	showMetrics := flag.Bool("metrics", false, "print the final metrics registry after the run")
 	sloAudit := flag.Bool("slo", false, "audit the run with the SLO engine and print the end-of-run conformance report")
 	flightPath := flag.String("flight", "", "write the latest flight-recorder snapshot (JSONL) to this file after the run (implies -slo)")
@@ -74,16 +74,14 @@ func main() {
 	var observer *obs.Observer
 	var auditor *slo.Engine
 	var recorder *slo.Recorder
-	if *tracePath != "" || *showMetrics || *sloAudit || *debugAddr != "" {
+	if *showMetrics || *sloAudit || *debugAddr != "" {
 		if *sloAudit {
 			recorder = slo.NewRecorder(0, 0)
 		}
 		observer = obs.New(obs.Config{
-			KeepPlacements: *tracePath != "",
-			Capacity:       cfg.Procs,
-			Tracing:        *sloAudit || *tracePath != "",
-			Sink:           recorder, // nil-safe: slo.Recorder no-ops on nil
-			EnablePprof:    *pprofFlag,
+			Tracing:     *sloAudit,
+			Sink:        recorder, // nil-safe: slo.Recorder no-ops on nil
+			EnablePprof: *pprofFlag,
 		})
 		cfg.Obs = observer
 		if *sloAudit {
@@ -144,7 +142,7 @@ func main() {
 			os.Exit(1)
 		}
 		defer srv.Close()
-		fmt.Printf("debug endpoint: http://%s (/metrics /trace /spans /gantt /explain /healthz)\n\n", addr)
+		fmt.Printf("debug endpoint: http://%s (/metrics /trace /spans /explain /healthz)\n\n", addr)
 	}
 	switch *tiebreak {
 	case "paper":
@@ -179,7 +177,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "tunesim:", err)
 		os.Exit(1)
 	}
-	if err := finishObs(os.Stdout, observer, *tracePath, *showMetrics); err != nil {
+	if err := finishObs(os.Stdout, observer, *showMetrics); err != nil {
 		fmt.Fprintln(os.Stderr, "tunesim:", err)
 		os.Exit(1)
 	}
@@ -336,34 +334,14 @@ func startDebug(o *obs.Observer, addr string) (net.Addr, *http.Server, error) {
 	return ln.Addr(), srv, nil
 }
 
-// finishObs renders the post-run observability artifacts: the metrics table
-// on out when showMetrics is set and the Chrome trace file when tracePath is
-// set.  A nil observer is a no-op.
-func finishObs(out io.Writer, o *obs.Observer, tracePath string, showMetrics bool) error {
-	if o == nil {
+// finishObs prints the final metrics table on out when showMetrics is set
+// (the -metrics output).  A nil observer is a no-op.
+func finishObs(out io.Writer, o *obs.Observer, showMetrics bool) error {
+	if o == nil || !showMetrics {
 		return nil
 	}
-	if showMetrics {
-		fmt.Fprintln(out, "\nmetrics:")
-		if err := o.Reg.WriteTable(out); err != nil {
-			return err
-		}
-	}
-	if tracePath != "" {
-		f, err := os.Create(tracePath)
-		if err != nil {
-			return err
-		}
-		if err := o.WriteChromeTrace(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "\nwrote chrome trace to %s (load it in chrome://tracing or ui.perfetto.dev)\n", tracePath)
-	}
-	return nil
+	fmt.Fprintln(out, "\nmetrics:")
+	return o.Reg.WriteTable(out)
 }
 
 // plotFigures renders ASCII charts after each figure table when set.
@@ -386,27 +364,28 @@ func ganttDemo(out *os.File, cfg experiments.Config) error {
 	if n > 12 {
 		n = 12
 	}
-	opts := cfg.Opts
+	arbCfg := qos.ArbitratorConfig{Procs: cfg.Procs, Options: cfg.Opts}
 	if cfg.Obs != nil {
-		opts = cfg.Obs.InstrumentOptions(cfg.Opts)
-		cfg.Obs.SetCapacity(cfg.Procs)
+		arbCfg = cfg.Obs.InstrumentArbitratorConfig(arbCfg)
 	}
-	sched := core.NewScheduler(cfg.Procs, 0, opts)
+	// The clock is never advanced: the chart keeps the full history.
+	arb, err := qos.NewArbitrator(arbCfg)
+	if err != nil {
+		return err
+	}
 	arrivals := workload.NewPoisson(cfg.MeanInterarrival, cfg.Seed)
 	var placements []*core.Placement
 	release := 0.0
 	admitted, rejected := 0, 0
 	for i := 0; i < n; i++ {
 		release += arrivals.Next()
-		sched.Observe(0) // keep full history for the chart
-		job := cfg.Job.Job(i, release, workload.Tunable)
-		pl, err := sched.Admit(job)
+		g, err := arb.Negotiate(cfg.Job.Job(i, release, workload.Tunable))
 		if err != nil {
 			rejected++
 			continue
 		}
 		admitted++
-		placements = append(placements, pl)
+		placements = append(placements, &g.Placement)
 	}
 	asn, err := core.AssignProcessors(cfg.Procs, placements)
 	if err != nil {

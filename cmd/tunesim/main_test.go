@@ -69,13 +69,13 @@ func TestRunRejectsBadConfig(t *testing.T) {
 // the -metrics table reports the admission counters.
 func TestFinishObsMetricsTable(t *testing.T) {
 	cfg := testCfg()
-	o := obs.New(obs.Config{Capacity: cfg.Procs})
+	o := obs.New(obs.Config{})
 	cfg.Obs = o
 	if err := run(cfg, "point"); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := finishObs(&buf, o, "", true); err != nil {
+	if err := finishObs(&buf, o, true); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -89,61 +89,14 @@ func TestFinishObsMetricsTable(t *testing.T) {
 	}
 }
 
-// TestFinishObsTraceRoundTrips runs an instrumented experiment with
-// placement retention and checks the -trace file parses back.
-func TestFinishObsTraceRoundTrips(t *testing.T) {
-	cfg := testCfg()
-	cfg.Jobs = 20
-	o := obs.New(obs.Config{KeepPlacements: true, Capacity: cfg.Procs})
-	cfg.Obs = o
-	if err := run(cfg, "point"); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "trace.json")
-	var buf bytes.Buffer
-	if err := finishObs(&buf, o, path, false); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), path) {
-		t.Fatalf("output does not mention the trace file:\n%s", buf.String())
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	evs, err := obs.ParseChromeTrace(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var spans, instants int
-	for _, ev := range evs {
-		switch ev.Ph {
-		case "X":
-			spans++
-		case "i":
-			instants++
-		}
-	}
-	if spans == 0 {
-		t.Fatal("trace has no schedule spans")
-	}
-	if instants == 0 {
-		t.Fatal("trace has no decision instants")
-	}
-}
-
 // TestFinishObsNilObserver is the unobserved fast path: nothing happens.
 func TestFinishObsNilObserver(t *testing.T) {
 	var buf bytes.Buffer
-	if err := finishObs(&buf, nil, "ignored.json", true); err != nil {
+	if err := finishObs(&buf, nil, true); err != nil {
 		t.Fatal(err)
 	}
 	if buf.Len() != 0 {
 		t.Fatalf("nil observer wrote output: %q", buf.String())
-	}
-	if _, err := os.Stat("ignored.json"); err == nil {
-		t.Fatal("nil observer created a trace file")
 	}
 }
 
@@ -152,7 +105,7 @@ func TestFinishObsNilObserver(t *testing.T) {
 func TestFinishSLOReportAndFlight(t *testing.T) {
 	cfg := testCfg()
 	rec := slo.NewRecorder(256, 256)
-	o := obs.New(obs.Config{Capacity: cfg.Procs, Tracing: true, Sink: rec})
+	o := obs.New(obs.Config{Tracing: true, Sink: rec})
 	rec.Attach(o.Tracer())
 	eng := slo.New(slo.Options{Registry: o.Reg, Recorder: rec})
 	cfg.Obs, cfg.SLO = o, eng
@@ -191,7 +144,7 @@ func TestFinishSLODetectsInjectedFault(t *testing.T) {
 	cfg.Jobs = 30
 	cfg.CompletionDelay = 1e4
 	rec := slo.NewRecorder(1024, 1024)
-	o := obs.New(obs.Config{Capacity: cfg.Procs, Tracing: true, Sink: rec})
+	o := obs.New(obs.Config{Tracing: true, Sink: rec})
 	rec.Attach(o.Tracer())
 	eng := slo.New(slo.Options{Registry: o.Reg, Recorder: rec})
 	cfg.Obs, cfg.SLO = o, eng
@@ -232,15 +185,12 @@ func TestFinishSLONilEngine(t *testing.T) {
 // observer when one is configured.
 func TestGanttDemoInstrumented(t *testing.T) {
 	cfg := testCfg()
-	o := obs.New(obs.Config{KeepPlacements: true})
+	o := obs.New(obs.Config{})
 	cfg.Obs = o
 	if err := run(cfg, "gantt"); err != nil {
 		t.Fatal(err)
 	}
 	if o.Snapshot().Counters[obs.MetricAdmitted] == 0 {
 		t.Fatal("gantt demo did not count admissions")
-	}
-	if len(o.Placements()) == 0 {
-		t.Fatal("gantt demo did not retain placements")
 	}
 }

@@ -107,9 +107,9 @@ const maxWidthScan = 64
 // Diagnose explains why the job is (or would be) rejected: a greedy
 // failure analysis per candidate chain plus verified minimal slack.  It
 // never mutates the scheduler — all replays run on forks of the profile —
-// and it fires no hooks and accumulates no statistics.  Plan calls it
-// automatically on failure when Options.Diagnosis is installed; it is
-// also safe to call directly (e.g. from an operator's /explain request).
+// and it accumulates no statistics.  Plan calls it automatically on
+// failure when Options.Diagnosis is installed; it is also safe to call
+// directly (e.g. from an operator's /explain request).
 func (s *Scheduler) Diagnose(job Job) *PlanDiagnosis {
 	d := &PlanDiagnosis{
 		JobID:    job.ID,

@@ -135,15 +135,9 @@ func (s *Scheduler) admit(job Job, pl *Placement, tasks []TaskPlacement) (*Place
 	if err := job.Validate(); err != nil {
 		return nil, fmt.Errorf("core: admit: %w", err)
 	}
-	if h := s.opts.Hooks; h != nil && h.AdmitStart != nil {
-		// A hook may keep the job it is handed, so it gets its own copy,
-		// allocated only when there is a hook to hand it to.
-		j := job
-		h.AdmitStart(&j)
-	}
 	var planned Placement
 	if _, ok := s.plan(job, &planned, tasks); !ok {
-		s.NoteRejected(&job, "no-feasible-chain")
+		s.NoteRejected()
 		return nil, ErrRejected
 	}
 	if pl == nil {
@@ -163,19 +157,11 @@ func (s *Scheduler) admit(job Job, pl *Placement, tasks []TaskPlacement) (*Place
 // uses this to migrate whole processors between shards.
 func (s *Scheduler) SetCapacity(procs int) error { return s.prof.SetCapacity(procs) }
 
-// NoteRejected records an admission rejection decided outside Admit — e.g.
-// by a federated router whose planning probes all failed — updating the
-// rejection counter and firing the Rejected hook exactly as Admit's own
-// rejection path does.  (Plan itself already counted the per-chain work and
-// the plan failure.)  The hook is handed a copy of *job, which the caller
-// keeps to itself.
-func (s *Scheduler) NoteRejected(job *Job, reason string) {
-	s.stat.Rejected++
-	if h := s.opts.Hooks; h != nil && h.Rejected != nil {
-		j := *job
-		h.Rejected(&j, reason)
-	}
-}
+// NoteRejected counts an admission rejection decided outside Admit — by a
+// federated router whose planning probes all failed, or by durable-log
+// replay — exactly as Admit's own rejection path does.  (Plan itself already
+// counted the per-chain work and the plan failure.)
+func (s *Scheduler) NoteRejected() { s.stat.Rejected++ }
 
 // PlanKey carries the tie-break key of a planned placement in a form a
 // federated router can compare across schedulers: finish time,
@@ -246,38 +232,19 @@ func (s *Scheduler) PlanKeyed(job Job) (*Placement, PlanKey, bool) {
 // allocates nothing either.  The returned key's tasks are scratch, good
 // until the next plan.
 func (s *Scheduler) plan(job Job, pl *Placement, tasks []TaskPlacement) (chainKey, bool) {
-	h := s.opts.Hooks
-	var hj *Job // what the hooks are handed: a copy they may keep
-	if h != nil {
-		j := job
-		hj = &j
-	}
 	s.win.ok = false
 	cand, inc := s.scratch[0], s.scratch[1]
 	var bestKey chainKey
 	bestChain := -1
 	for ci, chain := range job.Chains {
 		s.stat.ChainsTried++
-		probesBefore := s.stat.HolesProbed
 		var ok bool
 		cand, ok = s.placeChain(cand, chain, job.Release)
-		if h != nil && h.HolesProbed != nil {
-			h.HolesProbed(hj, ci, s.stat.HolesProbed-probesBefore)
-		}
 		if !ok {
-			if h != nil && h.ChainTried != nil {
-				h.ChainTried(hj, ci, false, 0)
-			}
 			continue
 		}
 		key := chainSortKey(cand, chain, job.Release)
-		if h != nil && h.ChainTried != nil {
-			h.ChainTried(hj, ci, true, key.finish)
-		}
 		if bestChain < 0 || s.better(&key, &bestKey) {
-			if bestChain >= 0 && h != nil && h.TieBreak != nil {
-				h.TieBreak(hj, ci, bestChain)
-			}
 			bestKey, bestChain = key, ci
 			cand, inc = inc, cand
 		}
@@ -288,9 +255,6 @@ func (s *Scheduler) plan(job Job, pl *Placement, tasks []TaskPlacement) (chainKe
 	s.scratch = [2][]TaskPlacement{cand, inc}
 	if bestChain < 0 {
 		s.stat.PlanFailures++
-		if h != nil && h.PlanFailure != nil {
-			h.PlanFailure(hj)
-		}
 		if s.opts.Diagnosis != nil {
 			s.opts.Diagnosis(s.Diagnose(job))
 		}
@@ -320,10 +284,6 @@ func (s *Scheduler) Commit(job Job, pl *Placement) error {
 			s.stat.TunableChosen = append(s.stat.TunableChosen, 0)
 		}
 		s.stat.TunableChosen[pl.Chain]++
-	}
-	if h := s.opts.Hooks; h != nil && h.Committed != nil {
-		j := job
-		h.Committed(&j, pl)
 	}
 	return nil
 }

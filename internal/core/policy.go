@@ -108,13 +108,10 @@ type Options struct {
 	// BacktrackBudget bounds the total number of per-task placement
 	// attempts when ChainPlacer is PlaceBacktrack.  Zero means 64.
 	BacktrackBudget int
-	// Hooks, if non-nil, observes the admission pipeline (see Hooks).
-	// Because Hooks travels inside Options it survives scheduler rebuilds
-	// (e.g. the dynamic arbitrator's capacity renegotiations).
-	Hooks *Hooks
 	// Diagnosis, if non-nil, receives a rejection explanation for every
-	// failed planning pass (see PlanDiagnosis).  Like Hooks it travels
-	// inside Options; unlike Hooks it sits entirely off the admission hot
+	// failed planning pass (see PlanDiagnosis).  It travels inside Options,
+	// so it survives scheduler rebuilds (e.g. the dynamic arbitrator's
+	// capacity renegotiations), and sits entirely off the admission hot
 	// path — a successful plan never touches it, and a failed plan pays
 	// one nil check when it is absent.  The diagnosis replays run on
 	// forks of the profile, so installing a sink never changes admission

@@ -89,49 +89,6 @@ func TestPlannerHandsOutNoScratch(t *testing.T) {
 	}
 }
 
-// TestHooksMayKeepTheirJob: every *Job a hook is handed stays what it was
-// when handed over, through a thousand later admissions — the scheduler
-// hands out copies, never a variable it will use again.
-func TestHooksMayKeepTheirJob(t *testing.T) {
-	type kept struct {
-		p    *Job
-		want Job
-	}
-	var all []kept
-	keep := func(j *Job) { all = append(all, kept{j, *j}) }
-	s := NewScheduler(32, 0, &Options{Hooks: &Hooks{
-		AdmitStart:  keep,
-		ChainTried:  func(j *Job, _ int, _ bool, _ float64) { keep(j) },
-		HolesProbed: func(j *Job, _, _ int) { keep(j) },
-		TieBreak:    func(j *Job, _, _ int) { keep(j) },
-		Committed:   func(j *Job, _ *Placement) { keep(j) },
-		Rejected:    func(j *Job, _ string) { keep(j) },
-		PlanFailure: keep,
-	}})
-	rng := rand.New(rand.NewSource(5))
-	now := 0.0
-	rejected := 0
-	for i := 0; i < 1100; i++ {
-		now += rng.ExpFloat64() * 5
-		s.Observe(now)
-		if _, err := s.Admit(fig4(i, now)); err != nil {
-			rejected++
-			// The router's way of counting one, too.
-			j := fig4(-i, now)
-			s.NoteRejected(&j, "router")
-			j.ID = 0 // the caller's own variable stays the caller's
-		}
-	}
-	if st := s.Stats(); st.Admitted < 100 || rejected < 100 {
-		t.Fatalf("degenerate stream: %d admitted, %d rejected", st.Admitted, rejected)
-	}
-	for i, k := range all {
-		if !reflect.DeepEqual(*k.p, k.want) {
-			t.Fatalf("kept job %d of %d changed after it was handed over:\n got  %+v\n want %+v", i, len(all), *k.p, k.want)
-		}
-	}
-}
-
 // comparePrefixMaterialised is the prefix criterion as it was before the
 // planner had scratch — over cumulative sums built per chain — kept as the
 // oracle the lock-step comparePrefix is held to.

@@ -78,8 +78,7 @@ func (s *Scheduler) RestoreState(st SchedulerState) error {
 
 // ReplayCommit re-applies a committed placement during durable-log replay:
 // the reservation plus the admission counters Commit would have recorded.
-// It never re-plans and never fires hooks or observers — replay reproduces
-// decisions, it does not make them.
+// It never re-plans — replay reproduces decisions, it does not make them.
 func (s *Scheduler) ReplayCommit(pl *Placement, quality float64, tunable bool) error {
 	for i, tp := range pl.Tasks {
 		if err := s.prof.Reserve(tp.Procs, tp.Start, tp.Finish); err != nil {
@@ -97,8 +96,3 @@ func (s *Scheduler) ReplayCommit(pl *Placement, quality float64, tunable bool) e
 	}
 	return nil
 }
-
-// ReplayRejected re-applies a logged rejection during durable-log replay:
-// the rejection counter alone, with no hooks (the planning-work counters a
-// live rejection accumulated are diagnostics, carried only by snapshots).
-func (s *Scheduler) ReplayRejected() { s.stat.Rejected++ }

@@ -138,7 +138,7 @@ type Job struct {
 	// obs.SpanID of the request's root span) through the admission
 	// pipeline as plain integers, so core needs no observability
 	// dependency.  Zero means "untraced"; the scheduler never reads
-	// them beyond passing the job to its hooks.
+	// them.
 	Trace uint64
 	Span  uint64
 

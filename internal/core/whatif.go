@@ -8,7 +8,7 @@ package core
 // delta — extra processors, extra deadline, a narrower width, a single
 // candidate chain — without mutating any scheduler state.  The fork is a
 // deep copy of the capacity profile (re-indexed, so probes stay
-// near-logarithmic), with hooks, diagnosis and statistics stripped; the
+// near-logarithmic), with diagnosis and statistics stripped; the
 // live scheduler is bit-identical before and after any number of probes
 // (enforced by the proftest op-stream differencing property test).
 
@@ -75,12 +75,11 @@ func (d WhatIfDelta) ApplyTo(job Job) Job {
 
 // Fork returns an isolated scratch copy of the scheduler: the capacity
 // profile is deep-copied (with a fresh segment-tree index when the
-// original is indexed), hooks and diagnosis callbacks are stripped, and
-// statistics start from zero.  Planning on the fork never observes or
-// affects the live schedule.
+// original is indexed), the diagnosis callback is stripped, and statistics
+// start from zero.  Planning on the fork never observes or affects the live
+// schedule.
 func (s *Scheduler) Fork() *Scheduler {
 	o := s.opts
-	o.Hooks = nil
 	o.Diagnosis = nil
 	return &Scheduler{prof: s.prof.Clone(), opts: o}
 }
@@ -88,7 +87,7 @@ func (s *Scheduler) Fork() *Scheduler {
 // WhatIf replans the job on a fork of the live schedule under the given
 // delta, returning the placement the relaxed job would have received and
 // whether it is admissible.  The live scheduler is not mutated, emits no
-// hooks or diagnoses, and accumulates no statistics; with the profile
+// diagnoses, and accumulates no statistics; with the profile
 // index enabled (the default) each probe costs the same near-logarithmic
 // work as a real planning pass.
 func (s *Scheduler) WhatIf(job Job, d WhatIfDelta) (*Placement, bool) {

@@ -948,7 +948,7 @@ func applyRecord(st *State, scheds []*core.Scheduler, r *Record) error {
 		if err := shardOK(); err != nil {
 			return err
 		}
-		scheds[r.Shard].ReplayRejected()
+		scheds[r.Shard].NoteRejected()
 	case KindShed:
 		// Shed jobs never touched a scheduler; the record exists so
 		// recovery can prove they did not reappear as grants.

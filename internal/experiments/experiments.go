@@ -36,12 +36,13 @@ type Config struct {
 	// mean interarrival still describes the intended load for reporting).
 	ArrivalFactory func(seed int64) workload.Arrivals
 	// Obs, if set, observes every run driven by this configuration: the
-	// scheduler's admission pipeline (via core hook adapters), the
-	// arbitrator's decision stream and the sim engine's fired events.
-	// While a run executes, the observer's clock follows the simulation
-	// clock.  When the observer traces (obs.Config.Tracing), the run loop
-	// mints one trace per arrival and records arrival/run spans around the
-	// stages the lower layers produce.  nil (the default) costs nothing.
+	// sim engine's fired events, the planner's work (pulled at the end of
+	// the run) and, in Run, the arbitrator's decision stream
+	// (obs.Observer.DecisionObserver; RunSharded does not feed it).  While
+	// a run executes, the observer's clock follows the simulation clock.
+	// When the observer traces (obs.Config.Tracing), the run loop mints one
+	// trace per arrival and records arrival/run spans around the stages the
+	// lower layers produce.  nil (the default) costs nothing.
 	Obs *obs.Observer
 	// SLO, if set, audits the run: every admission decision feeds the
 	// engine's latency objective and in-flight set, and every admitted
@@ -204,6 +205,7 @@ type admitter interface {
 	qos.TimedNegotiator
 	Observe(now float64)
 	Utilization(origin, horizon float64) float64
+	Stats() core.Stats
 	IndexStats() core.IndexStats
 	WhatIf(job core.Job, d core.WhatIfDelta) (*core.Placement, bool)
 	Headroom(horizon float64) core.Headroom
@@ -256,7 +258,6 @@ func runLoop(cfg Config, sys workload.System, arb admitter) (RunResult, error) {
 	var engine sim.Engine
 	if cfg.Obs != nil {
 		engine.OnEvent = cfg.Obs.BindEngine(&engine)
-		cfg.Obs.SetCapacity(cfg.Procs)
 		defer cfg.Obs.SetClock(nil) // back to wall time after the run
 	}
 	var tracer *obs.Tracer
@@ -387,7 +388,7 @@ func runLoop(cfg Config, sys workload.System, arb admitter) (RunResult, error) {
 	engine.Run()
 
 	if cfg.Obs != nil {
-		cfg.Obs.RecordProfileIndex(arb.IndexStats())
+		cfg.Obs.RecordPlanner(arb.Stats(), arb.IndexStats())
 	}
 	res.Horizon = math.Max(lastFinish, lastRelease)
 	if res.Horizon > 0 {

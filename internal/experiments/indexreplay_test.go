@@ -57,7 +57,7 @@ func TestFig5aReplayIndexOnOff(t *testing.T) {
 func TestRunRecordsIndexWork(t *testing.T) {
 	cfg := testConfig()
 	cfg.Jobs = 200
-	cfg.Obs = obs.New(obs.Config{Capacity: cfg.Procs})
+	cfg.Obs = obs.New(obs.Config{})
 	if _, err := Run(cfg, workload.Tunable); err != nil {
 		t.Fatalf("indexed run: %v", err)
 	}
@@ -69,7 +69,7 @@ func TestRunRecordsIndexWork(t *testing.T) {
 		t.Fatalf("mean descent depth = %v, want > 0", d)
 	}
 
-	cfg.Obs = obs.New(obs.Config{Capacity: cfg.Procs})
+	cfg.Obs = obs.New(obs.Config{})
 	cfg.Opts = &core.Options{ProfileIndex: core.ProfileIndexOff}
 	if _, err := Run(cfg, workload.Tunable); err != nil {
 		t.Fatalf("linear run: %v", err)

@@ -286,7 +286,7 @@ func (sh *Shard) noteRejected(job core.Job) {
 }
 
 func (sh *Shard) noteRejectedLocked(job *core.Job) {
-	sh.sched.NoteRejected(job, "no-feasible-chain")
+	sh.sched.NoteRejected()
 	if sh.observer != nil {
 		sh.observer(qos.Decision{Kind: qos.KindRejected, Job: *job, Now: sh.now, Shard: sh.id})
 	}

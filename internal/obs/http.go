@@ -12,8 +12,6 @@ import (
 //	/metrics  expvar-style JSON snapshot of the metrics registry
 //	/trace    recent ring-buffer events as JSON (?n=K limits the count)
 //	/spans    completed request spans as JSON (empty without tracing)
-//	/gantt    chrome://tracing-loadable JSON of the collected schedule,
-//	          worker timelines, decision events and request span trees
 //	/healthz  liveness + registered readiness checks (health.go)
 //	/         a tiny index
 //
@@ -29,7 +27,7 @@ func (o *Observer) Handler() http.Handler {
 			return
 		}
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		w.Write([]byte("milan debug endpoint\n\n/metrics  registry snapshot (JSON; ?format=prom for Prometheus text)\n/trace    recent trace events (JSON, ?n=K)\n/spans    completed request spans (JSON)\n/gantt    chrome://tracing schedule download\n/healthz  liveness + readiness checks\n"))
+		w.Write([]byte("milan debug endpoint\n\n/metrics  registry snapshot (JSON; ?format=prom for Prometheus text)\n/trace    recent trace events (JSON, ?n=K)\n/spans    completed request spans (JSON)\n/healthz  liveness + readiness checks\n"))
 		for _, p := range o.extraRoutes() {
 			help := ""
 			o.webMu.Lock()
@@ -87,13 +85,6 @@ func (o *Observer) Handler() http.Handler {
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(evs); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
-	})
-	mux.HandleFunc("/gantt", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		w.Header().Set("Content-Disposition", `attachment; filename="trace.json"`)
-		if err := o.WriteChromeTrace(w); err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 		}
 	})

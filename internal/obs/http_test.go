@@ -7,14 +7,17 @@ import (
 	"net/http/httptest"
 	"testing"
 
-	"milan/internal/core"
+	"milan/internal/qos"
 )
 
 func newTestServer(t *testing.T) (*Observer, *httptest.Server) {
 	t.Helper()
-	o := New(Config{KeepPlacements: true, Capacity: 4})
-	s := core.NewScheduler(4, 0, o.InstrumentOptions(nil))
-	if _, err := s.Admit(tunableJob(1, 0)); err != nil {
+	o := New(Config{})
+	arb, err := qos.NewArbitrator(o.InstrumentArbitratorConfig(qos.ArbitratorConfig{Procs: 4}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := arb.Negotiate(tunableJob(1, 0)); err != nil {
 		t.Fatal(err)
 	}
 	srv := httptest.NewServer(o.Handler())
@@ -95,34 +98,6 @@ func TestHandlerTraceEmptyIsArray(t *testing.T) {
 	}
 	if evs == nil || len(evs) != 0 {
 		t.Fatalf("empty /trace = %v, want []", evs)
-	}
-}
-
-func TestHandlerGantt(t *testing.T) {
-	_, srv := newTestServer(t)
-	resp, err := http.Get(srv.URL + "/gantt")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d", resp.StatusCode)
-	}
-	if cd := resp.Header.Get("Content-Disposition"); cd == "" {
-		t.Fatal("no Content-Disposition on /gantt")
-	}
-	evs, err := ParseChromeTrace(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var spans int
-	for _, ev := range evs {
-		if ev.Ph == "X" && ev.Pid == PIDSchedule {
-			spans++
-		}
-	}
-	if spans == 0 {
-		t.Fatal("/gantt has no schedule spans")
 	}
 }
 

@@ -17,7 +17,7 @@ import (
 	"milan/internal/obs/slo"
 )
 
-// TestLineDecodersNameTheBadLine runs the five JSONL decoders that share
+// TestLineDecodersNameTheBadLine runs the four JSONL decoders that share
 // obs.Lines over the two ways an artifact on disk goes bad — the writer died
 // mid-line, or something that is not an artifact at all was handed in — and
 // holds each to the same answer: an error, under the decoder's own prefix,
@@ -38,10 +38,6 @@ func TestLineDecodersNameTheBadLine(t *testing.T) {
 		}},
 		{"slo.DecodeSnapshot", "slo: snapshot ", `{"v":1,"kind":"deadline-miss","at":3}` + "\n" + `{"event":{"t":1,"type":"committed","job":7}}` + "\n", func(_ *testing.T, in string) error {
 			_, err := slo.DecodeSnapshot(strings.NewReader(in))
-			return err
-		}},
-		{"obs.ReadJSONL", "obs: jsonl ", `{"t":1,"type":"committed","job":7}` + "\n" + `{"t":2,"type":"rejected","job":8}` + "\n", func(_ *testing.T, in string) error {
-			_, err := obs.ReadJSONL(strings.NewReader(in))
 			return err
 		}},
 		{"forensics.DecodeJSONL", "forensics: ", `{"seq":1,"at":0,"diag":{}}` + "\n" + `{"seq":2,"at":1,"diag":{}}` + "\n", func(_ *testing.T, in string) error {

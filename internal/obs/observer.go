@@ -14,20 +14,13 @@ type Config struct {
 	// RingSize is the capacity of the internal recent-events ring buffer
 	// (served by the /trace debug endpoint).  0 means 4096.
 	RingSize int
-	// Sink, if non-nil, additionally receives every event (e.g. a
-	// JSONLSink streaming to disk).
+	// Sink, if non-nil, additionally receives every event (the flight
+	// recorder, slo.Recorder).
 	Sink TraceSink
 	// Clock supplies event timestamps.  nil means wall-clock seconds
 	// since Observer creation; bind it to a sim engine's Now for
 	// simulation timestamps (see SetClock).
 	Clock func() float64
-	// KeepPlacements retains every committed placement so the /gantt
-	// endpoint and WriteChromeTrace can render the schedule.
-	KeepPlacements bool
-	// Capacity is the machine size used when exporting the schedule as a
-	// Chrome trace; 0 infers the peak processor demand of the retained
-	// placements.
-	Capacity int
 	// Registry, if non-nil, is used instead of a fresh one (sharing one
 	// registry across several observers).
 	Registry *Registry
@@ -46,23 +39,18 @@ type Config struct {
 }
 
 // Observer ties the metrics registry and the trace sinks together and
-// adapts them to the hook points of the scheduler core, the QoS
-// arbitrators, the Calypso runtime and the sim engine.  All methods are
-// safe for concurrent use.
+// adapts them to the feeds of the admission planes (the qos.Decision
+// observer), the Calypso runtime and the sim engine.  All methods are safe
+// for concurrent use.
 type Observer struct {
 	// Reg is the observer's metrics registry.
 	Reg *Registry
 
-	mu         sync.Mutex
-	ring       *RingSink
-	sink       TraceSink
-	clock      func() float64
-	start      time.Time
-	keepPl     bool
-	placements []*core.Placement
-	capacity   int
-	spans      []Span
-	admitAt    time.Time
+	mu    sync.Mutex
+	ring  *RingSink
+	sink  TraceSink
+	clock func() float64
+	start time.Time
 
 	// tracer is non-nil iff Config.Tracing.
 	tracer *Tracer
@@ -85,13 +73,11 @@ func New(cfg Config) *Observer {
 		reg = NewRegistry()
 	}
 	o := &Observer{
-		Reg:      reg,
-		ring:     NewRingSink(cfg.RingSize),
-		sink:     cfg.Sink,
-		clock:    cfg.Clock,
-		start:    time.Now(),
-		keepPl:   cfg.KeepPlacements,
-		capacity: cfg.Capacity,
+		Reg:   reg,
+		ring:  NewRingSink(cfg.RingSize),
+		sink:  cfg.Sink,
+		clock: cfg.Clock,
+		start: time.Now(),
 	}
 	if cfg.Tracing {
 		o.tracer = NewTracer(cfg.SpanRingSize)
@@ -114,14 +100,6 @@ func (o *Observer) SetClock(clock func() float64) {
 	o.clock = clock
 	o.mu.Unlock()
 	o.tracer.SetClock(clock) // nil-safe
-}
-
-// SetCapacity records the machine size used by the Chrome-trace schedule
-// export.
-func (o *Observer) SetCapacity(procs int) {
-	o.mu.Lock()
-	o.capacity = procs
-	o.mu.Unlock()
 }
 
 // now returns the current timestamp under the configured clock.
@@ -160,14 +138,6 @@ func (o *Observer) Recent(n int) []Event {
 	return evs
 }
 
-// Placements returns the committed placements retained so far (empty
-// unless KeepPlacements).
-func (o *Observer) Placements() []*core.Placement {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return append([]*core.Placement(nil), o.placements...)
-}
-
 // Snapshot returns the registry's current state.
 func (o *Observer) Snapshot() Snapshot { return o.Reg.Snapshot() }
 
@@ -177,10 +147,8 @@ const (
 	MetricRejected      = "sched_rejected"
 	MetricChainsTried   = "sched_chains_tried"
 	MetricHolesProbed   = "sched_holes_probed"
-	MetricTieBreaks     = "sched_tiebreaks"
 	MetricPlanFailures  = "sched_plan_failures"
 	MetricReservedArea  = "sched_reserved_area"
-	MetricAdmitSeconds  = "sched_admit_seconds"
 	MetricRenegotiated  = "qos_renegotiated"
 	MetricAborted       = "qos_aborted"
 	MetricDecisions     = "qos_decisions"
@@ -191,7 +159,7 @@ const (
 	MetricStepSeconds   = "calypso_step_seconds"
 
 	// Profile-index gauges (see core.IndexStats): cumulative segment-tree
-	// work counters snapshotted via RecordProfileIndex.
+	// work counters pulled by RecordPlanner.
 	MetricIndexRebuilds     = "profile_index_rebuilds"
 	MetricIndexLeafUpdates  = "profile_index_leaf_updates"
 	MetricIndexDescents     = "profile_index_descents"
@@ -200,146 +168,81 @@ const (
 	MetricIndexMeanDepth    = "profile_index_mean_descent_depth"
 )
 
-// SchedulerHooks returns core scheduler hooks that translate the admission
-// pipeline into trace events and registry metrics.  Install them via
-// core.Options.Hooks (or InstrumentOptions).
-func (o *Observer) SchedulerHooks() *core.Hooks {
-	admitted := o.Reg.Counter(MetricAdmitted)
-	rejected := o.Reg.Counter(MetricRejected)
-	chains := o.Reg.Counter(MetricChainsTried)
-	probes := o.Reg.Counter(MetricHolesProbed)
-	ties := o.Reg.Counter(MetricTieBreaks)
-	failures := o.Reg.Counter(MetricPlanFailures)
-	area := o.Reg.Gauge(MetricReservedArea)
-	latency := o.Reg.Histogram(MetricAdmitSeconds, 0, 1e-3, 60)
-	return &core.Hooks{
-		AdmitStart: func(job *core.Job) {
-			o.mu.Lock()
-			o.admitAt = time.Now()
-			o.mu.Unlock()
-			o.Emit(Event{Type: EvAdmitStart, Job: job.ID, Trace: job.Trace, Span: job.Span,
-				Attrs: map[string]float64{
-					"chains": float64(len(job.Chains)), "release": job.Release,
-				}})
-		},
-		ChainTried: func(job *core.Job, chain int, ok bool, finish float64) {
-			chains.Inc()
-			ev := Event{Type: EvChainTried, Job: job.ID, Chain: chain, Trace: job.Trace, Span: job.Span}
-			if ok {
-				ev.Attrs = map[string]float64{"ok": 1, "finish": finish}
-			} else {
-				ev.Attrs = map[string]float64{"ok": 0}
-			}
-			o.Emit(ev)
-		},
-		HolesProbed: func(job *core.Job, chain, n int) {
-			probes.Add(int64(n))
-			o.Emit(Event{Type: EvHolesProbed, Job: job.ID, Chain: chain, Trace: job.Trace, Span: job.Span,
-				Attrs: map[string]float64{"probes": float64(n)}})
-		},
-		TieBreak: func(job *core.Job, winner, over int) {
-			ties.Inc()
-			o.Emit(Event{Type: EvTieBreak, Job: job.ID, Chain: winner, Trace: job.Trace, Span: job.Span,
-				Attrs: map[string]float64{"over": float64(over)}})
-		},
-		Committed: func(job *core.Job, pl *core.Placement) {
-			admitted.Inc()
-			area.Add(pl.Area())
-			o.mu.Lock()
-			if o.keepPl {
-				cp := *pl
-				cp.Tasks = append([]core.TaskPlacement(nil), pl.Tasks...)
-				o.placements = append(o.placements, &cp)
-			}
-			began := o.admitAt
-			o.mu.Unlock()
-			if !began.IsZero() {
-				latency.Observe(time.Since(began).Seconds())
-			}
-			o.Emit(Event{Type: EvCommitted, Job: job.ID, Chain: pl.Chain, Trace: job.Trace, Span: job.Span,
-				Attrs: map[string]float64{
-					"start": pl.Start(), "finish": pl.Finish(), "area": pl.Area(),
-					"quality": job.Chains[pl.Chain].Quality,
-				}})
-		},
-		Rejected: func(job *core.Job, reason string) {
-			rejected.Inc()
-			o.mu.Lock()
-			began := o.admitAt
-			o.mu.Unlock()
-			if !began.IsZero() {
-				latency.Observe(time.Since(began).Seconds())
-			}
-			o.Emit(Event{Type: EvRejected, Job: job.ID, Reason: reason, Trace: job.Trace, Span: job.Span})
-		},
-		PlanFailure: func(job *core.Job) {
-			failures.Inc()
-		},
-	}
-}
-
-// InstrumentOptions returns a copy of opts (or fresh zero Options when opts
-// is nil) with the observer's scheduler hooks installed.
-func (o *Observer) InstrumentOptions(opts *core.Options) *core.Options {
-	var out core.Options
-	if opts != nil {
-		out = *opts
-	}
-	out.Hooks = o.SchedulerHooks()
-	return &out
-}
-
-// RecordProfileIndex snapshots a profile index's cumulative work counters
-// into the registry's gauges (rebuilds, incremental leaf updates, descents,
-// nodes visited, range queries, and mean descent depth).  Call it whenever
-// a fresh reading is wanted — after a run, or periodically while serving —
-// with the counters from core.Scheduler.IndexStats / qos.Arbitrator.
-// IndexStats.  A zero-value (index disabled) snapshot is a no-op so call
-// sites need not branch.
-func (o *Observer) RecordProfileIndex(st core.IndexStats) {
-	if !st.Enabled {
+// RecordPlanner pulls the planner's work into the registry: the
+// sched_chains_tried, sched_holes_probed and sched_plan_failures gauges from
+// st, and the profile-index gauges (rebuilds, incremental leaf updates,
+// descents, nodes visited, range queries, mean descent depth) from ix — the
+// Stats and IndexStats of a core.Scheduler, a qos.Arbitrator or a fed plane.
+// Call it whenever a fresh reading is wanted: after a run, or periodically
+// while serving.  A zero-value (index disabled) ix sets no index gauges.
+func (o *Observer) RecordPlanner(st core.Stats, ix core.IndexStats) {
+	o.Reg.Gauge(MetricChainsTried).Set(float64(st.ChainsTried))
+	o.Reg.Gauge(MetricHolesProbed).Set(float64(st.HolesProbed))
+	o.Reg.Gauge(MetricPlanFailures).Set(float64(st.PlanFailures))
+	if !ix.Enabled {
 		return
 	}
-	o.Reg.Gauge(MetricIndexRebuilds).Set(float64(st.Rebuilds))
-	o.Reg.Gauge(MetricIndexLeafUpdates).Set(float64(st.LeafUpdates))
-	o.Reg.Gauge(MetricIndexDescents).Set(float64(st.Descents))
-	o.Reg.Gauge(MetricIndexDescentSteps).Set(float64(st.DescentSteps))
-	o.Reg.Gauge(MetricIndexRangeQueries).Set(float64(st.RangeQueries))
+	o.Reg.Gauge(MetricIndexRebuilds).Set(float64(ix.Rebuilds))
+	o.Reg.Gauge(MetricIndexLeafUpdates).Set(float64(ix.LeafUpdates))
+	o.Reg.Gauge(MetricIndexDescents).Set(float64(ix.Descents))
+	o.Reg.Gauge(MetricIndexDescentSteps).Set(float64(ix.DescentSteps))
+	o.Reg.Gauge(MetricIndexRangeQueries).Set(float64(ix.RangeQueries))
 	depth := 0.0
-	if st.Descents > 0 {
-		depth = float64(st.DescentSteps) / float64(st.Descents)
+	if ix.Descents > 0 {
+		depth = float64(ix.DescentSteps) / float64(ix.Descents)
 	}
 	o.Reg.Gauge(MetricIndexMeanDepth).Set(depth)
 }
 
-// DecisionObserver wraps a qos Decision observer (next may be nil): every
-// decision bumps the decision counter before forwarding.  The per-decision
-// Committed/Rejected events come from the scheduler hooks; this wrapper
-// observes the arbitrator-level stream.
+// DecisionObserver is the observer's admission adapter: it wraps a qos
+// Decision observer (next may be nil) so that an admission bumps
+// qos_decisions, sched_admitted and sched_reserved_area and emits Committed
+// (start, finish, area and quality of the grant), and a rejection bumps
+// qos_decisions and sched_rejected and emits Rejected{no-feasible-chain} —
+// each event carrying the job's trace and span — before the decision is
+// forwarded.  A plane's clock and resize decisions pass through uncounted.
+// The same adapter instruments qos.Arbitrator, a fed plane
+// (fed.Config.Observer) and qos.DynamicArbitrator; it runs where they call
+// their observer, under the arbitrator's or the deciding shard's lock.
 func (o *Observer) DecisionObserver(next func(qos.Decision)) func(qos.Decision) {
 	decisions := o.Reg.Counter(MetricDecisions)
+	admitted := o.Reg.Counter(MetricAdmitted)
+	rejected := o.Reg.Counter(MetricRejected)
+	area := o.Reg.Gauge(MetricReservedArea)
 	return func(d qos.Decision) {
-		decisions.Inc()
+		switch d.Kind {
+		case qos.KindAdmitted:
+			pl := &d.Grant.Placement
+			decisions.Inc()
+			admitted.Inc()
+			area.Add(pl.Area())
+			o.Emit(Event{Type: EvCommitted, Job: d.Job.ID, Chain: pl.Chain, Trace: d.Job.Trace, Span: d.Job.Span,
+				Attrs: map[string]float64{
+					"start": pl.Start(), "finish": pl.Finish(), "area": pl.Area(),
+					"quality": d.Grant.Quality,
+				}})
+		case qos.KindRejected:
+			decisions.Inc()
+			rejected.Inc()
+			o.Emit(Event{Type: EvRejected, Job: d.Job.ID, Reason: "no-feasible-chain", Trace: d.Job.Trace, Span: d.Job.Span})
+		}
 		if next != nil {
 			next(d)
 		}
 	}
 }
 
-// InstrumentArbitratorConfig returns a copy of cfg with the observer's
-// scheduler hooks installed and its Decision stream wrapped.
+// InstrumentArbitratorConfig returns a copy of cfg with its Decision
+// stream wrapped by DecisionObserver.
 func (o *Observer) InstrumentArbitratorConfig(cfg qos.ArbitratorConfig) qos.ArbitratorConfig {
-	cfg.Options = o.InstrumentOptions(cfg.Options)
 	cfg.Observer = o.DecisionObserver(cfg.Observer)
 	return cfg
 }
 
 // InstrumentDynamic wraps a dynamic arbitrator's callback stream: placement
 // moves emit Renegotiated events, evictions emit Aborted events and every
-// admission decision bumps the decision counter.  Existing callbacks are
-// chained, not replaced.  Call it before the arbitrator starts serving;
-// note the scheduler hooks themselves must be installed via the Options
-// passed to qos.NewDynamicArbitrator (see InstrumentOptions).
+// admission decision goes through DecisionObserver.  Existing callbacks are
+// chained, not replaced.  Call it before the arbitrator starts serving.
 func (o *Observer) InstrumentDynamic(d *qos.DynamicArbitrator) {
 	renegotiated := o.Reg.Counter(MetricRenegotiated)
 	aborted := o.Reg.Counter(MetricAborted)
@@ -379,9 +282,8 @@ func (o *Observer) BindEngine(e interface {
 	return o.SimEventFired
 }
 
-// CalypsoHooks returns runtime trace hooks: steps and task executions
-// become events, spans (for the Chrome-trace worker timeline) and
-// registry metrics.
+// CalypsoHooks returns runtime trace hooks: steps and faults become events,
+// and steps, task executions and faults registry metrics.
 func (o *Observer) CalypsoHooks() calypso.TraceHooks {
 	steps := o.Reg.Counter(MetricCalypsoSteps)
 	execs := o.Reg.Counter(MetricCalypsoExecs)
@@ -404,24 +306,8 @@ func (o *Observer) CalypsoHooks() calypso.TraceHooks {
 			}
 			o.Emit(ev)
 		},
-		TaskExec: func(step, worker, task, attempt int, start time.Time, d time.Duration, committed bool) {
+		TaskExec: func(int, int, int, int, time.Time, time.Duration, bool) {
 			execs.Inc()
-			won := 0.0
-			if committed {
-				won = 1
-			}
-			o.AddSpan(Span{
-				PID:   PIDCalypso,
-				TID:   worker,
-				Name:  "task",
-				Cat:   "calypso",
-				Start: start.Sub(o.start).Seconds(),
-				Dur:   d.Seconds(),
-				Args: map[string]float64{
-					"step": float64(step), "task": float64(task),
-					"attempt": float64(attempt), "committed": won,
-				},
-			})
 		},
 		WorkerFault: func(step, worker int, kind string) {
 			faults.Inc()

@@ -1,8 +1,8 @@
 package obs
 
 import (
-	"bytes"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"milan/internal/calypso"
@@ -30,68 +30,66 @@ func eventTypes(evs []Event) map[EventType]int {
 	return m
 }
 
+// TestInstrumentedScheduler reads the scheduler's sched_* signals through
+// an instrumented arbitrator: each decision counted and traced as it is
+// made, the planner's work pulled after the fact.
 func TestInstrumentedScheduler(t *testing.T) {
-	o := New(Config{KeepPlacements: true})
-	s := core.NewScheduler(4, 0, o.InstrumentOptions(nil))
-	pl, err := s.Admit(tunableJob(1, 0))
+	o := New(Config{})
+	arb, err := qos.NewArbitrator(o.InstrumentArbitratorConfig(qos.ArbitratorConfig{Procs: 4}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pl == nil {
-		t.Fatal("job 1 not admitted")
+	job := tunableJob(1, 0)
+	job.Trace, job.Span = 7, 8
+	if _, err := arb.Negotiate(job); err != nil {
+		t.Fatal(err)
 	}
 	// Saturate the machine so a later urgent job is rejected.
-	if _, err := s.Admit(core.Job{ID: 2, Chains: []core.Chain{
+	if _, err := arb.Negotiate(core.Job{ID: 2, Chains: []core.Chain{
 		{Quality: 1, Tasks: []core.Task{{Procs: 4, Duration: 100, Deadline: 110}}},
 	}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Admit(core.Job{ID: 3, Chains: []core.Chain{
+	if _, err := arb.Negotiate(core.Job{ID: 3, Trace: 9, Chains: []core.Chain{
 		{Quality: 1, Tasks: []core.Task{{Procs: 4, Duration: 5, Deadline: 20}}},
 	}}); err == nil {
 		t.Fatal("infeasible job admitted")
 	}
+	o.RecordPlanner(arb.Stats(), arb.IndexStats())
 
 	snap := o.Snapshot()
-	if snap.Counters[MetricAdmitted] != 2 {
-		t.Fatalf("admitted = %d, want 2", snap.Counters[MetricAdmitted])
+	if snap.Counters[MetricAdmitted] != 2 || snap.Counters[MetricRejected] != 1 || snap.Counters[MetricDecisions] != 3 {
+		t.Fatalf("admitted/rejected/decisions = %d/%d/%d, want 2/1/3",
+			snap.Counters[MetricAdmitted], snap.Counters[MetricRejected], snap.Counters[MetricDecisions])
 	}
-	if snap.Counters[MetricRejected] != 1 {
-		t.Fatalf("rejected = %d, want 1", snap.Counters[MetricRejected])
+	if snap.Gauges[MetricChainsTried] != 4 { // 2 + 1 + 1
+		t.Fatalf("chains tried = %v, want 4", snap.Gauges[MetricChainsTried])
 	}
-	if snap.Counters[MetricChainsTried] < 4 { // 2 + 1 + 1
-		t.Fatalf("chains tried = %d, want >= 4", snap.Counters[MetricChainsTried])
+	if snap.Gauges[MetricHolesProbed] < 4 {
+		t.Fatalf("holes probed = %v, want >= 4", snap.Gauges[MetricHolesProbed])
 	}
-	if snap.Counters[MetricHolesProbed] < 1 {
-		t.Fatalf("holes probed = %d, want >= 1", snap.Counters[MetricHolesProbed])
+	if snap.Gauges[MetricPlanFailures] != 1 {
+		t.Fatalf("plan failures = %v, want 1", snap.Gauges[MetricPlanFailures])
 	}
-	if snap.Counters[MetricPlanFailures] != 1 {
-		t.Fatalf("plan failures = %d, want 1", snap.Counters[MetricPlanFailures])
+	if snap.Gauges[MetricReservedArea] != 440 { // 4x10 + 4x100
+		t.Fatalf("reserved area = %v, want 440", snap.Gauges[MetricReservedArea])
 	}
-	if snap.Gauges[MetricReservedArea] <= 0 {
-		t.Fatalf("reserved area = %v, want > 0", snap.Gauges[MetricReservedArea])
-	}
-	if snap.Histograms[MetricAdmitSeconds].Count != 3 {
-		t.Fatalf("admit latency samples = %d, want 3", snap.Histograms[MetricAdmitSeconds].Count)
+	if snap.Gauges[MetricIndexDescents] == 0 {
+		t.Fatalf("profile-index gauges not pulled: %v", snap.Gauges)
 	}
 
-	types := eventTypes(o.Events())
-	if types[EvAdmitStart] != 3 || types[EvCommitted] != 2 || types[EvRejected] != 1 {
+	evs := o.Events()
+	if types := eventTypes(evs); len(evs) != 3 || types[EvCommitted] != 2 || types[EvRejected] != 1 {
 		t.Fatalf("event types = %v", types)
 	}
-	if types[EvChainTried] < 4 || types[EvHolesProbed] < 4 {
-		t.Fatalf("per-chain events = %v", types)
+	want := Event{Type: EvCommitted, Job: 1, Trace: 7, Span: 8,
+		Attrs: map[string]float64{"start": 0, "finish": 10, "area": 40, "quality": 1}}
+	if got := evs[0]; got.Type != want.Type || got.Job != want.Job || got.Chain != 0 || got.Trace != want.Trace ||
+		got.Span != want.Span || !reflect.DeepEqual(got.Attrs, want.Attrs) {
+		t.Fatalf("committed event = %+v, want %+v", got, want)
 	}
-
-	if got := len(o.Placements()); got != 2 {
-		t.Fatalf("retained placements = %d, want 2", got)
-	}
-	var buf bytes.Buffer
-	if err := o.WriteChromeTrace(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if evs, err := ParseChromeTrace(&buf); err != nil || len(evs) == 0 {
-		t.Fatalf("chrome trace round-trip: %d events, err = %v", len(evs), err)
+	if got := evs[2]; got.Type != EvRejected || got.Job != 3 || got.Trace != 9 || got.Reason != "no-feasible-chain" {
+		t.Fatalf("rejected event = %+v", got)
 	}
 }
 
@@ -119,7 +117,7 @@ func TestInstrumentedArbitrator(t *testing.T) {
 
 func TestInstrumentDynamicRenegotiation(t *testing.T) {
 	o := New(Config{})
-	d, err := qos.NewDynamicArbitrator(4, o.InstrumentOptions(nil))
+	d, err := qos.NewDynamicArbitrator(4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +164,7 @@ func TestInstrumentDynamicRenegotiation(t *testing.T) {
 		t.Fatalf("chained callbacks = %d/%d, want 1/1", chainedReneg, chainedAbort)
 	}
 	types := eventTypes(o.Events())
-	if types[EvRenegotiated] != 1 || types[EvAborted] != 1 {
+	if types[EvRenegotiated] != 1 || types[EvAborted] != 1 || types[EvCommitted] != 3 {
 		t.Fatalf("event types = %v", types)
 	}
 	var aborts []Event
@@ -242,9 +240,6 @@ func TestCalypsoHooks(t *testing.T) {
 	types := eventTypes(o.Events())
 	if types[EvStepStart] != 3 || types[EvStepDone] != 3 {
 		t.Fatalf("event types = %v", types)
-	}
-	if len(o.Spans()) < 12 {
-		t.Fatalf("worker spans = %d, want >= 12", len(o.Spans()))
 	}
 }
 

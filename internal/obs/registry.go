@@ -1,14 +1,14 @@
 // Package obs is the observability layer of the system: a lock-cheap
 // runtime metrics registry (atomic counters, gauges, fixed-bucket latency
-// histograms and Welford statistics), a structured trace layer with
-// pluggable sinks, a chrome://tracing exporter for committed schedules and
-// worker timelines, and an HTTP debug endpoint.
+// histograms and Welford statistics), structured trace events with a
+// recent-events ring, request spans, and an HTTP debug endpoint.
 //
-// The package exists to make every scheduling decision traceable (which
-// chain was tried, which maximal hole was probed, which tie-breaker fired)
-// and every hot path measurable while it runs, without perturbing the
-// unobserved fast path: all hooks are nil-checked at the call site, so a
-// scheduler, arbitrator, runtime or sim engine without an attached
+// The package exists to make every admission decision traceable (which
+// job, which chain, which reservation, why a refusal) and every hot path
+// measurable while it runs, without perturbing the unobserved fast path:
+// every feed it adapts — an arbitrator's decision observer, the runtime's
+// trace hooks, the sim engine's event callback — is nil-checked at the
+// call site, so an arbitrator, runtime or sim engine without an attached
 // Observer pays no instrumentation cost.
 package obs
 

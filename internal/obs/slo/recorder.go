@@ -212,7 +212,7 @@ func (r *Recorder) RecordSpan(rec obs.SpanRec) {
 }
 
 // Emit adds one decision event to the ring (the obs.TraceSink surface —
-// pass the recorder as obs.Config.Sink, or inside an obs.MultiSink).
+// pass the recorder as obs.Config.Sink).
 func (r *Recorder) Emit(ev obs.Event) {
 	if r == nil {
 		return

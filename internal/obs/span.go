@@ -20,7 +20,7 @@ import (
 // back, ActiveSpan.EndAdmission renders the finished record as the arrival
 // span's children, so the admission packages never see a Tracer.  The full
 // lifecycle of one job is then reconstructable as a span tree
-// (BuildSpanTrees) and exportable to the chrome://tracing view.
+// (BuildSpanTrees).
 //
 // The whole layer honors the observability contract of this package: a nil
 // *Tracer is a valid receiver for every method, all of which no-op, so an

@@ -1,27 +1,13 @@
 package obs
 
-import (
-	"bufio"
-	"encoding/json"
-	"io"
-	"sync"
-)
+import "sync"
 
-// EventType names a structured trace event.  The admission types mirror the
-// stages of the greedy heuristic (Section 5.2 of the paper); the Step*
-// types cover the Calypso runtime; EventFired covers the sim engine.
+// EventType names a structured trace event.  The admission types are the
+// arbitrator's decisions (Section 3 of the paper); the Step* types cover the
+// Calypso runtime; EventFired covers the sim engine.
 type EventType string
 
 const (
-	// EvAdmitStart marks the start of admission control for one job.
-	EvAdmitStart EventType = "AdmitStart"
-	// EvChainTried records one execution path's feasibility check.
-	EvChainTried EventType = "ChainTried"
-	// EvHolesProbed records how many placement probes (maximal-hole or
-	// profile-segment queries) one chain's placement issued.
-	EvHolesProbed EventType = "HolesProbed"
-	// EvTieBreak records a later chain displacing the incumbent best.
-	EvTieBreak EventType = "TieBreak"
 	// EvCommitted records a job's reservation being committed.
 	EvCommitted EventType = "Committed"
 	// EvRejected records a job failing admission; Reason says why.
@@ -108,92 +94,4 @@ func (r *RingSink) Dropped() int64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.ring.Dropped()
-}
-
-// JSONLSink writes each event as one JSON line.  Writes are buffered;
-// call Flush (or Close) before reading the underlying writer.
-type JSONLSink struct {
-	mu sync.Mutex
-	bw *bufio.Writer
-	c  io.Closer // optional
-	e  error     // first write error, sticky
-}
-
-// NewJSONLSink returns a sink writing JSON lines to w.  If w is also an
-// io.Closer, Close closes it.
-func NewJSONLSink(w io.Writer) *JSONLSink {
-	s := &JSONLSink{bw: bufio.NewWriter(w)}
-	if c, ok := w.(io.Closer); ok {
-		s.c = c
-	}
-	return s
-}
-
-// Emit writes one event line.  Errors are sticky and reported by Flush.
-func (s *JSONLSink) Emit(ev Event) {
-	b, err := json.Marshal(ev)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err != nil {
-		if s.e == nil {
-			s.e = err
-		}
-		return
-	}
-	if s.e == nil {
-		if _, err := s.bw.Write(append(b, '\n')); err != nil {
-			s.e = err
-		}
-	}
-}
-
-// Flush flushes buffered lines and returns the first error seen.
-func (s *JSONLSink) Flush() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.bw.Flush(); err != nil && s.e == nil {
-		s.e = err
-	}
-	return s.e
-}
-
-// Close flushes and closes the underlying writer when it is a Closer.
-func (s *JSONLSink) Close() error {
-	err := s.Flush()
-	if s.c != nil {
-		if cerr := s.c.Close(); err == nil {
-			err = cerr
-		}
-	}
-	return err
-}
-
-// ReadJSONL parses a JSONL event stream back into events (the round-trip
-// of JSONLSink output).
-func ReadJSONL(r io.Reader) ([]Event, error) {
-	var out []Event
-	err := Lines(r, "obs: jsonl", func(raw []byte) error {
-		var ev Event
-		if err := json.Unmarshal(raw, &ev); err != nil {
-			return err
-		}
-		out = append(out, ev)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// MultiSink fans events out to every sink.
-type MultiSink []TraceSink
-
-// Emit forwards the event to every sink.
-func (m MultiSink) Emit(ev Event) {
-	for _, s := range m {
-		if s != nil {
-			s.Emit(ev)
-		}
-	}
 }

@@ -1,21 +1,16 @@
 package obs
 
-import (
-	"bytes"
-	"fmt"
-	"strings"
-	"testing"
-)
+import "testing"
 
 func TestRingSinkBelowCapacity(t *testing.T) {
 	r := NewRingSink(4)
-	r.Emit(Event{Type: EvAdmitStart, Job: 1})
+	r.Emit(Event{Type: EvRejected, Job: 1})
 	r.Emit(Event{Type: EvCommitted, Job: 1})
 	evs := r.Events()
 	if len(evs) != 2 {
 		t.Fatalf("len = %d, want 2", len(evs))
 	}
-	if evs[0].Type != EvAdmitStart || evs[1].Type != EvCommitted {
+	if evs[0].Type != EvRejected || evs[1].Type != EvCommitted {
 		t.Fatalf("events = %+v", evs)
 	}
 	if r.Total() != 2 {
@@ -84,94 +79,4 @@ func TestNewRingSinkPanicsOnZero(t *testing.T) {
 		}
 	}()
 	NewRingSink(0)
-}
-
-func TestJSONLRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	s := NewJSONLSink(&buf)
-	in := []Event{
-		{Time: 1, Type: EvAdmitStart, Job: 3, Attrs: map[string]float64{"chains": 2}},
-		{Time: 2, Type: EvRejected, Job: 4, Reason: "no-feasible-chain"},
-		{Time: 3, Type: EvWorkerFault, Worker: 1, Reason: "crash"},
-	}
-	for _, ev := range in {
-		s.Emit(ev)
-	}
-	if err := s.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	out, err := ReadJSONL(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != len(in) {
-		t.Fatalf("len = %d, want %d", len(out), len(in))
-	}
-	for i := range in {
-		if out[i].Type != in[i].Type || out[i].Job != in[i].Job || out[i].Reason != in[i].Reason || out[i].Time != in[i].Time {
-			t.Fatalf("out[%d] = %+v, want %+v", i, out[i], in[i])
-		}
-	}
-	if out[0].Attrs["chains"] != 2 {
-		t.Fatalf("attrs lost: %+v", out[0].Attrs)
-	}
-}
-
-func TestReadJSONLSkipsBlankAndRejectsGarbage(t *testing.T) {
-	evs, err := ReadJSONL(strings.NewReader("{\"t\":1,\"type\":\"Committed\"}\n\n{\"t\":2,\"type\":\"Rejected\"}\n"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(evs) != 2 {
-		t.Fatalf("len = %d, want 2", len(evs))
-	}
-	if _, err := ReadJSONL(strings.NewReader("not json\n")); err == nil {
-		t.Fatal("garbage line parsed")
-	}
-}
-
-type errWriter struct{}
-
-func (errWriter) Write([]byte) (int, error) { return 0, fmt.Errorf("disk full") }
-
-func TestJSONLSinkStickyError(t *testing.T) {
-	s := NewJSONLSink(errWriter{})
-	for i := 0; i < 100000; i++ { // enough to overflow the bufio buffer
-		s.Emit(Event{Type: EvEventFired, Name: "tick"})
-	}
-	if err := s.Flush(); err == nil {
-		t.Fatal("write error swallowed")
-	}
-}
-
-type closeRecorder struct {
-	bytes.Buffer
-	closed bool
-}
-
-func (c *closeRecorder) Close() error { c.closed = true; return nil }
-
-func TestJSONLSinkCloseClosesWriter(t *testing.T) {
-	var cr closeRecorder
-	s := NewJSONLSink(&cr)
-	s.Emit(Event{Type: EvCommitted, Job: 1})
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if !cr.closed {
-		t.Fatal("underlying writer not closed")
-	}
-	evs, err := ReadJSONL(&cr.Buffer)
-	if err != nil || len(evs) != 1 {
-		t.Fatalf("events = %v, err = %v", evs, err)
-	}
-}
-
-func TestMultiSinkFansOut(t *testing.T) {
-	a, b := NewRingSink(4), NewRingSink(4)
-	m := MultiSink{a, nil, b}
-	m.Emit(Event{Type: EvTieBreak, Job: 9})
-	if a.Total() != 1 || b.Total() != 1 {
-		t.Fatalf("totals = %d, %d, want 1, 1", a.Total(), b.Total())
-	}
 }

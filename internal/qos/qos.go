@@ -118,8 +118,6 @@ type Arbitrator struct {
 	sched    *core.Scheduler
 	now      float64
 	observer func(Decision)
-	history  []Decision
-	keepHist bool
 	// spare is the box the next negotiation plans into.  A refusal leaves
 	// it unfilled and in place — it was never handed out — so only a grant
 	// costs an allocation.
@@ -131,8 +129,6 @@ type ArbitratorConfig struct {
 	Procs   int           // machine size (required)
 	Origin  float64       // schedule start time
 	Options *core.Options // scheduler policy; nil means the paper's defaults
-	// KeepHistory retains every Decision for inspection (tests, CLIs).
-	KeepHistory bool
 	// Observer, if set, is called synchronously with every decision.
 	Observer func(Decision)
 }
@@ -146,7 +142,6 @@ func NewArbitrator(cfg ArbitratorConfig) (*Arbitrator, error) {
 		sched:    core.NewScheduler(cfg.Procs, cfg.Origin, cfg.Options),
 		now:      cfg.Origin,
 		observer: cfg.Observer,
-		keepHist: cfg.KeepHistory,
 	}, nil
 }
 
@@ -192,8 +187,8 @@ func (a *Arbitrator) NegotiateTimed(job core.Job, rec *phase.Rec) (*Grant, error
 
 // NegotiateDAG runs admission control for a DAG job (an application whose
 // execution paths are precedence graphs rather than chains).  DAG
-// negotiations update scheduler statistics but are not recorded in the
-// decision history.
+// negotiations update scheduler statistics but are no decision: the
+// observer does not see them.
 func (a *Arbitrator) NegotiateDAG(job core.DAGJob) (*Grant, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -292,17 +287,8 @@ func (a *Arbitrator) Headroom(horizon float64) core.Headroom {
 	return a.sched.Headroom(a.now, horizon)
 }
 
-// History returns the recorded decisions (empty unless KeepHistory).
-func (a *Arbitrator) History() []Decision {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return append([]Decision(nil), a.history...)
-}
-
+// record hands a decision to the observer, under the arbitrator's lock.
 func (a *Arbitrator) record(d Decision) {
-	if a.keepHist {
-		a.history = append(a.history, d)
-	}
 	if a.observer != nil {
 		a.observer(d)
 	}

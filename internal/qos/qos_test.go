@@ -9,9 +9,9 @@ import (
 	"milan/internal/workload"
 )
 
-func newArb(t *testing.T, procs int, keepHist bool) *Arbitrator {
+func newArb(t *testing.T, procs int) *Arbitrator {
 	t.Helper()
-	arb, err := NewArbitrator(ArbitratorConfig{Procs: procs, KeepHistory: keepHist})
+	arb, err := NewArbitrator(ArbitratorConfig{Procs: procs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +33,11 @@ func TestNewArbitratorRejectsBadConfig(t *testing.T) {
 }
 
 func TestNegotiateGrantAndReject(t *testing.T) {
-	arb := newArb(t, 4, true)
+	var hist []Decision
+	arb, err := NewArbitrator(ArbitratorConfig{Procs: 4, Observer: func(d Decision) { hist = append(hist, d) }})
+	if err != nil {
+		t.Fatal(err)
+	}
 	g, err := arb.Negotiate(simpleJob(1, 0, 4, 10, 20))
 	if err != nil {
 		t.Fatal(err)
@@ -53,14 +57,13 @@ func TestNegotiateGrantAndReject(t *testing.T) {
 	if st.Admitted != 1 || st.Rejected != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
-	hist := arb.History()
 	if len(hist) != 2 || hist[0].Kind != KindAdmitted || hist[1].Kind != KindRejected {
 		t.Fatalf("history = %+v", hist)
 	}
 }
 
 func TestNegotiatePicksBestPathOfTunableJob(t *testing.T) {
-	arb := newArb(t, 8, false)
+	arb := newArb(t, 8)
 	p := workload.FigureJob{X: 8, T: 10, Alpha: 0.5, Laxity: 0.5}
 	job := p.Job(1, 0, workload.Tunable)
 	g, err := arb.Negotiate(job)
@@ -99,7 +102,7 @@ func TestObserverCallback(t *testing.T) {
 }
 
 func TestObserveAdvancesAndCompacts(t *testing.T) {
-	arb := newArb(t, 4, false)
+	arb := newArb(t, 4)
 	arb.Negotiate(simpleJob(1, 0, 2, 10, 100))
 	arb.Observe(50)
 	if got := arb.Now(); got != 50 {
@@ -119,7 +122,7 @@ func TestObserveAdvancesAndCompacts(t *testing.T) {
 }
 
 func TestConcurrentNegotiationsAreSafeAndConsistent(t *testing.T) {
-	arb := newArb(t, 16, false)
+	arb := newArb(t, 16)
 	var wg sync.WaitGroup
 	const n = 200
 	results := make([]error, n)
@@ -143,7 +146,7 @@ func TestConcurrentNegotiationsAreSafeAndConsistent(t *testing.T) {
 }
 
 func TestAgentNegotiationAndConfigure(t *testing.T) {
-	arb := newArb(t, 8, false)
+	arb := newArb(t, 8)
 	job := core.Job{ID: 7, Chains: []core.Chain{
 		{Name: "fine", Quality: 1.0, Tasks: []core.Task{{Name: "a", Procs: 8, Duration: 5, Deadline: 100}}},
 		{Name: "coarse", Quality: 0.8, Tasks: []core.Task{{Name: "b", Procs: 2, Duration: 20, Deadline: 100}}},
@@ -178,7 +181,7 @@ func TestAgentNegotiationAndConfigure(t *testing.T) {
 }
 
 func TestAgentRejectsInvalidJob(t *testing.T) {
-	arb := newArb(t, 4, false)
+	arb := newArb(t, 4)
 	ag := NewAgent(core.Job{ID: 1}) // no chains
 	if _, err := ag.NegotiateWith(arb); err == nil {
 		t.Fatal("invalid job negotiated")
@@ -186,7 +189,7 @@ func TestAgentRejectsInvalidJob(t *testing.T) {
 }
 
 func TestAgentPropagatesRejection(t *testing.T) {
-	arb := newArb(t, 2, false)
+	arb := newArb(t, 2)
 	ag := NewAgent(simpleJob(1, 0, 4, 1, 100)) // wants more procs than exist
 	_, err := ag.NegotiateWith(arb)
 	if !errors.Is(err, ErrRejected) {
@@ -198,7 +201,7 @@ func TestAgentPropagatesRejection(t *testing.T) {
 }
 
 func TestDAGAgentNegotiation(t *testing.T) {
-	arb := newArb(t, 8, false)
+	arb := newArb(t, 8)
 	job := core.DAGJob{ID: 1, Alts: []core.DAG{{
 		Name:    "diamond",
 		Quality: 0.9,

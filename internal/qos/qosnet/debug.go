@@ -9,13 +9,14 @@ import (
 )
 
 // EnableDebug starts an HTTP debug server on addr (e.g. "127.0.0.1:0")
-// exposing the observer's /metrics, /trace and /gantt endpoints alongside
+// exposing the observer's /metrics, /trace and /spans endpoints alongside
 // the negotiation protocol.  The debug server is shut down by Close.
 // It returns the bound address.
 //
-// The observer is expected to already be wired into the arbitrator this
-// server fronts (obs.Observer.InstrumentArbitratorConfig or
-// InstrumentOptions + InstrumentDynamic); EnableDebug only publishes it.
+// The observer is expected to already be wired into the decision feed of
+// the arbitrator this server fronts (obs.Observer.DecisionObserver, e.g.
+// through InstrumentArbitratorConfig or InstrumentDynamic); EnableDebug
+// only publishes it.
 // To have the observer's tracer record the requests this server answers,
 // install it with Instrument.
 func (s *Server) EnableDebug(o *obs.Observer, addr string) (net.Addr, error) {

@@ -1,7 +1,6 @@
 package qosnet
 
 import (
-	"bytes"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -15,7 +14,7 @@ import (
 // an observer, with the HTTP debug endpoint enabled.
 func startDebugServer(t *testing.T) (*obs.Observer, *Server, *Client, string) {
 	t.Helper()
-	o := obs.New(obs.Config{KeepPlacements: true, Capacity: 4})
+	o := obs.New(obs.Config{})
 	arb, err := qos.NewArbitrator(o.InstrumentArbitratorConfig(qos.ArbitratorConfig{Procs: 4}))
 	if err != nil {
 		t.Fatal(err)
@@ -77,16 +76,8 @@ func TestEnableDebugServesMetricsAndTrace(t *testing.T) {
 		t.Fatalf("/trace status = %d", code)
 	}
 	var evs []obs.Event
-	if err := json.Unmarshal(body, &evs); err != nil || len(evs) == 0 {
-		t.Fatalf("/trace = %d events, err %v", len(evs), err)
-	}
-
-	code, body = httpGet(t, base+"/gantt")
-	if code != http.StatusOK {
-		t.Fatalf("/gantt status = %d", code)
-	}
-	if _, err := obs.ParseChromeTrace(bytes.NewReader(body)); err != nil {
-		t.Fatalf("/gantt not a chrome trace: %v", err)
+	if err := json.Unmarshal(body, &evs); err != nil || len(evs) != 1 || evs[0].Type != obs.EvCommitted || evs[0].Job != 1 {
+		t.Fatalf("/trace = %+v, err %v; want job 1's Committed event", evs, err)
 	}
 }
 

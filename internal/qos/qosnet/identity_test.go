@@ -1,6 +1,7 @@
 package qosnet
 
 import (
+	"sync"
 	"testing"
 
 	"milan/internal/core"
@@ -26,9 +27,16 @@ func (s shardStamper) Negotiate(job core.Job) (*qos.Grant, error) {
 // Tenant and Class on the request, the granting Shard on the response —
 // survives the gob wire format in both directions.
 func TestIdentityRoundTrip(t *testing.T) {
+	// The observer runs on the server's connection goroutine.
+	var mu sync.Mutex
+	var hist []qos.Decision
 	arb, err := qos.NewArbitrator(qos.ArbitratorConfig{
-		Procs:       8,
-		KeepHistory: true,
+		Procs: 8,
+		Observer: func(d qos.Decision) {
+			mu.Lock()
+			hist = append(hist, d)
+			mu.Unlock()
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -56,7 +64,8 @@ func TestIdentityRoundTrip(t *testing.T) {
 	}
 	// The server-side arbitrator must have seen the tenant identity: the
 	// ledger keys accounting off the decision's job.
-	hist := arb.History()
+	mu.Lock()
+	defer mu.Unlock()
 	if len(hist) != 1 {
 		t.Fatalf("history has %d decisions, want 1", len(hist))
 	}

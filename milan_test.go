@@ -2,6 +2,14 @@ package milan_test
 
 import (
 	"errors"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"regexp"
+	"strings"
 	"testing"
 
 	"milan"
@@ -94,5 +102,73 @@ func TestFacadeSchedulerOptions(t *testing.T) {
 	}
 	if pl.Tasks[0].Procs != 4 {
 		t.Fatalf("procs = %d, want 4", pl.Tasks[0].Procs)
+	}
+}
+
+// TestFacadeNamesAreUsed holds the facade to what is used: every exported
+// name milan.go declares must be named as milan.<Name> by some other .go
+// file of the module or by a README.md / DESIGN.md snippet.
+func TestFacadeNamesAreUsed(t *testing.T) {
+	f, err := parser.ParseFile(token.NewFileSet(), "milan.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, decl := range f.Decls {
+		switch d := decl.(type) {
+		case *ast.FuncDecl:
+			if d.Recv == nil && d.Name.IsExported() {
+				names = append(names, d.Name.Name)
+			}
+		case *ast.GenDecl:
+			for _, spec := range d.Specs {
+				switch s := spec.(type) {
+				case *ast.TypeSpec:
+					if s.Name.IsExported() {
+						names = append(names, s.Name.Name)
+					}
+				case *ast.ValueSpec:
+					for _, n := range s.Names {
+						if n.IsExported() {
+							names = append(names, n.Name)
+						}
+					}
+				}
+			}
+		}
+	}
+	if len(names) == 0 {
+		t.Fatal("no exported names found in milan.go")
+	}
+	var corpus []byte
+	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && strings.HasPrefix(d.Name(), ".") {
+				return fs.SkipDir
+			}
+			return nil
+		}
+		if path == "milan.go" || !(strings.HasSuffix(path, ".go") || path == "README.md" || path == "DESIGN.md") {
+			return nil
+		}
+		b, err := os.ReadFile(path)
+		corpus = append(append(corpus, b...), '\n')
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var unused []string
+	for _, n := range names {
+		if !regexp.MustCompile(`\bmilan\.` + n + `\b`).Match(corpus) {
+			unused = append(unused, n)
+		}
+	}
+	if len(unused) > 0 {
+		t.Errorf("milan.go exports %d of %d names that no .go file, README or DESIGN snippet names: %v",
+			len(unused), len(names), unused)
 	}
 }
