@@ -66,9 +66,7 @@ func main() {
 	snapshotEvery := flag.Int("snapshot-every", 1024, "WAL records between snapshot compactions (requires -wal-dir)")
 	admitProcs := flag.Int("admit-procs", 0, "admission-plane processors (0 = -workers)")
 	admitShards := flag.Int("admit-shards", 1, "admission-plane shards")
-	telemetryAddr := flag.String("telemetry-addr", "", "serve the streaming telemetry exporter on this address")
-	telemetryInterval := flag.Duration("telemetry-interval", time.Second, "telemetry delta cadence (requires -telemetry-addr)")
-	nodeName := flag.String("node", "", "node identity on telemetry sessions and span IDs (default junction-<pid>)")
+	nodeName := flag.String("node", "", "node identity in span IDs, so traces from several nodes stitch in milanmon (default junction-<pid>)")
 	traceSample := flag.Float64("trace-sample", 0, "head-based trace sampling target in traces/sec (0 = trace everything)")
 	latEnvelope := flag.String("latency-envelope", "", "arm the latency-regression sentinel from this BENCH_trajectory.jsonl baseline (requires -wal-dir)")
 	latMatch := flag.String("latency-envelope-match", "ShardedAdmit/shards=1", "trajectory benchmark name substring the envelope derives from")
@@ -87,7 +85,7 @@ func main() {
 	}
 	var observer *obs.Observer
 	var ld *ledger.Ledger
-	if *debugAddr != "" || *telemetryAddr != "" {
+	if *debugAddr != "" {
 		observer = obs.New(obs.Config{EnablePprof: *pprofFlag, Tracing: true})
 		// Utilization ledger over the pipeline's work units: each
 		// configuration bills to its own tenant, each pipeline step to its
@@ -110,27 +108,22 @@ func main() {
 		})
 		// Cluster-unique span identity: seed the high ID bits from the
 		// node name so traces from different junctiond processes merge
-		// without collisions in a telemetry aggregator.
+		// without collisions in milanmon.
 		observer.Tracer().SeedIDs(telemetry.NodeIDBase(node))
 		if *traceSample > 0 {
 			observer.Tracer().SetSampling(*traceSample, observer.Reg)
 		}
-		if *debugAddr != "" {
-			addr, srv, err := startDebug(observer, *debugAddr)
-			if err != nil {
-				log.Fatal(err)
-			}
-			defer srv.Close()
-			fmt.Printf("debug endpoint: http://%s (/metrics /trace /spans /healthz)\n\n", addr)
+		addr, srv, err := startDebug(observer, *debugAddr)
+		if err != nil {
+			log.Fatal(err)
 		}
+		defer srv.Close()
+		fmt.Printf("debug endpoint: http://%s (/metrics /trace /spans /healthz)\n\n", addr)
 	}
 
-	if *telemetryAddr != "" && *walDir == "" {
-		log.Fatal("junctiond: -telemetry-addr requires -wal-dir (the exporter streams the admission plane's state)")
-	}
 	if *runtimeWatch {
 		if observer == nil {
-			log.Fatal("junctiond: -runtime-watch requires -debug-addr or -telemetry-addr (it publishes into the registry)")
+			log.Fatal("junctiond: -runtime-watch requires -debug-addr (it publishes into the registry)")
 		}
 		rw := runtimewatch.New(observer.Reg)
 		rw.Start(0)
@@ -187,16 +180,6 @@ func main() {
 					}
 				}
 			}()
-		}
-		if *telemetryAddr != "" {
-			exp, err := serveTelemetry(observer, ld, plane, eng, lp, telemetryConfig{
-				addr: *telemetryAddr, node: node, interval: *telemetryInterval,
-			})
-			if err != nil {
-				log.Fatal(err)
-			}
-			defer exp.Close()
-			fmt.Printf("telemetry exporter: %s (node %s, cadence %s)\n\n", exp.Addr(), node, *telemetryInterval)
 		}
 	}
 
@@ -430,38 +413,6 @@ func serveAdmission(observer *obs.Observer, lp *latency.Plane, cfg admitConfig) 
 	fmt.Printf("admission plane: %s (wal %s, sync=%s, recovered lsn=%d records=%d grants=%d replay=%s)\n\n",
 		srv.Addr(), cfg.dir, pol, rec.State.LSN, rec.Records, len(plane.Grants()), rec.ReplayDuration)
 	return srv, plane, eng, nil
-}
-
-type telemetryConfig struct {
-	addr, node string
-	interval   time.Duration
-}
-
-// serveTelemetry attaches a streaming telemetry exporter to the
-// admission plane's observability surfaces: registry deltas, completed
-// spans, SLO objective state, the plane's headroom frontier, and the
-// utilization ledger.
-func serveTelemetry(observer *obs.Observer, ld *ledger.Ledger, plane *durable.Plane, eng *slo.Engine, lp *latency.Plane, cfg telemetryConfig) (*telemetry.Exporter, error) {
-	const horizon = 1e6 // effectively unbounded frontier window
-	var ledgerFn func() *ledger.Snapshot
-	if ld != nil {
-		ledgerFn = ld.Snapshot
-	}
-	exp := telemetry.NewExporter(telemetry.ExporterConfig{
-		Node:     cfg.node,
-		Interval: cfg.interval,
-	}, telemetry.Sources{
-		Registry: observer.Reg,
-		Tracer:   observer.Tracer(),
-		SLO:      eng,
-		Ledger:   ledgerFn,
-		Headroom: func() core.Headroom { return plane.Headroom(horizon) },
-		Latency:  lp,
-	})
-	if err := exp.ListenAndServe(cfg.addr); err != nil {
-		return nil, err
-	}
-	return exp, nil
 }
 
 // startDebug serves the observer's debug handler on addr, returning the

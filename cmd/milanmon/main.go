@@ -1,9 +1,10 @@
-// Command milanmon is the cluster-level observability aggregator: it
-// subscribes to N junctiond telemetry exporters, accumulates each
-// node's registry via snapshot-then-delta resync, stitches cross-process
-// span trees, re-runs burn-rate alerting over the merged SLO view, and
-// serves the cluster view over HTTP (/metrics with a node-labeled
-// Prometheus exposition, /trace, /slo, /nodes, /state).
+// Command milanmon is the cluster-level observability aggregator: once a
+// second it scrapes the debug endpoint of N junctiond nodes (-debug-addr:
+// /metrics, /slo, /latency, /ledger, /spans), merges what it read,
+// stitches cross-process span trees, re-runs burn-rate alerting over the
+// merged SLO view, and serves the cluster view over HTTP (/metrics with a
+// node-labeled Prometheus exposition, /trace, /slo, /nodes, /latency,
+// /state).
 //
 // With -drive it also exercises the cluster: it negotiates jobs against
 // the listed qosnet admission endpoints with client-minted root spans,
@@ -43,7 +44,7 @@ import (
 const monNode = "milanmon"
 
 func main() {
-	nodesFlag := flag.String("nodes", "", "comma-separated telemetry exporter addresses to subscribe to (required)")
+	nodesFlag := flag.String("nodes", "", "comma-separated debug-endpoint addresses (junctiond -debug-addr) to scrape (required)")
 	listen := flag.String("listen", "127.0.0.1:0", "HTTP address for the cluster view (empty disables)")
 	drive := flag.String("drive", "", "comma-separated qosnet admission addresses to negotiate demo jobs against")
 	jobs := flag.Int("jobs", 8, "jobs to negotiate per -drive endpoint")
@@ -183,7 +184,7 @@ func runSmoke(agg *telemetry.Aggregator, wantNodes int, driven bool, expectRegre
 
 // checkRegression asserts the latency-anatomy path end to end: the
 // merged SLO state carries an ALERTING latency-regression objective for
-// the named phase (the sentinel tripped on a node and survived the wire
+// the named phase (the sentinel tripped on a node and survived the cluster
 // merge), the merged exemplar ring holds the slow requests, the slowest
 // exemplar's waterfall blames the same phase, and its trace stitches to
 // a cross-process span tree in the cluster view.
@@ -224,16 +225,15 @@ func checkRegression(agg *telemetry.Aggregator, phase string) error {
 }
 
 func checkCluster(agg *telemetry.Aggregator, wantNodes int, driven bool) error {
-	// 1. Liveness: every node connected and past its initial snapshot.
-	statuses := agg.Nodes()
-	connected := 0
-	for _, st := range statuses {
-		if st.Connected && st.Frames > 0 {
-			connected++
+	// 1. Liveness: every node's last scrape succeeded.
+	up := 0
+	for _, st := range agg.Nodes() {
+		if st.Up {
+			up++
 		}
 	}
-	if connected != wantNodes {
-		return fmt.Errorf("%d/%d nodes connected", connected, wantNodes)
+	if up != wantNodes {
+		return fmt.Errorf("%d/%d nodes up", up, wantNodes)
 	}
 
 	// 2. Merged registry equals the per-node sum, bit-for-bit on
@@ -242,9 +242,9 @@ func checkCluster(agg *telemetry.Aggregator, wantNodes int, driven bool) error {
 	if err != nil {
 		return err
 	}
-	perNode, _ := agg.NodeSnapshots()
+	perNode := agg.NodeSnapshots()
 	if len(perNode) != wantNodes {
-		return fmt.Errorf("%d/%d node snapshots accumulated", len(perNode), wantNodes)
+		return fmt.Errorf("%d/%d node snapshots scraped", len(perNode), wantNodes)
 	}
 	sums := make(map[string]int64)
 	for _, snap := range perNode {

@@ -8,10 +8,9 @@
 // routing, and a rebalancer that follows the broker — registering a new
 // machine mid-run grows the plane without restarting the server.
 //
-// The third act federates the observability plane itself: a telemetry
-// exporter streams the registry over TCP and an aggregator (milanmon's
-// engine) accumulates snapshot-then-delta and renders the node-labeled
-// cluster view.
+// The third act federates the observability plane itself: an aggregator
+// (milanmon's engine) scrapes the plane's debug endpoint and renders the
+// node-labeled cluster view.
 //
 //	go run ./examples/cluster
 package main
@@ -244,31 +243,24 @@ func federated() error {
 	if err := reg.WriteTable(os.Stdout); err != nil {
 		return err
 	}
-	return federatedTelemetry(reg)
+	return federatedTelemetry(reg, dbgAddr.String())
 }
 
-// federatedTelemetry is the third act: the plane's registry streams over
-// the telemetry wire protocol (the same exporter junctiond serves behind
-// -telemetry-addr) and an aggregator — milanmon's engine — subscribes,
-// accumulates snapshot-then-delta, and renders the node-labeled cluster
-// view a Prometheus scraper would see.
-func federatedTelemetry(reg *obs.Registry) error {
-	fmt.Println("\n--- telemetry: exporter -> aggregator over TCP ---")
-	exp := telemetry.NewExporter(telemetry.ExporterConfig{
-		Node:     "cluster-demo",
+// federatedTelemetry is the third act: an aggregator — milanmon's engine
+// — scrapes the debug endpoint the plane already serves, the same way
+// milanmon scrapes every junctiond's -debug-addr, and renders the
+// node-labeled cluster view a Prometheus scraper would see.
+func federatedTelemetry(reg *obs.Registry, debugAddr string) error {
+	fmt.Println("\n--- telemetry: aggregator scraping the debug endpoint ---")
+	agg := telemetry.NewAggregator(telemetry.AggregatorConfig{
+		Nodes:    []string{debugAddr},
 		Interval: 50 * time.Millisecond,
-	}, telemetry.Sources{Registry: reg})
-	if err := exp.ListenAndServe("127.0.0.1:0"); err != nil {
-		return err
-	}
-	defer exp.Close()
-
-	agg := telemetry.NewAggregator(telemetry.AggregatorConfig{Nodes: []string{exp.Addr()}})
+	})
 	agg.Start()
 	defer agg.Close()
 
-	// Wait for the aggregated view to converge on the live registry's
-	// admission counters (snapshot + contiguous deltas, nothing lost).
+	// Wait for the scraped view to show the live registry's admission
+	// counters (every scrape is the whole cumulative state).
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		merged, err := agg.MergedRegistry()
@@ -281,13 +273,11 @@ func federatedTelemetry(reg *obs.Registry) error {
 		time.Sleep(20 * time.Millisecond)
 	}
 
-	nodes := agg.Nodes()
-	fmt.Printf("subscribed to %s: session %d, %d frames, %d deltas, %d dropped\n",
-		exp.Addr(), nodes[0].Session, nodes[0].Frames, nodes[0].DeltaSeq,
-		nodes[0].ExporterDroppedFrames)
-	snaps, _ := agg.NodeSnapshots()
+	st := agg.Nodes()[0]
+	fmt.Printf("scraped %s: %d polls, last %.0f ms ago, %d spans held, %d dropped\n",
+		st.Addr, st.Polls, 1000*st.LagSeconds, st.SpansHeld, st.SpansDropped)
 	var sb strings.Builder
-	if err := telemetry.WritePromLabeled(&sb, snaps, reg.Help()); err != nil {
+	if err := telemetry.WritePromLabeled(&sb, agg.NodeSnapshots(), reg.Help()); err != nil {
 		return err
 	}
 	fmt.Println("cluster view (node-labeled Prometheus exposition, excerpt):")

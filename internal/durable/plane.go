@@ -662,15 +662,6 @@ func (p *Plane) Procs() int {
 	return p.arb.Procs()
 }
 
-// Headroom returns the plane's admissibility frontier over
-// [now, now+horizon): the largest job it could still admit without
-// queueing behind existing reservations.
-func (p *Plane) Headroom(horizon float64) core.Headroom {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.arb.Headroom(horizon)
-}
-
 // DurableLSN returns the highest LSN known synced to stable storage.
 func (p *Plane) DurableLSN() uint64 { return p.store.DurableLSN() }
 

@@ -71,7 +71,6 @@ func TestWriteBenchSLO(t *testing.T) {
 		{"BenchmarkShardedAdmitTraced/shards=1", traced(1, 0)},
 		{"BenchmarkShardedAdmitTraced/shards=8", traced(8, 0)},
 		{"BenchmarkShardedAdmitSampled/target=100", traced(8, 100)},
-		{"BenchmarkShardedAdmitExporterIdle/shards=8", exporterIdleBench},
 		{"BenchmarkShardedAdmitLatencyOff/shards=8", latencyOffBench},
 		{"BenchmarkShardedAdmitLatencyOn/shards=8", latencyOnBench},
 		{"BenchmarkShardedAdmitLedgerOff", planeBench(8, nil)},

@@ -1,7 +1,6 @@
 // Package frame is the byte-stream discipline every binary format in the
-// tree shares — the write-ahead log and its snapshots (internal/durable),
-// the telemetry stream (internal/obs/telemetry) and the negotiation
-// protocol (internal/qos/qosnet):
+// tree shares — the write-ahead log and its snapshots (internal/durable)
+// and the negotiation protocol (internal/qos/qosnet):
 //
 //   - a frame is [len u32][crc32c u32][payload], little-endian; the length
 //     is checked against the reader's limit before anything is allocated

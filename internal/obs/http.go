@@ -7,11 +7,18 @@ import (
 	"strconv"
 )
 
+// SpansTotalHeader carries, on every /spans response, the number of spans
+// the tracer has ever completed (Tracer.Total) up to the last one in the
+// body: a scraper that remembers it knows which spans are new next time
+// and how many the ring overwrote in between.
+const SpansTotalHeader = "X-Spans-Total"
+
 // Handler returns the observer's debug endpoint:
 //
 //	/metrics  expvar-style JSON snapshot of the metrics registry
 //	/trace    recent ring-buffer events as JSON (?n=K limits the count)
-//	/spans    completed request spans as JSON (empty without tracing)
+//	/spans    completed request spans as JSON, oldest first (empty without
+//	          tracing), with SpansTotalHeader
 //	/healthz  liveness + registered readiness checks (health.go)
 //	/         a tiny index
 //
@@ -40,14 +47,15 @@ func (o *Observer) Handler() http.Handler {
 	})
 	mux.HandleFunc("/healthz", o.healthz)
 	mux.HandleFunc("/spans", func(w http.ResponseWriter, r *http.Request) {
-		spans := o.tracer.Spans() // nil-safe
+		spans, total := o.tracer.spansTotal() // nil-safe
 		if spans == nil {
 			spans = []SpanRec{}
 		}
 		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(spans); err != nil {
+		w.Header().Set(SpansTotalHeader, strconv.FormatInt(total, 10))
+		// Compact: a full ring is thousands of spans read by a scraper,
+		// and indenting them would triple the cost of every scrape.
+		if err := json.NewEncoder(w).Encode(spans); err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 		}
 	})

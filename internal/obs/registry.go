@@ -355,8 +355,8 @@ func (r *Registry) HelpFor(name string) string {
 }
 
 // Help returns a copy of the registered help strings, keyed by metric
-// name (used by telemetry snapshot frames so an aggregator can render
-// HELP lines for metrics it has never seen locally).
+// name (what a node-labelled exposition such as
+// telemetry.WritePromLabeled renders its HELP lines from).
 func (r *Registry) Help() map[string]string { return r.helpSnapshot() }
 
 // helpSnapshot copies the help map for exposition.

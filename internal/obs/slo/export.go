@@ -1,12 +1,13 @@
 package slo
 
-// Cross-process SLO federation: EngineState is the wire-exportable form
-// of an engine's objective state — cumulative conformance counters plus
-// the raw good/bad totals of each objective's two burn windows.  Streaming
-// the window totals (rather than the derived burn rates) is what lets an
-// aggregator RE-RUN burn-rate alerting over the merged cluster view: the
-// merged burn of an objective is (Σ bad)/(Σ total)/budget across nodes,
-// which is not derivable from per-node burn rates alone.
+// Cross-process SLO federation: EngineState is the exportable form of an
+// engine's objective state — cumulative conformance counters plus the raw
+// good/bad totals of each objective's two burn windows, served under
+// "state" on /slo.  Exporting the window totals (rather than the derived
+// burn rates) is what lets an aggregator RE-RUN burn-rate alerting over
+// the merged cluster view: the merged burn of an objective is
+// (Σ bad)/(Σ total)/budget across nodes, which is not derivable from
+// per-node burn rates alone.
 
 // ObjectiveState is one objective's exportable burn-window state.
 type ObjectiveState struct {
@@ -43,8 +44,8 @@ const (
 	ObjectiveForecast    = "headroom-forecast"
 )
 
-// ExportState captures the engine's current SLO state for telemetry
-// export.  A nil engine exports the zero state.
+// ExportState captures the engine's current SLO state for a cluster
+// merge.  A nil engine exports the zero state.
 func (e *Engine) ExportState() EngineState {
 	if e == nil {
 		return EngineState{}

@@ -8,9 +8,12 @@ import (
 	"milan/internal/obs"
 )
 
-// Handler serves the engine's conformance report as JSON.  ?tick=1 first
-// advances the windows to the engine clock position implied by the query
-// parameter now (a float, optional) — useful when no periodic Tick runs.
+// Handler serves the engine's conformance report as JSON, with the
+// engine's ExportState under "state": the window totals a cluster burn is
+// computed from (MergeStates, then Burns), which the report's derived burn
+// rates cannot be merged into.  A plain GET changes nothing.  ?now=T (a
+// float, engine clock seconds) first advances the windows to T, as Tick
+// does — useful when no periodic Tick runs; a bad value is a 400.
 func (e *Engine) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if s := r.URL.Query().Get("now"); s != "" {
@@ -24,7 +27,10 @@ func (e *Engine) Handler() http.Handler {
 		w.Header().Set("Content-Type", "application/json; charset=utf-8")
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
-		if err := enc.Encode(e.Report()); err != nil {
+		if err := enc.Encode(struct {
+			Report
+			State EngineState `json:"state"`
+		}{e.Report(), e.ExportState()}); err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 		}
 	})

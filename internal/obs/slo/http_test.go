@@ -3,6 +3,7 @@ package slo
 import (
 	"encoding/json"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -35,6 +36,33 @@ func TestEngineHandlerServesReport(t *testing.T) {
 	e.Handler().ServeHTTP(rw, httptest.NewRequest("GET", "/slo?now=bogus", nil))
 	if rw.Code != 400 {
 		t.Fatalf("bad ?now status %d", rw.Code)
+	}
+}
+
+// /slo carries the mergeable state beside the report, and a scrape (no
+// ?now) is a pure read: the report after it is the report before it.
+func TestScrapeServesStateAndLeavesReportUnchanged(t *testing.T) {
+	e := New(Options{})
+	e.JobAdmitted(1, 1, 0, 1e-3, 10, 9)
+	e.JobRejected(2, 2, 0.5, 2e-3)
+	e.Tick(1)
+	before := e.Report()
+	var doc struct {
+		Admitted int64        `json:"admitted"`
+		State    *EngineState `json:"state"`
+	}
+	for i := 0; i < 3; i++ {
+		rw := httptest.NewRecorder()
+		e.Handler().ServeHTTP(rw, httptest.NewRequest("GET", "/slo", nil))
+		if err := json.Unmarshal(rw.Body.Bytes(), &doc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if after := e.Report(); !reflect.DeepEqual(before, after) {
+		t.Fatalf("a scrape changed the report:\nbefore %+v\nafter  %+v", before, after)
+	}
+	if doc.Admitted != 1 || doc.State == nil || !reflect.DeepEqual(*doc.State, e.ExportState()) {
+		t.Fatalf("/slo state = %+v, want %+v", doc.State, e.ExportState())
 	}
 }
 

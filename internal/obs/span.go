@@ -341,6 +341,17 @@ func (t *Tracer) Spans() []SpanRec {
 	return t.ring.Items()
 }
 
+// spansTotal is Spans and Total read under one lock, so the total counts
+// exactly the spans up to the last one returned.
+func (t *Tracer) spansTotal() ([]SpanRec, int64) {
+	if t == nil {
+		return nil, 0
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.ring.Items(), t.ring.Total()
+}
+
 // Total returns the number of spans ever completed.
 func (t *Tracer) Total() int64 {
 	if t == nil {

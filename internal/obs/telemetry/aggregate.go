@@ -1,116 +1,98 @@
+// Package telemetry federates the observability plane across processes by
+// pull.  An Aggregator scrapes the debug endpoint every node already
+// serves (obs.Observer.Handler: /metrics, /slo, /latency, /ledger, /spans)
+// on one cadence, folds what it read with the merges the in-process
+// surfaces use, and serves the cluster view (Handler).
+//
+// Every scraped value is cumulative or current state, so merged counters
+// equal the per-node sums by construction and a node that restarted is
+// whole again at its next poll: nothing carries over from one poll to the
+// next but the span cursor.  Spans are the one stream: the aggregator
+// keeps a cursor on each node's Tracer.Total (obs.SpansTotalHeader) and
+// takes only the spans past it; spans the node's ring overwrote between
+// two polls are counted as dropped.
 package telemetry
 
 import (
+	"context"
+	"encoding/json"
 	"fmt"
-	"net"
-	"sort"
+	"hash/fnv"
+	"net/http"
+	"strconv"
 	"sync"
 	"time"
 
-	"milan/internal/core"
 	"milan/internal/obs"
 	"milan/internal/obs/latency"
 	"milan/internal/obs/ledger"
 	"milan/internal/obs/slo"
 )
 
+// NodeIDBase derives the span-ID seed for a node name: an fnv-1a hash
+// of the name in the high 32 bits, leaving the low 32 for the process's
+// own sequence (see obs.Tracer.SeedIDs).  Distinct node names yield
+// disjoint ID ranges, so spans from different processes stitch into one
+// tree without collisions.
+func NodeIDBase(node string) uint64 {
+	h := fnv.New32a()
+	h.Write([]byte(node))
+	return uint64(h.Sum32()) << 32
+}
+
 // AggregatorConfig tunes one aggregator.
 type AggregatorConfig struct {
-	// Nodes are the exporter addresses to subscribe to.
+	// Nodes are the debug-endpoint addresses (host:port) to scrape.
 	Nodes []string
-	// DialTimeout bounds one connection attempt (default 5s).
-	DialTimeout time.Duration
-	// RetryMin/RetryMax bound the reconnect backoff (default 250ms / 5s).
-	RetryMin time.Duration
-	RetryMax time.Duration
+	// Interval is the cadence of scrapes and of merged burn-rate alert
+	// evaluation (default 1s).
+	Interval time.Duration
+	// Timeout bounds one scrape request (default 5s).
+	Timeout time.Duration
 	// SpanRing bounds per-node span retention (default 16384).
 	SpanRing int
-	// AlertEvery is the merged burn-rate re-evaluation cadence (default
-	// 1s); AlertLog bounds the retained alert transitions (default 256).
-	AlertEvery time.Duration
-	AlertLog   int
-	// Clock is the aggregator's local timestamp source, used for stream
-	// lag and alert-event times (wall seconds since creation when nil).
-	Clock func() float64
 }
 
-func (c AggregatorConfig) withDefaults() AggregatorConfig {
-	if c.DialTimeout <= 0 {
-		c.DialTimeout = 5 * time.Second
-	}
-	if c.RetryMin <= 0 {
-		c.RetryMin = 250 * time.Millisecond
-	}
-	if c.RetryMax <= 0 {
-		c.RetryMax = 5 * time.Second
-	}
-	if c.SpanRing < 1 {
-		c.SpanRing = 16384
-	}
-	if c.AlertEvery <= 0 {
-		c.AlertEvery = time.Second
-	}
-	if c.AlertLog < 1 {
-		c.AlertLog = 256
-	}
-	return c
-}
+// alertLog bounds the retained merged-view alert transitions.
+const alertLog = 256
 
-// nodeState is one subscribed node's accumulated view.  A snapshot frame
-// REPLACES the accumulated registry state (that is the resync contract:
-// after a node or stream restart the new session's snapshot supersedes
-// everything the old session delivered), and deltas fold in on top.
+// nodeState is one node's view as of its last successful poll.  A failed
+// poll keeps that view (its age shows as lag) and marks the node down.
 type nodeState struct {
 	addr string
 
-	mu        sync.Mutex
-	name      string
-	session   uint64
-	connected bool
-	lastErr   string
+	mu       sync.Mutex
+	up       bool
+	lastErr  string
+	polls    int64
+	lastPoll time.Time
 
-	haveSnap bool
-	snap     obs.Snapshot
-	help     map[string]string
-	deltaSeq uint64
+	snap      obs.Snapshot // valid once polls > 0
+	slo       *slo.EngineState
+	ledger    *ledger.Snapshot
+	exemplars []latency.Exemplar
 
-	haveSLO      bool
-	slo          slo.EngineState
-	haveHeadroom bool
-	headroom     core.Headroom
-	ledger       *ledger.Snapshot
-	exemplars    []latency.Exemplar
 	spans        *obs.Ring[obs.SpanRec]
-
-	frames      int64
-	resyncs     int64
-	seqGaps     int64
-	lastFrameAt float64
-	heartbeat   Heartbeat
-	hasHB       bool
+	cursor       int64 // the node's Tracer.Total at the last poll; -1 before one
+	spansDropped int64
 }
 
-// NodeStatus is one node's liveness and stream accounting (the /nodes
+// NodeStatus is one node's liveness and scrape accounting (the /nodes
 // surface).
 type NodeStatus struct {
 	Addr      string `json:"addr"`
-	Node      string `json:"node,omitempty"`
-	Connected bool   `json:"connected"`
-	Session   uint64 `json:"session,omitempty"`
+	Up        bool   `json:"up"`
 	LastError string `json:"last_error,omitempty"`
-
-	Frames   int64  `json:"frames"`
-	DeltaSeq uint64 `json:"delta_seq"`
-	Resyncs  int64  `json:"resyncs"`
-	SeqGaps  int64  `json:"seq_gaps"`
-	// LagSeconds is the aggregator-clock age of the last frame.
+	Polls     int64  `json:"polls"`
+	// LagSeconds is the age of the last successful poll: how stale this
+	// node's share of the merged view is.
 	LagSeconds float64 `json:"lag_seconds"`
-
-	// Exporter-side drop accounting, from the last heartbeat.
-	ExporterDroppedFrames int64 `json:"exporter_dropped_frames"`
-	ExporterDroppedSpans  int64 `json:"exporter_dropped_spans"`
-	ExporterSpanTotal     int64 `json:"exporter_span_total"`
-	SpansHeld             int   `json:"spans_held"`
+	// SpanTotal is the node's Tracer.Total at the last poll; SpansDropped
+	// counts the spans its ring overwrote between two polls, which the
+	// aggregator never saw.
+	SpanTotal    int64 `json:"span_total"`
+	SpansDropped int64 `json:"spans_dropped"`
+	SpansHeld    int   `json:"spans_held"`
 }
 
 // AlertEvent is one edge of the merged burn-rate alert signal.
@@ -122,231 +104,207 @@ type AlertEvent struct {
 	On        bool    `json:"on"`
 }
 
-// Aggregator subscribes to N telemetry exporters, accumulates each
-// node's state (snapshot-then-delta), and serves merged cluster views
-// built from the same Merge primitives the in-process surfaces use.
+// Aggregator scrapes N nodes' debug endpoints and serves merged cluster
+// views built from the same Merge primitives the in-process surfaces use.
 type Aggregator struct {
-	cfg   AggregatorConfig
-	start time.Time
-	nodes []*nodeState
+	cfg    AggregatorConfig
+	client *http.Client
+	start  time.Time
+	nodes  []*nodeState
+
+	pollMu sync.Mutex // one round at a time: a node's view only moves forward
 
 	mu       sync.Mutex
-	conns    map[net.Conn]struct{}
-	closed   bool
 	alertOn  map[string]bool
 	alertLog []AlertEvent
 	injected map[string][]obs.SpanRec
 
-	quit chan struct{}
-	wg   sync.WaitGroup
+	ctx    context.Context
+	cancel context.CancelFunc
+	wg     sync.WaitGroup
 }
 
 // NewAggregator builds an aggregator over the configured node addresses.
 func NewAggregator(cfg AggregatorConfig) *Aggregator {
-	cfg = cfg.withDefaults()
+	if cfg.Interval <= 0 {
+		cfg.Interval = time.Second
+	}
+	if cfg.Timeout <= 0 {
+		cfg.Timeout = 5 * time.Second
+	}
+	if cfg.SpanRing < 1 {
+		cfg.SpanRing = 16384
+	}
 	a := &Aggregator{
 		cfg:      cfg,
+		client:   &http.Client{Timeout: cfg.Timeout},
 		start:    time.Now(),
-		conns:    make(map[net.Conn]struct{}),
 		alertOn:  make(map[string]bool),
 		injected: make(map[string][]obs.SpanRec),
-		quit:     make(chan struct{}),
 	}
+	a.ctx, a.cancel = context.WithCancel(context.Background())
 	for _, addr := range cfg.Nodes {
 		a.nodes = append(a.nodes, &nodeState{
-			addr:  addr,
-			spans: obs.NewRing[obs.SpanRec](cfg.SpanRing),
+			addr:   addr,
+			spans:  obs.NewRing[obs.SpanRec](cfg.SpanRing),
+			cursor: -1,
 		})
 	}
 	return a
 }
 
-func (a *Aggregator) now() float64 {
-	if a.cfg.Clock != nil {
-		return a.cfg.Clock()
-	}
-	return time.Since(a.start).Seconds()
-}
-
-// Start launches one subscription loop per node plus the merged
-// burn-rate alert evaluator.
+// Start polls every node now and then once per Interval until Close.
 func (a *Aggregator) Start() {
-	for _, ns := range a.nodes {
-		a.wg.Add(1)
-		go a.runNode(ns)
-	}
 	a.wg.Add(1)
-	go a.alertLoop()
+	go func() {
+		defer a.wg.Done()
+		tick := time.NewTicker(a.cfg.Interval)
+		defer tick.Stop()
+		for {
+			a.pollOnce()
+			select {
+			case <-a.ctx.Done():
+				return
+			case <-tick.C:
+			}
+		}
+	}()
 }
 
-// Close stops all subscriptions.
+// Close stops polling and abandons any scrape in flight.
 func (a *Aggregator) Close() {
-	a.mu.Lock()
-	if a.closed {
-		a.mu.Unlock()
-		return
-	}
-	a.closed = true
-	close(a.quit)
-	for c := range a.conns {
-		c.Close()
-	}
-	a.mu.Unlock()
+	a.cancel()
 	a.wg.Wait()
 }
 
-func (a *Aggregator) sleep(d time.Duration) bool {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-a.quit:
-		return false
-	case <-t.C:
-		return true
+// pollOnce scrapes every node concurrently, then re-evaluates the merged
+// burn rates over what it read.
+func (a *Aggregator) pollOnce() {
+	a.pollMu.Lock()
+	defer a.pollMu.Unlock()
+	var wg sync.WaitGroup
+	for _, ns := range a.nodes {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			a.poll(ns)
+		}()
 	}
+	wg.Wait()
+	a.evaluateAlerts()
 }
 
-func (a *Aggregator) runNode(ns *nodeState) {
-	defer a.wg.Done()
-	backoff := a.cfg.RetryMin
-	for {
-		select {
-		case <-a.quit:
-			return
-		default:
-		}
-		conn, err := net.DialTimeout("tcp", ns.addr, a.cfg.DialTimeout)
-		if err != nil {
-			ns.setError(err)
-			if !a.sleep(backoff) {
-				return
-			}
-			backoff = min(backoff*2, a.cfg.RetryMax)
-			continue
-		}
-		backoff = a.cfg.RetryMin
-		a.mu.Lock()
-		if a.closed {
-			a.mu.Unlock()
-			conn.Close()
-			return
-		}
-		a.conns[conn] = struct{}{}
-		a.mu.Unlock()
-
-		err = a.consume(ns, conn)
-
-		a.mu.Lock()
-		delete(a.conns, conn)
-		a.mu.Unlock()
-		conn.Close()
-		ns.setError(err)
-		if !a.sleep(a.cfg.RetryMin) {
-			return
-		}
-	}
-}
-
-func (ns *nodeState) setError(err error) {
-	ns.mu.Lock()
-	ns.connected = false
+// get GETs one debug surface and decodes its JSON body into v.  A node
+// that does not serve the surface (404, or 503 before it has anything)
+// is not an error: found is false and v is untouched.
+func (a *Aggregator) get(addr, path string, v any) (hdr http.Header, found bool, err error) {
+	req, err := http.NewRequestWithContext(a.ctx, http.MethodGet, "http://"+addr+path, nil)
 	if err != nil {
-		ns.lastErr = err.Error()
+		return nil, false, err
 	}
-	ns.mu.Unlock()
+	resp, err := a.client.Do(req)
+	if err != nil {
+		return nil, false, err
+	}
+	defer resp.Body.Close()
+	switch resp.StatusCode {
+	case http.StatusOK:
+	case http.StatusNotFound, http.StatusServiceUnavailable:
+		return resp.Header, false, nil
+	default:
+		return nil, false, fmt.Errorf("GET %s: %s", path, resp.Status)
+	}
+	if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
+		return nil, false, fmt.Errorf("GET %s: %w", path, err)
+	}
+	return resp.Header, true, nil
 }
 
-// consume drains one session's frames into the node state.  Any decode
-// or protocol error tears the session down; the reconnect's fresh
-// snapshot makes the state whole again (snapshot-then-delta resync).
-func (a *Aggregator) consume(ns *nodeState, conn net.Conn) error {
-	fr := NewReader(conn)
-	for {
-		msg, err := ReadMsg(fr)
-		if err != nil {
-			return err
+// poll scrapes one node and, only if every surface read cleanly, replaces
+// its view with what it read.
+func (a *Aggregator) poll(ns *nodeState) {
+	var (
+		snap   obs.Snapshot
+		sloDoc struct {
+			State *slo.EngineState `json:"state"`
 		}
-		now := a.now()
-		ns.mu.Lock()
-		ns.frames++
-		ns.lastFrameAt = now
-		switch msg.Kind {
-		case KindHello:
-			if msg.Hello.Version != Version {
-				ns.mu.Unlock()
-				return fmt.Errorf("telemetry: node %s speaks version %d, want %d", ns.addr, msg.Hello.Version, Version)
-			}
-			ns.name = msg.Hello.Node
-			ns.session = msg.Hello.Session
-			ns.connected = true
-			ns.lastErr = ""
-		case KindSnapshot:
-			if ns.haveSnap {
-				ns.resyncs++
-			}
-			ns.haveSnap = true
-			ns.snap = msg.Snapshot
-			ns.help = msg.Help
-			ns.deltaSeq = 0
-		case KindDelta:
-			if !ns.haveSnap || msg.Delta.Seq != ns.deltaSeq+1 {
-				ns.seqGaps++
-				have := ns.deltaSeq
-				ns.mu.Unlock()
-				return fmt.Errorf("telemetry: node %s delta seq %d after %d, forcing resync", ns.addr, msg.Delta.Seq, have)
-			}
-			if err := ApplyDelta(&ns.snap, msg.Delta); err != nil {
-				ns.mu.Unlock()
-				return err
-			}
-			ns.deltaSeq = msg.Delta.Seq
-		case KindSpans:
-			for _, s := range msg.Spans {
-				ns.spans.Push(s)
-			}
-		case KindSLO:
-			ns.slo = msg.SLO
-			ns.haveSLO = true
-		case KindHeadroom:
-			ns.headroom = msg.Headroom
-			ns.haveHeadroom = true
-		case KindLedger:
-			ns.ledger = msg.Ledger
-		case KindExemplars:
-			ns.exemplars = msg.Exemplars
-		case KindHeartbeat:
-			ns.heartbeat = msg.Heartbeat
-			ns.hasHB = true
+		latDoc struct {
+			Exemplars []latency.Exemplar `json:"exemplars"`
 		}
-		ns.mu.Unlock()
+		led   ledger.Snapshot
+		spans []obs.SpanRec
+	)
+	_, haveSnap, err := a.get(ns.addr, "/metrics", &snap)
+	if err == nil && !haveSnap {
+		err = fmt.Errorf("GET /metrics: not served")
 	}
+	var haveLed bool
+	if err == nil {
+		_, _, err = a.get(ns.addr, "/slo", &sloDoc)
+	}
+	if err == nil {
+		_, _, err = a.get(ns.addr, "/latency", &latDoc)
+	}
+	if err == nil {
+		_, haveLed, err = a.get(ns.addr, "/ledger", &led)
+	}
+	var total int64
+	if err == nil {
+		var hdr http.Header
+		if hdr, _, err = a.get(ns.addr, "/spans", &spans); err == nil {
+			total, err = strconv.ParseInt(hdr.Get(obs.SpansTotalHeader), 10, 64)
+		}
+	}
+
+	ns.mu.Lock()
+	defer ns.mu.Unlock()
+	if err != nil {
+		ns.up, ns.lastErr = false, err.Error()
+		return
+	}
+	ns.up, ns.lastErr = true, ""
+	ns.polls++
+	ns.lastPoll = time.Now()
+	ns.snap = snap
+	ns.slo = sloDoc.State
+	ns.exemplars = latDoc.Exemplars
+	ns.ledger = nil
+	if haveLed {
+		ns.ledger = &led
+	}
+	oldest := total - int64(len(spans))
+	if ns.cursor < 0 || total < ns.cursor {
+		// First poll, or a restarted node whose count began again: what
+		// its ring holds is all there is to take.
+		ns.cursor = oldest
+	}
+	if ns.cursor < oldest {
+		ns.spansDropped += oldest - ns.cursor
+		ns.cursor = oldest
+	}
+	for _, s := range spans[ns.cursor-oldest:] {
+		ns.spans.Push(s)
+	}
+	ns.cursor = total
 }
 
-// Nodes returns per-node liveness, lag, and drop accounting.
+// Nodes returns per-node liveness, lag and span accounting.
 func (a *Aggregator) Nodes() []NodeStatus {
-	now := a.now()
+	now := time.Now()
 	out := make([]NodeStatus, 0, len(a.nodes))
 	for _, ns := range a.nodes {
 		ns.mu.Lock()
 		st := NodeStatus{
-			Addr:      ns.addr,
-			Node:      ns.name,
-			Connected: ns.connected,
-			Session:   ns.session,
-			LastError: ns.lastErr,
-			Frames:    ns.frames,
-			DeltaSeq:  ns.deltaSeq,
-			Resyncs:   ns.resyncs,
-			SeqGaps:   ns.seqGaps,
-			SpansHeld: ns.spans.Len(),
+			Addr:         ns.addr,
+			Up:           ns.up,
+			LastError:    ns.lastErr,
+			Polls:        ns.polls,
+			SpanTotal:    max(ns.cursor, 0),
+			SpansDropped: ns.spansDropped,
+			SpansHeld:    ns.spans.Len(),
 		}
-		if ns.frames > 0 {
-			st.LagSeconds = now - ns.lastFrameAt
-		}
-		if ns.hasHB {
-			st.ExporterDroppedFrames = ns.heartbeat.DroppedFrames
-			st.ExporterDroppedSpans = ns.heartbeat.DroppedSpans
-			st.ExporterSpanTotal = ns.heartbeat.SpanTotal
+		if ns.polls > 0 {
+			st.LagSeconds = now.Sub(ns.lastPoll).Seconds()
 		}
 		ns.mu.Unlock()
 		out = append(out, st)
@@ -354,48 +312,27 @@ func (a *Aggregator) Nodes() []NodeStatus {
 	return out
 }
 
-// nodeLabel names a node for merged views: the Hello identity when
-// known, the dial address until then.
-func (ns *nodeState) nodeLabel() string {
-	if ns.name != "" {
-		return ns.name
-	}
-	return ns.addr
-}
-
-// NodeSnapshots returns each node's accumulated registry snapshot,
-// keyed by node label (the Prometheus node-label scheme renders these as
-// name{node="label"} series).
-func (a *Aggregator) NodeSnapshots() (map[string]obs.Snapshot, map[string]string) {
+// NodeSnapshots returns each node's last scraped registry snapshot, keyed
+// by its address (the node label of the Prometheus exposition).
+func (a *Aggregator) NodeSnapshots() map[string]obs.Snapshot {
 	snaps := make(map[string]obs.Snapshot, len(a.nodes))
-	help := make(map[string]string)
 	for _, ns := range a.nodes {
 		ns.mu.Lock()
-		if ns.haveSnap {
-			snaps[ns.nodeLabel()] = ns.snap.Clone()
-			for k, v := range ns.help {
-				if help[k] == "" {
-					help[k] = v
-				}
-			}
+		if ns.polls > 0 {
+			snaps[ns.addr] = ns.snap.Clone()
 		}
 		ns.mu.Unlock()
 	}
-	return snaps, help
+	return snaps
 }
 
-// MergedRegistry folds every node's accumulated snapshot into one
-// cluster snapshot with obs.Snapshot.Merge (counters and histogram
-// buckets add across nodes).
+// MergedRegistry folds every node's snapshot into one cluster snapshot
+// with obs.Snapshot.Merge (counters and histogram buckets add across
+// nodes).
 func (a *Aggregator) MergedRegistry() (obs.Snapshot, error) {
-	snaps, _ := a.NodeSnapshots()
-	labels := make([]string, 0, len(snaps))
-	for l := range snaps {
-		labels = append(labels, l)
-	}
-	sort.Strings(labels)
+	snaps := a.NodeSnapshots()
 	var merged obs.Snapshot
-	for _, l := range labels {
+	for _, l := range sortedKeys(snaps) {
 		if err := merged.Merge(snaps[l]); err != nil {
 			return merged, fmt.Errorf("telemetry: merging node %s: %w", l, err)
 		}
@@ -410,29 +347,16 @@ func (a *Aggregator) MergedSLO() slo.EngineState {
 	var states []slo.EngineState
 	for _, ns := range a.nodes {
 		ns.mu.Lock()
-		if ns.haveSLO {
-			states = append(states, ns.slo)
+		if ns.slo != nil {
+			states = append(states, *ns.slo)
 		}
 		ns.mu.Unlock()
 	}
 	return slo.MergeStates(states...)
 }
 
-// MergedHeadroom folds every node's frontier with core.Headroom.Merge.
-func (a *Aggregator) MergedHeadroom() core.Headroom {
-	var merged core.Headroom
-	for _, ns := range a.nodes {
-		ns.mu.Lock()
-		if ns.haveHeadroom {
-			merged = merged.Merge(ns.headroom)
-		}
-		ns.mu.Unlock()
-	}
-	return merged
-}
-
 // MergedLedger folds every node's utilization ledger with
-// ledger.Snapshot.Merge (nil when no node has sent one yet).
+// ledger.Snapshot.Merge (nil when no node serves one).
 func (a *Aggregator) MergedLedger() *ledger.Snapshot {
 	var merged *ledger.Snapshot
 	for _, ns := range a.nodes {
@@ -491,35 +415,25 @@ func (a *Aggregator) SpanTrees() map[obs.TraceID]*obs.SpanNode {
 	return obs.BuildSpanTrees(a.Spans())
 }
 
-// alertLoop re-evaluates merged burn rates on a cadence and records
-// edge-triggered alert transitions.
-func (a *Aggregator) alertLoop() {
-	defer a.wg.Done()
-	ticker := time.NewTicker(a.cfg.AlertEvery)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-a.quit:
-			return
-		case <-ticker.C:
+// evaluateAlerts re-runs merged burn rates and records edge-triggered
+// alert transitions.
+func (a *Aggregator) evaluateAlerts() {
+	burns := a.MergedSLO().Burns()
+	now := time.Since(a.start).Seconds()
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	for _, b := range burns {
+		if b.Alerting == a.alertOn[b.Objective] {
+			continue
 		}
-		burns := a.MergedSLO().Burns()
-		now := a.now()
-		a.mu.Lock()
-		for _, b := range burns {
-			if b.Alerting == a.alertOn[b.Objective] {
-				continue
-			}
-			a.alertOn[b.Objective] = b.Alerting
-			a.alertLog = append(a.alertLog, AlertEvent{
-				At: now, Objective: b.Objective,
-				Short: b.Short, Long: b.Long, On: b.Alerting,
-			})
-			if len(a.alertLog) > a.cfg.AlertLog {
-				a.alertLog = a.alertLog[len(a.alertLog)-a.cfg.AlertLog:]
-			}
+		a.alertOn[b.Objective] = b.Alerting
+		a.alertLog = append(a.alertLog, AlertEvent{
+			At: now, Objective: b.Objective,
+			Short: b.Short, Long: b.Long, On: b.Alerting,
+		})
+		if len(a.alertLog) > alertLog {
+			a.alertLog = a.alertLog[len(a.alertLog)-alertLog:]
 		}
-		a.mu.Unlock()
 	}
 }
 

@@ -1,13 +1,13 @@
 package telemetry
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
+	"slices"
 
-	"milan/internal/core"
 	"milan/internal/obs"
 	"milan/internal/obs/latency"
 	"milan/internal/obs/ledger"
@@ -23,7 +23,6 @@ type ClusterState struct {
 	PerNode   map[string]obs.Snapshot `json:"per_node"`
 	SLO       slo.EngineState         `json:"slo"`
 	Burns     []slo.ObjectiveBurn     `json:"burns"`
-	Headroom  core.Headroom           `json:"headroom"`
 	Ledger    *ledger.Snapshot        `json:"ledger,omitempty"`
 	Exemplars []latency.Exemplar      `json:"exemplars,omitempty"`
 	Alerts    []AlertEvent            `json:"alerts,omitempty"`
@@ -33,13 +32,11 @@ type ClusterState struct {
 // State captures the aggregator's current cluster view.
 func (a *Aggregator) State() ClusterState {
 	merged, err := a.MergedRegistry()
-	perNode, _ := a.NodeSnapshots()
 	st := ClusterState{
 		Nodes:     a.Nodes(),
 		Merged:    merged,
-		PerNode:   perNode,
+		PerNode:   a.NodeSnapshots(),
 		SLO:       a.MergedSLO(),
-		Headroom:  a.MergedHeadroom(),
 		Ledger:    a.MergedLedger(),
 		Exemplars: a.MergedExemplars(0),
 		Alerts:    a.Alerts(),
@@ -57,13 +54,12 @@ func (a *Aggregator) State() ClusterState {
 //	          node-labeled Prometheus text exposition)
 //	/trace    stitched cross-process span trees as JSON (?trace=ID)
 //	/slo      merged SLO state, re-derived burns, and alert transitions
-//	/nodes    per-node liveness, stream lag, and drop accounting
-//	/headroom merged admissibility frontier
+//	/nodes    per-node liveness, poll lag, and span accounting
 //	/ledger   merged utilization ledger
 //	/latency  merged phase-latency anatomy: cluster-wide per-phase
 //	          quantiles, top-K slowest exemplars, stitched traces
 //	/state    the full ClusterState in one document
-//	/healthz  200 when every node is connected, 503 otherwise
+//	/healthz  200 when every node's last poll succeeded, 503 otherwise
 func (a *Aggregator) Handler() http.Handler {
 	mux := http.NewServeMux()
 	writeJSON := func(w http.ResponseWriter, v any) {
@@ -80,19 +76,17 @@ func (a *Aggregator) Handler() http.Handler {
 			return
 		}
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		w.Write([]byte("milanmon cluster view\n\n/metrics  merged registry (JSON; ?format=prom for node-labeled Prometheus text)\n/trace    stitched cross-process span trees (JSON, ?trace=ID)\n/slo      merged SLO state + re-derived burn rates + alerts\n/nodes    node liveness, stream lag, drop accounting\n/headroom merged admissibility frontier\n/ledger   merged utilization ledger\n/state    full cluster state in one document\n/healthz  cluster liveness\n"))
+		w.Write([]byte("milanmon cluster view\n\n/metrics  merged registry (JSON; ?format=prom for node-labeled Prometheus text)\n/trace    stitched cross-process span trees (JSON, ?trace=ID)\n/slo      merged SLO state + re-derived burn rates + alerts\n/nodes    node liveness, poll lag, span accounting\n/ledger   merged utilization ledger\n/latency  merged phase anatomy, slowest exemplars, their traces\n/state    full cluster state in one document\n/healthz  cluster liveness\n"))
 	})
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		if obs.WantsProm(r) {
-			snaps, help := a.NodeSnapshots()
 			w.Header().Set("Content-Type", obs.PromContentType)
-			if err := WritePromLabeled(w, snaps, help); err != nil {
+			if err := WritePromLabeled(w, a.NodeSnapshots(), nil); err != nil {
 				http.Error(w, err.Error(), http.StatusInternalServerError)
 			}
 			return
 		}
 		merged, err := a.MergedRegistry()
-		perNode, _ := a.NodeSnapshots()
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
@@ -100,7 +94,7 @@ func (a *Aggregator) Handler() http.Handler {
 		writeJSON(w, struct {
 			Merged obs.Snapshot            `json:"merged"`
 			Nodes  map[string]obs.Snapshot `json:"nodes"`
-		}{merged, perNode})
+		}{merged, a.NodeSnapshots()})
 	})
 	mux.HandleFunc("/trace", func(w http.ResponseWriter, r *http.Request) {
 		trees := a.SpanTrees()
@@ -117,14 +111,8 @@ func (a *Aggregator) Handler() http.Handler {
 			http.NotFound(w, r)
 			return
 		}
-		// Render keyed by decimal trace ID, ordered.
-		ids := make([]obs.TraceID, 0, len(trees))
-		for id := range trees {
-			ids = append(ids, id)
-		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		out := make([]*obs.SpanNode, 0, len(ids))
-		for _, id := range ids {
+		out := make([]*obs.SpanNode, 0, len(trees))
+		for _, id := range sortedKeys(trees) {
 			out = append(out, trees[id])
 		}
 		writeJSON(w, out)
@@ -140,13 +128,10 @@ func (a *Aggregator) Handler() http.Handler {
 	mux.HandleFunc("/nodes", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, a.Nodes())
 	})
-	mux.HandleFunc("/headroom", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, a.MergedHeadroom())
-	})
 	mux.HandleFunc("/ledger", func(w http.ResponseWriter, r *http.Request) {
 		ls := a.MergedLedger()
 		if ls == nil {
-			http.Error(w, "no ledger received yet", http.StatusNotFound)
+			http.Error(w, "no node serves a ledger", http.StatusNotFound)
 			return
 		}
 		writeJSON(w, ls)
@@ -168,7 +153,7 @@ func (a *Aggregator) Handler() http.Handler {
 		nodes := a.Nodes()
 		down := 0
 		for _, n := range nodes {
-			if !n.Connected {
+			if !n.Up {
 				down++
 			}
 		}
@@ -183,30 +168,23 @@ func (a *Aggregator) Handler() http.Handler {
 	return mux
 }
 
-// LatencyPhaseView is one phase's cluster-merged latency summary.
-type LatencyPhaseView struct {
-	Count  int64   `json:"count"`
-	MeanNs float64 `json:"mean_ns"`
-	P50Ns  float64 `json:"p50_ns"`
-	P99Ns  float64 `json:"p99_ns"`
-}
-
 // LatencyView is the /latency surface: cluster-wide phase anatomy built
-// from the merged phase histograms, the k slowest exemplars across all
-// nodes, and — for every exemplar whose trace the span stream retained —
+// from the merged phase histograms (no budgets: the envelope is per
+// node), the k slowest exemplars across all
+// nodes, and — for every exemplar whose trace the scraped spans retain —
 // the stitched cross-process span tree, so a tail request is navigable
 // from waterfall to spans in one document.
 type LatencyView struct {
-	Phases    map[string]LatencyPhaseView `json:"phases"`
-	Exemplars []latency.Exemplar          `json:"exemplars"`
-	Traces    map[string]*obs.SpanNode    `json:"traces,omitempty"`
-	Error     string                      `json:"error,omitempty"`
+	Phases    map[string]latency.PhaseView `json:"phases"`
+	Exemplars []latency.Exemplar           `json:"exemplars"`
+	Traces    map[string]*obs.SpanNode     `json:"traces,omitempty"`
+	Error     string                       `json:"error,omitempty"`
 }
 
 // LatencyView assembles the cluster latency anatomy (k bounds the
 // exemplar list; <= 0 keeps all).
 func (a *Aggregator) LatencyView(k int) LatencyView {
-	v := LatencyView{Phases: make(map[string]LatencyPhaseView)}
+	v := LatencyView{Phases: make(map[string]latency.PhaseView)}
 	merged, err := a.MergedRegistry()
 	if err != nil {
 		v.Error = err.Error()
@@ -217,7 +195,7 @@ func (a *Aggregator) LatencyView(k int) LatencyView {
 		if !ok || h.Count == 0 {
 			return
 		}
-		v.Phases[key] = LatencyPhaseView{
+		v.Phases[key] = latency.PhaseView{
 			Count:  h.Count,
 			MeanNs: h.Mean(),
 			P50Ns:  h.Quantile(0.50),
@@ -249,13 +227,10 @@ func (a *Aggregator) LatencyView(k int) LatencyView {
 // (`name{node="label"}`): one HELP/TYPE header per family, then one
 // series per node.  Cross-node aggregation is left to the scraper
 // (`sum by (__name__)`), matching Prometheus convention — the merged
-// totals are served pre-computed on the JSON side only.
+// totals are served pre-computed on the JSON side only.  A family missing
+// from help gets a generic HELP line.
 func WritePromLabeled(w io.Writer, snaps map[string]obs.Snapshot, help map[string]string) error {
-	nodes := make([]string, 0, len(snaps))
-	for n := range snaps {
-		nodes = append(nodes, n)
-	}
-	sort.Strings(nodes)
+	nodes := sortedKeys(snaps)
 	label := func(node string, extra string) string {
 		if extra == "" {
 			return fmt.Sprintf(`{node="%s"}`, obs.PromEscapeLabel(node))
@@ -274,22 +249,17 @@ func WritePromLabeled(w io.Writer, snaps map[string]obs.Snapshot, help map[strin
 	// Union of family names per kind, sorted for a stable exposition.
 	families := func(pick func(obs.Snapshot) []string) []string {
 		seen := make(map[string]bool)
-		var out []string
 		for _, node := range nodes {
 			for _, name := range pick(snaps[node]) {
-				if !seen[name] {
-					seen[name] = true
-					out = append(out, name)
-				}
+				seen[name] = true
 			}
 		}
-		sort.Strings(out)
-		return out
+		return sortedKeys(seen)
 	}
-	counterNames := families(func(s obs.Snapshot) []string { return mapKeys(s.Counters) })
-	gaugeNames := families(func(s obs.Snapshot) []string { return mapKeys(s.Gauges) })
-	histNames := families(func(s obs.Snapshot) []string { return mapKeys(s.Histograms) })
-	statNames := families(func(s obs.Snapshot) []string { return mapKeys(s.Stats) })
+	counterNames := families(func(s obs.Snapshot) []string { return sortedKeys(s.Counters) })
+	gaugeNames := families(func(s obs.Snapshot) []string { return sortedKeys(s.Gauges) })
+	histNames := families(func(s obs.Snapshot) []string { return sortedKeys(s.Histograms) })
+	statNames := families(func(s obs.Snapshot) []string { return sortedKeys(s.Stats) })
 
 	for _, name := range counterNames {
 		if err := header(name, "counter", ""); err != nil {
@@ -371,10 +341,12 @@ func WritePromLabeled(w io.Writer, snaps map[string]obs.Snapshot, help map[strin
 	return nil
 }
 
-func mapKeys[V any](m map[string]V) []string {
-	out := make([]string, 0, len(m))
+// sortedKeys returns m's keys in ascending order.
+func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
+	keys := make([]K, 0, len(m))
 	for k := range m {
-		out = append(out, k)
+		keys = append(keys, k)
 	}
-	return out
+	slices.Sort(keys)
+	return keys
 }

@@ -6,7 +6,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"milan/internal/obs"
 )
@@ -58,16 +57,11 @@ func TestWritePromLabeled(t *testing.T) {
 func TestHandlerEndpoints(t *testing.T) {
 	reg := obs.NewRegistry()
 	reg.Counter("jobs_admitted").Add(3)
-	exp := newTestExporter(t, "n1", "127.0.0.1:0", Sources{Registry: reg})
-	defer exp.Close()
-	agg := newTestAggregator(t, exp.Addr())
-	waitFor(t, 5*time.Second, func() error {
-		st := agg.Nodes()[0]
-		if !st.Connected || st.Frames == 0 {
-			return fmt.Errorf("not ready")
-		}
-		return nil
-	})
+	node := httptest.NewServer(obs.New(obs.Config{Registry: reg}).Handler())
+	defer node.Close()
+	addr := node.Listener.Addr().String()
+	agg := newTestAggregator(t, false, addr)
+	agg.pollOnce()
 	h := agg.Handler()
 
 	// JSON /metrics.
@@ -80,56 +74,52 @@ func TestHandlerEndpoints(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
 		t.Fatalf("/metrics JSON: %v\n%s", err, rec.Body.String())
 	}
-	if body.Merged.Counters["jobs_admitted"] != 3 || body.Nodes["n1"].Counters["jobs_admitted"] != 3 {
+	if body.Merged.Counters["jobs_admitted"] != 3 || body.Nodes[addr].Counters["jobs_admitted"] != 3 {
 		t.Fatalf("merged/per-node mismatch: %+v", body)
 	}
 
-	// Prometheus /metrics via ?format=prom.
+	// Prometheus /metrics via ?format=prom, labelled by node address.
 	rec = httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics?format=prom", nil))
-	if !strings.Contains(rec.Body.String(), `jobs_admitted{node="n1"} 3`) {
-		t.Fatalf("prom exposition missing labeled sample:\n%s", rec.Body.String())
+	if want := `jobs_admitted{node="` + addr + `"} 3`; !strings.Contains(rec.Body.String(), want) {
+		t.Fatalf("prom exposition missing %s:\n%s", want, rec.Body.String())
 	}
 
-	// /nodes reports the connected node.
+	// /nodes reports the node up.
 	rec = httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest("GET", "/nodes", nil))
 	var nodes []NodeStatus
 	if err := json.Unmarshal(rec.Body.Bytes(), &nodes); err != nil {
 		t.Fatal(err)
 	}
-	if len(nodes) != 1 || !nodes[0].Connected || nodes[0].Node != "n1" {
+	if len(nodes) != 1 || !nodes[0].Up || nodes[0].Addr != addr || nodes[0].Polls != 1 {
 		t.Fatalf("/nodes = %+v", nodes)
 	}
 
-	// /healthz is 200 while the node is up, 503 once it goes dark.
+	// /healthz is 200 while the node answers, 503 once a poll fails.
 	rec = httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest("GET", "/healthz", nil))
 	if rec.Code != 200 {
 		t.Fatalf("/healthz = %d with node up", rec.Code)
 	}
-	exp.Close()
-	waitFor(t, 5*time.Second, func() error {
-		if agg.Nodes()[0].Connected {
-			return fmt.Errorf("not ready")
-		}
-		return nil
-	})
+	node.Close()
+	agg.pollOnce()
 	rec = httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest("GET", "/healthz", nil))
 	if rec.Code != 503 {
 		t.Fatalf("/healthz = %d with node down", rec.Code)
 	}
 
-	// /state is one self-contained JSON document.
+	// /state is one self-contained JSON document, and keeps the down
+	// node's last view.
 	rec = httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest("GET", "/state", nil))
 	var st ClusterState
 	if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
 		t.Fatalf("/state: %v", err)
 	}
-	if len(st.Nodes) != 1 {
-		t.Fatalf("/state nodes = %+v", st.Nodes)
+	if len(st.Nodes) != 1 || st.Nodes[0].Up || st.Merged.Counters["jobs_admitted"] != 3 {
+		t.Fatalf("/state = %+v", st)
 	}
 }
 

@@ -11,14 +11,13 @@ import (
 )
 
 // Cluster property: the aggregator's merged per-phase latency
-// histograms must equal the per-node sums BIT-FOR-BIT after riding the
-// real telemetry wire (encode → stream → accumulate → merge).  Phase
+// histograms must equal the per-node sums BIT-FOR-BIT after a scrape of
+// each node's /metrics (JSON → decode → merge).  Phase
 // durations are integer nanoseconds, so the float64 bucket sums stay
 // exactly representable and reflect.DeepEqual is the honest check.
 func TestMergedPhaseHistogramsEqualNodeSums(t *testing.T) {
 	const nodes = 3
 	regs := make([]*obs.Registry, nodes)
-	exps := make([]*Exporter, nodes)
 	addrs := make([]string, nodes)
 	rng := rand.New(rand.NewSource(99))
 	for i := range regs {
@@ -34,11 +33,9 @@ func TestMergedPhaseHistogramsEqualNodeSums(t *testing.T) {
 			}
 			lp.Done(rng.Uint64(), int64(j), int32(i), total, durs, int64(j))
 		}
-		exps[i] = newTestExporter(t, fmt.Sprintf("n%d", i), "127.0.0.1:0", Sources{Registry: regs[i], Latency: lp})
-		defer exps[i].Close()
-		addrs[i] = exps[i].Addr()
+		addrs[i] = serveLatency(t, regs[i], lp)
 	}
-	agg := newTestAggregator(t, addrs...)
+	agg := newTestAggregator(t, true, addrs...)
 
 	// Expected: the direct merge of the live per-node snapshots.
 	want := make(map[string]obs.HistSnapshot)
@@ -81,7 +78,15 @@ func TestMergedPhaseHistogramsEqualNodeSums(t *testing.T) {
 	})
 }
 
-// Exemplars flow node -> wire -> aggregator: the merged top-K must
+// serveLatency serves a node's debug endpoint with its latency plane
+// mounted, as junctiond does.
+func serveLatency(t *testing.T, reg *obs.Registry, lp *latency.Plane) string {
+	o := obs.New(obs.Config{Registry: reg})
+	o.Handle("/latency", lp.Handler(), "admission latency anatomy")
+	return serve(t, o.Handler())
+}
+
+// Exemplars flow node /latency -> aggregator: the merged top-K must
 // contain the cluster-slowest request with its waterfall intact.
 func TestAggregatorMergesExemplars(t *testing.T) {
 	reg := obs.NewRegistry()
@@ -89,9 +94,7 @@ func TestAggregatorMergesExemplars(t *testing.T) {
 	var durs [latency.NumPhases]int64
 	durs[1] = 50_000_000 // probe-dominated waterfall
 	lp.Done(0xabcd, 7, 2, 50_100_000, durs, 0)
-	exp := newTestExporter(t, "n1", "127.0.0.1:0", Sources{Registry: reg, Latency: lp})
-	defer exp.Close()
-	agg := newTestAggregator(t, exp.Addr())
+	agg := newTestAggregator(t, true, serveLatency(t, reg, lp))
 
 	waitFor(t, 5e9, func() error {
 		got := agg.MergedExemplars(4)
@@ -100,7 +103,7 @@ func TestAggregatorMergesExemplars(t *testing.T) {
 		}
 		e := got[0]
 		if e.Trace != 0xabcd || e.Total != 50_100_000 || e.Durs[1] != 50_000_000 {
-			return fmt.Errorf("exemplar drifted over the wire: %+v", e)
+			return fmt.Errorf("exemplar drifted through the scrape: %+v", e)
 		}
 		return nil
 	})
