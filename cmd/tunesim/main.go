@@ -53,7 +53,6 @@ func main() {
 	sloAudit := flag.Bool("slo", false, "audit the run with the SLO engine and print the end-of-run conformance report")
 	flightPath := flag.String("flight", "", "write the latest flight-recorder snapshot (JSONL) to this file after the run (implies -slo)")
 	explainPath := flag.String("explain", "", "record a rejection diagnosis per failed admission and write them (JSONL) to this file after the run")
-	headroomHorizon := flag.Float64("headroom", 0, "advertise and audit the capacity-headroom frontier over this horizon in simulated time units (0 disables)")
 	ledgerPath := flag.String("ledger", "", "account every run on the utilization ledger and write the merged per-tenant snapshot (JSONL) to this file after the run")
 	tenants := flag.String("tenants", "", "comma-separated tenant names cycled over arrivals for per-tenant ledger accounting (empty = unattributed)")
 	classes := flag.Int("classes", 1, "priority classes per tenant for the -tenants cycle")
@@ -91,8 +90,8 @@ func main() {
 		}
 	}
 	// Admission forensics: the rejection recorder (-explain, and always on
-	// when a debug endpoint serves /explain) and the headroom forecaster
-	// (-headroom).  Both feed the run through Config.Forensics/Forecast.
+	// when a debug endpoint serves /explain) feeds the run through
+	// Config.Forensics.
 	var forRec *forensics.Recorder
 	if *explainPath != "" || *debugAddr != "" {
 		forRec = forensics.NewRecorder(0)
@@ -100,15 +99,6 @@ func main() {
 		if observer != nil {
 			forRec.BindMetrics(observer.Reg)
 			forRec.Mount(observer)
-		}
-	}
-	var forecaster *forensics.Forecaster
-	if *headroomHorizon > 0 {
-		forecaster = forensics.NewForecaster()
-		cfg.Forecast = forecaster
-		cfg.HeadroomHorizon = *headroomHorizon
-		if observer != nil {
-			forecaster.BindMetrics(observer.Reg)
 		}
 	}
 	// Utilization ledger: per-tenant capacity accounting.  One shard
@@ -169,7 +159,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "tunesim:", err)
 		os.Exit(1)
 	}
-	if err := finishForensics(os.Stdout, forRec, forecaster, *explainPath); err != nil {
+	if err := finishForensics(os.Stdout, forRec, *explainPath); err != nil {
 		fmt.Fprintln(os.Stderr, "tunesim:", err)
 		os.Exit(1)
 	}
@@ -225,58 +215,52 @@ func finishSLO(out io.Writer, e *slo.Engine, rec *slo.Recorder, flightPath strin
 	return nil
 }
 
-// finishForensics prints the admission-forensics summary (the -explain and
-// -headroom outputs) and writes the rejection-cause JSONL artifact.  Nil
-// recorder and forecaster are a no-op.
-func finishForensics(out io.Writer, rec *forensics.Recorder, fc *forensics.Forecaster, explainPath string) error {
-	if rec != nil {
-		var suggested, verified, refuted int
-		causes := map[core.Constraint]int{}
-		records := rec.Records()
-		for _, r := range records {
-			if r.Diag.Suggestion != nil {
-				suggested++
-			}
-			if r.Verified != nil {
-				if *r.Verified {
-					verified++
-				} else {
-					refuted++
-				}
-			}
-			for _, cd := range r.Diag.Chains {
-				if !cd.Schedulable {
-					causes[cd.Constraint]++
-				}
+// finishForensics prints the admission-forensics summary (the -explain
+// output) and writes the rejection-cause JSONL artifact.  A nil recorder
+// is a no-op.
+func finishForensics(out io.Writer, rec *forensics.Recorder, explainPath string) error {
+	if rec == nil {
+		return nil
+	}
+	var suggested, verified, refuted int
+	causes := map[core.Constraint]int{}
+	records := rec.Records()
+	for _, r := range records {
+		if r.Diag.Suggestion != nil {
+			suggested++
+		}
+		if r.Verified != nil {
+			if *r.Verified {
+				verified++
+			} else {
+				refuted++
 			}
 		}
-		fmt.Fprintf(out, "\nadmission forensics: %d diagnoses retained (%d recorded, %d evicted)\n",
-			len(records), rec.Total(), rec.Dropped())
-		fmt.Fprintf(out, "  failed chains by cause: width=%d deadline=%d capacity=%d\n",
-			causes[core.ConstraintWidth], causes[core.ConstraintDeadline], causes[core.ConstraintCapacity])
-		fmt.Fprintf(out, "  counterfactual suggestions: %d emitted, %d verified admitting, %d refuted\n",
-			suggested, verified, refuted)
-		if explainPath != "" {
-			f, err := os.Create(explainPath)
-			if err != nil {
-				return err
+		for _, cd := range r.Diag.Chains {
+			if !cd.Schedulable {
+				causes[cd.Constraint]++
 			}
-			if err := rec.WriteJSONL(f); err != nil {
-				f.Close()
-				return err
-			}
-			if err := f.Close(); err != nil {
-				return err
-			}
-			fmt.Fprintf(out, "wrote rejection-cause JSONL (%d records) to %s\n", len(records), explainPath)
 		}
 	}
-	if fc != nil {
-		if hr, ok := fc.Last(); ok {
-			fmt.Fprintf(out, "headroom frontier at end of run: widest=%dp longest=%.1ft best rectangle=%dp x %.1ft (area %.1f) over [%.1f, %.1f)\n",
-				hr.MaxProcs, hr.MaxDuration, hr.BestHole.Procs, hr.BestHole.End-hr.BestHole.Start,
-				hr.MaxArea, hr.From, hr.From+hr.Horizon)
+	fmt.Fprintf(out, "\nadmission forensics: %d diagnoses retained (%d recorded, %d evicted)\n",
+		len(records), rec.Total(), rec.Dropped())
+	fmt.Fprintf(out, "  failed chains by cause: width=%d deadline=%d capacity=%d\n",
+		causes[core.ConstraintWidth], causes[core.ConstraintDeadline], causes[core.ConstraintCapacity])
+	fmt.Fprintf(out, "  counterfactual suggestions: %d emitted, %d verified admitting, %d refuted\n",
+		suggested, verified, refuted)
+	if explainPath != "" {
+		f, err := os.Create(explainPath)
+		if err != nil {
+			return err
 		}
+		if err := rec.WriteJSONL(f); err != nil {
+			f.Close()
+			return err
+		}
+		if err := f.Close(); err != nil {
+			return err
+		}
+		fmt.Fprintf(out, "wrote rejection-cause JSONL (%d records) to %s\n", len(records), explainPath)
 	}
 	return nil
 }
@@ -289,8 +273,7 @@ func finishLedger(out io.Writer, ld *ledger.Sharded, path string) error {
 		return nil
 	}
 	snap := ld.Merged()
-	fmt.Fprintf(out, "\nutilization ledger: util=%.4f frag=%.4f reserved=%.1f realized=%.1f waste=%.1f\n",
-		snap.Utilization(), snap.Fragmentation(),
+	fmt.Fprintf(out, "\nutilization ledger: reserved=%.1f realized=%.1f waste=%.1f\n",
 		snap.TotalReservedArea, snap.TotalRealizedArea, snap.TotalWasteArea())
 	fmt.Fprintf(out, "%-16s %5s %12s %12s %12s %8s %9s %9s\n",
 		"tenant", "class", "reserved", "realized", "waste", "commits", "completes", "rejects")
@@ -317,8 +300,7 @@ func finishLedger(out io.Writer, ld *ledger.Sharded, path string) error {
 	if err := f.Close(); err != nil {
 		return err
 	}
-	fmt.Fprintf(out, "wrote ledger snapshot (%d tenant streams, %d buckets) to %s\n",
-		len(snap.Totals), len(snap.Buckets), path)
+	fmt.Fprintf(out, "wrote ledger snapshot (%d tenant streams) to %s\n", len(snap.Totals), path)
 	return nil
 }
 

@@ -21,7 +21,6 @@ import (
 	"io"
 	"log"
 	"net/http"
-	"os"
 	"strings"
 	"sync"
 	"time"
@@ -135,11 +134,15 @@ func federated() error {
 		}
 	}
 
+	// The observer counts the plane's decisions (sched_admitted,
+	// sched_rejected) as they commit, under the deciding shard's lock.
 	reg := obs.NewRegistry()
+	o := obs.New(obs.Config{Registry: reg, Tracing: true})
 	plane, err := milan.NewFederatedArbitrator(milan.FedConfig{
-		Procs:  broker.TotalProcs(),
-		Shards: len(machines), // one shard per machine
-		ProbeK: 2,             // best-of-2 routing
+		Procs:    broker.TotalProcs(),
+		Shards:   len(machines), // one shard per machine
+		ProbeK:   2,             // best-of-2 routing
+		Observer: o.DecisionObserver(nil),
 	})
 	if err != nil {
 		return err
@@ -163,7 +166,6 @@ func federated() error {
 	// The debug endpoint publishes the plane's health: /healthz aggregates
 	// liveness with broker and shard readiness, so an orchestrator can gate
 	// traffic on the plane actually holding routable capacity.
-	o := obs.New(obs.Config{Registry: reg, Tracing: true})
 	o.AddHealthCheck("broker", func() error {
 		if broker.TotalProcs() == 0 {
 			return fmt.Errorf("no registered capacity")
@@ -236,13 +238,9 @@ func federated() error {
 	st := plane.Stats()
 	fmt.Printf("\nplane: %d admitted, %d rejected, chain choices %v\n",
 		st.Admitted, st.Rejected, st.TunableChosen)
-	// The plane keeps no registry: its fed_* instruments are brought up to
-	// date from its accessors when somebody wants to read them.
-	milan.NewFedMetrics(reg).Publish(plane)
-	fmt.Println("\nfed metrics:")
-	if err := reg.WriteTable(os.Stdout); err != nil {
-		return err
-	}
+	rs := plane.RouterStats()
+	fmt.Printf("router: %d probes, %d commit races, %d non-best commits, %d migrations\n",
+		rs.Probes, rs.CommitRaces, rs.NonBestCommits, rs.Migrations)
 	return federatedTelemetry(reg, dbgAddr.String())
 }
 
@@ -260,11 +258,11 @@ func federatedTelemetry(reg *obs.Registry, debugAddr string) error {
 	defer agg.Close()
 
 	// Wait for the scraped view to show the live registry's admission
-	// counters (every scrape is the whole cumulative state).
+	// counter (every scrape is the whole cumulative state).
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		merged, err := agg.MergedRegistry()
-		if err == nil && merged.Counters["fed_admitted"] == reg.Snapshot().Counters["fed_admitted"] {
+		if err == nil && merged.Counters[obs.MetricAdmitted] == reg.Snapshot().Counters[obs.MetricAdmitted] {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -282,8 +280,8 @@ func federatedTelemetry(reg *obs.Registry, debugAddr string) error {
 	}
 	fmt.Println("cluster view (node-labeled Prometheus exposition, excerpt):")
 	for _, line := range strings.Split(sb.String(), "\n") {
-		if strings.HasPrefix(line, "fed_admitted") || strings.HasPrefix(line, "fed_rejected") ||
-			strings.HasPrefix(line, "# HELP fed_admitted") {
+		if strings.HasPrefix(line, obs.MetricAdmitted) || strings.HasPrefix(line, obs.MetricRejected) ||
+			strings.HasPrefix(line, "# HELP "+obs.MetricAdmitted) {
 			fmt.Println("  " + line)
 		}
 	}

@@ -147,61 +147,3 @@ func TestWhatIfIsolation(t *testing.T) {
 		}
 	}
 }
-
-func TestHeadroomOf(t *testing.T) {
-	p := NewProfile(4, 0)
-	// Idle machine: the whole window is one 4-wide hole.
-	hr := HeadroomOf(p, 0, 10)
-	if hr.MaxProcs != 4 || !timeEq(hr.MaxDuration, 10) || !timeEq(hr.MaxArea, 40) {
-		t.Fatalf("idle headroom = %+v, want 4 procs x 10 = 40", hr)
-	}
-	// Block 3 procs over [2, 6): window [0, 10) now offers
-	// [0,2)x4 (area 8), [2,6)x1 (area 4), [6,10)x4 (area 16),
-	// and the full-window 1-wide hole [0,10)x1 (area 10).
-	if err := p.Reserve(3, 2, 6); err != nil {
-		t.Fatal(err)
-	}
-	hr = HeadroomOf(p, 0, 10)
-	if hr.MaxProcs != 4 {
-		t.Fatalf("max procs = %d, want 4", hr.MaxProcs)
-	}
-	if !timeEq(hr.MaxDuration, 10) {
-		t.Fatalf("max duration = %v, want 10 (1-wide hole spans the window)", hr.MaxDuration)
-	}
-	if !timeEq(hr.MaxArea, 16) || hr.BestHole.Procs != 4 || !timeEq(hr.BestHole.Start, 6) {
-		t.Fatalf("best rectangle = %+v (area %v), want [6,10)x4", hr.BestHole, hr.MaxArea)
-	}
-	if !hr.Fits(4, 4) || !hr.Fits(2, 3) || hr.Fits(4, 5) {
-		t.Fatalf("Fits frontier wrong: %+v", hr)
-	}
-
-	// Merge: a second machine with a wider short hole.
-	q := NewProfile(6, 0)
-	if err := q.Reserve(6, 1, 10); err != nil {
-		t.Fatal(err)
-	}
-	hq := HeadroomOf(q, 0, 10)
-	if hq.MaxProcs != 6 || !timeEq(hq.MaxArea, 6) {
-		t.Fatalf("second machine headroom = %+v", hq)
-	}
-	m := hr.Merge(hq)
-	if m.MaxProcs != 6 || !timeEq(m.MaxArea, 16) || !timeEq(m.MaxDuration, 10) {
-		t.Fatalf("merged frontier = %+v, want procs=6 area=16 duration=10", m)
-	}
-}
-
-func TestSchedulerHeadroomFollowsLoad(t *testing.T) {
-	s := NewScheduler(4, 0, nil)
-	before := s.Headroom(0, 20)
-	if before.MaxProcs != 4 {
-		t.Fatalf("idle scheduler headroom %+v", before)
-	}
-	job := Job{ID: 1, Chains: []Chain{rigid(4, 5, 100)}}
-	if _, err := s.Admit(job); err != nil {
-		t.Fatal(err)
-	}
-	after := s.Headroom(0, 20)
-	if !(after.MaxArea < before.MaxArea) {
-		t.Fatalf("headroom did not shrink after admission: %v -> %v", before.MaxArea, after.MaxArea)
-	}
-}

@@ -65,19 +65,11 @@ type Config struct {
 	// (forensics.Recorder.MarkVerified).  nil (the default) costs nothing
 	// — the planner's diagnosis path stays un-instrumented.
 	Forensics *forensics.Recorder
-	// Forecast, if set, advertises the arbitrator's headroom frontier over
-	// HeadroomHorizon before every arrival and audits each rejection
-	// against the advertised frontier; forecast misses additionally feed
-	// the SLO engine's headroom-forecast objective when SLO is set.
-	Forecast *forensics.Forecaster
-	// HeadroomHorizon is the forecaster's sliding window in simulated time
-	// units; non-positive selects DefaultHeadroomHorizon.
-	HeadroomHorizon float64
 	// Ledger, if set, accounts the run per tenant and priority class:
 	// every commit is recorded in admission order (shard 0 for the
 	// monolith; the granting shard for a sharded plane), every admitted
-	// job's completion realizes its reserved area, and the clock advances
-	// the ledger's retention.  Attach a fresh ledger per run — totals are
+	// job's completion realizes its reserved area, and the simulation clock
+	// stamps the ledger's.  Attach a fresh ledger per run — totals are
 	// cumulative.  nil (the default) schedules the same events and makes
 	// the same decisions as no ledger at all.
 	Ledger *ledger.Sharded
@@ -86,52 +78,14 @@ type Config struct {
 	Tenants *workload.TenantCycle
 }
 
-// DefaultHeadroomHorizon is the forecaster's window when the
-// configuration leaves HeadroomHorizon unset: four times the default
-// task duration, comfortably covering the deadline window of the
-// paper's synthetic jobs.
-const DefaultHeadroomHorizon = 100.0
-
-// headroomHorizon resolves the forecast window.
-func (c Config) headroomHorizon() float64 {
-	if c.HeadroomHorizon > 0 {
-		return c.HeadroomHorizon
-	}
-	return DefaultHeadroomHorizon
-}
-
-// diagnosisSink composes the run's diagnosis consumers — the forensics
-// recorder, the headroom forecaster's rejection audit and (through it)
-// the SLO engine's forecast objective — into one core.Options.Diagnosis
-// callback.  It returns nil when no consumer is configured, preserving
-// the planner's zero-cost default path.
-func (c Config) diagnosisSink() func(*core.PlanDiagnosis) {
-	if c.Forensics == nil && c.Forecast == nil {
-		return nil
-	}
-	rec, fc, eng := c.Forensics, c.Forecast, c.SLO
-	return func(d *core.PlanDiagnosis) {
-		rec.Record(d) // nil-safe
-		if fc != nil {
-			miss := fc.NoteRejection(d)
-			if eng != nil {
-				// The diagnosis carries the rejected job's release time,
-				// which is the simulation clock at decision time.
-				eng.ObserveForecast(d.Release, miss)
-			}
-		}
-	}
-}
-
 // schedulerOptions returns the effective scheduler options for a run:
-// the configured policies plus, when forensics consumers are present,
-// the composed diagnosis sink.  The configured Options value is never
-// mutated.
+// the configured policies plus, when a forensics recorder is present,
+// its diagnosis sink.  The configured Options value is never mutated.
 func (c Config) schedulerOptions() *core.Options {
-	sink := c.diagnosisSink()
-	if sink == nil {
+	if c.Forensics == nil {
 		return c.Opts
 	}
+	sink := c.Forensics.Record
 	var o core.Options
 	if c.Opts != nil {
 		o = *c.Opts
@@ -198,9 +152,8 @@ func (r RunResult) Throughput() int { return r.Admitted }
 
 // admitter is the arbitration surface the simulation loop drives: the
 // monolithic qos.Arbitrator and the federated fed.Arbitrator (see
-// sharded.go) both satisfy it.  The forensics surface (WhatIf probes and
-// the headroom frontier) rides along so the loop can close the rejection
-// loop and refresh the forecaster against either plane.
+// sharded.go) both satisfy it.  The WhatIf probe rides along so the loop
+// can close the rejection loop against either plane.
 type admitter interface {
 	qos.TimedNegotiator
 	Observe(now float64)
@@ -208,7 +161,6 @@ type admitter interface {
 	Stats() core.Stats
 	IndexStats() core.IndexStats
 	WhatIf(job core.Job, d core.WhatIfDelta) (*core.Placement, bool)
-	Headroom(horizon float64) core.Headroom
 }
 
 // Run simulates one task system under the configuration, driving arrivals
@@ -226,7 +178,7 @@ func Run(cfg Config, sys workload.System) (RunResult, error) {
 		// The monolith accounts on shard 0; the arbitrator invokes its
 		// observer under its own lock right after each scheduler commit,
 		// so ledger recording happens in commit order.
-		cfg.Ledger.Shard(0).SetCapacity(cfg.Procs, 0)
+		cfg.Ledger.Shard(0).SetCapacity(cfg.Procs)
 		arbCfg.Observer = cfg.Ledger.DecisionObserver(arbCfg.Observer)
 	}
 	arb, err := qos.NewArbitrator(arbCfg)
@@ -273,10 +225,6 @@ func runLoop(cfg Config, sys workload.System, arb admitter) (RunResult, error) {
 	// admission latency and the admission spans are read off; the default
 	// path schedules and measures nothing extra.
 	auditing := cfg.SLO != nil || tracer != nil
-	forecastHorizon := 0.0
-	if cfg.Forecast != nil {
-		forecastHorizon = cfg.headroomHorizon()
-	}
 	var lastFinish, lastRelease float64
 	var slackSum float64
 
@@ -290,16 +238,10 @@ func runLoop(cfg Config, sys workload.System, arb admitter) (RunResult, error) {
 			now := engine.Now()
 			lastRelease = now
 			arb.Observe(now)
-			// Ledger retention follows the clock.  (A sharded plane's
-			// Observe already advanced its shard ledgers; Advance is
-			// monotone, so the second call is a no-op there.)
+			// The ledger's clock follows the simulation's.  (A sharded
+			// plane's Observe already advanced its shard ledgers; Advance
+			// is monotone, so the second call is a no-op there.)
 			cfg.Ledger.Advance(now)
-			if cfg.Forecast != nil {
-				// Refresh the advertised frontier at decision time, so the
-				// rejection audit below judges a forecast the plane could
-				// actually have served this arrival.
-				cfg.Forecast.Advertise(arb.Headroom(forecastHorizon))
-			}
 			job := cfg.Job.Job(id, now, sys)
 			if cfg.Malleable {
 				job = job.MakeMalleable()

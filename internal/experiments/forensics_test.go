@@ -11,7 +11,7 @@ import (
 )
 
 // forensicsConfig is a small overloaded run: plenty of rejections so the
-// explainer, the closed-loop verifier and the forecaster all get work.
+// explainer and the closed-loop verifier both get work.
 func forensicsConfig() Config {
 	cfg := DefaultConfig()
 	cfg.Jobs = 400
@@ -28,10 +28,7 @@ func TestRunForensicsClosedLoop(t *testing.T) {
 	reg := obs.NewRegistry()
 	rec := forensics.NewRecorder(cfg.Jobs) // retain everything
 	rec.BindMetrics(reg)
-	fc := forensics.NewForecaster()
-	fc.BindMetrics(reg)
 	cfg.Forensics = rec
-	cfg.Forecast = fc
 	cfg.SLO = slo.New(slo.Options{})
 
 	res, err := Run(cfg, workload.Tunable)
@@ -68,32 +65,16 @@ func TestRunForensicsClosedLoop(t *testing.T) {
 	if v := reg.Counter(forensics.MetricWhatIfVerified).Value(); v != int64(verified) {
 		t.Fatalf("verified counter = %d, want %d", v, verified)
 	}
-
-	// The forecaster advertised and audited; its audit reached the SLO
-	// engine's forecast objective.
-	if _, ok := fc.Last(); !ok {
-		t.Fatal("forecaster never advertised")
-	}
-	checks := reg.Counter(forensics.MetricForecastChecks).Value()
-	if checks == 0 {
-		t.Fatal("forecaster audited no rejections")
-	}
-	if r := cfg.SLO.Report(); r.ForecastChecks != checks {
-		t.Fatalf("SLO forecast checks = %d, forecaster counted %d", r.ForecastChecks, checks)
-	}
 }
 
 // TestRunShardedForensics runs the federated plane under the same
 // forensics wiring: diagnoses carry real shard stamps, the closed loop
-// verifies against the plane, and the forecaster's frontier follows the
-// plane's event-driven headroom sink.
+// verifies against the plane.
 func TestRunShardedForensics(t *testing.T) {
 	cfg := forensicsConfig()
 	cfg.Jobs = 300
 	rec := forensics.NewRecorder(0)
-	fc := forensics.NewForecaster()
 	cfg.Forensics = rec
-	cfg.Forecast = fc
 
 	res, _, err := RunSharded(cfg, workload.Tunable, 2, 2)
 	if err != nil {
@@ -119,9 +100,6 @@ func TestRunShardedForensics(t *testing.T) {
 	if refuted != 0 {
 		t.Fatalf("%d suggestions refuted on plane replay", refuted)
 	}
-	if hr, ok := fc.Last(); !ok || hr.Horizon != cfg.headroomHorizon() {
-		t.Fatalf("forecaster frontier = %+v (ok=%v)", hr, ok)
-	}
 }
 
 // TestForensicsDoNotPerturbResults is the zero-interference guarantee:
@@ -137,7 +115,6 @@ func TestForensicsDoNotPerturbResults(t *testing.T) {
 
 	instr := base
 	instr.Forensics = forensics.NewRecorder(0)
-	instr.Forecast = forensics.NewForecaster()
 	probed, err := Run(instr, workload.Tunable)
 	if err != nil {
 		t.Fatal(err)

@@ -66,7 +66,7 @@ func RunSharded(cfg Config, sys workload.System, shards, probeK int) (RunResult,
 		Shards: shards,
 		ProbeK: probeK,
 		// The plane stamps each diagnosis with the deciding shard before
-		// handing it to the run's composed sink (recorder + forecaster).
+		// handing it to the run's forensics recorder.
 		Options: cfg.schedulerOptions(),
 		// Per-shard utilization ledgers: every commit, rejection, clock
 		// advance and resize lands on the deciding shard's ledger under
@@ -78,7 +78,7 @@ func RunSharded(cfg Config, sys workload.System, shards, probeK int) (RunResult,
 		return RunResult{}, ShardedStats{}, err
 	}
 	for i, procs := range plane.ShardProcs() {
-		cfg.Ledger.Shard(i).SetCapacity(procs, 0) // nil-safe
+		cfg.Ledger.Shard(i).SetCapacity(procs) // nil-safe
 	}
 	rb := plane.Rebalancer()
 	// A shard shrunk below the workload's widest task can never host it

@@ -391,23 +391,6 @@ func finishReject(rec *phase.Rec, lastErr error) error {
 	return qos.ErrRejected
 }
 
-// Headroom returns the plane-wide admissibility frontier over
-// [now, now+horizon), recomputed live from every shard's profile under
-// its lock and merged per-axis (a job is admissible somewhere if some
-// shard can take it; shards never co-schedule one rigid task).
-func (a *Arbitrator) Headroom(horizon float64) core.Headroom {
-	var out core.Headroom
-	for i, sh := range a.shards {
-		hr := sh.HeadroomLive(horizon)
-		if i == 0 {
-			out = hr
-		} else {
-			out = out.Merge(hr)
-		}
-	}
-	return out
-}
-
 // WhatIf replays the job under a counterfactual delta against every
 // shard's forked schedule (lock held only for the fork), returning the
 // first admissible placement in shard order.  Like the monolithic

@@ -2,13 +2,11 @@ package fed
 
 import (
 	"errors"
-	"fmt"
 	"reflect"
 	"sync"
 	"testing"
 
 	"milan/internal/core"
-	"milan/internal/obs"
 	"milan/internal/qos"
 	"milan/internal/resbroker"
 	"milan/internal/workload"
@@ -424,41 +422,6 @@ func TestNegotiateDAGFederated(t *testing.T) {
 	}}}
 	if _, err := plane.NegotiateDAG(bad); !errors.Is(err, qos.ErrRejected) {
 		t.Fatalf("err = %v, want qos.ErrRejected", err)
-	}
-}
-
-func TestMetricsPublished(t *testing.T) {
-	reg := obs.NewRegistry()
-	m := NewMetrics(reg)
-	plane, err := New(Config{Procs: 16, Shards: 2, ProbeK: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	jobs := smallStream(40, 4, 7)
-	for _, job := range jobs {
-		plane.Observe(job.Release)
-		_, _ = plane.Negotiate(job)
-	}
-	m.Publish(plane)
-	if m.Probes.Value() == 0 {
-		t.Fatal("no probes counted")
-	}
-	st := plane.Stats()
-	if m.Admitted.Value() != int64(st.Admitted) {
-		t.Fatalf("metrics admitted %d, stats %d", m.Admitted.Value(), st.Admitted)
-	}
-	loadShardDirect(t, plane.Shard(0), plane.Shard(0).Procs(), 200, 10000)
-	n := plane.Rebalancer().Rebalance(0)
-	m.Publish(plane) // a second publication moves the counters by the difference
-	if now := plane.Stats().Admitted; m.Migrations.Value() != int64(n) || m.Admitted.Value() != int64(now) {
-		t.Fatalf("metrics migrations %d admitted %d, plane moved %d admitted %d",
-			m.Migrations.Value(), m.Admitted.Value(), n, now)
-	}
-	for i := 0; i < plane.Shards(); i++ {
-		g := reg.Gauge(fmt.Sprintf("fed_shard_%d_procs", i))
-		if g.Value() != float64(plane.Shard(i).Procs()) {
-			t.Fatalf("gauge fed_shard_%d_procs = %v, shard has %d", i, g.Value(), plane.Shard(i).Procs())
-		}
 	}
 }
 

@@ -81,47 +81,9 @@ func TestFedDiagnosisStampsShardAndClosesLoop(t *testing.T) {
 	}
 }
 
-// TestFedHeadroomForecast checks the plane's headroom frontier: an empty
-// plane offers each shard's full width, and on a loaded one the plane-wide
-// frontier is the per-axis merge of the shard frontiers, in shard order.
-func TestFedHeadroomForecast(t *testing.T) {
-	const procs, shards, horizon = 8, 2, 200.0
-	plane, err := New(Config{Procs: procs, Shards: shards})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if empty := plane.Headroom(horizon); empty.MaxProcs != procs/shards {
-		t.Fatalf("empty-plane frontier MaxProcs = %d, want %d", empty.MaxProcs, procs/shards)
-	}
-
-	admitted := 0
-	for _, job := range smallStream(60, 10, 3) {
-		plane.Observe(job.Release)
-		if _, err := plane.Negotiate(job); err == nil {
-			admitted++
-		}
-	}
-	if admitted == 0 {
-		t.Fatal("degenerate stream: nothing admitted")
-	}
-
-	var want core.Headroom
-	for i := 0; i < plane.Shards(); i++ {
-		live := plane.Shard(i).HeadroomLive(horizon)
-		if i == 0 {
-			want = live
-		} else {
-			want = want.Merge(live)
-		}
-	}
-	if got := plane.Headroom(horizon); !reflect.DeepEqual(got, want) {
-		t.Fatalf("plane frontier %+v != merged shard frontiers %+v", got, want)
-	}
-}
-
 // TestConcurrentWhatIfProbesDoNotPerturbAdmissions is the isolation
-// property under -race: a plane hammered by concurrent WhatIf probes,
-// Diagnose calls and headroom reads while it sequentially admits the
+// property under -race: a plane hammered by concurrent WhatIf probes and
+// Diagnose calls while it sequentially admits the
 // Figure-4 stream must produce bitwise the same decision stream and
 // statistics as an unprobed plane replaying the same stream.
 func TestConcurrentWhatIfProbesDoNotPerturbAdmissions(t *testing.T) {
@@ -159,7 +121,6 @@ func TestConcurrentWhatIfProbesDoNotPerturbAdmissions(t *testing.T) {
 				probed.WhatIf(job, core.WhatIfDelta{ExtraProcs: 2})
 				probed.WhatIf(job, core.WhatIfDelta{ExtraDeadline: 50, OnlyChain: 1})
 				probed.Diagnose(job)
-				probed.Headroom(100)
 			}
 		}(int64(100 + w))
 	}

@@ -165,14 +165,6 @@ func (sh *Shard) committedLocked(job *core.Job, quality float64, g *qos.Grant) *
 	return g
 }
 
-// HeadroomLive recomputes the shard's frontier over [now, now+horizon)
-// from the live profile under the shard lock.
-func (sh *Shard) HeadroomLive(horizon float64) core.Headroom {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.sched.Headroom(sh.now, horizon)
-}
-
 // whatIf replays the job under the delta on a fork of this shard's
 // schedule.  The shard lock is held only for the fork; the counterfactual
 // planning runs outside the critical section, so probes never stall

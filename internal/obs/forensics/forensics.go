@@ -2,11 +2,10 @@
 // rejection explanations the core planner emits (core.PlanDiagnosis),
 // exposes them to operators over the debug mux (/explain), serializes
 // them as JSONL for offline analysis, and keeps cause-annotated counters
-// in the metrics registry.  Together with the headroom Forecaster (see
-// forecast.go) it closes the loop the paper's tunability story needs:
-// every "no" the admission plane says comes with a machine-checkable
-// reason and a verified counterfactual that would have turned it into a
-// "yes".
+// in the metrics registry.  It closes the loop the paper's tunability
+// story needs: every "no" the admission plane says comes with a
+// machine-checkable reason and a verified counterfactual that would have
+// turned it into a "yes".
 //
 // The Recorder is passive and opt-in: it is wired into the planner via
 // core.Options.Diagnosis (Sink), so a scheduler without a recorder pays
@@ -28,8 +27,7 @@ import (
 	"milan/internal/obs"
 )
 
-// Metric names published by Recorder.BindMetrics and
-// Forecaster.BindMetrics.
+// Metric names published by Recorder.BindMetrics.
 const (
 	// MetricDiagnoses counts recorded rejection diagnoses.
 	MetricDiagnoses = "forensics_diagnoses"

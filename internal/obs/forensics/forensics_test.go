@@ -224,56 +224,6 @@ func TestExplainEndpoint(t *testing.T) {
 	}
 }
 
-func TestForecasterAuditsRejections(t *testing.T) {
-	reg := obs.NewRegistry()
-	f := NewForecaster()
-	f.BindMetrics(reg)
-
-	// Before the first Advertise nothing is audited.
-	if f.NoteRejection(rejectedDiag(t, wideJob(1))) {
-		t.Fatalf("miss before any advertised frontier")
-	}
-
-	// A loaded machine: 3 of 4 procs blocked over [0, 10).
-	s := core.NewScheduler(4, 0, nil)
-	if err := s.ReserveSlot(3, 0, 10); err != nil {
-		t.Fatal(err)
-	}
-	f.Advertise(s.Headroom(0, 20))
-	hr, ok := f.Last()
-	if !ok || hr.MaxProcs != 4 {
-		t.Fatalf("advertised frontier %+v, %v", hr, ok)
-	}
-	snap := reg.Snapshot()
-	if snap.Gauges[MetricHeadroomProcs] != 4 || snap.Gauges[MetricHeadroomArea] != hr.MaxArea {
-		t.Fatalf("headroom gauges: %+v", snap.Gauges)
-	}
-
-	// Capacity rejection the frontier claimed to fit: frontier's best
-	// hole is [10, 20)x4, so a 2x4 demand "fits" — yet with deadline 8
-	// the plan fails.  Forecast miss.
-	job := core.Job{ID: 2, Chains: []core.Chain{{Tasks: []core.Task{{
-		Procs: 2, Duration: 4, Deadline: 8,
-	}}}}}
-	if _, ok := s.Plan(job); ok {
-		t.Fatalf("blockaded job planned")
-	}
-	if !f.NoteRejection(s.Diagnose(job)) {
-		t.Fatalf("capacity rejection inside the advertised frontier not counted as a miss")
-	}
-
-	// Width rejection: not a forecast miss (the frontier does not model
-	// machine growth).
-	if f.NoteRejection(s.Diagnose(wideJob(3))) {
-		t.Fatalf("width rejection counted as a forecast miss")
-	}
-
-	snap = reg.Snapshot()
-	if snap.Counters[MetricForecastChecks] != 2 || snap.Counters[MetricForecastMisses] != 1 {
-		t.Fatalf("forecast counters: %+v", snap.Counters)
-	}
-}
-
 // FuzzDiagnosisDecode fuzzes the JSONL decoder: it must never panic, and
 // anything it accepts must re-encode and decode to the same records.
 func FuzzDiagnosisDecode(f *testing.F) {

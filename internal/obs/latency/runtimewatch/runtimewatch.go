@@ -1,9 +1,9 @@
 // Package runtimewatch polls the Go runtime's health signals — GC pause
-// and scheduler latency distributions, goroutine count, heap size — from
-// runtime/metrics, plus mutex/block profile record deltas, into the
-// mergeable obs.Registry, so admission latency anomalies can be
-// correlated with runtime pressure (a GC pause spike explains a plan-
-// phase tail better than any amount of re-profiling after the fact).
+// and scheduler latency distributions, goroutine count, heap size, mutex
+// wait time — from runtime/metrics into the mergeable obs.Registry, so
+// admission latency anomalies can be correlated with runtime pressure (a
+// GC pause spike explains a plan-phase tail better than any amount of
+// re-profiling after the fact).
 //
 // The watcher intersects its wanted metric names with what the running
 // toolchain actually exports (runtime/metrics names vary across Go
@@ -14,7 +14,6 @@ package runtimewatch
 import (
 	"math"
 	"runtime/metrics"
-	"runtime/pprof"
 	"sync"
 	"time"
 
@@ -89,11 +88,8 @@ type Watcher struct {
 	heapLive, memTotal     *obs.Gauge
 	mutexWait              *obs.Gauge
 	gcCycles               *obs.Counter
-	mutexRecs, blockRecs   *obs.Counter
 
-	prevGC    int64
-	prevMutex int64
-	prevBlock int64
+	prevGC int64
 
 	mu      sync.Mutex
 	stop    chan struct{}
@@ -102,7 +98,7 @@ type Watcher struct {
 
 // New builds a watcher over reg, registering its metric families.
 func New(reg *obs.Registry) *Watcher {
-	w := &Watcher{reg: reg, prevGC: -1, prevMutex: -1, prevBlock: -1}
+	w := &Watcher{reg: reg, prevGC: -1}
 	describe := func(name, help string) *obs.Gauge {
 		reg.Describe(name, help)
 		return reg.Gauge(name)
@@ -117,10 +113,6 @@ func New(reg *obs.Registry) *Watcher {
 	w.mutexWait = describe("runtime_mutex_wait_seconds", "Cumulative seconds goroutines have waited on contended mutexes.")
 	reg.Describe("runtime_gc_cycles_total", "Completed GC cycles since the watcher started.")
 	w.gcCycles = reg.Counter("runtime_gc_cycles_total")
-	reg.Describe("runtime_mutex_profile_records_total", "New mutex-contention profile records since the watcher started.")
-	w.mutexRecs = reg.Counter("runtime_mutex_profile_records_total")
-	reg.Describe("runtime_block_profile_records_total", "New blocking profile records since the watcher started.")
-	w.blockRecs = reg.Counter("runtime_block_profile_records_total")
 
 	available := make(map[string]bool)
 	for _, d := range metrics.All() {
@@ -138,8 +130,7 @@ func New(reg *obs.Registry) *Watcher {
 	return w
 }
 
-// Poll reads one round of runtime metrics and profile deltas into the
-// registry.
+// Poll reads one round of runtime metrics into the registry.
 func (w *Watcher) Poll() {
 	if w == nil {
 		return
@@ -151,24 +142,6 @@ func (w *Watcher) Poll() {
 		for i := range w.samples {
 			w.applies[i](w, w.samples[i].Value)
 		}
-	}
-	// Mutex/block profile record deltas: the counts grow only while the
-	// respective profile rates are armed (runtime.SetMutexProfileFraction
-	// / runtime.SetBlockProfileRate), so these read as flat zeros until a
-	// daemon opts in — and as contention growth rates after.
-	if p := pprof.Lookup("mutex"); p != nil {
-		n := int64(p.Count())
-		if w.prevMutex >= 0 && n > w.prevMutex {
-			w.mutexRecs.Add(n - w.prevMutex)
-		}
-		w.prevMutex = n
-	}
-	if p := pprof.Lookup("block"); p != nil {
-		n := int64(p.Count())
-		if w.prevBlock >= 0 && n > w.prevBlock {
-			w.blockRecs.Add(n - w.prevBlock)
-		}
-		w.prevBlock = n
 	}
 }
 

@@ -28,7 +28,7 @@ func (s *Sharded) DecisionObserver(next func(qos.Decision)) func(qos.Decision) {
 		case qos.KindClock:
 			l.Advance(d.Now)
 		case qos.KindResize:
-			l.SetCapacity(d.Procs, d.Now)
+			l.SetCapacity(d.Procs)
 		}
 		if next != nil {
 			next(d)

@@ -11,10 +11,9 @@ import (
 )
 
 // Handler serves ledger snapshots from src: the default representation
-// is a JSON envelope (snapshot plus derived series, fair shares and
-// fragmentation); ?format=prom — or an Accept header preferring
-// text/plain — selects the Prometheus text exposition with per-tenant
-// labels.
+// is a JSON envelope (snapshot plus fair shares and waste); ?format=prom
+// — or an Accept header preferring text/plain — selects the Prometheus
+// text exposition with per-tenant labels.
 func Handler(src func() *Snapshot) http.HandlerFunc {
 	return func(w http.ResponseWriter, req *http.Request) {
 		s := src()
@@ -32,18 +31,12 @@ func Handler(src func() *Snapshot) http.HandlerFunc {
 		enc.SetIndent("", "  ")
 		enc.Encode(struct {
 			*Snapshot
-			Series        []SeriesPoint `json:"series"`
-			FairShares    []FairShare   `json:"fair_shares"`
-			Utilization   float64       `json:"utilization"`
-			Fragmentation float64       `json:"fragmentation"`
-			WasteArea     float64       `json:"waste_area"`
+			FairShares []FairShare `json:"fair_shares"`
+			WasteArea  float64     `json:"waste_area"`
 		}{
-			Snapshot:      s,
-			Series:        s.Series(),
-			FairShares:    s.FairShares(),
-			Utilization:   s.Utilization(),
-			Fragmentation: s.Fragmentation(),
-			WasteArea:     s.TotalWasteArea(),
+			Snapshot:   s,
+			FairShares: s.FairShares(),
+			WasteArea:  s.TotalWasteArea(),
 		})
 	}
 }
@@ -135,14 +128,6 @@ func writeProm(w io.Writer, s *Snapshot) error {
 		fmt.Fprintf(w, "ledger_tenant_fair_share_ratio%s %g\n", labels(fs.Tenant, fs.Class), fs.Ratio)
 	}
 
-	if err := family("ledger_utilization", "gauge", "Reserved area over capacity area across retained buckets."); err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "ledger_utilization %g\n", s.Utilization())
-	if err := family("ledger_fragmentation", "gauge", "Fraction of idle capacity trapped alongside reservations."); err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "ledger_fragmentation %g\n", s.Fragmentation())
 	if err := family("ledger_capacity_procs", "gauge", "Current pool capacity in processors."); err != nil {
 		return err
 	}

@@ -8,7 +8,7 @@ import (
 )
 
 func TestHandlerJSON(t *testing.T) {
-	l := New(Config{Capacity: 4, Width: 10})
+	l := New(Config{Capacity: 4})
 	k := Key{Tenant: "acme", Class: 1}
 	pl := mkPl(0, 10, 2)
 	l.RecordCommitKeyed(k, pl)
@@ -23,13 +23,9 @@ func TestHandlerJSON(t *testing.T) {
 		t.Fatalf("content type %q", ct)
 	}
 	var body struct {
-		Totals []Totals `json:"totals"`
-		Series []struct {
-			Utilization float64 `json:"utilization"`
-		} `json:"series"`
-		Utilization float64     `json:"utilization"`
-		WasteArea   float64     `json:"waste_area"`
-		FairShares  []FairShare `json:"fair_shares"`
+		Totals     []Totals    `json:"totals"`
+		WasteArea  float64     `json:"waste_area"`
+		FairShares []FairShare `json:"fair_shares"`
 	}
 	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
 		t.Fatalf("bad JSON: %v\n%s", err, rec.Body.String())
@@ -37,11 +33,8 @@ func TestHandlerJSON(t *testing.T) {
 	if len(body.Totals) != 1 || body.Totals[0].Tenant != "acme" || body.Totals[0].ReservedArea != 20 {
 		t.Errorf("totals = %+v", body.Totals)
 	}
-	if body.Utilization != 0.5 || body.WasteArea != 0 {
-		t.Errorf("util=%v waste=%v, want 0.5/0", body.Utilization, body.WasteArea)
-	}
-	if len(body.Series) != 1 || body.Series[0].Utilization != 0.5 {
-		t.Errorf("series = %+v", body.Series)
+	if body.WasteArea != 0 {
+		t.Errorf("waste=%v, want 0", body.WasteArea)
 	}
 	if len(body.FairShares) != 1 || body.FairShares[0].Ratio != 1 {
 		t.Errorf("fair shares = %+v", body.FairShares)
@@ -49,7 +42,7 @@ func TestHandlerJSON(t *testing.T) {
 }
 
 func TestHandlerProm(t *testing.T) {
-	sh := NewSharded(Config{Capacity: 4, Width: 10}, 2)
+	sh := NewSharded(Config{Capacity: 4}, 2)
 	// A hostile tenant name: label escaping must keep the exposition valid.
 	k := Key{Tenant: "quo\"ted\\te\nnant", Class: 2}
 	sh.Shard(0).RecordCommitKeyed(k, mkPl(0, 10, 1))
@@ -65,7 +58,6 @@ func TestHandlerProm(t *testing.T) {
 		"ledger_tenant_reserved_area", "ledger_tenant_realized_area",
 		"ledger_tenant_waste_area", "ledger_tenant_commits",
 		"ledger_tenant_rejections", "ledger_tenant_fair_share_ratio",
-		"ledger_utilization", "ledger_fragmentation",
 		"ledger_capacity_procs", "ledger_waste_area_total",
 	} {
 		if !strings.Contains(out, "# HELP "+family+" ") {

@@ -9,10 +9,11 @@ import (
 	"milan/internal/core"
 )
 
-// activeLedger builds a ledger with multi-key activity through every
-// retention tier, so round-trip tests cover totals, buckets and aged rows.
+// activeLedger builds a ledger with multi-key activity — commits,
+// completions, a rejection and a moved clock — so round-trip tests cover
+// the meta row and a totals row per key.
 func activeLedger() *Ledger {
-	l := New(Config{Capacity: 8, Width: 10, Keep: 2, Factor: 2, Tiers: 2, Shard: 3})
+	l := New(Config{Capacity: 8, Shard: 3})
 	a, b := Key{Tenant: "acme"}, Key{Tenant: `quo"ted`, Class: 2}
 	for i := 0; i < 40; i++ {
 		pl := mkPl(float64(i*5), 8, 1+i%3)
@@ -32,8 +33,8 @@ func activeLedger() *Ledger {
 
 func TestJSONLRoundTrip(t *testing.T) {
 	s := activeLedger().Snapshot()
-	if s.AgedFolds == 0 || len(s.Aged) == 0 {
-		t.Fatalf("fixture never aged anything: folds=%d aged=%d", s.AgedFolds, len(s.Aged))
+	if len(s.Totals) != 2 || s.Rejections != 1 || s.Now == 0 {
+		t.Fatalf("fixture lacks a key, the rejection or the clock: %+v", s)
 	}
 	var buf bytes.Buffer
 	if err := s.WriteJSONL(&buf); err != nil {
@@ -56,11 +57,10 @@ func TestDecodeJSONLErrors(t *testing.T) {
 {"kind":"meta"}`,
 		"unknown kind": `{"kind":"meta"}
 {"kind":"mystery"}`,
-		"bad json": `{"kind":`,
-		"zero-width bucket": `{"kind":"meta"}
-{"kind":"bucket","start":0,"width":0}`,
-		"negative-width bucket": `{"kind":"meta"}
-{"kind":"bucket","start":0,"width":-5}`,
+		"bad json":       `{"kind":`,
+		"totals in meta": `{"kind":"meta","totals":[]}`,
+		"bucket row": `{"kind":"meta"}
+{"kind":"bucket","start":0,"width":50}`,
 	}
 	for name, in := range cases {
 		if _, err := DecodeJSONL(strings.NewReader(in)); err == nil {
@@ -91,9 +91,9 @@ func FuzzLedgerDecode(f *testing.F) {
 	f.Add(buf.String())
 	f.Add("")
 	f.Add(`{"kind":"meta"}`)
-	f.Add("{\"kind\":\"meta\"}\n{\"kind\":\"bucket\",\"start\":1,\"width\":2,\"cells\":[{\"tenant\":\"a\",\"reserved_area\":3}]}")
-	f.Add("{\"kind\":\"meta\"}\n{\"kind\":\"aged\",\"cells\":[{\"tenant\":\"a\",\"class\":-1}]}")
-	f.Add(`{"kind":"bucket"}`)
+	f.Add("{\"kind\":\"meta\",\"capacity\":4}\n{\"kind\":\"totals\",\"tenant\":\"a\",\"class\":-1,\"reserved_area\":3}")
+	f.Add(`{"kind":"meta","totals":[{"tenant":"a"}]}`)
+	f.Add(`{"kind":"totals"}`)
 	f.Fuzz(func(t *testing.T, in string) {
 		s, err := DecodeJSONL(strings.NewReader(in))
 		if err != nil {
@@ -123,17 +123,6 @@ func normalize(s *Snapshot) *Snapshot {
 	}
 	if len(c.Totals) == 0 {
 		c.Totals = nil
-	}
-	if len(c.Buckets) == 0 {
-		c.Buckets = nil
-	}
-	if len(c.Aged) == 0 {
-		c.Aged = nil
-	}
-	for i := range c.Buckets {
-		if len(c.Buckets[i].Cells) == 0 {
-			c.Buckets[i].Cells = nil
-		}
 	}
 	return &c
 }

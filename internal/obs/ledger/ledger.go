@@ -1,42 +1,26 @@
-// Package ledger is the utilization ledger: time-bucketed capacity
-// accounting per tenant and priority class.  It records three areas —
-// pool capacity, committed reservation area and realized execution area
-// (from completion events) — over a sliding horizon, and derives the
-// figures the paper's evaluation is about: delivered utilization, waste
-// (reserved-but-idle area), fragmentation and per-tenant fair-share
-// ratios.
+// Package ledger is the utilization ledger: exact capacity accounting per
+// tenant and priority class.  It keeps one book — per-key running totals
+// of committed reservation area, realized execution area (from completion
+// events), commits, completions and rejections — next to the current pool
+// capacity, and derives the figures operators bill and steer by: waste
+// (reserved-but-unrealized area) and per-tenant fair-share ratios.
 //
-// Accounting happens at two resolutions simultaneously:
+// Every commit adds the placement's exact area to a global running total
+// and to its (tenant, class) total, in commit order under one lock — the
+// same float additions, in the same order, as core.Scheduler's
+// ReservedArea counter, so the ledger's reserved area is bit-identical to
+// profile accounting at every committed mutation (the differential tests
+// pin this).
 //
-//   - Exact totals.  Every commit adds the placement's exact area to a
-//     global running total and to the (tenant, class) totals, in commit
-//     order under one lock — the same float additions, in the same
-//     order, as core.Scheduler's ReservedArea counter, so the ledger's
-//     integrated reserved area is bit-identical to profile accounting
-//     at every committed mutation (the differential test pins this).
-//
-//   - Time buckets.  The same areas are spread over aligned time
-//     buckets so utilization and waste are visible as series.  Buckets
-//     form a tiered ring: the recent past stays at fine resolution
-//     (tier 0, width Config.Width); as buckets age they are folded
-//     into aligned parents Factor× wider (tier 1, 2, ...), and beyond
-//     the coarsest tier's retention window they collapse into per-key
-//     "aged" totals with no time resolution.  Integrals are preserved
-//     exactly by every fold — retention only ever trades resolution,
-//     never area.
-//
-// Concurrency follows the repo's snapshot-cache idiom (the headroom
-// Forecaster of internal/obs/forensics): mutations take the ledger
-// mutex and bump a version; Snapshot returns a cached immutable
-// snapshot via an atomic pointer when the version is unchanged, so
-// steady-state readers — including cross-shard merging — are lock-free.
-// All methods are nil-safe: a nil *Ledger records nothing, so callers
-// hook the ledger behind one pointer comparison (the observability
-// layer's zero-cost contract).
+// Mutations take the ledger mutex and bump a version; Snapshot returns a
+// cached immutable snapshot via an atomic pointer while the version is
+// unchanged, so steady-state readers — including cross-shard merging —
+// are lock-free.  All methods are nil-safe: a nil *Ledger records
+// nothing, so callers hook the ledger behind one pointer comparison (the
+// observability layer's zero-cost contract).
 package ledger
 
 import (
-	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -59,44 +43,12 @@ func KeyOf(job *core.Job) Key { return Key{Tenant: job.Tenant, Class: job.Class}
 
 // Config configures a ledger.
 type Config struct {
-	// Origin is the time origin buckets align to (the schedule origin).
-	Origin float64
-	// Width is the fine (tier-0) bucket width.  Default 50 time units
-	// (two Figure-4 task durations).
-	Width float64
-	// Keep is how many buckets each tier retains at its own resolution
-	// behind the clock before folding them into the next tier.
-	// Default 8.
-	Keep int
-	// Factor is the width ratio between consecutive tiers.  Default 4.
-	Factor int
-	// Tiers is the number of resolutions (tier 0 = fine, Tiers-1 =
-	// coarsest; beyond the coarsest tier's window buckets fold into
-	// per-key aged totals).  Default 3.
-	Tiers int
 	// Capacity is the initial pool capacity in processors; SetCapacity
 	// restates it (rebalancing, broker offers).
 	Capacity int
 	// Shard stamps this ledger's snapshots with the admission shard it
 	// accounts for (0 for a monolithic arbitrator).
 	Shard int
-}
-
-// withDefaults fills unset fields.
-func (c Config) withDefaults() Config {
-	if c.Width <= 0 {
-		c.Width = 50
-	}
-	if c.Keep <= 0 {
-		c.Keep = 8
-	}
-	if c.Factor < 2 {
-		c.Factor = 4
-	}
-	if c.Tiers < 1 {
-		c.Tiers = 3
-	}
-	return c
 }
 
 // totals is the exact per-key accumulator.
@@ -108,51 +60,15 @@ type totals struct {
 	rejections  int64
 }
 
-// cell is per-key area inside one bucket.
-type cell struct {
-	reserved float64
-	realized float64
-}
-
-// bucket is one time slot of the ledger: [start, start+width) at the
-// resolution of its tier.
-type bucket struct {
-	start float64
-	width float64
-	tier  int
-	cells map[Key]*cell
-}
-
-func (b *bucket) end() float64 { return b.start + b.width }
-
-func (b *bucket) cell(k Key) *cell {
-	c, ok := b.cells[k]
-	if !ok {
-		c = &cell{}
-		b.cells[k] = c
-	}
-	return c
-}
-
-// capMark is one step of the piecewise-constant capacity timeline.
-type capMark struct {
-	at    float64
-	procs int
-}
-
 // Ledger is one shard's accounting stream.  The zero value is not
 // usable; construct with New.
 type Ledger struct {
-	cfg    Config
-	widths []float64 // per-tier bucket widths
+	cfg Config
 
-	mu         sync.Mutex
-	now        float64
-	buckets    []*bucket // sorted by start, non-overlapping
-	perKey     map[Key]*totals
-	capMarks   []capMark
-	agedBefore float64 // buckets ending at or before this folded into aged
-	aged       map[Key]*cell
+	mu       sync.Mutex
+	now      float64
+	capacity int
+	perKey   map[Key]*totals
 
 	// Exact commit-ordered accumulators (see package comment).
 	totalReserved float64
@@ -161,8 +77,6 @@ type Ledger struct {
 	commits     int64
 	completions int64
 	rejections  int64
-	downsamples int64
-	agedFolds   int64
 
 	version atomic.Uint64
 	snap    atomic.Pointer[Snapshot]
@@ -172,22 +86,7 @@ type Ledger struct {
 
 // New returns a ledger with the given configuration.
 func New(cfg Config) *Ledger {
-	cfg = cfg.withDefaults()
-	l := &Ledger{
-		cfg:        cfg,
-		now:        cfg.Origin,
-		perKey:     make(map[Key]*totals),
-		capMarks:   []capMark{{at: cfg.Origin, procs: cfg.Capacity}},
-		agedBefore: math.Inf(-1),
-		aged:       make(map[Key]*cell),
-	}
-	l.widths = make([]float64, cfg.Tiers)
-	w := cfg.Width
-	for t := range l.widths {
-		l.widths[t] = w
-		w *= float64(cfg.Factor)
-	}
-	return l
+	return &Ledger{cfg: cfg, capacity: cfg.Capacity, perKey: make(map[Key]*totals)}
 }
 
 // ShardID returns the shard stamp this ledger accounts for.
@@ -199,10 +98,9 @@ func (l *Ledger) ShardID() int {
 }
 
 // RecordCommit records a committed reservation: the placement's exact
-// area is added to the global and per-key running totals (in call
-// order — callers invoke this under the same lock, in the same order,
-// as the scheduler commit it mirrors), and each task's procs×time
-// rectangle is spread over the covering time buckets.
+// area is added to the global and per-key running totals, in call order —
+// callers invoke this under the same lock, in the same order, as the
+// scheduler commit it mirrors.
 func (l *Ledger) RecordCommit(job *core.Job, pl *core.Placement) {
 	if l == nil {
 		return
@@ -223,17 +121,13 @@ func (l *Ledger) RecordCommitKeyed(k Key, pl *core.Placement) {
 	tt.reserved += area
 	tt.commits++
 	l.commits++
-	for _, tp := range pl.Tasks {
-		l.spreadLocked(k, tp.Start, tp.Finish, float64(tp.Procs), false)
-	}
 	l.bumpLocked()
 	l.mu.Unlock()
 }
 
 // RecordCompletion records that an admitted job's reservation actually
-// executed: the placement's exact area is added to the realized totals
-// and spread over the same intervals the reservation occupied.  Call it
-// from the completion event (sim or runtime), on the ledger of the
+// executed: the placement's exact area is added to the realized totals.
+// Call it from the completion event (sim or runtime), on the ledger of the
 // shard that granted the reservation (qos.Grant.Shard).
 func (l *Ledger) RecordCompletion(k Key, pl *core.Placement) {
 	if l == nil {
@@ -246,9 +140,6 @@ func (l *Ledger) RecordCompletion(k Key, pl *core.Placement) {
 	tt.realized += area
 	tt.completions++
 	l.completions++
-	for _, tp := range pl.Tasks {
-		l.spreadLocked(k, tp.Start, tp.Finish, float64(tp.Procs), true)
-	}
 	l.bumpLocked()
 	l.mu.Unlock()
 }
@@ -267,10 +158,8 @@ func (l *Ledger) RecordRejection(job *core.Job) {
 	l.mu.Unlock()
 }
 
-// Advance moves the ledger clock forward and runs retention: buckets
-// that have aged past their tier's window fold into coarser aligned
-// parents, and past the coarsest window into the aged totals.  Earlier
-// times are no-ops (shards and the harness may both advance).
+// Advance moves the ledger clock forward.  Earlier times are no-ops
+// (shards and the harness may both advance).
 func (l *Ledger) Advance(now float64) {
 	if l == nil {
 		return
@@ -278,26 +167,18 @@ func (l *Ledger) Advance(now float64) {
 	l.mu.Lock()
 	if now > l.now {
 		l.now = now
-		l.retainLocked()
 		l.bumpLocked()
 	}
 	l.mu.Unlock()
 }
 
-// SetCapacity restates the pool capacity from time at onward (clamped
-// monotone: a mark earlier than the latest one snaps to it).
-func (l *Ledger) SetCapacity(procs int, at float64) {
+// SetCapacity restates the pool capacity.
+func (l *Ledger) SetCapacity(procs int) {
 	if l == nil {
 		return
 	}
 	l.mu.Lock()
-	last := &l.capMarks[len(l.capMarks)-1]
-	switch {
-	case at <= last.at:
-		last.procs = procs
-	default:
-		l.capMarks = append(l.capMarks, capMark{at: at, procs: procs})
-	}
+	l.capacity = procs
 	l.bumpLocked()
 	l.mu.Unlock()
 }
@@ -343,178 +224,6 @@ func (l *Ledger) bumpLocked() {
 	}
 }
 
-// width returns tier t's bucket width.
-func (l *Ledger) width(t int) float64 { return l.widths[t] }
-
-// align returns the tier-t bucket start covering x.
-func (l *Ledger) align(x float64, t int) float64 {
-	w := l.widths[t]
-	return l.cfg.Origin + math.Floor((x-l.cfg.Origin)/w)*w
-}
-
-// tierFor returns the resolution time x is held at under the current
-// clock: the first tier whose aligned parent span still reaches into
-// the tier's retention window.  The same rule drives both retention
-// folds and on-demand bucket creation, so the bucket set stays a
-// non-overlapping cut through the alignment tree — and two shards at
-// the same clock have identical structure, which is what makes
-// snapshots mergeable bucket-by-bucket.
-func (l *Ledger) tierFor(x float64) (tier int, aged bool) {
-	for t := 0; t < l.cfg.Tiers-1; t++ {
-		cutoff := l.now - float64(l.cfg.Keep)*l.widths[t]
-		parentEnd := l.align(x, t+1) + l.widths[t+1]
-		if parentEnd > cutoff {
-			return t, false
-		}
-	}
-	top := l.cfg.Tiers - 1
-	cutoff := l.now - float64(l.cfg.Keep)*l.widths[top]
-	if l.align(x, top)+l.widths[top] <= cutoff {
-		return 0, true
-	}
-	return top, false
-}
-
-// bucketFor returns the bucket covering x, creating it at the
-// retention-consistent tier when absent; nil means x has aged out and
-// accounting goes to the aged totals.  Callers hold l.mu.
-func (l *Ledger) bucketFor(x float64) *bucket {
-	if x < l.agedBefore {
-		return nil
-	}
-	i := sort.Search(len(l.buckets), func(i int) bool { return l.buckets[i].end() > x })
-	if i < len(l.buckets) && l.buckets[i].start <= x {
-		return l.buckets[i]
-	}
-	tier, aged := l.tierFor(x)
-	if aged {
-		return nil
-	}
-	b := &bucket{start: l.align(x, tier), width: l.widths[tier], tier: tier, cells: make(map[Key]*cell)}
-	l.buckets = append(l.buckets, nil)
-	copy(l.buckets[i+1:], l.buckets[i:])
-	l.buckets[i] = b
-	return b
-}
-
-// spreadLocked distributes rate×time area over the buckets covering
-// [t0, t1).  Callers hold l.mu.
-func (l *Ledger) spreadLocked(k Key, t0, t1, rate float64, realized bool) {
-	if !(t1 > t0) || rate <= 0 || math.IsNaN(t0) || math.IsInf(t0, 0) || math.IsNaN(t1) || math.IsInf(t1, 0) {
-		return
-	}
-	x := t0
-	for x < t1 {
-		b := l.bucketFor(x)
-		var end float64
-		var c *cell
-		if b == nil {
-			// Aged-out span: account up to the aged boundary (or t1).
-			end = math.Min(l.agedBefore, t1)
-			if end <= x {
-				end = t1 // agedBefore regressed past x; fold the rest
-			}
-			c = l.agedCell(k)
-		} else {
-			end = math.Min(b.end(), t1)
-			c = b.cell(k)
-		}
-		if realized {
-			c.realized += rate * (end - x)
-		} else {
-			c.reserved += rate * (end - x)
-		}
-		x = end
-	}
-}
-
-func (l *Ledger) agedCell(k Key) *cell {
-	c, ok := l.aged[k]
-	if !ok {
-		c = &cell{}
-		l.aged[k] = c
-	}
-	return c
-}
-
-// retainLocked re-cuts the bucket set for the current clock: every
-// bucket held finer than its tierFor target folds into the aligned
-// parent (or the aged totals), preserving integrals exactly.  Callers
-// hold l.mu.
-func (l *Ledger) retainLocked() {
-	if len(l.buckets) == 0 {
-		return
-	}
-	out := make([]*bucket, 0, len(l.buckets))
-	for _, b := range l.buckets {
-		tier, aged := l.tierFor(b.start)
-		if aged {
-			for k, c := range b.cells {
-				ac := l.agedCell(k)
-				ac.reserved += c.reserved
-				ac.realized += c.realized
-			}
-			if e := b.end(); e > l.agedBefore {
-				l.agedBefore = e
-			}
-			l.agedFolds++
-			continue
-		}
-		if tier <= b.tier {
-			out = appendFold(out, b, &l.downsamples)
-			continue
-		}
-		nb := &bucket{start: l.align(b.start, tier), width: l.widths[tier], tier: tier, cells: b.cells}
-		l.downsamples++
-		out = appendFold(out, nb, &l.downsamples)
-	}
-	l.buckets = out
-}
-
-// appendFold appends b, merging it into the previous bucket when both
-// cover the same span (siblings folded into one parent).
-func appendFold(out []*bucket, b *bucket, downsamples *int64) []*bucket {
-	if n := len(out); n > 0 && out[n-1].start == b.start && out[n-1].width == b.width {
-		prev := out[n-1]
-		for k, c := range b.cells {
-			pc := prev.cell(k)
-			pc.reserved += c.reserved
-			pc.realized += c.realized
-		}
-		*downsamples++
-		return out
-	}
-	return append(out, b)
-}
-
-// capacityAreaLocked integrates the capacity timeline over [a, b).
-// Callers hold l.mu.
-func (l *Ledger) capacityAreaLocked(a, b float64) float64 {
-	if !(b > a) {
-		return 0
-	}
-	area := 0.0
-	for i, m := range l.capMarks {
-		lo := math.Max(m.at, a)
-		hi := b
-		if i+1 < len(l.capMarks) {
-			hi = math.Min(hi, l.capMarks[i+1].at)
-		}
-		if hi > lo {
-			area += float64(m.procs) * (hi - lo)
-		}
-	}
-	// Capacity before the first mark counts as the first mark's level
-	// (the pool existed at its initial size from the origin).
-	if first := l.capMarks[0]; first.at > a {
-		hi := math.Min(first.at, b)
-		if hi > a {
-			area += float64(first.procs) * (hi - a)
-		}
-	}
-	return area
-}
-
 // Snapshot returns an immutable snapshot of the ledger.  The cached
 // snapshot is returned lock-free while no mutation has intervened;
 // otherwise it is rebuilt under the lock and republished.
@@ -528,28 +237,17 @@ func (l *Ledger) Snapshot() *Snapshot {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	s := l.buildSnapshotLocked()
-	l.snap.Store(s)
-	return s
-}
-
-// buildSnapshotLocked materializes the snapshot.  Callers hold l.mu.
-func (l *Ledger) buildSnapshotLocked() *Snapshot {
 	s := &Snapshot{
-		Version:    l.version.Load(),
-		Shards:     []int{l.cfg.Shard},
-		Now:        l.now,
-		Origin:     l.cfg.Origin,
-		Capacity:   l.capMarks[len(l.capMarks)-1].procs,
-		AgedBefore: math.Max(l.agedBefore, l.cfg.Origin), // clamp the -Inf sentinel for JSON
+		Version:  l.version.Load(),
+		Shards:   []int{l.cfg.Shard},
+		Now:      l.now,
+		Capacity: l.capacity,
 
 		TotalReservedArea: l.totalReserved,
 		TotalRealizedArea: l.totalRealized,
 		Commits:           l.commits,
 		Completions:       l.completions,
 		Rejections:        l.rejections,
-		Downsamples:       l.downsamples,
-		AgedFolds:         l.agedFolds,
 	}
 	for k, t := range l.perKey {
 		s.Totals = append(s.Totals, Totals{
@@ -559,33 +257,8 @@ func (l *Ledger) buildSnapshotLocked() *Snapshot {
 		})
 	}
 	sortTotals(s.Totals)
-	for _, b := range l.buckets {
-		s.Buckets = append(s.Buckets, Bucket{
-			Start:        b.start,
-			Width:        b.width,
-			Tier:         b.tier,
-			CapacityArea: l.capacityAreaLocked(b.start, b.end()),
-			Cells:        exportCells(b.cells),
-		})
-	}
-	if len(l.aged) > 0 {
-		s.Aged = exportCells(l.aged)
-	}
+	l.snap.Store(s)
 	return s
-}
-
-func exportCells(m map[Key]*cell) []Cell {
-	out := make([]Cell, 0, len(m))
-	for k, c := range m {
-		out = append(out, Cell{Tenant: k.Tenant, Class: k.Class, ReservedArea: c.reserved, RealizedArea: c.realized})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Tenant != out[j].Tenant {
-			return out[i].Tenant < out[j].Tenant
-		}
-		return out[i].Class < out[j].Class
-	})
-	return out
 }
 
 func sortTotals(ts []Totals) {
@@ -606,9 +279,6 @@ type ledgerMetrics struct {
 	completions *obs.Gauge
 	rejections  *obs.Gauge
 	tenants     *obs.Gauge
-	buckets     *obs.Gauge
-	downsamples *obs.Gauge
-	agedFolds   *obs.Gauge
 }
 
 // BindMetrics publishes the ledger's levels as ledger_* gauges on the
@@ -637,9 +307,6 @@ func (l *Ledger) BindMetricsPrefixed(reg *obs.Registry, prefix string) {
 		completions: g("completions", "Completion events recorded by the ledger."),
 		rejections:  g("rejections", "Rejected negotiations recorded by the ledger."),
 		tenants:     g("tenants", "Distinct (tenant, class) accounting keys seen."),
-		buckets:     g("buckets", "Live time buckets across all retention tiers."),
-		downsamples: g("downsamples", "Bucket folds into coarser tiers (retention work)."),
-		agedFolds:   g("aged_folds", "Buckets folded past the coarsest tier into aged totals."),
 	}
 	l.mu.Lock()
 	l.metrics = m
@@ -657,7 +324,4 @@ func (l *Ledger) publishMetricsLocked() {
 	m.completions.Set(float64(l.completions))
 	m.rejections.Set(float64(l.rejections))
 	m.tenants.Set(float64(len(l.perKey)))
-	m.buckets.Set(float64(len(l.buckets)))
-	m.downsamples.Set(float64(l.downsamples))
-	m.agedFolds.Set(float64(l.agedFolds))
 }

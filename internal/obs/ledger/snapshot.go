@@ -5,55 +5,6 @@ import (
 	"sort"
 )
 
-// Cell is per-key area within one bucket (or within the aged fold).
-type Cell struct {
-	Tenant       string  `json:"tenant"`
-	Class        int     `json:"class"`
-	ReservedArea float64 `json:"reserved_area"`
-	RealizedArea float64 `json:"realized_area,omitempty"`
-}
-
-// Bucket is one exported time slot: [Start, Start+Width) at the
-// resolution of Tier, with the capacity integral over that span and the
-// per-key reserved/realized areas inside it.
-type Bucket struct {
-	Start        float64 `json:"start"`
-	Width        float64 `json:"width"`
-	Tier         int     `json:"tier"`
-	CapacityArea float64 `json:"capacity_area"`
-	Cells        []Cell  `json:"cells,omitempty"`
-}
-
-// End returns the bucket's exclusive end time.
-func (b Bucket) End() float64 { return b.Start + b.Width }
-
-// ReservedArea sums the bucket's reserved area across keys.
-func (b Bucket) ReservedArea() float64 {
-	a := 0.0
-	for _, c := range b.Cells {
-		a += c.ReservedArea
-	}
-	return a
-}
-
-// RealizedArea sums the bucket's realized area across keys.
-func (b Bucket) RealizedArea() float64 {
-	a := 0.0
-	for _, c := range b.Cells {
-		a += c.RealizedArea
-	}
-	return a
-}
-
-// Utilization returns reserved area over capacity area (0 when the
-// bucket has no capacity).
-func (b Bucket) Utilization() float64 {
-	if b.CapacityArea <= 0 {
-		return 0
-	}
-	return b.ReservedArea() / b.CapacityArea
-}
-
 // Totals is the exact per-key accounting state.
 type Totals struct {
 	Tenant       string  `json:"tenant"`
@@ -70,28 +21,20 @@ type Totals struct {
 // reservations count as waste until their completion event lands).
 func (t Totals) Waste() float64 { return t.ReservedArea - t.RealizedArea }
 
-// Snapshot is an immutable ledger state: exact per-key totals plus the
-// bucketed time series.  Snapshots from different shards merge
-// (Merge); the bucket grids nest by construction, so merging folds
-// finer buckets into coarser spans and never loses area.
+// Snapshot is an immutable ledger state: the exact per-key totals and
+// their sums.  Snapshots from different shards merge (Merge).
 type Snapshot struct {
-	Version    uint64   `json:"version"`
-	Shards     []int    `json:"shards"`
-	Now        float64  `json:"now"`
-	Origin     float64  `json:"origin"`
-	Capacity   int      `json:"capacity"`
-	AgedBefore float64  `json:"aged_before"`
-	Totals     []Totals `json:"totals"`
-	Buckets    []Bucket `json:"buckets"`
-	Aged       []Cell   `json:"aged,omitempty"`
+	Version  uint64   `json:"version"`
+	Shards   []int    `json:"shards"`
+	Now      float64  `json:"now"`
+	Capacity int      `json:"capacity"`
+	Totals   []Totals `json:"totals,omitempty"`
 
 	TotalReservedArea float64 `json:"total_reserved_area"`
 	TotalRealizedArea float64 `json:"total_realized_area"`
 	Commits           int64   `json:"commits"`
 	Completions       int64   `json:"completions"`
 	Rejections        int64   `json:"rejections"`
-	Downsamples       int64   `json:"downsamples"`
-	AgedFolds         int64   `json:"aged_folds"`
 }
 
 // TotalWasteArea returns the snapshot-wide reserved-but-unrealized area.
@@ -99,10 +42,9 @@ func (s *Snapshot) TotalWasteArea() float64 {
 	return s.TotalReservedArea - s.TotalRealizedArea
 }
 
-// Merge folds another snapshot into a new one: totals add per key,
-// buckets with identical spans add cell-wise, and a bucket contained in
-// the other side's coarser span folds into it (the grids nest, so
-// overlap implies containment).  Neither input is mutated.
+// Merge folds another snapshot into a new one: totals and capacities add
+// per key, the clock and version take the later of the two.  Neither
+// input is mutated.
 func (s *Snapshot) Merge(o *Snapshot) *Snapshot {
 	if s == nil {
 		return o
@@ -110,32 +52,18 @@ func (s *Snapshot) Merge(o *Snapshot) *Snapshot {
 	if o == nil {
 		return s
 	}
-	out := &Snapshot{
-		Version:           maxU64(s.Version, o.Version),
+	return &Snapshot{
+		Version:           max(s.Version, o.Version),
 		Shards:            mergeShards(s.Shards, o.Shards),
 		Now:               math.Max(s.Now, o.Now),
-		Origin:            math.Min(s.Origin, o.Origin),
 		Capacity:          s.Capacity + o.Capacity,
-		AgedBefore:        math.Max(s.AgedBefore, o.AgedBefore),
+		Totals:            mergeTotals(s.Totals, o.Totals),
 		TotalReservedArea: s.TotalReservedArea + o.TotalReservedArea,
 		TotalRealizedArea: s.TotalRealizedArea + o.TotalRealizedArea,
 		Commits:           s.Commits + o.Commits,
 		Completions:       s.Completions + o.Completions,
 		Rejections:        s.Rejections + o.Rejections,
-		Downsamples:       s.Downsamples + o.Downsamples,
-		AgedFolds:         s.AgedFolds + o.AgedFolds,
 	}
-	out.Totals = mergeTotals(s.Totals, o.Totals)
-	out.Buckets = mergeBuckets(s.Buckets, o.Buckets)
-	out.Aged = mergeCells(s.Aged, o.Aged)
-	return out
-}
-
-func maxU64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 func mergeShards(a, b []int) []int {
@@ -174,136 +102,6 @@ func mergeTotals(a, b []Totals) []Totals {
 	return out
 }
 
-func mergeCells(a, b []Cell) []Cell {
-	if len(a) == 0 && len(b) == 0 {
-		return nil
-	}
-	m := make(map[Key]Cell, len(a)+len(b))
-	for _, lst := range [][]Cell{a, b} {
-		for _, c := range lst {
-			k := Key{c.Tenant, c.Class}
-			cur := m[k]
-			cur.Tenant, cur.Class = c.Tenant, c.Class
-			cur.ReservedArea += c.ReservedArea
-			cur.RealizedArea += c.RealizedArea
-			m[k] = cur
-		}
-	}
-	out := make([]Cell, 0, len(m))
-	for _, c := range m {
-		out = append(out, c)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Tenant != out[j].Tenant {
-			return out[i].Tenant < out[j].Tenant
-		}
-		return out[i].Class < out[j].Class
-	})
-	return out
-}
-
-// mergeBuckets merges two sorted bucket lists.  Identical spans add;
-// a span contained in an already-emitted coarser span folds into it;
-// otherwise buckets interleave by start time.
-func mergeBuckets(a, b []Bucket) []Bucket {
-	all := make([]Bucket, 0, len(a)+len(b))
-	all = append(all, a...)
-	all = append(all, b...)
-	// Coarser (wider) first at equal starts so containment folds find
-	// their container already emitted.
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].Start != all[j].Start {
-			return all[i].Start < all[j].Start
-		}
-		return all[i].Width > all[j].Width
-	})
-	var out []Bucket
-	for _, bk := range all {
-		if n := len(out); n > 0 {
-			last := &out[n-1]
-			if bk.Start >= last.Start && bk.End() <= last.End() {
-				// Contained (or identical): fold cells; capacity area
-				// adds only for distinct-shard identical spans, which
-				// is the only way two buckets share a span.
-				if bk.Start == last.Start && bk.Width == last.Width {
-					last.CapacityArea += bk.CapacityArea
-				}
-				last.Cells = mergeCells(last.Cells, bk.Cells)
-				if bk.Tier > last.Tier {
-					last.Tier = bk.Tier
-				}
-				continue
-			}
-		}
-		cp := bk
-		cp.Cells = append([]Cell(nil), bk.Cells...)
-		out = append(out, cp)
-	}
-	return out
-}
-
-// SeriesPoint is one derived sample of the utilization series.
-type SeriesPoint struct {
-	Start         float64 `json:"start"`
-	Width         float64 `json:"width"`
-	CapacityArea  float64 `json:"capacity_area"`
-	ReservedArea  float64 `json:"reserved_area"`
-	RealizedArea  float64 `json:"realized_area"`
-	Utilization   float64 `json:"utilization"`
-	WasteArea     float64 `json:"waste_area"`
-	Fragmentation float64 `json:"fragmentation"`
-}
-
-// Series derives the per-bucket utilization series: reserved and
-// realized area against capacity, waste, and fragmentation (the share
-// of the bucket's capacity left idle alongside reservations — idle
-// capacity "trapped" next to committed work, unusable by jobs wider
-// than the leftover).
-func (s *Snapshot) Series() []SeriesPoint {
-	out := make([]SeriesPoint, 0, len(s.Buckets))
-	for _, b := range s.Buckets {
-		p := SeriesPoint{
-			Start:        b.Start,
-			Width:        b.Width,
-			CapacityArea: b.CapacityArea,
-			ReservedArea: b.ReservedArea(),
-			RealizedArea: b.RealizedArea(),
-		}
-		p.WasteArea = p.ReservedArea - p.RealizedArea
-		if p.CapacityArea > 0 {
-			p.Utilization = p.ReservedArea / p.CapacityArea
-			if p.ReservedArea > 0 && p.ReservedArea < p.CapacityArea {
-				p.Fragmentation = (p.CapacityArea - p.ReservedArea) / p.CapacityArea
-			}
-		}
-		out = append(out, p)
-	}
-	return out
-}
-
-// Fragmentation aggregates the series: the fraction of all idle
-// capacity that sits in partially-reserved buckets (trapped idle) as
-// opposed to fully-idle ones.  1 means every idle processor-second
-// neighbors committed work; 0 means idle capacity is contiguous.
-func (s *Snapshot) Fragmentation() float64 {
-	trapped, idle := 0.0, 0.0
-	for _, b := range s.Buckets {
-		cap, res := b.CapacityArea, b.ReservedArea()
-		if cap <= res {
-			continue
-		}
-		free := cap - res
-		idle += free
-		if res > 0 {
-			trapped += free
-		}
-	}
-	if idle <= 0 {
-		return 0
-	}
-	return trapped / idle
-}
-
 // FairShare is one tenant's share of the reserved pool.
 type FairShare struct {
 	Tenant string  `json:"tenant"`
@@ -313,8 +111,7 @@ type FairShare struct {
 }
 
 // FairShares derives each key's share of the total reserved area and
-// its ratio against an equal split — the input signal for ROADMAP item
-// 5's weighted-fair admission.
+// its ratio against an equal split.
 func (s *Snapshot) FairShares() []FairShare {
 	if len(s.Totals) == 0 || s.TotalReservedArea <= 0 {
 		return nil
@@ -326,45 +123,4 @@ func (s *Snapshot) FairShares() []FairShare {
 		out = append(out, FairShare{Tenant: t.Tenant, Class: t.Class, Share: share, Ratio: share * n})
 	}
 	return out
-}
-
-// Utilization returns the whole-series utilization: total reserved
-// area over total capacity area across the retained buckets.
-func (s *Snapshot) Utilization() float64 {
-	res, cap := 0.0, 0.0
-	for _, b := range s.Buckets {
-		res += b.ReservedArea()
-		cap += b.CapacityArea
-	}
-	if cap <= 0 {
-		return 0
-	}
-	return res / cap
-}
-
-// BucketedReservedArea sums reserved area across buckets and the aged
-// fold — the time-resolved view's integral, which tracks the exact
-// TotalReservedArea up to float spreading error (the accuracy test
-// bounds the difference).
-func (s *Snapshot) BucketedReservedArea() float64 {
-	a := 0.0
-	for _, b := range s.Buckets {
-		a += b.ReservedArea()
-	}
-	for _, c := range s.Aged {
-		a += c.ReservedArea
-	}
-	return a
-}
-
-// BucketedRealizedArea is BucketedReservedArea for realized area.
-func (s *Snapshot) BucketedRealizedArea() float64 {
-	a := 0.0
-	for _, b := range s.Buckets {
-		a += b.RealizedArea()
-	}
-	for _, c := range s.Aged {
-		a += c.RealizedArea
-	}
-	return a
 }

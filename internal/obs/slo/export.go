@@ -13,8 +13,8 @@ package slo
 type ObjectiveState struct {
 	Name   string  `json:"name"`
 	Budget float64 `json:"budget"`
-	// Active reports whether the objective has been fed at all (the
-	// utilization and forecast objectives activate on first sample); an
+	// Active reports whether the objective is armed (the utilization
+	// objective needs a target, a regression phase its first sample); an
 	// inactive objective never alerts.
 	Active     bool  `json:"active"`
 	ShortBad   int64 `json:"short_bad"`
@@ -41,7 +41,6 @@ type EngineState struct {
 const (
 	ObjectiveLatency     = "admit-latency"
 	ObjectiveUtilization = "utilization"
-	ObjectiveForecast    = "headroom-forecast"
 )
 
 // ExportState captures the engine's current SLO state for a cluster
@@ -63,7 +62,6 @@ func (e *Engine) ExportState() EngineState {
 	}
 	grab(ObjectiveLatency, e.opts.LatencyBudget, true, e.latShort, e.latLong)
 	grab(ObjectiveUtilization, e.opts.UtilBudget, e.opts.UtilTarget > 0, e.utilShort, e.utilLong)
-	grab(ObjectiveForecast, e.opts.ForecastBudget, e.fcSeen, e.fcShort, e.fcLong)
 	for _, name := range e.regOrder {
 		st := e.reg[name]
 		grab(ObjectiveRegressionPrefix+name, e.opts.RegressionBudget, st.seen, st.short, st.long)

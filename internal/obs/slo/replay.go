@@ -16,7 +16,7 @@ import (
 //
 //	planner   the reservation it commits must finish by the deadline
 //	          (reservedFinish <= deadline)
-//	router    probe/commit must converge without livelocking on races
+//	router    optimistic commits must not race past the spike threshold
 //	rebalancer migrations must stay below the storm threshold and
 //	          conserve the plane's total capacity
 //	runtime   execution must finish by the reserved finish time
@@ -28,7 +28,8 @@ import (
 // A deadline miss therefore decomposes: if admission already reserved past
 // the deadline the planner is at fault (the miss was decided at admission
 // time); otherwise if the run overran its reservation the runtime is at
-// fault; otherwise, if the reserve stage shows race scars, the router.
+// fault.  The router is convicted by its aggregate trigger, a commit-race
+// spike.
 
 // Fault names the subsystem a replay localizes a violation to.
 const (
@@ -173,10 +174,6 @@ func Replay(s *Snapshot) Verdict {
 			v.Stage = obs.StageRun
 			v.Reason = fmt.Sprintf("execution finished %.6g, overran reservation %.6g",
 				v.ActualFinish, v.ReservedFinish)
-		case reserve != nil && (reserve.Err != "" || hasRaceScar(reserve)):
-			v.Fault = FaultRouter
-			v.Stage = obs.StageReserve
-			v.Reason = "reservation shows commit-race scars"
 		default:
 			v.Reason = "no span evidence contradicts any stage"
 		}
@@ -189,18 +186,6 @@ func Replay(s *Snapshot) Verdict {
 
 	v.Reason = "unrecognized trigger kind"
 	return v
-}
-
-// hasRaceScar reports whether a reserve span carries race evidence: a
-// raced retry or a non-first-choice commit rank.
-func hasRaceScar(n *obs.SpanNode) bool {
-	if r, ok := attr(n, "raced"); ok && r > 0 {
-		return true
-	}
-	if r, ok := attr(n, "rank"); ok && r > 0 {
-		return true
-	}
-	return false
 }
 
 // WriteReplay renders a human-readable replay of the snapshot: the

@@ -23,7 +23,7 @@ func TestReplayFaultTable(t *testing.T) {
 			// job's deadline.
 			name: "planner/over-admission",
 			snap: func() *Snapshot {
-				s := missSnapshot(10, 10.6, 0, false)
+				s := missSnapshot(10, 10.6, 0)
 				s.Kind = TriggerOverAdmission
 				return s
 			}(),
@@ -33,7 +33,7 @@ func TestReplayFaultTable(t *testing.T) {
 			// Planner again via the deadline-miss decomposition: the
 			// reservation itself broke the deadline at admission time.
 			name: "planner/reserved-past-deadline",
-			snap: missSnapshot(10, 10.6, 10.6, false),
+			snap: missSnapshot(10, 10.6, 10.6),
 			want: FaultPlanner,
 		},
 		{
@@ -41,13 +41,6 @@ func TestReplayFaultTable(t *testing.T) {
 			// threshold.
 			name: "router/commit-race-spike",
 			snap: &Snapshot{Version: snapshotVersion, Kind: TriggerCommitRaceSpike, At: 3},
-			want: FaultRouter,
-		},
-		{
-			// Router via span evidence: the miss isn't explained by the
-			// numbers, but the reserve span carries race scars.
-			name: "router/race-scarred-miss",
-			snap: missSnapshot(10, 9.5, 9.4, true),
 			want: FaultRouter,
 		},
 		{
@@ -67,7 +60,7 @@ func TestReplayFaultTable(t *testing.T) {
 		{
 			// Runtime: execution overran the reservation it was granted.
 			name: "runtime/reservation-overrun",
-			snap: missSnapshot(10, 9.5, 10.4, false),
+			snap: missSnapshot(10, 9.5, 10.4),
 			want: FaultRuntime,
 		},
 		{

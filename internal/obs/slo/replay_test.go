@@ -8,15 +8,11 @@ import (
 )
 
 // missSnapshot builds a deadline-miss snapshot whose run span carries the
-// given deadline/reservedFinish/actualFinish, with optional race scars on
-// the reserve span.
-func missSnapshot(deadline, reservedFinish, actualFinish float64, raced bool) *Snapshot {
+// given deadline/reservedFinish/actualFinish.
+func missSnapshot(deadline, reservedFinish, actualFinish float64) *Snapshot {
 	reserve := obs.SpanRec{Trace: 7, ID: 3, Parent: 1, Name: "fed.commit", Stage: obs.StageReserve,
 		Job: 9, Start: 0.2, End: 0.3,
 		Attrs: map[string]float64{"finish": reservedFinish}}
-	if raced {
-		reserve.Attrs["raced"] = 1
-	}
 	return &Snapshot{
 		Version: snapshotVersion,
 		Kind:    TriggerDeadlineMiss,
@@ -36,7 +32,7 @@ func missSnapshot(deadline, reservedFinish, actualFinish float64, raced bool) *S
 
 func TestReplayLocalizesRuntime(t *testing.T) {
 	// Reservation met the deadline; execution overran it.
-	s := missSnapshot(10, 9.5, 10.4, false)
+	s := missSnapshot(10, 9.5, 10.4)
 	v := Replay(s)
 	if v.Fault != FaultRuntime || v.Stage != obs.StageRun {
 		t.Fatalf("verdict: %+v", v)
@@ -52,27 +48,15 @@ func TestReplayLocalizesRuntime(t *testing.T) {
 func TestReplayLocalizesPlanner(t *testing.T) {
 	// Reservation itself was past the deadline: the miss was decided at
 	// admission time.
-	s := missSnapshot(10, 10.6, 10.6, false)
+	s := missSnapshot(10, 10.6, 10.6)
 	v := Replay(s)
 	if v.Fault != FaultPlanner || v.Stage != obs.StagePlan {
 		t.Fatalf("verdict: %+v", v)
 	}
 }
 
-func TestReplayLocalizesRouter(t *testing.T) {
-	// Numbers alone don't convict planner or runtime, but the reserve span
-	// shows a commit race.
-	s := missSnapshot(10, 9.5, 9.4, true)
-	// Force "actual <= reserved" so the runtime rule doesn't fire, and
-	// deadline-miss kind with finish numbers that don't implicate anyone.
-	v := Replay(s)
-	if v.Fault != FaultRouter || v.Stage != obs.StageReserve {
-		t.Fatalf("verdict: %+v", v)
-	}
-}
-
 func TestReplayOverAdmissionIsPlanner(t *testing.T) {
-	s := missSnapshot(10, 10.6, 0, false)
+	s := missSnapshot(10, 10.6, 0)
 	s.Kind = TriggerOverAdmission
 	v := Replay(s)
 	if v.Fault != FaultPlanner {
@@ -126,7 +110,7 @@ func TestReplayUnknownWithoutEvidence(t *testing.T) {
 }
 
 func TestWriteReplayRendersTreeAndEvents(t *testing.T) {
-	s := missSnapshot(10, 9.5, 10.4, false)
+	s := missSnapshot(10, 9.5, 10.4)
 	s.Events = []obs.Event{
 		{Time: 0.15, Type: obs.EvCommitted, Job: 9, Trace: 7},
 		{Time: 10.4, Type: obs.EvStepDone, Job: 9, Trace: 7},
@@ -149,7 +133,7 @@ func TestWriteReplayRendersTreeAndEvents(t *testing.T) {
 func TestVerdictRoundTripsThroughJSONL(t *testing.T) {
 	// A snapshot written in one process must replay identically after a
 	// JSONL round trip — the production debugging workflow.
-	s := missSnapshot(10, 9.5, 10.4, false)
+	s := missSnapshot(10, 9.5, 10.4)
 	var sb strings.Builder
 	if err := s.WriteJSONL(&sb); err != nil {
 		t.Fatal(err)

@@ -37,20 +37,18 @@ import (
 
 // Metric names published to the registry.
 const (
-	MetricAdmitted          = "slo_admitted"
-	MetricRejected          = "slo_rejected"
-	MetricCompleted         = "slo_completed"
-	MetricInFlight          = "slo_inflight"
-	MetricDeadlineMisses    = "slo_deadline_misses"
-	MetricOverAdmissions    = "slo_over_admissions"
-	MetricAlerts            = "slo_alerts"
-	MetricLatency           = "slo_admit_latency_seconds"
-	MetricLatencyBurnShort  = "slo_latency_burn_short"
-	MetricLatencyBurnLong   = "slo_latency_burn_long"
-	MetricUtilBurnShort     = "slo_util_burn_short"
-	MetricUtilBurnLong      = "slo_util_burn_long"
-	MetricForecastBurnShort = "slo_forecast_burn_short"
-	MetricForecastBurnLong  = "slo_forecast_burn_long"
+	MetricAdmitted         = "slo_admitted"
+	MetricRejected         = "slo_rejected"
+	MetricCompleted        = "slo_completed"
+	MetricInFlight         = "slo_inflight"
+	MetricDeadlineMisses   = "slo_deadline_misses"
+	MetricOverAdmissions   = "slo_over_admissions"
+	MetricAlerts           = "slo_alerts"
+	MetricLatency          = "slo_admit_latency_seconds"
+	MetricLatencyBurnShort = "slo_latency_burn_short"
+	MetricLatencyBurnLong  = "slo_latency_burn_long"
+	MetricUtilBurnShort    = "slo_util_burn_short"
+	MetricUtilBurnLong     = "slo_util_burn_long"
 )
 
 // eps is the deadline-comparison tolerance, matching the scheduler's
@@ -79,14 +77,6 @@ type Options struct {
 	// (default 0.1).
 	UtilTarget float64
 	UtilBudget float64
-
-	// ForecastBudget is the headroom-forecast objective's error budget:
-	// the tolerated fraction of audited rejections that are forecast
-	// misses — rejections whose demand the advertised capacity frontier
-	// had claimed to fit (default 0.05).  The objective activates on the
-	// first ObserveForecast sample; a sustained burn on both windows means
-	// the headroom signal is misleading the QoS agents steering by it.
-	ForecastBudget float64
 
 	// BurnThreshold is the burn-rate multiple that, sustained on both
 	// windows, raises an alert (default 2: burning the error budget at
@@ -134,9 +124,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.UtilBudget <= 0 {
 		o.UtilBudget = 0.1
-	}
-	if o.ForecastBudget <= 0 {
-		o.ForecastBudget = 0.05
 	}
 	if o.BurnThreshold <= 0 {
 		o.BurnThreshold = 2
@@ -287,11 +274,6 @@ type Engine struct {
 	latLong    *window
 	utilShort  *window
 	utilLong   *window
-	fcShort    *window
-	fcLong     *window
-	fcSeen     bool
-	fcChecks   int64
-	fcMisses   int64
 	raceWin    *window
 	stormWin   *window
 	lastRaces  int64
@@ -313,8 +295,6 @@ type Engine struct {
 	latBurnLong    *obs.Gauge
 	utilBurnShort  *obs.Gauge
 	utilBurnLong   *obs.Gauge
-	fcBurnShort    *obs.Gauge
-	fcBurnLong     *obs.Gauge
 }
 
 // New returns an engine with the given options.
@@ -328,8 +308,6 @@ func New(opts Options) *Engine {
 		latLong:        newWindow(o.LongWindow, o.Buckets),
 		utilShort:      newWindow(o.ShortWindow, o.Buckets),
 		utilLong:       newWindow(o.LongWindow, o.Buckets),
-		fcShort:        newWindow(o.ShortWindow, o.Buckets),
-		fcLong:         newWindow(o.LongWindow, o.Buckets),
 		raceWin:        newWindow(o.ShortWindow, o.Buckets),
 		stormWin:       newWindow(o.ShortWindow, o.Buckets),
 		alertOn:        make(map[string]bool),
@@ -346,8 +324,6 @@ func New(opts Options) *Engine {
 		latBurnLong:    reg.Gauge(MetricLatencyBurnLong),
 		utilBurnShort:  reg.Gauge(MetricUtilBurnShort),
 		utilBurnLong:   reg.Gauge(MetricUtilBurnLong),
-		fcBurnShort:    reg.Gauge(MetricForecastBurnShort),
-		fcBurnLong:     reg.Gauge(MetricForecastBurnLong),
 	}
 }
 
@@ -465,26 +441,6 @@ func (e *Engine) ObserveUtilization(now, util float64) {
 	e.mu.Unlock()
 }
 
-// ObserveForecast feeds one audited rejection to the headroom-forecast
-// objective: miss means the rejected demand lay inside the capacity
-// frontier the plane had advertised (a forensics.Forecaster forecast
-// miss — the plane said "I can take this" and then said no).  The
-// objective activates on the first sample.
-func (e *Engine) ObserveForecast(now float64, miss bool) {
-	if e == nil {
-		return
-	}
-	e.mu.Lock()
-	e.fcSeen = true
-	e.fcChecks++
-	if miss {
-		e.fcMisses++
-	}
-	e.fcShort.add(now, miss)
-	e.fcLong.add(now, miss)
-	e.mu.Unlock()
-}
-
 // ObserveRouter feeds the cumulative router-health counters (fed_
 // commit races and rebalancer migrations).  Deltas land in the short
 // window; crossing the spike/storm thresholds triggers the flight
@@ -551,15 +507,10 @@ func (e *Engine) Tick(now float64) {
 	e.latLong.advance(now)
 	e.utilShort.advance(now)
 	e.utilLong.advance(now)
-	e.fcShort.advance(now)
-	e.fcLong.advance(now)
 	ls := e.latShort.burn(e.opts.LatencyBudget)
 	ll := e.latLong.burn(e.opts.LatencyBudget)
 	us := e.utilShort.burn(e.opts.UtilBudget)
 	ul := e.utilLong.burn(e.opts.UtilBudget)
-	fs := e.fcShort.burn(e.opts.ForecastBudget)
-	fl := e.fcLong.burn(e.opts.ForecastBudget)
-	fcSeen := e.fcSeen
 	var fired []Alert
 	check := func(objective string, short, long float64) {
 		burning := short >= e.opts.BurnThreshold && long >= e.opts.BurnThreshold
@@ -579,9 +530,6 @@ func (e *Engine) Tick(now float64) {
 	if e.opts.UtilTarget > 0 {
 		check("utilization", us, ul)
 	}
-	if fcSeen {
-		check("headroom-forecast", fs, fl)
-	}
 	regFired := e.advanceRegressionLocked(now, &fired)
 	e.mu.Unlock()
 	e.triggerRegressions(now, regFired)
@@ -589,8 +537,6 @@ func (e *Engine) Tick(now float64) {
 	e.latBurnLong.Set(clampInf(ll))
 	e.utilBurnShort.Set(clampInf(us))
 	e.utilBurnLong.Set(clampInf(ul))
-	e.fcBurnShort.Set(clampInf(fs))
-	e.fcBurnLong.Set(clampInf(fl))
 	e.alertCount.Add(int64(len(fired)))
 }
 
@@ -627,14 +573,10 @@ type Report struct {
 	LatencyP99    float64 `json:"latency_p99"`
 	LatencyMean   float64 `json:"latency_mean"`
 
-	LatencyBurnShort  float64 `json:"latency_burn_short"`
-	LatencyBurnLong   float64 `json:"latency_burn_long"`
-	UtilBurnShort     float64 `json:"util_burn_short,omitempty"`
-	UtilBurnLong      float64 `json:"util_burn_long,omitempty"`
-	ForecastBurnShort float64 `json:"forecast_burn_short,omitempty"`
-	ForecastBurnLong  float64 `json:"forecast_burn_long,omitempty"`
-	ForecastMisses    int64   `json:"forecast_misses,omitempty"`
-	ForecastChecks    int64   `json:"forecast_checks,omitempty"`
+	LatencyBurnShort float64 `json:"latency_burn_short"`
+	LatencyBurnLong  float64 `json:"latency_burn_long"`
+	UtilBurnShort    float64 `json:"util_burn_short,omitempty"`
+	UtilBurnLong     float64 `json:"util_burn_long,omitempty"`
 
 	// Regression is the latency-regression sentinel's current per-phase
 	// burns (empty when no RegressionSource is armed or no admissions
@@ -665,12 +607,6 @@ func (e *Engine) Report() Report {
 	if e.opts.UtilTarget > 0 {
 		r.UtilBurnShort = clampInf(e.utilShort.burn(e.opts.UtilBudget))
 		r.UtilBurnLong = clampInf(e.utilLong.burn(e.opts.UtilBudget))
-	}
-	if e.fcSeen {
-		r.ForecastBurnShort = clampInf(e.fcShort.burn(e.opts.ForecastBudget))
-		r.ForecastBurnLong = clampInf(e.fcLong.burn(e.opts.ForecastBudget))
-		r.ForecastChecks = e.fcChecks
-		r.ForecastMisses = e.fcMisses
 	}
 	r.Regression = e.regressionBurnsLocked()
 	e.mu.Unlock()
@@ -711,10 +647,6 @@ func (e *Engine) WriteReport(w io.Writer) error {
 		fmt.Fprintf(w, " utilization short=%.3g long=%.3g", r.UtilBurnShort, r.UtilBurnLong)
 	}
 	fmt.Fprintln(w)
-	if r.ForecastChecks > 0 {
-		fmt.Fprintf(w, "  headroom forecast: misses=%d/%d burn short=%.3g long=%.3g\n",
-			r.ForecastMisses, r.ForecastChecks, r.ForecastBurnShort, r.ForecastBurnLong)
-	}
 	for _, v := range r.Violations {
 		fmt.Fprintf(w, "  violation: %s job=%d trace=%d deadline=%.6g reserved=%.6g finish=%.6g\n",
 			v.Kind, v.JobID, v.Trace, v.Deadline, v.ReservedFinish, v.Finish)

@@ -278,15 +278,6 @@ func (a *Arbitrator) Diagnose(job core.Job) *core.PlanDiagnosis {
 	return a.sched.Diagnose(job)
 }
 
-// Headroom returns the machine's admissibility frontier over
-// [now, now+horizon): the largest job the arbitrator could still admit
-// without queueing behind existing reservations.
-func (a *Arbitrator) Headroom(horizon float64) core.Headroom {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.sched.Headroom(a.now, horizon)
-}
-
 // record hands a decision to the observer, under the arbitrator's lock.
 func (a *Arbitrator) record(d Decision) {
 	if a.observer != nil {

@@ -167,11 +167,6 @@ func NewFederatedArbitrator(cfg FedConfig) (*FedArbitrator, error) {
 	return fed.New(cfg)
 }
 
-// NewFedMetrics resolves the plane's fed_* instruments in a registry.  The
-// plane does not feed them: call Publish(plane) before reading or exporting
-// the registry.
-func NewFedMetrics(reg *obs.Registry) *fed.Metrics { return fed.NewMetrics(reg) }
-
 // LedgerConfig configures NewShardedLedger (internal/obs/ledger).
 type LedgerConfig = ledger.Config
 
