@@ -13,9 +13,9 @@ import (
 	"milan/internal/calypso"
 	"milan/internal/core"
 	"milan/internal/experiments"
+	"milan/internal/fed"
 	"milan/internal/junction"
 	"milan/internal/obs"
-	"milan/internal/qos"
 	"milan/internal/workload"
 )
 
@@ -241,12 +241,12 @@ func BenchmarkSchedulerAdmitTunable(b *testing.B) {
 	}
 }
 
-// BenchmarkAdmitNilSink is the unobserved fast path: the arbitrator has no
-// decision observer, so recording a decision is one nil comparison.
+// BenchmarkAdmitNilSink is the unobserved fast path: the one-shard plane
+// has no decision observer, so recording a decision is one nil comparison.
 // Compare with BenchmarkAdmitInstrumented to measure the observability
 // layer's cost.
 func BenchmarkAdmitNilSink(b *testing.B) {
-	benchmarkArbitratorAdmit(b, qos.ArbitratorConfig{Procs: 16})
+	benchmarkArbitratorAdmit(b, fed.Config{Procs: 16})
 }
 
 // BenchmarkAdmitInstrumented runs the same admission stream with a full
@@ -254,13 +254,13 @@ func BenchmarkAdmitNilSink(b *testing.B) {
 // tracing).
 func BenchmarkAdmitInstrumented(b *testing.B) {
 	o := obs.New(obs.Config{})
-	benchmarkArbitratorAdmit(b, o.InstrumentArbitratorConfig(qos.ArbitratorConfig{Procs: 16}))
+	benchmarkArbitratorAdmit(b, fed.Config{Procs: 16, Observer: o.DecisionObserver(nil)})
 }
 
-func benchmarkArbitratorAdmit(b *testing.B, cfg qos.ArbitratorConfig) {
+func benchmarkArbitratorAdmit(b *testing.B, cfg fed.Config) {
 	b.ReportAllocs()
 	spec := workload.FigureJob{X: 16, T: 25, Alpha: 0.25, Laxity: 0.5}
-	arb, err := qos.NewArbitrator(cfg)
+	arb, err := fed.New(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -38,7 +38,6 @@ import (
 	"milan/internal/junction"
 	"milan/internal/obs"
 	"milan/internal/obs/latency"
-	"milan/internal/obs/latency/runtimewatch"
 	"milan/internal/obs/ledger"
 	"milan/internal/obs/slo"
 	"milan/internal/obs/telemetry"
@@ -71,7 +70,6 @@ func main() {
 	latEnvelope := flag.String("latency-envelope", "", "arm the latency-regression sentinel from this BENCH_trajectory.jsonl baseline (requires -wal-dir)")
 	latMatch := flag.String("latency-envelope-match", "ShardedAdmit/shards=1", "trajectory benchmark name substring the envelope derives from")
 	latSlack := flag.Float64("latency-envelope-slack", 3, "envelope slack multiplier over the baseline ns/op")
-	runtimeWatch := flag.Bool("runtime-watch", false, "poll Go runtime health (GC pauses, sched latency, heap, mutex/block profiles) into the registry")
 	injectSlowdown := flag.String("inject-slowdown", "", "TEST HOOK: inflate every admission's given phase, e.g. probe:50ms (drives the regression-sentinel CI smoke)")
 	serveFlag := flag.Bool("serve", false, "keep serving after the demo run until SIGINT/SIGTERM (multi-process clusters)")
 	flag.Parse()
@@ -92,7 +90,6 @@ func main() {
 		// own class, so /ledger shows the Figure-2 trade (step-1 vs step-3
 		// allocation) as per-tenant reserved area.
 		ld = ledger.New(ledger.Config{Capacity: *workers})
-		ld.BindMetrics(observer.Reg)
 		ld.Mount(observer)
 		// Readiness: the debug endpoint reports 503 until a runtime exists
 		// and while every worker of the latest runtime has crashed.
@@ -121,14 +118,6 @@ func main() {
 		fmt.Printf("debug endpoint: http://%s (/metrics /trace /spans /healthz)\n\n", addr)
 	}
 
-	if *runtimeWatch {
-		if observer == nil {
-			log.Fatal("junctiond: -runtime-watch requires -debug-addr (it publishes into the registry)")
-		}
-		rw := runtimewatch.New(observer.Reg)
-		rw.Start(0)
-		defer rw.Stop()
-	}
 	if *walDir != "" {
 		var lp *latency.Plane
 		if observer != nil {

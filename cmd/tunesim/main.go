@@ -8,9 +8,10 @@
 //	tunesim [flags] fig5a|fig5b|fig5c|fig5d|fig6a|fig6b|exta|extq|extr|extb|sharded|all|point|replicate|gantt
 //
 // The `point` subcommand runs the three systems once at the configured
-// parameters and prints the raw results.  The `sharded` subcommand compares
-// the monolithic arbitrator against a federated admission plane
-// (-shards N -probe k) over the Figure 5(a) arrival sweep.
+// parameters and prints the raw results.  Every run is admitted by the
+// one-shard plane junctiond serves; the `sharded` subcommand compares it
+// against the same plane split across shards (-shards N -probe k) over the
+// Figure 5(a) arrival sweep.
 package main
 
 import (
@@ -24,11 +25,11 @@ import (
 
 	"milan/internal/core"
 	"milan/internal/experiments"
+	"milan/internal/fed"
 	"milan/internal/obs"
 	"milan/internal/obs/forensics"
 	"milan/internal/obs/ledger"
 	"milan/internal/obs/slo"
-	"milan/internal/qos"
 	"milan/internal/workload"
 )
 
@@ -96,14 +97,11 @@ func main() {
 	if *explainPath != "" || *debugAddr != "" {
 		forRec = forensics.NewRecorder(0)
 		cfg.Forensics = forRec
-		if observer != nil {
-			forRec.BindMetrics(observer.Reg)
-			forRec.Mount(observer)
-		}
+		forRec.Mount(observer) // nil-safe
 	}
 	// Utilization ledger: per-tenant capacity accounting.  One shard
 	// ledger per admission shard (the sharded subcommand needs them; a
-	// monolithic run only touches shard 0), merged lock-free for the
+	// one-shard run only touches shard 0), merged lock-free for the
 	// /ledger endpoint and the end-of-run JSONL artifact.  Totals
 	// accumulate across every run of the invocation (sweeps included).
 	var ld *ledger.Sharded
@@ -114,10 +112,7 @@ func main() {
 		}
 		ld = ledger.NewSharded(ledger.Config{Capacity: cfg.Procs}, n)
 		cfg.Ledger = ld
-		if observer != nil {
-			ld.BindMetrics(observer.Reg)
-			ld.Mount(observer)
-		}
+		ld.Mount(observer) // nil-safe
 	}
 	if *tenants != "" {
 		cfg.Tenants = &workload.TenantCycle{
@@ -346,12 +341,12 @@ func ganttDemo(out *os.File, cfg experiments.Config) error {
 	if n > 12 {
 		n = 12
 	}
-	arbCfg := qos.ArbitratorConfig{Procs: cfg.Procs, Options: cfg.Opts}
+	arbCfg := fed.Config{Procs: cfg.Procs, Options: cfg.Opts}
 	if cfg.Obs != nil {
-		arbCfg = cfg.Obs.InstrumentArbitratorConfig(arbCfg)
+		arbCfg.Observer = cfg.Obs.DecisionObserver(nil)
 	}
 	// The clock is never advanced: the chart keeps the full history.
-	arb, err := qos.NewArbitrator(arbCfg)
+	arb, err := fed.New(arbCfg)
 	if err != nil {
 		return err
 	}

@@ -3,10 +3,10 @@
 // separate processes on cluster nodes) negotiate reservations over the
 // wire, exactly as MILAN's distributed components would.
 //
-// The second act swaps the monolithic arbitrator for a federated admission
-// plane (internal/fed): one shard per broker-registered machine, best-of-k
-// routing, and a rebalancer that follows the broker — registering a new
-// machine mid-run grows the plane without restarting the server.
+// The second act splits the arbitrator across shards: one shard per
+// broker-registered machine, best-of-k routing, and a rebalancer that
+// follows the broker — registering a new machine mid-run grows the plane
+// without restarting the server.
 //
 // The third act federates the observability plane itself: an aggregator
 // (milanmon's engine) scrapes the plane's debug endpoint and renders the
@@ -138,7 +138,7 @@ func federated() error {
 	// sched_rejected) as they commit, under the deciding shard's lock.
 	reg := obs.NewRegistry()
 	o := obs.New(obs.Config{Registry: reg, Tracing: true})
-	plane, err := milan.NewFederatedArbitrator(milan.FedConfig{
+	plane, err := milan.NewArbitrator(milan.ArbitratorConfig{
 		Procs:    broker.TotalProcs(),
 		Shards:   len(machines), // one shard per machine
 		ProbeK:   2,             // best-of-2 routing
@@ -154,8 +154,8 @@ func federated() error {
 	fmt.Printf("plane: %d processors across %d shards %v\n",
 		plane.Procs(), len(plane.ShardProcs()), plane.ShardProcs())
 
-	// The same qosnet server fronts the federated plane: agents cannot
-	// tell a sharded arbitrator from the monolith.
+	// The same qosnet server fronts the sharded plane: agents cannot tell
+	// it from one shard.
 	srv, err := qosnet.ListenAndServe(plane, "127.0.0.1:0")
 	if err != nil {
 		return err

@@ -12,7 +12,7 @@ func sampleArtifact(withSnap bool) *Artifact {
 	a := &Artifact{
 		Version:   artifactVersion,
 		Scenario:  "saturation-overload",
-		Plane:     string(PlaneMonolith),
+		Plane:     string(PlaneOneShard),
 		Seed:      1234,
 		Invariant: "weighted-fair-shares",
 		Detail:    "normalized service spread 100..900 exceeds 2x",

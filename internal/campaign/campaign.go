@@ -1,9 +1,9 @@
 // Package campaign is the adversarial campaign harness: it sweeps a
 // randomized scenario matrix — arrival storms with hot-tenant skew,
 // broker churn, calypso worker-fault floods, rebalance storms and
-// multi-tenant saturation overload — against both admission planes (the
-// monolithic qos.Arbitrator and the sharded fed.Arbitrator), asserting
-// the paper's hard invariant (admitted ⇒ deadline met) and the fairness
+// multi-tenant saturation overload — against the admission plane at one
+// shard (the plane junctiond serves) and at Config.Shards, asserting the
+// paper's hard invariant (admitted ⇒ deadline met) and the fairness
 // invariants of the saturation shedder on every run.
 //
 // Every run is a deterministic function of its seed: the per-run seed is
@@ -37,8 +37,10 @@ type Plane string
 
 // Planes.
 const (
-	PlaneMonolith Plane = "monolith"
-	PlaneSharded  Plane = "sharded"
+	// PlaneOneShard is the fed plane at one shard; PlaneSharded is the
+	// same plane at Config.Shards, rebalancing as the clock advances.
+	PlaneOneShard Plane = "shards=1"
+	PlaneSharded  Plane = "shards=N"
 	// PlaneRuntime marks scenarios that exercise the calypso execution
 	// runtime rather than an admission plane.
 	PlaneRuntime Plane = "runtime"
@@ -156,6 +158,20 @@ func (r *Report) Breaches() []Breach {
 		out = append(out, run.Breaches...)
 	}
 	return out
+}
+
+// seedName is the name a plane's run seeds derive from.  The two admission
+// cells keep the names they had before the monolith became the one-shard
+// plane, so a campaign seed reproduces the streams, digests and breaches it
+// always has.
+func (p Plane) seedName() string {
+	switch p {
+	case PlaneOneShard:
+		return "monolith"
+	case PlaneSharded:
+		return "sharded"
+	}
+	return string(p)
 }
 
 // deriveSeed maps (campaign seed, scenario, plane) to the run seed, so
@@ -311,7 +327,7 @@ func (rc *runCtx) hashDecision(id int, verdict byte, job core.Job, g *qos.Grant)
 }
 
 func runOne(cfg Config, sc Scenario, plane Plane) (RunReport, error) {
-	seed := deriveSeed(cfg.Seed, sc.Name, string(plane))
+	seed := deriveSeed(cfg.Seed, sc.Name, plane.seedName())
 	if sc.Run != nil {
 		return sc.Run(cfg, sc, seed)
 	}
@@ -339,24 +355,20 @@ func runOne(cfg Config, sc Scenario, plane Plane) (RunReport, error) {
 	eng := slo.New(slo.Options{Recorder: rec, StormThreshold: sc.StormThreshold})
 	rc.engine, rc.tracer, rc.rec, rc.eng = engine, tracer, rec, eng
 
-	var neg qos.Negotiator
-	var observe func(now float64)
-	switch plane {
-	case PlaneMonolith:
-		arb, err := qos.NewArbitrator(qos.ArbitratorConfig{Procs: cfg.Procs})
-		if err != nil {
-			return rr, err
-		}
-		neg, observe = arb, arb.Observe
-	case PlaneSharded:
-		fa, err := fed.New(fed.Config{
-			Procs:  cfg.Procs,
-			Shards: cfg.Shards,
-			ProbeK: cfg.ProbeK,
-		})
-		if err != nil {
-			return rr, err
-		}
+	shards := 1
+	if plane == PlaneSharded {
+		shards = cfg.Shards
+	} else if plane != PlaneOneShard {
+		return rr, fmt.Errorf("unknown plane %q", plane)
+	}
+	fa, err := fed.New(fed.Config{Procs: cfg.Procs, Shards: shards, ProbeK: cfg.ProbeK})
+	if err != nil {
+		return rr, err
+	}
+	rc.fed = fa
+	var neg qos.Negotiator = fa
+	observe := fa.Observe
+	if plane == PlaneSharded {
 		rb := fa.Rebalancer()
 		if sc.Job.X > rb.MinShardProcs {
 			rb.MinShardProcs = sc.Job.X
@@ -367,16 +379,13 @@ func runOne(cfg Config, sc Scenario, plane Plane) (RunReport, error) {
 		} else if moves < 0 {
 			moves = 0 // Rebalance(0) = up to one move per shard
 		}
-		rc.fed, rc.rb = fa, rb
-		neg = fa
+		rc.rb = rb
 		observe = func(now float64) {
 			fa.Observe(now)
 			rb.Rebalance(moves)
 			rs := fa.RouterStats()
 			eng.ObserveRouter(now, rs.CommitRaces, rs.Migrations)
 		}
-	default:
-		return rr, fmt.Errorf("unknown plane %q", plane)
 	}
 
 	if sc.Shed != nil {
@@ -530,13 +539,10 @@ func (rc *runCtx) collectSLOBreaches() {
 	}
 }
 
-// planeChecks asserts the sharded plane's structural invariants after the
-// drain: per-shard profile consistency (no over-admission at the
-// scheduler level) and capacity conservation against the resource pool.
+// planeChecks asserts the plane's structural invariants after the drain:
+// per-shard profile consistency (no over-admission at the scheduler level)
+// and capacity conservation against the resource pool.
 func (rc *runCtx) planeChecks() {
-	if rc.fed == nil {
-		return
-	}
 	if err := rc.fed.CheckInvariants(); err != nil {
 		rc.breach("no-over-admission", err.Error(), slo.TriggerOverAdmission, nil)
 	}

@@ -177,7 +177,7 @@ func TestInjectCompletionDelayLocalizesToRuntime(t *testing.T) {
 			}
 		}
 	}
-	if !planes[PlaneMonolith] || !planes[PlaneSharded] {
+	if !planes[PlaneOneShard] || !planes[PlaneSharded] {
 		t.Fatalf("runtime breaches with a replayable artifact on %v, want both planes", planes)
 	}
 }
@@ -249,9 +249,9 @@ func TestNodeKillInjectionDeterministic(t *testing.T) {
 }
 
 func TestBreachString(t *testing.T) {
-	b := Breach{Scenario: "s", Plane: PlaneMonolith, Invariant: "i", Detail: "d", Fault: "planner"}
+	b := Breach{Scenario: "s", Plane: PlaneOneShard, Invariant: "i", Detail: "d", Fault: "planner"}
 	s := b.String()
-	for _, want := range []string{"s/monolith", "fault=planner", "i broken"} {
+	for _, want := range []string{"s/shards=1", "fault=planner", "i broken"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("breach string %q missing %q", s, want)
 		}

@@ -63,7 +63,7 @@ func Matrix() []Scenario {
 		{
 			Name:   "arrival-storm",
 			Doc:    "Poisson bursts with a hot-tenant skew (3 of 4 arrivals bill to one whale)",
-			Planes: []Plane{PlaneMonolith, PlaneSharded},
+			Planes: []Plane{PlaneOneShard, PlaneSharded},
 			Job:    campaignJob,
 			Arrivals: func(seed int64) workload.Arrivals {
 				// Busy phases fire arrivals every ~1 unit (10x overload),
@@ -137,7 +137,7 @@ func Matrix() []Scenario {
 		{
 			Name:   "saturation-overload",
 			Doc:    "3.3x sustained overload against quotas and weighted-fair shedding",
-			Planes: []Plane{PlaneMonolith, PlaneSharded},
+			Planes: []Plane{PlaneOneShard, PlaneSharded},
 			Job:    campaignJob,
 			Arrivals: func(seed int64) workload.Arrivals {
 				return workload.NewPoisson(3, seed)

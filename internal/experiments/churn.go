@@ -6,6 +6,7 @@ import (
 	"sort"
 	"text/tabwriter"
 
+	"milan/internal/fed"
 	"milan/internal/qos"
 	"milan/internal/sim"
 	"milan/internal/workload"
@@ -96,7 +97,7 @@ func ChurnRun(cfg Config, trace []CapacityEvent) ([]ChurnResult, error) {
 // capacity marks all jobs holding reservations at that instant as failed —
 // the predictability loss renegotiation exists to avoid.
 func runChurnStatic(cfg Config, trace []CapacityEvent) (ChurnResult, error) {
-	arb, err := qos.NewArbitrator(qos.ArbitratorConfig{Procs: cfg.Procs, Options: cfg.Opts})
+	arb, err := fed.New(fed.Config{Procs: cfg.Procs, Options: cfg.Opts})
 	if err != nil {
 		return ChurnResult{}, err
 	}

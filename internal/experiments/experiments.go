@@ -11,6 +11,7 @@ import (
 	"math"
 
 	"milan/internal/core"
+	"milan/internal/fed"
 	"milan/internal/obs"
 	"milan/internal/obs/forensics"
 	"milan/internal/obs/latency/phase"
@@ -66,12 +67,12 @@ type Config struct {
 	// — the planner's diagnosis path stays un-instrumented.
 	Forensics *forensics.Recorder
 	// Ledger, if set, accounts the run per tenant and priority class:
-	// every commit is recorded in admission order (shard 0 for the
-	// monolith; the granting shard for a sharded plane), every admitted
-	// job's completion realizes its reserved area, and the simulation clock
-	// stamps the ledger's.  Attach a fresh ledger per run — totals are
-	// cumulative.  nil (the default) schedules the same events and makes
-	// the same decisions as no ledger at all.
+	// every commit is recorded in admission order on the granting shard's
+	// ledger (shard 0 in Run), every admitted job's completion realizes its
+	// reserved area, and the simulation clock stamps the ledger's.  Attach
+	// a fresh ledger per run — totals are cumulative.  nil (the default)
+	// schedules the same events and makes the same decisions as no ledger
+	// at all.
 	Ledger *ledger.Sharded
 	// Tenants, if set (with Ledger), stamps each arrival with a tenant
 	// and class before negotiation.
@@ -150,10 +151,10 @@ type RunResult struct {
 // its deadlines by construction of the reservation).
 func (r RunResult) Throughput() int { return r.Admitted }
 
-// admitter is the arbitration surface the simulation loop drives: the
-// monolithic qos.Arbitrator and the federated fed.Arbitrator (see
-// sharded.go) both satisfy it.  The WhatIf probe rides along so the loop
-// can close the rejection loop against either plane.
+// admitter is the arbitration surface the simulation loop drives: the fed
+// plane every run builds (newPlane), and the reference qos.Arbitrator the
+// differential test holds it to.  The WhatIf probe rides along so the loop
+// can close the rejection loop.
 type admitter interface {
 	qos.TimedNegotiator
 	Observe(now float64)
@@ -165,27 +166,49 @@ type admitter interface {
 
 // Run simulates one task system under the configuration, driving arrivals
 // through the event engine and negotiating each job via a QoS agent against
-// the arbitrator.
+// the arbitrator: the one-shard plane junctiond serves, which decides
+// exactly what the reference qos.Arbitrator does.
 func Run(cfg Config, sys workload.System) (RunResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return RunResult{}, err
 	}
-	arbCfg := qos.ArbitratorConfig{Procs: cfg.Procs, Options: cfg.schedulerOptions()}
+	var feed func(qos.Decision)
 	if cfg.Obs != nil {
-		arbCfg = cfg.Obs.InstrumentArbitratorConfig(arbCfg)
+		feed = cfg.Obs.DecisionObserver(nil)
 	}
-	if cfg.Ledger != nil {
-		// The monolith accounts on shard 0; the arbitrator invokes its
-		// observer under its own lock right after each scheduler commit,
-		// so ledger recording happens in commit order.
-		cfg.Ledger.Shard(0).SetCapacity(cfg.Procs)
-		arbCfg.Observer = cfg.Ledger.DecisionObserver(arbCfg.Observer)
-	}
-	arb, err := qos.NewArbitrator(arbCfg)
+	plane, err := newPlane(cfg, 1, 1, feed)
 	if err != nil {
 		return RunResult{}, err
 	}
-	return runLoop(cfg, sys, arb)
+	return runLoop(cfg, sys, plane)
+}
+
+// newPlane builds the admission plane a run drives: cfg.Procs processors
+// over shards partitions, the run's scheduler options, and one decision
+// feed — the ledger first (every decision lands on the deciding shard's
+// ledger under that shard's lock, so in commit order), then next (may be
+// nil).  Each shard ledger is stamped with its shard's capacity; the run
+// loop routes completions back by the grant's Shard.
+func newPlane(cfg Config, shards, probeK int, next func(qos.Decision)) (*fed.Arbitrator, error) {
+	if cfg.Ledger != nil && cfg.Ledger.Shards() < shards {
+		return nil, fmt.Errorf("experiments: ledger has %d shards, plane needs %d", cfg.Ledger.Shards(), shards)
+	}
+	plane, err := fed.New(fed.Config{
+		Procs:  cfg.Procs,
+		Shards: shards,
+		ProbeK: probeK,
+		// At two shards and up the plane stamps each diagnosis with the
+		// deciding shard before handing it to the run's forensics recorder.
+		Options:  cfg.schedulerOptions(),
+		Observer: cfg.Ledger.DecisionObserver(next),
+	})
+	if err != nil {
+		return nil, err
+	}
+	for i, procs := range plane.ShardProcs() {
+		cfg.Ledger.Shard(i).SetCapacity(procs) // nil-safe
+	}
+	return plane, nil
 }
 
 // timedBy negotiates with an arbitrator under one request's phase record:
@@ -238,9 +261,10 @@ func runLoop(cfg Config, sys workload.System, arb admitter) (RunResult, error) {
 			now := engine.Now()
 			lastRelease = now
 			arb.Observe(now)
-			// The ledger's clock follows the simulation's.  (A sharded
-			// plane's Observe already advanced its shard ledgers; Advance
-			// is monotone, so the second call is a no-op there.)
+			// The ledger's clock follows the simulation's.  (The plane's
+			// Observe already advanced its shards' ledgers through their
+			// clock decisions; Advance is monotone, so this one moves only
+			// ledgers no plane shard feeds.)
 			cfg.Ledger.Advance(now)
 			job := cfg.Job.Job(id, now, sys)
 			if cfg.Malleable {
@@ -293,7 +317,7 @@ func runLoop(cfg Config, sys workload.System, arb admitter) (RunResult, error) {
 					}
 					jobID := id
 					// Completion realizes the reserved area on the shard
-					// that granted it (qos.Grant.Shard; 0 for the monolith).
+					// that granted it (qos.Grant.Shard; 0 at one shard).
 					led := cfg.Ledger.Shard(g.Shard)
 					key := ledger.KeyOf(&job)
 					pl := g.Placement

@@ -6,6 +6,7 @@ import (
 	"text/tabwriter"
 
 	"milan/internal/core"
+	"milan/internal/fed"
 	"milan/internal/qos"
 	"milan/internal/sim"
 	"milan/internal/workload"
@@ -77,7 +78,7 @@ func runQuality(cfg Config, spec workload.QualityJob) (QualityResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return QualityResult{}, err
 	}
-	arb, err := qos.NewArbitrator(qos.ArbitratorConfig{Procs: cfg.Procs, Options: cfg.Opts})
+	arb, err := fed.New(fed.Config{Procs: cfg.Procs, Options: cfg.Opts})
 	if err != nil {
 		return QualityResult{}, err
 	}

@@ -51,34 +51,15 @@ func (p rebalancingPlane) Observe(now float64) {
 
 // RunSharded simulates one task system against a federated admission plane
 // with the given shard count and probe fan-out, rebalancing as the clock
-// advances.  The monolithic counterpart of the same configuration is
+// advances.  The one-shard counterpart of the same configuration is
 // Run(cfg, sys).
 func RunSharded(cfg Config, sys workload.System, shards, probeK int) (RunResult, ShardedStats, error) {
 	if err := cfg.Validate(); err != nil {
 		return RunResult{}, ShardedStats{}, err
 	}
-	if cfg.Ledger != nil && cfg.Ledger.Shards() < shards {
-		return RunResult{}, ShardedStats{}, fmt.Errorf(
-			"experiments: ledger has %d shards, plane needs %d", cfg.Ledger.Shards(), shards)
-	}
-	plane, err := fed.New(fed.Config{
-		Procs:  cfg.Procs,
-		Shards: shards,
-		ProbeK: probeK,
-		// The plane stamps each diagnosis with the deciding shard before
-		// handing it to the run's forensics recorder.
-		Options: cfg.schedulerOptions(),
-		// Per-shard utilization ledgers: every commit, rejection, clock
-		// advance and resize lands on the deciding shard's ledger under
-		// that shard's lock; the run loop routes completions back via the
-		// grant's Shard stamp.
-		Observer: cfg.Ledger.DecisionObserver(nil),
-	})
+	plane, err := newPlane(cfg, shards, probeK, nil)
 	if err != nil {
 		return RunResult{}, ShardedStats{}, err
-	}
-	for i, procs := range plane.ShardProcs() {
-		cfg.Ledger.Shard(i).SetCapacity(procs) // nil-safe
 	}
 	rb := plane.Rebalancer()
 	// A shard shrunk below the workload's widest task can never host it
@@ -107,11 +88,11 @@ func RunSharded(cfg Config, sys workload.System, shards, probeK int) (RunResult,
 	return res, st, nil
 }
 
-// ShardedPoint is one arrival-interval value of the sharded-vs-monolith
+// ShardedPoint is one arrival-interval value of the sharded-vs-one-shard
 // comparison.
 type ShardedPoint struct {
 	Interval float64
-	Monolith RunResult
+	OneShard RunResult
 	Sharded  RunResult
 	Stats    ShardedStats
 }
@@ -125,9 +106,9 @@ func MissRate(r RunResult) float64 {
 	return float64(r.Rejected) / float64(total)
 }
 
-// ShardedFigure is the sharded-vs-monolith Figure 5(a) arrival sweep: the
-// same tunable workload admitted by the monolithic arbitrator and by a
-// federated plane of equal total capacity.
+// ShardedFigure is the sharded-vs-one-shard Figure 5(a) arrival sweep: the
+// same tunable workload admitted by the one-shard plane (Run) and by a
+// plane of equal total capacity split across shards.
 type ShardedFigure struct {
 	Shards int
 	ProbeK int
@@ -135,7 +116,7 @@ type ShardedFigure struct {
 }
 
 // Fig5aSharded sweeps the mean arrival interval (Figure 5(a)'s domain),
-// comparing monolithic and sharded admission on the tunable task system.
+// comparing one-shard and sharded admission on the tunable task system.
 // shards/probeK <= 0 select 2 shards with full fan-out — the smallest
 // plane whose shards still fit the x = 16 wide task of the default
 // configuration.
@@ -153,34 +134,34 @@ func Fig5aSharded(base Config, intervals []float64, shards, probeK int) (Sharded
 	for _, v := range intervals {
 		cfg := base
 		cfg.MeanInterarrival = v
-		mono, err := Run(cfg, workload.Tunable)
+		one, err := Run(cfg, workload.Tunable)
 		if err != nil {
-			return ShardedFigure{}, fmt.Errorf("experiments: sharded 5a monolith at interval %v: %w", v, err)
+			return ShardedFigure{}, fmt.Errorf("experiments: sharded 5a one shard at interval %v: %w", v, err)
 		}
 		shr, st, err := RunSharded(cfg, workload.Tunable, shards, probeK)
 		if err != nil {
 			return ShardedFigure{}, fmt.Errorf("experiments: sharded 5a plane at interval %v: %w", v, err)
 		}
-		fig.Points = append(fig.Points, ShardedPoint{Interval: v, Monolith: mono, Sharded: shr, Stats: st})
+		fig.Points = append(fig.Points, ShardedPoint{Interval: v, OneShard: one, Sharded: shr, Stats: st})
 	}
 	return fig, nil
 }
 
 // WriteSharded renders the comparison as a text table.
 func WriteSharded(w io.Writer, fig ShardedFigure) error {
-	if _, err := fmt.Fprintf(w, "sharded admission plane vs monolith (shards=%d probe=%d, tunable system)\n",
+	if _, err := fmt.Fprintf(w, "sharded admission plane vs one shard (shards=%d probe=%d, tunable system)\n",
 		fig.Shards, fig.ProbeK); err != nil {
 		return err
 	}
 	if _, err := fmt.Fprintf(w, "%10s %10s %10s %10s %10s %8s %8s %6s\n",
-		"interval", "mono-util", "shard-util", "mono-miss", "shard-miss", "spread", "moves", "races"); err != nil {
+		"interval", "one-util", "shard-util", "one-miss", "shard-miss", "spread", "moves", "races"); err != nil {
 		return err
 	}
 	for _, pt := range fig.Points {
 		if _, err := fmt.Fprintf(w, "%10.1f %10.4f %10.4f %10.4f %10.4f %8.4f %8d %6d\n",
 			pt.Interval,
-			pt.Monolith.Utilization, pt.Sharded.Utilization,
-			MissRate(pt.Monolith), MissRate(pt.Sharded),
+			pt.OneShard.Utilization, pt.Sharded.Utilization,
+			MissRate(pt.OneShard), MissRate(pt.Sharded),
 			pt.Stats.Spread, pt.Stats.Migrations, pt.Stats.Races); err != nil {
 			return err
 		}

@@ -1,23 +1,26 @@
-// Package fed implements a sharded admission plane: the machine's
-// processor pool is partitioned across N shards, each wrapping its own
-// core.Scheduler behind its own lock, and a router admits tunable jobs via
-// best-of-k probing.  Candidate shards are pre-filtered by a cheap cached
-// load signal (reserved area over a sliding horizon, per processor — the
-// classic power-of-k-choices trick), a real plan is computed on each of the
-// k probed shards, and the job commits to the winner under the paper's
+// Package fed is the system-wide QoS arbitrator (Section 3 of the paper):
+// the one admission plane every production path builds — junctiond (under
+// the durable plane), the Fig-5/6 experiments, the campaign, tunesim and
+// the milan facade.  The machine's processor pool is partitioned across N
+// shards (one by default), each wrapping its own core.Scheduler behind its
+// own lock.
+//
+// A one-shard plane is the paper's single arbitrator: it makes no routing
+// decision and keeps no routing signal (NegotiateTimed, Shard.routed),
+// performs exactly the reference qos.Arbitrator's scheduler calls in
+// exactly its order under one lock, and costs what it costs — decisions
+// and statistics are bitwise identical, allocations equal; fed_test.go and
+// the experiments' TestRunMatchesTheReference pin both.
+//
+// At two shards and up a router admits tunable jobs via best-of-k probing.
+// Candidate shards are pre-filtered by a cheap cached load signal (reserved
+// area over a sliding horizon, per processor — the classic
+// power-of-k-choices trick), a real plan is computed on each of the k
+// probed shards, and the job commits to the winner under the paper's
 // cross-shard tie-break: earliest finish, then higher utilization over
 // [release, finish], then lexicographically smaller cumulative resource
-// prefix.
-//
-// The federated Arbitrator implements the same agent-facing surface as
-// qos.Arbitrator (Negotiate/NegotiateDAG/Observe/Stats/Utilization/...),
-// returning qos.Grant and qos.ErrRejected, so qosnet servers and sim
-// workloads run against it unchanged.  A one-shard plane is the monolithic
-// arbitrator: it makes no routing decision and keeps no routing signal
-// (NegotiateTimed, Shard.routed), performs exactly qos.Arbitrator's
-// scheduler calls in exactly its order under one lock, and costs what it
-// costs — decisions and statistics are bitwise identical, allocations
-// equal; fed_test.go pins both.
+// prefix.  Every shard count answers with qos.Grant and qos.ErrRejected, so
+// qosnet servers and sim workloads run against it unchanged.
 //
 // Capacity moves between shards only through the Rebalancer (rebalance.go),
 // which migrates whole processors from cold shards with uncommitted
@@ -51,10 +54,12 @@ type Config struct {
 	Origin float64
 	// Options is the per-shard scheduler policy; nil means the paper's
 	// defaults.  A Diagnosis sink set here receives a rejection explanation
-	// for every failed planning pass on every shard, stamped with the shard
-	// id (it may be called concurrently from different shards, and may fire
-	// for losing probes of jobs that ultimately commit elsewhere — the
-	// per-shard truth, not the router verdict).
+	// for every failed planning pass on every shard, stamped, at two shards
+	// and up, with the shard id (it may be called concurrently from
+	// different shards, and may fire for losing probes of jobs that
+	// ultimately commit elsewhere — the per-shard truth, not the router
+	// verdict).  A one-shard plane routes nothing and leaves the stamp at
+	// -1, as the reference arbitrator does.
 	Options *core.Options
 	// Horizon is the sliding window of the cached load signal: a shard's
 	// load is its reserved area over [now, now+Horizon] per processor.
@@ -88,7 +93,7 @@ type planKey struct {
 }
 
 // betterKey reports whether a strictly beats b under the paper's ordering,
-// with the same Eps-tolerant comparisons the monolithic scheduler uses.
+// with the same Eps-tolerant comparisons the scheduler uses.
 // On full ties the incumbent wins, so iterating candidates in load order
 // deterministically favors the less-loaded shard.
 func betterKey(a, b planKey) bool {
@@ -191,7 +196,7 @@ func New(cfg Config) (*Arbitrator, error) {
 			procs++
 		}
 		opts := cfg.Options
-		if opts != nil && opts.Diagnosis != nil {
+		if opts != nil && opts.Diagnosis != nil && shards > 1 {
 			// Wrap the plane-wide diagnosis sink per shard so every
 			// emitted diagnosis carries the shard it was computed on.
 			o := *opts
@@ -312,7 +317,7 @@ func (a *Arbitrator) NegotiateTimed(job core.Job, rec *phase.Rec) (*qos.Grant, e
 	a.probes.Add(int64(len(cands)))
 	rec.Mark(phase.Probe)
 	if len(probes) == 0 {
-		// No shard can schedule any chain.  Mirror the monolith's
+		// No shard can schedule any chain.  Mirror a single scheduler's
 		// rejection bookkeeping on the least-loaded candidate (each
 		// probed shard already counted its own planning work).
 		a.shards[cands[0]].noteRejected(job)
@@ -355,7 +360,7 @@ func (a *Arbitrator) NegotiateTimed(job core.Job, rec *phase.Rec) (*qos.Grant, e
 // order until one admits the job.  A DAG job carries no tenant identity
 // yet: its grant reaches the observer under a job that holds only its ID
 // (so accounting keeps it on the unattributed stream), and, like the
-// monolith, a DAG rejection is no decision.
+// reference, a DAG rejection is no decision.
 func (a *Arbitrator) NegotiateDAG(job core.DAGJob) (*qos.Grant, error) {
 	var lastErr error
 	for _, ci := range a.candidates() {
@@ -393,9 +398,9 @@ func finishReject(rec *phase.Rec, lastErr error) error {
 
 // WhatIf replays the job under a counterfactual delta against every
 // shard's forked schedule (lock held only for the fork), returning the
-// first admissible placement in shard order.  Like the monolithic
-// counterpart it mutates nothing and emits no diagnoses; a 1-shard plane
-// answers exactly what qos.Arbitrator.WhatIf answers.
+// first admissible placement in shard order.  It mutates nothing and emits
+// no diagnoses; a 1-shard plane answers exactly what the reference
+// qos.Arbitrator.WhatIf answers.
 func (a *Arbitrator) WhatIf(job core.Job, d core.WhatIfDelta) (*core.Placement, bool) {
 	for _, sh := range a.shards {
 		if pl, ok := sh.whatIf(job, d); ok {
@@ -407,7 +412,7 @@ func (a *Arbitrator) WhatIf(job core.Job, d core.WhatIfDelta) (*core.Placement, 
 
 // Diagnose explains why the job fails on the least-loaded candidate
 // shard (the shard the router would have probed first), stamped with
-// that shard's id.
+// that shard's id at two shards and up.
 func (a *Arbitrator) Diagnose(job core.Job) *core.PlanDiagnosis {
 	return a.shards[a.candidates()[0]].diagnose(job)
 }
@@ -435,7 +440,7 @@ func (a *Arbitrator) Now() float64 { return floatFromBits(a.nowBits.Load()) }
 // Utilization returns reserved capacity as a fraction of the whole plane
 // over [origin, horizon]: total reserved processor-time up to horizon over
 // total processors times the window.  With one shard this is exactly the
-// monolithic arbitrator's utilization.
+// reference arbitrator's utilization.
 func (a *Arbitrator) Utilization(origin, horizon float64) float64 {
 	if horizon <= origin {
 		return 0

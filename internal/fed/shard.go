@@ -24,7 +24,7 @@ type Shard struct {
 	// The router records it at probe time and may commit a planned
 	// placement without re-planning when the version is unchanged — the
 	// optimistic-concurrency fast path that keeps a 1-shard plane
-	// bitwise-identical to the monolithic arbitrator.
+	// bitwise-identical to the reference arbitrator.
 	version uint64
 
 	// routed is false on the only shard of a one-shard plane: nothing
@@ -177,13 +177,15 @@ func (sh *Shard) whatIf(job core.Job, d core.WhatIfDelta) (*core.Placement, bool
 }
 
 // diagnose explains why the job fails on this shard, stamped with the
-// shard id.  The lock is held for the analysis so the diagnosis is
-// consistent with one decision point.
+// shard id when the shard is routed.  The lock is held for the analysis so
+// the diagnosis is consistent with one decision point.
 func (sh *Shard) diagnose(job core.Job) *core.PlanDiagnosis {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	d := sh.sched.Diagnose(job)
-	d.Shard = sh.id
+	if sh.routed {
+		d.Shard = sh.id
+	}
 	return d
 }
 
@@ -210,12 +212,12 @@ func (sh *Shard) probe(job core.Job, wantKey bool) (pl *core.Placement, key plan
 }
 
 // commitPlanned commits a placement planned at version ver.  When the shard
-// is unchanged since the probe, the plan commits directly (the monolith's
-// Plan+Commit sequence, split across two critical sections).  When another
-// admission or a trim won the race, the job is re-admitted from scratch on
-// this shard; raced reports that fallback.  A core.ErrRejected from the
-// re-admission means the capacity the probe saw is gone, and this shard has
-// counted (and announced) a rejection.
+// is unchanged since the probe, the plan commits directly (a single
+// scheduler's Plan+Commit sequence, split across two critical sections).
+// When another admission or a trim won the race, the job is re-admitted
+// from scratch on this shard; raced reports that fallback.  A
+// core.ErrRejected from the re-admission means the capacity the probe saw
+// is gone, and this shard has counted (and announced) a rejection.
 func (sh *Shard) commitPlanned(job core.Job, pl *core.Placement, ver uint64) (g *qos.Grant, raced bool, err error) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -269,8 +271,8 @@ func (sh *Shard) commitLocked(job *core.Job, g *qos.Grant) (*qos.Grant, error) {
 }
 
 // noteRejected records a router-level rejection on this shard, mirroring
-// the monolithic Admit's rejection bookkeeping (the probes already counted
-// the per-chain planning work).
+// a single scheduler's Admit rejection bookkeeping (the probes already
+// counted the per-chain planning work).
 func (sh *Shard) noteRejected(job core.Job) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()

@@ -64,7 +64,7 @@ func TestObserverIsADecisionAdapter(t *testing.T) {
 
 	t.Run("monolith and one shard", func(t *testing.T) {
 		mono, plane := obs.New(obs.Config{}), obs.New(obs.Config{})
-		arb, err := qos.NewArbitrator(mono.InstrumentArbitratorConfig(qos.ArbitratorConfig{Procs: 32}))
+		arb, err := qos.NewArbitrator(qos.ArbitratorConfig{Procs: 32, Observer: mono.DecisionObserver(nil)})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,9 +1,8 @@
 // Package forensics is the admission-forensics layer: it retains the
 // rejection explanations the core planner emits (core.PlanDiagnosis),
-// exposes them to operators over the debug mux (/explain), serializes
-// them as JSONL for offline analysis, and keeps cause-annotated counters
-// in the metrics registry.  It closes the loop the paper's tunability
-// story needs: every "no" the admission plane says comes with a
+// exposes them to operators over the debug mux (/explain) and serializes
+// them as JSONL for offline analysis.  It closes the loop the paper's
+// tunability story needs: every "no" the admission plane says comes with a
 // machine-checkable reason and a verified counterfactual that would have
 // turned it into a "yes".
 //
@@ -27,27 +26,6 @@ import (
 	"milan/internal/obs"
 )
 
-// Metric names published by Recorder.BindMetrics.
-const (
-	// MetricDiagnoses counts recorded rejection diagnoses.
-	MetricDiagnoses = "forensics_diagnoses"
-	// MetricRingDropped counts diagnoses evicted from the retention ring.
-	MetricRingDropped = "forensics_ring_dropped"
-	// MetricCauseWidth / MetricCauseDeadline / MetricCauseCapacity count
-	// failed candidate chains by binding constraint (one failed chain may
-	// be counted under exactly one cause).
-	MetricCauseWidth    = "forensics_cause_width"
-	MetricCauseDeadline = "forensics_cause_deadline"
-	MetricCauseCapacity = "forensics_cause_capacity"
-	// MetricSuggestions counts diagnoses that carried a verified
-	// WhatIfDelta suggestion.
-	MetricSuggestions = "forensics_suggestions"
-	// MetricWhatIfVerified / MetricWhatIfRefuted count closed-loop replay
-	// outcomes reported via MarkVerified.
-	MetricWhatIfVerified = "forensics_whatif_verified"
-	MetricWhatIfRefuted  = "forensics_whatif_refuted"
-)
-
 // Record is one retained rejection: the planner's diagnosis plus the
 // recorder's own envelope (sequence number, capture time, and — when the
 // closed loop has run — whether the diagnosis's suggestion was verified
@@ -66,19 +44,6 @@ type Record struct {
 	Verified *bool `json:"verified,omitempty"`
 }
 
-// recorderMetrics is the set of counters Record/MarkVerified touch,
-// resolved once by BindMetrics (nil when metrics are not bound).
-type recorderMetrics struct {
-	diagnoses   *obs.Counter
-	ringDropped *obs.Counter
-	causeWidth  *obs.Counter
-	causeDead   *obs.Counter
-	causeCap    *obs.Counter
-	suggestions *obs.Counter
-	verified    *obs.Counter
-	refuted     *obs.Counter
-}
-
 // Recorder retains the most recent rejection diagnoses in a bounded ring
 // (obs.Ring), with a per-job index for O(1) "explain this job" lookups.
 // All methods are safe for concurrent use; the Sink may be installed on
@@ -90,7 +55,6 @@ type Recorder struct {
 	ring  *obs.Ring[*Record]
 	byJob map[int]*Record
 	seq   int64
-	m     *recorderMetrics
 }
 
 // DefaultRingSize is the retention ring capacity when NewRecorder is
@@ -123,28 +87,6 @@ func (r *Recorder) SetClock(clock func() float64) {
 	r.mu.Unlock()
 }
 
-// BindMetrics registers the forensics counters on reg and keeps the
-// resolved pointers, so recording stays allocation-free.  A nil registry
-// is ignored.
-func (r *Recorder) BindMetrics(reg *obs.Registry) {
-	if reg == nil {
-		return
-	}
-	m := &recorderMetrics{
-		diagnoses:   reg.Counter(MetricDiagnoses),
-		ringDropped: reg.Counter(MetricRingDropped),
-		causeWidth:  reg.Counter(MetricCauseWidth),
-		causeDead:   reg.Counter(MetricCauseDeadline),
-		causeCap:    reg.Counter(MetricCauseCapacity),
-		suggestions: reg.Counter(MetricSuggestions),
-		verified:    reg.Counter(MetricWhatIfVerified),
-		refuted:     reg.Counter(MetricWhatIfRefuted),
-	}
-	r.mu.Lock()
-	r.m = m
-	r.mu.Unlock()
-}
-
 // Sink returns the function to install as core.Options.Diagnosis (or
 // fed.Config.Diagnosis): every rejection explanation the planner emits is
 // recorded.  A nil recorder yields a nil sink, preserving the zero-cost
@@ -171,30 +113,8 @@ func (r *Recorder) Record(d *core.PlanDiagnosis) {
 		if cur, live := r.byJob[ev.Diag.JobID]; live && cur == ev {
 			delete(r.byJob, ev.Diag.JobID)
 		}
-		if r.m != nil {
-			r.m.ringDropped.Inc()
-		}
 	}
 	r.byJob[d.JobID] = rec
-	if r.m != nil {
-		r.m.diagnoses.Inc()
-		if d.Suggestion != nil {
-			r.m.suggestions.Inc()
-		}
-		for i := range d.Chains {
-			if d.Chains[i].Schedulable {
-				continue
-			}
-			switch d.Chains[i].Constraint {
-			case core.ConstraintWidth:
-				r.m.causeWidth.Inc()
-			case core.ConstraintDeadline:
-				r.m.causeDead.Inc()
-			case core.ConstraintCapacity:
-				r.m.causeCap.Inc()
-			}
-		}
-	}
 	r.mu.Unlock()
 }
 
@@ -213,13 +133,6 @@ func (r *Recorder) MarkVerified(jobID int, ok bool) bool {
 	}
 	v := ok
 	rec.Verified = &v
-	if r.m != nil {
-		if ok {
-			r.m.verified.Inc()
-		} else {
-			r.m.refuted.Inc()
-		}
-	}
 	return true
 }
 

@@ -73,10 +73,11 @@ func TestRecorderRingAndByJobIndex(t *testing.T) {
 	}
 }
 
+// TestRecorderSinkAndMetrics wires the sink into a real scheduler and reads
+// what the recorder reports back: the retained diagnoses with their causes
+// and suggestions, the totals, and the closed-loop outcomes.
 func TestRecorderSinkAndMetrics(t *testing.T) {
-	reg := obs.NewRegistry()
 	r := NewRecorder(8)
-	r.BindMetrics(reg)
 
 	// Wire the sink into a real scheduler: only failures are recorded.
 	s := core.NewScheduler(4, 0, &core.Options{Diagnosis: r.Sink()})
@@ -100,21 +101,25 @@ func TestRecorderSinkAndMetrics(t *testing.T) {
 	if r.Total() != 2 {
 		t.Fatalf("recorded %d diagnoses, want 2", r.Total())
 	}
-	snap := reg.Snapshot()
-	if snap.Counters[MetricDiagnoses] != 2 {
-		t.Fatalf("diagnoses counter = %d", snap.Counters[MetricDiagnoses])
+	causes := map[core.Constraint]int{}
+	for _, rec := range r.Records() {
+		if rec.Diag.Suggestion == nil {
+			t.Fatalf("job %d: no suggestion (both rejections are relaxable)", rec.Diag.JobID)
+		}
+		causes[rec.Diag.Chains[0].Constraint]++
 	}
-	if snap.Counters[MetricCauseWidth] != 1 || snap.Counters[MetricCauseDeadline] != 1 {
-		t.Fatalf("cause counters: %+v", snap.Counters)
+	if causes[core.ConstraintWidth] != 1 || causes[core.ConstraintDeadline] != 1 {
+		t.Fatalf("causes: %v, want one width and one deadline", causes)
 	}
-	if snap.Counters[MetricSuggestions] != 2 {
-		t.Fatalf("suggestions counter = %d (both rejections are relaxable)", snap.Counters[MetricSuggestions])
+	if r.Len() != 2 || r.Dropped() != 0 {
+		t.Fatalf("retained %d, dropped %d; want 2, 0", r.Len(), r.Dropped())
 	}
 	r.MarkVerified(2, true)
 	r.MarkVerified(3, false)
-	snap = reg.Snapshot()
-	if snap.Counters[MetricWhatIfVerified] != 1 || snap.Counters[MetricWhatIfRefuted] != 1 {
-		t.Fatalf("verify counters: %+v", snap.Counters)
+	for _, rec := range r.Records() {
+		if want := rec.Diag.JobID == 2; rec.Verified == nil || *rec.Verified != want {
+			t.Fatalf("job %d: verified = %v, want %v", rec.Diag.JobID, rec.Verified, want)
+		}
 	}
 
 	// A nil recorder yields a nil sink (zero-cost default preserved).

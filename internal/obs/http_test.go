@@ -7,13 +7,13 @@ import (
 	"net/http/httptest"
 	"testing"
 
-	"milan/internal/qos"
+	"milan/internal/fed"
 )
 
 func newTestServer(t *testing.T) (*Observer, *httptest.Server) {
 	t.Helper()
 	o := New(Config{})
-	arb, err := qos.NewArbitrator(o.InstrumentArbitratorConfig(qos.ArbitratorConfig{Procs: 4}))
+	arb, err := fed.New(fed.Config{Procs: 4, Observer: o.DecisionObserver(nil)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,8 +2,8 @@ package ledger
 
 import (
 	"encoding/json"
+	"net/http"
 	"net/http/httptest"
-	"strings"
 	"testing"
 )
 
@@ -41,60 +41,37 @@ func TestHandlerJSON(t *testing.T) {
 	}
 }
 
-func TestHandlerProm(t *testing.T) {
-	sh := NewSharded(Config{Capacity: 4}, 2)
-	// A hostile tenant name: label escaping must keep the exposition valid.
-	k := Key{Tenant: "quo\"ted\\te\nnant", Class: 2}
-	sh.Shard(0).RecordCommitKeyed(k, mkPl(0, 10, 1))
-	sh.Shard(1).RecordCommitKeyed(Key{Tenant: "acme"}, mkPl(0, 10, 3))
-
-	rec := httptest.NewRecorder()
-	sh.Handler()(rec, httptest.NewRequest("GET", "/ledger?format=prom", nil))
-	if rec.Code != 200 {
-		t.Fatalf("status %d", rec.Code)
-	}
-	out := rec.Body.String()
-	for _, family := range []string{
-		"ledger_tenant_reserved_area", "ledger_tenant_realized_area",
-		"ledger_tenant_waste_area", "ledger_tenant_commits",
-		"ledger_tenant_rejections", "ledger_tenant_fair_share_ratio",
-		"ledger_capacity_procs", "ledger_waste_area_total",
-	} {
-		if !strings.Contains(out, "# HELP "+family+" ") {
-			t.Errorf("missing HELP for %s", family)
-		}
-		if !strings.Contains(out, "# TYPE "+family+" ") {
-			t.Errorf("missing TYPE for %s", family)
-		}
-	}
-	if !strings.Contains(out, `tenant="quo\"ted\\te\nnant"`) {
-		t.Errorf("hostile tenant label not escaped per exposition format:\n%s", out)
-	}
-	if !strings.Contains(out, `ledger_tenant_reserved_area{tenant="acme",class="0"} 30`) {
-		t.Errorf("missing acme sample:\n%s", out)
-	}
-	// Merged across shards: capacity is the plane total.
-	if !strings.Contains(out, "ledger_capacity_procs 8") {
-		t.Errorf("merged capacity not summed:\n%s", out)
-	}
-	for _, line := range strings.Split(out, "\n") {
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		if strings.Count(line, " ") != 1 {
-			t.Errorf("malformed sample line %q", line)
-		}
-	}
-}
-
+// TestHandlerAcceptNegotiation pins that /ledger has one representation:
+// neither ?format=prom nor an Accept header preferring text/plain turns
+// the merged JSON envelope into anything else.
 func TestHandlerAcceptNegotiation(t *testing.T) {
-	l := New(Config{Capacity: 1})
-	req := httptest.NewRequest("GET", "/ledger", nil)
-	req.Header.Set("Accept", "text/plain")
-	rec := httptest.NewRecorder()
-	l.Handler()(rec, req)
-	if !strings.HasPrefix(rec.Body.String(), "# HELP") {
-		t.Errorf("Accept: text/plain did not select the Prometheus exposition")
+	sh := NewSharded(Config{Capacity: 4}, 2)
+	sh.Shard(0).RecordCommitKeyed(Key{Tenant: "acme"}, mkPl(0, 10, 1))
+	sh.Shard(1).RecordCommitKeyed(Key{Tenant: "acme"}, mkPl(0, 10, 3))
+	for _, req := range []*http.Request{
+		httptest.NewRequest("GET", "/ledger?format=prom", nil),
+		func() *http.Request {
+			r := httptest.NewRequest("GET", "/ledger", nil)
+			r.Header.Set("Accept", "text/plain")
+			return r
+		}(),
+	} {
+		rec := httptest.NewRecorder()
+		sh.Handler()(rec, req)
+		if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
+			t.Fatalf("%s: content type %q", req.URL, ct)
+		}
+		var body struct {
+			Capacity int      `json:"capacity"`
+			Totals   []Totals `json:"totals"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+			t.Fatalf("%s: bad JSON: %v\n%s", req.URL, err, rec.Body.String())
+		}
+		// Merged across shards: capacity is the plane total.
+		if body.Capacity != 8 || len(body.Totals) != 1 || body.Totals[0].ReservedArea != 40 {
+			t.Fatalf("%s: merged envelope = %+v", req.URL, body)
+		}
 	}
 }
 

@@ -26,7 +26,6 @@ import (
 	"sync/atomic"
 
 	"milan/internal/core"
-	"milan/internal/obs"
 )
 
 // Key identifies one accounting stream: the billing principal and its
@@ -80,8 +79,6 @@ type Ledger struct {
 
 	version atomic.Uint64
 	snap    atomic.Pointer[Snapshot]
-
-	metrics *ledgerMetrics
 }
 
 // New returns a ledger with the given configuration.
@@ -215,14 +212,9 @@ func (l *Ledger) totalsFor(k Key) *totals {
 	return t
 }
 
-// bumpLocked publishes a mutation: version tick plus metric refresh.
-// Callers hold l.mu.
-func (l *Ledger) bumpLocked() {
-	l.version.Add(1)
-	if l.metrics != nil {
-		l.publishMetricsLocked()
-	}
-}
+// bumpLocked publishes a mutation: the version tick that retires the
+// cached snapshot.  Callers hold l.mu.
+func (l *Ledger) bumpLocked() { l.version.Add(1) }
 
 // Snapshot returns an immutable snapshot of the ledger.  The cached
 // snapshot is returned lock-free while no mutation has intervened;
@@ -268,60 +260,4 @@ func sortTotals(ts []Totals) {
 		}
 		return ts[i].Class < ts[j].Class
 	})
-}
-
-// ledgerMetrics holds pre-resolved registry gauges.
-type ledgerMetrics struct {
-	reserved    *obs.Gauge
-	realized    *obs.Gauge
-	waste       *obs.Gauge
-	commits     *obs.Gauge
-	completions *obs.Gauge
-	rejections  *obs.Gauge
-	tenants     *obs.Gauge
-}
-
-// BindMetrics publishes the ledger's levels as ledger_* gauges on the
-// registry, refreshed on every mutation.  Gauges are resolved once; the
-// per-mutation cost is a handful of atomic float stores.
-func (l *Ledger) BindMetrics(reg *obs.Registry) {
-	l.BindMetricsPrefixed(reg, "ledger")
-}
-
-// BindMetricsPrefixed is BindMetrics with a custom name prefix (shard
-// ledgers bind as ledger_shard<i>_*).
-func (l *Ledger) BindMetricsPrefixed(reg *obs.Registry, prefix string) {
-	if l == nil || reg == nil {
-		return
-	}
-	g := func(name, help string) *obs.Gauge {
-		full := prefix + "_" + name
-		reg.Describe(full, help)
-		return reg.Gauge(full)
-	}
-	m := &ledgerMetrics{
-		reserved:    g("reserved_area", "Exact committed reservation area (processor-time units)."),
-		realized:    g("realized_area", "Exact realized execution area from completion events."),
-		waste:       g("waste_area", "Reserved-but-unrealized area (in-flight or abandoned reservations)."),
-		commits:     g("commits", "Committed reservations recorded by the ledger."),
-		completions: g("completions", "Completion events recorded by the ledger."),
-		rejections:  g("rejections", "Rejected negotiations recorded by the ledger."),
-		tenants:     g("tenants", "Distinct (tenant, class) accounting keys seen."),
-	}
-	l.mu.Lock()
-	l.metrics = m
-	l.publishMetricsLocked()
-	l.mu.Unlock()
-}
-
-// publishMetricsLocked refreshes the bound gauges.  Callers hold l.mu.
-func (l *Ledger) publishMetricsLocked() {
-	m := l.metrics
-	m.reserved.Set(l.totalReserved)
-	m.realized.Set(l.totalRealized)
-	m.waste.Set(l.totalReserved - l.totalRealized)
-	m.commits.Set(float64(l.commits))
-	m.completions.Set(float64(l.completions))
-	m.rejections.Set(float64(l.rejections))
-	m.tenants.Set(float64(len(l.perKey)))
 }

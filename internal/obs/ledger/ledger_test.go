@@ -100,7 +100,6 @@ func TestNilLedgerSafe(t *testing.T) {
 	l.RecordRejection(&core.Job{})
 	l.Advance(10)
 	l.SetCapacity(4)
-	l.BindMetrics(nil)
 	l.Mount(nil)
 	if l.TotalReservedArea() != 0 || l.TotalRealizedArea() != 0 || l.ShardID() != 0 {
 		t.Fatal("nil ledger reported non-zero state")
@@ -114,7 +113,6 @@ func TestNilLedgerSafe(t *testing.T) {
 	}
 	sh.Advance(1)
 	sh.Mount(nil)
-	sh.BindMetrics(nil)
 	if sh.Shards() != 0 || sh.Shard(0) != nil || sh.Merged() != nil {
 		t.Fatal("nil sharded ledger reported non-zero state")
 	}

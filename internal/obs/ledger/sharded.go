@@ -1,11 +1,5 @@
 package ledger
 
-import (
-	"fmt"
-
-	"milan/internal/obs"
-)
-
 // Sharded is a plane-wide ledger: one Ledger per admission shard, each
 // mutated under its own shard's lock, merged lock-free on read.  A
 // 1-shard Sharded serves the monolithic arbitrator.
@@ -68,20 +62,4 @@ func (s *Sharded) Merged() *Snapshot {
 		out = out.Merge(l.Snapshot())
 	}
 	return out
-}
-
-// BindMetrics binds every shard ledger to the registry: a single-shard
-// plane binds plain ledger_* names, a multi-shard plane binds
-// ledger_shard<i>_* per shard.
-func (s *Sharded) BindMetrics(reg *obs.Registry) {
-	if s == nil || reg == nil {
-		return
-	}
-	if len(s.leds) == 1 {
-		s.leds[0].BindMetrics(reg)
-		return
-	}
-	for i, l := range s.leds {
-		l.BindMetricsPrefixed(reg, fmt.Sprintf("ledger_shard%d", i))
-	}
 }

@@ -172,7 +172,7 @@ const (
 // sched_chains_tried, sched_holes_probed and sched_plan_failures gauges from
 // st, and the profile-index gauges (rebuilds, incremental leaf updates,
 // descents, nodes visited, range queries, mean descent depth) from ix — the
-// Stats and IndexStats of a core.Scheduler, a qos.Arbitrator or a fed plane.
+// Stats and IndexStats of a core.Scheduler or an arbitrator.
 // Call it whenever a fresh reading is wanted: after a run, or periodically
 // while serving.  A zero-value (index disabled) ix sets no index gauges.
 func (o *Observer) RecordPlanner(st core.Stats, ix core.IndexStats) {
@@ -201,9 +201,10 @@ func (o *Observer) RecordPlanner(st core.Stats, ix core.IndexStats) {
 // qos_decisions and sched_rejected and emits Rejected{no-feasible-chain} —
 // each event carrying the job's trace and span — before the decision is
 // forwarded.  A plane's clock and resize decisions pass through uncounted.
-// The same adapter instruments qos.Arbitrator, a fed plane
-// (fed.Config.Observer) and qos.DynamicArbitrator; it runs where they call
-// their observer, under the arbitrator's or the deciding shard's lock.
+// Set it as the Observer of the config an arbitrator is built from — a fed
+// plane's (fed.Config.Observer), the reference qos.Arbitrator's — or let
+// InstrumentDynamic install it; it runs where they call their observer,
+// under the arbitrator's or the deciding shard's lock.
 func (o *Observer) DecisionObserver(next func(qos.Decision)) func(qos.Decision) {
 	decisions := o.Reg.Counter(MetricDecisions)
 	admitted := o.Reg.Counter(MetricAdmitted)
@@ -230,13 +231,6 @@ func (o *Observer) DecisionObserver(next func(qos.Decision)) func(qos.Decision) 
 			next(d)
 		}
 	}
-}
-
-// InstrumentArbitratorConfig returns a copy of cfg with its Decision
-// stream wrapped by DecisionObserver.
-func (o *Observer) InstrumentArbitratorConfig(cfg qos.ArbitratorConfig) qos.ArbitratorConfig {
-	cfg.Observer = o.DecisionObserver(cfg.Observer)
-	return cfg
 }
 
 // InstrumentDynamic wraps a dynamic arbitrator's callback stream: placement

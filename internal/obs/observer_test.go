@@ -7,6 +7,7 @@ import (
 
 	"milan/internal/calypso"
 	"milan/internal/core"
+	"milan/internal/fed"
 	"milan/internal/qos"
 	"milan/internal/sim"
 )
@@ -35,7 +36,7 @@ func eventTypes(evs []Event) map[EventType]int {
 // made, the planner's work pulled after the fact.
 func TestInstrumentedScheduler(t *testing.T) {
 	o := New(Config{})
-	arb, err := qos.NewArbitrator(o.InstrumentArbitratorConfig(qos.ArbitratorConfig{Procs: 4}))
+	arb, err := fed.New(fed.Config{Procs: 4, Observer: o.DecisionObserver(nil)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,11 +97,10 @@ func TestInstrumentedScheduler(t *testing.T) {
 func TestInstrumentedArbitrator(t *testing.T) {
 	o := New(Config{})
 	var seen int
-	cfg := o.InstrumentArbitratorConfig(qos.ArbitratorConfig{
+	arb, err := fed.New(fed.Config{
 		Procs:    4,
-		Observer: func(qos.Decision) { seen++ },
+		Observer: o.DecisionObserver(func(qos.Decision) { seen++ }),
 	})
-	arb, err := qos.NewArbitrator(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

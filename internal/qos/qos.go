@@ -1,15 +1,19 @@
-// Package qos implements the two components of the MILAN resource
-// management architecture (Section 3 of the paper): per-application QoS
-// agents, which describe an application's real-time constraints, resource
-// requirements and tunability as a set of alternative execution paths, and
-// the system-wide QoS arbitrator, which performs admission control and
-// returns a resource allocation profile for one of those paths.
+// Package qos holds the negotiation model of the MILAN resource management
+// architecture (Section 3 of the paper): per-application QoS agents, which
+// describe an application's real-time constraints, resource requirements
+// and tunability as a set of alternative execution paths; the grant, the
+// rejection and the Decision an arbitrator commits; the saturation shedder;
+// and the renegotiating DynamicArbitrator for capacity that changes.
 //
 // The negotiation model is the static one evaluated in the paper: the agent
 // communicates all possible execution paths up front and receives either a
 // grant (chosen path plus a start time and processor count for every task)
-// or a rejection.  Renegotiation hooks exist for capacity changes reported
-// by the resource broker.
+// or a rejection.
+//
+// The system-wide arbitrator every result comes from is the admission plane
+// in internal/fed (junctiond serves it at one shard).  Arbitrator here is
+// the reference: one scheduler behind one lock, which the differential
+// tests and the benchmark's oracle hold the plane to, decision for decision.
 package qos
 
 import (
@@ -41,8 +45,8 @@ type Grant struct {
 	Trace uint64
 
 	// Shard identifies which admission shard committed the reservation
-	// when the grant came from a sharded plane (internal/fed); the
-	// monolithic arbitrator always reports shard 0.  Completion events
+	// (internal/fed); a one-shard plane and the reference arbitrator
+	// always report shard 0.  Completion events
 	// must be delivered back to the same shard's accounting (the
 	// utilization ledger keys realized area by shard).
 	Shard int
@@ -88,9 +92,9 @@ type DecisionKind uint8
 
 // The four mutations of an admission plane, kind for kind what the durable
 // journal records: a reservation committed, a rejection counted, the clock
-// folded forward, a shard's processor count changed.  The monolithic
-// arbitrators emit the first two; a sharded plane (internal/fed) emits all
-// four, each under the deciding shard's lock.
+// folded forward, a shard's processor count changed.  The fed plane emits
+// all four, each under the deciding shard's lock, at every shard count; the
+// reference and the dynamic arbitrator emit the first two.
 const (
 	KindAdmitted DecisionKind = iota
 	KindRejected
@@ -105,14 +109,15 @@ type Decision struct {
 	Job   core.Job // the negotiating job (KindAdmitted, KindRejected)
 	Grant *Grant   // the committed reservation (KindAdmitted)
 	Now   float64  // the deciding plane's clock; for KindClock, its new value
-	Shard int      // the deciding shard (always 0 on a monolith)
+	Shard int      // the deciding shard (always 0 at one shard)
 	Procs int      // the shard's new processor count (KindResize)
 }
 
-// Arbitrator is the system-wide QoS arbitrator: it owns the machine's
+// Arbitrator is the reference QoS arbitrator: it owns the machine's
 // capacity profile and serializes admission decisions.  It is safe for
 // concurrent use (agents negotiate from many goroutines; decisions are
-// ordered by lock acquisition).
+// ordered by lock acquisition).  Production code builds the fed plane; only
+// tests and the benchmark's oracle build this one.
 type Arbitrator struct {
 	mu       sync.Mutex
 	sched    *core.Scheduler
@@ -144,9 +149,6 @@ func NewArbitrator(cfg ArbitratorConfig) (*Arbitrator, error) {
 		observer: cfg.Observer,
 	}, nil
 }
-
-// Procs returns the machine size.
-func (a *Arbitrator) Procs() int { return a.sched.Procs() }
 
 // Negotiate runs admission control for the job: it evaluates every execution
 // path, reserves the best schedulable one (per the greedy heuristic's
@@ -219,13 +221,6 @@ func (a *Arbitrator) Observe(now float64) {
 	}
 }
 
-// Now returns the last observed time.
-func (a *Arbitrator) Now() float64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.now
-}
-
 // Utilization returns reserved capacity as a fraction over [origin, horizon].
 func (a *Arbitrator) Utilization(origin, horizon float64) float64 {
 	a.mu.Lock()
@@ -266,16 +261,6 @@ func (a *Arbitrator) WhatIf(job core.Job, d core.WhatIfDelta) (*core.Placement, 
 	f := a.sched.Fork()
 	a.mu.Unlock()
 	return core.WhatIfOn(f, job, d)
-}
-
-// Diagnose explains why the job is (or would be) rejected: per-chain
-// failure analysis with a replay-verified minimal-slack suggestion.  It
-// never mutates the schedule; the lock is held for the analysis so the
-// diagnosis is consistent with one decision point.
-func (a *Arbitrator) Diagnose(job core.Job) *core.PlanDiagnosis {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.sched.Diagnose(job)
 }
 
 // record hands a decision to the observer, under the arbitrator's lock.

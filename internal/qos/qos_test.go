@@ -2,6 +2,7 @@ package qos
 
 import (
 	"errors"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -102,15 +103,18 @@ func TestObserverCallback(t *testing.T) {
 }
 
 func TestObserveAdvancesAndCompacts(t *testing.T) {
-	arb := newArb(t, 4)
+	var clock []float64
+	arb, err := NewArbitrator(ArbitratorConfig{Procs: 4, Observer: func(d Decision) { clock = append(clock, d.Now) }})
+	if err != nil {
+		t.Fatal(err)
+	}
 	arb.Negotiate(simpleJob(1, 0, 2, 10, 100))
 	arb.Observe(50)
-	if got := arb.Now(); got != 50 {
-		t.Fatalf("Now = %v, want 50", got)
-	}
-	arb.Observe(20) // going backwards is ignored
-	if got := arb.Now(); got != 50 {
-		t.Fatalf("Now after stale observe = %v, want 50", got)
+	arb.Negotiate(simpleJob(2, 50, 8, 1, 100)) // too wide: a rejection stamped with the clock
+	arb.Observe(20)                            // going backwards is ignored
+	arb.Negotiate(simpleJob(3, 50, 8, 1, 100))
+	if want := []float64{0, 50, 50}; !reflect.DeepEqual(clock, want) {
+		t.Fatalf("decision clocks = %v, want %v", clock, want)
 	}
 	// Utilization accounting survives compaction.
 	if got := arb.Utilization(0, 10); got != 0.5 {

@@ -14,9 +14,8 @@ import (
 // It returns the bound address.
 //
 // The observer is expected to already be wired into the decision feed of
-// the arbitrator this server fronts (obs.Observer.DecisionObserver, e.g.
-// through InstrumentArbitratorConfig or InstrumentDynamic); EnableDebug
-// only publishes it.
+// the arbitrator this server fronts (obs.Observer.DecisionObserver as the
+// config's Observer, or InstrumentDynamic); EnableDebug only publishes it.
 // To have the observer's tracer record the requests this server answers,
 // install it with Instrument.
 func (s *Server) EnableDebug(o *obs.Observer, addr string) (net.Addr, error) {

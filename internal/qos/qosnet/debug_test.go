@@ -6,8 +6,8 @@ import (
 	"net/http"
 	"testing"
 
+	"milan/internal/fed"
 	"milan/internal/obs"
-	"milan/internal/qos"
 )
 
 // startDebugServer runs a qosnet server whose arbitrator is instrumented by
@@ -15,7 +15,7 @@ import (
 func startDebugServer(t *testing.T) (*obs.Observer, *Server, *Client, string) {
 	t.Helper()
 	o := obs.New(obs.Config{})
-	arb, err := qos.NewArbitrator(o.InstrumentArbitratorConfig(qos.ArbitratorConfig{Procs: 4}))
+	arb, err := fed.New(fed.Config{Procs: 4, Observer: o.DecisionObserver(nil)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,8 @@
 // Package qosnet puts the QoS negotiation protocol on the wire: a TCP
-// server wrapping a qos.Arbitrator and a client that implements
-// qos.Negotiator, so QoS agents in other processes (or on other machines of
-// the cluster) can negotiate resource reservations.
+// server wrapping an arbitrator — in junctiond the durable plane over the
+// one-shard fed plane — and a client that implements qos.Negotiator, so QoS
+// agents in other processes (or on other machines of the cluster) can
+// negotiate resource reservations.
 //
 // A connection is persistent and carries strictly one request at a time:
 // the client writes one request frame and reads one response frame before
@@ -52,9 +53,8 @@ import (
 )
 
 // Arbitrator is the admission surface a server can export: everything the
-// static negotiation protocol needs.  Both the monolithic qos.Arbitrator
-// and the federated fed.Arbitrator satisfy it, so a sharded admission
-// plane drops in behind the same wire protocol unchanged.
+// static negotiation protocol needs.  The fed plane at any shard count, the
+// durable plane over it and the reference qos.Arbitrator all satisfy it.
 type Arbitrator interface {
 	Negotiate(job core.Job) (*qos.Grant, error)
 	NegotiateDAG(job core.DAGJob) (*qos.Grant, error)

@@ -11,8 +11,10 @@
 //
 //   - Scheduling core (tasks, chains, tunable jobs, the greedy
 //     maximal-holes heuristic): internal/core.
-//   - QoS agents and the QoS arbitrator (Section 3's architecture),
-//     including a TCP negotiation protocol: internal/qos.
+//   - QoS agents (Section 3's architecture), including a TCP negotiation
+//     protocol: internal/qos.
+//   - The QoS arbitrator: the admission plane junctiond serves, one shard
+//     by default, partitioned across shards on request: internal/fed.
 //   - OR task graphs and the tunability language (Section 4):
 //     internal/taskgraph, internal/tunelang.
 //   - The Calypso-like parallel runtime (Section 2): internal/calypso.
@@ -59,15 +61,22 @@ type (
 
 // QoS architecture (Section 3).
 type (
-	// Arbitrator is the system-wide QoS arbitrator.
-	Arbitrator = qos.Arbitrator
-	// ArbitratorConfig configures NewArbitrator.
-	ArbitratorConfig = qos.ArbitratorConfig
+	// Arbitrator is the system-wide QoS arbitrator: the admission plane
+	// junctiond serves.  At one shard (the default) it decides exactly what
+	// the paper's single arbitrator does; with ArbitratorConfig.Shards > 1
+	// the processor pool is partitioned across independently locked shards
+	// with best-of-k routing and broker-driven rebalancing.
+	Arbitrator = fed.Arbitrator
+	// ArbitratorConfig configures NewArbitrator; a zero Shards means one.
+	ArbitratorConfig = fed.Config
+	// Agent is an application's QoS agent: its task system, negotiated
+	// with an arbitrator through NegotiateWith.
+	Agent = qos.Agent
 	// Grant is a successful negotiation's result.
 	Grant = qos.Grant
-	// Decision is the one typed event of an admission plane, handed to an
-	// Observer (ArbitratorConfig.Observer, FedConfig.Observer) at the point
-	// the mutation it describes is committed.
+	// Decision is the one typed event of an admission plane, handed to
+	// ArbitratorConfig.Observer at the point the mutation it describes is
+	// committed.
 	Decision = qos.Decision
 )
 
@@ -89,11 +98,11 @@ func NewScheduler(procs int, origin float64, opts *Options) *Scheduler {
 
 // NewArbitrator returns a QoS arbitrator.
 func NewArbitrator(cfg ArbitratorConfig) (*Arbitrator, error) {
-	return qos.NewArbitrator(cfg)
+	return fed.New(cfg)
 }
 
 // NewAgent returns a QoS agent for the application task system.
-func NewAgent(job Job) *qos.Agent { return qos.NewAgent(job) }
+func NewAgent(job Job) *Agent { return qos.NewAgent(job) }
 
 // ParseTunability compiles tunability-language source (the paper's
 // Section-4 extensions) into a task graph; the graph's Job method
@@ -148,32 +157,16 @@ func NewVectorScheduler(vc VectorCapacity, origin float64) (*core.VectorSchedule
 type ObserverConfig = obs.Config
 
 // NewObserver returns an observer: a metrics registry and a trace ring
-// that hang off an arbitrator's decision feed (InstrumentArbitratorConfig).
+// that hang off an arbitrator's decision feed (set ArbitratorConfig.Observer
+// to its DecisionObserver).
 func NewObserver(cfg ObserverConfig) *obs.Observer { return obs.New(cfg) }
-
-// Sharded admission plane: the machine's processor pool partitioned across
-// independently locked arbitrator shards with best-of-k routing and
-// broker-driven capacity rebalancing (internal/fed).
-type (
-	// FedArbitrator is the federated admission plane; it satisfies the
-	// same negotiation surface as Arbitrator.
-	FedArbitrator = fed.Arbitrator
-	// FedConfig configures NewFederatedArbitrator.
-	FedConfig = fed.Config
-)
-
-// NewFederatedArbitrator returns a sharded admission plane.
-func NewFederatedArbitrator(cfg FedConfig) (*FedArbitrator, error) {
-	return fed.New(cfg)
-}
 
 // LedgerConfig configures NewShardedLedger (internal/obs/ledger).
 type LedgerConfig = ledger.Config
 
 // NewShardedLedger returns n per-shard utilization ledgers: hook
-// DecisionObserver into FedConfig.Observer (n = the plane's shard count)
-// or ArbitratorConfig.Observer (n = 1) and stamp each shard's capacity
-// with Shard(i).SetCapacity.
+// DecisionObserver into ArbitratorConfig.Observer (n = the plane's shard
+// count) and stamp each shard's capacity with Shard(i).SetCapacity.
 func NewShardedLedger(cfg LedgerConfig, n int) *ledger.Sharded {
 	return ledger.NewSharded(cfg, n)
 }
