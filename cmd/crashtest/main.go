@@ -1,11 +1,17 @@
-// Command crashtest proves the durable admission plane's crash-recovery
-// contract end to end.
+// Command crashtest is the durable admission plane's crash harness: it
+// proves acked ⇒ durable where the ack is received.  Every mode serves the
+// plane on loopback the way junctiond does (qosnet over durable.Plane) and
+// sends negotiations and clock reports through qosnet clients; an
+// acknowledged grant is one a client decoded.  Capacity grows are direct
+// plane calls, the operator's path: the wire has no capacity op.  After a
+// crash one oracle, durable.State.Lost, names every acknowledged grant the
+// recovered state owes and does not hold.
 //
 // In -mode vfs (the default) it drives a seed-deterministic admission
 // storm — interleaved with single-processor capacity grows, so
-// KindCapacity records sit between decisions — against a
-// durable.Plane on the fault-injecting in-memory filesystem and
-// crashes it mid-storm, cycling through fault phases:
+// KindCapacity records sit between decisions — against a plane on the
+// fault-injecting in-memory filesystem and crashes it mid-storm, cycling
+// through fault phases:
 //
 //	sync-always    honest disk, fsync per record: a crash may lose nothing
 //	unsynced-loss  group commit (sync every 4): the unsynced tail may die
@@ -17,14 +23,15 @@
 // itself: a tap between the plane and the fault filesystem decodes every
 // record as it is written, so record LSN k is the k-th decision whoever
 // made it.  After every crash the differential oracle re-drives the first
-// m of them (m = recovered LSN) through a fresh, never-crashed plane and
-// requires the recovered state to be bitwise-identical — profiles, stats,
-// grants, clock.  The sync-always phase additionally requires that every
-// grant acknowledged to any caller has LSN <= m (refusals and clock
-// reports are acknowledged once written and may go with the unflushed
-// tail), and the two lie phases must each provably LOSE at least one
-// acknowledged grant across the run: a lying disk that the oracle cannot
-// convict means the oracle is blind, and the run fails.
+// m of them (m = recovered LSN) through a fresh, never-crashed plane,
+// served and driven the same way, and requires the recovered state to be
+// bitwise-identical — profiles, stats, grants, clock.  A lost grant whose
+// admit record lies within the recovered prefix is a recovery bug; one
+// past it is a loss, which the sync-always phase forbids (refusals and
+// clock reports are acknowledged once written and may go with the
+// unflushed tail), and the two lie phases must each provably LOSE at least
+// one acknowledged grant across the run: a lying disk that the oracle
+// cannot convict means the oracle is blind, and the run fails.
 //
 // The plane checkpoints on a goroutine of its own.  From one caller the tap
 // holds that goroutine's filesystem calls at a gate and lets them through
@@ -32,8 +39,8 @@
 // few, the rest — so where a crash finds the checkpoint is the seed's choice
 // too, and the run stays a pure function of it.
 //
-// With -callers N > 1 the storm is driven by N goroutines drawing ops from
-// one queue, and most crashes are taken mid-flight: the tap kills the
+// With -callers N > 1 the storm is driven over N connections drawing ops
+// from one queue, and most crashes are taken mid-flight: the tap kills the
 // process at a seed-chosen journal write or flush — before it reaches the
 // disk or just after — with the other callers wherever they stand: holding
 // the plane lock, waiting for a flush, or acknowledged on a record that is
@@ -43,10 +50,18 @@
 // In -mode sigkill the same storm runs in a child process (re-exec of
 // this binary) against the real filesystem; the parent SIGKILLs the
 // child mid-storm, recovers the directory, and requires every grant the
-// child acknowledged on stdout to survive replay.
+// child acknowledged on stdout — with its finish, bit for bit — to
+// survive replay or to have run out.
 //
-// Every run is a pure function of -seed; the chosen seed is always
-// printed, and any divergence is written to -artifact for CI upload.
+// In -mode soak one log lineage under SyncAlways lives through -iters
+// crash/recover cycles of -ops ops each; a cycle runs on until its last
+// record is a promise, so the crash finds nothing riding on a later flush,
+// and every recovery must equal the state exported just before the crash
+// and lose no acknowledged grant.
+//
+// Every run is a pure function of -seed, but for the interleavings of
+// -callers N; the chosen seed is always printed, and any divergence is
+// written to -artifact for CI upload.
 package main
 
 import (
@@ -57,6 +72,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
+	"maps"
 	"math"
 	"math/rand"
 	"os"
@@ -73,6 +89,7 @@ import (
 	"milan/internal/durable/vfs"
 	"milan/internal/frame"
 	"milan/internal/qos"
+	"milan/internal/qos/qosnet"
 	"milan/internal/workload"
 )
 
@@ -100,7 +117,8 @@ type op struct {
 }
 
 // genOps builds the deterministic op stream for a seed: a pure function
-// of (n, seed), the same at every shard count.
+// of (n, seed), the same at every shard count, and genOps(m, seed) is a
+// prefix of genOps(n, seed) for m < n.
 func genOps(n int, seed int64) []op {
 	tmpl := workload.FigureJob{X: 4, T: 25, Alpha: 0.25, Laxity: 0.5}
 	arr := workload.NewPoisson(6, seed)
@@ -140,20 +158,62 @@ type planeCfg struct {
 	store         durable.StoreOptions
 }
 
-func openPlane(fs vfs.FS, dir string, cfg planeCfg) (*durable.Plane, durable.Recovered, error) {
-	return durable.OpenPlane(durable.Config{
+// plane is a durable plane served on loopback as junctiond serves it, and
+// the connections its callers drive it through.
+type plane struct {
+	*durable.Plane
+	srv   *qosnet.Server
+	conns []*qosnet.Client
+}
+
+// openPlane recovers (or creates) the plane in dir, serves it on loopback
+// and dials callers connections to it.
+func openPlane(fs vfs.FS, dir string, cfg planeCfg, callers int) (*plane, durable.Recovered, error) {
+	dp, rec, err := durable.OpenPlane(durable.Config{
 		FS: fs, Dir: dir,
 		Procs: cfg.procs, Shards: cfg.shards, ProbeK: 1,
 		Store: cfg.store,
 	})
+	if err != nil {
+		return nil, rec, err
+	}
+	srv, err := qosnet.ListenAndServe(dp, "127.0.0.1:0")
+	if err != nil {
+		dp.Close()
+		return nil, rec, err
+	}
+	p := &plane{Plane: dp, srv: srv}
+	for len(p.conns) < max(callers, 1) {
+		c, err := qosnet.Dial(srv.Addr().String())
+		if err != nil {
+			p.hangUp()
+			dp.Close()
+			return nil, rec, err
+		}
+		p.conns = append(p.conns, c)
+	}
+	return p, rec, nil
 }
 
-// applyOp makes one op's call.  Rejections are normal; any other error
-// (poisoned store, injected fault, killed process) is returned.
-func applyOp(p *durable.Plane, o op, onAck func(id int, finish float64)) error {
+// hangUp closes the connections and stops serving.  The plane is left as
+// it stands, for a crash to take or Close to flush.
+func (p *plane) hangUp() {
+	for _, c := range p.conns {
+		c.Close()
+	}
+	p.srv.Close()
+}
+
+// applyOp makes one op's call: a negotiation or a clock report over the
+// connection c, a grow on the plane.  onAck, if set, hears of every grant
+// c decoded.  Rejections are normal; any other error (poisoned store,
+// injected fault, killed process) is returned.
+func applyOp(p *plane, c *qosnet.Client, o op, onAck func(id int, finish float64)) error {
 	switch {
 	case o.observe:
-		p.Observe(o.now)
+		if err := c.Observe(o.now); err != nil {
+			return err
+		}
 		return p.Err()
 	case o.grow:
 		want := p.Procs() + 1
@@ -167,7 +227,7 @@ func applyOp(p *durable.Plane, o op, onAck func(id int, finish float64)) error {
 		}
 		return p.Err()
 	}
-	g, err := p.Negotiate(o.job)
+	g, err := c.Negotiate(o.job)
 	switch {
 	case err == nil:
 		if onAck != nil {
@@ -180,11 +240,11 @@ func applyOp(p *durable.Plane, o op, onAck func(id int, finish float64)) error {
 	return nil
 }
 
-// driveOps pushes ops[from:until] through the plane in stream order and
-// stops at the first error, returning the index reached.
-func driveOps(p *durable.Plane, ops []op, from, until int, onAck func(id int, finish float64)) (int, error) {
+// driveOps pushes ops[from:until] through the plane's first connection in
+// stream order and stops at the first error, returning the index reached.
+func driveOps(p *plane, ops []op, from, until int, onAck func(id int, finish float64)) (int, error) {
 	for i := from; i < until; i++ {
-		if err := applyOp(p, ops[i], onAck); err != nil {
+		if err := applyOp(p, p.conns[0], ops[i], onAck); err != nil {
 			return i, err
 		}
 	}
@@ -192,13 +252,13 @@ func driveOps(p *durable.Plane, ops []op, from, until int, onAck func(id int, fi
 }
 
 // driveBatch pushes the ops at the given indices through the plane: in
-// order from one caller, which calls between (if set) after each, or drawn
-// from one queue by several, each of which stops at its first error.  It
-// returns the first error any caller met.
-func driveBatch(p *durable.Plane, ops []op, batch []int, callers int, onAck func(id int, finish float64), between func()) error {
-	if callers <= 1 {
+// order over one connection, calling between (if set) after each, or drawn
+// from one queue by a caller per connection, each of which stops at its
+// first error.  It returns the first error any caller met.
+func driveBatch(p *plane, ops []op, batch []int, onAck func(id int, finish float64), between func()) error {
+	if len(p.conns) == 1 {
 		for _, i := range batch {
-			if err := applyOp(p, ops[i], onAck); err != nil {
+			if err := applyOp(p, p.conns[0], ops[i], onAck); err != nil {
 				return err
 			}
 			if between != nil {
@@ -218,12 +278,12 @@ func driveBatch(p *durable.Plane, ops []op, batch []int, callers int, onAck func
 		onAck(id, finish)
 		mu.Unlock()
 	}
-	for c := 0; c < callers; c++ {
+	for _, c := range p.conns {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for k := next.Add(1) - 1; int(k) < len(batch); k = next.Add(1) - 1 {
-				if err := applyOp(p, ops[batch[k]], ack); err != nil {
+				if err := applyOp(p, c, ops[batch[k]], ack); err != nil {
 					mu.Lock()
 					if first == nil {
 						first = err
@@ -609,13 +669,14 @@ func remaining(ops []op, committed []op, now float64) []int {
 }
 
 // referenceState re-drives ops[0:m] through a fresh in-memory plane that
-// never crashes and returns its exported state: the ground truth any
-// recovery must match bitwise.
+// never crashes, served and driven like the one under test, and returns its
+// exported state: the ground truth any recovery must match bitwise.
 func referenceState(ops []op, m int, cfg planeCfg) (durable.State, error) {
-	ref, _, err := openPlane(vfs.NewMem(), "ref", planeCfg{procs: cfg.procs, shards: cfg.shards})
+	ref, _, err := openPlane(vfs.NewMem(), "ref", planeCfg{procs: cfg.procs, shards: cfg.shards}, 1)
 	if err != nil {
 		return durable.State{}, err
 	}
+	defer ref.hangUp()
 	if _, err := driveOps(ref, ops, 0, m, nil); err != nil {
 		return durable.State{}, fmt.Errorf("reference drive: %w", err)
 	}
@@ -635,18 +696,26 @@ type divergence struct {
 	When      string `json:"when"`
 }
 
-func writeDivergence(path string, d divergence) {
-	if path == "" {
-		return
+// failed reports d on stderr and appends it to the artifact file, if there
+// is one, and returns the run's exit code.  An artifact that could not be
+// written is said so next to the divergence.
+func failed(artifact string, d divergence, stderr io.Writer) int {
+	fmt.Fprintf(stderr, "crashtest: FAIL %s (phase=%s iter=%d): %s\n", d.Mode, d.Phase, d.Iteration, d.Detail)
+	if artifact == "" {
+		return 1
 	}
 	d.When = time.Now().UTC().Format(time.RFC3339)
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return
+	f, err := os.OpenFile(artifact, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	if err == nil {
+		err = json.NewEncoder(f).Encode(d)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
 	}
-	enc := json.NewEncoder(f)
-	_ = enc.Encode(d)
-	_ = f.Close()
+	if err != nil {
+		fmt.Fprintf(stderr, "crashtest: divergence not written to %s: %v\n", artifact, err)
+	}
+	return 1
 }
 
 type phase struct {
@@ -725,9 +794,7 @@ func runVFS(seed int64, iters, opsPerIter, shards, callers int, artifact string,
 	fail := func(d divergence, format string, args ...any) int {
 		d.Mode, d.Seed = "vfs", seed
 		d.Detail = fmt.Sprintf(format, args...)
-		writeDivergence(artifact, d)
-		fmt.Fprintf(stderr, "crashtest: FAIL %s (phase=%s iter=%d): %s\n", d.Mode, d.Phase, d.Iteration, d.Detail)
-		return 1
+		return failed(artifact, d, stderr)
 	}
 
 	for iter := 0; iter < iters; iter++ {
@@ -743,7 +810,7 @@ func runVFS(seed int64, iters, opsPerIter, shards, callers int, artifact string,
 		// recovery points.
 		ft := vfs.NewFault(vfs.NewMem())
 		tap := newJournalTap(ft)
-		plane, _, err := openPlane(tap, "wal", cfg)
+		plane, _, err := openPlane(tap, "wal", cfg, callers)
 		if err != nil {
 			return fail(divergence{Phase: p.name, Iteration: iter}, "open: %v", err)
 		}
@@ -767,9 +834,9 @@ func runVFS(seed int64, iters, opsPerIter, shards, callers int, artifact string,
 			if callers <= 1 {
 				// One caller's checkpoints keep to the seed too.
 				tap.enterLockstep()
-				between = func() { tap.pace(plane, krng) }
+				between = func() { tap.pace(plane.Plane, krng) }
 			}
-			derr := driveBatch(plane, ops, batch, callers, func(id int, fin float64) {
+			derr := driveBatch(plane, ops, batch, func(id int, fin float64) {
 				acked[id] = fin
 			}, between)
 			written := len(tap.journal())
@@ -784,7 +851,8 @@ func runVFS(seed int64, iters, opsPerIter, shards, callers int, artifact string,
 			if tap.checkpointing() {
 				midCheckpoint++
 			}
-			tap.reap(plane)
+			plane.hangUp()
+			tap.reap(plane.Plane)
 			ft.Crash()
 			crashes++
 			// Faults do not survive the "reboot".
@@ -796,7 +864,7 @@ func runVFS(seed int64, iters, opsPerIter, shards, callers int, artifact string,
 			tap.reboot()
 
 			var rec durable.Recovered
-			plane, rec, err = reopen(tap, cfg)
+			plane, rec, err = openPlane(tap, "wal", cfg, callers)
 			if err != nil {
 				return fail(divergence{Phase: p.name, Iteration: iter, CrashOp: written},
 					"recovery: %v", err)
@@ -832,36 +900,33 @@ func runVFS(seed int64, iters, opsPerIter, shards, callers int, artifact string,
 				return fail(at, "recovered capacity %d procs, committed prefix implies %d", gotProcs, wantProcs)
 			}
 
-			// Grant-loss accounting.  An acknowledged grant whose record
-			// lies beyond the recovered prefix is lost; one within it is
-			// live or has run out.
-			have := make(map[int]bool)
-			for _, g := range plane.Grants() {
-				have[g.JobID] = true
-			}
+			// Grant-loss accounting.  A lost grant whose admit record lies
+			// beyond the recovered prefix is a loss of the phase's; one
+			// within it is a recovery bug.
 			admitLSN := make(map[int]uint64, len(acked))
 			for _, r := range journal {
 				if r.Kind == durable.KindAdmit {
 					admitLSN[r.JobID] = r.LSN
 				}
 			}
-			for id, fin := range acked {
-				switch lsn := admitLSN[id]; {
-				case lsn == 0 || lsn > uint64(m):
-					lost[p.name]++
-					delete(acked, id)
-					if !p.lossAllowed {
-						return fail(at, "acked grant %d (lsn %d) lost under %s", id, lsn, p.name)
-					}
-				case fin <= plane.Now():
-					delete(acked, id)
-				case !have[id]:
+			for _, id := range got.Lost(acked) {
+				lsn := admitLSN[id]
+				if lsn != 0 && lsn <= uint64(m) {
 					return fail(at, "acked grant %d is record %d of the recovered prefix and not live", id, lsn)
 				}
+				lost[p.name]++
+				delete(acked, id)
+				if !p.lossAllowed {
+					return fail(at, "acked grant %d (lsn %d) lost under %s", id, lsn, p.name)
+				}
 			}
+			// A grant that ran out by this clock is owed nothing more,
+			// whatever the clock of a later recovery says.
+			maps.DeleteFunc(acked, func(_ int, fin float64) bool { return fin <= got.Now })
 			tap.cut(m)
 			pending = remaining(ops, prefix, plane.Now())
 		}
+		plane.hangUp()
 	}
 
 	// Conviction: the lying-disk phases must have provably lost acked
@@ -881,14 +946,78 @@ func runVFS(seed int64, iters, opsPerIter, shards, callers int, artifact string,
 	return 0
 }
 
-func reopen(fs vfs.FS, cfg planeCfg) (*durable.Plane, durable.Recovered, error) {
-	return openPlane(fs, "wal", cfg)
+// runSoak holds one log lineage under SyncAlways through iters crash/recover
+// cycles of at least opsPerIter ops each.  A cycle runs on until its last
+// record is a grant, whose flush carries every record before it, so each
+// recovery must equal the state exported the instant before the crash and
+// lose none of the cycle's acknowledged grants.  The soak keeps its machine:
+// it skips the stream's grows, which over a long lineage would grow it past
+// refusing anything.
+func runSoak(seed int64, iters, opsPerIter, shards int, artifact string, stdout, stderr io.Writer) int {
+	cfg := planeCfg{procs: 16, shards: shards,
+		store: durable.StoreOptions{Sync: durable.SyncAlways, SnapshotEvery: 128}}
+	fail := func(cycle int, format string, args ...any) int {
+		return failed(artifact, divergence{Mode: "soak", Seed: seed, Iteration: cycle, Detail: fmt.Sprintf(format, args...)}, stderr)
+	}
+	mem := vfs.NewMem()
+	plane, _, err := openPlane(mem, "wal", cfg, 1)
+	if err != nil {
+		return fail(0, "open: %v", err)
+	}
+	ops := genOps(2*(iters+1)*opsPerIter, seed)
+	next, driven, admitted := 0, 0, 0
+	for cycle := 1; cycle <= iters; cycle++ {
+		acked := make(map[int]float64)
+		for n, promised := 0, false; n < opsPerIter || !promised; {
+			if next == len(ops) {
+				ops = genOps(2*len(ops), seed)
+			}
+			o := ops[next]
+			next++
+			if o.grow {
+				continue
+			}
+			n, driven, promised = n+1, driven+1, false
+			if err := applyOp(plane, plane.conns[0], o, func(id int, fin float64) {
+				acked[id] = fin
+				promised = true
+			}); err != nil {
+				return fail(cycle, "op %d: %v", next-1, err)
+			}
+		}
+		admitted += len(acked)
+
+		want := plane.ExportState()
+		plane.hangUp()
+		// A checkpoint's goroutine does not die with the "process".
+		if err := plane.WaitCheckpoint(); err != nil {
+			return fail(cycle, "checkpoint before the crash: %v", err)
+		}
+		mem.Crash()
+		var rec durable.Recovered
+		plane, rec, err = openPlane(mem, "wal", cfg, 1)
+		if err != nil {
+			return fail(cycle, "recovery: %v", err)
+		}
+		got := plane.ExportState()
+		if err := durable.DiffStates(&got, &want); err != nil {
+			return fail(cycle, "recovered state diverged from the state before the crash: %v", err)
+		}
+		if lost := got.Lost(acked); len(lost) > 0 {
+			return fail(cycle, "acked grants %v lost (lsn %d)", lost, rec.State.LSN)
+		}
+		fmt.Fprintf(stdout, "cycle %d ok: ops=%d admitted=%d lsn=%d\n", cycle, driven, admitted, rec.State.LSN)
+	}
+	plane.hangUp()
+	fmt.Fprintf(stdout, "crashtest soak ok: seed=%d cycles=%d ops=%d admitted=%d\n", seed, iters, driven, admitted)
+	return 0
 }
 
 // runChild is the sigkill-mode child: it recovers the directory, then
 // drives the deterministic op stream against the real filesystem,
-// printing "ack <jobID> <finish>" after every acknowledged grant.  It is
-// killed by the parent; it never exits on its own unless the stream ends.
+// printing "ack <jobID> <finish bits>" after every grant its client
+// decoded.  It is killed by the parent; it never exits on its own unless
+// the stream ends.
 func runChild(dir string, seed int64, shards int, stdout io.Writer) int {
 	var fs vfs.OS
 	if err := fs.MkdirAll(dir); err != nil {
@@ -897,7 +1026,7 @@ func runChild(dir string, seed int64, shards int, stdout io.Writer) int {
 	}
 	cfg := planeCfg{procs: 16, shards: shards,
 		store: durable.StoreOptions{Sync: durable.SyncAlways, SnapshotEvery: 32}}
-	plane, rec, err := openPlane(fs, dir, cfg)
+	plane, rec, err := openPlane(fs, dir, cfg, 1)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "crashtest child: open: %v\n", err)
 		return 2
@@ -906,9 +1035,10 @@ func runChild(dir string, seed int64, shards int, stdout io.Writer) int {
 	next := int(rec.State.LSN)
 	w := bufio.NewWriter(stdout)
 	_, err = driveOps(plane, ops, next, len(ops), func(id int, fin float64) {
-		// The ack is printed only after Negotiate returned, i.e. after
-		// the admit record was fsynced: every printed line must survive.
-		fmt.Fprintf(w, "ack %d %x\n", id, uint64(fin*1e6))
+		// The ack is printed only once the grant crossed the wire, i.e.
+		// after its admit record was fsynced: every printed line must
+		// survive.
+		fmt.Fprintf(w, "ack %d %016x\n", id, math.Float64bits(fin))
 		w.Flush()
 	})
 	if err != nil {
@@ -920,8 +1050,8 @@ func runChild(dir string, seed int64, shards int, stdout io.Writer) int {
 
 // runSigkill crash-loops a real process: spawn the child, harvest acks,
 // SIGKILL it mid-storm, recover the directory and require every
-// acknowledged grant to have survived.  The final pass also runs the
-// differential oracle against the in-memory reference.
+// acknowledged grant to have survived or run out.  Every pass also runs
+// the differential oracle against the in-memory reference.
 func runSigkill(seed int64, kills, shards int, dir, artifact string, stdout, stderr io.Writer) int {
 	if dir == "" {
 		d, err := os.MkdirTemp("", "crashtest-*")
@@ -938,14 +1068,11 @@ func runSigkill(seed int64, kills, shards int, dir, artifact string, stdout, std
 		return 2
 	}
 	rng := rand.New(rand.NewSource(seed ^ 0x51ead))
-	acked := make(map[int]bool)
+	acked := make(map[int]float64) // jobID -> reserved finish, as the child decoded it
 	ops := genOps(4096, seed)
 
 	fail := func(iter int, format string, args ...any) int {
-		d := divergence{Mode: "sigkill", Seed: seed, Iteration: iter, Detail: fmt.Sprintf(format, args...)}
-		writeDivergence(artifact, d)
-		fmt.Fprintf(stderr, "crashtest: FAIL sigkill (iter=%d): %s\n", iter, d.Detail)
-		return 1
+		return failed(artifact, divergence{Mode: "sigkill", Seed: seed, Iteration: iter, Detail: fmt.Sprintf(format, args...)}, stderr)
 	}
 
 	for k := 0; k < kills; k++ {
@@ -974,43 +1101,28 @@ func runSigkill(seed int64, kills, shards int, dir, artifact string, stdout, std
 			if err != nil {
 				return fail(k, "bad ack line %q", sc.Text())
 			}
-			acked[id] = true
+			bits, err := strconv.ParseUint(fields[2], 16, 64)
+			if err != nil {
+				return fail(k, "bad ack line %q", sc.Text())
+			}
+			acked[id] = math.Float64frombits(bits)
 			harvested++
 		}
 		_ = cmd.Process.Kill() // SIGKILL: no cleanup, no deferred flushes
 		go io.Copy(io.Discard, pipe)
 		_ = cmd.Wait()
 
-		// Recover the real directory and check acked ⊆ recovered.
+		// Recover the real directory: every acked grant is live or has run
+		// out at the recovered clock.
 		var fs vfs.OS
 		cfg := planeCfg{procs: 16, shards: shards,
 			store: durable.StoreOptions{Sync: durable.SyncAlways, SnapshotEvery: 32}}
-		plane, rec, err := openPlane(fs, dir, cfg)
+		plane, rec, err := openPlane(fs, dir, cfg, 1)
 		if err != nil {
 			return fail(k, "recovery: %v", err)
 		}
-		have := make(map[int]bool)
-		for _, g := range plane.Grants() {
-			have[g.JobID] = true
-		}
-		finishOf := make(map[int]float64)
-		for _, o := range ops {
-			if !o.observe && !o.grow {
-				finishOf[o.job.ID] = o.now // release; conservative lower bound
-			}
-		}
-		for id := range acked {
-			if have[id] {
-				continue
-			}
-			// The grant may have legitimately elapsed: its tasks all end
-			// before the recovered clock.  Released-after-now grants can
-			// never have elapsed.
-			if finishOf[id] > plane.Now() {
-				return fail(k, "acked grant %d missing after SIGKILL recovery (lsn %d torn=%t)",
-					id, rec.State.LSN, rec.Torn)
-			}
-			delete(acked, id)
+		if lost := rec.State.Lost(acked); len(lost) > 0 {
+			return fail(k, "acked grants %v missing after SIGKILL recovery (lsn %d torn=%t)", lost, rec.State.LSN, rec.Torn)
 		}
 		// Differential oracle on the real directory, same as vfs mode.
 		m := int(rec.State.LSN)
@@ -1026,11 +1138,12 @@ func runSigkill(seed int64, kills, shards int, dir, artifact string, stdout, std
 		if gotProcs := plane.Procs(); gotProcs != wantProcs {
 			return fail(k, "recovered capacity %d procs, committed prefix implies %d (lsn %d)", gotProcs, wantProcs, m)
 		}
+		plane.hangUp()
 		if err := plane.Close(); err != nil {
 			return fail(k, "close: %v", err)
 		}
 	}
-	fmt.Fprintf(stdout, "crashtest sigkill ok: seed=%d kills=%d acked-survived=%d\n", seed, kills, len(acked))
+	fmt.Fprintf(stdout, "crashtest sigkill ok: seed=%d kills=%d acked=%d\n", seed, kills, len(acked))
 	return 0
 }
 
@@ -1050,6 +1163,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	case "sigkill":
 		fmt.Fprintf(stdout, "crashtest mode=sigkill seed=%d\n", seed)
 		return runSigkill(seed, *fs.kills, *fs.shards, *fs.dir, *fs.artifact, stdout, stderr)
+	case "soak":
+		fmt.Fprintf(stdout, "crashtest mode=soak seed=%d\n", seed)
+		return runSoak(seed, *fs.iters, *fs.ops, *fs.shards, *fs.artifact, stdout, stderr)
 	case "child":
 		return runChild(*fs.dir, seed, *fs.shards, stdout)
 	default:

@@ -11,28 +11,59 @@ import (
 	"milan/internal/durable/vfs"
 )
 
-// The vfs crash loop must pass on a pinned seed: every phase recovers
-// prefix-exactly and both lie phases convict the lying disk.
+// CI's pinned invocation, at the default two shards and at the one shard
+// junctiond serves, prints the ok line it printed when the harness drove the
+// plane in-process: the wire adds nothing to what is decided, journaled or
+// recovered, and every phase recovers prefix-exactly while both lie phases
+// convict the lying disk.
 func TestVFSModePinnedSeed(t *testing.T) {
-	var out, errb bytes.Buffer
-	if code := run([]string{"-mode", "vfs", "-seed", "42", "-iters", "10", "-ops", "90"}, &out, &errb); code != 0 {
-		t.Fatalf("exit %d\nstdout: %s\nstderr: %s", code, out.String(), errb.String())
-	}
-	if !strings.Contains(out.String(), "crashtest vfs ok") {
-		t.Fatalf("no ok line in %q", out.String())
+	for shards, want := range map[string]string{
+		"2": "crashtest vfs ok: seed=42 crashes=45 mid-checkpoint=7 recovered=a9a47c3ee6899518 losses=map[sync-lie:100 syncdir-lie:28 unsynced-loss:2]\n",
+		"1": "crashtest vfs ok: seed=42 crashes=45 mid-checkpoint=8 recovered=cafd7e3fe5424f68 losses=map[sync-lie:98 syncdir-lie:44 unsynced-loss:3]\n",
+	} {
+		var out, errb bytes.Buffer
+		if code := run([]string{"-mode", "vfs", "-seed", "42", "-iters", "15", "-ops", "120", "-shards", shards}, &out, &errb); code != 0 {
+			t.Fatalf("shards=%s: exit %d\nstdout: %s\nstderr: %s", shards, code, out.String(), errb.String())
+		}
+		if got := out.String(); !strings.HasSuffix(got, "\n"+want) {
+			t.Fatalf("shards=%s: printed\n%s\nwant the ok line\n%s", shards, got, want)
+		}
 	}
 }
 
 // One shard is the plane junctiond serves: the same loop, grow ops and
-// capacity oracle included, must pass there and still convict both lies.
+// capacity oracle included, must pass there on a seed other than the pinned
+// one and still convict both lies.
 func TestVFSModeOneShard(t *testing.T) {
 	var out, errb bytes.Buffer
-	if code := run([]string{"-mode", "vfs", "-seed", "42", "-iters", "15", "-ops", "120", "-shards", "1"}, &out, &errb); code != 0 {
+	if code := run([]string{"-mode", "vfs", "-seed", "1999", "-iters", "15", "-ops", "120", "-shards", "1"}, &out, &errb); code != 0 {
 		t.Fatalf("exit %d\nstdout: %s\nstderr: %s", code, out.String(), errb.String())
 	}
 	for _, lie := range []string{"sync-lie:", "syncdir-lie:"} {
 		if !strings.Contains(out.String(), lie) {
 			t.Fatalf("no %s losses in %q", lie, out.String())
+		}
+	}
+}
+
+// The soak is bounded by cycles, not by a clock, so a run is a pure
+// function of its seed: two runs print the same thing, cycle by cycle.
+func TestSoakModeIsItsSeed(t *testing.T) {
+	for _, shards := range []string{"1", "2"} {
+		var first string
+		for round := 0; round < 2; round++ {
+			var out, errb bytes.Buffer
+			if code := run([]string{"-mode", "soak", "-seed", "7", "-iters", "3", "-ops", "150", "-shards", shards}, &out, &errb); code != 0 {
+				t.Fatalf("shards=%s: exit %d\nstdout: %s\nstderr: %s", shards, code, out.String(), errb.String())
+			}
+			if round == 0 {
+				first = out.String()
+				if !strings.Contains(first, "cycle 1 ok") || !strings.Contains(first, "crashtest soak ok") {
+					t.Fatalf("shards=%s: no crash cycle in %q", shards, first)
+				}
+			} else if out.String() != first {
+				t.Fatalf("shards=%s: the second run printed\n%s\nthe first\n%s", shards, out.String(), first)
+			}
 		}
 	}
 }
@@ -95,11 +126,12 @@ func TestOneCallerJournalIsTheStream(t *testing.T) {
 		}
 	}
 	tap := newJournalTap(vfs.NewMem())
-	p, _, err := openPlane(tap, "wal", planeCfg{procs: 16, shards: 2})
+	p, _, err := openPlane(tap, "wal", planeCfg{procs: 16, shards: 2}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := driveBatch(p, ops, remaining(ops, nil, 0), 1, func(int, float64) {}, nil); err != nil {
+	defer p.hangUp()
+	if err := driveBatch(p, ops, remaining(ops, nil, 0), func(int, float64) {}, nil); err != nil {
 		t.Fatal(err)
 	}
 	got, err := decided(tap.journal(), jobs)
@@ -134,11 +166,12 @@ func TestUnknownModeRejected(t *testing.T) {
 	}
 }
 
-// genOps must be a pure function of the seed, and each op must map onto
-// exactly one WAL record — the property the differential oracle's
+// genOps must be a pure function of the seed, a shorter stream a prefix of
+// a longer one (the soak lengthens its stream that way), and each op must
+// map onto exactly one WAL record — the property the differential oracle's
 // "recovered LSN m = committed op prefix m" equation rests on.
 func TestOpsAreDeterministicAndOneToOneWithRecords(t *testing.T) {
-	a, b := genOps(300, 5), genOps(300, 5)
+	a, b := genOps(300, 5), genOps(1000, 5)
 	grows := 0
 	for i := range a {
 		if a[i].observe != b[i].observe || a[i].grow != b[i].grow || a[i].now != b[i].now || a[i].job.ID != b[i].job.ID {
@@ -153,10 +186,11 @@ func TestOpsAreDeterministicAndOneToOneWithRecords(t *testing.T) {
 	}
 
 	for _, shards := range []int{1, 2} {
-		p, _, err := openPlane(vfs.NewMem(), "wal", planeCfg{procs: 16, shards: shards})
+		p, _, err := openPlane(vfs.NewMem(), "wal", planeCfg{procs: 16, shards: shards}, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
+		defer p.hangUp()
 		if _, err := driveOps(p, a, 0, len(a), nil); err != nil {
 			t.Fatal(err)
 		}

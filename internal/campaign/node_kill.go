@@ -5,8 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"maps"
 	"math"
-	"sort"
 
 	"milan/internal/durable"
 	"milan/internal/durable/vfs"
@@ -118,23 +118,12 @@ func nodeKillRun(cfg Config, sc Scenario, seed int64) (RunReport, error) {
 		digest.Write(buf[:])
 
 		// Durability contract: every acked grant still pending at the
-		// recovered clock must be in the committed set.
-		have := make(map[int]bool, len(p.Grants()))
-		for _, gr := range p.Grants() {
-			have[gr.JobID] = true
-		}
-		var lost []int
-		for jid, fin := range acked {
-			if fin <= p.Now() {
-				delete(acked, jid) // legitimately elapsed
-				continue
-			}
-			if !have[jid] {
-				lost = append(lost, jid)
-			}
-		}
+		// recovered clock must be in the committed set.  One that ran out
+		// by this clock is owed nothing more, whatever a later recovery's
+		// clock says.
+		lost := rec.State.Lost(acked)
+		maps.DeleteFunc(acked, func(_ int, fin float64) bool { return fin <= rec.State.Now })
 		if len(lost) > 0 {
-			sort.Ints(lost)
 			durabilityLoss(&rr, seed, now, fmt.Sprintf(
 				"kill after job %d: %d acked grants missing after replay (first %d, recovered lsn %d, torn=%t)",
 				id, len(lost), lost[0], rec.State.LSN, rec.Torn))

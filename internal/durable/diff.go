@@ -1,8 +1,10 @@
 package durable
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 
 	"milan/internal/core"
 )
@@ -45,6 +47,26 @@ func DiffStates(got, want *State) error {
 		return err
 	}
 	return diffGrants(got.Grants, want.Grants)
+}
+
+// Lost is the acked ⇒ durable oracle: given the grants acknowledged to
+// callers (job ID → the reserved finish each caller was told), it returns in
+// ascending order those whose reservation runs past s.Now and that s.Grants
+// does not hold.  A grant that finished by s.Now is owed nothing more.
+func (s *State) Lost(acked map[int]float64) []int {
+	var lost []int
+	for id, finish := range acked {
+		if finish <= s.Now {
+			continue
+		}
+		if _, live := slices.BinarySearchFunc(s.Grants, id, func(g GrantRecord, id int) int {
+			return cmp.Compare(g.JobID, id)
+		}); !live {
+			lost = append(lost, id)
+		}
+	}
+	slices.Sort(lost)
+	return lost
 }
 
 func fb(f float64) uint64 { return math.Float64bits(f) }

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -205,14 +206,30 @@ func TestPlaneCrashLosesNothingUnderSyncAlways(t *testing.T) {
 		if err := DiffStates(&got, &want); err != nil {
 			t.Fatalf("cut=%d: crash lost state under SyncAlways: %v", cut, err)
 		}
-		live := map[int]bool{}
-		for _, g := range got.Grants {
-			live[g.JobID] = true
+		if lost := got.Lost(acked); len(lost) > 0 {
+			t.Fatalf("cut=%d: acknowledged grants %v are gone at %v", cut, lost, got.Now)
 		}
-		for id, finish := range acked {
-			if finish > got.Now && !live[id] {
-				t.Fatalf("cut=%d: acknowledged grant %d, live until %v, is gone at %v", cut, id, finish, got.Now)
-			}
+	}
+}
+
+// State.Lost names an acknowledged grant the state owes and does not hold:
+// one still reserved past the clock and missing from the live set.  A
+// finish exactly at the clock has run out, as it has for State.Prune.
+func TestStateLost(t *testing.T) {
+	s := State{Now: 10, Grants: []GrantRecord{{JobID: 2}, {JobID: 5}, {JobID: 9}}}
+	for name, tc := range map[string]struct {
+		acked map[int]float64
+		want  []int
+	}{
+		"finish at now has run out": {map[int]float64{3: 10}, nil},
+		"finish before now":         {map[int]float64{3: 4}, nil},
+		"live":                      {map[int]float64{2: 11, 5: 30, 9: 10.5}, nil},
+		"missing":                   {map[int]float64{3: 11, 1: 10.25}, []int{1, 3}},
+		"mixed, ascending":          {map[int]float64{8: 20, 5: 20, 4: 10, 6: 12}, []int{6, 8}},
+		"not acked":                 {nil, nil}, // the live grants are nobody's concern
+	} {
+		if got := s.Lost(tc.acked); !slices.Equal(got, tc.want) {
+			t.Errorf("%s: Lost = %v, want %v", name, got, tc.want)
 		}
 	}
 }

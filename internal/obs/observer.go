@@ -149,8 +149,6 @@ const (
 	MetricHolesProbed   = "sched_holes_probed"
 	MetricPlanFailures  = "sched_plan_failures"
 	MetricReservedArea  = "sched_reserved_area"
-	MetricRenegotiated  = "qos_renegotiated"
-	MetricAborted       = "qos_aborted"
 	MetricDecisions     = "qos_decisions"
 	MetricSimEvents     = "sim_events"
 	MetricCalypsoSteps  = "calypso_steps"
@@ -202,9 +200,9 @@ func (o *Observer) RecordPlanner(st core.Stats, ix core.IndexStats) {
 // each event carrying the job's trace and span — before the decision is
 // forwarded.  A plane's clock and resize decisions pass through uncounted.
 // Set it as the Observer of the config an arbitrator is built from — a fed
-// plane's (fed.Config.Observer), the reference qos.Arbitrator's — or let
-// InstrumentDynamic install it; it runs where they call their observer,
-// under the arbitrator's or the deciding shard's lock.
+// plane's (fed.Config.Observer), the reference qos.Arbitrator's, a
+// qos.DynamicArbitrator's Observer field; it runs where they call their
+// observer, under the arbitrator's or the deciding shard's lock.
 func (o *Observer) DecisionObserver(next func(qos.Decision)) func(qos.Decision) {
 	decisions := o.Reg.Counter(MetricDecisions)
 	admitted := o.Reg.Counter(MetricAdmitted)
@@ -231,33 +229,6 @@ func (o *Observer) DecisionObserver(next func(qos.Decision)) func(qos.Decision) 
 			next(d)
 		}
 	}
-}
-
-// InstrumentDynamic wraps a dynamic arbitrator's callback stream: placement
-// moves emit Renegotiated events, evictions emit Aborted events and every
-// admission decision goes through DecisionObserver.  Existing callbacks are
-// chained, not replaced.  Call it before the arbitrator starts serving.
-func (o *Observer) InstrumentDynamic(d *qos.DynamicArbitrator) {
-	renegotiated := o.Reg.Counter(MetricRenegotiated)
-	aborted := o.Reg.Counter(MetricAborted)
-	prevR, prevA, prevObs := d.OnRenegotiated, d.OnAborted, d.Observer
-	d.OnRenegotiated = func(jobID int, g *qos.Grant) {
-		renegotiated.Inc()
-		o.Emit(Event{Type: EvRenegotiated, Job: jobID, Chain: g.Chain, Attrs: map[string]float64{
-			"finish": g.Finish(),
-		}})
-		if prevR != nil {
-			prevR(jobID, g)
-		}
-	}
-	d.OnAborted = func(jobID int) {
-		aborted.Inc()
-		o.Emit(Event{Type: EvAborted, Job: jobID, Reason: "capacity-change"})
-		if prevA != nil {
-			prevA(jobID)
-		}
-	}
-	d.Observer = o.DecisionObserver(prevObs)
 }
 
 // SimEventFired is the sim.Engine.OnEvent adapter: it counts and traces

@@ -115,69 +115,6 @@ func TestInstrumentedArbitrator(t *testing.T) {
 	}
 }
 
-func TestInstrumentDynamicRenegotiation(t *testing.T) {
-	o := New(Config{})
-	d, err := qos.NewDynamicArbitrator(4, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var chainedReneg, chainedAbort int
-	d.OnRenegotiated = func(int, *qos.Grant) { chainedReneg++ }
-	d.OnAborted = func(int) { chainedAbort++ }
-	o.InstrumentDynamic(d)
-
-	// Two 2-proc jobs run side by side on 4 processors; a third with a
-	// tight deadline queues behind them.  Halving the machine forces job 2
-	// to slide later (renegotiated) and pushes job 3 past its deadline
-	// (aborted).
-	for id, deadline := range map[int]float64{1: 1000, 2: 1000} {
-		if _, err := d.Negotiate(core.Job{ID: id, Chains: []core.Chain{
-			{Quality: 1, Tasks: []core.Task{{Procs: 2, Duration: 10, Deadline: deadline}}},
-		}}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := d.Negotiate(core.Job{ID: 3, Chains: []core.Chain{
-		{Quality: 1, Tasks: []core.Task{{Procs: 2, Duration: 5, Deadline: 16}}},
-	}}); err != nil {
-		t.Fatal(err)
-	}
-	aborted, err := d.SetCapacity(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(aborted) != 1 || aborted[0] != 3 {
-		t.Fatalf("aborted = %v, want [3]", aborted)
-	}
-
-	snap := o.Snapshot()
-	if snap.Counters[MetricAborted] != 1 {
-		t.Fatalf("aborted counter = %d, want 1", snap.Counters[MetricAborted])
-	}
-	if snap.Counters[MetricRenegotiated] != 1 {
-		t.Fatalf("renegotiated counter = %d, want 1", snap.Counters[MetricRenegotiated])
-	}
-	if snap.Counters[MetricDecisions] != 3 {
-		t.Fatalf("decisions = %d, want 3", snap.Counters[MetricDecisions])
-	}
-	if chainedReneg != 1 || chainedAbort != 1 {
-		t.Fatalf("chained callbacks = %d/%d, want 1/1", chainedReneg, chainedAbort)
-	}
-	types := eventTypes(o.Events())
-	if types[EvRenegotiated] != 1 || types[EvAborted] != 1 || types[EvCommitted] != 3 {
-		t.Fatalf("event types = %v", types)
-	}
-	var aborts []Event
-	for _, ev := range o.Events() {
-		if ev.Type == EvAborted {
-			aborts = append(aborts, ev)
-		}
-	}
-	if aborts[0].Job != 3 || aborts[0].Reason != "capacity-change" {
-		t.Fatalf("abort event = %+v", aborts[0])
-	}
-}
-
 func TestBindEngine(t *testing.T) {
 	o := New(Config{})
 	var engine sim.Engine

@@ -12,10 +12,6 @@ const (
 	EvCommitted EventType = "Committed"
 	// EvRejected records a job failing admission; Reason says why.
 	EvRejected EventType = "Rejected"
-	// EvRenegotiated records a placement moved by a capacity change.
-	EvRenegotiated EventType = "Renegotiated"
-	// EvAborted records a job evicted by a capacity change.
-	EvAborted EventType = "Aborted"
 	// EvStepStart marks a Calypso parallel step beginning.
 	EvStepStart EventType = "StepStart"
 	// EvStepDone marks a Calypso parallel step completing (or failing).

@@ -30,9 +30,6 @@ const (
 	opUtilization
 	opPing
 	opNegotiateDAG
-	opSetCapacity
-	opDynStats
-	opWaiting
 )
 
 // negotiates reports whether o's result is a grant or a rejection.
@@ -56,21 +53,17 @@ type request struct {
 	now     float64     // opObserve
 	origin  float64     // opUtilization
 	horizon float64     // opUtilization
-	procs   int         // opSetCapacity
 }
 
 // response is a decoded response frame.  op is 0 when the server could not
 // read the request it is answering (always with statusError).
 type response struct {
-	op      op
-	status  status
-	err     string           // statusError
-	grant   *qos.Grant       // opNegotiate, opNegotiateDAG
-	stats   core.Stats       // opStats
-	value   float64          // opUtilization
-	aborted []int            // opSetCapacity
-	dyn     qos.DynamicStats // opDynStats
-	count   int              // opWaiting
+	op     op
+	status status
+	err    string     // statusError
+	grant  *qos.Grant // opNegotiate, opNegotiateDAG
+	stats  core.Stats // opStats
+	value  float64    // opUtilization
 }
 
 // encoder appends one frame to a buffer — beginFrame, the payload's fields,
@@ -437,24 +430,6 @@ func (d *decoder) stats(s *core.Stats) {
 	s.PlanFailures = d.int()
 }
 
-func (e *encoder) dynStats(s *qos.DynamicStats) {
-	e.int(s.Admitted)
-	e.int(s.Rejected)
-	e.int(s.CapacityEvents)
-	e.int(s.Renegotiated)
-	e.int(s.Aborted)
-	e.int(s.Rescued)
-}
-
-func (d *decoder) dynStats(s *qos.DynamicStats) {
-	s.Admitted = d.int()
-	s.Rejected = d.int()
-	s.CapacityEvents = d.int()
-	s.Renegotiated = d.int()
-	s.Aborted = d.int()
-	s.Rescued = d.int()
-}
-
 // appendRequest appends r's frame to b.  An error means r does not fit the
 // wire limits; nothing was appended.
 func appendRequest(b []byte, r *request) ([]byte, error) {
@@ -471,8 +446,6 @@ func appendRequest(b []byte, r *request) ([]byte, error) {
 	case opUtilization:
 		e.f64(r.origin)
 		e.f64(r.horizon)
-	case opSetCapacity:
-		e.int(r.procs)
 	}
 	return e.endFrame()
 }
@@ -496,9 +469,7 @@ func decodeRequest(payload []byte, r *request, mem *carver) error {
 	case opUtilization:
 		r.origin = d.f64()
 		r.horizon = d.f64()
-	case opSetCapacity:
-		r.procs = d.int()
-	case opStats, opPing, opDynStats, opWaiting:
+	case opStats, opPing:
 	default:
 		if d.Err() == nil {
 			return fmt.Errorf("qosnet: unknown op %d", r.op)
@@ -524,12 +495,6 @@ func appendResponse(b []byte, r *response) []byte {
 		e.stats(&r.stats)
 	case r.op == opUtilization:
 		e.f64(r.value)
-	case r.op == opSetCapacity:
-		e.ints(r.aborted, "aborted job")
-	case r.op == opDynStats:
-		e.dynStats(&r.dyn)
-	case r.op == opWaiting:
-		e.int(r.count)
 	}
 	out, err := e.endFrame()
 	if err != nil {
@@ -548,7 +513,7 @@ func decodeResponse(payload []byte, r *response) error {
 	r.status = status(d.U8())
 	switch {
 	case d.Err() != nil:
-	case r.op > opWaiting:
+	case r.op > opNegotiateDAG:
 		return fmt.Errorf("qosnet: unknown op %d", r.op)
 	case r.status > statusError:
 		return fmt.Errorf("qosnet: unknown status %d", r.status)
@@ -566,12 +531,6 @@ func decodeResponse(payload []byte, r *response) error {
 		d.stats(&r.stats)
 	case r.op == opUtilization:
 		r.value = d.f64()
-	case r.op == opSetCapacity:
-		r.aborted = d.ints("aborted job")
-	case r.op == opDynStats:
-		d.dynStats(&r.dyn)
-	case r.op == opWaiting:
-		r.count = d.int()
 	}
 	return d.Done()
 }

@@ -121,8 +121,6 @@ func (g gen) request(o op) request {
 		r.now = g.f64()
 	case opUtilization:
 		r.origin, r.horizon = g.f64(), g.f64()
-	case opSetCapacity:
-		r.procs = g.int()
 	}
 	return r
 }
@@ -140,12 +138,6 @@ func (g gen) response(o op, st status) response {
 			QualitySum: g.f64(), ChainsTried: g.int(), HolesProbed: g.int(), PlanFailures: g.int()}
 	case o == opUtilization:
 		r.value = g.f64()
-	case o == opSetCapacity:
-		r.aborted = g.ints(5)
-	case o == opDynStats:
-		r.dyn = qos.DynamicStats{Admitted: g.int(), Rejected: g.int(), CapacityEvents: g.int(), Renegotiated: g.int(), Aborted: g.int(), Rescued: g.int()}
-	case o == opWaiting:
-		r.count = g.int()
 	}
 	return r
 }
@@ -203,7 +195,15 @@ func payloadOf(t testing.TB, framed []byte) []byte {
 	return p
 }
 
-var allOps = []op{opNegotiate, opObserve, opStats, opUtilization, opPing, opNegotiateDAG, opSetCapacity, opDynStats, opWaiting}
+var allOps = []op{opNegotiate, opObserve, opStats, opUtilization, opPing, opNegotiateDAG}
+
+// statuses lists the statuses an answer to o may carry.
+func statuses(o op) []status {
+	if o.negotiates() {
+		return []status{statusOK, statusRejected, statusError}
+	}
+	return []status{statusOK, statusError}
+}
 
 // decode(encode(x)) == x and encode(decode(b)) == b, for every op and every
 // status, over seeded random values.
@@ -227,10 +227,7 @@ func TestCodecRoundTripProperty(t *testing.T) {
 				t.Fatalf("seed %d op %d: re-encoding the decoded request changed its bytes (%v)", seed, o, err)
 			}
 
-			for _, st := range []status{statusOK, statusRejected, statusError} {
-				if st == statusRejected && !o.negotiates() {
-					continue
-				}
+			for _, st := range statuses(o) {
 				resp := g.response(o, st)
 				framed := appendResponse(nil, &resp)
 				var got response
@@ -280,12 +277,12 @@ func TestEncoderLimits(t *testing.T) {
 	}
 
 	// A result over a limit goes out as an error response for the same op.
-	resp := response{op: opSetCapacity, aborted: make([]int, maxCount+1)}
+	resp := response{op: opStats, stats: core.Stats{TunableChosen: make([]int, maxCount+1)}}
 	var got response
 	if err := decodeResponse(payloadOf(t, appendResponse(nil, &resp)), &got); err != nil {
 		t.Fatal(err)
 	}
-	if got.op != opSetCapacity || got.status != statusError || !strings.Contains(got.err, "aborted job count 65537 exceeds limit 65536") {
+	if got.op != opStats || got.status != statusError || !strings.Contains(got.err, "tunable-chosen count 65537 exceeds limit 65536") {
 		t.Fatalf("oversized result: %+v", got)
 	}
 	// An error's text is cut to the string limit, not refused.
@@ -314,11 +311,12 @@ func hostile() map[string]malformed {
 		"version 2":              {[]byte{2, byte(opPing)}, "version 2, this end speaks version 1"},
 		"unknown op":             {[]byte{wireVersion, 99}, "unknown op 99"},
 		"op 0":                   {[]byte{wireVersion, 0}, "unknown op 0"},
+		"op 7":                   {[]byte{wireVersion, 7}, "unknown op 7"}, // once set-capacity; ops 7-9 left the protocol
 		"trailing byte":          {[]byte{wireVersion, byte(opPing), 0}, "1 trailing bytes"},
 		"count 65537":            {with(0x81, 0x80, 0x04), "chain count 65537 exceeds limit 65536"},
 		"count over the payload": {with(200, 1, 0, 0, 0), "chain count 200 exceeds remaining payload"},
-		"over-long varint":       {[]byte{wireVersion, byte(opSetCapacity), 0x80, 0x00}, "over-long varint"},
-		"varint overflow":        {append([]byte{wireVersion, byte(opSetCapacity)}, bytes.Repeat([]byte{0xff}, 11)...), "overflows 64 bits"},
+		"over-long varint":       {[]byte{wireVersion, byte(opNegotiate), 0x80, 0x00}, "over-long varint"},
+		"varint overflow":        {append([]byte{wireVersion, byte(opNegotiate)}, bytes.Repeat([]byte{0xff}, 11)...), "overflows 64 bits"},
 		"bool byte 2":            {with(1, 0, 0, 1, 0, 2, 0, 0, 0, 2), "non-canonical bool byte 0x2"},
 		"float of 9 bytes":       {[]byte{wireVersion, byte(opObserve), 9, 1, 2, 3, 4, 5, 6, 7, 8, 9}, "float of 9 bytes"},
 		"float with a zero tail": {[]byte{wireVersion, byte(opObserve), 2, 0x40, 0}, "non-canonical float"},
@@ -340,7 +338,7 @@ func TestDecodeRequestNamesTheCause(t *testing.T) {
 func TestDecodeResponseRejectsWhatNoServerSends(t *testing.T) {
 	for name, tc := range map[string]malformed{
 		"version 2":               {[]byte{2, byte(opPing), 0}, "version 2"},
-		"unknown op":              {[]byte{wireVersion, 10, 0}, "unknown op 10"},
+		"unknown op":              {[]byte{wireVersion, 7, 0}, "unknown op 7"},
 		"unknown status":          {[]byte{wireVersion, byte(opPing), 3}, "unknown status 3"},
 		"ok for no op":            {[]byte{wireVersion, 0, 0}, "answers no op"},
 		"rejected ping":           {[]byte{wireVersion, byte(opPing), 1}, "answered with a rejection"},

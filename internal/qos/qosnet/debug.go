@@ -15,7 +15,7 @@ import (
 //
 // The observer is expected to already be wired into the decision feed of
 // the arbitrator this server fronts (obs.Observer.DecisionObserver as the
-// config's Observer, or InstrumentDynamic); EnableDebug only publishes it.
+// config's Observer); EnableDebug only publishes it.
 // To have the observer's tracer record the requests this server answers,
 // install it with Instrument.
 func (s *Server) EnableDebug(o *obs.Observer, addr string) (net.Addr, error) {

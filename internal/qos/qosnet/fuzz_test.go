@@ -27,8 +27,10 @@ func FuzzQosnetDecode(f *testing.F) {
 			f.Add(framed)
 			f.Add(framed[frame.HeaderLen:])
 		}
-		resp := g.response(o, statusOK)
-		f.Add(appendResponse(nil, &resp)[frame.HeaderLen:])
+		for _, st := range statuses(o) {
+			resp := g.response(o, st)
+			f.Add(appendResponse(nil, &resp)[frame.HeaderLen:])
+		}
 	}
 	for _, tc := range hostile() {
 		f.Add(tc.bytes)

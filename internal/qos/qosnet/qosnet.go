@@ -63,20 +63,11 @@ type Arbitrator interface {
 	Utilization(origin, horizon float64) float64
 }
 
-// served is what every value a server exports implements.  The ops beyond
-// these three are answered when the value also has the method the op
-// calls (see dispatch) and refused as not supported when it does not.
-type served interface {
-	Negotiate(job core.Job) (*qos.Grant, error)
-	Observe(now float64)
-	Utilization(origin, horizon float64) float64
-}
-
 // Server exposes an arbitrator over a listener.  Each accepted connection
 // is served by its own goroutine; the arbitrator itself serializes
 // decisions.
 type Server struct {
-	arb served
+	arb Arbitrator
 	ln  net.Listener
 
 	mu      sync.Mutex
@@ -118,9 +109,7 @@ type Instruments struct {
 }
 
 // Serve starts serving the arbitrator on ln and returns immediately.
-func Serve(arb Arbitrator, ln net.Listener) *Server { return serve(arb, ln) }
-
-func serve(arb served, ln net.Listener) *Server {
+func Serve(arb Arbitrator, ln net.Listener) *Server {
 	s := &Server{arb: arb, ln: ln, conns: make(map[net.Conn]struct{})}
 	s.wg.Add(1)
 	go s.acceptLoop()
@@ -135,20 +124,6 @@ func ListenAndServe(arb Arbitrator, addr string) (*Server, error) {
 		return nil, fmt.Errorf("qosnet: listen %s: %w", addr, err)
 	}
 	return Serve(arb, ln), nil
-}
-
-// ServeDynamic serves a renegotiating arbitrator: in addition to the
-// negotiation ops, clients may change the machine size (the path a remote
-// resource broker or operator uses) and read renegotiation statistics.
-func ServeDynamic(dyn *qos.DynamicArbitrator, ln net.Listener) *Server { return serve(dyn, ln) }
-
-// ListenAndServeDynamic listens on addr and serves the dynamic arbitrator.
-func ListenAndServeDynamic(dyn *qos.DynamicArbitrator, addr string) (*Server, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("qosnet: listen %s: %w", addr, err)
-	}
-	return ServeDynamic(dyn, ln), nil
 }
 
 // Addr returns the server's listen address.
@@ -293,47 +268,21 @@ func verdict(g *qos.Grant, err error) response {
 
 func failure(err error) response { return response{status: statusError, err: err.Error()} }
 
-// dispatch answers one request from the served value: the ops every served
-// value has directly, the rest through the method the op calls — a static
-// arbitrator has NegotiateDAG and scheduler Stats, a renegotiating one
-// SetCapacity, Waiting and renegotiation Stats.
+// dispatch answers one request from the served arbitrator.
 func (s *Server) dispatch(req *request) response {
 	switch req.op {
 	case opNegotiate:
 		return verdict(s.negotiate(s.arb, req.job))
+	case opNegotiateDAG:
+		return verdict(s.arb.NegotiateDAG(req.dag))
 	case opObserve:
 		s.arb.Observe(req.now)
-		return response{}
+	case opStats:
+		return response{stats: s.arb.Stats()}
 	case opUtilization:
 		return response{value: s.arb.Utilization(req.origin, req.horizon)}
-	case opPing:
-		return response{}
-	case opNegotiateDAG:
-		if a, ok := s.arb.(qos.DAGNegotiator); ok {
-			return verdict(a.NegotiateDAG(req.dag))
-		}
-	case opStats:
-		if a, ok := s.arb.(interface{ Stats() core.Stats }); ok {
-			return response{stats: a.Stats()}
-		}
-	case opSetCapacity:
-		if a, ok := s.arb.(interface{ SetCapacity(int) ([]int, error) }); ok {
-			aborted, err := a.SetCapacity(req.procs)
-			if err != nil {
-				return failure(err)
-			}
-			return response{aborted: aborted}
-		}
-	case opDynStats:
-		if a, ok := s.arb.(interface{ Stats() qos.DynamicStats }); ok {
-			return response{dyn: a.Stats()}
-		}
-	case opWaiting:
-		if a, ok := s.arb.(interface{ Waiting() int }); ok {
-			return response{count: a.Waiting()}
-		}
 	}
-	return failure(fmt.Errorf("qosnet: op %d not supported by the served arbitrator", req.op))
+	return response{} // opObserve, opPing: nothing follows the status
 }
 
 // Client speaks the protocol over one persistent TCP connection.  It is
@@ -456,23 +405,4 @@ func (c *Client) Utilization(origin, horizon float64) (float64, error) {
 func (c *Client) Ping() error {
 	_, err := c.roundTrip(&request{op: opPing})
 	return err
-}
-
-// SetCapacity renegotiates a dynamic server's machine size, returning the
-// IDs of aborted jobs.
-func (c *Client) SetCapacity(procs int) ([]int, error) {
-	resp, err := c.roundTrip(&request{op: opSetCapacity, procs: procs})
-	return resp.aborted, err
-}
-
-// DynStats fetches a dynamic server's renegotiation counters.
-func (c *Client) DynStats() (qos.DynamicStats, error) {
-	resp, err := c.roundTrip(&request{op: opDynStats})
-	return resp.dyn, err
-}
-
-// Waiting fetches a dynamic server's queued-rejection count.
-func (c *Client) Waiting() (int, error) {
-	resp, err := c.roundTrip(&request{op: opWaiting})
-	return resp.count, err
 }

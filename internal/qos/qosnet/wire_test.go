@@ -194,7 +194,7 @@ func TestClientBreaksOnADesynchronisedStream(t *testing.T) {
 		answer response
 		want   string
 	}{
-		"another op's answer": {response{op: opWaiting, count: 3}, "sent op 5, received the answer to op 9"},
+		"another op's answer": {response{op: opUtilization, value: 0.5}, "sent op 5, received the answer to op 4"},
 		"refusal":             {response{status: statusError, err: "qosnet: frame checksum mismatch"}, "server refused the request: qosnet: frame checksum mismatch"},
 	} {
 		answer := tc.answer
@@ -227,9 +227,6 @@ func TestApplicationErrorsDoNotBreakTheClient(t *testing.T) {
 	_, cli := startServer(t, 4)
 	if _, err := cli.Negotiate(core.Job{ID: 9}); err == nil || !strings.Contains(err.Error(), "no chains") {
 		t.Fatalf("invalid job: %v, want the arbitrator's validation error", err)
-	}
-	if _, err := cli.SetCapacity(8); err == nil || !strings.Contains(err.Error(), "not supported") {
-		t.Fatalf("dynamic op on a static server: %v", err)
 	}
 	long := job(2, 1, 1, 2)
 	long.Name = strings.Repeat("x", frame.MaxString+1)
