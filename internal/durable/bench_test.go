@@ -3,6 +3,8 @@ package durable
 import (
 	"fmt"
 	"slices"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -152,6 +154,51 @@ func BenchmarkPlaneSnapshot(b *testing.B) {
 				if err := p.Snapshot(); err != nil {
 					b.Fatal(err)
 				}
+			}
+		})
+	}
+}
+
+// BenchmarkPlaneCallers measures a grant — written under the plane lock,
+// flushed past it — from 1, 2, 4 and 8 closed-loop callers on the real
+// filesystem under SyncAlways: ns/op is the plane's grant period at that
+// concurrency, which is the device's fsync divided by how many grants a
+// flush releases.  Every op is a grant: job i has a stretch of its own,
+// and the clock trails 1024 jobs behind, so the live set holds.  The host's
+// fsync has phases (bench/LADDER.md), so compare alternating runs of two
+// trees in one sitting, never a run with a committed row.
+func BenchmarkPlaneCallers(b *testing.B) {
+	for _, callers := range []int{1, 2, 4, 8} {
+		b.Run(fmt.Sprintf("callers=%d", callers), func(b *testing.B) {
+			p, _, err := OpenPlane(Config{
+				FS: vfs.OS{}, Dir: b.TempDir(), Procs: 64,
+				Store: StoreOptions{Sync: SyncAlways},
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			tmpl := workload.FigureJob{X: 4, T: 25, Alpha: 0.25, Laxity: 0.5}
+			var next atomic.Int64
+			var wg sync.WaitGroup
+			b.ReportAllocs()
+			b.ResetTimer()
+			for c := 0; c < callers; c++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := int(next.Add(1)); i <= b.N; i = int(next.Add(1)) {
+						p.Observe(40 * float64(i-1024))
+						if _, err := p.Negotiate(tmpl.Job(i, 40*float64(i), workload.Tunable)); err != nil {
+							b.Errorf("job %d: %v", i, err)
+							return
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			b.StopTimer()
+			if err := p.Close(); err != nil {
+				b.Fatal(err)
 			}
 		})
 	}

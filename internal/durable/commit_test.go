@@ -22,9 +22,10 @@ import (
 
 // This file holds the commit path to its contract now that an append is two
 // halves under two locks: what waits for the disk and what does not, what one
-// flush releases, what a clean stop leaves behind, what a crash at each point
-// between a record's write and its acknowledgment recovers, and what four
-// callers and a failing disk do to each other under the race detector.
+// flush releases, what two flushes in flight owe each other, what a clean
+// stop leaves behind, what a crash at each point between a record's write and
+// its acknowledgment recovers, and what four callers and a failing disk do to
+// each other under the race detector.
 
 // errDead is what a filesystem call returns once the process that made it is
 // gone.
@@ -317,13 +318,19 @@ func (r *rig) startWritten(job core.Job) <-chan verdict {
 	r.t.Helper()
 	lsn := r.written() + 1
 	ch := r.start(job)
-	for deadline := time.Now().Add(10 * time.Second); r.written() < lsn; time.Sleep(50 * time.Microsecond) {
-		if time.Now().After(deadline) {
-			r.t.Fatalf("record %d was never written", lsn)
-		}
-	}
+	r.await(func() bool { return r.written() >= lsn }, fmt.Sprintf("the write of record %d", lsn))
 	r.wrote(func(q *Plane) { q.Negotiate(job) })
 	return ch
+}
+
+// await polls until cond holds.
+func (r *rig) await(cond func() bool, what string) {
+	r.t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(50 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			r.t.Fatalf("%s never happened", what)
+		}
+	}
 }
 
 func (r *rig) reached(pk *park, what string) {
@@ -464,33 +471,96 @@ func TestGrantReturnsOnlyOnceDurable(t *testing.T) {
 	}
 }
 
-// Two grants written while an earlier flush is under way are both released
-// by the one flush that follows it.
+// parkTwoFlushes starts two grants and parks each one's flush at its sync,
+// so that both of the store's flushes are in flight.
+func (r *rig) parkTwoFlushes() (flushes [2]*park, grants [2]<-chan verdict) {
+	r.t.Helper()
+	for i := range flushes {
+		flushes[i] = r.gate.parkAt(segmentSync(false))
+		grants[i] = r.startWritten(r.grantable())
+		r.reached(flushes[i], fmt.Sprintf("grant %d's flush", i+1))
+	}
+	return flushes, grants
+}
+
+// Two flushes run at once, each the one its grant leads; two grants written
+// while both are under way wait for a slot, and the one flush that takes it
+// releases them both.
 func TestOneFlushReleasesEveryGrantWrittenBeforeIt(t *testing.T) {
 	r := newRig(t, StoreOptions{})
 	fsyncs, base := r.met.Fsyncs.Value(), r.written()
 
-	leading := r.gate.parkAt(segmentSync(false))
-	first := r.startWritten(r.grantable())
-	r.reached(leading, "the first grant's flush")
-	second := r.startWritten(r.grantable())
+	parked, running := r.parkTwoFlushes()
 	third := r.startWritten(r.grantable())
-	for _, ch := range []<-chan verdict{first, second, third} {
+	fourth := r.startWritten(r.grantable())
+	grants := []<-chan verdict{running[0], running[1], third, fourth}
+	for _, ch := range grants {
 		r.pending(ch, "a grant")
 	}
-	leading.release()
-	for i, ch := range []<-chan verdict{first, second, third} {
+	for _, pk := range parked {
+		pk.release()
+	}
+	for i, ch := range grants {
 		if v := r.result(ch, "a grant"); v.err != nil {
-			t.Fatalf("grant %d: %v", i, v.err)
+			t.Fatalf("grant %d: %v", i+1, v.err)
 		}
 	}
-	if got := r.p.DurableLSN(); got != base+3 {
-		t.Fatalf("durable to %d, want %d", got, base+3)
+	if got := r.p.DurableLSN(); got != base+4 {
+		t.Fatalf("durable to %d, want %d", got, base+4)
 	}
-	// The parked flush had started before the other two were written and
-	// covers the first alone; one more covers both of them.
-	if got := r.met.Fsyncs.Value() - fsyncs; got != 2 {
-		t.Fatalf("three grants, two written behind a flush in progress, took %d flushes, want 2", got)
+	// Each parked flush had started before the last two grants were written
+	// and covers its own; one more covers both of them.
+	if got := r.met.Fsyncs.Value() - fsyncs; got != 3 {
+		t.Fatalf("four grants, two written behind two flushes in progress, took %d flushes, want 3", got)
+	}
+}
+
+// Close waits for the flushes in flight: it returns once both have
+// published, what they published survives a power loss, and a second Close
+// does nothing.
+func TestCloseWaitsForFlushesInFlight(t *testing.T) {
+	r := newRig(t, StoreOptions{})
+	base, syncs := r.written(), r.gate.segSyncs.Load()
+	parked, grants := r.parkTwoFlushes()
+	closed := make(chan error, 1)
+	go func() { closed <- r.p.Close() }()
+	for _, pk := range parked {
+		// Nothing marks a Close that waits; the sleep gives one that does not
+		// the time to return.
+		time.Sleep(10 * time.Millisecond)
+		select {
+		case err := <-closed:
+			t.Fatalf("Close returned (%v) with a flush still parked", err)
+		default:
+		}
+		pk.release()
+	}
+	select {
+	case err := <-closed:
+		if err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close never returned")
+	}
+	for i, ch := range grants {
+		if v := r.result(ch, "a grant"); v.err != nil {
+			t.Fatalf("grant %d: %v", i+1, v.err)
+		}
+	}
+	if got := r.p.DurableLSN(); got != base+2 {
+		t.Fatalf("durable to %d after Close, want %d", got, base+2)
+	}
+	// The two flushes covered everything written: Close had nothing to add.
+	if got := r.gate.segSyncs.Load() - syncs; got != 2 {
+		t.Fatalf("%d journal syncs for two grants and a Close, want 2", got)
+	}
+	if err := r.p.Close(); err != nil {
+		t.Fatalf("second Close: %v", err)
+	}
+	r.fault.Crash()
+	if st := r.recover(); st.LSN != base+2 || !hasGrant(st, r.jobs-1) || !hasGrant(st, r.jobs) {
+		t.Fatalf("recovered lsn %d, want both grants at %d", st.LSN, base+2)
 	}
 }
 
@@ -558,6 +628,10 @@ var crashPositionNames = []string{
 	"removals-half-done",         // the old snapshot gone for good, the sealed segment still there
 	"promise-behind-sealed-tail", // a grant in the open segment, its flush parked in the sealed segment's sync
 	"snapshot-during-sync-to",    // a waiter in SyncTo released by its own flush while a checkpoint's temp sync is parked
+	// Two flushes in flight:
+	"second-flush-overtakes", // the later flush's sync done, the earlier one's parked
+	"earlier-flush-fails",    // the earlier flush's sync failed, the later one's succeeded
+	"seal-under-flush",       // a seal swapped segments under a parked flush of the old one
 }
 
 // sealWithNextRecord makes the next record written carry a seal, as the
@@ -894,6 +968,160 @@ var crashPositions = map[string]func(t *testing.T, hit func()){
 			r.kill()
 			if st := r.recover(); st.LSN != base+1 {
 				t.Fatalf("recovered lsn %d from the snapshot, want %d", st.LSN, base+1)
+			}
+		}
+	},
+	"second-flush-overtakes": func(t *testing.T, hit func()) {
+		r := newRig(t, StoreOptions{})
+		base, syncs := r.written(), r.gate.segSyncs.Load()
+		earlier := r.gate.parkAt(segmentSync(false))
+		jobA, jobB := r.grantable(), r.grantable()
+		a := r.startWritten(jobA)
+		r.reached(earlier, "the first grant's flush")
+		// The second grant leads a flush of its own, whose sync covers both
+		// records and finishes first.
+		b := r.startWritten(jobB)
+		r.await(func() bool { return r.gate.segSyncs.Load() > syncs }, "the second grant's sync")
+		// It publishes after the flush that started before it, not before.
+		if got := r.p.DurableLSN(); got != base {
+			t.Fatalf("durable to %d with the earlier flush parked, want %d", got, base)
+		}
+		r.pending(b, "the second grant")
+		r.pending(a, "the first grant")
+		hit()
+		r.kill()
+		earlier.release()
+		for _, ch := range []<-chan verdict{a, b} {
+			if v := r.result(ch, "a grant"); v.err == nil {
+				t.Fatal("grant acknowledged by a process killed with the earlier flush unfinished")
+			}
+		}
+		// Both records reached the disk with the later sync and neither was
+		// acknowledged: the one direction the contract leaves open.
+		if st := r.recover(); st.LSN != base+2 || !hasGrant(st, jobA.ID) || !hasGrant(st, jobB.ID) {
+			t.Fatalf("recovered lsn %d, want both synced grants at %d", st.LSN, base+2)
+		}
+	},
+	"earlier-flush-fails": func(t *testing.T, hit func()) {
+		r := newRig(t, StoreOptions{})
+		base := r.written()
+		boom := errors.New("fsync failed")
+		earlier := r.gate.parkAt(segmentSync(false))
+		a := r.startWritten(r.grantable())
+		r.reached(earlier, "the first grant's flush")
+		// The first flush's sync fails, and it stands on its way back; the
+		// second flush's sync succeeds.
+		failed := r.gate.parkAt(segmentSync(true))
+		r.fault.SetSyncError(boom, 0)
+		earlier.release()
+		r.reached(failed, "the end of the first grant's failed sync")
+		r.fault.SetSyncError(nil, 0)
+		syncs := r.gate.segSyncs.Load()
+		b := r.startWritten(r.grantable())
+		r.await(func() bool { return r.gate.segSyncs.Load() > syncs }, "the second grant's sync")
+		r.pending(b, "the second grant")
+		r.pending(a, "the first grant")
+		hit()
+		failed.release()
+		// An fsync error is reported once: the later sync's success does not
+		// say the records before it survived, so its caller fails too.
+		for i, ch := range []<-chan verdict{a, b} {
+			if v := r.result(ch, "a grant"); !errors.Is(v.err, boom) {
+				t.Fatalf("grant %d: %v, want the first flush's error", i+1, v.err)
+			}
+		}
+		if err := r.p.Err(); !errors.Is(err, boom) {
+			t.Fatalf("plane error %v, want the failed flush's", err)
+		}
+		if got := r.p.DurableLSN(); got != base {
+			t.Fatalf("durable to %d after a failed flush, want %d", got, base)
+		}
+		r.kill()
+		r.recover()
+	},
+	"seal-under-flush": func(t *testing.T, hit func()) {
+		// The sealed handle goes with the next flush to start or, if none
+		// starts first, with the checkpoint; either way it is closed once, and
+		// not before the flush still syncing it as the open segment has
+		// published.
+		for _, byFlush := range []bool{true, false} {
+			r := newRig(t, StoreOptions{})
+			base, old := r.written(), r.p.store.segName
+			var closes, dirSyncs atomic.Int64
+			r.gate.watch = func(ev gateEvent) {
+				switch {
+				case !ev.after:
+				case ev.op == "close" && ev.name == old:
+					closes.Add(1)
+				case ev.op == "syncdir":
+					dirSyncs.Add(1)
+				}
+			}
+			// The checkpoint is held at its first step, so that nothing it
+			// does covers for the flushes under test.
+			tmp := r.gate.parkAt(on("create", false, isTemp))
+			earlier := r.gate.parkAt(segmentSync(false))
+			jobA := r.grantable()
+			a := r.startWritten(jobA)
+			r.reached(earlier, "the first grant's flush")
+			// A refusal carries a seal, which swaps the segment under the flush.
+			r.sealWithNextRecord()
+			if v := r.negotiate(r.refusable()); !errors.Is(v.err, qos.ErrRejected) {
+				t.Fatalf("the refusal that carries the seal: %v", v.err)
+			}
+			r.reached(tmp, "the creation of the checkpoint's temp file")
+			if r.p.store.segName == old {
+				t.Fatal("the seal left the open segment in place")
+			}
+			grants, jobs, want := []<-chan verdict{a}, []int{jobA.ID}, base+2
+			if byFlush {
+				// The next flush has the sealed tail, the open segment and the
+				// directory to see to.
+				syncs, dirs := r.gate.segSyncs.Load(), dirSyncs.Load()
+				jobB := r.grantable()
+				b := r.startWritten(jobB)
+				r.await(func() bool { return r.gate.segSyncs.Load() == syncs+2 && dirSyncs.Load() == dirs+1 },
+					"the second flush's syncs of the sealed segment, the open one and the directory")
+				if got := r.p.DurableLSN(); got != base {
+					t.Fatalf("durable to %d with the earlier flush parked, want %d", got, base)
+				}
+				r.pending(b, "the second grant")
+				grants, jobs, want = append(grants, b), append(jobs, jobB.ID), base+3
+			} else {
+				// The checkpoint publishes, which covers the parked flush's
+				// grant, and comes to the sealed handle; the sleep gives one
+				// that does not wait for the parked flush the time to close it.
+				tmp.release()
+				r.await(func() bool { return r.p.DurableLSN() == base+2 }, "the snapshot's publication")
+				time.Sleep(10 * time.Millisecond)
+			}
+			r.pending(a, "the first grant")
+			if closes.Load() != 0 {
+				t.Fatal("the sealed segment was closed under the flush still syncing it")
+			}
+			hit()
+			earlier.release()
+			for i, ch := range grants {
+				if v := r.result(ch, "a grant"); v.err != nil {
+					t.Fatalf("grant %d: %v", i+1, v.err)
+				}
+			}
+			if byFlush {
+				if got := r.p.DurableLSN(); got != want {
+					t.Fatalf("durable to %d, want %d", got, want)
+				}
+				tmp.release()
+			}
+			if err := r.p.WaitCheckpoint(); err != nil {
+				t.Fatal(err)
+			}
+			if got := closes.Load(); got != 1 {
+				t.Fatalf("the sealed segment was closed %d times, want once", got)
+			}
+			r.kill()
+			st := r.recover()
+			if st.LSN != want || !hasGrant(st, jobs[0]) || !hasGrant(st, jobs[len(jobs)-1]) {
+				t.Fatalf("recovered lsn %d, want grants %v at %d", st.LSN, jobs, want)
 			}
 		}
 	},

@@ -118,22 +118,26 @@ type Recovered struct {
 // An append has two halves under two locks.  Write is single-writer: the
 // owning plane calls it under its own lock, so log order is decision order.
 // SyncTo is what an acknowledgment waits in, after the plane lock is gone:
-// flushMu admits one flusher at a time, its flush covers every record
-// written before it started, and whoever waited behind it finds its record
-// already durable.
+// up to two flushes run at once, each covers every record written before it
+// started, and whoever waited behind them finds its record already durable.
+// flushMu is bookkeeping only — tickets, the running flushes' reach, the
+// duties a seal left — and is never held across a sync.
 //
 // A checkpoint has two halves too.  seal, under the plane lock, takes the
 // cut and swaps a fresh segment in as the open one (the swap alone holds
 // flushMu); one goroutine per checkpoint then folds the grant set as of the
 // cut, writes and publishes the snapshot and removes what it covers, behind
 // the writer and the flushers.  One checkpoint is in flight at a time and
-// Close waits for it.  Three rules stand where both locks used to be held
-// throughout:
+// Close waits for it, and for the flushes.  Three rules stand where both
+// locks used to be held throughout:
 //
 //   - durableLSN never passes a record whose segment's bytes and directory
-//     entry are not both on stable storage: the first flush after a seal
-//     syncs the sealed segment's tail, then the open segment, then the
-//     directory, before it publishes what it covered;
+//     entry are not both on stable storage, and flushes publish in the order
+//     they started: the first flush after a seal syncs the sealed segment's
+//     tail, then the open segment, then the directory, and a flush publishes
+//     only after every flush started before it has — so none publishes on
+//     the strength of a sync an earlier one has yet to finish, or one that
+//     failed;
 //   - a snapshot is published — renamed into place and the directory synced
 //     — before anything it covers is removed, and only then does durableLSN
 //     rise to its LSN;
@@ -164,16 +168,20 @@ type Store struct {
 	ckpt        *checkpoint
 	base, spare []GrantRecord
 
-	// flushMu serializes flushes with each other and with the segment swap
-	// of a seal; seg is written only under it and the plane lock both, so
-	// either lock is enough to read it.  sealed is the segment the last seal
-	// swapped out, held until a flush has synced its tail or its checkpoint
-	// is published; dirDirty says the open segment's directory entry is not
-	// yet known to be on stable storage.
-	flushMu  sync.Mutex
-	seg      vfs.File
-	sealed   vfs.File
-	dirDirty bool
+	// flushMu guards what follows, and flushDone on it wakes whoever waits
+	// for a flush to publish.  seg is written only under it and the plane
+	// lock both, so either lock is enough to read it.  sealed is the segment
+	// the last seal swapped out, held until a flush has synced its tail or
+	// its checkpoint is published; dirDirty says the open segment's
+	// directory entry is not yet known to be on stable storage.  started and
+	// published count flushes, so their difference is the number running;
+	// reach is what the last one started covers.
+	flushMu                   sync.Mutex
+	flushDone                 sync.Cond
+	seg                       vfs.File
+	sealed                    vfs.File
+	dirDirty                  bool
+	started, published, reach uint64
 
 	written    atomic.Uint64 // LSN of the last record in the segment
 	durableLSN atomic.Uint64 // LSN of the last record known flushed
@@ -239,6 +247,7 @@ func Open(cfg OpenConfig) (*Store, Recovered, error) {
 		return nil, Recovered{}, fmt.Errorf("durable: create log dir: %w", err)
 	}
 	s := &Store{fs: cfg.FS, dir: cfg.Dir, opts: cfg.Store.withDefaults(), core: cfg.Options, met: cfg.Metrics}
+	s.flushDone.L = &s.flushMu
 
 	base, snapLSN, recs, torn, err := s.load(cfg.Genesis)
 	if err != nil {
@@ -633,9 +642,14 @@ func (s *Store) publish(st *State) (size int, err error) {
 func (s *Store) removeCovered(lsn uint64) error {
 	// The publishing SyncDir carried the open segment's entry with it, and
 	// the sealed segment's tail is covered whether or not a flush got to it.
+	// A flush started before the seal may still be syncing the sealed
+	// segment as the open one: its handle is closed once that has published.
 	s.flushMu.Lock()
 	sealed := s.sealed
 	s.sealed, s.dirDirty = nil, false
+	for ticket := s.started; sealed != nil && s.published < ticket; {
+		s.flushDone.Wait()
+	}
 	s.flushMu.Unlock()
 	var err error
 	if sealed != nil {
@@ -733,11 +747,22 @@ func (s *Store) Write(r *Record, promise bool) (wait uint64, err error) {
 	return wait, nil
 }
 
+// flushDepth is how many flushes run at once.  Two is a property of the
+// design, not a setting: with two callers each one's flush overlaps the
+// other's, exactly as with no bound at all, and from the third caller on
+// the rest wait for a slot and find their records covered by the next flush
+// to start, batched behind the running pair as one flusher batched them.
+// That caps what the device is asked to queue, which is where overlap
+// without a bound lost on a real disk.
+const flushDepth = 2
+
 // SyncTo is the second half: it returns once the record Write numbered lsn
-// is on stable storage.  One caller at a time flushes; its flush covers
-// every record written before it started, so a caller that waited behind
-// it usually finds its own record durable — as does one whose record a
-// checkpoint published meanwhile — and returns without touching the disk.
+// is on stable storage.  A caller whose record a running flush covers
+// follows that flush; one whose record none covers leads a new flush if
+// fewer than flushDepth run, and waits for a slot otherwise.  A flush
+// covers every record written before it started, so most callers that
+// waited find their own record durable — as does one whose record a
+// checkpoint published meanwhile — and return without touching the disk.
 // On failure the store is poisoned and the caller must not acknowledge.
 func (s *Store) SyncTo(lsn uint64) error {
 	if s.durableLSN.Load() >= lsn {
@@ -745,43 +770,72 @@ func (s *Store) SyncTo(lsn uint64) error {
 	}
 	s.flushMu.Lock()
 	defer s.flushMu.Unlock()
-	if s.durableLSN.Load() >= lsn {
-		return nil
+	for {
+		if s.durableLSN.Load() >= lsn {
+			return nil
+		}
+		if err := s.refused(); err != nil {
+			return err
+		}
+		if s.reach < lsn && s.started-s.published < flushDepth {
+			return s.flush()
+		}
+		s.flushDone.Wait()
 	}
-	return s.flushLocked()
 }
 
-// flushLocked syncs the log and publishes what that made durable.  After a
-// seal the log is more than the open segment: the sealed one may end in
-// records no flush has covered, and the open one's directory entry may not
-// be on the disk; both are seen to before durableLSN moves.
-func (s *Store) flushLocked() error {
-	if err := s.refused(); err != nil {
-		return err
-	}
+// flush syncs the log and publishes what that made durable; it is called,
+// and returns, with flushMu held, and drops it for the syncs.  After a seal
+// the log is more than the open segment: the sealed one may end in records
+// no flush has covered, and the open one's directory entry may not be on
+// the disk; the first flush to start after the seal takes both duties.  It
+// publishes only once the flush started before it has: if that one failed,
+// the store is poisoned and this one fails with it — an fsync error is
+// reported once, and a later sync's success says nothing of what it lost.
+func (s *Store) flush() error {
 	through := s.written.Load() // read first: the sync covers at least this
-	if sealed := s.sealed; sealed != nil {
-		s.sealed = nil
-		err := sealed.Sync()
-		if cerr := sealed.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return s.poison(fmt.Errorf("durable: sync sealed segment: %w", err))
+	ticket, sealed, seg, dirty := s.started, s.sealed, s.seg, s.dirDirty
+	s.started, s.reach, s.sealed, s.dirDirty = ticket+1, through, nil, false
+	s.flushMu.Unlock()
+	err := s.sync(sealed, seg, dirty, through)
+	s.flushMu.Lock()
+	for s.published != ticket {
+		s.flushDone.Wait()
+	}
+	if sealed != nil { // the flush before may have synced it as the open one until now
+		if cerr := sealed.Close(); err == nil && cerr != nil {
+			err = fmt.Errorf("durable: close sealed segment: %w", cerr)
 		}
 	}
-	if err := s.seg.Sync(); err != nil {
-		return s.poison(fmt.Errorf("durable: sync log through lsn %d: %w", through, err))
+	if perr := s.refused(); perr != nil {
+		err = perr
+	} else if err != nil {
+		err = s.poison(err)
+	} else {
+		s.raiseDurable(through)
+		if s.met != nil {
+			s.met.Fsyncs.Inc()
+		}
 	}
-	if s.dirDirty {
+	s.published++
+	s.flushDone.Broadcast()
+	return err
+}
+
+// sync is a flush's disk work, done with no lock held.
+func (s *Store) sync(sealed, seg vfs.File, dirty bool, through uint64) error {
+	if sealed != nil {
+		if err := sealed.Sync(); err != nil {
+			return fmt.Errorf("durable: sync sealed segment: %w", err)
+		}
+	}
+	if err := seg.Sync(); err != nil {
+		return fmt.Errorf("durable: sync log through lsn %d: %w", through, err)
+	}
+	if dirty {
 		if err := s.fs.SyncDir(s.dir); err != nil {
-			return s.poison(fmt.Errorf("durable: sync log dir: %w", err))
+			return fmt.Errorf("durable: sync log dir: %w", err)
 		}
-		s.dirDirty = false
-	}
-	s.raiseDurable(through)
-	if s.met != nil {
-		s.met.Fsyncs.Inc()
 	}
 	return nil
 }
@@ -837,21 +891,24 @@ func (s *Store) NextLSN() uint64 { return s.written.Load() + 1 }
 // DurableLSN returns the highest LSN known synced to stable storage.
 func (s *Store) DurableLSN() uint64 { return s.durableLSN.Load() }
 
-// Close waits for the checkpoint in flight, flushes what was written and not
-// yet flushed — under SyncAlways the refusals, clock reports and completions
-// since the last promise, under SyncEveryN the tail short of N — and closes
-// the log, so a clean stop leaves nothing riding and no goroutine behind.
-// SyncNever stays the operating system's business.
+// Close waits for the checkpoint and the flushes in flight, flushes what was
+// written and not yet flushed — under SyncAlways the refusals, clock reports
+// and completions since the last promise, under SyncEveryN the tail short of
+// N — and closes the log, so a clean stop leaves nothing riding and no
+// goroutine behind.  SyncNever stays the operating system's business.
 func (s *Store) Close() error {
 	<-s.ckpt.done
 	s.flushMu.Lock()
 	defer s.flushMu.Unlock()
+	for s.published != s.started {
+		s.flushDone.Wait()
+	}
 	if s.seg == nil {
 		return nil
 	}
 	var err error
 	if s.opts.Sync != SyncNever && s.Poisoned() == nil && s.durableLSN.Load() < s.written.Load() {
-		err = s.flushLocked()
+		err = s.flush()
 	}
 	if s.sealed != nil { // a failed checkpoint left it
 		if cerr := s.sealed.Close(); err == nil {
