@@ -130,7 +130,7 @@ func main() {
 				lp.SetEnvelope(env)
 				fmt.Printf("latency envelope: e2e %dns per phase (baseline %s x%.3g slack)\n\n", env.E2E, *latMatch, *latSlack)
 			}
-			observer.Handle("/latency", lp.Handler(), "admission latency anatomy: phase quantiles, envelope, tail exemplars (JSON; ?format=prom)")
+			observer.Handle("/latency", lp.Handler(), "admission latency anatomy: phase quantiles, envelope, tail exemplars (JSON)")
 			if *injectSlowdown != "" {
 				ph, d, err := parseSlowdown(*injectSlowdown)
 				if err != nil {

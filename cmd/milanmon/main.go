@@ -2,8 +2,8 @@
 // second it scrapes the debug endpoint of N junctiond nodes (-debug-addr:
 // /metrics, /slo, /latency, /ledger, /spans), merges what it read,
 // stitches cross-process span trees, re-runs burn-rate alerting over the
-// merged SLO view, and serves the cluster view over HTTP (/metrics with a
-// node-labeled Prometheus exposition, /trace, /slo, /nodes, /latency,
+// merged SLO view, and serves the cluster view over HTTP as JSON
+// (/metrics, merged and per node, /trace, /slo, /nodes, /latency,
 // /state).
 //
 // With -drive it also exercises the cluster: it negotiates jobs against

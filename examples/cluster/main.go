@@ -9,8 +9,8 @@
 // without restarting the server.
 //
 // The third act federates the observability plane itself: an aggregator
-// (milanmon's engine) scrapes the plane's debug endpoint and renders the
-// node-labeled cluster view.
+// (milanmon's engine) scrapes the plane's debug endpoint and prints the
+// per-node and merged cluster view.
 //
 //	go run ./examples/cluster
 package main
@@ -21,7 +21,6 @@ import (
 	"io"
 	"log"
 	"net/http"
-	"strings"
 	"sync"
 	"time"
 
@@ -246,8 +245,8 @@ func federated() error {
 
 // federatedTelemetry is the third act: an aggregator — milanmon's engine
 // — scrapes the debug endpoint the plane already serves, the same way
-// milanmon scrapes every junctiond's -debug-addr, and renders the
-// node-labeled cluster view a Prometheus scraper would see.
+// milanmon scrapes every junctiond's -debug-addr, and prints the per-node
+// and merged counters milanmon's /metrics serves.
 func federatedTelemetry(reg *obs.Registry, debugAddr string) error {
 	fmt.Println("\n--- telemetry: aggregator scraping the debug endpoint ---")
 	agg := telemetry.NewAggregator(telemetry.AggregatorConfig{
@@ -274,16 +273,16 @@ func federatedTelemetry(reg *obs.Registry, debugAddr string) error {
 	st := agg.Nodes()[0]
 	fmt.Printf("scraped %s: %d polls, last %.0f ms ago, %d spans held, %d dropped\n",
 		st.Addr, st.Polls, 1000*st.LagSeconds, st.SpansHeld, st.SpansDropped)
-	var sb strings.Builder
-	if err := telemetry.WritePromLabeled(&sb, agg.NodeSnapshots(), reg.Help()); err != nil {
+	merged, err := agg.MergedRegistry()
+	if err != nil {
 		return err
 	}
-	fmt.Println("cluster view (node-labeled Prometheus exposition, excerpt):")
-	for _, line := range strings.Split(sb.String(), "\n") {
-		if strings.HasPrefix(line, obs.MetricAdmitted) || strings.HasPrefix(line, obs.MetricRejected) ||
-			strings.HasPrefix(line, "# HELP "+obs.MetricAdmitted) {
-			fmt.Println("  " + line)
-		}
+	fmt.Println("cluster view (/metrics JSON: each node's registry, keyed by address, and the merge):")
+	for addr, snap := range agg.NodeSnapshots() {
+		fmt.Printf("  node %-21s %s=%d %s=%d\n", addr,
+			obs.MetricAdmitted, snap.Counters[obs.MetricAdmitted], obs.MetricRejected, snap.Counters[obs.MetricRejected])
 	}
+	fmt.Printf("  %-26s %s=%d %s=%d\n", "merged",
+		obs.MetricAdmitted, merged.Counters[obs.MetricAdmitted], obs.MetricRejected, merged.Counters[obs.MetricRejected])
 	return nil
 }

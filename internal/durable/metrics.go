@@ -22,7 +22,7 @@ type Metrics struct {
 
 // NewMetrics resolves the durability instruments in reg.
 func NewMetrics(reg *obs.Registry) *Metrics {
-	m := &Metrics{
+	return &Metrics{
 		Appends:          reg.Counter("durable_appends"),
 		Fsyncs:           reg.Counter("durable_fsyncs"),
 		AppendLatency:    reg.Stat("durable_append_seconds"),
@@ -34,15 +34,4 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 		TornTails:        reg.Counter("durable_torn_tails"),
 		Poisoned:         reg.Gauge("durable_poisoned"),
 	}
-	reg.Describe("durable_appends", "WAL records written")
-	reg.Describe("durable_fsyncs", "WAL flushes issued (at most one per acknowledged promise; callers that queue behind a flush share the next)")
-	reg.Describe("durable_append_seconds", "seconds per WAL record write, under the plane lock (the flush a promise waits for is not included)")
-	reg.Describe("durable_snapshots", "durable snapshots written (including at open)")
-	reg.Describe("durable_snapshot_bytes", "size in bytes of the newest snapshot file")
-	reg.Describe("durable_snapshot_seconds", "seconds per snapshot compaction")
-	reg.Describe("durable_recovery_replay_seconds", "seconds replaying the WAL at open")
-	reg.Describe("durable_recovery_records", "WAL records replayed at open")
-	reg.Describe("durable_torn_tails", "recoveries that stopped at a torn or corrupt log tail")
-	reg.Describe("durable_poisoned", "1 when the store has refused further writes after an I/O error")
-	return m
 }

@@ -34,7 +34,7 @@ func (o *Observer) Handler() http.Handler {
 			return
 		}
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		w.Write([]byte("milan debug endpoint\n\n/metrics  registry snapshot (JSON; ?format=prom for Prometheus text)\n/trace    recent trace events (JSON, ?n=K)\n/spans    completed request spans (JSON)\n/healthz  liveness + readiness checks\n"))
+		w.Write([]byte("milan debug endpoint\n\n/metrics  registry snapshot (JSON)\n/trace    recent trace events (JSON, ?n=K)\n/spans    completed request spans (JSON)\n/healthz  liveness + readiness checks\n"))
 		for _, p := range o.extraRoutes() {
 			help := ""
 			o.webMu.Lock()
@@ -60,16 +60,6 @@ func (o *Observer) Handler() http.Handler {
 		}
 	})
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		// Content negotiation: ?format=prom (or a Prometheus scraper's
-		// Accept header) selects the text exposition format; the default
-		// stays the expvar-style JSON snapshot.
-		if wantsProm(r) {
-			w.Header().Set("Content-Type", PromContentType)
-			if err := o.Reg.WriteProm(w); err != nil {
-				http.Error(w, err.Error(), http.StatusInternalServerError)
-			}
-			return
-		}
 		w.Header().Set("Content-Type", "application/json; charset=utf-8")
 		if err := o.Reg.WriteJSON(w); err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)

@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"milan/internal/fed"
@@ -51,6 +52,34 @@ func TestHandlerMetrics(t *testing.T) {
 	}
 	if snap.Counters[MetricAdmitted] != 1 {
 		t.Fatalf("admitted = %d, want 1", snap.Counters[MetricAdmitted])
+	}
+}
+
+// TestMetricsHasOneRepresentation pins that /metrics serves JSON only:
+// neither ?format=prom nor an Accept header preferring text/plain turns
+// the registry snapshot into anything else.
+func TestMetricsHasOneRepresentation(t *testing.T) {
+	o := New(Config{})
+	o.Reg.Counter("sched_plans").Add(3)
+	o.Reg.Histogram("admit_latency", 0, 1, 4).Observe(0.5)
+	h := o.Handler()
+	serve := func(req *http.Request) *httptest.ResponseRecorder {
+		rw := httptest.NewRecorder()
+		h.ServeHTTP(rw, req)
+		return rw
+	}
+	plain := serve(httptest.NewRequest("GET", "/metrics", nil))
+	accept := httptest.NewRequest("GET", "/metrics", nil)
+	accept.Header.Set("Accept", "text/plain")
+	for _, req := range []*http.Request{httptest.NewRequest("GET", "/metrics?format=prom", nil), accept} {
+		rw := serve(req)
+		if ct := rw.Header().Get("Content-Type"); rw.Code != http.StatusOK || !strings.HasPrefix(ct, "application/json") {
+			t.Fatalf("%s (Accept %q): %d %q", req.URL, req.Header.Get("Accept"), rw.Code, ct)
+		}
+		if rw.Body.String() != plain.Body.String() {
+			t.Fatalf("%s (Accept %q) differs from a plain GET:\n%s\nwant\n%s",
+				req.URL, req.Header.Get("Accept"), rw.Body.String(), plain.Body.String())
+		}
 	}
 }
 
@@ -108,5 +137,41 @@ func TestHandlerIndexAnd404(t *testing.T) {
 	}
 	if code, _ := get(t, srv.URL+"/nope"); code != http.StatusNotFound {
 		t.Fatalf("unknown path status = %d, want 404", code)
+	}
+}
+
+func TestPprofMountedBehindFlag(t *testing.T) {
+	// Off by default: the subtree is not routed.
+	o := New(Config{})
+	rw := httptest.NewRecorder()
+	o.Handler().ServeHTTP(rw, httptest.NewRequest("GET", "/debug/pprof/", nil))
+	if rw.Code != 404 {
+		t.Fatalf("pprof served without the flag: %d", rw.Code)
+	}
+
+	// Config.EnablePprof mounts the index, named profiles and cmdline.
+	o = New(Config{EnablePprof: true})
+	h := o.Handler()
+	rw = httptest.NewRecorder()
+	h.ServeHTTP(rw, httptest.NewRequest("GET", "/debug/pprof/", nil))
+	if rw.Code != 200 || !strings.Contains(rw.Body.String(), "goroutine") {
+		t.Fatalf("pprof index: %d %s", rw.Code, rw.Body.String())
+	}
+	// Named profile resolves through the "/"-suffix prefix route.
+	rw = httptest.NewRecorder()
+	h.ServeHTTP(rw, httptest.NewRequest("GET", "/debug/pprof/goroutine?debug=1", nil))
+	if rw.Code != 200 || !strings.Contains(rw.Body.String(), "goroutine") {
+		t.Fatalf("goroutine profile: %d", rw.Code)
+	}
+	rw = httptest.NewRecorder()
+	h.ServeHTTP(rw, httptest.NewRequest("GET", "/debug/pprof/cmdline", nil))
+	if rw.Code != 200 {
+		t.Fatalf("cmdline: %d", rw.Code)
+	}
+	// The index lists the mount.
+	rw = httptest.NewRecorder()
+	h.ServeHTTP(rw, httptest.NewRequest("GET", "/", nil))
+	if !strings.Contains(rw.Body.String(), "/debug/pprof/") {
+		t.Fatalf("endpoint index does not list pprof: %s", rw.Body.String())
 	}
 }

@@ -2,10 +2,7 @@ package latency
 
 import (
 	"encoding/json"
-	"fmt"
-	"io"
 	"net/http"
-	"sort"
 
 	"milan/internal/obs"
 )
@@ -56,44 +53,12 @@ func (p *Plane) View() View {
 	return v
 }
 
-// Handler serves the latency anatomy: JSON by default, the Prometheus
-// text exposition with exemplar annotations under ?format=prom.
+// Handler serves the latency anatomy as JSON.
 func (p *Plane) Handler() http.HandlerFunc {
-	return func(w http.ResponseWriter, req *http.Request) {
-		if obs.WantsProm(req) {
-			w.Header().Set("Content-Type", obs.PromContentType)
-			WriteProm(w, p.View())
-			return
-		}
+	return func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
 		enc.Encode(p.View())
-	}
-}
-
-// WriteProm renders a latency view as Prometheus/OpenMetrics-style text:
-// one summary family per phase plus exemplar annotations (`# {trace_id=
-// "..."} value timestamp` after the e2e samples, the OpenMetrics
-// exemplar syntax) so a scraper — or a human — can jump from a tail
-// bucket straight to the offending trace.
-func WriteProm(w io.Writer, v View) {
-	names := make([]string, 0, len(v.Phases))
-	for n := range v.Phases {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	fmt.Fprintf(w, "# HELP latency_phase_p99_ns Per-phase p99 admission latency, nanoseconds.\n# TYPE latency_phase_p99_ns gauge\n")
-	for _, n := range names {
-		fmt.Fprintf(w, "latency_phase_p99_ns{phase=%q} %s\n", n, obs.PromFloat(v.Phases[n].P99Ns))
-	}
-	fmt.Fprintf(w, "# HELP latency_phase_over_total Admissions exceeding the phase envelope budget.\n# TYPE latency_phase_over_total counter\n")
-	for _, n := range names {
-		fmt.Fprintf(w, "latency_phase_over_total{phase=%q} %d\n", n, v.Phases[n].Over)
-	}
-	fmt.Fprintf(w, "# HELP latency_exemplar_ns Slowest recent admissions with trace identity.\n# TYPE latency_exemplar_ns gauge\n")
-	for i, e := range v.Exemplars {
-		fmt.Fprintf(w, "latency_exemplar_ns{rank=\"%d\"} %d # {trace_id=\"%016x\",job=\"%d\",shard=\"%d\"} %d %.3f\n",
-			i, e.Total, e.Trace, e.Job, e.Shard, e.Total, e.At)
 	}
 }

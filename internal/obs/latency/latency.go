@@ -107,11 +107,8 @@ func New(cfg Config) *Plane {
 	p := &Plane{reg: cfg.Registry}
 	names := phase.Names()
 	p.e2e = cfg.Registry.HistogramLogLinear("latency_admit_ns", histOct0, histOctaves, histSub)
-	cfg.Registry.Describe("latency_admit_ns", "End-to-end admission latency in nanoseconds (all phases).")
 	for i := 0; i < NumPhases; i++ {
-		name := "latency_phase_" + names[i] + "_ns"
-		p.phases[i] = cfg.Registry.HistogramLogLinear(name, histOct0, histOctaves, histSub)
-		cfg.Registry.Describe(name, "Admission time spent in the "+names[i]+" phase, nanoseconds.")
+		p.phases[i] = cfg.Registry.HistogramLogLinear("latency_phase_"+names[i]+"_ns", histOct0, histOctaves, histSub)
 	}
 	p.ex.init(cfg.ExemplarK, cfg.Window)
 	p.SetEnvelope(cfg.Envelope)

@@ -323,7 +323,6 @@ type Registry struct {
 	gauges   map[string]*Gauge
 	hists    map[string]*Hist
 	stats    map[string]*Stat
-	help     map[string]string
 }
 
 // NewRegistry returns an empty registry.
@@ -333,41 +332,7 @@ func NewRegistry() *Registry {
 		gauges:   make(map[string]*Gauge),
 		hists:    make(map[string]*Hist),
 		stats:    make(map[string]*Stat),
-		help:     make(map[string]string),
 	}
-}
-
-// Describe registers one-line help text for the named metric; the
-// Prometheus exposition emits it as the metric's # HELP line.  Metrics
-// without registered help get a generated placeholder so every family
-// still carries HELP metadata.
-func (r *Registry) Describe(name, help string) {
-	r.mu.Lock()
-	r.help[name] = help
-	r.mu.Unlock()
-}
-
-// HelpFor returns the registered help text for name ("" if none).
-func (r *Registry) HelpFor(name string) string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.help[name]
-}
-
-// Help returns a copy of the registered help strings, keyed by metric
-// name (what a node-labelled exposition such as
-// telemetry.WritePromLabeled renders its HELP lines from).
-func (r *Registry) Help() map[string]string { return r.helpSnapshot() }
-
-// helpSnapshot copies the help map for exposition.
-func (r *Registry) helpSnapshot() map[string]string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make(map[string]string, len(r.help))
-	for k, v := range r.help {
-		out[k] = v
-	}
-	return out
 }
 
 // Counter returns the named counter, creating it on first use.

@@ -16,8 +16,8 @@ import (
 
 // Sampling metric names (registered when SetSampling is given a registry).
 const (
-	MetricTraceSampled    = "trace_sampled"
-	MetricTraceSampledOut = "trace_sampled_out"
+	MetricTraceSampled    = "trace_sampled"     // traces admitted by head-based sampling
+	MetricTraceSampledOut = "trace_sampled_out" // traces sampled out: ID 0, the untraced fast path
 )
 
 // sampler is one immutable sampling configuration plus its rolling
@@ -73,8 +73,6 @@ func (t *Tracer) SetSampling(targetPerSec float64, reg *Registry) {
 	s := &sampler{target: targetPerSec}
 	s.winStart.Store(math.Float64bits(t.now()))
 	if reg != nil {
-		reg.Describe(MetricTraceSampled, "Traces admitted by head-based sampling.")
-		reg.Describe(MetricTraceSampledOut, "Traces rejected (ID 0, untraced fast path) by head-based sampling.")
 		s.sampled = reg.Counter(MetricTraceSampled)
 		s.sampledOut = reg.Counter(MetricTraceSampledOut)
 	}

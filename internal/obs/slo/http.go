@@ -2,6 +2,7 @@ package slo
 
 import (
 	"encoding/json"
+	"math"
 	"net/http"
 	"strconv"
 
@@ -12,17 +13,18 @@ import (
 // engine's ExportState under "state": the window totals a cluster burn is
 // computed from (MergeStates, then Burns), which the report's derived burn
 // rates cannot be merged into.  A plain GET changes nothing.  ?now=T (a
-// float, engine clock seconds) first advances the windows to T, as Tick
-// does — useful when no periodic Tick runs; a bad value is a 400.
+// finite float, engine clock seconds) first advances the windows to T, as
+// Tick does — useful when no periodic Tick runs; a bad value, Inf or NaN
+// included, is a 400.
 func (e *Engine) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if s := r.URL.Query().Get("now"); s != "" {
-			if now, err := strconv.ParseFloat(s, 64); err == nil {
-				e.Tick(now)
-			} else {
+			now, err := strconv.ParseFloat(s, 64)
+			if err != nil || math.IsInf(now, 0) || math.IsNaN(now) {
 				http.Error(w, "bad now parameter", http.StatusBadRequest)
 				return
 			}
+			e.Tick(now)
 		}
 		w.Header().Set("Content-Type", "application/json; charset=utf-8")
 		enc := json.NewEncoder(w)

@@ -3,6 +3,7 @@ package slo
 import (
 	"encoding/json"
 	"net/http/httptest"
+	"net/url"
 	"reflect"
 	"strings"
 	"testing"
@@ -32,10 +33,19 @@ func TestEngineHandlerServesReport(t *testing.T) {
 	if rw.Code != 200 {
 		t.Fatalf("?now status %d", rw.Code)
 	}
-	rw = httptest.NewRecorder()
-	e.Handler().ServeHTTP(rw, httptest.NewRequest("GET", "/slo?now=bogus", nil))
-	if rw.Code != 400 {
-		t.Fatalf("bad ?now status %d", rw.Code)
+	// Non-finite clocks are refused before they reach the windows: +Inf
+	// would reset every burn window on a GET, NaN would stamp an alert
+	// encoding/json cannot encode.
+	before := e.ExportState()
+	for _, bad := range []string{"bogus", "5.5x", "Inf", "+Inf", "-Inf", "infinity", "NaN", "nan", "1e400"} {
+		rw = httptest.NewRecorder()
+		e.Handler().ServeHTTP(rw, httptest.NewRequest("GET", "/slo?now="+url.QueryEscape(bad), nil))
+		if rw.Code != 400 {
+			t.Errorf("?now=%s status %d, want 400", bad, rw.Code)
+		}
+	}
+	if after := e.ExportState(); !reflect.DeepEqual(before, after) {
+		t.Fatalf("a refused ?now moved the engine:\nbefore %+v\nafter  %+v", before, after)
 	}
 }
 

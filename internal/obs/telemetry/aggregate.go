@@ -2,7 +2,7 @@
 // pull.  An Aggregator scrapes the debug endpoint every node already
 // serves (obs.Observer.Handler: /metrics, /slo, /latency, /ledger, /spans)
 // on one cadence, folds what it read with the merges the in-process
-// surfaces use, and serves the cluster view (Handler).
+// surfaces use, and serves the cluster view as JSON (Handler).
 //
 // Every scraped value is cumulative or current state, so merged counters
 // equal the per-node sums by construction and a node that restarted is
@@ -313,7 +313,7 @@ func (a *Aggregator) Nodes() []NodeStatus {
 }
 
 // NodeSnapshots returns each node's last scraped registry snapshot, keyed
-// by its address (the node label of the Prometheus exposition).
+// by its address (the key of the "nodes" object /metrics serves).
 func (a *Aggregator) NodeSnapshots() map[string]obs.Snapshot {
 	snaps := make(map[string]obs.Snapshot, len(a.nodes))
 	for _, ns := range a.nodes {

@@ -4,9 +4,9 @@ import (
 	"cmp"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"slices"
+	"strconv"
 
 	"milan/internal/obs"
 	"milan/internal/obs/latency"
@@ -50,8 +50,7 @@ func (a *Aggregator) State() ClusterState {
 
 // Handler serves the aggregator's cluster-level view:
 //
-//	/metrics  merged registry (JSON: merged + per-node; ?format=prom for
-//	          node-labeled Prometheus text exposition)
+//	/metrics  merged registry and each node's, keyed by node address (JSON)
 //	/trace    stitched cross-process span trees as JSON (?trace=ID)
 //	/slo      merged SLO state, re-derived burns, and alert transitions
 //	/nodes    per-node liveness, poll lag, and span accounting
@@ -76,16 +75,9 @@ func (a *Aggregator) Handler() http.Handler {
 			return
 		}
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		w.Write([]byte("milanmon cluster view\n\n/metrics  merged registry (JSON; ?format=prom for node-labeled Prometheus text)\n/trace    stitched cross-process span trees (JSON, ?trace=ID)\n/slo      merged SLO state + re-derived burn rates + alerts\n/nodes    node liveness, poll lag, span accounting\n/ledger   merged utilization ledger\n/latency  merged phase anatomy, slowest exemplars, their traces\n/state    full cluster state in one document\n/healthz  cluster liveness\n"))
+		w.Write([]byte("milanmon cluster view\n\n/metrics  merged registry + per-node registries (JSON)\n/trace    stitched cross-process span trees (JSON, ?trace=ID)\n/slo      merged SLO state + re-derived burn rates + alerts\n/nodes    node liveness, poll lag, span accounting\n/ledger   merged utilization ledger\n/latency  merged phase anatomy, slowest exemplars, their traces\n/state    full cluster state in one document\n/healthz  cluster liveness\n"))
 	})
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		if obs.WantsProm(r) {
-			w.Header().Set("Content-Type", obs.PromContentType)
-			if err := WritePromLabeled(w, a.NodeSnapshots(), nil); err != nil {
-				http.Error(w, err.Error(), http.StatusInternalServerError)
-			}
-			return
-		}
 		merged, err := a.MergedRegistry()
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
@@ -99,8 +91,8 @@ func (a *Aggregator) Handler() http.Handler {
 	mux.HandleFunc("/trace", func(w http.ResponseWriter, r *http.Request) {
 		trees := a.SpanTrees()
 		if s := r.URL.Query().Get("trace"); s != "" {
-			var id uint64
-			if _, err := fmt.Sscanf(s, "%d", &id); err != nil {
+			id, err := strconv.ParseUint(s, 10, 64)
+			if err != nil {
 				http.Error(w, "bad trace parameter", http.StatusBadRequest)
 				return
 			}
@@ -139,10 +131,12 @@ func (a *Aggregator) Handler() http.Handler {
 	mux.HandleFunc("/latency", func(w http.ResponseWriter, r *http.Request) {
 		k := 16
 		if q := r.URL.Query().Get("k"); q != "" {
-			if _, err := fmt.Sscanf(q, "%d", &k); err != nil || k < 1 {
+			v, err := strconv.Atoi(q)
+			if err != nil || v < 1 {
 				http.Error(w, "bad k parameter", http.StatusBadRequest)
 				return
 			}
+			k = v
 		}
 		writeJSON(w, a.LatencyView(k))
 	})
@@ -220,125 +214,6 @@ func (a *Aggregator) LatencyView(k int) LatencyView {
 		}
 	}
 	return v
-}
-
-// WritePromLabeled renders per-node registry snapshots in the
-// Prometheus text exposition format with every sample labeled by origin
-// (`name{node="label"}`): one HELP/TYPE header per family, then one
-// series per node.  Cross-node aggregation is left to the scraper
-// (`sum by (__name__)`), matching Prometheus convention — the merged
-// totals are served pre-computed on the JSON side only.  A family missing
-// from help gets a generic HELP line.
-func WritePromLabeled(w io.Writer, snaps map[string]obs.Snapshot, help map[string]string) error {
-	nodes := sortedKeys(snaps)
-	label := func(node string, extra string) string {
-		if extra == "" {
-			return fmt.Sprintf(`{node="%s"}`, obs.PromEscapeLabel(node))
-		}
-		return fmt.Sprintf(`{node="%s",%s}`, obs.PromEscapeLabel(node), extra)
-	}
-	header := func(name, kind, suffix string) error {
-		n := obs.PromName(name) + suffix
-		h := help[name]
-		if h == "" {
-			h = "milan " + kind + " " + obs.PromName(name) + "."
-		}
-		_, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", n, obs.PromEscapeHelp(h), n, kind)
-		return err
-	}
-	// Union of family names per kind, sorted for a stable exposition.
-	families := func(pick func(obs.Snapshot) []string) []string {
-		seen := make(map[string]bool)
-		for _, node := range nodes {
-			for _, name := range pick(snaps[node]) {
-				seen[name] = true
-			}
-		}
-		return sortedKeys(seen)
-	}
-	counterNames := families(func(s obs.Snapshot) []string { return sortedKeys(s.Counters) })
-	gaugeNames := families(func(s obs.Snapshot) []string { return sortedKeys(s.Gauges) })
-	histNames := families(func(s obs.Snapshot) []string { return sortedKeys(s.Histograms) })
-	statNames := families(func(s obs.Snapshot) []string { return sortedKeys(s.Stats) })
-
-	for _, name := range counterNames {
-		if err := header(name, "counter", ""); err != nil {
-			return err
-		}
-		for _, node := range nodes {
-			if v, ok := snaps[node].Counters[name]; ok {
-				if _, err := fmt.Fprintf(w, "%s%s %d\n", obs.PromName(name), label(node, ""), v); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	for _, name := range gaugeNames {
-		if err := header(name, "gauge", ""); err != nil {
-			return err
-		}
-		for _, node := range nodes {
-			if v, ok := snaps[node].Gauges[name]; ok {
-				if _, err := fmt.Fprintf(w, "%s%s %s\n", obs.PromName(name), label(node, ""), obs.PromFloat(v)); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	for _, name := range histNames {
-		if err := header(name, "histogram", ""); err != nil {
-			return err
-		}
-		n := obs.PromName(name)
-		for _, node := range nodes {
-			h, ok := snaps[node].Histograms[name]
-			if !ok {
-				continue
-			}
-			cum := h.Under
-			for i, c := range h.Buckets {
-				cum += c
-				le := h.BucketUpper(i)
-				if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n", n,
-					label(node, fmt.Sprintf(`le="%s"`, obs.PromEscapeLabel(obs.PromFloat(le)))), cum); err != nil {
-					return err
-				}
-			}
-			if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n%s_sum%s %s\n%s_count%s %d\n",
-				n, label(node, `le="+Inf"`), h.Count,
-				n, label(node, ""), obs.PromFloat(h.Sum),
-				n, label(node, ""), h.Count); err != nil {
-				return err
-			}
-		}
-	}
-	for _, name := range statNames {
-		n := obs.PromName(name)
-		for _, part := range []string{"_mean", "_std", "_count"} {
-			if err := header(name, "gauge", part); err != nil {
-				return err
-			}
-			for _, node := range nodes {
-				st, ok := snaps[node].Stats[name]
-				if !ok {
-					continue
-				}
-				var v string
-				switch part {
-				case "_mean":
-					v = obs.PromFloat(st.Mean)
-				case "_std":
-					v = obs.PromFloat(st.Std)
-				case "_count":
-					v = fmt.Sprint(st.N)
-				}
-				if _, err := fmt.Fprintf(w, "%s%s%s %s\n", n, part, label(node, ""), v); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	return nil
 }
 
 // sortedKeys returns m's keys in ascending order.
