@@ -18,6 +18,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -50,6 +51,16 @@ import (
 var lastRuntime atomic.Pointer[calypso.Runtime]
 
 func main() {
+	if err := run(); err != nil {
+		fmt.Fprintf(os.Stderr, "junctiond: %v\n", err)
+		os.Exit(1)
+	}
+}
+
+// run is the whole command.  What it returns is what shutting the admission
+// service down failed with — the journal's final flush among it — since
+// everything that fails before that exits on the spot.
+func run() (err error) {
 	size := flag.Int("size", 256, "image width and height")
 	rects := flag.Int("rects", 6, "planted rectangles (junction sources)")
 	workers := flag.Int("workers", 4, "Calypso workers (processors)")
@@ -140,17 +151,16 @@ func main() {
 				fmt.Printf("WARNING: injecting %s slowdown into the %s phase of every admission (test hook)\n\n", d, ph)
 			}
 		}
-		srv, plane, eng, err := serveAdmission(observer, lp, admitConfig{
+		srv, plane, eng, serr := serveAdmission(observer, lp, admitConfig{
 			dir: *walDir, addr: *admitAddr, sync: *walSync,
 			snapshotEvery: *snapshotEvery,
 			procs:         pickProcs(*admitProcs, *workers),
 			shards:        *admitShards,
 		})
-		if err != nil {
-			log.Fatal(err)
+		if serr != nil {
+			log.Fatal(serr)
 		}
-		defer plane.Close()
-		defer srv.Close()
+		defer func() { err = errors.Join(err, closeAdmission(srv, plane)) }()
 		if eng != nil {
 			// The regression sentinel (and every other burn objective)
 			// needs a periodic clock: tick the engine once a second.
@@ -176,7 +186,7 @@ func main() {
 		if err := runVideo(*video, *workers, *seed, *radius); err != nil {
 			log.Fatal(err)
 		}
-		return
+		return nil
 	}
 
 	spec := junction.SynthSpec{W: *size, H: *size, Rectangles: *rects, Noise: 0.02, Seed: *seed}
@@ -236,6 +246,7 @@ func main() {
 		signal.Notify(ch, os.Interrupt, syscall.SIGTERM)
 		<-ch
 	}
+	return nil
 }
 
 // recordPipeline accounts one configuration's pipeline run on the
@@ -322,6 +333,7 @@ func parseSlowdown(s string) (latency.Phase, time.Duration, error) {
 }
 
 type admitConfig struct {
+	fs              vfs.FS // nil: the real filesystem
 	dir, addr, sync string
 	snapshotEvery   int
 	procs, shards   int
@@ -348,7 +360,10 @@ func serveAdmission(observer *obs.Observer, lp *latency.Plane, cfg admitConfig) 
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("junctiond: %w", err)
 	}
-	var fs vfs.OS
+	fs := cfg.fs
+	if fs == nil {
+		fs = vfs.OS{}
+	}
 	if err := fs.MkdirAll(cfg.dir); err != nil {
 		return nil, nil, nil, fmt.Errorf("junctiond: wal dir: %w", err)
 	}
@@ -402,6 +417,13 @@ func serveAdmission(observer *obs.Observer, lp *latency.Plane, cfg admitConfig) 
 	fmt.Printf("admission plane: %s (wal %s, sync=%s, recovered lsn=%d records=%d grants=%d replay=%s)\n\n",
 		srv.Addr(), cfg.dir, pol, rec.State.LSN, rec.Records, len(plane.Grants()), rec.ReplayDuration)
 	return srv, plane, eng, nil
+}
+
+// closeAdmission stops serving, then closes the plane, whose final flush is
+// what makes the last records of a -wal-sync every-n journal durable: a
+// failure of either is returned, not dropped.
+func closeAdmission(srv *qosnet.Server, plane *durable.Plane) error {
+	return errors.Join(srv.Close(), plane.Close())
 }
 
 // startDebug serves the observer's debug handler on addr, returning the

@@ -2,11 +2,13 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"testing"
 
 	"milan/internal/calypso"
+	"milan/internal/durable/vfs"
 	"milan/internal/junction"
 	"milan/internal/obs"
 	"milan/internal/qos/qosnet"
@@ -124,5 +126,36 @@ func TestServeAdmissionBadPolicy(t *testing.T) {
 	if _, _, _, err := serveAdmission(nil, nil, admitConfig{dir: t.TempDir(), addr: "127.0.0.1:0",
 		sync: "sometimes", snapshotEvery: 64, procs: 4, shards: 1}); err == nil {
 		t.Fatal("bad sync policy accepted")
+	}
+}
+
+// TestCloseAdmissionReportsTheFinalFlush: under -wal-sync every-n the last
+// records are made durable by the plane's close, and when that flush fails
+// the shutdown says so instead of exiting as if it had not.
+func TestCloseAdmissionReportsTheFinalFlush(t *testing.T) {
+	for _, fail := range []bool{false, true} {
+		fs := vfs.NewFault(vfs.NewMem())
+		srv, plane, _, err := serveAdmission(nil, nil, admitConfig{fs: fs, dir: "wal", addr: "127.0.0.1:0",
+			sync: "every-n", snapshotEvery: 64, procs: 8, shards: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := qosnet.Dial(srv.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		job := workload.FigureJob{X: 4, T: 25, Alpha: 0.25, Laxity: 0.5}.Job(1, 0, workload.Tunable)
+		if _, err := c.Negotiate(job); err != nil {
+			t.Fatalf("negotiate over the wire: %v", err)
+		}
+		c.Close()
+		errDisk := errors.New("disk gone")
+		if fail {
+			fs.SetSyncError(errDisk, 0)
+		}
+		err = closeAdmission(srv, plane)
+		if fail != errors.Is(err, errDisk) || (!fail && err != nil) {
+			t.Fatalf("sync fails: %v; closing the admission service returned %v", fail, err)
+		}
 	}
 }

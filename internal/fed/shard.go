@@ -51,9 +51,10 @@ type Shard struct {
 	observer func(qos.Decision)
 
 	// spare is the box the next admission plans into.  A refusal leaves it
-	// unfilled and in place — it was never handed out — so only a grant
-	// costs an allocation.
+	// in place — it was never handed out — so only a grant takes a box from
+	// boxes.
 	spare *qos.GrantBox
+	boxes qos.GrantBoxes
 }
 
 func newShard(id, procs int, origin float64, opts *core.Options, routed bool, horizon float64, observer func(qos.Decision)) *Shard {
@@ -226,8 +227,10 @@ func (sh *Shard) commitPlanned(job core.Job, pl *core.Placement, ver uint64) (g 
 		g, err = sh.admitLocked(&job, nil)
 	} else {
 		// The probe's placement outlived the shard lock, so it is the
-		// caller's own copy, and the grant is a second object around it.
-		g, err = sh.commitLocked(&job, &qos.Grant{Placement: *pl})
+		// caller's own copy, and the grant is a box around it.
+		box := sh.boxes.Next()
+		box.Grant.Placement = *pl
+		g, err = sh.commitLocked(&job, &box.Grant)
 	}
 	return g, raced, err
 }
@@ -244,11 +247,11 @@ func (sh *Shard) admit(job core.Job, rec *phase.Rec) (*qos.Grant, error) {
 }
 
 // admitLocked plans the job and commits the plan or counts the rejection.
-// The plan is made where the grant keeps it — a promise is one object
-// (qos.GrantBox).  Callers hold sh.mu.
+// The plan is made where the grant keeps it — a promise is one box
+// (qos.GrantBox), cut from the shard's slab.  Callers hold sh.mu.
 func (sh *Shard) admitLocked(job *core.Job, rec *phase.Rec) (*qos.Grant, error) {
 	if sh.spare == nil {
-		sh.spare = new(qos.GrantBox)
+		sh.spare = sh.boxes.Next()
 	}
 	box := sh.spare
 	ok := sh.sched.PlanInto(*job, &box.Grant.Placement, box.Tasks[:0])

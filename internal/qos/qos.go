@@ -56,20 +56,45 @@ type Grant struct {
 func (g *Grant) Finish() float64 { return g.Placement.Finish() }
 
 // GrantBox is a grant and the storage of its placement's tasks: a promise is
-// one object, and read-only once returned.  Whoever makes a grant — an
-// arbitrator, a shard, a client decoding one off the wire — builds it in a
-// GrantBox, the placement's tasks in the box's own array, and hands out
-// &box.Grant; whoever is handed a grant (the caller, an Observer,
-// the durable plane's live set, a checkpoint's fold, a connection encoding
-// the reply) may keep it and its Placement.Tasks for as long as it likes and
-// read them from any goroutine, and may write neither: a holder that wants
-// a different grant copies the tasks first.
+// one box, and read-only once returned.  Whoever makes a grant — an
+// arbitrator, a shard, a client decoding one off the wire — takes a box from
+// its GrantBoxes, builds the grant in it, the placement's tasks in the box's
+// own array, and hands out &box.Grant; whoever is handed a grant (the
+// caller, an Observer, the durable plane's live set, a checkpoint's fold, a
+// connection encoding the reply) may keep it and its Placement.Tasks for as
+// long as it likes and read them from any goroutine, and may write neither:
+// a holder that wants a different grant copies the tasks first.
 type GrantBox struct {
 	Grant Grant
 	// Tasks is where Grant.Placement.Tasks lives when the chosen path has
 	// no more tasks than this — every chain of the paper's workloads; a
 	// longer one overflows to a slice of its own.
 	Tasks [4]core.TaskPlacement
+}
+
+// grantBoxSlab is how many boxes one allocation of a GrantBoxes holds.
+const grantBoxSlab = 32 // × 208 bytes
+
+// GrantBoxes is where a grant maker's boxes come from: it cuts them, in
+// order, from slabs of a few dozen, so a grant costs a fraction of an
+// allocation instead of one.  A box is handed out once and never reused —
+// nothing is recycled, so the read-only rule above is all a holder needs.
+// What keeping a grant costs is the slab it was cut from: about 6.6 KB
+// however small the grant, for as long as any grant cut from that slab is
+// kept.  It is not safe for concurrent use: each maker guards its own with
+// the lock it decides under.  The zero GrantBoxes is ready to use.
+type GrantBoxes struct {
+	free []GrantBox // what is left of the current slab
+}
+
+// Next returns a zeroed box that no other call has returned.
+func (s *GrantBoxes) Next() *GrantBox {
+	if len(s.free) == 0 {
+		s.free = make([]GrantBox, grantBoxSlab)
+	}
+	box := &s.free[0]
+	s.free = s.free[1:]
+	return box
 }
 
 // Negotiator is anything an agent can negotiate with: the in-process
@@ -124,9 +149,10 @@ type Arbitrator struct {
 	now      float64
 	observer func(Decision)
 	// spare is the box the next negotiation plans into.  A refusal leaves
-	// it unfilled and in place — it was never handed out — so only a grant
-	// costs an allocation.
+	// it in place — it was never handed out — so only a grant takes a box
+	// from boxes.
 	spare *GrantBox
+	boxes GrantBoxes
 }
 
 // ArbitratorConfig configures a new arbitrator.
@@ -167,7 +193,7 @@ func (a *Arbitrator) NegotiateTimed(job core.Job, rec *phase.Rec) (*Grant, error
 	defer a.mu.Unlock()
 
 	if a.spare == nil {
-		a.spare = new(GrantBox)
+		a.spare = a.boxes.Next()
 	}
 	g := &a.spare.Grant
 	err := a.sched.AdmitInto(job, &g.Placement, a.spare.Tasks[:0])

@@ -117,12 +117,13 @@ func BenchmarkCodec(b *testing.B) {
 				{Task: 0, Start: 140737.125, Finish: 140777.125, Procs: 4},
 				{Task: 1, Start: 140777.125, Finish: 140797.125, Procs: 8}}}}}
 		var buf []byte
+		var boxes qos.GrantBoxes // one client's: the grants share its slabs
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			buf = appendResponse(buf[:0], &resp)
 			var got response
-			if err := decodeResponse(buf[frame.HeaderLen:], &got); err != nil {
+			if err := decodeResponse(buf[frame.HeaderLen:], &got, &boxes); err != nil {
 				b.Fatal(err)
 			}
 			sinkGrant = got.grant

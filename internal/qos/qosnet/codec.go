@@ -133,10 +133,12 @@ func (e *encoder) count(n int, what string) {
 }
 
 // decoder is the shared cursor plus this protocol's two field types, and
-// where a decoded job's lists and names come from (requests only).
+// where a decoded job's lists and names come from (requests only) and a
+// decoded grant's box (responses only).
 type decoder struct {
 	frame.Cursor
-	mem *carver
+	mem   *carver
+	boxes *qos.GrantBoxes
 }
 
 // Elements per chunk of a carver.  A Figure-4 job takes two chains, four
@@ -382,9 +384,9 @@ func (e *encoder) grant(g *qos.Grant) {
 	}
 }
 
-// grant reads a grant into the one object the arbitrator made it in.
+// grant reads a grant into a box of the decoder's, as the arbitrator made it.
 func (d *decoder) grant() *qos.Grant {
-	box := new(qos.GrantBox)
+	box := d.boxes.Next()
 	g := &box.Grant
 	g.JobID = d.int()
 	g.Chain = d.int()
@@ -503,9 +505,10 @@ func appendResponse(b []byte, r *response) []byte {
 	return out
 }
 
-// decodeResponse parses a response payload into r.
-func decodeResponse(payload []byte, r *response) error {
-	d := decoder{Cursor: frame.NewCursor("qosnet", payload)}
+// decodeResponse parses a response payload into r, a grant into a box from
+// boxes.
+func decodeResponse(payload []byte, r *response, boxes *qos.GrantBoxes) error {
+	d := decoder{Cursor: frame.NewCursor("qosnet", payload), boxes: boxes}
 	if v := d.U8(); d.Err() == nil && v != wireVersion {
 		return fmt.Errorf("qosnet: frame has version %d, this end speaks version %d", v, wireVersion)
 	}

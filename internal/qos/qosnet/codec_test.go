@@ -231,7 +231,7 @@ func TestCodecRoundTripProperty(t *testing.T) {
 				resp := g.response(o, st)
 				framed := appendResponse(nil, &resp)
 				var got response
-				if err := decodeResponse(payloadOf(t, framed), &got); err != nil {
+				if err := decodeResponse(payloadOf(t, framed), &got, new(qos.GrantBoxes)); err != nil {
 					t.Fatalf("seed %d op %d status %d: decode: %v", seed, o, st, err)
 				}
 				if !sameBits(reflect.ValueOf(got), reflect.ValueOf(resp)) {
@@ -246,7 +246,7 @@ func TestCodecRoundTripProperty(t *testing.T) {
 	// The one response with no op: the server could not read the request.
 	resp := response{status: statusError, err: "qosnet: frame length 4294967295 exceeds limit 1048576"}
 	var got response
-	if err := decodeResponse(payloadOf(t, appendResponse(nil, &resp)), &got); err != nil || !reflect.DeepEqual(got, resp) {
+	if err := decodeResponse(payloadOf(t, appendResponse(nil, &resp)), &got, new(qos.GrantBoxes)); err != nil || !reflect.DeepEqual(got, resp) {
 		t.Fatalf("op-less error response: %+v, %v", got, err)
 	}
 }
@@ -279,7 +279,7 @@ func TestEncoderLimits(t *testing.T) {
 	// A result over a limit goes out as an error response for the same op.
 	resp := response{op: opStats, stats: core.Stats{TunableChosen: make([]int, maxCount+1)}}
 	var got response
-	if err := decodeResponse(payloadOf(t, appendResponse(nil, &resp)), &got); err != nil {
+	if err := decodeResponse(payloadOf(t, appendResponse(nil, &resp)), &got, new(qos.GrantBoxes)); err != nil {
 		t.Fatal(err)
 	}
 	if got.op != opStats || got.status != statusError || !strings.Contains(got.err, "tunable-chosen count 65537 exceeds limit 65536") {
@@ -287,7 +287,7 @@ func TestEncoderLimits(t *testing.T) {
 	}
 	// An error's text is cut to the string limit, not refused.
 	resp = response{op: opPing, status: statusError, err: long}
-	if err := decodeResponse(payloadOf(t, appendResponse(nil, &resp)), &got); err != nil || got.err != long[:frame.MaxString] {
+	if err := decodeResponse(payloadOf(t, appendResponse(nil, &resp)), &got, new(qos.GrantBoxes)); err != nil || got.err != long[:frame.MaxString] {
 		t.Fatalf("long error text: %d bytes, %v", len(got.err), err)
 	}
 }
@@ -347,7 +347,7 @@ func TestDecodeResponseRejectsWhatNoServerSends(t *testing.T) {
 		"placed tasks over limit": {[]byte{wireVersion, byte(opNegotiate), 0, 0, 0, 0, 0, 0, 0, 0, 0x81, 0x80, 0x04}, "placed task count 65537 exceeds limit"},
 	} {
 		var r response
-		if err := decodeResponse(tc.bytes, &r); err == nil || !strings.Contains(err.Error(), tc.want) {
+		if err := decodeResponse(tc.bytes, &r, new(qos.GrantBoxes)); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: err = %v, want one naming %q", name, err, tc.want)
 		}
 	}

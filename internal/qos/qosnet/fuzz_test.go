@@ -3,13 +3,13 @@ package qosnet
 import (
 	"bytes"
 	"math/rand"
-	"reflect"
 	"runtime"
 	"testing"
 	"unsafe"
 
 	"milan/internal/core"
 	"milan/internal/frame"
+	"milan/internal/qos"
 )
 
 // FuzzQosnetDecode hardens both ends' decoders: no input may panic them or
@@ -90,6 +90,13 @@ func decodeBoth(t *testing.T, payload []byte) {
 	// Twice through one connection's carver: what the first decode handed
 	// out is not touched by the second, accepted or not, and both are what
 	// a connection that had decoded nothing else makes of the payload.
+	// Decoded values are compared by what they encode to, in which a NaN
+	// equals itself.
+	sameRequest := func(a, b *request) bool {
+		x, _ := appendRequest(nil, a)
+		y, _ := appendRequest(nil, b)
+		return bytes.Equal(x, y)
+	}
 	var mem carver
 	var first, second request
 	err1 := decodeRequest(payload, &first, &mem)
@@ -97,12 +104,16 @@ func decodeBoth(t *testing.T, payload []byte) {
 	if (err1 == nil) != (err == nil) || (err2 == nil) != (err == nil) {
 		t.Fatalf("one payload, three verdicts: fresh %v, first %v, second %v", err, err1, err2)
 	}
-	if err == nil && !(reflect.DeepEqual(first, req) && reflect.DeepEqual(second, req)) {
+	if err == nil && !(sameRequest(&first, &req) && sameRequest(&second, &req)) {
 		t.Fatalf("decoding twice through one carver:\n fresh  %+v\n first  %+v\n second %+v", req, first, second)
 	}
 
+	// A client's slab, started before the count: a decoded grant cuts a
+	// box from it, which costs nothing.
+	var boxes qos.GrantBoxes
+	boxes.Next()
 	var resp response
-	got, err = allocated(func() error { resp = response{}; return decodeResponse(payload, &resp) })
+	got, err = allocated(func() error { resp = response{}; return decodeResponse(payload, &resp, &boxes) })
 	if got > budget {
 		t.Fatalf("decodeResponse allocated %d bytes for a %d-byte payload (budget %d)", got, len(payload), budget)
 	}
@@ -110,5 +121,20 @@ func decodeBoth(t *testing.T, payload []byte) {
 		if re := appendResponse(nil, &resp)[frame.HeaderLen:]; !bytes.Equal(re, payload) {
 			t.Fatalf("response decode/encode not canonical:\n in  %x\n out %x", payload, re)
 		}
+	}
+	// Twice more through the client's slab, the same way: the second grant
+	// is another box, and the first is what it was.
+	var firstResp, secondResp response
+	err1 = decodeResponse(payload, &firstResp, &boxes)
+	err2 = decodeResponse(payload, &secondResp, &boxes)
+	if (err1 == nil) != (err == nil) || (err2 == nil) != (err == nil) {
+		t.Fatalf("one payload, three verdicts: counted %v, first %v, second %v", err, err1, err2)
+	}
+	if err == nil && !(bytes.Equal(appendResponse(nil, &firstResp), appendResponse(nil, &resp)) &&
+		bytes.Equal(appendResponse(nil, &secondResp), appendResponse(nil, &resp))) {
+		t.Fatalf("decoding through one slab:\n counted %+v\n first   %+v\n second  %+v", resp, firstResp, secondResp)
+	}
+	if resp.grant != nil && (resp.grant == firstResp.grant || firstResp.grant == secondResp.grant) {
+		t.Fatalf("two responses decoded into one grant: %p %p %p", resp.grant, firstResp.grant, secondResp.grant)
 	}
 }

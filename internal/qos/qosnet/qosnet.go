@@ -296,8 +296,9 @@ type Client struct {
 	mu     sync.Mutex
 	conn   net.Conn
 	fr     *frame.Reader
-	out    []byte // every request of this client is built here
-	broken error  // the error that broke the connection
+	out    []byte         // every request of this client is built here
+	boxes  qos.GrantBoxes // every grant it receives is decoded into one of these
+	broken error          // the error that broke the connection
 }
 
 var _ qos.Negotiator = (*Client)(nil)
@@ -348,7 +349,7 @@ func (c *Client) roundTrip(req *request) (response, error) {
 		return response{}, c.breakWith(fmt.Errorf("qosnet: receive: %w", err))
 	}
 	var resp response
-	if err := decodeResponse(payload, &resp); err != nil {
+	if err := decodeResponse(payload, &resp, &c.boxes); err != nil {
 		return response{}, c.breakWith(fmt.Errorf("qosnet: receive: %w", err))
 	}
 	switch {

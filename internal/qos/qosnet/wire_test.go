@@ -13,6 +13,7 @@ import (
 
 	"milan/internal/core"
 	"milan/internal/frame"
+	"milan/internal/qos"
 )
 
 // rawConn dials the server without the client, so a test can put any bytes
@@ -38,7 +39,7 @@ func expectRefusal(t *testing.T, name string, conn net.Conn, want string) {
 		t.Fatalf("%s: no error frame: %v", name, err)
 	}
 	var resp response
-	if err := decodeResponse(payload, &resp); err != nil {
+	if err := decodeResponse(payload, &resp, new(qos.GrantBoxes)); err != nil {
 		t.Fatalf("%s: error frame does not decode: %v", name, err)
 	}
 	if resp.op != 0 || resp.status != statusError || !strings.Contains(resp.err, want) {
@@ -95,7 +96,7 @@ func TestServerRefusesMalformedFrames(t *testing.T) {
 			// The good frame is answered first.
 			fr := frame.NewReader(io.LimitReader(conn, int64(frame.HeaderLen+3)), "qosnet", maxFrame)
 			var resp response
-			if p, err := fr.Next(); err != nil || decodeResponse(p, &resp) != nil || resp.op != opPing || resp.status != statusOK {
+			if p, err := fr.Next(); err != nil || decodeResponse(p, &resp, new(qos.GrantBoxes)) != nil || resp.op != opPing || resp.status != statusOK {
 				t.Fatalf("%s: first answer %+v, %v", name, resp, err)
 			}
 		}
