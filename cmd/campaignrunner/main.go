@@ -10,9 +10,10 @@
 //	campaignrunner -seed 42 -rounds 2 -artifacts /tmp/breaches
 //
 // The run exits 1 when any invariant breach occurred; each breach's
-// replayable artifact (JSONL: campaign header plus the flight-recorder
-// snapshot) is written under -artifacts, and `-inject` deliberately
-// breaks one subsystem to prove the pipeline localizes the fault:
+// replayable breach artifact (the seed, the breach and the flight-recorder
+// snapshot; campaign.DecodeArtifact reads it) is written under
+// -artifacts, and `-inject` deliberately breaks one subsystem to prove
+// the pipeline localizes the fault:
 //
 //	campaignrunner -seed 7 -inject over-admission -artifacts /tmp/a
 //
@@ -28,6 +29,7 @@ import (
 	"time"
 
 	"milan/internal/campaign"
+	"milan/internal/obs"
 )
 
 func main() {
@@ -128,7 +130,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 				if b.Artifact != nil && *artifacts != "" {
 					name := fmt.Sprintf("%03d-%s-%s-%s.jsonl", breaches, b.Scenario, b.Plane, b.Invariant)
 					path := filepath.Join(*artifacts, name)
-					if err := writeArtifact(path, b); err != nil {
+					if err := obs.CreateArtifact(path, b.Artifact.WriteJSONL); err != nil {
 						fmt.Fprintf(stderr, "campaignrunner: %v\n", err)
 						return 2
 					}
@@ -145,16 +147,4 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	fmt.Fprintf(stdout, "ok: no invariant breaches\n")
 	return 0
-}
-
-func writeArtifact(path string, b campaign.Breach) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := b.Artifact.WriteJSONL(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

@@ -31,6 +31,6 @@ func newFlags(stderr io.Writer) flags {
 		callers:  fs.Int("callers", 1, "vfs mode: connections driving the storm; above 1 most crashes are taken mid-flight, at a journal write or flush"),
 		kills:    fs.Int("kills", 5, "sigkill mode: child kill/recover cycles"),
 		dir:      fs.String("dir", "", "sigkill/child mode: WAL directory (default: a temp dir)"),
-		artifact: fs.String("artifact", "", "append divergence reports (JSONL) to this file for CI upload"),
+		artifact: fs.String("artifact", "", "append divergence reports to this divergence artifact (JSONL) for CI upload"),
 	}
 }

@@ -67,7 +67,6 @@ package main
 import (
 	"bufio"
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -88,6 +87,7 @@ import (
 	"milan/internal/durable"
 	"milan/internal/durable/vfs"
 	"milan/internal/frame"
+	"milan/internal/obs"
 	"milan/internal/qos"
 	"milan/internal/qos/qosnet"
 	"milan/internal/workload"
@@ -697,8 +697,11 @@ type divergence struct {
 }
 
 // failed reports d on stderr and appends it to the artifact file, if there
-// is one, and returns the run's exit code.  An artifact that could not be
-// written is said so next to the divergence.
+// is one, and returns the run's exit code.  The file is a divergence
+// artifact: the header when failed creates it, then one divergence line
+// per failure, each with its own mode and seed, since several runs may
+// share one file.  An artifact that could not be written is said so next
+// to the divergence.
 func failed(artifact string, d divergence, stderr io.Writer) int {
 	fmt.Fprintf(stderr, "crashtest: FAIL %s (phase=%s iter=%d): %s\n", d.Mode, d.Phase, d.Iteration, d.Detail)
 	if artifact == "" {
@@ -707,7 +710,15 @@ func failed(artifact string, d divergence, stderr io.Writer) int {
 	d.When = time.Now().UTC().Format(time.RFC3339)
 	f, err := os.OpenFile(artifact, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err == nil {
-		err = json.NewEncoder(f).Encode(d)
+		var info os.FileInfo
+		if info, err = f.Stat(); err == nil {
+			aw := obs.NewArtifactWriter(f)
+			if info.Size() == 0 {
+				aw.Header(obs.ArtifactDivergence, nil)
+			}
+			aw.Line("divergence", d)
+			err = aw.Flush()
+		}
 		if cerr := f.Close(); err == nil {
 			err = cerr
 		}

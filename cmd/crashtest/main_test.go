@@ -2,13 +2,17 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"milan/internal/core"
 	"milan/internal/durable"
 	"milan/internal/durable/vfs"
+	"milan/internal/obs"
 )
 
 // CI's pinned invocation, at the default two shards and at the one shard
@@ -156,6 +160,43 @@ func TestOneCallerJournalIsTheStream(t *testing.T) {
 		if len(rest) != len(ops)-m || (len(rest) > 0 && rest[0] != m) {
 			t.Fatalf("after recovering %d records %d ops remain, from %v; want ops[%d:]", m, len(rest), rest[:min(3, len(rest))], m)
 		}
+	}
+}
+
+// Several runs point -artifact at one file: it is one divergence artifact,
+// the header once, then each failure's divergence with its own mode and
+// seed.
+func TestDivergencesShareOneArtifact(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "divergence.jsonl")
+	var errb bytes.Buffer
+	for _, d := range []divergence{
+		{Mode: "vfs", Seed: 42, Phase: "sync-lie", Iteration: 3, CrashOp: 17, Detail: "acked grant lost"},
+		{Mode: "soak", Seed: 7, Iteration: 9, Torn: true, Detail: "recovered profile diverged"},
+	} {
+		if code := failed(path, d, &errb); code != 1 {
+			t.Fatalf("exit %d, want 1", code)
+		}
+	}
+	if strings.Contains(errb.String(), "not written") {
+		t.Fatal(errb.String())
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	var got []divergence
+	if _, err := obs.ReadArtifact(f, obs.ArtifactDivergence, func(_ string, raw []byte) error {
+		var d divergence
+		err := json.Unmarshal(raw, &d)
+		got = append(got, d)
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 2 || got[0].Mode != "vfs" || got[0].Seed != 42 || got[0].CrashOp != 17 ||
+		got[1].Mode != "soak" || got[1].Seed != 7 || !got[1].Torn || got[1].When == "" {
+		t.Fatalf("read back %+v", got)
 	}
 }
 

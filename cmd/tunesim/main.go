@@ -191,15 +191,7 @@ func finishSLO(out io.Writer, e *slo.Engine, rec *slo.Recorder, flightPath strin
 		// artifact still captures the rings at end of run.
 		snap = rec.Trigger(slo.TriggerManual, 0, 0, "end-of-run snapshot (no anomaly triggered)")
 	}
-	f, err := os.Create(flightPath)
-	if err != nil {
-		return err
-	}
-	if err := snap.WriteJSONL(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
+	if err := obs.CreateArtifact(flightPath, snap.WriteJSONL); err != nil {
 		return err
 	}
 	fmt.Fprintf(out, "wrote flight snapshot (%s, %d spans, %d events) to %s\n",
@@ -211,7 +203,7 @@ func finishSLO(out io.Writer, e *slo.Engine, rec *slo.Recorder, flightPath strin
 }
 
 // finishForensics prints the admission-forensics summary (the -explain
-// output) and writes the rejection-cause JSONL artifact.  A nil recorder
+// output) and writes the rejections artifact.  A nil recorder
 // is a no-op.
 func finishForensics(out io.Writer, rec *forensics.Recorder, explainPath string) error {
 	if rec == nil {
@@ -244,18 +236,10 @@ func finishForensics(out io.Writer, rec *forensics.Recorder, explainPath string)
 	fmt.Fprintf(out, "  counterfactual suggestions: %d emitted, %d verified admitting, %d refuted\n",
 		suggested, verified, refuted)
 	if explainPath != "" {
-		f, err := os.Create(explainPath)
-		if err != nil {
+		if err := obs.CreateArtifact(explainPath, rec.WriteJSONL); err != nil {
 			return err
 		}
-		if err := rec.WriteJSONL(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "wrote rejection-cause JSONL (%d records) to %s\n", len(records), explainPath)
+		fmt.Fprintf(out, "wrote rejection-cause artifact (%d records) to %s\n", len(records), explainPath)
 	}
 	return nil
 }
@@ -284,15 +268,7 @@ func finishLedger(out io.Writer, ld *ledger.Sharded, path string) error {
 	if path == "" {
 		return nil
 	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := snap.WriteJSONL(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
+	if err := obs.CreateArtifact(path, snap.WriteJSONL); err != nil {
 		return err
 	}
 	fmt.Fprintf(out, "wrote ledger snapshot (%d tenant streams) to %s\n", len(snap.Totals), path)

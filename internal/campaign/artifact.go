@@ -1,11 +1,12 @@
 package campaign
 
 import (
-	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 
+	"milan/internal/obs"
 	"milan/internal/obs/slo"
 )
 
@@ -15,15 +16,15 @@ import (
 // the breach — the full slo.Snapshot, so `slo.Replay` reproduces the
 // verdict anywhere from the file alone.
 //
-// The wire format is JSONL: one header line (the exported fields below),
-// then the embedded snapshot's own JSONL lines verbatim.  A header-only
-// artifact (no snapshot) is valid — some invariants, like capacity
-// conservation, are convicted by construction rather than by spans.
+// On disk it is a breach artifact (obs.ReadArtifact): the header carries
+// the seed, one breach line the exported fields below, and the embedded
+// snapshot's own lines follow.  An artifact without a snapshot is valid —
+// some invariants, like capacity conservation, are convicted by
+// construction rather than by spans.
 type Artifact struct {
-	Version   int    `json:"v"`
 	Scenario  string `json:"scenario"`
 	Plane     string `json:"plane"`
-	Seed      int64  `json:"seed"`
+	Seed      int64  `json:"-"`
 	Invariant string `json:"invariant"`
 	Detail    string `json:"detail,omitempty"`
 	Fault     string `json:"fault,omitempty"`
@@ -31,75 +32,49 @@ type Artifact struct {
 	Snapshot *slo.Snapshot `json:"-"`
 }
 
-// artifactVersion is the JSONL format version written by WriteJSONL.
-const artifactVersion = 1
-
-// maxArtifactBytes bounds what DecodeArtifact will read (breach artifacts
-// are a snapshot plus a header, not a database).
-const maxArtifactBytes = 16 << 20
-
-// WriteJSONL writes the artifact: the header line, then the snapshot's
-// JSONL when one is attached.
+// WriteJSONL writes the artifact: the header, the breach line, then the
+// snapshot's lines when one is attached.
 func (a *Artifact) WriteJSONL(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	if err := enc.Encode(a); err != nil {
-		return fmt.Errorf("campaign: artifact header: %w", err)
-	}
+	aw := obs.NewArtifactWriter(w)
+	aw.Header(obs.ArtifactBreach, &a.Seed)
+	aw.Line("breach", a)
 	if a.Snapshot != nil {
-		if err := a.Snapshot.WriteJSONL(w); err != nil {
-			return fmt.Errorf("campaign: artifact snapshot: %w", err)
-		}
+		a.Snapshot.WriteLines(aw)
 	}
-	return nil
+	return aw.Flush()
 }
 
-// DecodeArtifact reads a JSONL artifact back (the round trip of
-// WriteJSONL): the first non-blank line is the header, everything after
-// it decodes through slo.DecodeSnapshot.
+// DecodeArtifact reads a breach artifact back (the round trip of
+// WriteJSONL): the breach line first, then the snapshot's lines, which
+// slo.Snapshot.DecodeLine folds.
 func DecodeArtifact(r io.Reader) (*Artifact, error) {
-	data, err := io.ReadAll(io.LimitReader(r, maxArtifactBytes))
-	if err != nil {
-		return nil, fmt.Errorf("campaign: artifact: %w", err)
-	}
-	// Skip leading blank lines to find the header.
-	for {
-		i := bytes.IndexByte(data, '\n')
-		head := data
-		if i >= 0 {
-			head = data[:i]
-		}
-		if len(bytes.TrimSpace(head)) > 0 {
-			break
-		}
-		if i < 0 {
-			return nil, fmt.Errorf("campaign: empty artifact")
-		}
-		data = data[i+1:]
-	}
-	head, rest := data, []byte(nil)
-	if i := bytes.IndexByte(data, '\n'); i >= 0 {
-		head, rest = data[:i], data[i+1:]
-	}
 	var a Artifact
-	if err := json.Unmarshal(head, &a); err != nil {
-		return nil, fmt.Errorf("campaign: artifact header: %w", err)
-	}
-	if a.Version != artifactVersion {
-		return nil, fmt.Errorf("campaign: artifact version %d (want %d)", a.Version, artifactVersion)
-	}
-	if a.Scenario == "" {
-		return nil, fmt.Errorf("campaign: artifact missing scenario")
-	}
-	if a.Invariant == "" {
-		return nil, fmt.Errorf("campaign: artifact missing invariant")
-	}
-	if len(bytes.TrimSpace(rest)) > 0 {
-		snap, err := slo.DecodeSnapshot(bytes.NewReader(rest))
-		if err != nil {
-			return nil, err
+	h, err := obs.ReadArtifact(r, obs.ArtifactBreach, func(tag string, raw []byte) error {
+		switch {
+		case tag == "breach" && a.Invariant != "":
+			return errors.New("a second breach line")
+		case tag == "breach":
+			err := json.Unmarshal(raw, &a)
+			if err == nil && (a.Scenario == "" || a.Invariant == "") {
+				err = errors.New("a breach without a scenario or an invariant")
+			}
+			return err
+		case a.Invariant == "":
+			return fmt.Errorf("a %s line before the breach line", tag)
+		case a.Snapshot == nil:
+			a.Snapshot = new(slo.Snapshot)
 		}
-		a.Snapshot = snap
+		return a.Snapshot.DecodeLine(tag, raw)
+	})
+	switch {
+	case err != nil:
+		return nil, err
+	case a.Invariant == "":
+		return nil, errors.New("campaign: breach artifact without a breach line")
+	case h.Seed == nil:
+		return nil, errors.New("campaign: breach artifact without a seed")
 	}
+	a.Seed = *h.Seed
 	return &a, nil
 }
 

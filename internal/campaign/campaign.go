@@ -290,7 +290,6 @@ func (rc *runCtx) breach(invariant, detail string, kind slo.TriggerKind, snap *s
 	if snap != nil {
 		b.Fault = slo.Replay(snap).Fault
 		b.Artifact = &Artifact{
-			Version:   artifactVersion,
 			Scenario:  rc.sc.Name,
 			Plane:     string(rc.plane),
 			Seed:      rc.rep.Seed,

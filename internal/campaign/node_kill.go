@@ -149,7 +149,6 @@ func durabilityLoss(rr *RunReport, seed int64, now float64, detail string) {
 		Fault:     slo.Replay(snap).Fault,
 	}
 	b.Artifact = &Artifact{
-		Version:   artifactVersion,
 		Scenario:  rr.Scenario,
 		Plane:     string(rr.Plane),
 		Seed:      seed,

@@ -271,7 +271,6 @@ func maskingLoss(rr *RunReport, seed int64, now float64, detail string) {
 		Fault:     slo.Replay(snap).Fault,
 	}
 	b.Artifact = &Artifact{
-		Version:   artifactVersion,
 		Scenario:  rr.Scenario,
 		Plane:     string(rr.Plane),
 		Seed:      seed,

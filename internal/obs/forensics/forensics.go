@@ -12,9 +12,7 @@
 package forensics
 
 import (
-	"bufio"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -196,45 +194,20 @@ func (r *Recorder) Dropped() int64 {
 	return r.ring.Dropped()
 }
 
-// WriteJSONL streams the retained records to w, one JSON object per line,
-// oldest first — the format DecodeJSONL (and the CI rejection-cause
-// artifact) reads back.
+// WriteJSONL writes the retained records as a rejections artifact: the
+// header, then one record line per record, oldest first.
 func (r *Recorder) WriteJSONL(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
+	aw := obs.NewArtifactWriter(w)
+	aw.Header(obs.ArtifactRejections, nil)
 	for _, rec := range r.Records() {
-		if err := enc.Encode(rec); err != nil {
-			return err
-		}
+		aw.Line("record", rec)
 	}
-	return bw.Flush()
-}
-
-// DecodeJSONL parses a WriteJSONL stream back into records.  Blank lines
-// are skipped; a malformed line or a record without a diagnosis is an
-// error (the decoder is the fuzz target FuzzDiagnosisDecode).
-func DecodeJSONL(rd io.Reader) ([]Record, error) {
-	var out []Record
-	err := obs.Lines(rd, "forensics:", func(b []byte) error {
-		var rec Record
-		if err := json.Unmarshal(b, &rec); err != nil {
-			return err
-		}
-		if rec.Diag == nil {
-			return errors.New("record without a diagnosis")
-		}
-		out = append(out, rec)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	return aw.Flush()
 }
 
 // Handler serves the /explain endpoint: with ?job=ID, the latest retained
 // diagnosis for that job as indented JSON (404 when none is retained);
-// without, the whole retention ring as JSONL.
+// without, the whole retention ring as a rejections artifact.
 func (r *Recorder) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		if q := req.URL.Query().Get("job"); q != "" {

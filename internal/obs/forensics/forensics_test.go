@@ -3,6 +3,7 @@ package forensics
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -128,6 +129,20 @@ func TestRecorderSinkAndMetrics(t *testing.T) {
 	}
 }
 
+// decode reads a rejections artifact back through obs.ReadArtifact.
+func decode(r io.Reader) ([]Record, error) {
+	var out []Record
+	_, err := obs.ReadArtifact(r, obs.ArtifactRejections, func(_ string, raw []byte) error {
+		var rec Record
+		if err := json.Unmarshal(raw, &rec); err != nil {
+			return err
+		}
+		out = append(out, rec)
+		return nil
+	})
+	return out, err
+}
+
 func TestJSONLRoundTrip(t *testing.T) {
 	r := NewRecorder(16)
 	for i := 1; i <= 5; i++ {
@@ -138,7 +153,7 @@ func TestJSONLRoundTrip(t *testing.T) {
 	if err := r.WriteJSONL(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeJSONL(&buf)
+	got, err := decode(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,15 +172,16 @@ func TestJSONLRoundTrip(t *testing.T) {
 		t.Fatalf("verified flag lost in round trip")
 	}
 
-	// Malformed inputs are errors, blank lines are not.
-	if _, err := DecodeJSONL(strings.NewReader("{nope\n")); err == nil {
-		t.Fatalf("malformed line decoded")
+	// A bare record is no artifact; an empty ring is a header alone.
+	if _, err := decode(strings.NewReader(`{"seq":1,"at":0,"diag":{}}` + "\n")); err == nil {
+		t.Fatalf("a bare record decoded")
 	}
-	if _, err := DecodeJSONL(strings.NewReader("{\"seq\":1,\"at\":0}\n")); err == nil {
-		t.Fatalf("record without diagnosis decoded")
+	buf.Reset()
+	if err := NewRecorder(4).WriteJSONL(&buf); err != nil {
+		t.Fatal(err)
 	}
-	if recs, err := DecodeJSONL(strings.NewReader("\n\n")); err != nil || len(recs) != 0 {
-		t.Fatalf("blank lines: %v, %d records", err, len(recs))
+	if recs, err := decode(&buf); err != nil || len(recs) != 0 {
+		t.Fatalf("empty ring: %v, %d records", err, len(recs))
 	}
 }
 
@@ -210,13 +226,13 @@ func TestExplainEndpoint(t *testing.T) {
 		t.Fatalf("bad id: %d", rw.Code)
 	}
 
-	// Bare /explain streams the ring as JSONL.
+	// Bare /explain streams the ring as a rejections artifact.
 	rw = httptest.NewRecorder()
 	h.ServeHTTP(rw, httptest.NewRequest("GET", "/explain", nil))
 	if rw.Code != 200 || rw.Header().Get("Content-Type") != "application/x-ndjson" {
 		t.Fatalf("bare /explain: %d %q", rw.Code, rw.Header().Get("Content-Type"))
 	}
-	recs, err := DecodeJSONL(rw.Body)
+	recs, err := decode(rw.Body)
 	if err != nil || len(recs) != 1 {
 		t.Fatalf("JSONL dump: %v, %d records", err, len(recs))
 	}
@@ -227,50 +243,4 @@ func TestExplainEndpoint(t *testing.T) {
 	if !strings.Contains(rw.Body.String(), "/explain") {
 		t.Fatalf("index does not list /explain: %s", rw.Body.String())
 	}
-}
-
-// FuzzDiagnosisDecode fuzzes the JSONL decoder: it must never panic, and
-// anything it accepts must re-encode and decode to the same records.
-func FuzzDiagnosisDecode(f *testing.F) {
-	// Seed with a genuine WriteJSONL stream.
-	r := NewRecorder(4)
-	s := core.NewScheduler(4, 0, &core.Options{Diagnosis: r.Sink()})
-	s.Admit(core.Job{ID: 1, Chains: []core.Chain{{Tasks: []core.Task{{
-		Procs: 8, Duration: 2, Deadline: 100,
-	}}}}})
-	s.Admit(core.Job{ID: 2, Chains: []core.Chain{{Tasks: []core.Task{{
-		Procs: 2, Duration: 9, Deadline: 3,
-	}}}}})
-	r.MarkVerified(1, true)
-	var buf bytes.Buffer
-	if err := r.WriteJSONL(&buf); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(buf.Bytes())
-	f.Add([]byte(""))
-	f.Add([]byte("\n"))
-	f.Add([]byte(`{"seq":1,"at":0,"diag":{"job":7,"release":0,"capacity":4,"peak_used":0,"chains":[]}}` + "\n"))
-	f.Add([]byte(`{"seq":1}`))
-	f.Add([]byte(`{nope`))
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		recs, err := DecodeJSONL(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		var out bytes.Buffer
-		enc := json.NewEncoder(&out)
-		for i := range recs {
-			if err := enc.Encode(recs[i]); err != nil {
-				t.Fatalf("re-encode record %d: %v", i, err)
-			}
-		}
-		again, err := DecodeJSONL(&out)
-		if err != nil {
-			t.Fatalf("re-decode: %v", err)
-		}
-		if len(again) != len(recs) {
-			t.Fatalf("round trip changed record count: %d -> %d", len(recs), len(again))
-		}
-	})
 }

@@ -2,11 +2,16 @@ package ledger
 
 import (
 	"bytes"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"io"
 	"reflect"
 	"strings"
 	"testing"
 
 	"milan/internal/core"
+	"milan/internal/obs"
 )
 
 // activeLedger builds a ledger with multi-key activity — commits,
@@ -31,6 +36,31 @@ func activeLedger() *Ledger {
 	return l
 }
 
+// decode reads a ledger artifact back through obs.ReadArtifact: one
+// ledger line, then the totals lines.
+func decode(r io.Reader) (*Snapshot, error) {
+	var s *Snapshot
+	_, err := obs.ReadArtifact(r, obs.ArtifactLedger, func(tag string, raw []byte) error {
+		switch {
+		case tag == "ledger" && s == nil:
+			s = new(Snapshot)
+			return json.Unmarshal(raw, s)
+		case tag == "totals" && s != nil:
+			var t Totals
+			if err := json.Unmarshal(raw, &t); err != nil {
+				return err
+			}
+			s.Totals = append(s.Totals, t)
+			return nil
+		}
+		return fmt.Errorf("a %s line out of place", tag)
+	})
+	if err == nil && s == nil {
+		err = errors.New("no ledger line")
+	}
+	return s, err
+}
+
 func TestJSONLRoundTrip(t *testing.T) {
 	s := activeLedger().Snapshot()
 	if len(s.Totals) != 2 || s.Rejections != 1 || s.Now == 0 {
@@ -40,89 +70,48 @@ func TestJSONLRoundTrip(t *testing.T) {
 	if err := s.WriteJSONL(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeJSONL(bytes.NewReader(buf.Bytes()))
+	got, err := decode(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatalf("decode: %v\nstream:\n%s", err, buf.String())
 	}
 	if !reflect.DeepEqual(got, s) {
 		t.Errorf("round trip diverged:\n got %+v\nwant %+v", got, s)
 	}
+	if n := strings.Count(buf.String(), "\n"); n != 2+len(s.Totals) {
+		t.Errorf("%d lines, want the header, the ledger line and one totals line per key:\n%s", n, buf.String())
+	}
 }
 
+// TestDecodeJSONLErrors feeds the reader what a ledger artifact must not
+// be: no header, a meta row or a bucket line (tags a ledger artifact does
+// not have), a torn or two-key line, totals that are not one row.
 func TestDecodeJSONLErrors(t *testing.T) {
+	const header = `{"format":"milan-artifact","v":1,"kind":"ledger"}` + "\n"
 	cases := map[string]string{
-		"empty stream":    "",
-		"row before meta": `{"kind":"totals","tenant":"a"}`,
-		"duplicate meta": `{"kind":"meta"}
-{"kind":"meta"}`,
-		"unknown kind": `{"kind":"meta"}
-{"kind":"mystery"}`,
-		"bad json":       `{"kind":`,
-		"totals in meta": `{"kind":"meta","totals":[]}`,
-		"bucket row": `{"kind":"meta"}
-{"kind":"bucket","start":0,"width":50}`,
+		"empty stream":     "",
+		"no header":        `{"ledger":{}}`,
+		"old meta row":     `{"kind":"meta"}`,
+		"meta row":         header + `{"kind":"meta"}`,
+		"bucket line":      header + `{"ledger":{}}` + "\n" + `{"bucket":{"start":0,"width":50}}`,
+		"bad json":         header + `{"ledger":`,
+		"two keys":         header + `{"ledger":{},"totals":{}}`,
+		"totals not a row": header + `{"ledger":{}}` + "\n" + `{"totals":[]}`,
 	}
 	for name, in := range cases {
-		if _, err := DecodeJSONL(strings.NewReader(in)); err == nil {
+		if _, err := decode(strings.NewReader(in)); err == nil {
 			t.Errorf("%s: decode accepted malformed input", name)
 		}
 	}
 }
 
 func TestDecodeJSONLToleratesBlankLines(t *testing.T) {
-	in := "{\"kind\":\"meta\",\"capacity\":4}\n\n{\"kind\":\"totals\",\"tenant\":\"a\",\"reserved_area\":5}\n"
-	s, err := DecodeJSONL(strings.NewReader(in))
+	in := `{"format":"milan-artifact","v":1,"kind":"ledger"}` + "\n\n" +
+		`{"ledger":{"capacity":4}}` + "\n\n" + `{"totals":{"tenant":"a","reserved_area":5}}` + "\n"
+	s, err := decode(strings.NewReader(in))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s.Capacity != 4 || len(s.Totals) != 1 || s.Totals[0].ReservedArea != 5 {
 		t.Fatalf("decoded %+v", s)
 	}
-}
-
-// FuzzLedgerDecode asserts the decoder never panics and that anything it
-// accepts re-encodes and re-decodes to the same snapshot (a lossless
-// fixed point).
-func FuzzLedgerDecode(f *testing.F) {
-	var buf bytes.Buffer
-	if err := activeLedger().Snapshot().WriteJSONL(&buf); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(buf.String())
-	f.Add("")
-	f.Add(`{"kind":"meta"}`)
-	f.Add("{\"kind\":\"meta\",\"capacity\":4}\n{\"kind\":\"totals\",\"tenant\":\"a\",\"class\":-1,\"reserved_area\":3}")
-	f.Add(`{"kind":"meta","totals":[{"tenant":"a"}]}`)
-	f.Add(`{"kind":"totals"}`)
-	f.Fuzz(func(t *testing.T, in string) {
-		s, err := DecodeJSONL(strings.NewReader(in))
-		if err != nil {
-			return
-		}
-		var out bytes.Buffer
-		if err := s.WriteJSONL(&out); err != nil {
-			t.Fatalf("accepted snapshot failed to encode: %v", err)
-		}
-		s2, err := DecodeJSONL(bytes.NewReader(out.Bytes()))
-		if err != nil {
-			t.Fatalf("re-decode of accepted snapshot failed: %v", err)
-		}
-		if !reflect.DeepEqual(normalize(s2), normalize(s)) {
-			t.Fatalf("decode/encode not a fixed point:\n got %+v\nwant %+v", s2, s)
-		}
-	})
-}
-
-// normalize strips representation-only differences the encoder
-// legitimately introduces (nil vs empty slices survive JSON
-// differently depending on omitempty).
-func normalize(s *Snapshot) *Snapshot {
-	c := *s
-	if len(c.Shards) == 0 {
-		c.Shards = nil
-	}
-	if len(c.Totals) == 0 {
-		c.Totals = nil
-	}
-	return &c
 }

@@ -1,8 +1,12 @@
 package ledger
 
 import (
+	"fmt"
+	"io"
 	"math"
 	"sort"
+
+	"milan/internal/obs"
 )
 
 // Totals is the exact per-key accounting state.
@@ -40,6 +44,24 @@ type Snapshot struct {
 // TotalWasteArea returns the snapshot-wide reserved-but-unrealized area.
 func (s *Snapshot) TotalWasteArea() float64 {
 	return s.TotalReservedArea - s.TotalRealizedArea
+}
+
+// WriteJSONL writes the snapshot as a ledger artifact: the header, one
+// ledger line (the snapshot without its totals), then one totals line per
+// key, so no line outgrows obs.MaxLine however many keys there are.
+func (s *Snapshot) WriteJSONL(w io.Writer) error {
+	if s == nil {
+		return fmt.Errorf("ledger: nil snapshot")
+	}
+	aw := obs.NewArtifactWriter(w)
+	aw.Header(obs.ArtifactLedger, nil)
+	meta := *s
+	meta.Totals = nil
+	aw.Line("ledger", &meta)
+	for i := range s.Totals {
+		aw.Line("totals", &s.Totals[i])
+	}
+	return aw.Flush()
 }
 
 // Merge folds another snapshot into a new one: totals and capacities add

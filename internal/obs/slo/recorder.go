@@ -1,7 +1,6 @@
 package slo
 
 import (
-	"bufio"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -58,91 +57,76 @@ const (
 
 // Snapshot is one self-contained flight-recorder dump: the trigger plus
 // every span and decision event the recorder's rings held at cut time.
-// It serializes to JSONL (one header line, then one line per span and
-// event) and round-trips through DecodeSnapshot, so a snapshot written in
-// production replays anywhere.
+// It is written as a flight artifact (obs.ReadArtifact): one trigger line
+// (the exported fields below), then one line per span and per event; it
+// round-trips through DecodeSnapshot, so a snapshot written in production
+// replays anywhere.
 type Snapshot struct {
-	Version int         `json:"v"`
-	Kind    TriggerKind `json:"kind"`
-	Trace   uint64      `json:"trace,omitempty"`
-	At      float64     `json:"at"`
-	Note    string      `json:"note,omitempty"`
+	Kind  TriggerKind `json:"kind"`
+	Trace uint64      `json:"trace,omitempty"`
+	At    float64     `json:"at"`
+	Note  string      `json:"note,omitempty"`
 
 	Spans  []obs.SpanRec `json:"-"`
 	Events []obs.Event   `json:"-"`
 }
 
-// snapshotVersion is the JSONL format version written by WriteJSONL.
-const snapshotVersion = 1
-
-// snapLine is one non-header JSONL line: exactly one of Span/Event set.
-type snapLine struct {
-	Span  *obs.SpanRec `json:"span,omitempty"`
-	Event *obs.Event   `json:"event,omitempty"`
+// WriteJSONL writes the snapshot as a flight artifact: the header, then
+// the snapshot's lines.
+func (s *Snapshot) WriteJSONL(w io.Writer) error {
+	aw := obs.NewArtifactWriter(w)
+	aw.Header(obs.ArtifactFlight, nil)
+	s.WriteLines(aw)
+	return aw.Flush()
 }
 
-// WriteJSONL writes the snapshot as JSON lines: the header (the exported
-// Snapshot fields), then spans, then events.
-func (s *Snapshot) WriteJSONL(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	if err := enc.Encode(s); err != nil {
-		return fmt.Errorf("slo: snapshot header: %w", err)
-	}
+// WriteLines writes the snapshot's artifact lines, the part a breach
+// artifact embeds: the trigger, then the spans, then the events.
+func (s *Snapshot) WriteLines(aw *obs.ArtifactWriter) {
+	aw.Line("trigger", s)
 	for i := range s.Spans {
-		if err := enc.Encode(snapLine{Span: &s.Spans[i]}); err != nil {
-			return fmt.Errorf("slo: snapshot span: %w", err)
-		}
+		aw.Line("span", &s.Spans[i])
 	}
 	for i := range s.Events {
-		if err := enc.Encode(snapLine{Event: &s.Events[i]}); err != nil {
-			return fmt.Errorf("slo: snapshot event: %w", err)
-		}
+		aw.Line("event", &s.Events[i])
 	}
-	return bw.Flush()
 }
 
-// DecodeSnapshot reads a JSONL snapshot back (the round-trip of
-// WriteJSONL).  Blank lines are skipped; unknown versions and malformed
-// lines are errors.
+// DecodeSnapshot reads a flight artifact back (the round trip of
+// WriteJSONL).
 func DecodeSnapshot(r io.Reader) (*Snapshot, error) {
-	var snap *Snapshot
-	err := obs.Lines(r, "slo: snapshot", func(b []byte) error {
-		if snap == nil {
-			var s Snapshot
-			if err := json.Unmarshal(b, &s); err != nil {
-				return err
-			}
-			if s.Version != snapshotVersion {
-				return fmt.Errorf("version %d (want %d)", s.Version, snapshotVersion)
-			}
-			if s.Kind == "" {
-				return errors.New("missing trigger kind")
-			}
-			snap = &s
-			return nil
-		}
-		var l snapLine
-		if err := json.Unmarshal(b, &l); err != nil {
-			return err
-		}
-		switch {
-		case l.Span != nil:
-			snap.Spans = append(snap.Spans, *l.Span)
-		case l.Event != nil:
-			snap.Events = append(snap.Events, *l.Event)
-		default:
-			return errors.New("neither span nor event")
-		}
-		return nil
-	})
-	if err != nil {
+	var s Snapshot
+	if _, err := obs.ReadArtifact(r, obs.ArtifactFlight, s.DecodeLine); err != nil {
 		return nil, err
 	}
-	if snap == nil {
-		return nil, fmt.Errorf("slo: empty snapshot")
+	if s.Kind == "" {
+		return nil, errors.New("slo: flight artifact without a trigger line")
 	}
-	return snap, nil
+	return &s, nil
+}
+
+// DecodeLine folds one of the snapshot's artifact lines into s: the one
+// trigger line, then span and event lines.
+func (s *Snapshot) DecodeLine(tag string, raw []byte) error {
+	switch {
+	case tag == "trigger" && s.Kind != "":
+		return errors.New("a second trigger line")
+	case tag == "trigger":
+		err := json.Unmarshal(raw, s)
+		if err == nil && s.Kind == "" {
+			err = errors.New("a trigger without a kind")
+		}
+		return err
+	case s.Kind == "":
+		return fmt.Errorf("a %s line before the trigger line", tag)
+	case tag == "span":
+		s.Spans = append(s.Spans, obs.SpanRec{})
+		return json.Unmarshal(raw, &s.Spans[len(s.Spans)-1])
+	case tag == "event":
+		s.Events = append(s.Events, obs.Event{})
+		return json.Unmarshal(raw, &s.Events[len(s.Events)-1])
+	}
+	return fmt.Errorf("no %q line in a snapshot", tag)
 }
 
 // Recorder is the anomaly-triggered flight recorder: bounded rings of
@@ -261,13 +245,12 @@ func (r *Recorder) Trigger(kind TriggerKind, trace uint64, now float64, note str
 	r.lastCut[kind] = now
 	r.triggers++
 	snap := &Snapshot{
-		Version: snapshotVersion,
-		Kind:    kind,
-		Trace:   trace,
-		At:      now,
-		Note:    note,
-		Spans:   r.spans.Items(),
-		Events:  r.events.Items(),
+		Kind:   kind,
+		Trace:  trace,
+		At:     now,
+		Note:   note,
+		Spans:  r.spans.Items(),
+		Events: r.events.Items(),
 	}
 	r.snaps = append(r.snaps, snap)
 	if len(r.snaps) > r.maxSnaps {
@@ -321,7 +304,8 @@ func (r *Recorder) Triggers() int64 {
 	return r.triggers
 }
 
-// Handler serves the latest snapshot as a JSONL download (404 when none).
+// Handler serves the latest snapshot as a flight artifact download (404
+// when none).
 func (r *Recorder) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		snap := r.Last()

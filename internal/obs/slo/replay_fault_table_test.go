@@ -40,20 +40,20 @@ func TestReplayFaultTable(t *testing.T) {
 			// Router: optimistic-commit fallbacks crossed the spike
 			// threshold.
 			name: "router/commit-race-spike",
-			snap: &Snapshot{Version: snapshotVersion, Kind: TriggerCommitRaceSpike, At: 3},
+			snap: &Snapshot{Kind: TriggerCommitRaceSpike, At: 3},
 			want: FaultRouter,
 		},
 		{
 			// Rebalancer: migrations crossed the storm threshold.
 			name: "rebalancer/storm",
-			snap: &Snapshot{Version: snapshotVersion, Kind: TriggerRebalanceStorm, At: 4},
+			snap: &Snapshot{Kind: TriggerRebalanceStorm, At: 4},
 			want: FaultRebalancer,
 		},
 		{
 			// Rebalancer: the plane's capacity drifted away from the
 			// broker's pool (processors lost or duplicated by resizes).
 			name: "rebalancer/capacity-drift",
-			snap: &Snapshot{Version: snapshotVersion, Kind: TriggerCapacityDrift, At: 9,
+			snap: &Snapshot{Kind: TriggerCapacityDrift, At: 9,
 				Note: "plane holds 31 procs, pool holds 32"},
 			want: FaultRebalancer,
 		},
@@ -66,21 +66,21 @@ func TestReplayFaultTable(t *testing.T) {
 		{
 			// Runtime: the fault-masking executor lost committed work.
 			name: "runtime/masking-loss",
-			snap: &Snapshot{Version: snapshotVersion, Kind: TriggerMaskingLoss, At: 2,
+			snap: &Snapshot{Kind: TriggerMaskingLoss, At: 2,
 				Note: "store missing key k17 after crash flood"},
 			want: FaultRuntime,
 		},
 		{
 			// Shedder: saturation shedding broke a fairness invariant.
 			name: "shedder/fairness-breach",
-			snap: &Snapshot{Version: snapshotVersion, Kind: TriggerFairnessBreach, At: 7,
+			snap: &Snapshot{Kind: TriggerFairnessBreach, At: 7,
 				Note: "class 2 admitted share 0.33, weighted share 0.17"},
 			want: FaultShedder,
 		},
 		{
 			// Durability: crash recovery lost acknowledged admission state.
 			name: "durability/recovery-loss",
-			snap: &Snapshot{Version: snapshotVersion, Kind: TriggerDurabilityLoss, At: 11,
+			snap: &Snapshot{Kind: TriggerDurabilityLoss, At: 11,
 				Note: "grant 42 acked at lsn 97 missing after replay (dropped fsync)"},
 			want: FaultDurability,
 		},
@@ -109,7 +109,7 @@ func TestReplayFaultTable(t *testing.T) {
 // The fairness-breach verdict must render through WriteReplay too (the
 // human side of the campaign artifact workflow).
 func TestWriteReplayFairnessBreach(t *testing.T) {
-	s := &Snapshot{Version: snapshotVersion, Kind: TriggerFairnessBreach, At: 7,
+	s := &Snapshot{Kind: TriggerFairnessBreach, At: 7,
 		Note: "tenant hog starved 420 units past the window",
 		Events: []obs.Event{
 			{Time: 6.5, Type: obs.EvRejected, Job: 41, Reason: "shed"},

@@ -14,10 +14,9 @@ func missSnapshot(deadline, reservedFinish, actualFinish float64) *Snapshot {
 		Job: 9, Start: 0.2, End: 0.3,
 		Attrs: map[string]float64{"finish": reservedFinish}}
 	return &Snapshot{
-		Version: snapshotVersion,
-		Kind:    TriggerDeadlineMiss,
-		Trace:   7,
-		At:      actualFinish,
+		Kind:  TriggerDeadlineMiss,
+		Trace: 7,
+		At:    actualFinish,
 		Spans: []obs.SpanRec{
 			{Trace: 7, ID: 1, Name: "fed.negotiate", Stage: obs.StageArrival, Job: 9, Start: 0, End: 0.3},
 			{Trace: 7, ID: 2, Parent: 1, Name: "fed.probe", Stage: obs.StagePlan, Job: 9, Start: 0.1, End: 0.2,
@@ -65,13 +64,13 @@ func TestReplayOverAdmissionIsPlanner(t *testing.T) {
 }
 
 func TestReplayAggregateKinds(t *testing.T) {
-	if v := Replay(&Snapshot{Version: 1, Kind: TriggerRebalanceStorm}); v.Fault != FaultRebalancer {
+	if v := Replay(&Snapshot{Kind: TriggerRebalanceStorm}); v.Fault != FaultRebalancer {
 		t.Fatalf("storm verdict: %+v", v)
 	}
-	if v := Replay(&Snapshot{Version: 1, Kind: TriggerCommitRaceSpike}); v.Fault != FaultRouter {
+	if v := Replay(&Snapshot{Kind: TriggerCommitRaceSpike}); v.Fault != FaultRouter {
 		t.Fatalf("spike verdict: %+v", v)
 	}
-	if v := Replay(&Snapshot{Version: 1, Kind: TriggerManual}); v.Fault != FaultUnknown {
+	if v := Replay(&Snapshot{Kind: TriggerManual}); v.Fault != FaultUnknown {
 		t.Fatalf("manual verdict: %+v", v)
 	}
 	if v := Replay(nil); v.Fault != FaultUnknown {
@@ -84,7 +83,7 @@ func TestReplayFallbackAttrs(t *testing.T) {
 	// from the reserve span's attrs; planner still convicted when the
 	// reservation was past the deadline.
 	s := &Snapshot{
-		Version: snapshotVersion, Kind: TriggerDeadlineMiss, Trace: 2, At: 11,
+		Kind: TriggerDeadlineMiss, Trace: 2, At: 11,
 		Spans: []obs.SpanRec{
 			{Trace: 2, ID: 1, Name: "fed.negotiate", Stage: obs.StageArrival, Job: 1, Start: 0, End: 0.3},
 			{Trace: 2, ID: 2, Parent: 1, Name: "fed.commit", Stage: obs.StageReserve, Job: 1,
@@ -102,7 +101,7 @@ func TestReplayFallbackAttrs(t *testing.T) {
 }
 
 func TestReplayUnknownWithoutEvidence(t *testing.T) {
-	s := &Snapshot{Version: snapshotVersion, Kind: TriggerDeadlineMiss, Trace: 99, At: 5}
+	s := &Snapshot{Kind: TriggerDeadlineMiss, Trace: 99, At: 5}
 	v := Replay(s)
 	if v.Fault != FaultUnknown {
 		t.Fatalf("verdict without spans: %+v", v)

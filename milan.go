@@ -31,8 +31,6 @@
 package milan
 
 import (
-	"io"
-
 	"milan/internal/core"
 	"milan/internal/fed"
 	"milan/internal/obs"
@@ -169,10 +167,4 @@ type LedgerConfig = ledger.Config
 // count) and stamp each shard's capacity with Shard(i).SetCapacity.
 func NewShardedLedger(cfg LedgerConfig, n int) *ledger.Sharded {
 	return ledger.NewSharded(cfg, n)
-}
-
-// DecodeLedgerJSONL parses a ledger snapshot's WriteJSONL stream back into
-// a snapshot (the offline half of the accounting artifact).
-func DecodeLedgerJSONL(r io.Reader) (*ledger.Snapshot, error) {
-	return ledger.DecodeJSONL(r)
 }
