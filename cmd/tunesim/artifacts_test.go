@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -30,14 +31,19 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// tunesim runs the tunesim command line args in dir.
-func tunesim(t *testing.T, dir string, args ...string) {
+// tunesim runs the tunesim command line args in dir and returns what it
+// wrote to standard output.
+func tunesim(t *testing.T, dir string, args ...string) []byte {
 	t.Helper()
 	cmd := exec.Command(os.Args[0], append([]string{runMain}, args...)...)
 	cmd.Dir = dir
-	if out, err := cmd.CombinedOutput(); err != nil {
-		t.Fatalf("tunesim %v: %v\n%s", args, err, out)
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("tunesim %v: %v\n%s", args, err, stderr.Bytes())
 	}
+	return out
 }
 
 // digest is the SHA-256 of v's JSON encoding.
@@ -114,6 +120,29 @@ func TestCIArtifactsSayWhatTheySaid(t *testing.T) {
 	} {
 		if got := digest(t, c.v); got != c.want {
 			t.Errorf("%s says something else: digest %s, want %s", c.name, got, c.want)
+		}
+	}
+}
+
+// TestSchedulerOutputIsPinned pins what the scheduler decides, by the
+// SHA-256 of tunesim's output: every figure and extension (Fig 5a–d, the
+// malleable Fig 6a/6b, EXT-Q's tie-breaks, EXT-R, EXT-B, EXT-A, the sharded
+// comparison), the Gantt chart, and one point under the paper's and the
+// first-fit tie-break.  A refactor of the placer must leave them alone.
+func TestSchedulerOutputIsPinned(t *testing.T) {
+	dir := t.TempDir()
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-jobs", "300", "all"}, "50e3cb8d2eaf75c591cd7070a6a1e8ff868ffc4f9d2ae1deafa6f1eaa1b7437b"},
+		{[]string{"-jobs", "300", "gantt"}, "f6eae1c86ac1ef40a59f028d9f50d06cc4ab2e7172c2327e1094456c859aad24"},
+		{[]string{"-jobs", "300", "point"}, "cd610b66433e2c2b8636639bdaadf675feb298c0e93bd57984b6821c4274601a"},
+		{[]string{"-jobs", "300", "-tiebreak", "firstfit", "point"}, "529641f1ca69f62dd9934973f0c1f7a49347d8bb915a2f866ddef8681c9e70d0"},
+	} {
+		sum := sha256.Sum256(tunesim(t, dir, c.args...))
+		if got := hex.EncodeToString(sum[:]); got != c.want {
+			t.Errorf("tunesim %v: output digest %s, want %s", c.args, got, c.want)
 		}
 	}
 }
