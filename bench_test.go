@@ -202,30 +202,6 @@ func BenchmarkAblationTieBreakUtilFirst(b *testing.B) {
 	runAblation(b, &core.Options{TieBreak: core.TieBreakUtilFirst})
 }
 
-func BenchmarkAblationHoleEngine(b *testing.B) {
-	runAblation(b, &core.Options{Engine: core.EngineHoles})
-}
-
-func BenchmarkAblationBacktrackPlacer(b *testing.B) {
-	runAblation(b, &core.Options{ChainPlacer: core.PlaceBacktrack})
-}
-
-func BenchmarkAblationMalleableEarliestFinish(b *testing.B) {
-	b.ReportAllocs()
-	cfg := benchConfig(1500)
-	cfg.Malleable = true
-	cfg.Opts = &core.Options{Malleable: core.MalleableEarliestFinish}
-	var admitted int
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.Run(cfg, workload.Tunable)
-		if err != nil {
-			b.Fatal(err)
-		}
-		admitted = r.Admitted
-	}
-	b.ReportMetric(float64(admitted), "admitted")
-}
-
 // Micro-benchmarks of the scheduler's hot paths.
 
 func BenchmarkSchedulerAdmitTunable(b *testing.B) {

@@ -22,8 +22,7 @@ type Stats struct {
 	// planning calls (every chain evaluated by Plan or AdmitDAG).
 	ChainsTried int
 	// HolesProbed counts placement probes: each query of the
-	// processor-time plane for a task slot (a maximal-hole enumeration
-	// under EngineHoles, a profile segment scan under EngineProfile).
+	// processor-time plane for a task slot (one Profile.EarliestFit).
 	HolesProbed int
 	// PlanFailures counts planning calls in which no execution path was
 	// schedulable.
@@ -423,19 +422,11 @@ func comparePrefix(a, b []TaskPlacement) int {
 	return 0
 }
 
-// earliestFit dispatches to the configured placement engine.
-func (s *Scheduler) earliestFit(procs int, duration, est, deadline float64) (float64, bool) {
-	return s.earliestFitOn(s.prof, procs, duration, est, deadline)
-}
-
-// earliestFitOn is earliestFit against an explicit profile (used for
-// tentative DAG planning on a scratch copy).  Every call is one placement
-// probe of the processor-time plane, counted in Stats.HolesProbed.
+// earliestFitOn is one placement probe of the processor-time plane, counted
+// in Stats.HolesProbed, against an explicit profile (the scheduler's own, or
+// a scratch copy for tentative DAG planning).
 func (s *Scheduler) earliestFitOn(p *Profile, procs int, duration, est, deadline float64) (float64, bool) {
 	s.stat.HolesProbed++
-	if s.opts.Engine == EngineHoles {
-		return p.EarliestFitHoles(procs, duration, est, deadline)
-	}
 	return p.EarliestFit(procs, duration, est, deadline)
 }
 
@@ -446,9 +437,6 @@ func (s *Scheduler) earliestFitOn(p *Profile, procs int, duration, est, deadline
 // placements are appended to buf[:0], and the buffer comes back either way
 // so a caller that reuses it keeps what it grew to.
 func (s *Scheduler) placeChain(buf []TaskPlacement, chain Chain, release float64) ([]TaskPlacement, bool) {
-	if s.opts.ChainPlacer == PlaceBacktrack {
-		return s.placeChainBacktrack(buf, chain, release)
-	}
 	out := buf[:0]
 	est := release
 	for i, t := range chain.Tasks {

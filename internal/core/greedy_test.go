@@ -237,45 +237,6 @@ func TestUtilizationAccounting(t *testing.T) {
 	}
 }
 
-func TestHoleEngineSchedulerMatchesDefault(t *testing.T) {
-	mk := func(opts *Options) []int {
-		s := NewScheduler(6, 0, opts)
-		rng := rand.New(rand.NewSource(7))
-		var chosen []int
-		release := 0.0
-		for i := 0; i < 200; i++ {
-			release += rng.Float64() * 10
-			laxity := 0.3 + rng.Float64()*0.5
-			t1 := 5 + rng.Float64()*10
-			t2 := 5 + rng.Float64()*10
-			j := Job{ID: i, Release: release, Chains: []Chain{
-				{Name: "A", Tasks: []Task{
-					{Name: "a1", Procs: 4, Duration: t1, Deadline: release + t1/(1-laxity)},
-					{Name: "a2", Procs: 2, Duration: t2, Deadline: release + (t1+t2)/(1-laxity)},
-				}},
-				{Name: "B", Tasks: []Task{
-					{Name: "b1", Procs: 2, Duration: t2, Deadline: release + t2/(1-laxity)},
-					{Name: "b2", Procs: 4, Duration: t1, Deadline: release + (t1+t2)/(1-laxity)},
-				}},
-			}}
-			pl, err := s.Admit(j)
-			if err != nil {
-				chosen = append(chosen, -1)
-			} else {
-				chosen = append(chosen, pl.Chain)
-			}
-		}
-		return chosen
-	}
-	def := mk(nil)
-	holes := mk(&Options{Engine: EngineHoles})
-	for i := range def {
-		if def[i] != holes[i] {
-			t.Fatalf("job %d: default engine chose %d, hole engine chose %d", i, def[i], holes[i])
-		}
-	}
-}
-
 // TestQuickAdmittedJobsMeetDeadlines: every placement returned by Admit
 // respects release time, precedence, deadlines and capacity.
 func TestQuickAdmittedJobsMeetDeadlines(t *testing.T) {

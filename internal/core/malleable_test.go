@@ -58,43 +58,20 @@ func TestMalleableSqueezesIntoNarrowHole(t *testing.T) {
 }
 
 func TestMalleableDescendingVersusEarliestFinish(t *testing.T) {
-	// Occupy 6 of 8 procs on [0, 4).  Work 16, max 8.
-	//   p=8: starts at 4, duration 2, finish 6.
+	// Occupy 6 of 8 procs on [0, 7).  Work 16, max 8.
+	//   p=8: starts at 7, duration 2, finish 9.
 	//   p=2: starts at 0, duration 8, finish 8.
-	// Descending takes p=8 (finish 6); earliest-finish also takes p=8 here.
-	// Now tighten: occupy [0,7) instead. p=8: finish 7+2=9. p=2: finish 8.
-	// Earliest-finish picks p=2, descending still picks p=8.
-	build := func(policy MalleablePolicy) TaskPlacement {
-		s := NewScheduler(8, 0, &Options{Malleable: policy})
-		mustAdmit(t, s, Job{ID: 0, Chains: []Chain{
-			{Name: "hog", Tasks: []Task{rect("h", 6, 7, 7)}},
-		}})
-		pl := mustAdmit(t, s, Job{ID: 1, Chains: []Chain{
-			{Name: "c", Tasks: []Task{mall("m", 16, 8, 100)}},
-		}})
-		return pl.Tasks[0]
-	}
-	desc := build(MalleableDescending)
-	if desc.Procs != 8 || !timeEq(desc.Finish, 9) {
-		t.Errorf("descending placement = %+v, want 8 procs finishing at 9", desc)
-	}
-	ef := build(MalleableEarliestFinish)
-	if ef.Procs != 2 || !timeEq(ef.Finish, 8) {
-		t.Errorf("earliest-finish placement = %+v, want 2 procs finishing at 8", ef)
-	}
-}
-
-func TestMalleableEarliestFinishTiesPreferMoreProcs(t *testing.T) {
-	s := NewScheduler(8, 0, &Options{Malleable: MalleableEarliestFinish})
-	// Empty machine: p=8 strictly earliest finish, but also check a case
-	// with equal finishes: work such that several p finish together cannot
-	// happen with linear speedup on an empty machine except p differing...
-	// p=8 finish work/8 is strictly smallest, so max procs must win.
-	pl := mustAdmit(t, s, Job{ID: 1, Chains: []Chain{
-		{Name: "c", Tasks: []Task{mall("m", 24, 8, 100)}},
+	// The paper's rule takes the highest count that meets the deadline,
+	// p=8, although p=2 would finish earlier.
+	s := NewScheduler(8, 0, nil)
+	mustAdmit(t, s, Job{ID: 0, Chains: []Chain{
+		{Name: "hog", Tasks: []Task{rect("h", 6, 7, 7)}},
 	}})
-	if pl.Tasks[0].Procs != 8 {
-		t.Fatalf("procs = %d, want 8", pl.Tasks[0].Procs)
+	pl := mustAdmit(t, s, Job{ID: 1, Chains: []Chain{
+		{Name: "c", Tasks: []Task{mall("m", 16, 8, 100)}},
+	}})
+	if desc := pl.Tasks[0]; desc.Procs != 8 || !timeEq(desc.Finish, 9) {
+		t.Errorf("descending placement = %+v, want 8 procs finishing at 9", desc)
 	}
 }
 
@@ -112,49 +89,14 @@ func TestMalleableRejectedWhenNoCountFits(t *testing.T) {
 	}
 }
 
-func TestBacktrackPlacerMatchesGreedyOnFeasibleChains(t *testing.T) {
-	// For non-malleable chains, delaying a predecessor only shrinks the
-	// successor's feasible window, so backtracking cannot beat greedy
-	// earliest-start placement; the two placers must agree on feasible
-	// chains.  (Backtracking only helps malleable tasks, where a retry may
-	// pick a different processor count.)
-	for _, policy := range []ChainPlacer{PlaceGreedy, PlaceBacktrack} {
-		s := NewScheduler(4, 0, &Options{ChainPlacer: policy})
-		mustAdmit(t, s, Job{ID: 0, Chains: []Chain{
-			{Name: "hog", Tasks: []Task{rect("h", 2, 12, 30)}},
-		}})
-		pl := mustAdmit(t, s, Job{ID: 1, Chains: []Chain{
-			chain2("c", 2, 5, 30, 4, 5, 40),
-		}})
-		if !timeEq(pl.Tasks[1].Start, 12) {
-			t.Errorf("policy %v: task 2 start = %v, want 12", policy, pl.Tasks[1].Start)
-		}
-	}
-}
-
-func TestBacktrackBudgetExhaustionFailsCleanly(t *testing.T) {
-	s := NewScheduler(2, 0, &Options{ChainPlacer: PlaceBacktrack, BacktrackBudget: 1})
-	// Two tasks but budget 1: second task placement exceeds the budget.
-	_, err := s.Admit(Job{ID: 1, Chains: []Chain{
-		chain2("c", 1, 5, 100, 1, 5, 100),
-	}})
-	if err == nil {
-		t.Fatal("admitted despite exhausted backtrack budget")
-	}
-}
-
 // TestQuickMalleablePlacementsConserveWork: a malleable placement's area
 // equals the task's work (linear speedup), its processor count respects the
 // degree of concurrency, and deadlines hold.
 func TestQuickMalleablePlacementsConserveWork(t *testing.T) {
-	f := func(seed int64, policyRaw bool) bool {
+	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		policy := MalleableDescending
-		if policyRaw {
-			policy = MalleableEarliestFinish
-		}
 		capacity := 4 + rng.Intn(12)
-		s := NewScheduler(capacity, 0, &Options{Malleable: policy})
+		s := NewScheduler(capacity, 0, nil)
 		release := 0.0
 		for i := 0; i < 60; i++ {
 			release += rng.Float64() * 10
@@ -183,46 +125,5 @@ func TestQuickMalleablePlacementsConserveWork(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestQuickEarliestFinishNeverLaterThanDescending: by construction the
-// earliest-finish policy finishes each single-task job no later than the
-// descending policy does on the same (job-by-job identical) schedule state.
-func TestQuickEarliestFinishNeverLaterThanDescending(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		capacity := 8
-		hogProcs := 1 + rng.Intn(7)
-		hogDur := 1 + rng.Float64()*20
-		work := 5 + rng.Float64()*40
-		maxP := 1 + rng.Intn(10)
-
-		run := func(policy MalleablePolicy) (float64, bool) {
-			s := NewScheduler(capacity, 0, &Options{Malleable: policy})
-			mustReserveSched(s, hogProcs, 0, hogDur)
-			pl, err := s.Admit(Job{ID: 1, Chains: []Chain{
-				{Tasks: []Task{{Malleable: true, Work: work, MaxProcs: maxP, Deadline: 1e9}}},
-			}})
-			if err != nil {
-				return 0, false
-			}
-			return pl.Finish(), true
-		}
-		fDesc, ok1 := run(MalleableDescending)
-		fEF, ok2 := run(MalleableEarliestFinish)
-		if ok1 != ok2 {
-			return false
-		}
-		return !ok1 || timeLeq(fEF, fDesc)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func mustReserveSched(s *Scheduler, procs int, start, finish float64) {
-	if err := s.prof.Reserve(procs, start, finish); err != nil {
-		panic(err)
 	}
 }

@@ -176,31 +176,3 @@ func TestOracleSchedulerStatsIdentical(t *testing.T) {
 		}
 	}
 }
-
-// TestOracleHolesEngineIdentical repeats the comparison under EngineHoles,
-// where every placement probe routes through MaximalHoles: the indexed
-// enumeration feeds the same hole-scan, so decisions must be identical.
-func TestOracleHolesEngineIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	on := core.NewScheduler(8, 0, &core.Options{Engine: core.EngineHoles})
-	off := core.NewScheduler(8, 0, &core.Options{Engine: core.EngineHoles, ProfileIndex: core.ProfileIndexOff})
-	clock := 0.0
-	for id := 0; id < 200; id++ {
-		clock += rng.Float64() * 4
-		procs := 1 + rng.Intn(4)
-		dur := 1 + rng.Float64()*6
-		job := core.Job{ID: id, Release: clock, Chains: []core.Chain{{
-			Quality: 1,
-			Tasks:   []core.Task{{Procs: procs, Duration: dur, Deadline: clock + dur*(1.5+rng.Float64()*2)}},
-		}}}
-		_, errA := on.Admit(job)
-		_, errB := off.Admit(job)
-		if (errA == nil) != (errB == nil) {
-			t.Fatalf("job %d: indexed err=%v, linear err=%v", id, errA, errB)
-		}
-	}
-	sa, sb := on.Stats(), off.Stats()
-	if sa.Admitted != sb.Admitted || sa.Rejected != sb.Rejected {
-		t.Fatalf("holes-engine stats diverge: %+v vs %+v", sa, sb)
-	}
-}

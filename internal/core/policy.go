@@ -1,20 +1,5 @@
 package core
 
-// PlacementEngine selects how the scheduler searches the processor-time
-// plane for a task's slot.  Both engines return identical answers (tested);
-// they differ only in mechanics and cost, and exist as an ablation of the
-// paper's maximal-hole bookkeeping.
-type PlacementEngine int
-
-const (
-	// EngineProfile scans the piecewise-constant availability profile
-	// directly (the default; fastest).
-	EngineProfile PlacementEngine = iota
-	// EngineHoles enumerates maximal holes per query, the literal
-	// formulation in Section 5.2 of the paper.
-	EngineHoles
-)
-
 // TieBreak selects how the scheduler chooses among the schedulable chains of
 // a tunable job.
 type TieBreak int
@@ -46,21 +31,6 @@ const (
 	TieBreakMaxQuality
 )
 
-// MalleablePolicy selects how processor counts are chosen for malleable
-// tasks.
-type MalleablePolicy int
-
-const (
-	// MalleableDescending tries processor counts from the task's degree of
-	// concurrency downward and takes the first count whose placement meets
-	// the deadline (Section 5.4: "starting from the highest number of
-	// processors the task can use").
-	MalleableDescending MalleablePolicy = iota
-	// MalleableEarliestFinish evaluates every processor count and picks the
-	// one whose placement finishes earliest (ties to the higher count).
-	MalleableEarliestFinish
-)
-
 // ProfileIndexMode selects whether the scheduler's capacity profile carries
 // the segment-tree index (see index.go).  Both modes return identical
 // answers to every probe (enforced by the differential oracle harness);
@@ -80,34 +50,14 @@ const (
 	ProfileIndexOff
 )
 
-// ChainPlacer selects how the tasks of one chain are placed.
-type ChainPlacer int
-
-const (
-	// PlaceGreedy places each task at its earliest feasible start and never
-	// revisits the decision (the paper's heuristic).
-	PlaceGreedy ChainPlacer = iota
-	// PlaceBacktrack retries earlier tasks at later slots when a successor
-	// cannot be placed, within a bounded number of attempts.  An extension:
-	// the paper notes the underlying problem is NP-hard and stops at the
-	// greedy rule.
-	PlaceBacktrack
-)
-
 // Options configures a Scheduler.  The zero value is the configuration used
 // throughout the paper's evaluation.
 type Options struct {
-	Engine      PlacementEngine
-	TieBreak    TieBreak
-	Malleable   MalleablePolicy
-	ChainPlacer ChainPlacer
+	TieBreak TieBreak
 	// ProfileIndex selects whether the capacity profile keeps a
 	// segment-tree index over availability (default: on).  The index
 	// never changes scheduling decisions, only their cost.
 	ProfileIndex ProfileIndexMode
-	// BacktrackBudget bounds the total number of per-task placement
-	// attempts when ChainPlacer is PlaceBacktrack.  Zero means 64.
-	BacktrackBudget int
 	// Diagnosis, if non-nil, receives a rejection explanation for every
 	// failed planning pass (see PlanDiagnosis).  It travels inside Options,
 	// so it survives scheduler rebuilds (e.g. the dynamic arbitrator's
@@ -117,11 +67,4 @@ type Options struct {
 	// forks of the profile, so installing a sink never changes admission
 	// decisions or scheduler statistics.
 	Diagnosis func(*PlanDiagnosis)
-}
-
-func (o Options) backtrackBudget() int {
-	if o.BacktrackBudget <= 0 {
-		return 64
-	}
-	return o.BacktrackBudget
 }

@@ -401,16 +401,6 @@ func (p *Profile) SetCapacity(c int) error {
 // time after which the machine is entirely idle forever.
 func (p *Profile) LastBreak() float64 { return p.times[len(p.times)-1] }
 
-// NextBreakAfter returns the first breakpoint strictly after time t, and
-// false if t is at or past the final breakpoint.
-func (p *Profile) NextBreakAfter(t float64) (float64, bool) {
-	i := p.seg(t)
-	if i+1 < len(p.times) {
-		return p.times[i+1], true
-	}
-	return 0, false
-}
-
 // String renders the profile for debugging: "cap=4 [0,5)=2 [5,+inf)=0".
 func (p *Profile) String() string {
 	var b strings.Builder

@@ -26,65 +26,63 @@ func clonePlacement(pl *Placement) *Placement {
 // is the caller's — later planning on the same scheduler, granted or
 // rejected, writes none of it — so a plan made now commits as it was made.
 func TestPlannerHandsOutNoScratch(t *testing.T) {
-	for _, placer := range []ChainPlacer{PlaceGreedy, PlaceBacktrack} {
-		s := NewScheduler(32, 0, &Options{ChainPlacer: placer})
-		placed, ok := s.PlaceChain(fig4(0, 0).Chains[1], 0)
-		if !ok {
-			t.Fatal("PlaceChain on an idle machine failed")
-		}
-		pl0, key0, ok := s.PlanKeyed(fig4(0, 0))
-		if !ok {
-			t.Fatal("PlanKeyed on an idle machine failed")
-		}
-		pl1, ok := s.Plan(fig4(1, 3))
-		if !ok {
-			t.Fatal("Plan on an idle machine failed")
-		}
-		wantPlaced := append([]TaskPlacement(nil), placed...)
-		wantPl0, wantPl1 := clonePlacement(pl0), clonePlacement(pl1)
-		wantPrefix := append([]float64(nil), key0.Prefix...)
+	s := NewScheduler(32, 0, nil)
+	placed, ok := s.PlaceChain(fig4(0, 0).Chains[1], 0)
+	if !ok {
+		t.Fatal("PlaceChain on an idle machine failed")
+	}
+	pl0, key0, ok := s.PlanKeyed(fig4(0, 0))
+	if !ok {
+		t.Fatal("PlanKeyed on an idle machine failed")
+	}
+	pl1, ok := s.Plan(fig4(1, 3))
+	if !ok {
+		t.Fatal("Plan on an idle machine failed")
+	}
+	wantPlaced := append([]TaskPlacement(nil), placed...)
+	wantPl0, wantPl1 := clonePlacement(pl0), clonePlacement(pl1)
+	wantPrefix := append([]float64(nil), key0.Prefix...)
 
-		// Later planning: another shape, another release, a job too wide
-		// to place, each through the same scratch.
-		long := fig4(2, 7)
-		long.Chains[0].Tasks = append(long.Chains[0].Tasks, long.Chains[0].Tasks...)
-		for i := range long.Chains[0].Tasks {
-			long.Chains[0].Tasks[i].Deadline = 1000
-		}
-		if _, ok := s.Plan(long); !ok {
-			t.Fatal("Plan(j2) failed")
-		}
-		if _, _, ok := s.PlanKeyed(fig4(3, 11)); !ok {
-			t.Fatal("PlanKeyed(j3) failed")
-		}
-		wide := fig4(4, 13)
-		wide.Chains[0].Tasks[1].Procs = 64
-		wide.Chains[1].Tasks[1].Procs = 64
-		if _, ok := s.Plan(wide); ok {
-			t.Fatal("a 64-wide task was planned on 32 processors")
-		}
+	// Later planning: another shape, another release, a job too wide
+	// to place, each through the same scratch.
+	long := fig4(2, 7)
+	long.Chains[0].Tasks = append(long.Chains[0].Tasks, long.Chains[0].Tasks...)
+	for i := range long.Chains[0].Tasks {
+		long.Chains[0].Tasks[i].Deadline = 1000
+	}
+	if _, ok := s.Plan(long); !ok {
+		t.Fatal("Plan(j2) failed")
+	}
+	if _, _, ok := s.PlanKeyed(fig4(3, 11)); !ok {
+		t.Fatal("PlanKeyed(j3) failed")
+	}
+	wide := fig4(4, 13)
+	wide.Chains[0].Tasks[1].Procs = 64
+	wide.Chains[1].Tasks[1].Procs = 64
+	if _, ok := s.Plan(wide); ok {
+		t.Fatal("a 64-wide task was planned on 32 processors")
+	}
 
-		if !reflect.DeepEqual(placed, wantPlaced) {
-			t.Fatalf("PlaceChain result rewritten by later planning:\n got  %+v\n want %+v", placed, wantPlaced)
-		}
-		if !reflect.DeepEqual(pl0, wantPl0) || !reflect.DeepEqual(pl1, wantPl1) {
-			t.Fatalf("placement rewritten by later planning:\n got  %+v %+v\n want %+v %+v", pl0, pl1, wantPl0, wantPl1)
-		}
-		if !reflect.DeepEqual(key0.Prefix, wantPrefix) {
-			t.Fatalf("PlanKey.Prefix rewritten by later planning: got %v, want %v", key0.Prefix, wantPrefix)
-		}
-		if err := s.Commit(fig4(1, 3), pl1); err != nil {
-			t.Fatalf("commit of the earlier plan: %v", err)
-		}
-		if !reflect.DeepEqual(pl1, wantPl1) {
-			t.Fatalf("placement rewritten by its own commit: %+v", pl1)
-		}
-		// What was committed is what was planned: planning the same job
-		// again must now avoid exactly those slots.
-		for _, tp := range wantPl1.Tasks {
-			if free := s.Profile().MinAvailOn(tp.Start, tp.Finish); free > 32-tp.Procs {
-				t.Fatalf("task %+v not reserved: %d processors free over its slot", tp, free)
-			}
+	if !reflect.DeepEqual(placed, wantPlaced) {
+		t.Fatalf("PlaceChain result rewritten by later planning:\n got  %+v\n want %+v", placed, wantPlaced)
+	}
+	if !reflect.DeepEqual(pl0, wantPl0) || !reflect.DeepEqual(pl1, wantPl1) {
+		t.Fatalf("placement rewritten by later planning:\n got  %+v %+v\n want %+v %+v", pl0, pl1, wantPl0, wantPl1)
+	}
+	if !reflect.DeepEqual(key0.Prefix, wantPrefix) {
+		t.Fatalf("PlanKey.Prefix rewritten by later planning: got %v, want %v", key0.Prefix, wantPrefix)
+	}
+	if err := s.Commit(fig4(1, 3), pl1); err != nil {
+		t.Fatalf("commit of the earlier plan: %v", err)
+	}
+	if !reflect.DeepEqual(pl1, wantPl1) {
+		t.Fatalf("placement rewritten by its own commit: %+v", pl1)
+	}
+	// What was committed is what was planned: planning the same job
+	// again must now avoid exactly those slots.
+	for _, tp := range wantPl1.Tasks {
+		if free := s.Profile().MinAvailOn(tp.Start, tp.Finish); free > 32-tp.Procs {
+			t.Fatalf("task %+v not reserved: %d processors free over its slot", tp, free)
 		}
 	}
 }

@@ -56,20 +56,17 @@ func TestStatsProbeAndChainCounters(t *testing.T) {
 }
 
 func TestStatsCountersEngineParity(t *testing.T) {
-	// Both placement engines count probes at the same choke point, so the
-	// per-chain bookkeeping must agree on ChainsTried (probe totals differ
-	// because the engines enumerate different candidate sets).
-	for _, engine := range []PlacementEngine{EngineProfile, EngineHoles} {
-		s := NewScheduler(8, 0, &Options{Engine: engine})
-		for i := 0; i < 6; i++ {
-			s.Admit(twoChainJob(i, float64(i)*2))
-		}
-		st := s.Stats()
-		if st.ChainsTried != 12 {
-			t.Fatalf("engine %v: ChainsTried = %d, want 12", engine, st.ChainsTried)
-		}
-		if st.HolesProbed < st.ChainsTried {
-			t.Fatalf("engine %v: HolesProbed = %d < ChainsTried = %d", engine, st.HolesProbed, st.ChainsTried)
-		}
+	// Probes are counted at the one choke point, earliestFitOn, so every
+	// chain tried costs at least one probe.
+	s := NewScheduler(8, 0, nil)
+	for i := 0; i < 6; i++ {
+		s.Admit(twoChainJob(i, float64(i)*2))
+	}
+	st := s.Stats()
+	if st.ChainsTried != 12 {
+		t.Fatalf("ChainsTried = %d, want 12", st.ChainsTried)
+	}
+	if st.HolesProbed < st.ChainsTried {
+		t.Fatalf("HolesProbed = %d < ChainsTried = %d", st.HolesProbed, st.ChainsTried)
 	}
 }

@@ -79,11 +79,7 @@ type (
 )
 
 // Scheduler policy constants, re-exported for Options.
-const (
-	EngineHoles             = core.EngineHoles
-	TieBreakMinArea         = core.TieBreakMinArea
-	MalleableEarliestFinish = core.MalleableEarliestFinish
-)
+const TieBreakMinArea = core.TieBreakMinArea
 
 // ErrRejected is returned when admission control rejects a job.
 var ErrRejected = qos.ErrRejected
