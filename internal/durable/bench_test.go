@@ -58,13 +58,13 @@ func BenchmarkReplay(b *testing.B) {
 			gen, recs := benchLog(n)
 			// One untimed warmup so lazy one-time allocations don't smear
 			// a +-1 jitter into allocs/op at low iteration counts.
-			if _, err := replayState(gen, recs, nil); err != nil {
+			if _, err := replayState(gen, recs); err != nil {
 				b.Fatal(err)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				st, err := replayState(gen, recs, nil)
+				st, err := replayState(gen, recs)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -80,7 +80,7 @@ func BenchmarkReplay(b *testing.B) {
 // of the recovery cost model (write amplification per compaction).
 func BenchmarkSnapshotEncode(b *testing.B) {
 	gen, recs := benchLog(10_000)
-	st, err := replayState(gen, recs, nil)
+	st, err := replayState(gen, recs)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -29,10 +29,6 @@ type Config struct {
 	Shards int
 	// ProbeK is the router's probe fan-out (fed.Config.ProbeK).
 	ProbeK int
-	// Origin is the schedule start time for a genesis plane.
-	Origin float64
-	// Options is the scheduler policy (also used for replay).
-	Options *core.Options
 	// Store tunes the log (sync policy, snapshot cadence).
 	Store StoreOptions
 	// Shed, if set, wires a qos.Shedder in front of admission; shed
@@ -159,14 +155,13 @@ func openTapped(cfg Config, tap func(qos.Decision)) (*Plane, Recovered, error) {
 	if shards < 1 {
 		shards = 1
 	}
-	genesis, err := Genesis(cfg.Procs, shards, cfg.Origin)
+	genesis, err := Genesis(cfg.Procs, shards, 0)
 	if err != nil {
 		return nil, Recovered{}, err
 	}
 	store, rec, err := Open(OpenConfig{
 		FS: cfg.FS, Dir: cfg.Dir,
-		Genesis: genesis, Options: cfg.Options,
-		Store: cfg.Store, Metrics: cfg.Metrics,
+		Genesis: genesis, Store: cfg.Store, Metrics: cfg.Metrics,
 	})
 	if err != nil {
 		return nil, Recovered{}, err
@@ -182,7 +177,6 @@ func openTapped(cfg Config, tap func(qos.Decision)) (*Plane, Recovered, error) {
 	}
 	arb, err := fed.New(fed.Config{
 		Procs: st.Procs(), Shards: len(st.Shards), ProbeK: cfg.ProbeK,
-		Origin: cfg.Origin, Options: cfg.Options,
 		Observer: observer,
 	})
 	if err != nil {

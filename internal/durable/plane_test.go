@@ -296,9 +296,9 @@ func TestShedderNeverResurrectsSheds(t *testing.T) {
 	jobs := planeStream(250, 19)
 	mem := vfs.NewMem()
 	shed := &qos.ShedConfig{
-		Capacity:     16,
-		Horizon:      50,
-		DefaultQuota: 0.2, // tight quota: plenty of sheds
+		Capacity:    16,
+		Horizon:     50,
+		TenantQuota: map[string]float64{"": 0.2}, // the stream's one tenant, tightly: plenty of sheds
 	}
 	cfg := Config{
 		FS: mem, Dir: "log", Procs: 16, Shards: 2, ProbeK: 1,

@@ -151,7 +151,6 @@ type Store struct {
 	fs   vfs.FS
 	dir  string
 	opts StoreOptions
-	core *core.Options
 	met  *Metrics
 
 	// The writer's side, under the plane lock.  frame is Write's scratch:
@@ -197,8 +196,6 @@ type OpenConfig struct {
 	// Genesis is the plane's empty state, used when the directory holds
 	// no usable snapshot (see Genesis).
 	Genesis State
-	// Options is the scheduler policy used to rebuild shards for replay.
-	Options *core.Options
 	// Store holds the log's own tuning.
 	Store StoreOptions
 	// Metrics, when non-nil, receives durability instrumentation.
@@ -246,7 +243,7 @@ func Open(cfg OpenConfig) (*Store, Recovered, error) {
 	if err := cfg.FS.MkdirAll(cfg.Dir); err != nil {
 		return nil, Recovered{}, fmt.Errorf("durable: create log dir: %w", err)
 	}
-	s := &Store{fs: cfg.FS, dir: cfg.Dir, opts: cfg.Store.withDefaults(), core: cfg.Options, met: cfg.Metrics}
+	s := &Store{fs: cfg.FS, dir: cfg.Dir, opts: cfg.Store.withDefaults(), met: cfg.Metrics}
 	s.flushDone.L = &s.flushMu
 
 	base, snapLSN, recs, torn, err := s.load(cfg.Genesis)
@@ -254,7 +251,7 @@ func Open(cfg OpenConfig) (*Store, Recovered, error) {
 		return nil, Recovered{}, err
 	}
 	replayStart := time.Now()
-	st, err := replayState(base, recs, cfg.Options)
+	st, err := replayState(base, recs)
 	if err != nil {
 		return nil, Recovered{}, fmt.Errorf("durable: replay: %w", err)
 	}
@@ -926,10 +923,10 @@ func (s *Store) Close() error {
 // replayState rebuilds schedulers from base and applies recs in log order,
 // returning the resulting state.  Replay applies committed decisions
 // verbatim — it never re-plans — so the result is bit-exact.
-func replayState(base State, recs []Record, opts *core.Options) (State, error) {
+func replayState(base State, recs []Record) (State, error) {
 	scheds := make([]*core.Scheduler, len(base.Shards))
 	for i, sh := range base.Shards {
-		sc := core.NewScheduler(max(sh.Profile.Capacity, 1), 0, opts)
+		sc := core.NewScheduler(max(sh.Profile.Capacity, 1), 0, nil)
 		if err := sc.RestoreState(sh); err != nil {
 			return State{}, fmt.Errorf("shard %d: %w", i, err)
 		}

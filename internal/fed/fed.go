@@ -13,8 +13,8 @@
 // the experiments' TestRunMatchesTheReference pin both.
 //
 // At two shards and up a router admits tunable jobs via best-of-k probing.
-// Candidate shards are pre-filtered by a cheap cached load signal (reserved
-// area over a sliding horizon, per processor — the classic
+// Candidate shards are pre-filtered by a cheap cached load signal (future
+// reserved area, per processor — the classic
 // power-of-k-choices trick), a real plan is computed on each of the k
 // probed shards, and the job commits to the winner under the paper's
 // cross-shard tie-break: earliest finish, then higher utilization over
@@ -50,8 +50,6 @@ type Config struct {
 	// ProbeK is how many least-loaded shards receive a real planning probe
 	// per negotiation (default 2, clamped to [1, Shards]).
 	ProbeK int
-	// Origin is the schedule start time.
-	Origin float64
 	// Options is the per-shard scheduler policy; nil means the paper's
 	// defaults.  A Diagnosis sink set here receives a rejection explanation
 	// for every failed planning pass on every shard, stamped, at two shards
@@ -61,10 +59,6 @@ type Config struct {
 	// verdict).  A one-shard plane routes nothing and leaves the stamp at
 	// -1, as the reference arbitrator does.
 	Options *core.Options
-	// Horizon is the sliding window of the cached load signal: a shard's
-	// load is its reserved area over [now, now+Horizon] per processor.
-	// Zero means all future reserved work.
-	Horizon float64
 	// Observer, if set, is the plane's one feed: every shard calls it,
 	// under its own lock, at the point it commits a mutation — a
 	// reservation (qos.KindAdmitted), a counted rejection
@@ -188,7 +182,6 @@ func New(cfg Config) (*Arbitrator, error) {
 		k = shards
 	}
 	a := &Arbitrator{probeK: k}
-	a.nowBits.Store(floatBits(cfg.Origin))
 	base, rem := cfg.Procs/shards, cfg.Procs%shards
 	for i := 0; i < shards; i++ {
 		procs := base
@@ -207,7 +200,7 @@ func New(cfg Config) (*Arbitrator, error) {
 			}
 			opts = &o
 		}
-		sh := newShard(i, procs, cfg.Origin, opts, shards > 1, cfg.Horizon, cfg.Observer)
+		sh := newShard(i, procs, opts, shards > 1, cfg.Observer)
 		sh.mu.Lock()
 		sh.refreshLoadLocked()
 		sh.mu.Unlock()

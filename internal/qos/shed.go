@@ -101,12 +101,9 @@ type ShedConfig struct {
 	// before its arrivals are shed (default Capacity*Horizon/8).
 	FairnessBurst float64
 	// TenantQuota caps a tenant's in-flight reserved area as a fraction
-	// of Capacity*Horizon; tenants not listed get DefaultQuota.  Values
-	// outside (0, 1) mean unlimited.
+	// of Capacity*Horizon; tenants not listed, and values outside (0, 1),
+	// are unlimited.
 	TenantQuota map[string]float64
-	// DefaultQuota is the quota fraction for unlisted tenants; values
-	// outside (0, 1) mean unlimited (the default).
-	DefaultQuota float64
 	// StarvationWindow bounds how long class fairness may deny an
 	// under-quota tenant before a request is forced through to the
 	// arbitrator (default 4*Horizon).  Quota sheds are never forced.
@@ -209,10 +206,7 @@ func (s *Shedder) capArea() float64 { return float64(s.cfg.Capacity) * s.cfg.Hor
 
 // quota returns the tenant's in-flight area cap, ok=false when unlimited.
 func (s *Shedder) quota(tenant string) (float64, bool) {
-	q, ok := s.cfg.TenantQuota[tenant]
-	if !ok {
-		q = s.cfg.DefaultQuota
-	}
+	q := s.cfg.TenantQuota[tenant]
 	if q <= 0 || q >= 1 {
 		return 0, false
 	}
