@@ -27,15 +27,24 @@ type Exemplar struct {
 	At float64 `json:"at"`
 }
 
+// exemplarK is how many of the slowest requests the ring keeps per
+// window; exemplarWindow is the rotation period (TopK serves the current
+// plus the previous window).
+const (
+	exemplarK      = 8
+	exemplarWindow = 10 * time.Second
+)
+
 // exemplarRing keeps the top-K slowest requests of the current window
-// plus the previous window's winners.  An atomic threshold (the current
-// window's K-th slowest total, once full) lets the hot path skip the
-// mutex for every request that cannot possibly place.
+// plus the previous window's winners.  Two atomics, the current window's
+// end and its K-th slowest total once full, let the hot path skip the
+// mutex for every request that ends inside the window and cannot place
+// there.
 type exemplarRing struct {
-	k        int
 	windowNs int64
 
-	threshold atomic.Int64 // below this total, offer is a no-op
+	end       atomic.Int64 // monotonic ns at which the current window ends
+	threshold atomic.Int64 // below this total, an offer before end is a no-op
 
 	mu       sync.Mutex
 	curStart int64 // monotonic ns of the current window's start
@@ -43,38 +52,28 @@ type exemplarRing struct {
 	prev     []Exemplar
 }
 
-const (
-	defaultExemplarK = 8
-	defaultWindow    = 10 * time.Second
-)
-
-func (x *exemplarRing) init(k int, window time.Duration) {
-	if k < 1 {
-		k = defaultExemplarK
-	}
-	if window <= 0 {
-		window = defaultWindow
-	}
-	x.k = k
+// init empties the ring and starts a window of the given length now.
+func (x *exemplarRing) init(window time.Duration) {
 	x.windowNs = int64(window)
-	x.cur = make([]Exemplar, 0, k)
-	x.prev = make([]Exemplar, 0, k)
+	x.cur = make([]Exemplar, 0, exemplarK)
+	x.prev = make([]Exemplar, 0, exemplarK)
 	x.curStart = phase.NowNanos()
+	x.end.Store(x.curStart + x.windowNs)
 }
 
-// offer places e into the current window's top-K if it is slow enough.
-// The atomic threshold check makes the common (fast-request) path
-// lock-free.
-func (x *exemplarRing) offer(e Exemplar) {
-	if e.Total < x.threshold.Load() {
+// offer places e, which ended at monotonic time endMono, into its window's
+// top-K if it is slow enough.  The end is read before the threshold, and a
+// rotation clears the threshold before it moves the end, so a request that
+// ends in a new window never meets the old window's threshold.
+func (x *exemplarRing) offer(e Exemplar, endMono int64) {
+	if endMono < x.end.Load() && e.Total < x.threshold.Load() {
 		return
 	}
-	now := phase.NowNanos()
 	x.mu.Lock()
-	x.rotateLocked(now)
-	if len(x.cur) < x.k {
+	x.rotateLocked(endMono)
+	if len(x.cur) < exemplarK {
 		x.cur = append(x.cur, e)
-		if len(x.cur) == x.k {
+		if len(x.cur) == exemplarK {
 			x.threshold.Store(x.minLocked())
 		}
 	} else {
@@ -106,6 +105,7 @@ func (x *exemplarRing) rotateLocked(now int64) {
 	x.cur = x.cur[:0]
 	x.curStart = now
 	x.threshold.Store(0)
+	x.end.Store(now + x.windowNs)
 }
 
 func (x *exemplarRing) minLocked() int64 {

@@ -13,7 +13,8 @@ import (
 func TestHandlerHasOneRepresentation(t *testing.T) {
 	env := Envelope{E2E: 1000}
 	env.Phase[PhasePlan] = 500
-	p := testPlane(t, Config{Envelope: env})
+	p := testPlane(t, Config{})
+	p.SetEnvelope(env)
 	var durs [NumPhases]int64
 	durs[PhasePlan] = 800
 	drive(p, 1200, durs)

@@ -67,14 +67,6 @@ const (
 type Config struct {
 	// Registry receives the phase histograms (required).
 	Registry *obs.Registry
-	// ExemplarK bounds the slowest-requests ring per window (default 8).
-	ExemplarK int
-	// Window is the exemplar rotation period (default 10s): TopK serves
-	// the current plus the previous window.
-	Window time.Duration
-	// Envelope is the committed baseline envelope the regression
-	// sentinel compares against (zero value: sentinel disabled).
-	Envelope Envelope
 }
 
 // Plane owns the admission latency instruments.  A nil *Plane is valid
@@ -110,13 +102,13 @@ func New(cfg Config) *Plane {
 	for i := 0; i < NumPhases; i++ {
 		p.phases[i] = cfg.Registry.HistogramLogLinear("latency_phase_"+names[i]+"_ns", histOct0, histOctaves, histSub)
 	}
-	p.ex.init(cfg.ExemplarK, cfg.Window)
-	p.SetEnvelope(cfg.Envelope)
+	p.ex.init(exemplarWindow)
 	return p
 }
 
-// SetEnvelope installs (or clears, with the zero value) the regression
-// envelope at runtime.
+// SetEnvelope arms the regression sentinel with the committed baseline
+// envelope it compares against, or disarms it with the zero value (a new
+// plane starts disarmed).
 func (p *Plane) SetEnvelope(env Envelope) {
 	if p == nil {
 		return
@@ -221,7 +213,7 @@ func (p *Plane) Done(trace uint64, job int64, shard int32, total int64, durs [Nu
 		Total: total,
 		Durs:  durs,
 		At:    phase.WallAt(endMono),
-	})
+	}, endMono)
 }
 
 // TopK returns the slowest exemplars across the current and previous
