@@ -46,6 +46,14 @@ import (
 	"milan/internal/qos/qosnet"
 )
 
+// The -latency-envelope baseline is the trajectory row whose benchmark name
+// contains envelopeMatch, the one-shard plane junctiond serves by default,
+// and each phase may take envelopeSlack times that row's latency.
+const (
+	envelopeMatch = "ShardedAdmit/shards=1"
+	envelopeSlack = 3.0
+)
+
 // lastRuntime holds the most recently constructed Calypso runtime so the
 // /healthz "calypso" readiness check can inspect its worker health.
 var lastRuntime atomic.Pointer[calypso.Runtime]
@@ -79,8 +87,6 @@ func run() (err error) {
 	nodeName := flag.String("node", "", "node identity in span IDs, so traces from several nodes stitch in milanmon (default junction-<pid>)")
 	traceSample := flag.Float64("trace-sample", 0, "head-based trace sampling target in traces/sec (0 = trace everything)")
 	latEnvelope := flag.String("latency-envelope", "", "arm the latency-regression sentinel from this BENCH_trajectory.jsonl baseline (requires -wal-dir)")
-	latMatch := flag.String("latency-envelope-match", "ShardedAdmit/shards=1", "trajectory benchmark name substring the envelope derives from")
-	latSlack := flag.Float64("latency-envelope-slack", 3, "envelope slack multiplier over the baseline ns/op")
 	injectSlowdown := flag.String("inject-slowdown", "", "TEST HOOK: inflate every admission's given phase, e.g. probe:50ms (drives the regression-sentinel CI smoke)")
 	serveFlag := flag.Bool("serve", false, "keep serving after the demo run until SIGINT/SIGTERM (multi-process clusters)")
 	flag.Parse()
@@ -134,12 +140,12 @@ func run() (err error) {
 		if observer != nil {
 			lp = latency.New(latency.Config{Registry: observer.Reg})
 			if *latEnvelope != "" {
-				env, err := latency.EnvelopeFromTrajectory(*latEnvelope, *latMatch, *latSlack)
+				env, err := latency.EnvelopeFromTrajectory(*latEnvelope, envelopeMatch, envelopeSlack)
 				if err != nil {
 					log.Fatalf("junctiond: latency envelope: %v", err)
 				}
 				lp.SetEnvelope(env)
-				fmt.Printf("latency envelope: e2e %dns per phase (baseline %s x%.3g slack)\n\n", env.E2E, *latMatch, *latSlack)
+				fmt.Printf("latency envelope: e2e %dns per phase (baseline %s x%.3g slack)\n\n", env.E2E, envelopeMatch, envelopeSlack)
 			}
 			observer.Handle("/latency", lp.Handler(), "admission latency anatomy: phase quantiles, envelope, tail exemplars (JSON)")
 			if *injectSlowdown != "" {

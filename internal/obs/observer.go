@@ -17,10 +17,6 @@ type Config struct {
 	// Sink, if non-nil, additionally receives every event (the flight
 	// recorder, slo.Recorder).
 	Sink TraceSink
-	// Clock supplies event timestamps.  nil means wall-clock seconds
-	// since Observer creation; bind it to a sim engine's Now for
-	// simulation timestamps (see SetClock).
-	Clock func() float64
 	// Registry, if non-nil, is used instead of a fresh one (sharing one
 	// registry across several observers).
 	Registry *Registry
@@ -76,12 +72,10 @@ func New(cfg Config) *Observer {
 		Reg:   reg,
 		ring:  NewRingSink(cfg.RingSize),
 		sink:  cfg.Sink,
-		clock: cfg.Clock,
 		start: time.Now(),
 	}
 	if cfg.Tracing {
 		o.tracer = NewTracer(cfg.SpanRingSize)
-		o.tracer.SetClock(cfg.Clock)
 	}
 	if cfg.EnablePprof {
 		o.EnablePprof()
@@ -94,7 +88,8 @@ func New(cfg Config) *Observer {
 func (o *Observer) Tracer() *Tracer { return o.tracer }
 
 // SetClock rebinds the observer's timestamp source (e.g. a sim engine's
-// Now method) so events carry simulation time instead of wall time.
+// Now method) so events carry simulation time instead of wall-clock
+// seconds since the observer was created; nil restores the wall clock.
 func (o *Observer) SetClock(clock func() float64) {
 	o.mu.Lock()
 	o.clock = clock

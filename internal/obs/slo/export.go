@@ -13,9 +13,8 @@ package slo
 type ObjectiveState struct {
 	Name   string  `json:"name"`
 	Budget float64 `json:"budget"`
-	// Active reports whether the objective is armed (the utilization
-	// objective needs a target, a regression phase its first sample); an
-	// inactive objective never alerts.
+	// Active reports whether the objective is armed (a regression phase
+	// needs its first sample); an inactive objective never alerts.
 	Active     bool  `json:"active"`
 	ShortBad   int64 `json:"short_bad"`
 	ShortTotal int64 `json:"short_total"`
@@ -37,11 +36,9 @@ type EngineState struct {
 	Objectives []ObjectiveState `json:"objectives,omitempty"`
 }
 
-// Objective names used in EngineState (matching the engine's alert keys).
-const (
-	ObjectiveLatency     = "admit-latency"
-	ObjectiveUtilization = "utilization"
-)
+// ObjectiveLatency names the admission-latency objective in EngineState
+// and in its alerts.
+const ObjectiveLatency = "admit-latency"
 
 // ExportState captures the engine's current SLO state for a cluster
 // merge.  A nil engine exports the zero state.
@@ -52,7 +49,7 @@ func (e *Engine) ExportState() EngineState {
 	e.mu.Lock()
 	st := EngineState{
 		InFlight:      int64(len(e.inflight)),
-		BurnThreshold: e.opts.BurnThreshold,
+		BurnThreshold: burnThreshold,
 	}
 	grab := func(name string, budget float64, active bool, short, long *window) {
 		o := ObjectiveState{Name: name, Budget: budget, Active: active}
@@ -60,11 +57,10 @@ func (e *Engine) ExportState() EngineState {
 		o.LongBad, o.LongTotal = long.totals()
 		st.Objectives = append(st.Objectives, o)
 	}
-	grab(ObjectiveLatency, e.opts.LatencyBudget, true, e.latShort, e.latLong)
-	grab(ObjectiveUtilization, e.opts.UtilBudget, e.opts.UtilTarget > 0, e.utilShort, e.utilLong)
+	grab(ObjectiveLatency, latencyBudget, true, e.latShort, e.latLong)
 	for _, name := range e.regOrder {
 		st := e.reg[name]
-		grab(ObjectiveRegressionPrefix+name, e.opts.RegressionBudget, st.seen, st.short, st.long)
+		grab(ObjectiveRegressionPrefix+name, regressionBudget, st.seen, st.short, st.long)
 	}
 	e.mu.Unlock()
 	st.Admitted = e.admitted.Value()

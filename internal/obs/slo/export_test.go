@@ -8,11 +8,11 @@ import (
 // ExportState must reflect the engine's cumulative decision counters and
 // carry the raw burn-window totals for the latency objective.
 func TestExportStateCarriesWindowTotals(t *testing.T) {
-	e := New(Options{LatencyTarget: 0.5, LatencyBudget: 0.5})
-	// Three decisions: two within the latency target, one breaching it.
-	e.JobAdmitted(1, 0, 0, 0.1, 100, 50)
-	e.JobAdmitted(2, 0, 0, 0.9, 100, 50)
-	e.JobRejected(3, 0, 0, 0.1)
+	e := New(Options{})
+	// Three decisions: two within the 5 ms latency target, one breaching it.
+	e.JobAdmitted(1, 0, 0, 1e-3, 100, 50)
+	e.JobAdmitted(2, 0, 0, 9e-3, 100, 50)
+	e.JobRejected(3, 0, 0, 1e-3)
 	e.JobCompleted(1, 10)
 
 	st := e.ExportState()
@@ -50,7 +50,7 @@ func TestMergeStatesAndRecomputedBurns(t *testing.T) {
 		Admitted: 30, Rejected: 1,
 		Objectives: []ObjectiveState{
 			{Name: ObjectiveLatency, Budget: 0.1, Active: true, ShortBad: 0, ShortTotal: 90, LongBad: 0, LongTotal: 90},
-			{Name: ObjectiveUtilization, Budget: 0.2, Active: false, ShortBad: 5, ShortTotal: 10},
+			{Name: ObjectiveRegressionPrefix + "probe", Budget: 0.2, Active: false, ShortBad: 5, ShortTotal: 10},
 		},
 	}
 	m := MergeStates(a, b)

@@ -55,8 +55,8 @@ func (e *Engine) advanceRegressionLocked(now float64, fired *[]Alert) []Alert {
 		st, ok := e.reg[c.Name]
 		if !ok {
 			st = &regState{
-				short: newWindow(e.opts.ShortWindow, e.opts.Buckets),
-				long:  newWindow(e.opts.LongWindow, e.opts.Buckets),
+				short: newWindow(shortWindow, windowBuckets),
+				long:  newWindow(longWindow, windowBuckets),
 			}
 			e.reg[c.Name] = st
 			e.regOrder = append(e.regOrder, c.Name)
@@ -82,9 +82,9 @@ func (e *Engine) advanceRegressionLocked(now float64, fired *[]Alert) []Alert {
 			continue
 		}
 		objective := ObjectiveRegressionPrefix + name
-		short := st.short.burn(e.opts.RegressionBudget)
-		long := st.long.burn(e.opts.RegressionBudget)
-		burning := short >= e.opts.BurnThreshold && long >= e.opts.BurnThreshold
+		short := st.short.burn(regressionBudget)
+		long := st.long.burn(regressionBudget)
+		burning := short >= burnThreshold && long >= burnThreshold
 		if burning && !e.alertOn[objective] {
 			e.alertOn[objective] = true
 			a := Alert{Objective: objective, Short: short, Long: long, At: now}
@@ -122,10 +122,10 @@ func (e *Engine) regressionBurnsLocked() []ObjectiveBurn {
 		}
 		b := ObjectiveBurn{
 			Objective: ObjectiveRegressionPrefix + name,
-			Short:     clampInf(st.short.burn(e.opts.RegressionBudget)),
-			Long:      clampInf(st.long.burn(e.opts.RegressionBudget)),
+			Short:     clampInf(st.short.burn(regressionBudget)),
+			Long:      clampInf(st.long.burn(regressionBudget)),
 		}
-		b.Alerting = b.Short >= e.opts.BurnThreshold && b.Long >= e.opts.BurnThreshold
+		b.Alerting = b.Short >= burnThreshold && b.Long >= burnThreshold
 		out = append(out, b)
 	}
 	return out

@@ -21,8 +21,6 @@ func (f *fakeCounts) source() []latency.PhaseCount {
 
 func newSentinelEngine(src *fakeCounts) *Engine {
 	return New(Options{
-		ShortWindow: 10, LongWindow: 100, Buckets: 10,
-		BurnThreshold: 2, RegressionBudget: 0.01,
 		RegressionSource: src.source,
 		Recorder:         NewRecorder(64, 64),
 	})
@@ -155,7 +153,7 @@ func TestRegressionObjectivesMergeAndRealert(t *testing.T) {
 
 // A nil RegressionSource keeps the sentinel fully disabled.
 func TestRegressionSentinelDisabled(t *testing.T) {
-	e := New(Options{ShortWindow: 10, LongWindow: 100, Buckets: 10, BurnThreshold: 2})
+	e := New(Options{})
 	e.Tick(0)
 	e.Tick(1)
 	if reg := e.Report().Regression; reg != nil {

@@ -47,11 +47,14 @@ type AggregatorConfig struct {
 	// Interval is the cadence of scrapes and of merged burn-rate alert
 	// evaluation (default 1s).
 	Interval time.Duration
-	// Timeout bounds one scrape request (default 5s).
-	Timeout time.Duration
-	// SpanRing bounds per-node span retention (default 16384).
-	SpanRing int
 }
+
+// scrapeTimeout bounds one scrape request; spanRing bounds per-node span
+// retention.
+const (
+	scrapeTimeout = 5 * time.Second
+	spanRing      = 16384
+)
 
 // alertLog bounds the retained merged-view alert transitions.
 const alertLog = 256
@@ -129,15 +132,9 @@ func NewAggregator(cfg AggregatorConfig) *Aggregator {
 	if cfg.Interval <= 0 {
 		cfg.Interval = time.Second
 	}
-	if cfg.Timeout <= 0 {
-		cfg.Timeout = 5 * time.Second
-	}
-	if cfg.SpanRing < 1 {
-		cfg.SpanRing = 16384
-	}
 	a := &Aggregator{
 		cfg:      cfg,
-		client:   &http.Client{Timeout: cfg.Timeout},
+		client:   &http.Client{Timeout: scrapeTimeout},
 		start:    time.Now(),
 		alertOn:  make(map[string]bool),
 		injected: make(map[string][]obs.SpanRec),
@@ -146,7 +143,7 @@ func NewAggregator(cfg AggregatorConfig) *Aggregator {
 	for _, addr := range cfg.Nodes {
 		a.nodes = append(a.nodes, &nodeState{
 			addr:   addr,
-			spans:  obs.NewRing[obs.SpanRec](cfg.SpanRing),
+			spans:  obs.NewRing[obs.SpanRec](spanRing),
 			cursor: -1,
 		})
 	}
