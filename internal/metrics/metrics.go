@@ -1,14 +1,9 @@
 // Package metrics provides the measurement side of the evaluation: running
-// statistics, histograms, confidence intervals and a processor-utilization
-// integrator, all allocation-light so they can sit inside the simulation's
-// hot loop.
+// statistics with confidence intervals, the labelled series the experiment
+// tables print, and their ASCII charts.
 package metrics
 
-import (
-	"fmt"
-	"math"
-	"sort"
-)
+import "math"
 
 // Welford accumulates mean and variance in one pass (Welford's algorithm),
 // numerically stable for the long experiment runs (10,000 arrivals per
@@ -70,124 +65,6 @@ func (w *Welford) Merge(o Welford) {
 	w.n = n
 }
 
-// Histogram is a fixed-width bucket histogram over [Lo, Hi); observations
-// outside the range land in saturated edge buckets.
-type Histogram struct {
-	Lo, Hi  float64
-	Buckets []int
-	under   int
-	over    int
-	n       int
-}
-
-// NewHistogram returns a histogram with n buckets over [lo, hi).
-func NewHistogram(lo, hi float64, n int) *Histogram {
-	if n < 1 || !(hi > lo) {
-		panic(fmt.Sprintf("metrics: bad histogram range [%v,%v) x%d", lo, hi, n))
-	}
-	return &Histogram{Lo: lo, Hi: hi, Buckets: make([]int, n)}
-}
-
-// Add incorporates one observation.
-func (h *Histogram) Add(x float64) {
-	h.n++
-	switch {
-	case x < h.Lo:
-		h.under++
-	case x >= h.Hi:
-		h.over++
-	default:
-		i := int((x - h.Lo) / (h.Hi - h.Lo) * float64(len(h.Buckets)))
-		if i >= len(h.Buckets) { // guard float rounding at the upper edge
-			i = len(h.Buckets) - 1
-		}
-		h.Buckets[i]++
-	}
-}
-
-// N returns the number of observations, including out-of-range ones.
-func (h *Histogram) N() int { return h.n }
-
-// OutOfRange returns counts below Lo and at or above Hi.
-func (h *Histogram) OutOfRange() (under, over int) { return h.under, h.over }
-
-// Quantile returns an approximate q-quantile (q in [0,1]) assuming
-// observations are uniform within buckets; out-of-range observations clamp
-// to the range edges.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h.n == 0 {
-		return h.Lo
-	}
-	target := q * float64(h.n)
-	cum := float64(h.under)
-	if target <= cum {
-		return h.Lo
-	}
-	width := (h.Hi - h.Lo) / float64(len(h.Buckets))
-	for i, c := range h.Buckets {
-		next := cum + float64(c)
-		if target <= next && c > 0 {
-			frac := (target - cum) / float64(c)
-			return h.Lo + (float64(i)+frac)*width
-		}
-		cum = next
-	}
-	return h.Hi
-}
-
-// UtilizationTracker integrates "processors in use" over simulated time
-// against a fixed capacity, tolerating out-of-order interval reports (the
-// scheduler reserves into the future).
-type UtilizationTracker struct {
-	capacity int
-	busy     float64 // processor-time integral
-	start    float64
-	end      float64
-	started  bool
-}
-
-// NewUtilizationTracker returns a tracker for `capacity` processors.
-func NewUtilizationTracker(capacity int) *UtilizationTracker {
-	if capacity < 1 {
-		panic(fmt.Sprintf("metrics: capacity %d must be >= 1", capacity))
-	}
-	return &UtilizationTracker{capacity: capacity}
-}
-
-// AddInterval records procs processors busy over [start, finish).
-func (u *UtilizationTracker) AddInterval(procs int, start, finish float64) {
-	if finish <= start {
-		return
-	}
-	u.busy += float64(procs) * (finish - start)
-	if !u.started || start < u.start {
-		u.start = start
-		u.started = true
-	}
-	if finish > u.end {
-		u.end = finish
-	}
-}
-
-// Busy returns the accumulated processor-time integral.
-func (u *UtilizationTracker) Busy() float64 { return u.busy }
-
-// Span returns the [earliest start, latest finish] seen so far.
-func (u *UtilizationTracker) Span() (float64, float64) { return u.start, u.end }
-
-// Utilization returns busy / (capacity * (horizon - origin)).
-func (u *UtilizationTracker) Utilization(origin, horizon float64) float64 {
-	if horizon <= origin {
-		return 0
-	}
-	return u.busy / (float64(u.capacity) * (horizon - origin))
-}
-
-// UtilizationAuto returns utilization over the observed span.
-func (u *UtilizationTracker) UtilizationAuto() float64 {
-	return u.Utilization(u.start, u.end)
-}
-
 // Series is a labeled sequence of (x, y) points, the unit the experiment
 // harness hands to table printers.
 type Series struct {
@@ -200,56 +77,4 @@ type Series struct {
 func (s *Series) Add(x, y float64) {
 	s.X = append(s.X, x)
 	s.Y = append(s.Y, y)
-}
-
-// YAt returns the y value for the given x (within eps), or NaN.
-func (s *Series) YAt(x float64) float64 {
-	for i, xv := range s.X {
-		if math.Abs(xv-x) < 1e-9 {
-			return s.Y[i]
-		}
-	}
-	return math.NaN()
-}
-
-// Max returns the maximum y value (NaN if empty).
-func (s *Series) Max() float64 {
-	if len(s.Y) == 0 {
-		return math.NaN()
-	}
-	m := s.Y[0]
-	for _, y := range s.Y[1:] {
-		if y > m {
-			m = y
-		}
-	}
-	return m
-}
-
-// ArgMax returns the x at which y is maximal (NaN if empty).
-func (s *Series) ArgMax() float64 {
-	if len(s.Y) == 0 {
-		return math.NaN()
-	}
-	best, bx := s.Y[0], s.X[0]
-	for i, y := range s.Y[1:] {
-		if y > best {
-			best, bx = y, s.X[i+1]
-		}
-	}
-	return bx
-}
-
-// Median returns the median of a copy of xs (NaN if empty).
-func Median(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	c := append([]float64(nil), xs...)
-	sort.Float64s(c)
-	n := len(c)
-	if n%2 == 1 {
-		return c[n/2]
-	}
-	return (c[n/2-1] + c[n/2]) / 2
 }

@@ -98,133 +98,13 @@ func TestQuickWelfordMatchesNaive(t *testing.T) {
 	}
 }
 
-func TestHistogramBucketsAndOutOfRange(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, x := range []float64{-1, 0, 1.9, 2, 9.99, 10, 50} {
-		h.Add(x)
-	}
-	under, over := h.OutOfRange()
-	if under != 1 || over != 2 {
-		t.Fatalf("out of range = (%d, %d), want (1, 2)", under, over)
-	}
-	if h.Buckets[0] != 2 { // 0 and 1.9
-		t.Errorf("bucket 0 = %d, want 2", h.Buckets[0])
-	}
-	if h.Buckets[1] != 1 { // 2
-		t.Errorf("bucket 1 = %d, want 1", h.Buckets[1])
-	}
-	if h.Buckets[4] != 1 { // 9.99
-		t.Errorf("bucket 4 = %d, want 1", h.Buckets[4])
-	}
-	if h.N() != 7 {
-		t.Errorf("N = %d, want 7", h.N())
-	}
-}
-
-func TestHistogramPanicsOnBadConfig(t *testing.T) {
-	for _, f := range []func(){
-		func() { NewHistogram(0, 10, 0) },
-		func() { NewHistogram(10, 0, 5) },
-		func() { NewHistogram(3, 3, 5) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("bad histogram config did not panic")
-				}
-			}()
-			f()
-		}()
-	}
-}
-
-func TestHistogramQuantile(t *testing.T) {
-	h := NewHistogram(0, 100, 100)
-	for i := 0; i < 1000; i++ {
-		h.Add(float64(i % 100))
-	}
-	if q := h.Quantile(0.5); math.Abs(q-50) > 2 {
-		t.Errorf("median = %v, want ~50", q)
-	}
-	if q := h.Quantile(0); q < 0 || q > 1 {
-		t.Errorf("q0 = %v", q)
-	}
-	empty := NewHistogram(0, 1, 4)
-	if q := empty.Quantile(0.5); q != 0 {
-		t.Errorf("empty quantile = %v, want Lo", q)
-	}
-}
-
-func TestUtilizationTracker(t *testing.T) {
-	u := NewUtilizationTracker(4)
-	u.AddInterval(2, 0, 10) // 20
-	u.AddInterval(4, 5, 6)  // 4
-	u.AddInterval(1, 3, 3)  // empty, ignored
-	if got := u.Busy(); math.Abs(got-24) > 1e-12 {
-		t.Errorf("Busy = %v, want 24", got)
-	}
-	if got := u.Utilization(0, 10); math.Abs(got-0.6) > 1e-12 {
-		t.Errorf("Utilization(0,10) = %v, want 0.6", got)
-	}
-	lo, hi := u.Span()
-	if lo != 0 || hi != 10 {
-		t.Errorf("Span = (%v, %v), want (0, 10)", lo, hi)
-	}
-	if got := u.UtilizationAuto(); math.Abs(got-0.6) > 1e-12 {
-		t.Errorf("UtilizationAuto = %v, want 0.6", got)
-	}
-	if got := u.Utilization(5, 5); got != 0 {
-		t.Errorf("empty window utilization = %v", got)
-	}
-}
-
-func TestUtilizationTrackerPanicsOnBadCapacity(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic")
-		}
-	}()
-	NewUtilizationTracker(0)
-}
-
 func TestSeries(t *testing.T) {
 	var s Series
 	s.Label = "util"
 	s.Add(1, 0.5)
 	s.Add(2, 0.9)
 	s.Add(3, 0.7)
-	if got := s.YAt(2); got != 0.9 {
-		t.Errorf("YAt(2) = %v", got)
-	}
-	if !math.IsNaN(s.YAt(99)) {
-		t.Error("YAt(miss) not NaN")
-	}
-	if got := s.Max(); got != 0.9 {
-		t.Errorf("Max = %v", got)
-	}
-	if got := s.ArgMax(); got != 2 {
-		t.Errorf("ArgMax = %v", got)
-	}
-	var empty Series
-	if !math.IsNaN(empty.Max()) || !math.IsNaN(empty.ArgMax()) {
-		t.Error("empty series extrema not NaN")
-	}
-}
-
-func TestMedian(t *testing.T) {
-	if got := Median([]float64{3, 1, 2}); got != 2 {
-		t.Errorf("odd median = %v", got)
-	}
-	if got := Median([]float64{4, 1, 2, 3}); got != 2.5 {
-		t.Errorf("even median = %v", got)
-	}
-	if !math.IsNaN(Median(nil)) {
-		t.Error("empty median not NaN")
-	}
-	// Input must not be mutated.
-	in := []float64{9, 1, 5}
-	Median(in)
-	if in[0] != 9 || in[1] != 1 || in[2] != 5 {
-		t.Error("Median mutated input")
+	if len(s.X) != 3 || len(s.Y) != 3 || s.X[1] != 2 || s.Y[1] != 0.9 {
+		t.Errorf("series = %+v, want the three points in order", s)
 	}
 }
