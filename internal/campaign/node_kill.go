@@ -28,7 +28,7 @@ import (
 // happened; recovery then comes back short and the run must convict the
 // durability layer (TriggerDurabilityLoss -> fault=durability).
 func nodeKillRun(cfg Config, sc Scenario, seed int64) (RunReport, error) {
-	rr := RunReport{Scenario: sc.Name, Plane: PlaneDurable, Seed: seed, Jobs: cfg.Jobs}
+	rr := RunReport{Scenario: sc.Name, Plane: planeDurable, Seed: seed, Jobs: cfg.Jobs}
 	digest := fnv.New64a()
 	ft := vfs.NewFault(vfs.NewMem())
 	open := func() (*durable.Plane, durable.Recovered, error) {

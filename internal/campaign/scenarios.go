@@ -63,7 +63,7 @@ func Matrix() []Scenario {
 		{
 			Name:   "arrival-storm",
 			Doc:    "Poisson bursts with a hot-tenant skew (3 of 4 arrivals bill to one whale)",
-			Planes: []Plane{PlaneOneShard, PlaneSharded},
+			Planes: []Plane{planeOneShard, planeSharded},
 			Job:    campaignJob,
 			Arrivals: func(seed int64) workload.Arrivals {
 				// Busy phases fire arrivals every ~1 unit (10x overload),
@@ -83,7 +83,7 @@ func Matrix() []Scenario {
 		{
 			Name:   "broker-churn",
 			Doc:    "register/deregister floods resize the sharded plane mid-admission",
-			Planes: []Plane{PlaneSharded},
+			Planes: []Plane{planeSharded},
 			Job:    campaignJob,
 			Arrivals: func(seed int64) workload.Arrivals {
 				return workload.NewPoisson(8, seed)
@@ -99,14 +99,14 @@ func Matrix() []Scenario {
 		{
 			Name:   "worker-faults",
 			Doc:    "calypso fault floods (crash/transient/straggler) must not lose committed work",
-			Planes: []Plane{PlaneRuntime},
+			Planes: []Plane{planeRuntime},
 			Job:    campaignJob,
 			Run:    workerFaultRun,
 		},
 		{
 			Name:   "node-kill",
 			Doc:    "SIGKILL-equivalent crashes mid-storm; the durable plane must recover every acked grant",
-			Planes: []Plane{PlaneDurable},
+			Planes: []Plane{planeDurable},
 			Job:    campaignJob,
 			Arrivals: func(seed int64) workload.Arrivals {
 				return workload.NewBursty(1.2, 35, 10, seed)
@@ -116,7 +116,7 @@ func Matrix() []Scenario {
 		{
 			Name:   "rebalance-storm",
 			Doc:    "bursty load drives aggressive migration; capacity must be conserved",
-			Planes: []Plane{PlaneSharded},
+			Planes: []Plane{planeSharded},
 			Job:    campaignJob,
 			Arrivals: func(seed int64) workload.Arrivals {
 				return workload.NewBursty(0.8, 60, 16, seed)
@@ -137,7 +137,7 @@ func Matrix() []Scenario {
 		{
 			Name:   "saturation-overload",
 			Doc:    "3.3x sustained overload against quotas and weighted-fair shedding",
-			Planes: []Plane{PlaneOneShard, PlaneSharded},
+			Planes: []Plane{planeOneShard, planeSharded},
 			Job:    campaignJob,
 			Arrivals: func(seed int64) workload.Arrivals {
 				return workload.NewPoisson(3, seed)
@@ -208,7 +208,7 @@ func brokerChurn(rc *runCtx) error {
 // covers only the deterministic store contents — wall-clock metrics vary
 // between executions, the committed values must not.
 func workerFaultRun(cfg Config, sc Scenario, seed int64) (RunReport, error) {
-	rr := RunReport{Scenario: sc.Name, Plane: PlaneRuntime, Seed: seed}
+	rr := RunReport{Scenario: sc.Name, Plane: planeRuntime, Seed: seed}
 	digest := fnv.New64a()
 	const rounds = 6
 	const width = 32

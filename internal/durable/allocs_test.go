@@ -43,7 +43,7 @@ func TestServedAdmissionAllocationBudget(t *testing.T) {
 	// written and never flushed: the in-memory disk's flush copies the
 	// file, which is the fake's cost and not the plane's.
 	count := func(wire, wantGrant bool) (total, slabs, chunks uint64) {
-		p, _ := openPlane(t, vfs.NewMem(), 1, StoreOptions{Sync: SyncNever})
+		p, _ := openPlane(t, vfs.NewMem(), 1, StoreOptions{Sync: syncNever})
 		defer p.Close()
 		var n qos.Negotiator = p
 		if wire {

@@ -18,7 +18,7 @@ import (
 // to.  The log is deterministic so ns/op and allocs/op are comparable
 // across runs.
 func benchLog(n int) (State, []Record) {
-	gen, err := Genesis(16, 2, 0)
+	gen, err := genesis(16, 2, 0)
 	if err != nil {
 		panic(err)
 	}
@@ -87,7 +87,7 @@ func BenchmarkSnapshotEncode(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if buf := EncodeSnapshot(&st); len(buf) == 0 {
+		if buf := encodeSnapshot(&st); len(buf) == 0 {
 			b.Fatal("empty snapshot")
 		}
 	}
@@ -104,7 +104,7 @@ func benchPlane(b *testing.B, grants int) *Plane {
 		// No cadence checkpoint inside a run: one per 262 144 records keeps
 		// the fold off the benchmark's second core and the segment the
 		// in-memory filesystem has to grow under 7 MB.
-		Store: StoreOptions{Sync: SyncNever, SnapshotEvery: 1 << 18},
+		Store: StoreOptions{Sync: syncNever, SnapshotEvery: 1 << 18},
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -219,7 +219,7 @@ func BenchmarkPlaneCheckpointStall(b *testing.B) {
 			churn := grants / 4
 			p, _, err := OpenPlane(Config{
 				FS: vfs.NewMem(), Dir: "log", Procs: 4 * grants,
-				Store: StoreOptions{Sync: SyncNever, SnapshotEvery: 2 * churn},
+				Store: StoreOptions{Sync: syncNever, SnapshotEvery: 2 * churn},
 			})
 			if err != nil {
 				b.Fatal(err)

@@ -138,7 +138,7 @@ func TestPlaneCapacityJournalFailureReported(t *testing.T) {
 			t.Fatal(err)
 		}
 		ft.SetWriteError(boom, 0)
-		moved, err := p.Rebalance(1)
+		moved, err := p.rebalance(1)
 		if moved != 1 {
 			t.Fatalf("moved %d processors, want 1 (the setup must force a migration)", moved)
 		}

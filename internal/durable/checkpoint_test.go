@@ -32,7 +32,7 @@ func snapshotFile(st *State) []byte {
 	var b bytes.Buffer
 	b.WriteString(snapMagic)
 	binary.Write(&b, binary.LittleEndian, uint32(formatVersion))
-	frame.Write(&b, EncodeSnapshot(st))
+	frame.Write(&b, encodeSnapshot(st))
 	return b.Bytes()
 }
 
@@ -90,7 +90,7 @@ func (s *sealTap) sealed(lsn uint64) {
 	if st.LSN != lsn {
 		s.t.Fatalf("op %d: fresh segment starts after lsn %d, the log head is %d", s.op, lsn, st.LSN)
 	}
-	st.Prune()
+	st.prune()
 	s.lsn, s.want = lsn, snapshotFile(&st)
 	s.seals++
 	s.sealOp = append(s.sealOp, s.op)
@@ -274,8 +274,8 @@ func checkpointIsTheExport(t *testing.T, shards int) {
 		t.Fatalf("%d grants live at the end, the reference holds %d", len(got), len(live))
 	}
 	for _, g := range got {
-		if fin, ok := live[g.JobID]; !ok || fb(fin) != fb(g.Finish()) {
-			t.Fatalf("grant %d live to %v at the end, the reference says %v (held: %t)", g.JobID, g.Finish(), fin, ok)
+		if fin, ok := live[g.JobID]; !ok || fb(fin) != fb(g.finish()) {
+			t.Fatalf("grant %d live to %v at the end, the reference says %v (held: %t)", g.JobID, g.finish(), fin, ok)
 		}
 	}
 	t.Logf("%d ops: %d seals, %d IDs granted, at most %d elapsed grants in the map", ops, tap.seals, nextID, maxStale)
@@ -304,7 +304,7 @@ func TestFoldGrants(t *testing.T) {
 	for _, l := range live {
 		ids = append(ids, l.JobID)
 	}
-	if want := []int{4, 8, 9}; !slices.Equal(ids, want) || live[0].Finish() != 40 || live[2].Finish() != 35 {
+	if want := []int{4, 8, 9}; !slices.Equal(ids, want) || live[0].finish() != 40 || live[2].finish() != 35 {
 		t.Fatalf("live after the fold: %v (%+v), want %v with 4 live to 40 and 9 to 35", ids, live, want)
 	}
 	if want := []int{1, 2, 7}; !slices.Equal(elapsed, want) {
@@ -430,7 +430,7 @@ func TestNoCallWaitsForACheckpoint(t *testing.T) {
 func TestSealedSegmentCloseFailurePoisons(t *testing.T) {
 	boom := errors.New("write-back failed")
 	jobs := planeStream(60, 53)
-	for _, pol := range []SyncPolicy{SyncAlways, SyncNever} {
+	for _, pol := range []SyncPolicy{SyncAlways, syncNever} {
 		ft := vfs.NewFault(vfs.NewMem())
 		opts := StoreOptions{Sync: pol, SnapshotEvery: 1 << 20}
 		p, _ := openPlane(t, ft, 1, opts)

@@ -450,7 +450,7 @@ func TestGrantReturnsOnlyOnceDurable(t *testing.T) {
 	for _, job := range planeStream(200, 37) {
 		p.Observe(job.Release)
 		_, err := p.Negotiate(job)
-		lsn := p.store.NextLSN() - 1
+		lsn := p.store.nextLSN() - 1
 		switch {
 		case err == nil:
 			grants++
@@ -573,7 +573,7 @@ func TestCloseFlushesTheWrittenTail(t *testing.T) {
 	}{
 		{StoreOptions{Sync: SyncAlways}, true},
 		{StoreOptions{Sync: SyncEveryN, SyncEvery: 1000}, true},
-		{StoreOptions{Sync: SyncNever}, false},
+		{StoreOptions{Sync: syncNever}, false},
 	} {
 		r := newRig(t, tc.opts)
 		durable := r.p.DurableLSN()
@@ -627,7 +627,7 @@ var crashPositionNames = []string{
 	"published-before-removals",  // the snapshot durable, everything it covers still there
 	"removals-half-done",         // the old snapshot gone for good, the sealed segment still there
 	"promise-behind-sealed-tail", // a grant in the open segment, its flush parked in the sealed segment's sync
-	"snapshot-during-sync-to",    // a waiter in SyncTo released by its own flush while a checkpoint's temp sync is parked
+	"snapshot-during-sync-to",    // a waiter in syncTo released by its own flush while a checkpoint's temp sync is parked
 	// Two flushes in flight:
 	"second-flush-overtakes", // the later flush's sync done, the earlier one's parked
 	"earlier-flush-fails",    // the earlier flush's sync failed, the later one's succeeded
@@ -929,7 +929,7 @@ var crashPositions = map[string]func(t *testing.T, hit func()){
 			// tail, the open segment, the directory — releases it.
 			flushes := r.gate.segSyncs.Load()
 			waiter := make(chan error, 1)
-			go func() { waiter <- r.p.store.SyncTo(base + 1) }()
+			go func() { waiter <- r.p.store.syncTo(base + 1) }()
 			select {
 			case err := <-waiter:
 				if err != nil {

@@ -15,11 +15,11 @@ import (
 // them, from LSN 1, while there is none), without touching the directory.
 func walRecords(t *testing.T, fs vfs.FS, shards int) (after uint64, recs []Record) {
 	t.Helper()
-	genesis, err := Genesis(16, shards, 0)
+	genesis, err := genesis(16, shards, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, _, recs, torn, err := (&Store{fs: fs, dir: "log"}).load(genesis)
+	base, _, recs, torn, err := (&store{fs: fs, dir: "log"}).load(genesis)
 	if err != nil || torn {
 		t.Fatalf("read the journal back: torn=%v err=%v", torn, err)
 	}
@@ -140,12 +140,12 @@ func TestObserverStreamIsTheJournal(t *testing.T) {
 					}
 				case KindCapacity:
 					wantShard[r.Shard] = append(wantShard[r.Shard], event{kind: qos.KindResize, procs: r.Procs})
-				case KindComplete:
+				case kindComplete:
 				default:
 					t.Fatalf("unexpected %v record in the journal", r.Kind)
 				}
 			}
-			for _, k := range []Kind{KindAdmit, KindReject, KindObserve, KindCapacity, KindComplete} {
+			for _, k := range []Kind{KindAdmit, KindReject, KindObserve, KindCapacity, kindComplete} {
 				if counts[k] == 0 {
 					t.Fatalf("degenerate stream: no %v record (%v)", k, counts)
 				}

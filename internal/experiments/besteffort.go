@@ -22,7 +22,7 @@ type BestEffortResult struct {
 	Utilization   float64
 }
 
-// RunBestEffort simulates the classical best-effort parallel scheduler the
+// runBestEffort simulates the classical best-effort parallel scheduler the
 // paper's introduction argues against: no admission control, tasks
 // dispatched in EDF order (with skipping: a ready task that does not fit
 // lets smaller later-deadline tasks through) onto free processors.  "A
@@ -32,8 +32,8 @@ type BestEffortResult struct {
 //
 // Jobs use one fixed chain (best effort has no path-selection machinery);
 // pass Shape1 or Shape2.
-func RunBestEffort(cfg Config, sys workload.System) (BestEffortResult, error) {
-	if err := cfg.Validate(); err != nil {
+func runBestEffort(cfg Config, sys workload.System) (BestEffortResult, error) {
+	if err := cfg.validate(); err != nil {
 		return BestEffortResult{}, err
 	}
 	if sys == workload.Tunable {
@@ -138,7 +138,7 @@ func RunBestEffort(cfg Config, sys workload.System) (BestEffortResult, error) {
 func BestEffortComparison(cfg Config) ([]BestEffortResult, RunResult, error) {
 	var out []BestEffortResult
 	for _, sys := range []workload.System{workload.Shape1, workload.Shape2} {
-		r, err := RunBestEffort(cfg, sys)
+		r, err := runBestEffort(cfg, sys)
 		if err != nil {
 			return nil, RunResult{}, err
 		}
@@ -162,6 +162,6 @@ func WriteBestEffort(w io.Writer, be []BestEffortResult, reserved RunResult, cfg
 			r.System, r.OnTime, r.Late, r.MeanTardiness, r.MaxTardiness, r.Utilization)
 	}
 	fmt.Fprintf(tw, "reservation (tunable)\t%d\t0\t0.0\t0.0\t%.3f\n",
-		reserved.Throughput(), reserved.Utilization)
+		reserved.throughput(), reserved.Utilization)
 	return tw.Flush()
 }

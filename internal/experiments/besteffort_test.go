@@ -10,7 +10,7 @@ import (
 func TestBestEffortAccountsEveryJob(t *testing.T) {
 	cfg := testConfig()
 	cfg.Jobs = 400
-	r, err := RunBestEffort(cfg, workload.Shape2)
+	r, err := runBestEffort(cfg, workload.Shape2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +31,7 @@ func TestBestEffortAccountsEveryJob(t *testing.T) {
 
 func TestBestEffortRejectsTunable(t *testing.T) {
 	cfg := testConfig()
-	if _, err := RunBestEffort(cfg, workload.Tunable); err == nil {
+	if _, err := runBestEffort(cfg, workload.Tunable); err == nil {
 		t.Fatal("tunable system accepted by best-effort runner")
 	}
 }
@@ -43,7 +43,7 @@ func TestBestEffortUnderloadedMeetsDeadlines(t *testing.T) {
 	cfg := testConfig()
 	cfg.Jobs = 200
 	cfg.MeanInterarrival = 300 // offered load ~0.17
-	r, err := RunBestEffort(cfg, workload.Shape2)
+	r, err := runBestEffort(cfg, workload.Shape2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,9 +63,9 @@ func TestBestEffortOverloadDelaysGrow(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, r := range be {
-		if r.OnTime > reserved.Throughput()/2 {
+		if r.OnTime > reserved.throughput()/2 {
 			t.Errorf("best-effort %s on-time %d not far below reservation %d",
-				r.System, r.OnTime, reserved.Throughput())
+				r.System, r.OnTime, reserved.throughput())
 		}
 		if r.MeanTardiness < 100 {
 			t.Errorf("best-effort %s tardiness %v suspiciously small under overload",
@@ -75,11 +75,11 @@ func TestBestEffortOverloadDelaysGrow(t *testing.T) {
 	// Delay grows with contention: twice the jobs, larger max tardiness.
 	bigger := cfg
 	bigger.Jobs = 1200
-	r2, err := RunBestEffort(bigger, workload.Shape2)
+	r2, err := runBestEffort(bigger, workload.Shape2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r1, err := RunBestEffort(cfg, workload.Shape2)
+	r1, err := runBestEffort(cfg, workload.Shape2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,7 +34,7 @@ type ChurnResult struct {
 // against static arbitrators provisioned at the trace's minimum and
 // maximum capacity.
 func ChurnRun(cfg Config, trace []CapacityEvent) ([]ChurnResult, error) {
-	if err := cfg.Validate(); err != nil {
+	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	if len(trace) == 0 {

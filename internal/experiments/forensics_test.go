@@ -70,7 +70,7 @@ func TestRunShardedForensics(t *testing.T) {
 	rec := forensics.NewRecorder(0)
 	cfg.Forensics = rec
 
-	res, _, err := RunSharded(cfg, workload.Tunable, 2, 2)
+	res, _, err := runSharded(cfg, workload.Tunable, 2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,11 +118,11 @@ func TestForensicsDoNotPerturbResults(t *testing.T) {
 	}
 
 	// Same guarantee on the sharded plane.
-	plainShard, _, err := RunSharded(base, workload.Tunable, 2, 2)
+	plainShard, _, err := runSharded(base, workload.Tunable, 2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	probedShard, _, err := RunSharded(instr, workload.Tunable, 2, 2)
+	probedShard, _, err := runSharded(instr, workload.Tunable, 2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -75,7 +75,7 @@ func QualitySweep(base Config, intervals []float64, degradedScale, degradedQuali
 
 // runQuality drives one quality-workload simulation.
 func runQuality(cfg Config, spec workload.QualityJob) (QualityResult, error) {
-	if err := cfg.Validate(); err != nil {
+	if err := cfg.validate(); err != nil {
 		return QualityResult{}, err
 	}
 	arb, err := fed.New(fed.Config{Procs: cfg.Procs, Options: cfg.Opts})

@@ -54,7 +54,7 @@ func TestRunMatchesTheReference(t *testing.T) {
 	}
 	base := testConfig()
 	rejected := 0
-	for _, iv := range DefaultIntervals() {
+	for _, iv := range defaultIntervals() {
 		cfg := base
 		cfg.MeanInterarrival = iv
 		for _, sys := range workload.Systems {

@@ -10,7 +10,7 @@ import (
 func TestRunReplicatedAggregates(t *testing.T) {
 	cfg := testConfig()
 	cfg.Jobs = 300
-	rep, err := RunReplicated(cfg, workload.Tunable, 5)
+	rep, err := runReplicated(cfg, workload.Tunable, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,7 +24,7 @@ func TestRunReplicatedAggregates(t *testing.T) {
 	if rep.Throughput.CI95() == 0 {
 		t.Fatal("zero variance across seeds: seeds not applied")
 	}
-	if _, err := RunReplicated(cfg, workload.Tunable, 0); err == nil {
+	if _, err := runReplicated(cfg, workload.Tunable, 0); err == nil {
 		t.Fatal("0 replicas accepted")
 	}
 }
@@ -32,11 +32,11 @@ func TestRunReplicatedAggregates(t *testing.T) {
 func TestReplicatedTunableDominatesWithConfidence(t *testing.T) {
 	cfg := testConfig()
 	cfg.Jobs = 500
-	tun, err := RunReplicated(cfg, workload.Tunable, 5)
+	tun, err := runReplicated(cfg, workload.Tunable, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, err := RunReplicated(cfg, workload.Shape2, 5)
+	s2, err := runReplicated(cfg, workload.Shape2, 5)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,8 +31,8 @@ type Rebalancer struct {
 	MinGap float64
 }
 
-// NewRebalancer returns a rebalancer over the plane.
-func NewRebalancer(a *Arbitrator) *Rebalancer {
+// newRebalancer returns a rebalancer over the plane.
+func newRebalancer(a *Arbitrator) *Rebalancer {
 	return &Rebalancer{arb: a, MinShardProcs: 1}
 }
 
@@ -42,14 +42,14 @@ func (a *Arbitrator) Rebalancer() *Rebalancer {
 	a.rbMu.Lock()
 	defer a.rbMu.Unlock()
 	if a.rebal == nil {
-		a.rebal = NewRebalancer(a)
+		a.rebal = newRebalancer(a)
 	}
 	return a.rebal
 }
 
 // shardState is one shard's migration-relevant snapshot.
 type shardState struct {
-	sh       *Shard
+	sh       *shard
 	procs    int
 	headroom int
 	load     float64
@@ -61,18 +61,18 @@ func (r *Rebalancer) snapshot() []shardState {
 		out[i] = shardState{
 			sh:       sh,
 			procs:    sh.Procs(),
-			headroom: sh.Headroom(),
-			load:     sh.Load(),
+			headroom: sh.headroom(),
+			load:     sh.load(),
 		}
 	}
 	return out
 }
 
-// RebalanceOnce attempts a single one-processor migration from the coldest
+// rebalanceOnce attempts a single one-processor migration from the coldest
 // shard with spare headroom to the hungriest shard, reporting whether a
 // processor moved.  It returns false when the plane is balanced (no pair
 // exceeds MinGap) or no donor can shrink without touching a reservation.
-func (r *Rebalancer) RebalanceOnce() bool {
+func (r *Rebalancer) rebalanceOnce() bool {
 	minProcs := r.MinShardProcs
 	if minProcs < 1 {
 		minProcs = 1
@@ -133,7 +133,7 @@ func (r *Rebalancer) Rebalance(maxMoves int) int {
 		maxMoves = len(r.arb.shards)
 	}
 	moved := 0
-	for moved < maxMoves && r.RebalanceOnce() {
+	for moved < maxMoves && r.rebalanceOnce() {
 		moved++
 	}
 	return moved

@@ -19,7 +19,7 @@ type PlaneState struct {
 // lock in turn.  The durable plane calls this under its own write lock,
 // with no admissions in flight, so the export is a consistent cut.
 func (a *Arbitrator) ExportState() PlaneState {
-	st := PlaneState{Now: a.Now(), Shards: make([]core.SchedulerState, len(a.shards))}
+	st := PlaneState{Now: a.now(), Shards: make([]core.SchedulerState, len(a.shards))}
 	for i, sh := range a.shards {
 		sh.mu.Lock()
 		st.Shards[i] = sh.sched.ExportState()

@@ -8,10 +8,10 @@ import (
 	"milan/internal/taskgraph"
 )
 
-// PixelsPerUnit converts measured work (pixels examined per processor) into
+// pixelsPerUnit converts measured work (pixels examined per processor) into
 // abstract schedule time units when building the QoS task graph from
 // profiles.
-const PixelsPerUnit = 2000.0
+const pixelsPerUnit = 2000.0
 
 // ProfiledConfig is the measured resource profile and quality of one
 // application configuration, obtained by a profiling run on a training
@@ -30,16 +30,16 @@ func stepDuration(cost StepCost) float64 {
 	if procs < 1 {
 		procs = 1
 	}
-	d := float64(cost.Work) / (PixelsPerUnit * float64(procs))
+	d := float64(cost.Work) / (pixelsPerUnit * float64(procs))
 	if d < 0.1 {
 		d = 0.1 // every step costs at least a schedulable quantum
 	}
 	return math.Round(d*100) / 100
 }
 
-// ProfileConfig runs one configuration on the training image and returns
+// profileConfig runs one configuration on the training image and returns
 // its measured profile.
-func ProfileConfig(workers int, im *Image, truth []Point, p Params, radius float64) (ProfiledConfig, error) {
+func profileConfig(workers int, im *Image, truth []Point, p Params, radius float64) (ProfiledConfig, error) {
 	rt, err := calypso.New(calypso.Config{Workers: workers})
 	if err != nil {
 		return ProfiledConfig{}, err
@@ -59,10 +59,10 @@ func ProfileConfig(workers int, im *Image, truth []Point, p Params, radius float
 func BuildGraph(workers int, im *Image, truth []Point, fine, coarse Params, radius, deadlineSlack float64) (*taskgraph.Graph, [2]ProfiledConfig, error) {
 	var profs [2]ProfiledConfig
 	var err error
-	if profs[0], err = ProfileConfig(workers, im, truth, fine, radius); err != nil {
+	if profs[0], err = profileConfig(workers, im, truth, fine, radius); err != nil {
 		return nil, profs, fmt.Errorf("junction: profiling fine config: %w", err)
 	}
-	if profs[1], err = ProfileConfig(workers, im, truth, coarse, radius); err != nil {
+	if profs[1], err = profileConfig(workers, im, truth, coarse, radius); err != nil {
 		return nil, profs, fmt.Errorf("junction: profiling coarse config: %w", err)
 	}
 	if deadlineSlack < 1 {

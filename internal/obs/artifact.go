@@ -23,8 +23,8 @@ import (
 // tags its kind allows.  An ArtifactWriter writes it; ReadArtifact is the
 // one reader.
 const (
-	ArtifactFormat  = "milan-artifact"
-	ArtifactVersion = 1
+	artifactFormat  = "milan-artifact"
+	artifactVersion = 1
 	// MaxArtifact is the most bytes ReadArtifact reads: past it the
 	// artifact is an error, never a shorter artifact.
 	MaxArtifact = 16 << 20
@@ -71,7 +71,7 @@ func NewArtifactWriter(w io.Writer) *ArtifactWriter {
 // Header writes the header line of a kind artifact; seed is nil when no
 // seed reproduces it.
 func (a *ArtifactWriter) Header(kind string, seed *int64) {
-	a.line(json.Marshal(ArtifactHeader{Format: ArtifactFormat, V: ArtifactVersion, Kind: kind, Seed: seed}))
+	a.line(json.Marshal(ArtifactHeader{Format: artifactFormat, V: artifactVersion, Kind: kind, Seed: seed}))
 }
 
 // Line writes one body line, {"<tag>":<v>}, v encoded as json.Marshal
@@ -136,9 +136,9 @@ func ReadArtifact(r io.Reader, kind string, fn func(tag string, raw []byte) erro
 			if err := json.Unmarshal(raw, &h); err != nil {
 				return fmt.Errorf("header: %w", err)
 			}
-			if h.Format != ArtifactFormat || h.V != ArtifactVersion || h.Kind != kind {
+			if h.Format != artifactFormat || h.V != artifactVersion || h.Kind != kind {
 				return fmt.Errorf("header of format %q v%d kind %q, want %q v%d %q",
-					h.Format, h.V, h.Kind, ArtifactFormat, ArtifactVersion, kind)
+					h.Format, h.V, h.Kind, artifactFormat, artifactVersion, kind)
 			}
 			return nil
 		}

@@ -71,7 +71,7 @@ func TestEnvelopeFromTrajectoryErrors(t *testing.T) {
 }
 
 func TestUniformEnvelope(t *testing.T) {
-	env := Uniform(time.Microsecond)
+	env := uniform(time.Microsecond)
 	if env.E2E != 1000 {
 		t.Fatalf("E2E = %d", env.E2E)
 	}

@@ -22,9 +22,9 @@ func (s *Sharded) DecisionObserver(next func(qos.Decision)) func(qos.Decision) {
 		l := s.Shard(d.Shard)
 		switch d.Kind {
 		case qos.KindAdmitted:
-			l.RecordCommit(&d.Job, &d.Grant.Placement)
+			l.recordCommit(&d.Job, &d.Grant.Placement)
 		case qos.KindRejected:
-			l.RecordRejection(&d.Job)
+			l.recordRejection(&d.Job)
 		case qos.KindClock:
 			l.Advance(d.Now)
 		case qos.KindResize:

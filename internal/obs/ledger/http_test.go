@@ -15,7 +15,7 @@ func TestHandlerJSON(t *testing.T) {
 	l.RecordCompletion(k, pl)
 
 	rec := httptest.NewRecorder()
-	l.Handler()(rec, httptest.NewRequest("GET", "/ledger", nil))
+	l.handler()(rec, httptest.NewRequest("GET", "/ledger", nil))
 	if rec.Code != 200 {
 		t.Fatalf("status %d", rec.Code)
 	}
@@ -25,7 +25,7 @@ func TestHandlerJSON(t *testing.T) {
 	var body struct {
 		Totals     []Totals    `json:"totals"`
 		WasteArea  float64     `json:"waste_area"`
-		FairShares []FairShare `json:"fair_shares"`
+		FairShares []fairShare `json:"fair_shares"`
 	}
 	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
 		t.Fatalf("bad JSON: %v\n%s", err, rec.Body.String())
@@ -57,7 +57,7 @@ func TestHandlerAcceptNegotiation(t *testing.T) {
 		}(),
 	} {
 		rec := httptest.NewRecorder()
-		sh.Handler()(rec, req)
+		sh.handler()(rec, req)
 		if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
 			t.Fatalf("%s: content type %q", req.URL, ct)
 		}
@@ -77,7 +77,7 @@ func TestHandlerAcceptNegotiation(t *testing.T) {
 
 func TestHandlerNoSnapshot(t *testing.T) {
 	rec := httptest.NewRecorder()
-	Handler(func() *Snapshot { return nil })(rec, httptest.NewRequest("GET", "/ledger", nil))
+	handler(func() *Snapshot { return nil })(rec, httptest.NewRequest("GET", "/ledger", nil))
 	if rec.Code != 503 {
 		t.Fatalf("status %d, want 503", rec.Code)
 	}

@@ -32,7 +32,7 @@ func activeLedger() *Ledger {
 		}
 		l.Advance(float64(i * 5))
 	}
-	l.RecordRejection(&core.Job{Tenant: "acme"})
+	l.recordRejection(&core.Job{Tenant: "acme"})
 	return l
 }
 

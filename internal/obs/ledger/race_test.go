@@ -65,7 +65,7 @@ func TestConcurrentShardsMergeOracle(t *testing.T) {
 					return
 				default:
 					if m := sh.Merged(); m != nil {
-						_ = m.FairShares()
+						_ = m.fairShares()
 					}
 				}
 			}

@@ -5,7 +5,7 @@ import (
 	"net/http/pprof"
 )
 
-// EnablePprof mounts the Go runtime profiler on the observer's debug
+// enablePprof mounts the Go runtime profiler on the observer's debug
 // endpoint under /debug/pprof/ (index, named profiles, cmdline, CPU
 // profile, symbol lookup and execution trace) — the standard
 // net/http/pprof surface, reachable wherever the debug mux is served
@@ -15,7 +15,7 @@ import (
 // (or Config.EnablePprof is set), because the CPU-profile and trace
 // endpoints actively perturb the scheduler hot paths they measure, and a
 // debug port is often reachable beyond the operator's shell.
-func (o *Observer) EnablePprof() {
+func (o *Observer) enablePprof() {
 	o.Handle("/debug/pprof/", http.HandlerFunc(pprof.Index), "runtime profiles (pprof index + named profiles)")
 	o.Handle("/debug/pprof/cmdline", http.HandlerFunc(pprof.Cmdline), "running program's command line")
 	o.Handle("/debug/pprof/profile", http.HandlerFunc(pprof.Profile), "CPU profile (?seconds=N)")

@@ -16,8 +16,8 @@ import (
 
 // Sampling metric names (registered when SetSampling is given a registry).
 const (
-	MetricTraceSampled    = "trace_sampled"     // traces admitted by head-based sampling
-	MetricTraceSampledOut = "trace_sampled_out" // traces sampled out: ID 0, the untraced fast path
+	metricTraceSampled    = "trace_sampled"     // traces admitted by head-based sampling
+	metricTraceSampledOut = "trace_sampled_out" // traces sampled out: ID 0, the untraced fast path
 )
 
 // sampler is one immutable sampling configuration plus its rolling
@@ -73,8 +73,8 @@ func (t *Tracer) SetSampling(targetPerSec float64, reg *Registry) {
 	s := &sampler{target: targetPerSec}
 	s.winStart.Store(math.Float64bits(t.now()))
 	if reg != nil {
-		s.sampled = reg.Counter(MetricTraceSampled)
-		s.sampledOut = reg.Counter(MetricTraceSampledOut)
+		s.sampled = reg.Counter(metricTraceSampled)
+		s.sampledOut = reg.Counter(metricTraceSampledOut)
 	}
 	t.smp.Store(s)
 }

@@ -36,13 +36,13 @@ type EngineState struct {
 	Objectives []ObjectiveState `json:"objectives,omitempty"`
 }
 
-// ObjectiveLatency names the admission-latency objective in EngineState
+// objectiveLatency names the admission-latency objective in EngineState
 // and in its alerts.
-const ObjectiveLatency = "admit-latency"
+const objectiveLatency = "admit-latency"
 
-// ExportState captures the engine's current SLO state for a cluster
+// exportState captures the engine's current SLO state for a cluster
 // merge.  A nil engine exports the zero state.
-func (e *Engine) ExportState() EngineState {
+func (e *Engine) exportState() EngineState {
 	if e == nil {
 		return EngineState{}
 	}
@@ -57,10 +57,10 @@ func (e *Engine) ExportState() EngineState {
 		o.LongBad, o.LongTotal = long.totals()
 		st.Objectives = append(st.Objectives, o)
 	}
-	grab(ObjectiveLatency, latencyBudget, true, e.latShort, e.latLong)
+	grab(objectiveLatency, latencyBudget, true, e.latShort, e.latLong)
 	for _, name := range e.regOrder {
 		st := e.reg[name]
-		grab(ObjectiveRegressionPrefix+name, regressionBudget, st.seen, st.short, st.long)
+		grab(objectiveRegressionPrefix+name, regressionBudget, st.seen, st.short, st.long)
 	}
 	e.mu.Unlock()
 	st.Admitted = e.admitted.Value()

@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-// ExportState must reflect the engine's cumulative decision counters and
+// exportState must reflect the engine's cumulative decision counters and
 // carry the raw burn-window totals for the latency objective.
 func TestExportStateCarriesWindowTotals(t *testing.T) {
 	e := New(Options{})
@@ -15,13 +15,13 @@ func TestExportStateCarriesWindowTotals(t *testing.T) {
 	e.JobRejected(3, 0, 0, 1e-3)
 	e.JobCompleted(1, 10)
 
-	st := e.ExportState()
+	st := e.exportState()
 	if st.Admitted != 2 || st.Rejected != 1 || st.Completed != 1 {
 		t.Fatalf("counters = %+v", st)
 	}
 	var lat *ObjectiveState
 	for i := range st.Objectives {
-		if st.Objectives[i].Name == ObjectiveLatency {
+		if st.Objectives[i].Name == objectiveLatency {
 			lat = &st.Objectives[i]
 		}
 	}
@@ -31,7 +31,7 @@ func TestExportStateCarriesWindowTotals(t *testing.T) {
 	if lat.ShortTotal != 3 || lat.ShortBad != 1 {
 		t.Fatalf("latency window = %d bad / %d total, want 1/3", lat.ShortBad, lat.ShortTotal)
 	}
-	if ex := (*Engine)(nil).ExportState(); ex.Admitted != 0 || len(ex.Objectives) != 0 {
+	if ex := (*Engine)(nil).exportState(); ex.Admitted != 0 || len(ex.Objectives) != 0 {
 		t.Fatalf("nil engine exported %+v", ex)
 	}
 }
@@ -43,14 +43,14 @@ func TestMergeStatesAndRecomputedBurns(t *testing.T) {
 	a := EngineState{
 		Admitted: 10, Rejected: 2, BurnThreshold: 2,
 		Objectives: []ObjectiveState{
-			{Name: ObjectiveLatency, Budget: 0.1, Active: true, ShortBad: 9, ShortTotal: 10, LongBad: 9, LongTotal: 10},
+			{Name: objectiveLatency, Budget: 0.1, Active: true, ShortBad: 9, ShortTotal: 10, LongBad: 9, LongTotal: 10},
 		},
 	}
 	b := EngineState{
 		Admitted: 30, Rejected: 1,
 		Objectives: []ObjectiveState{
-			{Name: ObjectiveLatency, Budget: 0.1, Active: true, ShortBad: 0, ShortTotal: 90, LongBad: 0, LongTotal: 90},
-			{Name: ObjectiveRegressionPrefix + "probe", Budget: 0.2, Active: false, ShortBad: 5, ShortTotal: 10},
+			{Name: objectiveLatency, Budget: 0.1, Active: true, ShortBad: 0, ShortTotal: 90, LongBad: 0, LongTotal: 90},
+			{Name: objectiveRegressionPrefix + "probe", Budget: 0.2, Active: false, ShortBad: 5, ShortTotal: 10},
 		},
 	}
 	m := MergeStates(a, b)

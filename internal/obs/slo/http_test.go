@@ -15,7 +15,7 @@ func TestEngineHandlerServesReport(t *testing.T) {
 	e := New(Options{})
 	e.JobAdmitted(1, 1, 0, 1e-3, 10, 9)
 	rw := httptest.NewRecorder()
-	e.Handler().ServeHTTP(rw, httptest.NewRequest("GET", "/slo", nil))
+	e.handler().ServeHTTP(rw, httptest.NewRequest("GET", "/slo", nil))
 	if rw.Code != 200 {
 		t.Fatalf("status %d", rw.Code)
 	}
@@ -29,22 +29,22 @@ func TestEngineHandlerServesReport(t *testing.T) {
 
 	// ?now ticks the windows first; a bad value is a 400.
 	rw = httptest.NewRecorder()
-	e.Handler().ServeHTTP(rw, httptest.NewRequest("GET", "/slo?now=5.5", nil))
+	e.handler().ServeHTTP(rw, httptest.NewRequest("GET", "/slo?now=5.5", nil))
 	if rw.Code != 200 {
 		t.Fatalf("?now status %d", rw.Code)
 	}
 	// Non-finite clocks are refused before they reach the windows: +Inf
 	// would reset every burn window on a GET, NaN would stamp an alert
 	// encoding/json cannot encode.
-	before := e.ExportState()
+	before := e.exportState()
 	for _, bad := range []string{"bogus", "5.5x", "Inf", "+Inf", "-Inf", "infinity", "NaN", "nan", "1e400"} {
 		rw = httptest.NewRecorder()
-		e.Handler().ServeHTTP(rw, httptest.NewRequest("GET", "/slo?now="+url.QueryEscape(bad), nil))
+		e.handler().ServeHTTP(rw, httptest.NewRequest("GET", "/slo?now="+url.QueryEscape(bad), nil))
 		if rw.Code != 400 {
 			t.Errorf("?now=%s status %d, want 400", bad, rw.Code)
 		}
 	}
-	if after := e.ExportState(); !reflect.DeepEqual(before, after) {
+	if after := e.exportState(); !reflect.DeepEqual(before, after) {
 		t.Fatalf("a refused ?now moved the engine:\nbefore %+v\nafter  %+v", before, after)
 	}
 }
@@ -63,7 +63,7 @@ func TestScrapeServesStateAndLeavesReportUnchanged(t *testing.T) {
 	}
 	for i := 0; i < 3; i++ {
 		rw := httptest.NewRecorder()
-		e.Handler().ServeHTTP(rw, httptest.NewRequest("GET", "/slo", nil))
+		e.handler().ServeHTTP(rw, httptest.NewRequest("GET", "/slo", nil))
 		if err := json.Unmarshal(rw.Body.Bytes(), &doc); err != nil {
 			t.Fatal(err)
 		}
@@ -71,8 +71,8 @@ func TestScrapeServesStateAndLeavesReportUnchanged(t *testing.T) {
 	if after := e.Report(); !reflect.DeepEqual(before, after) {
 		t.Fatalf("a scrape changed the report:\nbefore %+v\nafter  %+v", before, after)
 	}
-	if doc.Admitted != 1 || doc.State == nil || !reflect.DeepEqual(*doc.State, e.ExportState()) {
-		t.Fatalf("/slo state = %+v, want %+v", doc.State, e.ExportState())
+	if doc.Admitted != 1 || doc.State == nil || !reflect.DeepEqual(*doc.State, e.exportState()) {
+		t.Fatalf("/slo state = %+v, want %+v", doc.State, e.exportState())
 	}
 }
 

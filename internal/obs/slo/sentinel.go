@@ -21,9 +21,9 @@ import (
 	"milan/internal/obs/latency"
 )
 
-// ObjectiveRegressionPrefix prefixes the per-phase regression objective
+// objectiveRegressionPrefix prefixes the per-phase regression objective
 // names ("latency-regression:probe", ..., "latency-regression:e2e").
-const ObjectiveRegressionPrefix = "latency-regression:"
+const objectiveRegressionPrefix = "latency-regression:"
 
 // regState is one phase's sentinel state: burn windows over the phase's
 // over-envelope fraction, plus the last cumulative counters seen (the
@@ -81,7 +81,7 @@ func (e *Engine) advanceRegressionLocked(now float64, fired *[]Alert) []Alert {
 		if !st.seen {
 			continue
 		}
-		objective := ObjectiveRegressionPrefix + name
+		objective := objectiveRegressionPrefix + name
 		short := st.short.burn(regressionBudget)
 		long := st.long.burn(regressionBudget)
 		burning := short >= burnThreshold && long >= burnThreshold
@@ -105,8 +105,8 @@ func (e *Engine) advanceRegressionLocked(now float64, fired *[]Alert) []Alert {
 // regression alert (outside e.mu).
 func (e *Engine) triggerRegressions(now float64, alerts []Alert) {
 	for _, a := range alerts {
-		phase := strings.TrimPrefix(a.Objective, ObjectiveRegressionPrefix)
-		e.opts.Recorder.Trigger(TriggerLatencyRegression, 0, now,
+		phase := strings.TrimPrefix(a.Objective, objectiveRegressionPrefix)
+		e.opts.Recorder.Trigger(triggerLatencyRegression, 0, now,
 			fmt.Sprintf("phase %s latency over baseline envelope: burn short=%.3g long=%.3g", phase, a.Short, a.Long))
 	}
 }
@@ -121,7 +121,7 @@ func (e *Engine) regressionBurnsLocked() []ObjectiveBurn {
 			continue
 		}
 		b := ObjectiveBurn{
-			Objective: ObjectiveRegressionPrefix + name,
+			Objective: objectiveRegressionPrefix + name,
 			Short:     clampInf(st.short.burn(regressionBudget)),
 			Long:      clampInf(st.long.burn(regressionBudget)),
 		}

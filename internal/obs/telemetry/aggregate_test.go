@@ -237,7 +237,7 @@ func TestSpanCursorNeverDuplicatesAndCountsOverrun(t *testing.T) {
 	want = append(want, emitted[:15]...)
 	want = append(want, emitted[55-ring:]...)
 	var got []obs.SpanID
-	for _, s := range agg.Spans() {
+	for _, s := range agg.spans() {
 		got = append(got, s.ID)
 	}
 	if !reflect.DeepEqual(got, want) {

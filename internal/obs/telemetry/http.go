@@ -37,9 +37,9 @@ func (a *Aggregator) State() ClusterState {
 		Merged:    merged,
 		PerNode:   a.NodeSnapshots(),
 		SLO:       a.MergedSLO(),
-		Ledger:    a.MergedLedger(),
-		Exemplars: a.MergedExemplars(0),
-		Alerts:    a.Alerts(),
+		Ledger:    a.mergedLedger(),
+		Exemplars: a.mergedExemplars(0),
+		Alerts:    a.alerts(),
 	}
 	st.Burns = st.SLO.Burns()
 	if err != nil {
@@ -115,13 +115,13 @@ func (a *Aggregator) Handler() http.Handler {
 			State  slo.EngineState     `json:"state"`
 			Burns  []slo.ObjectiveBurn `json:"burns"`
 			Alerts []AlertEvent        `json:"alerts"`
-		}{st, st.Burns(), a.Alerts()})
+		}{st, st.Burns(), a.alerts()})
 	})
 	mux.HandleFunc("/nodes", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, a.Nodes())
 	})
 	mux.HandleFunc("/ledger", func(w http.ResponseWriter, r *http.Request) {
-		ls := a.MergedLedger()
+		ls := a.mergedLedger()
 		if ls == nil {
 			http.Error(w, "no node serves a ledger", http.StatusNotFound)
 			return
@@ -200,7 +200,7 @@ func (a *Aggregator) LatencyView(k int) LatencyView {
 	for _, n := range names {
 		grab(n, "latency_phase_"+n+"_ns")
 	}
-	v.Exemplars = a.MergedExemplars(k)
+	v.Exemplars = a.mergedExemplars(k)
 	trees := a.SpanTrees()
 	for _, e := range v.Exemplars {
 		if e.Trace == 0 {

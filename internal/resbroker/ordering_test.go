@@ -61,7 +61,7 @@ func TestEventDeliveryOrderedUnderConcurrentBind(t *testing.T) {
 	if len(events) != want {
 		t.Fatalf("got %d events, want %d", len(events), want)
 	}
-	if events[0].Kind != EventRegistered || events[0].FreeProcs != procs {
+	if events[0].Kind != eventRegistered || events[0].FreeProcs != procs {
 		t.Fatalf("first event = %+v, want registered with %d free", events[0], procs)
 	}
 
@@ -72,9 +72,9 @@ func TestEventDeliveryOrderedUnderConcurrentBind(t *testing.T) {
 	free := procs
 	for i, ev := range events[1:] {
 		switch ev.Kind {
-		case EventBound:
+		case eventBound:
 			free--
-		case EventReleased:
+		case eventReleased:
 			free++
 		default:
 			t.Fatalf("event %d: unexpected kind %v", i+1, ev.Kind)
@@ -99,7 +99,7 @@ func TestEventDeliveryReentrant(t *testing.T) {
 	b.Subscribe(func(ev Event) {
 		kinds = append(kinds, ev.Kind)
 		// On the first registration, bind from inside the callback.
-		if ev.Kind == EventRegistered && ev.Resource == "m0" {
+		if ev.Kind == eventRegistered && ev.Resource == "m0" {
 			if _, err := b.Bind(Request{Computation: "nested", MinProcs: 1}); err != nil {
 				t.Errorf("nested bind: %v", err)
 			}
@@ -108,7 +108,7 @@ func TestEventDeliveryReentrant(t *testing.T) {
 	if err := b.Register(Resource{ID: "m0", Procs: 4, Speed: 1}); err != nil {
 		t.Fatalf("register: %v", err)
 	}
-	wantKinds := []EventKind{EventRegistered, EventBound}
+	wantKinds := []EventKind{eventRegistered, eventBound}
 	if len(kinds) != len(wantKinds) {
 		t.Fatalf("got %d events %v, want %v", len(kinds), kinds, wantKinds)
 	}

@@ -26,7 +26,7 @@ func newPool(t *testing.T, policy Policy) *Broker {
 }
 
 func TestResourceValidate(t *testing.T) {
-	if err := res("a", 4, 1).Validate(); err != nil {
+	if err := res("a", 4, 1).validate(); err != nil {
 		t.Error(err)
 	}
 	bad := []Resource{
@@ -35,7 +35,7 @@ func TestResourceValidate(t *testing.T) {
 		{ID: "a", Procs: 4, Speed: 0},
 	}
 	for i, r := range bad {
-		if r.Validate() == nil {
+		if r.validate() == nil {
 			t.Errorf("case %d accepted", i)
 		}
 	}
@@ -185,7 +185,7 @@ func TestEventsDriveRenegotiation(t *testing.T) {
 	b.Bind(Request{Computation: "j", MinProcs: 2})
 	b.Release("j")
 	b.Deregister("a")
-	kinds := []EventKind{EventRegistered, EventBound, EventReleased, EventDeregistered}
+	kinds := []EventKind{eventRegistered, eventBound, eventReleased, eventDeregistered}
 	if len(events) != len(kinds) {
 		t.Fatalf("events = %+v", events)
 	}

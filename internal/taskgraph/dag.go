@@ -42,7 +42,7 @@ type dagPath struct {
 
 func (p *dagPath) clone() *dagPath {
 	return &dagPath{
-		env:      p.env.Clone(),
+		env:      p.env.clone(),
 		tasks:    append([]core.DAGTask(nil), p.tasks...),
 		frontier: append([]int(nil), p.frontier...),
 		quality:  p.quality,
@@ -139,13 +139,13 @@ func enumerateDAG(n Node, in []*dagPath, limit int) ([]*dagPath, error) {
 				}
 				for _, sp := range sub {
 					for _, as := range br.Finally {
-						if err := as.Apply(sp.env); err != nil {
+						if err := as.apply(sp.env); err != nil {
 							return nil, fmt.Errorf("taskgraph: select %q branch %d finally: %w", v.Name, bi, err)
 						}
 					}
 					out = append(out, sp)
 					if len(out) > limit {
-						return nil, fmt.Errorf("%w: more than %d paths at select %q", ErrTooManyPaths, limit, v.Name)
+						return nil, fmt.Errorf("%w: more than %d paths at select %q", errTooManyPaths, limit, v.Name)
 					}
 				}
 			}
@@ -171,7 +171,7 @@ func enumerateDAG(n Node, in []*dagPath, limit int) ([]*dagPath, error) {
 			}
 			out = append(out, cur...)
 			if len(out) > limit {
-				return nil, fmt.Errorf("%w: more than %d paths at loop %q", ErrTooManyPaths, limit, v.Name)
+				return nil, fmt.Errorf("%w: more than %d paths at loop %q", errTooManyPaths, limit, v.Name)
 			}
 		}
 		return out, nil
@@ -222,7 +222,7 @@ func taskEnumDAG(t *TaskNode, in []*dagPath, limit int) ([]*dagPath, error) {
 			np.frontier = []int{idx}
 			out = append(out, np)
 			if len(out) > limit {
-				return nil, fmt.Errorf("%w: more than %d paths at task %q", ErrTooManyPaths, limit, t.Name)
+				return nil, fmt.Errorf("%w: more than %d paths at task %q", errTooManyPaths, limit, t.Name)
 			}
 		}
 	}
@@ -265,7 +265,7 @@ func parEnumDAG(par *Par, in []*dagPath, limit int) ([]*dagPath, error) {
 					nextJoined = append(nextJoined, append(append([]int(nil), joined[ci]...), sub.frontier...))
 					nextCombos = append(nextCombos, nc)
 					if len(nextCombos) > limit {
-						return nil, fmt.Errorf("%w: more than %d paths at par %q", ErrTooManyPaths, limit, par.Name)
+						return nil, fmt.Errorf("%w: more than %d paths at par %q", errTooManyPaths, limit, par.Name)
 					}
 				}
 			}
@@ -275,7 +275,7 @@ func parEnumDAG(par *Par, in []*dagPath, limit int) ([]*dagPath, error) {
 			combo.frontier = dedupInts(joined[ci])
 			out = append(out, combo)
 			if len(out) > limit {
-				return nil, fmt.Errorf("%w: more than %d paths at par %q", ErrTooManyPaths, limit, par.Name)
+				return nil, fmt.Errorf("%w: more than %d paths at par %q", errTooManyPaths, limit, par.Name)
 			}
 		}
 	}

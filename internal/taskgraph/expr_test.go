@@ -114,14 +114,14 @@ func TestExprString(t *testing.T) {
 func TestAssignApply(t *testing.T) {
 	env := Env{"x": 2}
 	a := Assign{Param: "y", Value: Binary{OpMul, Ref("x"), Lit(3)}}
-	if err := a.Apply(env); err != nil {
+	if err := a.apply(env); err != nil {
 		t.Fatal(err)
 	}
 	if env["y"] != 6 {
 		t.Errorf("y = %v, want 6", env["y"])
 	}
 	bad := Assign{Param: "z", Value: Ref("missing")}
-	if err := bad.Apply(env); err == nil {
+	if err := bad.apply(env); err == nil {
 		t.Error("assignment from unbound ref applied")
 	}
 	if got := a.String(); !strings.Contains(got, "y = ") {
@@ -131,7 +131,7 @@ func TestAssignApply(t *testing.T) {
 
 func TestEnvCloneIsIndependent(t *testing.T) {
 	a := Env{"x": 1}
-	b := a.Clone()
+	b := a.clone()
 	b["x"] = 2
 	b["y"] = 3
 	if a["x"] != 1 {

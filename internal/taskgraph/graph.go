@@ -94,15 +94,15 @@ type path struct {
 
 func (p *path) clone() *path {
 	return &path{
-		env:     p.env.Clone(),
+		env:     p.env.clone(),
 		tasks:   append([]core.Task(nil), p.tasks...),
 		quality: p.quality,
 	}
 }
 
-// ErrTooManyPaths is wrapped by Enumerate when the OR graph has more
+// errTooManyPaths is wrapped by Enumerate when the OR graph has more
 // consistent paths than the caller's limit.
-var ErrTooManyPaths = fmt.Errorf("taskgraph: path limit exceeded")
+var errTooManyPaths = fmt.Errorf("taskgraph: path limit exceeded")
 
 // Enumerate lists every consistent execution path of the graph as a
 // core.Chain, with task deadlines still relative to job release.  Path
@@ -293,7 +293,7 @@ func (t *TaskNode) enumerate(in []*path, limit int) ([]*path, error) {
 			})
 			out = append(out, np)
 			if len(out) > limit {
-				return nil, fmt.Errorf("%w: more than %d paths at task %q", ErrTooManyPaths, limit, t.Name)
+				return nil, fmt.Errorf("%w: more than %d paths at task %q", errTooManyPaths, limit, t.Name)
 			}
 		}
 		if admitted == 0 {
@@ -346,13 +346,13 @@ func (s *Select) enumerate(in []*path, limit int) ([]*path, error) {
 			}
 			for _, sp := range sub {
 				for _, as := range br.Finally {
-					if err := as.Apply(sp.env); err != nil {
+					if err := as.apply(sp.env); err != nil {
 						return nil, fmt.Errorf("taskgraph: select %q branch %d finally: %w", s.Name, bi, err)
 					}
 				}
 				out = append(out, sp)
 				if len(out) > limit {
-					return nil, fmt.Errorf("%w: more than %d paths at select %q", ErrTooManyPaths, limit, s.Name)
+					return nil, fmt.Errorf("%w: more than %d paths at select %q", errTooManyPaths, limit, s.Name)
 				}
 			}
 		}
@@ -382,7 +382,7 @@ func (l *Loop) enumerate(in []*path, limit int) ([]*path, error) {
 		}
 		out = append(out, cur...)
 		if len(out) > limit {
-			return nil, fmt.Errorf("%w: more than %d paths at loop %q", ErrTooManyPaths, limit, l.Name)
+			return nil, fmt.Errorf("%w: more than %d paths at loop %q", errTooManyPaths, limit, l.Name)
 		}
 	}
 	return out, nil

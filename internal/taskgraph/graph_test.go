@@ -246,7 +246,7 @@ func TestPathLimitEnforced(t *testing.T) {
 		})
 	}
 	g := &Graph{Name: "wide", Root: seq}
-	if _, _, err := g.Enumerate(100); !errors.Is(err, ErrTooManyPaths) {
+	if _, _, err := g.Enumerate(100); !errors.Is(err, errTooManyPaths) {
 		t.Fatalf("err = %v, want ErrTooManyPaths", err)
 	}
 	chains, _, err := g.Enumerate(256)

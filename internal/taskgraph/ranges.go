@@ -62,7 +62,7 @@ func (r RangeSpec) values(env Env) []float64 {
 
 // instantiate evaluates the spec at one knob value under env.
 func (r RangeSpec) instantiate(env Env, v float64) (Config, error) {
-	scoped := env.Clone()
+	scoped := env.clone()
 	scoped[r.Param] = v
 	procsF, err := r.Procs.Eval(scoped)
 	if err != nil {
