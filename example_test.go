@@ -93,20 +93,3 @@ func ExampleScheduler_AdmitDAG() {
 		pl.Tasks[1].Start, pl.Tasks[3].Finish)
 	// Output: branches start together at t=5; makespan 20
 }
-
-// Multi-resource requests: memory can be the binding constraint even when
-// processors are free.
-func ExampleVectorScheduler() {
-	vc := milan.VectorCapacity{Names: []string{"procs", "memMB"}, Size: []int{8, 1024}}
-	s, _ := milan.NewVectorScheduler(vc, 0)
-	hog := milan.VectorJob{ID: 1, Chains: []milan.VectorChain{
-		{Tasks: []milan.VectorTask{{Req: []int{1, 900}, Duration: 20, Deadline: 100}}},
-	}}
-	s.Admit(hog)
-	job := milan.VectorJob{ID: 2, Chains: []milan.VectorChain{
-		{Tasks: []milan.VectorTask{{Req: []int{4, 512}, Duration: 5, Deadline: 100}}},
-	}}
-	pl, _ := s.Admit(job)
-	fmt.Printf("starts at t=%.0f (memory-bound)\n", pl.Tasks[0].Start)
-	// Output: starts at t=20 (memory-bound)
-}

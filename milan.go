@@ -78,9 +78,6 @@ type (
 	Decision = qos.Decision
 )
 
-// Scheduler policy constants, re-exported for Options.
-const TieBreakMinArea = core.TieBreakMinArea
-
 // ErrRejected is returned when admission control rejects a job.
 var ErrRejected = qos.ErrRejected
 
@@ -126,25 +123,6 @@ type (
 // 3.1's dynamic resource levels).
 func NewDynamicArbitrator(procs int, opts *Options) (*qos.DynamicArbitrator, error) {
 	return qos.NewDynamicArbitrator(procs, opts)
-}
-
-// Multi-resource scheduling: the paper's request-vector model ("a vector
-// of values, one for each resource in the system").
-type (
-	// VectorCapacity names the machine's resource dimensions.
-	VectorCapacity = core.VectorCapacity
-	// VectorTask is a task with a per-dimension request.
-	VectorTask = core.VectorTask
-	// VectorChain is one execution path of a vector job.
-	VectorChain = core.VectorChain
-	// VectorJob is a tunable job over vector chains.
-	VectorJob = core.VectorJob
-)
-
-// NewVectorScheduler returns a scheduler over a multi-dimensional
-// capacity (processors, memory, bandwidth, ...).
-func NewVectorScheduler(vc VectorCapacity, origin float64) (*core.VectorScheduler, error) {
-	return core.NewVectorScheduler(vc, origin)
 }
 
 // ObserverConfig configures NewObserver (internal/obs).
