@@ -77,10 +77,3 @@ func (f *FaultPlan) decide(workers int) outcome {
 		return outcomeOK
 	}
 }
-
-// Crashes reports how many workers the plan has killed so far.
-func (f *FaultPlan) Crashes() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.crashes
-}

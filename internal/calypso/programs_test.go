@@ -16,11 +16,11 @@ import (
 // step, width tasks.
 func matmulProgram(rt *Runtime, a, b [][]float64, width int) ([][]float64, error) {
 	n := len(a)
-	rt.Store().Set("A", a)
-	rt.Store().Set("B", b)
+	rt.Store().set("A", a)
+	rt.Store().set("B", b)
 	err := rt.Parallel(width, func(ctx *TaskCtx, w, num int) error {
-		ma, _ := ReadAs[[][]float64](ctx, "A")
-		mb, _ := ReadAs[[][]float64](ctx, "B")
+		ma, _ := readAs[[][]float64](ctx, "A")
+		mb, _ := readAs[[][]float64](ctx, "B")
 		band := make([][]float64, 0, n/w+1)
 		var rows []int
 		for i := num; i < n; i += w {
@@ -115,11 +115,11 @@ func TestMatrixMultiplyMatchesSerial(t *testing.T) {
 // fixed boundary values: each sweep is one parallel step (the iterative
 // structure task_loop models).
 func jacobiProgram(rt *Runtime, initial []float64, iters, width int) ([]float64, error) {
-	rt.Store().Set("u", initial)
+	rt.Store().set("u", initial)
 	n := len(initial)
 	for it := 0; it < iters; it++ {
 		err := rt.Parallel(width, func(ctx *TaskCtx, w, num int) error {
-			u, _ := ReadAs[[]float64](ctx, "u")
+			u, _ := readAs[[]float64](ctx, "u")
 			var idx []int
 			var vals []float64
 			for i := 1 + num; i < n-1; i += w {
@@ -144,7 +144,7 @@ func jacobiProgram(rt *Runtime, initial []float64, iters, width int) ([]float64,
 				next[i] = vals[k]
 			}
 		}
-		rt.Store().Set("u", next)
+		rt.Store().set("u", next)
 	}
 	u, _ := GetAs[[]float64](rt.Store(), "u")
 	return u, nil
