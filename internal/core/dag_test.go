@@ -27,30 +27,30 @@ func diamond(procs1, procs2 int, deadline float64) DAG {
 }
 
 func TestDAGValidate(t *testing.T) {
-	if err := diamond(2, 2, 100).Validate(); err != nil {
+	if err := diamond(2, 2, 100).validate(); err != nil {
 		t.Fatal(err)
 	}
 	empty := DAG{Name: "e"}
-	if empty.Validate() == nil {
+	if empty.validate() == nil {
 		t.Error("empty DAG accepted")
 	}
 	self := DAG{Name: "s", Tasks: []DAGTask{
 		{Task: Task{Procs: 1, Duration: 1, Deadline: 5}, Preds: []int{0}},
 	}}
-	if self.Validate() == nil {
+	if self.validate() == nil {
 		t.Error("self-dependency accepted")
 	}
 	cyc := DAG{Name: "c", Tasks: []DAGTask{
 		{Task: Task{Procs: 1, Duration: 1, Deadline: 5}, Preds: []int{1}},
 		{Task: Task{Procs: 1, Duration: 1, Deadline: 5}, Preds: []int{0}},
 	}}
-	if cyc.Validate() == nil {
+	if cyc.validate() == nil {
 		t.Error("cycle accepted")
 	}
 	oob := DAG{Name: "o", Tasks: []DAGTask{
 		{Task: Task{Procs: 1, Duration: 1, Deadline: 5}, Preds: []int{7}},
 	}}
-	if oob.Validate() == nil {
+	if oob.validate() == nil {
 		t.Error("out-of-range predecessor accepted")
 	}
 }
@@ -60,8 +60,8 @@ func TestChainToDAGEquivalence(t *testing.T) {
 		rect("a", 4, 10, 50),
 		rect("b", 2, 5, 60),
 	}}
-	d := chain.DAG()
-	if err := d.Validate(); err != nil {
+	d := chainDAG(chain)
+	if err := d.validate(); err != nil {
 		t.Fatal(err)
 	}
 	// Scheduling the linear DAG matches scheduling the chain.
@@ -251,4 +251,17 @@ func TestQuickDAGPlacementsRespectPrecedenceAndCapacity(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// chainDAG converts a chain into the equivalent linear DAG.
+func chainDAG(c Chain) DAG {
+	d := DAG{Name: c.Name, Quality: c.Quality, Tasks: make([]DAGTask, len(c.Tasks))}
+	for i, t := range c.Tasks {
+		dt := DAGTask{Task: t}
+		if i > 0 {
+			dt.Preds = []int{i - 1}
+		}
+		d.Tasks[i] = dt
+	}
+	return d
 }

@@ -14,7 +14,7 @@ func benchStorm(opts *Options) (*Scheduler, []Job) {
 		start := rng.Float64() * 800
 		dur := 1 + rng.Float64()*10
 		procs := 1 + rng.Intn(8)
-		if slot, ok := s.Profile().EarliestFit(procs, dur, start, Inf); ok {
+		if slot, ok := s.Profile().EarliestFit(procs, dur, start, inf); ok {
 			if err := s.ReserveSlot(procs, slot, slot+dur); err != nil {
 				panic(err)
 			}

@@ -1,0 +1,8 @@
+package core
+
+// IndexEnabled reports whether the profile carries a segment-tree index.
+func (p *Profile) IndexEnabled() bool { return p.idx != nil }
+
+// TieBreakPaper names the paper's rule, the zero TieBreak, for the
+// external tests.
+const TieBreakPaper = tieBreakPaper

@@ -26,9 +26,9 @@ func TestMaximalHolesStaircase(t *testing.T) {
 	mustReserve(t, p, 2, 0, 10)
 	holes := p.MaximalHoles(0)
 	want := []Hole{
-		{Start: 0, End: Inf, Procs: 1},
-		{Start: 10, End: Inf, Procs: 3},
-		{Start: 20, End: Inf, Procs: 4},
+		{Start: 0, End: inf, Procs: 1},
+		{Start: 10, End: inf, Procs: 3},
+		{Start: 20, End: inf, Procs: 4},
 	}
 	if len(holes) != len(want) {
 		t.Fatalf("got %d holes %+v, want %d", len(holes), holes, len(want))

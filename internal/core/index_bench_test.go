@@ -104,7 +104,7 @@ func benchJob(id int, release float64) Job {
 // index on; Plan is read-only, so every iteration sees the same profile.
 func BenchmarkSchedulerPlan10kIndexed(b *testing.B) {
 	b.ReportAllocs()
-	s := benchScheduler(10000, ProfileIndexOn)
+	s := benchScheduler(10000, profileIndexOn)
 	job := benchJob(0, 10)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -8,7 +8,7 @@ package core
 // "starting from the highest number of processors the task can use").
 func (s *Scheduler) placeMalleableOn(prof *Profile, t Task, index int, est float64) (TaskPlacement, bool) {
 	maxP := t.MaxProcs
-	if m := prof.Capacity(); maxP > m {
+	if m := prof.capacity; maxP > m {
 		maxP = m
 	}
 	for p := maxP; p >= 1; p-- {

@@ -5,11 +5,11 @@ package core
 type TieBreak int
 
 const (
-	// TieBreakPaper is the full rule from Section 5.2: earliest finish
+	// tieBreakPaper is the full rule from Section 5.2: earliest finish
 	// time, then higher utilization over the job's [release, finish]
 	// window, then lexicographically smaller cumulative resource prefix,
 	// then lower chain index.
-	TieBreakPaper TieBreak = iota
+	tieBreakPaper TieBreak = iota
 	// TieBreakFirstFit takes the first chain (in declaration order) that is
 	// schedulable, ignoring finish times.
 	TieBreakFirstFit
@@ -20,7 +20,7 @@ const (
 	// utilization over the job's [release, finish] window first, then the
 	// smaller resource prefix, then earlier finish.  With the synthetic
 	// task system's equal-area chains this usually coincides with
-	// TieBreakPaper (the paper notes its rule "finds the job configuration
+	// tieBreakPaper (the paper notes its rule "finds the job configuration
 	// which achieves the earliest finish time").
 	TieBreakUtilFirst
 	// TieBreakMaxQuality maximizes the chosen chain's output quality
@@ -38,12 +38,12 @@ const (
 type ProfileIndexMode int
 
 const (
-	// ProfileIndexOn (the default) attaches the segment-tree index:
+	// profileIndexOn (the default) attaches the segment-tree index:
 	// MinAvailOn is one range-min query, EarliestFit skips blocked
 	// stretches by tree descent, MaximalHoles extends rectangles by
 	// descent.  Admission cost stays near-logarithmic in the number of
 	// committed reservations.
-	ProfileIndexOn ProfileIndexMode = iota
+	profileIndexOn ProfileIndexMode = iota
 	// ProfileIndexOff keeps the linear reference path: every probe scans
 	// the segment list.  Retained as the oracle for differential tests
 	// and as an ablation baseline.

@@ -8,9 +8,9 @@ import "math"
 // not bit-for-bit, so every ordering decision goes through these helpers.
 const Eps = 1e-9
 
-// Inf is the positive-infinity time used for the open end of the capacity
+// inf is the positive-infinity time used for the open end of the capacity
 // profile's final segment.
-var Inf = math.Inf(1)
+var inf = math.Inf(1)
 
 // timeLess reports a < b beyond tolerance.
 func timeLess(a, b float64) bool { return a < b-Eps }

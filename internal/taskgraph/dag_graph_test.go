@@ -56,7 +56,7 @@ func TestParGraphEnumeratesDAGs(t *testing.T) {
 		t.Fatalf("paths = %d, want 2 (video modes)", len(dags))
 	}
 	for i, d := range dags {
-		if err := d.Validate(); err != nil {
+		if err := (core.DAGJob{Alts: []core.DAG{d}}).Validate(); err != nil {
 			t.Fatalf("path %d invalid: %v", i, err)
 		}
 		if len(d.Tasks) != 4 {
@@ -216,7 +216,7 @@ func TestNestedParAndLoopDAG(t *testing.T) {
 			t.Fatalf("iteration-2 task %d preds = %v, want join on both", ti, d.Tasks[ti].Preds)
 		}
 	}
-	if err := d.Validate(); err != nil {
+	if err := (core.DAGJob{Alts: []core.DAG{d}}).Validate(); err != nil {
 		t.Fatal(err)
 	}
 }
