@@ -55,7 +55,7 @@ func TestObserverSeesEveryCommitInShardOrder(t *testing.T) {
 
 	var total [4]int
 	for s := 0; s < shards; s++ {
-		st := plane.Shard(s).Stats()
+		st := plane.shards[s].Stats()
 		if st.ReservedArea != sums[s] || events[s][qos.KindAdmitted] != st.Admitted || events[s][qos.KindRejected] != st.Rejected {
 			t.Fatalf("shard %d: observed area %v admitted %d rejected %d, scheduler %+v",
 				s, sums[s], events[s][qos.KindAdmitted], events[s][qos.KindRejected], st)

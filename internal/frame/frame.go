@@ -43,14 +43,6 @@ func PutHeader(hdr, payload []byte) {
 	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, crcTable))
 }
 
-// Append appends payload's frame — header, then a copy of the payload — to
-// dst.
-func Append(dst, payload []byte) []byte {
-	var hdr [HeaderLen]byte
-	PutHeader(hdr[:], payload)
-	return append(append(dst, hdr[:]...), payload...)
-}
-
 // Write writes payload's frame to w as two writes, header then payload:
 // the framing for a payload too large to be worth copying behind its
 // header.  It returns the bytes written.
@@ -69,9 +61,6 @@ func AppendU32(b []byte, v uint32) []byte { return binary.LittleEndian.AppendUin
 
 // AppendU64 appends v as 8 little-endian bytes.
 func AppendU64(b []byte, v uint64) []byte { return binary.LittleEndian.AppendUint64(b, v) }
-
-// AppendI64 appends v as 8 little-endian bytes (two's complement).
-func AppendI64(b []byte, v int64) []byte { return AppendU64(b, uint64(v)) }
 
 // AppendF64 appends v's IEEE-754 bits, so the value round-trips exactly.
 func AppendF64(b []byte, v float64) []byte { return AppendU64(b, math.Float64bits(v)) }

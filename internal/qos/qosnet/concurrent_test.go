@@ -123,7 +123,7 @@ func TestConcurrentClientsFederated(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < plane.Shards(); i++ {
-		if got := plane.Shard(i).Procs(); got < 1 {
+		if got := plane.ShardProcs()[i]; got < 1 {
 			t.Fatalf("shard %d has %d procs", i, got)
 		}
 	}

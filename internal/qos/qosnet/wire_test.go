@@ -1,6 +1,7 @@
 package qosnet
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
@@ -76,11 +77,11 @@ func TestServerRefusesMalformedFrames(t *testing.T) {
 		"torn header":   {ping[:5], "torn frame header"},
 		"torn payload":  {ping[:len(ping)-1], "torn frame payload"},
 		"after a good":  {append(append([]byte(nil), ping...), corrupt...), "frame checksum mismatch"},
-		"empty payload": {frame.Append(nil, nil), "truncated payload"},
+		"empty payload": {framed(t, nil), "truncated payload"},
 	}
 	for name, tc := range hostile() {
 		if tc.bytes != nil { // nil is "empty payload" above
-			cases["payload: "+name] = malformed{frame.Append(nil, tc.bytes), tc.want}
+			cases["payload: "+name] = malformed{framed(t, tc.bytes), tc.want}
 		}
 	}
 
@@ -240,4 +241,13 @@ func TestApplicationErrorsDoNotBreakTheClient(t *testing.T) {
 	if g, err := cli.Negotiate(job(3, 4, 10, 20)); err != nil || g.JobID != 3 {
 		t.Fatalf("negotiation after application errors: %+v, %v", g, err)
 	}
+}
+
+// framed returns payload's frame as one byte slice.
+func framed(t *testing.T, payload []byte) []byte {
+	var buf bytes.Buffer
+	if _, err := frame.Write(&buf, payload); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }
