@@ -47,10 +47,10 @@ func TestStartDebugServesInstrumentedRun(t *testing.T) {
 	if err := json.Unmarshal(body, &snap); err != nil {
 		t.Fatalf("/metrics not JSON: %v\n%s", err, body)
 	}
-	if snap.Counters[obs.MetricCalypsoSteps] == 0 {
+	if snap.Counters["calypso_steps"] == 0 {
 		t.Fatalf("no calypso steps recorded: %v", snap.Counters)
 	}
-	if snap.Counters[obs.MetricCalypsoExecs] == 0 {
+	if snap.Counters["calypso_execs"] == 0 {
 		t.Fatalf("no calypso executions recorded: %v", snap.Counters)
 	}
 

@@ -79,12 +79,12 @@ func TestFinishObsMetricsTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, want := range []string{"metrics:", obs.MetricAdmitted, obs.MetricChainsTried, obs.MetricHolesProbed, obs.MetricSimEvents, obs.MetricDecisions} {
+	for _, want := range []string{"metrics:", obs.MetricAdmitted, "sched_chains_tried", "sched_holes_probed", "sim_events", "qos_decisions"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("metrics table missing %q:\n%s", want, out)
 		}
 	}
-	if o.Snapshot().Counters[obs.MetricAdmitted] == 0 {
+	if o.Reg.Snapshot().Counters[obs.MetricAdmitted] == 0 {
 		t.Fatal("no admissions counted")
 	}
 }
@@ -190,7 +190,7 @@ func TestGanttDemoInstrumented(t *testing.T) {
 	if err := run(cfg, "gantt"); err != nil {
 		t.Fatal(err)
 	}
-	if o.Snapshot().Counters[obs.MetricAdmitted] == 0 {
+	if o.Reg.Snapshot().Counters[obs.MetricAdmitted] == 0 {
 		t.Fatal("gantt demo did not count admissions")
 	}
 }

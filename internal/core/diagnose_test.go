@@ -16,7 +16,7 @@ func TestDiagnoseWidthConstraint(t *testing.T) {
 	if _, ok := s.Plan(job); ok {
 		t.Fatalf("job wider than machine planned")
 	}
-	d := s.Diagnose(job)
+	d := s.diagnose(job)
 	cd := d.Chains[0]
 	if cd.Schedulable || cd.FailedTask != 0 {
 		t.Fatalf("expected task 0 failure, got %+v", cd)
@@ -42,7 +42,7 @@ func TestDiagnoseDeadlineConstraint(t *testing.T) {
 	s := NewScheduler(4, 0, nil)
 	// Window [0, 3) is intrinsically too short for a 5-long task.
 	job := Job{ID: 2, Chains: []Chain{rigid(2, 5, 3)}}
-	d := s.Diagnose(job)
+	d := s.diagnose(job)
 	cd := d.Chains[0]
 	if cd.Constraint != ConstraintDeadline {
 		t.Fatalf("constraint = %q, want deadline", cd.Constraint)
@@ -65,7 +65,7 @@ func TestDiagnoseCapacityConstraint(t *testing.T) {
 	if _, ok := s.Plan(job); ok {
 		t.Fatalf("job planned despite the blockade")
 	}
-	d := s.Diagnose(job)
+	d := s.diagnose(job)
 	cd := d.Chains[0]
 	if cd.Constraint != ConstraintCapacity {
 		t.Fatalf("constraint = %q, want capacity", cd.Constraint)
@@ -142,7 +142,7 @@ func TestDiagnoseClosedLoop(t *testing.T) {
 			continue
 		}
 		rejected++
-		d := s.Diagnose(job)
+		d := s.diagnose(job)
 		if d.Suggestion == nil {
 			t.Fatalf("job %d: rejected with no suggestion: %+v", i, d.Chains)
 		}
@@ -173,7 +173,7 @@ func TestDiagnoseTunableChains(t *testing.T) {
 	if _, ok := s.Plan(job); ok {
 		t.Fatalf("job planned")
 	}
-	d := s.Diagnose(job)
+	d := s.diagnose(job)
 	if len(d.Chains) != 2 {
 		t.Fatalf("diagnosed %d chains, want 2", len(d.Chains))
 	}
@@ -209,7 +209,7 @@ func TestDiagnoseMalleable(t *testing.T) {
 	if _, ok := s.Plan(job); ok {
 		t.Fatalf("job planned despite the blockade")
 	}
-	d := s.Diagnose(job)
+	d := s.diagnose(job)
 	cd := d.Chains[0]
 	if cd.Constraint != ConstraintCapacity {
 		t.Fatalf("constraint = %q, want capacity (idle machine would finish 12/4=3 <= 5)", cd.Constraint)

@@ -61,11 +61,11 @@ func TestRunRecordsIndexWork(t *testing.T) {
 	if _, err := Run(cfg, workload.Tunable); err != nil {
 		t.Fatalf("indexed run: %v", err)
 	}
-	snap := cfg.Obs.Snapshot()
-	if snap.Gauges[obs.MetricIndexRebuilds] == 0 || snap.Gauges[obs.MetricIndexDescents] == 0 {
+	snap := cfg.Obs.Reg.Snapshot()
+	if snap.Gauges["profile_index_rebuilds"] == 0 || snap.Gauges["profile_index_descents"] == 0 {
 		t.Fatalf("indexed run exported no index work: %+v", snap.Gauges)
 	}
-	if d := snap.Gauges[obs.MetricIndexMeanDepth]; d <= 0 {
+	if d := snap.Gauges["profile_index_mean_descent_depth"]; d <= 0 {
 		t.Fatalf("mean descent depth = %v, want > 0", d)
 	}
 
@@ -74,8 +74,8 @@ func TestRunRecordsIndexWork(t *testing.T) {
 	if _, err := Run(cfg, workload.Tunable); err != nil {
 		t.Fatalf("linear run: %v", err)
 	}
-	snap = cfg.Obs.Snapshot()
-	if v, ok := snap.Gauges[obs.MetricIndexDescents]; ok && v != 0 {
+	snap = cfg.Obs.Reg.Snapshot()
+	if v, ok := snap.Gauges["profile_index_descents"]; ok && v != 0 {
 		t.Fatalf("linear run exported index descents: %v", v)
 	}
 }

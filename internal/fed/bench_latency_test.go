@@ -6,6 +6,7 @@ import (
 	"milan/internal/core"
 	"milan/internal/obs"
 	"milan/internal/obs/latency"
+	"milan/internal/obs/latency/phase"
 )
 
 // Latency-plane overhead benchmarks: the phase timers ride the hottest
@@ -31,7 +32,7 @@ func latencyOnBench(tb testing.TB) (func(core.Job) error, func(float64)) {
 	plane := benchPlane(tb, 8, nil)
 	lp := latency.New(latency.Config{Registry: obs.NewRegistry()})
 	return func(j core.Job) error {
-		rec := lp.Start(0, int64(j.ID))
+		rec := phase.Start(lp, 0, int64(j.ID))
 		_, err := plane.NegotiateTimed(j, &rec)
 		rec.End()
 		return err

@@ -28,9 +28,9 @@ func (w *Welford) N() int { return w.n }
 // Mean returns the running mean (0 with no observations).
 func (w *Welford) Mean() float64 { return w.mean }
 
-// Var returns the unbiased sample variance (0 with fewer than two
+// variance returns the unbiased sample variance (0 with fewer than two
 // observations).
-func (w *Welford) Var() float64 {
+func (w *Welford) variance() float64 {
 	if w.n < 2 {
 		return 0
 	}
@@ -38,7 +38,7 @@ func (w *Welford) Var() float64 {
 }
 
 // Std returns the sample standard deviation.
-func (w *Welford) Std() float64 { return math.Sqrt(w.Var()) }
+func (w *Welford) Std() float64 { return math.Sqrt(w.variance()) }
 
 // CI95 returns the half-width of the 95% confidence interval of the mean
 // under the normal approximation.
@@ -47,22 +47,6 @@ func (w *Welford) CI95() float64 {
 		return 0
 	}
 	return 1.96 * w.Std() / math.Sqrt(float64(w.n))
-}
-
-// Merge folds another accumulator into this one (parallel reduction).
-func (w *Welford) Merge(o Welford) {
-	if o.n == 0 {
-		return
-	}
-	if w.n == 0 {
-		*w = o
-		return
-	}
-	n := w.n + o.n
-	d := o.mean - w.mean
-	w.m2 += o.m2 + d*d*float64(w.n)*float64(o.n)/float64(n)
-	w.mean += d * float64(o.n) / float64(n)
-	w.n = n
 }
 
 // Series is a labeled sequence of (x, y) points, the unit the experiment

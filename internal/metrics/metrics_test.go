@@ -20,54 +20,19 @@ func TestWelfordAgainstDirectComputation(t *testing.T) {
 		t.Errorf("Mean = %v, want %v", got, want)
 	}
 	// Sample variance of the classic dataset: sum sq dev = 32, n-1 = 7.
-	if got, want := w.Var(), 32.0/7.0; math.Abs(got-want) > 1e-12 {
+	if got, want := w.variance(), 32.0/7.0; math.Abs(got-want) > 1e-12 {
 		t.Errorf("Var = %v, want %v", got, want)
 	}
 }
 
 func TestWelfordEdgeCases(t *testing.T) {
 	var w Welford
-	if w.Mean() != 0 || w.Var() != 0 || w.CI95() != 0 {
+	if w.Mean() != 0 || w.variance() != 0 || w.CI95() != 0 {
 		t.Error("empty accumulator not zero")
 	}
 	w.Add(42)
-	if w.Mean() != 42 || w.Var() != 0 {
+	if w.Mean() != 42 || w.variance() != 0 {
 		t.Error("single observation: mean 42, var 0 expected")
-	}
-}
-
-func TestWelfordMergeMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	var all, a, b Welford
-	for i := 0; i < 1000; i++ {
-		x := rng.NormFloat64()*3 + 7
-		all.Add(x)
-		if i%2 == 0 {
-			a.Add(x)
-		} else {
-			b.Add(x)
-		}
-	}
-	a.Merge(b)
-	if a.N() != all.N() {
-		t.Fatalf("merged N = %d, want %d", a.N(), all.N())
-	}
-	if math.Abs(a.Mean()-all.Mean()) > 1e-9 {
-		t.Errorf("merged mean %v != %v", a.Mean(), all.Mean())
-	}
-	if math.Abs(a.Var()-all.Var()) > 1e-9 {
-		t.Errorf("merged var %v != %v", a.Var(), all.Var())
-	}
-	// Merging empties is identity.
-	var empty Welford
-	before := a
-	a.Merge(empty)
-	if a != before {
-		t.Error("merging empty changed accumulator")
-	}
-	empty.Merge(a)
-	if empty != a {
-		t.Error("merging into empty did not copy")
 	}
 }
 
@@ -91,7 +56,7 @@ func TestQuickWelfordMatchesNaive(t *testing.T) {
 			sq += (x - mean) * (x - mean)
 		}
 		variance := sq / float64(n-1)
-		return math.Abs(w.Mean()-mean) < 1e-6 && math.Abs(w.Var()-variance) < 1e-4
+		return math.Abs(w.Mean()-mean) < 1e-6 && math.Abs(w.variance()-variance) < 1e-4
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)

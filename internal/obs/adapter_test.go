@@ -28,7 +28,7 @@ func decisionStream() []core.Job {
 func decisionEvents(o *obs.Observer) []obs.Event {
 	var out []obs.Event
 	for _, ev := range o.Events() {
-		if ev.Type == obs.EvCommitted || ev.Type == obs.EvRejected {
+		if ev.Type == "Committed" || ev.Type == "Rejected" {
 			out = append(out, ev)
 		}
 	}
@@ -40,11 +40,11 @@ func decisionEvents(o *obs.Observer) []obs.Event {
 func checkPulledPlanner(t *testing.T, o *obs.Observer, st core.Stats, ix core.IndexStats) {
 	t.Helper()
 	o.RecordPlanner(st, ix)
-	g := o.Snapshot().Gauges
+	g := o.Reg.Snapshot().Gauges
 	for name, want := range map[string]int{
-		obs.MetricChainsTried:  st.ChainsTried,
-		obs.MetricHolesProbed:  st.HolesProbed,
-		obs.MetricPlanFailures: st.PlanFailures,
+		"sched_chains_tried":  st.ChainsTried,
+		"sched_holes_probed":  st.HolesProbed,
+		"sched_plan_failures": st.PlanFailures,
 	} {
 		if g[name] != float64(want) {
 			t.Errorf("%s = %v, want Stats() %d", name, g[name], want)
@@ -87,8 +87,8 @@ func TestObserverIsADecisionAdapter(t *testing.T) {
 		checkPulledPlanner(t, mono, arb.Stats(), arb.IndexStats())
 		checkPulledPlanner(t, plane, p.Stats(), p.IndexStats())
 
-		a, b := mono.Snapshot(), plane.Snapshot()
-		for _, name := range []string{obs.MetricAdmitted, obs.MetricRejected, obs.MetricDecisions} {
+		a, b := mono.Reg.Snapshot(), plane.Reg.Snapshot()
+		for _, name := range []string{obs.MetricAdmitted, obs.MetricRejected, "qos_decisions"} {
 			if a.Counters[name] != b.Counters[name] {
 				t.Errorf("%s: monolith %d, plane %d", name, a.Counters[name], b.Counters[name])
 			}
@@ -97,7 +97,7 @@ func TestObserverIsADecisionAdapter(t *testing.T) {
 			t.Errorf("admitted/rejected counters %d/%d, Stats %d/%d",
 				a.Counters[obs.MetricAdmitted], a.Counters[obs.MetricRejected], st.Admitted, st.Rejected)
 		}
-		for _, name := range []string{obs.MetricReservedArea, obs.MetricChainsTried, obs.MetricHolesProbed, obs.MetricPlanFailures} {
+		for _, name := range []string{"sched_reserved_area", "sched_chains_tried", "sched_holes_probed", "sched_plan_failures"} {
 			if a.Gauges[name] != b.Gauges[name] {
 				t.Errorf("%s: monolith %v, plane %v", name, a.Gauges[name], b.Gauges[name])
 			}
@@ -139,20 +139,20 @@ func TestObserverIsADecisionAdapter(t *testing.T) {
 		wg.Wait()
 		checkPulledPlanner(t, o, p.Stats(), p.IndexStats())
 
-		st, snap := p.Stats(), o.Snapshot()
+		st, snap := p.Stats(), o.Reg.Snapshot()
 		if snap.Counters[obs.MetricAdmitted] != int64(st.Admitted) || snap.Counters[obs.MetricRejected] != int64(st.Rejected) ||
-			snap.Counters[obs.MetricDecisions] != int64(st.Admitted+st.Rejected) {
+			snap.Counters["qos_decisions"] != int64(st.Admitted+st.Rejected) {
 			t.Errorf("admitted/rejected/decisions counters %d/%d/%d, Stats %d/%d",
-				snap.Counters[obs.MetricAdmitted], snap.Counters[obs.MetricRejected], snap.Counters[obs.MetricDecisions],
+				snap.Counters[obs.MetricAdmitted], snap.Counters[obs.MetricRejected], snap.Counters["qos_decisions"],
 				st.Admitted, st.Rejected)
 		}
 		// The shards add their areas in a different order than Stats sums them.
-		if got := snap.Gauges[obs.MetricReservedArea]; math.Abs(got-st.ReservedArea) > 1e-9*st.ReservedArea {
+		if got := snap.Gauges["sched_reserved_area"]; math.Abs(got-st.ReservedArea) > 1e-9*st.ReservedArea {
 			t.Errorf("reserved area gauge %v, Stats %v", got, st.ReservedArea)
 		}
 		var committed, rejected int
 		for _, ev := range decisionEvents(o) {
-			if ev.Type == obs.EvCommitted {
+			if ev.Type == "Committed" {
 				committed++
 			} else {
 				rejected++

@@ -17,11 +17,12 @@ import (
 // PlanDiagnosis shapes, not hand-built ones).
 func rejectedDiag(t *testing.T, job core.Job) *core.PlanDiagnosis {
 	t.Helper()
-	s := core.NewScheduler(4, 0, nil)
+	var d *core.PlanDiagnosis
+	s := core.NewScheduler(4, 0, &core.Options{Diagnosis: func(pd *core.PlanDiagnosis) { d = pd }})
 	if _, ok := s.Plan(job); ok {
 		t.Fatalf("job %d unexpectedly planned", job.ID)
 	}
-	return s.Diagnose(job)
+	return d
 }
 
 func wideJob(id int) core.Job {
@@ -81,7 +82,7 @@ func TestRecorderSinkAndMetrics(t *testing.T) {
 	r := NewRecorder(8)
 
 	// Wire the sink into a real scheduler: only failures are recorded.
-	s := core.NewScheduler(4, 0, &core.Options{Diagnosis: r.Sink()})
+	s := core.NewScheduler(4, 0, &core.Options{Diagnosis: r.Record})
 	if _, err := s.Admit(core.Job{ID: 1, Chains: []core.Chain{{Tasks: []core.Task{{
 		Procs: 2, Duration: 5, Deadline: 100,
 	}}}}}); err != nil {
@@ -121,11 +122,6 @@ func TestRecorderSinkAndMetrics(t *testing.T) {
 		if want := rec.Diag.JobID == 2; rec.Verified == nil || *rec.Verified != want {
 			t.Fatalf("job %d: verified = %v, want %v", rec.Diag.JobID, rec.Verified, want)
 		}
-	}
-
-	// A nil recorder yields a nil sink (zero-cost default preserved).
-	if (*Recorder)(nil).Sink() != nil {
-		t.Fatalf("nil recorder produced a non-nil sink")
 	}
 }
 

@@ -28,7 +28,7 @@ type Exemplar struct {
 }
 
 // exemplarK is how many of the slowest requests the ring keeps per
-// window; exemplarWindow is the rotation period (TopK serves the current
+// window; exemplarWindow is the rotation period (topK serves the current
 // plus the previous window).
 const (
 	exemplarK      = 8

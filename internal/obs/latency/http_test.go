@@ -5,6 +5,8 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"milan/internal/obs/latency/phase"
 )
 
 // TestHandlerHasOneRepresentation pins that /latency serves JSON only:
@@ -12,11 +14,11 @@ import (
 // the view into anything else.
 func TestHandlerHasOneRepresentation(t *testing.T) {
 	env := Envelope{E2E: 1000}
-	env.Phase[PhasePlan] = 500
+	env.Phase[phase.Plan] = 500
 	p := testPlane(t, Config{})
 	p.SetEnvelope(env)
 	var durs [NumPhases]int64
-	durs[PhasePlan] = 800
+	durs[phase.Plan] = 800
 	drive(p, 1200, durs)
 
 	serve := func(req *http.Request) *httptest.ResponseRecorder {

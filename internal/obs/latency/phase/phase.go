@@ -31,13 +31,13 @@ const (
 	// Journal is the durable WAL write before acknowledgment and, for a
 	// record that must be flushed first, the wait for that flush.
 	Journal
-	// Ack is everything after the decision until the response is handed
+	// ack is everything after the decision until the response is handed
 	// back; Rec.End attributes the residual here so the phases always
 	// sum to the end-to-end time.
-	Ack
+	ack
 
 	// Num is the number of phases (array sizing).
-	Num = int(Ack) + 1
+	Num = int(ack) + 1
 )
 
 var names = [Num]string{"route", "probe", "plan", "reserve", "journal", "ack"}
@@ -165,7 +165,7 @@ func (r *Rec) End() {
 	}
 	r.live = false
 	n := NowNanos()
-	r.durs[Ack] += n - r.last
+	r.durs[ack] += n - r.last
 	r.last = n
 	if r.sink != nil {
 		r.sink.Done(r.trace, r.job, r.shard, n-r.start, r.durs, n)

@@ -41,7 +41,7 @@ func TestRecLifecycle(t *testing.T) {
 	}
 	// The residual after the last mark lands in ack, so the phases
 	// always sum to the end-to-end total.
-	if sink.durs[Ack] <= 0 {
+	if sink.durs[ack] <= 0 {
 		t.Fatalf("residual not attributed to ack: %v", sink.durs)
 	}
 	var sum int64

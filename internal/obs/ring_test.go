@@ -8,7 +8,7 @@ import "testing"
 func TestRingWrap(t *testing.T) {
 	const capN = 4
 	r := NewRing[int](capN)
-	if got := r.Cap(); got != capN {
+	if got := cap(r.buf); got != capN {
 		t.Fatalf("Cap() = %d, want %d", got, capN)
 	}
 	check := func(pushed int) {

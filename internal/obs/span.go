@@ -40,7 +40,6 @@ const (
 	StagePlan    = "plan"    // scheduler feasibility + placement planning
 	StageReserve = "reserve" // committing the reservation
 	StageRun     = "run"     // runtime execution of the reservation
-	StageFinish  = "finish"  // completion bookkeeping
 )
 
 // SpanRec is one completed span: a named interval of one request's
@@ -350,26 +349,6 @@ func (t *Tracer) spansTotal() ([]SpanRec, int64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.ring.Items(), t.ring.Total()
-}
-
-// Total returns the number of spans ever completed.
-func (t *Tracer) Total() int64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.ring.Total()
-}
-
-// Dropped returns how many completed spans were evicted from the ring.
-func (t *Tracer) Dropped() int64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.ring.Dropped()
 }
 
 // SpanNode is one node of a reconstructed span tree.
