@@ -336,15 +336,6 @@ func (ag *Agent) NegotiateWith(n Negotiator) (*Grant, error) {
 // Grant returns the grant from the last successful negotiation, or nil.
 func (ag *Agent) Grant() *Grant { return ag.grant }
 
-// ChosenChain returns the granted execution path, or an error before a
-// successful negotiation.
-func (ag *Agent) ChosenChain() (core.Chain, error) {
-	if ag.grant == nil {
-		return core.Chain{}, errors.New("qos: agent has no grant")
-	}
-	return ag.Job.Chains[ag.grant.Chain], nil
-}
-
 // DAGAgent is the QoS agent for applications whose execution paths are
 // precedence graphs (task_par programs): the DAG counterpart of Agent.
 type DAGAgent struct {
@@ -352,8 +343,6 @@ type DAGAgent struct {
 	// Configure, if set, runs once with the grant so the application can
 	// set its control parameters before execution.
 	Configure func(*Grant)
-
-	grant *Grant
 }
 
 // DAGNegotiator is anything a DAG agent can negotiate with: the in-process
@@ -374,12 +363,8 @@ func (ag *DAGAgent) NegotiateWith(n DAGNegotiator) (*Grant, error) {
 	if err != nil {
 		return nil, err
 	}
-	ag.grant = g
 	if ag.Configure != nil {
 		ag.Configure(g)
 	}
 	return g, nil
 }
-
-// Grant returns the grant from the last successful negotiation, or nil.
-func (ag *DAGAgent) Grant() *Grant { return ag.grant }

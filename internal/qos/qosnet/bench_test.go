@@ -17,18 +17,21 @@ var fig4 = workload.FigureJob{X: 8, T: 20, Alpha: 0.5, Laxity: 0.5}
 // fig4Stream hands out that job released every `gap` time units, reusing
 // one value so the generator allocates nothing the benchmarks would count.
 type fig4Stream struct {
-	job core.Job
-	gap float64
+	job    core.Job
+	gap    float64
+	d1, d2 float64 // the two task deadlines after the release
 }
 
 func newFig4Stream(gap float64) *fig4Stream {
-	return &fig4Stream{job: fig4.Job(0, 0, workload.Tunable), gap: gap}
+	job := fig4.Job(0, 0, workload.Tunable)
+	first := job.Chains[0].Tasks
+	return &fig4Stream{job: job, gap: gap, d1: first[0].Deadline, d2: first[1].Deadline}
 }
 
 func (s *fig4Stream) next() core.Job {
 	s.job.ID++
 	s.job.Release += s.gap
-	d1, d2 := fig4.Deadlines(s.job.Release)
+	d1, d2 := s.job.Release+s.d1, s.job.Release+s.d2
 	for c := range s.job.Chains {
 		s.job.Chains[c].Tasks[0].Deadline, s.job.Chains[c].Tasks[1].Deadline = d1, d2
 	}

@@ -44,13 +44,3 @@ func (s *Server) EnableDebug(o *obs.Observer, addr string) (net.Addr, error) {
 	}()
 	return ln.Addr(), nil
 }
-
-// DebugAddr returns the debug server's address, or nil when disabled.
-func (s *Server) DebugAddr() net.Addr {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.debugLn == nil {
-		return nil
-	}
-	return s.debugLn.Addr()
-}

@@ -33,19 +33,6 @@ func TestOnEventObservesEveryFiring(t *testing.T) {
 	}
 }
 
-func TestOnEventSkipsCancelled(t *testing.T) {
-	var e Engine
-	var count int
-	e.OnEvent = func(string, float64) { count++ }
-	ev := e.At(1, "gone", func() { t.Fatal("cancelled event ran") })
-	e.At(2, "kept", func() {})
-	e.Cancel(ev)
-	e.Run()
-	if count != 1 {
-		t.Fatalf("OnEvent fired %d times, want 1", count)
-	}
-}
-
 func TestNilOnEventIsFastPath(t *testing.T) {
 	var e Engine // OnEvent nil
 	e.At(1, "x", func() {})

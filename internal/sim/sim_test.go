@@ -60,61 +60,6 @@ func TestEngineAfterAndNestedScheduling(t *testing.T) {
 	}
 }
 
-func TestEngineCancel(t *testing.T) {
-	var e Engine
-	fired := false
-	ev := e.At(1, "x", func() { fired = true })
-	e.Cancel(ev)
-	e.Run()
-	if fired {
-		t.Fatal("cancelled event fired")
-	}
-	if !ev.Cancelled() {
-		t.Fatal("Cancelled() = false after Cancel")
-	}
-	e.Cancel(nil) // must not panic
-}
-
-func TestEngineStop(t *testing.T) {
-	var e Engine
-	count := 0
-	for i := 1; i <= 10; i++ {
-		e.At(float64(i), "tick", func() {
-			count++
-			if count == 3 {
-				e.Stop()
-			}
-		})
-	}
-	if n := e.Run(); n != 3 {
-		t.Fatalf("Run fired %d, want 3 (stopped)", n)
-	}
-	if n := e.Run(); n != 7 {
-		t.Fatalf("second Run fired %d, want remaining 7", n)
-	}
-}
-
-func TestEngineRunUntil(t *testing.T) {
-	var e Engine
-	var fired []float64
-	for _, at := range []float64{1, 2, 3, 4, 5} {
-		at := at
-		e.At(at, "tick", func() { fired = append(fired, at) })
-	}
-	if n := e.RunUntil(3); n != 3 {
-		t.Fatalf("RunUntil(3) fired %d, want 3", n)
-	}
-	if e.Now() != 3 {
-		t.Fatalf("Now = %v, want 3", e.Now())
-	}
-	if n := e.RunUntil(10); n != 2 {
-		t.Fatalf("RunUntil(10) fired %d, want 2", n)
-	}
-	if e.Now() != 10 {
-		t.Fatalf("Now = %v, want clock advanced to 10", e.Now())
-	}
-}
-
 func TestEnginePanicsOnPastScheduling(t *testing.T) {
 	var e Engine
 	e.At(5, "x", func() {})
@@ -127,35 +72,20 @@ func TestEnginePanicsOnPastScheduling(t *testing.T) {
 	e.At(1, "late", func() {})
 }
 
-func TestEnginePendingExcludesCancelled(t *testing.T) {
-	var e Engine
-	a := e.At(1, "a", func() {})
-	e.At(2, "b", func() {})
-	e.Cancel(a)
-	if got := e.Pending(); got != 1 {
-		t.Fatalf("Pending = %d, want 1", got)
-	}
-}
-
 // TestQuickClockMonotoneAndComplete: random schedules always fire every
-// uncancelled event exactly once, in nondecreasing time order.
+// event exactly once, in nondecreasing time order.
 func TestQuickClockMonotoneAndComplete(t *testing.T) {
 	f := func(seed int64, nRaw uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		var e Engine
 		n := 1 + int(nRaw%100)
 		var fired []float64
-		cancelled := 0
 		for i := 0; i < n; i++ {
 			at := rng.Float64() * 100
-			ev := e.At(at, "t", func() { fired = append(fired, at) })
-			if rng.Intn(4) == 0 {
-				e.Cancel(ev)
-				cancelled++
-			}
+			e.At(at, "t", func() { fired = append(fired, at) })
 		}
 		e.Run()
-		if len(fired) != n-cancelled {
+		if len(fired) != n {
 			return false
 		}
 		return sort.Float64sAreSorted(fired)

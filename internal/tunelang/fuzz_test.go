@@ -16,7 +16,7 @@ func fuzzParseBody(t *testing.T, src string) {
 	}
 	g, err := Parse("fuzz", src)
 	if err != nil {
-		if perr, ok := err.(*Error); ok && perr.Line < 1 {
+		if perr, ok := err.(*syntaxError); ok && perr.Line < 1 {
 			t.Fatalf("unpositioned error: %v", perr)
 		}
 		return

@@ -66,14 +66,14 @@ func (t token) String() string {
 	}
 }
 
-// Error is a positioned parse error.
-type Error struct {
+// syntaxError is a positioned parse error.
+type syntaxError struct {
 	Line, Col int
 	Msg       string
 }
 
 // Error implements error.
-func (e *Error) Error() string { return fmt.Sprintf("%d:%d: %s", e.Line, e.Col, e.Msg) }
+func (e *syntaxError) Error() string { return fmt.Sprintf("%d:%d: %s", e.Line, e.Col, e.Msg) }
 
 // lexer turns source text into tokens.
 type lexer struct {
@@ -89,8 +89,8 @@ func newLexer(src string) *lexer { return &lexer{src: src, line: 1, col: 1} }
 var operators = []string{"==", "!=", "<=", ">=", "&&", "||"}
 
 // errorf builds a positioned error at the lexer's current location.
-func (l *lexer) errorf(format string, args ...interface{}) *Error {
-	return &Error{Line: l.line, Col: l.col, Msg: fmt.Sprintf(format, args...)}
+func (l *lexer) errorf(format string, args ...interface{}) *syntaxError {
+	return &syntaxError{Line: l.line, Col: l.col, Msg: fmt.Sprintf(format, args...)}
 }
 
 func (l *lexer) peekByte() byte {
@@ -138,7 +138,7 @@ func (l *lexer) skipSpace() error {
 				l.advance()
 			}
 			if !closed {
-				return &Error{Line: start.line, Col: start.col, Msg: "unterminated block comment"}
+				return &syntaxError{Line: start.line, Col: start.col, Msg: "unterminated block comment"}
 			}
 		default:
 			return nil
@@ -191,7 +191,7 @@ func (l *lexer) next() (token, error) {
 		text := sb.String()
 		num, err := strconv.ParseFloat(text, 64)
 		if err != nil {
-			return token{}, &Error{Line: tk.line, Col: tk.col, Msg: fmt.Sprintf("bad number %q", text)}
+			return token{}, &syntaxError{Line: tk.line, Col: tk.col, Msg: fmt.Sprintf("bad number %q", text)}
 		}
 		tk.kind = tokNumber
 		tk.text = text

@@ -41,8 +41,8 @@ func (p *parser) advance() token {
 	return t
 }
 
-func (p *parser) errorf(tk token, format string, args ...interface{}) *Error {
-	return &Error{Line: tk.line, Col: tk.col, Msg: fmt.Sprintf(format, args...)}
+func (p *parser) errorf(tk token, format string, args ...interface{}) *syntaxError {
+	return &syntaxError{Line: tk.line, Col: tk.col, Msg: fmt.Sprintf(format, args...)}
 }
 
 // expectPunct consumes the given punctuation or fails.
@@ -353,7 +353,7 @@ func (p *parser) config(g *taskgraph.Graph, node *taskgraph.TaskNode) (taskgraph
 
 // errRangeConfig is a sentinel: a range config was parsed and attached to
 // the node directly (it has no single static Config to return).
-var errRangeConfig = &Error{Msg: "internal: range config parsed"}
+var errRangeConfig = &syntaxError{Msg: "internal: range config parsed"}
 
 // rangeConfig parses a fine-continuous configuration and appends it to the
 // node's Ranges, returning errRangeConfig so the caller knows no static

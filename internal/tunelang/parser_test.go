@@ -246,7 +246,7 @@ func TestParseErrorsArePositioned(t *testing.T) {
 	if err == nil {
 		t.Fatal("parsed")
 	}
-	perr, ok := err.(*Error)
+	perr, ok := err.(*syntaxError)
 	if !ok {
 		t.Fatalf("error type %T, want *Error", err)
 	}
@@ -315,7 +315,7 @@ func TestLexerPositions(t *testing.T) {
 }
 
 func TestErrorFormatting(t *testing.T) {
-	e := &Error{Line: 3, Col: 7, Msg: "boom"}
+	e := &syntaxError{Line: 3, Col: 7, Msg: "boom"}
 	if got := e.Error(); got != "3:7: boom" {
 		t.Errorf("Error() = %q", got)
 	}
