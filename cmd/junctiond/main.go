@@ -87,7 +87,6 @@ func run() (err error) {
 	nodeName := flag.String("node", "", "node identity in span IDs, so traces from several nodes stitch in milanmon (default junction-<pid>)")
 	traceSample := flag.Float64("trace-sample", 0, "head-based trace sampling target in traces/sec (0 = trace everything)")
 	latEnvelope := flag.String("latency-envelope", "", "arm the latency-regression sentinel from this BENCH_trajectory.jsonl baseline (requires -wal-dir)")
-	injectSlowdown := flag.String("inject-slowdown", "", "TEST HOOK: inflate every admission's given phase, e.g. probe:50ms (drives the regression-sentinel CI smoke)")
 	serveFlag := flag.Bool("serve", false, "keep serving after the demo run until SIGINT/SIGTERM (multi-process clusters)")
 	flag.Parse()
 
@@ -138,23 +137,9 @@ func run() (err error) {
 	if *walDir != "" {
 		var lp *latency.Plane
 		if observer != nil {
-			lp = latency.New(latency.Config{Registry: observer.Reg})
-			if *latEnvelope != "" {
-				env, err := latency.EnvelopeFromTrajectory(*latEnvelope, envelopeMatch, envelopeSlack)
-				if err != nil {
-					log.Fatalf("junctiond: latency envelope: %v", err)
-				}
-				lp.SetEnvelope(env)
-				fmt.Printf("latency envelope: e2e %dns per phase (baseline %s x%.3g slack)\n\n", env.E2E, envelopeMatch, envelopeSlack)
-			}
-			observer.Handle("/latency", lp.Handler(), "admission latency anatomy: phase quantiles, envelope, tail exemplars (JSON)")
-			if *injectSlowdown != "" {
-				ph, d, err := parseSlowdown(*injectSlowdown)
-				if err != nil {
-					log.Fatalf("junctiond: -inject-slowdown: %v", err)
-				}
-				lp.InjectSlowdown(ph, d)
-				fmt.Printf("WARNING: injecting %s slowdown into the %s phase of every admission (test hook)\n\n", d, ph)
+			var err error
+			if lp, err = newLatencyPlane(observer, *latEnvelope); err != nil {
+				log.Fatal(err)
 			}
 		}
 		srv, plane, eng, serr := serveAdmission(observer, lp, admitConfig{
@@ -320,24 +305,6 @@ func runVideo(frames, workers int, seed int64, radius float64) error {
 	return nil
 }
 
-// parseSlowdown parses the -inject-slowdown test hook value
-// ("<phase>:<duration>", e.g. "probe:50ms").
-func parseSlowdown(s string) (latency.Phase, time.Duration, error) {
-	name, ds, ok := strings.Cut(s, ":")
-	if !ok {
-		return 0, 0, fmt.Errorf("want <phase>:<duration>, got %q", s)
-	}
-	i := latency.ParsePhase(name)
-	if i < 0 {
-		return 0, 0, fmt.Errorf("unknown phase %q (phases: %v)", name, latency.PhaseNames())
-	}
-	d, err := time.ParseDuration(ds)
-	if err != nil || d <= 0 {
-		return 0, 0, fmt.Errorf("bad duration %q", ds)
-	}
-	return latency.Phase(i), d, nil
-}
-
 type admitConfig struct {
 	fs              vfs.FS // nil: the real filesystem
 	dir, addr, sync string
@@ -353,6 +320,24 @@ func pickProcs(admitProcs, workers int) int {
 		return workers
 	}
 	return 1
+}
+
+// newLatencyPlane times admissions into the observer's registry and serves
+// them on /latency.  Given a trajectory file (-latency-envelope) it arms the
+// regression sentinel from that file's envelopeMatch row at envelopeSlack.
+func newLatencyPlane(observer *obs.Observer, trajectory string) (*latency.Plane, error) {
+	lp := latency.New(latency.Config{Registry: observer.Reg})
+	if trajectory != "" {
+		env, err := latency.EnvelopeFromTrajectory(trajectory, envelopeMatch, envelopeSlack)
+		if err != nil {
+			return nil, fmt.Errorf("junctiond: latency envelope: %w", err)
+		}
+		lp.SetEnvelope(env)
+		fmt.Printf("latency envelope: %dns for route, probe, plan, reserve and ack; journal and e2e disarmed (baseline %s x%.3g slack)\n\n",
+			env.Phase[0], envelopeMatch, envelopeSlack)
+	}
+	observer.Handle("/latency", lp.Handler(), "admission latency anatomy: phase quantiles, envelope, tail exemplars (JSON)")
+	return lp, nil
 }
 
 // serveAdmission opens (recovering) the durable admission plane on the

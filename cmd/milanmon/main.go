@@ -36,7 +36,6 @@ import (
 
 	"milan/internal/core"
 	"milan/internal/obs"
-	"milan/internal/obs/latency"
 	"milan/internal/obs/telemetry"
 	"milan/internal/qos/qosnet"
 )
@@ -50,7 +49,6 @@ func main() {
 	jobs := flag.Int("jobs", 8, "jobs to negotiate per -drive endpoint")
 	procs := flag.Int("procs", 1, "processors per driven job")
 	smoke := flag.Bool("smoke", false, "assert the cluster view and exit (2-node telemetry smoke)")
-	expectRegression := flag.String("expect-regression", "", "smoke: additionally require an alerting latency-regression:<phase> objective and a stitched slow-trace exemplar")
 	timeout := flag.Duration("timeout", 30*time.Second, "smoke-assertion deadline")
 	stateFile := flag.String("state", "", "write the final cluster state (JSON) to this file")
 	flag.Parse()
@@ -82,7 +80,7 @@ func main() {
 	}
 
 	if *smoke {
-		if err := runSmoke(agg, len(nodes), *drive != "", *expectRegression, *timeout); err != nil {
+		if err := runSmoke(agg, len(nodes), *drive != "", *timeout); err != nil {
 			fatal(agg, *stateFile, fmt.Errorf("smoke: %w", err))
 		}
 		writeState(agg, *stateFile)
@@ -165,63 +163,16 @@ func driveJobs(agg *telemetry.Aggregator, addrs []string, jobs, procs int) error
 }
 
 // runSmoke polls until the cluster view converges, then asserts it.
-func runSmoke(agg *telemetry.Aggregator, wantNodes int, driven bool, expectRegression string, timeout time.Duration) error {
+func runSmoke(agg *telemetry.Aggregator, wantNodes int, driven bool, timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
 	var lastErr error
 	for time.Now().Before(deadline) {
 		if lastErr = checkCluster(agg, wantNodes, driven); lastErr == nil {
-			if expectRegression == "" {
-				return nil
-			}
-			if lastErr = checkRegression(agg, expectRegression); lastErr == nil {
-				return nil
-			}
+			return nil
 		}
 		time.Sleep(200 * time.Millisecond)
 	}
 	return lastErr
-}
-
-// checkRegression asserts the latency-anatomy path end to end: the
-// merged SLO state carries an ALERTING latency-regression objective for
-// the named phase (the sentinel tripped on a node and survived the cluster
-// merge), the merged exemplar ring holds the slow requests, the slowest
-// exemplar's waterfall blames the same phase, and its trace stitches to
-// a cross-process span tree in the cluster view.
-func checkRegression(agg *telemetry.Aggregator, phase string) error {
-	objective := "latency-regression:" + phase
-	alerting := false
-	for _, b := range agg.MergedSLO().Burns() {
-		if b.Objective == objective && b.Alerting {
-			alerting = true
-			break
-		}
-	}
-	if !alerting {
-		return fmt.Errorf("merged SLO view has no alerting %q objective", objective)
-	}
-	view := agg.LatencyView(8)
-	if len(view.Exemplars) == 0 {
-		return fmt.Errorf("no tail exemplars in the merged latency view")
-	}
-	slowest := view.Exemplars[0]
-	names := latency.PhaseNames()
-	worst := 0
-	for i, d := range slowest.Durs {
-		if d > slowest.Durs[worst] {
-			worst = i
-		}
-	}
-	if phase != "e2e" && names[worst] != phase {
-		return fmt.Errorf("slowest exemplar blames phase %s, expected %s", names[worst], phase)
-	}
-	if slowest.Trace == 0 {
-		return fmt.Errorf("slowest exemplar carries no trace ID")
-	}
-	if _, ok := view.Traces[fmt.Sprintf("%d", slowest.Trace)]; !ok {
-		return fmt.Errorf("no stitched span tree for slow trace %d", slowest.Trace)
-	}
-	return nil
 }
 
 func checkCluster(agg *telemetry.Aggregator, wantNodes int, driven bool) error {

@@ -108,6 +108,32 @@ func TestDeepBacklogLatticeIsBounded(t *testing.T) {
 	}
 }
 
+// BenchmarkDeepBacklog times one admission of the deep-backlog stream, with
+// its share of the clock advances, once the fill has packed the horizon:
+// fill=2 is the seed the served benchmark pins, fill=0 the lattice of
+// too-short holes.  Descents and descent steps per admission are exact
+// counts, whatever the machine.
+func BenchmarkDeepBacklog(b *testing.B) {
+	const fill = 32768
+	for _, seed := range []int64{2, 0} {
+		b.Run(fmt.Sprintf("fill=%d", seed), func(b *testing.B) {
+			s := core.NewScheduler(backlogProcs, 0, nil)
+			var atFill core.IndexStats
+			b.ReportAllocs()
+			backlogStream(fill+b.N, seed, []*core.Scheduler{s}, func(i int, _ []*core.Placement) {
+				if i == fill-1 {
+					atFill = s.IndexStats()
+					b.ResetTimer()
+				}
+			})
+			b.StopTimer()
+			end := s.IndexStats()
+			b.ReportMetric(float64(end.Descents-atFill.Descents)/float64(b.N), "descents/op")
+			b.ReportMetric(float64(end.DescentSteps-atFill.DescentSteps)/float64(b.N), "descent-steps/op")
+		})
+	}
+}
+
 // TestDeepBacklogIndexedMatchesLinear runs the stream through the default
 // (indexed, incrementally maintained) scheduler and through a
 // ProfileIndexOff scheduler on the linear reference queries, and requires

@@ -526,9 +526,13 @@ func TestOneShardPlaneIsTracedAndTimed(t *testing.T) {
 			ns := func(n *obs.SpanNode) int64 { return int64(math.Round((n.End - n.Start) * 1e9)) }
 			at, children := root.Start, int64(0)
 			want := d
+			byName := map[string]int{}
+			for i, n := range phase.Names() {
+				byName["admit."+n] = i
+			}
 			for _, c := range root.Children {
-				ph := phase.Parse(strings.TrimPrefix(c.Name, "admit."))
-				if ph < 0 || c.Start != at || ns(c) != want[ph] || want[ph] == 0 {
+				ph, ok := byName[c.Name]
+				if !ok || c.Start != at || ns(c) != want[ph] || want[ph] == 0 {
 					t.Fatalf("child %s [%v, %v] is not phase durs %v laid end to end from %v", c.Name, c.Start, c.End, d, at)
 				}
 				want[ph] = 0 // every phase that took time exactly once

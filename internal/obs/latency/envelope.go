@@ -6,9 +6,9 @@ import (
 	"fmt"
 	"os"
 	"strings"
-	"time"
 
 	"milan/internal/obs"
+	"milan/internal/obs/latency/phase"
 )
 
 // Envelope is the committed baseline the regression sentinel compares
@@ -24,17 +24,6 @@ type Envelope struct {
 	Phase [NumPhases]int64 `json:"phase_ns"`
 }
 
-// uniform returns an envelope with every budget (per-phase and e2e) set
-// to d: any single phase exceeding the whole budget is a regression.
-func uniform(d time.Duration) Envelope {
-	var env Envelope
-	env.E2E = int64(d)
-	for i := range env.Phase {
-		env.Phase[i] = int64(d)
-	}
-	return env
-}
-
 // trajectoryRow mirrors cmd/benchdiff's row schema: p99 is optional and
 // decodes as -1 when absent (no phantom budget).
 type trajectoryRow struct {
@@ -46,8 +35,11 @@ type trajectoryRow struct {
 // EnvelopeFromTrajectory derives a baseline envelope from the latest
 // trajectory row whose benchmark name contains match: the budget is the
 // row's p99 when recorded (falling back to mean ns/op) times slack.
-// Every phase gets the full budget — a single phase consuming more than
-// the whole committed envelope is the regression signal.
+// Each phase the row measured — route, probe, plan, reserve and ack —
+// gets the full budget: a single phase consuming more than the whole
+// committed envelope is the regression signal.  Journal and E2E stay
+// disarmed, since no committed row has a disk in it and the journal phase
+// includes the wait for the flush.
 func EnvelopeFromTrajectory(path, match string, slack float64) (Envelope, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -84,5 +76,11 @@ func EnvelopeFromTrajectory(path, match string, slack float64) (Envelope, error)
 	if base <= 0 {
 		return Envelope{}, fmt.Errorf("latency: trajectory row %q has no usable latency", last.Name)
 	}
-	return uniform(time.Duration(base * slack)), nil
+	var env Envelope
+	for i := range env.Phase {
+		if phase.Phase(i) != phase.Journal {
+			env.Phase[i] = int64(base * slack)
+		}
+	}
+	return env, nil
 }

@@ -4,7 +4,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
+
+	"milan/internal/obs/latency/phase"
 )
 
 func writeTrajectory(t *testing.T, lines string) string {
@@ -26,12 +27,18 @@ func TestEnvelopeFromTrajectoryLatestWins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if env.E2E != 30000 {
-		t.Fatalf("E2E = %d, want latest row 10000ns x3 slack", env.E2E)
+	// The row timed no disk: journal and end to end stay disarmed, and
+	// every other phase gets the latest row's 10000ns x3 slack.
+	if env.E2E != 0 {
+		t.Fatalf("E2E = %d, want disarmed", env.E2E)
 	}
 	for i, b := range env.Phase {
-		if b != 30000 {
-			t.Fatalf("phase %d budget = %d, want uniform 30000", i, b)
+		want := int64(30000)
+		if phase.Phase(i) == phase.Journal {
+			want = 0
+		}
+		if b != want {
+			t.Fatalf("phase %s budget = %d, want %d", phase.Phase(i), b, want)
 		}
 	}
 }
@@ -45,8 +52,8 @@ func TestEnvelopeFromTrajectoryPrefersP99(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if env.E2E != 50000 {
-		t.Fatalf("E2E = %d, want p99 25000ns x2 slack", env.E2E)
+	if b := env.Phase[phase.Plan]; b != 50000 {
+		t.Fatalf("plan budget = %d, want p99 25000ns x2 slack", b)
 	}
 }
 
@@ -67,17 +74,5 @@ func TestEnvelopeFromTrajectoryErrors(t *testing.T) {
 `)
 	if _, err := EnvelopeFromTrajectory(zero, "Zero", 1); err == nil {
 		t.Fatal("zero-latency row accepted")
-	}
-}
-
-func TestUniformEnvelope(t *testing.T) {
-	env := uniform(time.Microsecond)
-	if env.E2E != 1000 {
-		t.Fatalf("E2E = %d", env.E2E)
-	}
-	for i, b := range env.Phase {
-		if b != 1000 {
-			t.Fatalf("phase %d = %d", i, b)
-		}
 	}
 }

@@ -8,8 +8,7 @@
 //
 // The phase timer itself (Rec) lives in the dependency-free subpackage
 // internal/obs/latency/phase so the admission stack (qos, fed, durable)
-// can mark phases without importing the registry; this package aliases
-// its types, so callers that can see obs use latency.Phase directly.
+// can mark phases without importing the registry.
 //
 // The plane follows the codebase's zero-cost observability contract: a
 // nil *Plane produces inert Recs whose methods are no-ops, so an
@@ -21,17 +20,9 @@ package latency
 
 import (
 	"sync/atomic"
-	"time"
 
 	"milan/internal/obs"
 	"milan/internal/obs/latency/phase"
-)
-
-// Phase and Rec alias the leaf package's types: one type, two import
-// paths, so qos.TimedNegotiator and this plane agree exactly.
-type (
-	Phase = phase.Phase
-	rec   = phase.Rec
 )
 
 // NumPhases is the number of phases (array sizing).
@@ -39,9 +30,6 @@ const NumPhases = phase.Num
 
 // PhaseNames returns the phase names in waterfall order.
 func PhaseNames() [NumPhases]string { return phase.Names() }
-
-// ParsePhase maps a phase name back to its index (-1 if unknown).
-func ParsePhase(name string) int { return phase.Parse(name) }
 
 // Histogram shape: log-linear from 2^8 ns (256ns) over 25 octaves
 // (~8.6s) with 8 sub-buckets per octave — 200 buckets, ≤12.5% relative
@@ -72,10 +60,6 @@ type Plane struct {
 	budget [NumPhases + 1]atomic.Int64
 	total  [NumPhases + 1]atomic.Int64
 	over   [NumPhases + 1]atomic.Int64
-
-	// Injected per-phase slowdown (test hook for the regression
-	// sentinel's CI smoke): added to the phase at End.
-	slowdown [NumPhases]atomic.Int64
 
 	ex exemplarRing
 }
@@ -121,16 +105,6 @@ func (p *Plane) envelope() Envelope {
 	return env
 }
 
-// InjectSlowdown arms the test hook: every subsequent admission's given
-// phase is inflated by d (pass 0 to disarm).  Used by the CI smoke to
-// prove the regression sentinel trips and names the right phase.
-func (p *Plane) InjectSlowdown(ph Phase, d time.Duration) {
-	if p == nil {
-		return
-	}
-	p.slowdown[ph].Store(int64(d))
-}
-
 // PhaseCount is one phase's cumulative envelope accounting: how many
 // admissions were timed and how many exceeded the phase budget.  The
 // sentinel (slo.Engine) diffs consecutive reads into burn windows.
@@ -165,12 +139,6 @@ func (p *Plane) RegressionCounts() []PhaseCount {
 // counters update, and the request is offered to the exemplar ring if it
 // is slow enough.
 func (p *Plane) Done(trace uint64, job int64, shard int32, total int64, durs [NumPhases]int64, endMono int64) {
-	for i := 0; i < NumPhases; i++ {
-		if d := p.slowdown[i].Load(); d > 0 {
-			durs[i] += d
-			total += d
-		}
-	}
 	p.e2e.Observe(float64(total))
 	p.total[NumPhases].Add(1)
 	if b := p.budget[NumPhases].Load(); b > 0 && total > b {

@@ -53,16 +53,6 @@ func (p Phase) String() string {
 // Names returns the phase names in waterfall order.
 func Names() [Num]string { return names }
 
-// Parse maps a phase name back to its index (-1 if unknown).
-func Parse(name string) int {
-	for i, n := range names {
-		if n == name {
-			return i
-		}
-	}
-	return -1
-}
-
 // Sink consumes finished records.  Done receives the request identity,
 // the total end-to-end nanoseconds, the per-phase waterfall, and the
 // monotonic end time (NowNanos clock).

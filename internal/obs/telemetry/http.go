@@ -138,7 +138,7 @@ func (a *Aggregator) Handler() http.Handler {
 			}
 			k = v
 		}
-		writeJSON(w, a.LatencyView(k))
+		writeJSON(w, a.clusterLatency(k))
 	})
 	mux.HandleFunc("/state", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, a.State())
@@ -162,23 +162,23 @@ func (a *Aggregator) Handler() http.Handler {
 	return mux
 }
 
-// LatencyView is the /latency surface: cluster-wide phase anatomy built
+// latencyView is the /latency surface: cluster-wide phase anatomy built
 // from the merged phase histograms (no budgets: the envelope is per
 // node), the k slowest exemplars across all
 // nodes, and — for every exemplar whose trace the scraped spans retain —
 // the stitched cross-process span tree, so a tail request is navigable
 // from waterfall to spans in one document.
-type LatencyView struct {
+type latencyView struct {
 	Phases    map[string]latency.PhaseView `json:"phases"`
 	Exemplars []latency.Exemplar           `json:"exemplars"`
 	Traces    map[string]*obs.SpanNode     `json:"traces,omitempty"`
 	Error     string                       `json:"error,omitempty"`
 }
 
-// LatencyView assembles the cluster latency anatomy (k bounds the
+// clusterLatency assembles the cluster latency anatomy (k bounds the
 // exemplar list; <= 0 keeps all).
-func (a *Aggregator) LatencyView(k int) LatencyView {
-	v := LatencyView{Phases: make(map[string]latency.PhaseView)}
+func (a *Aggregator) clusterLatency(k int) latencyView {
+	v := latencyView{Phases: make(map[string]latency.PhaseView)}
 	merged, err := a.MergedRegistry()
 	if err != nil {
 		v.Error = err.Error()

@@ -103,7 +103,7 @@ func TestAggregatorMergesExemplars(t *testing.T) {
 		}
 		return nil
 	})
-	view := agg.LatencyView(4)
+	view := agg.clusterLatency(4)
 	if len(view.Exemplars) == 0 || view.Exemplars[0].Trace != 0xabcd {
 		t.Fatalf("latency view missing the exemplar: %+v", view.Exemplars)
 	}

@@ -2,6 +2,8 @@ package qosnet
 
 import (
 	"errors"
+	"io"
+	"net"
 	"testing"
 
 	"milan/internal/core"
@@ -44,8 +46,56 @@ var sinkGrant *qos.Grant
 // in-process arbitrator: a ping is framing, two socket writes and two
 // wake-ups; negotiate_fig4 adds the codec for a tunable two-chain job and
 // its grant, the arbitrator's decision (~1.5 us) and a clock report every
-// eighth job, at 83% of 64 processors.
+// eighth job, at 83% of 64 processors.  floor is the loopback under them
+// all: a ping's request and response bytes over a bare TCP pair, so
+// qosnet's own cost on the wire is ping minus floor.
 func BenchmarkRoundTrip(b *testing.B) {
+	b.Run("floor", func(b *testing.B) {
+		req, err := appendRequest(nil, &request{op: opPing})
+		if err != nil {
+			b.Fatal(err)
+		}
+		resp := appendResponse(nil, &response{op: opPing})
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Cleanup(func() { ln.Close() })
+		done := make(chan struct{})
+		go func() { // the echo end: no frame reader, no codec, no server
+			defer close(done)
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			defer c.Close()
+			in := make([]byte, len(req))
+			for {
+				if _, err := io.ReadFull(c, in); err != nil {
+					return
+				}
+				if _, err := c.Write(resp); err != nil {
+					return
+				}
+			}
+		}()
+		c, err := net.Dial("tcp", ln.Addr().String())
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Cleanup(func() { c.Close(); <-done })
+		in := make([]byte, len(resp))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := c.Write(req); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := io.ReadFull(c, in); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 	serve := func(b *testing.B) *Client {
 		arb, err := qos.NewArbitrator(qos.ArbitratorConfig{Procs: 64})
 		if err != nil {
