@@ -393,7 +393,7 @@ func serveAdmission(observer *obs.Observer, lp *latency.Plane, cfg admitConfig) 
 		srv.Instrument(qosnet.Instruments{Tracer: observer.Tracer(), Latency: lp, OnDecision: func(j core.Job, g *qos.Grant, err error, latency time.Duration) {
 			now := time.Since(start).Seconds()
 			if err != nil || g == nil {
-				eng.JobRejected(j.ID, j.Trace, now, latency.Seconds())
+				eng.JobRejected(j.ID, j.Trace, now, latency)
 				return
 			}
 			deadline := 0.0
@@ -402,7 +402,7 @@ func serveAdmission(observer *obs.Observer, lp *latency.Plane, cfg admitConfig) 
 					deadline = tasks[len(tasks)-1].Deadline
 				}
 			}
-			eng.JobAdmitted(j.ID, j.Trace, now, latency.Seconds(), deadline, g.Placement.Finish())
+			eng.JobAdmitted(j.ID, j.Trace, now, latency, deadline, g.Placement.Finish())
 		}})
 	}
 	fmt.Printf("admission plane: %s (wal %s, sync=%s, recovered lsn=%d records=%d grants=%d replay=%s)\n\n",

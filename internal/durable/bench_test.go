@@ -10,6 +10,7 @@ import (
 
 	"milan/internal/core"
 	"milan/internal/durable/vfs"
+	"milan/internal/obs"
 	"milan/internal/workload"
 )
 
@@ -196,6 +197,47 @@ func BenchmarkPlaneCallers(b *testing.B) {
 				}()
 			}
 			wg.Wait()
+			b.StopTimer()
+			if err := p.Close(); err != nil {
+				b.Fatal(err)
+			}
+		})
+	}
+}
+
+// BenchmarkPlaneMetrics measures what the durability instruments cost a
+// grant: a one-shard plane on the in-memory filesystem under syncNever,
+// every op a grant with the clock trailing 1024 jobs behind as in
+// BenchmarkPlaneCallers, with Config.Metrics nil (off) and set (on).
+// on minus off is the instruments' share of the grant.
+func BenchmarkPlaneMetrics(b *testing.B) {
+	for _, on := range []bool{false, true} {
+		name := "off"
+		if on {
+			name = "on"
+		}
+		b.Run(name, func(b *testing.B) {
+			var met *Metrics
+			if on {
+				met = NewMetrics(obs.NewRegistry())
+			}
+			p, _, err := OpenPlane(Config{
+				FS: vfs.NewMem(), Dir: "log", Procs: 64, Metrics: met,
+				// One checkpoint per 262 144 records, as in benchPlane.
+				Store: StoreOptions{Sync: syncNever, SnapshotEvery: 1 << 18},
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			tmpl := workload.FigureJob{X: 4, T: 25, Alpha: 0.25, Laxity: 0.5}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 1; i <= b.N; i++ {
+				p.Observe(40 * float64(i-1024))
+				if _, err := p.Negotiate(tmpl.Job(i, 40*float64(i), workload.Tunable)); err != nil {
+					b.Fatalf("job %d: %v", i, err)
+				}
+			}
 			b.StopTimer()
 			if err := p.Close(); err != nil {
 				b.Fatal(err)

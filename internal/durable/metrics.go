@@ -8,13 +8,13 @@ import "milan/internal/obs"
 type Metrics struct {
 	Appends       *obs.Counter // records written to the log
 	Fsyncs        *obs.Counter // log flushes issued: at most one per promise, fewer when callers share one
-	AppendLatency *obs.Stat    // seconds per record write; the wait for a flush is not in it
+	AppendLatency *obs.Hist    // each record write; the wait for a flush is not in it
 
 	Snapshots        *obs.Counter // snapshots written (including on open)
 	SnapshotBytes    *obs.Gauge   // size of the newest snapshot file
-	SnapshotDuration *obs.Stat    // seconds per snapshot compaction
+	SnapshotDuration *obs.Hist    // each snapshot compaction
 
-	RecoveryReplay  *obs.Stat    // seconds spent replaying the log at open
+	RecoveryReplay  *obs.Hist    // the log replay at open
 	RecoveryRecords *obs.Counter // log records replayed at open
 	TornTails       *obs.Counter // recoveries that stopped at a torn tail
 	Poisoned        *obs.Gauge   // 1 when the store refused further writes
@@ -25,11 +25,11 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 	return &Metrics{
 		Appends:          reg.Counter("durable_appends"),
 		Fsyncs:           reg.Counter("durable_fsyncs"),
-		AppendLatency:    reg.Stat("durable_append_seconds"),
+		AppendLatency:    reg.Histogram("durable_append_ns"),
 		Snapshots:        reg.Counter("durable_snapshots"),
 		SnapshotBytes:    reg.Gauge("durable_snapshot_bytes"),
-		SnapshotDuration: reg.Stat("durable_snapshot_seconds"),
-		RecoveryReplay:   reg.Stat("durable_recovery_replay_seconds"),
+		SnapshotDuration: reg.Histogram("durable_snapshot_ns"),
+		RecoveryReplay:   reg.Histogram("durable_recovery_replay_ns"),
 		RecoveryRecords:  reg.Counter("durable_recovery_records"),
 		TornTails:        reg.Counter("durable_torn_tails"),
 		Poisoned:         reg.Gauge("durable_poisoned"),

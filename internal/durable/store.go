@@ -263,7 +263,7 @@ func open(cfg openConfig) (*store, Recovered, error) {
 		ReplayDuration: time.Since(replayStart),
 	}
 	if s.met != nil {
-		s.met.RecoveryReplay.Observe(rec.ReplayDuration.Seconds())
+		s.met.RecoveryReplay.Observe(rec.ReplayDuration)
 		s.met.RecoveryRecords.Add(int64(len(recs)))
 		if torn {
 			s.met.TornTails.Inc()
@@ -527,7 +527,7 @@ func (s *store) checkpoint(ck *checkpoint, cut State) {
 	}
 	if s.met != nil {
 		s.met.SnapshotBytes.Set(float64(size))
-		s.met.SnapshotDuration.Observe(time.Since(start).Seconds())
+		s.met.SnapshotDuration.Observe(time.Since(start))
 		s.met.Snapshots.Inc()
 	}
 }
@@ -729,7 +729,7 @@ func (s *store) Write(r *Record, promise bool) (wait uint64, err error) {
 	s.recordsSinceSnap++
 	if s.met != nil {
 		s.met.Appends.Inc()
-		s.met.AppendLatency.Observe(time.Since(start).Seconds())
+		s.met.AppendLatency.Observe(time.Since(start))
 	}
 	switch s.opts.Sync {
 	case SyncAlways:

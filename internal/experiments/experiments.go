@@ -9,6 +9,7 @@ package experiments
 import (
 	"fmt"
 	"math"
+	"time"
 
 	"milan/internal/core"
 	"milan/internal/fed"
@@ -288,7 +289,7 @@ func runLoop(cfg Config, sys workload.System, arb admitter) (RunResult, error) {
 			g, err := ag.NegotiateWith(timedBy{arb, &rec})
 			rec.End()
 			root.EndAdmission(&rec, g, err)
-			latency := float64(rec.Total()) / 1e9
+			latency := time.Duration(rec.Total())
 			if err == nil {
 				res.Admitted++
 				if f := g.Finish(); f > lastFinish {

@@ -14,8 +14,8 @@ func TestRunReplicatedAggregates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Throughput.N() != 5 || rep.Utilization.N() != 5 {
-		t.Fatalf("N = %d/%d", rep.Throughput.N(), rep.Utilization.N())
+	if rep.Replicas != 5 {
+		t.Fatalf("replicas = %d", rep.Replicas)
 	}
 	if rep.Throughput.Mean() <= 0 || rep.Throughput.Mean() > float64(cfg.Jobs) {
 		t.Fatalf("mean throughput = %v", rep.Throughput.Mean())

@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"testing"
+	"time"
 
 	"milan/internal/obs"
 	"milan/internal/obs/slo"
@@ -125,7 +126,7 @@ func TestInjectedRuntimeFaultLocalizes(t *testing.T) {
 func TestInjectedPlannerFaultLocalizes(t *testing.T) {
 	rec := slo.NewRecorder(64, 64)
 	eng := slo.New(slo.Options{Recorder: rec})
-	eng.JobAdmitted(1, 77, 1.0, 1e-3, 10.0, 12.0)
+	eng.JobAdmitted(1, 77, 1.0, time.Millisecond, 10.0, 12.0)
 	if rec.Len() != 1 {
 		t.Fatal("over-admission did not trigger")
 	}

@@ -22,9 +22,6 @@ func (w *Welford) Add(x float64) {
 	w.m2 += d * (x - w.mean)
 }
 
-// N returns the number of observations.
-func (w *Welford) N() int { return w.n }
-
 // Mean returns the running mean (0 with no observations).
 func (w *Welford) Mean() float64 { return w.mean }
 
@@ -37,8 +34,8 @@ func (w *Welford) variance() float64 {
 	return w.m2 / float64(w.n-1)
 }
 
-// Std returns the sample standard deviation.
-func (w *Welford) Std() float64 { return math.Sqrt(w.variance()) }
+// std returns the sample standard deviation.
+func (w *Welford) std() float64 { return math.Sqrt(w.variance()) }
 
 // CI95 returns the half-width of the 95% confidence interval of the mean
 // under the normal approximation.
@@ -46,7 +43,7 @@ func (w *Welford) CI95() float64 {
 	if w.n < 2 {
 		return 0
 	}
-	return 1.96 * w.Std() / math.Sqrt(float64(w.n))
+	return 1.96 * w.std() / math.Sqrt(float64(w.n))
 }
 
 // Series is a labeled sequence of (x, y) points, the unit the experiment

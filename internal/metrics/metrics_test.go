@@ -13,8 +13,8 @@ func TestWelfordAgainstDirectComputation(t *testing.T) {
 	for _, x := range xs {
 		w.Add(x)
 	}
-	if w.N() != len(xs) {
-		t.Fatalf("N = %d, want %d", w.N(), len(xs))
+	if w.n != len(xs) {
+		t.Fatalf("n = %d, want %d", w.n, len(xs))
 	}
 	if got, want := w.Mean(), 5.0; math.Abs(got-want) > 1e-12 {
 		t.Errorf("Mean = %v, want %v", got, want)

@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"milan/internal/fed"
 )
@@ -61,7 +62,7 @@ func TestHandlerMetrics(t *testing.T) {
 func TestMetricsHasOneRepresentation(t *testing.T) {
 	o := New(Config{})
 	o.Reg.Counter("sched_plans").Add(3)
-	o.Reg.Histogram("admit_latency", 0, 1, 4).Observe(0.5)
+	o.Reg.Histogram("admit_latency_ns").Observe(500 * time.Microsecond)
 	h := o.Handler()
 	serve := func(req *http.Request) *httptest.ResponseRecorder {
 		rw := httptest.NewRecorder()

@@ -20,6 +20,7 @@ package latency
 
 import (
 	"sync/atomic"
+	"time"
 
 	"milan/internal/obs"
 	"milan/internal/obs/latency/phase"
@@ -30,15 +31,6 @@ const NumPhases = phase.Num
 
 // PhaseNames returns the phase names in waterfall order.
 func PhaseNames() [NumPhases]string { return phase.Names() }
-
-// Histogram shape: log-linear from 2^8 ns (256ns) over 25 octaves
-// (~8.6s) with 8 sub-buckets per octave — 200 buckets, ≤12.5% relative
-// width across the whole span.
-const (
-	histOct0    = 8
-	histOctaves = 25
-	histSub     = 8
-)
 
 // Config tunes one Plane.
 type Config struct {
@@ -71,9 +63,9 @@ func New(cfg Config) *Plane {
 	}
 	p := &Plane{reg: cfg.Registry}
 	names := phase.Names()
-	p.e2e = cfg.Registry.HistogramLogLinear("latency_admit_ns", histOct0, histOctaves, histSub)
+	p.e2e = cfg.Registry.Histogram("latency_admit_ns")
 	for i := 0; i < NumPhases; i++ {
-		p.phases[i] = cfg.Registry.HistogramLogLinear("latency_phase_"+names[i]+"_ns", histOct0, histOctaves, histSub)
+		p.phases[i] = cfg.Registry.Histogram("latency_phase_" + names[i] + "_ns")
 	}
 	p.ex.init(exemplarWindow)
 	return p
@@ -139,7 +131,7 @@ func (p *Plane) RegressionCounts() []PhaseCount {
 // counters update, and the request is offered to the exemplar ring if it
 // is slow enough.
 func (p *Plane) Done(trace uint64, job int64, shard int32, total int64, durs [NumPhases]int64, endMono int64) {
-	p.e2e.Observe(float64(total))
+	p.e2e.Observe(time.Duration(total))
 	p.total[NumPhases].Add(1)
 	if b := p.budget[NumPhases].Load(); b > 0 && total > b {
 		p.over[NumPhases].Add(1)
@@ -147,7 +139,7 @@ func (p *Plane) Done(trace uint64, job int64, shard int32, total int64, durs [Nu
 	for i := 0; i < NumPhases; i++ {
 		d := durs[i]
 		if d > 0 {
-			p.phases[i].Observe(float64(d))
+			p.phases[i].Observe(time.Duration(d))
 		}
 		p.total[i].Add(1)
 		if b := p.budget[i].Load(); b > 0 && d > b {

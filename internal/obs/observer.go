@@ -143,7 +143,7 @@ const (
 	metricCalypsoSteps  = "calypso_steps"
 	metricCalypsoExecs  = "calypso_execs"
 	metricCalypsoFaults = "calypso_faults"
-	metricStepSeconds   = "calypso_step_seconds"
+	metricStepNs        = "calypso_step_ns"
 
 	// Profile-index gauges (see core.IndexStats): cumulative segment-tree
 	// work counters pulled by RecordPlanner.
@@ -242,7 +242,7 @@ func (o *Observer) CalypsoHooks() calypso.TraceHooks {
 	steps := o.Reg.Counter(metricCalypsoSteps)
 	execs := o.Reg.Counter(metricCalypsoExecs)
 	faults := o.Reg.Counter(metricCalypsoFaults)
-	stepSec := o.Reg.Histogram(metricStepSeconds, 0, 1, 100)
+	stepNs := o.Reg.Histogram(metricStepNs)
 	return calypso.TraceHooks{
 		StepStart: func(step, tasks int) {
 			steps.Inc()
@@ -251,7 +251,7 @@ func (o *Observer) CalypsoHooks() calypso.TraceHooks {
 			}})
 		},
 		StepDone: func(step int, d time.Duration, err error) {
-			stepSec.Observe(d.Seconds())
+			stepNs.Observe(d)
 			ev := Event{Type: evStepDone, Attrs: map[string]float64{
 				"step": float64(step), "seconds": d.Seconds(),
 			}}

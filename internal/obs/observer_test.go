@@ -171,8 +171,8 @@ func TestCalypsoHooks(t *testing.T) {
 	if snap.Counters[metricCalypsoExecs] < 12 {
 		t.Fatalf("execs = %d, want >= 12", snap.Counters[metricCalypsoExecs])
 	}
-	if snap.Histograms[metricStepSeconds].Count != 3 {
-		t.Fatalf("step duration samples = %d, want 3", snap.Histograms[metricStepSeconds].Count)
+	if snap.Histograms[metricStepNs].Count != 3 {
+		t.Fatalf("step duration samples = %d, want 3", snap.Histograms[metricStepNs].Count)
 	}
 	types := eventTypes(o.Events())
 	if types[evStepStart] != 3 || types[evStepDone] != 3 {

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"math/rand"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestCounterGauge(t *testing.T) {
@@ -25,81 +27,89 @@ func TestCounterGauge(t *testing.T) {
 }
 
 func TestHistObserveAndSnapshot(t *testing.T) {
-	h := newHist(0, 10, 10)
-	for _, x := range []float64{-1, 0, 0.5, 5, 9.999, 10, 42} {
-		h.Observe(x)
+	var h Hist
+	for _, d := range []time.Duration{-1, 255, 256, 287, 288, 1000, 1<<33 - 1, 1 << 33, 42 << 40} {
+		h.Observe(d)
 	}
 	s := h.Snapshot()
-	if s.Count != 7 {
-		t.Fatalf("count = %d, want 7", s.Count)
+	if s.Count != 9 {
+		t.Fatalf("count = %d, want 9", s.Count)
 	}
-	if s.Under != 1 || s.Over != 2 {
-		t.Fatalf("under/over = %d/%d, want 1/2", s.Under, s.Over)
+	if s.Under != 2 || s.Over != 2 {
+		t.Fatalf("under/over = %d/%d, want 2/2", s.Under, s.Over)
 	}
-	if s.Buckets[0] != 2 { // 0 and 0.5
-		t.Fatalf("bucket0 = %d, want 2", s.Buckets[0])
-	}
-	if s.Buckets[5] != 1 || s.Buckets[9] != 1 {
+	// 256 and 287 fall in [256, 288), 288 in [288, 320); 1000 is in
+	// octave 9 ([512, 1024)), sub-bucket (1000-512)/64 = 7.
+	if s.Buckets[0] != 2 || s.Buckets[1] != 1 || s.Buckets[histSub+7] != 1 || s.Buckets[histBuckets-1] != 1 {
 		t.Fatalf("buckets = %v", s.Buckets)
 	}
-	wantSum := -1 + 0 + 0.5 + 5 + 9.999 + 10 + 42
-	if math.Abs(s.Sum-wantSum) > 1e-9 {
-		t.Fatalf("sum = %v, want %v", s.Sum, wantSum)
+	var want int64
+	for _, d := range []int64{-1, 255, 256, 287, 288, 1000, 1<<33 - 1, 1 << 33, 42 << 40} {
+		want += d
 	}
-	if mean := s.Mean(); math.Abs(mean-wantSum/7) > 1e-9 {
+	if s.Sum != want {
+		t.Fatalf("sum = %d, want %d", s.Sum, want)
+	}
+	if mean := s.Mean(); mean != float64(want)/9 {
 		t.Fatalf("mean = %v", mean)
 	}
 }
 
+// The integer index must land every duration in the bucket whose edges
+// bracket it.
+func TestHistIndexMatchesBounds(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 20000; i++ {
+		d := histLo + rng.Int63n(histHi-histLo)
+		if i < histBuckets {
+			d = int64(histBounds[i]) - 1 // the last ns of each bucket
+		}
+		var h Hist
+		h.Observe(time.Duration(d))
+		s := h.Snapshot()
+		for b, c := range s.Buckets {
+			if c == 0 {
+				continue
+			}
+			if lo, hi := s.bucketLower(b), s.Bounds[b]; float64(d) < lo || float64(d) >= hi {
+				t.Fatalf("%d ns counted in bucket %d = [%v, %v)", d, b, lo, hi)
+			}
+		}
+	}
+}
+
 func TestHistQuantile(t *testing.T) {
-	h := newHist(0, 100, 100)
-	for i := 0; i < 100; i++ {
-		h.Observe(float64(i) + 0.5)
+	var h Hist
+	for i := 1; i <= 100; i++ {
+		h.Observe(time.Duration(i) * time.Microsecond)
 	}
 	s := h.Snapshot()
-	if p50 := s.Quantile(0.5); math.Abs(p50-50) > 1.5 {
-		t.Fatalf("p50 = %v, want ~50", p50)
+	// Buckets are at most 12.5 % wide, so the interpolated quantile is
+	// within that of the exact one.
+	if p50 := s.Quantile(0.5); math.Abs(p50-50e3) > 0.125*50e3 {
+		t.Fatalf("p50 = %v, want ~50us", p50)
 	}
-	if p99 := s.Quantile(0.99); math.Abs(p99-99) > 1.5 {
-		t.Fatalf("p99 = %v, want ~99", p99)
+	if p99 := s.Quantile(0.99); math.Abs(p99-99e3) > 0.125*99e3 {
+		t.Fatalf("p99 = %v, want ~99us", p99)
 	}
-	empty := newHist(2, 4, 2).Snapshot()
-	if q := empty.Quantile(0.5); q != 2 {
+	var empty Hist
+	if q := empty.Snapshot().Quantile(0.5); q != float64(histLo) {
 		t.Fatalf("empty quantile = %v, want lo", q)
 	}
 }
 
 func TestHistMerge(t *testing.T) {
-	a := newHist(0, 10, 5)
-	b := newHist(0, 10, 5)
-	a.Observe(1)
-	a.Observe(11) // over
-	b.Observe(1)
-	b.Observe(-1) // under
+	var a, b Hist
+	a.Observe(time.Microsecond)
+	a.Observe(time.Minute) // over
+	b.Observe(time.Microsecond)
+	b.Observe(time.Nanosecond) // under
 	sa, sb := a.Snapshot(), b.Snapshot()
 	if err := sa.merge(sb); err != nil {
 		t.Fatal(err)
 	}
-	if sa.Count != 4 || sa.Under != 1 || sa.Over != 1 || sa.Buckets[0] != 2 {
+	if sa.Count != 4 || sa.Under != 1 || sa.Over != 1 || sa.Sum != int64(2*time.Microsecond+time.Minute+time.Nanosecond) {
 		t.Fatalf("merged = %+v", sa)
-	}
-	mismatched := newHist(0, 5, 5).Snapshot()
-	if err := sa.merge(mismatched); err == nil {
-		t.Fatal("merging mismatched shapes succeeded")
-	}
-}
-
-func TestStat(t *testing.T) {
-	var s Stat
-	for _, x := range []float64{1, 2, 3, 4} {
-		s.Observe(x)
-	}
-	snap := s.snapshot()
-	if snap.N != 4 || math.Abs(snap.Mean-2.5) > 1e-12 {
-		t.Fatalf("stat = %+v", snap)
-	}
-	if snap.Std <= 0 {
-		t.Fatalf("std = %v, want > 0", snap.Std)
 	}
 }
 
@@ -111,15 +121,8 @@ func TestRegistryGetOrCreate(t *testing.T) {
 	if r.Gauge("g") != r.Gauge("g") {
 		t.Fatal("gauge identity lost across lookups")
 	}
-	h := r.Histogram("h", 0, 1, 10)
-	if r.Histogram("h", 0, 99, 3) != h {
+	if r.Histogram("h") != r.Histogram("h") {
 		t.Fatal("histogram identity lost across lookups")
-	}
-	if len(h.Snapshot().Buckets) != 10 {
-		t.Fatal("second lookup changed histogram shape")
-	}
-	if r.Stat("s") != r.Stat("s") {
-		t.Fatal("stat identity lost across lookups")
 	}
 }
 
@@ -133,8 +136,7 @@ func TestRegistryConcurrent(t *testing.T) {
 			for j := 0; j < 1000; j++ {
 				r.Counter("c").Inc()
 				r.Gauge("g").add(1)
-				r.Histogram("h", 0, 1, 4).Observe(0.5)
-				r.Stat("s").Observe(1)
+				r.Histogram("h").Observe(time.Microsecond)
 			}
 		}()
 	}
@@ -149,8 +151,8 @@ func TestRegistryConcurrent(t *testing.T) {
 	if s.Histograms["h"].Count != 8000 {
 		t.Fatalf("hist count = %d, want 8000", s.Histograms["h"].Count)
 	}
-	if s.Stats["s"].N != 8000 {
-		t.Fatalf("stat n = %d, want 8000", s.Stats["s"].N)
+	if h := s.Histograms["h"]; h.Sum != int64(8000*time.Microsecond) {
+		t.Fatalf("hist sum = %d, want %d", h.Sum, int64(8000*time.Microsecond))
 	}
 }
 
@@ -161,10 +163,8 @@ func TestSnapshotMerge(t *testing.T) {
 	r2.Counter("only2").Inc()
 	r1.Gauge("level").Set(1)
 	r2.Gauge("level").Set(2)
-	r1.Histogram("lat", 0, 1, 4).Observe(0.1)
-	r2.Histogram("lat", 0, 1, 4).Observe(0.9)
-	r1.Stat("st").Observe(1)
-	r2.Stat("st").Observe(3)
+	r1.Histogram("lat").Observe(time.Microsecond)
+	r2.Histogram("lat").Observe(time.Millisecond)
 
 	s := r1.Snapshot()
 	if err := s.Merge(r2.Snapshot()); err != nil {
@@ -173,14 +173,11 @@ func TestSnapshotMerge(t *testing.T) {
 	if s.Counters["jobs"] != 7 || s.Counters["only2"] != 1 {
 		t.Fatalf("counters = %v", s.Counters)
 	}
-	if s.Gauges["level"] != 2 {
-		t.Fatalf("gauge = %v, want 2 (last write wins)", s.Gauges["level"])
+	if s.Gauges != nil {
+		t.Fatalf("gauges = %v, want none: a level does not add across nodes", s.Gauges)
 	}
 	if s.Histograms["lat"].Count != 2 {
 		t.Fatalf("hist count = %d, want 2", s.Histograms["lat"].Count)
-	}
-	if st := s.Stats["st"]; st.N != 2 || math.Abs(st.Mean-2) > 1e-12 {
-		t.Fatalf("stat = %+v", st)
 	}
 	// Merge into an empty snapshot.
 	var empty Snapshot
@@ -196,8 +193,7 @@ func TestWriteJSONAndTable(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("admitted").Add(12)
 	r.Gauge("area").Set(3.5)
-	r.Histogram("lat", 0, 1, 4).Observe(0.25)
-	r.Stat("quality").Observe(0.8)
+	r.Histogram("lat").Observe(250 * time.Microsecond)
 
 	var buf bytes.Buffer
 	if err := r.writeJSON(&buf); err != nil {
@@ -216,25 +212,9 @@ func TestWriteJSONAndTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, want := range []string{"metric", "admitted", "counter", "12", "area", "gauge", "lat", "histogram", "quality", "stat"} {
+	for _, want := range []string{"metric", "admitted", "counter", "12", "area", "gauge", "lat", "histogram"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("table missing %q:\n%s", want, out)
 		}
-	}
-}
-
-func TestNewHistPanicsOnBadShape(t *testing.T) {
-	for _, tc := range []struct {
-		lo, hi float64
-		n      int
-	}{{0, 1, 0}, {1, 1, 4}, {2, 1, 4}} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("NewHist(%v,%v,%d) did not panic", tc.lo, tc.hi, tc.n)
-				}
-			}()
-			newHist(tc.lo, tc.hi, tc.n)
-		}()
 	}
 }

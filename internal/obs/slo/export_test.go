@@ -3,6 +3,7 @@ package slo
 import (
 	"math"
 	"testing"
+	"time"
 )
 
 // exportState must reflect the engine's cumulative decision counters and
@@ -10,9 +11,9 @@ import (
 func TestExportStateCarriesWindowTotals(t *testing.T) {
 	e := New(Options{})
 	// Three decisions: two within the 5 ms latency target, one breaching it.
-	e.JobAdmitted(1, 0, 0, 1e-3, 100, 50)
-	e.JobAdmitted(2, 0, 0, 9e-3, 100, 50)
-	e.JobRejected(3, 0, 0, 1e-3)
+	e.JobAdmitted(1, 0, 0, time.Millisecond, 100, 50)
+	e.JobAdmitted(2, 0, 0, 9*time.Millisecond, 100, 50)
+	e.JobRejected(3, 0, 0, time.Millisecond)
 	e.JobCompleted(1, 10)
 
 	st := e.exportState()

@@ -7,13 +7,14 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"milan/internal/obs"
 )
 
 func TestEngineHandlerServesReport(t *testing.T) {
 	e := New(Options{})
-	e.JobAdmitted(1, 1, 0, 1e-3, 10, 9)
+	e.JobAdmitted(1, 1, 0, time.Millisecond, 10, 9)
 	rw := httptest.NewRecorder()
 	e.handler().ServeHTTP(rw, httptest.NewRequest("GET", "/slo", nil))
 	if rw.Code != 200 {
@@ -53,8 +54,8 @@ func TestEngineHandlerServesReport(t *testing.T) {
 // ?now) is a pure read: the report after it is the report before it.
 func TestScrapeServesStateAndLeavesReportUnchanged(t *testing.T) {
 	e := New(Options{})
-	e.JobAdmitted(1, 1, 0, 1e-3, 10, 9)
-	e.JobRejected(2, 2, 0.5, 2e-3)
+	e.JobAdmitted(1, 1, 0, time.Millisecond, 10, 9)
+	e.JobRejected(2, 2, 0.5, 2*time.Millisecond)
 	e.Tick(1)
 	before := e.Report()
 	var doc struct {
@@ -110,7 +111,7 @@ func TestMountOnObserver(t *testing.T) {
 		t.Fatalf("/healthz conformant: %d %s", rw.Code, rw.Body.String())
 	}
 	// …and 503 once the hard invariant breaks.
-	e.JobAdmitted(1, 1, 0, 1e-3, 10, 9)
+	e.JobAdmitted(1, 1, 0, time.Millisecond, 10, 9)
 	e.JobCompleted(1, 11)
 	rw = httptest.NewRecorder()
 	h.ServeHTTP(rw, httptest.NewRequest("GET", "/healthz", nil))

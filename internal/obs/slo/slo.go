@@ -20,9 +20,9 @@
 //
 // All timestamps are in the caller's clock domain (simulation seconds in
 // the experiment loop, wall seconds since start in a live server);
-// admission latencies are always wall seconds.  The engine tolerates the
-// clock restarting at zero — a new sweep point — by resetting its
-// windows.
+// admission latencies are always wall-clock durations.  The engine
+// tolerates the clock restarting at zero — a new sweep point — by
+// resetting its windows.
 package slo
 
 import (
@@ -30,6 +30,7 @@ import (
 	"io"
 	"math"
 	"sync"
+	"time"
 
 	"milan/internal/obs"
 	"milan/internal/obs/latency"
@@ -44,7 +45,7 @@ const (
 	metricDeadlineMisses   = "slo_deadline_misses"
 	metricOverAdmissions   = "slo_over_admissions"
 	metricAlerts           = "slo_alerts"
-	metricLatency          = "slo_admit_latency_seconds"
+	metricLatency          = "slo_admit_latency_ns"
 	metricLatencyBurnShort = "slo_latency_burn_short"
 	metricLatencyBurnLong  = "slo_latency_burn_long"
 )
@@ -62,9 +63,9 @@ const (
 	longWindow    = 600.0
 	windowBuckets = 30
 
-	// latencyTarget is the admission-latency objective in wall seconds;
-	// latencyBudget is the tolerated fraction of requests over target.
-	latencyTarget = 5e-3
+	// latencyTarget is the admission-latency objective; latencyBudget is
+	// the tolerated fraction of requests over target.
+	latencyTarget = 5 * time.Millisecond
 	latencyBudget = 0.01
 
 	// burnThreshold is the burn-rate multiple that, sustained on both
@@ -282,7 +283,7 @@ func New(opts Options) *Engine {
 		overAdmissions: reg.Counter(metricOverAdmissions),
 		alertCount:     reg.Counter(metricAlerts),
 		inFlightG:      reg.Gauge(metricInFlight),
-		latHist:        reg.Histogram(metricLatency, 0, 0.05, 500),
+		latHist:        reg.Histogram(metricLatency),
 		latBurnShort:   reg.Gauge(metricLatencyBurnShort),
 		latBurnLong:    reg.Gauge(metricLatencyBurnLong),
 	}
@@ -294,7 +295,7 @@ func New(opts Options) *Engine {
 // deadline; reservedFinish is the reservation's completion time.  A
 // reservation already past the deadline is an over-admission — an
 // immediate hard violation (the planner emitted an infeasible grant).
-func (e *Engine) JobAdmitted(jobID int, trace uint64, now, latency, deadline, reservedFinish float64) {
+func (e *Engine) JobAdmitted(jobID int, trace uint64, now float64, latency time.Duration, deadline, reservedFinish float64) {
 	if e == nil {
 		return
 	}
@@ -324,7 +325,7 @@ func (e *Engine) JobAdmitted(jobID int, trace uint64, now, latency, deadline, re
 
 // JobRejected records a rejection: only the admission latency objective
 // sees it (a rejection is a correct answer, not an SLO violation).
-func (e *Engine) JobRejected(jobID int, trace uint64, now, latency float64) {
+func (e *Engine) JobRejected(jobID int, trace uint64, now float64, latency time.Duration) {
 	if e == nil {
 		return
 	}
@@ -489,6 +490,7 @@ type Report struct {
 	Violations     []Violation `json:"violations,omitempty"`
 	Alerts         []Alert     `json:"alerts,omitempty"`
 
+	// The latency fields are in seconds.
 	LatencyTarget float64 `json:"latency_target"`
 	LatencyP50    float64 `json:"latency_p50"`
 	LatencyP99    float64 `json:"latency_p99"`
@@ -530,10 +532,10 @@ func (e *Engine) Report() Report {
 	r.Completed = e.completed.Value()
 	r.DeadlineMisses = e.misses.Value()
 	r.OverAdmissions = e.overAdmissions.Value()
-	r.LatencyTarget = latencyTarget
-	r.LatencyP50 = hist.Quantile(0.50)
-	r.LatencyP99 = hist.Quantile(0.99)
-	r.LatencyMean = hist.Mean()
+	r.LatencyTarget = latencyTarget.Seconds()
+	r.LatencyP50 = hist.Quantile(0.50) / 1e9
+	r.LatencyP99 = hist.Quantile(0.99) / 1e9
+	r.LatencyMean = hist.Mean() / 1e9
 	if rec := e.opts.Recorder; rec != nil {
 		r.Snapshots = rec.Len()
 	}

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"milan/internal/obs"
 )
@@ -25,7 +26,7 @@ func TestNilEngineSafe(t *testing.T) {
 
 func TestHardInvariantDeadlineMiss(t *testing.T) {
 	e := New(Options{})
-	e.JobAdmitted(7, 42, 1.0, 1e-3, 10.0, 9.5)
+	e.JobAdmitted(7, 42, 1.0, time.Millisecond, 10.0, 9.5)
 	if missed := e.JobCompleted(7, 9.9); missed {
 		t.Fatal("on-time completion flagged as miss")
 	}
@@ -34,7 +35,7 @@ func TestHardInvariantDeadlineMiss(t *testing.T) {
 		t.Fatalf("conformant run misreported: %+v", r)
 	}
 
-	e.JobAdmitted(8, 43, 2.0, 1e-3, 10.0, 9.5)
+	e.JobAdmitted(8, 43, 2.0, time.Millisecond, 10.0, 9.5)
 	if missed := e.JobCompleted(8, 10.5); !missed {
 		t.Fatal("late completion not flagged as miss")
 	}
@@ -57,7 +58,7 @@ func TestOverAdmissionTriggersImmediately(t *testing.T) {
 	rec := NewRecorder(16, 16)
 	e := New(Options{Recorder: rec})
 	// Reservation finishing after the deadline: planner fault by construction.
-	e.JobAdmitted(3, 9, 0.5, 1e-3, 10.0, 10.7)
+	e.JobAdmitted(3, 9, 0.5, time.Millisecond, 10.0, 10.7)
 	r := e.Report()
 	if r.Conformant() || r.OverAdmissions != 1 {
 		t.Fatalf("over-admission not reported: %+v", r)
@@ -75,7 +76,7 @@ func TestLatencyBurnAlertEdgeTriggered(t *testing.T) {
 	// All admissions 2x over the latency target: error rate 1.0, budget
 	// 0.01 -> burn 100 on both windows.
 	for i := 0; i < 20; i++ {
-		e.JobAdmitted(i, uint64(i+1), float64(i)*0.6, 10e-3, 1e9, 1e8)
+		e.JobAdmitted(i, uint64(i+1), float64(i)*0.6, 10*time.Millisecond, 1e9, 1e8)
 	}
 	e.Tick(12)
 	r := e.Report()
@@ -95,7 +96,7 @@ func TestLatencyBurnAlertEdgeTriggered(t *testing.T) {
 	e.Tick(3000)
 	e.Tick(3006) // clears alertOn once burn drops below threshold
 	for i := 0; i < 20; i++ {
-		e.JobAdmitted(100+i, uint64(100+i), 3012+float64(i)*0.6, 10e-3, 1e9, 1e8)
+		e.JobAdmitted(100+i, uint64(100+i), 3012+float64(i)*0.6, 10*time.Millisecond, 1e9, 1e8)
 	}
 	e.Tick(3024)
 	if got := len(e.Report().Alerts); got != 2 {
@@ -179,7 +180,7 @@ func TestObserveRouterSpikeAndStorm(t *testing.T) {
 func TestReportLatencyQuantiles(t *testing.T) {
 	e := New(Options{})
 	for i := 0; i < 100; i++ {
-		e.JobAdmitted(i, uint64(i+1), 1, 2e-3, 1e9, 1e8)
+		e.JobAdmitted(i, uint64(i+1), 1, 2*time.Millisecond, 1e9, 1e8)
 	}
 	r := e.Report()
 	if r.LatencyP50 < 1e-3 || r.LatencyP50 > 4e-3 {
@@ -193,7 +194,7 @@ func TestReportLatencyQuantiles(t *testing.T) {
 func TestWriteReport(t *testing.T) {
 	rec := NewRecorder(8, 8)
 	e := New(Options{Recorder: rec})
-	e.JobAdmitted(1, 5, 0, 1e-3, 10, 9)
+	e.JobAdmitted(1, 5, 0, time.Millisecond, 10, 9)
 	e.JobCompleted(1, 11) // miss
 	var sb strings.Builder
 	if err := e.WriteReport(&sb); err != nil {
@@ -207,7 +208,7 @@ func TestWriteReport(t *testing.T) {
 	}
 
 	e2 := New(Options{})
-	e2.JobAdmitted(1, 5, 0, 1e-3, 10, 9)
+	e2.JobAdmitted(1, 5, 0, time.Millisecond, 10, 9)
 	e2.JobCompleted(1, 9.5)
 	sb.Reset()
 	if err := e2.WriteReport(&sb); err != nil {
@@ -221,8 +222,8 @@ func TestWriteReport(t *testing.T) {
 func TestRegistryMetricsPublished(t *testing.T) {
 	reg := obs.NewRegistry()
 	e := New(Options{Registry: reg})
-	e.JobAdmitted(1, 1, 0, 1e-3, 10, 9)
-	e.JobRejected(2, 2, 0, 1e-3)
+	e.JobAdmitted(1, 1, 0, time.Millisecond, 10, 9)
+	e.JobRejected(2, 2, 0, time.Millisecond)
 	e.JobCompleted(1, 11)
 	e.Tick(1)
 	snap := reg.Snapshot()
@@ -251,7 +252,7 @@ func TestEngineConcurrentUse(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				id := g*1000 + i
-				e.JobAdmitted(id, uint64(id), float64(i), 1e-3, float64(i)+5, float64(i)+4)
+				e.JobAdmitted(id, uint64(id), float64(i), time.Millisecond, float64(i)+5, float64(i)+4)
 				e.JobCompleted(id, float64(i)+4.5)
 				e.ObserveRouter(float64(i), int64(i), int64(i))
 				e.Tick(float64(i))

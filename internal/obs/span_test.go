@@ -244,8 +244,7 @@ func TestRegistrySnapshotMergeWhileWritersHot(t *testing.T) {
 				}
 				r.Counter("jobs").Inc()
 				r.Gauge("load").Set(float64(i))
-				r.Histogram("lat", 0, 1, 8).Observe(0.25)
-				r.Stat("slack").Observe(float64(i % 7))
+				r.Histogram("lat").Observe(time.Duration(i%7) * time.Microsecond)
 			}
 		}(r)
 	}

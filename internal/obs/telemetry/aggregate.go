@@ -324,8 +324,8 @@ func (a *Aggregator) NodeSnapshots() map[string]obs.Snapshot {
 }
 
 // MergedRegistry folds every node's snapshot into one cluster snapshot
-// with obs.Snapshot.Merge (counters and histogram buckets add across
-// nodes).
+// with obs.Snapshot.Merge: counters and histograms add across nodes, and
+// gauges, which do not add, stay in NodeSnapshots.
 func (a *Aggregator) MergedRegistry() (obs.Snapshot, error) {
 	snaps := a.NodeSnapshots()
 	var merged obs.Snapshot

@@ -56,15 +56,13 @@ func newTestAggregator(t *testing.T, start bool, nodes ...string) *Aggregator {
 // mutate applies one random batch of metric activity to the registry.
 func mutate(reg *obs.Registry, rng *rand.Rand) {
 	for i := 0; i < 1+rng.Intn(8); i++ {
-		switch rng.Intn(4) {
+		switch rng.Intn(3) {
 		case 0:
 			reg.Counter(fmt.Sprintf("c%d", rng.Intn(4))).Add(int64(1 + rng.Intn(5)))
 		case 1:
 			reg.Gauge(fmt.Sprintf("g%d", rng.Intn(3))).Set(rng.Float64() * 10)
 		case 2:
-			reg.Histogram(fmt.Sprintf("h%d", rng.Intn(2)), 0, 1, 8).Observe(rng.Float64() * 1.2)
-		case 3:
-			reg.Stat(fmt.Sprintf("s%d", rng.Intn(2))).Observe(rng.NormFloat64())
+			reg.Histogram(fmt.Sprintf("h%d", rng.Intn(2))).Observe(time.Duration(rng.Int63n(1 << 34)))
 		}
 	}
 }
@@ -133,7 +131,7 @@ func TestMergedCountersEqualNodeSumsUnderConcurrentWriters(t *testing.T) {
 						return
 					default:
 						reg.Counter("requests").Inc()
-						reg.Histogram("lat", 0, 1, 8).Observe(float64(rng.Intn(8)) / 8)
+						reg.Histogram("lat").Observe(time.Duration(rng.Intn(8)) * time.Microsecond)
 						mutate(reg, rng)
 					}
 				}

@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
+	"time"
 
 	"milan/internal/obs"
 )
@@ -97,7 +98,7 @@ func TestHandlerEndpoints(t *testing.T) {
 func TestMetricsHasOneRepresentation(t *testing.T) {
 	reg := obs.NewRegistry()
 	reg.Counter("jobs_admitted").Add(3)
-	reg.Histogram("admit_latency", 0, 1, 4).Observe(0.5)
+	reg.Histogram("admit_latency_ns").Observe(500 * time.Microsecond)
 	node := httptest.NewServer(obs.New(obs.Config{Registry: reg}).Handler())
 	defer node.Close()
 	agg := newTestAggregator(t, false, node.Listener.Addr().String())
