@@ -2,19 +2,23 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"testing"
 	"time"
 
 	"milan/internal/core"
+	"milan/internal/durable"
 	"milan/internal/durable/vfs"
 	"milan/internal/obs"
 	"milan/internal/obs/latency"
 	"milan/internal/obs/latency/phase"
 	"milan/internal/obs/slo"
 	"milan/internal/obs/telemetry"
+	"milan/internal/qos"
 	"milan/internal/qos/qosnet"
 	"milan/internal/workload"
 )
@@ -32,7 +36,7 @@ type node struct {
 	eng          *slo.Engine
 }
 
-func startNode(t *testing.T, name string, shards int, fs vfs.FS) *node {
+func startNode(t *testing.T, name string, shards int, fs vfs.FS, dir string) *node {
 	t.Helper()
 	o := obs.New(obs.Config{Tracing: true})
 	o.Tracer().SeedIDs(telemetry.NodeIDBase(name))
@@ -45,7 +49,7 @@ func startNode(t *testing.T, name string, shards int, fs vfs.FS) *node {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, plane, eng, err := serveAdmission(o, lp, admitConfig{fs: fs, dir: t.TempDir(), addr: "127.0.0.1:0",
+	srv, plane, eng, err := serveAdmission(o, lp, admitConfig{fs: fs, dir: dir, addr: "127.0.0.1:0",
 		sync: "always", snapshotEvery: 1024, procs: 64, shards: shards})
 	if err != nil {
 		t.Fatal(err)
@@ -103,6 +107,35 @@ func wideJob(id, chains int, release float64) core.Job {
 	return job
 }
 
+// backlog journals a fragmented schedule to the write-ahead log in dir: two
+// thousand narrow one-task jobs over the first 1400 time units.  A node
+// that recovers it plans every chain of a wide job through hundreds of
+// holes, and none of the backlog's negotiations reaches the node's
+// latency plane.
+func backlog(t *testing.T, fs vfs.FS, dir string) {
+	t.Helper()
+	if err := fs.MkdirAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	p, _, err := durable.OpenPlane(durable.Config{FS: fs, Dir: dir, Procs: 64, Shards: 1, ProbeK: 1,
+		Store: durable.StoreOptions{SnapshotEvery: 1024}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 2000; i++ {
+		end, procs, d := 1400*rng.Float64(), 1+rng.Intn(40), 0.5+3*rng.Float64()
+		task := core.Task{Name: "t", Procs: procs, Duration: d, Deadline: end + d}
+		job := core.Job{ID: 1000 + i, Chains: []core.Chain{{Name: "x", Quality: 1, Tasks: []core.Task{task}}}}
+		if _, err := p.Negotiate(job); err != nil && !errors.Is(err, qos.ErrRejected) {
+			t.Fatal(err)
+		}
+	}
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // get decodes the JSON h serves at path.
 func get(t *testing.T, h http.Handler, path string, v any) {
 	t.Helper()
@@ -118,17 +151,22 @@ func get(t *testing.T, h http.Handler, path string, v any) {
 
 // TestRegressionRehearsal rehearses the latency-regression sentinel end to
 // end on two armed nodes, scraped the way milanmon scrapes them.  Node 1
-// (one shard, the default) admits jobs of a thousand tunable chains each,
-// whose plan phase is really that slow; node 2 (two shards, so the router's
-// probe phase is timed over a socket) admits Figure-4 jobs.  The merged
-// view must raise latency-regression:plan, blame plan in its slowest
-// exemplar, stitch that exemplar's trace from the client to the node, and
-// node 1 must serve the flight snapshot the trip cut.
+// (one shard, the default) recovers a fragmented backlog and admits jobs of
+// two thousand tunable chains each, whose plan phase is really that slow:
+// tens of ms, past any host hiccup (a scheduler tick is 4 ms) in a phase
+// that does not grow with the profile — the admit record carries the chosen
+// chain only.  Node 2 (two shards, so the router's probe phase is timed
+// over a socket) admits Figure-4 jobs.  The merged view must raise
+// latency-regression:plan, every wide job's exemplar must blame plan, the
+// slowest one's trace must stitch from the client to the node, and node 1
+// must serve the flight snapshot the trip cut.
 func TestRegressionRehearsal(t *testing.T) {
-	const wide, chains, small = 4, 4000, 12
+	const wide, chains, small = 4, 2000, 12
 	// The journals are in memory: a flush takes no time, so the plan phase
 	// is each wide job's slowest.
-	n1, n2 := startNode(t, "n1", 1, vfs.NewMem()), startNode(t, "n2", 2, vfs.NewMem())
+	mem, dir := vfs.NewMem(), t.TempDir()
+	backlog(t, mem, dir)
+	n1, n2 := startNode(t, "n1", 1, mem, dir), startNode(t, "n2", 2, vfs.NewMem(), t.TempDir())
 
 	tracer := obs.NewTracer(8 * (wide + small))
 	tracer.SeedIDs(telemetry.NodeIDBase("client"))
@@ -203,15 +241,26 @@ func TestRegressionRehearsal(t *testing.T) {
 		t.Fatalf("merged SLO view has no alerting latency-regression:plan: %+v", agg.MergedSLO().Burns())
 	}
 
-	slowest := view.Exemplars[0]
-	worst := phase.Route
-	for i, d := range slowest.Durs {
-		if d > slowest.Durs[worst] {
-			worst = phase.Phase(i)
+	// The exemplars come slowest first.  A Figure-4 job of node 2 whose
+	// route or probe phase took a host hiccup may outrank the wide jobs;
+	// the operator's question is which phase the slow wide jobs blame.
+	var slowest *latency.Exemplar
+	for i, e := range view.Exemplars {
+		if e.Job > wide {
+			continue
 		}
-	}
-	if worst != phase.Plan {
-		t.Fatalf("slowest exemplar blames %s, want plan: %+v", worst, slowest)
+		if slowest == nil {
+			slowest = &view.Exemplars[i]
+		}
+		worst := phase.Route
+		for p, d := range e.Durs {
+			if d > e.Durs[worst] {
+				worst = phase.Phase(p)
+			}
+		}
+		if worst != phase.Plan {
+			t.Fatalf("wide job %d's exemplar blames %s, want plan: %+v", e.Job, worst, e)
+		}
 	}
 	tree := view.Traces[fmt.Sprint(slowest.Trace)]
 	if slowest.Trace == 0 || tree == nil {
@@ -248,7 +297,7 @@ func TestRegressionRehearsal(t *testing.T) {
 // flushes every grant must not be judged on its journal or end-to-end
 // time: the sentinel keeps no objective for either.
 func TestEnvelopeJudgesOnlyWhatItsRowMeasured(t *testing.T) {
-	n := startNode(t, "n1", 1, nil) // a real disk: every grant waits for its flush
+	n := startNode(t, "n1", 1, nil, t.TempDir()) // a real disk: every grant waits for its flush
 	cli, err := qosnet.Dial(n.admit)
 	if err != nil {
 		t.Fatal(err)

@@ -326,13 +326,10 @@ func ganttDemo(out *os.File, cfg experiments.Config) error {
 	if err != nil {
 		return err
 	}
-	arrivals := workload.NewPoisson(cfg.MeanInterarrival, cfg.Seed)
 	var placements []*core.Placement
-	release := 0.0
 	admitted, rejected := 0, 0
-	for i := 0; i < n; i++ {
-		release += arrivals.Next()
-		g, err := arb.Negotiate(cfg.Job.Job(i, release, workload.Tunable))
+	for _, job := range cfg.Job.Stream(workload.NewPoisson(cfg.MeanInterarrival, cfg.Seed), n, workload.Tunable) {
+		g, err := arb.Negotiate(job)
 		if err != nil {
 			rejected++
 			continue

@@ -137,12 +137,12 @@ func TestFinishSLOReportAndFlight(t *testing.T) {
 	}
 }
 
-// TestFinishSLODetectsInjectedFault runs with a completion delay and checks
-// the report flags the misses and the snapshot replays to a runtime fault.
+// TestFinishSLODetectsInjectedFault lands one late completion after an
+// audited run and checks the report flags the miss and the snapshot
+// replays to a runtime fault.
 func TestFinishSLODetectsInjectedFault(t *testing.T) {
 	cfg := testCfg()
 	cfg.Jobs = 30
-	cfg.CompletionDelay = 1e4
 	rec := slo.NewRecorder(1024, 1024)
 	o := obs.New(obs.Config{Tracing: true, Sink: rec})
 	rec.Attach(o.Tracer())
@@ -151,6 +151,17 @@ func TestFinishSLODetectsInjectedFault(t *testing.T) {
 	if err := run(cfg, "point"); err != nil {
 		t.Fatal(err)
 	}
+	// The runtime overruns one reservation: reserved to finish at 150
+	// against a deadline of 200, the job completes at 1e4.
+	const id, deadline, reserved, late = 1 << 20, 200.0, 150.0, 1e4
+	tracer := o.Tracer()
+	tr := tracer.NewTrace()
+	span := tracer.StartAt(tr, 0, "job.run", obs.StageRun, id, 100)
+	span.SetAttr("deadline", deadline)
+	span.SetAttr("reserved_finish", reserved)
+	eng.JobAdmitted(id, uint64(tr), 100, 0, deadline, reserved)
+	span.EndAt(late)
+	eng.JobCompleted(id, late)
 	path := filepath.Join(t.TempDir(), "flight.jsonl")
 	var buf bytes.Buffer
 	if err := finishSLO(&buf, eng, rec, path); err != nil {

@@ -46,29 +46,25 @@ func run(tunable bool, frames int, framePeriod float64, procs int) (onTime int, 
 	// Two camera feeds interleaved: frames arrive at twice the single-feed
 	// rate with jitter, so the machine is contended.
 	arrivals := workload.NewUniform(framePeriod*0.25, framePeriod*0.45, 7)
+	jobs := workload.Stream(arrivals, frames, func(id int, release float64) milan.Job {
+		return frameJob(id, release, framePeriod, procs/2, tunable)
+	})
 	var engine sim.Engine
 	var lastFinish float64
-
-	next := 0.0
-	for i := 0; i < frames; i++ {
-		next += arrivals.Next()
-		id, release := i, next
-		engine.At(release, "frame", func() {
-			arb.Observe(release)
-			job := frameJob(id, release, framePeriod, procs/2, tunable)
-			g, err := milan.NewAgent(job).NegotiateWith(arb)
-			if errors.Is(err, milan.ErrRejected) {
-				return // frame dropped: better than a late result
-			}
-			if err != nil {
-				log.Fatal(err)
-			}
-			onTime++
-			if f := g.Finish(); f > lastFinish {
-				lastFinish = f
-			}
-		})
-	}
+	engine.Arrive(len(jobs), func(i int) float64 { return jobs[i].Release }, func(i int) {
+		arb.Observe(jobs[i].Release)
+		g, err := milan.NewAgent(jobs[i]).NegotiateWith(arb)
+		if errors.Is(err, milan.ErrRejected) {
+			return // frame dropped: better than a late result
+		}
+		if err != nil {
+			log.Fatal(err)
+		}
+		onTime++
+		if f := g.Finish(); f > lastFinish {
+			lastFinish = f
+		}
+	})
 	engine.Run()
 	if lastFinish > 0 {
 		util = arb.Utilization(0, lastFinish)

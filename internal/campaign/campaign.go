@@ -74,7 +74,6 @@ type Inject struct {
 type Config struct {
 	Procs  int // plane capacity (default 32)
 	Shards int // sharded-plane partitions (default 4)
-	ProbeK int // sharded-plane probe fan-out (default 2)
 	Jobs   int // arrivals per run (default 300)
 	// Seed is the campaign master seed; every run's seed derives from it
 	// (default 1).
@@ -92,9 +91,6 @@ func (c Config) withDefaults() Config {
 	if c.Shards < 1 {
 		c.Shards = 4
 	}
-	if c.ProbeK < 1 {
-		c.ProbeK = 2
-	}
 	if c.Jobs < 1 {
 		c.Jobs = 300
 	}
@@ -103,6 +99,9 @@ func (c Config) withDefaults() Config {
 	}
 	return c
 }
+
+// probeK is the sharded plane's probe fan-out: best of two.
+const probeK = 2
 
 // Breach is one violated invariant, with the localized fault and the
 // replayable artifact behind it (Artifact may be nil when the flight
@@ -286,25 +285,29 @@ func (rc *runCtx) breach(invariant, detail string, kind slo.TriggerKind, snap *s
 
 // hashDecision folds one admission decision into the run digest.
 func (rc *runCtx) hashDecision(id int, verdict byte, job core.Job, g *qos.Grant) {
-	var buf [8]byte
 	w := rc.digest
-	binary.LittleEndian.PutUint64(buf[:], uint64(id))
-	w.Write(buf[:])
+	hashUint(w, uint64(id))
 	w.Write([]byte{verdict})
 	w.Write([]byte(job.Tenant))
-	binary.LittleEndian.PutUint64(buf[:], uint64(int64(job.Class)))
-	w.Write(buf[:])
-	if g != nil {
-		for _, v := range []uint64{
-			uint64(g.Chain),
-			uint64(g.Shard),
-			math.Float64bits(g.Placement.Start()),
-			math.Float64bits(g.Placement.Finish()),
-		} {
-			binary.LittleEndian.PutUint64(buf[:], v)
-			w.Write(buf[:])
-		}
+	hashUint(w, uint64(int64(job.Class)))
+	hashGrant(w, g)
+}
+
+// hashGrant folds a grant's shape — chain, shard, start and finish — into
+// a run digest; a refusal (nil) folds nothing.
+func hashGrant(w hash.Hash64, g *qos.Grant) {
+	if g == nil {
+		return
 	}
+	hashUint(w, uint64(g.Chain))
+	hashUint(w, uint64(g.Shard))
+	hashUint(w, math.Float64bits(g.Placement.Start()))
+	hashUint(w, math.Float64bits(g.Placement.Finish()))
+}
+
+// hashUint folds v into a run digest, little-endian.
+func hashUint(w hash.Hash64, v uint64) {
+	w.Write(binary.LittleEndian.AppendUint64(nil, v))
 }
 
 func runOne(cfg Config, sc Scenario, plane Plane) (RunReport, error) {
@@ -342,7 +345,7 @@ func runOne(cfg Config, sc Scenario, plane Plane) (RunReport, error) {
 	} else if plane != planeOneShard {
 		return rr, fmt.Errorf("unknown plane %q", plane)
 	}
-	fa, err := fed.New(fed.Config{Procs: cfg.Procs, Shards: shards, ProbeK: cfg.ProbeK})
+	fa, err := fed.New(fed.Config{Procs: cfg.Procs, Shards: shards, ProbeK: probeK})
 	if err != nil {
 		return rr, err
 	}
@@ -387,101 +390,93 @@ func runOne(cfg Config, sc Scenario, plane Plane) (RunReport, error) {
 		}
 	}
 
-	arrivals := sc.Arrivals(seed)
+	jobs := sc.Job.Stream(sc.Arrivals(seed), cfg.Jobs, workload.Tunable)
 	var assign tenantAssigner
 	if sc.Tenants != nil {
 		assign = sc.Tenants()
 	}
 
 	var lastFinish, lastRelease float64
-	var schedule func(id int)
-	schedule = func(id int) {
-		if id >= cfg.Jobs {
-			return
+	engine.Arrive(len(jobs), func(i int) float64 { return jobs[i].Release }, func(id int) {
+		now := engine.Now()
+		lastRelease = now
+		observe(now)
+		rc.shed.Observe(now)
+		job := jobs[id]
+		if assign != nil {
+			job.Tenant, job.Class = assign.Assign(id)
 		}
-		engine.After(arrivals.Next(), "arrival", func() {
-			now := engine.Now()
-			lastRelease = now
-			observe(now)
-			rc.shed.Observe(now)
-			job := sc.Job.Job(id, now, workload.Tunable)
-			if assign != nil {
-				job.Tenant, job.Class = assign.Assign(id)
+		class := job.Class
+		if class < 0 {
+			class = 0
+		}
+		rc.growClass(class)
+		rc.classOffered[class]++
+		tr := tracer.NewTrace()
+		root := tracer.StartAt(tr, 0, "job.admit", obs.StageArrival, id, now)
+		job.Trace, job.Span = uint64(tr), uint64(root.ID())
+
+		g, err := qos.NewAgent(job).NegotiateWith(neg)
+		if err == nil {
+			rr.Admitted++
+			chain := job.Chains[g.Chain]
+			deadline := chain.Tasks[len(chain.Tasks)-1].Deadline
+			reported := deadline
+			if cfg.Inject.OverAdmission {
+				// The planner-fault injection: audit against a
+				// deadline the committed reservation already breaks.
+				reported = g.Finish() - 1
 			}
-			class := job.Class
-			if class < 0 {
-				class = 0
+			root.SetAttr("chain", float64(g.Chain))
+			root.EndAt(now)
+			run := tracer.StartAt(tr, root.ID(), "job.run", obs.StageRun, id, g.Placement.Start())
+			run.SetAttr("deadline", reported)
+			run.SetAttr("reserved_finish", g.Finish())
+			eng.JobAdmitted(id, job.Trace, now, 0, reported, g.Finish())
+			eng.Tick(now)
+
+			area := g.Placement.Area()
+			rc.classAdmitted[class]++
+			rc.classArea[class] += area
+			rc.tenantAlive[job.Tenant] += area
+			if rc.tenantAlive[job.Tenant] > rc.tenantPeak[job.Tenant] {
+				rc.tenantPeak[job.Tenant] = rc.tenantAlive[job.Tenant]
 			}
-			rc.growClass(class)
-			rc.classOffered[class]++
-			tr := tracer.NewTrace()
-			root := tracer.StartAt(tr, 0, "job.admit", obs.StageArrival, id, now)
-			job.Trace, job.Span = uint64(tr), uint64(root.ID())
+			rc.hashDecision(id, 'A', job, g)
 
-			g, err := qos.NewAgent(job).NegotiateWith(neg)
-			if err == nil {
-				rr.Admitted++
-				chain := job.Chains[g.Chain]
-				deadline := chain.Tasks[len(chain.Tasks)-1].Deadline
-				reported := deadline
-				if cfg.Inject.OverAdmission {
-					// The planner-fault injection: audit against a
-					// deadline the committed reservation already breaks.
-					reported = g.Finish() - 1
-				}
-				root.SetAttr("chain", float64(g.Chain))
-				root.EndAt(now)
-				run := tracer.StartAt(tr, root.ID(), "job.run", obs.StageRun, id, g.Placement.Start())
-				run.SetAttr("deadline", reported)
-				run.SetAttr("reserved_finish", g.Finish())
-				eng.JobAdmitted(id, job.Trace, now, 0, reported, g.Finish())
-				eng.Tick(now)
-
-				area := g.Placement.Area()
-				rc.classAdmitted[class]++
-				rc.classArea[class] += area
-				rc.tenantAlive[job.Tenant] += area
-				if rc.tenantAlive[job.Tenant] > rc.tenantPeak[job.Tenant] {
-					rc.tenantPeak[job.Tenant] = rc.tenantAlive[job.Tenant]
-				}
-				rc.hashDecision(id, 'A', job, g)
-
-				finish := g.Finish() + cfg.Inject.CompletionDelay
-				if finish < now {
-					finish = now
-				}
-				if finish > lastFinish {
-					lastFinish = finish
-				}
-				jobID, tenant := id, job.Tenant
-				ev := engine.At(finish, "complete", func() {
-					// End the run span before the completion lands in the
-					// SLO engine, so a triggered snapshot already holds
-					// the span that convicts the stage.
-					run.EndAt(finish)
-					eng.JobCompleted(jobID, finish)
-					rc.shed.JobCompleted(jobID, finish)
-					rc.tenantAlive[tenant] -= area
-				})
-				ev.Trace = job.Trace
+			finish := g.Finish() + cfg.Inject.CompletionDelay
+			if finish < now {
+				finish = now
+			}
+			if finish > lastFinish {
+				lastFinish = finish
+			}
+			tenant := job.Tenant
+			ev := engine.At(finish, "complete", func() {
+				// End the run span before the completion lands in the
+				// SLO engine, so a triggered snapshot already holds
+				// the span that convicts the stage.
+				run.EndAt(finish)
+				eng.JobCompleted(id, finish)
+				rc.shed.JobCompleted(id, finish)
+				rc.tenantAlive[tenant] -= area
+			})
+			ev.Trace = job.Trace
+		} else {
+			verdict := byte('R')
+			if errors.Is(err, qos.ErrShed) {
+				verdict = 'S'
+				rr.Shed++
 			} else {
-				verdict := byte('R')
-				if errors.Is(err, qos.ErrShed) {
-					verdict = 'S'
-					rr.Shed++
-				} else {
-					rr.Rejected++
-				}
-				root.SetErr("rejected")
-				root.EndAt(now)
-				eng.JobRejected(id, job.Trace, now, 0)
-				eng.Tick(now)
-				rc.hashDecision(id, verdict, job, nil)
+				rr.Rejected++
 			}
-			schedule(id + 1)
-		})
-	}
-	schedule(0)
+			root.SetErr("rejected")
+			root.EndAt(now)
+			eng.JobRejected(id, job.Trace, now, 0)
+			eng.Tick(now)
+			rc.hashDecision(id, verdict, job, nil)
+		}
+	})
 	engine.Run()
 
 	// Drain: advance past every reservation so capacity checks see the

@@ -1,12 +1,10 @@
 package campaign
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/fnv"
 	"maps"
-	"math"
 
 	"milan/internal/durable"
 	"milan/internal/durable/vfs"
@@ -34,7 +32,7 @@ func nodeKillRun(cfg Config, sc Scenario, seed int64) (RunReport, error) {
 	open := func() (*durable.Plane, durable.Recovered, error) {
 		return durable.OpenPlane(durable.Config{
 			FS: ft, Dir: "wal",
-			Procs: cfg.Procs, Shards: cfg.Shards, ProbeK: cfg.ProbeK,
+			Procs: cfg.Procs, Shards: cfg.Shards, ProbeK: probeK,
 			Store: durable.StoreOptions{Sync: durable.SyncAlways, SnapshotEvery: 48},
 		})
 	}
@@ -49,34 +47,19 @@ func nodeKillRun(cfg Config, sc Scenario, seed int64) (RunReport, error) {
 	}
 	const lieWindow = 5 // jobs before each kill with the lying fsync armed
 
-	arrivals := sc.Arrivals(seed)
 	acked := make(map[int]float64) // jobID -> reserved finish of acked grants
-	var buf [8]byte
 	hash := func(id int, verdict byte, g *qos.Grant) {
-		binary.LittleEndian.PutUint64(buf[:], uint64(id))
-		digest.Write(buf[:])
+		hashUint(digest, uint64(id))
 		digest.Write([]byte{verdict})
-		if g != nil {
-			for _, v := range []uint64{
-				uint64(g.Chain),
-				uint64(g.Shard),
-				math.Float64bits(g.Placement.Start()),
-				math.Float64bits(g.Placement.Finish()),
-			} {
-				binary.LittleEndian.PutUint64(buf[:], v)
-				digest.Write(buf[:])
-			}
-		}
+		hashGrant(digest, g)
 	}
 
-	now := 0.0
-	for id := 0; id < cfg.Jobs; id++ {
-		now += arrivals.Next()
+	for id, job := range sc.Job.Stream(sc.Arrivals(seed), cfg.Jobs, workload.Tunable) {
+		now := job.Release
 		if cfg.Inject.DroppedFsync && id%kill == kill-lieWindow {
 			ft.SetSyncLie(true)
 		}
 		p.Observe(now)
-		job := sc.Job.Job(id, now, workload.Tunable)
 		g, nerr := p.Negotiate(job)
 		switch {
 		case nerr == nil:
@@ -114,8 +97,7 @@ func nodeKillRun(cfg Config, sc Scenario, seed int64) (RunReport, error) {
 			return rr, fmt.Errorf("node-kill: recovery after job %d: %w", id, oerr)
 		}
 		p = p2
-		binary.LittleEndian.PutUint64(buf[:], rec.State.LSN)
-		digest.Write(buf[:])
+		hashUint(digest, rec.State.LSN)
 
 		// Durability contract: every acked grant still pending at the
 		// recovered clock must be in the committed set.  One that ran out

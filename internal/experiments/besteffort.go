@@ -52,9 +52,8 @@ func runBestEffort(cfg Config, sys workload.System) (BestEffortResult, error) {
 		res       = BestEffortResult{System: sys}
 		busy      float64
 		lastEvent float64
-		jobs      = make(map[int]core.Job)
+		jobs      = cfg.Job.Stream(cfg.poisson(), cfg.Jobs, sys)
 	)
-	arrivals := workload.NewPoisson(cfg.MeanInterarrival, cfg.Seed)
 
 	var dispatch func()
 	finishTask := func(rt readyTask) {
@@ -76,7 +75,6 @@ func runBestEffort(cfg Config, sys workload.System) (BestEffortResult, error) {
 					res.MaxTardiness = tard
 				}
 			}
-			delete(jobs, rt.job)
 		}
 		dispatch()
 	}
@@ -107,20 +105,10 @@ func runBestEffort(cfg Config, sys workload.System) (BestEffortResult, error) {
 		ready = rest
 	}
 
-	var scheduleArrival func(id int)
-	scheduleArrival = func(id int) {
-		if id >= cfg.Jobs {
-			return
-		}
-		engine.After(arrivals.Next(), "arrival", func() {
-			job := cfg.Job.Job(id, engine.Now(), sys)
-			jobs[id] = job
-			ready = append(ready, readyTask{job: id, index: 0, task: job.Chains[0].Tasks[0]})
-			dispatch()
-			scheduleArrival(id + 1)
-		})
-	}
-	scheduleArrival(0)
+	engine.Arrive(len(jobs), func(i int) float64 { return jobs[i].Release }, func(id int) {
+		ready = append(ready, readyTask{job: id, index: 0, task: jobs[id].Chains[0].Tasks[0]})
+		dispatch()
+	})
 	engine.Run()
 
 	if res.Late > 0 {

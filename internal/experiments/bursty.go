@@ -27,21 +27,19 @@ func RunBursty(cfg Config) ([]BurstyComparison, error) {
 		return nil, err
 	}
 	mk := []struct {
-		name    string
-		factory func(seed int64) workload.Arrivals
+		name     string
+		arrivals func() workload.Arrivals
 	}{
-		{"poisson", nil},
-		{"bursty", func(seed int64) workload.Arrivals {
-			return workload.NewBursty(cfg.MeanInterarrival/4, cfg.MeanInterarrival*7/4, 20, seed)
+		{"poisson", cfg.poisson},
+		{"bursty", func() workload.Arrivals {
+			return workload.NewBursty(cfg.MeanInterarrival/4, cfg.MeanInterarrival*7/4, 20, cfg.Seed)
 		}},
 	}
 	var out []BurstyComparison
 	for _, m := range mk {
-		c := cfg
-		c.ArrivalFactory = m.factory
 		cmpr := BurstyComparison{Process: m.name, Results: make(map[workload.System]RunResult, 3)}
 		for _, sys := range workload.Systems {
-			r, err := Run(c, sys)
+			r, err := run(cfg, sys, m.arrivals())
 			if err != nil {
 				return nil, fmt.Errorf("experiments: bursty %s/%s: %w", m.name, sys, err)
 			}

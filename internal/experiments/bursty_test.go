@@ -31,31 +31,6 @@ func TestRunBurstyComparesProcesses(t *testing.T) {
 	}
 }
 
-func TestArrivalFactoryOverride(t *testing.T) {
-	cfg := testConfig()
-	cfg.Jobs = 200
-	fixedGap := cfg.MeanInterarrival
-	cfg.ArrivalFactory = func(seed int64) workload.Arrivals {
-		return constGap(fixedGap)
-	}
-	a, err := Run(cfg, workload.Tunable)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Run(cfg, workload.Tunable)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Deterministic arrivals: identical runs regardless of seed handling.
-	if a.Admitted != b.Admitted || a.Horizon != b.Horizon {
-		t.Fatalf("fixed arrivals diverged: %+v vs %+v", a, b)
-	}
-	// Horizon matches the deterministic release schedule.
-	if a.Horizon < fixedGap*float64(cfg.Jobs) {
-		t.Fatalf("horizon = %v", a.Horizon)
-	}
-}
-
 func TestWriteBursty(t *testing.T) {
 	cfg := testConfig()
 	cfg.Jobs = 150
@@ -73,8 +48,3 @@ func TestWriteBursty(t *testing.T) {
 		}
 	}
 }
-
-// constGap is an arrival process with one constant gap.
-type constGap float64
-
-func (g constGap) Next() float64 { return float64(g) }

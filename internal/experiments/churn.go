@@ -6,7 +6,6 @@ import (
 	"sort"
 	"text/tabwriter"
 
-	"milan/internal/fed"
 	"milan/internal/qos"
 	"milan/internal/sim"
 	"milan/internal/workload"
@@ -97,37 +96,25 @@ func ChurnRun(cfg Config, trace []CapacityEvent) ([]ChurnResult, error) {
 // capacity marks all jobs holding reservations at that instant as failed —
 // the predictability loss renegotiation exists to avoid.
 func runChurnStatic(cfg Config, trace []CapacityEvent) (ChurnResult, error) {
-	arb, err := fed.New(fed.Config{Procs: cfg.Procs, Options: cfg.Opts})
-	if err != nil {
-		return ChurnResult{}, err
-	}
-	arrivals := workload.NewPoisson(cfg.MeanInterarrival, cfg.Seed)
-	res := ChurnResult{Label: "static-declared (ignores churn)"}
-
 	type span struct {
 		job           int
 		start, finish float64
 		procs         int
 	}
 	var spans []span
-	release := 0.0
-	for id := 0; id < cfg.Jobs; id++ {
-		release += arrivals.Next()
-		arb.Observe(release)
-		job := cfg.Job.Job(id, release, workload.Tunable)
-		if cfg.Malleable {
-			job = job.MakeMalleable()
+	plane, err := newPlane(cfg, 1, 1, func(d qos.Decision) {
+		if d.Kind != qos.KindAdmitted {
+			return
 		}
-		g, err := qos.NewAgent(job).NegotiateWith(arb)
-		if err != nil {
-			res.Rejected++
-			continue
+		for _, tp := range d.Grant.Placement.Tasks {
+			spans = append(spans, span{job: d.Job.ID, start: tp.Start, finish: tp.Finish, procs: tp.Procs})
 		}
-		res.Admitted++
-		for _, tp := range g.Placement.Tasks {
-			spans = append(spans, span{job: id, start: tp.Start, finish: tp.Finish, procs: tp.Procs})
-		}
+	})
+	if err != nil {
+		return ChurnResult{}, err
 	}
+	r := runLoop(cfg, cfg.jobs(workload.Tunable, cfg.poisson()), plane)
+	res := ChurnResult{Label: "static-declared (ignores churn)", Admitted: r.Admitted, Rejected: r.Rejected}
 
 	// Event sweep against the true capacity: at every boundary, if the
 	// committed usage exceeds what the machine really has, every job with
@@ -189,7 +176,6 @@ func runChurnDynamic(cfg Config, trace []CapacityEvent) (ChurnResult, error) {
 	if err != nil {
 		return ChurnResult{}, err
 	}
-	arrivals := workload.NewPoisson(cfg.MeanInterarrival, cfg.Seed)
 	var engine sim.Engine
 	res := ChurnResult{Label: "dynamic (renegotiating)"}
 
@@ -203,27 +189,13 @@ func runChurnDynamic(cfg Config, trace []CapacityEvent) (ChurnResult, error) {
 		})
 	}
 
-	var scheduleArrival func(id int)
-	scheduleArrival = func(id int) {
-		if id >= cfg.Jobs {
-			return
-		}
-		engine.After(arrivals.Next(), "arrival", func() {
-			now := engine.Now()
-			d.Observe(now)
-			job := cfg.Job.Job(id, now, workload.Tunable)
-			if cfg.Malleable {
-				job = job.MakeMalleable()
-			}
-			if _, err := d.NegotiateOrWait(job, nil); err == nil {
-				res.Admitted++
-			} else {
-				res.Rejected++
-			}
-			scheduleArrival(id + 1)
-		})
-	}
-	scheduleArrival(0)
+	jobs := cfg.jobs(workload.Tunable, cfg.poisson())
+	engine.Arrive(len(jobs), func(i int) float64 { return jobs[i].Release }, func(i int) {
+		d.Observe(engine.Now())
+		// A refusal waits for capacity; Stats counts every outcome,
+		// rescues included.
+		_, _ = d.NegotiateOrWait(jobs[i], nil)
+	})
 	engine.Run()
 
 	st := d.Stats()

@@ -34,9 +34,6 @@ type Config struct {
 	Seed             int64
 	Malleable        bool          // Section 5.4: tasks become malleable
 	Opts             *core.Options // scheduler policy; nil = paper defaults
-	// ArrivalFactory, if set, overrides the Poisson arrival process (the
-	// mean interarrival still describes the intended load for reporting).
-	ArrivalFactory func(seed int64) workload.Arrivals
 	// Obs, if set, observes every run driven by this configuration: the
 	// sim engine's fired events, the planner's work (pulled at the end of
 	// the run) and, in Run, the arbitrator's decision stream
@@ -50,16 +47,9 @@ type Config struct {
 	// engine's latency objective and in-flight set, and every admitted
 	// job's completion is checked against its deadline (the hard
 	// "admitted implies met" invariant).  Completions are simulated as
-	// discrete events at the reservation finish plus CompletionDelay.
-	// nil (the default) costs nothing and schedules no extra events.
+	// discrete events at the reservation finish.  nil (the default) costs
+	// nothing and schedules no extra events.
 	SLO *slo.Engine
-	// CompletionDelay shifts every admitted job's simulated completion
-	// past its reservation finish — a fault-injection knob: a positive
-	// delay makes the runtime break reservations it was granted, which
-	// the SLO engine must flag as deadline misses and the flight
-	// recorder's replay must localize to the runtime stage.  Zero (the
-	// default) completes jobs exactly when their reservation promised.
-	CompletionDelay float64
 	// Forensics, if set, retains a rejection diagnosis for every failed
 	// admission of the run and closes the loop: after each rejection the
 	// diagnosis's verified suggestion is replayed through the arbitrator's
@@ -130,6 +120,24 @@ func (c Config) validate() error {
 	return c.Job.Validate()
 }
 
+// poisson returns the run's Poisson arrival process.
+func (c Config) poisson() workload.Arrivals {
+	return workload.NewPoisson(c.MeanInterarrival, c.Seed)
+}
+
+// jobs rolls the run's arrival stream: c.Jobs Figure-4 jobs of sys released
+// by a, malleable under c.Malleable, billed by c.Tenants.
+func (c Config) jobs(sys workload.System, a workload.Arrivals) []core.Job {
+	return workload.Stream(a, c.Jobs, func(id int, r float64) core.Job {
+		job := c.Job.Job(id, r, sys)
+		if c.Malleable {
+			job = job.MakeMalleable()
+		}
+		job.Tenant, job.Class = c.Tenants.Assign(id)
+		return job
+	})
+}
+
 // OfferedLoad returns the mean offered load of the configuration: job work
 // divided by machine capacity times the mean interarrival gap.  Values
 // above 1 mean the system is overloaded on average.
@@ -146,6 +154,7 @@ type RunResult struct {
 	Horizon       float64 // max(last reservation finish, last release)
 	ChainShare    []int   // how often each chain of the tunable job was chosen
 	MeanLateSlack float64 // mean (deadline - finish) over admitted jobs
+	Quality       float64 // sum of the granted chains' qualities
 }
 
 // throughput returns the number of on-time jobs (every admitted job meets
@@ -173,6 +182,11 @@ func Run(cfg Config, sys workload.System) (RunResult, error) {
 	if err := cfg.validate(); err != nil {
 		return RunResult{}, err
 	}
+	return run(cfg, sys, cfg.poisson())
+}
+
+// run is Run with the arrivals drawn from a (cfg already validated).
+func run(cfg Config, sys workload.System, a workload.Arrivals) (RunResult, error) {
 	var feed func(qos.Decision)
 	if cfg.Obs != nil {
 		feed = cfg.Obs.DecisionObserver(nil)
@@ -181,7 +195,9 @@ func Run(cfg Config, sys workload.System) (RunResult, error) {
 	if err != nil {
 		return RunResult{}, err
 	}
-	return runLoop(cfg, sys, plane)
+	res := runLoop(cfg, cfg.jobs(sys, a), plane)
+	res.System = sys
+	return res, nil
 }
 
 // newPlane builds the admission plane a run drives: cfg.Procs processors
@@ -221,16 +237,11 @@ type timedBy struct {
 
 func (t timedBy) Negotiate(job core.Job) (*qos.Grant, error) { return t.arb.NegotiateTimed(job, t.rec) }
 
-// runLoop drives the discrete-event simulation of one task system against
-// an already-built arbitrator.
-func runLoop(cfg Config, sys workload.System, arb admitter) (RunResult, error) {
-	var arrivals workload.Arrivals
-	if cfg.ArrivalFactory != nil {
-		arrivals = cfg.ArrivalFactory(cfg.Seed)
-	} else {
-		arrivals = workload.NewPoisson(cfg.MeanInterarrival, cfg.Seed)
-	}
-	res := RunResult{System: sys}
+// runLoop drives the discrete-event simulation of one arrival stream
+// against an already-built arbitrator: each job is negotiated at its
+// release.
+func runLoop(cfg Config, jobs []core.Job, arb admitter) RunResult {
+	var res RunResult
 	var engine sim.Engine
 	if cfg.Obs != nil {
 		engine.OnEvent = cfg.Obs.BindEngine(&engine)
@@ -252,106 +263,87 @@ func runLoop(cfg Config, sys workload.System, arb admitter) (RunResult, error) {
 	var lastFinish, lastRelease float64
 	var slackSum float64
 
-	var scheduleArrival func(id int)
-	scheduleArrival = func(id int) {
-		if id >= cfg.Jobs {
+	engine.Arrive(len(jobs), func(i int) float64 { return jobs[i].Release }, func(id int) {
+		now := engine.Now()
+		lastRelease = now
+		arb.Observe(now)
+		// The ledger's clock follows the simulation's.  (The plane's
+		// Observe already advanced its shards' ledgers through their
+		// clock decisions; Advance is monotone, so this one moves only
+		// ledgers no plane shard feeds.)
+		cfg.Ledger.Advance(now)
+		job := jobs[id]
+		var root *obs.ActiveSpan
+		if tracer != nil {
+			tr := tracer.NewTrace()
+			root = tracer.StartAt(tr, 0, "job.admit", obs.StageArrival, id, now)
+			job.Trace = uint64(tr)
+			job.Span = uint64(root.ID())
+		}
+		var rec phase.Rec // inert unless auditing
+		if auditing {
+			rec = phase.Start(nil, job.Trace, int64(id))
+		}
+		ag := qos.NewAgent(job)
+		g, err := ag.NegotiateWith(timedBy{arb, &rec})
+		rec.End()
+		root.EndAdmission(&rec, g, err)
+		latency := time.Duration(rec.Total())
+		if err != nil {
+			res.Rejected++
+			if cfg.Forensics != nil {
+				// Close the loop: replay the diagnosis's suggested
+				// relaxation through the side-effect-free WhatIf probe
+				// and record whether it flips the job to admitted.
+				if rec, ok := cfg.Forensics.LastFor(job.ID); ok && rec.Diag.Suggestion != nil {
+					_, admitted := arb.WhatIf(job, *rec.Diag.Suggestion)
+					cfg.Forensics.MarkVerified(job.ID, admitted)
+				}
+			}
+			if auditing {
+				cfg.SLO.JobRejected(id, job.Trace, now, latency)
+				cfg.SLO.Tick(now)
+			}
 			return
 		}
-		gap := arrivals.Next()
-		engine.After(gap, "arrival", func() {
-			now := engine.Now()
-			lastRelease = now
-			arb.Observe(now)
-			// The ledger's clock follows the simulation's.  (The plane's
-			// Observe already advanced its shards' ledgers through their
-			// clock decisions; Advance is monotone, so this one moves only
-			// ledgers no plane shard feeds.)
-			cfg.Ledger.Advance(now)
-			job := cfg.Job.Job(id, now, sys)
-			if cfg.Malleable {
-				job = job.MakeMalleable()
-			}
-			if cfg.Tenants != nil {
-				job.Tenant, job.Class = cfg.Tenants.Assign(id)
-			}
-			var root *obs.ActiveSpan
-			if tracer != nil {
-				tr := tracer.NewTrace()
-				root = tracer.StartAt(tr, 0, "job.admit", obs.StageArrival, id, now)
-				job.Trace = uint64(tr)
-				job.Span = uint64(root.ID())
-			}
-			var rec phase.Rec // inert unless auditing
-			if auditing {
-				rec = phase.Start(nil, job.Trace, int64(id))
-			}
-			ag := qos.NewAgent(job)
-			g, err := ag.NegotiateWith(timedBy{arb, &rec})
-			rec.End()
-			root.EndAdmission(&rec, g, err)
-			latency := time.Duration(rec.Total())
-			if err == nil {
-				res.Admitted++
-				if f := g.Finish(); f > lastFinish {
-					lastFinish = f
-				}
-				chain := job.Chains[g.Chain]
-				deadline := chain.Tasks[len(chain.Tasks)-1].Deadline
-				slackSum += deadline - g.Finish()
-				for len(res.ChainShare) <= g.Chain {
-					res.ChainShare = append(res.ChainShare, 0)
-				}
-				res.ChainShare[g.Chain]++
-				if auditing || cfg.Ledger != nil {
-					finish := g.Finish() + cfg.CompletionDelay
-					if finish < now {
-						finish = now
-					}
-					var run *obs.ActiveSpan
-					if auditing {
-						run = tracer.StartAt(obs.TraceID(job.Trace), obs.SpanID(job.Span),
-							"job.run", obs.StageRun, id, g.Placement.Start())
-						run.SetAttr("deadline", deadline)
-						run.SetAttr("reserved_finish", g.Finish())
-						cfg.SLO.JobAdmitted(id, job.Trace, now, latency, deadline, g.Finish())
-						cfg.SLO.Tick(now)
-					}
-					jobID := id
-					// Completion realizes the reserved area on the shard
-					// that granted it (qos.Grant.Shard; 0 at one shard).
-					led := cfg.Ledger.Shard(g.Shard)
-					key := ledger.KeyOf(&job)
-					pl := g.Placement
-					ev := engine.At(finish, "complete", func() {
-						// End the run span before the completion lands in
-						// the SLO engine so a triggered flight snapshot
-						// already holds the span that convicts the stage.
-						run.EndAt(finish)
-						cfg.SLO.JobCompleted(jobID, finish)
-						led.RecordCompletion(key, &pl)
-					})
-					ev.Trace = job.Trace
-				}
-			} else {
-				res.Rejected++
-				if cfg.Forensics != nil {
-					// Close the loop: replay the diagnosis's suggested
-					// relaxation through the side-effect-free WhatIf probe
-					// and record whether it flips the job to admitted.
-					if rec, ok := cfg.Forensics.LastFor(job.ID); ok && rec.Diag.Suggestion != nil {
-						_, admitted := arb.WhatIf(job, *rec.Diag.Suggestion)
-						cfg.Forensics.MarkVerified(job.ID, admitted)
-					}
-				}
-				if auditing {
-					cfg.SLO.JobRejected(id, job.Trace, now, latency)
-					cfg.SLO.Tick(now)
-				}
-			}
-			scheduleArrival(id + 1)
+		res.Admitted++
+		res.Quality += g.Quality
+		finish := g.Finish()
+		lastFinish = math.Max(lastFinish, finish)
+		chain := job.Chains[g.Chain]
+		deadline := chain.Tasks[len(chain.Tasks)-1].Deadline
+		slackSum += deadline - finish
+		for len(res.ChainShare) <= g.Chain {
+			res.ChainShare = append(res.ChainShare, 0)
+		}
+		res.ChainShare[g.Chain]++
+		if !auditing && cfg.Ledger == nil {
+			return
+		}
+		var run *obs.ActiveSpan
+		if auditing {
+			run = tracer.StartAt(obs.TraceID(job.Trace), obs.SpanID(job.Span),
+				"job.run", obs.StageRun, id, g.Placement.Start())
+			run.SetAttr("deadline", deadline)
+			run.SetAttr("reserved_finish", finish)
+			cfg.SLO.JobAdmitted(id, job.Trace, now, latency, deadline, finish)
+			cfg.SLO.Tick(now)
+		}
+		// Completion realizes the reserved area on the shard that granted
+		// it (qos.Grant.Shard; 0 at one shard).
+		led := cfg.Ledger.Shard(g.Shard)
+		key := ledger.KeyOf(&job)
+		pl := g.Placement
+		ev := engine.At(finish, "complete", func() {
+			// End the run span before the completion lands in the SLO
+			// engine so a triggered flight snapshot already holds the span
+			// that convicts the stage.
+			run.EndAt(finish)
+			cfg.SLO.JobCompleted(id, finish)
+			led.RecordCompletion(key, &pl)
 		})
-	}
-	scheduleArrival(0)
+		ev.Trace = job.Trace
+	})
 	engine.Run()
 
 	if cfg.Obs != nil {
@@ -364,7 +356,7 @@ func runLoop(cfg Config, sys workload.System, arb admitter) (RunResult, error) {
 	if res.Admitted > 0 {
 		res.MeanLateSlack = slackSum / float64(res.Admitted)
 	}
-	return res, nil
+	return res
 }
 
 // Point is one x-value of a figure with the three systems' results.

@@ -6,9 +6,6 @@ import (
 	"text/tabwriter"
 
 	"milan/internal/core"
-	"milan/internal/fed"
-	"milan/internal/qos"
-	"milan/internal/sim"
 	"milan/internal/workload"
 )
 
@@ -78,55 +75,20 @@ func runQuality(cfg Config, spec workload.QualityJob) (QualityResult, error) {
 	if err := cfg.validate(); err != nil {
 		return QualityResult{}, err
 	}
-	arb, err := fed.New(fed.Config{Procs: cfg.Procs, Options: cfg.Opts})
+	plane, err := newPlane(cfg, 1, 1, nil)
 	if err != nil {
 		return QualityResult{}, err
 	}
-	arrivals := workload.NewPoisson(cfg.MeanInterarrival, cfg.Seed)
-	var engine sim.Engine
-	var res QualityResult
-	var lastFinish, lastRelease float64
-	degraded := 0
-
-	var scheduleArrival func(id int)
-	scheduleArrival = func(id int) {
-		if id >= cfg.Jobs {
-			return
+	r := runLoop(cfg, workload.Stream(cfg.poisson(), cfg.Jobs, spec.Job), plane)
+	res := QualityResult{Admitted: r.Admitted, Rejected: r.Rejected, TotalQuality: r.Quality, Utilization: r.Utilization}
+	if r.Admitted > 0 {
+		// Chains 2 and up are the degraded paths (workload.QualityJob.Job).
+		degraded := 0
+		for _, n := range r.ChainShare[min(2, len(r.ChainShare)):] {
+			degraded += n
 		}
-		engine.After(arrivals.Next(), "arrival", func() {
-			now := engine.Now()
-			lastRelease = now
-			arb.Observe(now)
-			job := spec.Job(id, now)
-			g, err := qos.NewAgent(job).NegotiateWith(arb)
-			if err == nil {
-				res.Admitted++
-				res.TotalQuality += g.Quality
-				if g.Quality < 1 {
-					degraded++
-				}
-				if f := g.Finish(); f > lastFinish {
-					lastFinish = f
-				}
-			} else {
-				res.Rejected++
-			}
-			scheduleArrival(id + 1)
-		})
-	}
-	scheduleArrival(0)
-	engine.Run()
-
-	if res.Admitted > 0 {
-		res.MeanQuality = res.TotalQuality / float64(res.Admitted)
-		res.DegradedShare = float64(degraded) / float64(res.Admitted)
-	}
-	horizon := lastFinish
-	if lastRelease > horizon {
-		horizon = lastRelease
-	}
-	if horizon > 0 {
-		res.Utilization = arb.Utilization(0, horizon)
+		res.MeanQuality = r.Quality / float64(r.Admitted)
+		res.DegradedShare = float64(degraded) / float64(r.Admitted)
 	}
 	return res, nil
 }

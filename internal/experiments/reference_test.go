@@ -24,7 +24,9 @@ func referenceRun(cfg Config, sys workload.System) (RunResult, error) {
 	if err != nil {
 		return RunResult{}, err
 	}
-	return runLoop(cfg, sys, arb)
+	res := runLoop(cfg, cfg.jobs(sys, cfg.poisson()), arb)
+	res.System = sys
+	return res, nil
 }
 
 // TestRunMatchesTheReference is the experiments-level face of "one-shard

@@ -62,10 +62,8 @@ func runSharded(cfg Config, sys workload.System, shards, probeK int) (RunResult,
 	if cfg.Job.X > rb.MinShardProcs {
 		rb.MinShardProcs = cfg.Job.X
 	}
-	res, err := runLoop(cfg, sys, rebalancingPlane{plane, rb, cfg.SLO})
-	if err != nil {
-		return RunResult{}, ShardedStats{}, err
-	}
+	res := runLoop(cfg, cfg.jobs(sys, cfg.poisson()), rebalancingPlane{plane, rb, cfg.SLO})
+	res.System = sys
 	loads := plane.ShardLoads()
 	rs := plane.RouterStats()
 	st := ShardedStats{

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"bytes"
 	"testing"
 	"time"
 
@@ -61,62 +60,20 @@ func TestAuditedRunConformant(t *testing.T) {
 			}
 		}
 		if run := tree.FindStage(obs.StageRun); run != nil {
-			if _, ok := run.Attrs["deadline"]; !ok {
-				t.Fatalf("run span missing deadline attr: %+v", run.SpanRec)
+			for _, attr := range []string{"deadline", "reserved_finish"} {
+				if _, ok := run.Attrs[attr]; !ok {
+					t.Fatalf("run span missing %s attr: %+v", attr, run.SpanRec)
+				}
+			}
+			// A faithful runtime ends the run where the reservation did.
+			if run.End != run.Attrs["reserved_finish"] {
+				t.Fatalf("run span ends at %v, reserved finish %v", run.End, run.Attrs["reserved_finish"])
 			}
 			checked++
 		}
 	}
 	if checked == 0 {
 		t.Fatal("no run spans found in any trace")
-	}
-}
-
-// TestInjectedRuntimeFaultLocalizes forces the simulated runtime to finish
-// every job far past its reservation.  The SLO engine must flag the misses,
-// the flight recorder must cut a snapshot, and differential replay of that
-// snapshot must convict the runtime stage — not the planner or router.
-func TestInjectedRuntimeFaultLocalizes(t *testing.T) {
-	cfg, eng, rec, _ := auditedConfig(60)
-	cfg.CompletionDelay = 1e4 // far beyond any deadline slack
-	res, err := Run(cfg, workload.Tunable)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Admitted == 0 {
-		t.Fatal("nothing admitted; fault injection untested")
-	}
-	r := eng.Report()
-	if r.Conformant() || r.DeadlineMisses == 0 {
-		t.Fatalf("injected fault not detected: %+v", r)
-	}
-	if rec.Len() == 0 {
-		t.Fatal("flight recorder did not trigger")
-	}
-	snap := rec.Snapshots()[0]
-	if snap.Kind != slo.TriggerDeadlineMiss {
-		t.Fatalf("snapshot kind = %s", snap.Kind)
-	}
-	v := slo.Replay(snap)
-	if v.Fault != "runtime" {
-		t.Fatalf("replay verdict = %+v, want runtime", v)
-	}
-	if v.ActualFinish <= v.ReservedFinish {
-		t.Fatalf("replay numbers inconsistent: %+v", v)
-	}
-
-	// The snapshot survives a JSONL round trip with the same verdict —
-	// the production workflow: download /flight, replay offline.
-	var buf bytes.Buffer
-	if err := snap.WriteJSONL(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := slo.DecodeSnapshot(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v2 := slo.Replay(got); v2 != v {
-		t.Fatalf("verdict drifted across JSONL: %+v vs %+v", v2, v)
 	}
 }
 

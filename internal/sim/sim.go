@@ -19,7 +19,7 @@ type Event struct {
 
 	// Trace optionally ties the event to a span-propagated request trace
 	// (obs.TraceID as a plain integer, so sim stays observability-free).
-	// Callers set it on the handle returned by At/After; a traced engine
+	// Callers set it on the handle returned by At; a traced engine
 	// forwards it to OnEventTraced.  Zero means "untraced".
 	Trace uint64
 
@@ -69,9 +69,21 @@ func (e *Engine) At(t float64, name string, fn func()) *Event {
 	return ev
 }
 
-// After schedules fn to run d time units from now.
-func (e *Engine) After(d float64, name string, fn func()) *Event {
-	return e.At(e.now+d, name, fn)
+// Arrive schedules n "arrival" events, the i-th at at(i) (nondecreasing
+// in i), each calling fn(i).  Arrival i+1 is scheduled only once fn(i) has
+// returned, so an event fn(i) schedules at arrival i+1's instant fires
+// before it: a completion lands before a later arrival at the same time.
+func (e *Engine) Arrive(n int, at func(i int) float64, fn func(i int)) {
+	var next func(i int)
+	next = func(i int) {
+		if i < n {
+			e.At(at(i), "arrival", func() {
+				fn(i)
+				next(i + 1)
+			})
+		}
+	}
+	next(0)
 }
 
 // step fires the next event, if any, and reports whether one fired.

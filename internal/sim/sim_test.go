@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -40,13 +42,13 @@ func TestEngineFIFOAtSameInstant(t *testing.T) {
 	}
 }
 
-func TestEngineAfterAndNestedScheduling(t *testing.T) {
+func TestEngineNestedScheduling(t *testing.T) {
 	var e Engine
 	var trace []string
 	e.At(1, "a", func() {
 		trace = append(trace, "a")
-		e.After(2, "b", func() { trace = append(trace, "b") })
-		e.After(0.5, "c", func() { trace = append(trace, "c") })
+		e.At(e.Now()+2, "b", func() { trace = append(trace, "b") })
+		e.At(e.Now()+0.5, "c", func() { trace = append(trace, "c") })
 	})
 	e.Run()
 	want := []string{"a", "c", "b"}
@@ -57,6 +59,29 @@ func TestEngineAfterAndNestedScheduling(t *testing.T) {
 	}
 	if e.Now() != 3 {
 		t.Fatalf("Now = %v, want 3", e.Now())
+	}
+}
+
+// TestArriveKeepsTieOrder: an event arrival i schedules at arrival i+1's
+// instant fires before arrival i+1, because Arrive schedules the next
+// arrival only once the current one has returned.  An engine that
+// scheduled every arrival up front would fire the arrival first.
+func TestArriveKeepsTieOrder(t *testing.T) {
+	var e Engine
+	at := []float64{1, 2, 2, 3}
+	var got []string
+	e.Arrive(len(at), func(i int) float64 { return at[i] }, func(i int) {
+		got = append(got, fmt.Sprintf("arrival %d", i))
+		if i+1 < len(at) {
+			e.At(at[i+1], "complete", func() { got = append(got, fmt.Sprintf("complete %d", i)) })
+		}
+	})
+	if n := e.Run(); n != 7 {
+		t.Fatalf("Run fired %d events, want 7", n)
+	}
+	want := []string{"arrival 0", "complete 0", "arrival 1", "complete 1", "arrival 2", "complete 2", "arrival 3"}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("fired %v, want %v", got, want)
 	}
 }
 

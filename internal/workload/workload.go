@@ -221,38 +221,22 @@ func (b *Bursty) Next() float64 {
 	return b.Rng.ExpFloat64() * mean
 }
 
-// fixed generates constant gaps (deterministic frame cadence).
-type fixed struct{ Gap float64 }
-
-// Next returns the constant gap.
-func (f fixed) Next() float64 { return f.Gap }
-
-// trace replays a recorded gap sequence, then repeats it.
-type trace struct {
-	Gaps []float64
-	i    int
-}
-
-// Next returns the next recorded gap, cycling at the end.
-func (t *trace) Next() float64 {
-	if len(t.Gaps) == 0 {
-		panic("workload: empty trace")
-	}
-	g := t.Gaps[t.i]
-	t.i = (t.i + 1) % len(t.Gaps)
-	return g
-}
-
-// Stream materializes n jobs of the given system with gaps drawn from a;
-// the first job is released after one gap from time 0.
-func (p FigureJob) Stream(a Arrivals, n int, sys System) []core.Job {
+// Stream materializes n jobs released by a: job i is mk(i, r_i), where
+// r_i sums the first i+1 gaps, so the first job is released one gap after
+// time 0.  It is the one arrival roll of every simulated driver.
+func Stream(a Arrivals, n int, mk func(id int, release float64) core.Job) []core.Job {
 	jobs := make([]core.Job, n)
 	r := 0.0
 	for i := range jobs {
 		r += a.Next()
-		jobs[i] = p.Job(i, r, sys)
+		jobs[i] = mk(i, r)
 	}
 	return jobs
+}
+
+// Stream materializes n Figure-4 jobs of the given system released by a.
+func (p FigureJob) Stream(a Arrivals, n int, sys System) []core.Job {
+	return Stream(a, n, func(id int, r float64) core.Job { return p.Job(id, r, sys) })
 }
 
 // TenantCycle deterministically assigns accounting identity (tenant and

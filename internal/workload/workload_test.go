@@ -197,27 +197,6 @@ func TestUniformPanicsOnBadRange(t *testing.T) {
 	NewUniform(5, 2, 1)
 }
 
-func TestFixedAndTrace(t *testing.T) {
-	f := fixed{Gap: 3}
-	if f.Next() != 3 || f.Next() != 3 {
-		t.Error("fixed gap varies")
-	}
-	tr := &trace{Gaps: []float64{1, 2}}
-	got := []float64{tr.Next(), tr.Next(), tr.Next()}
-	if got[0] != 1 || got[1] != 2 || got[2] != 1 {
-		t.Errorf("trace = %v, want cycle [1 2 1]", got)
-	}
-}
-
-func TestTracePanicsOnEmpty(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic")
-		}
-	}()
-	(&trace{}).Next()
-}
-
 func TestStreamReleasesAreIncreasing(t *testing.T) {
 	p := fig(0.25, 0.5)
 	jobs := p.Stream(NewPoisson(10, 3), 500, Tunable)
@@ -225,12 +204,18 @@ func TestStreamReleasesAreIncreasing(t *testing.T) {
 		t.Fatalf("len = %d", len(jobs))
 	}
 	prev := 0.0
+	gaps := NewPoisson(10, 3)
+	r := 0.0
 	for i, j := range jobs {
 		if j.Release < prev {
 			t.Fatalf("job %d released at %v before %v", i, j.Release, prev)
 		}
 		if j.ID != i {
 			t.Fatalf("job %d has ID %d", i, j.ID)
+		}
+		// The release is the running sum of the gaps, bit for bit.
+		if r += gaps.Next(); j.Release != r {
+			t.Fatalf("job %d released at %v, want the gap sum %v", i, j.Release, r)
 		}
 		prev = j.Release
 	}

@@ -166,8 +166,9 @@ func TestFacadeNamesAreUsed(t *testing.T) {
 
 // TestEverySettingHasACaller holds the configuration structs to what is
 // used: every exported field of each struct below must be set — as a
-// composite-literal key or as an assignment target — by a non-test file of
-// some other package of the module.  A setting nobody sets is a constant
+// composite-literal key, as an assignment target, or by address to a setter
+// such as flag.IntVar — by a non-test file of some other package of the
+// module.  Setting cfg.Job.T sets cfg.Job too.  A setting nobody sets is a constant
 // in disguise, and each one doubles the configurations tests must cover.
 // The module's non-test files are type-checked from source; bench/ is a
 // module of its own and does not count as a caller.
@@ -181,6 +182,9 @@ func TestEverySettingHasACaller(t *testing.T) {
 		"milan/internal/obs/slo.Options",
 		"milan/internal/obs/latency.Config",
 		"milan/internal/obs/telemetry.AggregatorConfig",
+		"milan/internal/experiments.Config",
+		"milan/internal/campaign.Config",
+		"milan/internal/campaign.Inject",
 	}
 	// Settings kept without a caller in the module, each for its reason.
 	exceptions := map[string]string{
@@ -219,15 +223,19 @@ func TestEverySettingHasACaller(t *testing.T) {
 		if path == "milan/bench" {
 			continue
 		}
+		// field marks every field on the selector path e.
 		field := func(e ast.Expr) {
-			sel, ok := ast.Unparen(e).(*ast.SelectorExpr)
-			if !ok {
-				return
-			}
-			if s := c.info.Selections[sel]; s != nil && s.Kind() == types.FieldVal {
-				if v := s.Obj().(*types.Var); v.Pkg().Path() != path {
-					set[v] = true
+			for {
+				sel, ok := ast.Unparen(e).(*ast.SelectorExpr)
+				if !ok {
+					return
 				}
+				if s := c.info.Selections[sel]; s != nil && s.Kind() == types.FieldVal {
+					if v := s.Obj().(*types.Var); v.Pkg().Path() != path {
+						set[v] = true
+					}
+				}
+				e = sel.X
 			}
 		}
 		for _, f := range c.files {
@@ -245,6 +253,12 @@ func TestEverySettingHasACaller(t *testing.T) {
 					}
 				case *ast.IncDecStmt:
 					field(n.X)
+				case *ast.CallExpr:
+					for _, arg := range n.Args {
+						if u, ok := arg.(*ast.UnaryExpr); ok && u.Op == token.AND {
+							field(u.X)
+						}
+					}
 				}
 				return true
 			})
