@@ -124,7 +124,7 @@ func run() (err error) {
 		// without collisions in milanmon.
 		observer.Tracer().SeedIDs(telemetry.NodeIDBase(node))
 		if *traceSample > 0 {
-			observer.Tracer().SetSampling(*traceSample, observer.Reg)
+			observer.Tracer().SetSampling(*traceSample)
 		}
 		addr, srv, err := startDebug(observer, *debugAddr)
 		if err != nil {
@@ -393,7 +393,7 @@ func serveAdmission(observer *obs.Observer, lp *latency.Plane, cfg admitConfig) 
 		srv.Instrument(qosnet.Instruments{Tracer: observer.Tracer(), Latency: lp, OnDecision: func(j core.Job, g *qos.Grant, err error, latency time.Duration) {
 			now := time.Since(start).Seconds()
 			if err != nil || g == nil {
-				eng.JobRejected(j.ID, j.Trace, now, latency)
+				eng.JobRejected(now, latency)
 				return
 			}
 			deadline := 0.0

@@ -472,7 +472,7 @@ func runOne(cfg Config, sc Scenario, plane Plane) (RunReport, error) {
 			}
 			root.SetErr("rejected")
 			root.EndAt(now)
-			eng.JobRejected(id, job.Trace, now, 0)
+			eng.JobRejected(now, 0)
 			eng.Tick(now)
 			rc.hashDecision(id, verdict, job, nil)
 		}

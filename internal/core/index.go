@@ -56,17 +56,12 @@ type IndexStats struct {
 	Enabled bool
 	// Rebuilds counts full tree rebuilds (first query, reslot, SetCapacity).
 	Rebuilds int64
-	// LeafUpdates counts incrementally rewritten leaves: reserved segments,
-	// leaves shifted by a breakpoint insertion and leaves retired by a trim.
-	LeafUpdates int64
 	// Descents counts tree walks (first-below / first-at-least /
 	// last-below searches).
 	Descents int64
 	// DescentSteps counts nodes visited across all descents; divided by
 	// Descents it is the mean probe depth.
 	DescentSteps int64
-	// RangeQueries counts range-min queries.
-	RangeQueries int64
 }
 
 // profIndex is the segment tree.  Nodes are stored 1-based in flat arrays of
@@ -83,6 +78,9 @@ type profIndex struct {
 	maxA  []int
 	dirty bool
 	stats IndexStats
+	// leafUpdates counts incrementally rewritten leaves: reserved segments,
+	// leaves shifted by a breakpoint insertion and leaves retired by a trim.
+	leafUpdates int64
 }
 
 // EnableIndex attaches a segment-tree index to the profile.  All probe
@@ -167,7 +165,7 @@ func (x *profIndex) refreshLeaves(p *Profile, lo, hi int) {
 		x.maxA[base+i] = x.full - p.used[i]
 	}
 	x.pull(base+lo, base+hi-1)
-	x.stats.LeafUpdates += int64(hi - lo)
+	x.leafUpdates += int64(hi - lo)
 }
 
 // insertLeaf mirrors a breakpoint insertion at segment i >= 1: the leaves of
@@ -181,7 +179,7 @@ func (x *profIndex) insertLeaf(i int) {
 	x.maxA[at] = x.maxA[at-1]
 	x.n++
 	x.pull(at, end)
-	x.stats.LeafUpdates += int64(end - at + 1)
+	x.leafUpdates += int64(end - at + 1)
 }
 
 // retireLeaves mirrors a trim that dropped the first k segments: their
@@ -195,12 +193,11 @@ func (x *profIndex) retireLeaves(k int) {
 	x.head += k
 	x.n -= k
 	x.pull(at, at+k-1)
-	x.stats.LeafUpdates += int64(k)
+	x.leafUpdates += int64(k)
 }
 
 // rangeMin returns the minimum availability over segments [l, r] (inclusive).
 func (x *profIndex) rangeMin(l, r int) int {
-	x.stats.RangeQueries++
 	res := int(^uint(0) >> 1) // max int
 	a, b := x.size+x.head+l, x.size+x.head+r+1
 	for a < b {

@@ -100,7 +100,7 @@ func TestIndexIncrementalLeafUpdates(t *testing.T) {
 	mustReserve(t, p, 2, 20, 30)
 	mustReserve(t, p, 1, 40, 50) // 6 segments: the next reslot is at 14
 	_ = p.MinAvailOn(0, 40)      // force a build
-	st := p.IndexStats()
+	st, updates := p.IndexStats(), p.idx.leafUpdates
 	if st.Rebuilds == 0 {
 		t.Fatal("no rebuild after first query")
 	}
@@ -119,7 +119,7 @@ func TestIndexIncrementalLeafUpdates(t *testing.T) {
 	// Boundaries 10 and 30 both exist: leaves rewritten in place.
 	mustReserve(t, p, 3, 10, 30)
 	clean("aligned reserve")
-	if got := p.IndexStats().LeafUpdates; got == st.LeafUpdates {
+	if got := p.idx.leafUpdates; got == updates {
 		t.Fatal("aligned reserve did not refresh any leaves")
 	}
 	if got := p.MinAvailOn(10, 30); got != 3 {
@@ -142,10 +142,10 @@ func TestIndexIncrementalLeafUpdates(t *testing.T) {
 		t.Fatalf("MinAvailOn(15,18) after trim = %d, want 2", got)
 	}
 	// A trim inside the first segment moves only the origin.
-	updates := p.IndexStats().LeafUpdates
+	updates = p.idx.leafUpdates
 	p.TrimBefore(16)
 	clean("origin-only trim")
-	if got := p.IndexStats().LeafUpdates; got != updates {
+	if got := p.idx.leafUpdates; got != updates {
 		t.Fatalf("origin-only trim touched %d leaves", got-updates)
 	}
 	// Insertions past the last free slot reslot the profile and rebuild.

@@ -502,3 +502,84 @@ func TestFailedRemoveLeavesAReadableDirectory(t *testing.T) {
 		p2.Close()
 	}
 }
+
+// opensLog is a filesystem that lists every name opened for reading.
+type opensLog struct {
+	vfs.FS
+	opened []string
+}
+
+func (o *opensLog) Open(name string) (vfs.File, error) {
+	o.opened = append(o.opened, name)
+	return o.FS.Open(name)
+}
+
+// TestFailedSnapshotRenamePoisons: a checkpoint that cannot rename its temp
+// file into place reports it, and the store stops: the next Negotiate fails
+// fast with that error and writes nothing.  After a crash that kept the
+// stale temp file, a reopen recovers every acknowledged promise from the
+// previous snapshot and the log, never opens the temp file, and the
+// recovery's own checkpoint clears it away.
+func TestFailedSnapshotRenamePoisons(t *testing.T) {
+	boom := errors.New("rename failed")
+	jobs := planeStream(60, 61)
+	mem := vfs.NewMem()
+	ft := vfs.NewFault(mem)
+	opts := StoreOptions{SnapshotEvery: 1 << 20}
+	p, _ := openPlane(t, ft, 1, opts)
+	acked := map[int]float64{}
+	for _, job := range jobs[:40] {
+		p.Observe(job.Release)
+		g, err := p.Negotiate(job)
+		if err == nil {
+			acked[g.JobID] = g.Finish()
+		} else if !errors.Is(err, qos.ErrRejected) {
+			t.Fatalf("job %d: %v", job.ID, err)
+		}
+	}
+	if len(acked) == 0 {
+		t.Fatal("the stream granted nothing: no promise to keep")
+	}
+
+	ft.SetRenameError(boom)
+	if err := p.Snapshot(); !errors.Is(err, boom) || !errors.Is(p.Err(), boom) {
+		t.Fatalf("snapshot returned %v and the plane reports %v, want the failed rename from both", err, p.Err())
+	}
+	ft.SetRenameError(nil)
+	before := ft.Counts()
+	if _, err := p.Negotiate(jobs[40]); !errors.Is(err, boom) {
+		t.Fatalf("the next Negotiate on the poisoned store returned %v, want the failed rename", err)
+	}
+	if after := ft.Counts(); after.Writes != before.Writes || after.Syncs != before.Syncs {
+		t.Fatalf("the refused Negotiate touched the disk: %+v -> %+v", before, after)
+	}
+	tmp := ""
+	names, _ := ft.ReadDir("log")
+	for _, n := range names {
+		if filepath.Ext(n) == ".tmp" {
+			tmp = filepath.Join("log", n)
+		}
+	}
+	if tmp == "" {
+		t.Fatalf("no temp file left behind the failed rename: %v", names)
+	}
+	// The directory's entries reach the disk (the next SyncDir of anyone
+	// would carry them), so the stale temp file outlives the crash.
+	if err := mem.SyncDir("log"); err != nil {
+		t.Fatal(err)
+	}
+	mem.Crash()
+
+	fs := &opensLog{FS: ft}
+	p2, rec := openPlane(t, fs, 1, opts)
+	defer p2.Close()
+	if lost := rec.State.Lost(acked); len(lost) > 0 {
+		t.Fatalf("after the failed rename and a crash, recovery lost acknowledged grants %v", lost)
+	}
+	if slices.Contains(fs.opened, tmp) {
+		t.Fatalf("recovery read the stale %s (opened %v)", tmp, fs.opened)
+	}
+	if _, err := ft.Stat(tmp); err == nil {
+		t.Fatalf("the stale %s outlived the recovery's checkpoint", tmp)
+	}
+}

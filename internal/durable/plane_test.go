@@ -466,7 +466,7 @@ func TestOneShardPlaneIsTracedAndTimed(t *testing.T) {
 			defer srv.Close()
 			tr := obs.NewTracer(64)
 			if tc.sampledOut {
-				tr.SetSampling(1e-9, nil) // a budget no request fits
+				tr.SetSampling(1e-9) // a budget no request fits
 			}
 			lp := latency.New(latency.Config{Registry: obs.NewRegistry()})
 			srv.Instrument(qosnet.Instruments{Tracer: tr, Latency: lp})

@@ -11,6 +11,7 @@ import (
 	"milan/internal/core"
 	"milan/internal/durable/vfs"
 	"milan/internal/frame"
+	"milan/internal/obs"
 )
 
 func openMem(t *testing.T, fs vfs.FS, opts StoreOptions) (*store, Recovered) {
@@ -211,12 +212,31 @@ func TestStoreBitFlipStopsReplay(t *testing.T) {
 	mem.SyncDir("log")
 	mem.Crash()
 
-	_, rec := openMem(t, mem, StoreOptions{})
-	if !rec.Torn {
-		t.Fatal("corrupt record did not mark the tail torn")
+	// durable_torn_tails counts the recoveries that stopped at a torn tail:
+	// this one, and not the clean reopen after it.
+	met := NewMetrics(obs.NewRegistry())
+	gen, err := genesis(8, 2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reopen := func() Recovered {
+		t.Helper()
+		s, rec, err := open(openConfig{FS: mem, Dir: "log", Genesis: gen, Metrics: met})
+		if err != nil {
+			t.Fatalf("open: %v", err)
+		}
+		s.Close()
+		return rec
+	}
+	rec := reopen()
+	if !rec.Torn || met.TornTails.Value() != 1 {
+		t.Fatalf("corrupt record: torn=%v, durable_torn_tails=%d, want true and 1", rec.Torn, met.TornTails.Value())
 	}
 	if rec.State.LSN != 2 {
 		t.Fatalf("recovered lsn = %d, want clean prefix 2", rec.State.LSN)
+	}
+	if rec = reopen(); rec.Torn || met.TornTails.Value() != 1 {
+		t.Fatalf("clean reopen: torn=%v, durable_torn_tails=%d, want false and still 1", rec.Torn, met.TornTails.Value())
 	}
 }
 

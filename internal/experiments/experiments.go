@@ -301,7 +301,7 @@ func runLoop(cfg Config, jobs []core.Job, arb admitter) RunResult {
 				}
 			}
 			if auditing {
-				cfg.SLO.JobRejected(id, job.Trace, now, latency)
+				cfg.SLO.JobRejected(now, latency)
 				cfg.SLO.Tick(now)
 			}
 			return

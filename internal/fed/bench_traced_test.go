@@ -43,7 +43,7 @@ func traced(shards int, sampleTarget float64) admitBench {
 	return func(tb testing.TB) (func(core.Job) error, func(float64)) {
 		tr := obs.NewTracer(1 << 14)
 		if sampleTarget > 0 {
-			tr.SetSampling(sampleTarget, nil)
+			tr.SetSampling(sampleTarget)
 		}
 		return tracedOn(tb, shards, tr)
 	}

@@ -467,10 +467,8 @@ func (a *Arbitrator) IndexStats() core.IndexStats {
 		s := sh.IndexStats()
 		out.Enabled = out.Enabled || s.Enabled
 		out.Rebuilds += s.Rebuilds
-		out.LeafUpdates += s.LeafUpdates
 		out.Descents += s.Descents
 		out.DescentSteps += s.DescentSteps
-		out.RangeQueries += s.RangeQueries
 	}
 	return out
 }

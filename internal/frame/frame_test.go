@@ -188,3 +188,59 @@ func TestCursorRejectsBeforeAllocating(t *testing.T) {
 		t.Fatalf("error %q lacks the package prefix", c.Err())
 	}
 }
+
+// FuzzFrameReader feeds Reader a stream of frames, as the WAL's recovery and
+// the negotiation protocol's server do: Next never panics, every frame it
+// accepts re-encodes with PutHeader to exactly the bytes it consumed, a
+// stream ends in io.EOF only when those frames were all of it (anything
+// else — a torn header or payload, a length over the limit, a bad checksum
+// — ends in another error), and the payload buffer never grows past the
+// reader's limit.
+func FuzzFrameReader(f *testing.F) {
+	frames := func(payloads ...string) []byte {
+		var b bytes.Buffer
+		for _, p := range payloads {
+			Write(&b, []byte(p))
+		}
+		return b.Bytes()
+	}
+	clean := frames("a", "", "three frames")
+	f.Add(clean, uint16(64))
+	f.Add([]byte{}, uint16(64))
+	f.Add(clean[:len(clean)-3], uint16(64))         // torn payload
+	f.Add(clean[:len(frames("a"))+5], uint16(64))   // torn header
+	f.Add(frames("over the limit"), uint16(4))      // length over the limit
+	f.Add(append(frames("x"), clean...), uint16(0)) // a limit only empty frames fit
+	bad := frames("crc")
+	bad[len(bad)-1] ^= 1
+	f.Add(append(frames("ok"), bad...), uint16(64)) // checksum mismatch
+	f.Fuzz(func(t *testing.T, data []byte, limit uint16) {
+		r := NewReader(bytes.NewReader(data), "fuzz", uint32(limit))
+		off := 0
+		for {
+			payload, err := r.Next()
+			if uint32(cap(r.buf)) > uint32(limit) {
+				t.Fatalf("buffer grew to %d past the limit %d", cap(r.buf), limit)
+			}
+			if err == io.EOF {
+				if off != len(data) {
+					t.Fatalf("io.EOF after %d of %d bytes: a stream that is not a clean run of frames ended cleanly", off, len(data))
+				}
+				return
+			}
+			if err != nil {
+				if off == len(data) {
+					t.Fatalf("%v after a clean run of frames", err)
+				}
+				return
+			}
+			enc := make([]byte, HeaderLen, HeaderLen+len(payload))
+			PutHeader(enc, payload)
+			enc = append(enc, payload...)
+			if end := off + len(enc); end > len(data) || !bytes.Equal(enc, data[off:end]) {
+				t.Fatalf("the frame accepted at byte %d re-encodes to %x, not to the bytes it consumed", off, enc)
+			}
+			off += len(enc)
+		}
+	})
+}

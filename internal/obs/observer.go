@@ -132,34 +132,29 @@ func (o *Observer) recent(n int) []Event {
 
 // Metric names used by the built-in adapters.
 const (
-	MetricAdmitted      = "sched_admitted"
-	MetricRejected      = "sched_rejected"
-	metricChainsTried   = "sched_chains_tried"
-	metricHolesProbed   = "sched_holes_probed"
-	metricPlanFailures  = "sched_plan_failures"
-	metricReservedArea  = "sched_reserved_area"
-	metricDecisions     = "qos_decisions"
-	metricSimEvents     = "sim_events"
-	metricCalypsoSteps  = "calypso_steps"
-	metricCalypsoExecs  = "calypso_execs"
-	metricCalypsoFaults = "calypso_faults"
-	metricStepNs        = "calypso_step_ns"
+	MetricAdmitted     = "sched_admitted"
+	MetricRejected     = "sched_rejected"
+	metricChainsTried  = "sched_chains_tried"
+	metricHolesProbed  = "sched_holes_probed"
+	metricPlanFailures = "sched_plan_failures"
+	metricReservedArea = "sched_reserved_area"
+	metricDecisions    = "qos_decisions"
+	metricSimEvents    = "sim_events"
+	metricCalypsoSteps = "calypso_steps"
+	metricCalypsoExecs = "calypso_execs"
+	metricStepNs       = "calypso_step_ns"
 
 	// Profile-index gauges (see core.IndexStats): cumulative segment-tree
 	// work counters pulled by RecordPlanner.
-	metricIndexRebuilds     = "profile_index_rebuilds"
-	metricIndexLeafUpdates  = "profile_index_leaf_updates"
-	metricIndexDescents     = "profile_index_descents"
-	metricIndexDescentSteps = "profile_index_descent_steps"
-	metricIndexRangeQueries = "profile_index_range_queries"
-	metricIndexMeanDepth    = "profile_index_mean_descent_depth"
+	metricIndexRebuilds  = "profile_index_rebuilds"
+	metricIndexDescents  = "profile_index_descents"
+	metricIndexMeanDepth = "profile_index_mean_descent_depth"
 )
 
 // RecordPlanner pulls the planner's work into the registry: the
 // sched_chains_tried, sched_holes_probed and sched_plan_failures gauges from
-// st, and the profile-index gauges (rebuilds, incremental leaf updates,
-// descents, nodes visited, range queries, mean descent depth) from ix — the
-// Stats and IndexStats of a core.Scheduler or an arbitrator.
+// st, and the profile-index gauges (rebuilds, descents, mean descent depth)
+// from ix — the Stats and IndexStats of a core.Scheduler or an arbitrator.
 // Call it whenever a fresh reading is wanted: after a run, or periodically
 // while serving.  A zero-value (index disabled) ix sets no index gauges.
 func (o *Observer) RecordPlanner(st core.Stats, ix core.IndexStats) {
@@ -170,10 +165,7 @@ func (o *Observer) RecordPlanner(st core.Stats, ix core.IndexStats) {
 		return
 	}
 	o.Reg.Gauge(metricIndexRebuilds).Set(float64(ix.Rebuilds))
-	o.Reg.Gauge(metricIndexLeafUpdates).Set(float64(ix.LeafUpdates))
 	o.Reg.Gauge(metricIndexDescents).Set(float64(ix.Descents))
-	o.Reg.Gauge(metricIndexDescentSteps).Set(float64(ix.DescentSteps))
-	o.Reg.Gauge(metricIndexRangeQueries).Set(float64(ix.RangeQueries))
 	depth := 0.0
 	if ix.Descents > 0 {
 		depth = float64(ix.DescentSteps) / float64(ix.Descents)
@@ -237,11 +229,10 @@ func (o *Observer) BindEngine(e interface {
 }
 
 // CalypsoHooks returns runtime trace hooks: steps and faults become events,
-// and steps, task executions and faults registry metrics.
+// and steps and task executions registry metrics.
 func (o *Observer) CalypsoHooks() calypso.TraceHooks {
 	steps := o.Reg.Counter(metricCalypsoSteps)
 	execs := o.Reg.Counter(metricCalypsoExecs)
-	faults := o.Reg.Counter(metricCalypsoFaults)
 	stepNs := o.Reg.Histogram(metricStepNs)
 	return calypso.TraceHooks{
 		StepStart: func(step, tasks int) {
@@ -264,7 +255,6 @@ func (o *Observer) CalypsoHooks() calypso.TraceHooks {
 			execs.Inc()
 		},
 		WorkerFault: func(step, worker int, kind string) {
-			faults.Inc()
 			o.Emit(Event{Type: evWorkerFault, Worker: worker, Reason: kind,
 				Attrs: map[string]float64{"step": float64(step)}})
 		},

@@ -14,21 +14,13 @@ import (
 // every Start on a zero trace is the nil-span no-op — so the sampled-out
 // cost is one atomic pointer load plus the admission counter.
 
-// Sampling metric names (registered when SetSampling is given a registry).
-const (
-	metricTraceSampled    = "trace_sampled"     // traces admitted by head-based sampling
-	metricTraceSampledOut = "trace_sampled_out" // traces sampled out: ID 0, the untraced fast path
-)
-
 // sampler is one immutable sampling configuration plus its rolling
 // one-second admission window.  Swapped wholesale via an atomic pointer
-// so NewTrace reads a consistent (target, counters) tuple with one load.
+// so NewTrace reads a consistent (target, window) pair with one load.
 type sampler struct {
-	target     float64       // max traces admitted per window
-	winStart   atomic.Uint64 // float64 bits of the current window's start
-	admitted   atomic.Int64  // traces admitted in the current window
-	sampled    *Counter      // optional registry accounting
-	sampledOut *Counter
+	target   float64       // max traces admitted per window
+	winStart atomic.Uint64 // float64 bits of the current window's start
+	admitted atomic.Int64  // traces admitted in the current window
 }
 
 // admit decides one head sample at clock time now.
@@ -44,25 +36,15 @@ func (s *sampler) admit(now float64) bool {
 			break
 		}
 	}
-	if float64(s.admitted.Add(1)) <= s.target {
-		if s.sampled != nil {
-			s.sampled.Inc()
-		}
-		return true
-	}
-	if s.sampledOut != nil {
-		s.sampledOut.Inc()
-	}
-	return false
+	return float64(s.admitted.Add(1)) <= s.target
 }
 
 // SetSampling enables head-based adaptive sampling: NewTrace admits at
 // most targetPerSec traces per one-second window of the tracer's clock
 // and returns 0 — the untraced fast path — for the rest.  targetPerSec
-// <= 0 disables sampling (every NewTrace mints a trace).  When reg is
-// non-nil the decision stream is accounted in the trace_sampled /
-// trace_sampled_out counters.  Safe to call concurrently with NewTrace.
-func (t *Tracer) SetSampling(targetPerSec float64, reg *Registry) {
+// <= 0 disables sampling (every NewTrace mints a trace).  Safe to call
+// concurrently with NewTrace.
+func (t *Tracer) SetSampling(targetPerSec float64) {
 	if t == nil {
 		return
 	}
@@ -72,10 +54,6 @@ func (t *Tracer) SetSampling(targetPerSec float64, reg *Registry) {
 	}
 	s := &sampler{target: targetPerSec}
 	s.winStart.Store(math.Float64bits(t.now()))
-	if reg != nil {
-		s.sampled = reg.Counter(metricTraceSampled)
-		s.sampledOut = reg.Counter(metricTraceSampledOut)
-	}
 	t.smp.Store(s)
 }
 

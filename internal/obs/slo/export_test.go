@@ -13,7 +13,7 @@ func TestExportStateCarriesWindowTotals(t *testing.T) {
 	// Three decisions: two within the 5 ms latency target, one breaching it.
 	e.JobAdmitted(1, 0, 0, time.Millisecond, 100, 50)
 	e.JobAdmitted(2, 0, 0, 9*time.Millisecond, 100, 50)
-	e.JobRejected(3, 0, 0, time.Millisecond)
+	e.JobRejected(0, time.Millisecond)
 	e.JobCompleted(1, 10)
 
 	st := e.exportState()

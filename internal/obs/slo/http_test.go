@@ -55,7 +55,7 @@ func TestEngineHandlerServesReport(t *testing.T) {
 func TestScrapeServesStateAndLeavesReportUnchanged(t *testing.T) {
 	e := New(Options{})
 	e.JobAdmitted(1, 1, 0, time.Millisecond, 10, 9)
-	e.JobRejected(2, 2, 0.5, 2*time.Millisecond)
+	e.JobRejected(0.5, 2*time.Millisecond)
 	e.Tick(1)
 	before := e.Report()
 	var doc struct {

@@ -41,10 +41,8 @@ const (
 	metricAdmitted         = "slo_admitted"
 	metricRejected         = "slo_rejected"
 	metricCompleted        = "slo_completed"
-	metricInFlight         = "slo_inflight"
 	metricDeadlineMisses   = "slo_deadline_misses"
 	metricOverAdmissions   = "slo_over_admissions"
-	metricAlerts           = "slo_alerts"
 	metricLatency          = "slo_admit_latency_ns"
 	metricLatencyBurnShort = "slo_latency_burn_short"
 	metricLatencyBurnLong  = "slo_latency_burn_long"
@@ -256,8 +254,6 @@ type Engine struct {
 	completed      *obs.Counter
 	misses         *obs.Counter
 	overAdmissions *obs.Counter
-	alertCount     *obs.Counter
-	inFlightG      *obs.Gauge
 	latHist        *obs.Hist
 	latBurnShort   *obs.Gauge
 	latBurnLong    *obs.Gauge
@@ -281,8 +277,6 @@ func New(opts Options) *Engine {
 		completed:      reg.Counter(metricCompleted),
 		misses:         reg.Counter(metricDeadlineMisses),
 		overAdmissions: reg.Counter(metricOverAdmissions),
-		alertCount:     reg.Counter(metricAlerts),
-		inFlightG:      reg.Gauge(metricInFlight),
 		latHist:        reg.Histogram(metricLatency),
 		latBurnShort:   reg.Gauge(metricLatencyBurnShort),
 		latBurnLong:    reg.Gauge(metricLatencyBurnLong),
@@ -305,7 +299,6 @@ func (e *Engine) JobAdmitted(jobID int, trace uint64, now float64, latency time.
 	e.latShort.add(now, latency > latencyTarget)
 	e.latLong.add(now, latency > latencyTarget)
 	e.inflight[jobID] = flight{trace: trace, deadline: deadline, reservedFinish: reservedFinish}
-	n := len(e.inflight)
 	var over bool
 	if reservedFinish > deadline+eps {
 		over = true
@@ -315,7 +308,6 @@ func (e *Engine) JobAdmitted(jobID int, trace uint64, now float64, latency time.
 		})
 	}
 	e.mu.Unlock()
-	e.inFlightG.Set(float64(n))
 	if over {
 		e.overAdmissions.Inc()
 		e.opts.Recorder.Trigger(TriggerOverAdmission, trace, now,
@@ -325,12 +317,10 @@ func (e *Engine) JobAdmitted(jobID int, trace uint64, now float64, latency time.
 
 // JobRejected records a rejection: only the admission latency objective
 // sees it (a rejection is a correct answer, not an SLO violation).
-func (e *Engine) JobRejected(jobID int, trace uint64, now float64, latency time.Duration) {
+func (e *Engine) JobRejected(now float64, latency time.Duration) {
 	if e == nil {
 		return
 	}
-	_ = jobID
-	_ = trace
 	e.rejected.Inc()
 	e.latHist.Observe(latency)
 	e.mu.Lock()
@@ -355,7 +345,6 @@ func (e *Engine) JobCompleted(jobID int, now float64) (missed bool) {
 		return false
 	}
 	delete(e.inflight, jobID)
-	n := len(e.inflight)
 	missed = now > fl.deadline+eps
 	if missed {
 		e.keepViolation(Violation{
@@ -366,7 +355,6 @@ func (e *Engine) JobCompleted(jobID int, now float64) (missed bool) {
 	}
 	e.mu.Unlock()
 	e.completed.Inc()
-	e.inFlightG.Set(float64(n))
 	if missed {
 		e.misses.Inc()
 		e.opts.Recorder.Trigger(TriggerDeadlineMiss, fl.trace, now,
@@ -459,7 +447,6 @@ func (e *Engine) Tick(now float64) {
 	e.triggerRegressions(now, regFired)
 	e.latBurnShort.Set(clampInf(ls))
 	e.latBurnLong.Set(clampInf(ll))
-	e.alertCount.Add(int64(len(fired)))
 }
 
 // clampInf maps +Inf burn (zero-budget objectives) to a large sentinel so

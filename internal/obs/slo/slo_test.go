@@ -13,7 +13,7 @@ import (
 func TestNilEngineSafe(t *testing.T) {
 	var e *Engine
 	e.JobAdmitted(1, 1, 0, 0, 1, 1)
-	e.JobRejected(1, 1, 0, 0)
+	e.JobRejected(0, 0)
 	if e.JobCompleted(1, 0) {
 		t.Fatal("nil engine reported a miss")
 	}
@@ -72,7 +72,17 @@ func TestOverAdmissionTriggersImmediately(t *testing.T) {
 }
 
 func TestLatencyBurnAlertEdgeTriggered(t *testing.T) {
-	e := New(Options{})
+	reg := obs.NewRegistry()
+	e := New(Options{Registry: reg})
+	// burnGauges asserts the published burn gauges, the level a node's
+	// /metrics shows per node.
+	burnGauges := func(short, long float64) {
+		t.Helper()
+		g := reg.Snapshot().Gauges
+		if g[metricLatencyBurnShort] != short || g[metricLatencyBurnLong] != long {
+			t.Fatalf("burn gauges short=%v long=%v, want %v %v", g[metricLatencyBurnShort], g[metricLatencyBurnLong], short, long)
+		}
+	}
 	// All admissions 2x over the latency target: error rate 1.0, budget
 	// 0.01 -> burn 100 on both windows.
 	for i := 0; i < 20; i++ {
@@ -83,6 +93,7 @@ func TestLatencyBurnAlertEdgeTriggered(t *testing.T) {
 	if r.LatencyBurnShort < 2 || r.LatencyBurnLong < 2 {
 		t.Fatalf("burn rates not elevated: %+v", r)
 	}
+	burnGauges(100, 100)
 	if len(r.Alerts) != 1 || r.Alerts[0].Objective != "admit-latency" {
 		t.Fatalf("want exactly one admit-latency alert, got %+v", r.Alerts)
 	}
@@ -95,6 +106,7 @@ func TestLatencyBurnAlertEdgeTriggered(t *testing.T) {
 	// burn again: a second episode should alert again.
 	e.Tick(3000)
 	e.Tick(3006) // clears alertOn once burn drops below threshold
+	burnGauges(0, 0)
 	for i := 0; i < 20; i++ {
 		e.JobAdmitted(100+i, uint64(100+i), 3012+float64(i)*0.6, 10*time.Millisecond, 1e9, 1e8)
 	}
@@ -223,7 +235,7 @@ func TestRegistryMetricsPublished(t *testing.T) {
 	reg := obs.NewRegistry()
 	e := New(Options{Registry: reg})
 	e.JobAdmitted(1, 1, 0, time.Millisecond, 10, 9)
-	e.JobRejected(2, 2, 0, time.Millisecond)
+	e.JobRejected(0, time.Millisecond)
 	e.JobCompleted(1, 11)
 	e.Tick(1)
 	snap := reg.Snapshot()

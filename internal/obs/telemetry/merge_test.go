@@ -80,8 +80,8 @@ func TestMergedDistributionsEqualOneRegistryFedBoth(t *testing.T) {
 		both.met.AppendLatency.Observe(d)
 		d = draw()
 		if rng.Intn(3) == 0 {
-			n.eng.JobRejected(i, uint64(i+1), float64(i), d)
-			both.eng.JobRejected(i, uint64(i+1), float64(i), d)
+			n.eng.JobRejected(float64(i), d)
+			both.eng.JobRejected(float64(i), d)
 		} else {
 			n.eng.JobAdmitted(i, uint64(i+1), float64(i), d, float64(i+10), float64(i+5))
 			both.eng.JobAdmitted(i, uint64(i+1), float64(i), d, float64(i+10), float64(i+5))

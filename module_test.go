@@ -18,6 +18,7 @@ import (
 // files.  pkg is nil for a directory with no Go files.
 type loadedPackage struct {
 	path  string
+	dir   string
 	pkg   *types.Package
 	files []*ast.File
 	info  *types.Info
@@ -97,7 +98,8 @@ func typeCheckModule() (*loadedModule, error) {
 		if err != nil {
 			return nil, err
 		}
-		p := &loadedPackage{path: path, info: &types.Info{
+		p := &loadedPackage{path: path, dir: dirs[path], info: &types.Info{
+			Types:      map[ast.Expr]types.TypeAndValue{},
 			Defs:       map[*ast.Ident]types.Object{},
 			Uses:       map[*ast.Ident]types.Object{},
 			Selections: map[*ast.SelectorExpr]*types.Selection{},
