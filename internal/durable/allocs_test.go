@@ -74,9 +74,9 @@ func TestServedAdmissionAllocationBudget(t *testing.T) {
 		return total, at[0], at[1] + at[2]
 	}
 	// The warm-up's grant starts the first slab, and every 32nd grant after
-	// it another.  The decoder's 77 are 32 chunks of chains, 32 of tasks
-	// and 13 of names.
-	const slabs, chunks = runs / 32, 77
+	// it another.  The decoder's 45 are 32 job chunks, each the chains and
+	// tasks of 16 Figure-4 jobs, and 13 chunks of names.
+	const slabs, chunks = runs / 32, 45
 	for _, tc := range []struct {
 		name            string
 		wire, wantGrant bool
@@ -92,6 +92,59 @@ func TestServedAdmissionAllocationBudget(t *testing.T) {
 		if growth := total - gotSlabs - gotChunks; gotSlabs != tc.slabs || gotChunks != tc.chunks || growth >= runs/4 {
 			t.Errorf("%s, %d admissions: %d slabs and %d decoder chunks, and %d objects besides; want %d and %d, and fewer than %d",
 				tc.name, runs, gotSlabs, gotChunks, growth, tc.slabs, tc.chunks, runs/4)
+		}
+	}
+}
+
+// TestCheckpointAllocationBudget counts what a forced checkpoint allocates
+// on an in-memory disk, by site, one granted admission before each.  A
+// checkpoint removes by name what it covers — the snapshot it replaced, the
+// segment its seal swapped out — and lists no directory, so its removal
+// allocates nothing: the one object counted there is the in-memory disk's
+// SyncDir copying the snapshot it makes durable, the fake's cost.  That
+// site, the seal and the rotation are the program's and pinned exactly;
+// the fold and the cut grow a slice or a map, which costs what the Go
+// release decides, and the snapshot's publication is bounded.
+func TestCheckpointAllocationBudget(t *testing.T) {
+	const runs = 64
+	fig := workload.FigureJob{X: 4, T: 25, Alpha: 0.25, Laxity: 0.5}
+	p, _ := openPlane(t, vfs.NewMem(), 1, StoreOptions{Sync: syncNever, SnapshotEvery: 1 << 20})
+	defer p.Close()
+	next := 0
+	sites := []struct {
+		name  string
+		want  uint64 // per checkpoint
+		exact bool
+	}{
+		{"milan/internal/durable.(*store).removeCovered", 1, true},
+		{"milan/internal/durable.(*store).rotate", 7, true},
+		{"milan/internal/durable.(*store).seal", 3, true},
+		{"milan/internal/durable.(*store).publish", 16, false},
+		{"milan/internal/durable.foldGrants", 3, false},
+		{"milan/internal/durable.(*Plane).checkpointLocked", 4, false}, // the cut
+	}
+	names := make([]string, len(sites))
+	for i, s := range sites {
+		names[i] = s.name
+	}
+	_, at := allocs.Count(runs, func() {
+		job := fig.Job(next, float64(next)*50, workload.Tunable)
+		next++
+		p.Observe(job.Release)
+		if _, err := p.Negotiate(job); err != nil {
+			t.Fatalf("job %d: %v", job.ID, err)
+		}
+		if err := p.Snapshot(); err != nil {
+			t.Fatal(err)
+		}
+	}, names...)
+	for i, s := range sites {
+		bound := "at most"
+		if s.exact {
+			bound = "exactly"
+		}
+		if want := s.want * runs; at[i] > want || (s.exact && at[i] != want) {
+			t.Errorf("%s: %d objects in %d checkpoints, want %s %d a checkpoint", s.name, at[i], runs, bound, s.want)
 		}
 	}
 }

@@ -465,6 +465,85 @@ func TestSealedSegmentCloseFailurePoisons(t *testing.T) {
 	}
 }
 
+// TestOpenSegmentCloseFailureIsReported: Close flushes the written tail and
+// then closes the open segment, whose close reports what the system failed
+// to write back of it; Close returns that error rather than drop it.  Every
+// acknowledged grant was synced before the close, so after a power loss
+// recovery still holds them all.
+func TestOpenSegmentCloseFailureIsReported(t *testing.T) {
+	boom := errors.New("write-back failed")
+	jobs := planeStream(60, 67)
+	for _, pol := range []SyncPolicy{SyncAlways, SyncEveryN} {
+		mem := vfs.NewMem()
+		ft := vfs.NewFault(mem)
+		opts := StoreOptions{Sync: pol, SnapshotEvery: 1 << 20}
+		p, _ := openPlane(t, ft, 1, opts)
+		acked := map[int]float64{}
+		for _, job := range jobs {
+			p.Observe(job.Release)
+			g, err := p.Negotiate(job)
+			if err == nil {
+				acked[g.JobID] = g.Finish()
+			} else if !errors.Is(err, qos.ErrRejected) {
+				t.Fatalf("%s: job %d: %v", pol, job.ID, err)
+			}
+		}
+		if len(acked) == 0 {
+			t.Fatalf("%s: the stream granted nothing: no promise to keep", pol)
+		}
+		if err := p.WaitCheckpoint(); err != nil {
+			t.Fatal(err)
+		}
+		ft.SetCloseError(boom, 0) // the open segment's is the only close left
+		if err := p.Close(); !errors.Is(err, boom) {
+			t.Fatalf("%s: Close returned %v, want the open segment's failed close", pol, err)
+		}
+		ft.SetCloseError(nil, 0)
+		mem.Crash()
+		p2, rec := openPlane(t, ft, 1, opts)
+		if lost := rec.State.Lost(acked); len(lost) > 0 {
+			t.Fatalf("%s: after the failed close and a crash, recovery lost acknowledged grants %v", pol, lost)
+		}
+		p2.Close()
+	}
+}
+
+// TestCheckpointAtAnUnchangedLSN: a checkpoint removes what it covers by
+// name, and a checkpoint with nothing written since the last one covers
+// nothing: its seal swaps no segment and it republishes the snapshot under
+// the same name, so the directory keeps both, and a crash after it, or a
+// reopen and another, recovers the plane as it stood.
+func TestCheckpointAtAnUnchangedLSN(t *testing.T) {
+	mem := vfs.NewMem()
+	opts := StoreOptions{SnapshotEvery: 1 << 20}
+	p, _ := openPlane(t, mem, 2, opts)
+	drive(t, p.Observe, p.Negotiate, planeStream(40, 71))
+	for i := 0; i < 3; i++ {
+		if err := p.Snapshot(); err != nil {
+			t.Fatalf("checkpoint %d: %v", i, err)
+		}
+		head := p.ExportState().LSN
+		if names, _ := mem.ReadDir("log"); !slices.Equal(names, []string{snapName(head), segName(head + 1)}) {
+			t.Fatalf("checkpoint %d at lsn %d leaves %v, want its snapshot and the segment after it", i, head, names)
+		}
+	}
+	want := p.ExportState()
+	mem.Crash()
+	for reopen := 0; reopen < 2; reopen++ {
+		p2, rec := openPlane(t, mem, 2, opts)
+		if err := DiffStates(&rec.State, &want); err != nil {
+			t.Fatalf("reopen %d: %v", reopen, err)
+		}
+		if err := p2.Snapshot(); err != nil {
+			t.Fatal(err)
+		}
+		if names, _ := mem.ReadDir("log"); !slices.Equal(names, []string{snapName(want.LSN), segName(want.LSN + 1)}) {
+			t.Fatalf("reopen %d: the directory holds %v, want the snapshot at lsn %d and the segment after it", reopen, names, want.LSN)
+		}
+		p2.Close()
+	}
+}
+
 // TestFailedRemoveLeavesAReadableDirectory: a checkpoint that cannot remove
 // what its snapshot covers reports it, and leaves a directory — two
 // snapshots, the sealed segment, the open one — that recovery reads as the

@@ -162,10 +162,14 @@ type store struct {
 
 	// ckpt is the last checkpoint started, under the plane lock.  base is
 	// the grant list its fold left — live at its cut, sorted by job ID — and
-	// spare the list before that, the next fold's output buffer; both belong
-	// to the checkpoint goroutine while it runs.
+	// spare the list before that, the next fold's output buffer.  snap is
+	// the path of the last snapshot published, and leftovers what open's
+	// listing of the directory found that its checkpoint does not write
+	// anew.  All four belong to the checkpoint goroutine while it runs.
 	ckpt        *checkpoint
 	base, spare []GrantRecord
+	snap        string
+	leftovers   []string
 
 	// flushMu guards what follows, and flushDone on it wakes whoever waits
 	// for a flush to publish.  seg is written only under it and the plane
@@ -275,6 +279,13 @@ func open(cfg openConfig) (*store, Recovered, error) {
 	// SyncDir lands, the old snapshot+log remain the durable prefix and a
 	// crash replays to the identical state.
 	s.written.Store(st.LSN)
+	// What that checkpoint writes is not a leftover, though load may have
+	// listed the same names: a snapshot at an unchanged LSN, its temp file,
+	// the segment after it.
+	fresh := []string{snapName(st.LSN), snapName(st.LSN) + ".tmp", segName(st.LSN + 1)}
+	s.leftovers = slices.DeleteFunc(s.leftovers, func(path string) bool {
+		return slices.Contains(fresh, filepath.Base(path))
+	})
 	if err := s.writeSnapshot(&st); err != nil {
 		return nil, Recovered{}, err
 	}
@@ -284,7 +295,9 @@ func open(cfg openConfig) (*store, Recovered, error) {
 // load finds the newest valid snapshot and the contiguous record run after
 // it.  A torn or corrupt frame, an LSN gap, or a bad segment header ends
 // the run: the durable prefix property says everything before is state,
-// everything after is noise.
+// everything after is noise.  It is the one place the directory is listed:
+// every snapshot, segment and temp file it finds is a leftover for open's
+// checkpoint to remove, and nothing lists the directory after it.
 func (s *store) load(genesis State) (base State, snapLSN uint64, recs []Record, torn bool, err error) {
 	names, err := s.fs.ReadDir(s.dir)
 	if err != nil {
@@ -296,7 +309,10 @@ func (s *store) load(genesis State) (base State, snapLSN uint64, recs []Record, 
 			snaps = append(snaps, v)
 		} else if v, ok := parseName(name, "wal-", ".log"); ok {
 			segs = append(segs, v)
+		} else if filepath.Ext(name) != ".tmp" {
+			continue
 		}
+		s.leftovers = append(s.leftovers, filepath.Join(s.dir, name))
 	}
 	sort.Slice(snaps, func(i, j int) bool { return snaps[i] > snaps[j] })
 	sort.Slice(segs, func(i, j int) bool { return segs[i] < segs[j] })
@@ -443,6 +459,9 @@ type grantDelta struct {
 type checkpoint struct {
 	done chan struct{}
 	err  error
+	// sealed is the path of the segment the seal swapped out, which the
+	// snapshot covers; "" when it swapped none.
+	sealed string
 	// delta is the changes the fold applies, handed back for reuse once it
 	// has; elapsed lists the grants the fold dropped because their reserved
 	// time had run out at the cut, which the plane's map may still hold.
@@ -470,7 +489,8 @@ func (ck *checkpoint) running() bool {
 func (s *store) seal(cut State, delta []grantDelta) *checkpoint {
 	ck := &checkpoint{done: make(chan struct{}), delta: delta}
 	s.ckpt = ck
-	if err := s.rotate(cut.LSN + 1); err != nil {
+	var err error
+	if ck.sealed, err = s.rotate(cut.LSN + 1); err != nil {
 		ck.err = err
 		close(ck.done)
 		return ck
@@ -481,29 +501,30 @@ func (s *store) seal(cut State, delta []grantDelta) *checkpoint {
 }
 
 // rotate makes wal-<first> the open segment and keeps the one it replaces as
-// sealed.  Nothing is flushed: the new segment's bytes and directory entry
-// reach the disk with the next flush, or with the checkpoint's publication.
-func (s *store) rotate(first uint64) error {
+// sealed, returning that one's path ("" if there was none to replace).
+// Nothing is flushed: the new segment's bytes and directory entry reach the
+// disk with the next flush, or with the checkpoint's publication.
+func (s *store) rotate(first uint64) (sealed string, err error) {
 	if err := s.refused(); err != nil {
-		return err
+		return "", err
 	}
 	if s.seg != nil && s.recordsSinceSnap == 0 {
-		return nil // nothing written since the last seal: the open segment starts at first already
+		return "", nil // nothing written since the last seal: the open segment starts at first already
 	}
 	name := filepath.Join(s.dir, segName(first))
 	seg, err := s.fs.Create(name)
 	if err != nil {
-		return s.poison(fmt.Errorf("durable: create segment: %w", err))
+		return "", s.poison(fmt.Errorf("durable: create segment: %w", err))
 	}
 	if err := writeSegHeader(seg, first); err != nil {
 		seg.Close()
-		return s.poison(fmt.Errorf("durable: write segment header: %w", err))
+		return "", s.poison(fmt.Errorf("durable: write segment header: %w", err))
 	}
 	s.flushMu.Lock()
 	s.sealed, s.seg, s.dirDirty = s.seg, seg, true
 	s.flushMu.Unlock()
-	s.segName = name
-	return nil
+	sealed, s.segName = s.segName, name
+	return sealed, nil
 }
 
 // checkpoint is the half that runs behind the writer and the flushers: fold
@@ -517,9 +538,13 @@ func (s *store) checkpoint(ck *checkpoint, cut State) {
 	}
 	cut.Grants, ck.elapsed = foldGrants(s.spare[:0], s.base, ck.delta, cut.Now)
 	s.base, s.spare = cut.Grants, s.base
+	replaced := s.snap
 	size, err := s.publish(&cut)
+	if replaced == s.snap {
+		replaced = "" // republished at an unchanged LSN: the name is the new snapshot's
+	}
 	if err == nil {
-		err = s.removeCovered(cut.LSN)
+		err = s.removeCovered(replaced, ck.sealed)
 	}
 	if err != nil {
 		ck.err = s.poison(err)
@@ -628,15 +653,17 @@ func (s *store) publish(st *State) (size int, err error) {
 	if err := s.fs.SyncDir(s.dir); err != nil {
 		return 0, fmt.Errorf("durable: sync log dir: %w", err)
 	}
+	s.snap = name
 	s.raiseDurable(st.LSN)
 	return len(hdr) + n, nil
 }
 
-// removeCovered drops what the published snapshot at lsn made garbage: the
-// sealed segment, every older snapshot and segment, stale temp files.  It
-// keeps going past a failure — whatever stays behind, recovery reads the
-// newest snapshot and skips the records it covers — and reports them all.
-func (s *store) removeCovered(lsn uint64) error {
+// removeCovered drops what the snapshot just published made garbage, by
+// name: the leftovers open's listing found, the snapshot it replaced and
+// the segment its seal swapped out.  It keeps going past a failure —
+// whatever stays behind, recovery reads the newest snapshot and skips the
+// records it covers, and the next open removes it — and reports them all.
+func (s *store) removeCovered(replaced, sealedSeg string) error {
 	// The publishing SyncDir carried the open segment's entry with it, and
 	// the sealed segment's tail is covered whether or not a flush got to it.
 	// A flush started before the seal may still be syncing the sealed
@@ -652,19 +679,23 @@ func (s *store) removeCovered(lsn uint64) error {
 	if sealed != nil {
 		err = during("close sealed segment", sealed.Close())
 	}
-	names, rerr := s.fs.ReadDir(s.dir)
-	err = errors.Join(err, during("read log dir", rerr))
-	snap, open := snapName(lsn), segName(lsn+1)
-	for _, old := range names {
-		_, isSnap := parseName(old, "snap-", ".snap")
-		_, isSeg := parseName(old, "wal-", ".log")
-		if old != snap && old != open && (isSnap || isSeg || filepath.Ext(old) == ".tmp") {
-			if rerr := s.fs.Remove(filepath.Join(s.dir, old)); rerr != nil {
-				err = errors.Join(err, during("remove "+old, rerr))
-			}
-		}
+	for _, path := range s.leftovers {
+		err = errors.Join(err, s.remove(path))
 	}
-	return errors.Join(err, during("sync log dir", s.fs.SyncDir(s.dir)))
+	s.leftovers = nil
+	return errors.Join(err, s.remove(replaced), s.remove(sealedSeg),
+		during("sync log dir", s.fs.SyncDir(s.dir)))
+}
+
+// remove deletes the file at path, if path names one.
+func (s *store) remove(path string) error {
+	if path == "" {
+		return nil
+	}
+	if err := s.fs.Remove(path); err != nil {
+		return during("remove "+filepath.Base(path), err)
+	}
+	return nil
 }
 
 // during names the step a checkpoint's error came from.

@@ -142,13 +142,20 @@ type decoder struct {
 }
 
 // Elements per chunk of a carver.  A Figure-4 job takes two chains, four
-// tasks and some twenty bytes of names, so one round of chunks serves a few
-// dozen requests.
+// tasks and some twenty bytes of names, so a job chunk serves exactly 16
+// Figure-4 requests and a name chunk a few dozen.
 const (
 	chainChunk = 32   // × 48 bytes
 	taskChunk  = 64   // × 72 bytes
 	nameChunk  = 1024 // bytes
 )
+
+// jobChunk is the memory a carver cuts decoded jobs' lists from: one
+// allocation, its chains half and its tasks half cut independently.
+type jobChunk struct {
+	chains [chainChunk]core.Chain
+	tasks  [taskChunk]core.Task
+}
 
 // carver is one connection's supply of the memory a decoded core.Job points
 // into — its chains, their tasks, every name — cut from chunks a few dozen
@@ -157,24 +164,27 @@ const (
 // out twice and none is written after the decoder that asked for it
 // returns, so whoever keeps a decoded job (an observer, an SLO hook, a
 // forensic ring) keeps it intact for as long as it likes.  What keeping one
-// costs is the chunks it was cut from: at most one of each, about 7 KB,
-// however small the job.  A list longer than half a chunk, or a name longer
-// than half of one, is its own allocation.  The zero carver is ready to use.
+// costs is the chunks it was cut from: a job chunk and a name chunk, about
+// 7 KB, however small the job (two job chunks if its lists straddle a fresh
+// one).  A fresh job chunk starts when either half of the current one runs
+// short.  A list longer than half of its part, or a name longer than half a
+// name chunk, is its own allocation.  The zero carver is ready to use.
 type carver struct {
-	chains []core.Chain // what is left of the current chunk
+	chains []core.Chain // what is left of the current job chunk
 	tasks  []core.Task
-	names  strings.Builder // the current chunk: only ever appended to
+	names  strings.Builder // the current name chunk: only ever appended to
 }
 
-// carve cuts n zeroed elements off *free, starting a fresh chunk when what
-// is left is too short.  The result's capacity is its length: appending to
-// it cannot reach the next request's elements.
-func carve[T any](free *[]T, chunk, n int) []T {
-	if n > chunk/2 {
+// carve cuts n zeroed elements off *free, one of m's two halves, starting a
+// fresh job chunk when what is left is too short.  The result's capacity is
+// its length: appending to it cannot reach the next request's elements.
+func carve[T any](m *carver, free *[]T, part, n int) []T {
+	if n > part/2 {
 		return make([]T, n)
 	}
 	if len(*free) < n {
-		*free = make([]T, chunk)
+		c := new(jobChunk)
+		m.chains, m.tasks = c.chains[:], c.tasks[:]
 	}
 	out := (*free)[:n:n]
 	*free = (*free)[n:]
@@ -284,7 +294,7 @@ func (d *decoder) job(j *core.Job) {
 	j.Tenant = d.name()
 	j.Class = d.int()
 	if n := d.VarCount(maxCount, minChain, "chain"); n > 0 {
-		j.Chains = carve(&d.mem.chains, chainChunk, n)
+		j.Chains = carve(d.mem, &d.mem.chains, chainChunk, n)
 	}
 	for i := range j.Chains {
 		if d.Err() != nil {
@@ -294,7 +304,7 @@ func (d *decoder) job(j *core.Job) {
 		c.Name = d.name()
 		c.Quality = d.f64()
 		if n := d.VarCount(maxCount, minTask, "task"); n > 0 {
-			c.Tasks = carve(&d.mem.tasks, taskChunk, n)
+			c.Tasks = carve(d.mem, &d.mem.tasks, taskChunk, n)
 		}
 		for k := range c.Tasks {
 			d.task(&c.Tasks[k])

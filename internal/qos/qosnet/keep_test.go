@@ -32,20 +32,37 @@ func (k *keeper) Utilization(_, _ float64) float64             { return 0 }
 
 // distinctJob is the i-th job of a stream no two of whose jobs are alike:
 // Figure-4 jobs under their own names, every third tagged with a tenant and
-// a class, every 500th one 200-task chain — longer than any chunk.
+// a class.  Runs of 40 of them take turns with runs of 40 of two shapes that
+// each run one half of a job chunk out before the other — one chain of 12
+// tasks, 12 chains of one task — so that a connection, or each of eight
+// sharing the stream, starts chunks for either half alone.  Every 500th job
+// is one 200-task chain, longer than any chunk.
 func distinctJob(i int) core.Job {
 	j := fig4.Job(i, float64(i)*1.5, workload.Tunable)
 	if i%3 == 0 {
 		j.Tenant, j.Class = fmt.Sprintf("tenant-%d", i%7), i%4
 	}
-	if i%500 == 250 {
-		tasks := make([]core.Task, 200)
-		for k := range tasks {
-			tasks[k] = core.Task{Name: fmt.Sprintf("stage-%d-%d", i, k), Procs: 1 + k%8, Duration: 1, Deadline: j.Release + float64(10*(k+1))}
+	switch {
+	case i%500 == 250:
+		j.Chains = []core.Chain{{Name: "pipeline", Quality: 0.5, Tasks: stages(fmt.Sprint(i), 200, j.Release)}}
+	case i/40%3 == 1:
+		j.Chains = []core.Chain{{Name: "task-heavy", Quality: 0.5, Tasks: stages(fmt.Sprint(i), 12, j.Release)}}
+	case i/40%3 == 2:
+		j.Chains = make([]core.Chain, 12)
+		for c := range j.Chains {
+			j.Chains[c] = core.Chain{Name: fmt.Sprintf("width-%d", c), Quality: float64(c+1) / 12, Tasks: stages(fmt.Sprintf("%d-%d", i, c), 1, j.Release)}
 		}
-		j.Chains = []core.Chain{{Name: "pipeline", Quality: 0.5, Tasks: tasks}}
 	}
 	return j
+}
+
+// stages is n tasks named after key, due one after another from release.
+func stages(key string, n int, release float64) []core.Task {
+	tasks := make([]core.Task, n)
+	for t := range tasks {
+		tasks[t] = core.Task{Name: fmt.Sprintf("stage-%s-%d", key, t), Procs: 1 + t%8, Duration: 1, Deadline: release + float64(10*(t+1))}
+	}
+	return tasks
 }
 
 // TestDecodedJobOutlivesItsConnection: the memory a decoded job points into
