@@ -21,14 +21,13 @@ type ProfileState struct {
 	TrimmedBusy float64
 }
 
-// state exports the profile's state.  The returned slices are copies.
-func (p *Profile) state() ProfileState {
-	return ProfileState{
-		Capacity:    p.capacity,
-		Times:       append([]float64(nil), p.times...),
-		Used:        append([]int(nil), p.used...),
-		TrimmedBusy: p.trimmedBusy,
-	}
+// stateInto exports the profile's state into dst, copying the segments
+// into dst's own slices.
+func (p *Profile) stateInto(dst *ProfileState) {
+	dst.Capacity = p.capacity
+	dst.Times = append(dst.Times[:0], p.times...)
+	dst.Used = append(dst.Used[:0], p.used...)
+	dst.TrimmedBusy = p.trimmedBusy
 }
 
 // profileFromState rebuilds a profile from an exported state, validating
@@ -54,9 +53,22 @@ type SchedulerState struct {
 	Stats   Stats
 }
 
-// ExportState exports the scheduler's committed state.
-func (s *Scheduler) ExportState() SchedulerState {
-	return SchedulerState{Profile: s.prof.state(), Stats: s.Stats()}
+// ExportState exports the scheduler's committed state.  The returned slices
+// are copies.
+func (s *Scheduler) ExportState() (st SchedulerState) {
+	s.ExportStateInto(&st)
+	return st
+}
+
+// ExportStateInto is ExportState into dst, reusing dst's segment and
+// tunable-chosen slices where they are long enough: an exporter that takes
+// the same cut again and again (the durable plane's checkpoint) allocates
+// only when the profile has grown past every earlier cut.
+func (s *Scheduler) ExportStateInto(dst *SchedulerState) {
+	s.prof.stateInto(&dst.Profile)
+	chosen := dst.Stats.TunableChosen
+	dst.Stats = s.stat
+	dst.Stats.TunableChosen = append(chosen[:0], s.stat.TunableChosen...)
 }
 
 // RestoreState replaces the scheduler's profile and counters with an

@@ -88,7 +88,7 @@ func BenchmarkSnapshotEncode(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if buf := encodeSnapshot(&st); len(buf) == 0 {
+		if buf := appendSnapshot(nil, &st); len(buf) == 0 {
 			b.Fatal("empty snapshot")
 		}
 	}

@@ -17,7 +17,6 @@ import (
 
 	"milan/internal/core"
 	"milan/internal/durable/vfs"
-	"milan/internal/frame"
 	"milan/internal/qos"
 	"milan/internal/workload"
 )
@@ -32,7 +31,7 @@ func snapshotFile(st *State) []byte {
 	var b bytes.Buffer
 	b.WriteString(snapMagic)
 	binary.Write(&b, binary.LittleEndian, uint32(formatVersion))
-	frame.Write(&b, encodeSnapshot(st))
+	b.Write(framed(appendSnapshot(nil, st)))
 	return b.Bytes()
 }
 
@@ -299,7 +298,9 @@ func TestFoldGrants(t *testing.T) {
 		{g: g(12, 0), done: true}, // ... and completed
 		{g: g(9, 35)},             // granted anew over a live grant: the later stands
 	}
-	live, elapsed := foldGrants(nil, base, delta, 10)
+	f := fold{now: 10}
+	f.grants(base, delta)
+	live, elapsed := f.live, f.elapsed
 	var ids []int
 	for _, l := range live {
 		ids = append(ids, l.JobID)
@@ -309,6 +310,17 @@ func TestFoldGrants(t *testing.T) {
 	}
 	if want := []int{1, 2, 7}; !slices.Equal(elapsed, want) {
 		t.Fatalf("elapsed: %v, want %v", elapsed, want)
+	}
+
+	// The next checkpoint folds into the same buffers, as the store lends
+	// them: nothing of the longer fold before shows through.
+	f.now = 36
+	f.grants(slices.Clone(live), []grantDelta{{g: g(8, 0), done: true}})
+	if len(f.live) != 1 || f.live[0].JobID != 4 || !slices.Equal(f.elapsed, []int{9}) {
+		t.Fatalf("second fold into reused buffers: live %+v, elapsed %v; want 4 live and 9 elapsed", f.live, f.elapsed)
+	}
+	if &f.elapsed[0] != &elapsed[0] {
+		t.Fatal("the second fold did not reuse the elapsed buffer it was lent")
 	}
 }
 

@@ -58,12 +58,12 @@ func FuzzSnapshotDecode(f *testing.F) {
 		Tenant: "acme", Class: 1,
 		Tasks: []core.TaskPlacement{{Task: 0, Procs: 4, Start: 17.5, Finish: 21}},
 	}}
-	f.Add(encodeSnapshot(&gen))
+	f.Add(appendSnapshot(nil, &gen))
 	empty, err := genesis(1, 1, 0)
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(encodeSnapshot(&empty))
+	f.Add(appendSnapshot(nil, &empty))
 	f.Add([]byte{})
 	f.Add([]byte{1, 0, 0, 0})
 
@@ -72,7 +72,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 		if err != nil {
 			return
 		}
-		re := encodeSnapshot(&st)
+		re := appendSnapshot(nil, &st)
 		st2, err := decodeSnapshot(re)
 		if err != nil {
 			t.Fatalf("re-decode of re-encoded snapshot failed: %v", err)

@@ -1,5 +1,7 @@
 package durable
 
+import "milan/internal/frame"
+
 // Test-only handles on the plane and the record codec.
 
 // Snapshot forces a checkpoint and waits for it: the state at the log head
@@ -13,7 +15,7 @@ func (p *Plane) Snapshot() error {
 		}
 		ck, started := p.checkpointLocked()
 		p.mu.Unlock()
-		<-ck.done
+		ck.wait()
 		if ck.err != nil {
 			return ck.err
 		}
@@ -29,6 +31,13 @@ func (p *Plane) Snapshot() error {
 
 // DurableLSN returns the highest LSN known synced to stable storage.
 func (p *Plane) DurableLSN() uint64 { return p.store.DurableLSN() }
+
+// framed returns payload's frame as one byte slice.
+func framed(payload []byte) []byte {
+	b := make([]byte, frame.HeaderLen, frame.HeaderLen+len(payload))
+	frame.PutHeader(b, payload)
+	return append(b, payload...)
+}
 
 // encodeRecord serializes the record payload (no framing).
 func encodeRecord(r *Record) []byte {

@@ -71,6 +71,11 @@ type Plane struct {
 	grants   map[int]GrantRecord
 	delta    []grantDelta
 	lastShed qos.ShedDecision
+	// cut is the shards' state the last seal took, exported into the same
+	// slices each time (fed.Arbitrator.ExportStateInto); it belongs to the
+	// checkpoint in flight, and the next cut is taken only once that one
+	// is over.
+	cut fed.PlaneState
 	// rec is the in-flight latency record of the decision currently
 	// holding the plane lock (decisions are serialized, so one slot
 	// suffices); it lets the shedder-wrapped path reach the timer without
@@ -498,19 +503,18 @@ func (p *Plane) maybeSnapshotLocked() {
 
 // checkpointLocked starts a checkpoint at the log head unless one is still
 // running, and returns the one now in flight.  What the call itself pays is
-// the cut: the clock, the shards' profiles and a fresh segment.  The grant
-// set is not walked — the checkpoint's goroutine folds it from delta — and
-// the one before is collected on the way.
+// the cut: the clock, the shards' profiles copied into the last cut's
+// slices, and a fresh segment.  The grant set is not walked — the
+// checkpoint's goroutine folds it from delta — and the one before is
+// collected on the way.
 func (p *Plane) checkpointLocked() (ck *checkpoint, started bool) {
 	last := p.store.ckpt
 	if last.running() {
 		return last, false
 	}
 	p.collectLocked(last)
-	ck = p.store.seal(State{
-		LSN: p.store.nextLSN() - 1, Now: p.now,
-		Shards: p.arb.ExportState().Shards,
-	}, p.delta)
+	p.arb.ExportStateInto(&p.cut)
+	ck = p.store.seal(State{LSN: p.store.nextLSN() - 1, Now: p.now, Shards: p.cut.Shards}, p.delta)
 	p.delta = last.delta[:0]
 	return ck, true
 }
@@ -519,9 +523,15 @@ func (p *Plane) checkpointLocked() (ck *checkpoint, started bool) {
 // found elapsed, but for an ID granted anew since that checkpoint's cut.
 // Every grant since is in delta, so an ID below the lowest of them cannot be
 // one — the common case, IDs rising, and a plain delete; the others are
-// dropped only if what the map holds has run out too.
+// dropped only if what the map holds has run out too.  The list goes back
+// to the store for the next fold.
 func (p *Plane) collectLocked(ck *checkpoint) {
-	if len(ck.elapsed) == 0 {
+	elapsed := ck.elapsed
+	if elapsed == nil {
+		return // collected already, or the checkpoint failed before its fold
+	}
+	p.store.elapsed, ck.elapsed = elapsed[:0], nil // no fold runs before the next seal
+	if len(elapsed) == 0 {
 		return
 	}
 	fresh := math.MaxInt
@@ -530,7 +540,7 @@ func (p *Plane) collectLocked(ck *checkpoint) {
 			fresh = min(fresh, d.g.JobID)
 		}
 	}
-	for _, id := range ck.elapsed {
+	for _, id := range elapsed {
 		if id >= fresh {
 			if g, ok := p.grants[id]; !ok || g.finish() > p.now {
 				continue
@@ -538,7 +548,6 @@ func (p *Plane) collectLocked(ck *checkpoint) {
 		}
 		delete(p.grants, id)
 	}
-	ck.elapsed = nil
 }
 
 // WaitCheckpoint returns once the checkpoint in flight, if any, is over, and
@@ -550,7 +559,7 @@ func (p *Plane) WaitCheckpoint() error {
 	p.mu.Lock()
 	ck := p.store.ckpt
 	p.mu.Unlock()
-	<-ck.done
+	ck.wait()
 	return ck.err
 }
 

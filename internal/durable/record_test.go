@@ -90,9 +90,14 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	st.Grants = []GrantRecord{{JobID: 4, Shard: 1, Chain: 1, Quality: 0.75, Tunable: true,
 		Tenant: "t", Class: 1, Tasks: []core.TaskPlacement{{Task: 0, Procs: 2, Start: 5, Finish: 8}}}}
 
-	payload := encodeSnapshot(&st)
-	if len(payload) != snapshotSize(&st) || cap(payload) != len(payload) {
-		t.Fatalf("snapshot is %d bytes in a buffer of %d, sized up front as %d", len(payload), cap(payload), snapshotSize(&st))
+	payload := appendSnapshot(nil, &st)
+	if len(payload) != snapshotSize(&st) {
+		t.Fatalf("snapshot is %d bytes, sized up front as %d", len(payload), snapshotSize(&st))
+	}
+	// Sized up front: encoding again into the buffer it filled allocates
+	// nothing.
+	if n := testing.AllocsPerRun(10, func() { payload = appendSnapshot(payload[:0], &st) }); n != 0 {
+		t.Fatalf("encoding into the buffer it filled before took %v allocations, want 0", n)
 	}
 	got, err := decodeSnapshot(payload)
 	if err != nil {

@@ -124,10 +124,10 @@ const (
 	maxTunableChosen = 1 << 12
 )
 
-// encodeSnapshot serializes a state as a snapshot payload (no framing, no
-// file header — the store frames it).
-func encodeSnapshot(st *State) []byte {
-	b := make([]byte, 0, snapshotSize(st))
+// appendSnapshot appends st's snapshot payload to b (no framing, no file
+// header — the store frames it), growing b at most once.
+func appendSnapshot(b []byte, st *State) []byte {
+	b = slices.Grow(b, snapshotSize(st))
 	b = frame.AppendU64(b, st.LSN)
 	b = frame.AppendF64(b, st.Now)
 	b = frame.AppendU32(b, uint32(len(st.Shards)))
@@ -168,9 +168,9 @@ func encodeSnapshot(st *State) []byte {
 	return b
 }
 
-// snapshotSize returns len(encodeSnapshot(st)) exactly, so the encoder
-// allocates its buffer once (hundreds of KB on a deep backlog) instead of
-// doubling up to it.
+// snapshotSize returns the length of st's snapshot payload exactly, so the
+// encoder grows its buffer once (hundreds of KB on a deep backlog) instead
+// of doubling up to it.
 func snapshotSize(st *State) int {
 	n := 8 + 8 + 4 // LSN, Now, shard count
 	for i := range st.Shards {

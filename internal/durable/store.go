@@ -11,6 +11,7 @@ import (
 	"slices"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -26,6 +27,9 @@ const (
 	walMagic      = "MLNWAL01"
 	snapMagic     = "MLNSNP01"
 	formatVersion = 1
+	// snapHeaderLen is a snapshot file's header: the magic, then the
+	// format version as a u32.
+	snapHeaderLen = len(snapMagic) + 4
 )
 
 // SyncPolicy selects which written records wait for an fsync before they
@@ -153,23 +157,38 @@ type store struct {
 	opts StoreOptions
 	met  *Metrics
 
+	// dirPrefix is what filepath.Join(dir, name) puts before any plain file
+	// name, so a path is built in one allocation (fileName).
+	dirPrefix string
+
 	// The writer's side, under the plane lock.  frame is Write's scratch:
-	// one record's header and payload, built in place and written at once;
-	// safe to reuse because vfs.File.Write does not retain its argument.
+	// one record's header and payload, built in place and written at once,
+	// and rotate's segment header; safe to reuse because vfs.File.Write does
+	// not retain its argument.
 	segName          string
 	recordsSinceSnap int
 	frame            []byte
 
-	// ckpt is the last checkpoint started, under the plane lock.  base is
-	// the grant list its fold left — live at its cut, sorted by job ID — and
-	// spare the list before that, the next fold's output buffer.  snap is
+	// ckpt is the last checkpoint started, under the plane lock, and cut
+	// the state seal handed it; checkpointer is runCheckpoint as a func
+	// value, made once, so that starting its goroutine allocates nothing.  base is the grant list the last fold left — live at its
+	// cut, sorted by job ID — and spare the list before that, the next
+	// fold's output buffer; order is the fold's scratch, elapsed the list it
+	// fills for the plane, handed back by the plane's collection (nil while
+	// the plane holds it), and encoded the snapshot file's bytes.  snap is
 	// the path of the last snapshot published, and leftovers what open's
 	// listing of the directory found that its checkpoint does not write
-	// anew.  All four belong to the checkpoint goroutine while it runs.
-	ckpt        *checkpoint
-	base, spare []GrantRecord
-	snap        string
-	leftovers   []string
+	// anew.  All but ckpt belong to the checkpoint goroutine while it runs.
+	// Between checkpoints the buffers stay with the store, so one costs no
+	// allocation unless the state has outgrown every earlier one.
+	ckpt           *checkpoint
+	cut            State
+	checkpointer   func()
+	base, spare    []GrantRecord
+	order, elapsed []int
+	encoded        []byte
+	snap           string
+	leftovers      []string
 
 	// flushMu guards what follows, and flushDone on it wakes whoever waits
 	// for a flush to publish.  seg is written only under it and the plane
@@ -206,22 +225,24 @@ type openConfig struct {
 	Metrics *Metrics
 }
 
-func segName(first uint64) string { return fileName("wal-", first, ".log") }
-func snapName(lsn uint64) string  { return fileName("snap-", lsn, ".snap") }
+func segName(first uint64) string { return fileName("", "wal-", first, ".log") }
+func snapName(lsn uint64) string  { return fileName("", "snap-", lsn, ".snap") }
 
-// fileName is prefix + v as exactly 16 lower-case hex digits + suffix.
-// strconv rather than fmt: a snapshot names and parses a handful of files,
-// and fmt's pooled scratch made that cost an allocation count that moved
-// from run to run.
-func fileName(prefix string, v uint64, suffix string) string {
+// fileName is dir + prefix + v as exactly 16 lower-case hex digits + suffix,
+// in one allocation.  strconv rather than fmt: a snapshot names and parses a
+// handful of files, and fmt's pooled scratch made that cost an allocation
+// count that moved from run to run.
+func fileName(dir, prefix string, v uint64, suffix string) string {
 	var hex [16]byte
 	digits := strconv.AppendUint(hex[:0], v, 16)
-	b := make([]byte, 0, len(prefix)+len(hex)+len(suffix))
-	b = append(b, prefix...)
-	b = append(b, "0000000000000000"[len(digits):]...)
-	b = append(b, digits...)
-	b = append(b, suffix...)
-	return string(b)
+	var b strings.Builder
+	b.Grow(len(dir) + len(prefix) + len(hex) + len(suffix))
+	b.WriteString(dir)
+	b.WriteString(prefix)
+	b.WriteString("0000000000000000"[len(digits):])
+	b.Write(digits)
+	b.WriteString(suffix)
+	return b.String()
 }
 
 func parseName(name, prefix, suffix string) (uint64, bool) {
@@ -249,6 +270,9 @@ func open(cfg openConfig) (*store, Recovered, error) {
 	}
 	s := &store{fs: cfg.FS, dir: cfg.Dir, opts: cfg.Store.withDefaults(), met: cfg.Metrics}
 	s.flushDone.L = &s.flushMu
+	s.checkpointer = s.runCheckpoint
+	s.dirPrefix = filepath.Join(cfg.Dir, "x")
+	s.dirPrefix = s.dirPrefix[:len(s.dirPrefix)-1]
 
 	base, snapLSN, recs, torn, err := s.load(cfg.Genesis)
 	if err != nil {
@@ -398,7 +422,7 @@ func (s *store) readSnapshot(path string) (State, error) {
 		return State{}, err
 	}
 	r := bytes.NewReader(data)
-	var hdr [12]byte
+	var hdr [snapHeaderLen]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return State{}, fmt.Errorf("durable: truncated snapshot header: %w", err)
 	}
@@ -437,12 +461,14 @@ func readSegHeader(r io.Reader) (uint64, error) {
 	return binary.LittleEndian.Uint64(hdr[12:20]), nil
 }
 
-func writeSegHeader(f vfs.File, first uint64) error {
-	var hdr [20]byte
-	copy(hdr[:8], walMagic)
-	binary.LittleEndian.PutUint32(hdr[8:12], formatVersion)
-	binary.LittleEndian.PutUint64(hdr[12:20], first)
-	_, err := f.Write(hdr[:])
+// writeSegHeader writes a segment's header to f, built in the writer's
+// scratch: rotate runs under the plane lock, like Write.
+func (s *store) writeSegHeader(f vfs.File, first uint64) error {
+	b := append(s.frame[:0], walMagic...)
+	b = binary.LittleEndian.AppendUint32(b, formatVersion)
+	b = binary.LittleEndian.AppendUint64(b, first)
+	s.frame = b
+	_, err := f.Write(b)
 	return err
 }
 
@@ -454,10 +480,12 @@ type grantDelta struct {
 }
 
 // checkpoint is one compaction of the log: started by seal under the plane
-// lock, carried out by one goroutine, over when done is closed.  What the
-// goroutine leaves in it is read after that.
+// lock, carried out by one goroutine, over once finish has run.  What the
+// goroutine leaves in it is read after that.  It is the one object a seal
+// allocates.
 type checkpoint struct {
-	done chan struct{}
+	done sync.WaitGroup // one count, the goroutine's
+	over atomic.Bool
 	err  error
 	// sealed is the path of the segment the seal swapped out, which the
 	// snapshot covers; "" when it swapped none.
@@ -470,13 +498,16 @@ type checkpoint struct {
 }
 
 // running reports whether the checkpoint's goroutine has yet to finish.
-func (ck *checkpoint) running() bool {
-	select {
-	case <-ck.done:
-		return false
-	default:
-		return true
-	}
+func (ck *checkpoint) running() bool { return !ck.over.Load() }
+
+// wait returns once the checkpoint is over.
+func (ck *checkpoint) wait() { ck.done.Wait() }
+
+// finish marks the checkpoint over: the last thing its goroutine does, for
+// the next seal may start the next one as soon as running says false.
+func (ck *checkpoint) finish() {
+	ck.over.Store(true)
+	ck.done.Done()
 }
 
 // seal is the half of a checkpoint that runs under the plane lock, with no
@@ -487,16 +518,18 @@ func (ck *checkpoint) running() bool {
 // the segment for the records after the cut: it walks no grants and encodes,
 // flushes and removes nothing.
 func (s *store) seal(cut State, delta []grantDelta) *checkpoint {
-	ck := &checkpoint{done: make(chan struct{}), delta: delta}
+	ck := &checkpoint{delta: delta}
+	ck.done.Add(1)
 	s.ckpt = ck
 	var err error
 	if ck.sealed, err = s.rotate(cut.LSN + 1); err != nil {
 		ck.err = err
-		close(ck.done)
+		ck.finish()
 		return ck
 	}
 	s.recordsSinceSnap = 0
-	go s.checkpoint(ck, cut)
+	s.cut = cut
+	go s.checkpointer()
 	return ck
 }
 
@@ -511,12 +544,12 @@ func (s *store) rotate(first uint64) (sealed string, err error) {
 	if s.seg != nil && s.recordsSinceSnap == 0 {
 		return "", nil // nothing written since the last seal: the open segment starts at first already
 	}
-	name := filepath.Join(s.dir, segName(first))
+	name := fileName(s.dirPrefix, "wal-", first, ".log")
 	seg, err := s.fs.Create(name)
 	if err != nil {
 		return "", s.poison(fmt.Errorf("durable: create segment: %w", err))
 	}
-	if err := writeSegHeader(seg, first); err != nil {
+	if err := s.writeSegHeader(seg, first); err != nil {
 		seg.Close()
 		return "", s.poison(fmt.Errorf("durable: write segment header: %w", err))
 	}
@@ -527,19 +560,31 @@ func (s *store) rotate(first uint64) (sealed string, err error) {
 	return sealed, nil
 }
 
-// checkpoint is the half that runs behind the writer and the flushers: fold
-// the grant set at the cut, write and publish the snapshot, remove what it
-// covers.  A failure poisons the store.
-func (s *store) checkpoint(ck *checkpoint, cut State) {
-	defer close(ck.done)
+// runCheckpoint is the half that runs behind the writer and the flushers,
+// on the goroutine seal starts for s.ckpt: fold the grant set at the cut,
+// write and publish the snapshot, remove what it covers.  A failure poisons
+// the store.
+func (s *store) runCheckpoint() {
+	ck := s.ckpt
+	if err := s.compact(ck, &s.cut); err != nil {
+		ck.err = s.poison(err)
+	}
+	ck.finish()
+}
+
+// compact is a checkpoint's work, in order: the fold, the publication, the
+// removal.  It returns the first error, which the caller poisons with.
+func (s *store) compact(ck *checkpoint, cut *State) error {
 	var start time.Time // read only when there is a histogram to feed
 	if s.met != nil {
 		start = time.Now()
 	}
-	cut.Grants, ck.elapsed = foldGrants(s.spare[:0], s.base, ck.delta, cut.Now)
-	s.base, s.spare = cut.Grants, s.base
+	f := fold{live: s.spare, elapsed: s.elapsed, order: s.order, now: cut.Now}
+	f.grants(s.base, ck.delta)
+	cut.Grants, ck.elapsed = f.live, f.elapsed
+	s.base, s.spare, s.order, s.elapsed = f.live, s.base, f.order, nil
 	replaced := s.snap
-	size, err := s.publish(&cut)
+	size, err := s.publish(cut)
 	if replaced == s.snap {
 		replaced = "" // republished at an unchanged LSN: the name is the new snapshot's
 	}
@@ -547,38 +592,49 @@ func (s *store) checkpoint(ck *checkpoint, cut State) {
 		err = s.removeCovered(replaced, ck.sealed)
 	}
 	if err != nil {
-		ck.err = s.poison(err)
-		return
+		return err
 	}
 	if s.met != nil {
 		s.met.SnapshotBytes.Set(float64(size))
 		s.met.SnapshotDuration.Observe(time.Since(start))
 		s.met.Snapshots.Inc()
 	}
+	return nil
 }
 
-// foldGrants applies delta, in order, to base — the grants live at the last
-// cut, by ascending job ID — and prunes at now.  What it appends to out is
-// what the plane's own export returns at this cut (sortedLiveGrantsLocked is
-// the oracle it is held to), built without the plane: the fold applyRecord
-// and Prune make on recovery.  elapsed lists the grants it dropped because
-// their time had run out.
-func foldGrants(out, base []GrantRecord, delta []grantDelta, now float64) (live []GrantRecord, elapsed []int) {
+// fold is a checkpoint's merge of the changes since the last cut into the
+// grant list that cut left, in buffers the caller lends it: live and
+// elapsed are its output, order its scratch, and grants starts all three
+// over at length zero, so the store's buffers serve one checkpoint after
+// another.
+type fold struct {
+	live    []GrantRecord
+	elapsed []int
+	order   []int
+	now     float64
+}
+
+// grants applies delta, in order, to base — the grants live at the last cut,
+// by ascending job ID — and prunes at now.  What it leaves in live is what
+// the plane's own export returns at this cut (sortedLiveGrantsLocked is the
+// oracle it is held to), built without the plane: the fold applyRecord and
+// Prune make on recovery.  elapsed lists the grants it dropped because their
+// time had run out.
+func (f *fold) grants(base []GrantRecord, delta []grantDelta) {
+	f.live, f.elapsed = f.live[:0], f.elapsed[:0]
 	// order lists delta by job ID, an ID's later change behind its earlier
 	// ones: the last says what became of it.
-	order := make([]int, len(delta))
-	for i := range order {
-		order[i] = i
+	order := f.order[:0]
+	for i := range delta {
+		order = append(order, i)
 	}
+	f.order = order
 	slices.SortFunc(order, func(a, b int) int {
 		if c := cmp.Compare(delta[a].g.JobID, delta[b].g.JobID); c != 0 {
 			return c
 		}
 		return cmp.Compare(a, b)
 	})
-	// In a steady state about as many grants run out between two seals as
-	// were made.
-	f := fold{live: out, elapsed: make([]int, 0, len(delta)), now: now}
 	i := 0
 	for j := 0; j < len(order); j++ {
 		id := delta[order[j]].g.JobID
@@ -598,14 +654,6 @@ func foldGrants(out, base []GrantRecord, delta []grantDelta, now float64) (live 
 	for ; i < len(base); i++ {
 		f.keep(&base[i])
 	}
-	return f.live, f.elapsed
-}
-
-// fold is foldGrants' output while it is being built.
-type fold struct {
-	live    []GrantRecord
-	elapsed []int
-	now     float64
 }
 
 // keep files g as live or as elapsed, by the predicate Prune applies.
@@ -620,23 +668,22 @@ func (f *fold) keep(g *GrantRecord) {
 // publish writes st as the snapshot of its LSN: to a temp name, synced,
 // renamed into place and made durable by SyncDir.  From there on the
 // snapshot is the state through that LSN whatever becomes of the segments
-// under it, so durableLSN rises to it.
+// under it, so durableLSN rises to it.  The file — its header, the frame
+// header and the payload — is built in s.encoded and written at once.
 func (s *store) publish(st *State) (size int, err error) {
-	payload := encodeSnapshot(st)
-	name := filepath.Join(s.dir, snapName(st.LSN))
-	f, err := s.fs.Create(name + ".tmp")
+	b := append(s.encoded[:0], snapMagic...)
+	b = binary.LittleEndian.AppendUint32(b, formatVersion)
+	b = append(b, make([]byte, frame.HeaderLen)...) // filled in once the payload is behind it
+	b = appendSnapshot(b, st)
+	frame.PutHeader(b[snapHeaderLen:snapHeaderLen+frame.HeaderLen], b[snapHeaderLen+frame.HeaderLen:])
+	s.encoded = b
+	tmp := fileName(s.dirPrefix, "snap-", st.LSN, ".snap.tmp")
+	name := tmp[:len(tmp)-len(".tmp")]
+	f, err := s.fs.Create(tmp)
 	if err != nil {
 		return 0, fmt.Errorf("durable: create snapshot: %w", err)
 	}
-	var hdr [12]byte
-	copy(hdr[:8], snapMagic)
-	binary.LittleEndian.PutUint32(hdr[8:12], formatVersion)
-	if _, err := f.Write(hdr[:]); err != nil {
-		f.Close()
-		return 0, fmt.Errorf("durable: write snapshot: %w", err)
-	}
-	n, err := frame.Write(f, payload)
-	if err != nil {
+	if _, err := f.Write(b); err != nil {
 		f.Close()
 		return 0, fmt.Errorf("durable: write snapshot: %w", err)
 	}
@@ -647,7 +694,7 @@ func (s *store) publish(st *State) (size int, err error) {
 	if err := f.Close(); err != nil {
 		return 0, fmt.Errorf("durable: close snapshot: %w", err)
 	}
-	if err := s.fs.Rename(name+".tmp", name); err != nil {
+	if err := s.fs.Rename(tmp, name); err != nil {
 		return 0, fmt.Errorf("durable: publish snapshot: %w", err)
 	}
 	if err := s.fs.SyncDir(s.dir); err != nil {
@@ -655,7 +702,7 @@ func (s *store) publish(st *State) (size int, err error) {
 	}
 	s.snap = name
 	s.raiseDurable(st.LSN)
-	return len(hdr) + n, nil
+	return len(b), nil
 }
 
 // removeCovered drops what the snapshot just published made garbage, by
@@ -905,7 +952,7 @@ func (s *store) writeSnapshot(st *State) error {
 	}
 	s.base = append(s.base[:0], st.Grants...)
 	ck := s.seal(State{LSN: st.LSN, Now: st.Now, Shards: st.Shards}, nil)
-	<-ck.done
+	ck.wait()
 	return ck.err
 }
 
@@ -925,7 +972,7 @@ func (s *store) DurableLSN() uint64 { return s.durableLSN.Load() }
 // N — and closes the log, so a clean stop leaves nothing riding and no
 // goroutine behind.  syncNever stays the operating system's business.
 func (s *store) Close() error {
-	<-s.ckpt.done
+	s.ckpt.wait()
 	s.flushMu.Lock()
 	defer s.flushMu.Unlock()
 	for s.published != s.started {

@@ -10,7 +10,6 @@ import (
 
 	"milan/internal/core"
 	"milan/internal/durable/vfs"
-	"milan/internal/frame"
 	"milan/internal/obs"
 )
 
@@ -279,9 +278,7 @@ func TestAppendIssuesOneWritePerRecord(t *testing.T) {
 		if _, err := s.Append(&recs[i]); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := frame.Write(&want, encodeRecord(&recs[i])); err != nil {
-			t.Fatal(err)
-		}
+		want.Write(framed(encodeRecord(&recs[i])))
 	}
 	if got := ft.Counts().Writes - before; got != int64(len(recs)) {
 		t.Fatalf("%d records took %d writes, want one each", len(recs), got)

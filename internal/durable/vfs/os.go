@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"syscall"
 )
 
 // OS is the real filesystem.  The zero value is ready to use; paths are
@@ -48,8 +49,19 @@ func (OS) OpenAppend(name string) (File, error) {
 // Remove deletes the named file.
 func (OS) Remove(name string) error { return os.Remove(name) }
 
-// Rename atomically replaces newname with oldname.
-func (OS) Rename(oldname, newname string) error { return os.Rename(oldname, newname) }
+// Rename atomically replaces newname with oldname: one rename(2), where
+// os.Rename first calls Lstat on newname to refuse a directory there, which
+// rename(2) refuses itself.  A failure is an *os.LinkError, as os.Rename's.
+func (OS) Rename(oldname, newname string) error {
+	err := syscall.Rename(oldname, newname)
+	for err == syscall.EINTR {
+		err = syscall.Rename(oldname, newname)
+	}
+	if err != nil {
+		return &os.LinkError{Op: "rename", Old: oldname, New: newname, Err: err}
+	}
+	return nil
+}
 
 // MkdirAll creates dir and any missing parents.
 func (OS) MkdirAll(dir string) error { return os.MkdirAll(dir, 0o755) }

@@ -3,6 +3,8 @@ package vfs
 import (
 	"errors"
 	"io"
+	iofs "io/fs"
+	"os"
 	"testing"
 )
 
@@ -260,6 +262,27 @@ func TestOSRoundTrip(t *testing.T) {
 	}
 	if sz, err := fs.Stat(dir + "/sub/b"); err != nil || sz != 9 {
 		t.Fatalf("stat = %d, %v", sz, err)
+	}
+	// A rename replaces the file at its target, and a failed one is an
+	// *os.LinkError naming both paths, as os.Rename's are.
+	if c, err := fs.Create(dir + "/sub/c"); err != nil {
+		t.Fatal(err)
+	} else {
+		c.Close()
+	}
+	if err := fs.Rename(dir+"/sub/c", dir+"/sub/b"); err != nil {
+		t.Fatal(err)
+	}
+	if sz, err := fs.Stat(dir + "/sub/b"); err != nil || sz != 0 {
+		t.Fatalf("stat after the rename over it = %d, %v", sz, err)
+	}
+	err = fs.Rename(dir+"/sub/c", dir+"/sub/d")
+	var le *os.LinkError
+	if !errors.As(err, &le) || le.Op != "rename" || le.Old != dir+"/sub/c" || le.New != dir+"/sub/d" || !errors.Is(err, iofs.ErrNotExist) {
+		t.Fatalf("rename of a missing file: %#v", err)
+	}
+	if err := fs.Rename(dir+"/sub/b", dir+"/sub"); err == nil {
+		t.Fatal("a rename over a directory succeeded")
 	}
 	if err := fs.Remove(dir + "/sub/b"); err != nil {
 		t.Fatal(err)

@@ -2,6 +2,7 @@ package fed
 
 import (
 	"fmt"
+	"slices"
 
 	"milan/internal/core"
 )
@@ -18,14 +19,21 @@ type PlaneState struct {
 // ExportState exports the plane's committed state, taking each shard's
 // lock in turn.  The durable plane calls this under its own write lock,
 // with no admissions in flight, so the export is a consistent cut.
-func (a *Arbitrator) ExportState() PlaneState {
-	st := PlaneState{Now: a.now(), Shards: make([]core.SchedulerState, len(a.shards))}
+func (a *Arbitrator) ExportState() (st PlaneState) {
+	a.ExportStateInto(&st)
+	return st
+}
+
+// ExportStateInto is ExportState into dst, reusing its Shards and each
+// shard's slices (core.Scheduler.ExportStateInto).
+func (a *Arbitrator) ExportStateInto(dst *PlaneState) {
+	dst.Now = a.now()
+	dst.Shards = slices.Grow(dst.Shards[:0], len(a.shards))[:len(a.shards)]
 	for i, sh := range a.shards {
 		sh.mu.Lock()
-		st.Shards[i] = sh.sched.ExportState()
+		sh.sched.ExportStateInto(&dst.Shards[i])
 		sh.mu.Unlock()
 	}
-	return st
 }
 
 // RestoreState replaces every shard's scheduler state and the plane clock

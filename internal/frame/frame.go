@@ -43,19 +43,6 @@ func PutHeader(hdr, payload []byte) {
 	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, crcTable))
 }
 
-// Write writes payload's frame to w as two writes, header then payload:
-// the framing for a payload too large to be worth copying behind its
-// header.  It returns the bytes written.
-func Write(w io.Writer, payload []byte) (int, error) {
-	var hdr [HeaderLen]byte
-	PutHeader(hdr[:], payload)
-	if n, err := w.Write(hdr[:]); err != nil {
-		return n, err
-	}
-	n, err := w.Write(payload)
-	return HeaderLen + n, err
-}
-
 // AppendU32 and friends build payloads in little-endian order.
 func AppendU32(b []byte, v uint32) []byte { return binary.LittleEndian.AppendUint32(b, v) }
 

@@ -9,15 +9,20 @@ import (
 	"testing"
 )
 
+// appendFrame appends payload's frame to b, the way every writer of frames
+// builds one: header room, the payload behind it, then PutHeader.
+func appendFrame(b, payload []byte) []byte {
+	b = append(b, make([]byte, HeaderLen)...)
+	PutHeader(b[len(b)-HeaderLen:], payload)
+	return append(b, payload...)
+}
+
 func TestFrameRoundTripAndTorn(t *testing.T) {
-	var buf bytes.Buffer
+	var data []byte
 	payloads := [][]byte{[]byte("alpha"), []byte("beta"), {}}
 	for _, p := range payloads {
-		if _, err := Write(&buf, p); err != nil {
-			t.Fatal(err)
-		}
+		data = appendFrame(data, p)
 	}
-	data := buf.Bytes()
 	r := NewReader(bytes.NewReader(data), "test", 1<<10)
 	for i, want := range payloads {
 		got, err := r.Next()
@@ -65,13 +70,10 @@ func TestFrameRoundTripAndTorn(t *testing.T) {
 // The reader hands out one buffer: a short frame after a long one must not
 // show the long one's tail.
 func TestReaderReusesItsBuffer(t *testing.T) {
-	var buf bytes.Buffer
+	var data []byte
 	for _, p := range []string{"a long first payload", "short"} {
-		if _, err := Write(&buf, []byte(p)); err != nil {
-			t.Fatal(err)
-		}
+		data = appendFrame(data, []byte(p))
 	}
-	data := buf.Bytes()
 	r := NewReader(bytes.NewReader(data), "test", 1<<10)
 	first, err := r.Next()
 	if err != nil {
@@ -198,11 +200,11 @@ func TestCursorRejectsBeforeAllocating(t *testing.T) {
 // reader's limit.
 func FuzzFrameReader(f *testing.F) {
 	frames := func(payloads ...string) []byte {
-		var b bytes.Buffer
+		var b []byte
 		for _, p := range payloads {
-			Write(&b, []byte(p))
+			b = appendFrame(b, []byte(p))
 		}
-		return b.Bytes()
+		return b
 	}
 	clean := frames("a", "", "three frames")
 	f.Add(clean, uint16(64))

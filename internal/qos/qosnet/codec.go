@@ -142,12 +142,16 @@ type decoder struct {
 }
 
 // Elements per chunk of a carver.  A Figure-4 job takes two chains, four
-// tasks and some twenty bytes of names, so a job chunk serves exactly 16
-// Figure-4 requests and a name chunk a few dozen.
+// tasks and, once its chain names are interned, some twenty bytes of name,
+// so a job chunk serves exactly 16 Figure-4 requests and a name chunk about
+// fifty.
 const (
 	chainChunk = 32   // × 48 bytes
 	taskChunk  = 64   // × 72 bytes
 	nameChunk  = 1024 // bytes
+	// internMax bounds a connection's interned names: a constant, so no
+	// client can grow the table past it, however many names it sends.
+	internMax = 64
 )
 
 // jobChunk is the memory a carver cuts decoded jobs' lists from: one
@@ -168,11 +172,21 @@ type jobChunk struct {
 // 7 KB, however small the job (two job chunks if its lists straddle a fresh
 // one).  A fresh job chunk starts when either half of the current one runs
 // short.  A list longer than half of its part, or a name longer than half a
-// name chunk, is its own allocation.  The zero carver is ready to use.
+// name chunk, is its own allocation.
+//
+// The names a stream repeats — chains', tasks', tenants' — are interned:
+// the first internMax distinct ones a connection decodes are kept in a
+// table, and each later occurrence is the string decoded first, which cost
+// nothing more.  Strings never change, so sharing one leaves every kept job
+// intact; a kept job or a live grant pins the chunk its interned names were
+// first cut from, one per connection, instead of a fresh one every few dozen
+// requests.  A job's own name is unique to it and always carved.  The zero
+// carver is ready to use.
 type carver struct {
-	chains []core.Chain // what is left of the current job chunk
-	tasks  []core.Task
-	names  strings.Builder // the current name chunk: only ever appended to
+	chains   []core.Chain // what is left of the current job chunk
+	tasks    []core.Task
+	names    strings.Builder // the current name chunk: only ever appended to
+	interned map[string]string
 }
 
 // carve cuts n zeroed elements off *free, one of m's two halves, starting a
@@ -207,8 +221,31 @@ func (m *carver) name(b []byte) string {
 	return m.names.String()[start:]
 }
 
+// intern returns b as the string the connection decoded first for those
+// bytes, carving it, and keeping it while the table has room, if it is new.
+// The lookup converts b without allocating.
+func (m *carver) intern(b []byte) string {
+	if len(b) < 2 || len(b) > nameChunk/2 {
+		return m.name(b) // free, or too long to keep for the connection's life
+	}
+	if s, ok := m.interned[string(b)]; ok {
+		return s
+	}
+	s := m.name(b)
+	if m.interned == nil {
+		m.interned = make(map[string]string, internMax)
+	}
+	if len(m.interned) < internMax {
+		m.interned[s] = s
+	}
+	return s
+}
+
 // name reads a string as VarStr does, into the carver's memory.
 func (d *decoder) name() string { return d.mem.name(d.VarStrBytes()) }
+
+// internedName reads a string a stream repeats, interned (carver.intern).
+func (d *decoder) internedName() string { return d.mem.intern(d.VarStrBytes()) }
 
 func (d *decoder) int() int { return int(d.Varint()) }
 
@@ -253,7 +290,7 @@ func (e *encoder) task(t *core.Task) {
 }
 
 func (d *decoder) task(t *core.Task) {
-	t.Name = d.name()
+	t.Name = d.internedName()
 	t.Procs = d.int()
 	t.Duration = d.f64()
 	t.Deadline = d.f64()
@@ -291,7 +328,7 @@ func (d *decoder) job(j *core.Job) {
 	j.Release = d.f64()
 	j.Trace = d.Uvarint()
 	j.Span = d.Uvarint()
-	j.Tenant = d.name()
+	j.Tenant = d.internedName()
 	j.Class = d.int()
 	if n := d.VarCount(maxCount, minChain, "chain"); n > 0 {
 		j.Chains = carve(d.mem, &d.mem.chains, chainChunk, n)
@@ -301,7 +338,7 @@ func (d *decoder) job(j *core.Job) {
 			return
 		}
 		c := &j.Chains[i]
-		c.Name = d.name()
+		c.Name = d.internedName()
 		c.Quality = d.f64()
 		if n := d.VarCount(maxCount, minTask, "task"); n > 0 {
 			c.Tasks = carve(d.mem, &d.mem.tasks, taskChunk, n)

@@ -6,8 +6,10 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"milan/internal/core"
+	"milan/internal/frame"
 	"milan/internal/qos"
 	"milan/internal/workload"
 )
@@ -35,8 +37,12 @@ func (k *keeper) Utilization(_, _ float64) float64             { return 0 }
 // a class.  Runs of 40 of them take turns with runs of 40 of two shapes that
 // each run one half of a job chunk out before the other — one chain of 12
 // tasks, 12 chains of one task — so that a connection, or each of eight
-// sharing the stream, starts chunks for either half alone.  Every 500th job
-// is one 200-task chain, longer than any chunk.
+// sharing the stream, starts chunks for either half alone, and with runs of
+// 40 Figure-4 jobs whose chain and tenant names are their own.  So chain and
+// tenant names repeat run after run (shape1, width-3, tenant-5: interned)
+// and change from job to job (stage names, a renamed run's chains and
+// tenant: carved once the table is full).  Every 500th job is one 200-task
+// chain, longer than any chunk.
 func distinctJob(i int) core.Job {
 	j := fig4.Job(i, float64(i)*1.5, workload.Tunable)
 	if i%3 == 0 {
@@ -45,13 +51,18 @@ func distinctJob(i int) core.Job {
 	switch {
 	case i%500 == 250:
 		j.Chains = []core.Chain{{Name: "pipeline", Quality: 0.5, Tasks: stages(fmt.Sprint(i), 200, j.Release)}}
-	case i/40%3 == 1:
+	case i/40%4 == 1:
 		j.Chains = []core.Chain{{Name: "task-heavy", Quality: 0.5, Tasks: stages(fmt.Sprint(i), 12, j.Release)}}
-	case i/40%3 == 2:
+	case i/40%4 == 2:
 		j.Chains = make([]core.Chain, 12)
 		for c := range j.Chains {
 			j.Chains[c] = core.Chain{Name: fmt.Sprintf("width-%d", c), Quality: float64(c+1) / 12, Tasks: stages(fmt.Sprintf("%d-%d", i, c), 1, j.Release)}
 		}
+	case i/40%4 == 3:
+		for c := range j.Chains {
+			j.Chains[c].Name = fmt.Sprintf("%s-of-%d", j.Chains[c].Name, i)
+		}
+		j.Tenant = fmt.Sprintf("tenant-of-%d", i)
 	}
 	return j
 }
@@ -108,5 +119,41 @@ func TestDecodedJobOutlivesItsConnection(t *testing.T) {
 				t.Fatalf("%d connections: job %d changed after it was decoded:\n kept %+v\n sent %+v", conns, i, got, want)
 			}
 		}
+	}
+}
+
+// TestInternTableStaysAtItsBound: a connection that sends more distinct
+// chain names than its table holds gets every name back right, the table
+// stops at internMax, and a name it holds is decoded as the one string it
+// holds however often it comes again.
+func TestInternTableStaysAtItsBound(t *testing.T) {
+	var mem carver
+	var first string // shape1 as the table holds it
+	for i := 0; i < 4*internMax; i++ {
+		job := fig4.Job(i, float64(i), workload.Tunable)
+		job.Chains[1].Name = fmt.Sprintf("chain-%d", i) // a name no other request repeats
+		job.Tenant = fmt.Sprintf("tenant-%d", i%3)
+		buf, err := appendRequest(nil, &request{op: opNegotiate, job: job})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got request
+		if err := decodeRequest(buf[frame.HeaderLen:], &got, &mem); err != nil {
+			t.Fatalf("request %d: %v", i, err)
+		}
+		if !reflect.DeepEqual(got.job, job) {
+			t.Fatalf("request %d decoded as\n %+v\nsent\n %+v", i, got.job, job)
+		}
+		if len(mem.interned) > internMax {
+			t.Fatalf("request %d: %d names interned, bound %d", i, len(mem.interned), internMax)
+		}
+		if i == 0 {
+			first = got.job.Chains[0].Name
+		} else if unsafe.StringData(got.job.Chains[0].Name) != unsafe.StringData(first) {
+			t.Fatalf("request %d: shape1 decoded into a fresh string, not the interned one", i)
+		}
+	}
+	if len(mem.interned) != internMax {
+		t.Fatalf("%d names interned after %d distinct ones, want the table full at %d", len(mem.interned), 4*internMax, internMax)
 	}
 }

@@ -1,7 +1,6 @@
 package qosnet
 
 import (
-	"bytes"
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
@@ -77,11 +76,11 @@ func TestServerRefusesMalformedFrames(t *testing.T) {
 		"torn header":   {ping[:5], "torn frame header"},
 		"torn payload":  {ping[:len(ping)-1], "torn frame payload"},
 		"after a good":  {append(append([]byte(nil), ping...), corrupt...), "frame checksum mismatch"},
-		"empty payload": {framed(t, nil), "truncated payload"},
+		"empty payload": {framed(nil), "truncated payload"},
 	}
 	for name, tc := range hostile() {
 		if tc.bytes != nil { // nil is "empty payload" above
-			cases["payload: "+name] = malformed{framed(t, tc.bytes), tc.want}
+			cases["payload: "+name] = malformed{framed(tc.bytes), tc.want}
 		}
 	}
 
@@ -244,10 +243,8 @@ func TestApplicationErrorsDoNotBreakTheClient(t *testing.T) {
 }
 
 // framed returns payload's frame as one byte slice.
-func framed(t *testing.T, payload []byte) []byte {
-	var buf bytes.Buffer
-	if _, err := frame.Write(&buf, payload); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
+func framed(payload []byte) []byte {
+	b := make([]byte, frame.HeaderLen, frame.HeaderLen+len(payload))
+	frame.PutHeader(b, payload)
+	return append(b, payload...)
 }
