@@ -22,8 +22,8 @@ import (
 // convict the lying disk.
 func TestVFSModePinnedSeed(t *testing.T) {
 	for shards, want := range map[string]string{
-		"2": "crashtest vfs ok: seed=42 crashes=45 mid-checkpoint=7 recovered=9451a9b5446bed71 losses=map[sync-lie:100 syncdir-lie:28 unsynced-loss:2]\n",
-		"1": "crashtest vfs ok: seed=42 crashes=45 mid-checkpoint=6 recovered=0f4e59b22c639df7 losses=map[sync-lie:98 syncdir-lie:44 unsynced-loss:3]\n",
+		"2": "crashtest vfs ok: seed=42 crashes=45 mid-checkpoint=8 recovered=a9a47c3ee6899518 losses=map[sync-lie:100 syncdir-lie:28 unsynced-loss:2]\n",
+		"1": "crashtest vfs ok: seed=42 crashes=45 mid-checkpoint=8 recovered=cafd7e3fe5424f68 losses=map[sync-lie:98 syncdir-lie:44 unsynced-loss:3]\n",
 	} {
 		var out, errb bytes.Buffer
 		if code := run([]string{"-mode", "vfs", "-seed", "42", "-iters", "15", "-ops", "120", "-shards", shards}, &out, &errb); code != 0 {

@@ -169,20 +169,20 @@ type store struct {
 	recordsSinceSnap int
 	frame            []byte
 
-	// ckpt is the last checkpoint started, under the plane lock, and cut
-	// the state seal handed it; checkpointer is runCheckpoint as a func
-	// value, made once, so that starting its goroutine allocates nothing.  base is the grant list the last fold left — live at its
-	// cut, sorted by job ID — and spare the list before that, the next
-	// fold's output buffer; order is the fold's scratch, elapsed the list it
-	// fills for the plane, handed back by the plane's collection (nil while
-	// the plane holds it), and encoded the snapshot file's bytes.  snap is
-	// the path of the last snapshot published, and leftovers what open's
-	// listing of the directory found that its checkpoint does not write
-	// anew.  All but ckpt belong to the checkpoint goroutine while it runs.
+	// ckpt is the last checkpoint started, under the plane lock;
+	// checkpointer is runCheckpoint as a func value, made once, so that
+	// starting its goroutine allocates nothing.  base is the grant list the
+	// last fold left — live at its cut, sorted by job ID — and spare the
+	// list before that, the next fold's output buffer; order is the fold's
+	// scratch, elapsed the list it fills for the plane, handed back by the
+	// plane's collection (nil while the plane holds it), and encoded the
+	// snapshot file's bytes.  snap is the path of the last snapshot
+	// published, and leftovers what open's listing of the directory found
+	// that its checkpoint does not write anew.  All but ckpt and
+	// checkpointer belong to the checkpoint goroutine while it runs.
 	// Between checkpoints the buffers stay with the store, so one costs no
 	// allocation unless the state has outgrown every earlier one.
 	ckpt           *checkpoint
-	cut            State
 	checkpointer   func()
 	base, spare    []GrantRecord
 	order, elapsed []int
@@ -487,6 +487,8 @@ type checkpoint struct {
 	done sync.WaitGroup // one count, the goroutine's
 	over atomic.Bool
 	err  error
+	// cut is the state seal was handed, whose grants the fold fills in.
+	cut State
 	// sealed is the path of the segment the seal swapped out, which the
 	// snapshot covers; "" when it swapped none.
 	sealed string
@@ -518,7 +520,7 @@ func (ck *checkpoint) finish() {
 // the segment for the records after the cut: it walks no grants and encodes,
 // flushes and removes nothing.
 func (s *store) seal(cut State, delta []grantDelta) *checkpoint {
-	ck := &checkpoint{delta: delta}
+	ck := &checkpoint{cut: cut, delta: delta}
 	ck.done.Add(1)
 	s.ckpt = ck
 	var err error
@@ -528,7 +530,6 @@ func (s *store) seal(cut State, delta []grantDelta) *checkpoint {
 		return ck
 	}
 	s.recordsSinceSnap = 0
-	s.cut = cut
 	go s.checkpointer()
 	return ck
 }
@@ -566,7 +567,7 @@ func (s *store) rotate(first uint64) (sealed string, err error) {
 // the store.
 func (s *store) runCheckpoint() {
 	ck := s.ckpt
-	if err := s.compact(ck, &s.cut); err != nil {
+	if err := s.compact(ck, &ck.cut); err != nil {
 		ck.err = s.poison(err)
 	}
 	ck.finish()
@@ -669,7 +670,10 @@ func (f *fold) keep(g *GrantRecord) {
 // renamed into place and made durable by SyncDir.  From there on the
 // snapshot is the state through that LSN whatever becomes of the segments
 // under it, so durableLSN rises to it.  The file — its header, the frame
-// header and the payload — is built in s.encoded and written at once.
+// header and the payload — is built in s.encoded and written part by part,
+// one call each, as the crash harness's pinned seeds expect: they place
+// their crashes by the file-system calls a checkpoint makes
+// (cmd/crashtest), so merging the calls would move every pinned crash.
 func (s *store) publish(st *State) (size int, err error) {
 	b := append(s.encoded[:0], snapMagic...)
 	b = binary.LittleEndian.AppendUint32(b, formatVersion)
@@ -683,9 +687,12 @@ func (s *store) publish(st *State) (size int, err error) {
 	if err != nil {
 		return 0, fmt.Errorf("durable: create snapshot: %w", err)
 	}
-	if _, err := f.Write(b); err != nil {
-		f.Close()
-		return 0, fmt.Errorf("durable: write snapshot: %w", err)
+	payload := snapHeaderLen + frame.HeaderLen
+	for _, part := range [...][]byte{b[:snapHeaderLen], b[snapHeaderLen:payload], b[payload:]} {
+		if _, err := f.Write(part); err != nil {
+			f.Close()
+			return 0, fmt.Errorf("durable: write snapshot: %w", err)
+		}
 	}
 	if err := f.Sync(); err != nil {
 		f.Close()

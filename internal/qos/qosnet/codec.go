@@ -174,14 +174,16 @@ type jobChunk struct {
 // short.  A list longer than half of its part, or a name longer than half a
 // name chunk, is its own allocation.
 //
-// The names a stream repeats — chains', tasks', tenants' — are interned:
-// the first internMax distinct ones a connection decodes are kept in a
-// table, and each later occurrence is the string decoded first, which cost
-// nothing more.  Strings never change, so sharing one leaves every kept job
-// intact; a kept job or a live grant pins the chunk its interned names were
-// first cut from, one per connection, instead of a fresh one every few dozen
-// requests.  A job's own name is unique to it and always carved.  The zero
-// carver is ready to use.
+// Chain and tenant names, which a stream repeats, are interned: the first
+// internMax distinct ones a connection decodes are kept in a table, and
+// each later occurrence is the string decoded first, which cost nothing
+// more.  Strings never change, so sharing one leaves every kept job intact;
+// a kept job or a live grant pins the chunk its interned names were first
+// cut from, one per connection, instead of a fresh one every few dozen
+// requests.  A job's own name is unique to it, and task names can be too
+// (a pipeline's stages), so both are always carved: a request of fresh
+// task names would otherwise fill the table before the chain and tenant
+// names it exists for.  The zero carver is ready to use.
 type carver struct {
 	chains   []core.Chain // what is left of the current job chunk
 	tasks    []core.Task
@@ -244,7 +246,7 @@ func (m *carver) intern(b []byte) string {
 // name reads a string as VarStr does, into the carver's memory.
 func (d *decoder) name() string { return d.mem.name(d.VarStrBytes()) }
 
-// internedName reads a string a stream repeats, interned (carver.intern).
+// internedName reads a chain or tenant name, interned (carver.intern).
 func (d *decoder) internedName() string { return d.mem.intern(d.VarStrBytes()) }
 
 func (d *decoder) int() int { return int(d.Varint()) }
@@ -290,7 +292,7 @@ func (e *encoder) task(t *core.Task) {
 }
 
 func (d *decoder) task(t *core.Task) {
-	t.Name = d.internedName()
+	t.Name = d.name()
 	t.Procs = d.int()
 	t.Duration = d.f64()
 	t.Deadline = d.f64()

@@ -157,3 +157,45 @@ func TestInternTableStaysAtItsBound(t *testing.T) {
 		t.Fatalf("%d names interned after %d distinct ones, want the table full at %d", len(mem.interned), 4*internMax, internMax)
 	}
 }
+
+// TestTaskNamesStayOutOfTheInternTable sends, first on a connection, a
+// pipeline whose every stage has a name of its own, more of them than the
+// table holds.  Task names are carved, not interned, so the table is left
+// to the chain and tenant names the next requests repeat.
+func TestTaskNamesStayOutOfTheInternTable(t *testing.T) {
+	var mem carver
+	decode := func(job core.Job) core.Job {
+		t.Helper()
+		buf, err := appendRequest(nil, &request{op: opNegotiate, job: job})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got request
+		if err := decodeRequest(buf[frame.HeaderLen:], &got, &mem); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.job, job) {
+			t.Fatalf("decoded as\n %+v\nsent\n %+v", got.job, job)
+		}
+		return got.job
+	}
+	pipeline := fig4.Job(0, 0, workload.Tunable)
+	stages := make([]core.Task, 2*internMax)
+	for i := range stages {
+		stages[i] = pipeline.Chains[0].Tasks[0]
+		stages[i].Name = fmt.Sprintf("%d-%d", i/10, i%10)
+	}
+	pipeline.Chains[0].Tasks = stages
+	pipeline.Tenant = "acme"
+	first := decode(pipeline)
+	if len(mem.interned) != 3 {
+		t.Fatalf("%d names interned after one pipeline, want its 2 chain names and its tenant", len(mem.interned))
+	}
+	next := fig4.Job(1, 1, workload.Tunable)
+	next.Tenant = "acme"
+	got := decode(next)
+	if unsafe.StringData(got.Chains[0].Name) != unsafe.StringData(first.Chains[0].Name) ||
+		unsafe.StringData(got.Tenant) != unsafe.StringData(first.Tenant) {
+		t.Fatal("the next request's chain and tenant names were carved afresh, not interned")
+	}
+}
