@@ -384,8 +384,7 @@ func serveAdmission(observer *obs.Observer, lp *latency.Plane, cfg admitConfig) 
 			// plane's per-phase envelope counters each Tick and cuts a
 			// flight snapshot when a phase burns its budget.
 			opts.RegressionSource = lp.RegressionCounts
-			opts.Recorder = slo.NewRecorder(4096, 1024)
-			opts.Recorder.Attach(observer.Tracer())
+			opts.Recorder = slo.NewRecorder(observer.Tracer(), nil)
 		}
 		eng = slo.New(opts)
 		eng.Mount(observer)

@@ -75,17 +75,15 @@ func main() {
 	var auditor *slo.Engine
 	var recorder *slo.Recorder
 	if *showMetrics || *sloAudit || *debugAddr != "" {
-		if *sloAudit {
-			recorder = slo.NewRecorder(0, 0)
-		}
+		// The flight snapshot holds the last 4096 spans and 4096 events.
 		observer = obs.New(obs.Config{
-			Tracing:     *sloAudit,
-			Sink:        recorder, // nil-safe: slo.Recorder no-ops on nil
-			EnablePprof: *pprofFlag,
+			Tracing:      *sloAudit,
+			SpanRingSize: 4096,
+			EnablePprof:  *pprofFlag,
 		})
 		cfg.Obs = observer
 		if *sloAudit {
-			recorder.Attach(observer.Tracer())
+			recorder = slo.NewRecorder(observer.Tracer(), observer)
 			auditor = slo.New(slo.Options{Registry: observer.Reg, Recorder: recorder})
 			cfg.SLO = auditor
 		}

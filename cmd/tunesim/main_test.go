@@ -104,9 +104,8 @@ func TestFinishObsNilObserver(t *testing.T) {
 // the -slo conformance report plus the -flight snapshot artifact.
 func TestFinishSLOReportAndFlight(t *testing.T) {
 	cfg := testCfg()
-	rec := slo.NewRecorder(256, 256)
-	o := obs.New(obs.Config{Tracing: true, Sink: rec})
-	rec.Attach(o.Tracer())
+	o := obs.New(obs.Config{Tracing: true})
+	rec := slo.NewRecorder(o.Tracer(), o)
 	eng := slo.New(slo.Options{Registry: o.Reg, Recorder: rec})
 	cfg.Obs, cfg.SLO = o, eng
 	if err := run(cfg, "point"); err != nil {
@@ -143,9 +142,8 @@ func TestFinishSLOReportAndFlight(t *testing.T) {
 func TestFinishSLODetectsInjectedFault(t *testing.T) {
 	cfg := testCfg()
 	cfg.Jobs = 30
-	rec := slo.NewRecorder(1024, 1024)
-	o := obs.New(obs.Config{Tracing: true, Sink: rec})
-	rec.Attach(o.Tracer())
+	o := obs.New(obs.Config{Tracing: true})
+	rec := slo.NewRecorder(o.Tracer(), o)
 	eng := slo.New(slo.Options{Registry: o.Reg, Recorder: rec})
 	cfg.Obs, cfg.SLO = o, eng
 	if err := run(cfg, "point"); err != nil {

@@ -20,8 +20,7 @@ func sampleArtifact(withSnap bool) *Artifact {
 		Fault:     "shedder",
 	}
 	if withSnap {
-		rec := slo.NewRecorder(8, 8)
-		a.Snapshot = rec.Trigger(slo.TriggerFairnessBreach, 0, 42, a.Detail)
+		a.Snapshot = &slo.Snapshot{Kind: slo.TriggerFairnessBreach, At: 42, Note: a.Detail}
 	}
 	return a
 }

@@ -330,11 +330,10 @@ func runOne(cfg Config, sc Scenario, plane Plane) (RunReport, error) {
 	engine := &sim.Engine{}
 	tracer := obs.NewTracer(8192)
 	tracer.SetClock(engine.Now)
-	rec := slo.NewRecorder(8192, 2048)
-	rec.Attach(tracer)
+	rec := slo.NewRecorder(tracer, nil)
 	// One snapshot per trigger kind per 25 clock units: a miss flood
 	// yields a handful of replayable artifacts, not 16 copies of the
-	// same rings.
+	// same ring.
 	rec.SetCooldown(25)
 	eng := slo.New(slo.Options{Recorder: rec, StormThreshold: sc.StormThreshold})
 	rc.engine, rc.tracer, rc.rec, rc.eng = engine, tracer, rec, eng

@@ -121,8 +121,7 @@ func nodeKillRun(cfg Config, sc Scenario, seed int64) (RunReport, error) {
 // durabilityLoss records a lost-committed-grant breach with a synthetic
 // flight snapshot, so the artifact replays to the durability fault.
 func durabilityLoss(rr *RunReport, seed int64, now float64, detail string) {
-	rec := slo.NewRecorder(64, 64)
-	snap := rec.Trigger(slo.TriggerDurabilityLoss, 0, now, detail)
+	snap := &slo.Snapshot{Kind: slo.TriggerDurabilityLoss, At: now, Note: detail}
 	b := Breach{
 		Scenario:  rr.Scenario,
 		Plane:     rr.Plane,

@@ -261,8 +261,7 @@ func workerFaultRun(cfg Config, sc Scenario, seed int64) (RunReport, error) {
 // maskingLoss records a lost-committed-work breach with a synthetic
 // flight snapshot, so the artifact replays to the runtime fault.
 func maskingLoss(rr *RunReport, seed int64, now float64, detail string) {
-	rec := slo.NewRecorder(64, 64)
-	snap := rec.Trigger(slo.TriggerMaskingLoss, 0, now, detail)
+	snap := &slo.Snapshot{Kind: slo.TriggerMaskingLoss, At: now, Note: detail}
 	b := Breach{
 		Scenario:  rr.Scenario,
 		Plane:     rr.Plane,

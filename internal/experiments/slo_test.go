@@ -13,8 +13,7 @@ import (
 // SLO engine, flight recorder.
 func auditedConfig(jobs int) (Config, *slo.Engine, *slo.Recorder, *obs.Observer) {
 	o := obs.New(obs.Config{Tracing: true, SpanRingSize: 1 << 14})
-	rec := slo.NewRecorder(1<<12, 1<<12)
-	rec.Attach(o.Tracer())
+	rec := slo.NewRecorder(o.Tracer(), o)
 	eng := slo.New(slo.Options{Registry: o.Reg, Recorder: rec})
 	cfg := DefaultConfig()
 	cfg.Jobs = jobs
@@ -81,7 +80,7 @@ func TestAuditedRunConformant(t *testing.T) {
 // already past its deadline (bypassing the real planner, which never emits
 // one): the over-admission trigger must localize to the planner.
 func TestInjectedPlannerFaultLocalizes(t *testing.T) {
-	rec := slo.NewRecorder(64, 64)
+	rec := slo.NewRecorder(nil, nil)
 	eng := slo.New(slo.Options{Recorder: rec})
 	eng.JobAdmitted(1, 77, 1.0, time.Millisecond, 10.0, 12.0)
 	if rec.Len() != 1 {

@@ -130,16 +130,14 @@ func artifactSeeds(f *testing.F) []string {
 	}
 
 	// flight
-	rec := slo.NewRecorder(8, 8)
 	tr := obs.NewTracer(8)
-	rec.Attach(tr)
 	root := tr.StartAt(3, 0, "fed.negotiate", obs.StageArrival, 9, 1)
 	plan := tr.StartAt(3, root.ID(), "sched.plan", obs.StagePlan, 9, 1.1)
 	plan.SetAttr("finish", 5.5)
 	plan.EndAt(1.9)
 	root.EndAt(2)
-	rec.Emit(obs.Event{Time: 1.5, Type: "Committed", Job: 9, Trace: 3, Span: 2})
-	add(rec.Trigger(slo.TriggerDeadlineMiss, 3, 6, "job 9 late").WriteJSONL)
+	add((&slo.Snapshot{Kind: slo.TriggerDeadlineMiss, Trace: 3, At: 6, Note: "job 9 late", Spans: tr.Spans(),
+		Events: []obs.Event{{Time: 1.5, Type: "Committed", Job: 9, Trace: 3, Span: 2}}}).WriteJSONL)
 	seeds = append(seeds,
 		head(obs.ArtifactFlight)+`{"trigger":{"kind":"manual","at":0}}`+"\n",
 		"",
@@ -179,7 +177,7 @@ func artifactSeeds(f *testing.F) []string {
 	breach := &campaign.Artifact{Scenario: "saturation-overload", Plane: "shards=1", Seed: 1234,
 		Invariant: "weighted-fair-shares", Detail: "spread exceeds 2x", Fault: "shedder"}
 	add(breach.WriteJSONL)
-	breach.Snapshot = slo.NewRecorder(8, 8).Trigger(slo.TriggerFairnessBreach, 0, 42, breach.Detail)
+	breach.Snapshot = &slo.Snapshot{Kind: slo.TriggerFairnessBreach, At: 42, Note: breach.Detail}
 	add(breach.WriteJSONL)
 	seeds = append(seeds,
 		`{"format":"milan-artifact","v":1,"kind":"breach","seed":0}`+"\n"+`{"breach":{"scenario":"s","invariant":"i"}}`+"\n",

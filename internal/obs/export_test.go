@@ -1,10 +1,6 @@
 package obs
 
-// Test-only handles on the observer's ring, the tracer's accounting and
-// the line bound.
-
-// Events returns the retained recent events, oldest first.
-func (o *Observer) Events() []Event { return o.ring.events() }
+// Test-only handles on the tracer's accounting and the line bound.
 
 // Total returns the number of spans ever completed.
 func (t *Tracer) Total() int64 {

@@ -18,7 +18,9 @@ const SpansTotalHeader = "X-Spans-Total"
 //	/metrics  expvar-style JSON snapshot of the metrics registry
 //	/trace    recent ring-buffer events as JSON (?n=K limits the count)
 //	/spans    completed request spans as JSON, oldest first (empty without
-//	          tracing), with SpansTotalHeader
+//	          tracing), with SpansTotalHeader; ?since=N sends only the
+//	          retained spans past the first N (the whole ring when N is
+//	          past the count, as after a restart)
 //	/healthz  liveness + registered readiness checks (health.go)
 //	/         a tiny index
 //
@@ -34,7 +36,7 @@ func (o *Observer) Handler() http.Handler {
 			return
 		}
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		w.Write([]byte("milan debug endpoint\n\n/metrics  registry snapshot (JSON)\n/trace    recent trace events (JSON, ?n=K)\n/spans    completed request spans (JSON)\n/healthz  liveness + readiness checks\n"))
+		w.Write([]byte("milan debug endpoint\n\n/metrics  registry snapshot (JSON)\n/trace    recent trace events (JSON, ?n=K)\n/spans    completed request spans (JSON, ?since=N)\n/healthz  liveness + readiness checks\n"))
 		for _, p := range o.extraRoutes() {
 			help := ""
 			o.webMu.Lock()
@@ -47,7 +49,16 @@ func (o *Observer) Handler() http.Handler {
 	})
 	mux.HandleFunc("/healthz", o.healthz)
 	mux.HandleFunc("/spans", func(w http.ResponseWriter, r *http.Request) {
-		spans, total := o.tracer.spansTotal() // nil-safe
+		var since int64
+		if s := r.URL.Query().Get("since"); s != "" {
+			v, err := strconv.ParseInt(s, 10, 64)
+			if err != nil || v < 0 {
+				http.Error(w, "bad since parameter", http.StatusBadRequest)
+				return
+			}
+			since = v
+		}
+		spans, total := o.tracer.spansSince(since) // nil-safe
 		if spans == nil {
 			spans = []SpanRec{}
 		}

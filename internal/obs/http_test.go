@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -174,5 +175,54 @@ func TestPprofMountedBehindFlag(t *testing.T) {
 	h.ServeHTTP(rw, httptest.NewRequest("GET", "/", nil))
 	if !strings.Contains(rw.Body.String(), "/debug/pprof/") {
 		t.Fatalf("endpoint index does not list pprof: %s", rw.Body.String())
+	}
+}
+
+// TestHandlerSpansSince: /spans?since=N sends only the retained spans past
+// the first N, oldest first, under the same total header; a cursor past the
+// total (a restarted node) or none sends the whole ring, one at the total
+// sends [], and a cursor that is not a count is refused.
+func TestHandlerSpansSince(t *testing.T) {
+	o := New(Config{Tracing: true, SpanRingSize: 4})
+	tr := o.Tracer()
+	for i := 0; i < 6; i++ {
+		tr.Start(tr.NewTrace(), 0, "s", StageRun, i).End()
+	}
+	h := o.Handler()
+	spans := func(query string) (code int, jobs []int, total string, body string) {
+		rw := httptest.NewRecorder()
+		h.ServeHTTP(rw, httptest.NewRequest("GET", "/spans"+query, nil))
+		if rw.Code != http.StatusOK {
+			return rw.Code, nil, "", rw.Body.String()
+		}
+		var recs []SpanRec
+		if err := json.Unmarshal(rw.Body.Bytes(), &recs); err != nil {
+			t.Fatalf("%s: %v", query, err)
+		}
+		for _, r := range recs {
+			jobs = append(jobs, r.Job)
+		}
+		return rw.Code, jobs, rw.Header().Get(SpansTotalHeader), rw.Body.String()
+	}
+	for query, want := range map[string][]int{
+		"":          {2, 3, 4, 5},
+		"?since=0":  {2, 3, 4, 5}, // before the oldest retained: all of the ring
+		"?since=3":  {3, 4, 5},
+		"?since=5":  {5},
+		"?since=7":  {2, 3, 4, 5}, // past the total: a restarted node's ring
+		"?since=99": {2, 3, 4, 5},
+	} {
+		code, jobs, total, _ := spans(query)
+		if code != http.StatusOK || !slices.Equal(jobs, want) || total != "6" {
+			t.Errorf("/spans%s = %d %v total %q, want %v total 6", query, code, jobs, total, want)
+		}
+	}
+	if code, _, total, body := spans("?since=6"); code != http.StatusOK || strings.TrimSpace(body) != "[]" || total != "6" {
+		t.Errorf("/spans?since=6 = %d %q total %q, want [] total 6", code, body, total)
+	}
+	for _, bad := range []string{"?since=-1", "?since=x", "?since=1.5"} {
+		if code, _, _, _ := spans(bad); code != http.StatusBadRequest {
+			t.Errorf("/spans%s status = %d, want 400", bad, code)
+		}
 	}
 }

@@ -9,14 +9,12 @@ import (
 	"milan/internal/qos"
 )
 
+// eventRingCap is the capacity of the observer's recent-events ring,
+// which /trace serves and the flight recorder (slo.Recorder) copies.
+const eventRingCap = 4096
+
 // Config configures an Observer.
 type Config struct {
-	// RingSize is the capacity of the internal recent-events ring buffer
-	// (served by the /trace debug endpoint).  0 means 4096.
-	RingSize int
-	// Sink, if non-nil, additionally receives every event (the flight
-	// recorder, slo.Recorder).
-	Sink TraceSink
 	// Registry, if non-nil, is used instead of a fresh one (sharing one
 	// registry across several observers).
 	Registry *Registry
@@ -44,7 +42,6 @@ type Observer struct {
 
 	mu    sync.Mutex
 	ring  *ringSink
-	sink  TraceSink
 	clock func() float64
 	start time.Time
 
@@ -61,17 +58,13 @@ type Observer struct {
 
 // New returns an Observer with the given configuration.
 func New(cfg Config) *Observer {
-	if cfg.RingSize == 0 {
-		cfg.RingSize = 4096
-	}
 	reg := cfg.Registry
 	if reg == nil {
 		reg = NewRegistry()
 	}
 	o := &Observer{
 		Reg:   reg,
-		ring:  newRingSink(cfg.RingSize),
-		sink:  cfg.Sink,
+		ring:  newRingSink(eventRingCap),
 		start: time.Now(),
 	}
 	if cfg.Tracing {
@@ -108,22 +101,23 @@ func (o *Observer) now() float64 {
 	return time.Since(o.start).Seconds()
 }
 
-// Emit stamps the event with the observer's clock (unless it already
-// carries a timestamp) and forwards it to the ring and the extra sink.
-func (o *Observer) Emit(ev Event) {
+// emit stamps the event with the observer's clock (unless it already
+// carries a timestamp) and pushes it onto the event ring.
+func (o *Observer) emit(ev Event) {
 	if ev.Time == 0 {
 		ev.Time = o.now()
 	}
 	o.ring.Emit(ev)
-	if o.sink != nil {
-		o.sink.Emit(ev)
-	}
 }
+
+// Events returns the retained recent events, oldest first: the one event
+// ring, which /trace serves and the flight recorder copies.
+func (o *Observer) Events() []Event { return o.ring.events() }
 
 // recent returns at most n of the most recent events, oldest first
 // (n <= 0 returns all retained events).
 func (o *Observer) recent(n int) []Event {
-	evs := o.ring.events()
+	evs := o.Events()
 	if n > 0 && len(evs) > n {
 		evs = evs[len(evs)-n:]
 	}
@@ -196,7 +190,7 @@ func (o *Observer) DecisionObserver(next func(qos.Decision)) func(qos.Decision) 
 			decisions.Inc()
 			admitted.Inc()
 			area.add(pl.Area())
-			o.Emit(Event{Type: evCommitted, Job: d.Job.ID, Chain: pl.Chain, Trace: d.Job.Trace, Span: d.Job.Span,
+			o.emit(Event{Type: evCommitted, Job: d.Job.ID, Chain: pl.Chain, Trace: d.Job.Trace, Span: d.Job.Span,
 				Attrs: map[string]float64{
 					"start": pl.Start(), "finish": pl.Finish(), "area": pl.Area(),
 					"quality": d.Grant.Quality,
@@ -204,7 +198,7 @@ func (o *Observer) DecisionObserver(next func(qos.Decision)) func(qos.Decision) 
 		case qos.KindRejected:
 			decisions.Inc()
 			rejected.Inc()
-			o.Emit(Event{Type: evRejected, Job: d.Job.ID, Reason: "no-feasible-chain", Trace: d.Job.Trace, Span: d.Job.Span})
+			o.emit(Event{Type: evRejected, Job: d.Job.ID, Reason: "no-feasible-chain", Trace: d.Job.Trace, Span: d.Job.Span})
 		}
 		if next != nil {
 			next(d)
@@ -216,7 +210,7 @@ func (o *Observer) DecisionObserver(next func(qos.Decision)) func(qos.Decision) 
 // every fired simulation event.
 func (o *Observer) simEventFired(name string, t float64) {
 	o.Reg.Counter(metricSimEvents).Inc()
-	o.Emit(Event{Time: t, Type: evEventFired, Name: name})
+	o.emit(Event{Time: t, Type: evEventFired, Name: name})
 }
 
 // BindEngine installs the observer on a sim engine: events are counted and
@@ -237,7 +231,7 @@ func (o *Observer) CalypsoHooks() calypso.TraceHooks {
 	return calypso.TraceHooks{
 		StepStart: func(step, tasks int) {
 			steps.Inc()
-			o.Emit(Event{Type: evStepStart, Attrs: map[string]float64{
+			o.emit(Event{Type: evStepStart, Attrs: map[string]float64{
 				"step": float64(step), "tasks": float64(tasks),
 			}})
 		},
@@ -249,13 +243,13 @@ func (o *Observer) CalypsoHooks() calypso.TraceHooks {
 			if err != nil {
 				ev.Reason = err.Error()
 			}
-			o.Emit(ev)
+			o.emit(ev)
 		},
 		TaskExec: func(int, int, int, int, time.Time, time.Duration, bool) {
 			execs.Inc()
 		},
 		WorkerFault: func(step, worker int, kind string) {
-			o.Emit(Event{Type: evWorkerFault, Worker: worker, Reason: kind,
+			o.emit(Event{Type: evWorkerFault, Worker: worker, Reason: kind,
 				Attrs: map[string]float64{"step": float64(step)}})
 		},
 	}

@@ -3,12 +3,15 @@ package obs
 import "fmt"
 
 // Ring is the one bounded-ring implementation shared by every retention
-// buffer in the observability layer: the trace-event ringSink, the
-// Tracer's completed-span ring, the flight recorder's span/event rings
-// (internal/obs/slo) and the admission-forensics diagnosis ring
-// (internal/obs/forensics).  When the ring wraps, the oldest elements are
-// evicted — never reordered — and every eviction is accounted in Dropped
-// rather than silently overwritten: Items() always returns a contiguous,
+// buffer in the observability layer: the Observer's event ring (/trace),
+// the Tracer's completed-span ring (/spans), the aggregator's per-node
+// span ring (internal/obs/telemetry) and the admission-forensics
+// diagnosis ring (internal/obs/forensics).  A process keeps each stream
+// once: the flight recorder (internal/obs/slo) keeps no ring of its own
+// and copies the tracer's and the observer's rings when it cuts a
+// snapshot.  When the ring wraps, the oldest elements are evicted — never
+// reordered — and every eviction is accounted in Dropped rather than
+// silently overwritten: Items() always returns a contiguous,
 // insertion-ordered suffix of the full stream, and
 // Total() == Dropped() + int64(Len()).
 //
@@ -46,15 +49,25 @@ func (r *Ring[T]) Push(v T) (evicted T, wasEvicted bool) {
 	return evicted, wasEvicted
 }
 
-// Items returns the retained elements in insertion order (oldest first).
-func (r *Ring[T]) Items() []T {
-	if len(r.buf) < cap(r.buf) {
-		return append([]T(nil), r.buf...)
+// Items returns the retained elements in insertion order (oldest first),
+// nil when there are none.
+func (r *Ring[T]) Items() []T { return r.since(0) }
+
+// since returns the retained elements pushed after the first n (n counts
+// like Total), oldest first: every retained element when the n-th was
+// already evicted, nil when nothing came after it.
+func (r *Ring[T]) since(n int64) []T {
+	k := int(r.total - max(n, r.dropped))
+	if k <= 0 {
+		return nil
 	}
-	out := make([]T, 0, len(r.buf))
-	out = append(out, r.buf[r.next:]...)
-	out = append(out, r.buf[:r.next]...)
-	return out
+	start := (r.next - k + len(r.buf)) % len(r.buf)
+	out := make([]T, 0, k)
+	if end := start + k; end <= len(r.buf) {
+		return append(out, r.buf[start:end]...)
+	}
+	out = append(out, r.buf[start:]...)
+	return append(out, r.buf[:k-len(out)]...)
 }
 
 // Len returns the number of retained elements.

@@ -1,6 +1,9 @@
 package obs
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 // TestRingWrap pins the generic ring's eviction contract across the three
 // interesting regimes: under capacity, exactly at capacity, and after
@@ -41,6 +44,13 @@ func TestRingWrap(t *testing.T) {
 			if want := pushed - wantLen + i; v != want {
 				t.Fatalf("after %d pushes: Items()[%d] = %d, want %d (items=%v)",
 					pushed, i, v, want, items)
+			}
+		}
+		// since(n) is the part of that suffix pushed after the first n.
+		for n := 0; n <= pushed; n++ {
+			want := items[max(n, pushed-wantLen)-(pushed-wantLen):]
+			if got := r.since(int64(n)); !slices.Equal(got, want) || (len(want) == 0) != (got == nil) {
+				t.Fatalf("after %d pushes: since(%d) = %v, want %v", pushed, n, got, want)
 			}
 		}
 	}

@@ -79,7 +79,7 @@ func TestScrapeServesStateAndLeavesReportUnchanged(t *testing.T) {
 
 func TestMountOnObserver(t *testing.T) {
 	o := obs.New(obs.Config{Tracing: true})
-	rec := NewRecorder(16, 16)
+	rec := NewRecorder(o.Tracer(), o)
 	e := New(Options{Registry: o.Reg, Recorder: rec})
 	e.Mount(o)
 	h := o.Handler()

@@ -56,7 +56,8 @@ const (
 )
 
 // Snapshot is one self-contained flight-recorder dump: the trigger plus
-// every span and decision event the recorder's rings held at cut time.
+// every span and decision event the tracer's and the observer's rings
+// held at cut time.
 // It is written as a flight artifact (obs.ReadArtifact): one trigger line
 // (the exported fields below), then one line per span and per event; it
 // round-trips through DecodeSnapshot, so a snapshot written in production
@@ -129,15 +130,16 @@ func (s *Snapshot) DecodeLine(tag string, raw []byte) error {
 	return fmt.Errorf("no %q line in a snapshot", tag)
 }
 
-// Recorder is the anomaly-triggered flight recorder: bounded rings of
-// recent completed spans and decision events, frozen into Snapshots by
-// Trigger.  It implements obs.TraceSink (events) and plugs into a
-// Tracer via Attach (spans).  All methods are safe for concurrent use
-// and safe on a nil receiver.
+// Recorder is the anomaly-triggered flight recorder: Trigger freezes the
+// tracer's span ring and the observer's event ring into a Snapshot.  It
+// keeps no ring of its own, only its triggers, their cooldown and the
+// snapshots.  All methods are safe for concurrent use and safe on a nil
+// receiver.
 type Recorder struct {
+	tracer   *obs.Tracer
+	observer *obs.Observer
+
 	mu       sync.Mutex
-	spans    *obs.Ring[obs.SpanRec]
-	events   *obs.Ring[obs.Event]
 	snaps    []*Snapshot
 	maxSnaps int
 	triggers int64
@@ -147,18 +149,13 @@ type Recorder struct {
 	lastCut  map[TriggerKind]float64
 }
 
-// NewRecorder returns a recorder retaining up to spanCap spans and
-// eventCap events (values < 1 mean 4096), and at most 16 snapshots.
-func NewRecorder(spanCap, eventCap int) *Recorder {
-	if spanCap < 1 {
-		spanCap = 4096
-	}
-	if eventCap < 1 {
-		eventCap = 4096
-	}
+// NewRecorder returns a recorder whose snapshots copy t's span ring and
+// o's event ring (either may be nil: its part of a snapshot stays empty),
+// retaining at most 16 snapshots.
+func NewRecorder(t *obs.Tracer, o *obs.Observer) *Recorder {
 	return &Recorder{
-		spans:    obs.NewRing[obs.SpanRec](spanCap),
-		events:   obs.NewRing[obs.Event](eventCap),
+		tracer:   t,
+		observer: o,
 		maxSnaps: 16,
 		lastCut:  make(map[TriggerKind]float64),
 	}
@@ -176,64 +173,29 @@ func (r *Recorder) SetCooldown(d float64) {
 	r.mu.Unlock()
 }
 
-// Attach installs the recorder on a tracer: every completed span lands in
-// the span ring.
-func (r *Recorder) Attach(t *obs.Tracer) {
-	if r == nil || t == nil {
-		return
-	}
-	t.OnEnd(r.recordSpan)
-}
-
-// recordSpan adds one completed span to the ring (the Tracer.OnEnd sink).
-func (r *Recorder) recordSpan(rec obs.SpanRec) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.spans.Push(rec)
-	r.mu.Unlock()
-}
-
-// Emit adds one decision event to the ring (the obs.TraceSink surface —
-// pass the recorder as obs.Config.Sink).
-func (r *Recorder) Emit(ev obs.Event) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.events.Push(ev)
-	r.mu.Unlock()
-}
-
-// Trigger freezes the rings into a snapshot for the given anomaly.
+// Trigger freezes the source rings into a snapshot for the given anomaly.
 // Returns nil on a nil recorder or when suppressed by the cooldown.
 func (r *Recorder) Trigger(kind TriggerKind, trace uint64, now float64, note string) *Snapshot {
 	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	if r.cooldown > 0 {
 		if last, ok := r.lastCut[kind]; ok && now-last < r.cooldown && now >= last {
-			r.mu.Unlock()
 			return nil
 		}
 	}
 	r.lastCut[kind] = now
 	r.triggers++
-	snap := &Snapshot{
-		Kind:   kind,
-		Trace:  trace,
-		At:     now,
-		Note:   note,
-		Spans:  r.spans.Items(),
-		Events: r.events.Items(),
+	snap := &Snapshot{Kind: kind, Trace: trace, At: now, Note: note, Spans: r.tracer.Spans()}
+	if r.observer != nil {
+		snap.Events = r.observer.Events()
 	}
 	r.snaps = append(r.snaps, snap)
 	if len(r.snaps) > r.maxSnaps {
 		r.snaps = r.snaps[len(r.snaps)-r.maxSnaps:]
 	}
-	r.mu.Unlock()
 	return snap
 }
 

@@ -12,10 +12,7 @@ import (
 
 func TestRecorderNilSafe(t *testing.T) {
 	var r *Recorder
-	r.recordSpan(obs.SpanRec{})
-	r.Emit(obs.Event{})
 	r.SetCooldown(1)
-	r.Attach(nil)
 	if r.Trigger(TriggerManual, 0, 0, "") != nil {
 		t.Fatal("nil recorder returned a snapshot")
 	}
@@ -24,36 +21,68 @@ func TestRecorderNilSafe(t *testing.T) {
 	}
 }
 
+// clock is a sim-engine stand-in for Observer.BindEngine.
+type clock struct{}
+
+func (clock) Now() float64 { return 0 }
+
+// TestRecorderRingWrapOrdering: a snapshot is the tracer's span ring and
+// the observer's event ring as they stood at the trigger, each wrapped
+// past its capacity (an oldest-first, contiguous suffix of its stream),
+// and later spans and events do not reach a snapshot already cut.
 func TestRecorderRingWrapOrdering(t *testing.T) {
-	r := NewRecorder(4, 3)
+	tr := obs.NewTracer(4)
+	o := obs.New(obs.Config{})
+	fire := o.BindEngine(clock{})
+	r := NewRecorder(tr, o)
+	const events = 4096 + 3
+	for i := 0; i < events; i++ {
+		fire("tick", float64(i+1))
+	}
 	for i := 0; i < 10; i++ {
-		r.recordSpan(obs.SpanRec{Trace: 1, ID: obs.SpanID(i + 1), Start: float64(i)})
-		r.Emit(obs.Event{Time: float64(i), Job: i})
+		tr.StartAt(tr.NewTrace(), 0, "s", obs.StageRun, i, float64(i)).EndAt(float64(i) + 1)
 	}
+	spans, evs := tr.Spans(), o.Events()
 	snap := r.Trigger(TriggerManual, 0, 10, "wrap test")
-	if len(snap.Spans) != 4 || len(snap.Events) != 3 {
-		t.Fatalf("ring sizes: %d spans, %d events", len(snap.Spans), len(snap.Events))
+	if !reflect.DeepEqual(snap.Spans, spans) || !reflect.DeepEqual(snap.Events, evs) {
+		t.Fatal("snapshot is not the source rings at trigger time")
 	}
-	// Oldest-first, contiguous suffix of the stream.
 	for i, s := range snap.Spans {
-		if want := obs.SpanID(7 + i); s.ID != want {
-			t.Fatalf("span[%d].ID = %d, want %d", i, s.ID, want)
+		if want := 6 + i; s.Job != want {
+			t.Fatalf("span[%d].Job = %d, want %d", i, s.Job, want)
 		}
 	}
-	for i, ev := range snap.Events {
-		if want := 7 + i; ev.Job != want {
-			t.Fatalf("event[%d].Job = %d, want %d", i, ev.Job, want)
-		}
+	if len(snap.Events) != 4096 || snap.Events[0].Time != events-4095 || snap.Events[4095].Time != events {
+		t.Fatalf("events: %d, first at %g, last at %g", len(snap.Events), snap.Events[0].Time, snap.Events[len(snap.Events)-1].Time)
+	}
+	tr.StartAt(tr.NewTrace(), 0, "later", obs.StageRun, 99, 11).EndAt(12)
+	fire("later", events+1)
+	if !reflect.DeepEqual(snap.Spans, spans) || !reflect.DeepEqual(snap.Events, evs) {
+		t.Fatal("a snapshot changed after it was cut")
+	}
+}
+
+// TestRecorderWithoutSourcesCutsTriggerOnly: a recorder with neither a
+// tracer nor an observer still cuts and keeps a snapshot, with no spans or
+// events.
+func TestRecorderWithoutSourcesCutsTriggerOnly(t *testing.T) {
+	r := NewRecorder(nil, nil)
+	snap := r.Trigger(TriggerCapacityDrift, 4, 7, "lost two procs")
+	want := &Snapshot{Kind: TriggerCapacityDrift, Trace: 4, At: 7, Note: "lost two procs"}
+	if !reflect.DeepEqual(snap, want) || r.Last() != snap {
+		t.Fatalf("snapshot = %+v, want %+v", snap, want)
 	}
 }
 
 func TestSnapshotJSONLRoundTrip(t *testing.T) {
-	r := NewRecorder(8, 8)
-	r.recordSpan(obs.SpanRec{Trace: 3, ID: 1, Name: "fed.negotiate", Stage: obs.StageArrival, Job: 9, Start: 1, End: 2})
-	r.recordSpan(obs.SpanRec{Trace: 3, ID: 2, Parent: 1, Name: "sched.plan", Stage: obs.StagePlan, Job: 9,
-		Start: 1.1, End: 1.9, Attrs: map[string]float64{"finish": 5.5}})
-	r.Emit(obs.Event{Time: 1.5, Type: "Committed", Job: 9, Trace: 3, Span: 2})
-	snap := r.Trigger(TriggerDeadlineMiss, 3, 6.0, "job 9 late")
+	snap := &Snapshot{Kind: TriggerDeadlineMiss, Trace: 3, At: 6.0, Note: "job 9 late",
+		Spans: []obs.SpanRec{
+			{Trace: 3, ID: 1, Name: "fed.negotiate", Stage: obs.StageArrival, Job: 9, Start: 1, End: 2},
+			{Trace: 3, ID: 2, Parent: 1, Name: "sched.plan", Stage: obs.StagePlan, Job: 9,
+				Start: 1.1, End: 1.9, Attrs: map[string]float64{"finish": 5.5}},
+		},
+		Events: []obs.Event{{Time: 1.5, Type: "Committed", Job: 9, Trace: 3, Span: 2}},
+	}
 
 	var buf bytes.Buffer
 	if err := snap.WriteJSONL(&buf); err != nil {
@@ -108,7 +137,7 @@ func TestDecodeSnapshotErrors(t *testing.T) {
 }
 
 func TestRecorderCooldown(t *testing.T) {
-	r := NewRecorder(4, 4)
+	r := NewRecorder(nil, nil)
 	r.SetCooldown(10)
 	if r.Trigger(TriggerDeadlineMiss, 1, 100, "") == nil {
 		t.Fatal("first trigger suppressed")
@@ -129,10 +158,11 @@ func TestRecorderCooldown(t *testing.T) {
 	}
 }
 
+// TestRecorderAttachToTracer: a recorder built on a tracer sees a span
+// that ends on that tracer after the recorder was made.
 func TestRecorderAttachToTracer(t *testing.T) {
 	tr := obs.NewTracer(16)
-	rec := NewRecorder(16, 16)
-	rec.Attach(tr)
+	rec := NewRecorder(tr, nil)
 	trace := tr.NewTrace()
 	sp := tr.Start(trace, 0, "x", obs.StageRun, 1)
 	sp.EndAt(2)
@@ -143,7 +173,7 @@ func TestRecorderAttachToTracer(t *testing.T) {
 }
 
 func TestRecorderRetentionBound(t *testing.T) {
-	r := NewRecorder(2, 2)
+	r := NewRecorder(nil, nil)
 	for i := 0; i < 20; i++ {
 		r.Trigger(TriggerManual, uint64(i+1), float64(i), "")
 	}
@@ -160,13 +190,14 @@ func TestRecorderRetentionBound(t *testing.T) {
 }
 
 func TestRecorderHandler(t *testing.T) {
-	r := NewRecorder(4, 4)
+	tr := obs.NewTracer(4)
+	r := NewRecorder(tr, nil)
 	rw := httptest.NewRecorder()
 	r.handler().ServeHTTP(rw, httptest.NewRequest("GET", "/flight", nil))
 	if rw.Code != 404 {
 		t.Fatalf("empty recorder: status %d, want 404", rw.Code)
 	}
-	r.recordSpan(obs.SpanRec{Trace: 1, ID: 1, Name: "x", Stage: obs.StageRun, End: 1})
+	tr.StartAt(tr.NewTrace(), 0, "x", obs.StageRun, 1, 0).EndAt(1)
 	r.Trigger(TriggerManual, 1, 2, "snap")
 	rw = httptest.NewRecorder()
 	r.handler().ServeHTTP(rw, httptest.NewRequest("GET", "/flight", nil))

@@ -22,7 +22,7 @@ func (f *fakeCounts) source() []latency.PhaseCount {
 func newSentinelEngine(src *fakeCounts) *Engine {
 	return New(Options{
 		RegressionSource: src.source,
-		Recorder:         NewRecorder(64, 64),
+		Recorder:         NewRecorder(nil, nil),
 	})
 }
 

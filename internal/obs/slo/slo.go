@@ -11,9 +11,9 @@
 //     objective tracked with multi-window burn rates in the SRE style
 //     (alert when both the short and the long window burn their error
 //     budget faster than a threshold).
-//   - Recorder (recorder.go): an anomaly-triggered flight recorder
-//     holding bounded rings of recent spans and decision events, dumped
-//     to a self-contained JSONL snapshot on deadline misses,
+//   - Recorder (recorder.go): an anomaly-triggered flight recorder that
+//     copies the tracer's span ring and the observer's event ring into
+//     a self-contained JSONL snapshot on deadline misses,
 //     over-admissions, commit-race spikes and rebalance storms.
 //   - Replay (replay.go): differential replay of a snapshot that
 //     localizes the violation to planner, router, rebalancer or runtime.

@@ -55,7 +55,7 @@ func TestHardInvariantDeadlineMiss(t *testing.T) {
 }
 
 func TestOverAdmissionTriggersImmediately(t *testing.T) {
-	rec := NewRecorder(16, 16)
+	rec := NewRecorder(nil, nil)
 	e := New(Options{Recorder: rec})
 	// Reservation finishing after the deadline: planner fault by construction.
 	e.JobAdmitted(3, 9, 0.5, time.Millisecond, 10.0, 10.7)
@@ -163,7 +163,7 @@ func TestBurnZeroBudgetIsInf(t *testing.T) {
 }
 
 func TestObserveRouterSpikeAndStorm(t *testing.T) {
-	rec := NewRecorder(16, 16)
+	rec := NewRecorder(nil, nil)
 	e := New(Options{StormThreshold: 5, Recorder: rec})
 	// First sample only seeds the cumulative counters.
 	e.ObserveRouter(1, 100, 200)
@@ -204,7 +204,7 @@ func TestReportLatencyQuantiles(t *testing.T) {
 }
 
 func TestWriteReport(t *testing.T) {
-	rec := NewRecorder(8, 8)
+	rec := NewRecorder(nil, nil)
 	e := New(Options{Recorder: rec})
 	e.JobAdmitted(1, 5, 0, time.Millisecond, 10, 9)
 	e.JobCompleted(1, 11) // miss
@@ -256,7 +256,7 @@ func TestRegistryMetricsPublished(t *testing.T) {
 }
 
 func TestEngineConcurrentUse(t *testing.T) {
-	e := New(Options{Recorder: NewRecorder(64, 64)})
+	e := New(Options{Recorder: NewRecorder(nil, nil)})
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)

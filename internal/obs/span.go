@@ -70,7 +70,6 @@ type Tracer struct {
 	clock func() float64
 	epoch int64 // phase.NowNanos at creation: the zero of the wall clock domain
 	ring  *Ring[SpanRec]
-	onEnd func(SpanRec)
 }
 
 // NewTracer returns a tracer retaining up to capacity completed spans
@@ -89,23 +88,6 @@ func (t *Tracer) SetClock(clock func() float64) {
 	}
 	t.mu.Lock()
 	t.clock = clock
-	t.mu.Unlock()
-}
-
-// OnEnd registers fn to observe every completed span (chained after any
-// previously registered observer).  The flight recorder installs itself
-// here.
-func (t *Tracer) OnEnd(fn func(SpanRec)) {
-	if t == nil || fn == nil {
-		return
-	}
-	t.mu.Lock()
-	prev := t.onEnd
-	if prev == nil {
-		t.onEnd = fn
-	} else {
-		t.onEnd = func(s SpanRec) { prev(s); fn(s) }
-	}
 	t.mu.Unlock()
 }
 
@@ -314,23 +296,18 @@ func (s *ActiveSpan) EndAdmission(rec *phase.Rec, g *qos.Grant, err error) {
 }
 
 // record appends completed spans to the ring (evicting the oldest when
-// full, counted in Dropped) and forwards them to the OnEnd observer.
+// full, counted in Dropped).
 func (t *Tracer) record(recs ...SpanRec) {
 	t.mu.Lock()
 	for i := range recs {
 		t.ring.Push(recs[i])
 	}
-	onEnd := t.onEnd
 	t.mu.Unlock()
-	if onEnd != nil {
-		for i := range recs {
-			onEnd(recs[i])
-		}
-	}
 }
 
 // Spans returns the retained completed spans in completion order (oldest
-// first).  A nil tracer returns nil.
+// first): the one span ring, which /spans serves and the flight recorder
+// (slo.Recorder) copies when it cuts a snapshot.  A nil tracer returns nil.
 func (t *Tracer) Spans() []SpanRec {
 	if t == nil {
 		return nil
@@ -340,15 +317,21 @@ func (t *Tracer) Spans() []SpanRec {
 	return t.ring.Items()
 }
 
-// spansTotal is Spans and Total read under one lock, so the total counts
-// exactly the spans up to the last one returned.
-func (t *Tracer) spansTotal() ([]SpanRec, int64) {
+// spansSince returns the retained spans completed after the first since
+// (all of them when since is past the count, as for a restarted node),
+// and the completed-span count, read under one lock so the count ends
+// exactly at the last span returned.
+func (t *Tracer) spansSince(since int64) ([]SpanRec, int64) {
 	if t == nil {
 		return nil, 0
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.ring.Items(), t.ring.Total()
+	total := t.ring.Total()
+	if since > total {
+		since = 0
+	}
+	return t.ring.since(since), total
 }
 
 // SpanNode is one node of a reconstructed span tree.

@@ -30,7 +30,6 @@ func TestNilTracerAndSpanSafe(t *testing.T) {
 		t.Fatal("nil span has identity")
 	}
 	tr.SetClock(nil)
-	tr.OnEnd(nil)
 	if tr.Spans() != nil || tr.Total() != 0 || tr.Dropped() != 0 {
 		t.Fatal("nil tracer accessors not zero")
 	}
@@ -76,8 +75,6 @@ func TestSpanLifecycleAndDoubleEnd(t *testing.T) {
 func TestEndAdmissionUnderABoundClock(t *testing.T) {
 	tr := NewTracer(16)
 	tr.SetClock(func() float64 { return 42 })
-	var seen int
-	tr.OnEnd(func(SpanRec) { seen++ })
 	rec := phase.Start(nil, 0, 7)
 	time.Sleep(time.Microsecond)
 	rec.Mark(phase.Route)
@@ -98,8 +95,8 @@ func TestEndAdmissionUnderABoundClock(t *testing.T) {
 
 	spans := tr.Spans()
 	root := spans[len(spans)-1]
-	if len(spans) != timed+1 || seen != len(spans) {
-		t.Fatalf("%d spans (%d seen by OnEnd) for %d timed phases", len(spans), seen, timed)
+	if len(spans) != timed+1 {
+		t.Fatalf("%d spans for %d timed phases", len(spans), timed)
 	}
 	if root.Name != "job.admit" || root.Start != 40 || root.End != 42 || root.Err != "" ||
 		root.Attrs["shard"] != 3 || root.Attrs["chain"] != 1 || root.Attrs["finish"] != 60 {
@@ -130,18 +127,6 @@ func TestTracerRingDropsOldestCounted(t *testing.T) {
 		if spans[i].Job != want {
 			t.Fatalf("spans[%d].Job = %d, want %d", i, spans[i].Job, want)
 		}
-	}
-}
-
-func TestTracerOnEndChains(t *testing.T) {
-	tr := NewTracer(8)
-	var got []string
-	tr.OnEnd(func(SpanRec) { got = append(got, "a") })
-	tr.OnEnd(func(SpanRec) { got = append(got, "b") })
-	sp := tr.Start(tr.NewTrace(), 0, "x", StageRun, 1)
-	sp.EndAt(1)
-	if len(got) != 2 || got[0] != "a" || got[1] != "b" {
-		t.Fatalf("observers = %v", got)
 	}
 }
 

@@ -8,9 +8,9 @@
 // equal the per-node sums by construction and a node that restarted is
 // whole again at its next poll: nothing carries over from one poll to the
 // next but the span cursor.  Spans are the one stream: the aggregator
-// keeps a cursor on each node's completed-span count (obs.SpansTotalHeader) and
-// takes only the spans past it; spans the node's ring overwrote between
-// two polls are counted as dropped.
+// keeps a cursor on each node's completed-span count (obs.SpansTotalHeader),
+// asks for only the spans past it (/spans?since=), and counts the spans the
+// node's ring overwrote between two polls as dropped.
 package telemetry
 
 import (
@@ -247,8 +247,10 @@ func (a *Aggregator) poll(ns *nodeState) {
 	}
 	var total int64
 	if err == nil {
+		// Only the spans past the cursor come back (polls are serialized
+		// by pollMu, so the cursor is read unlocked).
 		var hdr http.Header
-		if hdr, _, err = a.get(ns.addr, "/spans", &spans); err == nil {
+		if hdr, _, err = a.get(ns.addr, "/spans?since="+strconv.FormatInt(max(ns.cursor, 0), 10), &spans); err == nil {
 			total, err = strconv.ParseInt(hdr.Get(obs.SpansTotalHeader), 10, 64)
 		}
 	}

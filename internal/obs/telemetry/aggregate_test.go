@@ -1,11 +1,14 @@
 package telemetry
 
 import (
+	"encoding/json"
 	"fmt"
+	"maps"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -201,9 +204,10 @@ func TestRestartedNodeIsWholeAfterOnePoll(t *testing.T) {
 	}
 }
 
-// The span cursor: a poll takes only the spans past the node's total at
-// the previous poll, so nothing is taken twice, and spans the node's ring
-// overwrote between two polls read as a drop count equal to their number.
+// The span cursor: a poll asks for and takes only the spans past the
+// node's total at the previous poll, so nothing is sent or taken twice, and
+// spans the node's ring overwrote between two polls read as a drop count
+// equal to their number.
 func TestSpanCursorNeverDuplicatesAndCountsOverrun(t *testing.T) {
 	const ring = 16
 	o := obs.New(obs.Config{Tracing: true, SpanRingSize: ring})
@@ -216,7 +220,22 @@ func TestSpanCursorNeverDuplicatesAndCountsOverrun(t *testing.T) {
 			s.End()
 		}
 	}
-	agg := newTestAggregator(t, false, serve(t, o.Handler()))
+	var mu sync.Mutex
+	var bodies []string // every /spans response, in poll order
+	h := o.Handler()
+	agg := newTestAggregator(t, false, serve(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/spans" {
+			h.ServeHTTP(w, r)
+			return
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, r)
+		mu.Lock()
+		bodies = append(bodies, rec.Body.String())
+		mu.Unlock()
+		maps.Copy(w.Header(), rec.Header())
+		w.Write(rec.Body.Bytes())
+	})))
 
 	emit(5)
 	agg.pollOnce() // the first poll takes what the ring holds
@@ -240,6 +259,19 @@ func TestSpanCursorNeverDuplicatesAndCountsOverrun(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("held spans %v, want %v", got, want)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	var sent []int
+	for _, b := range bodies {
+		var spans []obs.SpanRec
+		if err := json.Unmarshal([]byte(b), &spans); err != nil {
+			t.Fatal(err)
+		}
+		sent = append(sent, len(spans))
+	}
+	if !reflect.DeepEqual(sent, []int{5, 0, 10, ring, 0}) || strings.TrimSpace(bodies[1]) != "[]" {
+		t.Fatalf("spans sent per poll = %v (nothing-new body %q), want [5 0 10 %d 0] and []", sent, bodies[1], ring)
 	}
 }
 

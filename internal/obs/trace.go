@@ -40,18 +40,12 @@ type Event struct {
 	Span  uint64 `json:"span,omitempty"`
 }
 
-// TraceSink receives structured events.  Implementations must be safe for
-// concurrent use; Emit should be cheap (callers sit on hot paths).
-type TraceSink interface {
-	Emit(Event)
-}
-
 // ringSink retains the most recent events in a fixed-capacity ring buffer
 // (a mutex-guarded Ring[Event] — see ring.go for the eviction contract).
 // When the ring wraps, the oldest events are evicted — never reordered —
-// and the eviction is accounted in Dropped rather than silently
-// overwritten: Events() always returns a contiguous, emission-ordered
-// suffix of the full stream, and Total() == Dropped() + len(Events()).
+// and the eviction is accounted in the ring's Dropped rather than
+// silently overwritten: events() always returns a contiguous,
+// emission-ordered suffix of the full stream.
 type ringSink struct {
 	mu   sync.Mutex
 	ring *Ring[Event]
@@ -75,19 +69,4 @@ func (r *ringSink) events() []Event {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.ring.Items()
-}
-
-// Total returns the number of events ever emitted (including evicted ones).
-func (r *ringSink) Total() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.ring.Total()
-}
-
-// Dropped returns how many events were evicted from the ring because it
-// wrapped.  Total() - Dropped() equals the number of retained events.
-func (r *ringSink) Dropped() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.ring.Dropped()
 }

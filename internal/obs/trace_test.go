@@ -13,8 +13,8 @@ func TestRingSinkBelowCapacity(t *testing.T) {
 	if evs[0].Type != evRejected || evs[1].Type != evCommitted {
 		t.Fatalf("events = %+v", evs)
 	}
-	if r.Total() != 2 {
-		t.Fatalf("total = %d, want 2", r.Total())
+	if r.ring.Total() != 2 {
+		t.Fatalf("total = %d, want 2", r.ring.Total())
 	}
 }
 
@@ -32,8 +32,8 @@ func TestRingSinkWrapsKeepingNewest(t *testing.T) {
 			t.Fatalf("evs[%d].Job = %d, want %d (events=%v)", i, evs[i].Job, want, evs)
 		}
 	}
-	if r.Total() != 7 {
-		t.Fatalf("total = %d, want 7", r.Total())
+	if r.ring.Total() != 7 {
+		t.Fatalf("total = %d, want 7", r.ring.Total())
 	}
 }
 
@@ -45,7 +45,7 @@ func TestRingSinkDroppedAccountingUnderWrap(t *testing.T) {
 	r := newRingSink(3)
 	check := func(step int) {
 		t.Helper()
-		if got, want := r.Total(), r.Dropped()+int64(len(r.events())); got != want {
+		if got, want := r.ring.Total(), r.ring.Dropped()+int64(len(r.events())); got != want {
 			t.Fatalf("step %d: Total()=%d but Dropped()+len(Events())=%d", step, got, want)
 		}
 	}
@@ -53,15 +53,15 @@ func TestRingSinkDroppedAccountingUnderWrap(t *testing.T) {
 		r.Emit(Event{Type: evEventFired, Job: i})
 		check(i)
 	}
-	if r.Dropped() != 0 {
-		t.Fatalf("dropped below capacity: %d", r.Dropped())
+	if r.ring.Dropped() != 0 {
+		t.Fatalf("dropped below capacity: %d", r.ring.Dropped())
 	}
 	for i := 3; i <= 10; i++ {
 		r.Emit(Event{Type: evEventFired, Job: i})
 		check(i)
 	}
-	if r.Dropped() != 7 || r.Total() != 10 {
-		t.Fatalf("dropped=%d total=%d, want 7/10", r.Dropped(), r.Total())
+	if r.ring.Dropped() != 7 || r.ring.Total() != 10 {
+		t.Fatalf("dropped=%d total=%d, want 7/10", r.ring.Dropped(), r.ring.Total())
 	}
 	// The surviving window is the newest contiguous suffix, in order.
 	evs := r.events()

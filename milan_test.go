@@ -179,6 +179,7 @@ func TestEverySettingHasACaller(t *testing.T) {
 		"milan/internal/durable.Config",
 		"milan/internal/durable.StoreOptions",
 		"milan/internal/qos.ShedConfig",
+		"milan/internal/obs.Config",
 		"milan/internal/obs/slo.Options",
 		"milan/internal/obs/latency.Config",
 		"milan/internal/obs/telemetry.AggregatorConfig",
