@@ -22,8 +22,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"strings"
@@ -126,7 +124,7 @@ func run() (err error) {
 		if *traceSample > 0 {
 			observer.Tracer().SetSampling(*traceSample)
 		}
-		addr, srv, err := startDebug(observer, *debugAddr)
+		addr, srv, err := obs.Serve(observer.Handler(), *debugAddr)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -135,14 +133,7 @@ func run() (err error) {
 	}
 
 	if *walDir != "" {
-		var lp *latency.Plane
-		if observer != nil {
-			var err error
-			if lp, err = newLatencyPlane(observer, *latEnvelope); err != nil {
-				log.Fatal(err)
-			}
-		}
-		srv, plane, eng, serr := serveAdmission(observer, lp, admitConfig{
+		srv, plane, eng, serr := serveAdmission(observer, *latEnvelope, admitConfig{
 			dir: *walDir, addr: *admitAddr, sync: *walSync,
 			snapshotEvery: *snapshotEvery,
 			procs:         pickProcs(*admitProcs, *workers),
@@ -322,22 +313,21 @@ func pickProcs(admitProcs, workers int) int {
 	return 1
 }
 
-// newLatencyPlane times admissions into the observer's registry and serves
-// them on /latency.  Given a trajectory file (-latency-envelope) it arms the
-// regression sentinel from that file's envelopeMatch row at envelopeSlack.
-func newLatencyPlane(observer *obs.Observer, trajectory string) (*latency.Plane, error) {
-	lp := latency.New(latency.Config{Registry: observer.Reg})
+// armLatency serves the SLO engine's latency plane on /latency.  Given a
+// trajectory file (-latency-envelope) it first arms the plane's regression
+// sentinel from that file's envelopeMatch row at envelopeSlack.
+func armLatency(observer *obs.Observer, lp *latency.Plane, trajectory string) error {
 	if trajectory != "" {
 		env, err := latency.EnvelopeFromTrajectory(trajectory, envelopeMatch, envelopeSlack)
 		if err != nil {
-			return nil, fmt.Errorf("junctiond: latency envelope: %w", err)
+			return fmt.Errorf("junctiond: latency envelope: %w", err)
 		}
 		lp.SetEnvelope(env)
 		fmt.Printf("latency envelope: %dns for route, probe, plan, reserve and ack; journal and e2e disarmed (baseline %s x%.3g slack)\n\n",
 			env.Phase[0], envelopeMatch, envelopeSlack)
 	}
 	observer.Handle("/latency", lp.Handler(), "admission latency anatomy: phase quantiles, envelope, tail exemplars (JSON)")
-	return lp, nil
+	return nil
 }
 
 // serveAdmission opens (recovering) the durable admission plane on the
@@ -345,11 +335,21 @@ func newLatencyPlane(observer *obs.Observer, trajectory string) (*latency.Plane,
 // observer is attached, the durability instruments land in its registry
 // (/metrics exposes append latency, fsync counts, snapshot sizes and
 // recovery replay time), admission requests are traced and timed end to
-// end, and an SLO engine audits every decision (qosnet.Instruments).
-func serveAdmission(observer *obs.Observer, lp *latency.Plane, cfg admitConfig) (*qosnet.Server, *durable.Plane, *slo.Engine, error) {
+// end on the SLO engine's latency plane (armed from trajectory, when
+// given), and the engine audits every decision (qosnet.Instruments).
+func serveAdmission(observer *obs.Observer, trajectory string, cfg admitConfig) (*qosnet.Server, *durable.Plane, *slo.Engine, error) {
 	pol, err := durable.ParseSyncPolicy(cfg.sync)
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("junctiond: %w", err)
+	}
+	var eng *slo.Engine
+	if observer != nil {
+		// The engine judges admission latency off its own plane; a
+		// regression burn on it cuts a flight snapshot.
+		eng = slo.New(slo.Options{Registry: observer.Reg, Recorder: slo.NewRecorder(observer.Tracer(), nil)})
+		if err := armLatency(observer, eng.Latency(), trajectory); err != nil {
+			return nil, nil, nil, err
+		}
 	}
 	fs := cfg.fs
 	if fs == nil {
@@ -376,23 +376,12 @@ func serveAdmission(observer *obs.Observer, lp *latency.Plane, cfg admitConfig) 
 		plane.Close()
 		return nil, nil, nil, fmt.Errorf("junctiond: %w", err)
 	}
-	var eng *slo.Engine
-	if observer != nil {
-		opts := slo.Options{Registry: observer.Reg}
-		if lp != nil {
-			// Arm the online regression sentinel: the engine diffs the
-			// plane's per-phase envelope counters each Tick and cuts a
-			// flight snapshot when a phase burns its budget.
-			opts.RegressionSource = lp.RegressionCounts
-			opts.Recorder = slo.NewRecorder(observer.Tracer(), nil)
-		}
-		eng = slo.New(opts)
+	if eng != nil {
 		eng.Mount(observer)
 		start := time.Now()
-		srv.Instrument(qosnet.Instruments{Tracer: observer.Tracer(), Latency: lp, OnDecision: func(j core.Job, g *qos.Grant, err error, latency time.Duration) {
-			now := time.Since(start).Seconds()
+		srv.Instrument(qosnet.Instruments{Tracer: observer.Tracer(), Latency: eng.Latency(), OnDecision: func(j core.Job, g *qos.Grant, err error) {
 			if err != nil || g == nil {
-				eng.JobRejected(now, latency)
+				eng.JobRejected()
 				return
 			}
 			deadline := 0.0
@@ -401,7 +390,7 @@ func serveAdmission(observer *obs.Observer, lp *latency.Plane, cfg admitConfig) 
 					deadline = tasks[len(tasks)-1].Deadline
 				}
 			}
-			eng.JobAdmitted(j.ID, j.Trace, now, latency, deadline, g.Placement.Finish())
+			eng.JobAdmitted(j.ID, j.Trace, time.Since(start).Seconds(), deadline, g.Placement.Finish())
 		}})
 	}
 	fmt.Printf("admission plane: %s (wal %s, sync=%s, recovered lsn=%d records=%d grants=%d replay=%s)\n\n",
@@ -414,16 +403,4 @@ func serveAdmission(observer *obs.Observer, lp *latency.Plane, cfg admitConfig) 
 // failure of either is returned, not dropped.
 func closeAdmission(srv *qosnet.Server, plane *durable.Plane) error {
 	return errors.Join(srv.Close(), plane.Close())
-}
-
-// startDebug serves the observer's debug handler on addr, returning the
-// bound address and the server (close it to stop serving).
-func startDebug(o *obs.Observer, addr string) (net.Addr, *http.Server, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, nil, fmt.Errorf("debug listen %s: %w", addr, err)
-	}
-	srv := &http.Server{Handler: o.Handler()}
-	go srv.Serve(ln)
-	return ln.Addr(), srv, nil
 }

@@ -19,7 +19,7 @@ import (
 // with Calypso hooks attached and checks the debug endpoint reports it.
 func TestStartDebugServesInstrumentedRun(t *testing.T) {
 	o := obs.New(obs.Config{})
-	addr, srv, err := startDebug(o, "127.0.0.1:0")
+	addr, srv, err := obs.Serve(o.Handler(), "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestStartDebugServesInstrumentedRun(t *testing.T) {
 }
 
 func TestStartDebugBadAddr(t *testing.T) {
-	if _, _, err := startDebug(obs.New(obs.Config{}), "127.0.0.1:999999"); err == nil {
+	if _, _, err := obs.Serve(obs.New(obs.Config{}).Handler(), "127.0.0.1:999999"); err == nil {
 		t.Fatal("bad address accepted")
 	}
 }
@@ -81,7 +81,7 @@ func TestServeAdmissionRecoversGrants(t *testing.T) {
 	o := obs.New(obs.Config{})
 	cfg := admitConfig{dir: dir, addr: "127.0.0.1:0", sync: "always",
 		snapshotEvery: 64, procs: 8, shards: 1}
-	srv, plane, _, err := serveAdmission(o, nil, cfg)
+	srv, plane, _, err := serveAdmission(o, "", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestServeAdmissionRecoversGrants(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	srv2, plane2, _, err := serveAdmission(nil, nil, cfg)
+	srv2, plane2, _, err := serveAdmission(nil, "", cfg)
 	if err != nil {
 		t.Fatalf("restart: %v", err)
 	}
@@ -123,7 +123,7 @@ func TestServeAdmissionRecoversGrants(t *testing.T) {
 }
 
 func TestServeAdmissionBadPolicy(t *testing.T) {
-	if _, _, _, err := serveAdmission(nil, nil, admitConfig{dir: t.TempDir(), addr: "127.0.0.1:0",
+	if _, _, _, err := serveAdmission(nil, "", admitConfig{dir: t.TempDir(), addr: "127.0.0.1:0",
 		sync: "sometimes", snapshotEvery: 64, procs: 4, shards: 1}); err == nil {
 		t.Fatal("bad sync policy accepted")
 	}
@@ -135,7 +135,7 @@ func TestServeAdmissionBadPolicy(t *testing.T) {
 func TestCloseAdmissionReportsTheFinalFlush(t *testing.T) {
 	for _, fail := range []bool{false, true} {
 		fs := vfs.NewFault(vfs.NewMem())
-		srv, plane, _, err := serveAdmission(nil, nil, admitConfig{fs: fs, dir: "wal", addr: "127.0.0.1:0",
+		srv, plane, _, err := serveAdmission(nil, "", admitConfig{fs: fs, dir: "wal", addr: "127.0.0.1:0",
 			sync: "every-n", snapshotEvery: 64, procs: 8, shards: 1})
 		if err != nil {
 			t.Fatal(err)

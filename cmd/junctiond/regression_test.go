@@ -40,16 +40,12 @@ func startNode(t *testing.T, name string, shards int, fs vfs.FS, dir string) *no
 	t.Helper()
 	o := obs.New(obs.Config{Tracing: true})
 	o.Tracer().SeedIDs(telemetry.NodeIDBase(name))
-	addr, dbg, err := startDebug(o, "127.0.0.1:0")
+	addr, dbg, err := obs.Serve(o.Handler(), "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { dbg.Close() })
-	lp, err := newLatencyPlane(o, trajectory)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, plane, eng, err := serveAdmission(o, lp, admitConfig{fs: fs, dir: dir, addr: "127.0.0.1:0",
+	srv, plane, eng, err := serveAdmission(o, trajectory, admitConfig{fs: fs, dir: dir, addr: "127.0.0.1:0",
 		sync: "always", snapshotEvery: 1024, procs: 64, shards: shards})
 	if err != nil {
 		t.Fatal(err)
@@ -59,7 +55,7 @@ func startNode(t *testing.T, name string, shards int, fs vfs.FS, dir string) *no
 			t.Error(err)
 		}
 	})
-	return &node{name: name, admit: srv.Addr().String(), debug: addr.String(), observer: o, plane: lp, eng: eng}
+	return &node{name: name, admit: srv.Addr().String(), debug: addr.String(), observer: o, plane: eng.Latency(), eng: eng}
 }
 
 // drive negotiates jobs against n under client-minted traces, the way

@@ -10,7 +10,8 @@
 // the listed qosnet admission endpoints with client-minted root spans,
 // so the stitched trees span the client (milanmon) and server
 // (junctiond) processes.  -smoke turns the run into a checked 2-node
-// smoke test: it asserts node liveness, merged-counter consistency, and
+// smoke test: it asserts node liveness, merged-counter consistency, a
+// merged admit-latency objective that judged every driven decision, and
 // a cross-process arrival→route→plan→reserve→run span tree, writes the
 // full cluster state to -state, and exits non-zero on failure.
 //
@@ -26,8 +27,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"strings"
@@ -63,14 +62,12 @@ func main() {
 	defer agg.Close()
 
 	if *listen != "" {
-		ln, err := net.Listen("tcp", *listen)
+		addr, srv, err := obs.Serve(agg.Handler(), *listen)
 		if err != nil {
-			log.Fatalf("milanmon: listen %s: %v", *listen, err)
+			log.Fatalf("milanmon: %v", err)
 		}
-		srv := &http.Server{Handler: agg.Handler()}
-		go srv.Serve(ln)
 		defer srv.Close()
-		fmt.Printf("cluster view: http://%s (/metrics /trace /slo /nodes /latency /state)\n", ln.Addr())
+		fmt.Printf("cluster view: http://%s (/metrics /trace /slo /nodes /latency /state)\n", addr)
 	}
 
 	if *drive != "" {
@@ -216,9 +213,22 @@ func checkCluster(agg *telemetry.Aggregator, wantNodes int, driven bool) error {
 		return nil
 	}
 
-	// 3. The driven load is visible in the merged SLO view.
-	if st := agg.MergedSLO(); st.Admitted+st.Rejected == 0 {
+	// 3. The driven load is visible in the merged SLO view, and the
+	// admit-latency objective, fed from each node's latency plane at its
+	// once-a-second Tick, has judged every decision: its long window (600 s,
+	// longer than any smoke) holds one sample per decision.
+	st := agg.MergedSLO()
+	if st.Admitted+st.Rejected == 0 {
 		return fmt.Errorf("merged SLO view saw no decisions")
+	}
+	var judged int64 = -1
+	for _, o := range st.Objectives {
+		if o.Name == "admit-latency" {
+			judged = o.LongTotal
+		}
+	}
+	if judged != st.Admitted+st.Rejected {
+		return fmt.Errorf("merged admit-latency objective judged %d admissions, the nodes decided %d", judged, st.Admitted+st.Rejected)
 	}
 
 	// 4. A cross-process span tree stitches the client's arrival span to

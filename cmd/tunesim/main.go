@@ -18,8 +18,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net"
-	"net/http"
 	"os"
 	"strings"
 
@@ -119,7 +117,7 @@ func main() {
 		}
 	}
 	if *debugAddr != "" {
-		addr, srv, err := startDebug(observer, *debugAddr)
+		addr, srv, err := obs.Serve(observer.Handler(), *debugAddr)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "tunesim:", err)
 			os.Exit(1)
@@ -271,18 +269,6 @@ func finishLedger(out io.Writer, ld *ledger.Sharded, path string) error {
 	}
 	fmt.Fprintf(out, "wrote ledger snapshot (%d tenant streams) to %s\n", len(snap.Totals), path)
 	return nil
-}
-
-// startDebug serves the observer's debug handler on addr, returning the
-// bound address and the server (close it to stop serving).
-func startDebug(o *obs.Observer, addr string) (net.Addr, *http.Server, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, nil, fmt.Errorf("debug listen %s: %w", addr, err)
-	}
-	srv := &http.Server{Handler: o.Handler()}
-	go srv.Serve(ln)
-	return ln.Addr(), srv, nil
 }
 
 // finishObs prints the final metrics table on out when showMetrics is set

@@ -157,7 +157,7 @@ func TestFinishSLODetectsInjectedFault(t *testing.T) {
 	span := tracer.StartAt(tr, 0, "job.run", obs.StageRun, id, 100)
 	span.SetAttr("deadline", deadline)
 	span.SetAttr("reserved_finish", reserved)
-	eng.JobAdmitted(id, uint64(tr), 100, 0, deadline, reserved)
+	eng.JobAdmitted(id, uint64(tr), 100, deadline, reserved)
 	span.EndAt(late)
 	eng.JobCompleted(id, late)
 	path := filepath.Join(t.TempDir(), "flight.jsonl")

@@ -184,10 +184,11 @@ func federated() error {
 		return nil
 	})
 	srv.Instrument(qosnet.Instruments{Tracer: o.Tracer()}) // every request's span tree on /spans
-	dbgAddr, err := srv.EnableDebug(o, "127.0.0.1:0")
+	dbgAddr, dbg, err := obs.Serve(o.Handler(), "127.0.0.1:0")
 	if err != nil {
 		return err
 	}
+	defer dbg.Close()
 	resp, err := http.Get(fmt.Sprintf("http://%s/healthz", dbgAddr))
 	if err != nil {
 		return err

@@ -431,7 +431,7 @@ func runOne(cfg Config, sc Scenario, plane Plane) (RunReport, error) {
 			run := tracer.StartAt(tr, root.ID(), "job.run", obs.StageRun, id, g.Placement.Start())
 			run.SetAttr("deadline", reported)
 			run.SetAttr("reserved_finish", g.Finish())
-			eng.JobAdmitted(id, job.Trace, now, 0, reported, g.Finish())
+			eng.JobAdmitted(id, job.Trace, now, reported, g.Finish())
 			eng.Tick(now)
 
 			area := g.Placement.Area()
@@ -471,7 +471,7 @@ func runOne(cfg Config, sc Scenario, plane Plane) (RunReport, error) {
 			}
 			root.SetErr("rejected")
 			root.EndAt(now)
-			eng.JobRejected(now, 0)
+			eng.JobRejected()
 			eng.Tick(now)
 			rc.hashDecision(id, verdict, job, nil)
 		}

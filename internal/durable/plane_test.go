@@ -468,7 +468,7 @@ func TestOneShardPlaneIsTracedAndTimed(t *testing.T) {
 			if tc.sampledOut {
 				tr.SetSampling(1e-9) // a budget no request fits
 			}
-			lp := latency.New(latency.Config{Registry: obs.NewRegistry()})
+			lp := latency.New(obs.NewRegistry())
 			srv.Instrument(qosnet.Instruments{Tracer: tr, Latency: lp})
 			cli, err := qosnet.Dial(srv.Addr().String())
 			if err != nil {

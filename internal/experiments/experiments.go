@@ -9,7 +9,6 @@ package experiments
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"milan/internal/core"
 	"milan/internal/fed"
@@ -257,9 +256,13 @@ func runLoop(cfg Config, jobs []core.Job, arb admitter) RunResult {
 	}
 	// Auditing (tracing or SLO accounting) adds completion events to the
 	// simulation and times each negotiation with a phase record, which the
-	// admission latency and the admission spans are read off; the default
-	// path schedules and measures nothing extra.
+	// admission spans are read off and which ends into the SLO engine's
+	// latency plane; the default path schedules and measures nothing extra.
 	auditing := cfg.SLO != nil || tracer != nil
+	var sink phase.Sink // a nil *latency.Plane must not become a non-nil Sink
+	if lp := cfg.SLO.Latency(); lp != nil {
+		sink = lp
+	}
 	var lastFinish, lastRelease float64
 	var slackSum float64
 
@@ -282,13 +285,12 @@ func runLoop(cfg Config, jobs []core.Job, arb admitter) RunResult {
 		}
 		var rec phase.Rec // inert unless auditing
 		if auditing {
-			rec = phase.Start(nil, job.Trace, int64(id))
+			rec = phase.Start(sink, job.Trace, int64(id))
 		}
 		ag := qos.NewAgent(job)
 		g, err := ag.NegotiateWith(timedBy{arb, &rec})
 		rec.End()
 		root.EndAdmission(&rec, g, err)
-		latency := time.Duration(rec.Total())
 		if err != nil {
 			res.Rejected++
 			if cfg.Forensics != nil {
@@ -301,7 +303,7 @@ func runLoop(cfg Config, jobs []core.Job, arb admitter) RunResult {
 				}
 			}
 			if auditing {
-				cfg.SLO.JobRejected(now, latency)
+				cfg.SLO.JobRejected()
 				cfg.SLO.Tick(now)
 			}
 			return
@@ -326,7 +328,7 @@ func runLoop(cfg Config, jobs []core.Job, arb admitter) RunResult {
 				"job.run", obs.StageRun, id, g.Placement.Start())
 			run.SetAttr("deadline", deadline)
 			run.SetAttr("reserved_finish", finish)
-			cfg.SLO.JobAdmitted(id, job.Trace, now, latency, deadline, finish)
+			cfg.SLO.JobAdmitted(id, job.Trace, now, deadline, finish)
 			cfg.SLO.Tick(now)
 		}
 		// Completion realizes the reserved area on the shard that granted

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"testing"
-	"time"
 
 	"milan/internal/obs"
 	"milan/internal/obs/slo"
@@ -82,7 +81,7 @@ func TestAuditedRunConformant(t *testing.T) {
 func TestInjectedPlannerFaultLocalizes(t *testing.T) {
 	rec := slo.NewRecorder(nil, nil)
 	eng := slo.New(slo.Options{Recorder: rec})
-	eng.JobAdmitted(1, 77, 1.0, time.Millisecond, 10.0, 12.0)
+	eng.JobAdmitted(1, 77, 1.0, 10.0, 12.0)
 	if rec.Len() != 1 {
 		t.Fatal("over-admission did not trigger")
 	}
@@ -105,6 +104,10 @@ func TestShardedAuditedRunZeroMisses(t *testing.T) {
 	}
 	if r.Completed != int64(res.Admitted) {
 		t.Fatalf("completions %d != admitted %d", r.Completed, res.Admitted)
+	}
+	// Every decision's phase record ended into the engine's plane.
+	if timed := eng.Latency().TargetCount().Total; timed != r.Admitted+r.Rejected {
+		t.Fatalf("latency plane timed %d admissions, engine decided %d", timed, r.Admitted+r.Rejected)
 	}
 	if st.Shards != 2 {
 		t.Fatalf("stats: %+v", st)

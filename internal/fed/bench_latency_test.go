@@ -30,7 +30,7 @@ func latencyOffBench(tb testing.TB) (func(core.Job) error, func(float64)) {
 // exemplar ring.
 func latencyOnBench(tb testing.TB) (func(core.Job) error, func(float64)) {
 	plane := benchPlane(tb, 8, nil)
-	lp := latency.New(latency.Config{Registry: obs.NewRegistry()})
+	lp := latency.New(obs.NewRegistry())
 	return func(j core.Job) error {
 		rec := phase.Start(lp, 0, int64(j.ID))
 		_, err := plane.NegotiateTimed(j, &rec)

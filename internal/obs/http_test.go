@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -40,6 +41,54 @@ func get(t *testing.T, url string) (int, []byte) {
 		t.Fatal(err)
 	}
 	return resp.StatusCode, body
+}
+
+// TestServeServesMetricsAndTrace: the endpoint Serve binds publishes the
+// decision adapter's counters on /metrics and its events on /trace, and
+// stops when its server is closed.
+func TestServeServesMetricsAndTrace(t *testing.T) {
+	o := New(Config{})
+	arb, err := fed.New(fed.Config{Procs: 4, Observer: o.DecisionObserver(nil)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr, srv, err := Serve(o.Handler(), "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := "http://" + addr.String()
+	if _, err := arb.Negotiate(tunableJob(1, 0)); err != nil {
+		t.Fatal(err)
+	}
+
+	code, body := get(t, base+"/metrics")
+	if code != http.StatusOK {
+		t.Fatalf("/metrics status = %d", code)
+	}
+	var snap Snapshot
+	if err := json.Unmarshal(body, &snap); err != nil {
+		t.Fatalf("/metrics not JSON: %v", err)
+	}
+	if snap.Counters[MetricAdmitted] != 1 || snap.Counters["qos_decisions"] != 1 {
+		t.Fatalf("counters = %v", snap.Counters)
+	}
+
+	code, body = get(t, base+"/trace")
+	if code != http.StatusOK {
+		t.Fatalf("/trace status = %d", code)
+	}
+	var evs []Event
+	if err := json.Unmarshal(body, &evs); err != nil || len(evs) != 1 || evs[0].Type != "Committed" || evs[0].Job != 1 {
+		t.Fatalf("/trace = %+v, err %v; want job 1's Committed event", evs, err)
+	}
+
+	srv.Close()
+	if _, err := http.Get(base + "/metrics"); err == nil {
+		t.Fatal("debug endpoint still serving after Close")
+	}
+	if _, _, err := Serve(o.Handler(), "127.0.0.1:999999"); err == nil {
+		t.Fatal("bad address accepted")
+	}
 }
 
 func TestHandlerMetrics(t *testing.T) {
@@ -189,6 +238,8 @@ func TestHandlerSpansSince(t *testing.T) {
 		tr.Start(tr.NewTrace(), 0, "s", StageRun, i).End()
 	}
 	h := o.Handler()
+	epoch := strconv.FormatInt(tr.born, 10)
+	otherEpoch := strconv.FormatInt(tr.born+1, 10)
 	spans := func(query string) (code int, jobs []int, total string, body string) {
 		rw := httptest.NewRecorder()
 		h.ServeHTTP(rw, httptest.NewRequest("GET", "/spans"+query, nil))
@@ -202,15 +253,21 @@ func TestHandlerSpansSince(t *testing.T) {
 		for _, r := range recs {
 			jobs = append(jobs, r.Job)
 		}
+		if got := rw.Header().Get(SpansEpochHeader); got != epoch {
+			t.Errorf("%s: epoch header %q, want %q", query, got, epoch)
+		}
 		return rw.Code, jobs, rw.Header().Get(SpansTotalHeader), rw.Body.String()
 	}
 	for query, want := range map[string][]int{
-		"":          {2, 3, 4, 5},
-		"?since=0":  {2, 3, 4, 5}, // before the oldest retained: all of the ring
-		"?since=3":  {3, 4, 5},
-		"?since=5":  {5},
-		"?since=7":  {2, 3, 4, 5}, // past the total: a restarted node's ring
-		"?since=99": {2, 3, 4, 5},
+		"":                             {2, 3, 4, 5},
+		"?since=0":                     {2, 3, 4, 5}, // before the oldest retained: all of the ring
+		"?since=3":                     {3, 4, 5},
+		"?since=5":                     {5},
+		"?since=7":                     {2, 3, 4, 5}, // past the total: a restarted node's ring
+		"?since=99":                    {2, 3, 4, 5},
+		"?since=4&epoch=" + epoch:      {4, 5},
+		"?since=4&epoch=0":             {4, 5},       // no epoch known yet
+		"?since=4&epoch=" + otherEpoch: {2, 3, 4, 5}, // another process's count
 	} {
 		code, jobs, total, _ := spans(query)
 		if code != http.StatusOK || !slices.Equal(jobs, want) || total != "6" {
@@ -220,7 +277,7 @@ func TestHandlerSpansSince(t *testing.T) {
 	if code, _, total, body := spans("?since=6"); code != http.StatusOK || strings.TrimSpace(body) != "[]" || total != "6" {
 		t.Errorf("/spans?since=6 = %d %q total %q, want [] total 6", code, body, total)
 	}
-	for _, bad := range []string{"?since=-1", "?since=x", "?since=1.5"} {
+	for _, bad := range []string{"?since=-1", "?since=x", "?since=1.5", "?epoch=x", "?since=1&epoch=-2"} {
 		if code, _, _, _ := spans(bad); code != http.StatusBadRequest {
 			t.Errorf("/spans%s status = %d, want 400", bad, code)
 		}

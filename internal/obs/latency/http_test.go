@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"milan/internal/obs"
 	"milan/internal/obs/latency/phase"
 )
 
@@ -15,7 +16,7 @@ import (
 func TestHandlerHasOneRepresentation(t *testing.T) {
 	env := Envelope{E2E: 1000}
 	env.Phase[phase.Plan] = 500
-	p := testPlane(t, Config{})
+	p := New(obs.NewRegistry())
 	p.SetEnvelope(env)
 	var durs [NumPhases]int64
 	durs[phase.Plan] = 800

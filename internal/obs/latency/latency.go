@@ -32,16 +32,14 @@ const NumPhases = phase.Num
 // PhaseNames returns the phase names in waterfall order.
 func PhaseNames() [NumPhases]string { return phase.Names() }
 
-// Config tunes one Plane.
-type Config struct {
-	// Registry receives the phase histograms (required).
-	Registry *obs.Registry
-}
+// Target is the end-to-end admission-latency objective: the plane counts
+// the admissions that take longer (TargetCount), and the SLO engine judges
+// that count as its admit-latency objective.
+const Target = 5 * time.Millisecond
 
 // Plane owns the admission latency instruments.  A nil *Plane is valid
 // and free: Start returns an inert Rec.
 type Plane struct {
-	reg    *obs.Registry
 	e2e    *obs.Hist
 	phases [NumPhases]*obs.Hist
 
@@ -52,20 +50,19 @@ type Plane struct {
 	budget [NumPhases + 1]atomic.Int64
 	total  [NumPhases + 1]atomic.Int64
 	over   [NumPhases + 1]atomic.Int64
+	// slow counts the admissions over Target.
+	slow atomic.Int64
 
 	ex exemplarRing
 }
 
-// New builds a latency plane and registers its histograms.
-func New(cfg Config) *Plane {
-	if cfg.Registry == nil {
-		panic("latency: Config.Registry is required")
-	}
-	p := &Plane{reg: cfg.Registry}
+// New builds a latency plane and registers its histograms in reg.
+func New(reg *obs.Registry) *Plane {
+	p := &Plane{}
 	names := phase.Names()
-	p.e2e = cfg.Registry.Histogram("latency_admit_ns")
+	p.e2e = reg.Histogram("latency_admit_ns")
 	for i := 0; i < NumPhases; i++ {
-		p.phases[i] = cfg.Registry.Histogram("latency_phase_" + names[i] + "_ns")
+		p.phases[i] = reg.Histogram("latency_phase_" + names[i] + "_ns")
 	}
 	p.ex.init(exemplarWindow)
 	return p
@@ -98,8 +95,8 @@ func (p *Plane) envelope() Envelope {
 }
 
 // PhaseCount is one phase's cumulative envelope accounting: how many
-// admissions were timed and how many exceeded the phase budget.  The
-// sentinel (slo.Engine) diffs consecutive reads into burn windows.
+// admissions were timed and how many exceeded the phase budget.  The SLO
+// engine diffs consecutive reads into burn windows.
 type PhaseCount struct {
 	Name  string
 	Total int64
@@ -109,23 +106,42 @@ type PhaseCount struct {
 // RegressionCounts returns cumulative per-phase plus end-to-end ("e2e")
 // envelope counters.  Phases with no armed budget are omitted.  Nil
 // plane: nil.
+//
+// Each count reads Over before Total: Done adds to Total first, so a
+// count never holds an over-budget admission without its total.
 func (p *Plane) RegressionCounts() []PhaseCount {
 	if p == nil {
 		return nil
 	}
 	names := phase.Names()
-	out := make([]PhaseCount, 0, NumPhases+1)
+	var out []PhaseCount // nil, and no allocation, while nothing is armed
 	for i := 0; i < NumPhases; i++ {
 		if p.budget[i].Load() <= 0 {
 			continue
 		}
-		out = append(out, PhaseCount{Name: names[i], Total: p.total[i].Load(), Over: p.over[i].Load()})
+		out = append(out, count(names[i], &p.total[i], &p.over[i]))
 	}
 	if p.budget[NumPhases].Load() > 0 {
-		out = append(out, PhaseCount{Name: "e2e", Total: p.total[NumPhases].Load(), Over: p.over[NumPhases].Load()})
+		out = append(out, count("e2e", &p.total[NumPhases], &p.over[NumPhases]))
 	}
 	return out
 }
+
+// TargetCount returns the cumulative end-to-end count against Target:
+// every admission timed, and those over it.
+func (p *Plane) TargetCount() PhaseCount {
+	return count("target", &p.total[NumPhases], &p.slow)
+}
+
+// count reads over, then total (see RegressionCounts).
+func count(name string, total, over *atomic.Int64) PhaseCount {
+	o := over.Load()
+	return PhaseCount{Name: name, Total: total.Load(), Over: o}
+}
+
+// Admissions returns the end-to-end histogram's snapshot
+// (latency_admit_ns).
+func (p *Plane) Admissions() obs.HistSnapshot { return p.e2e.Snapshot() }
 
 // Done consumes a finished record (phase.Sink): histograms and envelope
 // counters update, and the request is offered to the exemplar ring if it
@@ -135,6 +151,9 @@ func (p *Plane) Done(trace uint64, job int64, shard int32, total int64, durs [Nu
 	p.total[NumPhases].Add(1)
 	if b := p.budget[NumPhases].Load(); b > 0 && total > b {
 		p.over[NumPhases].Add(1)
+	}
+	if total > int64(Target) {
+		p.slow.Add(1)
 	}
 	for i := 0; i < NumPhases; i++ {
 		d := durs[i]

@@ -9,21 +9,13 @@ import (
 	"milan/internal/obs/latency/phase"
 )
 
-func testPlane(t *testing.T, cfg Config) *Plane {
-	t.Helper()
-	if cfg.Registry == nil {
-		cfg.Registry = obs.NewRegistry()
-	}
-	return New(cfg)
-}
-
 func drive(p *Plane, total int64, durs [NumPhases]int64) {
 	p.Done(1, 1, 0, total, durs, 0)
 }
 
 func TestPlaneRecordsHistograms(t *testing.T) {
 	reg := obs.NewRegistry()
-	p := testPlane(t, Config{Registry: reg})
+	p := New(reg)
 	rec := phase.Start(p, 7, 42)
 	time.Sleep(time.Millisecond)
 	rec.Mark(phase.Route)
@@ -45,7 +37,7 @@ func TestPlaneRecordsHistograms(t *testing.T) {
 func TestRegressionCountsEnvelope(t *testing.T) {
 	env := Envelope{E2E: 1000}
 	env.Phase[phase.Probe] = 500
-	p := testPlane(t, Config{})
+	p := New(obs.NewRegistry())
 	p.SetEnvelope(env)
 
 	var fast [NumPhases]int64
@@ -81,12 +73,28 @@ func TestRegressionCountsEnvelope(t *testing.T) {
 	}
 }
 
+// TestTargetCountNeedsNoEnvelope: the count against Target is kept on a
+// disarmed plane too, over the end-to-end time only.
+func TestTargetCountNeedsNoEnvelope(t *testing.T) {
+	p := New(obs.NewRegistry())
+	var durs [NumPhases]int64
+	drive(p, int64(Target), durs)   // at target: within it
+	drive(p, int64(Target)+1, durs) // over
+	drive(p, int64(time.Millisecond), durs)
+	if c := p.TargetCount(); c.Total != 3 || c.Over != 1 {
+		t.Fatalf("target count = %+v, want 1 over of 3", c)
+	}
+	if n := p.Admissions().Count; n != 3 {
+		t.Fatalf("admissions histogram holds %d, want 3", n)
+	}
+}
+
 // TestOverBudgetPhaseIsNamed: an admission whose probe phase alone is over
 // budget is counted over in probe and in no other phase, and its time shows
 // in the probe histogram and in the exemplar's waterfall.
 func TestOverBudgetPhaseIsNamed(t *testing.T) {
 	reg := obs.NewRegistry()
-	p := testPlane(t, Config{Registry: reg})
+	p := New(reg)
 	p.SetEnvelope(uniform(time.Millisecond))
 
 	var durs [NumPhases]int64
@@ -145,7 +153,7 @@ func TestNilPlaneZeroCost(t *testing.T) {
 }
 
 func TestExemplarRingTopK(t *testing.T) {
-	p := testPlane(t, Config{})
+	p := New(obs.NewRegistry())
 	for i := int64(1); i <= 10; i++ {
 		var durs [NumPhases]int64
 		durs[ackPhase] = i * 100
@@ -171,7 +179,7 @@ func TestExemplarRingTopK(t *testing.T) {
 }
 
 func TestExemplarWindowRotation(t *testing.T) {
-	p := testPlane(t, Config{})
+	p := New(obs.NewRegistry())
 	p.ex.init(30 * time.Millisecond)
 	var durs [NumPhases]int64
 	durs[ackPhase] = 1000
@@ -198,7 +206,7 @@ func TestExemplarWindowRotation(t *testing.T) {
 // with the window, so the next window keeps its own slowest requests even
 // when they are faster than the last window's K-th slowest.
 func TestExemplarWindowExpiresItsThreshold(t *testing.T) {
-	p := testPlane(t, Config{})
+	p := New(obs.NewRegistry())
 	p.ex.init(30 * time.Millisecond)
 	var durs [NumPhases]int64
 	for i := int64(0); i < exemplarK; i++ {
@@ -218,7 +226,7 @@ func TestExemplarWindowExpiresItsThreshold(t *testing.T) {
 // while windows rotate and a scraper reads never leave more than the two
 // windows' exemplars in the ring (run under -race).
 func TestExemplarRingConcurrentUse(t *testing.T) {
-	p := testPlane(t, Config{})
+	p := New(obs.NewRegistry())
 	p.ex.init(time.Millisecond)
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
@@ -243,7 +251,7 @@ func TestExemplarRingConcurrentUse(t *testing.T) {
 // counters, an offer to the exemplar ring that places and one that does
 // not — allocates nothing.
 func TestDoneAllocatesNothing(t *testing.T) {
-	p := testPlane(t, Config{})
+	p := New(obs.NewRegistry())
 	p.SetEnvelope(uniform(time.Microsecond))
 	var durs [NumPhases]int64
 	durs[phase.Plan] = 2000

@@ -9,7 +9,7 @@ import (
 // endpoint under /debug/pprof/ (index, named profiles, cmdline, CPU
 // profile, symbol lookup and execution trace) — the standard
 // net/http/pprof surface, reachable wherever the debug mux is served
-// (qosnet EnableDebug, junctiond -debug-addr, tunesim -debug).
+// (obs.Serve: junctiond -debug-addr, tunesim -debug-addr).
 //
 // Profiling is strictly opt-in: nothing is mounted until this is called
 // (or Config.EnablePprof is set), because the CPU-profile and trace

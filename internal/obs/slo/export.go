@@ -51,16 +51,11 @@ func (e *Engine) exportState() EngineState {
 		InFlight:      int64(len(e.inflight)),
 		BurnThreshold: burnThreshold,
 	}
-	grab := func(name string, budget float64, active bool, short, long *window) {
-		o := ObjectiveState{Name: name, Budget: budget, Active: active}
-		o.ShortBad, o.ShortTotal = short.totals()
-		o.LongBad, o.LongTotal = long.totals()
-		st.Objectives = append(st.Objectives, o)
-	}
-	grab(objectiveLatency, latencyBudget, true, e.latShort, e.latLong)
-	for _, name := range e.regOrder {
-		st := e.reg[name]
-		grab(objectiveRegressionPrefix+name, regressionBudget, st.seen, st.short, st.long)
+	for _, o := range e.objectives {
+		os := ObjectiveState{Name: o.name, Budget: errorBudget, Active: o.seen}
+		os.ShortBad, os.ShortTotal = o.short.totals()
+		os.LongBad, os.LongTotal = o.long.totals()
+		st.Objectives = append(st.Objectives, os)
 	}
 	e.mu.Unlock()
 	st.Admitted = e.admitted.Value()

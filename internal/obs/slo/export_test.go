@@ -10,11 +10,16 @@ import (
 // carry the raw burn-window totals for the latency objective.
 func TestExportStateCarriesWindowTotals(t *testing.T) {
 	e := New(Options{})
-	// Three decisions: two within the 5 ms latency target, one breaching it.
-	e.JobAdmitted(1, 0, 0, time.Millisecond, 100, 50)
-	e.JobAdmitted(2, 0, 0, 9*time.Millisecond, 100, 50)
-	e.JobRejected(0, time.Millisecond)
+	// Three decisions: two within the 5 ms latency target, one breaching
+	// it, counted into the windows by the Tick after them.
+	timed(e, time.Millisecond)
+	e.JobAdmitted(1, 0, 0, 100, 50)
+	timed(e, 9*time.Millisecond)
+	e.JobAdmitted(2, 0, 0, 100, 50)
+	timed(e, time.Millisecond)
+	e.JobRejected()
 	e.JobCompleted(1, 10)
+	e.Tick(0)
 
 	st := e.exportState()
 	if st.Admitted != 2 || st.Rejected != 1 || st.Completed != 1 {

@@ -14,7 +14,7 @@ import (
 
 func TestEngineHandlerServesReport(t *testing.T) {
 	e := New(Options{})
-	e.JobAdmitted(1, 1, 0, time.Millisecond, 10, 9)
+	e.JobAdmitted(1, 1, 0, 10, 9)
 	rw := httptest.NewRecorder()
 	e.handler().ServeHTTP(rw, httptest.NewRequest("GET", "/slo", nil))
 	if rw.Code != 200 {
@@ -54,8 +54,10 @@ func TestEngineHandlerServesReport(t *testing.T) {
 // ?now) is a pure read: the report after it is the report before it.
 func TestScrapeServesStateAndLeavesReportUnchanged(t *testing.T) {
 	e := New(Options{})
-	e.JobAdmitted(1, 1, 0, time.Millisecond, 10, 9)
-	e.JobRejected(0.5, 2*time.Millisecond)
+	timed(e, time.Millisecond)
+	e.JobAdmitted(1, 1, 0, 10, 9)
+	timed(e, 2*time.Millisecond)
+	e.JobRejected()
 	e.Tick(1)
 	before := e.Report()
 	var doc struct {
@@ -111,7 +113,7 @@ func TestMountOnObserver(t *testing.T) {
 		t.Fatalf("/healthz conformant: %d %s", rw.Code, rw.Body.String())
 	}
 	// …and 503 once the hard invariant breaks.
-	e.JobAdmitted(1, 1, 0, time.Millisecond, 10, 9)
+	e.JobAdmitted(1, 1, 0, 10, 9)
 	e.JobCompleted(1, 11)
 	rw = httptest.NewRecorder()
 	h.ServeHTTP(rw, httptest.NewRequest("GET", "/healthz", nil))

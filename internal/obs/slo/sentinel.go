@@ -1,18 +1,21 @@
 package slo
 
-// The online latency-regression sentinel: each Tick pulls the latency
-// plane's cumulative per-phase envelope counters (admissions timed /
-// admissions over the committed baseline envelope), diffs them into the
-// engine's multi-window burn machinery, and edge-triggers one
-// "latency-regression:<phase>" alert per burn episode — cutting a flight
-// recorder snapshot so the tail that regressed is preserved with its
-// spans and decisions.
+// The engine's latency objectives, all fed the same way: each Tick reads
+// cumulative (total, over) counts off the engine's latency plane, diffs
+// them into the objective's two burn windows and applies the multi-window
+// edge-triggered alert rule.
 //
-// The envelope itself (per-phase nanosecond budgets derived from the
-// committed benchmark trajectory) lives on the latency.Plane; the engine
-// only sees counts, so the sentinel works identically over live planes
-// and over merged cluster state (the exported objectives ride
-// EngineState like every other objective and re-alert after MergeStates).
+//   - admit-latency judges every admission's end-to-end time against
+//     latency.Target (the plane's TargetCount).  It is always armed.
+//   - latency-regression:<phase> is the online regression sentinel: it
+//     judges each phase against the committed baseline envelope armed on
+//     the plane (RegressionCounts), and a burn episode cuts a flight
+//     recorder snapshot so the tail that regressed is preserved with its
+//     spans and decisions.
+//
+// The engine only sees counts, so the objectives work identically over
+// live planes and over merged cluster state (they ride EngineState like
+// every other objective and re-alert after MergeStates).
 
 import (
 	"fmt"
@@ -25,89 +28,105 @@ import (
 // names ("latency-regression:probe", ..., "latency-regression:e2e").
 const objectiveRegressionPrefix = "latency-regression:"
 
-// regState is one phase's sentinel state: burn windows over the phase's
-// over-envelope fraction, plus the last cumulative counters seen (the
-// plane's counters are monotone; the sentinel consumes deltas).  The
-// baseline starts at zero rather than priming on first sight: the plane
-// and its engine are created together, so everything the counters hold
-// at the first tick is traffic this sentinel should judge — priming
-// would silently absorb admissions that completed before the ticker's
-// first firing.
-type regState struct {
+// objective is one latency objective's state: burn windows over its
+// over-target fraction, plus the last cumulative counts seen (the plane's
+// counts are monotone; the objective consumes deltas).  The baseline
+// starts at zero rather than priming on first sight: the plane and its
+// engine are created together, so everything the counts hold at the first
+// tick is traffic the objective should judge — priming would silently
+// absorb admissions that completed before the ticker's first firing.
+type objective struct {
+	name        string // as exported and alerted
+	phase       string // the plane count it reads; "" for admit-latency
 	short, long *window
 	lastTotal   int64
 	lastOver    int64
-	seen        bool // any admissions observed at all
+	seen        bool // armed: any admissions observed at all
+	alerting    bool // inside a burn episode
 }
 
-// advanceRegressionLocked pulls the regression source, feeds the deltas
-// into the per-phase windows and runs the engine's multi-window
-// edge-triggered alert rule.  Caller holds e.mu.  Returns the alerts
-// fired this tick (already appended to e.alerts and *fired).
-func (e *Engine) advanceRegressionLocked(now float64, fired *[]Alert) []Alert {
-	src := e.opts.RegressionSource
-	if src == nil {
-		return nil
+func newObjective(name, phase string) *objective {
+	return &objective{
+		name:  name,
+		phase: phase,
+		short: newWindow(shortWindow, windowBuckets),
+		long:  newWindow(longWindow, windowBuckets),
 	}
-	counts := src()
-	var out []Alert
-	for _, c := range counts {
-		st, ok := e.reg[c.Name]
-		if !ok {
-			st = &regState{
-				short: newWindow(shortWindow, windowBuckets),
-				long:  newWindow(longWindow, windowBuckets),
-			}
-			e.reg[c.Name] = st
-			e.regOrder = append(e.regOrder, c.Name)
-		}
-		dTotal, dOver := c.Total-st.lastTotal, c.Over-st.lastOver
-		if dTotal < 0 || dOver < 0 || dOver > dTotal {
-			// Counter reset (plane swapped or envelope re-armed):
-			// restart from the new baseline.
-			dTotal, dOver = 0, 0
-		}
-		if dTotal > 0 {
-			st.seen = true
-			st.short.addN(now, dTotal-dOver, dOver)
-			st.long.addN(now, dTotal-dOver, dOver)
-		}
-		st.lastTotal, st.lastOver = c.Total, c.Over
+}
+
+// ingest adds the admissions counted since the last read to the windows
+// at now.
+func (o *objective) ingest(now float64, c latency.PhaseCount) {
+	dTotal, dOver := c.Total-o.lastTotal, c.Over-o.lastOver
+	if dTotal < 0 || dOver < 0 || dOver > dTotal {
+		// Counts that fell, or more over than timed, are no delta to
+		// judge: restart from the new baseline.
+		dTotal, dOver = 0, 0
 	}
-	for _, name := range e.regOrder {
-		st := e.reg[name]
-		st.short.advance(now)
-		st.long.advance(now)
-		if !st.seen {
+	if dTotal > 0 {
+		o.seen = true
+		o.short.addN(now, dTotal-dOver, dOver)
+		o.long.addN(now, dTotal-dOver, dOver)
+	}
+	o.lastTotal, o.lastOver = c.Total, c.Over
+}
+
+// burns returns the objective's short and long burn rates.
+func (o *objective) burns() (short, long float64) {
+	return o.short.burn(errorBudget), o.long.burn(errorBudget)
+}
+
+// regression returns the objective judging phase, making it on first
+// sight.  Caller holds e.mu.
+func (e *Engine) regression(phase string) *objective {
+	for _, o := range e.objectives {
+		if o.phase == phase {
+			return o
+		}
+	}
+	o := newObjective(objectiveRegressionPrefix+phase, phase)
+	e.objectives = append(e.objectives, o)
+	return o
+}
+
+// tick feeds target (admit-latency's count) and phases (the regression
+// counts) into the objectives at now, runs the alert rule over every armed
+// objective, publishes the admit-latency burn gauges and cuts one flight
+// snapshot per fired regression alert.
+func (e *Engine) tick(now float64, target latency.PhaseCount, phases []latency.PhaseCount) {
+	e.mu.Lock()
+	e.objectives[0].ingest(now, target)
+	for _, c := range phases {
+		e.regression(c.Name).ingest(now, c)
+	}
+	var fired []Alert
+	for _, o := range e.objectives {
+		o.short.advance(now)
+		o.long.advance(now)
+		if !o.seen {
 			continue
 		}
-		objective := objectiveRegressionPrefix + name
-		short := st.short.burn(regressionBudget)
-		long := st.long.burn(regressionBudget)
+		short, long := o.burns()
 		burning := short >= burnThreshold && long >= burnThreshold
-		if burning && !e.alertOn[objective] {
-			e.alertOn[objective] = true
-			a := Alert{Objective: objective, Short: short, Long: long, At: now}
-			*fired = append(*fired, a)
-			out = append(out, a)
+		if burning && !o.alerting {
+			a := Alert{Objective: o.name, Short: short, Long: long, At: now}
+			fired = append(fired, a)
 			e.alerts = append(e.alerts, a)
 			if len(e.alerts) > maxKept {
 				e.alerts = e.alerts[len(e.alerts)-maxKept:]
 			}
-		} else if !burning {
-			e.alertOn[objective] = false
 		}
+		o.alerting = burning
 	}
-	return out
-}
-
-// triggerRegressions cuts one flight-recorder snapshot per fired
-// regression alert (outside e.mu).
-func (e *Engine) triggerRegressions(now float64, alerts []Alert) {
-	for _, a := range alerts {
-		phase := strings.TrimPrefix(a.Objective, objectiveRegressionPrefix)
-		e.opts.Recorder.Trigger(triggerLatencyRegression, 0, now,
-			fmt.Sprintf("phase %s latency over baseline envelope: burn short=%.3g long=%.3g", phase, a.Short, a.Long))
+	short, long := e.objectives[0].burns()
+	e.mu.Unlock()
+	e.latBurnShort.Set(clampInf(short))
+	e.latBurnLong.Set(clampInf(long))
+	for _, a := range fired {
+		if phase, ok := strings.CutPrefix(a.Objective, objectiveRegressionPrefix); ok {
+			e.opts.Recorder.Trigger(triggerLatencyRegression, 0, now,
+				fmt.Sprintf("phase %s latency over baseline envelope: burn short=%.3g long=%.3g", phase, a.Short, a.Long))
+		}
 	}
 }
 
@@ -115,22 +134,14 @@ func (e *Engine) triggerRegressions(now float64, alerts []Alert) {
 // holds e.mu).
 func (e *Engine) regressionBurnsLocked() []ObjectiveBurn {
 	var out []ObjectiveBurn
-	for _, name := range e.regOrder {
-		st := e.reg[name]
-		if !st.seen {
+	for _, o := range e.objectives[1:] {
+		if !o.seen {
 			continue
 		}
-		b := ObjectiveBurn{
-			Objective: objectiveRegressionPrefix + name,
-			Short:     clampInf(st.short.burn(regressionBudget)),
-			Long:      clampInf(st.long.burn(regressionBudget)),
-		}
+		short, long := o.burns()
+		b := ObjectiveBurn{Objective: o.name, Short: clampInf(short), Long: clampInf(long)}
 		b.Alerting = b.Short >= burnThreshold && b.Long >= burnThreshold
 		out = append(out, b)
 	}
 	return out
 }
-
-// interface check: the latency plane's RegressionCounts is the intended
-// RegressionSource.
-var _ func() []latency.PhaseCount = (*latency.Plane)(nil).RegressionCounts

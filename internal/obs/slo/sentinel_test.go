@@ -3,27 +3,24 @@ package slo
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"milan/internal/obs/latency"
 )
 
-// fakeCounts is a controllable RegressionSource: the test moves the
-// cumulative counters and ticks the engine.
+// fakeCounts stands in for the plane's regression counts: the test moves
+// the cumulative counters and ticks the engine on them (tick), so it can
+// also make them fall, which the plane's never do.
 type fakeCounts struct {
 	counts []latency.PhaseCount
 }
 
-func (f *fakeCounts) source() []latency.PhaseCount {
-	out := make([]latency.PhaseCount, len(f.counts))
-	copy(out, f.counts)
-	return out
+func (f *fakeCounts) tick(e *Engine, now float64) {
+	e.tick(now, e.Latency().TargetCount(), f.counts)
 }
 
-func newSentinelEngine(src *fakeCounts) *Engine {
-	return New(Options{
-		RegressionSource: src.source,
-		Recorder:         NewRecorder(nil, nil),
-	})
+func newSentinelEngine() *Engine {
+	return New(Options{Recorder: NewRecorder(nil, nil)})
 }
 
 func TestRegressionSentinelTripsAndNamesPhase(t *testing.T) {
@@ -31,13 +28,13 @@ func TestRegressionSentinelTripsAndNamesPhase(t *testing.T) {
 		{Name: "probe", Total: 0, Over: 0},
 		{Name: "e2e", Total: 0, Over: 0},
 	}}
-	e := newSentinelEngine(src)
-	e.Tick(0) // primes the cumulative baselines
+	e := newSentinelEngine()
+	src.tick(e, 0) // primes the cumulative baselines
 
 	// Healthy traffic: lots of admissions, none over envelope.
 	src.counts[0] = latency.PhaseCount{Name: "probe", Total: 1000, Over: 0}
 	src.counts[1] = latency.PhaseCount{Name: "e2e", Total: 1000, Over: 0}
-	e.Tick(1)
+	src.tick(e, 1)
 	if alerts := e.Report().Alerts; len(alerts) != 0 {
 		t.Fatalf("healthy plane alerted: %+v", alerts)
 	}
@@ -46,7 +43,7 @@ func TestRegressionSentinelTripsAndNamesPhase(t *testing.T) {
 	// budget (50x the 1% regression budget).
 	src.counts[0] = latency.PhaseCount{Name: "probe", Total: 2000, Over: 500}
 	src.counts[1] = latency.PhaseCount{Name: "e2e", Total: 2000, Over: 0}
-	e.Tick(2)
+	src.tick(e, 2)
 	alerts := e.Report().Alerts
 	if len(alerts) != 1 {
 		t.Fatalf("want exactly one regression alert, got %+v", alerts)
@@ -65,7 +62,7 @@ func TestRegressionSentinelTripsAndNamesPhase(t *testing.T) {
 
 	// Edge-triggered: still burning, no second alert.
 	src.counts[0] = latency.PhaseCount{Name: "probe", Total: 2100, Over: 550}
-	e.Tick(3)
+	src.tick(e, 3)
 	if got := len(e.Report().Alerts); got != 1 {
 		t.Fatalf("alert re-fired while still burning: %d", got)
 	}
@@ -90,8 +87,8 @@ func TestRegressionSentinelCountsPreTickTraffic(t *testing.T) {
 	src := &fakeCounts{counts: []latency.PhaseCount{
 		{Name: "probe", Total: 12, Over: 12},
 	}}
-	e := newSentinelEngine(src)
-	e.Tick(0) // first tick lands after the whole burst completed
+	e := newSentinelEngine()
+	src.tick(e, 0) // first tick lands after the whole burst completed
 	alerts := e.Report().Alerts
 	if len(alerts) != 1 || alerts[0].Objective != objectiveRegressionPrefix+"probe" {
 		t.Fatalf("pre-tick burst not counted: %+v", alerts)
@@ -102,17 +99,17 @@ func TestRegressionSentinelCountsPreTickTraffic(t *testing.T) {
 // feed a huge negative or bogus delta into the windows.
 func TestRegressionSentinelCounterReset(t *testing.T) {
 	src := &fakeCounts{counts: []latency.PhaseCount{{Name: "e2e", Total: 5000, Over: 10}}}
-	e := newSentinelEngine(src)
-	e.Tick(0)
+	e := newSentinelEngine()
+	src.tick(e, 0)
 	// Reset: cumulative counters fall.
 	src.counts[0] = latency.PhaseCount{Name: "e2e", Total: 100, Over: 90}
-	e.Tick(1)
+	src.tick(e, 1)
 	if alerts := e.Report().Alerts; len(alerts) != 0 {
 		t.Fatalf("counter reset produced an alert: %+v", alerts)
 	}
 	// Over > total in a delta is equally bogus.
 	src.counts[0] = latency.PhaseCount{Name: "e2e", Total: 101, Over: 99}
-	e.Tick(2)
+	src.tick(e, 2)
 	if alerts := e.Report().Alerts; len(alerts) != 0 {
 		t.Fatalf("over>total delta produced an alert: %+v", alerts)
 	}
@@ -123,10 +120,10 @@ func TestRegressionSentinelCounterReset(t *testing.T) {
 func TestRegressionObjectivesMergeAndRealert(t *testing.T) {
 	mkState := func(total, over int64) EngineState {
 		src := &fakeCounts{counts: []latency.PhaseCount{{Name: "probe", Total: 0, Over: 0}}}
-		e := newSentinelEngine(src)
-		e.Tick(0)
+		e := newSentinelEngine()
+		src.tick(e, 0)
 		src.counts[0] = latency.PhaseCount{Name: "probe", Total: total, Over: over}
-		e.Tick(1)
+		src.tick(e, 1)
 		return e.exportState()
 	}
 	// Each node alone: 30% over budget on probe — well past threshold
@@ -151,9 +148,10 @@ func TestRegressionObjectivesMergeAndRealert(t *testing.T) {
 	}
 }
 
-// A nil RegressionSource keeps the sentinel fully disabled.
+// A plane whose envelope was never armed keeps the sentinel disabled.
 func TestRegressionSentinelDisabled(t *testing.T) {
 	e := New(Options{})
+	timed(e, time.Second)
 	e.Tick(0)
 	e.Tick(1)
 	if reg := e.Report().Regression; reg != nil {

@@ -10,7 +10,9 @@
 //     past its deadline is a violation); admission latency is a soft
 //     objective tracked with multi-window burn rates in the SRE style
 //     (alert when both the short and the long window burn their error
-//     budget faster than a threshold).
+//     budget faster than a threshold).  The engine owns the latency plane
+//     that times admissions (Latency), and judges that plane's counts
+//     (sentinel.go) rather than timing anything itself.
 //   - Recorder (recorder.go): an anomaly-triggered flight recorder that
 //     copies the tracer's span ring and the observer's event ring into
 //     a self-contained JSONL snapshot on deadline misses,
@@ -19,10 +21,11 @@
 //     localizes the violation to planner, router, rebalancer or runtime.
 //
 // All timestamps are in the caller's clock domain (simulation seconds in
-// the experiment loop, wall seconds since start in a live server);
-// admission latencies are always wall-clock durations.  The engine
-// tolerates the clock restarting at zero — a new sweep point — by
-// resetting its windows.
+// the experiment loop, wall seconds since start in a live server).
+// Admission latencies are the wall-clock durations the plane timed; each
+// Tick moves what the plane counted since the last one into the bucket of
+// the Tick's instant.  The engine tolerates the clock restarting at zero —
+// a new sweep point — by resetting its windows.
 package slo
 
 import (
@@ -30,7 +33,6 @@ import (
 	"io"
 	"math"
 	"sync"
-	"time"
 
 	"milan/internal/obs"
 	"milan/internal/obs/latency"
@@ -43,7 +45,6 @@ const (
 	metricCompleted        = "slo_completed"
 	metricDeadlineMisses   = "slo_deadline_misses"
 	metricOverAdmissions   = "slo_over_admissions"
-	metricLatency          = "slo_admit_latency_ns"
 	metricLatencyBurnShort = "slo_latency_burn_short"
 	metricLatencyBurnLong  = "slo_latency_burn_long"
 )
@@ -61,10 +62,10 @@ const (
 	longWindow    = 600.0
 	windowBuckets = 30
 
-	// latencyTarget is the admission-latency objective; latencyBudget is
-	// the tolerated fraction of requests over target.
-	latencyTarget = 5 * time.Millisecond
-	latencyBudget = 0.01
+	// errorBudget is every latency objective's tolerated fraction of
+	// admissions over its target: latency.Target for admit-latency, the
+	// phase's envelope for a regression objective.
+	errorBudget = 0.01
 
 	// burnThreshold is the burn-rate multiple that, sustained on both
 	// windows, raises an alert: burning the error budget at twice the
@@ -74,10 +75,6 @@ const (
 	// raceSpikeThreshold is the commit-race count within the short window
 	// that triggers the flight recorder.
 	raceSpikeThreshold = 16
-
-	// regressionBudget is the tolerated fraction of admissions over a
-	// phase's latency envelope.
-	regressionBudget = 0.01
 )
 
 // Options configures an Engine.  The zero value selects the documented
@@ -87,15 +84,8 @@ type Options struct {
 	// window that triggers the flight recorder (default 16).
 	StormThreshold int64
 
-	// RegressionSource, if set, arms the online latency-regression
-	// sentinel: each Tick pulls the cumulative per-phase envelope
-	// counters (typically (*latency.Plane).RegressionCounts), diffs them
-	// into burn windows, and raises an edge-triggered
-	// "latency-regression:<phase>" alert — with a flight-recorder
-	// snapshot — when a phase burns its budget on both windows.
-	RegressionSource func() []latency.PhaseCount
-
-	// Registry receives the slo_* metrics; nil creates a private one.
+	// Registry receives the slo_* metrics and the engine's latency plane's
+	// latency_* histograms; nil creates a private one.
 	Registry *obs.Registry
 	// Recorder, if set, is triggered on violations and anomalies.
 	Recorder *Recorder
@@ -154,17 +144,7 @@ func (w *window) advance(now float64) {
 	}
 }
 
-func (w *window) add(now float64, isBad bool) {
-	w.advance(now)
-	if isBad {
-		w.bad[w.cur]++
-	} else {
-		w.good[w.cur]++
-	}
-}
-
-// addN bulk-adds good/bad counts into the current bucket (the regression
-// sentinel consumes counter deltas covering many admissions per tick).
+// addN adds good/bad counts into the bucket covering now.
 func (w *window) addN(now float64, good, bad int64) {
 	w.advance(now)
 	w.good[w.cur] += good
@@ -233,71 +213,79 @@ const maxKept = 64 // violations and alerts retained for the report
 // so call sites need no branching.
 type Engine struct {
 	opts Options
+	lat  *latency.Plane
 
 	mu         sync.Mutex
 	inflight   map[int]flight
 	violations []Violation
 	alerts     []Alert
-	latShort   *window
-	latLong    *window
 	raceWin    *window
 	stormWin   *window
 	lastRaces  int64
 	lastMoves  int64
 	routerSeen bool
-	alertOn    map[string]bool
-	reg        map[string]*regState
-	regOrder   []string
+	racing     bool // inside a commit-race spike
+	storming   bool // inside a rebalance storm
+	// objectives are the latency objectives Tick feeds from the plane:
+	// admit-latency first, then one per regression phase in order of
+	// first sight (sentinel.go).
+	objectives []*objective
 
 	admitted       *obs.Counter
 	rejected       *obs.Counter
 	completed      *obs.Counter
 	misses         *obs.Counter
 	overAdmissions *obs.Counter
-	latHist        *obs.Hist
 	latBurnShort   *obs.Gauge
 	latBurnLong    *obs.Gauge
 }
 
-// New returns an engine with the given options.
+// New returns an engine with the given options, and the latency plane it
+// judges admission latency from (Latency), on the same registry.
 func New(opts Options) *Engine {
 	o := opts.withDefaults()
 	reg := o.Registry
+	admit := newObjective(objectiveLatency, "")
+	admit.seen = true // always armed
 	return &Engine{
 		opts:           o,
+		lat:            latency.New(reg),
 		inflight:       make(map[int]flight),
-		latShort:       newWindow(shortWindow, windowBuckets),
-		latLong:        newWindow(longWindow, windowBuckets),
 		raceWin:        newWindow(shortWindow, windowBuckets),
 		stormWin:       newWindow(shortWindow, windowBuckets),
-		alertOn:        make(map[string]bool),
-		reg:            make(map[string]*regState),
+		objectives:     []*objective{admit},
 		admitted:       reg.Counter(metricAdmitted),
 		rejected:       reg.Counter(metricRejected),
 		completed:      reg.Counter(metricCompleted),
 		misses:         reg.Counter(metricDeadlineMisses),
 		overAdmissions: reg.Counter(metricOverAdmissions),
-		latHist:        reg.Histogram(metricLatency),
 		latBurnShort:   reg.Gauge(metricLatencyBurnShort),
 		latBurnLong:    reg.Gauge(metricLatencyBurnLong),
 	}
 }
 
-// JobAdmitted records an admission decision: the wall-clock admission
-// latency feeds the latency objective, and the job enters the in-flight
+// Latency returns the plane that times the admissions this engine
+// judges: a caller hands each admission's phase record to it (phase.Start
+// or qosnet.Instruments.Latency), and Tick reads its counts.  Nil engine:
+// nil.
+func (e *Engine) Latency() *latency.Plane {
+	if e == nil {
+		return nil
+	}
+	return e.lat
+}
+
+// JobAdmitted records an admission decision: the job enters the in-flight
 // set awaiting JobCompleted.  deadline is the granted chain's final task
 // deadline; reservedFinish is the reservation's completion time.  A
 // reservation already past the deadline is an over-admission — an
 // immediate hard violation (the planner emitted an infeasible grant).
-func (e *Engine) JobAdmitted(jobID int, trace uint64, now float64, latency time.Duration, deadline, reservedFinish float64) {
+func (e *Engine) JobAdmitted(jobID int, trace uint64, now float64, deadline, reservedFinish float64) {
 	if e == nil {
 		return
 	}
 	e.admitted.Inc()
-	e.latHist.Observe(latency)
 	e.mu.Lock()
-	e.latShort.add(now, latency > latencyTarget)
-	e.latLong.add(now, latency > latencyTarget)
 	e.inflight[jobID] = flight{trace: trace, deadline: deadline, reservedFinish: reservedFinish}
 	var over bool
 	if reservedFinish > deadline+eps {
@@ -315,18 +303,13 @@ func (e *Engine) JobAdmitted(jobID int, trace uint64, now float64, latency time.
 	}
 }
 
-// JobRejected records a rejection: only the admission latency objective
-// sees it (a rejection is a correct answer, not an SLO violation).
-func (e *Engine) JobRejected(now float64, latency time.Duration) {
+// JobRejected records a rejection: a rejection is a correct answer, not
+// an SLO violation, so only the count moves.
+func (e *Engine) JobRejected() {
 	if e == nil {
 		return
 	}
 	e.rejected.Inc()
-	e.latHist.Observe(latency)
-	e.mu.Lock()
-	e.latShort.add(now, latency > latencyTarget)
-	e.latLong.add(now, latency > latencyTarget)
-	e.mu.Unlock()
 }
 
 // JobCompleted closes out an admitted job at its actual completion time
@@ -384,28 +367,13 @@ func (e *Engine) ObserveRouter(now float64, commitRaces, migrations int64) {
 	}
 	e.routerSeen = true
 	e.lastRaces, e.lastMoves = commitRaces, migrations
-	for i := int64(0); i < dRaces; i++ {
-		e.raceWin.add(now, true)
-	}
-	for i := int64(0); i < dMoves; i++ {
-		e.stormWin.add(now, true)
-	}
-	e.raceWin.advance(now)
-	e.stormWin.advance(now)
+	e.raceWin.addN(now, 0, dRaces)
+	e.stormWin.addN(now, 0, dMoves)
 	races, _ := e.raceWin.totals()
 	moves, _ := e.stormWin.totals()
-	raceSpike := races >= raceSpikeThreshold && !e.alertOn["commit-races"]
-	storm := moves >= e.opts.StormThreshold && !e.alertOn["rebalance"]
-	if races < raceSpikeThreshold {
-		e.alertOn["commit-races"] = false
-	} else if raceSpike {
-		e.alertOn["commit-races"] = true
-	}
-	if moves < e.opts.StormThreshold {
-		e.alertOn["rebalance"] = false
-	} else if storm {
-		e.alertOn["rebalance"] = true
-	}
+	raceSpike := races >= raceSpikeThreshold && !e.racing
+	storm := moves >= e.opts.StormThreshold && !e.storming
+	e.racing, e.storming = races >= raceSpikeThreshold, moves >= e.opts.StormThreshold
 	e.mu.Unlock()
 	if raceSpike {
 		e.opts.Recorder.Trigger(triggerCommitRaceSpike, 0, now,
@@ -417,36 +385,15 @@ func (e *Engine) ObserveRouter(now float64, commitRaces, migrations int64) {
 	}
 }
 
-// Tick advances the windows to now, publishes the burn-rate gauges and
+// Tick moves what the latency plane counted since the last Tick into the
+// objectives' windows at now, publishes the admit-latency burn gauges and
 // raises multi-window alerts (edge-triggered: one alert per budget-burn
 // episode per objective).
 func (e *Engine) Tick(now float64) {
 	if e == nil {
 		return
 	}
-	e.mu.Lock()
-	e.latShort.advance(now)
-	e.latLong.advance(now)
-	ls := e.latShort.burn(latencyBudget)
-	ll := e.latLong.burn(latencyBudget)
-	var fired []Alert
-	burning := ls >= burnThreshold && ll >= burnThreshold
-	if burning && !e.alertOn[objectiveLatency] {
-		e.alertOn[objectiveLatency] = true
-		a := Alert{Objective: objectiveLatency, Short: ls, Long: ll, At: now}
-		fired = append(fired, a)
-		e.alerts = append(e.alerts, a)
-		if len(e.alerts) > maxKept {
-			e.alerts = e.alerts[len(e.alerts)-maxKept:]
-		}
-	} else if !burning {
-		e.alertOn[objectiveLatency] = false
-	}
-	regFired := e.advanceRegressionLocked(now, &fired)
-	e.mu.Unlock()
-	e.triggerRegressions(now, regFired)
-	e.latBurnShort.Set(clampInf(ls))
-	e.latBurnLong.Set(clampInf(ll))
+	e.tick(now, e.lat.TargetCount(), e.lat.RegressionCounts())
 }
 
 // clampInf maps +Inf burn (zero-budget objectives) to a large sentinel so
@@ -487,8 +434,8 @@ type Report struct {
 	LatencyBurnLong  float64 `json:"latency_burn_long"`
 
 	// Regression is the latency-regression sentinel's current per-phase
-	// burns (empty when no RegressionSource is armed or no admissions
-	// have been timed).
+	// burns (empty while the plane's envelope is disarmed or no
+	// admissions have been timed).
 	Regression []ObjectiveBurn `json:"regression,omitempty"`
 
 	Snapshots int `json:"flight_snapshots"`
@@ -503,14 +450,15 @@ func (e *Engine) Report() Report {
 	if e == nil {
 		return Report{}
 	}
-	hist := e.latHist.Snapshot()
+	hist := e.lat.Admissions()
 	e.mu.Lock()
+	short, long := e.objectives[0].burns()
 	r := Report{
 		InFlight:         len(e.inflight),
 		Violations:       append([]Violation(nil), e.violations...),
 		Alerts:           append([]Alert(nil), e.alerts...),
-		LatencyBurnShort: clampInf(e.latShort.burn(latencyBudget)),
-		LatencyBurnLong:  clampInf(e.latLong.burn(latencyBudget)),
+		LatencyBurnShort: clampInf(short),
+		LatencyBurnLong:  clampInf(long),
 	}
 	r.Regression = e.regressionBurnsLocked()
 	e.mu.Unlock()
@@ -519,7 +467,7 @@ func (e *Engine) Report() Report {
 	r.Completed = e.completed.Value()
 	r.DeadlineMisses = e.misses.Value()
 	r.OverAdmissions = e.overAdmissions.Value()
-	r.LatencyTarget = latencyTarget.Seconds()
+	r.LatencyTarget = latency.Target.Seconds()
 	r.LatencyP50 = hist.Quantile(0.50) / 1e9
 	r.LatencyP99 = hist.Quantile(0.99) / 1e9
 	r.LatencyMean = hist.Mean() / 1e9

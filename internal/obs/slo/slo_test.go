@@ -8,12 +8,22 @@ import (
 	"time"
 
 	"milan/internal/obs"
+	"milan/internal/obs/latency"
 )
+
+// timed hands the engine's latency plane one admission that took d, as a
+// finished phase record does.
+func timed(e *Engine, d time.Duration) {
+	e.Latency().Done(0, 0, 0, int64(d), [latency.NumPhases]int64{}, 0)
+}
 
 func TestNilEngineSafe(t *testing.T) {
 	var e *Engine
-	e.JobAdmitted(1, 1, 0, 0, 1, 1)
-	e.JobRejected(0, 0)
+	e.JobAdmitted(1, 1, 0, 1, 1)
+	e.JobRejected()
+	if e.Latency() != nil {
+		t.Fatal("nil engine has a latency plane")
+	}
 	if e.JobCompleted(1, 0) {
 		t.Fatal("nil engine reported a miss")
 	}
@@ -26,7 +36,7 @@ func TestNilEngineSafe(t *testing.T) {
 
 func TestHardInvariantDeadlineMiss(t *testing.T) {
 	e := New(Options{})
-	e.JobAdmitted(7, 42, 1.0, time.Millisecond, 10.0, 9.5)
+	e.JobAdmitted(7, 42, 1.0, 10.0, 9.5)
 	if missed := e.JobCompleted(7, 9.9); missed {
 		t.Fatal("on-time completion flagged as miss")
 	}
@@ -35,7 +45,7 @@ func TestHardInvariantDeadlineMiss(t *testing.T) {
 		t.Fatalf("conformant run misreported: %+v", r)
 	}
 
-	e.JobAdmitted(8, 43, 2.0, time.Millisecond, 10.0, 9.5)
+	e.JobAdmitted(8, 43, 2.0, 10.0, 9.5)
 	if missed := e.JobCompleted(8, 10.5); !missed {
 		t.Fatal("late completion not flagged as miss")
 	}
@@ -58,7 +68,7 @@ func TestOverAdmissionTriggersImmediately(t *testing.T) {
 	rec := NewRecorder(nil, nil)
 	e := New(Options{Recorder: rec})
 	// Reservation finishing after the deadline: planner fault by construction.
-	e.JobAdmitted(3, 9, 0.5, time.Millisecond, 10.0, 10.7)
+	e.JobAdmitted(3, 9, 0.5, 10.0, 10.7)
 	r := e.Report()
 	if r.Conformant() || r.OverAdmissions != 1 {
 		t.Fatalf("over-admission not reported: %+v", r)
@@ -86,7 +96,9 @@ func TestLatencyBurnAlertEdgeTriggered(t *testing.T) {
 	// All admissions 2x over the latency target: error rate 1.0, budget
 	// 0.01 -> burn 100 on both windows.
 	for i := 0; i < 20; i++ {
-		e.JobAdmitted(i, uint64(i+1), float64(i)*0.6, 10*time.Millisecond, 1e9, 1e8)
+		timed(e, 10*time.Millisecond)
+		e.JobAdmitted(i, uint64(i+1), float64(i)*0.6, 1e9, 1e8)
+		e.Tick(float64(i) * 0.6)
 	}
 	e.Tick(12)
 	r := e.Report()
@@ -105,10 +117,12 @@ func TestLatencyBurnAlertEdgeTriggered(t *testing.T) {
 	// Let both windows drain (fast-forward past the long window), then
 	// burn again: a second episode should alert again.
 	e.Tick(3000)
-	e.Tick(3006) // clears alertOn once burn drops below threshold
+	e.Tick(3006) // ends the burn episode once burn drops below threshold
 	burnGauges(0, 0)
 	for i := 0; i < 20; i++ {
-		e.JobAdmitted(100+i, uint64(100+i), 3012+float64(i)*0.6, 10*time.Millisecond, 1e9, 1e8)
+		timed(e, 10*time.Millisecond)
+		e.JobAdmitted(100+i, uint64(100+i), 3012+float64(i)*0.6, 1e9, 1e8)
+		e.Tick(3012 + float64(i)*0.6)
 	}
 	e.Tick(3024)
 	if got := len(e.Report().Alerts); got != 2 {
@@ -119,18 +133,18 @@ func TestLatencyBurnAlertEdgeTriggered(t *testing.T) {
 func TestWindowBackwardClockResets(t *testing.T) {
 	w := newWindow(10, 10)
 	for i := 0; i < 5; i++ {
-		w.add(float64(i), true)
+		w.addN(float64(i), 0, 1)
 	}
 	if bad, _ := w.totals(); bad != 5 {
 		t.Fatalf("bad=%d before reset", bad)
 	}
 	// Sweep epoch restart: clock jumps back to zero.
-	w.add(0.5, false)
+	w.addN(0.5, 1, 0)
 	if bad, total := w.totals(); bad != 0 || total != 1 {
 		t.Fatalf("window did not reset on backward clock: bad=%d total=%d", bad, total)
 	}
 	// Far-forward jump also resets.
-	w.add(1e6, true)
+	w.addN(1e6, 0, 1)
 	if bad, total := w.totals(); bad != 1 || total != 1 {
 		t.Fatalf("window did not reset on forward jump: bad=%d total=%d", bad, total)
 	}
@@ -138,7 +152,7 @@ func TestWindowBackwardClockResets(t *testing.T) {
 
 func TestWindowExpiry(t *testing.T) {
 	w := newWindow(10, 10)
-	w.add(0, true)
+	w.addN(0, 0, 1)
 	w.advance(5)
 	if bad, _ := w.totals(); bad != 1 {
 		t.Fatalf("event expired early: bad=%d", bad)
@@ -153,7 +167,7 @@ func TestWindowExpiry(t *testing.T) {
 
 func TestBurnZeroBudgetIsInf(t *testing.T) {
 	w := newWindow(10, 10)
-	w.add(0, true)
+	w.addN(0, 0, 1)
 	if b := w.burn(0); !math.IsInf(b, 1) {
 		t.Fatalf("zero-budget burn with errors = %v, want +Inf", b)
 	}
@@ -192,7 +206,8 @@ func TestObserveRouterSpikeAndStorm(t *testing.T) {
 func TestReportLatencyQuantiles(t *testing.T) {
 	e := New(Options{})
 	for i := 0; i < 100; i++ {
-		e.JobAdmitted(i, uint64(i+1), 1, 2*time.Millisecond, 1e9, 1e8)
+		timed(e, 2*time.Millisecond)
+		e.JobAdmitted(i, uint64(i+1), 1, 1e9, 1e8)
 	}
 	r := e.Report()
 	if r.LatencyP50 < 1e-3 || r.LatencyP50 > 4e-3 {
@@ -206,7 +221,7 @@ func TestReportLatencyQuantiles(t *testing.T) {
 func TestWriteReport(t *testing.T) {
 	rec := NewRecorder(nil, nil)
 	e := New(Options{Recorder: rec})
-	e.JobAdmitted(1, 5, 0, time.Millisecond, 10, 9)
+	e.JobAdmitted(1, 5, 0, 10, 9)
 	e.JobCompleted(1, 11) // miss
 	var sb strings.Builder
 	if err := e.WriteReport(&sb); err != nil {
@@ -220,7 +235,7 @@ func TestWriteReport(t *testing.T) {
 	}
 
 	e2 := New(Options{})
-	e2.JobAdmitted(1, 5, 0, time.Millisecond, 10, 9)
+	e2.JobAdmitted(1, 5, 0, 10, 9)
 	e2.JobCompleted(1, 9.5)
 	sb.Reset()
 	if err := e2.WriteReport(&sb); err != nil {
@@ -234,8 +249,8 @@ func TestWriteReport(t *testing.T) {
 func TestRegistryMetricsPublished(t *testing.T) {
 	reg := obs.NewRegistry()
 	e := New(Options{Registry: reg})
-	e.JobAdmitted(1, 1, 0, time.Millisecond, 10, 9)
-	e.JobRejected(0, time.Millisecond)
+	e.JobAdmitted(1, 1, 0, 10, 9)
+	e.JobRejected()
 	e.JobCompleted(1, 11)
 	e.Tick(1)
 	snap := reg.Snapshot()
@@ -250,8 +265,9 @@ func TestRegistryMetricsPublished(t *testing.T) {
 			t.Errorf("%s = %d, want %d", name, got, want)
 		}
 	}
-	if _, ok := snap.Histograms[metricLatency]; !ok {
-		t.Errorf("missing %s histogram", metricLatency)
+	// The engine's latency plane shares the registry.
+	if _, ok := snap.Histograms["latency_admit_ns"]; !ok {
+		t.Error("missing latency_admit_ns histogram")
 	}
 }
 
@@ -264,7 +280,8 @@ func TestEngineConcurrentUse(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				id := g*1000 + i
-				e.JobAdmitted(id, uint64(id), float64(i), time.Millisecond, float64(i)+5, float64(i)+4)
+				timed(e, time.Millisecond)
+				e.JobAdmitted(id, uint64(id), float64(i), float64(i)+5, float64(i)+4)
 				e.JobCompleted(id, float64(i)+4.5)
 				e.ObserveRouter(float64(i), int64(i), int64(i))
 				e.Tick(float64(i))

@@ -4,6 +4,7 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"milan/internal/obs/latency/phase"
 	"milan/internal/qos"
@@ -69,6 +70,7 @@ type Tracer struct {
 	mu    sync.Mutex
 	clock func() float64
 	epoch int64 // phase.NowNanos at creation: the zero of the wall clock domain
+	born  int64 // wall-clock Unix ns at creation: the process epoch /spans serves
 	ring  *Ring[SpanRec]
 }
 
@@ -78,7 +80,7 @@ func NewTracer(capacity int) *Tracer {
 	if capacity < 1 {
 		capacity = 8192
 	}
-	return &Tracer{ring: NewRing[SpanRec](capacity), epoch: phase.NowNanos()}
+	return &Tracer{ring: NewRing[SpanRec](capacity), epoch: phase.NowNanos(), born: time.Now().UnixNano()}
 }
 
 // SetClock rebinds the tracer's timestamp source (e.g. a sim engine's Now).
@@ -317,21 +319,22 @@ func (t *Tracer) Spans() []SpanRec {
 	return t.ring.Items()
 }
 
-// spansSince returns the retained spans completed after the first since
-// (all of them when since is past the count, as for a restarted node),
-// and the completed-span count, read under one lock so the count ends
+// spansSince returns the retained spans completed after the first since —
+// all of them when since is past the count or epoch is another tracer's
+// (0 matches any), as for a restarted node — with the completed-span
+// count and the tracer's epoch, read under one lock so the count ends
 // exactly at the last span returned.
-func (t *Tracer) spansSince(since int64) ([]SpanRec, int64) {
+func (t *Tracer) spansSince(since, epoch int64) (spans []SpanRec, total, born int64) {
 	if t == nil {
-		return nil, 0
+		return nil, 0, 0
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	total := t.ring.Total()
-	if since > total {
+	total = t.ring.Total()
+	if since > total || (epoch != 0 && epoch != t.born) {
 		since = 0
 	}
-	return t.ring.since(since), total
+	return t.ring.since(since), total, t.born
 }
 
 // SpanNode is one node of a reconstructed span tree.

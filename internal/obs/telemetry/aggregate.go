@@ -8,9 +8,11 @@
 // equal the per-node sums by construction and a node that restarted is
 // whole again at its next poll: nothing carries over from one poll to the
 // next but the span cursor.  Spans are the one stream: the aggregator
-// keeps a cursor on each node's completed-span count (obs.SpansTotalHeader),
-// asks for only the spans past it (/spans?since=), and counts the spans the
-// node's ring overwrote between two polls as dropped.
+// keeps a cursor on each node's completed-span count (obs.SpansTotalHeader)
+// and the tracer epoch it belongs to (obs.SpansEpochHeader), asks for only
+// the spans past it (/spans?since=&epoch=), takes a restarted node's whole
+// ring, and counts the spans the node's ring overwrote between two polls
+// as dropped.
 package telemetry
 
 import (
@@ -77,6 +79,7 @@ type nodeState struct {
 
 	spans        *obs.Ring[obs.SpanRec]
 	cursor       int64 // the node's completed-span count at the last poll; -1 before one
+	epoch        int64 // the epoch that count belongs to (obs.SpansEpochHeader)
 	spansDropped int64
 }
 
@@ -245,13 +248,18 @@ func (a *Aggregator) poll(ns *nodeState) {
 	if err == nil {
 		_, haveLed, err = a.get(ns.addr, "/ledger", &led)
 	}
-	var total int64
+	var total, epoch int64
 	if err == nil {
-		// Only the spans past the cursor come back (polls are serialized
-		// by pollMu, so the cursor is read unlocked).
+		// Only the spans past the cursor come back, unless the node's
+		// epoch changed (polls are serialized by pollMu, so the cursor
+		// and epoch are read unlocked).
 		var hdr http.Header
-		if hdr, _, err = a.get(ns.addr, "/spans?since="+strconv.FormatInt(max(ns.cursor, 0), 10), &spans); err == nil {
+		q := fmt.Sprintf("/spans?since=%d&epoch=%d", max(ns.cursor, 0), ns.epoch)
+		if hdr, _, err = a.get(ns.addr, q, &spans); err == nil {
 			total, err = strconv.ParseInt(hdr.Get(obs.SpansTotalHeader), 10, 64)
+		}
+		if err == nil {
+			epoch, err = strconv.ParseInt(hdr.Get(obs.SpansEpochHeader), 10, 64)
 		}
 	}
 
@@ -272,10 +280,11 @@ func (a *Aggregator) poll(ns *nodeState) {
 		ns.ledger = &led
 	}
 	oldest := total - int64(len(spans))
-	if ns.cursor < 0 || total < ns.cursor {
-		// First poll, or a restarted node whose count began again: what
-		// its ring holds is all there is to take.
-		ns.cursor = oldest
+	if ns.cursor < 0 || epoch != ns.epoch {
+		// First poll, or a restarted node whose count began again (at
+		// whatever it has reached since): what its ring holds is all
+		// there is to take.
+		ns.cursor, ns.epoch = oldest, epoch
 	}
 	if ns.cursor < oldest {
 		ns.spansDropped += oldest - ns.cursor

@@ -275,6 +275,47 @@ func TestSpanCursorNeverDuplicatesAndCountsOverrun(t *testing.T) {
 	}
 }
 
+// A node that restarts and completes more spans than the old cursor
+// before the next poll is still a restart: its tracer's epoch changed, so
+// the aggregator takes its whole ring, drops nothing and moves the cursor
+// to the new count.
+func TestRestartPastTheCursorTakesTheWholeRing(t *testing.T) {
+	var handler atomic.Value
+	node := func(name string, spans int) []obs.SpanID {
+		o := obs.New(obs.Config{Tracing: true, SpanRingSize: 64})
+		tr := o.Tracer()
+		tr.SeedIDs(NodeIDBase(name))
+		var ids []obs.SpanID
+		for i := 0; i < spans; i++ {
+			s := tr.Start(tr.NewTrace(), 0, "probe", obs.StagePlan, i)
+			ids = append(ids, s.ID())
+			s.End()
+		}
+		handler.Store(o.Handler())
+		return ids
+	}
+	old := node("before", 10)
+	addr := serve(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		handler.Load().(http.Handler).ServeHTTP(w, r)
+	}))
+	agg := newTestAggregator(t, false, addr)
+	agg.pollOnce()             // cursor 10
+	fresh := node("after", 25) // the restart, 25 spans retained by the next poll
+	agg.pollOnce()
+
+	st := agg.Nodes()[0]
+	if st.SpanTotal != 25 || st.SpansDropped != 0 {
+		t.Fatalf("span accounting = %+v, want total 25, dropped 0", st)
+	}
+	var got []obs.SpanID
+	for _, s := range agg.spans() {
+		got = append(got, s.ID)
+	}
+	if want := append(old, fresh...); !reflect.DeepEqual(got, want) {
+		t.Fatalf("held spans %v, want the old node's 10 and all 25 new %v", got, want)
+	}
+}
+
 // testNode is one in-process junctiond stand-in: a sharded federated
 // plane behind a qosnet server, traced by an observer whose debug
 // endpoint is what the aggregator scrapes.

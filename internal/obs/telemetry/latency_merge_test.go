@@ -22,7 +22,7 @@ func TestMergedPhaseHistogramsEqualNodeSums(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for i := range regs {
 		regs[i] = obs.NewRegistry()
-		lp := latency.New(latency.Config{Registry: regs[i]})
+		lp := latency.New(regs[i])
 		// Drive admissions with per-node-distinct phase durations.
 		for j := 0; j < 50+i*17; j++ {
 			var durs [latency.NumPhases]int64
@@ -86,7 +86,7 @@ func serveLatency(t *testing.T, reg *obs.Registry, lp *latency.Plane) string {
 // contain the cluster-slowest request with its waterfall intact.
 func TestAggregatorMergesExemplars(t *testing.T) {
 	reg := obs.NewRegistry()
-	lp := latency.New(latency.Config{Registry: reg})
+	lp := latency.New(reg)
 	var durs [latency.NumPhases]int64
 	durs[1] = 50_000_000 // probe-dominated waterfall
 	lp.Done(0xabcd, 7, 2, 50_100_000, durs, 0)

@@ -10,6 +10,7 @@ import (
 
 	"milan/internal/durable"
 	"milan/internal/obs"
+	"milan/internal/obs/latency"
 	"milan/internal/obs/slo"
 )
 
@@ -52,11 +53,11 @@ func TestMergedViewCarriesNoGauges(t *testing.T) {
 }
 
 // Every registry distribution counts integer nanoseconds on one layout,
-// so the cluster view of durable_append_ns and slo_admit_latency_ns is
-// bit-equal — buckets, count and sum — to one registry fed both nodes'
-// streams.
+// so the cluster view of durable_append_ns and latency_admit_ns (fed
+// through each node's SLO engine's latency plane) is bit-equal — buckets,
+// count and sum — to one registry fed both nodes' streams.
 func TestMergedDistributionsEqualOneRegistryFedBoth(t *testing.T) {
-	const appendNs, admitNs = "durable_append_ns", "slo_admit_latency_ns"
+	const appendNs, admitNs = "durable_append_ns", "latency_admit_ns"
 	type node struct {
 		met *durable.Metrics
 		eng *slo.Engine
@@ -79,12 +80,14 @@ func TestMergedDistributionsEqualOneRegistryFedBoth(t *testing.T) {
 		n.met.AppendLatency.Observe(d)
 		both.met.AppendLatency.Observe(d)
 		d = draw()
-		if rng.Intn(3) == 0 {
-			n.eng.JobRejected(float64(i), d)
-			both.eng.JobRejected(float64(i), d)
-		} else {
-			n.eng.JobAdmitted(i, uint64(i+1), float64(i), d, float64(i+10), float64(i+5))
-			both.eng.JobAdmitted(i, uint64(i+1), float64(i), d, float64(i+10), float64(i+5))
+		rejected := rng.Intn(3) == 0
+		for _, e := range []*slo.Engine{n.eng, both.eng} {
+			e.Latency().Done(uint64(i+1), int64(i), 0, int64(d), [latency.NumPhases]int64{}, 0)
+			if rejected {
+				e.JobRejected()
+			} else {
+				e.JobAdmitted(i, uint64(i+1), float64(i), float64(i+10), float64(i+5))
+			}
 		}
 	}
 

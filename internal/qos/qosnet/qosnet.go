@@ -39,10 +39,8 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"net/http"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"milan/internal/core"
 	"milan/internal/frame"
@@ -70,12 +68,10 @@ type Server struct {
 	arb Arbitrator
 	ln  net.Listener
 
-	mu      sync.Mutex
-	conns   map[net.Conn]struct{}
-	closed  bool
-	wg      sync.WaitGroup
-	debug   *http.Server // optional observability endpoint (EnableDebug)
-	debugLn net.Listener
+	mu     sync.Mutex
+	conns  map[net.Conn]struct{}
+	closed bool
+	wg     sync.WaitGroup
 
 	// instruments is what Instrument installed, nil when nothing is.
 	instruments atomic.Pointer[Instruments]
@@ -84,8 +80,8 @@ type Server struct {
 // Instruments is what a server traces, times and audits every negotiation
 // with.  The server owns a request's lifecycle, so it is the one place they
 // meet: it opens the request's arrival span, hands the arbitrator nothing
-// but the request's phase record, and reads the latency it reports and the
-// spans it records off that record once it has ended.  The three are
+// but the request's phase record, and hands that record, once it has ended,
+// to the latency plane and renders the request's spans from it.  The three are
 // installed together and read with one atomic load per request, so no
 // request runs with the tracer of one installation and the callback of
 // another.
@@ -103,9 +99,8 @@ type Instruments struct {
 	// the whole call is ack.
 	Latency *latency.Plane
 	// OnDecision observes every negotiation outcome, after the request's
-	// record has ended, with the server-side latency that record measured
-	// (the SLO engine's admission-latency feed).
-	OnDecision func(job core.Job, g *qos.Grant, err error, latency time.Duration)
+	// record has ended (and reached Latency).
+	OnDecision func(job core.Job, g *qos.Grant, err error)
 }
 
 // Serve starts serving the arbitrator on ln and returns immediately.
@@ -173,22 +168,16 @@ func (s *Server) negotiate(n qos.Negotiator, job core.Job) (*qos.Grant, error) {
 	rec.End()
 	root.EndAdmission(&rec, g, err)
 	if in.OnDecision != nil {
-		in.OnDecision(job, g, err, time.Duration(rec.Total()))
+		in.OnDecision(job, g, err)
 	}
 	return g, err
 }
 
-// Close stops accepting, closes all connections (and the debug endpoint,
-// when enabled) and waits for handlers.
+// Close stops accepting, closes all connections and waits for handlers.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	s.closed = true
 	err := s.ln.Close()
-	if s.debug != nil {
-		s.debug.Close()
-		s.debug = nil
-		s.debugLn = nil
-	}
 	for c := range s.conns {
 		c.Close()
 	}

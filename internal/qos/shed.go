@@ -45,7 +45,6 @@ type Shedder struct {
 	served     []float64          // cumulative admitted area per class
 	lastOffer  []float64          // last arrival time per class
 	lastOK     map[string]float64 // last admission (or first sighting) per tenant
-	stats      shedStats
 }
 
 type jobCharge struct {
@@ -135,17 +134,6 @@ type ShedDecision struct {
 	// Starved marks an admission forced through class fairness by the
 	// starvation guard.
 	Starved bool
-}
-
-// shedStats aggregates the decision stream per class.
-type shedStats struct {
-	Offered      []int64   // arrivals per class
-	Admitted     []int64   // requests forwarded and granted, per class
-	Shed         []int64   // requests refused by the shedder, per class
-	AdmittedArea []float64 // granted reserved area per class
-	QuotaShed    int64
-	ClassShed    int64
-	Starved      int64 // starvation-guard forced admissions
 }
 
 func (c ShedConfig) withDefaults() ShedConfig {
@@ -311,8 +299,6 @@ func (s *Shedder) Negotiate(job core.Job) (*Grant, error) {
 	}
 	s.growClass(class)
 	s.lastOffer[class] = now
-	s.stats.grow(class)
-	s.stats.Offered[class]++
 	if _, ok := s.lastOK[job.Tenant]; !ok {
 		s.lastOK[job.Tenant] = now
 	}
@@ -335,19 +321,11 @@ func (s *Shedder) Negotiate(job core.Job) (*Grant, error) {
 		// The starvation bound: an under-quota tenant denied past the
 		// window goes through to the arbitrator regardless of class.
 		d.Shed, d.Starved = false, true
-		s.stats.Starved++
 	}
 	if s.cfg.Bypass {
 		d.Shed = false
 	}
 	if d.Shed {
-		s.stats.Shed[class]++
-		switch d.Reason {
-		case shedTenantQuota:
-			s.stats.QuotaShed++
-		case ShedClassFairness:
-			s.stats.ClassShed++
-		}
 		s.mu.Unlock()
 		s.observe(d)
 		return nil, ErrShed
@@ -364,9 +342,6 @@ func (s *Shedder) Negotiate(job core.Job) (*Grant, error) {
 		s.tenantArea[job.Tenant] += area
 		s.growClass(class)
 		s.served[class] += area
-		s.stats.grow(class)
-		s.stats.Admitted[class]++
-		s.stats.AdmittedArea[class] += area
 		s.lastOK[job.Tenant] = now
 	}
 	s.mu.Unlock()
@@ -377,29 +352,5 @@ func (s *Shedder) Negotiate(job core.Job) (*Grant, error) {
 func (s *Shedder) observe(d ShedDecision) {
 	if s.cfg.Observer != nil {
 		s.cfg.Observer(d)
-	}
-}
-
-// Stats returns a copy of the per-class counters.
-func (s *Shedder) Stats() shedStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return shedStats{
-		Offered:      append([]int64(nil), s.stats.Offered...),
-		Admitted:     append([]int64(nil), s.stats.Admitted...),
-		Shed:         append([]int64(nil), s.stats.Shed...),
-		AdmittedArea: append([]float64(nil), s.stats.AdmittedArea...),
-		QuotaShed:    s.stats.QuotaShed,
-		ClassShed:    s.stats.ClassShed,
-		Starved:      s.stats.Starved,
-	}
-}
-
-func (st *shedStats) grow(class int) {
-	for len(st.Offered) <= class {
-		st.Offered = append(st.Offered, 0)
-		st.Admitted = append(st.Admitted, 0)
-		st.Shed = append(st.Shed, 0)
-		st.AdmittedArea = append(st.AdmittedArea, 0)
 	}
 }

@@ -15,7 +15,9 @@ import (
 // units, classes round-robin, tenants alternating within each class, and
 // completions landing exactly at each granted reservation's finish.  The
 // inner arbitrator is big enough to admit everything the shedder
-// forwards, so the admitted stream is shaped by the shedder alone.
+// forwards, so the admitted stream is shaped by the shedder alone.  It
+// counts the decision stream per class from its own offers and grants and
+// from the shedder's Observer.
 type shedSim struct {
 	t     *testing.T
 	sh    *Shedder
@@ -24,6 +26,11 @@ type shedSim struct {
 	done  finishHeap
 	peak  map[string]float64 // observed in-flight peak per tenant
 	alive map[string]float64
+
+	offered      map[int]int        // arrivals per class
+	shed         map[int]int        // requests refused by the shedder, per class
+	shedBy       map[ShedReason]int // requests refused by the shedder, per reason
+	admittedArea map[int]float64    // granted reserved area per class
 }
 
 type finishEvent struct {
@@ -53,18 +60,31 @@ func newShedSim(t *testing.T, cfg ShedConfig, gap float64) *shedSim {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh, err := NewShedder(inner, cfg)
-	if err != nil {
+	s := &shedSim{
+		t:            t,
+		job:          workload.FigureJob{X: 4, T: 10, Alpha: 0.5, Laxity: 0.5},
+		gap:          gap,
+		peak:         make(map[string]float64),
+		alive:        make(map[string]float64),
+		offered:      make(map[int]int),
+		shed:         make(map[int]int),
+		shedBy:       make(map[ShedReason]int),
+		admittedArea: make(map[int]float64),
+	}
+	observer := cfg.Observer
+	cfg.Observer = func(d ShedDecision) {
+		if d.Shed {
+			s.shed[d.Key.Class]++
+			s.shedBy[d.Reason]++
+		}
+		if observer != nil {
+			observer(d)
+		}
+	}
+	if s.sh, err = NewShedder(inner, cfg); err != nil {
 		t.Fatal(err)
 	}
-	return &shedSim{
-		t:     t,
-		sh:    sh,
-		job:   workload.FigureJob{X: 4, T: 10, Alpha: 0.5, Laxity: 0.5},
-		gap:   gap,
-		peak:  make(map[string]float64),
-		alive: make(map[string]float64),
-	}
+	return s
 }
 
 // offer releases one arrival at now for (tenant, class) and retires every
@@ -79,6 +99,7 @@ func (s *shedSim) offer(id int, now float64, tenant string, class int) (admitted
 	s.sh.Observe(now)
 	job := s.job.Job(id, now, workload.Tunable)
 	job.Tenant, job.Class = tenant, class
+	s.offered[class]++
 	g, err := s.sh.Negotiate(job)
 	if err != nil {
 		if !errors.Is(err, ErrRejected) {
@@ -87,6 +108,7 @@ func (s *shedSim) offer(id int, now float64, tenant string, class int) (admitted
 		return false
 	}
 	area := g.Placement.Area()
+	s.admittedArea[class] += area
 	s.alive[tenant] += area
 	if s.alive[tenant] > s.peak[tenant] {
 		s.peak[tenant] = s.alive[tenant]
@@ -123,12 +145,8 @@ func TestShedderSharesConvergeToWeights(t *testing.T) {
 		sim.offer(i, now, tenant, class)
 	}
 
-	st := sim.sh.Stats()
-	if len(st.AdmittedArea) < 3 {
-		t.Fatalf("stats cover %d classes, want 3", len(st.AdmittedArea))
-	}
 	total := 0.0
-	for _, a := range st.AdmittedArea {
+	for _, a := range sim.admittedArea {
 		total += a
 	}
 	if total == 0 {
@@ -139,10 +157,10 @@ func TestShedderSharesConvergeToWeights(t *testing.T) {
 		sumW += w
 	}
 	for c, w := range weights {
-		share := st.AdmittedArea[c] / total
+		share := sim.admittedArea[c] / total
 		want := w / sumW
 		if math.Abs(share-want) > 0.06 {
-			t.Errorf("class %d admitted share %.3f, want %.3f +- 0.06 (stats %+v)", c, share, want, st)
+			t.Errorf("class %d admitted share %.3f, want %.3f +- 0.06 (admitted area %v)", c, share, want, sim.admittedArea)
 		}
 	}
 
@@ -150,14 +168,14 @@ func TestShedderSharesConvergeToWeights(t *testing.T) {
 	// index.
 	prev := -1.0
 	for c := range weights {
-		frac := float64(st.Shed[c]) / float64(st.Offered[c])
+		frac := float64(sim.shed[c]) / float64(sim.offered[c])
 		if frac < prev-0.02 {
 			t.Errorf("class %d shed fraction %.3f below class %d's %.3f — lowest class not shed first",
 				c, frac, c-1, prev)
 		}
 		prev = frac
 	}
-	if st.ClassShed == 0 {
+	if sim.shedBy[ShedClassFairness] == 0 {
 		t.Fatal("overload produced no class-fairness sheds; the test exercised nothing")
 	}
 
@@ -201,7 +219,7 @@ func TestShedderEnforcesTenantQuota(t *testing.T) {
 	if sim.peak["hog"] > limit+1e-9 {
 		t.Fatalf("hog in-flight peak %.1f exceeds quota bound %.1f", sim.peak["hog"], limit)
 	}
-	if st := sim.sh.Stats(); st.QuotaShed == 0 {
+	if sim.shedBy[shedTenantQuota] == 0 {
 		t.Fatal("quota never shed anything; the test exercised nothing")
 	}
 	if hogAdmits == 0 || otherAdmits == 0 {
@@ -240,8 +258,8 @@ func TestShedderBypassAndErrShed(t *testing.T) {
 			t.Fatalf("bypassed shedder refused job %d", i)
 		}
 	}
-	if st := sim.sh.Stats(); st.QuotaShed+st.ClassShed != 0 {
-		t.Fatalf("bypass still shed: %+v", st)
+	if len(sim.shedBy) != 0 {
+		t.Fatalf("bypass still shed: %v", sim.shedBy)
 	}
 	if wouldShed == 0 {
 		t.Fatal("bypass classified no would-be sheds; injection would be invisible")

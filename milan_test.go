@@ -181,7 +181,6 @@ func TestEverySettingHasACaller(t *testing.T) {
 		"milan/internal/qos.ShedConfig",
 		"milan/internal/obs.Config",
 		"milan/internal/obs/slo.Options",
-		"milan/internal/obs/latency.Config",
 		"milan/internal/obs/telemetry.AggregatorConfig",
 		"milan/internal/experiments.Config",
 		"milan/internal/campaign.Config",
