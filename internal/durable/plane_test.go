@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
 	"net/http/httptest"
@@ -655,6 +656,7 @@ func lazyLiveSetDifferential(t *testing.T, shards, checkEvery int) {
 		lostTail   int              // records crashes took: written, acknowledged, not yet flushed
 		everLive   []int            // every ID ever granted: the pool completions draw from
 		unswept    = map[int]bool{} // elapsed since the plane last walked its map
+		folded     = map[int]bool{} // of those, elapsed at the last cadence seal's cut
 		lazyHits   int              // completions that found an elapsed entry still in the map
 		nextJob    int
 		lastRecCnt int
@@ -736,9 +738,18 @@ func lazyLiveSetDifferential(t *testing.T, shards, checkEvery int) {
 				t.Fatalf("op %d: snapshot: %v", op, err)
 			}
 			clear(unswept)
+			clear(folded)
 		}
 		if p.store.recordsSinceSnap < lastRecCnt {
-			clear(unswept) // the cadence took a snapshot inside this operation
+			// The cadence sealed a checkpoint inside this operation.  The
+			// seal dropped what the checkpoint before it found elapsed at
+			// its cut; what elapsed since, in this operation too, stays in
+			// the map until this checkpoint's fold has found it and the
+			// next seal collects it.
+			for id := range folded {
+				delete(unswept, id)
+			}
+			folded = maps.Clone(unswept)
 		}
 		lastRecCnt = p.store.recordsSinceSnap
 
@@ -762,6 +773,7 @@ func lazyLiveSetDifferential(t *testing.T, shards, checkEvery int) {
 			}
 			st := p.ExportState()
 			clear(unswept)
+			clear(folded)
 			if st.LSN != wantLSN || fb(st.Now) != fb(ref.now) {
 				t.Fatalf("op %d: export at lsn=%d now=%v, want lsn=%d now=%v", op, st.LSN, st.Now, wantLSN, ref.now)
 			}
@@ -801,6 +813,7 @@ func lazyLiveSetDifferential(t *testing.T, shards, checkEvery int) {
 				ref.grants[g.JobID] = g
 			}
 			clear(unswept)
+			clear(folded)
 			lastRecCnt = p.store.recordsSinceSnap
 		}
 	}

@@ -92,15 +92,29 @@ func (OS) Stat(name string) (int64, error) {
 }
 
 // SyncDir fsyncs the directory so entry changes (creates, renames,
-// removes) reach stable storage.
+// removes) reach stable storage: open(2), fsync(2) and close(2) on a bare
+// descriptor, where os.Open would build an *os.File, set its finalizer and
+// register the directory with the poller only for it to be closed again.
+// A failure is an *os.PathError, as os.Open's and File.Sync's.
 func (OS) SyncDir(dir string) error {
-	d, err := os.Open(filepath.Clean(dir))
-	if err != nil {
-		return err
+	const flags = syscall.O_RDONLY | syscall.O_DIRECTORY | syscall.O_CLOEXEC
+	dir = filepath.Clean(dir)
+	fd, err := syscall.Open(dir, flags, 0)
+	for err == syscall.EINTR {
+		fd, err = syscall.Open(dir, flags, 0)
 	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
+	if err != nil {
+		return &os.PathError{Op: "open", Path: dir, Err: err}
+	}
+	err = syscall.Fsync(fd)
+	for err == syscall.EINTR {
+		err = syscall.Fsync(fd)
+	}
+	if err != nil {
+		err = &os.PathError{Op: "sync", Path: dir, Err: err}
+	}
+	if cerr := syscall.Close(fd); err == nil && cerr != nil {
+		err = &os.PathError{Op: "close", Path: dir, Err: cerr}
 	}
 	return err
 }

@@ -5,6 +5,7 @@ import (
 	"io"
 	iofs "io/fs"
 	"os"
+	"syscall"
 	"testing"
 )
 
@@ -286,5 +287,24 @@ func TestOSRoundTrip(t *testing.T) {
 	}
 	if err := fs.Remove(dir + "/sub/b"); err != nil {
 		t.Fatal(err)
+	}
+	// SyncDir keeps os.Open's error contract though it opens no os.File:
+	// an *os.PathError naming the directory, wrapping what open(2) said.
+	var pe *os.PathError
+	err = fs.SyncDir(dir + "/missing")
+	if !errors.As(err, &pe) || pe.Op != "open" || pe.Path != dir+"/missing" || !errors.Is(err, syscall.ENOENT) || !errors.Is(err, iofs.ErrNotExist) {
+		t.Fatalf("sync of a missing directory: %#v", err)
+	}
+	if c, err := fs.Create(dir + "/sub/e"); err != nil {
+		t.Fatal(err)
+	} else {
+		c.Close()
+	}
+	err = fs.SyncDir(dir + "/sub/e")
+	if !errors.As(err, &pe) || pe.Path != dir+"/sub/e" || !errors.Is(err, syscall.ENOTDIR) {
+		t.Fatalf("sync of a regular file: %#v", err)
+	}
+	if err := fs.SyncDir(dir + "/sub"); err != nil {
+		t.Fatalf("sync of a directory with a fresh entry: %v", err)
 	}
 }
