@@ -35,9 +35,13 @@
 //
 // The plane checkpoints on a goroutine of its own.  From one caller the tap
 // holds that goroutine's filesystem calls at a gate and lets them through
-// between the caller's ops, as many at a time as the seed says — none, a
-// few, the rest — so where a crash finds the checkpoint is the seed's choice
-// too, and the run stays a pure function of it.
+// between the caller's ops a checkpoint phase at a time, as many phases as
+// the seed says — none, one, two, the rest — so where a crash finds the
+// checkpoint is the seed's choice too, however many calls a phase makes, and
+// the run stays a pure function of it.  The crashes sweep the phases: each
+// aims at one, and the ok line counts the crashes that found each.  Outside
+// the lie phases a recovery must also reach the LSN the plane held durable
+// when it died.
 //
 // With -callers N > 1 the storm is driven over N connections drawing ops
 // from one queue, and most crashes are taken mid-flight: the tap kills the
@@ -252,17 +256,18 @@ func driveOps(p *plane, ops []op, from, until int, onAck func(id int, finish flo
 }
 
 // driveBatch pushes the ops at the given indices through the plane: in
-// order over one connection, calling between (if set) after each, or drawn
-// from one queue by a caller per connection, each of which stops at its
-// first error.  It returns the first error any caller met.
-func driveBatch(p *plane, ops []op, batch []int, onAck func(id int, finish float64), between func()) error {
+// order over one connection, calling between (if set) after each and
+// stopping where it says so, or drawn from one queue by a caller per
+// connection, each of which stops at its first error.  It returns the first
+// error any caller met.
+func driveBatch(p *plane, ops []op, batch []int, onAck func(id int, finish float64), between func() (goOn bool)) error {
 	if len(p.conns) == 1 {
 		for _, i := range batch {
 			if err := applyOp(p, p.conns[0], ops[i], onAck); err != nil {
 				return err
 			}
-			if between != nil {
-				between()
+			if between != nil && !between() {
+				return nil
 			}
 		}
 		return nil
@@ -301,13 +306,35 @@ func driveBatch(p *plane, ops []op, batch []int, onAck func(id int, finish float
 // errKilled is what the filesystem answers a process that is dead.
 var errKilled = errors.New("crashtest: process killed")
 
+// ckPhase is how far a checkpoint has got, named from the filesystem calls
+// the tap sees its goroutine make: each phase is the state the checkpoint
+// stands in once that phase's calls are through, however many calls a phase
+// takes.  The trailing directory sync, which makes the removals durable,
+// ends the checkpoint.
+type ckPhase int
+
+const (
+	phSealed      ckPhase = iota // a segment header written: the goroutine is on its way to the temp file
+	phTempCreated                // the snapshot's temp file created
+	phTempWritten                // its bytes written
+	phTempSynced                 // synced and closed
+	phRenamed                    // renamed into place
+	phDirSynced                  // the rename made durable
+	phRemoved                    // the sealed segment closed, what the snapshot covers removed
+	phOver                       // the removals made durable: the checkpoint is over
+)
+
+var phaseNames = [phOver]string{"sealed", "temp-created", "temp-written", "temp-synced", "renamed", "dir-synced", "covered-removed"}
+
 // journalTap sits between the plane and the fault filesystem.  It decodes
 // every record the plane writes to a journal segment, which is how the
 // harness knows the order decisions were made in without asking the plane;
 // it can kill the process at a chosen journal write or flush: from then on
 // every filesystem call fails and nothing reaches the disk, so that the
-// crash that follows is taken exactly there; and in lockstep it holds the
-// checkpoint goroutine's calls until the driver lets them through.
+// crash that follows is taken exactly there; it can fail every write once a
+// count of journal writes has gone by; and in lockstep it holds the
+// checkpoint goroutine's calls until the driver lets them through, a
+// checkpoint phase at a time.
 type journalTap struct {
 	vfs.FS
 
@@ -318,13 +345,21 @@ type journalTap struct {
 	fuse   int
 	effect bool
 	dead   bool
+	// writeErr, once writeLeft journal writes have gone by, fails every
+	// write; only the journal's count, so that how many writes a snapshot
+	// takes moves nothing.
+	writeErr  error
+	writeLeft int
 
 	// Lockstep, one caller's drive.  While the caller is inside an op every
 	// call is its own, but for the creation of a snapshot's temp file: the
 	// checkpoint goroutine's first, where it is held.  Between ops (pacing)
 	// every call is that goroutine's, held in turn.  sealed says a seal went
 	// by whose checkpoint is not known to be over; over is closed when it is.
+	// at is the phase of the last call let through; next, while a call is
+	// held, the phase that call belongs to.
 	lockstep, pacing, sealed bool
+	at, next                 ckPhase
 	over                     chan struct{}
 	parked                   chan struct{} // closed to let the held call through
 	arrived                  chan struct{} // a call has just been held
@@ -339,6 +374,29 @@ func (t *journalTap) arm(events int, effect bool) {
 	t.mu.Lock()
 	t.fuse, t.effect = events, effect
 	t.mu.Unlock()
+}
+
+// failWrites lets after more journal writes through and fails every write
+// from then on with err, until reboot.
+func (t *journalTap) failWrites(err error, after int) {
+	t.mu.Lock()
+	t.writeErr, t.writeLeft = err, after
+	t.mu.Unlock()
+}
+
+// injected is the armed write error, if the writes it lets through are
+// spent; a journal write it lets through counts.
+func (t *journalTap) injected(journal bool) error {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	switch {
+	case t.writeErr == nil:
+	case t.writeLeft <= 0:
+		return t.writeErr
+	case journal:
+		t.writeLeft--
+	}
+	return nil
 }
 
 func (t *journalTap) killed() bool {
@@ -373,14 +431,20 @@ func (t *journalTap) reap(p *durable.Plane) {
 func (t *journalTap) reboot() {
 	t.mu.Lock()
 	t.fuse, t.dead, t.lockstep, t.pacing, t.sealed, t.over = 0, false, false, false, false, nil
+	t.writeErr, t.writeLeft = nil, 0
 	t.mu.Unlock()
 }
 
-// checkpointing reports whether a paced checkpoint is under way.
-func (t *journalTap) checkpointing() bool {
+// checkpointing reports whether a paced checkpoint is under way, and if so
+// the phase it stands in: every phase before that of the call it is held
+// at is through.
+func (t *journalTap) checkpointing() (ckPhase, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.sealed
+	if t.parked != nil {
+		return t.next - 1, t.sealed
+	}
+	return t.at, t.sealed
 }
 
 // enterLockstep starts the holding of the checkpoint's calls, until reboot.
@@ -392,14 +456,20 @@ func (t *journalTap) enterLockstep() {
 
 // hold is where a call waits when it is the checkpoint goroutine's: any call
 // made while the driver paces, and the temp file's creation whenever made.
-func (t *journalTap) hold(tempCreate bool) {
+// ph is the phase the call belongs to if the checkpoint makes it; a
+// directory sync is the rename's until the rename's has gone by, and the
+// checkpoint's last call after that.
+func (t *journalTap) hold(ph ckPhase) {
 	t.mu.Lock()
-	if !t.lockstep || t.dead || !(t.pacing || tempCreate) {
+	if !t.lockstep || t.dead || !(t.pacing || ph == phTempCreated) {
 		t.mu.Unlock()
 		return
 	}
+	if ph == phDirSynced && t.at >= phDirSynced {
+		ph = phOver
+	}
 	gate := make(chan struct{})
-	t.parked = gate
+	t.parked, t.next = gate, ph
 	t.mu.Unlock()
 	select {
 	case t.arrived <- struct{}{}:
@@ -409,9 +479,10 @@ func (t *journalTap) hold(tempCreate bool) {
 }
 
 // pace runs between two of the caller's ops: if a checkpoint is under way it
-// is let make as many of its filesystem calls as rng says — none, one, a few
-// or all that are left — and the caller goes on once the checkpoint stands
-// at its next call or is over.
+// is let through as many of its phases as rng says — none, one, two or all
+// that are left — and the caller goes on once the checkpoint is held at the
+// first call of the phase after those, or is over.  However many calls a
+// phase takes, a crash finds the checkpoint where it found it before.
 func (t *journalTap) pace(p *durable.Plane, rng *rand.Rand) {
 	t.mu.Lock()
 	if !t.sealed {
@@ -428,14 +499,15 @@ func (t *journalTap) pace(p *durable.Plane, rng *rand.Rand) {
 	}
 	over := t.over
 	t.pacing = true
+	target := min(t.at+[...]ckPhase{0, 1, 2, phOver}[rng.Intn(4)], phOver)
 	t.mu.Unlock()
 
-	steps := [...]int{0, 1, 2, 4, math.MaxInt}[rng.Intn(5)]
-	for done := 0; ; {
+	for {
 		t.mu.Lock()
 		gate := t.parked
-		if gate != nil && done < steps {
-			t.parked = nil
+		release := gate != nil && t.next <= target
+		if release {
+			t.parked, t.at = nil, t.next
 		}
 		t.mu.Unlock()
 		switch {
@@ -448,10 +520,9 @@ func (t *journalTap) pace(p *durable.Plane, rng *rand.Rand) {
 				t.mu.Unlock()
 				return
 			}
-		case done < steps:
+		case release:
 			close(gate)
-			done++
-		default: // it stands at its next call, and stays there for now
+		default: // it stands at the next phase's first call, and stays there for now
 			t.mu.Lock()
 			t.pacing = false
 			t.mu.Unlock()
@@ -492,7 +563,7 @@ func (t *journalTap) step(journal bool) (reach, survive bool) {
 func (t *journalTap) note(p []byte) {
 	if bytes.HasPrefix(p, []byte("MLNWAL")) {
 		t.mu.Lock()
-		t.sealed = t.lockstep
+		t.sealed, t.at = t.lockstep, phSealed
 		t.mu.Unlock()
 		return
 	}
@@ -518,8 +589,16 @@ func (t *journalTap) alive() error {
 	return nil
 }
 
+// open opens a file the tap watches: a journal segment, whose records it
+// reads, or the snapshot's temp file, whose creation starts a checkpoint's
+// calls.  Only the seal and recovery open anything else.
 func (t *journalTap) open(name string, open func(string) (vfs.File, error)) (vfs.File, error) {
-	t.hold(strings.HasSuffix(name, ".tmp"))
+	temp := strings.HasSuffix(name, ".tmp")
+	if temp {
+		t.hold(phTempCreated)
+	} else {
+		t.hold(phSealed)
+	}
 	if err := t.alive(); err != nil {
 		return nil, err
 	}
@@ -527,14 +606,14 @@ func (t *journalTap) open(name string, open func(string) (vfs.File, error)) (vfs
 	if err != nil {
 		return nil, err
 	}
-	return tapFile{File: f, t: t, journal: strings.HasSuffix(name, ".log") && strings.HasPrefix(filepath.Base(name), "wal-")}, nil
+	return tapFile{File: f, t: t, temp: temp, journal: strings.HasSuffix(name, ".log") && strings.HasPrefix(filepath.Base(name), "wal-")}, nil
 }
 
 func (t *journalTap) Create(name string) (vfs.File, error)     { return t.open(name, t.FS.Create) }
 func (t *journalTap) OpenAppend(name string) (vfs.File, error) { return t.open(name, t.FS.OpenAppend) }
 
 func (t *journalTap) Rename(oldname, newname string) error {
-	t.hold(false)
+	t.hold(phRenamed)
 	if err := t.alive(); err != nil {
 		return err
 	}
@@ -542,7 +621,7 @@ func (t *journalTap) Rename(oldname, newname string) error {
 }
 
 func (t *journalTap) Remove(name string) error {
-	t.hold(false)
+	t.hold(phRemoved)
 	if err := t.alive(); err != nil {
 		return err
 	}
@@ -550,15 +629,15 @@ func (t *journalTap) Remove(name string) error {
 }
 
 func (t *journalTap) SyncDir(dir string) error {
-	t.hold(false)
+	t.hold(phDirSynced)
 	if err := t.alive(); err != nil {
 		return err
 	}
 	return t.FS.SyncDir(dir)
 }
 
+// ReadDir is recovery's alone: a checkpoint lists nothing.
 func (t *journalTap) ReadDir(dir string) ([]string, error) {
-	t.hold(false)
 	if err := t.alive(); err != nil {
 		return nil, err
 	}
@@ -567,12 +646,25 @@ func (t *journalTap) ReadDir(dir string) ([]string, error) {
 
 type tapFile struct {
 	vfs.File
-	t       *journalTap
-	journal bool
+	t             *journalTap
+	temp, journal bool
+}
+
+// in is the phase a call on f belongs to if the checkpoint makes it: ph on
+// the temp file; on a segment, the one call a checkpoint makes there is the
+// sealed segment's close.
+func (f tapFile) in(ph ckPhase) ckPhase {
+	if f.temp {
+		return ph
+	}
+	return phRemoved
 }
 
 func (f tapFile) Write(p []byte) (int, error) {
-	f.t.hold(false)
+	f.t.hold(f.in(phTempWritten))
+	if err := f.t.injected(f.journal); err != nil {
+		return 0, err
+	}
 	reach, survive := f.t.step(f.journal)
 	if !reach {
 		return 0, errKilled
@@ -588,7 +680,7 @@ func (f tapFile) Write(p []byte) (int, error) {
 }
 
 func (f tapFile) Close() error {
-	f.t.hold(false)
+	f.t.hold(f.in(phTempSynced))
 	if err := f.t.alive(); err != nil {
 		return err
 	}
@@ -596,7 +688,7 @@ func (f tapFile) Close() error {
 }
 
 func (f tapFile) Sync() error {
-	f.t.hold(false)
+	f.t.hold(f.in(phTempSynced))
 	reach, survive := f.t.step(f.journal)
 	if !reach {
 		return errKilled
@@ -733,9 +825,9 @@ type phase struct {
 	name string
 	// store options for this phase's epochs.
 	store durable.StoreOptions
-	// arm injects the phase's fault; armAt/crashAt are op offsets within
-	// the epoch.
-	arm func(ft *vfs.Fault, rng *rand.Rand)
+	// arm injects the phase's fault, into the fault filesystem or the tap
+	// in front of it.
+	arm func(ft *vfs.Fault, tap *journalTap, rng *rand.Rand)
 	// lossAllowed: acked grants may legally die (weak sync policy).
 	lossAllowed bool
 	// mustLose: the phase is a conviction test — across the whole run it
@@ -757,14 +849,14 @@ func phases() []phase {
 		{
 			name:  "write-error",
 			store: durable.StoreOptions{Sync: durable.SyncAlways, SnapshotEvery: 16},
-			arm: func(ft *vfs.Fault, rng *rand.Rand) {
-				ft.SetWriteError(errors.New("injected write error"), 5+rng.Intn(40))
+			arm: func(_ *vfs.Fault, tap *journalTap, rng *rand.Rand) {
+				tap.failWrites(errors.New("injected write error"), 5+rng.Intn(40))
 			},
 		},
 		{
 			name:  "sync-lie",
 			store: durable.StoreOptions{Sync: durable.SyncAlways, SnapshotEvery: 16},
-			arm: func(ft *vfs.Fault, rng *rand.Rand) {
+			arm: func(ft *vfs.Fault, _ *journalTap, _ *rand.Rand) {
 				ft.SetSyncLie(true)
 			},
 			lossAllowed: true,
@@ -773,7 +865,7 @@ func phases() []phase {
 		{
 			name:  "syncdir-lie",
 			store: durable.StoreOptions{Sync: durable.SyncAlways, SnapshotEvery: 16},
-			arm: func(ft *vfs.Fault, rng *rand.Rand) {
+			arm: func(ft *vfs.Fault, _ *journalTap, _ *rand.Rand) {
 				ft.SetSyncDirLie(true)
 			},
 			lossAllowed: true,
@@ -800,7 +892,7 @@ func runVFS(seed int64, iters, opsPerIter, shards, callers int, artifact string,
 
 	lost := make(map[string]int) // phase -> acked grants provably lost
 	crashes, kills := 0, 0
-	midCheckpoint := 0        // crashes that found a paced checkpoint under way
+	var inPhase [phOver]int   // crashes that found a paced checkpoint under way, by the phase it stood in
 	recovered := fnv.New64a() // every LSN a recovery came back to, in order
 	fail := func(d divergence, format string, args ...any) int {
 		d.Mode, d.Seed = "vfs", seed
@@ -833,7 +925,7 @@ func runVFS(seed int64, iters, opsPerIter, shards, callers int, artifact string,
 			if p.arm != nil && cycle == 1 {
 				// Arm the fault partway through the epoch so a clean
 				// prefix exists under it.
-				p.arm(ft, rng)
+				p.arm(ft, tap, rng)
 			}
 			if callers > 1 {
 				// An op is a write and, for a grant, a flush: most fuses
@@ -841,11 +933,20 @@ func runVFS(seed int64, iters, opsPerIter, shards, callers int, artifact string,
 				// the crash to find every caller returned.
 				tap.arm(span/2+krng.Intn(span+1), krng.Intn(2) == 0)
 			}
-			var between func()
+			var between func() bool
 			if callers <= 1 {
-				// One caller's checkpoints keep to the seed too.
+				// One caller's checkpoints keep to the seed too, and its
+				// crashes sweep their phases: crash k aims at phase k mod 8,
+				// the eighth being wherever the batch's end finds the plane,
+				// and is taken at the first op boundary where a checkpoint
+				// stands in the phase it aims at, or at the batch's end.
 				tap.enterLockstep()
-				between = func() { tap.pace(plane.Plane, krng) }
+				aim := ckPhase(crashes % (len(phaseNames) + 1))
+				between = func() bool {
+					tap.pace(plane.Plane, krng)
+					ph, ok := tap.checkpointing()
+					return !ok || ph != aim
+				}
 			}
 			derr := driveBatch(plane, ops, batch, func(id int, fin float64) {
 				acked[id] = fin
@@ -859,16 +960,15 @@ func runVFS(seed int64, iters, opsPerIter, shards, callers int, artifact string,
 			}
 
 			// The crash takes the checkpoint goroutine where it stands.
-			if tap.checkpointing() {
-				midCheckpoint++
+			if ph, ok := tap.checkpointing(); ok {
+				inPhase[ph]++
 			}
 			plane.hangUp()
 			tap.reap(plane.Plane)
+			claimed := plane.DurableLSN()
 			ft.Crash()
 			crashes++
 			// Faults do not survive the "reboot".
-			ft.SetWriteError(nil, 0)
-			ft.SetSyncError(nil, 0)
 			ft.SetSyncLie(false)
 			ft.SetSyncDirLie(false)
 			journal := tap.journal()
@@ -885,6 +985,12 @@ func runVFS(seed int64, iters, opsPerIter, shards, callers int, artifact string,
 			at := divergence{Phase: p.name, Iteration: iter, CrashOp: written, Recovered: rec.State.LSN, Torn: rec.Torn}
 			if m > written {
 				return fail(at, "recovered lsn %d, only %d records were ever written", m, written)
+			}
+			// Durability oracle: what the plane held to be on stable storage
+			// when it died, its acknowledgements' ground, a disk that keeps
+			// its word gives back.
+			if !p.mustLose && uint64(m) < claimed {
+				return fail(at, "recovered lsn %d, the plane held lsn %d durable", m, claimed)
 			}
 
 			// Differential oracle: recovered state == never-crashed
@@ -952,8 +1058,13 @@ func runVFS(seed int64, iters, opsPerIter, shards, callers int, artifact string,
 		fmt.Fprintf(stdout, "crashtest vfs ok: seed=%d callers=%d crashes=%d mid-flight=%d losses=%v\n", seed, callers, crashes, kills, lost)
 		return 0
 	}
-	fmt.Fprintf(stdout, "crashtest vfs ok: seed=%d crashes=%d mid-checkpoint=%d recovered=%016x losses=%v\n",
-		seed, crashes, midCheckpoint, recovered.Sum64(), lost)
+	midCheckpoint, byPhase := 0, make([]string, len(inPhase))
+	for ph, n := range inPhase {
+		midCheckpoint += n
+		byPhase[ph] = fmt.Sprintf("%s:%d", phaseNames[ph], n)
+	}
+	fmt.Fprintf(stdout, "crashtest vfs ok: seed=%d crashes=%d mid-checkpoint=%d phases=%v recovered=%016x losses=%v\n",
+		seed, crashes, midCheckpoint, byPhase, recovered.Sum64(), lost)
 	return 0
 }
 

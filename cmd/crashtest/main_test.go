@@ -19,20 +19,52 @@ import (
 // junctiond serves, prints the ok line it printed when the harness drove the
 // plane in-process: the wire adds nothing to what is decided, journaled or
 // recovered, and every phase recovers prefix-exactly while both lie phases
-// convict the lying disk.
+// convict the lying disk.  The tap paces a checkpoint by its phases, not its
+// calls, so how many writes a snapshot takes moves none of it.
 func TestVFSModePinnedSeed(t *testing.T) {
 	for shards, want := range map[string]string{
-		"2": "crashtest vfs ok: seed=42 crashes=45 mid-checkpoint=8 recovered=a9a47c3ee6899518 losses=map[sync-lie:100 syncdir-lie:28 unsynced-loss:2]\n",
-		"1": "crashtest vfs ok: seed=42 crashes=45 mid-checkpoint=8 recovered=cafd7e3fe5424f68 losses=map[sync-lie:98 syncdir-lie:44 unsynced-loss:3]\n",
+		"2": "crashtest vfs ok: seed=42 crashes=45 mid-checkpoint=27 phases=[sealed:3 temp-created:7 temp-written:3 temp-synced:5 renamed:5 dir-synced:2 covered-removed:2] recovered=21cd60bc7357b1ec losses=map[sync-lie:80 syncdir-lie:11 unsynced-loss:1]\n",
+		"1": "crashtest vfs ok: seed=42 crashes=45 mid-checkpoint=27 phases=[sealed:3 temp-created:7 temp-written:3 temp-synced:5 renamed:5 dir-synced:2 covered-removed:2] recovered=752dda00a693333d losses=map[sync-lie:76 syncdir-lie:11 unsynced-loss:1]\n",
 	} {
-		var out, errb bytes.Buffer
-		if code := run([]string{"-mode", "vfs", "-seed", "42", "-iters", "15", "-ops", "120", "-shards", shards}, &out, &errb); code != 0 {
-			t.Fatalf("shards=%s: exit %d\nstdout: %s\nstderr: %s", shards, code, out.String(), errb.String())
-		}
-		if got := out.String(); !strings.HasSuffix(got, "\n"+want) {
+		if got := pinnedRun(t, shards); !strings.HasSuffix(got, "\n"+want) {
 			t.Fatalf("shards=%s: printed\n%s\nwant the ok line\n%s", shards, got, want)
 		}
 	}
+}
+
+// Strict phase coverage: the pinned runs crash at least once in every
+// phase a checkpoint can stand in, so each is a state recovery is proven
+// from.
+func TestVFSModeCrashesInEveryPhase(t *testing.T) {
+	for _, shards := range []string{"2", "1"} {
+		out := pinnedRun(t, shards)
+		_, list, ok := strings.Cut(out, " phases=[")
+		list, _, ok2 := strings.Cut(list, "]")
+		if !ok || !ok2 {
+			t.Fatalf("shards=%s: no phases in %q", shards, out)
+		}
+		counts := strings.Fields(list)
+		if len(counts) != len(phaseNames) {
+			t.Fatalf("shards=%s: %d phases in %q, want %d", shards, len(counts), list, len(phaseNames))
+		}
+		for i, c := range counts {
+			name, n, _ := strings.Cut(c, ":")
+			if name != phaseNames[i] || n == "0" {
+				t.Errorf("shards=%s: %q: no crash found a checkpoint in phase %s", shards, list, phaseNames[i])
+			}
+		}
+	}
+}
+
+// pinnedRun runs CI's pinned invocation at the given shard count and
+// returns what it printed.
+func pinnedRun(t *testing.T, shards string) string {
+	t.Helper()
+	var out, errb bytes.Buffer
+	if code := run([]string{"-mode", "vfs", "-seed", "42", "-iters", "15", "-ops", "120", "-shards", shards}, &out, &errb); code != 0 {
+		t.Fatalf("shards=%s: exit %d\nstdout: %s\nstderr: %s", shards, code, out.String(), errb.String())
+	}
+	return out.String()
 }
 
 // One shard is the plane junctiond serves: the same loop, grow ops and

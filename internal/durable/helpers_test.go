@@ -29,9 +29,6 @@ func (p *Plane) Snapshot() error {
 	}
 }
 
-// DurableLSN returns the highest LSN known synced to stable storage.
-func (p *Plane) DurableLSN() uint64 { return p.store.DurableLSN() }
-
 // framed returns payload's frame as one byte slice.
 func framed(payload []byte) []byte {
 	b := make([]byte, frame.HeaderLen, frame.HeaderLen+len(payload))

@@ -59,21 +59,21 @@ const siteInstrument = "milan/internal/durable.(*countingFS).wrap"
 // count exactly; the allocations, which the runtime's map and slice growth
 // move, and the syscalls, which its wake-ups move, are held within ±slack
 // of the figure.  The fed rung's 8 objects are slabs of grant boxes, the
-// plane's 61 its four checkpoints (13 objects of its own, 48 in the
+// plane's 45 its four checkpoints (13 objects of its own, 32 in the
 // kernel-facing calls), and the wire's 24 the client's slabs and the
 // decoder's job chunks.
 var ladderPins = [nCounts]struct {
 	delta [5]int64
 	slack int64
 }{
-	cAllocs:    {[5]int64{0, 8, 61, 0, 24}, 8},
-	cFSCalls:   {[5]int64{0, 0, 344, 256, 0}, 0},
+	cAllocs:    {[5]int64{0, 8, 45, 0, 24}, 8},
+	cFSCalls:   {[5]int64{0, 0, 336, 256, 0}, 0},
 	cFSBytes:   {[5]int64{0, 0, 33050, 0, 0}, 0},
 	cFsyncs:    {[5]int64{0, 0, 12, 256, 0}, 0},
 	cWireBytes: {[5]int64{0, 0, 0, 0, 53149}, 0},
 	cHoles:     {[5]int64{1014, 0, 0, 0, 0}, 0},
 	cDescents:  {[5]int64{1407, 0, 0, 0, 0}, 0},
-	cSyscalls:  {[5]int64{4, 0, 313, 0, 1731}, 128},
+	cSyscalls:  {[5]int64{4, 0, 305, 0, 1731}, 128},
 }
 
 // ladderAdmissions is how many admissions each rung counts, after

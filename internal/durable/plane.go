@@ -301,6 +301,12 @@ func (p *Plane) AttachBroker(b *resbroker.Broker, threshold int) (stop func()) {
 // and the plane refuses further decisions until reopened.
 func (p *Plane) Err() error { return p.store.Poisoned() }
 
+// DurableLSN returns the highest LSN the plane holds to be on stable
+// storage, by a flush or a checkpoint's publication: what its
+// acknowledgements rest on, and so at least as far as a crash on a disk that
+// honours fsync recovers.
+func (p *Plane) DurableLSN() uint64 { return p.store.DurableLSN() }
+
 // Negotiate runs admission control and journals the outcome.  A grant is
 // returned only after its admit record reached the log (and stable
 // storage, under SyncAlways); a refusal once its record is written.  A

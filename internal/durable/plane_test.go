@@ -8,7 +8,9 @@ import (
 	"math"
 	"math/rand"
 	"net/http/httptest"
+	"os"
 	"reflect"
+	"runtime"
 	"slices"
 	"sort"
 	"strings"
@@ -391,6 +393,75 @@ func TestPlanePoisonedRefusesDecisions(t *testing.T) {
 	}
 	if _, err := p.Negotiate(jobs[len(jobs)-1]); err == nil || errors.Is(err, qos.ErrRejected) {
 		t.Fatalf("poisoned plane kept deciding: %v", err)
+	}
+}
+
+// TestPlaneLeaksNoDescriptor: vfs.OS opens bare descriptors, which no
+// finalizer closes behind a leak, so the plane must close every file it
+// opens — across checkpoints, a recovery, and a store a write error
+// poisoned, however many times Close is called — and leave the process
+// holding the descriptors it held before.
+func TestPlaneLeaksNoDescriptor(t *testing.T) {
+	if runtime.GOOS != "linux" {
+		t.Skip("counts /proc/self/fd")
+	}
+	fds := func() int {
+		ents, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(ents)
+	}
+	jobs := planeStream(40, 29)
+	open := func(fs vfs.FS, dir string) *Plane {
+		p, _, err := OpenPlane(Config{
+			FS: fs, Dir: dir, Procs: 16, Shards: 1, ProbeK: 1,
+			Store: StoreOptions{Sync: SyncAlways, SnapshotEvery: 1 << 20},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	closeAll := func(p *Plane) {
+		for range 3 {
+			p.Close()
+		}
+	}
+	before := fds()
+
+	dir := t.TempDir()
+	p := open(vfs.OS{}, dir)
+	for i := range 4 {
+		drive(t, p.Observe, p.Negotiate, jobs[i*5:i*5+5])
+		if err := p.Snapshot(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	drive(t, p.Observe, p.Negotiate, jobs[20:25])
+	closeAll(p)
+	closeAll(open(vfs.OS{}, dir)) // recovery reads the snapshot and the log
+
+	ft := vfs.NewFault(vfs.OS{})
+	dir = t.TempDir()
+	p = open(ft, dir)
+	drive(t, p.Observe, p.Negotiate, jobs[25:30])
+	ft.SetWriteError(errors.New("dead disk"), 0)
+	for _, job := range jobs[30:] {
+		p.Observe(job.Release)
+		p.Negotiate(job)
+	}
+	if p.Err() == nil {
+		t.Fatal("plane not poisoned by the write error")
+	}
+	if err := p.Snapshot(); err == nil {
+		t.Fatal("a poisoned plane checkpointed")
+	}
+	closeAll(p)
+	closeAll(open(vfs.OS{}, dir))
+
+	if after := fds(); after != before {
+		t.Fatalf("the process holds %d descriptors, %d before the planes opened", after, before)
 	}
 }
 

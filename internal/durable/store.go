@@ -670,10 +670,7 @@ func (f *fold) keep(g *GrantRecord) {
 // renamed into place and made durable by SyncDir.  From there on the
 // snapshot is the state through that LSN whatever becomes of the segments
 // under it, so durableLSN rises to it.  The file — its header, the frame
-// header and the payload — is built in s.encoded and written part by part,
-// one call each, as the crash harness's pinned seeds expect: they place
-// their crashes by the file-system calls a checkpoint makes
-// (cmd/crashtest), so merging the calls would move every pinned crash.
+// header and the payload — is built in s.encoded and written in one call.
 func (s *store) publish(st *State) (size int, err error) {
 	b := append(s.encoded[:0], snapMagic...)
 	b = binary.LittleEndian.AppendUint32(b, formatVersion)
@@ -687,12 +684,9 @@ func (s *store) publish(st *State) (size int, err error) {
 	if err != nil {
 		return 0, fmt.Errorf("durable: create snapshot: %w", err)
 	}
-	payload := snapHeaderLen + frame.HeaderLen
-	for _, part := range [...][]byte{b[:snapHeaderLen], b[snapHeaderLen:payload], b[payload:]} {
-		if _, err := f.Write(part); err != nil {
-			f.Close()
-			return 0, fmt.Errorf("durable: write snapshot: %w", err)
-		}
+	if _, err := f.Write(b); err != nil {
+		f.Close()
+		return 0, fmt.Errorf("durable: write snapshot: %w", err)
 	}
 	if err := f.Sync(); err != nil {
 		f.Close()

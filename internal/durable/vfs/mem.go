@@ -41,16 +41,32 @@ func NewMem() *Mem {
 	}
 }
 
+// memFile is one open handle.  It keeps the contract a bare descriptor
+// needs kept (vfs.OS): once closed it answers every call with os.ErrClosed,
+// a second Close included, where a real descriptor's number may by then
+// belong to another file.
 type memFile struct {
-	m    *Mem
-	name string
-	node *memNode
-	pos  int
+	m      *Mem
+	name   string
+	node   *memNode
+	pos    int
+	closed bool
+}
+
+// gone is the error for a call on a closed handle, nil on an open one.
+func (f *memFile) gone(op string) error {
+	if f.closed {
+		return &os.PathError{Op: op, Path: f.name, Err: os.ErrClosed}
+	}
+	return nil
 }
 
 func (f *memFile) Read(p []byte) (int, error) {
 	f.m.mu.Lock()
 	defer f.m.mu.Unlock()
+	if err := f.gone("read"); err != nil {
+		return 0, err
+	}
 	if f.pos >= len(f.node.data) {
 		return 0, io.EOF
 	}
@@ -62,6 +78,9 @@ func (f *memFile) Read(p []byte) (int, error) {
 func (f *memFile) ReadAt(p []byte, off int64) (int, error) {
 	f.m.mu.Lock()
 	defer f.m.mu.Unlock()
+	if err := f.gone("read"); err != nil {
+		return 0, err
+	}
 	if off < 0 || off >= int64(len(f.node.data)) {
 		return 0, io.EOF
 	}
@@ -75,15 +94,29 @@ func (f *memFile) ReadAt(p []byte, off int64) (int, error) {
 func (f *memFile) Write(p []byte) (int, error) {
 	f.m.mu.Lock()
 	defer f.m.mu.Unlock()
+	if err := f.gone("write"); err != nil {
+		return 0, err
+	}
 	f.node.data = append(f.node.data, p...)
 	return len(p), nil
 }
 
-func (f *memFile) Close() error { return nil }
+func (f *memFile) Close() error {
+	f.m.mu.Lock()
+	defer f.m.mu.Unlock()
+	if err := f.gone("close"); err != nil {
+		return err
+	}
+	f.closed = true
+	return nil
+}
 
 func (f *memFile) Sync() error {
 	f.m.mu.Lock()
 	defer f.m.mu.Unlock()
+	if err := f.gone("sync"); err != nil {
+		return err
+	}
 	f.node.syncedLen = len(f.node.data)
 	if _, ok := f.m.durable[f.name]; ok {
 		f.m.durable[f.name] = append([]byte(nil), f.node.data...)

@@ -1,9 +1,11 @@
 package vfs
 
 import (
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"syscall"
 )
 
@@ -11,39 +13,136 @@ import (
 // passed to the operating system unchanged.
 type OS struct{}
 
-type osFile struct{ f *os.File }
+// osFile is a bare descriptor: open(2) with O_CLOEXEC, then read(2),
+// pread(2), write(2), fsync(2) and close(2) on it, retried on EINTR and, for
+// a write, until every byte is down.  Where os.OpenFile would build an
+// *os.File, set its finalizer, fstat(2) the file and consider it for the
+// poller, an open here costs one object, the path copied for the kernel.
+// Boxed into a File it costs nothing more while the descriptor is below 256,
+// which the runtime boxes from its cache of small integers.  No finalizer
+// closes a leaked one, and a second Close may close a descriptor that has
+// since been reused: the store closes every file it opens, once (vfs.Mem
+// holds it to that).  Having no name, a file reports a failure as an
+// *os.PathError naming its descriptor ("fd 7"); the caller names the file.
+type osFile struct{ fd int }
 
-func (o osFile) Read(p []byte) (int, error)              { return o.f.Read(p) }
-func (o osFile) ReadAt(p []byte, off int64) (int, error) { return o.f.ReadAt(p, off) }
-func (o osFile) Write(p []byte) (int, error)             { return o.f.Write(p) }
-func (o osFile) Close() error                            { return o.f.Close() }
-func (o osFile) Sync() error                             { return o.f.Sync() }
+// open is open(2) with O_CLOEXEC, retried on EINTR.  A failure is an
+// *os.PathError naming the path, as os.OpenFile's.
+func open(path string, flags int, perm uint32) (osFile, error) {
+	fd, err := syscall.Open(path, flags|syscall.O_CLOEXEC, perm)
+	for err == syscall.EINTR {
+		fd, err = syscall.Open(path, flags|syscall.O_CLOEXEC, perm)
+	}
+	if err != nil {
+		return osFile{-1}, &os.PathError{Op: "open", Path: path, Err: err}
+	}
+	return osFile{fd}, nil
+}
+
+func (f osFile) fail(op string, err error) error {
+	return &os.PathError{Op: op, Path: "fd " + strconv.Itoa(f.fd), Err: err}
+}
+
+// Read reads up to len(p) bytes from the file's offset, and io.EOF at its
+// end, as os.File's Read.
+func (f osFile) Read(p []byte) (int, error) {
+	for {
+		n, err := syscall.Read(f.fd, p)
+		switch {
+		case err == syscall.EINTR:
+			continue
+		case err != nil:
+			return 0, f.fail("read", err)
+		case n == 0 && len(p) > 0:
+			return 0, io.EOF
+		}
+		return n, nil
+	}
+}
+
+// ReadAt reads len(p) bytes at off, or fewer and io.EOF where the file ends.
+func (f osFile) ReadAt(p []byte, off int64) (int, error) {
+	n := 0
+	for n < len(p) {
+		m, err := syscall.Pread(f.fd, p[n:], off+int64(n))
+		switch {
+		case err == syscall.EINTR:
+			continue
+		case err != nil:
+			return n, f.fail("read", err)
+		case m == 0:
+			return n, io.EOF
+		}
+		n += m
+	}
+	return n, nil
+}
+
+// Write writes all of p, in as many write(2)s as the kernel takes.
+func (f osFile) Write(p []byte) (int, error) {
+	n := 0
+	for n < len(p) {
+		m, err := syscall.Write(f.fd, p[n:])
+		switch {
+		case err == syscall.EINTR:
+			continue
+		case err != nil:
+			return n, f.fail("write", err)
+		case m == 0:
+			return n, f.fail("write", io.ErrShortWrite)
+		}
+		n += m
+	}
+	return n, nil
+}
+
+// Close closes the descriptor.  It is not retried on EINTR: Linux has let
+// go of the descriptor by then, and another open may already hold its
+// number.
+func (f osFile) Close() error {
+	if err := syscall.Close(f.fd); err != nil {
+		return f.fail("close", err)
+	}
+	return nil
+}
+
+// Sync is fsync(2).
+func (f osFile) Sync() error {
+	if err := f.fsync(); err != nil {
+		return f.fail("sync", err)
+	}
+	return nil
+}
+
+func (f osFile) fsync() error {
+	err := syscall.Fsync(f.fd)
+	for err == syscall.EINTR {
+		err = syscall.Fsync(f.fd)
+	}
+	return err
+}
 
 // Create creates or truncates the named file.
 func (OS) Create(name string) (File, error) {
-	f, err := os.OpenFile(name, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	return osFile{f}, nil
+	return openFile(name, syscall.O_RDWR|syscall.O_CREAT|syscall.O_TRUNC, 0o644)
 }
 
 // Open opens the named file read-only.
-func (OS) Open(name string) (File, error) {
-	f, err := os.Open(name)
-	if err != nil {
-		return nil, err
-	}
-	return osFile{f}, nil
-}
+func (OS) Open(name string) (File, error) { return openFile(name, syscall.O_RDONLY, 0) }
 
 // OpenAppend opens the named file so writes append.
 func (OS) OpenAppend(name string) (File, error) {
-	f, err := os.OpenFile(name, os.O_RDWR|os.O_APPEND, 0o644)
+	return openFile(name, syscall.O_RDWR|syscall.O_APPEND, 0)
+}
+
+// openFile is open as a File: nil, not a File holding no descriptor, when
+// it fails.
+func openFile(name string, flags int, perm uint32) (File, error) {
+	f, err := open(name, flags, perm)
 	if err != nil {
 		return nil, err
 	}
-	return osFile{f}, nil
+	return f, nil
 }
 
 // Remove deletes the named file.
@@ -93,27 +192,18 @@ func (OS) Stat(name string) (int64, error) {
 
 // SyncDir fsyncs the directory so entry changes (creates, renames,
 // removes) reach stable storage: open(2), fsync(2) and close(2) on a bare
-// descriptor, where os.Open would build an *os.File, set its finalizer and
-// register the directory with the poller only for it to be closed again.
-// A failure is an *os.PathError, as os.Open's and File.Sync's.
+// descriptor, as for a file.  A failure is an *os.PathError naming the
+// directory.
 func (OS) SyncDir(dir string) error {
-	const flags = syscall.O_RDONLY | syscall.O_DIRECTORY | syscall.O_CLOEXEC
 	dir = filepath.Clean(dir)
-	fd, err := syscall.Open(dir, flags, 0)
-	for err == syscall.EINTR {
-		fd, err = syscall.Open(dir, flags, 0)
-	}
+	d, err := open(dir, syscall.O_RDONLY|syscall.O_DIRECTORY, 0)
 	if err != nil {
-		return &os.PathError{Op: "open", Path: dir, Err: err}
+		return err
 	}
-	err = syscall.Fsync(fd)
-	for err == syscall.EINTR {
-		err = syscall.Fsync(fd)
-	}
-	if err != nil {
+	if err = d.fsync(); err != nil {
 		err = &os.PathError{Op: "sync", Path: dir, Err: err}
 	}
-	if cerr := syscall.Close(fd); err == nil && cerr != nil {
+	if cerr := syscall.Close(d.fd); err == nil && cerr != nil {
 		err = &os.PathError{Op: "close", Path: dir, Err: cerr}
 	}
 	return err

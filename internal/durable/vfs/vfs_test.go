@@ -1,6 +1,7 @@
 package vfs
 
 import (
+	"bytes"
 	"errors"
 	"io"
 	iofs "io/fs"
@@ -220,6 +221,41 @@ func TestFaultInjection(t *testing.T) {
 	}
 }
 
+// A closed Mem handle answers os.ErrClosed to every call, a second Close
+// included: the contract a bare descriptor needs kept, since its number may
+// by then be another file's.
+func TestMemClosedHandle(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		call func(File) error
+	}{
+		{"Close", func(f File) error { return f.Close() }},
+		{"Read", func(f File) error { _, err := f.Read(make([]byte, 1)); return err }},
+		{"ReadAt", func(f File) error { _, err := f.ReadAt(make([]byte, 1), 0); return err }},
+		{"Write", func(f File) error { _, err := f.Write([]byte("x")); return err }},
+		{"Sync", func(f File) error { return f.Sync() }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := NewMem()
+			f, err := m.Create("d/a")
+			if err != nil {
+				t.Fatal(err)
+			}
+			writeStr(t, f, "data")
+			if err := f.Close(); err != nil {
+				t.Fatal(err)
+			}
+			var pe *os.PathError
+			if err := tc.call(f); !errors.Is(err, os.ErrClosed) || !errors.As(err, &pe) || pe.Path != "d/a" {
+				t.Fatalf("%s on a closed handle: %v", tc.name, err)
+			}
+			if got := readAll(t, m, "d/a"); got != "data" {
+				t.Fatalf("%s on a closed handle left %q", tc.name, got)
+			}
+		})
+	}
+}
+
 // TestOSRoundTrip sanity-checks the real-filesystem implementation.
 func TestOSRoundTrip(t *testing.T) {
 	dir := t.TempDir()
@@ -306,5 +342,82 @@ func TestOSRoundTrip(t *testing.T) {
 	}
 	if err := fs.SyncDir(dir + "/sub"); err != nil {
 		t.Fatalf("sync of a directory with a fresh entry: %v", err)
+	}
+
+	// A file is a bare descriptor held to what the store relied on from an
+	// *os.File: Read ends in io.EOF, a short ReadAt reports io.EOF, a large
+	// Write lands whole, and every failure is an *os.PathError.
+	big := make([]byte, 1<<20)
+	for i := range big {
+		big[i] = byte(i * 7)
+	}
+	f, err = fs.Create(dir + "/big")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, err := f.Write(big); n != len(big) || err != nil {
+		t.Fatalf("1 MiB write: %d bytes, %v", n, err)
+	}
+	if err := f.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if sz, err := fs.Stat(dir + "/big"); err != nil || sz != int64(len(big)) {
+		t.Fatalf("stat after a 1 MiB write = %d, %v", sz, err)
+	}
+
+	r, err := fs.Open(dir + "/big")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	got, err := io.ReadAll(r)
+	if err != nil || !bytes.Equal(got, big) {
+		t.Fatalf("read back %d bytes, %v", len(got), err)
+	}
+	if n, err := r.Read(make([]byte, 8)); n != 0 || err != io.EOF {
+		t.Fatalf("read at the end: %d, %v; want 0, io.EOF", n, err)
+	}
+	if n, err := r.Read(nil); n != 0 || err != nil {
+		t.Fatalf("empty read: %d, %v; want 0, nil", n, err)
+	}
+	tail := make([]byte, 100)
+	if n, err := r.ReadAt(tail, int64(len(big)-40)); n != 40 || err != io.EOF || !bytes.Equal(tail[:40], big[len(big)-40:]) {
+		t.Fatalf("short ReadAt: %d, %v; want 40, io.EOF", n, err)
+	}
+	if n, err := r.ReadAt(tail, 5); n != len(tail) || err != nil || !bytes.Equal(tail, big[5:5+len(tail)]) {
+		t.Fatalf("ReadAt inside the file: %d, %v", n, err)
+	}
+
+	// Every failure names what failed: the path for an open, the descriptor
+	// for a call on it (-1 is never an open descriptor).
+	bad := osFile{-1}
+	_, rerr := bad.Read(make([]byte, 1))
+	_, raerr := bad.ReadAt(make([]byte, 1), 0)
+	_, werr := bad.Write([]byte("x"))
+	_, cerr := fs.Create(dir + "/missing/a")
+	_, oerr := fs.Open(dir + "/missing")
+	_, aerr := fs.OpenAppend(dir + "/missing")
+	for _, tc := range []struct {
+		op    string
+		err   error
+		path  string
+		errno syscall.Errno
+	}{
+		{"read", rerr, "fd -1", syscall.EBADF},
+		{"read", raerr, "fd -1", syscall.EBADF},
+		{"write", werr, "fd -1", syscall.EBADF},
+		{"sync", bad.Sync(), "fd -1", syscall.EBADF},
+		{"close", bad.Close(), "fd -1", syscall.EBADF},
+		{"open", cerr, dir + "/missing/a", syscall.ENOENT},
+		{"open", oerr, dir + "/missing", syscall.ENOENT},
+		{"open", aerr, dir + "/missing", syscall.ENOENT},
+	} {
+		var pe *os.PathError
+		if !errors.As(tc.err, &pe) || pe.Op != tc.op || pe.Path != tc.path || !errors.Is(tc.err, tc.errno) {
+			t.Errorf("%s: %#v, want an *os.PathError %q on %q wrapping %v", tc.op, tc.err, tc.op, tc.path, tc.errno)
+		}
 	}
 }

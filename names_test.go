@@ -24,6 +24,8 @@ var testSupport = map[string]string{
 	"durable/vfs.Fault.SetRenameError": "a fault seam of the store's crash tests (ROADMAP 7 gives it a caller)",
 	"durable/vfs.Fault.SetCloseError":  "a fault seam of the store's crash tests (ROADMAP 7 gives it a caller)",
 	"durable/vfs.Fault.SetRemoveError": "a fault seam of the store's crash tests",
+	"durable/vfs.Fault.SetWriteError":  "a fault seam of the store's crash tests; crashtest's write-error phase counts journal writes in its own tap, so a snapshot's writes move nothing",
+	"durable/vfs.Fault.SetSyncError":   "a fault seam of the store's crash tests",
 	"durable/vfs.Fault.Counts":         "a fault seam of the store's crash tests",
 	"durable/vfs.Mem.Crashes":          "a fault seam of the store's crash tests",
 	"durable/vfs.Mem.DurableLen":       "a fault seam of the store's crash tests",
