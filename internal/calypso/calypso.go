@@ -100,8 +100,10 @@ type RoutineFunc func(ctx *TaskCtx, width, number int) error
 // TraceHooks observes runtime execution.  Every field is optional; nil
 // fields cost one pointer comparison at the call site (the observability
 // layer's zero-cost contract).  Hooks run on worker goroutines and must be
-// safe for concurrent use; TaskExec may fire after StepDone for straggler
-// executions that outlive their step.
+// safe for concurrent use.  A step's TaskExec and WorkerFault calls are the
+// events its Metrics count: all of them return before the step does, and a
+// straggler execution that outlives its step fires none, as its counts are
+// dropped.
 type TraceHooks struct {
 	// StepStart fires when a parallel step begins executing, with the
 	// step's sequence number (0-based per runtime) and its task count.

@@ -88,11 +88,18 @@ type dispatcher struct {
 	rr        int           // round-robin cursor for duplicate selection
 	done      chan struct{} // closed when the step completes or fails
 	stats     stepStats
+
+	// A report (an event counted into stats and passed to its hook) joins
+	// reports while the step is open; end closes the step and waits for the
+	// reports under way, but not for the executions behind them.  So an
+	// event is in both the hooks and Metrics or in neither.
+	reports sync.WaitGroup
+	closed  bool // the step's stats are taken
 }
 
 // stepStats counts events within one step; flushed into Runtime.Metrics
 // when the step ends (events from executions that outlive the step are
-// dropped).
+// dropped, and so are their hooks).
 type stepStats struct {
 	execs, dups, wasted, transients, crashed int
 }
@@ -106,9 +113,9 @@ func (d *dispatcher) finish() {
 	}
 }
 
-// next hands the calling worker a task to execute: fresh tasks first, then
-// eager duplicates of uncommitted ones.  It returns nil when the step is
-// complete or has failed.
+// next hands the calling worker a task to execute, counted as an
+// execution: fresh tasks first, then eager duplicates of uncommitted ones.
+// It returns nil when the step is complete or has failed.
 func (d *dispatcher) next(maxAttempts int) (*task, int, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -119,6 +126,7 @@ func (d *dispatcher) next(maxAttempts int) (*task, int, error) {
 		t := d.tasks[d.fresh]
 		d.fresh++
 		t.attempts++
+		d.stats.execs++
 		return t, t.attempts, nil
 	}
 	// Eager scheduling: duplicate an uncommitted task (round-robin so the
@@ -135,6 +143,8 @@ func (d *dispatcher) next(maxAttempts int) (*task, int, error) {
 			d.failed = fmt.Errorf("%w: task %d after %d executions", errTooManyAttempts, t.id, t.attempts)
 			return nil, 0, d.failed
 		}
+		d.stats.execs++
+		d.stats.dups++
 		return t, t.attempts, nil
 	}
 	return nil, 0, nil // raced with the last commit
@@ -155,6 +165,33 @@ func (d *dispatcher) commit(t *task, writes map[string]Value) bool {
 		d.finish()
 	}
 	return true
+}
+
+// report counts an event of the step into *count (nil: none) and calls
+// hook, and reports true, or, once the step has been closed, does neither
+// and reports false.
+func (d *dispatcher) report(count *int, hook func()) bool {
+	d.mu.Lock()
+	if d.closed {
+		d.mu.Unlock()
+		return false
+	}
+	if count != nil {
+		*count++
+	}
+	d.reports.Add(1)
+	d.mu.Unlock()
+	defer d.reports.Done()
+	hook()
+	return true
+}
+
+// close ends the step's reports and waits for those under way.
+func (d *dispatcher) close() {
+	d.mu.Lock()
+	d.closed = true
+	d.mu.Unlock()
+	d.reports.Wait()
 }
 
 // fail aborts the step with the given error (first failure wins).
@@ -215,29 +252,31 @@ func (s *step) end() (err error) {
 	var aliveMu sync.Mutex
 	alive := workers
 
+	// fault reports an injected fault of the worker's, or reports false
+	// when its step has ended.
+	fault := func(wid int, count *int, kind string) bool {
+		return d.report(count, func() {
+			if hooks.WorkerFault != nil {
+				hooks.WorkerFault(stepID, wid, kind)
+			}
+		})
+	}
 	worker := func(wid int) {
 		for {
 			t, attempt, err := d.next(rt.cfg.MaxAttempts)
 			if t == nil || err != nil {
 				return
 			}
-			d.mu.Lock()
-			d.stats.execs++
-			if attempt > 1 {
-				d.stats.dups++
-			}
-			d.mu.Unlock()
 
-			fate := rt.cfg.Faults.decide(rt.cfg.Workers)
-			switch fate {
+			// A fault drawn once the step has ended surfaces nowhere: the
+			// execution was moot, and the worker leaves as it would on its
+			// next dispatch.
+			switch rt.cfg.Faults.decide(rt.cfg.Workers) {
 			case outcomeCrash:
-				rt.noteCrash()
-				d.mu.Lock()
-				d.stats.crashed++
-				d.mu.Unlock()
-				if hooks.WorkerFault != nil {
-					hooks.WorkerFault(stepID, wid, "crash")
+				if !fault(wid, &d.stats.crashed, "crash") {
+					return
 				}
+				rt.noteCrash()
 				aliveMu.Lock()
 				alive--
 				dead := alive == 0
@@ -247,16 +286,13 @@ func (s *step) end() (err error) {
 				}
 				return // the worker is gone; its execution is lost
 			case outcomeTransient:
-				d.mu.Lock()
-				d.stats.transients++
-				d.mu.Unlock()
-				if hooks.WorkerFault != nil {
-					hooks.WorkerFault(stepID, wid, "transient")
+				if !fault(wid, &d.stats.transients, "transient") {
+					return
 				}
 				continue // abandoned; eager scheduling will retry
 			case outcomeSlow:
-				if hooks.WorkerFault != nil {
-					hooks.WorkerFault(stepID, wid, "slow")
+				if !fault(wid, nil, "slow") {
+					return
 				}
 				time.Sleep(rt.cfg.Faults.SlowDelay)
 			}
@@ -280,15 +316,20 @@ func (s *step) end() (err error) {
 				elapsed := time.Since(started)
 				time.Sleep(time.Duration(float64(elapsed) * (1/sp - 1)))
 			}
-			won := d.commit(t, ctx.writes)
-			if !won {
-				d.mu.Lock()
-				d.stats.wasted++
-				d.mu.Unlock()
-			}
-			if hooks.TaskExec != nil {
-				hooks.TaskExec(stepID, wid, t.id, attempt, started, time.Since(started), won)
-			}
+			// The commit and its report are one: the last winner's TaskExec
+			// fires before end closes the step, and a loser's after it
+			// fires nowhere.
+			d.report(nil, func() {
+				won := d.commit(t, ctx.writes)
+				if !won {
+					d.mu.Lock()
+					d.stats.wasted++
+					d.mu.Unlock()
+				}
+				if hooks.TaskExec != nil {
+					hooks.TaskExec(stepID, wid, t.id, attempt, started, time.Since(started), won)
+				}
+			})
 		}
 	}
 
@@ -298,9 +339,11 @@ func (s *step) end() (err error) {
 	// The step ends as soon as every task has committed (or the step
 	// failed) — not when every in-flight execution returns.  A stalled
 	// duplicate keeps running in the background and exits on its next
-	// dispatch attempt; its late stats and commit are discarded.  This is
-	// the point of eager scheduling: stragglers cannot delay the step.
+	// dispatch attempt; its late stats, hooks and commit are discarded.
+	// This is the point of eager scheduling: stragglers cannot delay the
+	// step.  Closing it waits only for the reports under way.
 	<-d.done
+	d.close()
 
 	d.mu.Lock()
 	st := d.stats

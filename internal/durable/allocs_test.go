@@ -2,7 +2,6 @@ package durable
 
 import (
 	"errors"
-	"strings"
 	"testing"
 
 	"milan/internal/allocs"
@@ -135,13 +134,13 @@ func TestCheckpointAllocationBudget(t *testing.T) {
 
 // TestCheckpointAllocationBudgetOnDisk is the same count on the file system
 // the benchmark and junctiond run on, vfs.OS in a temporary directory: the
-// program's sites at the same exact pins; the two creates and the two
-// directory syncs at one object each, the path handed to open(2), for they
-// open a bare descriptor and no os.File; the calls on a file at none; and
-// the whole checkpoint at no more than 11 objects, the rest what a rename
-// and two removes cost, listed apart.
+// program's sites at the same exact pins; every call that reaches the kernel
+// (the two creates, the calls on a file, the rename, the two removes and the
+// two directory syncs) at none, for they open a bare descriptor and hand
+// their paths to the kernel from the stack; and the whole checkpoint at no
+// more than 3 objects, the program's own.
 func TestCheckpointAllocationBudgetOnDisk(t *testing.T) {
-	const runs, whole = 64, 11
+	const runs, whole = 64, 3
 	program := []site{
 		{"milan/internal/durable.(*store).seal", 1},
 		{"milan/internal/durable.(*store).rotate", 1},
@@ -149,28 +148,20 @@ func TestCheckpointAllocationBudgetOnDisk(t *testing.T) {
 		{"milan/internal/durable.(*fold).grants", 0},
 		{"milan/internal/durable.(*store).publish", 1},
 		{"milan/internal/durable.(*store).removeCovered", 0},
-		{"milan/internal/durable/vfs.OS.Create", 2},
+		{"milan/internal/durable/vfs.OS.Create", 0},
 		{"milan/internal/durable/vfs.osFile.Write", 0},
 		{"milan/internal/durable/vfs.osFile.Sync", 0},
 		{"milan/internal/durable/vfs.osFile.Close", 0},
-		{"milan/internal/durable/vfs.OS.SyncDir", 2},
+		{"milan/internal/durable/vfs.OS.Rename", 0},
+		{"milan/internal/durable/vfs.OS.Remove", 0},
+		{"milan/internal/durable/vfs.OS.SyncDir", 0},
 	}
-	listed := []string{
-		"milan/internal/durable/vfs.OS.Rename",
-		"milan/internal/durable/vfs.OS.Remove",
-	}
-	at := checkpointAllocs(t, vfs.OS{}, t.TempDir(), runs, program, listed)
+	at := checkpointAllocs(t, vfs.OS{}, t.TempDir(), runs, program, nil)
 	var sum uint64
 	for i, n := range at {
 		sum += n
-		if i >= len(program) {
-			t.Logf("%s: %.2f objects a checkpoint", listed[i-len(program)], float64(n)/runs)
-			continue
-		}
 		if s := program[i]; n != s.want*runs {
 			t.Errorf("%s: %d objects in %d checkpoints, want exactly %d a checkpoint", s.name, n, runs, s.want)
-		} else if strings.HasPrefix(s.name, "milan/internal/durable/vfs.") {
-			t.Logf("%s: %.2f objects a checkpoint", s.name, float64(n)/runs)
 		}
 	}
 	t.Logf("a checkpoint: %.2f objects", float64(sum)/runs)

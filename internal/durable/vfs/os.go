@@ -17,21 +17,22 @@ type OS struct{}
 // pread(2), write(2), fsync(2) and close(2) on it, retried on EINTR and, for
 // a write, until every byte is down.  Where os.OpenFile would build an
 // *os.File, set its finalizer, fstat(2) the file and consider it for the
-// poller, an open here costs one object, the path copied for the kernel.
-// Boxed into a File it costs nothing more while the descriptor is below 256,
-// which the runtime boxes from its cache of small integers.  No finalizer
-// closes a leaked one, and a second Close may close a descriptor that has
-// since been reused: the store closes every file it opens, once (vfs.Mem
-// holds it to that).  Having no name, a file reports a failure as an
-// *os.PathError naming its descriptor ("fd 7"); the caller names the file.
+// poller, an open here costs nothing on Linux, where the path goes to the
+// kernel from the stack (os_linux.go).  Boxed into a File it costs nothing
+// more while the descriptor is below 256, which the runtime boxes from its
+// cache of small integers.  No finalizer closes a leaked one, and a second
+// Close may close a descriptor that has since been reused: the store closes
+// every file it opens, once (vfs.Mem holds it to that).  Having no name, a
+// file reports a failure as an *os.PathError naming its descriptor ("fd
+// 7"); the caller names the file.
 type osFile struct{ fd int }
 
 // open is open(2) with O_CLOEXEC, retried on EINTR.  A failure is an
 // *os.PathError naming the path, as os.OpenFile's.
 func open(path string, flags int, perm uint32) (osFile, error) {
-	fd, err := syscall.Open(path, flags|syscall.O_CLOEXEC, perm)
+	fd, err := openPath(path, flags|syscall.O_CLOEXEC, perm)
 	for err == syscall.EINTR {
-		fd, err = syscall.Open(path, flags|syscall.O_CLOEXEC, perm)
+		fd, err = openPath(path, flags|syscall.O_CLOEXEC, perm)
 	}
 	if err != nil {
 		return osFile{-1}, &os.PathError{Op: "open", Path: path, Err: err}
@@ -145,16 +146,27 @@ func openFile(name string, flags int, perm uint32) (File, error) {
 	return f, nil
 }
 
-// Remove deletes the named file.
-func (OS) Remove(name string) error { return os.Remove(name) }
+// Remove deletes the named file: one unlink(2), retried on EINTR, where
+// os.Remove follows a failed unlink with an rmdir(2); the store removes only
+// files.  A failure is an *os.PathError, as os.Remove's.
+func (OS) Remove(name string) error {
+	err := unlinkPath(name)
+	for err == syscall.EINTR {
+		err = unlinkPath(name)
+	}
+	if err != nil {
+		return &os.PathError{Op: "remove", Path: name, Err: err}
+	}
+	return nil
+}
 
 // Rename atomically replaces newname with oldname: one rename(2), where
 // os.Rename first calls Lstat on newname to refuse a directory there, which
 // rename(2) refuses itself.  A failure is an *os.LinkError, as os.Rename's.
 func (OS) Rename(oldname, newname string) error {
-	err := syscall.Rename(oldname, newname)
+	err := renamePath(oldname, newname)
 	for err == syscall.EINTR {
-		err = syscall.Rename(oldname, newname)
+		err = renamePath(oldname, newname)
 	}
 	if err != nil {
 		return &os.LinkError{Op: "rename", Old: oldname, New: newname, Err: err}

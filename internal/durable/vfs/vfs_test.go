@@ -6,6 +6,8 @@ import (
 	"io"
 	iofs "io/fs"
 	"os"
+	"runtime"
+	"strings"
 	"syscall"
 	"testing"
 )
@@ -418,6 +420,95 @@ func TestOSRoundTrip(t *testing.T) {
 		var pe *os.PathError
 		if !errors.As(tc.err, &pe) || pe.Op != tc.op || pe.Path != tc.path || !errors.Is(tc.err, tc.errno) {
 			t.Errorf("%s: %#v, want an *os.PathError %q on %q wrapping %v", tc.op, tc.err, tc.op, tc.path, tc.errno)
+		}
+	}
+
+	// A path goes to the kernel whole up to PATH_MAX less its NUL: 4095
+	// bytes in a missing directory is ENOENT, 4096 ENAMETOOLONG, and a NUL
+	// anywhere EINVAL, as package syscall and the kernel answered them, in
+	// the error each call returned (op open, rename or remove).
+	long := func(n int) string {
+		p := dir + "/missing"
+		for n-len(p) > 201 {
+			p += "/" + strings.Repeat("x", 100)
+		}
+		return p + "/" + strings.Repeat("y", n-len(p)-1)
+	}
+	short, atMax, overMax, nul := dir+"/sub/e", long(4095), long(4096), dir+"/sub/e\x00f"
+	if len(atMax) != 4095 || len(overMax) != 4096 {
+		t.Fatalf("long paths of %d and %d bytes", len(atMax), len(overMax))
+	}
+	for _, tc := range []struct {
+		path  string
+		errno syscall.Errno
+	}{
+		{atMax, syscall.ENOENT},
+		{overMax, syscall.ENAMETOOLONG},
+		{nul, syscall.EINVAL},
+	} {
+		_, cerr := fs.Create(tc.path)
+		var pe *os.PathError
+		if !errors.As(cerr, &pe) || pe.Op != "open" || pe.Path != tc.path || !errors.Is(cerr, tc.errno) {
+			t.Errorf("create of %d bytes: %#v, want an *os.PathError \"open\" wrapping %v", len(tc.path), cerr, tc.errno)
+		}
+		rerr := fs.Remove(tc.path)
+		if !errors.As(rerr, &pe) || pe.Op != "remove" || pe.Path != tc.path || !errors.Is(rerr, tc.errno) {
+			t.Errorf("remove of %d bytes: %#v, want an *os.PathError \"remove\" wrapping %v", len(tc.path), rerr, tc.errno)
+		}
+		for _, names := range [][2]string{{tc.path, short}, {short, tc.path}} {
+			err := fs.Rename(names[0], names[1])
+			var le *os.LinkError
+			if !errors.As(err, &le) || le.Op != "rename" || le.Old != names[0] || le.New != names[1] || !errors.Is(err, tc.errno) {
+				t.Errorf("rename %d to %d bytes: %#v, want an *os.LinkError \"rename\" wrapping %v", len(names[0]), len(names[1]), err, tc.errno)
+			}
+		}
+	}
+	if sz, err := fs.Stat(short); err != nil || sz != 0 {
+		t.Fatalf("the file the failed renames named: %d, %v", sz, err)
+	}
+
+	// Where the paths go to the kernel from the stack (os_linux.go), no call
+	// that takes one allocates when it succeeds: a descriptor below 256
+	// boxes into a File for nothing, and only a failure makes its error.
+	if runtime.GOOS != "linux" || runtime.GOARCH == "riscv64" || runtime.GOARCH == "loong64" {
+		return
+	}
+	a, b, sub := dir+"/sub/x", dir+"/sub/y", dir+"/sub"
+	for _, tc := range []struct {
+		name string
+		call func() error
+	}{
+		{"Create+Close", func() error {
+			f, err := fs.Create(a)
+			if err != nil {
+				return err
+			}
+			return f.Close()
+		}},
+		{"Rename", func() error {
+			if err := fs.Rename(a, b); err != nil {
+				return err
+			}
+			return fs.Rename(b, a)
+		}},
+		{"Create+Close+Remove", func() error {
+			f, err := fs.Create(a)
+			if err != nil {
+				return err
+			}
+			if err := f.Close(); err != nil {
+				return err
+			}
+			return fs.Remove(a)
+		}},
+		{"SyncDir", func() error { return fs.SyncDir(sub) }},
+	} {
+		if n := testing.AllocsPerRun(100, func() {
+			if err := tc.call(); err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+		}); n != 0 {
+			t.Errorf("%s allocates %v objects a call, want none", tc.name, n)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package milan_test
 
 import (
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -46,8 +47,8 @@ var (
 )
 
 // loadModule type-checks the non-test files of every package of the module
-// and of bench/ from source, once per test binary: the caller tests share
-// one load.
+// and of bench/ that this platform builds, from source, once per test
+// binary: the caller tests share one load.
 func loadModule(t *testing.T) *loadedModule {
 	t.Helper()
 	moduleOnce.Do(func() { module, moduleErr = typeCheckModule() })
@@ -107,6 +108,13 @@ func typeCheckModule() (*loadedModule, error) {
 		for _, e := range entries {
 			name := e.Name()
 			if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+				continue
+			}
+			// The files go build compiles here: a file's GOOS/GOARCH suffix
+			// and build constraint select it, as they do for the compiler.
+			if ok, err := build.Default.MatchFile(dirs[path], name); err != nil {
+				return nil, err
+			} else if !ok {
 				continue
 			}
 			f, err := parser.ParseFile(m.fset, filepath.Join(dirs[path], name), nil, 0)
