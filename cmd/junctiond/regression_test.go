@@ -255,7 +255,7 @@ func TestRegressionRehearsal(t *testing.T) {
 			}
 		}
 		if worst != phase.Plan {
-			t.Fatalf("wide job %d's exemplar blames %s, want plan: %+v", e.Job, worst, e)
+			t.Fatalf("wide job %d's exemplar blames %s, want plan: %+v", e.Job, phase.Names()[worst], e)
 		}
 	}
 	tree := view.Traces[fmt.Sprint(slowest.Trace)]

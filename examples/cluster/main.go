@@ -136,7 +136,7 @@ func federated() error {
 	// The observer counts the plane's decisions (sched_admitted,
 	// sched_rejected) as they commit, under the deciding shard's lock.
 	reg := obs.NewRegistry()
-	o := obs.New(obs.Config{Registry: reg, Tracing: true})
+	o := milan.NewObserver(milan.ObserverConfig{Registry: reg, Tracing: true})
 	plane, err := milan.NewArbitrator(milan.ArbitratorConfig{
 		Procs:    broker.TotalProcs(),
 		Shards:   len(machines), // one shard per machine

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -15,11 +14,6 @@ type Hole struct {
 	Start float64
 	End   float64
 	Procs int
-}
-
-// contains reports whether h fully contains g (g is redundant given h).
-func (h Hole) contains(g Hole) bool {
-	return timeLeq(h.Start, g.Start) && timeLeq(g.End, h.End) && g.Procs <= h.Procs
 }
 
 // MaximalHoles enumerates the maximal holes of the profile at or after time
@@ -129,29 +123,4 @@ func (p *Profile) EarliestFitHoles(procs int, duration, est, deadline float64) (
 		return 0, false
 	}
 	return best, true
-}
-
-// validateHoles panics if the hole set is inconsistent with the profile;
-// used by tests and the race-enabled integration suite.
-func (p *Profile) validateHoles(holes []Hole, from float64) error {
-	for _, h := range holes {
-		if h.Procs < 1 {
-			return fmt.Errorf("hole %+v: non-positive height", h)
-		}
-		end := h.End
-		if math.IsInf(end, 1) {
-			end = p.LastBreak() + 1
-		}
-		if got := p.MinAvailOn(maxTime(h.Start, from), end); got < h.Procs {
-			return fmt.Errorf("hole %+v: profile has only %d free", h, got)
-		}
-	}
-	for i, h := range holes {
-		for j, g := range holes {
-			if i != j && h.contains(g) && !(g.contains(h)) {
-				return fmt.Errorf("hole %+v contained in %+v: not maximal", g, h)
-			}
-		}
-	}
-	return nil
 }

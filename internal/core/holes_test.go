@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -176,4 +177,33 @@ func TestQuickEveryFreeSlotInSomeHole(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// contains reports whether h fully contains g (g is redundant given h).
+func (h Hole) contains(g Hole) bool {
+	return timeLeq(h.Start, g.Start) && timeLeq(g.End, h.End) && g.Procs <= h.Procs
+}
+
+// validateHoles reports how the hole set is inconsistent with the profile.
+func (p *Profile) validateHoles(holes []Hole, from float64) error {
+	for _, h := range holes {
+		if h.Procs < 1 {
+			return fmt.Errorf("hole %+v: non-positive height", h)
+		}
+		end := h.End
+		if math.IsInf(end, 1) {
+			end = p.LastBreak() + 1
+		}
+		if got := p.MinAvailOn(maxTime(h.Start, from), end); got < h.Procs {
+			return fmt.Errorf("hole %+v: profile has only %d free", h, got)
+		}
+	}
+	for i, h := range holes {
+		for j, g := range holes {
+			if i != j && h.contains(g) && !(g.contains(h)) {
+				return fmt.Errorf("hole %+v contained in %+v: not maximal", g, h)
+			}
+		}
+	}
+	return nil
 }

@@ -437,10 +437,3 @@ func (p *Profile) CheckInvariants() error {
 	}
 	return p.checkIndex()
 }
-
-// checkInvariants panics if internal invariants are violated; used by tests.
-func (p *Profile) checkInvariants() {
-	if err := p.CheckInvariants(); err != nil {
-		panic(err.Error())
-	}
-}

@@ -85,15 +85,6 @@ type Chain struct {
 	Quality float64
 }
 
-// area returns the chain's total resource requirement in processor-time units.
-func (c Chain) area() float64 {
-	var a float64
-	for _, t := range c.Tasks {
-		a += t.Area()
-	}
-	return a
-}
-
 // validate checks every task and requires task deadlines to be
 // non-decreasing along the chain (a successor cannot be due before its
 // predecessor, since deadlines are cumulative).

@@ -99,7 +99,7 @@ func TestJobValidate(t *testing.T) {
 func TestJobTunableAndArea(t *testing.T) {
 	c1 := Chain{Name: "1", Tasks: []Task{rect("a", 2, 5, 100)}}
 	c2 := Chain{Name: "2", Tasks: []Task{rect("b", 4, 10, 100)}}
-	if got := c1.area(); !timeEq(got, 10) {
+	if got := c1.Tasks[0].Area(); !timeEq(got, 10) {
 		t.Errorf("area = %v, want 10", got)
 	}
 	j := Job{Chains: []Chain{c1, c2}}

@@ -670,7 +670,8 @@ func TestFailedSnapshotRenamePoisons(t *testing.T) {
 	if slices.Contains(fs.opened, tmp) {
 		t.Fatalf("recovery read the stale %s (opened %v)", tmp, fs.opened)
 	}
-	if _, err := ft.Stat(tmp); err == nil {
+	if f, err := ft.Open(tmp); err == nil {
+		f.Close()
 		t.Fatalf("the stale %s outlived the recovery's checkpoint", tmp)
 	}
 }

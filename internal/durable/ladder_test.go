@@ -366,7 +366,6 @@ func (c *countingFS) ReadDir(dir string) ([]string, error) {
 	c.calls.Add(1)
 	return c.os.ReadDir(dir)
 }
-func (c *countingFS) Stat(name string) (int64, error) { c.calls.Add(1); return c.os.Stat(name) }
 func (c *countingFS) SyncDir(dir string) error {
 	c.calls.Add(1)
 	c.fsyncs.Add(1)
@@ -374,10 +373,6 @@ func (c *countingFS) SyncDir(dir string) error {
 }
 
 func (f *countedFile) Read(p []byte) (int, error) { f.fs.calls.Add(1); return f.f.Read(p) }
-func (f *countedFile) ReadAt(p []byte, off int64) (int, error) {
-	f.fs.calls.Add(1)
-	return f.f.ReadAt(p, off)
-}
 func (f *countedFile) Write(p []byte) (int, error) {
 	f.fs.calls.Add(1)
 	n, err := f.f.Write(p)

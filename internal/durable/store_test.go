@@ -200,9 +200,11 @@ func TestStoreBitFlipStopsReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	all := make([]byte, 4096)
-	n, _ := f.ReadAt(all, 0)
-	all = all[:n]
+	all, err := io.ReadAll(f)
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Header 20 bytes; each observe frame is 8 + (1+8+8) = 25 bytes.
 	all[20+2*25+10] ^= 0x40
 	nf, _ := mem.Create(seg)

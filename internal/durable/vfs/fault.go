@@ -125,8 +125,7 @@ type faultFile struct {
 	readOnly bool
 }
 
-func (ff faultFile) Read(p []byte) (int, error)              { return ff.inner.Read(p) }
-func (ff faultFile) ReadAt(p []byte, off int64) (int, error) { return ff.inner.ReadAt(p, off) }
+func (ff faultFile) Read(p []byte) (int, error) { return ff.inner.Read(p) }
 
 func (ff faultFile) Close() error {
 	err := ff.inner.Close()
@@ -236,9 +235,6 @@ func (f *Fault) MkdirAll(dir string) error { return f.inner.MkdirAll(dir) }
 
 // ReadDir forwards to the wrapped filesystem.
 func (f *Fault) ReadDir(dir string) ([]string, error) { return f.inner.ReadDir(dir) }
-
-// Stat forwards to the wrapped filesystem.
-func (f *Fault) Stat(name string) (int64, error) { return f.inner.Stat(name) }
 
 // SyncDir lies or forwards.
 func (f *Fault) SyncDir(dir string) error {

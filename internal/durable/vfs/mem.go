@@ -75,22 +75,6 @@ func (f *memFile) Read(p []byte) (int, error) {
 	return n, nil
 }
 
-func (f *memFile) ReadAt(p []byte, off int64) (int, error) {
-	f.m.mu.Lock()
-	defer f.m.mu.Unlock()
-	if err := f.gone("read"); err != nil {
-		return 0, err
-	}
-	if off < 0 || off >= int64(len(f.node.data)) {
-		return 0, io.EOF
-	}
-	n := copy(p, f.node.data[off:])
-	if n < len(p) {
-		return n, io.EOF
-	}
-	return n, nil
-}
-
 func (f *memFile) Write(p []byte) (int, error) {
 	f.m.mu.Lock()
 	defer f.m.mu.Unlock()
@@ -200,17 +184,6 @@ func (m *Mem) ReadDir(dir string) ([]string, error) {
 	}
 	sort.Strings(names)
 	return names, nil
-}
-
-// Stat returns the live size of the named file.
-func (m *Mem) Stat(name string) (int64, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	n, ok := m.live[name]
-	if !ok {
-		return 0, &os.PathError{Op: "stat", Path: name, Err: os.ErrNotExist}
-	}
-	return int64(len(n.data)), nil
 }
 
 // SyncDir makes dir's current entries durable: every live file under dir

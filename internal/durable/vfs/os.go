@@ -14,7 +14,7 @@ import (
 type OS struct{}
 
 // osFile is a bare descriptor: open(2) with O_CLOEXEC, then read(2),
-// pread(2), write(2), fsync(2) and close(2) on it, retried on EINTR and, for
+// write(2), fsync(2) and close(2) on it, retried on EINTR and, for
 // a write, until every byte is down.  Where os.OpenFile would build an
 // *os.File, set its finalizer, fstat(2) the file and consider it for the
 // poller, an open here costs nothing on Linux, where the path goes to the
@@ -59,24 +59,6 @@ func (f osFile) Read(p []byte) (int, error) {
 		}
 		return n, nil
 	}
-}
-
-// ReadAt reads len(p) bytes at off, or fewer and io.EOF where the file ends.
-func (f osFile) ReadAt(p []byte, off int64) (int, error) {
-	n := 0
-	for n < len(p) {
-		m, err := syscall.Pread(f.fd, p[n:], off+int64(n))
-		switch {
-		case err == syscall.EINTR:
-			continue
-		case err != nil:
-			return n, f.fail("read", err)
-		case m == 0:
-			return n, io.EOF
-		}
-		n += m
-	}
-	return n, nil
 }
 
 // Write writes all of p, in as many write(2)s as the kernel takes.
@@ -191,15 +173,6 @@ func (OS) ReadDir(dir string) ([]string, error) {
 	}
 	sort.Strings(names)
 	return names, nil
-}
-
-// Stat returns the named file's size.
-func (OS) Stat(name string) (int64, error) {
-	fi, err := os.Stat(name)
-	if err != nil {
-		return 0, err
-	}
-	return fi.Size(), nil
 }
 
 // SyncDir fsyncs the directory so entry changes (creates, renames,

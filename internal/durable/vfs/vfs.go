@@ -17,11 +17,9 @@ package vfs
 
 import "io"
 
-// File is one open file.  Writes append at the end; reads are positional
-// via ReadAt or sequential via Read.
+// File is one open file.  Writes append at the end; reads are sequential.
 type File interface {
 	io.Reader
-	io.ReaderAt
 	io.Writer
 	io.Closer
 	// Sync flushes written bytes to stable storage.  Until it returns
@@ -48,8 +46,6 @@ type FS interface {
 	MkdirAll(dir string) error
 	// ReadDir lists the file names (not paths) in dir, sorted.
 	ReadDir(dir string) ([]string, error)
-	// Stat returns the named file's size in bytes.
-	Stat(name string) (int64, error)
 	// SyncDir flushes dir's entries (creates, renames, removes) to stable
 	// storage.
 	SyncDir(dir string) error

@@ -143,10 +143,13 @@ func run(rt *calypso.Runtime, im *Image, p Params) (*Result, error) {
 			fan = len(regs)
 		}
 		err = rt.Parallel(fan, func(ctx *calypso.TaskCtx, w, n int) error {
+			// A CREW read: the regions as step 2 left the store.
+			v, _ := ctx.Read("regions")
+			shared, _ := v.([]Region)
 			var js []Junction
 			work := 0
-			for i := n; i < len(regs); i += w {
-				j, examined := detectJunctions(im, p, regs[i])
+			for i := n; i < len(shared); i += w {
+				j, examined := detectJunctions(im, p, shared[i])
 				js = append(js, j...)
 				work += examined
 			}

@@ -153,16 +153,6 @@ func (r *Recorder) Records() []Record {
 	return out
 }
 
-// Len returns the number of retained records.
-func (r *Recorder) Len() int {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.ring.Len()
-}
-
 // Total returns the number of diagnoses ever recorded.
 func (r *Recorder) Total() int64 {
 	if r == nil {

@@ -39,8 +39,8 @@ func TestRecorderRingAndByJobIndex(t *testing.T) {
 		now = float64(i)
 		r.Record(rejectedDiag(t, wideJob(i)))
 	}
-	if r.Len() != 2 || r.Total() != 3 || r.Dropped() != 1 {
-		t.Fatalf("len=%d total=%d dropped=%d, want 2/3/1", r.Len(), r.Total(), r.Dropped())
+	if len(r.Records()) != 2 || r.Total() != 3 || r.Dropped() != 1 {
+		t.Fatalf("len=%d total=%d dropped=%d, want 2/3/1", len(r.Records()), r.Total(), r.Dropped())
 	}
 	// Job 1's record was evicted; its index entry must be unlinked.
 	if _, ok := r.LastFor(1); ok {
@@ -113,8 +113,8 @@ func TestRecorderSinkAndMetrics(t *testing.T) {
 	if causes[core.ConstraintWidth] != 1 || causes[core.ConstraintDeadline] != 1 {
 		t.Fatalf("causes: %v, want one width and one deadline", causes)
 	}
-	if r.Len() != 2 || r.Dropped() != 0 {
-		t.Fatalf("retained %d, dropped %d; want 2, 0", r.Len(), r.Dropped())
+	if len(r.Records()) != 2 || r.Dropped() != 0 {
+		t.Fatalf("retained %d, dropped %d; want 2, 0", len(r.Records()), r.Dropped())
 	}
 	r.MarkVerified(2, true)
 	r.MarkVerified(3, false)

@@ -38,7 +38,7 @@ func TestEnvelopeFromTrajectoryLatestWins(t *testing.T) {
 			want = 0
 		}
 		if b != want {
-			t.Fatalf("phase %s budget = %d, want %d", phase.Phase(i), b, want)
+			t.Fatalf("phase %s budget = %d, want %d", phase.Names()[i], b, want)
 		}
 	}
 }

@@ -42,14 +42,6 @@ const (
 
 var names = [Num]string{"route", "probe", "plan", "reserve", "journal", "ack"}
 
-// String returns the phase's lowercase name.
-func (p Phase) String() string {
-	if int(p) < Num {
-		return names[p]
-	}
-	return "unknown"
-}
-
 // Names returns the phase names in waterfall order.
 func Names() [Num]string { return names }
 

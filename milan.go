@@ -34,7 +34,6 @@ import (
 	"milan/internal/core"
 	"milan/internal/fed"
 	"milan/internal/obs"
-	"milan/internal/obs/ledger"
 	"milan/internal/qos"
 	"milan/internal/taskgraph"
 	"milan/internal/tunelang"
@@ -132,13 +131,3 @@ type ObserverConfig = obs.Config
 // that hang off an arbitrator's decision feed (set ArbitratorConfig.Observer
 // to its DecisionObserver).
 func NewObserver(cfg ObserverConfig) *obs.Observer { return obs.New(cfg) }
-
-// LedgerConfig configures NewShardedLedger (internal/obs/ledger).
-type LedgerConfig = ledger.Config
-
-// NewShardedLedger returns n per-shard utilization ledgers: hook
-// DecisionObserver into ArbitratorConfig.Observer (n = the plane's shard
-// count) and stamp each shard's capacity with Shard(i).SetCapacity.
-func NewShardedLedger(cfg LedgerConfig, n int) *ledger.Sharded {
-	return ledger.NewSharded(cfg, n)
-}

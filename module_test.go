@@ -51,14 +51,17 @@ var (
 // binary: the caller tests share one load.
 func loadModule(t *testing.T) *loadedModule {
 	t.Helper()
-	moduleOnce.Do(func() { module, moduleErr = typeCheckModule() })
+	moduleOnce.Do(func() { module, moduleErr = typeCheckModule(&build.Default) })
 	if moduleErr != nil {
 		t.Fatal(moduleErr)
 	}
 	return module
 }
 
-func typeCheckModule() (*loadedModule, error) {
+// typeCheckModule loads the files ctx selects.  The standard library always
+// comes from this platform's export data, so a file built only for another
+// system type-checks against it; the compiler checks it for real.
+func typeCheckModule(ctx *build.Context) (*loadedModule, error) {
 	dirs := map[string]string{"milan/bench": "bench"} // import path -> directory
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil || !d.IsDir() {
@@ -112,7 +115,7 @@ func typeCheckModule() (*loadedModule, error) {
 			}
 			// The files go build compiles here: a file's GOOS/GOARCH suffix
 			// and build constraint select it, as they do for the compiler.
-			if ok, err := build.Default.MatchFile(dirs[path], name); err != nil {
+			if ok, err := ctx.MatchFile(dirs[path], name); err != nil {
 				return nil, err
 			} else if !ok {
 				continue

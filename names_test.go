@@ -43,6 +43,19 @@ var testSupport = map[string]string{
 	"durable.Plane.JobCompleted":    "journals a completion (KindComplete), which recovery replays; the crash and checkpoint tests drive it, and the wire has no completion op yet",
 }
 
+// rowFor returns the key of the row of table that covers name: name itself,
+// or the longest prefix of it that ends before a dot.
+func rowFor(table map[string]string, name string) (string, bool) {
+	for k := name; ; k = k[:strings.LastIndex(k, ".")] {
+		if _, ok := table[k]; ok {
+			return k, true
+		}
+		if !strings.Contains(k, ".") {
+			return "", false
+		}
+	}
+}
+
 // commonMethods are standard-library interface methods a type may implement
 // for a caller that only sees the interface.
 var commonMethods = map[string]bool{
@@ -135,16 +148,6 @@ func TestEveryNameHasACaller(t *testing.T) {
 		used[obj] = true
 	}
 
-	listed := func(short string) (string, bool) {
-		for k := short; ; k = k[:strings.LastIndex(k, ".")] {
-			if _, ok := testSupport[k]; ok {
-				return k, true
-			}
-			if !strings.Contains(k, ".") {
-				return "", false
-			}
-		}
-	}
 	var orphans []string
 	hit := map[string]bool{}
 	for obj, short := range names {
@@ -152,7 +155,7 @@ func TestEveryNameHasACaller(t *testing.T) {
 			(ifaceMethods[f.Name()] || commonMethods[f.Name()]) {
 			continue
 		}
-		k, isListed := listed(short)
+		k, isListed := rowFor(testSupport, short)
 		switch {
 		case isListed && used[obj]:
 			if k == short {
