@@ -22,9 +22,9 @@ func TestCampaignTableIsPinned(t *testing.T) {
 		code   int
 		sha256 string
 	}{
-		{[]string{"-seed", "1999"}, 0, "fda0b82de546253762563d055ff219f92695fdad10cbbb7e75990e8d21fcff30"},
-		{[]string{"-seed", "1999", "-jobs", "150"}, 0, "2695897c022d1981bc217d81f1c67e00825d18a2f07829dd855eb1f92e8d3f52"},
-		{[]string{"-seed", "1999", "-inject", "dropped-fsync"}, 1, "03e4169a80768997643a07dc0f0b39d1cb50a46fcb186712daa67e2b3f04faed"},
+		{[]string{"-seed", "1999"}, 0, "8b22d55dcfc3fd38582a9a80e5d0de96ca66cacc776740392875d1c76861a843"},
+		{[]string{"-seed", "1999", "-jobs", "150"}, 0, "8a6a7237412bd0dc8341db1d37b81c8a6dac9a1daa75356f111d2f9ad788b5e9"},
+		{[]string{"-seed", "1999", "-inject", "dropped-fsync"}, 1, "c3e8e9412766d3561784cca42e255a3b4293abe7312115aeba2ed42f4671cfd6"},
 	} {
 		var out bytes.Buffer
 		if code := run(tc.args, &out, os.Stderr); code != tc.code {

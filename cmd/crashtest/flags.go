@@ -11,7 +11,6 @@ type flags struct {
 	seed     *int64
 	iters    *int
 	ops      *int
-	shards   *int
 	callers  *int
 	kills    *int
 	dir      *string
@@ -27,7 +26,6 @@ func newFlags(stderr io.Writer) flags {
 		seed:     fs.Int64("seed", 0, "run seed (0 = derive from the clock; the chosen seed is always printed)"),
 		iters:    fs.Int("iters", 15, "vfs mode: crash-loop epochs (phases cycle per epoch); soak mode: crash/recover cycles"),
 		ops:      fs.Int("ops", 120, "vfs mode: ops per epoch (each op is one WAL record); soak mode: ops per cycle, run on to the next grant"),
-		shards:   fs.Int("shards", 2, "admission-plane shards"),
 		callers:  fs.Int("callers", 1, "vfs mode: connections driving the storm; above 1 most crashes are taken mid-flight, at a journal write or flush"),
 		kills:    fs.Int("kills", 5, "sigkill mode: child kill/recover cycles"),
 		dir:      fs.String("dir", "", "sigkill/child mode: WAL directory (default: a temp dir)"),

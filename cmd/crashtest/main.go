@@ -121,8 +121,8 @@ type op struct {
 }
 
 // genOps builds the deterministic op stream for a seed: a pure function
-// of (n, seed), the same at every shard count, and genOps(m, seed) is a
-// prefix of genOps(n, seed) for m < n.
+// of (n, seed), and genOps(m, seed) is a prefix of genOps(n, seed) for
+// m < n.
 func genOps(n int, seed int64) []op {
 	tmpl := workload.FigureJob{X: 4, T: 25, Alpha: 0.25, Laxity: 0.5}
 	arr := workload.NewPoisson(6, seed)
@@ -157,10 +157,8 @@ func growsIn(ops []op, m int) int {
 	return n
 }
 
-type planeCfg struct {
-	procs, shards int
-	store         durable.StoreOptions
-}
+// procs is the machine every plane of the harness starts from.
+const procs = 16
 
 // plane is a durable plane served on loopback as junctiond serves it, and
 // the connections its callers drive it through.
@@ -172,12 +170,8 @@ type plane struct {
 
 // openPlane recovers (or creates) the plane in dir, serves it on loopback
 // and dials callers connections to it.
-func openPlane(fs vfs.FS, dir string, cfg planeCfg, callers int) (*plane, durable.Recovered, error) {
-	dp, rec, err := durable.OpenPlane(durable.Config{
-		FS: fs, Dir: dir,
-		Procs: cfg.procs, Shards: cfg.shards, ProbeK: 1,
-		Store: cfg.store,
-	})
+func openPlane(fs vfs.FS, dir string, store durable.StoreOptions, callers int) (*plane, durable.Recovered, error) {
+	dp, rec, err := durable.OpenPlane(durable.Config{FS: fs, Dir: dir, Procs: procs, Store: store})
 	if err != nil {
 		return nil, rec, err
 	}
@@ -763,8 +757,8 @@ func remaining(ops []op, committed []op, now float64) []int {
 // referenceState re-drives ops[0:m] through a fresh in-memory plane that
 // never crashes, served and driven like the one under test, and returns its
 // exported state: the ground truth any recovery must match bitwise.
-func referenceState(ops []op, m int, cfg planeCfg) (durable.State, error) {
-	ref, _, err := openPlane(vfs.NewMem(), "ref", planeCfg{procs: cfg.procs, shards: cfg.shards}, 1)
+func referenceState(ops []op, m int) (durable.State, error) {
+	ref, _, err := openPlane(vfs.NewMem(), "ref", durable.StoreOptions{}, 1)
 	if err != nil {
 		return durable.State{}, err
 	}
@@ -876,7 +870,7 @@ func phases() []phase {
 
 // runVFS is the in-memory crash loop: iters epochs cycling through the
 // fault phases, each ending in a crash and a differential check.
-func runVFS(seed int64, iters, opsPerIter, shards, callers int, artifact string, stdout, stderr io.Writer) int {
+func runVFS(seed int64, iters, opsPerIter, callers int, artifact string, stdout, stderr io.Writer) int {
 	ph := phases()
 	total := iters*opsPerIter + opsPerIter
 	ops := genOps(total, seed)
@@ -885,9 +879,6 @@ func runVFS(seed int64, iters, opsPerIter, shards, callers int, artifact string,
 		if !o.observe && !o.grow {
 			jobs[o.job.ID] = o.job
 		}
-	}
-	cfgFor := func(p phase) planeCfg {
-		return planeCfg{procs: 16, shards: shards, store: p.store}
 	}
 
 	lost := make(map[string]int) // phase -> acked grants provably lost
@@ -906,14 +897,13 @@ func runVFS(seed int64, iters, opsPerIter, shards, callers int, artifact string,
 		// The kill points draw from a stream of their own, so that one
 		// caller's run is the run it always was.
 		krng := rand.New(rand.NewSource(seed ^ int64(iter)*104729))
-		cfg := cfgFor(p)
 
 		// Each epoch starts from an empty disk and crash-cycles within it,
 		// so every phase exercises genesis, mid-log and post-snapshot
 		// recovery points.
 		ft := vfs.NewFault(vfs.NewMem())
 		tap := newJournalTap(ft)
-		plane, _, err := openPlane(tap, "wal", cfg, callers)
+		plane, _, err := openPlane(tap, "wal", p.store, callers)
 		if err != nil {
 			return fail(divergence{Phase: p.name, Iteration: iter}, "open: %v", err)
 		}
@@ -975,7 +965,7 @@ func runVFS(seed int64, iters, opsPerIter, shards, callers int, artifact string,
 			tap.reboot()
 
 			var rec durable.Recovered
-			plane, rec, err = openPlane(tap, "wal", cfg, callers)
+			plane, rec, err = openPlane(tap, "wal", p.store, callers)
 			if err != nil {
 				return fail(divergence{Phase: p.name, Iteration: iter, CrashOp: written},
 					"recovery: %v", err)
@@ -1000,7 +990,7 @@ func runVFS(seed int64, iters, opsPerIter, shards, callers int, artifact string,
 			if err != nil {
 				return fail(at, "%v", err)
 			}
-			want, err := referenceState(prefix, m, cfg)
+			want, err := referenceState(prefix, m)
 			if err != nil {
 				return fail(at, "%v", err)
 			}
@@ -1012,7 +1002,7 @@ func runVFS(seed int64, iters, opsPerIter, shards, callers int, artifact string,
 			// Capacity oracle: the recovered pool must be the seed
 			// capacity plus exactly the committed grow ops — a capacity
 			// record lost or double-applied in replay shifts the total.
-			wantProcs := cfg.procs + growsIn(prefix, m)
+			wantProcs := procs + growsIn(prefix, m)
 			if gotProcs := plane.Procs(); gotProcs != wantProcs {
 				return fail(at, "recovered capacity %d procs, committed prefix implies %d", gotProcs, wantProcs)
 			}
@@ -1075,14 +1065,13 @@ func runVFS(seed int64, iters, opsPerIter, shards, callers int, artifact string,
 // lose none of the cycle's acknowledged grants.  The soak keeps its machine:
 // it skips the stream's grows, which over a long lineage would grow it past
 // refusing anything.
-func runSoak(seed int64, iters, opsPerIter, shards int, artifact string, stdout, stderr io.Writer) int {
-	cfg := planeCfg{procs: 16, shards: shards,
-		store: durable.StoreOptions{Sync: durable.SyncAlways, SnapshotEvery: 128}}
+func runSoak(seed int64, iters, opsPerIter int, artifact string, stdout, stderr io.Writer) int {
+	store := durable.StoreOptions{Sync: durable.SyncAlways, SnapshotEvery: 128}
 	fail := func(cycle int, format string, args ...any) int {
 		return failed(artifact, divergence{Mode: "soak", Seed: seed, Iteration: cycle, Detail: fmt.Sprintf(format, args...)}, stderr)
 	}
 	mem := vfs.NewMem()
-	plane, _, err := openPlane(mem, "wal", cfg, 1)
+	plane, _, err := openPlane(mem, "wal", store, 1)
 	if err != nil {
 		return fail(0, "open: %v", err)
 	}
@@ -1117,7 +1106,7 @@ func runSoak(seed int64, iters, opsPerIter, shards int, artifact string, stdout,
 		}
 		mem.Crash()
 		var rec durable.Recovered
-		plane, rec, err = openPlane(mem, "wal", cfg, 1)
+		plane, rec, err = openPlane(mem, "wal", store, 1)
 		if err != nil {
 			return fail(cycle, "recovery: %v", err)
 		}
@@ -1135,20 +1124,22 @@ func runSoak(seed int64, iters, opsPerIter, shards int, artifact string, stdout,
 	return 0
 }
 
+// childStore is the sigkill child's log: a flush per promise, a checkpoint
+// every 32 records.  The parent recovers the directory with the same.
+var childStore = durable.StoreOptions{Sync: durable.SyncAlways, SnapshotEvery: 32}
+
 // runChild is the sigkill-mode child: it recovers the directory, then
 // drives the deterministic op stream against the real filesystem,
 // printing "ack <jobID> <finish bits>" after every grant its client
 // decoded.  It is killed by the parent; it never exits on its own unless
 // the stream ends.
-func runChild(dir string, seed int64, shards int, stdout io.Writer) int {
+func runChild(dir string, seed int64, stdout io.Writer) int {
 	var fs vfs.OS
 	if err := fs.MkdirAll(dir); err != nil {
 		fmt.Fprintf(os.Stderr, "crashtest child: %v\n", err)
 		return 2
 	}
-	cfg := planeCfg{procs: 16, shards: shards,
-		store: durable.StoreOptions{Sync: durable.SyncAlways, SnapshotEvery: 32}}
-	plane, rec, err := openPlane(fs, dir, cfg, 1)
+	plane, rec, err := openPlane(fs, dir, childStore, 1)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "crashtest child: open: %v\n", err)
 		return 2
@@ -1174,7 +1165,7 @@ func runChild(dir string, seed int64, shards int, stdout io.Writer) int {
 // SIGKILL it mid-storm, recover the directory and require every
 // acknowledged grant to have survived or run out.  Every pass also runs
 // the differential oracle against the in-memory reference.
-func runSigkill(seed int64, kills, shards int, dir, artifact string, stdout, stderr io.Writer) int {
+func runSigkill(seed int64, kills int, dir, artifact string, stdout, stderr io.Writer) int {
 	if dir == "" {
 		d, err := os.MkdirTemp("", "crashtest-*")
 		if err != nil {
@@ -1200,8 +1191,7 @@ func runSigkill(seed int64, kills, shards int, dir, artifact string, stdout, std
 	for k := 0; k < kills; k++ {
 		cmd := exec.Command(exe,
 			"-mode", "child", "-dir", dir,
-			"-seed", strconv.FormatInt(seed, 10),
-			"-shards", strconv.Itoa(shards))
+			"-seed", strconv.FormatInt(seed, 10))
 		cmd.Stderr = stderr
 		pipe, err := cmd.StdoutPipe()
 		if err != nil {
@@ -1237,9 +1227,7 @@ func runSigkill(seed int64, kills, shards int, dir, artifact string, stdout, std
 		// Recover the real directory: every acked grant is live or has run
 		// out at the recovered clock.
 		var fs vfs.OS
-		cfg := planeCfg{procs: 16, shards: shards,
-			store: durable.StoreOptions{Sync: durable.SyncAlways, SnapshotEvery: 32}}
-		plane, rec, err := openPlane(fs, dir, cfg, 1)
+		plane, rec, err := openPlane(fs, dir, childStore, 1)
 		if err != nil {
 			return fail(k, "recovery: %v", err)
 		}
@@ -1248,7 +1236,7 @@ func runSigkill(seed int64, kills, shards int, dir, artifact string, stdout, std
 		}
 		// Differential oracle on the real directory, same as vfs mode.
 		m := int(rec.State.LSN)
-		want, err := referenceState(ops, m, cfg)
+		want, err := referenceState(ops, m)
 		if err != nil {
 			return fail(k, "%v", err)
 		}
@@ -1256,7 +1244,7 @@ func runSigkill(seed int64, kills, shards int, dir, artifact string, stdout, std
 		if err := durable.DiffStates(&got, &want); err != nil {
 			return fail(k, "recovered state diverged from reference at lsn %d: %v", m, err)
 		}
-		wantProcs := 16 + growsIn(ops, m)
+		wantProcs := procs + growsIn(ops, m)
 		if gotProcs := plane.Procs(); gotProcs != wantProcs {
 			return fail(k, "recovered capacity %d procs, committed prefix implies %d (lsn %d)", gotProcs, wantProcs, m)
 		}
@@ -1281,15 +1269,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 	switch *fs.mode {
 	case "vfs":
 		fmt.Fprintf(stdout, "crashtest mode=vfs seed=%d\n", seed)
-		return runVFS(seed, *fs.iters, *fs.ops, *fs.shards, *fs.callers, *fs.artifact, stdout, stderr)
+		return runVFS(seed, *fs.iters, *fs.ops, *fs.callers, *fs.artifact, stdout, stderr)
 	case "sigkill":
 		fmt.Fprintf(stdout, "crashtest mode=sigkill seed=%d\n", seed)
-		return runSigkill(seed, *fs.kills, *fs.shards, *fs.dir, *fs.artifact, stdout, stderr)
+		return runSigkill(seed, *fs.kills, *fs.dir, *fs.artifact, stdout, stderr)
 	case "soak":
 		fmt.Fprintf(stdout, "crashtest mode=soak seed=%d\n", seed)
-		return runSoak(seed, *fs.iters, *fs.ops, *fs.shards, *fs.artifact, stdout, stderr)
+		return runSoak(seed, *fs.iters, *fs.ops, *fs.artifact, stdout, stderr)
 	case "child":
-		return runChild(*fs.dir, seed, *fs.shards, stdout)
+		return runChild(*fs.dir, seed, stdout)
 	default:
 		fmt.Fprintf(stderr, "crashtest: unknown -mode %q\n", *fs.mode)
 		return 2

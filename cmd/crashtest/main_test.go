@@ -15,64 +15,57 @@ import (
 	"milan/internal/obs"
 )
 
-// CI's pinned invocation, at the default two shards and at the one shard
-// junctiond serves, prints the ok line it printed when the harness drove the
-// plane in-process: the wire adds nothing to what is decided, journaled or
-// recovered, and every phase recovers prefix-exactly while both lie phases
-// convict the lying disk.  The tap paces a checkpoint by its phases, not its
-// calls, so how many writes a snapshot takes moves none of it.
+// CI's pinned invocation, on the one-shard plane junctiond serves, prints
+// the ok line it printed when the harness drove the plane in-process: the
+// wire adds nothing to what is decided, journaled or recovered, and every
+// phase recovers prefix-exactly while both lie phases convict the lying
+// disk.  The tap paces a checkpoint by its phases, not its calls, so how
+// many writes a snapshot takes moves none of it.
 func TestVFSModePinnedSeed(t *testing.T) {
-	for shards, want := range map[string]string{
-		"2": "crashtest vfs ok: seed=42 crashes=45 mid-checkpoint=27 phases=[sealed:3 temp-created:7 temp-written:3 temp-synced:5 renamed:5 dir-synced:2 covered-removed:2] recovered=21cd60bc7357b1ec losses=map[sync-lie:80 syncdir-lie:11 unsynced-loss:1]\n",
-		"1": "crashtest vfs ok: seed=42 crashes=45 mid-checkpoint=27 phases=[sealed:3 temp-created:7 temp-written:3 temp-synced:5 renamed:5 dir-synced:2 covered-removed:2] recovered=752dda00a693333d losses=map[sync-lie:76 syncdir-lie:11 unsynced-loss:1]\n",
-	} {
-		if got := pinnedRun(t, shards); !strings.HasSuffix(got, "\n"+want) {
-			t.Fatalf("shards=%s: printed\n%s\nwant the ok line\n%s", shards, got, want)
-		}
+	const want = "crashtest vfs ok: seed=42 crashes=45 mid-checkpoint=27 phases=[sealed:3 temp-created:7 temp-written:3 temp-synced:5 renamed:5 dir-synced:2 covered-removed:2] recovered=752dda00a693333d losses=map[sync-lie:76 syncdir-lie:11 unsynced-loss:1]\n"
+	if got := pinnedRun(t); !strings.HasSuffix(got, "\n"+want) {
+		t.Fatalf("printed\n%s\nwant the ok line\n%s", got, want)
 	}
 }
 
-// Strict phase coverage: the pinned runs crash at least once in every
+// Strict phase coverage: the pinned run crashes at least once in every
 // phase a checkpoint can stand in, so each is a state recovery is proven
 // from.
 func TestVFSModeCrashesInEveryPhase(t *testing.T) {
-	for _, shards := range []string{"2", "1"} {
-		out := pinnedRun(t, shards)
-		_, list, ok := strings.Cut(out, " phases=[")
-		list, _, ok2 := strings.Cut(list, "]")
-		if !ok || !ok2 {
-			t.Fatalf("shards=%s: no phases in %q", shards, out)
-		}
-		counts := strings.Fields(list)
-		if len(counts) != len(phaseNames) {
-			t.Fatalf("shards=%s: %d phases in %q, want %d", shards, len(counts), list, len(phaseNames))
-		}
-		for i, c := range counts {
-			name, n, _ := strings.Cut(c, ":")
-			if name != phaseNames[i] || n == "0" {
-				t.Errorf("shards=%s: %q: no crash found a checkpoint in phase %s", shards, list, phaseNames[i])
-			}
+	out := pinnedRun(t)
+	_, list, ok := strings.Cut(out, " phases=[")
+	list, _, ok2 := strings.Cut(list, "]")
+	if !ok || !ok2 {
+		t.Fatalf("no phases in %q", out)
+	}
+	counts := strings.Fields(list)
+	if len(counts) != len(phaseNames) {
+		t.Fatalf("%d phases in %q, want %d", len(counts), list, len(phaseNames))
+	}
+	for i, c := range counts {
+		name, n, _ := strings.Cut(c, ":")
+		if name != phaseNames[i] || n == "0" {
+			t.Errorf("%q: no crash found a checkpoint in phase %s", list, phaseNames[i])
 		}
 	}
 }
 
-// pinnedRun runs CI's pinned invocation at the given shard count and
-// returns what it printed.
-func pinnedRun(t *testing.T, shards string) string {
+// pinnedRun runs CI's pinned invocation and returns what it printed.
+func pinnedRun(t *testing.T) string {
 	t.Helper()
 	var out, errb bytes.Buffer
-	if code := run([]string{"-mode", "vfs", "-seed", "42", "-iters", "15", "-ops", "120", "-shards", shards}, &out, &errb); code != 0 {
-		t.Fatalf("shards=%s: exit %d\nstdout: %s\nstderr: %s", shards, code, out.String(), errb.String())
+	if code := run([]string{"-mode", "vfs", "-seed", "42", "-iters", "15", "-ops", "120"}, &out, &errb); code != 0 {
+		t.Fatalf("exit %d\nstdout: %s\nstderr: %s", code, out.String(), errb.String())
 	}
 	return out.String()
 }
 
-// One shard is the plane junctiond serves: the same loop, grow ops and
-// capacity oracle included, must pass there on a seed other than the pinned
-// one and still convict both lies.
+// The same loop, grow ops and capacity oracle included, must pass on the
+// one-shard plane junctiond serves at a seed other than the pinned one and
+// still convict both lies.
 func TestVFSModeOneShard(t *testing.T) {
 	var out, errb bytes.Buffer
-	if code := run([]string{"-mode", "vfs", "-seed", "1999", "-iters", "15", "-ops", "120", "-shards", "1"}, &out, &errb); code != 0 {
+	if code := run([]string{"-mode", "vfs", "-seed", "1999", "-iters", "15", "-ops", "120"}, &out, &errb); code != 0 {
 		t.Fatalf("exit %d\nstdout: %s\nstderr: %s", code, out.String(), errb.String())
 	}
 	for _, lie := range []string{"sync-lie:", "syncdir-lie:"} {
@@ -85,21 +78,19 @@ func TestVFSModeOneShard(t *testing.T) {
 // The soak is bounded by cycles, not by a clock, so a run is a pure
 // function of its seed: two runs print the same thing, cycle by cycle.
 func TestSoakModeIsItsSeed(t *testing.T) {
-	for _, shards := range []string{"1", "2"} {
-		var first string
-		for round := 0; round < 2; round++ {
-			var out, errb bytes.Buffer
-			if code := run([]string{"-mode", "soak", "-seed", "7", "-iters", "3", "-ops", "150", "-shards", shards}, &out, &errb); code != 0 {
-				t.Fatalf("shards=%s: exit %d\nstdout: %s\nstderr: %s", shards, code, out.String(), errb.String())
+	var first string
+	for round := 0; round < 2; round++ {
+		var out, errb bytes.Buffer
+		if code := run([]string{"-mode", "soak", "-seed", "7", "-iters", "3", "-ops", "150"}, &out, &errb); code != 0 {
+			t.Fatalf("exit %d\nstdout: %s\nstderr: %s", code, out.String(), errb.String())
+		}
+		if round == 0 {
+			first = out.String()
+			if !strings.Contains(first, "cycle 1 ok") || !strings.Contains(first, "crashtest soak ok") {
+				t.Fatalf("no crash cycle in %q", first)
 			}
-			if round == 0 {
-				first = out.String()
-				if !strings.Contains(first, "cycle 1 ok") || !strings.Contains(first, "crashtest soak ok") {
-					t.Fatalf("shards=%s: no crash cycle in %q", shards, first)
-				}
-			} else if out.String() != first {
-				t.Fatalf("shards=%s: the second run printed\n%s\nthe first\n%s", shards, out.String(), first)
-			}
+		} else if out.String() != first {
+			t.Fatalf("the second run printed\n%s\nthe first\n%s", out.String(), first)
 		}
 	}
 }
@@ -134,19 +125,17 @@ func TestVFSModeOneCallerIsItsSeed(t *testing.T) {
 // the oracle re-drives them in, sync-always still loses no acknowledged
 // grant, and both lies are still convicted.  Part of the -race set.
 func TestVFSModeConcurrentCallers(t *testing.T) {
-	for _, shards := range []string{"1", "2"} {
-		var out, errb bytes.Buffer
-		if code := run([]string{"-mode", "vfs", "-seed", "42", "-iters", "15", "-ops", "120", "-shards", shards, "-callers", "4"}, &out, &errb); code != 0 {
-			t.Fatalf("shards=%s: exit %d\nstdout: %s\nstderr: %s", shards, code, out.String(), errb.String())
+	var out, errb bytes.Buffer
+	if code := run([]string{"-mode", "vfs", "-seed", "42", "-iters", "15", "-ops", "120", "-callers", "4"}, &out, &errb); code != 0 {
+		t.Fatalf("exit %d\nstdout: %s\nstderr: %s", code, out.String(), errb.String())
+	}
+	for _, want := range []string{"callers=4", "sync-lie:", "syncdir-lie:"} {
+		if !strings.Contains(out.String(), want) {
+			t.Fatalf("no %s in %q", want, out.String())
 		}
-		for _, want := range []string{"callers=4", "sync-lie:", "syncdir-lie:"} {
-			if !strings.Contains(out.String(), want) {
-				t.Fatalf("shards=%s: no %s in %q", shards, want, out.String())
-			}
-		}
-		if strings.Contains(out.String(), "mid-flight=0 ") {
-			t.Fatalf("shards=%s: no crash was taken with callers in flight: %q", shards, out.String())
-		}
+	}
+	if strings.Contains(out.String(), "mid-flight=0 ") {
+		t.Fatalf("no crash was taken with callers in flight: %q", out.String())
 	}
 }
 
@@ -162,7 +151,7 @@ func TestOneCallerJournalIsTheStream(t *testing.T) {
 		}
 	}
 	tap := newJournalTap(vfs.NewMem())
-	p, _, err := openPlane(tap, "wal", planeCfg{procs: 16, shards: 2}, 1)
+	p, _, err := openPlane(tap, "wal", durable.StoreOptions{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,21 +247,19 @@ func TestOpsAreDeterministicAndOneToOneWithRecords(t *testing.T) {
 		t.Fatal("op stream emitted no capacity grows; KindCapacity recovery is untested")
 	}
 
-	for _, shards := range []int{1, 2} {
-		p, _, err := openPlane(vfs.NewMem(), "wal", planeCfg{procs: 16, shards: shards}, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer p.hangUp()
-		if _, err := driveOps(p, a, 0, len(a), nil); err != nil {
-			t.Fatal(err)
-		}
-		if got := p.ExportState().LSN; got != uint64(len(a)) {
-			t.Fatalf("shards=%d: %d ops committed %d records; the 1:1 mapping broke", shards, len(a), got)
-		}
-		if got := p.Procs(); got != 16+grows {
-			t.Fatalf("shards=%d: %d procs after %d grows from 16", shards, got, grows)
-		}
+	p, _, err := openPlane(vfs.NewMem(), "wal", durable.StoreOptions{}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.hangUp()
+	if _, err := driveOps(p, a, 0, len(a), nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := p.ExportState().LSN; got != uint64(len(a)) {
+		t.Fatalf("%d ops committed %d records; the 1:1 mapping broke", len(a), got)
+	}
+	if got := p.Procs(); got != procs+grows {
+		t.Fatalf("%d procs after %d grows from %d", got, grows, procs)
 	}
 }
 
@@ -280,12 +267,11 @@ func TestOpsAreDeterministicAndOneToOneWithRecords(t *testing.T) {
 // has to reject it (guards against a vacuous differential).
 func TestOracleDetectsTampering(t *testing.T) {
 	ops := genOps(120, 9)
-	cfg := planeCfg{procs: 16, shards: 2}
-	want, err := referenceState(ops, len(ops), cfg)
+	want, err := referenceState(ops, len(ops))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := referenceState(ops, len(ops), cfg)
+	got, err := referenceState(ops, len(ops))
 	if err != nil {
 		t.Fatal(err)
 	}

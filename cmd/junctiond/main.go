@@ -14,7 +14,7 @@
 //	junctiond [-size N] [-rects K] [-workers W] [-seed S] [-faults]
 //	          [-debug-addr HOST:PORT] [-pprof]
 //	          [-wal-dir DIR] [-admit-addr HOST:PORT] [-wal-sync POLICY]
-//	          [-snapshot-every N] [-admit-procs P] [-admit-shards S]
+//	          [-snapshot-every N] [-admit-procs P]
 package main
 
 import (
@@ -45,8 +45,8 @@ import (
 )
 
 // The -latency-envelope baseline is the trajectory row whose benchmark name
-// contains envelopeMatch, the one-shard plane junctiond serves by default,
-// and each phase may take envelopeSlack times that row's latency.
+// contains envelopeMatch, the one-shard plane junctiond serves, and each
+// phase may take envelopeSlack times that row's latency.
 const (
 	envelopeMatch = "ShardedAdmit/shards=1"
 	envelopeSlack = 3.0
@@ -81,7 +81,6 @@ func run() (err error) {
 	walSync := flag.String("wal-sync", "always", "WAL sync policy: always | every-n | never (requires -wal-dir)")
 	snapshotEvery := flag.Int("snapshot-every", 1024, "WAL records between snapshot compactions (requires -wal-dir)")
 	admitProcs := flag.Int("admit-procs", 0, "admission-plane processors (0 = -workers)")
-	admitShards := flag.Int("admit-shards", 1, "admission-plane shards")
 	nodeName := flag.String("node", "", "node identity in span IDs, so traces from several nodes stitch in milanmon (default junction-<pid>)")
 	traceSample := flag.Float64("trace-sample", 0, "head-based trace sampling target in traces/sec (0 = trace everything)")
 	latEnvelope := flag.String("latency-envelope", "", "arm the latency-regression sentinel from this BENCH_trajectory.jsonl baseline (requires -wal-dir)")
@@ -137,7 +136,6 @@ func run() (err error) {
 			dir: *walDir, addr: *admitAddr, sync: *walSync,
 			snapshotEvery: *snapshotEvery,
 			procs:         pickProcs(*admitProcs, *workers),
-			shards:        *admitShards,
 		})
 		if serr != nil {
 			log.Fatal(serr)
@@ -300,7 +298,7 @@ type admitConfig struct {
 	fs              vfs.FS // nil: the real filesystem
 	dir, addr, sync string
 	snapshotEvery   int
-	procs, shards   int
+	procs           int
 }
 
 func pickProcs(admitProcs, workers int) int {
@@ -363,8 +361,7 @@ func serveAdmission(observer *obs.Observer, trajectory string, cfg admitConfig) 
 		met = durable.NewMetrics(observer.Reg)
 	}
 	plane, rec, err := durable.OpenPlane(durable.Config{
-		FS: fs, Dir: cfg.dir,
-		Procs: cfg.procs, Shards: cfg.shards, ProbeK: 1,
+		FS: fs, Dir: cfg.dir, Procs: cfg.procs,
 		Store:   durable.StoreOptions{Sync: pol, SnapshotEvery: cfg.snapshotEvery},
 		Metrics: met,
 	})

@@ -80,7 +80,7 @@ func TestServeAdmissionRecoversGrants(t *testing.T) {
 	dir := t.TempDir() + "/wal"
 	o := obs.New(obs.Config{})
 	cfg := admitConfig{dir: dir, addr: "127.0.0.1:0", sync: "always",
-		snapshotEvery: 64, procs: 8, shards: 1}
+		snapshotEvery: 64, procs: 8}
 	srv, plane, _, err := serveAdmission(o, "", cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -124,7 +124,7 @@ func TestServeAdmissionRecoversGrants(t *testing.T) {
 
 func TestServeAdmissionBadPolicy(t *testing.T) {
 	if _, _, _, err := serveAdmission(nil, "", admitConfig{dir: t.TempDir(), addr: "127.0.0.1:0",
-		sync: "sometimes", snapshotEvery: 64, procs: 4, shards: 1}); err == nil {
+		sync: "sometimes", snapshotEvery: 64, procs: 4}); err == nil {
 		t.Fatal("bad sync policy accepted")
 	}
 }
@@ -136,7 +136,7 @@ func TestCloseAdmissionReportsTheFinalFlush(t *testing.T) {
 	for _, fail := range []bool{false, true} {
 		fs := vfs.NewFault(vfs.NewMem())
 		srv, plane, _, err := serveAdmission(nil, "", admitConfig{fs: fs, dir: "wal", addr: "127.0.0.1:0",
-			sync: "every-n", snapshotEvery: 64, procs: 8, shards: 1})
+			sync: "every-n", snapshotEvery: 64, procs: 8})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -36,7 +36,7 @@ type node struct {
 	eng          *slo.Engine
 }
 
-func startNode(t *testing.T, name string, shards int, fs vfs.FS, dir string) *node {
+func startNode(t *testing.T, name string, fs vfs.FS, dir string) *node {
 	t.Helper()
 	o := obs.New(obs.Config{Tracing: true})
 	o.Tracer().SeedIDs(telemetry.NodeIDBase(name))
@@ -46,7 +46,7 @@ func startNode(t *testing.T, name string, shards int, fs vfs.FS, dir string) *no
 	}
 	t.Cleanup(func() { dbg.Close() })
 	srv, plane, eng, err := serveAdmission(o, trajectory, admitConfig{fs: fs, dir: dir, addr: "127.0.0.1:0",
-		sync: "always", snapshotEvery: 1024, procs: 64, shards: shards})
+		sync: "always", snapshotEvery: 1024, procs: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func backlog(t *testing.T, fs vfs.FS, dir string) {
 	if err := fs.MkdirAll(dir); err != nil {
 		t.Fatal(err)
 	}
-	p, _, err := durable.OpenPlane(durable.Config{FS: fs, Dir: dir, Procs: 64, Shards: 1, ProbeK: 1,
+	p, _, err := durable.OpenPlane(durable.Config{FS: fs, Dir: dir, Procs: 64,
 		Store: durable.StoreOptions{SnapshotEvery: 1024}})
 	if err != nil {
 		t.Fatal(err)
@@ -147,12 +147,11 @@ func get(t *testing.T, h http.Handler, path string, v any) {
 
 // TestRegressionRehearsal rehearses the latency-regression sentinel end to
 // end on two armed nodes, scraped the way milanmon scrapes them.  Node 1
-// (one shard, the default) recovers a fragmented backlog and admits jobs of
+// recovers a fragmented backlog and admits jobs of
 // two thousand tunable chains each, whose plan phase is really that slow:
 // tens of ms, past any host hiccup (a scheduler tick is 4 ms) in a phase
 // that does not grow with the profile — the admit record carries the chosen
-// chain only.  Node 2 (two shards, so the router's probe phase is timed
-// over a socket) admits Figure-4 jobs.  The merged view must raise
+// chain only.  Node 2 admits Figure-4 jobs.  The merged view must raise
 // latency-regression:plan, every wide job's exemplar must blame plan, the
 // slowest one's trace must stitch from the client to the node, and node 1
 // must serve the flight snapshot the trip cut.
@@ -162,7 +161,7 @@ func TestRegressionRehearsal(t *testing.T) {
 	// is each wide job's slowest.
 	mem, dir := vfs.NewMem(), t.TempDir()
 	backlog(t, mem, dir)
-	n1, n2 := startNode(t, "n1", 1, mem, dir), startNode(t, "n2", 2, vfs.NewMem(), t.TempDir())
+	n1, n2 := startNode(t, "n1", mem, dir), startNode(t, "n2", vfs.NewMem(), t.TempDir())
 
 	tracer := obs.NewTracer(8 * (wide + small))
 	tracer.SeedIDs(telemetry.NodeIDBase("client"))
@@ -238,7 +237,7 @@ func TestRegressionRehearsal(t *testing.T) {
 	}
 
 	// The exemplars come slowest first.  A Figure-4 job of node 2 whose
-	// route or probe phase took a host hiccup may outrank the wide jobs;
+	// route or plan phase took a host hiccup may outrank the wide jobs;
 	// the operator's question is which phase the slow wide jobs blame.
 	var slowest *latency.Exemplar
 	for i, e := range view.Exemplars {
@@ -266,9 +265,9 @@ func TestRegressionRehearsal(t *testing.T) {
 		t.Fatalf("slow trace does not stitch the client's arrival to the node's plan: %+v", tree)
 	}
 
-	// Two shards time the router's probe over the socket.
-	if h := agg.NodeSnapshots()[n2.debug].Histograms["latency_phase_probe_ns"]; h.Count != small {
-		t.Fatalf("node 2 probe histogram = %+v, want %d admissions", h, small)
+	// Node 2's shard plans under its lock, and times it over the socket.
+	if h := agg.NodeSnapshots()[n2.debug].Histograms["latency_phase_plan_ns"]; h.Count != small {
+		t.Fatalf("node 2 plan histogram = %+v, want %d admissions", h, small)
 	}
 
 	resp, err := http.Get("http://" + n1.debug + "/flight")
@@ -293,7 +292,7 @@ func TestRegressionRehearsal(t *testing.T) {
 // flushes every grant must not be judged on its journal or end-to-end
 // time: the sentinel keeps no objective for either.
 func TestEnvelopeJudgesOnlyWhatItsRowMeasured(t *testing.T) {
-	n := startNode(t, "n1", 1, nil, t.TempDir()) // a real disk: every grant waits for its flush
+	n := startNode(t, "n1", nil, t.TempDir()) // a real disk: every grant waits for its flush
 	cli, err := qosnet.Dial(n.admit)
 	if err != nil {
 		t.Fatal(err)

@@ -44,8 +44,9 @@ const (
 	// planeRuntime marks scenarios that exercise the calypso execution
 	// runtime rather than an admission plane.
 	planeRuntime Plane = "runtime"
-	// planeDurable is the WAL-backed admission plane (durable.Plane):
-	// node-kill scenarios crash and recover it mid-storm.
+	// planeDurable is the WAL-backed admission plane (durable.Plane), one
+	// shard as junctiond serves it: node-kill scenarios crash and recover it
+	// mid-storm.
 	planeDurable Plane = "durable"
 )
 

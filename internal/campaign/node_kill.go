@@ -32,7 +32,7 @@ func nodeKillRun(cfg Config, sc Scenario, seed int64) (RunReport, error) {
 	open := func() (*durable.Plane, durable.Recovered, error) {
 		return durable.OpenPlane(durable.Config{
 			FS: ft, Dir: "wal",
-			Procs: cfg.Procs, Shards: cfg.Shards, ProbeK: probeK,
+			Procs: cfg.Procs,
 			Store: durable.StoreOptions{Sync: durable.SyncAlways, SnapshotEvery: 48},
 		})
 	}

@@ -43,7 +43,7 @@ func TestServedAdmissionAllocationBudget(t *testing.T) {
 	// written and never flushed: the in-memory disk's flush copies the
 	// file, which is the fake's cost and not the plane's.
 	count := func(wire, wantGrant bool) (total, slabs, chunks uint64) {
-		p, _ := openPlane(t, vfs.NewMem(), 1, StoreOptions{Sync: syncNever})
+		p, _ := openPlane(t, vfs.NewMem(), StoreOptions{Sync: syncNever})
 		defer p.Close()
 		var n qos.Negotiator = p
 		if wire {
@@ -184,7 +184,7 @@ type site struct {
 func checkpointAllocs(t *testing.T, fs vfs.FS, dir string, runs int, program []site, others []string) []uint64 {
 	fig := workload.FigureJob{X: 4, T: 25, Alpha: 0.25, Laxity: 0.5}
 	p, _, err := OpenPlane(Config{
-		FS: fs, Dir: dir, Procs: 16, Shards: 1, ProbeK: 1,
+		FS: fs, Dir: dir, Procs: 16,
 		Store: StoreOptions{Sync: syncNever, SnapshotEvery: 1 << 20},
 	})
 	if err != nil {

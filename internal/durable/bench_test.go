@@ -19,7 +19,7 @@ import (
 // to.  The log is deterministic so ns/op and allocs/op are comparable
 // across runs.
 func benchLog(n int) (State, []Record) {
-	gen, err := genesis(16, 2, 0)
+	gen, err := genesis(16, 0)
 	if err != nil {
 		panic(err)
 	}
@@ -36,11 +36,11 @@ func benchLog(n int) (State, []Record) {
 		lsn++
 		start := now
 		recs = append(recs, Record{
-			Kind: KindAdmit, LSN: lsn, Shard: i % 2, JobID: i + 1,
+			Kind: KindAdmit, LSN: lsn, JobID: i + 1,
 			Chain: i % 3, Quality: 0.5 + float64(i%4)*0.125,
 			Tunable: i%2 == 0, Tenant: "bench", Class: i % 3,
-			// Each shard sees one admit per 1.0 time units and each job
-			// spans 0.8, so the synthetic log never over-reserves.
+			// An admit per 0.25 time units, each spanning 0.8 on at most
+			// two processors, so the synthetic log never over-reserves.
 			Tasks: []core.TaskPlacement{
 				{Task: 0, Procs: 1 + i%2, Start: start, Finish: start + 0.4},
 				{Task: 1, Procs: 1, Start: start + 0.4, Finish: start + 0.8},

@@ -11,101 +11,96 @@ import (
 )
 
 // TestPlaneSetTotalCapacityJournaled: every single-processor resize is a
-// journaled record, and a reopened plane recovers the exact post-resize
-// shard shapes — at one shard (the plane junctiond serves) as at four.
+// journaled record, and a reopened plane recovers the exact capacity.
 func TestPlaneSetTotalCapacityJournaled(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		mem := vfs.NewMem()
-		p, _ := openPlane(t, mem, shards, StoreOptions{})
+	mem := vfs.NewMem()
+	p, _ := openPlane(t, mem, StoreOptions{})
 
-		before := p.DurableLSN()
-		got, err := p.SetTotalCapacity(24)
-		if err != nil || got != 24 {
-			t.Fatalf("shards=%d: SetTotalCapacity(24) = %d, %v", shards, got, err)
-		}
-		if p.Procs() != 24 {
-			t.Fatalf("shards=%d: live procs = %d, want 24", shards, p.Procs())
-		}
-		// Growth from 16 to 24 is 8 single-processor resizes = 8 records.
-		if appended := p.DurableLSN() - before; appended != 8 {
-			t.Fatalf("shards=%d: grow by 8 appended %d records, want 8", shards, appended)
-		}
-
-		// Shrink with no reservations succeeds and journals too.
-		if got, err = p.SetTotalCapacity(20); err != nil || got != 20 {
-			t.Fatalf("shards=%d: SetTotalCapacity(20) = %d, %v", shards, got, err)
-		}
-
-		want := p.ExportState()
-		if err := p.Close(); err != nil {
-			t.Fatal(err)
-		}
-		p2, _ := openPlane(t, mem, shards, StoreOptions{})
-		if p2.Procs() != 20 {
-			t.Fatalf("shards=%d: recovered procs = %d, want 20", shards, p2.Procs())
-		}
-		gotSt := p2.ExportState()
-		if err := DiffStates(&gotSt, &want); err != nil {
-			t.Fatalf("shards=%d: recovered state diverged after capacity churn: %v", shards, err)
-		}
-		p2.Close()
+	before := p.DurableLSN()
+	got, err := p.SetTotalCapacity(24)
+	if err != nil || got != 24 {
+		t.Fatalf("SetTotalCapacity(24) = %d, %v", got, err)
 	}
+	if p.Procs() != 24 {
+		t.Fatalf("live procs = %d, want 24", p.Procs())
+	}
+	// Growth from 16 to 24 is 8 single-processor resizes = 8 records.
+	if appended := p.DurableLSN() - before; appended != 8 {
+		t.Fatalf("grow by 8 appended %d records, want 8", appended)
+	}
+
+	// Shrink with no reservations succeeds and journals too.
+	if got, err = p.SetTotalCapacity(20); err != nil || got != 20 {
+		t.Fatalf("SetTotalCapacity(20) = %d, %v", got, err)
+	}
+
+	want := p.ExportState()
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	p2, _ := openPlane(t, mem, StoreOptions{})
+	if p2.Procs() != 20 {
+		t.Fatalf("recovered procs = %d, want 20", p2.Procs())
+	}
+	gotSt := p2.ExportState()
+	if err := DiffStates(&gotSt, &want); err != nil {
+		t.Fatalf("recovered state diverged after capacity churn: %v", err)
+	}
+	p2.Close()
 }
 
 // TestPlaneBrokerCapacityRecovered: the ROADMAP-item-1 gap — broker pool
 // churn must flow through the journal, so a crashed-and-recovered plane
 // reports exactly the live pool's capacity.
 func TestPlaneBrokerCapacityRecovered(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		mem := vfs.NewMem()
-		p, _ := openPlane(t, mem, shards, StoreOptions{Sync: SyncAlways})
+	mem := vfs.NewMem()
+	p, _ := openPlane(t, mem, StoreOptions{Sync: SyncAlways})
 
-		broker := resbroker.New(nil)
-		// Seed the pool at the plane's current size so the follower starts
-		// aligned (AttachBroker tracks deltas from the attach point).
-		if err := broker.Register(resbroker.Resource{ID: "seed", Procs: 16, Speed: 1}); err != nil {
-			t.Fatal(err)
-		}
-		stop := p.AttachBroker(broker, 0)
-
-		// Churn: machines join and leave; the plane follows every change.
-		for i := 0; i < 3; i++ {
-			if err := broker.Register(resbroker.Resource{ID: fmt.Sprintf("m%d", i), Procs: 4, Speed: 1}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := broker.Deregister("m1"); err != nil {
-			t.Fatal(err)
-		}
-		wantProcs := broker.TotalProcs()
-		if p.Procs() != wantProcs {
-			t.Fatalf("shards=%d: live plane procs = %d, broker pool = %d", shards, p.Procs(), wantProcs)
-		}
-
-		// Interleave admissions so capacity records sit between decisions.
-		drive(t, p.Observe, p.Negotiate, planeStream(40, 3))
-
-		// Hard crash (no Close): recovery must reconstruct the pool-following
-		// capacity from the journal alone.
-		want := p.ExportState()
-		crash(t, p, mem)
-		p2, _ := openPlane(t, mem, shards, StoreOptions{})
-		if got := p2.Procs(); got != wantProcs {
-			t.Fatalf("shards=%d: recovered capacity = %d, live broker pool = %d", shards, got, wantProcs)
-		}
-		gotSt := p2.ExportState()
-		if err := DiffStates(&gotSt, &want); err != nil {
-			t.Fatalf("shards=%d: recovered state diverged from pre-crash plane: %v", shards, err)
-		}
-		stop()
-		p2.Close()
+	broker := resbroker.New(nil)
+	// Seed the pool at the plane's current size so the follower starts
+	// aligned (AttachBroker tracks deltas from the attach point).
+	if err := broker.Register(resbroker.Resource{ID: "seed", Procs: 16, Speed: 1}); err != nil {
+		t.Fatal(err)
 	}
+	stop := p.AttachBroker(broker, 0)
+
+	// Churn: machines join and leave; the plane follows every change.
+	for i := 0; i < 3; i++ {
+		if err := broker.Register(resbroker.Resource{ID: fmt.Sprintf("m%d", i), Procs: 4, Speed: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := broker.Deregister("m1"); err != nil {
+		t.Fatal(err)
+	}
+	wantProcs := broker.TotalProcs()
+	if p.Procs() != wantProcs {
+		t.Fatalf("live plane procs = %d, broker pool = %d", p.Procs(), wantProcs)
+	}
+
+	// Interleave admissions so capacity records sit between decisions.
+	drive(t, p.Observe, p.Negotiate, planeStream(40, 3))
+
+	// Hard crash (no Close): recovery must reconstruct the pool-following
+	// capacity from the journal alone.
+	want := p.ExportState()
+	crash(t, p, mem)
+	p2, _ := openPlane(t, mem, StoreOptions{})
+	if got := p2.Procs(); got != wantProcs {
+		t.Fatalf("recovered capacity = %d, live broker pool = %d", got, wantProcs)
+	}
+	gotSt := p2.ExportState()
+	if err := DiffStates(&gotSt, &want); err != nil {
+		t.Fatalf("recovered state diverged from pre-crash plane: %v", err)
+	}
+	stop()
+	p2.Close()
 }
 
 // TestPlaneCapacityJournalFailureReported: a capacity move whose journal
 // write failed must not be reported as a success.  The rebalancer's resize
-// hook cannot return the append error, so SetTotalCapacity and Rebalance
-// surface the store's poison after the rebalancer returns.
+// hook cannot return the append error, so SetTotalCapacity surfaces the
+// store's poison after the rebalancer returns.
 func TestPlaneCapacityJournalFailureReported(t *testing.T) {
 	boom := errors.New("dead disk")
 	check := func(t *testing.T, p *Plane, err error) {
@@ -119,29 +114,12 @@ func TestPlaneCapacityJournalFailureReported(t *testing.T) {
 	}
 	t.Run("SetTotalCapacity", func(t *testing.T) {
 		ft := vfs.NewFault(vfs.NewMem())
-		p, _ := openPlane(t, ft, 2, StoreOptions{})
+		p, _ := openPlane(t, ft, StoreOptions{})
 		ft.SetWriteError(boom, 0)
 		got, err := p.SetTotalCapacity(17)
 		check(t, p, err)
 		if got != 17 {
 			t.Fatalf("achieved total = %d, want the in-memory 17 alongside the error", got)
 		}
-	})
-	t.Run("Rebalance", func(t *testing.T) {
-		ft := vfs.NewFault(vfs.NewMem())
-		p, _ := openPlane(t, ft, 2, StoreOptions{})
-		// One grant loads one shard and leaves the other idle with all its
-		// headroom: a migration is due.
-		job := planeStream(1, 31)[0]
-		p.Observe(job.Release)
-		if _, err := p.Negotiate(job); err != nil {
-			t.Fatal(err)
-		}
-		ft.SetWriteError(boom, 0)
-		moved, err := p.rebalance(1)
-		if moved != 1 {
-			t.Fatalf("moved %d processors, want 1 (the setup must force a migration)", moved)
-		}
-		check(t, p, err)
 	})
 }

@@ -113,16 +113,14 @@ func (s *sealTap) published() {
 // and the plane's map never holds more than the live grants and those that
 // elapsed since the seal before last.
 func TestCheckpointIsTheExport(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) { checkpointIsTheExport(t, shards) })
-	}
+	t.Run("shards=1", checkpointIsTheExport)
 }
 
-func checkpointIsTheExport(t *testing.T, shards int) {
+func checkpointIsTheExport(t *testing.T) {
 	const ops = 4000
-	rng := rand.New(rand.NewSource(int64(23 + shards)))
+	rng := rand.New(rand.NewSource(24))
 	tap := &sealTap{FS: vfs.NewMem(), t: t}
-	p, _ := openPlane(t, tap, shards, StoreOptions{SnapshotEvery: 48})
+	p, _ := openPlane(t, tap, StoreOptions{SnapshotEvery: 48})
 	tap.p = p
 	tmpl := workload.FigureJob{X: 4, T: 25, Alpha: 0.25, Laxity: 0.5}
 
@@ -445,7 +443,7 @@ func TestSealedSegmentCloseFailurePoisons(t *testing.T) {
 	for _, pol := range []SyncPolicy{SyncAlways, syncNever} {
 		ft := vfs.NewFault(vfs.NewMem())
 		opts := StoreOptions{Sync: pol, SnapshotEvery: 1 << 20}
-		p, _ := openPlane(t, ft, 1, opts)
+		p, _ := openPlane(t, ft, opts)
 		drive(t, p.Observe, p.Negotiate, jobs[:40])
 		var err error
 		if pol == SyncAlways {
@@ -470,7 +468,7 @@ func TestSealedSegmentCloseFailurePoisons(t *testing.T) {
 		ft.SetCloseError(nil, 0)
 		_ = p.WaitCheckpoint() // under always the seal's, which finds the store poisoned
 		want := p.ExportState()
-		_, rec := openPlane(t, ft, 1, opts)
+		_, rec := openPlane(t, ft, opts)
 		if err := DiffStates(&rec.State, &want); err != nil {
 			t.Fatalf("%s: reopened after the failed close: %v", pol, err)
 		}
@@ -489,7 +487,7 @@ func TestOpenSegmentCloseFailureIsReported(t *testing.T) {
 		mem := vfs.NewMem()
 		ft := vfs.NewFault(mem)
 		opts := StoreOptions{Sync: pol, SnapshotEvery: 1 << 20}
-		p, _ := openPlane(t, ft, 1, opts)
+		p, _ := openPlane(t, ft, opts)
 		acked := map[int]float64{}
 		for _, job := range jobs {
 			p.Observe(job.Release)
@@ -512,7 +510,7 @@ func TestOpenSegmentCloseFailureIsReported(t *testing.T) {
 		}
 		ft.SetCloseError(nil, 0)
 		mem.Crash()
-		p2, rec := openPlane(t, ft, 1, opts)
+		p2, rec := openPlane(t, ft, opts)
 		if lost := rec.State.Lost(acked); len(lost) > 0 {
 			t.Fatalf("%s: after the failed close and a crash, recovery lost acknowledged grants %v", pol, lost)
 		}
@@ -528,7 +526,7 @@ func TestOpenSegmentCloseFailureIsReported(t *testing.T) {
 func TestCheckpointAtAnUnchangedLSN(t *testing.T) {
 	mem := vfs.NewMem()
 	opts := StoreOptions{SnapshotEvery: 1 << 20}
-	p, _ := openPlane(t, mem, 2, opts)
+	p, _ := openPlane(t, mem, opts)
 	drive(t, p.Observe, p.Negotiate, planeStream(40, 71))
 	for i := 0; i < 3; i++ {
 		if err := p.Snapshot(); err != nil {
@@ -542,7 +540,7 @@ func TestCheckpointAtAnUnchangedLSN(t *testing.T) {
 	want := p.ExportState()
 	mem.Crash()
 	for reopen := 0; reopen < 2; reopen++ {
-		p2, rec := openPlane(t, mem, 2, opts)
+		p2, rec := openPlane(t, mem, opts)
 		if err := DiffStates(&rec.State, &want); err != nil {
 			t.Fatalf("reopen %d: %v", reopen, err)
 		}
@@ -566,7 +564,7 @@ func TestFailedRemoveLeavesAReadableDirectory(t *testing.T) {
 	for _, crashed := range []bool{false, true} {
 		ft := vfs.NewFault(vfs.NewMem())
 		opts := StoreOptions{SnapshotEvery: 1 << 20}
-		p, _ := openPlane(t, ft, 2, opts)
+		p, _ := openPlane(t, ft, opts)
 		drive(t, p.Observe, p.Negotiate, jobs[:40])
 		ft.SetRemoveError(boom)
 		if err := p.Snapshot(); !errors.Is(err, boom) || !errors.Is(p.Err(), boom) {
@@ -580,7 +578,7 @@ func TestFailedRemoveLeavesAReadableDirectory(t *testing.T) {
 		if crashed {
 			ft.Crash()
 		}
-		p2, rec := openPlane(t, ft, 2, opts)
+		p2, rec := openPlane(t, ft, opts)
 		if err := DiffStates(&rec.State, &want); err != nil {
 			t.Fatalf("crashed=%t: reopened after the failed removals: %v", crashed, err)
 		}
@@ -617,7 +615,7 @@ func TestFailedSnapshotRenamePoisons(t *testing.T) {
 	mem := vfs.NewMem()
 	ft := vfs.NewFault(mem)
 	opts := StoreOptions{SnapshotEvery: 1 << 20}
-	p, _ := openPlane(t, ft, 1, opts)
+	p, _ := openPlane(t, ft, opts)
 	acked := map[int]float64{}
 	for _, job := range jobs[:40] {
 		p.Observe(job.Release)
@@ -662,7 +660,7 @@ func TestFailedSnapshotRenamePoisons(t *testing.T) {
 	mem.Crash()
 
 	fs := &opensLog{FS: ft}
-	p2, rec := openPlane(t, fs, 1, opts)
+	p2, rec := openPlane(t, fs, opts)
 	defer p2.Close()
 	if lost := rec.State.Lost(acked); len(lost) > 0 {
 		t.Fatalf("after the failed rename and a crash, recovery lost acknowledged grants %v", lost)

@@ -247,7 +247,7 @@ func newRig(t *testing.T, opts StoreOptions) *rig {
 	}
 	r := &rig{t: t, fault: vfs.NewFault(vfs.NewMem()), met: NewMetrics(obs.NewRegistry())}
 	r.gate = &gateFS{FS: r.fault}
-	cfg := Config{FS: r.gate, Dir: "log", Procs: 16, Shards: 1, ProbeK: 1, Store: opts, Metrics: r.met}
+	cfg := Config{FS: r.gate, Dir: "log", Procs: 16, Store: opts, Metrics: r.met}
 	p, _, err := OpenPlane(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -444,7 +444,7 @@ func TestOnlyPromisesWaitForTheDisk(t *testing.T) {
 // one flush each; the refusals between them add none.
 func TestGrantReturnsOnlyOnceDurable(t *testing.T) {
 	ft := vfs.NewFault(vfs.NewMem())
-	p, _ := openPlane(t, ft, 1, StoreOptions{SnapshotEvery: 1 << 20})
+	p, _ := openPlane(t, ft, StoreOptions{SnapshotEvery: 1 << 20})
 	syncs := ft.Counts().Syncs
 	grants, refusals := int64(0), 0
 	for _, job := range planeStream(200, 37) {
@@ -598,7 +598,7 @@ func TestCloseFlushesTheWrittenTail(t *testing.T) {
 			t.Fatalf("%s: second Close: %v", tc.opts.Sync, err)
 		}
 		r.fault.Crash()
-		_, rec := openPlane(t, r.fault, 1, StoreOptions{})
+		_, rec := openPlane(t, r.fault, StoreOptions{})
 		if tc.flushed && rec.State.LSN != written {
 			t.Fatalf("%s: power loss after a clean Close recovered lsn %d of %d written", tc.opts.Sync, rec.State.LSN, written)
 		}
@@ -1164,7 +1164,7 @@ func TestConcurrentCallersAndAFailingDisk(t *testing.T) {
 			admitLSN.Store(rec.JobID, rec.LSN)
 		}
 	}}
-	p, _, err := OpenPlane(Config{FS: gate, Dir: "log", Procs: 16, Shards: 2, ProbeK: 1,
+	p, _, err := OpenPlane(Config{FS: gate, Dir: "log", Procs: 16,
 		Store: StoreOptions{SnapshotEvery: 64}})
 	if err != nil {
 		t.Fatal(err)

@@ -55,7 +55,7 @@ func TestOneShardPlaneIsTheMonolith(t *testing.T) {
 	fig := workload.FigureJob{X: 4, T: 25, Alpha: 0.25, Laxity: 0.5}
 	jobs := fig.Stream(workload.NewPoisson(3, 1999), 400, workload.Tunable)
 	mem := vfs.NewMem()
-	p, _ := openPlane(t, mem, 1, StoreOptions{SnapshotEvery: 1 << 20})
+	p, _ := openPlane(t, mem, StoreOptions{SnapshotEvery: 1 << 20})
 	defer p.Close()
 	ref, err := qos.NewArbitrator(qos.ArbitratorConfig{Procs: 16})
 	if err != nil {

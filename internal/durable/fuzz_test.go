@@ -48,10 +48,13 @@ func FuzzRecordDecode(f *testing.F) {
 // FuzzSnapshotDecode: same contract for the snapshot decoder, whose inputs
 // are larger and carry nested per-shard profiles and grant sets.
 func FuzzSnapshotDecode(f *testing.F) {
-	gen, err := genesis(8, 2, 0)
+	// Two shards of four processors: the format holds a list of shards,
+	// though recovery takes only one.
+	half, err := genesis(4, 0)
 	if err != nil {
 		f.Fatal(err)
 	}
+	gen := State{Shards: []core.SchedulerState{half.Shards[0], half.Shards[0]}}
 	gen.LSN, gen.Now = 42, 17.5
 	gen.Grants = []GrantRecord{{
 		JobID: 7, Shard: 1, Chain: 2, Quality: 0.75, Tunable: true,
@@ -59,7 +62,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 		Tasks: []core.TaskPlacement{{Task: 0, Procs: 4, Start: 17.5, Finish: 21}},
 	}}
 	f.Add(appendSnapshot(nil, &gen))
-	empty, err := genesis(1, 1, 0)
+	empty, err := genesis(1, 0)
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -7,10 +7,13 @@ import (
 	"net"
 	"os"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"milan/internal/allocs"
 	"milan/internal/core"
@@ -139,6 +142,109 @@ func TestServedCostLadder(t *testing.T) {
 	}
 }
 
+// BenchmarkServedConnections is the served admission under concurrency:
+// closed loops of the ladder's steady_wire stream over loopback, one qosnet
+// client per connection, against a durable plane on vfs.OS in a temporary
+// directory, with the journal unflushed (sync=never: the plane's CPU and
+// lock bound the run) or flushed per grant (sync=always: the disk does).
+// An op is one admission; the connections take the stream's jobs in order
+// from one counter, and every 8th reports the release of the arrival 8
+// back as the clock first, outside its latency.  It reports admissions/s,
+// the latency's p50, p99 and max in µs and the fraction admitted.  Wall
+// clock spreads on a shared host: compare runs of two trees by
+// alternating them in one sitting, each beside a same-binary A/A pair.  At
+// 8 and 16 connections under sync=never this is the sweep that retired
+// sharding from the durable plane (CHANGES.md has every pair and the rule).
+func BenchmarkServedConnections(b *testing.B) {
+	for _, policy := range []SyncPolicy{syncNever, SyncAlways} {
+		for _, conns := range []int{1, 2, 4, 8, 16} {
+			b.Run(fmt.Sprintf("sync=%s/conns=%d", policy, conns), func(b *testing.B) {
+				servedConnections(b, policy, conns)
+			})
+		}
+	}
+}
+
+func servedConnections(b *testing.B, policy SyncPolicy, conns int) {
+	const warmup = 1024
+	fig := workload.FigureJob{X: 8, T: 20, Alpha: 0.5, Laxity: 0.5}
+	jobs := fig.Stream(workload.NewPoisson(6, 4801), warmup+b.N, workload.Tunable)
+	p, _, err := OpenPlane(Config{
+		FS: vfs.OS{}, Dir: b.TempDir(), Procs: 64, Store: StoreOptions{Sync: policy},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer p.Close()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv := qosnet.Serve(p, ln)
+	defer srv.Close()
+	clients := make([]*qosnet.Client, conns)
+	for c := range clients {
+		if clients[c], err = qosnet.Dial(srv.Addr().String()); err != nil {
+			b.Fatal(err)
+		}
+		defer clients[c].Close()
+	}
+	// admit sends job k, after the clock report that precedes it if any,
+	// and returns how long the negotiation took and whether it was granted.
+	admit := func(cli *qosnet.Client, k int) (time.Duration, bool, error) {
+		if k%ladderObserveEvery == 0 && k > 0 {
+			if err := cli.Observe(jobs[k-ladderObserveEvery].Release); err != nil {
+				return 0, false, err
+			}
+		}
+		start := time.Now()
+		_, err := cli.Negotiate(jobs[k])
+		took := time.Since(start)
+		if errors.Is(err, qos.ErrRejected) {
+			return took, false, nil
+		}
+		return took, err == nil, err
+	}
+	for k := 0; k < warmup; k++ {
+		if _, _, err := admit(clients[0], k); err != nil {
+			b.Fatal(err)
+		}
+	}
+	lat := make([]time.Duration, b.N)
+	var next, admitted atomic.Int64
+	var wg sync.WaitGroup
+	b.ReportAllocs()
+	b.ResetTimer()
+	start := time.Now()
+	for _, cli := range clients {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < b.N; i = int(next.Add(1)) - 1 {
+				took, granted, err := admit(cli, warmup+i)
+				if err != nil {
+					b.Errorf("job %d: %v", jobs[warmup+i].ID, err)
+					return
+				}
+				lat[i] = took
+				if granted {
+					admitted.Add(1)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	elapsed := time.Since(start)
+	b.StopTimer()
+	slices.Sort(lat)
+	us := func(q float64) float64 { return float64(lat[int(q*float64(len(lat)-1))]) / 1e3 }
+	b.ReportMetric(float64(b.N)/elapsed.Seconds(), "admissions/s")
+	b.ReportMetric(us(0.5), "p50-us")
+	b.ReportMetric(us(0.99), "p99-us")
+	b.ReportMetric(us(1), "max-us")
+	b.ReportMetric(float64(admitted.Load())/float64(b.N), "admit-ratio")
+}
+
 // rung is one level of the ladder as climb drives it.
 type rung struct {
 	admit func(job core.Job, observe bool) error
@@ -249,7 +355,7 @@ func buildRung(t *testing.T, name string) rung {
 	}
 	fs := &countingFS{}
 	p, _, err := OpenPlane(Config{
-		FS: fs, Dir: t.TempDir(), Procs: procs, Shards: 1, ProbeK: 1,
+		FS: fs, Dir: t.TempDir(), Procs: procs,
 		Store: StoreOptions{Sync: policy, SnapshotEvery: 1 << 20},
 	})
 	if err != nil {

@@ -25,10 +25,10 @@ type Config struct {
 	// Procs is the machine size used when the directory holds no prior
 	// state (required); a recovered plane keeps its recovered shape.
 	Procs int
-	// Shards is the number of admission shards (default 1, where the
-	// plane is the monolithic arbitrator and costs what it costs).
+	// Shards may be 0 or 1: the durable plane is one shard, and OpenPlane
+	// refuses more.  Sharding is fed's, unproven on the served path.
 	Shards int
-	// ProbeK is the router's probe fan-out (fed.Config.ProbeK).
+	// ProbeK is unused: one shard has nothing to probe.
 	ProbeK int
 	// Store tunes the log (sync policy, snapshot cadence).
 	Store StoreOptions
@@ -40,8 +40,8 @@ type Config struct {
 	Metrics *Metrics
 }
 
-// Plane is a durable admission plane: one fed.Arbitrator, at any shard
-// count, whose every committed decision is journaled to a write-ahead log
+// Plane is a durable admission plane: one fed.Arbitrator at one shard,
+// whose every committed decision is journaled to a write-ahead log
 // before it is acknowledged.  It implements the same agent-facing surface
 // (qosnet.Arbitrator), so servers and workloads run against it unchanged.
 //
@@ -71,7 +71,7 @@ type Plane struct {
 	grants   map[int]GrantRecord
 	delta    []grantDelta
 	lastShed qos.ShedDecision
-	// cut is the shards' state the last seal took, exported into the same
+	// cut is the scheduler's state the last seal took, exported into the same
 	// slices each time (fed.Arbitrator.ExportStateInto); it belongs to the
 	// checkpoint in flight, and the next cut is taken only once that one
 	// is over.
@@ -157,11 +157,10 @@ func OpenPlane(cfg Config) (*Plane, Recovered, error) { return openTapped(cfg, n
 // own subscription to its arbitrator's decisions (the observer ≡ journal
 // test listens there).
 func openTapped(cfg Config, tap func(qos.Decision)) (*Plane, Recovered, error) {
-	shards := cfg.Shards
-	if shards < 1 {
-		shards = 1
+	if cfg.Shards > 1 {
+		return nil, Recovered{}, fmt.Errorf("durable: %d shards: the durable plane is one shard", cfg.Shards)
 	}
-	genesis, err := genesis(cfg.Procs, shards, 0)
+	genesis, err := genesis(cfg.Procs, 0)
 	if err != nil {
 		return nil, Recovered{}, err
 	}
@@ -182,8 +181,7 @@ func openTapped(cfg Config, tap func(qos.Decision)) (*Plane, Recovered, error) {
 		observer = func(d qos.Decision) { tap(d); p.observe(d) }
 	}
 	arb, err := fed.New(fed.Config{
-		Procs: st.procs(), Shards: len(st.Shards), ProbeK: cfg.ProbeK,
-		Observer: observer,
+		Procs: st.Shards[0].Profile.Capacity, Shards: 1, Observer: observer,
 	})
 	if err != nil {
 		store.Close()
@@ -220,12 +218,12 @@ func openTapped(cfg Config, tap func(qos.Decision)) (*Plane, Recovered, error) {
 // observe is the plane's subscription to its arbitrator's decision stream.
 // An admission, a rejection and a clock advance are journaled by the
 // operation that asked for them, which knows what its caller is owed; a
-// capacity move has no such operation (the rebalancer resizes shards one
+// capacity move has no such operation (the rebalancer resizes the shard one
 // processor at a time), so it is journaled here.  It fires under the shard
 // lock inside a plane-locked operation, so the record lands in the plane's
 // decision order, and it is flushed there too: resizes are rare.  An
 // observer cannot return an error; a failed append poisons the store, and
-// SetTotalCapacity/Rebalance report that once the rebalancer returns.
+// SetTotalCapacity reports that once the rebalancer returns.
 func (p *Plane) observe(d qos.Decision) {
 	if d.Kind == qos.KindResize {
 		_, _ = p.store.Append(&Record{Kind: KindCapacity, Shard: d.Shard, Procs: d.Procs})
@@ -243,11 +241,10 @@ func (p *Plane) poisonedLocked() error {
 
 // SetTotalCapacity resizes the plane toward total processors under the
 // plane lock, journaling one KindCapacity record per single-processor
-// shard resize (the fed rebalancer's unit of work), so recovery
-// reconstructs the exact post-resize shard shapes.  Growth
-// always succeeds; shrink stops early when no shard can give up a
-// processor without preempting a committed reservation, returning the
-// achieved total alongside the shortfall error.
+// resize (the fed rebalancer's unit of work), so recovery reconstructs the
+// exact capacity.  Growth always succeeds; shrink stops early when the
+// shard cannot give up a processor without preempting a committed
+// reservation, returning the achieved total alongside the shortfall error.
 func (p *Plane) SetTotalCapacity(total int) (int, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -264,36 +261,15 @@ func (p *Plane) SetTotalCapacity(total int) (int, error) {
 	return got, err
 }
 
-// rebalance runs up to maxMoves processor migrations (len(shards) when
-// maxMoves <= 0) under the plane lock; every move journals its two
-// shard resizes before the plane acknowledges anything else.
-func (p *Plane) rebalance(maxMoves int) (int, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if err := p.poisonedLocked(); err != nil {
-		return 0, err
-	}
-	moved := p.arb.Rebalancer().Rebalance(maxMoves)
-	if err := p.poisonedLocked(); err != nil {
-		return moved, err
-	}
-	p.maybeSnapshotLocked()
-	return moved, nil
-}
-
 // AttachBroker makes the durable plane's total capacity follow a
 // resource broker's pool (resbroker.Broker.Follow): every significant
 // machine registration or deregistration resizes the plane to the
-// broker's total and runs a rebalancing pass — with every resize
-// journaled, so a crash between broker events recovers the exact capacity
-// the live pool had.  The returned stop function detaches the follower.
+// broker's total — with every resize journaled, so a crash between broker
+// events recovers the exact capacity the live pool had.  A partial shrink
+// or a poisoned plane leaves the next event to retry.  The returned stop
+// function detaches the follower.
 func (p *Plane) AttachBroker(b *resbroker.Broker, threshold int) (stop func()) {
-	return b.Follow(p.Procs(), threshold, func(procs int) {
-		if _, err := p.SetTotalCapacity(procs); err != nil {
-			return // partial shrink or poisoned plane; next event retries
-		}
-		_, _ = p.rebalance(0)
-	})
+	return b.Follow(p.Procs(), threshold, func(procs int) { _, _ = p.SetTotalCapacity(procs) })
 }
 
 // Err returns the store's poison error, if any: non-nil means a write,
@@ -365,9 +341,6 @@ func (p *Plane) negotiateLocked(job core.Job, lrec *phase.Rec) (*qos.Grant, erro
 	g, err := p.arb.NegotiateTimed(job, lrec)
 	if err != nil {
 		if errors.Is(err, qos.ErrRejected) {
-			// Rejections count on shard 0 in the journal; per-shard
-			// rejection attribution is diagnostics, not durable state
-			// (the oracle compares plane-merged counters).
 			rec := &Record{Kind: KindReject, JobID: job.ID, Tenant: job.Tenant, Class: job.Class}
 			if aerr := p.writeLocked(rec); aerr != nil {
 				return nil, aerr
@@ -509,7 +482,7 @@ func (p *Plane) maybeSnapshotLocked() {
 
 // checkpointLocked starts a checkpoint at the log head unless one is still
 // running, and returns the one now in flight.  What the call itself pays is
-// the cut: the clock, the shards' profiles copied into the last cut's
+// the cut: the clock, the profile copied into the last cut's
 // slices, and a fresh segment.  The grant set is not walked — the
 // checkpoint's goroutine folds it from delta — and the one before is
 // collected on the way.

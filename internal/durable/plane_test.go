@@ -35,12 +35,9 @@ func planeStream(n int, seed int64) []core.Job {
 	return p.Stream(workload.NewPoisson(6, seed), n, workload.Tunable)
 }
 
-func openPlane(t *testing.T, fs vfs.FS, shards int, opts StoreOptions) (*Plane, Recovered) {
+func openPlane(t *testing.T, fs vfs.FS, opts StoreOptions) (*Plane, Recovered) {
 	t.Helper()
-	p, rec, err := OpenPlane(Config{
-		FS: fs, Dir: "log", Procs: 16, Shards: shards, ProbeK: 1,
-		Store: opts,
-	})
+	p, rec, err := OpenPlane(Config{FS: fs, Dir: "log", Procs: 16, Store: opts})
 	if err != nil {
 		t.Fatalf("open plane: %v", err)
 	}
@@ -135,45 +132,103 @@ func (s *script) cut(lsn uint64) {
 	}
 }
 
+// The durable plane is one shard: OpenPlane refuses more.
+func TestOpenPlaneRefusesShards(t *testing.T) {
+	p, _, err := OpenPlane(Config{FS: vfs.NewMem(), Dir: "log", Procs: 16, Shards: 2})
+	if err == nil || !strings.Contains(err.Error(), "2 shards") {
+		t.Fatalf("OpenPlane at 2 shards returned %v, want an error that names the count", err)
+	}
+	if p != nil {
+		t.Fatal("OpenPlane at 2 shards returned a plane")
+	}
+}
+
+// A snapshot that declares two shards is a corrupt log, not a plane to
+// recover: opening it fails and names the count.
+func TestRecoveryRefusesAMultiShardSnapshot(t *testing.T) {
+	mem := vfs.NewMem()
+	half, err := genesis(8, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := State{LSN: 5, Now: 3, Shards: []core.SchedulerState{half.Shards[0], half.Shards[0]}}
+	if err := mem.MkdirAll("log"); err != nil {
+		t.Fatal(err)
+	}
+	f, err := mem.Create("log/" + snapName(st.LSN))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(snapshotFile(&st)); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	if _, _, err := OpenPlane(Config{FS: mem, Dir: "log", Procs: 16}); err == nil || !strings.Contains(err.Error(), "declares 2 shards") {
+		t.Fatalf("open over a two-shard snapshot returned %v, want an error that names the count", err)
+	}
+}
+
+// A record that names shard 1 is a corrupt log too: opening it fails and
+// names the shard.
+func TestRecoveryRefusesARecordOnAnotherShard(t *testing.T) {
+	mem := vfs.NewMem()
+	gen, err := genesis(16, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, _, err := open(openConfig{FS: mem, Dir: "log", Genesis: gen})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Append(&Record{Kind: KindAdmit, Shard: 1, JobID: 7, Quality: 1,
+		Tasks: []core.TaskPlacement{{Task: 0, Procs: 2, Start: 0, Finish: 4}}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := OpenPlane(Config{FS: mem, Dir: "log", Procs: 16}); err == nil || !strings.Contains(err.Error(), "names shard 1") {
+		t.Fatalf("open over a record on shard 1 returned %v, want an error that names the shard", err)
+	}
+}
+
 // TestPlaneReopenIsExact: close and reopen at any point; the recovered
 // plane must be bitwise-identical to the one that kept running, and must
 // keep making identical decisions afterwards.
 func TestPlaneReopenIsExact(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		for _, snapEvery := range []int{4, 1 << 20} {
-			jobs := planeStream(300, 11)
-			mem := vfs.NewMem()
-			p, _ := openPlane(t, mem, shards, StoreOptions{SnapshotEvery: snapEvery})
-			ref, _, err := OpenPlane(Config{FS: vfs.NewMem(), Dir: "ref", Procs: 16, Shards: shards, ProbeK: 1,
-				Store: StoreOptions{SnapshotEvery: snapEvery}})
-			if err != nil {
-				t.Fatal(err)
-			}
+	for _, snapEvery := range []int{4, 1 << 20} {
+		jobs := planeStream(300, 11)
+		mem := vfs.NewMem()
+		p, _ := openPlane(t, mem, StoreOptions{SnapshotEvery: snapEvery})
+		ref, _, err := OpenPlane(Config{FS: vfs.NewMem(), Dir: "ref", Procs: 16,
+			Store: StoreOptions{SnapshotEvery: snapEvery}})
+		if err != nil {
+			t.Fatal(err)
+		}
 
-			cut := 170
-			drive(t, p.Observe, p.Negotiate, jobs[:cut])
-			drive(t, ref.Observe, ref.Negotiate, jobs[:cut])
-			if err := p.Close(); err != nil {
-				t.Fatal(err)
-			}
-			p2, rec := openPlane(t, mem, shards, StoreOptions{SnapshotEvery: snapEvery})
-			got := p2.ExportState()
-			want := ref.ExportState()
-			if err := DiffStates(&got, &want); err != nil {
-				t.Fatalf("shards=%d snapEvery=%d: recovered state diverged: %v (recovery %+v)",
-					shards, snapEvery, err, rec)
-			}
+		cut := 170
+		drive(t, p.Observe, p.Negotiate, jobs[:cut])
+		drive(t, ref.Observe, ref.Negotiate, jobs[:cut])
+		if err := p.Close(); err != nil {
+			t.Fatal(err)
+		}
+		p2, rec := openPlane(t, mem, StoreOptions{SnapshotEvery: snapEvery})
+		got := p2.ExportState()
+		want := ref.ExportState()
+		if err := DiffStates(&got, &want); err != nil {
+			t.Fatalf("snapEvery=%d: recovered state diverged: %v (recovery %+v)",
+				snapEvery, err, rec)
+		}
 
-			// The recovered plane keeps deciding identically.
-			gp := drive(t, p2.Observe, p2.Negotiate, jobs[cut:])
-			gr := drive(t, ref.Observe, ref.Negotiate, jobs[cut:])
-			if len(gp) != len(gr) {
-				t.Fatalf("shards=%d: post-recovery grants %d vs %d", shards, len(gp), len(gr))
-			}
-			got, want = p2.ExportState(), ref.ExportState()
-			if err := DiffStates(&got, &want); err != nil {
-				t.Fatalf("shards=%d: post-recovery divergence: %v", shards, err)
-			}
+		// The recovered plane keeps deciding identically.
+		gp := drive(t, p2.Observe, p2.Negotiate, jobs[cut:])
+		gr := drive(t, ref.Observe, ref.Negotiate, jobs[cut:])
+		if len(gp) != len(gr) {
+			t.Fatalf("snapEvery=%d: post-recovery grants %d vs %d", snapEvery, len(gp), len(gr))
+		}
+		got, want = p2.ExportState(), ref.ExportState()
+		if err := DiffStates(&got, &want); err != nil {
+			t.Fatalf("snapEvery=%d: post-recovery divergence: %v", snapEvery, err)
 		}
 	}
 }
@@ -186,8 +241,8 @@ func TestPlaneCrashLosesNothingUnderSyncAlways(t *testing.T) {
 	for _, cut := range []int{150, 149, 97, 40} {
 		mem := vfs.NewMem()
 		opts := StoreOptions{Sync: SyncAlways, SnapshotEvery: 8}
-		p, _ := openPlane(t, mem, 2, opts)
-		sc := script{cfg: Config{Procs: 16, Shards: 2, ProbeK: 1, Store: opts}}
+		p, _ := openPlane(t, mem, opts)
+		sc := script{cfg: Config{Procs: 16, Store: opts}}
 		acked := map[int]float64{}
 		var grantLSN uint64
 		for _, job := range jobs[:cut] {
@@ -203,7 +258,7 @@ func TestPlaneCrashLosesNothingUnderSyncAlways(t *testing.T) {
 		}
 		crash(t, p, mem)
 
-		p2, _ := openPlane(t, mem, 2, StoreOptions{})
+		p2, _ := openPlane(t, mem, StoreOptions{})
 		got := p2.ExportState()
 		if got.LSN < grantLSN {
 			t.Fatalf("cut=%d: recovered lsn %d, the last acknowledged grant is record %d", cut, got.LSN, grantLSN)
@@ -249,8 +304,8 @@ func TestPlaneCompletionSurvivesRecovery(t *testing.T) {
 	later := planeStream(41, 17)[40]
 	for _, flushed := range []bool{true, false} {
 		mem := vfs.NewMem()
-		p, _ := openPlane(t, mem, 1, StoreOptions{})
-		sc := script{cfg: Config{Procs: 16, Shards: 1, ProbeK: 1}}
+		p, _ := openPlane(t, mem, StoreOptions{})
+		sc := script{cfg: Config{Procs: 16}}
 		for _, job := range jobs {
 			p.Observe(job.Release)
 			sc.did(p, func(q *Plane) { q.Observe(job.Release) })
@@ -276,7 +331,7 @@ func TestPlaneCompletionSurvivesRecovery(t *testing.T) {
 		}
 		crash(t, p, mem)
 
-		p2, _ := openPlane(t, mem, 1, StoreOptions{})
+		p2, _ := openPlane(t, mem, StoreOptions{})
 		got := p2.ExportState()
 		want := sc.at(t, got.LSN)
 		if err := DiffStates(&got, &want); err != nil {
@@ -307,7 +362,7 @@ func TestShedderNeverResurrectsSheds(t *testing.T) {
 		TenantQuota: map[string]float64{"": 0.2}, // the stream's one tenant, tightly: plenty of sheds
 	}
 	cfg := Config{
-		FS: mem, Dir: "log", Procs: 16, Shards: 2, ProbeK: 1,
+		FS: mem, Dir: "log", Procs: 16,
 		Store: StoreOptions{SnapshotEvery: 16},
 		Shed:  shed,
 	}
@@ -343,7 +398,7 @@ func TestShedderNeverResurrectsSheds(t *testing.T) {
 	crash(t, p, mem)
 
 	p2, rec, err := OpenPlane(Config{
-		FS: mem, Dir: "log", Procs: 16, Shards: 2, ProbeK: 1, Shed: shed,
+		FS: mem, Dir: "log", Procs: 16, Shed: shed,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -373,7 +428,7 @@ func TestShedderNeverResurrectsSheds(t *testing.T) {
 func TestPlanePoisonedRefusesDecisions(t *testing.T) {
 	boom := errors.New("dead disk")
 	ft := vfs.NewFault(vfs.NewMem())
-	p, _ := openPlane(t, ft, 1, StoreOptions{})
+	p, _ := openPlane(t, ft, StoreOptions{})
 	jobs := planeStream(10, 23)
 	drive(t, p.Observe, p.Negotiate, jobs[:3])
 
@@ -415,7 +470,7 @@ func TestPlaneLeaksNoDescriptor(t *testing.T) {
 	jobs := planeStream(40, 29)
 	open := func(fs vfs.FS, dir string) *Plane {
 		p, _, err := OpenPlane(Config{
-			FS: fs, Dir: dir, Procs: 16, Shards: 1, ProbeK: 1,
+			FS: fs, Dir: dir, Procs: 16,
 			Store: StoreOptions{Sync: SyncAlways, SnapshotEvery: 1 << 20},
 		})
 		if err != nil {
@@ -471,7 +526,7 @@ func TestPlaneMetricsPopulated(t *testing.T) {
 	met := NewMetrics(reg)
 	mem := vfs.NewMem()
 	p, _, err := OpenPlane(Config{
-		FS: mem, Dir: "log", Procs: 16, Shards: 1,
+		FS: mem, Dir: "log", Procs: 16,
 		Store: StoreOptions{SnapshotEvery: 8}, Metrics: met,
 	})
 	if err != nil {
@@ -500,11 +555,9 @@ func TestPlaneMetricsPopulated(t *testing.T) {
 }
 
 // TestOneShardPlaneIsTracedAndTimed: a served admission has one timer, its
-// phase record, and reads the same at every shard count.  Over a real
-// socket, at one shard and at four, granted and rejected: the latency
-// waterfall is route, plan (one shard plans under its lock) or probe (a
-// router plans in its probes), reserve, journal and ack summing to the
-// end-to-end time; the span tree is the server's qosnet.negotiate arrival
+// phase record.  Over a real socket, granted and rejected: the latency
+// waterfall is route, plan (the shard plans under its lock), reserve,
+// journal and ack summing to the end-to-end time, and no probe; the span tree is the server's qosnet.negotiate arrival
 // span over one child per phase that took time — stages route, plan,
 // reserve, then journal and ack — laid end to end; and the two are the same
 // numbers: each child lasts its phase's Durs entry, the children sum to the
@@ -513,23 +566,20 @@ func TestPlaneMetricsPopulated(t *testing.T) {
 // an untraced one does.
 func TestOneShardPlaneIsTracedAndTimed(t *testing.T) {
 	grantable := planeStream(1, 5)[0]
-	// Wider than a shard of the four-shard plane, narrower than the
-	// machine: a valid job that every probe refuses.
-	tooWide := workload.FigureJob{X: 8, T: 25, Alpha: 0.25, Laxity: 0.5}.Job(1, 0, workload.Tunable)
+	// Wider than the machine: a valid job the plane refuses.
+	tooWide := workload.FigureJob{X: 32, T: 25, Alpha: 0.25, Laxity: 0.5}.Job(1, 0, workload.Tunable)
 	for _, tc := range []struct {
 		name       string
-		shards     int
 		job        core.Job
 		rejected   bool
 		sampledOut bool
 	}{
-		{"shards=1/granted", 1, grantable, false, false},
-		{"shards=4/granted", 4, grantable, false, false},
-		{"shards=4/rejected", 4, tooWide, true, false},
-		{"shards=4/sampled-out", 4, tooWide, true, true},
+		{"shards=1/granted", grantable, false, false},
+		{"shards=1/rejected", tooWide, true, false},
+		{"shards=1/sampled-out", tooWide, true, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			p, _ := openPlane(t, vfs.NewMem(), tc.shards, StoreOptions{})
+			p, _ := openPlane(t, vfs.NewMem(), StoreOptions{})
 			defer p.Close()
 			srv, err := qosnet.ListenAndServe(p, "127.0.0.1:0")
 			if err != nil {
@@ -561,12 +611,8 @@ func TestOneShardPlaneIsTracedAndTimed(t *testing.T) {
 				sum += d
 			}
 			d := ex[0].Durs
-			planned, unused := phase.Plan, phase.Probe
-			if tc.shards > 1 {
-				planned, unused = phase.Probe, phase.Plan
-			}
-			if sum != ex[0].Total || d[unused] != 0 || d[planned] <= 0 || d[phase.Reserve] <= 0 || d[phase.Journal] <= 0 {
-				t.Fatalf("waterfall %v does not read route/%v/reserve/journal/ack summing to %d", d, planned, ex[0].Total)
+			if sum != ex[0].Total || d[phase.Probe] != 0 || d[phase.Plan] <= 0 || d[phase.Reserve] <= 0 || d[phase.Journal] <= 0 {
+				t.Fatalf("waterfall %v does not read route/plan/reserve/journal/ack summing to %d", d, ex[0].Total)
 			}
 
 			if tc.sampledOut {
@@ -625,29 +671,6 @@ func TestOneShardPlaneIsTracedAndTimed(t *testing.T) {
 	}
 }
 
-// TestPlaneRebalanceJournalsCapacity: a rebalancer migration lands in the
-// journal and survives recovery.
-func TestPlaneRebalanceJournalsCapacity(t *testing.T) {
-	mem := vfs.NewMem()
-	p, _ := openPlane(t, mem, 4, StoreOptions{})
-	// Load shard-asymmetric work through the router, then move capacity.
-	drive(t, p.Observe, p.Negotiate, planeStream(80, 31))
-	moved, err := p.rebalance(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if moved == 0 {
-		t.Skip("no migration possible on this workload")
-	}
-	want := p.ExportState()
-	crash(t, p, mem)
-	p2, _ := openPlane(t, mem, 4, StoreOptions{})
-	got := p2.ExportState()
-	if err := DiffStates(&got, &want); err != nil {
-		t.Fatalf("capacity move lost in recovery: %v", err)
-	}
-}
-
 // eagerGrants is the differential reference for the plane's lazy live set:
 // the grant bookkeeping as it was kept before — a map from which every
 // clock advance walks out the elapsed grants, eagerly.
@@ -702,24 +725,22 @@ func sameGrants(got, want []GrantRecord) error {
 // checkEvery 9 they run rarely, so elapsed entries stay in the map between
 // sweeps and the readers that must not see them are exercised.
 func TestPlaneLazyLiveSetMatchesEagerReference(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		for _, checkEvery := range []int{1, 9} {
-			t.Run(fmt.Sprintf("shards=%d/checkEvery=%d", shards, checkEvery), func(t *testing.T) {
-				lazyLiveSetDifferential(t, shards, checkEvery)
-			})
-		}
+	for _, checkEvery := range []int{1, 9} {
+		t.Run(fmt.Sprintf("shards=1/checkEvery=%d", checkEvery), func(t *testing.T) {
+			lazyLiveSetDifferential(t, checkEvery)
+		})
 	}
 }
 
-func lazyLiveSetDifferential(t *testing.T, shards, checkEvery int) {
+func lazyLiveSetDifferential(t *testing.T, checkEvery int) {
 	const ops = 600
-	rng := rand.New(rand.NewSource(int64(41*shards + checkEvery)))
+	rng := rand.New(rand.NewSource(int64(41 + checkEvery)))
 	tmpl := workload.FigureJob{X: 4, T: 25, Alpha: 0.25, Laxity: 0.5}
 	mem := vfs.NewMem()
 	opts := StoreOptions{SnapshotEvery: 32}
-	p, _ := openPlane(t, mem, shards, opts)
+	p, _ := openPlane(t, mem, opts)
 
-	sc := script{cfg: Config{Procs: 16, Shards: shards, ProbeK: 1, Store: opts}}
+	sc := script{cfg: Config{Procs: 16, Store: opts}}
 	ref := &eagerGrants{grants: map[int]GrantRecord{}}
 	var (
 		wantLSN    uint64
@@ -860,7 +881,7 @@ func lazyLiveSetDifferential(t *testing.T, shards, checkEvery int) {
 			}
 			crash(t, p, mem)
 			var rec Recovered
-			p, rec = openPlane(t, mem, shards, opts)
+			p, rec = openPlane(t, mem, opts)
 			// What was written since the last grant was acknowledged without
 			// a flush and may be gone; the recovered plane is the plane as
 			// it stood at the LSN it recovered, bit for bit.
@@ -925,7 +946,7 @@ func TestOverlongTenantIsRefusedBeforeDeciding(t *testing.T) {
 	for _, shed := range []bool{false, true} {
 		t.Run(fmt.Sprintf("shed=%v", shed), func(t *testing.T) {
 			mem := vfs.NewMem()
-			cfg := Config{FS: mem, Dir: "log", Procs: 16, Shards: 1, Store: StoreOptions{Sync: SyncAlways}}
+			cfg := Config{FS: mem, Dir: "log", Procs: 16, Store: StoreOptions{Sync: SyncAlways}}
 			if shed {
 				cfg.Shed = &qos.ShedConfig{Capacity: 16}
 			}

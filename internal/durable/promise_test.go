@@ -25,7 +25,7 @@ import (
 func TestGrantIsSharedReadOnly(t *testing.T) {
 	const callers, perCaller = 4, 250
 	disk := vfs.NewMem()
-	p, _ := openPlane(t, disk, 1, StoreOptions{Sync: syncNever, SnapshotEvery: 32})
+	p, _ := openPlane(t, disk, StoreOptions{Sync: syncNever, SnapshotEvery: 32})
 	srv, err := qosnet.ListenAndServe(p, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -120,7 +120,7 @@ func TestGrantIsSharedReadOnly(t *testing.T) {
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
 	}
-	r, rec := openPlane(t, disk, 1, StoreOptions{Sync: syncNever, SnapshotEvery: 32})
+	r, rec := openPlane(t, disk, StoreOptions{Sync: syncNever, SnapshotEvery: 32})
 	defer r.Close()
 	if err := DiffStates(&rec.State, &live); err != nil {
 		t.Fatalf("recovered state diverged from the live export: %v", err)
@@ -149,7 +149,7 @@ func TestLongChainGrantOverflowsTheBox(t *testing.T) {
 		t.Fatal(err)
 	}
 	disk := vfs.NewMem()
-	p, _ := openPlane(t, disk, 1, StoreOptions{Sync: SyncAlways})
+	p, _ := openPlane(t, disk, StoreOptions{Sync: SyncAlways})
 	srv, err := qosnet.ListenAndServe(p, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -182,7 +182,7 @@ func TestLongChainGrantOverflowsTheBox(t *testing.T) {
 	}
 	live := p.ExportState()
 	crash(t, p, disk)
-	r, rec := openPlane(t, disk, 1, StoreOptions{Sync: SyncAlways})
+	r, rec := openPlane(t, disk, StoreOptions{Sync: SyncAlways})
 	defer r.Close()
 	if err := DiffStates(&rec.State, &live); err != nil {
 		t.Fatalf("recovered state diverged from the live export: %v", err)

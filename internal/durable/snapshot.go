@@ -37,48 +37,31 @@ func (g *GrantRecord) finish() float64 {
 }
 
 // State is the complete durable state of an admission plane at one log
-// position: the clock, every shard's scheduler state and the set of live
-// grants (committed reservations that have not completed).
+// position: the clock, the scheduler's state and the set of live grants
+// (committed reservations that have not completed).
 type State struct {
 	// LSN is the last log record reflected in this state (0 = genesis).
 	LSN uint64
 	// Now is the plane's observed clock.
 	Now float64
-	// Shards holds one scheduler state per shard (one entry for the
-	// monolith).
+	// Shards holds the plane's scheduler state.  The format has a list;
+	// the durable plane is one shard, and recovery refuses any other count.
 	Shards []core.SchedulerState
 	// Grants is the live grant set, sorted by job ID.
 	Grants []GrantRecord
 }
 
-// genesis returns the empty state of a plane with procs processors split
-// across `shards` partitions from time origin — exactly fed.New's
-// partition (the first procs mod shards shards hold one extra), so a
-// recovered plane and a fresh one agree on shard shapes.
-func genesis(procs, shards int, origin float64) (State, error) {
+// genesis returns the empty state of a plane with procs processors from
+// time origin: one shard that holds them all.
+func genesis(procs int, origin float64) (State, error) {
 	if procs < 1 {
 		return State{}, fmt.Errorf("durable: genesis needs at least 1 processor, got %d", procs)
 	}
-	if shards < 1 {
-		shards = 1
-	}
-	if shards > procs {
-		return State{}, fmt.Errorf("durable: %d shards for %d processors", shards, procs)
-	}
-	st := State{Shards: make([]core.SchedulerState, shards), Now: origin}
-	base, rem := procs/shards, procs%shards
-	for i := 0; i < shards; i++ {
-		p := base
-		if i < rem {
-			p++
-		}
-		st.Shards[i] = core.SchedulerState{Profile: core.ProfileState{
-			Capacity: p,
-			Times:    []float64{origin},
-			Used:     []int{0},
-		}}
-	}
-	return st, nil
+	return State{Now: origin, Shards: []core.SchedulerState{{Profile: core.ProfileState{
+		Capacity: procs,
+		Times:    []float64{origin},
+		Used:     []int{0},
+	}}}}, nil
 }
 
 // prune drops grants whose reservations have fully elapsed (finish at or
@@ -106,15 +89,6 @@ func (s *State) prune() {
 	}
 	s.Grants = live
 	slices.SortFunc(s.Grants, func(a, b GrantRecord) int { return cmp.Compare(a.JobID, b.JobID) })
-}
-
-// procs returns the plane's total processor count.
-func (s *State) procs() int {
-	total := 0
-	for _, sh := range s.Shards {
-		total += sh.Profile.Capacity
-	}
-	return total
 }
 
 const (

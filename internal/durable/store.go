@@ -999,17 +999,19 @@ func (s *store) Close() error {
 	return err
 }
 
-// replayState rebuilds schedulers from base and applies recs in log order,
-// returning the resulting state.  Replay applies committed decisions
-// verbatim — it never re-plans — so the result is bit-exact.
+// replayState rebuilds the scheduler from base and applies recs in log
+// order, returning the resulting state.  Replay applies committed decisions
+// verbatim — it never re-plans — so the result is bit-exact.  The durable
+// plane is one shard: a snapshot that declares another count, or a record
+// that names a shard other than 0, is a corrupt log, and refused.
 func replayState(base State, recs []Record) (State, error) {
-	scheds := make([]*core.Scheduler, len(base.Shards))
-	for i, sh := range base.Shards {
-		sc := core.NewScheduler(max(sh.Profile.Capacity, 1), 0, nil)
-		if err := sc.RestoreState(sh); err != nil {
-			return State{}, fmt.Errorf("shard %d: %w", i, err)
-		}
-		scheds[i] = sc
+	if len(base.Shards) != 1 {
+		return State{}, fmt.Errorf("corrupt log: snapshot at lsn %d declares %d shards, the durable plane has 1", base.LSN, len(base.Shards))
+	}
+	sh := base.Shards[0]
+	sc := core.NewScheduler(max(sh.Profile.Capacity, 1), 0, nil)
+	if err := sc.RestoreState(sh); err != nil {
+		return State{}, err
 	}
 	st := State{
 		LSN:    base.LSN,
@@ -1017,49 +1019,35 @@ func replayState(base State, recs []Record) (State, error) {
 		Grants: append([]GrantRecord(nil), base.Grants...),
 	}
 	for i := range recs {
-		if err := applyRecord(&st, scheds, &recs[i]); err != nil {
+		if err := applyRecord(&st, sc, &recs[i]); err != nil {
 			return State{}, fmt.Errorf("record lsn=%d kind=%s: %w", recs[i].LSN, recs[i].Kind, err)
 		}
 		st.LSN = recs[i].LSN
 	}
-	st.Shards = make([]core.SchedulerState, len(scheds))
-	for i, sc := range scheds {
-		st.Shards[i] = sc.ExportState()
-	}
+	st.Shards = []core.SchedulerState{sc.ExportState()}
 	// Mirror the live plane, which drops elapsed grants as its clock
 	// advances: prune by the final recovered clock.
 	st.prune()
 	return st, nil
 }
 
-func applyRecord(st *State, scheds []*core.Scheduler, r *Record) error {
-	shardOK := func() error {
-		if r.Shard < 0 || r.Shard >= len(scheds) {
-			return fmt.Errorf("shard %d out of range (%d shards)", r.Shard, len(scheds))
-		}
-		return nil
+func applyRecord(st *State, sc *core.Scheduler, r *Record) error {
+	if r.Shard != 0 {
+		return fmt.Errorf("corrupt log: names shard %d, the durable plane has only shard 0", r.Shard)
 	}
 	switch r.Kind {
 	case KindObserve:
 		if r.Now > st.Now {
-			for _, sc := range scheds {
-				sc.Observe(r.Now)
-			}
+			sc.Observe(r.Now)
 			st.Now = r.Now
 		}
 	case KindCapacity:
-		if err := shardOK(); err != nil {
-			return err
-		}
-		if err := scheds[r.Shard].SetCapacity(r.Procs); err != nil {
+		if err := sc.SetCapacity(r.Procs); err != nil {
 			return err
 		}
 	case KindAdmit, kindRenegotiate:
-		if err := shardOK(); err != nil {
-			return err
-		}
 		pl := &core.Placement{JobID: r.JobID, Chain: r.Chain, Tasks: r.Tasks}
-		if err := scheds[r.Shard].ReplayCommit(pl, r.Quality, r.Tunable); err != nil {
+		if err := sc.ReplayCommit(pl, r.Quality, r.Tunable); err != nil {
 			return err
 		}
 		g := GrantRecord{
@@ -1078,10 +1066,7 @@ func applyRecord(st *State, scheds []*core.Scheduler, r *Record) error {
 		}
 		st.Grants = append(st.Grants, g)
 	case KindReject:
-		if err := shardOK(); err != nil {
-			return err
-		}
-		scheds[r.Shard].NoteRejected()
+		sc.NoteRejected()
 	case kindShed:
 		// Shed jobs never touched a scheduler; the record exists so
 		// recovery can prove they did not reappear as grants.

@@ -15,7 +15,7 @@ import (
 
 func openMem(t *testing.T, fs vfs.FS, opts StoreOptions) (*store, Recovered) {
 	t.Helper()
-	gen, err := genesis(8, 2, 0)
+	gen, err := genesis(8, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func TestStoreOpenGenesisAndReopen(t *testing.T) {
 	if rec.Records != 0 || rec.Torn || rec.SnapshotLSN != 0 {
 		t.Fatalf("genesis recovery = %+v", rec)
 	}
-	if got := rec.State.procs(); got != 8 {
+	if got := rec.State.Shards[0].Profile.Capacity; got != 8 {
 		t.Fatalf("genesis procs = %d", got)
 	}
 	for i := 1; i <= 5; i++ {
@@ -132,7 +132,7 @@ func TestStoreSnapshotCompaction(t *testing.T) {
 // store's genesis shape.
 func (s *store) mustState(t *testing.T) State {
 	t.Helper()
-	st, err := genesis(8, 2, 0)
+	st, err := genesis(8, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +216,7 @@ func TestStoreBitFlipStopsReplay(t *testing.T) {
 	// durable_torn_tails counts the recoveries that stopped at a torn tail:
 	// this one, and not the clean reopen after it.
 	met := NewMetrics(obs.NewRegistry())
-	gen, err := genesis(8, 2, 0)
+	gen, err := genesis(8, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,10 +268,10 @@ func TestAppendIssuesOneWritePerRecord(t *testing.T) {
 	s, _ := openMem(t, ft, StoreOptions{})
 	recs := []Record{
 		{Kind: KindObserve, Now: 1.5},
-		{Kind: KindAdmit, Shard: 1, JobID: 7, Chain: 1, Quality: 0.75, Tunable: true, Tenant: "acme", Class: 2,
+		{Kind: KindAdmit, JobID: 7, Chain: 1, Quality: 0.75, Tunable: true, Tenant: "acme", Class: 2,
 			Tasks: []core.TaskPlacement{{Task: 0, Procs: 2, Start: 2, Finish: 4}, {Task: 1, Procs: 1, Start: 4, Finish: 9}}},
 		{Kind: KindReject, JobID: 8, Tenant: "acme"},
-		{Kind: kindComplete, Shard: 1, JobID: 7, Finish: 8},
+		{Kind: kindComplete, JobID: 7, Finish: 8},
 		{Kind: KindObserve, Now: 9}, // shorter than the frame before it: the reused buffer must not leak a tail
 	}
 	var want bytes.Buffer

@@ -1,9 +1,17 @@
 // Package fed is the system-wide QoS arbitrator (Section 3 of the paper):
 // the one admission plane every production path builds — junctiond (under
-// the durable plane), the Fig-5/6 experiments, the campaign, tunesim and
-// the milan facade.  The machine's processor pool is partitioned across N
-// shards (one by default), each wrapping its own core.Scheduler behind its
-// own lock.
+// the durable plane, always at one shard), the Fig-5/6 experiments, the
+// campaign, tunesim and the milan facade.  The machine's processor pool is
+// partitioned across N shards (one by default), each wrapping its own
+// core.Scheduler behind its own lock.
+//
+// Sharding is unproven on the 2-core hosts this repository is measured on:
+// at 8 and 16 closed-loop connections over loopback, a two-shard durable
+// plane did not beat one shard's admissions/s by more than the A/A distance
+// in 8 of 10 pairs (CHANGES.md), and EXT-S's one-core numbers favour one
+// shard.  So the served path is one shard, and N > 1 is built only by the
+// experiments (EXT-S, tunesim -shards), examples/cluster and the
+// campaign's shards=N cells.
 //
 // A one-shard plane is the paper's single arbitrator: it makes no routing
 // decision and keeps no routing signal (NegotiateTimed, Shard.routed),

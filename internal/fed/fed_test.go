@@ -8,6 +8,7 @@ import (
 
 	"milan/internal/allocs"
 	"milan/internal/core"
+	"milan/internal/obs/latency/phase"
 	"milan/internal/qos"
 	"milan/internal/resbroker"
 	"milan/internal/workload"
@@ -465,4 +466,33 @@ func (a *Arbitrator) busyUpTo(t float64) float64 {
 		busy += sh.busyUpTo(t)
 	}
 	return busy
+}
+
+// At two shards and up the router plans in its probes: a timed negotiation
+// puts its planning in the probe phase and none in plan, granted or
+// refused.  The durable plane is one shard, so this half of the waterfall is
+// fed's alone; TestOneShardPlaneIsTracedAndTimed (durable) holds the
+// one-shard half over a socket.
+func TestRouterTimesItsPlanningAsProbe(t *testing.T) {
+	plane, err := New(Config{Procs: 16, Shards: 4, ProbeK: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	grantable := workload.FigureJob{X: 4, T: 25, Alpha: 0.25, Laxity: 0.5}.Job(0, 0, workload.Tunable)
+	// Wider than a shard, narrower than the machine: every probe refuses it.
+	tooWide := workload.FigureJob{X: 8, T: 25, Alpha: 0.25, Laxity: 0.5}.Job(1, 0, workload.Tunable)
+	for _, tc := range []struct {
+		job      core.Job
+		rejected bool
+	}{{grantable, false}, {tooWide, true}} {
+		rec := phase.Start(nil, 0, int64(tc.job.ID))
+		_, err := plane.NegotiateTimed(tc.job, &rec)
+		rec.End()
+		if errors.Is(err, qos.ErrRejected) != tc.rejected || (err != nil && !tc.rejected) {
+			t.Fatalf("job %d: %v (want rejected = %v)", tc.job.ID, err, tc.rejected)
+		}
+		if d := rec.Durs(); d[phase.Probe] <= 0 || d[phase.Plan] != 0 {
+			t.Fatalf("job %d: waterfall %v, want planning in probe and none in plan", tc.job.ID, d)
+		}
+	}
 }

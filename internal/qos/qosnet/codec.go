@@ -27,7 +27,7 @@ const (
 	opNegotiate op = iota + 1
 	opObserve
 	opStats
-	opUtilization
+	opRetired // 4 is no op: codes keep their numbers, so a frame naming it is refused as unknown
 	opPing
 	opNegotiateDAG
 )
@@ -47,12 +47,10 @@ const (
 // request is a decoded request frame.  Only the fields its op carries are
 // on the wire.
 type request struct {
-	op      op
-	job     core.Job    // opNegotiate
-	dag     core.DAGJob // opNegotiateDAG
-	now     float64     // opObserve
-	origin  float64     // opUtilization
-	horizon float64     // opUtilization
+	op  op
+	job core.Job    // opNegotiate
+	dag core.DAGJob // opNegotiateDAG
+	now float64     // opObserve
 }
 
 // response is a decoded response frame.  op is 0 when the server could not
@@ -63,7 +61,6 @@ type response struct {
 	err    string     // statusError
 	grant  *qos.Grant // opNegotiate, opNegotiateDAG
 	stats  core.Stats // opStats
-	value  float64    // opUtilization
 }
 
 // encoder appends one frame to a buffer — beginFrame, the payload's fields,
@@ -528,9 +525,6 @@ func appendRequest(b []byte, r *request) ([]byte, error) {
 		e.dagJob(&r.dag)
 	case opObserve:
 		e.f64(r.now)
-	case opUtilization:
-		e.f64(r.origin)
-		e.f64(r.horizon)
 	}
 	return e.endFrame()
 }
@@ -551,9 +545,6 @@ func decodeRequest(payload []byte, r *request, mem *carver) error {
 		d.dagJob(&r.dag)
 	case opObserve:
 		r.now = d.f64()
-	case opUtilization:
-		r.origin = d.f64()
-		r.horizon = d.f64()
 	case opStats, opPing:
 	default:
 		if d.Err() == nil {
@@ -578,8 +569,6 @@ func appendResponse(b []byte, r *response) []byte {
 		e.grant(r.grant)
 	case r.op == opStats:
 		e.stats(&r.stats)
-	case r.op == opUtilization:
-		e.f64(r.value)
 	}
 	out, err := e.endFrame()
 	if err != nil {
@@ -599,7 +588,7 @@ func decodeResponse(payload []byte, r *response, boxes *qos.GrantBoxes) error {
 	r.status = status(d.U8())
 	switch {
 	case d.Err() != nil:
-	case r.op > opNegotiateDAG:
+	case r.op > opNegotiateDAG || r.op == opRetired:
 		return fmt.Errorf("qosnet: unknown op %d", r.op)
 	case r.status > statusError:
 		return fmt.Errorf("qosnet: unknown status %d", r.status)
@@ -615,8 +604,6 @@ func decodeResponse(payload []byte, r *response, boxes *qos.GrantBoxes) error {
 		r.grant = d.grant()
 	case r.op == opStats:
 		d.stats(&r.stats)
-	case r.op == opUtilization:
-		r.value = d.f64()
 	}
 	return d.Done()
 }

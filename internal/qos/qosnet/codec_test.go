@@ -119,8 +119,6 @@ func (g gen) request(o op) request {
 		r.dag = g.dagJob()
 	case opObserve:
 		r.now = g.f64()
-	case opUtilization:
-		r.origin, r.horizon = g.f64(), g.f64()
 	}
 	return r
 }
@@ -136,8 +134,6 @@ func (g gen) response(o op, st status) response {
 	case o == opStats:
 		r.stats = core.Stats{Admitted: g.int(), Rejected: g.int(), TunableChosen: g.ints(4), ReservedArea: g.f64(),
 			QualitySum: g.f64(), ChainsTried: g.int(), HolesProbed: g.int(), PlanFailures: g.int()}
-	case o == opUtilization:
-		r.value = g.f64()
 	}
 	return r
 }
@@ -195,7 +191,7 @@ func payloadOf(t testing.TB, framed []byte) []byte {
 	return p
 }
 
-var allOps = []op{opNegotiate, opObserve, opStats, opUtilization, opPing, opNegotiateDAG}
+var allOps = []op{opNegotiate, opObserve, opStats, opPing, opNegotiateDAG}
 
 // statuses lists the statuses an answer to o may carry.
 func statuses(o op) []status {
@@ -311,6 +307,7 @@ func hostile() map[string]malformed {
 		"version 2":              {[]byte{2, byte(opPing)}, "version 2, this end speaks version 1"},
 		"unknown op":             {[]byte{wireVersion, 99}, "unknown op 99"},
 		"op 0":                   {[]byte{wireVersion, 0}, "unknown op 0"},
+		"op 4":                   {[]byte{wireVersion, 4}, "unknown op 4"}, // once the utilization query
 		"op 7":                   {[]byte{wireVersion, 7}, "unknown op 7"}, // once set-capacity; ops 7-9 left the protocol
 		"trailing byte":          {[]byte{wireVersion, byte(opPing), 0}, "1 trailing bytes"},
 		"count 65537":            {with(0x81, 0x80, 0x04), "chain count 65537 exceeds limit 65536"},
@@ -339,6 +336,7 @@ func TestDecodeResponseRejectsWhatNoServerSends(t *testing.T) {
 	for name, tc := range map[string]malformed{
 		"version 2":               {[]byte{2, byte(opPing), 0}, "version 2"},
 		"unknown op":              {[]byte{wireVersion, 7, 0}, "unknown op 7"},
+		"op 4":                    {[]byte{wireVersion, 4, 0}, "unknown op 4"},
 		"unknown status":          {[]byte{wireVersion, byte(opPing), 3}, "unknown status 3"},
 		"ok for no op":            {[]byte{wireVersion, 0, 0}, "answers no op"},
 		"rejected ping":           {[]byte{wireVersion, byte(opPing), 1}, "answered with a rejection"},

@@ -31,6 +31,26 @@ func FuzzQosnetDecode(f *testing.F) {
 			f.Add(appendResponse(nil, &resp)[frame.HeaderLen:])
 		}
 	}
+	// Op 4, the utilization query, left the protocol: what a peer built
+	// before then sends for it — the request, framed and bare, and its
+	// answer — is refused as an unknown op, never decoded.
+	req := beginFrame(nil)
+	req.u8(wireVersion)
+	req.u8(uint8(opRetired))
+	req.f64(0)
+	req.f64(10)
+	if framed, err := req.endFrame(); err == nil {
+		f.Add(framed)
+		f.Add(framed[frame.HeaderLen:])
+	}
+	resp := beginFrame(nil)
+	resp.u8(wireVersion)
+	resp.u8(uint8(opRetired))
+	resp.u8(uint8(statusOK))
+	resp.f64(0.5)
+	if framed, err := resp.endFrame(); err == nil {
+		f.Add(framed[frame.HeaderLen:])
+	}
 	for _, tc := range hostile() {
 		f.Add(tc.bytes)
 	}

@@ -34,7 +34,6 @@ func (k *keeper) Negotiate(job core.Job) (*qos.Grant, error) {
 func (k *keeper) NegotiateDAG(core.DAGJob) (*qos.Grant, error) { return nil, qos.ErrRejected }
 func (k *keeper) Observe(float64)                              {}
 func (k *keeper) Stats() core.Stats                            { return core.Stats{} }
-func (k *keeper) Utilization(_, _ float64) float64             { return 0 }
 
 // distinctJob is the i-th job of a stream no two of whose jobs are alike:
 // Figure-4 jobs under their own names, every third tagged with a tenant and

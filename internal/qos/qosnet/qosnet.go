@@ -58,7 +58,6 @@ type Arbitrator interface {
 	NegotiateDAG(job core.DAGJob) (*qos.Grant, error)
 	Observe(now float64)
 	Stats() core.Stats
-	Utilization(origin, horizon float64) float64
 }
 
 // Server exposes an arbitrator over a listener.  Each accepted connection
@@ -268,8 +267,6 @@ func (s *Server) dispatch(req *request) response {
 		s.arb.Observe(req.now)
 	case opStats:
 		return response{stats: s.arb.Stats()}
-	case opUtilization:
-		return response{value: s.arb.Utilization(req.origin, req.horizon)}
 	}
 	return response{} // opObserve, opPing: nothing follows the status
 }
@@ -383,12 +380,6 @@ func (c *Client) Observe(now float64) error {
 func (c *Client) Stats() (core.Stats, error) {
 	resp, err := c.roundTrip(&request{op: opStats})
 	return resp.stats, err
-}
-
-// Utilization fetches reserved-capacity fraction over [origin, horizon].
-func (c *Client) Utilization(origin, horizon float64) (float64, error) {
-	resp, err := c.roundTrip(&request{op: opUtilization, origin: origin, horizon: horizon})
-	return resp.value, err
 }
 
 // Ping verifies connectivity.

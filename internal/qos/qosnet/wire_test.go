@@ -195,7 +195,7 @@ func TestClientBreaksOnADesynchronisedStream(t *testing.T) {
 		answer response
 		want   string
 	}{
-		"another op's answer": {response{op: opUtilization, value: 0.5}, "sent op 5, received the answer to op 4"},
+		"another op's answer": {response{op: opStats}, "sent op 5, received the answer to op 3"},
 		"refusal":             {response{status: statusError, err: "qosnet: frame checksum mismatch"}, "server refused the request: qosnet: frame checksum mismatch"},
 	} {
 		answer := tc.answer

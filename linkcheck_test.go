@@ -18,51 +18,30 @@ import (
 	"testing"
 )
 
-// unlinked lists the non-test functions outside bench/ that no binary links,
-// each with the ROADMAP item that deletes it or gives it a caller, or "test
-// support" for code only tests call.  A key is a package path under
-// internal/ (or under the module root for the facade, "milan", cmd/ and
-// examples/), then a function or a type's method
-// ("durable.Plane.JobCompleted"); a package path alone covers the package.
+// unlinked lists the non-test functions outside bench/ that no binary links
+// and no row of names_test.go's testSupport already covers, each with the
+// ROADMAP item that deletes it or gives it a caller, or "test support" for
+// code only tests call.  A key is a package path under internal/ (or under
+// the module root for the facade, "milan", cmd/ and examples/), then a
+// function or a type's method ("durable.Plane.jobCompletedLocked"); a
+// package path alone covers the package.
 var unlinked = map[string]string{
 	// Test support.
-	"allocs":                           "test support: the allocation counter the allocation-budget tests pin",
-	"core/proftest":                    "test support: the property harness the profile index and its fuzz target run against",
-	"campaign.DecodeArtifact":          "test support: reads back the breach artifacts campaignrunner writes; FuzzArtifactDecode fuzzes it",
-	"campaign.ReplayArtifact":          "test support: localizes a decoded breach artifact for the artifact tests",
-	"obs.ReadArtifact":                 "test support: the artifact tests read every kind the binaries write through it; FuzzArtifactDecode fuzzes it",
-	"obs/slo.DecodeSnapshot":           "test support: reads back tunesim's flight snapshot; the flight-snapshot fuzz target fuzzes it",
-	"obs/slo.Snapshot.DecodeLine":      "test support: DecodeSnapshot's line decoder",
-	"durable/vfs.Fault.SetWriteError":  "test support: a fault seam of the store's crash tests",
-	"durable/vfs.Fault.SetSyncError":   "test support: a fault seam of the store's crash tests",
-	"durable/vfs.Fault.SetRemoveError": "test support: a fault seam of the store's crash tests",
-	"durable/vfs.Fault.SetRenameError": "test support: a fault seam of the store's crash tests; ROADMAP 7 gives it a crashtest caller",
-	"durable/vfs.Fault.SetCloseError":  "test support: a fault seam of the store's crash tests; ROADMAP 7 gives it a crashtest caller",
-	"durable/vfs.Fault.Counts":         "test support: a fault seam of the store's crash tests",
-	"durable/vfs.Mem.Crashes":          "test support: a fault seam of the store's crash tests",
-	"durable/vfs.Mem.DurableLen":       "test support: a fault seam of the store's crash tests",
-	"qos/qosnet.Client.Utilization":    "test support: the one client of the server's utilization op, which qosnet's round-trip test drives",
+	"obs.ReadArtifact":            "test support: the artifact tests read every kind the binaries write through it; FuzzArtifactDecode fuzzes it",
+	"obs/slo.Snapshot.DecodeLine": "test support: DecodeSnapshot's line decoder",
 
 	// Deleted or given a caller by a later ROADMAP item.
 	"core.Profile.EarliestFitHoles":       "a linear profile query that moves next to proftest (ROADMAP 1d)",
-	"qos.Arbitrator.BusyUpTo":             "the reference arbitrator's queries move to test-side references (ROADMAP 1d)",
-	"qos.Arbitrator.ExportState":          "the reference arbitrator's queries move to test-side references (ROADMAP 1d)",
 	"qos.Arbitrator.IndexStats":           "the reference arbitrator's queries move to test-side references (ROADMAP 1d)",
+	"qos.Arbitrator.Utilization":          "the reference arbitrator's queries move to test-side references (ROADMAP 1d)",
 	"qos.Arbitrator.WhatIf":               "the reference arbitrator's queries move to test-side references (ROADMAP 1d)",
 	"durable/vfs.OS.OpenAppend":           "the store never appends to a file it reopens; bench/stack.go forwards it (ROADMAP 1f)",
 	"durable/vfs.Mem.OpenAppend":          "the store never appends to a file it reopens; bench/stack.go forwards it (ROADMAP 1f)",
 	"durable/vfs.Fault.OpenAppend":        "the store never appends to a file it reopens; bench/stack.go forwards it (ROADMAP 1f)",
 	"cmd/crashtest.journalTap.OpenAppend": "the store never appends to a file it reopens; bench/stack.go forwards it (ROADMAP 1f)",
+	"durable.Plane.Utilization":           "no wire op asks for it; bench/stack.go's tracedPlane forwards it (ROADMAP 1f)",
 	"qos.DynamicArbitrator.Negotiate":     "renegotiation moves onto the plane (ROADMAP 2)",
-	"qos.DynamicArbitrator.Active":        "renegotiation moves onto the plane (ROADMAP 2)",
-	"qos.DynamicArbitrator.Waiting":       "renegotiation moves onto the plane (ROADMAP 2)",
 	"qos.DynamicArbitrator.Utilization":   "renegotiation moves onto the plane (ROADMAP 2)",
-	"durable.Plane.AttachBroker":          "the per-shard broker path goes with ROADMAP 2 and 3",
-	"durable.Plane.rebalance":             "the per-shard broker path goes with ROADMAP 2 and 3",
-	"resbroker.Broker.Release":            "the per-shard broker path goes with ROADMAP 2 and 3",
-	"resbroker.Broker.Bindings":           "the per-shard broker path goes with ROADMAP 2 and 3",
-	"resbroker.Broker.FreeProcs":          "the per-shard broker path goes with ROADMAP 2 and 3",
-	"durable.Plane.JobCompleted":          "journals a completion, which recovery replays; the parked completion op is its wire caller",
 	"durable.Plane.jobCompletedLocked":    "JobCompleted's body (the parked completion op)",
 	"durable.Plane.liveGrant":             "JobCompleted's lookup (the parked completion op)",
 }
@@ -71,8 +50,11 @@ var unlinked = map[string]string{
 // "linked or listed": it builds every main package of the module for linux
 // and darwin, and bench's servedbench for linux, with inlining off, reads
 // their text symbols with go tool nm, and fails on a function that no binary
-// built for a system it is declared under holds and no row of unlinked
-// names, and on a row that covers a linked function or none at all.  A main
+// built for a system it is declared under holds and no row of unlinked or
+// testSupport names, and on a row of unlinked that covers a linked function
+// or none at all.  A testSupport row may cover a linked function: it lists
+// names without a caller outside their package, which
+// TestEveryNameHasACaller holds it to.  A main
 // package's functions are looked up in its own binary.  Run it with
 // -tags linkcheck: it is a CI step of its own, since two cold builds of
 // every binary cost a minute.
@@ -136,12 +118,15 @@ func TestEveryFunctionIsLinked(t *testing.T) {
 	lines, listed, listedLines := 0, 0, 0
 	for _, fn := range funcs {
 		k, inTable := rowFor(unlinked, fn.key)
+		_, shared := rowFor(testSupport, fn.key)
 		switch {
 		case inTable && fn.linked:
 			hits[k]++
 			t.Errorf("unlinked lists %s, but %s (%s) is linked now: take it out of the row", k, fn.key, fn.pos)
 		case inTable:
 			hits[k]++
+			fallthrough
+		case shared && !fn.linked:
 			listed++
 			listedLines += fn.lines
 		case !fn.linked:
@@ -159,7 +144,7 @@ func TestEveryFunctionIsLinked(t *testing.T) {
 		t.Errorf("%d functions (%d lines) are linked into no binary (delete, call or list each):\n  %s",
 			len(orphans), lines, strings.Join(orphans, "\n  "))
 	}
-	t.Logf("%d functions checked; %d unlinked ones (%d lines) in %d rows", len(funcs), listed, listedLines, len(unlinked))
+	t.Logf("%d functions checked; %d unlinked ones (%d lines) under %d rows and testSupport's", len(funcs), listed, listedLines, len(unlinked))
 }
 
 // linkedSymbols builds mains for goos, and bench's servedbench for linux,

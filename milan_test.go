@@ -190,6 +190,8 @@ func TestEverySettingHasACaller(t *testing.T) {
 	exceptions := map[string]string{
 		"milan/internal/core.Options.ProfileIndex": "set only by bench/'s capacity oracle (ROADMAP 1d)",
 		"milan/internal/durable.Config.Shed":       "the served shedder is ROADMAP 5c",
+		"milan/internal/durable.Config.Shards":     "set to 1 only by bench/stack.go; the durable plane is one shard (ROADMAP 1d)",
+		"milan/internal/durable.Config.ProbeK":     "set to 1 only by bench/stack.go; one shard probes nothing (ROADMAP 1d)",
 	}
 
 	m := loadModule(t)

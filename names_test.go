@@ -8,7 +8,8 @@ import (
 )
 
 // testSupport lists the exported names of internal/... that keep no caller
-// outside their own package, each with its reason.  A key is a package path
+// outside their own package, each with its reason.  The link check
+// (linkcheck_test.go) takes a function a row covers as listed too.  A key is a package path
 // under internal/ (the whole package), or such a path followed by a name
 // ("durable/vfs.Fault.Counts").
 var testSupport = map[string]string{
@@ -36,10 +37,10 @@ var testSupport = map[string]string{
 	"qos.DynamicArbitrator.Active":  "renegotiation moves onto the plane (ROADMAP 2)",
 	"qos.DynamicArbitrator.Waiting": "renegotiation moves onto the plane (ROADMAP 2)",
 	"qos.DynamicArbitrator.Procs":   "renegotiation moves onto the plane (ROADMAP 2)",
-	"durable.Plane.AttachBroker":    "the per-shard broker path goes with ROADMAP 2 and 3",
-	"resbroker.Broker.Release":      "the per-shard broker path goes with ROADMAP 2 and 3",
-	"resbroker.Broker.Bindings":     "the per-shard broker path goes with ROADMAP 2 and 3",
-	"resbroker.Broker.FreeProcs":    "the per-shard broker path goes with ROADMAP 2 and 3",
+	"durable.Plane.AttachBroker":    "the broker path moves onto the plane with renegotiation (ROADMAP 2)",
+	"resbroker.Broker.Release":      "the broker path moves onto the plane with renegotiation (ROADMAP 2)",
+	"resbroker.Broker.Bindings":     "the broker path moves onto the plane with renegotiation (ROADMAP 2)",
+	"resbroker.Broker.FreeProcs":    "the broker path moves onto the plane with renegotiation (ROADMAP 2)",
 	"durable.Plane.JobCompleted":    "journals a completion (KindComplete), which recovery replays; the crash and checkpoint tests drive it, and the wire has no completion op yet",
 }
 
