@@ -70,7 +70,6 @@ package main
 
 import (
 	"bufio"
-	"bytes"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -80,7 +79,6 @@ import (
 	"math/rand"
 	"os"
 	"os/exec"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
@@ -300,26 +298,6 @@ func driveBatch(p *plane, ops []op, batch []int, onAck func(id int, finish float
 // errKilled is what the filesystem answers a process that is dead.
 var errKilled = errors.New("crashtest: process killed")
 
-// ckPhase is how far a checkpoint has got, named from the filesystem calls
-// the tap sees its goroutine make: each phase is the state the checkpoint
-// stands in once that phase's calls are through, however many calls a phase
-// takes.  The trailing directory sync, which makes the removals durable,
-// ends the checkpoint.
-type ckPhase int
-
-const (
-	phSealed      ckPhase = iota // a segment header written: the goroutine is on its way to the temp file
-	phTempCreated                // the snapshot's temp file created
-	phTempWritten                // its bytes written
-	phTempSynced                 // synced and closed
-	phRenamed                    // renamed into place
-	phDirSynced                  // the rename made durable
-	phRemoved                    // the sealed segment closed, what the snapshot covers removed
-	phOver                       // the removals made durable: the checkpoint is over
-)
-
-var phaseNames = [phOver]string{"sealed", "temp-created", "temp-written", "temp-synced", "renamed", "dir-synced", "covered-removed"}
-
 // journalTap sits between the plane and the fault filesystem.  It decodes
 // every record the plane writes to a journal segment, which is how the
 // harness knows the order decisions were made in without asking the plane;
@@ -328,7 +306,7 @@ var phaseNames = [phOver]string{"sealed", "temp-created", "temp-written", "temp-
 // crash that follows is taken exactly there; it can fail every write once a
 // count of journal writes has gone by; and in lockstep it holds the
 // checkpoint goroutine's calls until the driver lets them through, a
-// checkpoint phase at a time.
+// checkpoint phase at a time, as durable.Classify names the phases.
 type journalTap struct {
 	vfs.FS
 
@@ -353,7 +331,7 @@ type journalTap struct {
 	// at is the phase of the last call let through; next, while a call is
 	// held, the phase that call belongs to.
 	lockstep, pacing, sealed bool
-	at, next                 ckPhase
+	at, next                 durable.Phase
 	over                     chan struct{}
 	parked                   chan struct{} // closed to let the held call through
 	arrived                  chan struct{} // a call has just been held
@@ -432,7 +410,7 @@ func (t *journalTap) reboot() {
 // checkpointing reports whether a paced checkpoint is under way, and if so
 // the phase it stands in: every phase before that of the call it is held
 // at is through.
-func (t *journalTap) checkpointing() (ckPhase, bool) {
+func (t *journalTap) checkpointing() (durable.Phase, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.parked != nil {
@@ -448,19 +426,15 @@ func (t *journalTap) enterLockstep() {
 	t.mu.Unlock()
 }
 
-// hold is where a call waits when it is the checkpoint goroutine's: any call
-// made while the driver paces, and the temp file's creation whenever made.
-// ph is the phase the call belongs to if the checkpoint makes it; a
-// directory sync is the rename's until the rename's has gone by, and the
-// checkpoint's last call after that.
-func (t *journalTap) hold(ph ckPhase) {
+// hold is where call c on name waits when it is the checkpoint goroutine's:
+// any call made while the driver paces, and whenever made the call that
+// moves the checkpoint into temp-created, the goroutine's first.
+func (t *journalTap) hold(c durable.Call, name string) {
 	t.mu.Lock()
-	if !t.lockstep || t.dead || !(t.pacing || ph == phTempCreated) {
+	ph := durable.Classify(c, name, t.at)
+	if !t.lockstep || t.dead || !(t.pacing || ph == durable.PhaseTempCreated && t.at != ph) {
 		t.mu.Unlock()
 		return
-	}
-	if ph == phDirSynced && t.at >= phDirSynced {
-		ph = phOver
 	}
 	gate := make(chan struct{})
 	t.parked, t.next = gate, ph
@@ -493,7 +467,7 @@ func (t *journalTap) pace(p *durable.Plane, rng *rand.Rand) {
 	}
 	over := t.over
 	t.pacing = true
-	target := min(t.at+[...]ckPhase{0, 1, 2, phOver}[rng.Intn(4)], phOver)
+	target := min(t.at+[...]durable.Phase{0, 1, 2, durable.PhaseOver}[rng.Intn(4)], durable.PhaseOver)
 	t.mu.Unlock()
 
 	for {
@@ -555,9 +529,9 @@ func (t *journalTap) step(journal bool) (reach, survive bool) {
 // frame and is skipped; written during a drive it is a seal's, and the
 // checkpoint behind it has its calls paced from here on.
 func (t *journalTap) note(p []byte) {
-	if bytes.HasPrefix(p, []byte("MLNWAL")) {
+	if durable.IsSeal(p) {
 		t.mu.Lock()
-		t.sealed, t.at = t.lockstep, phSealed
+		t.sealed, t.at = t.lockstep, durable.PhaseSealed
 		t.mu.Unlock()
 		return
 	}
@@ -587,12 +561,7 @@ func (t *journalTap) alive() error {
 // reads, or the snapshot's temp file, whose creation starts a checkpoint's
 // calls.  Only the seal and recovery open anything else.
 func (t *journalTap) open(name string, open func(string) (vfs.File, error)) (vfs.File, error) {
-	temp := strings.HasSuffix(name, ".tmp")
-	if temp {
-		t.hold(phTempCreated)
-	} else {
-		t.hold(phSealed)
-	}
+	t.hold(durable.CallCreate, name)
 	if err := t.alive(); err != nil {
 		return nil, err
 	}
@@ -600,14 +569,14 @@ func (t *journalTap) open(name string, open func(string) (vfs.File, error)) (vfs
 	if err != nil {
 		return nil, err
 	}
-	return tapFile{File: f, t: t, temp: temp, journal: strings.HasSuffix(name, ".log") && strings.HasPrefix(filepath.Base(name), "wal-")}, nil
+	return tapFile{File: f, t: t, name: name, journal: durable.IsSegment(name)}, nil
 }
 
 func (t *journalTap) Create(name string) (vfs.File, error)     { return t.open(name, t.FS.Create) }
 func (t *journalTap) OpenAppend(name string) (vfs.File, error) { return t.open(name, t.FS.OpenAppend) }
 
 func (t *journalTap) Rename(oldname, newname string) error {
-	t.hold(phRenamed)
+	t.hold(durable.CallRename, newname)
 	if err := t.alive(); err != nil {
 		return err
 	}
@@ -615,7 +584,7 @@ func (t *journalTap) Rename(oldname, newname string) error {
 }
 
 func (t *journalTap) Remove(name string) error {
-	t.hold(phRemoved)
+	t.hold(durable.CallRemove, name)
 	if err := t.alive(); err != nil {
 		return err
 	}
@@ -623,7 +592,7 @@ func (t *journalTap) Remove(name string) error {
 }
 
 func (t *journalTap) SyncDir(dir string) error {
-	t.hold(phDirSynced)
+	t.hold(durable.CallSyncDir, dir)
 	if err := t.alive(); err != nil {
 		return err
 	}
@@ -640,22 +609,13 @@ func (t *journalTap) ReadDir(dir string) ([]string, error) {
 
 type tapFile struct {
 	vfs.File
-	t             *journalTap
-	temp, journal bool
-}
-
-// in is the phase a call on f belongs to if the checkpoint makes it: ph on
-// the temp file; on a segment, the one call a checkpoint makes there is the
-// sealed segment's close.
-func (f tapFile) in(ph ckPhase) ckPhase {
-	if f.temp {
-		return ph
-	}
-	return phRemoved
+	t       *journalTap
+	name    string
+	journal bool
 }
 
 func (f tapFile) Write(p []byte) (int, error) {
-	f.t.hold(f.in(phTempWritten))
+	f.t.hold(durable.CallWrite, f.name)
 	if err := f.t.injected(f.journal); err != nil {
 		return 0, err
 	}
@@ -674,7 +634,7 @@ func (f tapFile) Write(p []byte) (int, error) {
 }
 
 func (f tapFile) Close() error {
-	f.t.hold(f.in(phTempSynced))
+	f.t.hold(durable.CallClose, f.name)
 	if err := f.t.alive(); err != nil {
 		return err
 	}
@@ -682,7 +642,7 @@ func (f tapFile) Close() error {
 }
 
 func (f tapFile) Sync() error {
-	f.t.hold(f.in(phTempSynced))
+	f.t.hold(durable.CallSync, f.name)
 	reach, survive := f.t.step(f.journal)
 	if !reach {
 		return errKilled
@@ -883,8 +843,8 @@ func runVFS(seed int64, iters, opsPerIter, callers int, artifact string, stdout,
 
 	lost := make(map[string]int) // phase -> acked grants provably lost
 	crashes, kills := 0, 0
-	var inPhase [phOver]int   // crashes that found a paced checkpoint under way, by the phase it stood in
-	recovered := fnv.New64a() // every LSN a recovery came back to, in order
+	var inPhase [durable.PhaseOver]int // crashes that found a paced checkpoint under way, by the phase it stood in
+	recovered := fnv.New64a()          // every LSN a recovery came back to, in order
 	fail := func(d divergence, format string, args ...any) int {
 		d.Mode, d.Seed = "vfs", seed
 		d.Detail = fmt.Sprintf(format, args...)
@@ -931,7 +891,7 @@ func runVFS(seed int64, iters, opsPerIter, callers int, artifact string, stdout,
 				// and is taken at the first op boundary where a checkpoint
 				// stands in the phase it aims at, or at the batch's end.
 				tap.enterLockstep()
-				aim := ckPhase(crashes % (len(phaseNames) + 1))
+				aim := durable.Phase(crashes % int(durable.PhaseOver+1))
 				between = func() bool {
 					tap.pace(plane.Plane, krng)
 					ph, ok := tap.checkpointing()
@@ -1051,7 +1011,7 @@ func runVFS(seed int64, iters, opsPerIter, callers int, artifact string, stdout,
 	midCheckpoint, byPhase := 0, make([]string, len(inPhase))
 	for ph, n := range inPhase {
 		midCheckpoint += n
-		byPhase[ph] = fmt.Sprintf("%s:%d", phaseNames[ph], n)
+		byPhase[ph] = fmt.Sprintf("%s:%d", durable.Phase(ph), n)
 	}
 	fmt.Fprintf(stdout, "crashtest vfs ok: seed=%d crashes=%d mid-checkpoint=%d phases=%v recovered=%016x losses=%v\n",
 		seed, crashes, midCheckpoint, byPhase, recovered.Sum64(), lost)

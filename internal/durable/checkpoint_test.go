@@ -11,12 +11,14 @@ import (
 	"math/rand"
 	"path/filepath"
 	"slices"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"milan/internal/core"
 	"milan/internal/durable/vfs"
+	"milan/internal/obs"
 	"milan/internal/qos"
 	"milan/internal/workload"
 )
@@ -67,13 +69,13 @@ type sealTap struct {
 }
 
 func (s *sealTap) Create(name string) (vfs.File, error) {
-	if first, ok := parseName(filepath.Base(name), "wal-", ".log"); ok && s.p != nil {
-		s.sealed(first - 1)
+	if s.p != nil && Classify(CallCreate, name, PhaseOver) == PhaseSealed {
+		s.sealed(filepath.Base(name))
 	}
 	return s.FS.Create(name)
 }
 
-func (s *sealTap) sealed(lsn uint64) {
+func (s *sealTap) sealed(seg string) {
 	p := s.p
 	if p.mu.TryLock() {
 		p.mu.Unlock()
@@ -86,11 +88,11 @@ func (s *sealTap) sealed(lsn uint64) {
 	kept := maps.Clone(p.grants)
 	st := p.exportStateLocked()
 	p.grants = kept
-	if st.LSN != lsn {
-		s.t.Fatalf("op %d: fresh segment starts after lsn %d, the log head is %d", s.op, lsn, st.LSN)
+	if seg != segName(st.LSN+1) {
+		s.t.Fatalf("op %d: fresh segment %s, the log head is %d", s.op, seg, st.LSN)
 	}
 	st.prune()
-	s.lsn, s.want = lsn, snapshotFile(&st)
+	s.lsn, s.want = st.LSN, snapshotFile(&st)
 	s.seals++
 	s.sealOp = append(s.sealOp, s.op)
 }
@@ -337,7 +339,7 @@ func TestNoCallWaitsForACheckpoint(t *testing.T) {
 	}
 	var temps atomic.Int64 // checkpoints that got as far as their temp file
 	r.gate.watch = func(ev gateEvent) {
-		if ev.op == "create" && !ev.after && isTemp(ev.name) {
+		if firstOf(PhaseTempCreated, false)(ev) {
 			temps.Add(1)
 		}
 	}
@@ -345,14 +347,14 @@ func TestNoCallWaitsForACheckpoint(t *testing.T) {
 	segments := func() (n int) {
 		names, _ := r.fault.ReadDir("log")
 		for _, name := range names {
-			if isSegment(name) {
+			if IsSegment(name) {
 				n++
 			}
 		}
 		return n
 	}
 
-	pk := r.gate.parkAt(snapshotSync(false))
+	pk := r.gate.parkAt(firstOf(phaseTempSynced, false))
 	last := r.p.store.ckpt
 	for r.p.store.ckpt == last {
 		tick() // until a record carries a seal
@@ -671,5 +673,122 @@ func TestFailedSnapshotRenamePoisons(t *testing.T) {
 	if f, err := ft.Open(tmp); err == nil {
 		f.Close()
 		t.Fatalf("the stale %s outlived the recovery's checkpoint", tmp)
+	}
+}
+
+// phaseLog reads a plane's filesystem calls off a gateFS as Classify does: the
+// phases a checkpoint goes through, each once however many calls it takes,
+// and beside them what two counters must match.
+type phaseLog struct {
+	mu     sync.Mutex
+	phases []Phase // since the last take
+	overs  int     // checkpoints that reached over
+	// newest is the segment created last, the open one; segSyncs counts its
+	// syncs, one per flush.
+	newest   string
+	segSyncs int
+}
+
+func (l *phaseLog) watch(ev gateEvent) {
+	if ev.after {
+		return
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	switch {
+	case ev.call == CallCreate && IsSegment(ev.name):
+		l.newest = ev.name
+	case ev.call == CallSync && ev.name == l.newest:
+		l.segSyncs++
+	}
+	if ev.phase == ev.from {
+		return // not the checkpoint's call, or not its phase's first
+	}
+	l.phases = append(l.phases, ev.phase)
+	if ev.phase == PhaseOver {
+		l.overs++
+	}
+}
+
+// take returns the phases since the last take.
+func (l *phaseLog) take() []Phase {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	phases := l.phases
+	l.phases = nil
+	return phases
+}
+
+// TestCheckpointPhasesAreTheStoresCallOrder: under every sync policy the
+// calls of a steady checkpoint go through the seven phases, in order, each
+// once, and then over.  Open's first checkpoint, on an empty directory, has
+// nothing to remove; one at an unchanged LSN seals and removes nothing;
+// recovery's removes what the run left.  A store change that moves a call
+// fails here, not in each harness that reads the calls.  Two counters
+// reconcile exactly with the calls: durable_snapshots with the checkpoints
+// that reached over, durable_fsyncs with the syncs of the open segment.
+func TestCheckpointPhasesAreTheStoresCallOrder(t *testing.T) {
+	steady := []Phase{PhaseSealed, PhaseTempCreated, phaseTempWritten, phaseTempSynced, phaseRenamed, phaseDirSynced, phaseCoveredRemoved, PhaseOver}
+	without := func(none ...Phase) []Phase {
+		return slices.DeleteFunc(slices.Clone(steady), func(ph Phase) bool { return slices.Contains(none, ph) })
+	}
+	for _, opts := range []StoreOptions{{Sync: SyncAlways}, {Sync: SyncEveryN, SyncEvery: 4}, {Sync: syncNever}} {
+		t.Run(opts.Sync.String(), func(t *testing.T) {
+			var log phaseLog
+			gate := &gateFS{FS: vfs.NewMem(), watch: log.watch, at: PhaseOver}
+			met := NewMetrics(obs.NewRegistry())
+			expect := func(what string, want []Phase) {
+				t.Helper()
+				if got := log.take(); !slices.Equal(got, want) {
+					t.Fatalf("%s: the calls read as %v, want %v", what, got, want)
+				}
+			}
+			open := func() *Plane {
+				t.Helper()
+				p, _, err := OpenPlane(Config{FS: gate, Dir: "log", Procs: 16, Store: opts, Metrics: met})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return p
+			}
+			snapshot := func(p *Plane) {
+				t.Helper()
+				if err := p.Snapshot(); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			p := open()
+			expect("open's first checkpoint", without(phaseCoveredRemoved))
+			jobs := planeStream(80, 5)
+			for i := 0; i < 4; i++ {
+				drive(t, p.Observe, p.Negotiate, jobs[16*i:16*(i+1)])
+				expect("the drive", nil)
+				snapshot(p)
+				expect(fmt.Sprintf("checkpoint %d", i+1), steady)
+			}
+			snapshot(p)
+			expect("a checkpoint at an unchanged lsn", without(PhaseSealed, phaseCoveredRemoved))
+			drive(t, p.Observe, p.Negotiate, jobs[64:])
+			if err := p.Close(); err != nil {
+				t.Fatal(err)
+			}
+			expect("the drive and close", nil)
+			p = open()
+			expect("recovery's checkpoint", steady)
+			if err := p.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			if got := met.Snapshots.Value(); got != int64(log.overs) {
+				t.Errorf("durable_snapshots = %d, %d checkpoints reached over", got, log.overs)
+			}
+			if got := met.Fsyncs.Value(); got != int64(log.segSyncs) {
+				t.Errorf("durable_fsyncs = %d, the open segment was synced %d times", got, log.segSyncs)
+			}
+			if flushed := log.segSyncs > 0; flushed != (opts.Sync != syncNever) {
+				t.Errorf("%d flushes under %s", log.segSyncs, opts.Sync)
+			}
+		})
 	}
 }

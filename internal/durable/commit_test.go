@@ -1,12 +1,9 @@
 package durable
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
-	"path/filepath"
 	"slices"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -31,45 +28,31 @@ import (
 // gone.
 var errDead = errors.New("gate: the process was killed")
 
-// gateEvent is one call on the log directory or on a file in it — create,
-// write, sync, close, rename, remove, readdir, syncdir — seen either before it
-// reaches the filesystem below or after it has.
+// gateEvent is one call on the log directory or on a file in it, seen either
+// before it reaches the filesystem below or after it has.  phase is where
+// Classify puts a checkpoint that stood in from once the call is through.
 type gateEvent struct {
-	op    string
-	after bool
-	name  string
-	data  []byte // the bytes of a write
+	call        Call
+	after       bool
+	name        string
+	data        []byte // the bytes of a write
+	from, phase Phase
 }
 
 // record decodes the journal record a segment write carries.
 func (ev gateEvent) record() (Record, bool) {
-	if ev.op != "write" || !isSegment(ev.name) || bytes.HasPrefix(ev.data, []byte(walMagic)) {
+	if ev.call != CallWrite || !IsSegment(ev.name) || IsSeal(ev.data) {
 		return Record{}, false
 	}
 	rec, err := DecodeRecord(ev.data[frame.HeaderLen:])
 	return rec, err == nil
 }
 
-func isSegment(name string) bool {
-	_, ok := parseName(filepath.Base(name), "wal-", ".log")
-	return ok
+// segmentSync matches a flush of the journal; admitWrite the write of a
+// grant's record; headerWrite that of a fresh segment's header.
+func segmentSync(after bool) func(gateEvent) bool {
+	return func(ev gateEvent) bool { return ev.call == CallSync && ev.after == after && IsSegment(ev.name) }
 }
-
-func isTemp(name string) bool { return strings.HasSuffix(name, ".tmp") }
-
-func anyName(string) bool { return true }
-
-// on matches one kind of call, before or after, on the names pred picks.
-func on(op string, after bool, pred func(name string) bool) func(gateEvent) bool {
-	return func(ev gateEvent) bool { return ev.op == op && ev.after == after && pred(ev.name) }
-}
-
-// segmentSync matches a flush of the journal; snapshotSync the flush of a
-// snapshot's temp file; admitWrite the write of a grant's record; headerWrite
-// that of a fresh segment's header.
-func segmentSync(after bool) func(gateEvent) bool { return on("sync", after, isSegment) }
-
-func snapshotSync(after bool) func(gateEvent) bool { return on("sync", after, isTemp) }
 
 func admitWrite(after bool) func(gateEvent) bool {
 	return func(ev gateEvent) bool {
@@ -80,8 +63,13 @@ func admitWrite(after bool) func(gateEvent) bool {
 
 func headerWrite(after bool) func(gateEvent) bool {
 	return func(ev gateEvent) bool {
-		return ev.op == "write" && ev.after == after && isSegment(ev.name) && bytes.HasPrefix(ev.data, []byte(walMagic))
+		return ev.call == CallWrite && ev.after == after && IsSegment(ev.name) && IsSeal(ev.data)
 	}
+}
+
+// firstOf matches the first call of a checkpoint's phase ph, before or after.
+func firstOf(ph Phase, after bool) func(gateEvent) bool {
+	return func(ev gateEvent) bool { return ev.from != ph && ev.phase == ph && ev.after == after }
 }
 
 // gateFS is the filesystem under a plane with a gate on every call: a test
@@ -89,8 +77,9 @@ func headerWrite(after bool) func(gateEvent) bool {
 // checkpoint's — looks at the plane while it stands there, and lets it go or
 // kills the process.  Killed, the filesystem answers errDead to whatever the
 // dead process's goroutines still ask of it and passes nothing down, so the
-// crash is taken exactly at the gate.  Nothing in the plane or the store
-// knows it is there.
+// crash is taken exactly at the gate.  It classifies every call as it comes
+// and keeps the phase the calls through have left a checkpoint in.  Nothing
+// in the plane or the store knows it is there.
 type gateFS struct {
 	vfs.FS
 	dead atomic.Bool
@@ -101,6 +90,7 @@ type gateFS struct {
 
 	mu    sync.Mutex
 	parks []*park
+	at    Phase // where the calls through have left a checkpoint
 }
 
 type park struct {
@@ -145,13 +135,27 @@ func (g *gateFS) pass(ev gateEvent) bool {
 	return !g.dead.Load()
 }
 
+// standing is the phase a checkpoint stands in: that of the last call
+// through, whatever calls are parked.
+func (g *gateFS) standing() Phase {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.at
+}
+
 // through takes one call to the gate, down to the filesystem below and to the
 // gate again.
 func (g *gateFS) through(ev gateEvent, call func() error) error {
+	g.mu.Lock()
+	ev.from, ev.phase = g.at, Classify(ev.call, ev.name, g.at)
+	g.mu.Unlock()
 	if !g.pass(ev) {
 		return errDead
 	}
 	err := call()
+	g.mu.Lock()
+	g.at = ev.phase
+	g.mu.Unlock()
 	ev.after = true
 	if !g.pass(ev) {
 		return errDead
@@ -160,7 +164,7 @@ func (g *gateFS) through(ev gateEvent, call func() error) error {
 }
 
 func (g *gateFS) Create(name string) (f vfs.File, err error) {
-	err = g.through(gateEvent{op: "create", name: name}, func() (e error) { f, e = g.FS.Create(name); return e })
+	err = g.through(gateEvent{call: CallCreate, name: name}, func() (e error) { f, e = g.FS.Create(name); return e })
 	if err != nil {
 		return nil, err
 	}
@@ -168,7 +172,7 @@ func (g *gateFS) Create(name string) (f vfs.File, err error) {
 }
 
 func (g *gateFS) OpenAppend(name string) (f vfs.File, err error) {
-	err = g.through(gateEvent{op: "create", name: name}, func() (e error) { f, e = g.FS.OpenAppend(name); return e })
+	err = g.through(gateEvent{call: CallCreate, name: name}, func() (e error) { f, e = g.FS.OpenAppend(name); return e })
 	if err != nil {
 		return nil, err
 	}
@@ -176,20 +180,23 @@ func (g *gateFS) OpenAppend(name string) (f vfs.File, err error) {
 }
 
 func (g *gateFS) Rename(oldname, newname string) error {
-	return g.through(gateEvent{op: "rename", name: newname}, func() error { return g.FS.Rename(oldname, newname) })
+	return g.through(gateEvent{call: CallRename, name: newname}, func() error { return g.FS.Rename(oldname, newname) })
 }
 
 func (g *gateFS) Remove(name string) error {
-	return g.through(gateEvent{op: "remove", name: name}, func() error { return g.FS.Remove(name) })
+	return g.through(gateEvent{call: CallRemove, name: name}, func() error { return g.FS.Remove(name) })
 }
 
-func (g *gateFS) ReadDir(dir string) (names []string, err error) {
-	err = g.through(gateEvent{op: "readdir", name: dir}, func() (e error) { names, e = g.FS.ReadDir(dir); return e })
-	return names, err
+// ReadDir is recovery's alone, and no event: a checkpoint lists nothing.
+func (g *gateFS) ReadDir(dir string) ([]string, error) {
+	if g.dead.Load() {
+		return nil, errDead
+	}
+	return g.FS.ReadDir(dir)
 }
 
 func (g *gateFS) SyncDir(dir string) error {
-	return g.through(gateEvent{op: "syncdir", name: dir}, func() error { return g.FS.SyncDir(dir) })
+	return g.through(gateEvent{call: CallSyncDir, name: dir}, func() error { return g.FS.SyncDir(dir) })
 }
 
 type gateFile struct {
@@ -199,7 +206,7 @@ type gateFile struct {
 }
 
 func (f gateFile) Write(p []byte) (n int, err error) {
-	err = f.g.through(gateEvent{op: "write", name: f.name, data: p}, func() (e error) { n, e = f.File.Write(p); return e })
+	err = f.g.through(gateEvent{call: CallWrite, name: f.name, data: p}, func() (e error) { n, e = f.File.Write(p); return e })
 	if err == errDead {
 		n = 0
 	}
@@ -207,9 +214,9 @@ func (f gateFile) Write(p []byte) (n int, err error) {
 }
 
 func (f gateFile) Sync() error {
-	return f.g.through(gateEvent{op: "sync", name: f.name}, func() error {
+	return f.g.through(gateEvent{call: CallSync, name: f.name}, func() error {
 		err := f.File.Sync()
-		if err == nil && isSegment(f.name) {
+		if err == nil && IsSegment(f.name) {
 			f.g.segSyncs.Add(1)
 		}
 		return err
@@ -217,7 +224,7 @@ func (f gateFile) Sync() error {
 }
 
 func (f gateFile) Close() error {
-	return f.g.through(gateEvent{op: "close", name: f.name}, f.File.Close)
+	return f.g.through(gateEvent{call: CallClose, name: f.name}, f.File.Close)
 }
 
 // rig is one plane on a gated disk, full enough that the test can ask it for
@@ -608,30 +615,41 @@ func TestCloseFlushesTheWrittenTail(t *testing.T) {
 	}
 }
 
+// untagged marks a position that is not a checkpoint's: its crash is held
+// to no phase.
+const untagged Phase = -1
+
 // crashPositionNames are the points between a decision and its
 // acknowledgment, and between two callers, at which a crash has its own
-// story.  TestCrashPositionSweep fails if any of them has no scenario that
-// reaches it.
-var crashPositionNames = []string{
-	"written-unlocked",       // record written, plane lock still held
-	"unlocked-flush",         // plane lock released, flush not started
-	"mid-flush-second-grant", // a flush done, a grant written behind it waiting for its own
-	"flush-ack",              // record flushed, caller not yet told
-	"refusal-ahead-of-flush", // a refusal acknowledged with an unflushed grant ahead of it
+// story.  A checkpoint's position is tagged with the phase Classify says the
+// checkpoint stands in at the crash.  TestCrashPositionSweep fails if any
+// name has no scenario that reaches it, if a tag is not where its scenario
+// crashes, and if a phase has no position.
+var crashPositionNames = []struct {
+	name  string
+	phase Phase
+}{
+	{"written-unlocked", untagged},       // record written, plane lock still held
+	{"unlocked-flush", untagged},         // plane lock released, flush not started
+	{"mid-flush-second-grant", untagged}, // a flush done, a grant written behind it waiting for its own
+	{"flush-ack", untagged},              // record flushed, caller not yet told
+	{"refusal-ahead-of-flush", untagged}, // a refusal acknowledged with an unflushed grant ahead of it
 	// A checkpoint's file states, seal -> fold -> publish -> remove:
-	"sealed-header-unwritten",    // the fresh segment created, its header not written; plane lock held
-	"sealed-no-checkpoint-yet",   // sealed, the carrying grant acknowledged, the snapshot's temp file not created
-	"tmp-write",                  // the temp file part written
-	"tmp-sync",                   // the temp file written, its sync not done
-	"rename-syncdir",             // the snapshot renamed into place, the directory not synced
-	"published-before-removals",  // the snapshot durable, everything it covers still there
-	"removals-half-done",         // the old snapshot gone for good, the sealed segment still there
-	"promise-behind-sealed-tail", // a grant in the open segment, its flush parked in the sealed segment's sync
-	"snapshot-during-sync-to",    // a waiter in syncTo released by its own flush while a checkpoint's temp sync is parked
+	{"sealed-header-unwritten", PhaseSealed},      // the fresh segment created, its header not written; plane lock held
+	{"sealed-no-checkpoint-yet", PhaseSealed},     // sealed, the carrying grant acknowledged, the snapshot's temp file not created
+	{"tmp-unwritten", PhaseTempCreated},           // the temp file created, nothing written to it
+	{"tmp-write", phaseTempWritten},               // the temp file part written
+	{"tmp-sync", phaseTempWritten},                // the temp file written, its sync not done
+	{"synced-unrenamed", phaseTempSynced},         // the temp file synced and closed, not renamed into place
+	{"rename-syncdir", phaseRenamed},              // the snapshot renamed into place, the directory not synced
+	{"published-before-removals", phaseDirSynced}, // the snapshot durable, everything it covers still there
+	{"removals-half-done", phaseCoveredRemoved},   // the old snapshot gone for good, the sealed segment still there
+	{"promise-behind-sealed-tail", PhaseSealed},   // a grant in the open segment, its flush parked in the sealed segment's sync
+	{"snapshot-during-sync-to", phaseTempWritten}, // a waiter in syncTo released by its own flush while a checkpoint's temp sync is parked
 	// Two flushes in flight:
-	"second-flush-overtakes", // the later flush's sync done, the earlier one's parked
-	"earlier-flush-fails",    // the earlier flush's sync failed, the later one's succeeded
-	"seal-under-flush",       // a seal swapped segments under a parked flush of the old one
+	{"second-flush-overtakes", untagged}, // the later flush's sync done, the earlier one's parked
+	{"earlier-flush-fails", untagged},    // the earlier flush's sync failed, the later one's succeeded
+	{"seal-under-flush", untagged},       // a seal swapped segments under a parked flush of the old one
 }
 
 // sealWithNextRecord makes the next record written carry a seal, as the
@@ -647,12 +665,12 @@ func (r *rig) sealWithNextRecord() {
 // set) does what the test wants done to the disk while it stands there, and
 // the process is killed.  Whatever files the crash finds, recovery is the
 // plane at the grant's LSN, with the grant.
-func killCheckpointAt(t *testing.T, hit func(), what string, match func(gateEvent) bool, settle func(r *rig)) {
+func killCheckpointAt(t *testing.T, hit func(*rig), what string, match func(gateEvent) bool, settle func(r *rig)) {
 	r := newRig(t, StoreOptions{})
 	base := r.written()
 	// The checkpoint is held at its first step until the grant is back, so
 	// that every later call match sees is the checkpoint's own.
-	pk := r.gate.parkAt(on("create", false, isTemp))
+	pk := r.gate.parkAt(firstOf(PhaseTempCreated, false))
 	r.sealWithNextRecord()
 	job := r.grantable()
 	if v := r.negotiate(job); v.err != nil {
@@ -674,7 +692,7 @@ func killCheckpointAt(t *testing.T, hit func(), what string, match func(gateEven
 	if settle != nil {
 		settle(r)
 	}
-	hit()
+	hit(r)
 	r.kill()
 	pk.release()
 	if st := r.recover(); st.LSN != base+1 || !hasGrant(st, job.ID) {
@@ -683,10 +701,10 @@ func killCheckpointAt(t *testing.T, hit func(), what string, match func(gateEven
 }
 
 // crashPositions drives the plane to each position, takes the crash there and
-// checks what is recovered.  Each scenario calls hit once it has verified,
-// from the outside, that the plane stands where the name says.
-var crashPositions = map[string]func(t *testing.T, hit func()){
-	"written-unlocked": func(t *testing.T, hit func()) {
+// checks what is recovered.  Each scenario calls hit with its rig once it has
+// verified, from the outside, that the plane stands where the name says.
+var crashPositions = map[string]func(t *testing.T, hit func(*rig)){
+	"written-unlocked": func(t *testing.T, hit func(*rig)) {
 		r := newRig(t, StoreOptions{})
 		base := r.written()
 		pk := r.gate.parkAt(admitWrite(true))
@@ -696,7 +714,7 @@ var crashPositions = map[string]func(t *testing.T, hit func()){
 		if !r.planeLockHeld() {
 			t.Fatal("the plane lock is free while the record is being written: log order is not decision order")
 		}
-		hit()
+		hit(r)
 		r.kill()
 		pk.release()
 		if v := r.result(a, "the grant"); v.err == nil {
@@ -706,7 +724,7 @@ var crashPositions = map[string]func(t *testing.T, hit func()){
 			t.Fatalf("recovered lsn %d (grant there: %t), want %d without it", st.LSN, hasGrant(st, job.ID), base)
 		}
 	},
-	"unlocked-flush": func(t *testing.T, hit func()) {
+	"unlocked-flush": func(t *testing.T, hit func(*rig)) {
 		r := newRig(t, StoreOptions{})
 		base := r.written()
 		pk := r.gate.parkAt(segmentSync(false))
@@ -720,7 +738,7 @@ var crashPositions = map[string]func(t *testing.T, hit func()){
 			t.Fatalf("written %d durable %d, want %d and %d", r.written(), r.p.DurableLSN(), base+1, base)
 		}
 		r.pending(a, "the grant")
-		hit()
+		hit(r)
 		r.kill()
 		pk.release()
 		if v := r.result(a, "the grant"); v.err == nil {
@@ -730,7 +748,7 @@ var crashPositions = map[string]func(t *testing.T, hit func()){
 			t.Fatalf("recovered lsn %d (grant there: %t), want %d without it", st.LSN, hasGrant(st, job.ID), base)
 		}
 	},
-	"mid-flush-second-grant": func(t *testing.T, hit func()) {
+	"mid-flush-second-grant": func(t *testing.T, hit func(*rig)) {
 		r := newRig(t, StoreOptions{})
 		base := r.written()
 		flushA := r.gate.parkAt(segmentSync(false))
@@ -750,7 +768,7 @@ var crashPositions = map[string]func(t *testing.T, hit func()){
 			t.Fatalf("durable to %d after the first grant's flush, want %d", got, base+1)
 		}
 		r.pending(b, "the second grant")
-		hit()
+		hit(r)
 		r.kill()
 		flushB.release()
 		if v := r.result(b, "the second grant"); v.err == nil {
@@ -761,7 +779,7 @@ var crashPositions = map[string]func(t *testing.T, hit func()){
 			t.Fatalf("recovered lsn %d without acknowledged grant %d (lsn %d)", st.LSN, jobA.ID, base+1)
 		}
 	},
-	"flush-ack": func(t *testing.T, hit func()) {
+	"flush-ack": func(t *testing.T, hit func(*rig)) {
 		r := newRig(t, StoreOptions{})
 		base := r.written()
 		pk := r.gate.parkAt(segmentSync(true))
@@ -769,7 +787,7 @@ var crashPositions = map[string]func(t *testing.T, hit func()){
 		a := r.startWritten(job)
 		r.reached(pk, "the end of the grant's flush")
 		r.pending(a, "the grant")
-		hit()
+		hit(r)
 		r.kill()
 		pk.release()
 		if v := r.result(a, "the grant"); v.err == nil {
@@ -781,7 +799,7 @@ var crashPositions = map[string]func(t *testing.T, hit func()){
 			t.Fatalf("recovered lsn %d (grant there: %t), want the flushed record %d", st.LSN, hasGrant(st, job.ID), base+1)
 		}
 	},
-	"refusal-ahead-of-flush": func(t *testing.T, hit func()) {
+	"refusal-ahead-of-flush": func(t *testing.T, hit func(*rig)) {
 		r := newRig(t, StoreOptions{})
 		base, flushes := r.written(), r.gate.segSyncs.Load()
 		pk := r.gate.parkAt(segmentSync(false))
@@ -802,7 +820,7 @@ var crashPositions = map[string]func(t *testing.T, hit func()){
 				r.written(), r.p.DurableLSN(), r.gate.segSyncs.Load()-flushes, base+3, base)
 		}
 		r.pending(a, "the grant")
-		hit()
+		hit(r)
 		r.kill()
 		pk.release()
 		if v := r.result(a, "the grant"); v.err == nil {
@@ -815,7 +833,7 @@ var crashPositions = map[string]func(t *testing.T, hit func()){
 			t.Fatalf("recovered lsn %d (grant there: %t), want %d without it", st.LSN, hasGrant(st, job.ID), base)
 		}
 	},
-	"sealed-header-unwritten": func(t *testing.T, hit func()) {
+	"sealed-header-unwritten": func(t *testing.T, hit func(*rig)) {
 		r := newRig(t, StoreOptions{})
 		base := r.written()
 		pk := r.gate.parkAt(headerWrite(false))
@@ -829,7 +847,7 @@ var crashPositions = map[string]func(t *testing.T, hit func()){
 		if r.written() != base+1 {
 			t.Fatalf("%d records written at the seal, want the carrying grant's alone", r.written()-base)
 		}
-		hit()
+		hit(r)
 		r.kill()
 		pk.release()
 		if v := r.result(a, "the grant"); v.err == nil {
@@ -839,36 +857,38 @@ var crashPositions = map[string]func(t *testing.T, hit func()){
 			t.Fatalf("recovered lsn %d (grant there: %t), want %d without it", st.LSN, hasGrant(st, job.ID), base)
 		}
 	},
-	"sealed-no-checkpoint-yet": func(t *testing.T, hit func()) {
+	"sealed-no-checkpoint-yet": func(t *testing.T, hit func(*rig)) {
 		killCheckpointAt(t, hit, "the creation of its temp file", nil, nil)
 	},
-	"tmp-write": func(t *testing.T, hit func()) {
-		killCheckpointAt(t, hit, "the end of its temp file's first write", on("write", true, isTemp), nil)
+	"tmp-unwritten": func(t *testing.T, hit func(*rig)) {
+		killCheckpointAt(t, hit, "its temp file's first write", firstOf(phaseTempWritten, false), nil)
 	},
-	"tmp-sync": func(t *testing.T, hit func()) {
-		killCheckpointAt(t, hit, "its temp file's sync", snapshotSync(false), nil)
+	"tmp-write": func(t *testing.T, hit func(*rig)) {
+		killCheckpointAt(t, hit, "the end of its temp file's first write", firstOf(phaseTempWritten, true), nil)
 	},
-	"rename-syncdir": func(t *testing.T, hit func()) {
-		renamed := false
-		killCheckpointAt(t, hit, "the directory sync after the rename", func(ev gateEvent) bool {
-			renamed = renamed || (ev.op == "rename" && ev.after)
-			return renamed && ev.op == "syncdir" && !ev.after
-		}, nil)
+	"tmp-sync": func(t *testing.T, hit func(*rig)) {
+		killCheckpointAt(t, hit, "its temp file's sync", firstOf(phaseTempSynced, false), nil)
 	},
-	"published-before-removals": func(t *testing.T, hit func()) {
-		killCheckpointAt(t, hit, "its first removal", on("remove", false, anyName), func(r *rig) {
+	"synced-unrenamed": func(t *testing.T, hit func(*rig)) {
+		killCheckpointAt(t, hit, "its rename", firstOf(phaseRenamed, false), nil)
+	},
+	"rename-syncdir": func(t *testing.T, hit func(*rig)) {
+		killCheckpointAt(t, hit, "the directory sync after the rename", firstOf(phaseDirSynced, false), nil)
+	},
+	"published-before-removals": func(t *testing.T, hit func(*rig)) {
+		killCheckpointAt(t, hit, "its first removal", firstOf(phaseCoveredRemoved, false), func(r *rig) {
 			if got := r.p.DurableLSN(); got != r.written() {
 				t.Fatalf("snapshot published at lsn %d, log durable to %d", r.written(), got)
 			}
 		})
 	},
-	"removals-half-done": func(t *testing.T, hit func()) {
+	"removals-half-done": func(t *testing.T, hit func(*rig)) {
 		removed := 0
 		killCheckpointAt(t, hit, "its second removal", func(ev gateEvent) bool {
-			if ev.op == "remove" && !ev.after {
+			if ev.call == CallRemove && !ev.after {
 				removed++
 			}
-			return removed == 2 && ev.op == "remove" && !ev.after
+			return removed == 2 && ev.call == CallRemove && !ev.after
 		}, func(r *rig) {
 			// The directory may reach the disk whenever the system likes: the
 			// first removal is made to last, the second never happens.
@@ -877,12 +897,12 @@ var crashPositions = map[string]func(t *testing.T, hit func()){
 			}
 		})
 	},
-	"promise-behind-sealed-tail": func(t *testing.T, hit func()) {
+	"promise-behind-sealed-tail": func(t *testing.T, hit func(*rig)) {
 		r := newRig(t, StoreOptions{})
 		base, sealed := r.written(), r.p.store.segName
 		// The checkpoint is held at its first step, so that nothing it would
 		// publish covers for the flush under test.
-		tmp := r.gate.parkAt(on("create", false, isTemp))
+		tmp := r.gate.parkAt(firstOf(PhaseTempCreated, false))
 		r.sealWithNextRecord()
 		if v := r.negotiate(r.refusable()); !errors.Is(v.err, qos.ErrRejected) {
 			t.Fatalf("the refusal that carries the seal: %v", v.err)
@@ -893,7 +913,7 @@ var crashPositions = map[string]func(t *testing.T, hit func()){
 		}
 		// A grant goes into the open segment; its flush has the sealed
 		// segment's tail to see to first, and stands there.
-		tail := r.gate.parkAt(func(ev gateEvent) bool { return ev.op == "sync" && !ev.after && ev.name == sealed })
+		tail := r.gate.parkAt(func(ev gateEvent) bool { return ev.call == CallSync && !ev.after && ev.name == sealed })
 		job := r.grantable()
 		a := r.startWritten(job)
 		r.reached(tail, "the sealed tail's sync")
@@ -901,7 +921,7 @@ var crashPositions = map[string]func(t *testing.T, hit func()){
 		if got := r.p.DurableLSN(); got != base {
 			t.Fatalf("durable to %d with the sealed tail unflushed, want %d", got, base)
 		}
-		hit()
+		hit(r)
 		r.kill()
 		tail.release()
 		tmp.release()
@@ -913,14 +933,14 @@ var crashPositions = map[string]func(t *testing.T, hit func()){
 			t.Fatalf("recovered lsn %d (grant there: %t), want %d without it", st.LSN, hasGrant(st, job.ID), base)
 		}
 	},
-	"snapshot-during-sync-to": func(t *testing.T, hit func()) {
+	"snapshot-during-sync-to": func(t *testing.T, hit func(*rig)) {
 		for _, crash := range []bool{true, false} {
 			r := newRig(t, StoreOptions{})
 			base := r.written()
 			if v := r.negotiate(r.refusable()); !errors.Is(v.err, qos.ErrRejected) {
 				t.Fatal(v.err)
 			}
-			pk := r.gate.parkAt(snapshotSync(false))
+			pk := r.gate.parkAt(firstOf(phaseTempSynced, false))
 			snap := make(chan error, 1)
 			go func() { snap <- r.p.Snapshot() }()
 			r.reached(pk, "the checkpoint's temp sync")
@@ -945,7 +965,7 @@ var crashPositions = map[string]func(t *testing.T, hit func()){
 				t.Fatalf("%d journal syncs in the waiter's flush, want the sealed segment's and the open one's", got)
 			}
 			if crash {
-				hit()
+				hit(r)
 				r.kill()
 			}
 			pk.release()
@@ -971,7 +991,7 @@ var crashPositions = map[string]func(t *testing.T, hit func()){
 			}
 		}
 	},
-	"second-flush-overtakes": func(t *testing.T, hit func()) {
+	"second-flush-overtakes": func(t *testing.T, hit func(*rig)) {
 		r := newRig(t, StoreOptions{})
 		base, syncs := r.written(), r.gate.segSyncs.Load()
 		earlier := r.gate.parkAt(segmentSync(false))
@@ -988,7 +1008,7 @@ var crashPositions = map[string]func(t *testing.T, hit func()){
 		}
 		r.pending(b, "the second grant")
 		r.pending(a, "the first grant")
-		hit()
+		hit(r)
 		r.kill()
 		earlier.release()
 		for _, ch := range []<-chan verdict{a, b} {
@@ -1002,7 +1022,7 @@ var crashPositions = map[string]func(t *testing.T, hit func()){
 			t.Fatalf("recovered lsn %d, want both synced grants at %d", st.LSN, base+2)
 		}
 	},
-	"earlier-flush-fails": func(t *testing.T, hit func()) {
+	"earlier-flush-fails": func(t *testing.T, hit func(*rig)) {
 		r := newRig(t, StoreOptions{})
 		base := r.written()
 		boom := errors.New("fsync failed")
@@ -1021,7 +1041,7 @@ var crashPositions = map[string]func(t *testing.T, hit func()){
 		r.await(func() bool { return r.gate.segSyncs.Load() > syncs }, "the second grant's sync")
 		r.pending(b, "the second grant")
 		r.pending(a, "the first grant")
-		hit()
+		hit(r)
 		failed.release()
 		// An fsync error is reported once: the later sync's success does not
 		// say the records before it survived, so its caller fails too.
@@ -1039,7 +1059,7 @@ var crashPositions = map[string]func(t *testing.T, hit func()){
 		r.kill()
 		r.recover()
 	},
-	"seal-under-flush": func(t *testing.T, hit func()) {
+	"seal-under-flush": func(t *testing.T, hit func(*rig)) {
 		// The sealed handle goes with the next flush to start or, if none
 		// starts first, with the checkpoint; either way it is closed once, and
 		// not before the flush still syncing it as the open segment has
@@ -1051,15 +1071,15 @@ var crashPositions = map[string]func(t *testing.T, hit func()){
 			r.gate.watch = func(ev gateEvent) {
 				switch {
 				case !ev.after:
-				case ev.op == "close" && ev.name == old:
+				case ev.call == CallClose && ev.name == old:
 					closes.Add(1)
-				case ev.op == "syncdir":
+				case ev.call == CallSyncDir:
 					dirSyncs.Add(1)
 				}
 			}
 			// The checkpoint is held at its first step, so that nothing it
 			// does covers for the flushes under test.
-			tmp := r.gate.parkAt(on("create", false, isTemp))
+			tmp := r.gate.parkAt(firstOf(PhaseTempCreated, false))
 			earlier := r.gate.parkAt(segmentSync(false))
 			jobA := r.grantable()
 			a := r.startWritten(jobA)
@@ -1099,7 +1119,7 @@ var crashPositions = map[string]func(t *testing.T, hit func()){
 			if closes.Load() != 0 {
 				t.Fatal("the sealed segment was closed under the flush still syncing it")
 			}
-			hit()
+			hit(r)
 			earlier.release()
 			for i, ch := range grants {
 				if v := r.result(ch, "a grant"); v.err != nil {
@@ -1128,25 +1148,47 @@ var crashPositions = map[string]func(t *testing.T, hit func()){
 }
 
 func TestCrashPositions(t *testing.T) {
-	for _, name := range crashPositionNames {
-		if run, ok := crashPositions[name]; ok {
-			t.Run(name, func(t *testing.T) { run(t, func() {}) })
+	for _, pos := range crashPositionNames {
+		if run, ok := crashPositions[pos.name]; ok {
+			t.Run(pos.name, func(t *testing.T) { run(t, func(*rig) {}) })
 		}
 	}
 }
 
+// The strict sweep: every name reached, every checkpoint position crashed in
+// the phase it is tagged with, and every phase a checkpoint can stand in
+// crashed by some position.
 func TestCrashPositionSweep(t *testing.T) {
-	hits := map[string]int{}
-	for name, run := range crashPositions {
-		run(t, func() { hits[name]++ })
+	tags := map[string]Phase{}
+	for _, pos := range crashPositionNames {
+		tags[pos.name] = pos.phase
 	}
-	for _, name := range crashPositionNames {
-		if hits[name] == 0 {
-			t.Errorf("no scenario took a crash at %q", name)
+	hits := map[string]int{}
+	crashed := map[Phase]bool{}
+	for name, run := range crashPositions {
+		run(t, func(r *rig) {
+			hits[name]++
+			if tag, ok := tags[name]; !ok || tag == untagged {
+				return
+			} else if at := r.gate.standing(); at != tag {
+				t.Errorf("%q is tagged %s, and its crash finds the checkpoint in %s", name, tag, at)
+			} else {
+				crashed[at] = true
+			}
+		})
+	}
+	for _, pos := range crashPositionNames {
+		if hits[pos.name] == 0 {
+			t.Errorf("no scenario took a crash at %q", pos.name)
 		}
 	}
 	if len(crashPositions) != len(crashPositionNames) {
 		t.Errorf("%d scenarios for %d named positions", len(crashPositions), len(crashPositionNames))
+	}
+	for ph := PhaseSealed; ph < PhaseOver; ph++ {
+		if !crashed[ph] {
+			t.Errorf("no position crashes a checkpoint standing in %s", ph)
+		}
 	}
 }
 

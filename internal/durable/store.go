@@ -754,6 +754,108 @@ func during(step string, err error) error {
 	return fmt.Errorf("durable: %s: %w", step, err)
 }
 
+// Phase is how far a checkpoint has got, as its filesystem calls say: each
+// phase is the state the checkpoint stands in once that phase's calls are
+// through, however many calls a phase takes.  seal, publish and
+// removeCovered make the calls, in this order; Classify is what a harness
+// that sees only the calls reads them with, so that a change to their order
+// is made, and caught, here.  The phases no other package names stay
+// unexported.
+type Phase int
+
+const (
+	PhaseSealed         Phase = iota // the seal's segment created and its header written, under the plane lock
+	PhaseTempCreated                 // the snapshot's temp file created: the checkpoint goroutine's first call
+	phaseTempWritten                 // its bytes written
+	phaseTempSynced                  // synced and closed
+	phaseRenamed                     // renamed into place
+	phaseDirSynced                   // the rename made durable: the snapshot is published
+	phaseCoveredRemoved              // the sealed segment closed, what the snapshot covers removed
+	PhaseOver                        // the removals made durable: the checkpoint is over
+)
+
+var phaseNames = [...]string{"sealed", "temp-created", "temp-written", "temp-synced", "renamed", "dir-synced", "covered-removed", "over"}
+
+func (ph Phase) String() string { return phaseNames[ph] }
+
+// Call is a kind of filesystem call, as Classify reads it.  OpenAppend is a
+// Create: the store opens nothing else for writing.
+type Call int
+
+const (
+	CallCreate Call = iota
+	CallWrite
+	CallSync
+	CallClose
+	CallRename
+	CallRemove
+	CallSyncDir
+)
+
+// Classify returns the phase a checkpoint stands in once call c on the file
+// name is through, at being the phase it stood in before.  A call the
+// checkpoint does not make leaves it at: a record's write, a flush's sync of
+// a segment, and before the snapshot is published a flush's directory sync
+// or close of the sealed segment.  Past the publication those are the
+// checkpoint's calls, and a flush's classifies as the checkpoint's would: a
+// harness that needs the two apart tells them by who makes the call.  The
+// seal's header write is a segment write like any other: IsSeal names it.
+func Classify(c Call, name string, at Phase) Phase {
+	temp := isSnapshotTemp(name)
+	switch c {
+	case CallCreate:
+		if temp {
+			return PhaseTempCreated
+		}
+		if IsSegment(name) {
+			return PhaseSealed
+		}
+	case CallWrite:
+		if temp {
+			return phaseTempWritten
+		}
+	case CallSync, CallClose:
+		if temp {
+			return phaseTempSynced
+		}
+		if c == CallClose && IsSegment(name) && at >= phaseDirSynced && at < PhaseOver {
+			return phaseCoveredRemoved
+		}
+	case CallRename:
+		return phaseRenamed
+	case CallRemove:
+		return phaseCoveredRemoved
+	case CallSyncDir:
+		if at == phaseRenamed {
+			return phaseDirSynced
+		}
+		if at > phaseRenamed {
+			return PhaseOver
+		}
+	}
+	return at
+}
+
+// IsSegment reports whether path names a journal segment.
+func IsSegment(path string) bool {
+	_, ok := parseName(filepath.Base(path), "wal-", ".log")
+	return ok
+}
+
+// IsSeal reports whether a write to a segment carries the segment's header:
+// the one write a seal makes there.  A record's frame never starts with the
+// magic, which as its length would be past maxFramePayload.
+func IsSeal(p []byte) bool {
+	return len(p) >= len(walMagic) && string(p[:len(walMagic)]) == walMagic
+}
+
+// isSnapshotTemp reports whether path names the temp file publish writes a
+// snapshot to.
+func isSnapshotTemp(path string) bool {
+	_, ok := parseName(filepath.Base(path), "snap-", ".snap.tmp")
+	return ok
+}
+
 func (s *store) poison(err error) error {
 	if s.poisoned.CompareAndSwap(nil, &err) && s.met != nil {
 		s.met.Poisoned.Set(1)
