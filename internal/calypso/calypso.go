@@ -124,17 +124,8 @@ type Config struct {
 	// Workers is the number of worker goroutines ("processors").  Must be
 	// at least 1.
 	Workers int
-	// Speeds optionally gives each worker a relative speed factor
-	// (1 = baseline; 0.5 = half speed).  The paper's environment exhibits
-	// "wide variations in processing speeds"; a slow worker's executions
-	// are stretched by the reciprocal of its speed, and eager scheduling
-	// routes around it.  nil means all workers run at speed 1.
-	Speeds []float64
 	// Faults optionally injects failures; nil disables injection.
 	Faults *FaultPlan
-	// MaxAttempts bounds executions per task (0 = 16*Workers, a generous
-	// default that still terminates if injected fault rates are extreme).
-	MaxAttempts int
 	// Hooks optionally observes step and task execution (tracing); the
 	// zero value disables observation.
 	Hooks TraceHooks
@@ -164,19 +155,6 @@ func New(cfg Config) (*Runtime, error) {
 	if cfg.Workers < 1 {
 		return nil, fmt.Errorf("calypso: %d workers (need >= 1)", cfg.Workers)
 	}
-	if cfg.Speeds != nil {
-		if len(cfg.Speeds) != cfg.Workers {
-			return nil, fmt.Errorf("calypso: %d speeds for %d workers", len(cfg.Speeds), cfg.Workers)
-		}
-		for i, sp := range cfg.Speeds {
-			if sp <= 0 {
-				return nil, fmt.Errorf("calypso: worker %d speed %v must be positive", i, sp)
-			}
-		}
-	}
-	if cfg.MaxAttempts == 0 {
-		cfg.MaxAttempts = 16 * cfg.Workers
-	}
 	rt := &Runtime{cfg: cfg, store: newStore(), alive: cfg.Workers}
 	if cfg.Faults != nil {
 		cfg.Faults.init()
@@ -195,14 +173,6 @@ func (rt *Runtime) aliveWorkers() int {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	return rt.alive
-}
-
-// speed returns a worker's relative speed factor.
-func (rt *Runtime) speed(wid int) float64 {
-	if rt.cfg.Speeds == nil || wid >= len(rt.cfg.Speeds) {
-		return 1
-	}
-	return rt.cfg.Speeds[wid]
 }
 
 // noteCrash permanently removes one worker.

@@ -481,3 +481,48 @@ func TestSlowFaultDelays(t *testing.T) {
 		t.Fatal("slow fault did not delay execution")
 	}
 }
+
+// TestSlowWorkerMaskedByEagerScheduling is the paper's Calypso claim that
+// eager scheduling masks slow executions.  The plan's seed makes its first
+// draw slow and at most one more of the first 512 (every execution a step
+// of width 8 on 4 workers may make, at 16 × 4 per task): the step's first
+// execution is a straggler, and no more than two of the four workers ever
+// sleep, so the others' eager duplicates commit every task long before one
+// slow execution would end.
+func TestSlowWorkerMaskedByEagerScheduling(t *testing.T) {
+	const (
+		workers, width = 4, 8
+		slow           = 2 * time.Second
+	)
+	plan := func() *FaultPlan { return &FaultPlan{SlowProb: 0.02, SlowDelay: slow, Seed: 71214} }
+	draws := plan()
+	slowDraws := 0
+	for i := 0; i < width*16*workers; i++ {
+		if draws.decide(workers) == outcomeSlow {
+			slowDraws++
+		} else if i == 0 {
+			t.Fatal("the seed's first draw is not slow")
+		}
+	}
+	if slowDraws > 2 {
+		t.Fatalf("the seed draws %d slow executions, want at most 2", slowDraws)
+	}
+
+	rt := newRT(t, workers, plan())
+	start := time.Now()
+	err := rt.Parallel(width, func(ctx *TaskCtx, w, n int) error {
+		for deadline := time.Now().Add(time.Millisecond); time.Now().Before(deadline); {
+		}
+		ctx.Write(fmt.Sprintf("r.%d", n), n)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if elapsed := time.Since(start); elapsed > slow/4 {
+		t.Fatalf("step took %v, a slow execution takes %v: the straggler was not masked", elapsed, slow)
+	}
+	if rt.Store().Len() != width {
+		t.Fatalf("results = %d, want %d", rt.Store().Len(), width)
+	}
+}

@@ -249,6 +249,9 @@ func (s *step) end() (err error) {
 		defer func() { hooks.StepDone(stepID, time.Since(stepBegan), err) }()
 	}
 
+	// Executions per task are bounded at 16 per configured worker:
+	// generous, yet a step still ends if injected fault rates are extreme.
+	maxAttempts := 16 * rt.cfg.Workers
 	var aliveMu sync.Mutex
 	alive := workers
 
@@ -263,7 +266,7 @@ func (s *step) end() (err error) {
 	}
 	worker := func(wid int) {
 		for {
-			t, attempt, err := d.next(rt.cfg.MaxAttempts)
+			t, attempt, err := d.next(maxAttempts)
 			if t == nil || err != nil {
 				return
 			}
@@ -308,13 +311,6 @@ func (s *step) end() (err error) {
 			if err := s.runBody(t, ctx); err != nil {
 				d.fail(err)
 				return
-			}
-			// A slow worker stretches its execution by 1/speed: the extra
-			// time is modeled as a delay before commit, so a fast worker's
-			// eager duplicate can win the race.
-			if sp := rt.speed(wid); sp < 1 {
-				elapsed := time.Since(started)
-				time.Sleep(time.Duration(float64(elapsed) * (1/sp - 1)))
 			}
 			// The commit and its report are one: the last winner's TaskExec
 			// fires before end closes the step, and a loser's after it

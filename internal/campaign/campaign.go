@@ -452,7 +452,7 @@ func runOne(cfg Config, sc Scenario, plane Plane) (RunReport, error) {
 				lastFinish = finish
 			}
 			tenant := job.Tenant
-			ev := engine.At(finish, "complete", func() {
+			engine.At(finish, "complete", func() {
 				// End the run span before the completion lands in the
 				// SLO engine, so a triggered snapshot already holds
 				// the span that convicts the stage.
@@ -461,7 +461,6 @@ func runOne(cfg Config, sc Scenario, plane Plane) (RunReport, error) {
 				rc.shed.JobCompleted(id, finish)
 				rc.tenantAlive[tenant] -= area
 			})
-			ev.Trace = job.Trace
 		} else {
 			verdict := byte('R')
 			if errors.Is(err, qos.ErrShed) {

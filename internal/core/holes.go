@@ -1,9 +1,6 @@
 package core
 
-import (
-	"math"
-	"sort"
-)
+import "sort"
 
 // Hole is a maximal free rectangle in the processor-time plane: Procs
 // processors are free throughout [Start, End), and the rectangle cannot be
@@ -89,38 +86,4 @@ func (p *Profile) maximalHolesLinear(from float64) []Hole {
 		return holes[a].Procs > holes[b].Procs
 	})
 	return holes
-}
-
-// EarliestFitHoles answers the same question as Profile.EarliestFit but by
-// scanning the maximal-hole set: the earliest s >= est with procs processors
-// free over [s, s+duration) and s+duration <= deadline.  It exists both as
-// the paper-literal formulation and as a cross-check oracle for the
-// segment-scanning implementation.
-func (p *Profile) EarliestFitHoles(procs int, duration, est, deadline float64) (float64, bool) {
-	if procs > p.capacity || duration <= 0 {
-		return 0, false
-	}
-	holes := p.MaximalHoles(est)
-	best := math.Inf(1)
-	found := false
-	for _, h := range holes {
-		if h.Procs < procs {
-			continue
-		}
-		s := maxTime(h.Start, est)
-		if !timeLeq(s+duration, h.End) {
-			continue
-		}
-		if !timeLeq(s+duration, deadline) {
-			continue
-		}
-		if s < best {
-			best = s
-			found = true
-		}
-	}
-	if !found {
-		return 0, false
-	}
-	return best, true
 }

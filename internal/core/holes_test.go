@@ -110,6 +110,40 @@ func TestMaximalHolesSkipsFullSegments(t *testing.T) {
 	}
 }
 
+// earliestFitHoles answers the same question as Profile.EarliestFit but by
+// scanning the maximal-hole set: the earliest s >= est with procs processors
+// free over [s, s+duration) and s+duration <= deadline.  It is the paper's
+// literal formulation, kept as the oracle the segment scan is checked
+// against.
+func (p *Profile) earliestFitHoles(procs int, duration, est, deadline float64) (float64, bool) {
+	if procs > p.capacity || duration <= 0 {
+		return 0, false
+	}
+	holes := p.MaximalHoles(est)
+	best := math.Inf(1)
+	found := false
+	for _, h := range holes {
+		if h.Procs < procs {
+			continue
+		}
+		s := maxTime(h.Start, est)
+		if !timeLeq(s+duration, h.End) {
+			continue
+		}
+		if !timeLeq(s+duration, deadline) {
+			continue
+		}
+		if s < best {
+			best = s
+			found = true
+		}
+	}
+	if !found {
+		return 0, false
+	}
+	return best, true
+}
+
 // TestQuickHoleEngineMatchesProfileEngine: for random profiles and queries,
 // the hole-based earliest fit agrees exactly with the segment-scan.
 func TestQuickHoleEngineMatchesProfileEngine(t *testing.T) {
@@ -122,7 +156,7 @@ func TestQuickHoleEngineMatchesProfileEngine(t *testing.T) {
 		est := float64(estRaw % 800)
 		deadline := est + float64(dlRaw%1200)/2
 		s1, ok1 := p.EarliestFit(procs, dur, est, deadline)
-		s2, ok2 := p.EarliestFitHoles(procs, dur, est, deadline)
+		s2, ok2 := p.earliestFitHoles(procs, dur, est, deadline)
 		if ok1 != ok2 {
 			t.Logf("profile=(%v,%v) holes=(%v,%v) query p=%d d=%v est=%v dl=%v\n%s",
 				s1, ok1, s2, ok2, procs, dur, est, deadline, p)

@@ -19,9 +19,8 @@ import (
 
 // TestOracleRandomOpStreams replays >10k randomized operations per
 // capacity class through the indexed/linear pair.  Covers MinAvailOn,
-// EarliestFit (direct and fit-then-reserve), MaximalHoles,
-// EarliestFitHoles, BusyUpTo/BusyOn, TrimBefore, and after every single
-// operation the Segments invariants (sorted breakpoints more than Eps
+// EarliestFit (direct and fit-then-reserve), MaximalHoles, BusyUpTo/BusyOn,
+// TrimBefore, and after every single operation the Segments invariants (sorted breakpoints more than Eps
 // apart, usage within capacity, idle final segment) plus exact
 // segment-structure equality.
 func TestOracleRandomOpStreams(t *testing.T) {

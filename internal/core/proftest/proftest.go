@@ -49,8 +49,7 @@ const (
 	OpMinAvail
 	// OpEarliestFit compares EarliestFit(Procs, B, A, C).
 	OpEarliestFit
-	// OpHoles compares the full MaximalHoles(A) enumeration element-wise
-	// and the derived EarliestFitHoles(Procs, B, A, C) answer.
+	// OpHoles compares the full MaximalHoles(A) enumeration element-wise.
 	OpHoles
 	// OpBusy compares BusyUpTo(A) and BusyOn(A, A+B).
 	OpBusy
@@ -265,11 +264,6 @@ func applyBoth(pi, pl *core.Profile, op Op) string {
 		hl := pl.MaximalHoles(op.A)
 		if desc := compareHoles(hi, hl); desc != "" {
 			return fmt.Sprintf("MaximalHoles(%.17g): %s", op.A, desc)
-		}
-		si, oki := pi.EarliestFitHoles(op.Procs, op.B, op.A, op.C)
-		sl, okl := pl.EarliestFitHoles(op.Procs, op.B, op.A, op.C)
-		if oki != okl || si != sl {
-			return fmt.Sprintf("EarliestFitHoles: indexed (%.17g,%v), linear (%.17g,%v)", si, oki, sl, okl)
 		}
 	case OpBusy:
 		bi, bl := pi.BusyUpTo(op.A), pl.BusyUpTo(op.A)

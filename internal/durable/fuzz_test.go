@@ -15,6 +15,10 @@ func FuzzRecordDecode(f *testing.F) {
 	for _, r := range sampleRecords() {
 		f.Add(encodeRecord(&r))
 	}
+	// The reserved kind 7 over an admit's body.
+	seven := encodeRecord(&sampleRecords()[0])
+	seven[0] = 7
+	f.Add(seven)
 	// Adversarial seeds: empty, lone kind byte, unknown kind, giant counts.
 	f.Add([]byte{})
 	f.Add([]byte{byte(KindAdmit)})

@@ -88,16 +88,16 @@ type Plane struct {
 }
 
 // promises reports whether a record of kind k binds the plane to something
-// a recovered plane must still honour — a reservation granted or moved, a
-// machine resized — and so has to be on stable storage before its caller
-// hears of it.  A refusal, a shed, a clock report or a completion binds it
-// to nothing: lost, as a suffix of the log, it leaves a recovered plane that
+// a recovered plane must still honour — a reservation granted, a machine
+// resized — and so has to be on stable storage before its caller hears of
+// it.  A refusal, a shed, a clock report or a completion binds it to
+// nothing: lost, as a suffix of the log, it leaves a recovered plane that
 // promised nothing it cannot keep (at worst a finished grant is listed live
 // again until its reserved time runs out), so these are acknowledged once
 // written.
 func promises(k Kind) bool {
 	switch k {
-	case KindAdmit, kindRenegotiate, KindCapacity:
+	case KindAdmit, KindCapacity:
 		return true
 	}
 	return false

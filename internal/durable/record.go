@@ -1,10 +1,10 @@
 // Package durable is the admission plane's durability layer: an
-// append-only write-ahead log of admission/renegotiation/release/shed
-// events, periodic capacity-profile snapshots with log truncation, and
-// replay-on-open recovery that reconstructs the arbitrator's committed
-// state bit-exactly.  All I/O goes through the vfs seam, so the same store
-// runs against the real filesystem and against the fault-injecting
-// in-memory filesystem the crash-loop harness uses.
+// append-only write-ahead log of admission/release/shed events, periodic
+// capacity-profile snapshots with log truncation, and replay-on-open
+// recovery that reconstructs the arbitrator's committed state bit-exactly.
+// All I/O goes through the vfs seam, so the same store runs against the
+// real filesystem and against the fault-injecting in-memory filesystem the
+// crash-loop harness uses.
 //
 // The durability contract: a grant is acknowledged to the caller only
 // after its admit record is appended (and synced, per the configured sync
@@ -46,9 +46,9 @@ const (
 	// kindComplete: a granted reservation finished; the grant leaves the
 	// live set.
 	kindComplete Kind = 6
-	// kindRenegotiate: an in-flight grant's remaining tasks were re-placed
-	// (capacity renegotiation); the placement replaces the grant's.
-	kindRenegotiate Kind = 7
+	// Kind 7 is reserved for a renegotiation record, whose replay must
+	// release the placement it moves (ROADMAP item 2).  Nothing writes it,
+	// so it decodes as an unknown kind and recovery stops there.
 )
 
 func (k Kind) String() string {
@@ -65,8 +65,6 @@ func (k Kind) String() string {
 		return "shed"
 	case kindComplete:
 		return "complete"
-	case kindRenegotiate:
-		return "renegotiate"
 	}
 	return fmt.Sprintf("kind(%d)", uint8(k))
 }
@@ -79,10 +77,10 @@ type Record struct {
 	Kind Kind
 
 	Now     float64 // KindObserve
-	Shard   int     // KindAdmit/Capacity/Reject/Complete/Renegotiate
+	Shard   int     // KindAdmit/Capacity/Reject/Complete
 	Procs   int     // KindCapacity
-	JobID   int     // KindAdmit/Reject/Shed/Complete/Renegotiate
-	Chain   int     // KindAdmit/Renegotiate
+	JobID   int     // KindAdmit/Reject/Shed/Complete
+	Chain   int     // KindAdmit
 	Quality float64 // KindAdmit
 	Tunable bool    // KindAdmit
 	Tenant  string  // KindAdmit/Reject/Shed
@@ -90,7 +88,7 @@ type Record struct {
 	Reason  string  // kindShed
 	Finish  float64 // kindComplete
 
-	Tasks []core.TaskPlacement // KindAdmit/Renegotiate
+	Tasks []core.TaskPlacement // KindAdmit
 }
 
 // Decoder hardening limits: a corrupt length or count must produce an
@@ -121,7 +119,7 @@ func appendRecord(b []byte, r *Record) []byte {
 	case KindCapacity:
 		b = frame.AppendU32(b, uint32(r.Shard))
 		b = frame.AppendU32(b, uint32(r.Procs))
-	case KindAdmit, kindRenegotiate:
+	case KindAdmit:
 		b = frame.AppendU32(b, uint32(r.Shard))
 		b = frame.AppendU64(b, uint64(int64(r.JobID)))
 		b = frame.AppendU32(b, uint32(r.Chain))
@@ -177,7 +175,7 @@ func DecodeRecord(payload []byte) (Record, error) {
 	case KindCapacity:
 		r.Shard = int(int32(c.U32()))
 		r.Procs = int(int32(c.U32()))
-	case KindAdmit, kindRenegotiate:
+	case KindAdmit:
 		r.Shard = int(int32(c.U32()))
 		r.JobID = int(int64(c.U64()))
 		r.Chain = int(int32(c.U32()))

@@ -21,8 +21,6 @@ func sampleRecords() []Record {
 		{Kind: KindReject, LSN: 4, JobID: 8, Tenant: "free", Class: 0},
 		{Kind: kindShed, LSN: 5, JobID: 9, Tenant: "noisy", Class: 3, Reason: "tenant-quota"},
 		{Kind: kindComplete, LSN: 6, Shard: 2, JobID: 7, Finish: 5.5},
-		{Kind: kindRenegotiate, LSN: 7, Shard: 0, JobID: 11, Chain: 0, Quality: 0.5,
-			Tasks: []core.TaskPlacement{{Task: 0, Procs: 2, Start: 6, Finish: 8}}},
 	}
 }
 

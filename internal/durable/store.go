@@ -1147,26 +1147,17 @@ func applyRecord(st *State, sc *core.Scheduler, r *Record) error {
 		if err := sc.SetCapacity(r.Procs); err != nil {
 			return err
 		}
-	case KindAdmit, kindRenegotiate:
+	case KindAdmit:
 		pl := &core.Placement{JobID: r.JobID, Chain: r.Chain, Tasks: r.Tasks}
 		if err := sc.ReplayCommit(pl, r.Quality, r.Tunable); err != nil {
 			return err
 		}
-		g := GrantRecord{
+		st.Grants = append(st.Grants, GrantRecord{
 			JobID: r.JobID, Shard: r.Shard, Chain: r.Chain,
 			Quality: r.Quality, Tunable: r.Tunable,
 			Tenant: r.Tenant, Class: r.Class,
 			Tasks: append([]core.TaskPlacement(nil), r.Tasks...),
-		}
-		if r.Kind == kindRenegotiate {
-			for i := range st.Grants {
-				if st.Grants[i].JobID == r.JobID {
-					st.Grants[i] = g
-					return nil
-				}
-			}
-		}
-		st.Grants = append(st.Grants, g)
+		})
 	case KindReject:
 		sc.NoteRejected()
 	case kindShed:

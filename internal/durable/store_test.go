@@ -260,6 +260,61 @@ func TestStoreTornTailAfterLyingSync(t *testing.T) {
 	}
 }
 
+// TestRecoveryStopsAtKindSeven: nothing writes kind 7, which is reserved for
+// a renegotiation record whose replay releases the placement it moves
+// (ROADMAP item 2).  A checksum-clean kind-7 record between two admits —
+// here the first admit with its kind byte patched — is an unknown kind, so
+// recovery stops there as at any torn tail: the first job is reserved once
+// and counted once, and nothing after the tear is replayed.
+func TestRecoveryStopsAtKindSeven(t *testing.T) {
+	admit := func(lsn uint64, job int) Record {
+		return Record{Kind: KindAdmit, LSN: lsn, JobID: job, Quality: 1,
+			Tasks: []core.TaskPlacement{{Task: 0, Procs: 2, Start: 0, Finish: 10}}}
+	}
+	// The state with the first admit alone.
+	ref := vfs.NewMem()
+	s, _ := openMem(t, ref, StoreOptions{})
+	first := admit(0, 1)
+	if _, err := s.Append(&first); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	_, want := openMem(t, ref, StoreOptions{})
+
+	mem := vfs.NewMem()
+	s, _ = openMem(t, mem, StoreOptions{})
+	first = admit(0, 1)
+	if _, err := s.Append(&first); err != nil {
+		t.Fatal(err)
+	}
+	seg := s.segName
+	s.Close()
+	again, second := admit(2, 1), admit(3, 2)
+	seven := encodeRecord(&again)
+	seven[0] = 7
+	f, err := mem.OpenAppend(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range [][]byte{framed(seven), framed(encodeRecord(&second))} {
+		if _, err := f.Write(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	_, got := openMem(t, mem, StoreOptions{})
+	if !got.Torn || got.State.LSN != 1 || got.Records != 1 {
+		t.Errorf("recovery over kind 7: torn=%v lsn=%d records=%d, want a tear after the first admit (true, 1, 1)",
+			got.Torn, got.State.LSN, got.Records)
+	}
+	if err := DiffStates(&got.State, &want.State); err != nil {
+		t.Errorf("recovered state is not the first admit's alone: %v", err)
+	}
+}
+
 // TestAppendIssuesOneWritePerRecord: a record's frame — header and payload
 // — leaves in a single Write (one syscall on the real filesystem), and the
 // bytes on disk are still exactly the two-part frame recovery reads.

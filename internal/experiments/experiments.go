@@ -336,7 +336,7 @@ func runLoop(cfg Config, jobs []core.Job, arb admitter) RunResult {
 		led := cfg.Ledger.Shard(g.Shard)
 		key := ledger.KeyOf(&job)
 		pl := g.Placement
-		ev := engine.At(finish, "complete", func() {
+		engine.At(finish, "complete", func() {
 			// End the run span before the completion lands in the SLO
 			// engine so a triggered flight snapshot already holds the span
 			// that convicts the stage.
@@ -344,7 +344,6 @@ func runLoop(cfg Config, jobs []core.Job, arb admitter) RunResult {
 			cfg.SLO.JobCompleted(id, finish)
 			led.RecordCompletion(key, &pl)
 		})
-		ev.Trace = job.Trace
 	})
 	engine.Run()
 

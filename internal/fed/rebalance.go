@@ -25,10 +25,6 @@ type Rebalancer struct {
 	// (default 1: a shard always keeps one processor so it can still
 	// admit).
 	MinShardProcs int
-	// MinGap is the minimum load-signal gap (receiver minus donor) that
-	// justifies a migration; at or below it the plane is considered
-	// balanced.  The default 0 migrates on any positive gap.
-	MinGap float64
 }
 
 // newRebalancer returns a rebalancer over the plane.
@@ -70,8 +66,9 @@ func (r *Rebalancer) snapshot() []shardState {
 
 // rebalanceOnce attempts a single one-processor migration from the coldest
 // shard with spare headroom to the hungriest shard, reporting whether a
-// processor moved.  It returns false when the plane is balanced (no pair
-// exceeds MinGap) or no donor can shrink without touching a reservation.
+// processor moved.  It returns false when the plane is balanced (the
+// hungriest shard is no hungrier than the donor) or no donor can shrink
+// without touching a reservation.
 func (r *Rebalancer) rebalanceOnce() bool {
 	minProcs := r.MinShardProcs
 	if minProcs < 1 {
@@ -96,7 +93,7 @@ func (r *Rebalancer) rebalanceOnce() bool {
 	if recv < 0 || donor < 0 {
 		return false
 	}
-	if states[recv].load-states[donor].load <= r.MinGap {
+	if states[recv].load <= states[donor].load {
 		return false
 	}
 	// Stability: the move must not leave the donor hungrier than the

@@ -10,12 +10,13 @@ import (
 // seriesMarks cycles through plot symbols for overlaid series.
 var seriesMarks = []byte{'*', 'o', '+', 'x', '#', '@'}
 
+// The plot area Plot draws: columns and rows.
+const plotWidth, plotHeight = 64, 16
+
 // PlotOptions configures Plot.
 type PlotOptions struct {
-	Width  int // plot columns (default 64)
-	Height int // plot rows (default 16)
-	YMin   float64
-	YMax   float64 // YMax <= YMin means autoscale
+	YMin float64
+	YMax float64 // YMax <= YMin means autoscale
 }
 
 // Plot renders the series as an ASCII chart, one symbol per series, with a
@@ -25,13 +26,7 @@ func Plot(w io.Writer, title string, series []*Series, opts PlotOptions) error {
 	if len(series) == 0 {
 		return fmt.Errorf("metrics: nothing to plot")
 	}
-	width, height := opts.Width, opts.Height
-	if width <= 0 {
-		width = 64
-	}
-	if height <= 0 {
-		height = 16
-	}
+	width, height := plotWidth, plotHeight
 	xmin, xmax := math.Inf(1), math.Inf(-1)
 	ymin, ymax := math.Inf(1), math.Inf(-1)
 	for _, s := range series {

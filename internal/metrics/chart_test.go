@@ -17,7 +17,7 @@ func TestPlotBasicStructure(t *testing.T) {
 	s1 := lineSeries("up", [2]float64{0, 0}, [2]float64{10, 1})
 	s2 := lineSeries("down", [2]float64{0, 1}, [2]float64{10, 0})
 	var sb strings.Builder
-	err := Plot(&sb, "test chart", []*Series{s1, s2}, PlotOptions{Width: 40, Height: 10})
+	err := Plot(&sb, "test chart", []*Series{s1, s2}, PlotOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,9 +29,9 @@ func TestPlotBasicStructure(t *testing.T) {
 		t.Errorf("missing legend:\n%s", out)
 	}
 	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
-	// title + 10 rows + axis + x labels + legend.
-	if len(lines) != 14 {
-		t.Fatalf("got %d lines, want 14:\n%s", len(lines), out)
+	// title + 16 rows + axis + x labels + legend.
+	if len(lines) != 20 {
+		t.Fatalf("got %d lines, want 20:\n%s", len(lines), out)
 	}
 	// Both marks appear.
 	if !strings.Contains(out, "*") || !strings.Contains(out, "o") {
@@ -48,7 +48,7 @@ func TestPlotInterpolatesBetweenPoints(t *testing.T) {
 	// every column.
 	s := lineSeries("line", [2]float64{0, 0}, [2]float64{100, 1})
 	var sb strings.Builder
-	if err := Plot(&sb, "", []*Series{s}, PlotOptions{Width: 30, Height: 8}); err != nil {
+	if err := Plot(&sb, "", []*Series{s}, PlotOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	rows := strings.Split(sb.String(), "\n")
@@ -56,8 +56,8 @@ func TestPlotInterpolatesBetweenPoints(t *testing.T) {
 	for _, r := range rows {
 		stars += strings.Count(r, "*")
 	}
-	if stars < 30 {
-		t.Fatalf("only %d marks for a 30-column line", stars)
+	if stars < plotWidth {
+		t.Fatalf("only %d marks for a %d-column line", stars, plotWidth)
 	}
 }
 
@@ -72,7 +72,7 @@ func TestPlotDegenerateInputs(t *testing.T) {
 	// Single point, flat series: must not divide by zero.
 	single := lineSeries("pt", [2]float64{5, 3})
 	var sb strings.Builder
-	if err := Plot(&sb, "", []*Series{single}, PlotOptions{Width: 10, Height: 4}); err != nil {
+	if err := Plot(&sb, "", []*Series{single}, PlotOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(sb.String(), "*") {
@@ -83,7 +83,7 @@ func TestPlotDegenerateInputs(t *testing.T) {
 func TestPlotFixedYRangeClamps(t *testing.T) {
 	s := lineSeries("spike", [2]float64{0, 0}, [2]float64{1, 100})
 	var sb strings.Builder
-	err := Plot(&sb, "", []*Series{s}, PlotOptions{Width: 10, Height: 5, YMin: 0, YMax: 1})
+	err := Plot(&sb, "", []*Series{s}, PlotOptions{YMin: 0, YMax: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestPlotSymbolCyclingPastMarkSet(t *testing.T) {
 		))
 	}
 	var sb strings.Builder
-	if err := Plot(&sb, "cycling", series, PlotOptions{Width: 30, Height: 12}); err != nil {
+	if err := Plot(&sb, "cycling", series, PlotOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
@@ -124,7 +124,7 @@ func TestPlotSinglePointSeriesDegenerateRanges(t *testing.T) {
 	a := lineSeries("a", [2]float64{2, 7})
 	b := lineSeries("b", [2]float64{2, 7})
 	var sb strings.Builder
-	if err := Plot(&sb, "flat", []*Series{a, b}, PlotOptions{Width: 12, Height: 5}); err != nil {
+	if err := Plot(&sb, "flat", []*Series{a, b}, PlotOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
@@ -140,7 +140,7 @@ func TestPlotSinglePointSeriesDegenerateRanges(t *testing.T) {
 	long := lineSeries("long", [2]float64{0, 0}, [2]float64{100, 10})
 	pt := lineSeries("pt", [2]float64{50, 5})
 	sb.Reset()
-	if err := Plot(&sb, "", []*Series{long, pt}, PlotOptions{Width: 20, Height: 8}); err != nil {
+	if err := Plot(&sb, "", []*Series{long, pt}, PlotOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(sb.String(), "o pt") {

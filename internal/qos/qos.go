@@ -340,9 +340,6 @@ func (ag *Agent) Grant() *Grant { return ag.grant }
 // precedence graphs (task_par programs): the DAG counterpart of Agent.
 type DAGAgent struct {
 	Job core.DAGJob
-	// Configure, if set, runs once with the grant so the application can
-	// set its control parameters before execution.
-	Configure func(*Grant)
 }
 
 // DAGNegotiator is anything a DAG agent can negotiate with: the in-process
@@ -359,12 +356,5 @@ func (ag *DAGAgent) NegotiateWith(n DAGNegotiator) (*Grant, error) {
 	if err := ag.Job.Validate(); err != nil {
 		return nil, fmt.Errorf("qos: dag agent job invalid: %w", err)
 	}
-	g, err := n.NegotiateDAG(ag.Job)
-	if err != nil {
-		return nil, err
-	}
-	if ag.Configure != nil {
-		ag.Configure(g)
-	}
-	return g, nil
+	return n.NegotiateDAG(ag.Job)
 }

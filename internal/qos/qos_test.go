@@ -212,15 +212,9 @@ func TestDAGAgentNegotiation(t *testing.T) {
 			{Task: core.Task{Procs: 2, Duration: 5, Deadline: 100}, Preds: []int{1, 2}},
 		},
 	}}}
-	ag := NewDAGAgent(job)
-	var configured *Grant
-	ag.Configure = func(g *Grant) { configured = g }
-	g, err := ag.NegotiateWith(arb)
+	g, err := NewDAGAgent(job).NegotiateWith(arb)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if configured != g {
-		t.Fatal("grant not configured")
 	}
 	if g.Quality != 0.9 {
 		t.Fatalf("quality = %v", g.Quality)

@@ -20,8 +20,6 @@ type Resource struct {
 	// Speed is a relative performance factor (1.0 = baseline); policies
 	// may weight allocations by it.
 	Speed float64
-	// Tags carry user attributes for policy matching (e.g. "arch", "site").
-	Tags map[string]string
 }
 
 // validate checks the resource description.
@@ -48,10 +46,6 @@ type Share struct {
 type Request struct {
 	Computation string
 	MinProcs    int
-	MaxProcs    int // 0 means MinProcs
-	// RequireTags restricts eligible resources to those carrying every
-	// listed tag value.
-	RequireTags map[string]string
 }
 
 // EventKind classifies capacity-change notifications.
@@ -93,9 +87,9 @@ type Event struct {
 
 // Policy decides how a request maps onto eligible resources.
 type Policy interface {
-	// Allocate returns shares covering at least req.MinProcs (and at most
-	// req.MaxProcs) from the eligible resources, each annotated with its
-	// free capacity.  It must not return shares exceeding free capacity.
+	// Allocate returns shares covering req.MinProcs from the eligible
+	// resources, each annotated with its free capacity.  It must not
+	// return shares exceeding free capacity.
 	Allocate(req Request, eligible []Availability) ([]Share, error)
 	// Name identifies the policy in errors and logs.
 	Name() string
@@ -116,17 +110,13 @@ func (firstFit) Name() string { return "first-fit" }
 
 // Allocate implements Policy.
 func (firstFit) Allocate(req Request, eligible []Availability) ([]Share, error) {
-	want := req.MaxProcs
-	if want < req.MinProcs {
-		want = req.MinProcs
-	}
 	var shares []Share
 	got := 0
 	for _, a := range eligible {
-		if got >= want {
+		if got >= req.MinProcs {
 			break
 		}
-		take := want - got
+		take := req.MinProcs - got
 		if take > a.Free {
 			take = a.Free
 		}
@@ -306,9 +296,6 @@ func (b *Broker) Bind(req Request) (Binding, error) {
 	var eligible []Availability
 	for _, id := range b.order {
 		r := b.resources[id]
-		if !tagsMatch(r.Tags, req.RequireTags) {
-			continue
-		}
 		free := r.Procs - b.committed[id]
 		if free > 0 {
 			eligible = append(eligible, Availability{Resource: r, Free: free})
@@ -442,13 +429,4 @@ func (b *Broker) drain() {
 	}
 	b.delivering = false
 	b.mu.Unlock()
-}
-
-func tagsMatch(have, want map[string]string) bool {
-	for k, v := range want {
-		if have[k] != v {
-			return false
-		}
-	}
-	return true
 }

@@ -91,23 +91,6 @@ func TestBindFastestFirstPrefersFastResources(t *testing.T) {
 	}
 }
 
-func TestBindRespectsTags(t *testing.T) {
-	b := New(nil)
-	b.Register(Resource{ID: "x86", Procs: 8, Speed: 1, Tags: map[string]string{"arch": "x86"}})
-	b.Register(Resource{ID: "arm", Procs: 8, Speed: 1, Tags: map[string]string{"arch": "arm"}})
-	bd, err := b.Bind(Request{Computation: "j", MinProcs: 4, RequireTags: map[string]string{"arch": "arm"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bd.Shares[0].ResourceID != "arm" {
-		t.Fatalf("shares = %+v", bd.Shares)
-	}
-	_, err = b.Bind(Request{Computation: "j2", MinProcs: 4, RequireTags: map[string]string{"arch": "sparc"}})
-	if err == nil {
-		t.Fatal("bound on nonexistent tag")
-	}
-}
-
 func TestBindFailuresLeavePoolUnchanged(t *testing.T) {
 	b := newPool(t, nil)
 	if _, err := b.Bind(Request{Computation: "", MinProcs: 1}); err == nil {
@@ -127,17 +110,6 @@ func TestBindFailuresLeavePoolUnchanged(t *testing.T) {
 	}
 	if _, err := b.Bind(Request{Computation: "j", MinProcs: 2}); err == nil {
 		t.Error("double binding accepted")
-	}
-}
-
-func TestBindMaxProcsTakesUpToMax(t *testing.T) {
-	b := newPool(t, nil)
-	bd, err := b.Bind(Request{Computation: "elastic", MinProcs: 4, MaxProcs: 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bd.Procs() != 20 {
-		t.Fatalf("procs = %d, want 20 (max)", bd.Procs())
 	}
 }
 

@@ -10,21 +10,14 @@ import (
 	"math"
 )
 
-// Event is a scheduled callback.  Events fire in (time, schedule-order)
+// event is a scheduled callback.  Events fire in (time, schedule-order)
 // order; two events at the same instant fire in the order they were
 // scheduled, making runs reproducible.
-type Event struct {
-	Time float64
-	Name string
-
-	// Trace optionally ties the event to a span-propagated request trace
-	// (obs.TraceID as a plain integer, so sim stays observability-free).
-	// Callers set it on the handle returned by At; a traced engine
-	// forwards it to OnEventTraced.  Zero means "untraced".
-	Trace uint64
-
-	fn  func()
-	seq int64
+type event struct {
+	time float64
+	name string
+	fn   func()
+	seq  int64
 }
 
 // Engine owns the clock and the pending-event heap.  The zero value is
@@ -42,31 +35,23 @@ type Engine struct {
 	// costs a single pointer comparison per event (the observability
 	// layer's zero-cost contract; see internal/obs).
 	OnEvent func(name string, t float64)
-
-	// OnEventTraced, if non-nil, additionally observes fired events that
-	// carry a request-trace identity (Event.Trace != 0), letting the
-	// observability layer stamp simulation events into span trees.  Same
-	// zero-cost contract as OnEvent.
-	OnEventTraced func(name string, t float64, trace uint64)
 }
 
 // Now returns the current simulation time.
 func (e *Engine) Now() float64 { return e.now }
 
-// At schedules fn to run at absolute time t (>= Now) and returns the event
-// handle (a caller may set its Trace).  Scheduling into the past panics: it indicates a
-// causality bug in the model, not a recoverable condition.
-func (e *Engine) At(t float64, name string, fn func()) *Event {
+// At schedules fn to run at absolute time t (>= Now).  Scheduling into the
+// past panics: it indicates a causality bug in the model, not a
+// recoverable condition.
+func (e *Engine) At(t float64, name string, fn func()) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling %q at %v before now %v", name, t, e.now))
 	}
 	if math.IsNaN(t) {
 		panic(fmt.Sprintf("sim: scheduling %q at NaN", name))
 	}
-	ev := &Event{Time: t, Name: name, fn: fn, seq: e.seq}
+	heap.Push(&e.events, &event{time: t, name: name, fn: fn, seq: e.seq})
 	e.seq++
-	heap.Push(&e.events, ev)
-	return ev
 }
 
 // Arrive schedules n "arrival" events, the i-th at at(i) (nondecreasing
@@ -89,14 +74,11 @@ func (e *Engine) Arrive(n int, at func(i int) float64, fn func(i int)) {
 // step fires the next event, if any, and reports whether one fired.
 func (e *Engine) step() bool {
 	for e.events.Len() > 0 {
-		ev := heap.Pop(&e.events).(*Event)
-		e.now = ev.Time
+		ev := heap.Pop(&e.events).(*event)
+		e.now = ev.time
 		e.Processed++
 		if e.OnEvent != nil {
-			e.OnEvent(ev.Name, ev.Time)
-		}
-		if e.OnEventTraced != nil && ev.Trace != 0 {
-			e.OnEventTraced(ev.Name, ev.Time, ev.Trace)
+			e.OnEvent(ev.name, ev.time)
 		}
 		ev.fn()
 		return true
@@ -115,17 +97,17 @@ func (e *Engine) Run() int {
 }
 
 // eventHeap orders by (Time, seq).
-type eventHeap []*Event
+type eventHeap []*event
 
 func (h eventHeap) Len() int { return len(h) }
 func (h eventHeap) Less(i, j int) bool {
-	if h[i].Time != h[j].Time {
-		return h[i].Time < h[j].Time
+	if h[i].time != h[j].time {
+		return h[i].time < h[j].time
 	}
 	return h[i].seq < h[j].seq
 }
 func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(*Event)) }
+func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(*event)) }
 func (h *eventHeap) Pop() interface{} {
 	old := *h
 	n := len(old)

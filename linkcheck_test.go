@@ -31,7 +31,6 @@ var unlinked = map[string]string{
 	"obs/slo.Snapshot.DecodeLine": "test support: DecodeSnapshot's line decoder",
 
 	// Deleted or given a caller by a later ROADMAP item.
-	"core.Profile.EarliestFitHoles":       "a linear profile query that moves next to proftest (ROADMAP 1d)",
 	"qos.Arbitrator.IndexStats":           "the reference arbitrator's queries move to test-side references (ROADMAP 1d)",
 	"qos.Arbitrator.Utilization":          "the reference arbitrator's queries move to test-side references (ROADMAP 1d)",
 	"qos.Arbitrator.WhatIf":               "the reference arbitrator's queries move to test-side references (ROADMAP 1d)",

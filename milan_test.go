@@ -170,6 +170,9 @@ func TestFacadeNamesAreUsed(t *testing.T) {
 // such as flag.IntVar — by a non-test file of some other package of the
 // module.  Setting cfg.Job.T sets cfg.Job too.  A setting nobody sets is a constant
 // in disguise, and each one doubles the configurations tests must cover.
+// A second pass holds every hook, an exported func-typed field of an
+// exported struct, to a setter in any non-test file of the module: a
+// package may set its own hooks, as campaign's scenario table does.
 // The module's non-test files are type-checked from source; bench/ is a
 // module of its own and does not count as a caller.
 func TestEverySettingHasACaller(t *testing.T) {
@@ -185,6 +188,11 @@ func TestEverySettingHasACaller(t *testing.T) {
 		"milan/internal/experiments.Config",
 		"milan/internal/campaign.Config",
 		"milan/internal/campaign.Inject",
+		"milan/internal/calypso.Config",
+		"milan/internal/fed.Rebalancer",
+		"milan/internal/metrics.PlotOptions",
+		"milan/internal/resbroker.Request",
+		"milan/internal/resbroker.Resource",
 	}
 	// Settings kept without a caller in the module, each for its reason.
 	exceptions := map[string]string{
@@ -192,6 +200,11 @@ func TestEverySettingHasACaller(t *testing.T) {
 		"milan/internal/durable.Config.Shed":       "the served shedder is ROADMAP 5c",
 		"milan/internal/durable.Config.Shards":     "set to 1 only by bench/stack.go; the durable plane is one shard (ROADMAP 1d)",
 		"milan/internal/durable.Config.ProbeK":     "set to 1 only by bench/stack.go; one shard probes nothing (ROADMAP 1d)",
+	}
+	// Hooks kept without a setter in the module, each for its reason.
+	hookExceptions := map[string]string{
+		"milan/internal/qos.ArbitratorConfig.Observer":  "set only by the differential tests on the reference arbitrator (ROADMAP 1d)",
+		"milan/internal/qos.DynamicArbitrator.Observer": "the dynamic arbitrator waits on renegotiation (ROADMAP 2)",
 	}
 
 	m := loadModule(t)
@@ -219,11 +232,42 @@ func TestEverySettingHasACaller(t *testing.T) {
 			}
 		}
 	}
-	// Every field some other package sets.
-	set := map[*types.Var]bool{}
+	// The hooks to account for: every exported func-typed field of an
+	// exported struct the module declares.
+	hooks := map[*types.Var]string{}
+	for path, c := range pkgs {
+		if path == "milan/bench" || c.pkg == nil {
+			continue
+		}
+		scope := c.pkg.Scope()
+		for _, n := range scope.Names() {
+			obj, ok := scope.Lookup(n).(*types.TypeName)
+			if !ok || !obj.Exported() {
+				continue
+			}
+			st, ok := obj.Type().Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			for i := 0; i < st.NumFields(); i++ {
+				f := st.Field(i)
+				if _, fn := f.Type().Underlying().(*types.Signature); fn && f.Exported() {
+					hooks[f] = path + "." + n + "." + f.Name()
+				}
+			}
+		}
+	}
+	// Every field some other package sets, and every field set anywhere.
+	set, setAnywhere := map[*types.Var]bool{}, map[*types.Var]bool{}
 	for path, c := range pkgs {
 		if path == "milan/bench" {
 			continue
+		}
+		mark := func(v *types.Var) {
+			setAnywhere[v] = true
+			if v.Pkg().Path() != path {
+				set[v] = true
+			}
 		}
 		// field marks every field on the selector path e.
 		field := func(e ast.Expr) {
@@ -233,9 +277,7 @@ func TestEverySettingHasACaller(t *testing.T) {
 					return
 				}
 				if s := c.info.Selections[sel]; s != nil && s.Kind() == types.FieldVal {
-					if v := s.Obj().(*types.Var); v.Pkg().Path() != path {
-						set[v] = true
-					}
+					mark(s.Obj().(*types.Var))
 				}
 				e = sel.X
 			}
@@ -245,8 +287,8 @@ func TestEverySettingHasACaller(t *testing.T) {
 				switch n := n.(type) {
 				case *ast.KeyValueExpr:
 					if id, ok := n.Key.(*ast.Ident); ok {
-						if v, ok := c.info.Uses[id].(*types.Var); ok && v.IsField() && v.Pkg().Path() != path {
-							set[v] = true
+						if v, ok := c.info.Uses[id].(*types.Var); ok && v.IsField() {
+							mark(v)
 						}
 					}
 				case *ast.AssignStmt:
@@ -267,30 +309,37 @@ func TestEverySettingHasACaller(t *testing.T) {
 		}
 	}
 
-	var unset []string
-	for v, name := range want {
-		if _, ok := exceptions[name]; ok {
-			if set[v] {
-				t.Errorf("%s has a caller now: take it out of the exceptions", name)
+	unsetOf := func(want map[*types.Var]string, set map[*types.Var]bool, exceptions map[string]string) []string {
+		var unset []string
+		for v, name := range want {
+			if _, ok := exceptions[name]; ok {
+				if set[v] {
+					t.Errorf("%s has a caller now: take it out of the exceptions", name)
+				}
+				continue
 			}
-			continue
+			if !set[v] {
+				unset = append(unset, name)
+			}
 		}
-		if !set[v] {
-			unset = append(unset, name)
+		for name := range exceptions {
+			found := false
+			for _, n := range want {
+				found = found || n == name
+			}
+			if !found {
+				t.Errorf("exception %s names no field checked", name)
+			}
 		}
+		sort.Strings(unset)
+		return unset
 	}
-	for name := range exceptions {
-		found := false
-		for _, n := range want {
-			found = found || n == name
-		}
-		if !found {
-			t.Errorf("exception %s names no field of the structs checked", name)
-		}
-	}
-	sort.Strings(unset)
-	if len(unset) > 0 {
+	if unset := unsetOf(want, set, exceptions); len(unset) > 0 {
 		t.Errorf("%d settings no non-test code of another package sets (make each a constant, or delete it):\n  %s",
+			len(unset), strings.Join(unset, "\n  "))
+	}
+	if unset := unsetOf(hooks, setAnywhere, hookExceptions); len(unset) > 0 {
+		t.Errorf("%d hooks no non-test code sets (delete each, with what only it reads):\n  %s",
 			len(unset), strings.Join(unset, "\n  "))
 	}
 }
