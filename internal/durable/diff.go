@@ -11,26 +11,20 @@ import (
 
 // DiffStates compares two plane states over the durable contract and
 // returns a description of the first divergence, or nil.  Durable state
-// is: the clock, every shard's capacity profile (bitwise — raw float64
+// is: the clock, the scheduler's capacity profile (bitwise — raw float64
 // bits, not tolerance), the replay-reconstructed admission counters
-// (Admitted, Rejected, ReservedArea, QualitySum, TunableChosen — merged
-// across shards, since rejection shard attribution is diagnostics), and
-// the live grant set.  The planner's work counters (ChainsTried,
-// HolesProbed, PlanFailures) are snapshot-carried diagnostics and are
-// deliberately not compared.
+// (Admitted, Rejected, ReservedArea, QualitySum, TunableChosen), and the
+// live grant set.  The planner's work counters (ChainsTried, HolesProbed,
+// PlanFailures) are snapshot-carried diagnostics and are deliberately not
+// compared.
 func DiffStates(got, want *State) error {
 	if fb(got.Now) != fb(want.Now) {
 		return fmt.Errorf("now: got %v want %v", got.Now, want.Now)
 	}
-	if len(got.Shards) != len(want.Shards) {
-		return fmt.Errorf("shard count: got %d want %d", len(got.Shards), len(want.Shards))
+	if err := diffProfile(got.Sched.Profile, want.Sched.Profile); err != nil {
+		return err
 	}
-	for i := range got.Shards {
-		if err := diffProfile(got.Shards[i].Profile, want.Shards[i].Profile); err != nil {
-			return fmt.Errorf("shard %d: %w", i, err)
-		}
-	}
-	gs, ws := mergeStats(got.Shards), mergeStats(want.Shards)
+	gs, ws := &got.Sched.Stats, &want.Sched.Stats
 	if gs.Admitted != ws.Admitted {
 		return fmt.Errorf("admitted: got %d want %d", gs.Admitted, ws.Admitted)
 	}
@@ -92,23 +86,6 @@ func diffProfile(got, want core.ProfileState) error {
 	return nil
 }
 
-func mergeStats(shards []core.SchedulerState) core.Stats {
-	var out core.Stats
-	for _, sh := range shards {
-		out.Admitted += sh.Stats.Admitted
-		out.Rejected += sh.Stats.Rejected
-		out.ReservedArea += sh.Stats.ReservedArea
-		out.QualitySum += sh.Stats.QualitySum
-		for ci, n := range sh.Stats.TunableChosen {
-			for len(out.TunableChosen) <= ci {
-				out.TunableChosen = append(out.TunableChosen, 0)
-			}
-			out.TunableChosen[ci] += n
-		}
-	}
-	return out
-}
-
 func diffTunable(got, want []int) error {
 	n := len(got)
 	if len(want) > n {
@@ -134,9 +111,9 @@ func diffGrants(got, want []GrantRecord) error {
 	}
 	for i := range got {
 		g, w := &got[i], &want[i]
-		if g.JobID != w.JobID || g.Shard != w.Shard || g.Chain != w.Chain {
-			return fmt.Errorf("grant %d: got job=%d shard=%d chain=%d want job=%d shard=%d chain=%d",
-				i, g.JobID, g.Shard, g.Chain, w.JobID, w.Shard, w.Chain)
+		if g.JobID != w.JobID || g.Chain != w.Chain {
+			return fmt.Errorf("grant %d: got job=%d chain=%d want job=%d chain=%d",
+				i, g.JobID, g.Chain, w.JobID, w.Chain)
 		}
 		if fb(g.Quality) != fb(w.Quality) {
 			return fmt.Errorf("grant job %d quality: got %v want %v", g.JobID, g.Quality, w.Quality)

@@ -50,18 +50,18 @@ func FuzzRecordDecode(f *testing.F) {
 }
 
 // FuzzSnapshotDecode: same contract for the snapshot decoder, whose inputs
-// are larger and carry nested per-shard profiles and grant sets.
+// are larger and carry a nested capacity profile and grant set.
 func FuzzSnapshotDecode(f *testing.F) {
-	// Two shards of four processors: the format holds a list of shards,
-	// though recovery takes only one.
-	half, err := genesis(4, 0)
+	// One scheduler of eight processors holding one live grant.
+	gen, err := genesis(8, 0)
 	if err != nil {
 		f.Fatal(err)
 	}
-	gen := State{Shards: []core.SchedulerState{half.Shards[0], half.Shards[0]}}
 	gen.LSN, gen.Now = 42, 17.5
+	gen.Sched.Profile.Times = []float64{0, 17.5, 21}
+	gen.Sched.Profile.Used = []int{0, 4, 0}
 	gen.Grants = []GrantRecord{{
-		JobID: 7, Shard: 1, Chain: 2, Quality: 0.75, Tunable: true,
+		JobID: 7, Chain: 2, Quality: 0.75, Tunable: true,
 		Tenant: "acme", Class: 1,
 		Tasks: []core.TaskPlacement{{Task: 0, Procs: 4, Start: 17.5, Finish: 21}},
 	}}

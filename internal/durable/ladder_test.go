@@ -71,7 +71,7 @@ var ladderPins = [nCounts]struct {
 }{
 	cAllocs:    {[5]int64{0, 8, 13, 0, 24}, 8},
 	cFSCalls:   {[5]int64{0, 0, 336, 256, 0}, 0},
-	cFSBytes:   {[5]int64{0, 0, 33050, 0, 0}, 0},
+	cFSBytes:   {[5]int64{0, 0, 31794, 0, 0}, 0},
 	cFsyncs:    {[5]int64{0, 0, 12, 256, 0}, 0},
 	cWireBytes: {[5]int64{0, 0, 0, 0, 53149}, 0},
 	cHoles:     {[5]int64{1014, 0, 0, 0, 0}, 0},

@@ -181,13 +181,16 @@ func openTapped(cfg Config, tap func(qos.Decision)) (*Plane, Recovered, error) {
 		observer = func(d qos.Decision) { tap(d); p.observe(d) }
 	}
 	arb, err := fed.New(fed.Config{
-		Procs: st.Shards[0].Profile.Capacity, Shards: 1, Observer: observer,
+		Procs: st.Sched.Profile.Capacity, Shards: 1, Observer: observer,
 	})
 	if err != nil {
 		store.Close()
 		return nil, Recovered{}, err
 	}
-	if err := arb.RestoreState(fed.PlaneState{Now: st.Now, Shards: st.Shards}); err != nil {
+	// fed's state is a list of shards and the log's one scheduler: the
+	// plane's one shard is the list's only entry, here and wherever the
+	// plane takes fed's state (the checkpoint's cut, the export).
+	if err := arb.RestoreState(fed.PlaneState{Now: st.Now, Shards: []core.SchedulerState{st.Sched}}); err != nil {
 		store.Close()
 		return nil, Recovered{}, fmt.Errorf("durable: restore plane: %w", err)
 	}
@@ -226,7 +229,7 @@ func openTapped(cfg Config, tap func(qos.Decision)) (*Plane, Recovered, error) {
 // SetTotalCapacity reports that once the rebalancer returns.
 func (p *Plane) observe(d qos.Decision) {
 	if d.Kind == qos.KindResize {
-		_, _ = p.store.Append(&Record{Kind: KindCapacity, Shard: d.Shard, Procs: d.Procs})
+		_, _ = p.store.Append(&Record{Kind: KindCapacity, Procs: d.Procs})
 	}
 }
 
@@ -350,8 +353,7 @@ func (p *Plane) negotiateLocked(job core.Job, lrec *phase.Rec) (*qos.Grant, erro
 		return nil, err
 	}
 	rec := &Record{
-		Kind: KindAdmit, Shard: g.Shard,
-		JobID: g.JobID, Chain: g.Chain,
+		Kind: KindAdmit, JobID: g.JobID, Chain: g.Chain,
 		Quality: g.Quality, Tunable: job.Tunable(),
 		Tenant: job.Tenant, Class: job.Class,
 		Tasks: g.Placement.Tasks,
@@ -360,7 +362,7 @@ func (p *Plane) negotiateLocked(job core.Job, lrec *phase.Rec) (*qos.Grant, erro
 		return nil, errNotJournaled(g.JobID, aerr)
 	}
 	p.liveSetChangedLocked(grantDelta{g: GrantRecord{
-		JobID: g.JobID, Shard: g.Shard, Chain: g.Chain,
+		JobID: g.JobID, Chain: g.Chain,
 		Quality: g.Quality, Tunable: job.Tunable(),
 		Tenant: job.Tenant, Class: job.Class,
 		Tasks: g.Placement.Tasks,
@@ -387,8 +389,7 @@ func (p *Plane) negotiateDAGLocked(job core.DAGJob) (*qos.Grant, error) {
 	}
 	tunable := len(job.Alts) > 1
 	rec := &Record{
-		Kind: KindAdmit, Shard: g.Shard,
-		JobID: g.JobID, Chain: g.Chain,
+		Kind: KindAdmit, JobID: g.JobID, Chain: g.Chain,
 		Quality: g.Quality, Tunable: tunable,
 		Tasks: g.Placement.Tasks,
 	}
@@ -396,7 +397,7 @@ func (p *Plane) negotiateDAGLocked(job core.DAGJob) (*qos.Grant, error) {
 		return nil, errNotJournaled(g.JobID, aerr)
 	}
 	p.liveSetChangedLocked(grantDelta{g: GrantRecord{
-		JobID: g.JobID, Shard: g.Shard, Chain: g.Chain,
+		JobID: g.JobID, Chain: g.Chain,
 		Quality: g.Quality, Tunable: tunable,
 		Tasks: g.Placement.Tasks,
 	}})
@@ -443,13 +444,12 @@ func (p *Plane) jobCompletedLocked(jobID int, now float64) error {
 	if err := p.store.Poisoned(); err != nil {
 		return err
 	}
-	g, ok := p.liveGrant(jobID)
-	if !ok {
+	if _, ok := p.liveGrant(jobID); !ok {
 		return nil
 	}
 	p.shed.JobCompleted(jobID, now)
 	p.liveSetChangedLocked(grantDelta{g: GrantRecord{JobID: jobID}, done: true})
-	if err := p.writeLocked(&Record{Kind: kindComplete, Shard: g.Shard, JobID: jobID, Finish: now}); err != nil {
+	if err := p.writeLocked(&Record{Kind: kindComplete, JobID: jobID, Finish: now}); err != nil {
 		return err
 	}
 	p.maybeSnapshotLocked()
@@ -493,7 +493,7 @@ func (p *Plane) checkpointLocked() (ck *checkpoint, started bool) {
 	}
 	p.collectLocked(last)
 	p.arb.ExportStateInto(&p.cut)
-	ck = p.store.seal(State{LSN: p.store.nextLSN() - 1, Now: p.now, Shards: p.cut.Shards}, p.delta)
+	ck = p.store.seal(State{LSN: p.store.nextLSN() - 1, Now: p.now, Sched: p.cut.Shards[0]}, p.delta)
 	p.delta = last.delta[:0]
 	return ck, true
 }
@@ -545,7 +545,7 @@ func (p *Plane) WaitCheckpoint() error {
 func (p *Plane) exportStateLocked() State {
 	return State{
 		LSN: p.store.nextLSN() - 1, Now: p.now,
-		Shards: p.arb.ExportState().Shards,
+		Sched:  p.arb.ExportState().Shards[0],
 		Grants: p.sortedLiveGrantsLocked(),
 	}
 }
@@ -575,7 +575,7 @@ func (p *Plane) sortedLiveGrantsLocked() []GrantRecord {
 		ids = append(ids, id)
 	}
 	// Ordering the IDs and fetching each grant once moves 8 bytes per
-	// comparison where sorting the records would move 88.
+	// comparison where sorting the records would move 80.
 	slices.Sort(ids)
 	live := make([]GrantRecord, len(ids))
 	for i, id := range ids {

@@ -1,9 +1,11 @@
 package durable
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"maps"
 	"math"
 	"math/rand"
@@ -143,53 +145,108 @@ func TestOpenPlaneRefusesShards(t *testing.T) {
 	}
 }
 
-// A snapshot that declares two shards is a corrupt log, not a plane to
-// recover: opening it fails and names the count.
-func TestRecoveryRefusesAMultiShardSnapshot(t *testing.T) {
-	mem := vfs.NewMem()
-	half, err := genesis(8, 0)
+// dirFiles returns every file under dir by name, with its bytes.
+func dirFiles(t *testing.T, fs vfs.FS, dir string) map[string][]byte {
+	t.Helper()
+	names, err := fs.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := State{LSN: 5, Now: 3, Shards: []core.SchedulerState{half.Shards[0], half.Shards[0]}}
-	if err := mem.MkdirAll("log"); err != nil {
-		t.Fatal(err)
+	files := make(map[string][]byte, len(names))
+	for _, name := range names {
+		f, err := fs.Open(dir + "/" + name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if files[name], err = io.ReadAll(f); err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
 	}
-	f, err := mem.Create("log/" + snapName(st.LSN))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Write(snapshotFile(&st)); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-	if _, _, err := OpenPlane(Config{FS: mem, Dir: "log", Procs: 16}); err == nil || !strings.Contains(err.Error(), "declares 2 shards") {
-		t.Fatalf("open over a two-shard snapshot returned %v, want an error that names the count", err)
-	}
+	return files
 }
 
-// A record that names shard 1 is a corrupt log too: opening it fails and
-// names the shard.
-func TestRecoveryRefusesARecordOnAnotherShard(t *testing.T) {
-	mem := vfs.NewMem()
-	gen, err := genesis(16, 0)
-	if err != nil {
-		t.Fatal(err)
+// A directory written in another format version is not a torn log: Open
+// refuses it before writing anything, names the file and both versions,
+// and leaves every file's bytes as they were.  A header cut short inside
+// its version field is torn, and recovers as torn.
+func TestOpenRefusesAnotherFormatVersion(t *testing.T) {
+	// written is a closed plane's directory after five Figure-4 jobs, with
+	// edit applied to each file's bytes.
+	written := func(t *testing.T, edit func(name string, b []byte) []byte) *vfs.Mem {
+		mem := vfs.NewMem()
+		p, _ := openPlane(t, mem, StoreOptions{Sync: SyncAlways})
+		if granted := drive(t, p.Observe, p.Negotiate, planeStream(5, 1)); len(granted) == 0 {
+			t.Fatal("the stream granted nothing: the segment would hold no admit")
+		}
+		if err := p.Close(); err != nil {
+			t.Fatal(err)
+		}
+		for name, b := range dirFiles(t, mem, "log") {
+			f, err := mem.Create("log/" + name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.Write(edit(name, b)); err != nil {
+				t.Fatal(err)
+			}
+			f.Close()
+		}
+		return mem
 	}
-	s, _, err := open(openConfig{FS: mem, Dir: "log", Genesis: gen})
-	if err != nil {
-		t.Fatal(err)
+	bump := func(which func(string) bool) func(string, []byte) []byte {
+		return func(name string, b []byte) []byte {
+			if which(name) {
+				binary.LittleEndian.PutUint32(b[8:12], formatVersion+1)
+			}
+			return b
+		}
 	}
-	if _, err := s.Append(&Record{Kind: KindAdmit, Shard: 1, JobID: 7, Quality: 1,
-		Tasks: []core.TaskPlacement{{Task: 0, Procs: 2, Start: 0, Finish: 4}}}); err != nil {
-		t.Fatal(err)
+	isSnap := func(name string) bool { return !IsSegment(name) }
+	for _, tc := range []struct {
+		name  string
+		which func(string) bool
+		named string // the file the error names: the first read of those bumped
+	}{
+		{"snapshot and segment", func(string) bool { return true }, snapName(0)},
+		{"snapshot", isSnap, snapName(0)},
+		{"segment", IsSegment, segName(1)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			mem := written(t, bump(tc.which))
+			before := dirFiles(t, mem, "log")
+			p, _, err := OpenPlane(Config{FS: mem, Dir: "log", Procs: 16})
+			if p != nil {
+				p.Close()
+				t.Fatal("Open recovered a directory in another format version")
+			}
+			want := fmt.Sprintf("log/%s is in format version %d, and this store reads only version %d",
+				tc.named, formatVersion+1, formatVersion)
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("Open returned %v, want an error containing %q", err, want)
+			}
+			if after := dirFiles(t, mem, "log"); !reflect.DeepEqual(after, before) {
+				t.Fatalf("the refused Open changed the directory: %d files before, %d after", len(before), len(after))
+			}
+		})
 	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := OpenPlane(Config{FS: mem, Dir: "log", Procs: 16}); err == nil || !strings.Contains(err.Error(), "names shard 1") {
-		t.Fatalf("open over a record on shard 1 returned %v, want an error that names the shard", err)
-	}
+	t.Run("header cut short", func(t *testing.T) {
+		mem := written(t, func(name string, b []byte) []byte {
+			if IsSegment(name) {
+				return b[:len(walMagic)+2]
+			}
+			return b
+		})
+		p, rec, err := OpenPlane(Config{FS: mem, Dir: "log", Procs: 16})
+		if err != nil {
+			t.Fatalf("a segment header cut short refused the open: %v", err)
+		}
+		defer p.Close()
+		if !rec.Torn || rec.State.LSN != 0 || len(rec.State.Grants) != 0 {
+			t.Fatalf("recovered torn=%v lsn=%d grants=%d, want a torn log back at the genesis snapshot",
+				rec.Torn, rec.State.LSN, len(rec.State.Grants))
+		}
+	})
 }
 
 // TestPlaneReopenIsExact: close and reopen at any point; the recovered
@@ -783,7 +840,7 @@ func lazyLiveSetDifferential(t *testing.T, checkEvery int) {
 				break
 			}
 			ref.grants[g.JobID] = GrantRecord{
-				JobID: g.JobID, Shard: g.Shard, Chain: g.Chain,
+				JobID: g.JobID, Chain: g.Chain,
 				Quality: g.Quality, Tunable: job.Tunable(),
 				Tenant: job.Tenant, Class: job.Class,
 				Tasks: append([]core.TaskPlacement(nil), g.Placement.Tasks...),

@@ -35,8 +35,8 @@ const (
 	// KindObserve: the plane's clock advanced; replay folds elapsed
 	// history exactly as the live TrimBefore did.
 	KindObserve Kind = 2
-	// KindCapacity: a shard was resized (rebalancer migration or operator
-	// action).
+	// KindCapacity: the plane was resized by one processor (the
+	// rebalancer's unit of work, driven by an operator or a broker).
 	KindCapacity Kind = 3
 	// KindReject: admission control refused the job (no feasible chain).
 	KindReject Kind = 4
@@ -77,7 +77,6 @@ type Record struct {
 	Kind Kind
 
 	Now     float64 // KindObserve
-	Shard   int     // KindAdmit/Capacity/Reject/Complete
 	Procs   int     // KindCapacity
 	JobID   int     // KindAdmit/Reject/Shed/Complete
 	Chain   int     // KindAdmit
@@ -117,10 +116,8 @@ func appendRecord(b []byte, r *Record) []byte {
 	case KindObserve:
 		b = frame.AppendF64(b, r.Now)
 	case KindCapacity:
-		b = frame.AppendU32(b, uint32(r.Shard))
 		b = frame.AppendU32(b, uint32(r.Procs))
 	case KindAdmit:
-		b = frame.AppendU32(b, uint32(r.Shard))
 		b = frame.AppendU64(b, uint64(int64(r.JobID)))
 		b = frame.AppendU32(b, uint32(r.Chain))
 		b = frame.AppendF64(b, r.Quality)
@@ -129,7 +126,6 @@ func appendRecord(b []byte, r *Record) []byte {
 		b = frame.AppendU32(b, uint32(int32(r.Class)))
 		b = appendTasks(b, r.Tasks)
 	case KindReject:
-		b = frame.AppendU32(b, uint32(r.Shard))
 		b = frame.AppendU64(b, uint64(int64(r.JobID)))
 		b = frame.AppendStr(b, r.Tenant)
 		b = frame.AppendU32(b, uint32(int32(r.Class)))
@@ -139,7 +135,6 @@ func appendRecord(b []byte, r *Record) []byte {
 		b = frame.AppendU32(b, uint32(int32(r.Class)))
 		b = frame.AppendStr(b, r.Reason)
 	case kindComplete:
-		b = frame.AppendU32(b, uint32(r.Shard))
 		b = frame.AppendU64(b, uint64(int64(r.JobID)))
 		b = frame.AppendF64(b, r.Finish)
 	}
@@ -173,10 +168,8 @@ func DecodeRecord(payload []byte) (Record, error) {
 	case KindObserve:
 		r.Now = c.F64()
 	case KindCapacity:
-		r.Shard = int(int32(c.U32()))
 		r.Procs = int(int32(c.U32()))
 	case KindAdmit:
-		r.Shard = int(int32(c.U32()))
 		r.JobID = int(int64(c.U64()))
 		r.Chain = int(int32(c.U32()))
 		r.Quality = c.F64()
@@ -185,7 +178,6 @@ func DecodeRecord(payload []byte) (Record, error) {
 		r.Class = int(int32(c.U32()))
 		r.Tasks = decodeTasks(&c)
 	case KindReject:
-		r.Shard = int(int32(c.U32()))
 		r.JobID = int(int64(c.U64()))
 		r.Tenant = c.Str()
 		r.Class = int(int32(c.U32()))
@@ -195,7 +187,6 @@ func DecodeRecord(payload []byte) (Record, error) {
 		r.Class = int(int32(c.U32()))
 		r.Reason = c.Str()
 	case kindComplete:
-		r.Shard = int(int32(c.U32()))
 		r.JobID = int(int64(c.U64()))
 		r.Finish = c.F64()
 	default:

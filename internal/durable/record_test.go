@@ -11,16 +11,16 @@ import (
 
 func sampleRecords() []Record {
 	return []Record{
-		{Kind: KindAdmit, LSN: 1, Shard: 2, JobID: 7, Chain: 1, Quality: 0.875, Tunable: true,
+		{Kind: KindAdmit, LSN: 1, JobID: 7, Chain: 1, Quality: 0.875, Tunable: true,
 			Tenant: "acme", Class: 2, Tasks: []core.TaskPlacement{
 				{Task: 0, Procs: 4, Start: 1.5, Finish: 3.25},
 				{Task: 1, Procs: 8, Start: 3.25, Finish: 5.5},
 			}},
 		{Kind: KindObserve, LSN: 2, Now: 42.125},
-		{Kind: KindCapacity, LSN: 3, Shard: 1, Procs: 9},
+		{Kind: KindCapacity, LSN: 3, Procs: 9},
 		{Kind: KindReject, LSN: 4, JobID: 8, Tenant: "free", Class: 0},
 		{Kind: kindShed, LSN: 5, JobID: 9, Tenant: "noisy", Class: 3, Reason: "tenant-quota"},
-		{Kind: kindComplete, LSN: 6, Shard: 2, JobID: 7, Finish: 5.5},
+		{Kind: kindComplete, LSN: 6, JobID: 7, Finish: 5.5},
 	}
 }
 
@@ -59,9 +59,9 @@ func TestRecordDecodeRejectsCorruption(t *testing.T) {
 	}
 	// An insane task count must be rejected before allocating.
 	bad = append([]byte(nil), payload...)
-	// Task count sits right after kind+lsn+shard+jobid+chain+quality+
-	// tunable+tenant(len+4)+class.
-	off := 1 + 8 + 4 + 8 + 4 + 8 + 1 + 4 + 4 + 4
+	// The task count is the admit's last field but its tasks, each 24
+	// bytes: 4 bytes before them.
+	off := len(payload) - 24*len(r.Tasks) - 4
 	for i := 0; i < 4; i++ {
 		bad[off+i] = 0xFF
 	}
@@ -71,25 +71,25 @@ func TestRecordDecodeRejectsCorruption(t *testing.T) {
 }
 
 func TestSnapshotRoundTrip(t *testing.T) {
-	// The format holds a list of shards, though recovery takes only one:
-	// the codec round-trips three.
-	var st State
-	for _, procs := range []int{4, 3, 3} {
-		g, err := genesis(procs, 2.5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		st.Shards = append(st.Shards, g.Shards[0])
+	st, err := genesis(4, 2.5)
+	if err != nil {
+		t.Fatal(err)
 	}
 	st.LSN = 99
 	st.Now = 17.25
-	st.Shards[0].Stats = core.Stats{Admitted: 3, Rejected: 1, ReservedArea: 12.5, QualitySum: 2.25,
+	st.Sched.Stats = core.Stats{Admitted: 3, Rejected: 1, ReservedArea: 12.5, QualitySum: 2.25,
 		ChainsTried: 9, HolesProbed: 40, PlanFailures: 2, TunableChosen: []int{1, 2}}
-	st.Shards[1].Profile.Times = []float64{2.5, 5, 8}
-	st.Shards[1].Profile.Used = []int{1, 2, 0}
-	st.Shards[1].Profile.TrimmedBusy = 3.75
-	st.Grants = []GrantRecord{{JobID: 4, Shard: 1, Chain: 1, Quality: 0.75, Tunable: true,
-		Tenant: "t", Class: 1, Tasks: []core.TaskPlacement{{Task: 0, Procs: 2, Start: 5, Finish: 8}}}}
+	st.Sched.Profile.Times = []float64{2.5, 5, 7.5, 8}
+	st.Sched.Profile.Used = []int{1, 3, 2, 0}
+	st.Sched.Profile.TrimmedBusy = 3.75
+	st.Grants = []GrantRecord{
+		{JobID: 4, Chain: 1, Quality: 0.75, Tunable: true, Tenant: "t", Class: 1,
+			Tasks: []core.TaskPlacement{{Task: 0, Procs: 2, Start: 5, Finish: 8}}},
+		{JobID: 6, Chain: 0, Quality: 1, Tenant: "acme", Class: 2, Tasks: []core.TaskPlacement{
+			{Task: 0, Procs: 1, Start: 2.5, Finish: 5},
+			{Task: 1, Procs: 1, Start: 5, Finish: 7.5},
+		}},
+	}
 
 	payload := appendSnapshot(nil, &st)
 	if len(payload) != snapshotSize(&st) {

@@ -11,11 +11,10 @@ import (
 
 // GrantRecord is one live committed grant in the durable state: everything
 // needed to account for the grant after recovery (and to prove none was
-// lost).  The reservation itself lives in the shard profiles; the grant
-// set is bookkeeping over it.
+// lost).  The reservation itself lives in the scheduler's profile; the
+// grant set is bookkeeping over it.
 type GrantRecord struct {
 	JobID   int
-	Shard   int
 	Chain   int
 	Quality float64
 	Tunable bool
@@ -44,24 +43,24 @@ type State struct {
 	LSN uint64
 	// Now is the plane's observed clock.
 	Now float64
-	// Shards holds the plane's scheduler state.  The format has a list;
-	// the durable plane is one shard, and recovery refuses any other count.
-	Shards []core.SchedulerState
+	// Sched is the plane's scheduler state: its capacity profile and
+	// counters.
+	Sched core.SchedulerState
 	// Grants is the live grant set, sorted by job ID.
 	Grants []GrantRecord
 }
 
 // genesis returns the empty state of a plane with procs processors from
-// time origin: one shard that holds them all.
+// time origin.
 func genesis(procs int, origin float64) (State, error) {
 	if procs < 1 {
 		return State{}, fmt.Errorf("durable: genesis needs at least 1 processor, got %d", procs)
 	}
-	return State{Now: origin, Shards: []core.SchedulerState{{Profile: core.ProfileState{
+	return State{Now: origin, Sched: core.SchedulerState{Profile: core.ProfileState{
 		Capacity: procs,
 		Times:    []float64{origin},
 		Used:     []int{0},
-	}}}}, nil
+	}}}, nil
 }
 
 // prune drops grants whose reservations have fully elapsed (finish at or
@@ -92,7 +91,6 @@ func (s *State) prune() {
 }
 
 const (
-	maxShards        = 1 << 12
 	maxSegments      = 1 << 22
 	maxGrants        = 1 << 22
 	maxTunableChosen = 1 << 12
@@ -104,33 +102,30 @@ func appendSnapshot(b []byte, st *State) []byte {
 	b = slices.Grow(b, snapshotSize(st))
 	b = frame.AppendU64(b, st.LSN)
 	b = frame.AppendF64(b, st.Now)
-	b = frame.AppendU32(b, uint32(len(st.Shards)))
-	for _, sh := range st.Shards {
-		b = frame.AppendU32(b, uint32(sh.Profile.Capacity))
-		b = frame.AppendF64(b, sh.Profile.TrimmedBusy)
-		b = frame.AppendU32(b, uint32(len(sh.Profile.Times)))
-		for _, t := range sh.Profile.Times {
-			b = frame.AppendF64(b, t)
-		}
-		for _, u := range sh.Profile.Used {
-			b = frame.AppendU32(b, uint32(u))
-		}
-		b = frame.AppendU64(b, uint64(int64(sh.Stats.Admitted)))
-		b = frame.AppendU64(b, uint64(int64(sh.Stats.Rejected)))
-		b = frame.AppendF64(b, sh.Stats.ReservedArea)
-		b = frame.AppendF64(b, sh.Stats.QualitySum)
-		b = frame.AppendU64(b, uint64(int64(sh.Stats.ChainsTried)))
-		b = frame.AppendU64(b, uint64(int64(sh.Stats.HolesProbed)))
-		b = frame.AppendU64(b, uint64(int64(sh.Stats.PlanFailures)))
-		b = frame.AppendU32(b, uint32(len(sh.Stats.TunableChosen)))
-		for _, n := range sh.Stats.TunableChosen {
-			b = frame.AppendU64(b, uint64(int64(n)))
-		}
+	sc := &st.Sched
+	b = frame.AppendU32(b, uint32(sc.Profile.Capacity))
+	b = frame.AppendF64(b, sc.Profile.TrimmedBusy)
+	b = frame.AppendU32(b, uint32(len(sc.Profile.Times)))
+	for _, t := range sc.Profile.Times {
+		b = frame.AppendF64(b, t)
+	}
+	for _, u := range sc.Profile.Used {
+		b = frame.AppendU32(b, uint32(u))
+	}
+	b = frame.AppendU64(b, uint64(int64(sc.Stats.Admitted)))
+	b = frame.AppendU64(b, uint64(int64(sc.Stats.Rejected)))
+	b = frame.AppendF64(b, sc.Stats.ReservedArea)
+	b = frame.AppendF64(b, sc.Stats.QualitySum)
+	b = frame.AppendU64(b, uint64(int64(sc.Stats.ChainsTried)))
+	b = frame.AppendU64(b, uint64(int64(sc.Stats.HolesProbed)))
+	b = frame.AppendU64(b, uint64(int64(sc.Stats.PlanFailures)))
+	b = frame.AppendU32(b, uint32(len(sc.Stats.TunableChosen)))
+	for _, n := range sc.Stats.TunableChosen {
+		b = frame.AppendU64(b, uint64(int64(n)))
 	}
 	b = frame.AppendU32(b, uint32(len(st.Grants)))
 	for i := range st.Grants {
 		g := &st.Grants[i]
-		b = frame.AppendU32(b, uint32(g.Shard))
 		b = frame.AppendU64(b, uint64(int64(g.JobID)))
 		b = frame.AppendU32(b, uint32(g.Chain))
 		b = frame.AppendF64(b, g.Quality)
@@ -146,60 +141,53 @@ func appendSnapshot(b []byte, st *State) []byte {
 // encoder grows its buffer once (hundreds of KB on a deep backlog) instead
 // of doubling up to it.
 func snapshotSize(st *State) int {
-	n := 8 + 8 + 4 // LSN, Now, shard count
-	for i := range st.Shards {
-		sh := &st.Shards[i]
-		n += 4 + 8 + 4 + 8*len(sh.Profile.Times) + 4*len(sh.Profile.Used)
-		n += 7*8 + 4 + 8*len(sh.Stats.TunableChosen)
-	}
+	sc := &st.Sched
+	n := 8 + 8 // LSN, Now
+	n += 4 + 8 + 4 + 8*len(sc.Profile.Times) + 4*len(sc.Profile.Used)
+	n += 7*8 + 4 + 8*len(sc.Stats.TunableChosen)
 	n += 4 // grant count
 	for i := range st.Grants {
 		g := &st.Grants[i]
-		n += 4 + 8 + 4 + 8 + 1 + 4 + min(len(g.Tenant), frame.MaxString) + 4 + 4 + 24*len(g.Tasks)
+		n += 8 + 4 + 8 + 1 + 4 + min(len(g.Tenant), frame.MaxString) + 4 + 4 + 24*len(g.Tasks)
 	}
 	return n
 }
 
 // decodeSnapshot parses a snapshot payload.  Any corruption — truncation,
 // insane counts, trailing bytes — returns an error; no input may panic
-// (the fuzz target pins this).  Structural validity of the profiles is
+// (the fuzz target pins this).  Structural validity of the profile is
 // checked later, by core's profileFromState, when the state is restored.
 func decodeSnapshot(payload []byte) (State, error) {
 	c := frame.NewCursor("durable", payload)
 	var st State
 	st.LSN = c.U64()
 	st.Now = c.F64()
-	nsh := c.Count(maxShards, 0, "snapshot shard")
-	for i := 0; i < nsh && c.Err() == nil; i++ {
-		var sh core.SchedulerState
-		sh.Profile.Capacity = int(int32(c.U32()))
-		sh.Profile.TrimmedBusy = c.F64()
-		nseg := c.Count(maxSegments, 12, "snapshot segment")
-		sh.Profile.Times = make([]float64, 0, nseg)
-		for j := 0; j < nseg && c.Err() == nil; j++ {
-			sh.Profile.Times = append(sh.Profile.Times, c.F64())
-		}
-		sh.Profile.Used = make([]int, 0, nseg)
-		for j := 0; j < nseg && c.Err() == nil; j++ {
-			sh.Profile.Used = append(sh.Profile.Used, int(int32(c.U32())))
-		}
-		sh.Stats.Admitted = int(c.I64())
-		sh.Stats.Rejected = int(c.I64())
-		sh.Stats.ReservedArea = c.F64()
-		sh.Stats.QualitySum = c.F64()
-		sh.Stats.ChainsTried = int(c.I64())
-		sh.Stats.HolesProbed = int(c.I64())
-		sh.Stats.PlanFailures = int(c.I64())
-		ntc := c.Count(maxTunableChosen, 8, "snapshot tunable-chosen")
-		for j := 0; j < ntc && c.Err() == nil; j++ {
-			sh.Stats.TunableChosen = append(sh.Stats.TunableChosen, int(c.I64()))
-		}
-		st.Shards = append(st.Shards, sh)
+	sc := &st.Sched
+	sc.Profile.Capacity = int(int32(c.U32()))
+	sc.Profile.TrimmedBusy = c.F64()
+	nseg := c.Count(maxSegments, 12, "snapshot segment")
+	sc.Profile.Times = make([]float64, 0, nseg)
+	for j := 0; j < nseg && c.Err() == nil; j++ {
+		sc.Profile.Times = append(sc.Profile.Times, c.F64())
 	}
-	ng := c.Count(maxGrants, 25, "snapshot grant")
+	sc.Profile.Used = make([]int, 0, nseg)
+	for j := 0; j < nseg && c.Err() == nil; j++ {
+		sc.Profile.Used = append(sc.Profile.Used, int(int32(c.U32())))
+	}
+	sc.Stats.Admitted = int(c.I64())
+	sc.Stats.Rejected = int(c.I64())
+	sc.Stats.ReservedArea = c.F64()
+	sc.Stats.QualitySum = c.F64()
+	sc.Stats.ChainsTried = int(c.I64())
+	sc.Stats.HolesProbed = int(c.I64())
+	sc.Stats.PlanFailures = int(c.I64())
+	ntc := c.Count(maxTunableChosen, 8, "snapshot tunable-chosen")
+	for j := 0; j < ntc && c.Err() == nil; j++ {
+		sc.Stats.TunableChosen = append(sc.Stats.TunableChosen, int(c.I64()))
+	}
+	ng := c.Count(maxGrants, 21, "snapshot grant")
 	for i := 0; i < ng && c.Err() == nil; i++ {
 		var g GrantRecord
-		g.Shard = int(int32(c.U32()))
 		g.JobID = int(c.I64())
 		g.Chain = int(int32(c.U32()))
 		g.Quality = c.F64()

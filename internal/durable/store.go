@@ -23,10 +23,12 @@ import (
 
 // File format constants.  Segment files are named wal-%016x.log by their
 // first LSN; snapshot files snap-%016x.snap by the last LSN they cover.
+// Version 2 journals one scheduler (State.Sched).  Nothing reads another
+// version: open refuses a directory that holds one (versionError).
 const (
 	walMagic      = "MLNWAL01"
 	snapMagic     = "MLNSNP01"
-	formatVersion = 1
+	formatVersion = 2
 	// snapHeaderLen is a snapshot file's header: the magic, then the
 	// format version as a u32.
 	snapHeaderLen = len(snapMagic) + 4
@@ -262,8 +264,8 @@ func open(cfg openConfig) (*store, Recovered, error) {
 	if cfg.FS == nil || cfg.Dir == "" {
 		return nil, Recovered{}, fmt.Errorf("durable: open needs an FS and a directory")
 	}
-	if len(cfg.Genesis.Shards) == 0 {
-		return nil, Recovered{}, fmt.Errorf("durable: open needs a genesis state (see Genesis)")
+	if cfg.Genesis.Sched.Profile.Capacity < 1 {
+		return nil, Recovered{}, fmt.Errorf("durable: open needs a genesis state (see genesis)")
 	}
 	if err := cfg.FS.MkdirAll(cfg.Dir); err != nil {
 		return nil, Recovered{}, fmt.Errorf("durable: create log dir: %w", err)
@@ -319,9 +321,11 @@ func open(cfg openConfig) (*store, Recovered, error) {
 // load finds the newest valid snapshot and the contiguous record run after
 // it.  A torn or corrupt frame, an LSN gap, or a bad segment header ends
 // the run: the durable prefix property says everything before is state,
-// everything after is noise.  It is the one place the directory is listed:
-// every snapshot, segment and temp file it finds is a leftover for open's
-// checkpoint to remove, and nothing lists the directory after it.
+// everything after is noise.  A header in another format version is none of
+// these: load fails on it, before open has written anything.  It is the one
+// place the directory is listed: every snapshot, segment and temp file it
+// finds is a leftover for open's checkpoint to remove, and nothing lists the
+// directory after it.
 func (s *store) load(genesis State) (base State, snapLSN uint64, recs []Record, torn bool, err error) {
 	names, err := s.fs.ReadDir(s.dir)
 	if err != nil {
@@ -344,6 +348,9 @@ func (s *store) load(genesis State) (base State, snapLSN uint64, recs []Record, 
 	base = genesis
 	for _, lsn := range snaps {
 		st, serr := s.readSnapshot(filepath.Join(s.dir, snapName(lsn)))
+		if errors.As(serr, new(*versionError)) {
+			return State{}, 0, nil, false, serr
+		}
 		if serr != nil || st.LSN != lsn {
 			continue // corrupt or half-written snapshot: fall back to an older one
 		}
@@ -353,7 +360,8 @@ func (s *store) load(genesis State) (base State, snapLSN uint64, recs []Record, 
 
 	expect := base.LSN + 1
 	for _, first := range segs {
-		data, serr := s.readFile(filepath.Join(s.dir, segName(first)))
+		path := filepath.Join(s.dir, segName(first))
+		data, serr := s.readFile(path)
 		if serr != nil {
 			torn = true
 			break
@@ -362,7 +370,10 @@ func (s *store) load(genesis State) (base State, snapLSN uint64, recs []Record, 
 			continue // opened by a seal and never flushed: it holds nothing, so nothing is torn
 		}
 		r := bytes.NewReader(data)
-		hdrFirst, serr := readSegHeader(r)
+		hdrFirst, serr := readSegHeader(r, path)
+		if errors.As(serr, new(*versionError)) {
+			return State{}, 0, nil, false, serr
+		}
 		if serr != nil || hdrFirst != first {
 			torn = true
 			break
@@ -430,7 +441,7 @@ func (s *store) readSnapshot(path string) (State, error) {
 		return State{}, fmt.Errorf("durable: bad snapshot magic %q", hdr[:8])
 	}
 	if v := binary.LittleEndian.Uint32(hdr[8:12]); v != formatVersion {
-		return State{}, fmt.Errorf("durable: snapshot format version %d (want %d)", v, formatVersion)
+		return State{}, &versionError{path: path, version: v}
 	}
 	fr := frame.NewReader(r, "durable", maxFramePayload)
 	payload, err := fr.Next()
@@ -447,7 +458,22 @@ func (s *store) readSnapshot(path string) (State, error) {
 	return st, nil
 }
 
-func readSegHeader(r io.Reader) (uint64, error) {
+// versionError is a file whose header reads whole and has the store's magic
+// but declares another format version.  Such a file is not torn: another
+// version of the store wrote it, and recovering past it would have open's
+// checkpoint write over the directory.  open refuses it instead, and leaves
+// every file as it found it.
+type versionError struct {
+	path    string
+	version uint32
+}
+
+func (e *versionError) Error() string {
+	return fmt.Sprintf("durable: %s is in format version %d, and this store reads only version %d: "+
+		"refusing to open the log directory", e.path, e.version, formatVersion)
+}
+
+func readSegHeader(r io.Reader, path string) (uint64, error) {
 	var hdr [20]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return 0, fmt.Errorf("durable: truncated segment header: %w", err)
@@ -456,7 +482,7 @@ func readSegHeader(r io.Reader) (uint64, error) {
 		return 0, fmt.Errorf("durable: bad segment magic %q", hdr[:8])
 	}
 	if v := binary.LittleEndian.Uint32(hdr[8:12]); v != formatVersion {
-		return 0, fmt.Errorf("durable: segment format version %d (want %d)", v, formatVersion)
+		return 0, &versionError{path: path, version: v}
 	}
 	return binary.LittleEndian.Uint64(hdr[12:20]), nil
 }
@@ -513,10 +539,10 @@ func (ck *checkpoint) finish() {
 }
 
 // seal is the half of a checkpoint that runs under the plane lock, with no
-// other checkpoint in flight.  cut is the log head, the clock and the shards
-// as they stand; the grant set there is the last checkpoint's with delta —
-// every change since, in order — folded in, and that fold, like everything
-// that follows it, is the goroutine's.  All seal does to the disk is open
+// other checkpoint in flight.  cut is the log head, the clock and the
+// scheduler as they stand; the grant set there is the last checkpoint's
+// with delta — every change since, in order — folded in, and that fold,
+// like everything that follows it, is the goroutine's.  All seal does to the disk is open
 // the segment for the records after the cut: it walks no grants and encodes,
 // flushes and removes nothing.
 func (s *store) seal(cut State, delta []grantDelta) *checkpoint {
@@ -1054,7 +1080,7 @@ func (s *store) writeSnapshot(st *State) error {
 		return fmt.Errorf("durable: snapshot at LSN %d does not cover the log head %d", st.LSN, head)
 	}
 	s.base = append(s.base[:0], st.Grants...)
-	ck := s.seal(State{LSN: st.LSN, Now: st.Now, Shards: st.Shards}, nil)
+	ck := s.seal(State{LSN: st.LSN, Now: st.Now, Sched: st.Sched}, nil)
 	ck.wait()
 	return ck.err
 }
@@ -1103,16 +1129,10 @@ func (s *store) Close() error {
 
 // replayState rebuilds the scheduler from base and applies recs in log
 // order, returning the resulting state.  Replay applies committed decisions
-// verbatim — it never re-plans — so the result is bit-exact.  The durable
-// plane is one shard: a snapshot that declares another count, or a record
-// that names a shard other than 0, is a corrupt log, and refused.
+// verbatim — it never re-plans — so the result is bit-exact.
 func replayState(base State, recs []Record) (State, error) {
-	if len(base.Shards) != 1 {
-		return State{}, fmt.Errorf("corrupt log: snapshot at lsn %d declares %d shards, the durable plane has 1", base.LSN, len(base.Shards))
-	}
-	sh := base.Shards[0]
-	sc := core.NewScheduler(max(sh.Profile.Capacity, 1), 0, nil)
-	if err := sc.RestoreState(sh); err != nil {
+	sc := core.NewScheduler(max(base.Sched.Profile.Capacity, 1), 0, nil)
+	if err := sc.RestoreState(base.Sched); err != nil {
 		return State{}, err
 	}
 	st := State{
@@ -1126,7 +1146,7 @@ func replayState(base State, recs []Record) (State, error) {
 		}
 		st.LSN = recs[i].LSN
 	}
-	st.Shards = []core.SchedulerState{sc.ExportState()}
+	st.Sched = sc.ExportState()
 	// Mirror the live plane, which drops elapsed grants as its clock
 	// advances: prune by the final recovered clock.
 	st.prune()
@@ -1134,9 +1154,6 @@ func replayState(base State, recs []Record) (State, error) {
 }
 
 func applyRecord(st *State, sc *core.Scheduler, r *Record) error {
-	if r.Shard != 0 {
-		return fmt.Errorf("corrupt log: names shard %d, the durable plane has only shard 0", r.Shard)
-	}
 	switch r.Kind {
 	case KindObserve:
 		if r.Now > st.Now {
@@ -1153,7 +1170,7 @@ func applyRecord(st *State, sc *core.Scheduler, r *Record) error {
 			return err
 		}
 		st.Grants = append(st.Grants, GrantRecord{
-			JobID: r.JobID, Shard: r.Shard, Chain: r.Chain,
+			JobID: r.JobID, Chain: r.Chain,
 			Quality: r.Quality, Tunable: r.Tunable,
 			Tenant: r.Tenant, Class: r.Class,
 			Tasks: append([]core.TaskPlacement(nil), r.Tasks...),

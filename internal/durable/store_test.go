@@ -41,7 +41,7 @@ func TestStoreOpenGenesisAndReopen(t *testing.T) {
 	if rec.Records != 0 || rec.Torn || rec.SnapshotLSN != 0 {
 		t.Fatalf("genesis recovery = %+v", rec)
 	}
-	if got := rec.State.Shards[0].Profile.Capacity; got != 8 {
+	if got := rec.State.Sched.Profile.Capacity; got != 8 {
 		t.Fatalf("genesis procs = %d", got)
 	}
 	for i := 1; i <= 5; i++ {
