@@ -45,7 +45,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		duration  = fs.Duration("duration", 0, "wall-clock budget; stops starting new rounds once exceeded (0 = no budget)")
 		jobs      = fs.Int("jobs", 300, "arrivals per scenario run")
 		procs     = fs.Int("procs", 32, "plane capacity in processors")
-		shards    = fs.Int("shards", 4, "sharded-plane partition count")
 		scenario  = fs.String("scenario", "", "run only this scenario (default: the full matrix)")
 		inject    = fs.String("inject", "", "deliberate fault: over-admission | completion-delay | shedder-bypass | dropped-fsync")
 		artifacts = fs.String("artifacts", "", "directory for breach artifacts (JSONL, one file per breach)")
@@ -112,7 +111,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		rep, err := campaign.Run(campaign.Config{
 			Procs:     *procs,
-			Shards:    *shards,
 			Jobs:      *jobs,
 			Seed:      master + int64(round-1),
 			Scenarios: filter,

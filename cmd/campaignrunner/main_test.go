@@ -22,9 +22,11 @@ func TestCampaignTableIsPinned(t *testing.T) {
 		code   int
 		sha256 string
 	}{
-		{[]string{"-seed", "1999"}, 0, "8b22d55dcfc3fd38582a9a80e5d0de96ca66cacc776740392875d1c76861a843"},
-		{[]string{"-seed", "1999", "-jobs", "150"}, 0, "8a6a7237412bd0dc8341db1d37b81c8a6dac9a1daa75356f111d2f9ad788b5e9"},
-		{[]string{"-seed", "1999", "-inject", "dropped-fsync"}, 1, "c3e8e9412766d3561784cca42e255a3b4293abe7312115aeba2ed42f4671cfd6"},
+		// Taken again when the shards=N cells and rebalance-storm left and
+		// broker-churn moved to shards=1; every other row is the same.
+		{[]string{"-seed", "1999"}, 0, "dd31cdc348e9f28265a8286624cf3d1592d80f30a6af5a4788332623f2f8c6f3"},
+		{[]string{"-seed", "1999", "-jobs", "150"}, 0, "e41f63496c99e4f3ad243dade62e2deec05c4b9463e8c79a79d66d191e83460c"},
+		{[]string{"-seed", "1999", "-inject", "dropped-fsync"}, 1, "afb2b39703d800a91e8e9d785f03e65c9ec5470535a29715fb22c33b0204fc7a"},
 	} {
 		var out bytes.Buffer
 		if code := run(tc.args, &out, os.Stderr); code != tc.code {

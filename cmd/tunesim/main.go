@@ -5,13 +5,11 @@
 //
 // Usage:
 //
-//	tunesim [flags] fig5a|fig5b|fig5c|fig5d|fig6a|fig6b|exta|extq|extr|extb|sharded|all|point|replicate|gantt
+//	tunesim [flags] fig5a|fig5b|fig5c|fig5d|fig6a|fig6b|exta|extq|extr|extb|all|point|replicate|gantt
 //
 // The `point` subcommand runs the three systems once at the configured
 // parameters and prints the raw results.  Every run is admitted by the
-// one-shard plane junctiond serves; the `sharded` subcommand compares it
-// against the same plane split across shards (-shards N -probe k) over the
-// Figure 5(a) arrival sweep.
+// one arbitrator junctiond serves.
 package main
 
 import (
@@ -46,13 +44,11 @@ func main() {
 	plot := flag.Bool("plot", false, "render figures as ASCII charts in addition to tables")
 	csvOut := flag.Bool("csv", false, "emit figures as CSV instead of tables")
 	replicas := flag.Int("replicas", 10, "seeds for the replicate subcommand")
-	flag.IntVar(&shardCount, "shards", 2, "shard count for the sharded subcommand (federated admission plane)")
-	flag.IntVar(&probeFanout, "probe", 0, "probe fan-out k for best-of-k routing (0 = all shards)")
 	showMetrics := flag.Bool("metrics", false, "print the final metrics registry after the run")
 	sloAudit := flag.Bool("slo", false, "audit the run with the SLO engine and print the end-of-run conformance report")
 	flightPath := flag.String("flight", "", "write the latest flight-recorder snapshot (JSONL) to this file after the run (implies -slo)")
 	explainPath := flag.String("explain", "", "record a rejection diagnosis per failed admission and write them (JSONL) to this file after the run")
-	ledgerPath := flag.String("ledger", "", "account every run on the utilization ledger and write the merged per-tenant snapshot (JSONL) to this file after the run")
+	ledgerPath := flag.String("ledger", "", "account every run on the utilization ledger and write the per-tenant snapshot (JSONL) to this file after the run")
 	tenants := flag.String("tenants", "", "comma-separated tenant names cycled over arrivals for per-tenant ledger accounting (empty = unattributed)")
 	classes := flag.Int("classes", 1, "priority classes per tenant for the -tenants cycle")
 	debugAddr := flag.String("debug-addr", "", "serve the observability debug endpoint (/metrics /trace /explain ...) on this address while the run executes")
@@ -95,18 +91,12 @@ func main() {
 		cfg.Forensics = forRec
 		forRec.Mount(observer) // nil-safe
 	}
-	// Utilization ledger: per-tenant capacity accounting.  One shard
-	// ledger per admission shard (the sharded subcommand needs them; a
-	// one-shard run only touches shard 0), merged lock-free for the
-	// /ledger endpoint and the end-of-run JSONL artifact.  Totals
+	// Utilization ledger: per-tenant capacity accounting, served at
+	// /ledger and written as the end-of-run JSONL artifact.  Totals
 	// accumulate across every run of the invocation (sweeps included).
-	var ld *ledger.Sharded
+	var ld *ledger.Ledger
 	if *ledgerPath != "" || *debugAddr != "" {
-		n := shardCount
-		if n < 1 {
-			n = 1
-		}
-		ld = ledger.NewSharded(ledger.Config{Capacity: cfg.Procs}, n)
+		ld = ledger.New(ledger.Config{Capacity: cfg.Procs})
 		cfg.Ledger = ld
 		ld.Mount(observer) // nil-safe
 	}
@@ -139,7 +129,7 @@ func main() {
 	}
 
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: tunesim [flags] fig5a|fig5b|fig5c|fig5d|fig6a|fig6b|exta|extq|extr|extb|sharded|all|point|replicate|gantt")
+		fmt.Fprintln(os.Stderr, "usage: tunesim [flags] fig5a|fig5b|fig5c|fig5d|fig6a|fig6b|exta|extq|extr|extb|all|point|replicate|gantt")
 		os.Exit(2)
 	}
 	if err := run(cfg, flag.Arg(0)); err != nil {
@@ -241,13 +231,12 @@ func finishForensics(out io.Writer, rec *forensics.Recorder, explainPath string)
 }
 
 // finishLedger prints the per-tenant accounting table and writes the
-// merged ledger snapshot as JSONL (the -ledger output).  A nil ledger is
-// a no-op.
-func finishLedger(out io.Writer, ld *ledger.Sharded, path string) error {
+// ledger snapshot as JSONL (the -ledger output).  A nil ledger is a no-op.
+func finishLedger(out io.Writer, ld *ledger.Ledger, path string) error {
 	if ld == nil {
 		return nil
 	}
-	snap := ld.Merged()
+	snap := ld.Snapshot()
 	fmt.Fprintf(out, "\nutilization ledger: reserved=%.1f realized=%.1f waste=%.1f\n",
 		snap.TotalReservedArea, snap.TotalRealizedArea, snap.TotalWasteArea())
 	fmt.Fprintf(out, "%-16s %5s %12s %12s %12s %8s %9s %9s\n",
@@ -289,10 +278,6 @@ var replicaCount int
 
 // csvFigures selects CSV output for figure subcommands.
 var csvFigures bool
-
-// shardCount and probeFanout configure the federated admission plane of the
-// sharded subcommand.
-var shardCount, probeFanout int
 
 // ganttDemo admits a short burst of tunable jobs and draws the resulting
 // processor-time schedule (holes show as dots).
@@ -393,14 +378,8 @@ func run(cfg experiments.Config, what string) error {
 			return err
 		}
 		return experiments.WriteQuality(out, pts, cfg)
-	case "sharded":
-		sf, err := experiments.Fig5aSharded(cfg, nil, shardCount, probeFanout)
-		if err != nil {
-			return err
-		}
-		return experiments.WriteSharded(out, sf)
 	case "all":
-		for _, w := range []string{"fig5a", "fig5b", "fig5c", "fig5d", "fig6a", "fig6b", "extq", "extr", "extb", "exta", "sharded"} {
+		for _, w := range []string{"fig5a", "fig5b", "fig5c", "fig5d", "fig6a", "fig6b", "extq", "extr", "extb", "exta"} {
 			if err := run(cfg, w); err != nil {
 				return err
 			}

@@ -26,7 +26,7 @@ func TestRunSubcommands(t *testing.T) {
 	defer func() { replicaCount = old }()
 	for _, what := range []string{
 		"fig5a", "fig5b", "fig5c", "fig5d", "fig6a", "fig6b",
-		"exta", "extq", "extr", "extb", "sharded", "point", "replicate", "gantt",
+		"exta", "extq", "extr", "extb", "point", "replicate", "gantt",
 	} {
 		if err := run(testCfg(), what); err != nil {
 			t.Errorf("%s: %v", what, err)

@@ -3,9 +3,8 @@
 // separate processes on cluster nodes) negotiate reservations over the
 // wire, exactly as MILAN's distributed components would.
 //
-// The second act splits the arbitrator across shards: one shard per
-// broker-registered machine, best-of-k routing, and a rebalancer that
-// follows the broker — registering a new machine mid-run grows the plane
+// The second act makes the arbitrator follow the broker: its capacity is
+// the pool's, and registering a new machine mid-run grows the plane
 // without restarting the server.
 //
 // The third act federates the observability plane itself: an aggregator
@@ -111,16 +110,16 @@ func main() {
 		st.Admitted, st.Rejected, st.TunableChosen)
 
 	fmt.Println()
-	if err := federated(); err != nil {
+	if err := followBroker(); err != nil {
 		log.Fatal(err)
 	}
 }
 
-// federated serves a sharded admission plane over the same qosnet wire
-// protocol: every broker-registered machine backs one shard, and the
-// rebalancer follows the broker so the plane's capacity tracks the pool.
-func federated() error {
-	fmt.Println("--- federated admission plane ---")
+// followBroker serves an arbitrator over the same qosnet wire protocol
+// whose capacity follows the broker (AttachBroker), so the plane tracks the
+// pool as machines join and leave.
+func followBroker() error {
+	fmt.Println("--- an arbitrator that follows the broker ---")
 	machines := []resbroker.Resource{
 		{ID: "node-0", Procs: 8, Speed: 1.0},
 		{ID: "node-1", Procs: 8, Speed: 1.0},
@@ -134,52 +133,43 @@ func federated() error {
 	}
 
 	// The observer counts the plane's decisions (sched_admitted,
-	// sched_rejected) as they commit, under the deciding shard's lock.
+	// sched_rejected) as they commit, under the plane's lock.
 	reg := obs.NewRegistry()
 	o := milan.NewObserver(milan.ObserverConfig{Registry: reg, Tracing: true})
 	plane, err := milan.NewArbitrator(milan.ArbitratorConfig{
 		Procs:    broker.TotalProcs(),
-		Shards:   len(machines), // one shard per machine
-		ProbeK:   2,             // best-of-2 routing
 		Observer: o.DecisionObserver(nil),
 	})
 	if err != nil {
 		return err
 	}
-	rb := plane.Rebalancer()
-	rb.MinShardProcs = 4 // never shrink a shard below the widest task
-	detach := rb.AttachBroker(broker, 0)
+	detach, err := plane.AttachBroker(broker, 0)
+	if err != nil {
+		return err
+	}
 	defer detach()
-	fmt.Printf("plane: %d processors across %d shards %v\n",
-		plane.Procs(), len(plane.ShardProcs()), plane.ShardProcs())
+	fmt.Printf("plane: %d processors from %d machines\n", plane.Procs(), len(machines))
 
-	// The same qosnet server fronts the sharded plane: agents cannot tell
-	// it from one shard.
 	srv, err := qosnet.ListenAndServe(plane, "127.0.0.1:0")
 	if err != nil {
 		return err
 	}
 	defer srv.Close()
-	fmt.Printf("federated plane listening on %s\n", srv.Addr())
+	fmt.Printf("plane listening on %s\n", srv.Addr())
 
 	// The debug endpoint publishes the plane's health: /healthz aggregates
-	// liveness with broker and shard readiness, so an orchestrator can gate
-	// traffic on the plane actually holding routable capacity.
+	// liveness with broker and capacity readiness, so an orchestrator can
+	// gate traffic on the plane actually holding usable capacity.
 	o.AddHealthCheck("broker", func() error {
 		if broker.TotalProcs() == 0 {
 			return fmt.Errorf("no registered capacity")
 		}
 		return nil
 	})
-	o.AddHealthCheck("shards", func() error {
-		procs := plane.ShardProcs()
-		if len(procs) == 0 {
-			return fmt.Errorf("no shards")
-		}
-		for i, p := range procs {
-			if p < rb.MinShardProcs {
-				return fmt.Errorf("shard %d below minimum width (%d < %d)", i, p, rb.MinShardProcs)
-			}
+	spec := workload.FigureJob{X: 4, T: 25, Alpha: 0.25, Laxity: 0.5}
+	o.AddHealthCheck("capacity", func() error {
+		if p := plane.Procs(); p < spec.X {
+			return fmt.Errorf("plane below the widest task (%d < %d)", p, spec.X)
 		}
 		return nil
 	})
@@ -197,7 +187,6 @@ func federated() error {
 	resp.Body.Close()
 	fmt.Printf("debug endpoint http://%s  /healthz -> %d %s\n", dbgAddr, resp.StatusCode, body)
 
-	spec := workload.FigureJob{X: 4, T: 25, Alpha: 0.25, Laxity: 0.5}
 	var wg sync.WaitGroup
 	results := make([]string, 12)
 	for i := range results {
@@ -228,19 +217,16 @@ func federated() error {
 	}
 
 	// A machine joins the cluster mid-run: the broker event resizes the
-	// plane and the rebalancer spreads the new capacity to hungry shards.
-	fmt.Printf("\nshard procs before join: %v (loads %.3v)\n", plane.ShardProcs(), plane.ShardLoads())
+	// plane, one processor at a time.
+	fmt.Printf("\nprocs before join: %d\n", plane.Procs())
 	if err := broker.Register(resbroker.Resource{ID: "node-3", Procs: 8, Speed: 1.0}); err != nil {
 		return err
 	}
-	fmt.Printf("registered node-3:       %v procs total, shards %v\n", plane.Procs(), plane.ShardProcs())
+	fmt.Printf("registered node-3: %d procs\n", plane.Procs())
 
 	st := plane.Stats()
 	fmt.Printf("\nplane: %d admitted, %d rejected, chain choices %v\n",
 		st.Admitted, st.Rejected, st.TunableChosen)
-	rs := plane.RouterStats()
-	fmt.Printf("router: %d probes, %d commit races, %d non-best commits, %d migrations\n",
-		rs.Probes, rs.CommitRaces, rs.NonBestCommits, rs.Migrations)
 	return federatedTelemetry(reg, dbgAddr.String())
 }
 

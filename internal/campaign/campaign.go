@@ -1,10 +1,9 @@
 // Package campaign is the adversarial campaign harness: it sweeps a
 // randomized scenario matrix — arrival storms with hot-tenant skew,
-// broker churn, calypso worker-fault floods, rebalance storms and
-// multi-tenant saturation overload — against the admission plane at one
-// shard (the plane junctiond serves) and at Config.Shards, asserting the
-// paper's hard invariant (admitted ⇒ deadline met) and the fairness
-// invariants of the saturation shedder on every run.
+// broker churn, calypso worker-fault floods, node kills and multi-tenant
+// saturation overload — against the admission plane junctiond serves,
+// asserting the paper's hard invariant (admitted ⇒ deadline met) and the
+// fairness invariants of the saturation shedder on every run.
 //
 // Every run is a deterministic function of its seed: the per-run seed is
 // derived from the campaign seed plus the scenario and plane names, each
@@ -37,10 +36,8 @@ type Plane string
 
 // Planes.
 const (
-	// planeOneShard is the fed plane at one shard; planeSharded is the
-	// same plane at Config.Shards, rebalancing as the clock advances.
+	// planeOneShard is the fed plane, the one arbitrator.
 	planeOneShard Plane = "shards=1"
-	planeSharded  Plane = "shards=N"
 	// planeRuntime marks scenarios that exercise the calypso execution
 	// runtime rather than an admission plane.
 	planeRuntime Plane = "runtime"
@@ -73,9 +70,8 @@ type Inject struct {
 
 // Config parameterizes a campaign.
 type Config struct {
-	Procs  int // plane capacity (default 32)
-	Shards int // sharded-plane partitions (default 4)
-	Jobs   int // arrivals per run (default 300)
+	Procs int // plane capacity (default 32)
+	Jobs  int // arrivals per run (default 300)
 	// Seed is the campaign master seed; every run's seed derives from it
 	// (default 1).
 	Seed int64
@@ -89,9 +85,6 @@ func (c Config) withDefaults() Config {
 	if c.Procs < 1 {
 		c.Procs = 32
 	}
-	if c.Shards < 1 {
-		c.Shards = 4
-	}
 	if c.Jobs < 1 {
 		c.Jobs = 300
 	}
@@ -100,9 +93,6 @@ func (c Config) withDefaults() Config {
 	}
 	return c
 }
-
-// probeK is the sharded plane's probe fan-out: best of two.
-const probeK = 2
 
 // Breach is one violated invariant, with the localized fault and the
 // replayable artifact behind it (Artifact may be nil when the flight
@@ -142,16 +132,13 @@ type Report struct {
 	Runs []RunReport
 }
 
-// seedName is the name a plane's run seeds derive from.  The two admission
-// cells keep the names they had before the monolith became the one-shard
+// seedName is the name a plane's run seeds derive from.  The admission
+// cell keeps the name it had before the monolith became the one-shard
 // plane, so a campaign seed reproduces the streams, digests and breaches it
 // always has.
 func (p Plane) seedName() string {
-	switch p {
-	case planeOneShard:
+	if p == planeOneShard {
 		return "monolith"
-	case planeSharded:
-		return "sharded"
 	}
 	return string(p)
 }
@@ -229,7 +216,6 @@ type runCtx struct {
 	eng    *slo.Engine
 
 	fed    *fed.Arbitrator
-	rb     *fed.Rebalancer
 	broker *resbroker.Broker
 	shed   *qos.Shedder
 
@@ -336,41 +322,18 @@ func runOne(cfg Config, sc Scenario, plane Plane) (RunReport, error) {
 	// yields a handful of replayable artifacts, not 16 copies of the
 	// same ring.
 	rec.SetCooldown(25)
-	eng := slo.New(slo.Options{Recorder: rec, StormThreshold: sc.StormThreshold})
+	eng := slo.New(slo.Options{Recorder: rec})
 	rc.engine, rc.tracer, rc.rec, rc.eng = engine, tracer, rec, eng
 
-	shards := 1
-	if plane == planeSharded {
-		shards = cfg.Shards
-	} else if plane != planeOneShard {
+	if plane != planeOneShard {
 		return rr, fmt.Errorf("unknown plane %q", plane)
 	}
-	fa, err := fed.New(fed.Config{Procs: cfg.Procs, Shards: shards, ProbeK: probeK})
+	fa, err := fed.New(fed.Config{Procs: cfg.Procs})
 	if err != nil {
 		return rr, err
 	}
 	rc.fed = fa
 	var neg qos.Negotiator = fa
-	observe := fa.Observe
-	if plane == planeSharded {
-		rb := fa.Rebalancer()
-		if sc.Job.X > rb.MinShardProcs {
-			rb.MinShardProcs = sc.Job.X
-		}
-		moves := sc.RebalanceMoves
-		if moves == 0 {
-			moves = 1
-		} else if moves < 0 {
-			moves = 0 // Rebalance(0) = up to one move per shard
-		}
-		rc.rb = rb
-		observe = func(now float64) {
-			fa.Observe(now)
-			rb.Rebalance(moves)
-			rs := fa.RouterStats()
-			eng.ObserveRouter(now, rs.CommitRaces, rs.Migrations)
-		}
-	}
 
 	if sc.Shed != nil {
 		shcfg := *sc.Shed
@@ -400,7 +363,7 @@ func runOne(cfg Config, sc Scenario, plane Plane) (RunReport, error) {
 	engine.Arrive(len(jobs), func(i int) float64 { return jobs[i].Release }, func(id int) {
 		now := engine.Now()
 		lastRelease = now
-		observe(now)
+		fa.Observe(now)
 		rc.shed.Observe(now)
 		job := jobs[id]
 		if assign != nil {
@@ -481,7 +444,7 @@ func runOne(cfg Config, sc Scenario, plane Plane) (RunReport, error) {
 	// Drain: advance past every reservation so capacity checks see the
 	// quiescent plane.
 	rc.now = math.Max(lastFinish, lastRelease) + 1
-	observe(rc.now)
+	fa.Observe(rc.now)
 
 	rc.collectSLOBreaches()
 	rc.planeChecks()
@@ -515,8 +478,8 @@ func (rc *runCtx) collectSLOBreaches() {
 }
 
 // planeChecks asserts the plane's structural invariants after the drain:
-// per-shard profile consistency (no over-admission at the scheduler level)
-// and capacity conservation against the resource pool.
+// profile consistency (no over-admission at the scheduler level) and
+// capacity conservation against the resource pool.
 func (rc *runCtx) planeChecks() {
 	if err := rc.fed.CheckInvariants(); err != nil {
 		rc.breach("no-over-admission", err.Error(), slo.TriggerOverAdmission, nil)
@@ -526,23 +489,14 @@ func (rc *runCtx) planeChecks() {
 		// The pool churned; after the drain the plane must settle back
 		// to exactly the broker's surviving capacity.
 		want = rc.broker.TotalProcs()
-		if _, err := rc.rb.SetTotalCapacity(want); err != nil {
+		if _, err := rc.fed.SetTotalCapacity(want); err != nil {
 			rc.breach("capacity-conservation",
 				fmt.Sprintf("cannot settle to pool capacity %d: %v", want, err),
 				slo.TriggerCapacityDrift, nil)
 			return
 		}
 	}
-	total := 0
-	for i, p := range rc.fed.ShardProcs() {
-		total += p
-		if p < 1 {
-			rc.breach("capacity-conservation",
-				fmt.Sprintf("shard %d holds %d processors", i, p),
-				slo.TriggerCapacityDrift, nil)
-		}
-	}
-	if total != want {
+	if total := rc.fed.Procs(); total != want {
 		rc.breach("capacity-conservation",
 			fmt.Sprintf("plane holds %d processors, pool holds %d", total, want),
 			slo.TriggerCapacityDrift, nil)

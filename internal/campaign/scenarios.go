@@ -39,13 +39,6 @@ type Scenario struct {
 	// into the run before arrivals start.
 	Churn func(rc *runCtx) error
 
-	// StormThreshold overrides the SLO engine's rebalance-storm trigger
-	// (0 = the engine default).
-	StormThreshold int64
-	// RebalanceMoves bounds migrations per observation on the sharded
-	// plane: 0 = one move, -1 = up to one per shard.
-	RebalanceMoves int
-
 	// Run replaces the standard admission loop entirely (runtime
 	// scenarios).
 	Run func(cfg Config, sc Scenario, seed int64) (RunReport, error)
@@ -63,7 +56,7 @@ func Matrix() []Scenario {
 		{
 			Name:   "arrival-storm",
 			Doc:    "Poisson bursts with a hot-tenant skew (3 of 4 arrivals bill to one whale)",
-			Planes: []Plane{planeOneShard, planeSharded},
+			Planes: []Plane{planeOneShard},
 			Job:    campaignJob,
 			Arrivals: func(seed int64) workload.Arrivals {
 				// Busy phases fire arrivals every ~1 unit (10x overload),
@@ -82,8 +75,8 @@ func Matrix() []Scenario {
 		},
 		{
 			Name:   "broker-churn",
-			Doc:    "register/deregister floods resize the sharded plane mid-admission",
-			Planes: []Plane{planeSharded},
+			Doc:    "register/deregister floods resize the plane mid-admission",
+			Planes: []Plane{planeOneShard},
 			Job:    campaignJob,
 			Arrivals: func(seed int64) workload.Arrivals {
 				return workload.NewPoisson(8, seed)
@@ -114,30 +107,9 @@ func Matrix() []Scenario {
 			Run: nodeKillRun,
 		},
 		{
-			Name:   "rebalance-storm",
-			Doc:    "bursty load drives aggressive migration; capacity must be conserved",
-			Planes: []Plane{planeSharded},
-			Job:    campaignJob,
-			Arrivals: func(seed int64) workload.Arrivals {
-				return workload.NewBursty(0.8, 60, 16, seed)
-			},
-			Tenants: func() tenantAssigner {
-				return &workload.TenantCycle{
-					Tenants: []string{"red", "blue", "green"},
-					Classes: 1,
-				}
-			},
-			// Up to one migration per shard per observation, and a
-			// hair-trigger storm threshold: the point is to storm and
-			// still conserve capacity (storm snapshots are informational;
-			// only invariant breaches fail the run).
-			RebalanceMoves: -1,
-			StormThreshold: 4,
-		},
-		{
 			Name:   "saturation-overload",
 			Doc:    "3.3x sustained overload against quotas and weighted-fair shedding",
-			Planes: []Plane{planeOneShard, planeSharded},
+			Planes: []Plane{planeOneShard},
 			Job:    campaignJob,
 			Arrivals: func(seed int64) workload.Arrivals {
 				return workload.NewPoisson(3, seed)
@@ -161,15 +133,12 @@ func Matrix() []Scenario {
 	}
 }
 
-// brokerChurn wires a resource broker under the sharded plane and floods
-// it with register/withdraw pairs while admissions run.  The base pool
-// mirrors the plane's capacity exactly (8 machines of Procs/8), so after
-// every transient machine has withdrawn the plane must settle back to the
-// configured capacity — any drift is a rebalancer fault.
+// brokerChurn wires a resource broker under the plane and floods it with
+// register/withdraw pairs while admissions run.  The base pool mirrors the
+// plane's capacity exactly (8 machines of Procs/8), so after every
+// transient machine has withdrawn the plane must settle back to the
+// configured capacity — any drift is a capacity fault.
 func brokerChurn(rc *runCtx) error {
-	if rc.rb == nil {
-		return fmt.Errorf("broker churn needs the sharded plane")
-	}
 	broker := resbroker.New(nil)
 	per := rc.cfg.Procs / 8
 	if per < 1 {
@@ -186,7 +155,9 @@ func brokerChurn(rc *runCtx) error {
 	}
 	// Attach after the base pool registers: the flood below churns
 	// capacity around the base total, never below it.
-	rc.rb.AttachBroker(broker, 0)
+	if _, err := rc.fed.AttachBroker(broker, 0); err != nil {
+		return err
+	}
 	rc.broker = broker
 	for k := 0; k < 15; k++ {
 		id := fmt.Sprintf("churn-%d", k)

@@ -117,7 +117,7 @@ func (s *Scheduler) diagnose(job Job) *PlanDiagnosis {
 		Release:  job.Release,
 		Shard:    -1,
 		Capacity: s.prof.capacity,
-		PeakUsed: s.prof.PeakUsed(),
+		PeakUsed: s.prof.peakUsed(),
 	}
 	d.Chains = make([]ChainDiagnosis, len(job.Chains))
 	for ci := range job.Chains {
@@ -326,7 +326,7 @@ func (s *Scheduler) procSlack(job Job, ci int) int {
 	cap := s.prof.capacity
 	// Upper bound: enough growth to dwarf both the committed peak and the
 	// chain's widest task, making the machine look idle to this chain.
-	hi := s.prof.PeakUsed()
+	hi := s.prof.peakUsed()
 	if wmax > cap {
 		hi += wmax - cap
 	}
@@ -422,7 +422,7 @@ func (s *Scheduler) suggest(job Job, chains []ChainDiagnosis) *WhatIfDelta {
 				wmax = w
 			}
 		}
-		grow := s.prof.PeakUsed()
+		grow := s.prof.peakUsed()
 		if c := s.prof.capacity; wmax > c {
 			grow += wmax - c
 		}

@@ -354,11 +354,11 @@ func (p *Profile) BusyOn(a, b float64) float64 {
 	return busy
 }
 
-// PeakUsed returns the maximum number of processors committed at any time
+// peakUsed returns the maximum number of processors committed at any time
 // still explicitly represented by the profile (i.e. at or after the origin).
 // It is the floor below which the machine cannot shrink without preempting
 // reservations.
-func (p *Profile) PeakUsed() int {
+func (p *Profile) peakUsed() int {
 	peak := 0
 	for _, u := range p.used {
 		if u > peak {
@@ -370,7 +370,7 @@ func (p *Profile) PeakUsed() int {
 
 // SetCapacity resizes the machine to c processors.  Growth always succeeds;
 // shrinking succeeds only when the new capacity still covers every committed
-// reservation (PeakUsed) — reservations are never preempted, so a shard or
+// reservation (peakUsed) — reservations are never preempted, so an
 // arbitrator may only give away uncommitted headroom.  The usage integral
 // and all committed reservations are unchanged; availability queries answer
 // against the new capacity from now on.
@@ -381,7 +381,7 @@ func (p *Profile) SetCapacity(c int) error {
 	if c == p.capacity {
 		return nil
 	}
-	if peak := p.PeakUsed(); c < peak {
+	if peak := p.peakUsed(); c < peak {
 		return fmt.Errorf("core: set capacity %d below committed peak usage %d", c, peak)
 	}
 	p.capacity = c

@@ -8,7 +8,7 @@
 // The harness has three layers:
 //
 //	Op / RandomOps / DecodeOps — an operation vocabulary (reserve, trim,
-//	probe, migration-shaped capacity steps) with generators for seeded
+//	probe, capacity steps) with generators for seeded
 //	random streams and for byte-decoded
 //	fuzzing inputs, including sub-epsilon time jitter to stress the
 //	Eps-tolerant boundary predicates.
@@ -54,8 +54,8 @@ const (
 	// OpBusy compares BusyUpTo(A) and BusyOn(A, A+B).
 	OpBusy
 	// OpSetCapacity resizes both profiles to Procs + floor(B/5) processors
-	// (shrink-or-grow, migration-shaped capacity steps as performed by the
-	// federated admission plane's rebalancer) and compares success/failure.
+	// (shrink-or-grow capacity steps, as a broker-following plane makes
+	// them) and compares success/failure.
 	// Shrinking below committed peak usage must fail identically on both.
 	OpSetCapacity
 

@@ -49,9 +49,9 @@ func TestPlaneSetTotalCapacityJournaled(t *testing.T) {
 	p2.Close()
 }
 
-// TestPlaneBrokerCapacityRecovered: the ROADMAP-item-1 gap — broker pool
-// churn must flow through the journal, so a crashed-and-recovered plane
-// reports exactly the live pool's capacity.
+// TestPlaneBrokerCapacityRecovered: broker pool churn must flow through the
+// journal, so a crashed-and-recovered plane reports exactly the live pool's
+// capacity.
 func TestPlaneBrokerCapacityRecovered(t *testing.T) {
 	mem := vfs.NewMem()
 	p, _ := openPlane(t, mem, StoreOptions{Sync: SyncAlways})
@@ -98,9 +98,9 @@ func TestPlaneBrokerCapacityRecovered(t *testing.T) {
 }
 
 // TestPlaneCapacityJournalFailureReported: a capacity move whose journal
-// write failed must not be reported as a success.  The rebalancer's resize
-// hook cannot return the append error, so SetTotalCapacity surfaces the
-// store's poison after the rebalancer returns.
+// write failed must not be reported as a success.  The arbitrator's
+// observer cannot return the append error, so SetTotalCapacity surfaces
+// the store's poison after fed.Arbitrator.SetTotalCapacity returns.
 func TestPlaneCapacityJournalFailureReported(t *testing.T) {
 	boom := errors.New("dead disk")
 	check := func(t *testing.T, p *Plane, err error) {

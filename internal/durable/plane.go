@@ -180,9 +180,7 @@ func openTapped(cfg Config, tap func(qos.Decision)) (*Plane, Recovered, error) {
 	if tap != nil {
 		observer = func(d qos.Decision) { tap(d); p.observe(d) }
 	}
-	arb, err := fed.New(fed.Config{
-		Procs: st.Sched.Profile.Capacity, Shards: 1, Observer: observer,
-	})
+	arb, err := fed.New(fed.Config{Procs: st.Sched.Profile.Capacity, Observer: observer})
 	if err != nil {
 		store.Close()
 		return nil, Recovered{}, err
@@ -221,12 +219,12 @@ func openTapped(cfg Config, tap func(qos.Decision)) (*Plane, Recovered, error) {
 // observe is the plane's subscription to its arbitrator's decision stream.
 // An admission, a rejection and a clock advance are journaled by the
 // operation that asked for them, which knows what its caller is owed; a
-// capacity move has no such operation (the rebalancer resizes the shard one
-// processor at a time), so it is journaled here.  It fires under the shard
+// capacity move has no such operation (fed.Arbitrator.SetTotalCapacity
+// resizes one processor at a time), so it is journaled here.  It fires under the shard
 // lock inside a plane-locked operation, so the record lands in the plane's
 // decision order, and it is flushed there too: resizes are rare.  An
 // observer cannot return an error; a failed append poisons the store, and
-// SetTotalCapacity reports that once the rebalancer returns.
+// SetTotalCapacity reports that once the arbitrator returns.
 func (p *Plane) observe(d qos.Decision) {
 	if d.Kind == qos.KindResize {
 		_, _ = p.store.Append(&Record{Kind: KindCapacity, Procs: d.Procs})
@@ -244,8 +242,8 @@ func (p *Plane) poisonedLocked() error {
 
 // SetTotalCapacity resizes the plane toward total processors under the
 // plane lock, journaling one KindCapacity record per single-processor
-// resize (the fed rebalancer's unit of work), so recovery reconstructs the
-// exact capacity.  Growth always succeeds; shrink stops early when the
+// resize (fed.Arbitrator.SetTotalCapacity's unit of work), so recovery
+// reconstructs the exact capacity.  Growth always succeeds; shrink stops early when the
 // shard cannot give up a processor without preempting a committed
 // reservation, returning the achieved total alongside the shortfall error.
 func (p *Plane) SetTotalCapacity(total int) (int, error) {
@@ -254,8 +252,8 @@ func (p *Plane) SetTotalCapacity(total int) (int, error) {
 	if err := p.poisonedLocked(); err != nil {
 		return p.arb.Procs(), err
 	}
-	got, err := p.arb.Rebalancer().SetTotalCapacity(total)
-	// A resize whose record failed to journal outranks the rebalancer's own
+	got, err := p.arb.SetTotalCapacity(total)
+	// A resize whose record failed to journal outranks the arbitrator's own
 	// result: the moves it made are not in the log.
 	if perr := p.poisonedLocked(); perr != nil {
 		return got, perr

@@ -35,8 +35,8 @@ const (
 	// KindObserve: the plane's clock advanced; replay folds elapsed
 	// history exactly as the live TrimBefore did.
 	KindObserve Kind = 2
-	// KindCapacity: the plane was resized by one processor (the
-	// rebalancer's unit of work, driven by an operator or a broker).
+	// KindCapacity: the plane was resized by one processor (the unit of
+	// fed.Arbitrator.SetTotalCapacity, driven by an operator or a broker).
 	KindCapacity Kind = 3
 	// KindReject: admission control refused the job (no feasible chain).
 	KindReject Kind = 4

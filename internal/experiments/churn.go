@@ -102,7 +102,7 @@ func runChurnStatic(cfg Config, trace []CapacityEvent) (ChurnResult, error) {
 		procs         int
 	}
 	var spans []span
-	plane, err := newPlane(cfg, 1, 1, func(d qos.Decision) {
+	plane, err := newPlane(cfg, func(d qos.Decision) {
 		if d.Kind != qos.KindAdmitted {
 			return
 		}

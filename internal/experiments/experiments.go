@@ -36,7 +36,7 @@ type Config struct {
 	// Obs, if set, observes every run driven by this configuration: the
 	// sim engine's fired events, the planner's work (pulled at the end of
 	// the run) and, in Run, the arbitrator's decision stream
-	// (obs.Observer.DecisionObserver; runSharded does not feed it).  While
+	// (obs.Observer.DecisionObserver).  While
 	// a run executes, the observer's clock follows the simulation clock.
 	// When the observer traces (obs.Config.Tracing), the run loop mints one
 	// trace per arrival and records arrival/run spans around the stages the
@@ -57,13 +57,12 @@ type Config struct {
 	// — the planner's diagnosis path stays un-instrumented.
 	Forensics *forensics.Recorder
 	// Ledger, if set, accounts the run per tenant and priority class:
-	// every commit is recorded in admission order on the granting shard's
-	// ledger (shard 0 in Run), every admitted job's completion realizes its
-	// reserved area, and the simulation clock stamps the ledger's.  Attach
-	// a fresh ledger per run — totals are cumulative.  nil (the default)
-	// schedules the same events and makes the same decisions as no ledger
-	// at all.
-	Ledger *ledger.Sharded
+	// every commit is recorded in admission order, every admitted job's
+	// completion realizes its reserved area, and the simulation clock
+	// stamps the ledger's.  Attach a fresh ledger per run — totals are
+	// cumulative.  nil (the default) schedules the same events and makes
+	// the same decisions as no ledger at all.
+	Ledger *ledger.Ledger
 	// Tenants, if set (with Ledger), stamps each arrival with a tenant
 	// and class before negotiation.
 	Tenants *workload.TenantCycle
@@ -190,7 +189,7 @@ func run(cfg Config, sys workload.System, a workload.Arrivals) (RunResult, error
 	if cfg.Obs != nil {
 		feed = cfg.Obs.DecisionObserver(nil)
 	}
-	plane, err := newPlane(cfg, 1, 1, feed)
+	plane, err := newPlane(cfg, feed)
 	if err != nil {
 		return RunResult{}, err
 	}
@@ -199,31 +198,20 @@ func run(cfg Config, sys workload.System, a workload.Arrivals) (RunResult, error
 	return res, nil
 }
 
-// newPlane builds the admission plane a run drives: cfg.Procs processors
-// over shards partitions, the run's scheduler options, and one decision
-// feed — the ledger first (every decision lands on the deciding shard's
-// ledger under that shard's lock, so in commit order), then next (may be
-// nil).  Each shard ledger is stamped with its shard's capacity; the run
-// loop routes completions back by the grant's Shard.
-func newPlane(cfg Config, shards, probeK int, next func(qos.Decision)) (*fed.Arbitrator, error) {
-	if cfg.Ledger != nil && cfg.Ledger.Shards() < shards {
-		return nil, fmt.Errorf("experiments: ledger has %d shards, plane needs %d", cfg.Ledger.Shards(), shards)
-	}
+// newPlane builds the admission plane a run drives: cfg.Procs processors,
+// the run's scheduler options, and one decision feed — the ledger first
+// (every decision lands on it under the plane's lock, so in commit order),
+// then next (may be nil).  The ledger is stamped with the plane's capacity.
+func newPlane(cfg Config, next func(qos.Decision)) (*fed.Arbitrator, error) {
 	plane, err := fed.New(fed.Config{
-		Procs:  cfg.Procs,
-		Shards: shards,
-		ProbeK: probeK,
-		// At two shards and up the plane stamps each diagnosis with the
-		// deciding shard before handing it to the run's forensics recorder.
+		Procs:    cfg.Procs,
 		Options:  cfg.schedulerOptions(),
 		Observer: cfg.Ledger.DecisionObserver(next),
 	})
 	if err != nil {
 		return nil, err
 	}
-	for i, procs := range plane.ShardProcs() {
-		cfg.Ledger.Shard(i).SetCapacity(procs) // nil-safe
-	}
+	cfg.Ledger.SetCapacity(cfg.Procs) // nil-safe
 	return plane, nil
 }
 
@@ -270,10 +258,9 @@ func runLoop(cfg Config, jobs []core.Job, arb admitter) RunResult {
 		now := engine.Now()
 		lastRelease = now
 		arb.Observe(now)
-		// The ledger's clock follows the simulation's.  (The plane's
-		// Observe already advanced its shards' ledgers through their
-		// clock decisions; Advance is monotone, so this one moves only
-		// ledgers no plane shard feeds.)
+		// The ledger's clock follows the simulation's.  (The fed plane's
+		// Observe already advanced it through its clock decision; the
+		// reference arbitrator announces no clock.  Advance is monotone.)
 		cfg.Ledger.Advance(now)
 		job := jobs[id]
 		var root *obs.ActiveSpan
@@ -331,9 +318,8 @@ func runLoop(cfg Config, jobs []core.Job, arb admitter) RunResult {
 			cfg.SLO.JobAdmitted(id, job.Trace, now, deadline, finish)
 			cfg.SLO.Tick(now)
 		}
-		// Completion realizes the reserved area on the shard that granted
-		// it (qos.Grant.Shard; 0 at one shard).
-		led := cfg.Ledger.Shard(g.Shard)
+		// Completion realizes the reserved area.
+		led := cfg.Ledger
 		key := ledger.KeyOf(&job)
 		pl := g.Placement
 		engine.At(finish, "complete", func() {

@@ -61,41 +61,6 @@ func TestRunForensicsClosedLoop(t *testing.T) {
 	}
 }
 
-// TestRunShardedForensics runs the federated plane under the same
-// forensics wiring: diagnoses carry real shard stamps, the closed loop
-// verifies against the plane.
-func TestRunShardedForensics(t *testing.T) {
-	cfg := forensicsConfig()
-	cfg.Jobs = 300
-	rec := forensics.NewRecorder(0)
-	cfg.Forensics = rec
-
-	res, _, err := runSharded(cfg, workload.Tunable, 2, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Rejected == 0 {
-		t.Fatalf("degenerate sharded run: %+v", res)
-	}
-	// The plane diagnoses every losing probe, so there is at least one
-	// record per rejection, each stamped with the deciding shard.
-	if rec.Total() < int64(res.Rejected) {
-		t.Fatalf("recorded %d diagnoses for %d rejections", rec.Total(), res.Rejected)
-	}
-	refuted := 0
-	for _, r := range rec.Records() {
-		if r.Diag.Shard < 0 || r.Diag.Shard >= 2 {
-			t.Fatalf("job %d: shard stamp %d", r.Diag.JobID, r.Diag.Shard)
-		}
-		if r.Verified != nil && !*r.Verified {
-			refuted++
-		}
-	}
-	if refuted != 0 {
-		t.Fatalf("%d suggestions refuted on plane replay", refuted)
-	}
-}
-
 // TestForensicsDoNotPerturbResults is the zero-interference guarantee:
 // the identical configuration produces bitwise identical results with and
 // without the forensics instrumentation, because diagnosis fires only on
@@ -115,18 +80,5 @@ func TestForensicsDoNotPerturbResults(t *testing.T) {
 	}
 	if !reflect.DeepEqual(plain, probed) {
 		t.Fatalf("forensics perturbed the run\nplain:  %+v\nprobed: %+v", plain, probed)
-	}
-
-	// Same guarantee on the sharded plane.
-	plainShard, _, err := runSharded(base, workload.Tunable, 2, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	probedShard, _, err := runSharded(instr, workload.Tunable, 2, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(plainShard, probedShard) {
-		t.Fatalf("forensics perturbed the sharded run\nplain:  %+v\nprobed: %+v", plainShard, probedShard)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"reflect"
 	"testing"
 
-	"milan/internal/fed"
 	"milan/internal/obs/ledger"
 	"milan/internal/qos"
 	"milan/internal/workload"
@@ -16,11 +15,10 @@ import (
 // ReservedArea counter bit-identically — both accumulate the same
 // pl.Area() values, under the same lock, in the same order.
 func TestLedgerProfileDifferentialMonolith(t *testing.T) {
-	led := ledger.NewSharded(ledger.Config{Capacity: 32}, 1)
-	lg := led.Shard(0)
+	lg := ledger.New(ledger.Config{Capacity: 32})
 	arb, err := qos.NewArbitrator(qos.ArbitratorConfig{
 		Procs:    32,
-		Observer: led.DecisionObserver(nil),
+		Observer: lg.DecisionObserver(nil),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -45,76 +43,8 @@ func TestLedgerProfileDifferentialMonolith(t *testing.T) {
 	if commits == 0 {
 		t.Fatal("no job was admitted; differential vacuous")
 	}
-	if got := led.Merged().Commits; got != int64(commits) {
+	if got := lg.Snapshot().Commits; got != int64(commits) {
 		t.Fatalf("ledger commits = %d, want %d", got, commits)
-	}
-}
-
-// TestLedgerProfileDifferentialSharded runs the same differential on an
-// 8-shard federated plane: every shard's ledger must track its own
-// scheduler's ReservedArea bit-identically at every commit, including
-// optimistic-commit fallbacks and DAG admissions.
-func TestLedgerProfileDifferentialSharded(t *testing.T) {
-	const shards = 8
-	led := ledger.NewSharded(ledger.Config{}, shards)
-	plane, err := fed.New(fed.Config{Procs: 128, Shards: shards, Observer: led.DecisionObserver(nil)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	check := func(step string) {
-		t.Helper()
-		for i := 0; i < shards; i++ {
-			got := led.Shard(i).Snapshot().TotalReservedArea
-			want := plane.ExportState().Shards[i].Stats.ReservedArea
-			if got != want {
-				t.Fatalf("%s: shard %d ledger reserved %v != profile reserved %v",
-					step, i, got, want)
-			}
-		}
-	}
-	p := workload.FigureJob{X: 16, T: 25, Alpha: 0.25, Laxity: 0.5}
-	arrivals := workload.NewPoisson(8, 5)
-	release := 0.0
-	admitted := 0
-	for id := 0; id < 400; id++ {
-		release += arrivals.Next()
-		plane.Observe(release)
-		job := p.Job(id, release, workload.Tunable)
-		job.Tenant = []string{"a", "b", "c"}[id%3]
-		g, err := plane.Negotiate(job)
-		if err == nil {
-			admitted++
-			if g.Shard < 0 || g.Shard >= shards {
-				t.Fatalf("grant stamped with out-of-range shard %d", g.Shard)
-			}
-		}
-		check("negotiate")
-	}
-	if admitted == 0 {
-		t.Fatal("no job was admitted; differential vacuous")
-	}
-	m := led.Merged()
-	var planeReserved float64
-	for i := 0; i < shards; i++ {
-		planeReserved += plane.ExportState().Shards[i].Stats.ReservedArea
-	}
-	if m.TotalReservedArea != planeReserved {
-		t.Fatalf("merged reserved %v != plane-wide profile sum %v", m.TotalReservedArea, planeReserved)
-	}
-	if len(m.Shards) != shards {
-		t.Fatalf("merged shard stamps = %v, want %d shards", m.Shards, shards)
-	}
-}
-
-// TestLedgerShardCountValidation pins the configuration error: runSharded
-// must refuse a ledger with fewer shards than the plane.
-func TestLedgerShardCountValidation(t *testing.T) {
-	led := ledger.NewSharded(ledger.Config{}, 2)
-	cfg := DefaultConfig()
-	cfg.Jobs = 10
-	cfg.Ledger = led
-	if _, _, err := runSharded(cfg, workload.Tunable, 4, 0); err == nil {
-		t.Fatal("RunSharded accepted a 2-shard ledger for a 4-shard plane")
 	}
 }
 
@@ -126,13 +56,13 @@ func TestLedgerShardCountValidation(t *testing.T) {
 func TestLedgerGroundTruthAccuracy(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Jobs = 500
-	cfg.Ledger = ledger.NewSharded(ledger.Config{}, 1)
+	cfg.Ledger = ledger.New(ledger.Config{})
 	cfg.Tenants = &workload.TenantCycle{Tenants: []string{"acme", "globex"}, Classes: 2}
 	res, err := Run(cfg, workload.Tunable)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := cfg.Ledger.Merged()
+	s := cfg.Ledger.Snapshot()
 	if s.Commits != int64(res.Admitted) || s.Rejections != int64(res.Rejected) {
 		t.Fatalf("ledger commits/rejections = %d/%d, run = %d/%d",
 			s.Commits, s.Rejections, res.Admitted, res.Rejected)
@@ -175,7 +105,7 @@ func TestLedgerGroundTruthAccuracy(t *testing.T) {
 
 // TestDefaultRunUnchangedByLedger pins the zero-interference contract:
 // attaching a ledger (and tenant stamping) must not change a run's
-// admission decisions or reported results, monolithic or sharded.
+// admission decisions or reported results.
 func TestDefaultRunUnchangedByLedger(t *testing.T) {
 	base := DefaultConfig()
 	base.Jobs = 800
@@ -185,30 +115,14 @@ func TestDefaultRunUnchangedByLedger(t *testing.T) {
 		t.Fatal(err)
 	}
 	with := base
-	with.Ledger = ledger.NewSharded(ledger.Config{}, 1)
+	with.Ledger = ledger.New(ledger.Config{})
 	with.Tenants = &workload.TenantCycle{Tenants: []string{"a", "b", "c"}, Classes: 3}
 	ledgered, err := Run(with, workload.Tunable)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(plain, ledgered) {
-		t.Fatalf("ledger changed the monolithic run:\nplain    %+v\nledgered %+v", plain, ledgered)
-	}
-
-	plainSh, plainSt, err := runSharded(base, workload.Tunable, 2, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	withSh := base
-	withSh.Ledger = ledger.NewSharded(ledger.Config{}, 2)
-	withSh.Tenants = with.Tenants
-	ledgeredSh, ledgeredSt, err := runSharded(withSh, workload.Tunable, 2, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(plainSh, ledgeredSh) || !reflect.DeepEqual(plainSt, ledgeredSt) {
-		t.Fatalf("ledger changed the sharded run:\nplain    %+v %+v\nledgered %+v %+v",
-			plainSh, plainSt, ledgeredSh, ledgeredSt)
+		t.Fatalf("ledger changed the run:\nplain    %+v\nledgered %+v", plain, ledgered)
 	}
 }
 

@@ -75,7 +75,7 @@ func runQuality(cfg Config, spec workload.QualityJob) (QualityResult, error) {
 	if err := cfg.validate(); err != nil {
 		return QualityResult{}, err
 	}
-	plane, err := newPlane(cfg, 1, 1, nil)
+	plane, err := newPlane(cfg, nil)
 	if err != nil {
 		return QualityResult{}, err
 	}

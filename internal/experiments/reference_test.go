@@ -15,7 +15,7 @@ import (
 // options, the same decision feed and the same loop, with qos.Arbitrator
 // deciding instead of the one-shard plane.
 func referenceRun(cfg Config, sys workload.System) (RunResult, error) {
-	cfg.Ledger.Shard(0).SetCapacity(cfg.Procs)
+	cfg.Ledger.SetCapacity(cfg.Procs)
 	arb, err := qos.NewArbitrator(qos.ArbitratorConfig{
 		Procs:    cfg.Procs,
 		Options:  cfg.schedulerOptions(),
@@ -43,7 +43,7 @@ func TestRunMatchesTheReference(t *testing.T) {
 	}
 	run := func(cfg Config, sys workload.System, drive func(Config, workload.System) (RunResult, error)) side {
 		t.Helper()
-		cfg.Ledger = ledger.NewSharded(ledger.Config{}, 1)
+		cfg.Ledger = ledger.New(ledger.Config{})
 		cfg.Tenants = &workload.TenantCycle{Tenants: []string{"a", "b"}, Classes: 2}
 		rec := forensics.NewRecorder(cfg.Jobs)
 		cfg.Forensics = rec
@@ -52,7 +52,7 @@ func TestRunMatchesTheReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return side{res, cfg.Ledger.Merged(), rec.Records()}
+		return side{res, cfg.Ledger.Snapshot(), rec.Records()}
 	}
 	base := testConfig()
 	rejected := 0

@@ -90,38 +90,6 @@ func TestInjectedPlannerFaultLocalizes(t *testing.T) {
 	}
 }
 
-// TestShardedAuditedRunZeroMisses is the acceptance gate: a full sharded
-// run under audit reports zero deadline-miss violations.
-func TestShardedAuditedRunZeroMisses(t *testing.T) {
-	cfg, eng, rec, _ := auditedConfig(600)
-	res, st, err := runSharded(cfg, workload.Tunable, 2, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := eng.Report()
-	if !r.Conformant() || r.DeadlineMisses != 0 {
-		t.Fatalf("sharded run violated SLO: %+v", r.Violations)
-	}
-	if r.Completed != int64(res.Admitted) {
-		t.Fatalf("completions %d != admitted %d", r.Completed, res.Admitted)
-	}
-	// Every decision's phase record ended into the engine's plane.
-	if timed := eng.Latency().TargetCount().Total; timed != r.Admitted+r.Rejected {
-		t.Fatalf("latency plane timed %d admissions, engine decided %d", timed, r.Admitted+r.Rejected)
-	}
-	if st.Shards != 2 {
-		t.Fatalf("stats: %+v", st)
-	}
-	if rec.Len() != 0 {
-		// Router anomalies may legitimately trigger under contention, but
-		// the tiny 2-shard run must stay quiet.
-		t.Fatalf("unexpected flight snapshots: %d (%s)", rec.Len(), rec.Last().Kind)
-	}
-	if got := eng.Report(); got.OverAdmissions != 0 {
-		t.Fatalf("over-admissions: %d", got.OverAdmissions)
-	}
-}
-
 // TestDefaultRunUnchangedByAuditKnobs pins the zero-cost contract: the
 // same seed with and without auditing produces bit-identical RunResults.
 func TestDefaultRunUnchangedByAuditKnobs(t *testing.T) {

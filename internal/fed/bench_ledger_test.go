@@ -5,6 +5,7 @@ import (
 
 	"milan/internal/core"
 	"milan/internal/obs/ledger"
+	"milan/internal/qos"
 )
 
 // Ledger-cost benchmarks.  The contract mirrors the tracer's: a plane
@@ -15,11 +16,16 @@ import (
 // plane's one feed (ledger.DecisionObserver).
 // CI's benchdiff gate tracks both series in BENCH_trajectory.jsonl.
 
+// ledgerOnBench keeps one ledger per shard and routes each decision to the
+// deciding shard's by d.Shard, so every ledger is mutated under its own
+// shard's lock.
 func ledgerOnBench(tb testing.TB) (func(core.Job) error, func(float64)) {
-	led := ledger.NewSharded(ledger.Config{Capacity: benchProcs}, 8)
-	plane := benchPlane(tb, 8, func(cfg *Config) { cfg.Observer = led.DecisionObserver(nil) })
-	for i, procs := range plane.ShardProcs() {
-		led.Shard(i).SetCapacity(procs)
+	var feeds [8]func(qos.Decision)
+	plane := benchPlane(tb, len(feeds), func(cfg *Config) {
+		cfg.Observer = func(d qos.Decision) { feeds[d.Shard](d) }
+	})
+	for i, sh := range plane.shards {
+		feeds[i] = ledger.New(ledger.Config{Capacity: sh.Procs()}).DecisionObserver(nil)
 	}
 	return func(j core.Job) error { _, err := plane.Negotiate(j); return err }, plane.Observe
 }

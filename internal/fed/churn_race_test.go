@@ -9,13 +9,13 @@ import (
 	"milan/internal/resbroker"
 )
 
-// TestRebalancerBrokerChurnRace hammers the plane from both sides at
-// once: admissions negotiate a Figure-4 stream while broker churn
+// TestRebalancerBrokerChurnRace hammers the one-shard plane from both
+// sides at once: admissions negotiate a Figure-4 stream while broker churn
 // goroutines flood register/withdraw events that resize the plane through
 // AttachBroker.  Run under -race this is the data-race probe for the
-// rebalancer's pool-following path; the post-churn assertions pin the
-// structural invariants — no shard profile over-admits, capacity settles
-// to exactly the surviving pool, and no shard is starved below the floor.
+// pool-following path; the post-churn assertions pin the structural
+// invariants — the profile never over-admits, and capacity settles to
+// exactly the surviving pool.
 func TestRebalancerBrokerChurnRace(t *testing.T) {
 	const (
 		procs    = 32
@@ -24,11 +24,10 @@ func TestRebalancerBrokerChurnRace(t *testing.T) {
 		flips    = 50
 	)
 
-	plane, err := New(Config{Procs: procs, Shards: 4, ProbeK: 2})
+	plane, err := New(Config{Procs: procs})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb := plane.Rebalancer()
 
 	broker := resbroker.New(nil)
 	for i := 0; i < machines; i++ {
@@ -40,7 +39,10 @@ func TestRebalancerBrokerChurnRace(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	stop := rb.AttachBroker(broker, 0)
+	stop, err := plane.AttachBroker(broker, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer stop()
 
 	var admitted, rejected atomic.Int64
@@ -52,7 +54,6 @@ func TestRebalancerBrokerChurnRace(t *testing.T) {
 		defer wg.Done()
 		for _, job := range smallStream(400, 2, 99) {
 			plane.Observe(job.Release)
-			rb.Rebalance(1)
 			if _, err := plane.Negotiate(job); err == nil {
 				admitted.Add(1)
 			} else {
@@ -97,23 +98,15 @@ func TestRebalancerBrokerChurnRace(t *testing.T) {
 	if want != procs {
 		t.Fatalf("broker pool ended at %d procs, want %d — churn leaked machines", want, procs)
 	}
-	if got, err := rb.SetTotalCapacity(want); err != nil || got != want {
+	if got, err := plane.SetTotalCapacity(want); err != nil || got != want {
 		t.Fatalf("settle to %d procs: got %d, err %v", want, got, err)
 	}
-
-	total := 0
-	for i, p := range plane.ShardProcs() {
-		total += p
-		if p < 1 {
-			t.Errorf("shard %d starved to %d processors", i, p)
-		}
+	if got := plane.Procs(); got != want {
+		t.Errorf("plane holds %d processors, pool holds %d — capacity not conserved", got, want)
 	}
-	if total != want {
-		t.Errorf("plane holds %d processors, pool holds %d — capacity not conserved", total, want)
-	}
-	// CheckInvariants re-validates every shard profile: admission during
-	// a shrink must never leave a shard holding more reserved work than
-	// processors (the over-admission probe).
+	// CheckInvariants re-validates the profile: admission during a shrink
+	// must never leave it holding more reserved work than processors (the
+	// over-admission probe).
 	if err := plane.CheckInvariants(); err != nil {
 		t.Errorf("post-churn invariants: %v", err)
 	}
@@ -122,18 +115,20 @@ func TestRebalancerBrokerChurnRace(t *testing.T) {
 // TestAttachBrokerStopDetaches pins the detach contract under load: after
 // stop() the plane must ignore further pool changes.
 func TestAttachBrokerStopDetaches(t *testing.T) {
-	plane, err := New(Config{Procs: 16, Shards: 2, ProbeK: 1})
+	plane, err := New(Config{Procs: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb := plane.Rebalancer()
 	broker := resbroker.New(nil)
 	for i := 0; i < 2; i++ {
 		if err := broker.Register(resbroker.Resource{ID: fmt.Sprintf("m%d", i), Procs: 8, Speed: 1}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	stop := rb.AttachBroker(broker, 0)
+	stop, err := plane.AttachBroker(broker, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := broker.Register(resbroker.Resource{ID: "grow", Procs: 8, Speed: 1}); err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +149,7 @@ func TestAttachBrokerStopDetaches(t *testing.T) {
 // by the caller and read by whichever goroutine drains the broker's events,
 // so it has to be atomic (-race is the judge).
 func TestAttachBrokerStopRacesPoolChurn(t *testing.T) {
-	plane, err := New(Config{Procs: 8, Shards: 2, ProbeK: 1})
+	plane, err := New(Config{Procs: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +157,10 @@ func TestAttachBrokerStopRacesPoolChurn(t *testing.T) {
 	if err := broker.Register(resbroker.Resource{ID: "seed", Procs: 8, Speed: 1}); err != nil {
 		t.Fatal(err)
 	}
-	stop := plane.Rebalancer().AttachBroker(broker, 0)
+	stop, err := plane.AttachBroker(broker, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	churned := make(chan struct{})
 	go func() {
 		defer close(churned)

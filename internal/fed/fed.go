@@ -1,59 +1,46 @@
 // Package fed is the system-wide QoS arbitrator (Section 3 of the paper):
 // the one admission plane every production path builds — junctiond (under
-// the durable plane, always at one shard), the Fig-5/6 experiments, the
-// campaign, tunesim and the milan facade.  The machine's processor pool is
-// partitioned across N shards (one by default), each wrapping its own
-// core.Scheduler behind its own lock.
+// the durable plane), the Fig-5/6 experiments, the campaign, tunesim, the
+// examples and the milan facade — one core.Scheduler behind one lock.  It
+// makes no routing decision and keeps no routing signal (NegotiateTimed,
+// shard.routed), performs exactly the reference qos.Arbitrator's scheduler
+// calls in exactly its order, and costs what it costs — decisions and
+// statistics are bitwise identical, allocations equal; fed_test.go and the
+// experiments' TestRunMatchesTheReference pin both.  Its capacity follows
+// the machine one processor at a time (SetTotalCapacity, AttachBroker) and
+// never preempts a committed reservation.
 //
-// Sharding is unproven on the 2-core hosts this repository is measured on:
-// at 8 and 16 closed-loop connections over loopback, a two-shard durable
-// plane did not beat one shard's admissions/s by more than the A/A distance
-// in 8 of 10 pairs (CHANGES.md), and EXT-S's one-core numbers favour one
-// shard.  So the served path is one shard, and N > 1 is built only by the
-// experiments (EXT-S, tunesim -shards), examples/cluster and the
-// campaign's shards=N cells.
-//
-// A one-shard plane is the paper's single arbitrator: it makes no routing
-// decision and keeps no routing signal (NegotiateTimed, Shard.routed),
-// performs exactly the reference qos.Arbitrator's scheduler calls in
-// exactly its order under one lock, and costs what it costs — decisions
-// and statistics are bitwise identical, allocations equal; fed_test.go and
-// the experiments' TestRunMatchesTheReference pin both.
-//
-// At two shards and up a router admits tunable jobs via best-of-k probing.
-// Candidate shards are pre-filtered by a cheap cached load signal (future
-// reserved area, per processor — the classic
-// power-of-k-choices trick), a real plan is computed on each of the k
-// probed shards, and the job commits to the winner under the paper's
-// cross-shard tie-break: earliest finish, then higher utilization over
-// [release, finish], then lexicographically smaller cumulative resource
-// prefix.  Every shard count answers with qos.Grant and qos.ErrRejected, so
-// qosnet servers and sim workloads run against it unchanged.
-//
-// Capacity moves between shards only through the Rebalancer (rebalance.go),
-// which migrates whole processors from cold shards with uncommitted
-// headroom to hungry ones and never preempts a committed reservation.
+// Config.Shards > 1 still partitions the pool across independently locked
+// shards behind a best-of-k router: candidate shards are pre-filtered by a
+// cached load signal (future reserved area per processor), a real plan is
+// computed on each of the k probed shards, and the job commits to the
+// winner under the paper's tie-break — earliest finish, then higher
+// utilization over [release, finish], then the lexicographically smaller
+// cumulative resource prefix.  Sharding lost on the served path
+// (BenchmarkServedConnections in internal/durable: two shards admitted less
+// and were not faster), and the router's one remaining user is the served
+// benchmark's fed_s8 rung; ROADMAP item 25b removes both.
 package fed
 
 import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 	"sync/atomic"
 
 	"milan/internal/core"
 	"milan/internal/obs/latency/phase"
 	"milan/internal/qos"
+	"milan/internal/resbroker"
 )
 
 // Config configures a federated admission plane.
 type Config struct {
-	// Procs is the total machine size, partitioned across the shards
-	// (required).
+	// Procs is the total machine size (required).
 	Procs int
 	// Shards is the number of partitions (default 1).  Each shard must
-	// hold at least one processor, so Shards <= Procs.
+	// hold at least one processor, so Shards <= Procs.  Only the served
+	// benchmark's fed_s8 rung sets more than one (ROADMAP 25b).
 	Shards int
 	// ProbeK is how many least-loaded shards receive a real planning probe
 	// per negotiation (default 2, clamped to [1, Shards]).
@@ -130,39 +117,12 @@ func comparePrefix(a, b []float64) int {
 	return 0
 }
 
-// Arbitrator is the federated QoS arbitrator: a router over shards.  It is
-// safe for concurrent use; admissions that land on different shards
-// proceed in parallel.
+// Arbitrator is the QoS arbitrator: one shard, or a router over several.
+// It is safe for concurrent use.
 type Arbitrator struct {
 	shards  []*shard
 	probeK  int
 	nowBits atomic.Uint64
-
-	// The router's own counters (RouterStats): what happens between
-	// shards, which no shard's scheduler can count.
-	probes, commitRaces, nonBestCommits, migrations atomic.Int64
-
-	rebal *Rebalancer // lazily created by Rebalance/AttachBroker
-	rbMu  sync.Mutex
-}
-
-// RouterStats are the plane's routing counters.  A one-shard plane has no
-// router and reports zero probes, races and non-best commits.
-type RouterStats struct {
-	Probes         int64 // planning probes issued by the router
-	CommitRaces    int64 // commits that found a stale shard version
-	NonBestCommits int64 // grants that fell back past the best probe
-	Migrations     int64 // processors moved by the rebalancer
-}
-
-// RouterStats returns the routing counters.
-func (a *Arbitrator) RouterStats() RouterStats {
-	return RouterStats{
-		Probes:         a.probes.Load(),
-		CommitRaces:    a.commitRaces.Load(),
-		NonBestCommits: a.nonBestCommits.Load(),
-		Migrations:     a.migrations.Load(),
-	}
 }
 
 // New builds a federated arbitrator partitioning cfg.Procs processors
@@ -217,11 +177,42 @@ func New(cfg Config) (*Arbitrator, error) {
 	return a, nil
 }
 
-// Shards returns the number of shards in the plane.
-func (a *Arbitrator) Shards() int { return len(a.shards) }
+// SetTotalCapacity grows or shrinks the plane toward total processors, one
+// processor at a time, so the observer hears one qos.KindResize per
+// processor.  Growth always succeeds; a shrink never preempts a committed
+// reservation, and stops at the first processor one still needs,
+// returning the total reached alongside the shortfall.  A plane of more
+// than one shard refuses.
+func (a *Arbitrator) SetTotalCapacity(total int) (int, error) {
+	if err := a.oneShard(); err != nil {
+		return a.Procs(), err
+	}
+	if total < 1 {
+		return a.Procs(), fmt.Errorf("fed: total capacity %d below one processor", total)
+	}
+	return a.shards[0].resizeToward(total)
+}
 
-// ProbeK returns the effective probe fan-out.
-func (a *Arbitrator) ProbeK() int { return a.probeK }
+// AttachBroker makes the plane's capacity follow a resource broker's pool
+// (resbroker.Broker.Follow): every significant machine registration or
+// deregistration resizes the plane to the broker's total through
+// SetTotalCapacity, and a partial shrink leaves the next event to retry.
+// The returned stop function detaches the follower.  A plane of more than
+// one shard refuses.
+func (a *Arbitrator) AttachBroker(b *resbroker.Broker, threshold int) (stop func(), err error) {
+	if err := a.oneShard(); err != nil {
+		return nil, err
+	}
+	return b.Follow(a.Procs(), threshold, func(procs int) { _, _ = a.SetTotalCapacity(procs) }), nil
+}
+
+// oneShard refuses a capacity change on a plane of more than one shard.
+func (a *Arbitrator) oneShard() error {
+	if len(a.shards) > 1 {
+		return fmt.Errorf("fed: %d shards: capacity changes need a one-shard plane", len(a.shards))
+	}
+	return nil
+}
 
 // Procs returns the total machine size across all shards.
 func (a *Arbitrator) Procs() int {
@@ -311,7 +302,6 @@ func (a *Arbitrator) NegotiateTimed(job core.Job, rec *phase.Rec) (*qos.Grant, e
 			probes = append(probes, probeResult{shard: sh, pl: pl, key: key, ver: ver})
 		}
 	}
-	a.probes.Add(int64(len(cands)))
 	rec.Mark(phase.Probe)
 	if len(probes) == 0 {
 		// No shard can schedule any chain.  Mirror a single scheduler's
@@ -329,11 +319,8 @@ func (a *Arbitrator) NegotiateTimed(job core.Job, rec *phase.Rec) (*qos.Grant, e
 		}
 	}
 	var lastErr error
-	for i, pr := range probes {
-		g, raced, err := pr.shard.commitPlanned(job, pr.pl, pr.ver)
-		if raced {
-			a.commitRaces.Add(1)
-		}
+	for _, pr := range probes {
+		g, err := pr.shard.commitPlanned(job, pr.pl, pr.ver)
 		if err != nil {
 			// The capacity the probe saw is gone; the raced re-admission
 			// already recorded the rejection on that shard.  Try the next
@@ -343,9 +330,6 @@ func (a *Arbitrator) NegotiateTimed(job core.Job, rec *phase.Rec) (*qos.Grant, e
 			rec.Mark(phase.Probe)
 			lastErr = err
 			continue
-		}
-		if i > 0 {
-			a.nonBestCommits.Add(1)
 		}
 		finishAdmit(rec, g.Shard)
 		return g, nil
@@ -479,43 +463,6 @@ func (a *Arbitrator) IndexStats() core.IndexStats {
 		out.DescentSteps += s.DescentSteps
 	}
 	return out
-}
-
-// ShardLoads returns each shard's cached load signal (tests, CLIs).
-func (a *Arbitrator) ShardLoads() []float64 {
-	out := make([]float64, len(a.shards))
-	for i, sh := range a.shards {
-		out[i] = sh.load()
-	}
-	return out
-}
-
-// ShardProcs returns each shard's current processor count.
-func (a *Arbitrator) ShardProcs() []int {
-	out := make([]int, len(a.shards))
-	for i, sh := range a.shards {
-		out[i] = sh.Procs()
-	}
-	return out
-}
-
-// UtilizationSpread returns max-min per-shard utilization over
-// [origin, horizon] — the balance figure the rebalancer drives down.
-func (a *Arbitrator) UtilizationSpread(origin, horizon float64) float64 {
-	if len(a.shards) == 0 || horizon <= origin {
-		return 0
-	}
-	lo, hi := 0.0, 0.0
-	for i, sh := range a.shards {
-		u := sh.Utilization(origin, horizon)
-		if i == 0 || u < lo {
-			lo = u
-		}
-		if i == 0 || u > hi {
-			hi = u
-		}
-	}
-	return hi - lo
 }
 
 // CheckInvariants validates every shard's profile invariants.

@@ -192,11 +192,15 @@ func TestConfigValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.ProbeK() != 4 {
-		t.Fatalf("probe k = %d, want clamped to 4", a.ProbeK())
+	if a.probeK != 4 {
+		t.Fatalf("probe k = %d, want clamped to 4", a.probeK)
 	}
-	if got := a.ShardProcs(); !reflect.DeepEqual(got, []int{3, 3, 2, 2}) {
-		t.Fatalf("partition = %v, want [3 3 2 2]", got)
+	var parts []int
+	for _, sh := range a.shards {
+		parts = append(parts, sh.Procs())
+	}
+	if !reflect.DeepEqual(parts, []int{3, 3, 2, 2}) {
+		t.Fatalf("partition = %v, want [3 3 2 2]", parts)
 	}
 	if a.Procs() != 10 {
 		t.Fatalf("total procs = %d", a.Procs())
@@ -270,9 +274,9 @@ func TestConcurrentNegotiateAcrossShards(t *testing.T) {
 	}
 }
 
-// loadShardDirect commits jobs straight into one shard's scheduler,
-// creating the imbalance the router would normally avoid — white-box setup
-// for the rebalancer tests.
+// loadShardDirect commits a job straight into one shard's scheduler,
+// holding processors a shrink may not take — white-box setup for the
+// capacity tests.
 func loadShardDirect(t *testing.T, sh *shard, procs int, dur, deadline float64) {
 	t.Helper()
 	sh.mu.Lock()
@@ -288,92 +292,101 @@ func loadShardDirect(t *testing.T, sh *shard, procs int, dur, deadline float64) 
 	sh.refreshLoadLocked()
 }
 
-func TestRebalancerMigratesHeadroomToHungryShard(t *testing.T) {
-	plane, err := New(Config{Procs: 8, Shards: 2, ProbeK: 1})
+// TestSetTotalCapacityGrowAndShrink steps a one-shard plane's capacity up
+// and down: each processor is one KindResize, in step order, and a shrink
+// that would preempt a reservation stops where the reservation starts
+// needing processors, returning the total reached and the shortfall.
+func TestSetTotalCapacityGrowAndShrink(t *testing.T) {
+	var resizes []int
+	plane, err := New(Config{Procs: 8, Observer: func(d qos.Decision) {
+		if d.Kind == qos.KindResize {
+			resizes = append(resizes, d.Procs)
+		}
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Shard 0 is saturated for a long stretch; shard 1 idles.
-	loadShardDirect(t, plane.shards[0], 4, 100, 1000)
+	if got, err := plane.SetTotalCapacity(12); err != nil || got != 12 {
+		t.Fatalf("grow: got %d err %v", got, err)
+	}
+	if got, err := plane.SetTotalCapacity(8); err != nil || got != 8 {
+		t.Fatalf("shrink: got %d err %v", got, err)
+	}
+	if want := []int{9, 10, 11, 12, 11, 10, 9, 8}; !reflect.DeepEqual(resizes, want) {
+		t.Fatalf("resize decisions %v, want %v", resizes, want)
+	}
 
-	rb := plane.Rebalancer()
-	if !rb.rebalanceOnce() {
-		t.Fatal("no migration despite cold headroom and a hungry shard")
+	// A reservation of six processors: the shrink to four stops at six.
+	resizes = nil
+	loadShardDirect(t, plane.shards[0], 6, 100, 1000)
+	got, err := plane.SetTotalCapacity(4)
+	const want = "fed: cannot shrink below 6 procs without preempting reservations (target 4)"
+	if err == nil || err.Error() != want {
+		t.Fatalf("shrink below the reservation: err %v, want %q", err, want)
 	}
-	if got := plane.ShardProcs(); !reflect.DeepEqual(got, []int{5, 3}) {
-		t.Fatalf("after one move: %v, want [5 3]", got)
+	if got != 6 || plane.Procs() != 6 || !reflect.DeepEqual(resizes, []int{7, 6}) {
+		t.Fatalf("refused shrink reached %d (plane %d, resizes %v), want 6 after [7 6]", got, plane.Procs(), resizes)
 	}
-	if plane.Procs() != 8 {
-		t.Fatalf("total procs changed: %d", plane.Procs())
-	}
-	moved := rb.Rebalance(0)
-	// Further moves keep flowing toward shard 0 until the donor floor.
-	if got := plane.shards[1].Procs(); got < rb.MinShardProcs {
-		t.Fatalf("donor shrunk below floor: %d", got)
-	}
-	if plane.Procs() != 8 {
-		t.Fatalf("total procs changed after %d moves: %d", moved, plane.Procs())
+	if got, err := plane.SetTotalCapacity(0); err == nil || got != 6 || plane.Procs() != 6 {
+		t.Fatalf("total 0: got %d err %v, plane %d", got, err, plane.Procs())
 	}
 	if err := plane.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 }
 
+// TestRebalancerNeverPreempts: with every processor committed there is no
+// headroom to give back, so a shrink of even one processor moves nothing —
+// no KindResize, the same capacity — and reports the shortfall.
 func TestRebalancerNeverPreempts(t *testing.T) {
-	plane, err := New(Config{Procs: 8, Shards: 2, ProbeK: 1})
+	resizes := 0
+	plane, err := New(Config{Procs: 8, Observer: func(d qos.Decision) {
+		if d.Kind == qos.KindResize {
+			resizes++
+		}
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Both shards fully committed: no headroom anywhere.
-	loadShardDirect(t, plane.shards[0], 4, 100, 1000)
-	loadShardDirect(t, plane.shards[1], 4, 50, 1000)
-	if plane.Rebalancer().rebalanceOnce() {
-		t.Fatal("migrated a processor out of a fully committed shard")
+	loadShardDirect(t, plane.shards[0], 8, 100, 1000)
+	got, err := plane.SetTotalCapacity(7)
+	const want = "fed: cannot shrink below 8 procs without preempting reservations (target 7)"
+	if err == nil || err.Error() != want {
+		t.Fatalf("shrink of a fully committed plane: err %v, want %q", err, want)
 	}
-	if got := plane.ShardProcs(); !reflect.DeepEqual(got, []int{4, 4}) {
-		t.Fatalf("procs changed: %v", got)
+	if got != 8 || plane.Procs() != 8 || resizes != 0 {
+		t.Fatalf("fully committed plane moved: reached %d (plane %d, %d resizes), want 8 and none", got, plane.Procs(), resizes)
+	}
+	if err := plane.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 
-func TestSetTotalCapacityGrowAndShrink(t *testing.T) {
-	plane, err := New(Config{Procs: 8, Shards: 2, ProbeK: 1})
+// TestCapacityChangesRefuseShards: a plane of two shards has no one
+// scheduler to resize, so both capacity calls refuse and nothing moves.
+func TestCapacityChangesRefuseShards(t *testing.T) {
+	plane, err := New(Config{Procs: 8, Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb := plane.Rebalancer()
-
-	if got, err := rb.SetTotalCapacity(12); err != nil || got != 12 {
-		t.Fatalf("grow: got %d err %v", got, err)
+	if got, err := plane.SetTotalCapacity(12); err == nil || got != 8 || plane.Procs() != 8 {
+		t.Fatalf("two shards: SetTotalCapacity got %d err %v, plane %d", got, err, plane.Procs())
 	}
-	if plane.Procs() != 12 {
-		t.Fatalf("procs = %d after grow", plane.Procs())
-	}
-	if got, err := rb.SetTotalCapacity(8); err != nil || got != 8 {
-		t.Fatalf("shrink: got %d err %v", got, err)
-	}
-
-	// Shrink stops at committed reservations instead of preempting.
-	loadShardDirect(t, plane.shards[0], plane.shards[0].Procs(), 100, 1000)
-	loadShardDirect(t, plane.shards[1], plane.shards[1].Procs(), 100, 1000)
-	got, err := rb.SetTotalCapacity(4)
-	if err == nil {
-		t.Fatal("shrink below committed usage succeeded")
-	}
-	if got != 8 || plane.Procs() != 8 {
-		t.Fatalf("capacity after refused shrink: %d (plane %d), want 8", got, plane.Procs())
-	}
-	if _, err := rb.SetTotalCapacity(1); err == nil {
-		t.Fatal("accepted total below one proc per shard")
+	if stop, err := plane.AttachBroker(resbroker.New(nil), 0); err == nil || stop != nil {
+		t.Fatalf("two shards: AttachBroker err %v", err)
 	}
 }
 
 func TestAttachBrokerFollowsPool(t *testing.T) {
-	plane, err := New(Config{Procs: 8, Shards: 2, ProbeK: 2})
+	plane, err := New(Config{Procs: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
 	broker := resbroker.New(nil)
-	stop := plane.Rebalancer().AttachBroker(broker, 0)
+	stop, err := plane.AttachBroker(broker, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer stop()
 
 	if err := broker.Register(resbroker.Resource{ID: "m0", Procs: 8, Speed: 1}); err != nil {
@@ -439,23 +452,6 @@ func TestNegotiateDAGFederated(t *testing.T) {
 	}}}
 	if _, err := plane.NegotiateDAG(bad); !errors.Is(err, qos.ErrRejected) {
 		t.Fatalf("err = %v, want qos.ErrRejected", err)
-	}
-}
-
-// TestUtilizationSpread exercises the balance figure the experiments
-// report: after a rebalancing pass on an imbalanced plane the spread must
-// not widen.
-func TestUtilizationSpread(t *testing.T) {
-	plane, err := New(Config{Procs: 16, Shards: 4, ProbeK: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	loadShardDirect(t, plane.shards[0], 4, 50, 1000)
-	before := plane.UtilizationSpread(0, 50)
-	plane.Rebalancer().Rebalance(0)
-	after := plane.UtilizationSpread(0, 50)
-	if after > before+core.Eps {
-		t.Fatalf("rebalance widened utilization spread: %v -> %v", before, after)
 	}
 }
 

@@ -8,8 +8,8 @@ import (
 )
 
 // TestObserverSeesEveryCommitInShardOrder is the ledger differential through
-// the one feed, under -race: four goroutines negotiate on four shards while
-// one of them also rebalances, and the observer keeps a per-shard running sum
+// the one feed, under -race: four goroutines negotiate on four shards, and
+// the observer keeps a per-shard running sum
 // of the area it saw committed.  The observer runs under the deciding shard's
 // lock, in that shard's commit order, so at every event — of any kind — its
 // sum must equal that shard's scheduler's own ReservedArea bit for bit (the
@@ -44,9 +44,6 @@ func TestObserverSeesEveryCommitInShardOrder(t *testing.T) {
 			for _, job := range smallStream(150, 8, int64(60+c)) {
 				job.ID += c * 1000
 				plane.Observe(job.Release)
-				if c == 0 {
-					plane.Rebalancer().Rebalance(1)
-				}
 				_, _ = plane.Negotiate(job)
 			}
 		}(c)
@@ -66,9 +63,6 @@ func TestObserverSeesEveryCommitInShardOrder(t *testing.T) {
 	}
 	if total[qos.KindAdmitted] == 0 || total[qos.KindRejected] == 0 || total[qos.KindClock] == 0 {
 		t.Fatalf("degenerate run: events by kind %v", total)
-	}
-	if int64(total[qos.KindResize]) != 2*plane.RouterStats().Migrations {
-		t.Fatalf("%d resize decisions for %d migrations (a move is a shrink and a grow)", total[qos.KindResize], plane.RouterStats().Migrations)
 	}
 	if err := plane.CheckInvariants(); err != nil {
 		t.Fatal(err)

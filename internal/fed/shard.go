@@ -1,6 +1,7 @@
 package fed
 
 import (
+	"fmt"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -12,8 +13,8 @@ import (
 
 // shard is one partition of the machine's processor pool: its own
 // core.Scheduler behind its own lock, so admissions on different shards
-// proceed concurrently.  All mutation goes through the federated router and
-// the rebalancer; tests may inspect a shard through the read accessors.
+// proceed concurrently.  All mutation goes through the arbitrator; tests may
+// inspect a shard through the read accessors.
 type shard struct {
 	id int
 
@@ -32,7 +33,7 @@ type shard struct {
 	// and never computed (Load stays 0).
 	routed bool
 	// loadArea approximates the shard's future reserved area: it is
-	// recomputed exactly from the profile on observe and resize, and
+	// recomputed exactly from the profile on observe and restore, and
 	// bumped incrementally by each commit's own area in between (a commit
 	// never needs to rescan the profile for the routing signal — slight
 	// staleness of the window edge is fine for a load hint).
@@ -45,7 +46,7 @@ type shard struct {
 
 	// observer, if non-nil, is Config.Observer: the shard calls it under
 	// sh.mu at each of its four committed mutations (committedLocked,
-	// noteRejectedLocked, observe, resize).
+	// noteRejectedLocked, observe, resizeToward).
 	observer func(qos.Decision)
 
 	// spare is the box the next admission plans into.  A refusal leaves it
@@ -79,15 +80,6 @@ func (sh *shard) Procs() int {
 // router.
 func (sh *shard) load() float64 { return math.Float64frombits(sh.loadBits.Load()) }
 
-// headroom returns the number of processors the shard could give away
-// without touching any committed reservation (capacity minus the peak
-// committed usage over its represented future).
-func (sh *shard) headroom() int {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.sched.Procs() - sh.sched.Profile().PeakUsed()
-}
-
 // Stats returns the shard scheduler's counters.
 func (sh *shard) Stats() core.Stats {
 	sh.mu.Lock()
@@ -107,14 +99,6 @@ func (sh *shard) busyUpTo(t float64) float64 {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	return sh.sched.BusyUpTo(t)
-}
-
-// Utilization returns the shard's reserved-capacity fraction over
-// [origin, horizon] against its own processor count.
-func (sh *shard) Utilization(origin, horizon float64) float64 {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.sched.Utilization(origin, horizon)
 }
 
 // checkInvariants validates the shard profile's structural invariants
@@ -142,7 +126,7 @@ func (sh *shard) refreshLoadLocked() {
 
 // committedLocked is the bookkeeping every committed reservation shares:
 // the version bump, the placement's own area added to the cached load
-// signal without rescanning the profile (the next observe or resize snaps
+// signal without rescanning the profile (the next observe or restore snaps
 // the approximation back to exact), the rest of the grant that holds the
 // placement, and the decision.  Callers hold sh.mu.
 func (sh *shard) committedLocked(job *core.Job, quality float64, g *qos.Grant) *qos.Grant {
@@ -195,23 +179,20 @@ func (sh *shard) probe(job core.Job, wantKey bool) (pl *core.Placement, key plan
 // is unchanged since the probe, the plan commits directly (a single
 // scheduler's Plan+Commit sequence, split across two critical sections).
 // When another admission or a trim won the race, the job is re-admitted
-// from scratch on this shard; raced reports that fallback.  A
-// core.ErrRejected from the re-admission means the capacity the probe saw
-// is gone, and this shard has counted (and announced) a rejection.
-func (sh *shard) commitPlanned(job core.Job, pl *core.Placement, ver uint64) (g *qos.Grant, raced bool, err error) {
+// from scratch on this shard.  A core.ErrRejected from the re-admission
+// means the capacity the probe saw is gone, and this shard has counted
+// (and announced) a rejection.
+func (sh *shard) commitPlanned(job core.Job, pl *core.Placement, ver uint64) (*qos.Grant, error) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	raced = sh.version != ver
-	if raced {
-		g, err = sh.admitLocked(&job, nil)
-	} else {
-		// The probe's placement outlived the shard lock, so it is the
-		// caller's own copy, and the grant is a box around it.
-		box := sh.boxes.Next()
-		box.Grant.Placement = *pl
-		g, err = sh.commitLocked(&job, &box.Grant)
+	if sh.version != ver {
+		return sh.admitLocked(&job, nil)
 	}
-	return g, raced, err
+	// The probe's placement outlived the shard lock, so it is the caller's
+	// own copy, and the grant is a box around it.
+	box := sh.boxes.Next()
+	box.Grant.Placement = *pl
+	return sh.commitLocked(&job, &box.Grant)
 }
 
 // admit is a one-shard plane's whole admission, in one critical section:
@@ -294,19 +275,28 @@ func (sh *shard) observe(now float64) {
 	}
 }
 
-// resize sets the shard's processor count: growth always succeeds,
-// shrinking is limited to uncommitted headroom (reservations are never
-// preempted).
-func (sh *shard) resize(procs int) error {
+// resizeToward steps the shard's processor count toward total, one
+// processor per step under one hold of the lock, announcing each step as a
+// qos.KindResize.  Growth always succeeds; a shrink stops at the first
+// processor a committed reservation still needs (reservations are never
+// preempted), returning the count reached and the shortfall.
+func (sh *shard) resizeToward(total int) (int, error) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if err := sh.sched.SetCapacity(procs); err != nil {
-		return err
+	cur := sh.sched.Procs()
+	for cur != total {
+		next := cur + 1
+		if total < cur {
+			next = cur - 1
+		}
+		if err := sh.sched.SetCapacity(next); err != nil {
+			return cur, fmt.Errorf("fed: cannot shrink below %d procs without preempting reservations (target %d)", cur, total)
+		}
+		cur = next
+		sh.version++
+		if sh.observer != nil {
+			sh.observer(qos.Decision{Kind: qos.KindResize, Now: sh.now, Shard: sh.id, Procs: cur})
+		}
 	}
-	sh.version++
-	sh.refreshLoadLocked()
-	if sh.observer != nil {
-		sh.observer(qos.Decision{Kind: qos.KindResize, Now: sh.now, Shard: sh.id, Procs: procs})
-	}
-	return nil
+	return cur, nil
 }

@@ -159,7 +159,7 @@ func artifactSeeds(f *testing.F) []string {
 	)
 
 	// ledger
-	led := &ledger.Snapshot{Version: 3, Shards: []int{0, 1}, Now: 120, Capacity: 8,
+	led := &ledger.Snapshot{Version: 3, Now: 120, Capacity: 8,
 		Totals: []ledger.Totals{
 			{Tenant: "acme", Class: 1, ReservedArea: 640, RealizedArea: 400, Commits: 4, Completions: 3},
 			{Tenant: `quo"ted`, Class: 2, ReservedArea: 10, Commits: 1, Rejections: 1},

@@ -35,21 +35,10 @@ func handler(src func() *Snapshot) http.HandlerFunc {
 // handler serves this ledger's snapshots.
 func (l *Ledger) handler() http.HandlerFunc { return handler(l.Snapshot) }
 
-// handler serves the plane-wide merged snapshot.
-func (s *Sharded) handler() http.HandlerFunc { return handler(s.Merged) }
-
 // Mount exposes the ledger on the observer's debug endpoint at /ledger.
 func (l *Ledger) Mount(o *obs.Observer) {
 	if l == nil || o == nil {
 		return
 	}
 	o.Handle("/ledger", l.handler(), "per-tenant utilization ledger (JSON)")
-}
-
-// Mount exposes the merged plane ledger at /ledger.
-func (s *Sharded) Mount(o *obs.Observer) {
-	if s == nil || o == nil {
-		return
-	}
-	o.Handle("/ledger", s.handler(), "per-tenant utilization ledger, merged across shards (JSON)")
 }

@@ -43,11 +43,11 @@ func TestHandlerJSON(t *testing.T) {
 
 // TestHandlerAcceptNegotiation pins that /ledger has one representation:
 // neither ?format=prom nor an Accept header preferring text/plain turns
-// the merged JSON envelope into anything else.
+// the JSON envelope into anything else.
 func TestHandlerAcceptNegotiation(t *testing.T) {
-	sh := NewSharded(Config{Capacity: 4}, 2)
-	sh.Shard(0).RecordCommitKeyed(Key{Tenant: "acme"}, mkPl(0, 10, 1))
-	sh.Shard(1).RecordCommitKeyed(Key{Tenant: "acme"}, mkPl(0, 10, 3))
+	l := New(Config{Capacity: 8})
+	l.RecordCommitKeyed(Key{Tenant: "acme"}, mkPl(0, 10, 1))
+	l.RecordCommitKeyed(Key{Tenant: "acme"}, mkPl(0, 10, 3))
 	for _, req := range []*http.Request{
 		httptest.NewRequest("GET", "/ledger?format=prom", nil),
 		func() *http.Request {
@@ -57,7 +57,7 @@ func TestHandlerAcceptNegotiation(t *testing.T) {
 		}(),
 	} {
 		rec := httptest.NewRecorder()
-		sh.handler()(rec, req)
+		l.handler()(rec, req)
 		if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
 			t.Fatalf("%s: content type %q", req.URL, ct)
 		}
@@ -68,9 +68,8 @@ func TestHandlerAcceptNegotiation(t *testing.T) {
 		if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
 			t.Fatalf("%s: bad JSON: %v\n%s", req.URL, err, rec.Body.String())
 		}
-		// Merged across shards: capacity is the plane total.
 		if body.Capacity != 8 || len(body.Totals) != 1 || body.Totals[0].ReservedArea != 40 {
-			t.Fatalf("%s: merged envelope = %+v", req.URL, body)
+			t.Fatalf("%s: envelope = %+v", req.URL, body)
 		}
 	}
 }

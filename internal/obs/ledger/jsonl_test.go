@@ -18,7 +18,7 @@ import (
 // completions, a rejection and a moved clock — so round-trip tests cover
 // the meta row and a totals row per key.
 func activeLedger() *Ledger {
-	l := New(Config{Capacity: 8, Shard: 3})
+	l := New(Config{Capacity: 8})
 	a, b := Key{Tenant: "acme"}, Key{Tenant: `quo"ted`, Class: 2}
 	for i := 0; i < 40; i++ {
 		pl := mkPl(float64(i*5), 8, 1+i%3)

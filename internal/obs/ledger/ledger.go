@@ -14,7 +14,7 @@
 //
 // Mutations take the ledger mutex and bump a version; Snapshot returns a
 // cached immutable snapshot via an atomic pointer while the version is
-// unchanged, so steady-state readers — including cross-shard merging —
+// unchanged, so steady-state readers — including the cluster view's merging —
 // are lock-free.  All methods are nil-safe: a nil *Ledger records
 // nothing, so callers hook the ledger behind one pointer comparison (the
 // observability layer's zero-cost contract).
@@ -43,11 +43,8 @@ func KeyOf(job *core.Job) Key { return Key{Tenant: job.Tenant, Class: job.Class}
 // Config configures a ledger.
 type Config struct {
 	// Capacity is the initial pool capacity in processors; SetCapacity
-	// restates it (rebalancing, broker offers).
+	// restates it (the plane's resize decisions, broker offers).
 	Capacity int
-	// Shard stamps this ledger's snapshots with the admission shard it
-	// accounts for (0 for a monolithic arbitrator).
-	Shard int
 }
 
 // totals is the exact per-key accumulator.
@@ -59,11 +56,9 @@ type totals struct {
 	rejections  int64
 }
 
-// Ledger is one shard's accounting stream.  The zero value is not
-// usable; construct with New.
+// Ledger is one admission plane's accounting stream.  The zero value is
+// not usable; construct with New.
 type Ledger struct {
-	cfg Config
-
 	mu       sync.Mutex
 	now      float64
 	capacity int
@@ -83,7 +78,7 @@ type Ledger struct {
 
 // New returns a ledger with the given configuration.
 func New(cfg Config) *Ledger {
-	return &Ledger{cfg: cfg, capacity: cfg.Capacity, perKey: make(map[Key]*totals)}
+	return &Ledger{capacity: cfg.Capacity, perKey: make(map[Key]*totals)}
 }
 
 // recordCommit records a committed reservation: the placement's exact
@@ -116,8 +111,7 @@ func (l *Ledger) RecordCommitKeyed(k Key, pl *core.Placement) {
 
 // RecordCompletion records that an admitted job's reservation actually
 // executed: the placement's exact area is added to the realized totals.
-// Call it from the completion event (sim or runtime), on the ledger of the
-// shard that granted the reservation (qos.Grant.Shard).
+// Call it from the completion event (sim or runtime).
 func (l *Ledger) RecordCompletion(k Key, pl *core.Placement) {
 	if l == nil {
 		return
@@ -147,8 +141,8 @@ func (l *Ledger) recordRejection(job *core.Job) {
 	l.mu.Unlock()
 }
 
-// Advance moves the ledger clock forward.  Earlier times are no-ops
-// (shards and the harness may both advance).
+// Advance moves the ledger clock forward.  Earlier times are no-ops (the
+// plane's clock decisions and the harness may both advance).
 func (l *Ledger) Advance(now float64) {
 	if l == nil {
 		return
@@ -202,7 +196,6 @@ func (l *Ledger) Snapshot() *Snapshot {
 	defer l.mu.Unlock()
 	s := &Snapshot{
 		Version:  l.version.Load(),
-		Shards:   []int{l.cfg.Shard},
 		Now:      l.now,
 		Capacity: l.capacity,
 

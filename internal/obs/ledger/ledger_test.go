@@ -104,14 +104,8 @@ func TestNilLedgerSafe(t *testing.T) {
 	if l.Snapshot() != nil {
 		t.Fatal("nil ledger returned a snapshot")
 	}
-	var sh *Sharded
-	if h := sh.DecisionObserver(nil); h != nil {
+	if h := l.DecisionObserver(nil); h != nil {
 		t.Fatal("nil ledger decision observer should pass next through (nil)")
-	}
-	sh.Advance(1)
-	sh.Mount(nil)
-	if sh.Shards() != 0 || sh.Shard(0) != nil || sh.Merged() != nil {
-		t.Fatal("nil sharded ledger reported non-zero state")
 	}
 }
 
@@ -138,36 +132,36 @@ func TestFairShares(t *testing.T) {
 	}
 }
 
+// TestMergeAddsAcrossShards merges two planes' ledgers, as the cluster
+// view merges nodes: totals, counts and capacities add, the version is the
+// later one.
 func TestMergeAddsAcrossShards(t *testing.T) {
-	sh := NewSharded(Config{Capacity: 4}, 2)
+	n0, n1 := New(Config{Capacity: 4}), New(Config{Capacity: 4})
 	a, b := Key{Tenant: "a"}, Key{Tenant: "b"}
-	sh.Shard(0).RecordCommitKeyed(a, mkPl(0, 10, 2))
-	sh.Shard(1).RecordCommitKeyed(a, mkPl(0, 10, 1))
-	sh.Shard(1).RecordCommitKeyed(b, mkPl(10, 10, 3))
-	m := sh.Merged()
+	n0.RecordCommitKeyed(a, mkPl(0, 10, 2))
+	n1.RecordCommitKeyed(a, mkPl(0, 10, 1))
+	n1.RecordCommitKeyed(b, mkPl(10, 10, 3))
+	m := n0.Snapshot().Merge(n1.Snapshot())
 	if m.TotalReservedArea != 60 {
 		t.Fatalf("merged total = %v, want 60", m.TotalReservedArea)
 	}
 	if m.Capacity != 8 {
-		t.Errorf("merged capacity = %d, want 8 (4p x 2 shards)", m.Capacity)
-	}
-	if got := len(m.Shards); got != 2 {
-		t.Errorf("merged shard stamps = %v, want [0 1]", m.Shards)
+		t.Errorf("merged capacity = %d, want 8 (4p x 2 planes)", m.Capacity)
 	}
 	if len(m.Totals) != 2 || m.Totals[0].ReservedArea != 30 || m.Totals[1].ReservedArea != 30 {
 		t.Errorf("merged totals = %+v, want a=30 b=30", m.Totals)
 	}
-	if m.Commits != 3 || m.Version != max(sh.Shard(0).Snapshot().Version, sh.Shard(1).Snapshot().Version) {
+	if m.Commits != 3 || m.Version != max(n0.Snapshot().Version, n1.Snapshot().Version) {
 		t.Errorf("merged commits/version = %d/%d", m.Commits, m.Version)
 	}
 }
 
-// TestMergeContainment merges a shard whose clock ran far ahead into one
+// TestMergeContainment merges a ledger whose clock ran far ahead into one
 // that did not: the exact totals add, nothing is lost to the clock gap,
 // and a nil side returns the other unchanged.
 func TestMergeContainment(t *testing.T) {
 	fine := New(Config{Capacity: 4})
-	coarse := New(Config{Capacity: 4, Shard: 1})
+	coarse := New(Config{Capacity: 4})
 	k := Key{Tenant: "a"}
 	fine.RecordCommitKeyed(k, mkPl(0, 20, 1))
 	coarse.RecordCommitKeyed(k, mkPl(0, 20, 2))

@@ -5,18 +5,29 @@ import (
 	"testing"
 )
 
-// TestConcurrentShardsMergeOracle hammers per-shard ledgers from one
-// goroutine each — with concurrent merged-snapshot readers — and checks
-// the final merged snapshot against a sequential oracle fed the same
-// events.  Exact totals are order-independent (per-shard recording is
-// serialized by the shard's own mutex, and merge adds), so the oracle
-// must match exactly.  Run with -race to exercise the snapshot cache and
-// the lock-free merge path.
+// TestConcurrentShardsMergeOracle hammers independent ledgers — one per
+// node of a cluster — from one goroutine each, with concurrent readers
+// merging their snapshots (Snapshot.Merge, the cluster view's path), and
+// checks the final merge against a sequential oracle fed the same events.
+// Exact totals are order-independent (each ledger's recording is
+// serialized by its own mutex, and merge adds), so the oracle must match
+// exactly.  Run with -race to exercise the snapshot cache and the
+// lock-free merge path.
 func TestConcurrentShardsMergeOracle(t *testing.T) {
 	const shards = 4
 	const events = 400
 	cfg := Config{Capacity: 8}
-	sh := NewSharded(cfg, shards)
+	leds := make([]*Ledger, shards)
+	for i := range leds {
+		leds[i] = New(cfg)
+	}
+	merged := func() *Snapshot {
+		var m *Snapshot
+		for _, l := range leds {
+			m = m.Merge(l.Snapshot())
+		}
+		return m
+	}
 	oracle := New(cfg)
 
 	type event struct {
@@ -54,7 +65,7 @@ func TestConcurrentShardsMergeOracle(t *testing.T) {
 	var writers, readers sync.WaitGroup
 	stop := make(chan struct{})
 	// Concurrent merged readers: exercise Snapshot caching + Merge while
-	// shards mutate.
+	// the ledgers mutate.
 	for r := 0; r < 2; r++ {
 		readers.Add(1)
 		go func() {
@@ -64,7 +75,7 @@ func TestConcurrentShardsMergeOracle(t *testing.T) {
 				case <-stop:
 					return
 				default:
-					if m := sh.Merged(); m != nil {
+					if m := merged(); m != nil {
 						_ = m.fairShares()
 					}
 				}
@@ -75,7 +86,7 @@ func TestConcurrentShardsMergeOracle(t *testing.T) {
 		writers.Add(1)
 		go func(i int) {
 			defer writers.Done()
-			led := sh.Shard(i)
+			led := leds[i]
 			for j, e := range plans[i] {
 				pl := mkPl(e.start, e.dur, e.procs)
 				led.RecordCommitKeyed(e.key, pl)
@@ -92,7 +103,7 @@ func TestConcurrentShardsMergeOracle(t *testing.T) {
 	close(stop)
 	readers.Wait()
 
-	m := sh.Merged()
+	m := merged()
 	om := oracle.Snapshot()
 	if m.TotalReservedArea != om.TotalReservedArea {
 		t.Errorf("merged reserved = %v, oracle = %v", m.TotalReservedArea, om.TotalReservedArea)

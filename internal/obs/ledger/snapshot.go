@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 
 	"milan/internal/obs"
 )
@@ -26,10 +25,9 @@ type Totals struct {
 func (t Totals) Waste() float64 { return t.ReservedArea - t.RealizedArea }
 
 // Snapshot is an immutable ledger state: the exact per-key totals and
-// their sums.  Snapshots from different shards merge (Merge).
+// their sums.  Snapshots from different nodes merge (Merge).
 type Snapshot struct {
 	Version  uint64   `json:"version"`
-	Shards   []int    `json:"shards"`
 	Now      float64  `json:"now"`
 	Capacity int      `json:"capacity"`
 	Totals   []Totals `json:"totals,omitempty"`
@@ -76,7 +74,6 @@ func (s *Snapshot) Merge(o *Snapshot) *Snapshot {
 	}
 	return &Snapshot{
 		Version:           max(s.Version, o.Version),
-		Shards:            mergeShards(s.Shards, o.Shards),
 		Now:               math.Max(s.Now, o.Now),
 		Capacity:          s.Capacity + o.Capacity,
 		Totals:            mergeTotals(s.Totals, o.Totals),
@@ -86,19 +83,6 @@ func (s *Snapshot) Merge(o *Snapshot) *Snapshot {
 		Completions:       s.Completions + o.Completions,
 		Rejections:        s.Rejections + o.Rejections,
 	}
-}
-
-func mergeShards(a, b []int) []int {
-	seen := map[int]bool{}
-	var out []int
-	for _, s := range append(append([]int(nil), a...), b...) {
-		if !seen[s] {
-			seen[s] = true
-			out = append(out, s)
-		}
-	}
-	sort.Ints(out)
-	return out
 }
 
 func mergeTotals(a, b []Totals) []Totals {

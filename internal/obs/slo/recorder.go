@@ -21,12 +21,6 @@ const (
 	// TriggerOverAdmission: admission produced a reservation already
 	// past the job's deadline (planner fault by construction).
 	TriggerOverAdmission TriggerKind = "over-admission"
-	// triggerCommitRaceSpike: optimistic-commit fallbacks crossed the
-	// short-window threshold (router contention).
-	triggerCommitRaceSpike TriggerKind = "commit-race-spike"
-	// triggerRebalanceStorm: processor migrations crossed the
-	// short-window threshold (rebalancer thrash).
-	triggerRebalanceStorm TriggerKind = "rebalance-storm"
 	// TriggerFairnessBreach: the admission shedder broke a fairness
 	// invariant — weighted class shares diverged, a shed skipped a
 	// higher class, or an under-quota tenant starved past the bounded
@@ -34,8 +28,7 @@ const (
 	TriggerFairnessBreach TriggerKind = "fairness-breach"
 	// TriggerCapacityDrift: the plane's total capacity stopped matching
 	// the resource pool — processors were lost or duplicated by
-	// migrations or broker-driven resizes (rebalancer fault by
-	// construction).
+	// broker-driven resizes (capacity fault by construction).
 	TriggerCapacityDrift TriggerKind = "capacity-drift"
 	// TriggerMaskingLoss: the fault-masking runtime lost committed work —
 	// a task's writes never reached the store despite the crash budget

@@ -14,9 +14,8 @@ import (
 //
 //	planner   the reservation it commits must finish by the deadline
 //	          (reservedFinish <= deadline)
-//	router    optimistic commits must not race past the spike threshold
-//	rebalancer migrations must stay below the storm threshold and
-//	          conserve the plane's total capacity
+//	capacity  resizes must conserve the plane's total capacity against
+//	          the resource pool
 //	runtime   execution must finish by the reserved finish time
 //	          (actualFinish <= reservedFinish) without losing committed
 //	          work
@@ -26,14 +25,12 @@ import (
 // A deadline miss therefore decomposes: if admission already reserved past
 // the deadline the planner is at fault (the miss was decided at admission
 // time); otherwise if the run overran its reservation the runtime is at
-// fault.  The router is convicted by its aggregate trigger, a commit-race
-// spike.
+// fault.
 
 // Fault names the subsystem a replay localizes a violation to.
 const (
 	faultPlanner    = "planner"
-	faultRouter     = "router"
-	faultRebalancer = "rebalancer"
+	faultCapacity   = "capacity"
 	faultRuntime    = "runtime"
 	faultShedder    = "shedder"
 	faultDurability = "durability"
@@ -99,20 +96,12 @@ func Replay(s *Snapshot) Verdict {
 	// Aggregate triggers localize by construction: the trigger kind names
 	// the misbehaving subsystem directly.
 	switch s.Kind {
-	case triggerRebalanceStorm:
-		v.Fault = faultRebalancer
-		v.Reason = "processor migrations crossed the storm threshold"
-		return v
-	case triggerCommitRaceSpike:
-		v.Fault = faultRouter
-		v.Reason = "optimistic-commit fallbacks crossed the race threshold"
-		return v
 	case TriggerFairnessBreach:
 		v.Fault = faultShedder
 		v.Reason = "admission shedding broke a fairness invariant"
 		return v
 	case TriggerCapacityDrift:
-		v.Fault = faultRebalancer
+		v.Fault = faultCapacity
 		v.Reason = "plane capacity stopped matching the resource pool"
 		return v
 	case TriggerMaskingLoss:

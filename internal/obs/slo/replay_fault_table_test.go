@@ -35,25 +35,12 @@ func TestReplayFaultTable(t *testing.T) {
 			want: faultPlanner,
 		},
 		{
-			// Router: optimistic-commit fallbacks crossed the spike
-			// threshold.
-			name: "router/commit-race-spike",
-			snap: &Snapshot{Kind: triggerCommitRaceSpike, At: 3},
-			want: faultRouter,
-		},
-		{
-			// Rebalancer: migrations crossed the storm threshold.
-			name: "rebalancer/storm",
-			snap: &Snapshot{Kind: triggerRebalanceStorm, At: 4},
-			want: faultRebalancer,
-		},
-		{
-			// Rebalancer: the plane's capacity drifted away from the
+			// Capacity: the plane's capacity drifted away from the
 			// broker's pool (processors lost or duplicated by resizes).
-			name: "rebalancer/capacity-drift",
+			name: "capacity/capacity-drift",
 			snap: &Snapshot{Kind: TriggerCapacityDrift, At: 9,
 				Note: "plane holds 31 procs, pool holds 32"},
-			want: faultRebalancer,
+			want: faultCapacity,
 		},
 		{
 			// Runtime: execution overran the reservation it was granted.

@@ -64,11 +64,8 @@ func TestReplayOverAdmissionIsPlanner(t *testing.T) {
 }
 
 func TestReplayAggregateKinds(t *testing.T) {
-	if v := Replay(&Snapshot{Kind: triggerRebalanceStorm}); v.Fault != faultRebalancer {
-		t.Fatalf("storm verdict: %+v", v)
-	}
-	if v := Replay(&Snapshot{Kind: triggerCommitRaceSpike}); v.Fault != faultRouter {
-		t.Fatalf("spike verdict: %+v", v)
+	if v := Replay(&Snapshot{Kind: TriggerCapacityDrift}); v.Fault != faultCapacity {
+		t.Fatalf("capacity-drift verdict: %+v", v)
 	}
 	if v := Replay(&Snapshot{Kind: TriggerManual}); v.Fault != faultUnknown {
 		t.Fatalf("manual verdict: %+v", v)

@@ -15,10 +15,12 @@
 //     (sentinel.go) rather than timing anything itself.
 //   - Recorder (recorder.go): an anomaly-triggered flight recorder that
 //     copies the tracer's span ring and the observer's event ring into
-//     a self-contained JSONL snapshot on deadline misses,
-//     over-admissions, commit-race spikes and rebalance storms.
+//     a self-contained JSONL snapshot on deadline misses and
+//     over-admissions (and, from the callers that detect them, fairness,
+//     capacity, masking and durability breaches).
 //   - Replay (replay.go): differential replay of a snapshot that
-//     localizes the violation to planner, router, rebalancer or runtime.
+//     localizes the violation to planner, runtime, shedder, capacity or
+//     durability.
 //
 // All timestamps are in the caller's clock domain (simulation seconds in
 // the experiment loop, wall seconds since start in a live server).
@@ -71,19 +73,11 @@ const (
 	// windows, raises an alert: burning the error budget at twice the
 	// sustainable rate.
 	burnThreshold = 2
-
-	// raceSpikeThreshold is the commit-race count within the short window
-	// that triggers the flight recorder.
-	raceSpikeThreshold = 16
 )
 
 // Options configures an Engine.  The zero value selects the documented
 // defaults.
 type Options struct {
-	// StormThreshold is the rebalancer-migration count within the short
-	// window that triggers the flight recorder (default 16).
-	StormThreshold int64
-
 	// Registry receives the slo_* metrics and the engine's latency plane's
 	// latency_* histograms; nil creates a private one.
 	Registry *obs.Registry
@@ -92,9 +86,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.StormThreshold <= 0 {
-		o.StormThreshold = 16
-	}
 	if o.Registry == nil {
 		o.Registry = obs.NewRegistry()
 	}
@@ -219,13 +210,6 @@ type Engine struct {
 	inflight   map[int]flight
 	violations []Violation
 	alerts     []Alert
-	raceWin    *window
-	stormWin   *window
-	lastRaces  int64
-	lastMoves  int64
-	routerSeen bool
-	racing     bool // inside a commit-race spike
-	storming   bool // inside a rebalance storm
 	// objectives are the latency objectives Tick feeds from the plane:
 	// admit-latency first, then one per regression phase in order of
 	// first sight (sentinel.go).
@@ -251,8 +235,6 @@ func New(opts Options) *Engine {
 		opts:           o,
 		lat:            latency.New(reg),
 		inflight:       make(map[int]flight),
-		raceWin:        newWindow(shortWindow, windowBuckets),
-		stormWin:       newWindow(shortWindow, windowBuckets),
 		objectives:     []*objective{admit},
 		admitted:       reg.Counter(metricAdmitted),
 		rejected:       reg.Counter(metricRejected),
@@ -344,45 +326,6 @@ func (e *Engine) JobCompleted(jobID int, now float64) (missed bool) {
 			fmt.Sprintf("job %d finished %.6g past deadline %.6g (reserved %.6g)", jobID, now, fl.deadline, fl.reservedFinish))
 	}
 	return missed
-}
-
-// ObserveRouter feeds the cumulative router-health counters (fed_
-// commit races and rebalancer migrations).  Deltas land in the short
-// window; crossing the spike/storm thresholds triggers the flight
-// recorder once per crossing.
-func (e *Engine) ObserveRouter(now float64, commitRaces, migrations int64) {
-	if e == nil {
-		return
-	}
-	e.mu.Lock()
-	var dRaces, dMoves int64
-	if e.routerSeen {
-		dRaces, dMoves = commitRaces-e.lastRaces, migrations-e.lastMoves
-		if dRaces < 0 {
-			dRaces = 0 // counter reset (new run)
-		}
-		if dMoves < 0 {
-			dMoves = 0
-		}
-	}
-	e.routerSeen = true
-	e.lastRaces, e.lastMoves = commitRaces, migrations
-	e.raceWin.addN(now, 0, dRaces)
-	e.stormWin.addN(now, 0, dMoves)
-	races, _ := e.raceWin.totals()
-	moves, _ := e.stormWin.totals()
-	raceSpike := races >= raceSpikeThreshold && !e.racing
-	storm := moves >= e.opts.StormThreshold && !e.storming
-	e.racing, e.storming = races >= raceSpikeThreshold, moves >= e.opts.StormThreshold
-	e.mu.Unlock()
-	if raceSpike {
-		e.opts.Recorder.Trigger(triggerCommitRaceSpike, 0, now,
-			fmt.Sprintf("%d commit races within the last %.3gs", races, shortWindow))
-	}
-	if storm {
-		e.opts.Recorder.Trigger(triggerRebalanceStorm, 0, now,
-			fmt.Sprintf("%d processor migrations within the last %.3gs", moves, shortWindow))
-	}
 }
 
 // Tick moves what the latency plane counted since the last Tick into the

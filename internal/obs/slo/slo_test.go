@@ -27,7 +27,6 @@ func TestNilEngineSafe(t *testing.T) {
 	if e.JobCompleted(1, 0) {
 		t.Fatal("nil engine reported a miss")
 	}
-	e.ObserveRouter(0, 0, 0)
 	e.Tick(0)
 	if r := e.Report(); r.Admitted != 0 || !r.Conformant() {
 		t.Fatalf("nil engine report: %+v", r)
@@ -176,33 +175,6 @@ func TestBurnZeroBudgetIsInf(t *testing.T) {
 	}
 }
 
-func TestObserveRouterSpikeAndStorm(t *testing.T) {
-	rec := NewRecorder(nil, nil)
-	e := New(Options{StormThreshold: 5, Recorder: rec})
-	// First sample only seeds the cumulative counters.
-	e.ObserveRouter(1, 100, 200)
-	if rec.Len() != 0 {
-		t.Fatal("seeding sample triggered")
-	}
-	// +16 races within the window: spike.
-	e.ObserveRouter(2, 116, 200)
-	if rec.Len() != 1 || rec.Last().Kind != triggerCommitRaceSpike {
-		t.Fatalf("race spike not triggered: len=%d", rec.Len())
-	}
-	// More races while above threshold: edge-triggered, no re-fire.
-	e.ObserveRouter(3, 118, 200)
-	if rec.Len() != 1 {
-		t.Fatalf("race spike re-fired: len=%d", rec.Len())
-	}
-	// +5 migrations: storm.
-	e.ObserveRouter(4, 118, 205)
-	if rec.Len() != 2 || rec.Last().Kind != triggerRebalanceStorm {
-		t.Fatalf("storm not triggered: len=%d", rec.Len())
-	}
-	// Counter reset (new run) must not underflow.
-	e.ObserveRouter(5, 0, 0)
-}
-
 func TestReportLatencyQuantiles(t *testing.T) {
 	e := New(Options{})
 	for i := 0; i < 100; i++ {
@@ -283,7 +255,6 @@ func TestEngineConcurrentUse(t *testing.T) {
 				timed(e, time.Millisecond)
 				e.JobAdmitted(id, uint64(id), float64(i), float64(i)+5, float64(i)+4)
 				e.JobCompleted(id, float64(i)+4.5)
-				e.ObserveRouter(float64(i), int64(i), int64(i))
 				e.Tick(float64(i))
 			}
 		}(g)

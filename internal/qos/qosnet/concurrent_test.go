@@ -122,9 +122,7 @@ func TestConcurrentClientsFederated(t *testing.T) {
 	if err := plane.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < plane.Shards(); i++ {
-		if got := plane.ShardProcs()[i]; got < 1 {
-			t.Fatalf("shard %d has %d procs", i, got)
-		}
+	if got := plane.Procs(); got != procs {
+		t.Fatalf("plane holds %d procs, want %d", got, procs)
 	}
 }

@@ -59,12 +59,12 @@ type (
 // QoS architecture (Section 3).
 type (
 	// Arbitrator is the system-wide QoS arbitrator: the admission plane
-	// junctiond serves.  At one shard (the default) it decides exactly what
-	// the paper's single arbitrator does; with ArbitratorConfig.Shards > 1
-	// the processor pool is partitioned across independently locked shards
-	// with best-of-k routing and broker-driven rebalancing.
+	// junctiond serves, one scheduler behind one lock that decides exactly
+	// what the paper's single arbitrator does.  Its capacity follows a
+	// resource broker's pool (AttachBroker) or an operator
+	// (SetTotalCapacity), one processor at a time.
 	Arbitrator = fed.Arbitrator
-	// ArbitratorConfig configures NewArbitrator; a zero Shards means one.
+	// ArbitratorConfig configures NewArbitrator; leave Shards zero.
 	ArbitratorConfig = fed.Config
 	// Agent is an application's QoS agent: its task system, negotiated
 	// with an arbitrator through NegotiateWith.

@@ -189,7 +189,6 @@ func TestEverySettingHasACaller(t *testing.T) {
 		"milan/internal/campaign.Config",
 		"milan/internal/campaign.Inject",
 		"milan/internal/calypso.Config",
-		"milan/internal/fed.Rebalancer",
 		"milan/internal/metrics.PlotOptions",
 		"milan/internal/resbroker.Request",
 		"milan/internal/resbroker.Resource",
@@ -200,6 +199,8 @@ func TestEverySettingHasACaller(t *testing.T) {
 		"milan/internal/durable.Config.Shed":       "the served shedder is ROADMAP 5c",
 		"milan/internal/durable.Config.Shards":     "set to 1 only by bench/stack.go; the durable plane is one shard (ROADMAP 1d)",
 		"milan/internal/durable.Config.ProbeK":     "set to 1 only by bench/stack.go; one shard probes nothing (ROADMAP 1d)",
+		"milan/internal/fed.Config.Shards":         "set only by bench/stack.go, whose fed_s8 rung is the router's last user (ROADMAP 1d, 25b)",
+		"milan/internal/fed.Config.ProbeK":         "set only by bench/stack.go, whose fed_s8 rung is the router's last user (ROADMAP 1d, 25b)",
 	}
 	// Hooks kept without a setter in the module, each for its reason.
 	hookExceptions := map[string]string{

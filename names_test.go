@@ -21,7 +21,6 @@ var testSupport = map[string]string{
 	"obs/slo.DecodeSnapshot":           "the decoder the flight-snapshot fuzz target fuzzes",
 	"obs.MaxArtifact":                  "the artifact size bound; campaign's decoder test holds DecodeArtifact to it",
 	"obs.ErrArtifactTooLong":           "the error past the artifact size bound; campaign's decoder test holds DecodeArtifact to it",
-	"obs/ledger.Ledger.Snapshot":       "one shard's ledger, which the ledger differential tests hold to that shard's scheduler; the served paths read the merged view",
 	"durable/vfs.Fault.SetRenameError": "a fault seam of the store's crash tests (ROADMAP 7 gives it a caller)",
 	"durable/vfs.Fault.SetCloseError":  "a fault seam of the store's crash tests (ROADMAP 7 gives it a caller)",
 	"durable/vfs.Fault.SetRemoveError": "a fault seam of the store's crash tests",
