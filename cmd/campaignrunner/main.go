@@ -46,7 +46,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		jobs      = fs.Int("jobs", 300, "arrivals per scenario run")
 		procs     = fs.Int("procs", 32, "plane capacity in processors")
 		scenario  = fs.String("scenario", "", "run only this scenario (default: the full matrix)")
-		inject    = fs.String("inject", "", "deliberate fault: over-admission | completion-delay | shedder-bypass | dropped-fsync")
+		inject    = fs.String("inject", "", "deliberate fault: over-admission | completion-delay | shedder-bypass")
 		artifacts = fs.String("artifacts", "", "directory for breach artifacts (JSONL, one file per breach)")
 		list      = fs.Bool("list", false, "list the scenario matrix and exit")
 	)
@@ -77,8 +77,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		inj.CompletionDelay = 500
 	case "shedder-bypass":
 		inj.ShedderBypass = true
-	case "dropped-fsync":
-		inj.DroppedFsync = true
 	default:
 		fmt.Fprintf(stderr, "campaignrunner: unknown -inject %q\n", *inject)
 		return 2

@@ -22,11 +22,11 @@ func TestCampaignTableIsPinned(t *testing.T) {
 		code   int
 		sha256 string
 	}{
-		// Taken again when the shards=N cells and rebalance-storm left and
-		// broker-churn moved to shards=1; every other row is the same.
-		{[]string{"-seed", "1999"}, 0, "dd31cdc348e9f28265a8286624cf3d1592d80f30a6af5a4788332623f2f8c6f3"},
-		{[]string{"-seed", "1999", "-jobs", "150"}, 0, "e41f63496c99e4f3ad243dade62e2deec05c4b9463e8c79a79d66d191e83460c"},
-		{[]string{"-seed", "1999", "-inject", "dropped-fsync"}, 1, "afb2b39703d800a91e8e9d785f03e65c9ec5470535a29715fb22c33b0204fc7a"},
+		// Taken again when the node-kill row left the matrix for crashtest;
+		// every other row is the same.
+		{[]string{"-seed", "1999"}, 0, "bccb7df240b7f5a7ebe2e20dee31596d132011a25e59f475eddfe3e7a0c8f99c"},
+		{[]string{"-seed", "1999", "-jobs", "150"}, 0, "526543133d4126316d88ac9dba9ae16bf40dd0fabefe3cd1a515e44b910c07e1"},
+		{[]string{"-seed", "1999", "-inject", "shedder-bypass"}, 1, "19a42d7e42cea0737d40242d7183e445ff37d7c56d8088c043d07a432f1d0e6c"},
 	} {
 		var out bytes.Buffer
 		if code := run(tc.args, &out, os.Stderr); code != tc.code {

@@ -1,9 +1,10 @@
 // Package campaign is the adversarial campaign harness: it sweeps a
 // randomized scenario matrix — arrival storms with hot-tenant skew,
-// broker churn, calypso worker-fault floods, node kills and multi-tenant
-// saturation overload — against the admission plane junctiond serves,
-// asserting the paper's hard invariant (admitted ⇒ deadline met) and the
-// fairness invariants of the saturation shedder on every run.
+// broker churn, calypso worker-fault floods and multi-tenant saturation
+// overload — against the admission plane junctiond serves, asserting the
+// paper's hard invariant (admitted ⇒ deadline met) and the fairness
+// invariants of the saturation shedder on every run.  Acked ⇒ durable is
+// cmd/crashtest's: one harness per invariant.
 //
 // Every run is a deterministic function of its seed: the per-run seed is
 // derived from the campaign seed plus the scenario and plane names, each
@@ -41,10 +42,6 @@ const (
 	// planeRuntime marks scenarios that exercise the calypso execution
 	// runtime rather than an admission plane.
 	planeRuntime Plane = "runtime"
-	// planeDurable is the WAL-backed admission plane (durable.Plane), one
-	// shard as junctiond serves it: node-kill scenarios crash and recover it
-	// mid-storm.
-	planeDurable Plane = "durable"
 )
 
 // Inject selects deliberate faults for campaign self-tests: each one
@@ -61,11 +58,6 @@ type Inject struct {
 	// ShedderBypass turns the fairness shedder off while leaving the
 	// fairness invariant checks armed (fault=shedder).
 	ShedderBypass bool
-	// DroppedFsync arms a lying fsync in the node-kill scenario's
-	// filesystem shortly before each kill: acknowledged grants ride on
-	// syncs that never reached the platter, so recovery comes back
-	// missing them (fault=durability).
-	DroppedFsync bool
 }
 
 // Config parameterizes a campaign.
@@ -277,14 +269,8 @@ func (rc *runCtx) hashDecision(id int, verdict byte, job core.Job, g *qos.Grant)
 	w.Write([]byte{verdict})
 	w.Write([]byte(job.Tenant))
 	hashUint(w, uint64(int64(job.Class)))
-	hashGrant(w, g)
-}
-
-// hashGrant folds a grant's shape — chain, shard, start and finish — into
-// a run digest; a refusal (nil) folds nothing.
-func hashGrant(w hash.Hash64, g *qos.Grant) {
 	if g == nil {
-		return
+		return // a refusal folds no grant shape
 	}
 	hashUint(w, uint64(g.Chain))
 	hashUint(w, uint64(g.Shard))

@@ -210,51 +210,6 @@ func TestInjectShedderBypassLocalizesToShedder(t *testing.T) {
 	t.Fatal("no shedder breach carried an artifact")
 }
 
-// A lying fsync armed before each node kill must lose acked grants and
-// replay to the durability layer.
-func TestInjectDroppedFsyncLocalizesToDurability(t *testing.T) {
-	rep, err := Run(Config{
-		Seed:      7,
-		Jobs:      150,
-		Scenarios: []string{"node-kill"},
-		Inject:    Inject{DroppedFsync: true},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, b := range breachesWithFault(t, rep, "durability") {
-		if b.Invariant != "no-lost-committed-grant" {
-			t.Errorf("durability breach carries invariant %q", b.Invariant)
-		}
-		if b.Artifact != nil {
-			roundTrip(t, b, "durability")
-			return
-		}
-	}
-	t.Fatal("no durability breach carried an artifact")
-}
-
-// The same seed must reproduce the same node-kill run, including the
-// injected fsync loss: breach artifacts are replayable by seed.
-func TestNodeKillInjectionDeterministic(t *testing.T) {
-	cfg := Config{Seed: 11, Jobs: 120, Scenarios: []string{"node-kill"},
-		Inject: Inject{DroppedFsync: true}}
-	a, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Runs[0].Digest != b.Runs[0].Digest {
-		t.Fatalf("digest %x != %x for the same seed under injection", a.Runs[0].Digest, b.Runs[0].Digest)
-	}
-	if len(allBreaches(a)) != len(allBreaches(b)) {
-		t.Fatalf("breach counts drifted: %d vs %d", len(allBreaches(a)), len(allBreaches(b)))
-	}
-}
-
 func TestBreachString(t *testing.T) {
 	b := Breach{Scenario: "s", Plane: planeOneShard, Invariant: "i", Detail: "d", Fault: "planner"}
 	s := b.String()

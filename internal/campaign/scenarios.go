@@ -97,16 +97,6 @@ func Matrix() []Scenario {
 			Run:    workerFaultRun,
 		},
 		{
-			Name:   "node-kill",
-			Doc:    "SIGKILL-equivalent crashes mid-storm; the durable plane must recover every acked grant",
-			Planes: []Plane{planeDurable},
-			Job:    campaignJob,
-			Arrivals: func(seed int64) workload.Arrivals {
-				return workload.NewBursty(1.2, 35, 10, seed)
-			},
-			Run: nodeKillRun,
-		},
-		{
 			Name:   "saturation-overload",
 			Doc:    "3.3x sustained overload against quotas and weighted-fair shedding",
 			Planes: []Plane{planeOneShard},

@@ -16,7 +16,7 @@ type Metrics struct {
 
 	RecoveryReplay  *obs.Hist    // the log replay at open
 	RecoveryRecords *obs.Counter // log records replayed at open
-	TornTails       *obs.Counter // recoveries that stopped at a torn tail
+	TornTails       *obs.Counter // recoveries that stopped at a torn tail or skipped a snapshot
 	Poisoned        *obs.Gauge   // 1 when the store refused further writes
 }
 

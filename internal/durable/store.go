@@ -112,7 +112,9 @@ type Recovered struct {
 	// Records is the number of log records replayed on top of it.
 	Records int
 	// Torn reports whether recovery stopped at a torn or corrupt log
-	// tail (everything before the tear is recovered; nothing after is).
+	// tail (everything before the tear is recovered; nothing after is),
+	// or skipped a named snapshot that did not read back whole at its LSN
+	// and fell back to an older base.
 	Torn bool
 	// ReplayDuration is the wall-clock time spent replaying records.
 	ReplayDuration time.Duration
@@ -352,7 +354,12 @@ func (s *store) load(genesis State) (base State, snapLSN uint64, recs []Record, 
 			return State{}, 0, nil, false, serr
 		}
 		if serr != nil || st.LSN != lsn {
-			continue // corrupt or half-written snapshot: fall back to an older one
+			// A snapshot is synced before it is renamed into its name, so
+			// on an honest disk a named one that does not read back cannot
+			// exist: the disk lied or rotted, and the log it covered may be
+			// gone.  Fall back to an older one, and say the log is torn.
+			torn = true
+			continue
 		}
 		base, snapLSN = st, lsn
 		break

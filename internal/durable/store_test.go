@@ -260,6 +260,49 @@ func TestStoreTornTailAfterLyingSync(t *testing.T) {
 	}
 }
 
+// TestStoreSkippedSnapshotIsTorn: a snapshot is synced before its rename, so
+// on an honest disk a named one always reads back.  Under a lying fsync a
+// checkpoint renames an empty snapshot into place and removes the log it
+// covers; recovery must fall back to the older base and say the log is torn,
+// not report a clean recovery of less than was acknowledged.
+func TestStoreSkippedSnapshotIsTorn(t *testing.T) {
+	ft := vfs.NewFault(vfs.NewMem())
+	met := NewMetrics(obs.NewRegistry())
+	gen, err := genesis(8, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reopen := func() (*store, Recovered) {
+		t.Helper()
+		s, rec, err := open(openConfig{FS: ft, Dir: "log", Genesis: gen, Store: StoreOptions{Sync: SyncAlways}, Metrics: met})
+		if err != nil {
+			t.Fatalf("open: %v", err)
+		}
+		return s, rec
+	}
+	s, _ := reopen()
+	for i := 1; i <= 3; i++ {
+		appendObserve(t, s, float64(i))
+	}
+	ft.SetSyncLie(true)
+	st := s.mustState(t)
+	st.LSN, st.Now = 3, 3
+	if err := s.writeSnapshot(&st); err != nil {
+		t.Fatal(err)
+	}
+	ft.Crash()
+	ft.SetSyncLie(false)
+
+	_, rec := reopen()
+	if !rec.Torn || met.TornTails.Value() != 1 {
+		t.Fatalf("skipped snapshot: torn=%v, durable_torn_tails=%d, want true and 1", rec.Torn, met.TornTails.Value())
+	}
+	if rec.State.LSN != 0 || rec.SnapshotLSN != 0 || rec.Records != 0 {
+		t.Fatalf("recovered lsn=%d from snapshot %d with %d records, want genesis (0, 0, 0): the covered log is gone",
+			rec.State.LSN, rec.SnapshotLSN, rec.Records)
+	}
+}
+
 // TestRecoveryStopsAtKindSeven: nothing writes kind 7, which is reserved for
 // a renegotiation record whose replay releases the placement it moves
 // (ROADMAP item 2).  A checksum-clean kind-7 record between two admits —

@@ -34,12 +34,6 @@ const (
 	// a task's writes never reached the store despite the crash budget
 	// (runtime fault by construction).
 	TriggerMaskingLoss TriggerKind = "masking-loss"
-	// TriggerDurabilityLoss: crash recovery came back missing state the
-	// plane had acknowledged as committed — a grant acked to a client did
-	// not survive replay, or the recovered profile diverged from the
-	// never-crashed reference.  This convicts the durability layer (WAL
-	// sync policy, snapshot protocol, or a lying disk).
-	TriggerDurabilityLoss TriggerKind = "durability-loss"
 	// triggerLatencyRegression: an admission phase's live latency burned
 	// the committed baseline envelope on both windows — the regression
 	// sentinel caught the plane getting slower than its benchmarked self.

@@ -29,12 +29,11 @@ import (
 
 // Fault names the subsystem a replay localizes a violation to.
 const (
-	faultPlanner    = "planner"
-	faultCapacity   = "capacity"
-	faultRuntime    = "runtime"
-	faultShedder    = "shedder"
-	faultDurability = "durability"
-	faultUnknown    = "unknown"
+	faultPlanner  = "planner"
+	faultCapacity = "capacity"
+	faultRuntime  = "runtime"
+	faultShedder  = "shedder"
+	faultUnknown  = "unknown"
 )
 
 // Verdict is the outcome of replaying one snapshot: the subsystem at
@@ -107,10 +106,6 @@ func Replay(s *Snapshot) Verdict {
 	case TriggerMaskingLoss:
 		v.Fault = faultRuntime
 		v.Reason = "fault-masking runtime lost committed work"
-		return v
-	case TriggerDurabilityLoss:
-		v.Fault = faultDurability
-		v.Reason = "crash recovery lost acknowledged admission state"
 		return v
 	}
 

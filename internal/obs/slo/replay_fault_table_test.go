@@ -62,13 +62,6 @@ func TestReplayFaultTable(t *testing.T) {
 				Note: "class 2 admitted share 0.33, weighted share 0.17"},
 			want: faultShedder,
 		},
-		{
-			// Durability: crash recovery lost acknowledged admission state.
-			name: "durability/recovery-loss",
-			snap: &Snapshot{Kind: TriggerDurabilityLoss, At: 11,
-				Note: "grant 42 acked at lsn 97 missing after replay (dropped fsync)"},
-			want: faultDurability,
-		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

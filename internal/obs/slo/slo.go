@@ -17,10 +17,9 @@
 //     copies the tracer's span ring and the observer's event ring into
 //     a self-contained JSONL snapshot on deadline misses and
 //     over-admissions (and, from the callers that detect them, fairness,
-//     capacity, masking and durability breaches).
+//     capacity and masking breaches).
 //   - Replay (replay.go): differential replay of a snapshot that
-//     localizes the violation to planner, runtime, shedder, capacity or
-//     durability.
+//     localizes the violation to planner, runtime, shedder or capacity.
 //
 // All timestamps are in the caller's clock domain (simulation seconds in
 // the experiment loop, wall seconds since start in a live server).
